@@ -27,6 +27,8 @@ check: build test vet race
 
 fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
+	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:

@@ -241,7 +241,7 @@ func viterbiDesign(t *testing.T) *elab.Design {
 func TestCheckpointEveryLargerThanRun(t *testing.T) {
 	// Every rollback must coast forward from the single cycle-0 record.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 2, 23), 2, 40, 29, func(c *Config) {
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 2, 23), 2, 20, 29, func(c *Config) {
 		c.CheckpointEvery = 1_000_000
 	})
 	if st.Checkpoints != 2 { // exactly one per cluster
@@ -302,7 +302,7 @@ func TestFossilCollectionRacesDeepRollback(t *testing.T) {
 	// fossil line. Run under -race in CI; the waveform oracle plus the
 	// kernel's fossil-restore invariant check catch any unsafe trim.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 400, 61, func(c *Config) {
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) {
 		c.CheckpointEvery = 5
 		c.KeyframeEvery = 3
 		c.Window = 16

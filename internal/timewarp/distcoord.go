@@ -2,14 +2,12 @@ package timewarp
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/comm/nettrans"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -64,6 +62,10 @@ type Coordinator struct {
 	ln        net.Listener
 	placement []int32
 	fed       *coordFed
+	// finished marks the workers whose result arrived: they close their
+	// control connection right after it, so that EOF is the normal exit,
+	// not a death.
+	finished []bool
 	// pmOnce guards the abort-time artifact writes: repeated abort
 	// signals (a dying worker racing the watchdog, a double fail) write
 	// the post-mortem bundle and profile artifacts exactly once.
@@ -184,6 +186,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("timewarp: coordinator needs a spec")
 	}
+	if err := checkPartition(cfg.Spec.K, cfg.Spec.GateParts); err != nil {
+		return nil, err
+	}
 	if cfg.Workers < 1 || cfg.Workers > cfg.Spec.K {
 		return nil, fmt.Errorf("timewarp: %d workers for k=%d clusters (need 1 ≤ workers ≤ k)",
 			cfg.Workers, cfg.Spec.K)
@@ -208,7 +213,8 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	for c := range placement {
 		placement[c] = int32(c * cfg.Workers / cfg.Spec.K)
 	}
-	return &Coordinator{cfg: cfg, ln: ln, placement: placement, fed: newCoordFed(cfg.Workers)}, nil
+	return &Coordinator{cfg: cfg, ln: ln, placement: placement, fed: newCoordFed(cfg.Workers),
+		finished: make([]bool, cfg.Workers)}, nil
 }
 
 // Addr is the control-plane address workers must dial.
@@ -306,22 +312,8 @@ func (co *Coordinator) Run() (*Result, error) {
 
 	// Phase 2: wait for every worker's Ready (mesh established), then
 	// fire the synchronized start.
-	ready := make([]bool, cfg.Workers)
-	for n := 0; n < cfg.Workers; {
-		f, err := co.nextFrame(frames, cfg.Watchdog, conns)
-		if err != nil {
-			return co.fail(err)
-		}
-		switch f.typ {
-		case nettrans.FrameReady:
-			if !ready[f.worker] {
-				ready[f.worker] = true
-				n++
-			}
-		default:
-			co.abortAll(conns, fmt.Sprintf("worker %d sent frame 0x%02x before ready", f.worker, f.typ))
-			return co.fail(fmt.Errorf("timewarp: worker %d sent frame 0x%02x before ready", f.worker, f.typ))
-		}
+	if err := co.gather(frames, conns, nettrans.FrameReady, "ready", func(workerFrame) error { return nil }); err != nil {
+		return co.fail(err)
 	}
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameStart, nil); err != nil {
@@ -383,51 +375,120 @@ func (co *Coordinator) abortAll(conns []*nettrans.Conn, reason string) {
 	}
 }
 
-// nextFrame waits for one control frame, turning worker errors, worker
-// death and watchdog expiry into run aborts. Federation frames
-// (metrics/trace) are absorbed in place — they can arrive interleaved
-// with any solicited frame — so callers only ever see protocol frames.
-func (co *Coordinator) nextFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (workerFrame, error) {
+// abortf broadcasts an abort diagnosis to every worker, closes their
+// control connections and returns the diagnosis as the run's error.
+func (co *Coordinator) abortf(conns []*nettrans.Conn, format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	co.abortAll(conns, err.Error())
+	return fmt.Errorf("timewarp: %w", err)
+}
+
+// pollFrame waits up to timeout for one protocol frame (ok=false when none
+// came), turning worker errors and worker death into run aborts.
+// Federation frames (metrics/trace/profile) are absorbed in place — they
+// can arrive interleaved with any solicited frame — so callers only ever
+// see protocol frames.
+func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (f workerFrame, ok bool, err error) {
 	deadline := time.After(timeout)
 	for {
 		select {
 		case f := <-frames:
 			if f.err != nil {
-				co.abortAll(conns, fmt.Sprintf("worker %d died: %v", f.worker, f.err))
-				return f, fmt.Errorf("timewarp: worker %d died: %w", f.worker, f.err)
+				if co.finished[f.worker] {
+					continue
+				}
+				return f, false, co.abortf(conns, "worker %d died: %w", f.worker, f.err)
 			}
 			if f.typ == nettrans.FrameError {
 				a, _ := decodeAbort(f.payload)
-				co.abortAll(conns, fmt.Sprintf("worker %d failed: %s", f.worker, a.Reason))
-				return f, fmt.Errorf("timewarp: worker %d failed: %s", f.worker, a.Reason)
+				return f, false, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
 			}
 			if handled, err := co.absorbObs(f); handled {
 				if err != nil {
 					co.abortAll(conns, err.Error())
-					return f, err
+					return f, false, err
 				}
 				continue
 			}
-			return f, nil
+			return f, true, nil
 		case <-deadline:
-			co.abortAll(conns, fmt.Sprintf("watchdog: no worker activity within %v", timeout))
-			return workerFrame{}, fmt.Errorf("timewarp: watchdog: no worker activity within %v", timeout)
+			return workerFrame{}, false, nil
 		}
 	}
 }
 
-// workerRound is the per-worker freeze-comparison state: the counters of
-// the worker's previous report.
-type workerRound struct {
-	valid    bool
-	sent     uint64
-	absorbed uint64
-	progress map[int32]uint64
+// nextFrame is pollFrame under the watchdog: no frame in time is an abort.
+func (co *Coordinator) nextFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (workerFrame, error) {
+	f, ok, err := co.pollFrame(frames, timeout, conns)
+	if err == nil && !ok {
+		err = co.abortf(conns, "watchdog: no worker activity within %v", timeout)
+	}
+	return f, err
 }
 
-// rounds is the Mattern GVT loop: periodic cuts, report collection,
-// freeze detection, GVT broadcast, termination and the stall/crash
-// watchdogs. It owns the run from start to finish/abort.
+// gather waits, under the watchdog, for exactly one frame of type want
+// from every worker and hands each to use. Per-connection FIFO means
+// anything else is a protocol violation, not skew.
+func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, want byte, what string, use func(workerFrame) error) error {
+	seen := make([]bool, co.cfg.Workers)
+	for n := 0; n < co.cfg.Workers; n++ {
+		f, err := co.nextFrame(frames, co.cfg.Watchdog, conns)
+		if err != nil {
+			return err
+		}
+		if f.typ != want || seen[f.worker] {
+			return co.abortf(conns, "worker %d sent frame 0x%02x while its %s was due", f.worker, f.typ, what)
+		}
+		seen[f.worker] = true
+		if err := use(f); err != nil {
+			co.abortAll(conns, err.Error())
+			return err
+		}
+	}
+	return nil
+}
+
+// eraLedger is the Mattern side of the quiescence sample: cumulative
+// data-frame counts per send colour (the round a frame was sent in),
+// folded from the workers' per-round deltas.
+type eraLedger struct {
+	sent, recv map[uint64]uint64
+	frames     uint64 // every frame ever tallied, sent plus received
+}
+
+func (l *eraLedger) fold(r *distReport) {
+	for _, e := range r.WireSent {
+		l.sent[e.Era] += e.Count
+		l.frames += e.Count
+	}
+	for _, e := range r.WireRecv {
+		l.recv[e.Era] += e.Count
+		l.frames += e.Count
+	}
+}
+
+// inflight is the number of frames coloured before round that were sent
+// but not yet reported received; drained says every such colour balances.
+func (l *eraLedger) inflight(round uint64) (n int64, drained bool) {
+	drained = true
+	for era, sent := range l.sent {
+		if era < round {
+			n += int64(sent) - int64(l.recv[era])
+			drained = drained && sent == l.recv[era]
+		}
+	}
+	for era, recv := range l.recv {
+		if era < round && l.sent[era] == 0 {
+			n -= int64(recv)
+			drained = false
+		}
+	}
+	return n, drained
+}
+
+// rounds is the Mattern GVT loop: periodic cuts, report collection, one
+// quiescence sample per round, GVT broadcast, termination and the
+// stall/crash watchdogs. It owns the run from start to finish/abort.
 func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	k := cfg.Spec.K
@@ -447,48 +508,21 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 	)
 
 	var (
-		round        uint64
-		gvt          uint64
-		violations   []string
-		prev         = make([]workerRound, cfg.Workers)
-		progress     = make(map[int32]uint64, k)
-		cumWireSent  = make(map[uint64]uint64)
-		cumWireRecv  = make(map[uint64]uint64)
-		doneStreak   int
-		started      = time.Now()
-		lastActivity = started
+		round    uint64
+		q        = newQuiescence(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
+		s        = sample{progress: make([]uint64, k)}
+		reported = make([]bool, k)
+		ledger   = eraLedger{sent: make(map[uint64]uint64), recv: make(map[uint64]uint64)}
 	)
 
 	for {
 		// Idle between rounds, but keep listening: a worker crash or a
 		// FrameError must cut the nap short, and federation frames from a
 		// worker's throttled shipper are absorbed here.
-		idle := time.After(cfg.RoundEvery)
-	napping:
-		for {
-			select {
-			case f := <-frames:
-				if f.err != nil {
-					co.abortAll(conns, fmt.Sprintf("worker %d died: %v", f.worker, f.err))
-					return nil, fmt.Errorf("timewarp: worker %d died: %w", f.worker, f.err)
-				}
-				if f.typ == nettrans.FrameError {
-					a, _ := decodeAbort(f.payload)
-					co.abortAll(conns, fmt.Sprintf("worker %d failed: %s", f.worker, a.Reason))
-					return nil, fmt.Errorf("timewarp: worker %d failed: %s", f.worker, a.Reason)
-				}
-				if handled, err := co.absorbObs(f); handled {
-					if err != nil {
-						co.abortAll(conns, err.Error())
-						return nil, err
-					}
-					continue
-				}
-				co.abortAll(conns, fmt.Sprintf("worker %d sent unsolicited frame 0x%02x", f.worker, f.typ))
-				return nil, fmt.Errorf("timewarp: worker %d sent unsolicited frame 0x%02x", f.worker, f.typ)
-			case <-idle:
-				break napping
-			}
+		if f, ok, err := co.pollFrame(frames, cfg.RoundEvery, conns); err != nil {
+			return nil, err
+		} else if ok {
+			return nil, co.abortf(conns, "worker %d sent unsolicited frame 0x%02x", f.worker, f.typ)
 		}
 
 		// Cut: flip every worker's send color to this round's number.
@@ -498,209 +532,81 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		cutPayload := appendCut(nil, distCut{Round: round})
 		for i, conn := range conns {
 			if err := conn.Send(nettrans.FrameCut, cutPayload); err != nil {
-				co.abortAll(conns, fmt.Sprintf("worker %d unreachable at cut %d", i, round))
-				return nil, fmt.Errorf("timewarp: worker %d unreachable at cut %d: %w", i, round, err)
+				return nil, co.abortf(conns, "worker %d unreachable at cut %d: %w", i, round, err)
 			}
 		}
 
-		// Collect one report per worker. Per-connection FIFO means a
-		// report for any other round is a protocol violation, not skew.
-		reports := make([]*distReport, cfg.Workers)
-		for n := 0; n < cfg.Workers; {
-			f, err := co.nextFrame(frames, cfg.Watchdog, conns)
-			if err != nil {
-				return nil, err
-			}
-			if f.typ != nettrans.FrameReport {
-				co.abortAll(conns, fmt.Sprintf("worker %d sent frame 0x%02x during round %d", f.worker, f.typ, round))
-				return nil, fmt.Errorf("timewarp: worker %d sent frame 0x%02x during round %d", f.worker, f.typ, round)
-			}
+		// Collect one report per worker and fold it into the sample.
+		s.sent, s.absorbed, s.maxStraggler = 0, 0, 0
+		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
 			r, err := decodeReport(f.payload, k)
 			if err != nil {
-				co.abortAll(conns, err.Error())
-				return nil, err
+				return err
 			}
-			if r.Round != round || reports[f.worker] != nil {
-				co.abortAll(conns, fmt.Sprintf("worker %d answered round %d during round %d", f.worker, r.Round, round))
-				return nil, fmt.Errorf("timewarp: worker %d answered round %d during round %d", f.worker, r.Round, round)
+			if r.Round != round {
+				return fmt.Errorf("timewarp: worker %d answered round %d during round %d", f.worker, r.Round, round)
 			}
-			reports[f.worker] = &r
-			n++
+			s.sent += r.Sent
+			s.absorbed += r.Absorbed
+			s.maxStraggler = max(s.maxStraggler, r.MaxStraggler)
+			for _, cp := range r.Progress {
+				s.progress[cp.Cluster] = cp.Cycle
+				reported[cp.Cluster] = true
+			}
+			ledger.fold(&r)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		roundLatUS := int64(time.Since(roundT0) / time.Microsecond)
 		hRoundLat.Observe(float64(roundLatUS))
 
-		// Fold this round into the freeze/drain state.
-		var sumSent, sumAbsorbed, maxStraggler uint64
-		frozen := true
-		active := false
-		for i, r := range reports {
-			sumSent += r.Sent
-			sumAbsorbed += r.Absorbed
-			if r.MaxStraggler > maxStraggler {
-				maxStraggler = r.MaxStraggler
-			}
-			quiet := len(r.WireSent) == 0 && len(r.WireRecv) == 0
-			for _, e := range r.WireSent {
-				cumWireSent[e.Era] += e.Count
-			}
-			for _, e := range r.WireRecv {
-				cumWireRecv[e.Era] += e.Count
-			}
-			p := &prev[i]
-			same := p.valid && p.sent == r.Sent && p.absorbed == r.Absorbed && quiet
-			if same {
-				for _, cp := range r.Progress {
-					if p.progress[cp.Cluster] != cp.Cycle {
-						same = false
-						break
-					}
-				}
-			}
-			if !same {
-				frozen = false
-			}
-			if !p.valid || p.sent != r.Sent || p.absorbed != r.Absorbed || !quiet {
-				active = true
-			}
-			if p.progress == nil {
-				p.progress = make(map[int32]uint64, len(r.Progress))
-			}
-			for _, cp := range r.Progress {
-				if p.progress[cp.Cluster] != cp.Cycle {
-					active = true
-				}
-				p.progress[cp.Cluster] = cp.Cycle
-				progress[cp.Cluster] = cp.Cycle
-			}
-			p.valid, p.sent, p.absorbed = true, r.Sent, r.Absorbed
+		s.complete = true
+		for _, ok := range reported {
+			s.complete = s.complete && ok
 		}
-		if sumSent != sumAbsorbed {
-			frozen = false
-		}
-		if len(progress) < k {
-			frozen = false // first rounds: not every cluster reported yet
-		}
-
-		// Mattern drain check: every frame colored before this cut must
-		// have been received. Undrained while frozen means a frame
-		// vanished — nothing is moving, so it never will arrive.
-		drained := true
-		for era, sent := range cumWireSent {
-			if era < round && cumWireRecv[era] != sent {
-				drained = false
-				break
-			}
-		}
-		for era, recv := range cumWireRecv {
-			if era < round && cumWireSent[era] != recv {
-				drained = false
-				break
-			}
-		}
-		if frozen && !drained {
-			reason := "wire frame lost: era counts unbalanced at a frozen cut"
-			co.abortAll(conns, reason)
-			return nil, fmt.Errorf("timewarp: %s", reason)
-		}
-
-		minProg, allDone := uint64(math.MaxUint64), len(progress) == k
-		for _, cyc := range progress {
-			if cyc < minProg {
-				minProg = cyc
-			}
-			if cyc < cfg.Spec.Cycles {
-				allDone = false
-			}
-		}
-		if len(progress) == 0 {
-			minProg = 0
-		}
-
-		if active {
-			lastActivity = time.Now()
-		}
-		cfg.Probe.note(gvt, minProg, maxStraggler, active)
-
-		terminate := false
-		if frozen && drained {
-			// Two identical, fully-drained rounds: the progress minimum
-			// held at a provably quiescent instant. Same argument as the
-			// in-process watcher, with the wire drained by era counting.
-			if minProg > gvt {
-				gvt = minProg
-				gvtPayload := appendGVT(nil, distGVT{Value: gvt})
-				for i, conn := range conns {
-					if err := conn.Send(nettrans.FrameGVT, gvtPayload); err != nil {
-						co.abortAll(conns, fmt.Sprintf("worker %d unreachable at gvt broadcast", i))
-						return nil, fmt.Errorf("timewarp: worker %d unreachable at gvt broadcast: %w", i, err)
-					}
-				}
-			} else if minProg < gvt {
-				violations = append(violations, fmt.Sprintf(
-					"GVT regression: quiescent minimum %d below established GVT %d", minProg, gvt))
-			}
-			if allDone {
-				doneStreak++
-				terminate = doneStreak >= 2
-			} else {
-				doneStreak = 0
-			}
-		} else {
-			doneStreak = 0
-		}
-
-		// Round instrumentation and flight-recorder history: the era
-		// in-flight delta (pre-cut frames sent but not yet reported
-		// received), freeze progress, and one gvt_round span per round —
-		// recorded after the GVT update so the terminal round is captured
-		// with its final values.
 		var inflight int64
-		for era := range cumWireSent {
-			if era < round {
-				inflight += int64(cumWireSent[era]) - int64(cumWireRecv[era])
+		inflight, s.drained = ledger.inflight(round)
+		s.wire = ledger.frames
+		s.now = time.Now()
+		v := q.step(s)
+		cfg.Probe.note(v.gvt, v.minProg, s.maxStraggler, v.active)
+
+		if v.advanced {
+			gvtPayload := appendGVT(nil, distGVT{Value: v.gvt})
+			for i, conn := range conns {
+				if err := conn.Send(nettrans.FrameGVT, gvtPayload); err != nil {
+					return nil, co.abortf(conns, "worker %d unreachable at gvt broadcast: %w", i, err)
+				}
 			}
 		}
-		for era, recv := range cumWireRecv {
-			if era < round && cumWireSent[era] == 0 {
-				inflight -= int64(recv)
-			}
-		}
-		gGvt.Set(int64(gvt))
-		gMinProg.Set(int64(minProg))
+
+		// Round instrumentation and flight-recorder history, recorded after
+		// the GVT update so the terminal round is captured with its final
+		// values.
+		gGvt.Set(int64(v.gvt))
+		gMinProg.Set(int64(v.minProg))
 		gInflight.Set(inflight)
-		gFreeze.Set(int64(doneStreak))
+		gFreeze.Set(int64(v.doneStreak))
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
-			obs.Arg{Key: "gvt", Val: float64(gvt)},
-			obs.Arg{Key: "min_progress", Val: float64(minProg)})
+			obs.Arg{Key: "gvt", Val: float64(v.gvt)},
+			obs.Arg{Key: "min_progress", Val: float64(v.minProg)})
 		co.fed.noteRound(roundRecord{
 			Round:       round,
-			GVT:         gvt,
-			MinProgress: minProg,
-			Frozen:      frozen,
-			Drained:     drained,
+			GVT:         v.gvt,
+			MinProgress: v.minProg,
+			Frozen:      v.frozen,
+			Drained:     s.drained,
 			LatencyUS:   roundLatUS,
 			UptimeUS:    int64(cfg.Obs.Uptime() / time.Microsecond),
 		})
-		if terminate {
-			return co.finish(conns, frames, gvt, violations, cumWireSent, cumWireRecv)
+		if v.terminate {
+			return co.finish(conns, frames, q, &ledger)
 		}
-
-		if cfg.StallTimeout > 0 && !(allDone && sumSent == sumAbsorbed) &&
-			time.Since(lastActivity) > cfg.StallTimeout {
-			reason := fmt.Sprintf(
-				"run stalled for %v (progress min %d of %d cycles, %d of %d messages absorbed): wedged worker or lost message",
-				cfg.StallTimeout, minProg, cfg.Spec.Cycles, sumAbsorbed, sumSent)
-			co.abortAll(conns, reason)
-			return nil, fmt.Errorf("timewarp: %s", reason)
-		}
-		if cfg.RunTimeout > 0 && time.Since(started) > cfg.RunTimeout {
-			reason := fmt.Sprintf(
-				"run exceeded hard cap %v while still active (progress min %d of %d cycles): livelocked run",
-				cfg.RunTimeout, minProg, cfg.Spec.Cycles)
-			co.abortAll(conns, reason)
-			return nil, fmt.Errorf("timewarp: %s", reason)
+		if v.abort != "" {
+			return nil, co.abortf(conns, "%s", v.abort)
 		}
 	}
 }
@@ -709,8 +615,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 // merges them into the kernel's Result shape. Workers ship their final
 // observability state (snapshot + trace tail) just before the result,
 // so the federation is complete by the time the Result exists.
-func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, gvt uint64, violations []string,
-	cumWireSent, cumWireRecv map[uint64]uint64) (*Result, error) {
+func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q *quiescence, ledger *eraLedger) (*Result, error) {
 	cfg := co.cfg
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameFinish, nil); err != nil {
@@ -718,112 +623,29 @@ func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, g
 			return nil, fmt.Errorf("timewarp: worker %d unreachable at finish: %w", i, err)
 		}
 	}
-	results := make([]*distResult, cfg.Workers)
-	for n := 0; n < cfg.Workers; {
-		var f workerFrame
-		select {
-		case f = <-frames:
-		case <-time.After(cfg.Watchdog):
-			reason := fmt.Sprintf("watchdog: %d of %d results within %v", n, cfg.Workers, cfg.Watchdog)
-			co.abortAll(conns, reason)
-			return nil, fmt.Errorf("timewarp: %s", reason)
-		}
-		if f.err == nil {
-			if handled, err := co.absorbObs(f); handled {
-				if err != nil {
-					co.abortAll(conns, err.Error())
-					return nil, err
-				}
-				continue
-			}
-		}
-		if f.err != nil {
-			if results[f.worker] != nil {
-				// A worker closes its control connection right after its
-				// result; that EOF is the normal exit, not a death.
-				continue
-			}
-			co.abortAll(conns, fmt.Sprintf("worker %d died: %v", f.worker, f.err))
-			return nil, fmt.Errorf("timewarp: worker %d died before its result: %w", f.worker, f.err)
-		}
-		if f.typ == nettrans.FrameError {
-			a, _ := decodeAbort(f.payload)
-			co.abortAll(conns, fmt.Sprintf("worker %d failed: %s", f.worker, a.Reason))
-			return nil, fmt.Errorf("timewarp: worker %d failed: %s", f.worker, a.Reason)
-		}
-		if f.typ != nettrans.FrameResult {
-			co.abortAll(conns, fmt.Sprintf("worker %d sent frame 0x%02x instead of result", f.worker, f.typ))
-			return nil, fmt.Errorf("timewarp: worker %d sent frame 0x%02x instead of result", f.worker, f.typ)
-		}
+	results := make([]*distResult, 0, cfg.Workers)
+	err := co.gather(frames, conns, nettrans.FrameResult, "result", func(f workerFrame) error {
 		r, err := decodeResult(f.payload, cfg.Spec.K)
 		if err != nil {
-			co.abortAll(conns, err.Error())
-			return nil, err
+			return err
 		}
-		if results[f.worker] != nil {
-			co.abortAll(conns, fmt.Sprintf("worker %d sent two results", f.worker))
-			return nil, fmt.Errorf("timewarp: worker %d sent two results", f.worker)
-		}
-		results[f.worker] = &r
-		n++
+		results = append(results, &r)
+		co.finished[f.worker] = true
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, conn := range conns {
 		conn.Close()
 	}
 
-	res := &Result{
-		Observed:            make(map[netlist.NetID][]bool),
-		PerCluster:          make([]Stats, cfg.Spec.K),
-		FinalGVT:            gvt,
-		InvariantViolations: violations,
-	}
-	for _, n := range cumWireSent {
+	res := mergeResults(cfg.Spec.K, results, q)
+	for _, n := range ledger.sent {
 		res.WireFramesSent += n
 	}
-	for _, n := range cumWireRecv {
+	for _, n := range ledger.recv {
 		res.WireFramesRecv += n
-	}
-	var sumSent, sumAbsorbed uint64
-	var sumInFlight int64
-	for _, r := range results {
-		sumSent += r.Sent
-		sumAbsorbed += r.Absorbed
-		sumInFlight += r.InFlight
-		for _, c := range r.Clusters {
-			st := c.Stats
-			res.PerCluster[c.Cluster] = st
-			res.Stats.Messages += st.Messages
-			res.Stats.AntiMessages += st.AntiMessages
-			res.Stats.Rollbacks += st.Rollbacks
-			res.Stats.Events += st.Events
-			res.Stats.RolledBackEvents += st.RolledBackEvents
-			res.Stats.Checkpoints += st.Checkpoints
-			res.Stats.Batches += st.Batches
-			res.Stats.BatchedEvents += st.BatchedEvents
-			res.Stats.PoolHits += st.PoolHits
-			res.Stats.PoolMisses += st.PoolMisses
-			res.Stats.CheckpointBytesSaved += st.CheckpointBytesSaved
-			if st.MaxStragglerDepth > res.Stats.MaxStragglerDepth {
-				res.Stats.MaxStragglerDepth = st.MaxStragglerDepth
-			}
-		}
-		for _, o := range r.Observed {
-			if _, dup := res.Observed[o.Net]; dup {
-				res.InvariantViolations = append(res.InvariantViolations,
-					fmt.Sprintf("net %d observed by two workers", o.Net))
-			}
-			res.Observed[o.Net] = o.Values
-		}
-	}
-	// Global termination invariants, summed across processes — the same
-	// checks the in-process kernel makes against its shared counters.
-	if sumInFlight != 0 {
-		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("%d messages still in flight at termination", sumInFlight))
-	}
-	if sumAbsorbed != sumSent {
-		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("absorbed %d of %d sent messages at termination", sumAbsorbed, sumSent))
 	}
 	return res, nil
 }

@@ -215,30 +215,17 @@ type observedNet struct {
 }
 
 func appendStats(dst []byte, s Stats) []byte {
-	for _, v := range []uint64{
-		s.Messages, s.AntiMessages, s.Rollbacks, s.Events, s.RolledBackEvents,
-		s.Checkpoints, s.MaxStragglerDepth, s.Batches, s.BatchedEvents,
-		s.PoolHits, s.PoolMisses, s.CheckpointBytesSaved,
-	} {
-		dst = nettrans.AppendU64(dst, v)
+	for _, f := range s.fields() {
+		dst = nettrans.AppendU64(dst, *f)
 	}
 	return dst
 }
 
 func decodeStats(d *nettrans.Dec) Stats {
 	var s Stats
-	s.Messages = d.U64()
-	s.AntiMessages = d.U64()
-	s.Rollbacks = d.U64()
-	s.Events = d.U64()
-	s.RolledBackEvents = d.U64()
-	s.Checkpoints = d.U64()
-	s.MaxStragglerDepth = d.U64()
-	s.Batches = d.U64()
-	s.BatchedEvents = d.U64()
-	s.PoolHits = d.U64()
-	s.PoolMisses = d.U64()
-	s.CheckpointBytesSaved = d.U64()
+	for _, f := range s.fields() {
+		*f = d.U64()
+	}
 	return s
 }
 

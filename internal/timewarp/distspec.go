@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/comm/nettrans"
 	"repro/internal/elab"
+	"repro/internal/netlist"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -74,6 +76,23 @@ func (s *DistSpec) Elaborate() (*elab.Design, error) {
 	return ed, nil
 }
 
+// config is the kernel configuration the spec describes over nl, its own
+// elaboration — the one DistSpec → Config mapping.
+func (s *DistSpec) config(nl *netlist.Netlist) Config {
+	return Config{
+		NL:                 nl,
+		GateParts:          s.GateParts,
+		K:                  s.K,
+		Vectors:            sim.RandomVectors{Seed: s.VecSeed},
+		Cycles:             s.Cycles,
+		Window:             s.Window,
+		CheckpointEvery:    s.ChkEvery,
+		AdaptiveCheckpoint: s.Adaptive,
+		KeyframeEvery:      s.Keyframe,
+		DisableBatching:    s.NoBatch,
+	}
+}
+
 // AppendDistSpec serializes the spec, fingerprint included.
 func AppendDistSpec(dst []byte, s *DistSpec) []byte {
 	dst = nettrans.AppendU64(dst, s.Fingerprint())
@@ -124,13 +143,8 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("timewarp: malformed dist spec: %w", err)
 	}
-	if s.K < 1 {
-		return nil, fmt.Errorf("timewarp: dist spec k=%d", s.K)
-	}
-	for i, p := range s.GateParts {
-		if p < 0 || int(p) >= s.K {
-			return nil, fmt.Errorf("timewarp: dist spec assigns gate %d to cluster %d (k=%d)", i, p, s.K)
-		}
+	if err := checkPartition(s.K, s.GateParts); err != nil {
+		return nil, fmt.Errorf("%w (dist spec)", err)
 	}
 	if got := s.Fingerprint(); got != want {
 		return nil, fmt.Errorf("timewarp: dist spec fingerprint mismatch: blob says %016x, content hashes to %016x", want, got)

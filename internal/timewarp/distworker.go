@@ -11,7 +11,6 @@ import (
 	"repro/internal/comm/nettrans"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
-	"repro/internal/sim"
 )
 
 // WorkerOptions configures one worker process of a distributed run.
@@ -38,10 +37,10 @@ type WorkerOptions struct {
 	Profile *profile.Capturer
 	// DialTimeout bounds the coordinator and peer dials (default 5s).
 	DialTimeout time.Duration
-	// FailAfter, when positive, drops every connection abruptly after
-	// this duration — the injected crash the kill-a-worker test uses to
-	// prove the coordinator aborts instead of hanging. Never set it
-	// outside tests.
+	// FailAfter, when positive, drops every connection abruptly this long
+	// after the synchronized start — the injected mid-run crash the
+	// kill-a-worker tests use to prove the coordinator aborts instead of
+	// hanging. Never set it outside tests.
 	FailAfter time.Duration
 }
 
@@ -132,17 +131,9 @@ type distWorker struct {
 	ln        net.Listener
 	peers     []*nettrans.Conn // indexed by worker id; nil at own slot
 
-	mesh      *meshTransport
-	net       *comm.Network
-	progress  []atomic.Uint64
-	absorbed  atomic.Uint64
-	cancelled atomic.Bool
-	gvt       atomic.Uint64
-	clusters  []*cluster // local clusters only
-	clusterWG sync.WaitGroup
-
-	errMu      sync.Mutex
-	clusterErr error // first local cluster failure
+	mesh *meshTransport
+	h    *host  // this worker's share of the clusters
+	smp  sample // scratch for reports and probe notes
 
 	stopGossip chan struct{}
 	gossipWG   sync.WaitGroup
@@ -154,79 +145,27 @@ type distWorker struct {
 	lastShip    time.Time
 }
 
-func (w *distWorker) noteClusterErr(err error) {
-	w.errMu.Lock()
-	if w.clusterErr == nil {
-		w.clusterErr = err
-	}
-	w.errMu.Unlock()
-}
-
-func (w *distWorker) firstClusterErr() error {
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	return w.clusterErr
-}
-
 // run drives the worker after a successful handshake.
 func (w *distWorker) run(peerAddrs []string) error {
 	ed, err := w.spec.Elaborate()
 	if err != nil {
 		return err
 	}
-	nl := ed.Netlist
-	depth, err := nl.Depth()
-	if err != nil {
-		return err
-	}
-	deltaRange := uint64(depth) + 4
-
 	if err := w.meshUp(peerAddrs); err != nil {
 		return fmt.Errorf("timewarp: worker %d mesh: %w", w.id, err)
 	}
 	defer w.closePeers()
 
-	cfg := &Config{
-		NL:                 nl,
-		GateParts:          w.spec.GateParts,
-		K:                  w.spec.K,
-		Vectors:            sim.RandomVectors{Seed: w.spec.VecSeed},
-		Cycles:             w.spec.Cycles,
-		Window:             w.spec.Window,
-		CheckpointEvery:    w.spec.ChkEvery,
-		AdaptiveCheckpoint: w.spec.Adaptive,
-		KeyframeEvery:      w.spec.Keyframe,
-		DisableBatching:    w.spec.NoBatch,
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 8
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 1
-	}
-	observe := nl.POs
-
-	w.progress = make([]atomic.Uint64, w.spec.K)
+	cfg := w.spec.config(ed.Netlist)
+	cfg.Obs, cfg.Probe, cfg.Profile = w.opts.Obs, w.opts.Probe, w.opts.Profile
 	w.mesh = newMeshTransport(w)
-	w.net = comm.NewNetworkTransport(w.spec.K, w.mesh.factory())
-	w.mesh.net = w.net
-
-	for c := 0; c < w.spec.K; c++ {
-		if int(w.placement[c]) != w.id {
-			continue
-		}
-		cl := newCluster(int32(c), cfg, deltaRange, w.net.Endpoint(c),
-			w.progress, &w.absorbed, &w.cancelled, &w.gvt, observe)
-		w.clusters = append(w.clusters, cl)
+	cfg.Transport = w.mesh.factory()
+	w.h, err = newHost(cfg, "dist", func(c int) bool { return int(w.placement[c]) == w.id })
+	if err != nil {
+		return err
 	}
-
-	// Same per-cluster instrumentation the in-process kernel hangs on its
-	// registry, so the snapshots this worker federates carry the full
-	// tw_* series for its share of the clusters.
-	instrumentClusters(w.opts.Obs, w.clusters, w.progress, &w.gvt)
-	if w.opts.Obs.Enabled() {
-		w.net.Instrument(w.opts.Obs.Registry())
-	}
+	w.mesh.net = w.h.net
+	w.smp.progress = make([]uint64, w.spec.K)
 
 	// Peer readers deliver remote events and progress gossip from here on.
 	for p, conn := range w.peers {
@@ -235,17 +174,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 		}
 		w.gossipWG.Add(1)
 		go w.peerReadLoop(p, conn)
-	}
-
-	// The injected crash: drop everything mid-run, exactly as a killed
-	// process would, and let the coordinator's watchdog prove itself.
-	if w.opts.FailAfter > 0 {
-		time.AfterFunc(w.opts.FailAfter, func() {
-			w.cancelled.Store(true)
-			w.coord.Close()
-			w.ln.Close()
-			w.closePeers()
-		})
 	}
 
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
@@ -264,29 +192,24 @@ func (w *distWorker) run(peerAddrs []string) error {
 	}
 	w.opts.Probe.attach(w.spec.Cycles)
 
-	for _, cl := range w.clusters {
-		cl := cl
-		w.clusterWG.Add(1)
-		go func() {
-			defer w.clusterWG.Done()
-			var err error
-			profile.Do("dist", cl.id, "sim", func() {
-				err = cl.run()
-			})
-			if err != nil {
-				w.noteClusterErr(err)
-				w.cancelled.Store(true)
-				w.closeEndpoints()
-				// Best effort: capture and ship the evidence, then tell the
-				// coordinator why; it aborts the whole run and relays the
-				// reason to every other worker.
-				w.opts.Profile.Trigger("cluster failure: " + err.Error())
-				w.shipProfile("cluster failure: " + err.Error())
-				w.coord.Send(nettrans.FrameError,
-					appendAbort(nil, distAbort{Reason: err.Error()}))
-			}
-		}()
+	// The injected crash: drop everything mid-run, exactly as a killed
+	// process would, and let the coordinator's watchdog prove itself.
+	if w.opts.FailAfter > 0 {
+		time.AfterFunc(w.opts.FailAfter, func() {
+			w.h.cancelled.Store(true)
+			w.coord.Close()
+			w.ln.Close()
+			w.closePeers()
+		})
 	}
+
+	w.h.start(func(err error) {
+		// Best effort: ship the evidence, then tell the coordinator why; it
+		// aborts the whole run and relays the reason to every other worker.
+		w.shipProfile("cluster failure: " + err.Error())
+		w.coord.Send(nettrans.FrameError,
+			appendAbort(nil, distAbort{Reason: err.Error()}))
+	})
 
 	w.stopGossip = make(chan struct{})
 	w.gossipWG.Add(1)
@@ -295,16 +218,18 @@ func (w *distWorker) run(peerAddrs []string) error {
 	err = w.controlLoop()
 
 	// Whatever ended the run, unwind in one order: stop gossip, wake the
-	// clusters, wait for them, then stop the transport (flushing nothing
-	// on the clean path, draining into closed endpoints on abort).
+	// clusters (making them abandon an unfinished run), wait for them, then
+	// stop the transport (flushing nothing on the clean path, draining into
+	// closed endpoints on abort).
 	close(w.stopGossip)
-	w.closeEndpoints()
-	w.clusterWG.Wait()
-	w.net.CloseTransport()
-
-	if cerr := w.firstClusterErr(); cerr != nil {
+	if err != nil {
+		w.h.cancelled.Store(true)
+	}
+	w.h.closeEndpoints()
+	if cerr := w.h.wait(); cerr != nil {
 		err = cerr
 	}
+	w.h.net.CloseTransport()
 	w.opts.Probe.finish(err)
 	return err
 }
@@ -315,8 +240,7 @@ func (w *distWorker) controlLoop() error {
 	for {
 		typ, payload, err := w.coord.Recv()
 		if err != nil {
-			w.cancelled.Store(true)
-			if cerr := w.firstClusterErr(); cerr != nil {
+			if cerr := w.h.failure(); cerr != nil {
 				return cerr // our own failure: the conn close is fallout
 			}
 			return fmt.Errorf("timewarp: worker %d lost coordinator: %w", w.id, err)
@@ -330,7 +254,6 @@ func (w *distWorker) controlLoop() error {
 			w.mesh.flipEra(cut.Round)
 			if err := w.coord.Send(nettrans.FrameReport,
 				appendReport(nil, w.report(cut.Round))); err != nil {
-				w.cancelled.Store(true)
 				return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
 			}
 			// Piggyback the observability federation on the round cadence:
@@ -341,20 +264,23 @@ func (w *distWorker) controlLoop() error {
 			if err != nil {
 				return err
 			}
-			w.gvt.Store(g.Value)
-			w.noteProbe(g.Value)
+			w.h.gvt.Store(g.Value)
+			// The worker-local liveness view: the coordinator-established
+			// GVT plus the progress and straggler depth of its own clusters.
+			w.h.sample(&w.smp)
+			w.h.note(&w.smp, g.Value, true)
 			w.opts.Obs.Instant(obs.TrackKernel, "gvt_broadcast",
 				obs.Arg{Key: "gvt", Val: float64(g.Value)})
 		case nettrans.FrameFinish:
 			// Quiescent and done: wake the clusters, let them drain out,
 			// then ship the final observability state and the merged local
 			// result.
-			w.closeEndpoints()
-			w.clusterWG.Wait()
+			w.h.closeEndpoints()
+			w.h.wg.Wait()
 			w.shipObs(true)
 			w.shipProfile("finish")
 			if err := w.coord.Send(nettrans.FrameResult,
-				appendResult(nil, w.result())); err != nil {
+				appendResult(nil, *w.h.collect())); err != nil {
 				return fmt.Errorf("timewarp: worker %d send result: %w", w.id, err)
 			}
 			return nil
@@ -363,7 +289,6 @@ func (w *distWorker) controlLoop() error {
 			if err != nil {
 				return err
 			}
-			w.cancelled.Store(true)
 			return fmt.Errorf("timewarp: run aborted: %s", a.Reason)
 		default:
 			return fmt.Errorf("timewarp: worker %d: unexpected control frame 0x%02x", w.id, typ)
@@ -432,76 +357,21 @@ func (w *distWorker) shipProfile(reason string) {
 	w.coord.Send(nettrans.FrameProfile, appendProfile(nil, p))
 }
 
-// noteProbe publishes the worker-local liveness view after a GVT
-// broadcast: the coordinator-established GVT plus the progress and
-// straggler depth of the clusters this worker owns.
-func (w *distWorker) noteProbe(gvt uint64) {
-	if w.opts.Profile != nil {
-		var rb uint64
-		for _, cl := range w.clusters {
-			rb += cl.stats.rollbacks.Load()
-		}
-		w.opts.Profile.NoteRollbacks(rb)
-	}
-	if w.opts.Probe == nil {
-		return
-	}
-	minProg := uint64(0)
-	var maxStrag uint64
-	for i, cl := range w.clusters {
-		p := w.progress[cl.id].Load()
-		if i == 0 || p < minProg {
-			minProg = p
-		}
-		if d := cl.stats.maxStragglerDepth.Load(); d > maxStrag {
-			maxStrag = d
-		}
-	}
-	w.opts.Probe.note(gvt, minProg, maxStrag, true)
-}
-
 // report snapshots the worker-local counters for one GVT round.
 func (w *distWorker) report(round uint64) distReport {
+	w.h.sample(&w.smp)
 	r := distReport{
-		Round:    round,
-		Sent:     w.net.TotalSent(),
-		Absorbed: w.absorbed.Load(),
-		InFlight: w.net.InFlight(),
+		Round:        round,
+		Sent:         w.smp.sent,
+		Absorbed:     w.smp.absorbed,
+		InFlight:     w.h.net.InFlight(),
+		MaxStraggler: w.smp.maxStraggler,
 	}
-	for _, cl := range w.clusters {
-		r.Progress = append(r.Progress, clusterProgress{
-			Cluster: cl.id,
-			Cycle:   w.progress[cl.id].Load(),
-		})
-		if d := cl.stats.maxStragglerDepth.Load(); d > r.MaxStraggler {
-			r.MaxStraggler = d
-		}
+	for _, cl := range w.h.clusters {
+		r.Progress = append(r.Progress, clusterProgress{Cluster: cl.id, Cycle: w.smp.progress[cl.id]})
 	}
 	r.WireSent, r.WireRecv = w.mesh.takeEraDeltas()
 	return r
-}
-
-// result gathers the final local contribution after the clusters exited.
-func (w *distWorker) result() distResult {
-	res := distResult{
-		Sent:     w.net.TotalSent(),
-		Absorbed: w.absorbed.Load(),
-		InFlight: w.net.InFlight(),
-	}
-	for _, cl := range w.clusters {
-		res.Clusters = append(res.Clusters, clusterResult{
-			Cluster: cl.id,
-			Stats:   cl.stats.Snapshot(),
-		})
-		for n, vals := range cl.obsLog {
-			res.Observed = append(res.Observed, observedNet{
-				Net:    n,
-				Cycles: uint64(len(vals)),
-				Values: vals,
-			})
-		}
-	}
-	return res
 }
 
 // gossipLoop broadcasts local cluster progress to every peer so their
@@ -509,7 +379,7 @@ func (w *distWorker) result() distResult {
 // staleness (a throttle, never a correctness input) against wire chatter.
 func (w *distWorker) gossipLoop() {
 	defer w.gossipWG.Done()
-	last := make([]uint64, len(w.clusters))
+	last := make([]uint64, len(w.h.clusters))
 	buf := []byte(nil)
 	for {
 		select {
@@ -518,9 +388,9 @@ func (w *distWorker) gossipLoop() {
 		case <-time.After(300 * time.Microsecond):
 		}
 		changed := false
-		ps := make([]clusterProgress, len(w.clusters))
-		for i, cl := range w.clusters {
-			v := w.progress[cl.id].Load()
+		ps := make([]clusterProgress, len(w.h.clusters))
+		for i, cl := range w.h.clusters {
+			v := w.h.progress[cl.id].Load()
 			ps[i] = clusterProgress{Cluster: cl.id, Cycle: v}
 			if v != last[i] {
 				changed = true
@@ -562,7 +432,7 @@ func (w *distWorker) peerReadLoop(peer int, conn *nettrans.Conn) {
 				return
 			}
 			w.mesh.noteRecv(df.Era, len(payload))
-			w.net.NoteArrived()
+			w.h.net.NoteArrived()
 			w.mesh.deliver(df.Dst, msg)
 		case nettrans.FrameProgress:
 			d := nettrans.NewDec(payload)
@@ -573,7 +443,7 @@ func (w *distWorker) peerReadLoop(peer int, conn *nettrans.Conn) {
 			}
 			for _, p := range ps {
 				if int(w.placement[p.Cluster]) != w.id {
-					w.progress[p.Cluster].Store(p.Cycle)
+					w.h.progress[p.Cluster].Store(p.Cycle)
 				}
 			}
 		default:
@@ -659,12 +529,6 @@ func (w *distWorker) meshUp(peerAddrs []string) error {
 		}
 	}
 	return nil
-}
-
-func (w *distWorker) closeEndpoints() {
-	for c := 0; c < w.spec.K; c++ {
-		w.net.Endpoint(c).Close()
-	}
 }
 
 func (w *distWorker) closePeers() {

@@ -1,0 +1,310 @@
+package timewarp
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/comm"
+	"repro/internal/netlist"
+	"repro/internal/obs"
+	"repro/internal/obs/profile"
+)
+
+// checkPartition validates a cluster count and a gate → cluster map
+// against each other. Shared by Config, DistSpec decoding and the
+// coordinator, so a bad partition is an error at every door.
+func checkPartition(k int, gateParts []int32) error {
+	if k < 1 {
+		return fmt.Errorf("timewarp: K must be >= 1, got %d", k)
+	}
+	for gi, p := range gateParts {
+		if p < 0 || int(p) >= k {
+			return fmt.Errorf("timewarp: gate %d assigned to cluster %d (K=%d)", gi, p, k)
+		}
+	}
+	return nil
+}
+
+// prepare validates cfg and fills its defaults in place. It returns the
+// virtual-time width of one cycle.
+func (cfg *Config) prepare() (deltaRange uint64, err error) {
+	if cfg.NL == nil {
+		return 0, fmt.Errorf("timewarp: Config.NL is nil")
+	}
+	if cfg.Vectors == nil {
+		return 0, fmt.Errorf("timewarp: Config.Vectors is nil")
+	}
+	if err := checkPartition(cfg.K, cfg.GateParts); err != nil {
+		return 0, err
+	}
+	if len(cfg.GateParts) != len(cfg.NL.Gates) {
+		return 0, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
+			len(cfg.GateParts), len(cfg.NL.Gates))
+	}
+	if cfg.Window == 0 {
+		cfg.Window = 8
+	}
+	if cfg.CheckpointEvery == 0 {
+		cfg.CheckpointEvery = 1
+	}
+	if cfg.Observe == nil {
+		cfg.Observe = cfg.NL.POs
+	}
+	depth, err := cfg.NL.Depth()
+	if err != nil {
+		return 0, err
+	}
+	return uint64(depth) + 4, nil
+}
+
+// host is the part of a Time Warp run one process executes: the K-endpoint
+// network, the shared progress / absorbed / GVT words, and the clusters
+// this process simulates. Run is a host owning all K clusters plus the
+// quiescence loop; a distributed worker is a host owning its placement
+// share plus the mesh and the coordinator's control loop.
+type host struct {
+	cfg        Config // validated, defaults filled
+	mode       string // pprof label: "tw" in-process, "dist" in a worker
+	deltaRange uint64
+	net        *comm.Network
+	progress   []atomic.Uint64 // published cycle per cluster (all K)
+	absorbed   atomic.Uint64   // messages fully absorbed by local clusters
+	cancelled  atomic.Bool     // any failure: every cluster abandons the run
+	gvt        atomic.Uint64   // established GVT in cycles; safe fossil line
+	clusters   []*cluster      // the clusters this process runs
+
+	wg    sync.WaitGroup
+	errMu sync.Mutex
+	err   error // first local cluster failure
+}
+
+// newHost validates cfg and builds the network and the clusters for which
+// owns reports true (nil = all of them), instrumented on cfg.Obs.
+func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
+	deltaRange, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
+	h := &host{
+		cfg:        cfg,
+		mode:       mode,
+		deltaRange: deltaRange,
+		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
+		progress:   make([]atomic.Uint64, cfg.K),
+	}
+	for c := 0; c < cfg.K; c++ {
+		if owns == nil || owns(c) {
+			h.clusters = append(h.clusters, newCluster(int32(c), h))
+		}
+	}
+	instrumentClusters(h)
+	return h, nil
+}
+
+// start launches one goroutine per local cluster. The first cluster error
+// aborts the run — every local cluster is woken and stops, the capturer is
+// triggered — and is then handed to onFail (nil = nothing more to do).
+func (h *host) start(onFail func(error)) {
+	for _, cl := range h.clusters {
+		cl := cl
+		h.wg.Add(1)
+		go func() {
+			defer h.wg.Done()
+			var err error
+			profile.Do(h.mode, cl.id, "sim", func() { err = cl.run() })
+			if err == nil {
+				return
+			}
+			h.errMu.Lock()
+			first := h.err == nil
+			if first {
+				h.err = err
+			}
+			h.errMu.Unlock()
+			h.abort()
+			if first {
+				h.cfg.Profile.Trigger("cluster failure: " + err.Error())
+				if onFail != nil {
+					onFail(err)
+				}
+			}
+		}()
+	}
+}
+
+// wait blocks until every local cluster goroutine exited and returns the
+// first cluster failure. Clusters exit once their endpoints are closed.
+func (h *host) wait() error {
+	h.wg.Wait()
+	return h.failure()
+}
+
+func (h *host) failure() error {
+	h.errMu.Lock()
+	defer h.errMu.Unlock()
+	return h.err
+}
+
+// abort makes every local cluster abandon the run.
+func (h *host) abort() {
+	h.cancelled.Store(true)
+	h.closeEndpoints()
+}
+
+// closeEndpoints wakes every blocked cluster; one that has finished its
+// trace then exits — the termination signal.
+func (h *host) closeEndpoints() {
+	for c := 0; c < h.cfg.K; c++ {
+		h.net.Endpoint(c).Close()
+	}
+}
+
+// sample reads the host's counters into s: the message totals, the
+// published cycle of every local cluster (other entries of s.progress are
+// left alone) and the deepest straggler.
+func (h *host) sample(s *sample) {
+	s.sent = h.net.TotalSent()
+	s.absorbed = h.absorbed.Load()
+	s.maxStraggler = 0
+	for _, cl := range h.clusters {
+		s.progress[cl.id] = h.progress[cl.id].Load()
+		s.maxStraggler = max(s.maxStraggler, cl.stats.maxStragglerDepth.Load())
+	}
+}
+
+// note feeds the liveness probe and the capturer's rollback-rate trigger
+// from s, a sample this host just took.
+func (h *host) note(s *sample, gvt uint64, active bool) {
+	if h.cfg.Profile != nil {
+		var rb uint64
+		for _, cl := range h.clusters {
+			rb += cl.stats.rollbacks.Load()
+		}
+		h.cfg.Profile.NoteRollbacks(rb)
+	}
+	if h.cfg.Probe == nil {
+		return
+	}
+	minProg := s.progress[h.clusters[0].id]
+	for _, cl := range h.clusters[1:] {
+		minProg = min(minProg, s.progress[cl.id])
+	}
+	h.cfg.Probe.note(gvt, minProg, s.maxStraggler, active)
+}
+
+// collect gathers what the local clusters produced, after they exited.
+func (h *host) collect() *distResult {
+	res := &distResult{
+		Sent:     h.net.TotalSent(),
+		Absorbed: h.absorbed.Load(),
+		InFlight: h.net.InFlight(),
+	}
+	for _, cl := range h.clusters {
+		res.Clusters = append(res.Clusters, clusterResult{Cluster: cl.id, Stats: cl.stats.Snapshot()})
+		for n, vals := range cl.obsLog {
+			res.Observed = append(res.Observed, observedNet{Net: n, Cycles: uint64(len(vals)), Values: vals})
+		}
+	}
+	return res
+}
+
+// mergeResults folds the per-process results of a terminated run into its
+// Result and checks the global termination invariants: a clean run leaves
+// no message in flight and every sent message absorbed (received AND
+// survived by its rollback).
+func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
+	res := &Result{
+		Observed:            make(map[netlist.NetID][]bool),
+		PerCluster:          make([]Stats, k),
+		FinalGVT:            q.gvt,
+		InvariantViolations: q.violations,
+	}
+	var sent, absorbed uint64
+	var inFlight int64
+	for _, r := range parts {
+		sent += r.Sent
+		absorbed += r.Absorbed
+		inFlight += r.InFlight
+		for _, c := range r.Clusters {
+			res.PerCluster[c.Cluster] = c.Stats
+			res.Stats.add(c.Stats)
+		}
+		for _, o := range r.Observed {
+			if _, dup := res.Observed[o.Net]; dup {
+				res.InvariantViolations = append(res.InvariantViolations,
+					fmt.Sprintf("net %d observed by two workers", o.Net))
+			}
+			res.Observed[o.Net] = o.Values
+		}
+	}
+	if inFlight != 0 {
+		res.InvariantViolations = append(res.InvariantViolations,
+			fmt.Sprintf("%d messages still in flight at termination", inFlight))
+	}
+	if absorbed != sent {
+		res.InvariantViolations = append(res.InvariantViolations,
+			fmt.Sprintf("absorbed %d of %d sent messages at termination", absorbed, sent))
+	}
+	return res
+}
+
+// instrumentClusters registers the per-cluster kernel metrics on the
+// host's observer and hooks each cluster's trace emitter. A worker's
+// clusters are a subset of the run's; labels come from each cluster's own
+// id, so a federated worker registry carries exactly the tw_* series a
+// local run would — the property that lets one coordinator scrape stand
+// in for per-worker scrapes.
+func instrumentClusters(h *host) {
+	o := h.cfg.Obs
+	if !o.Enabled() {
+		return
+	}
+	reg := o.Registry()
+	h.net.Instrument(reg)
+	// One shared rollback-depth histogram; depth is a property of the
+	// run, the per-cluster split already lives in the sampled counters.
+	rbDepth := reg.Histogram("tw_rollback_depth", "rollback depth in cycles",
+		[]float64{1, 2, 4, 8, 16, 32, 64})
+	for _, cl := range h.clusters {
+		cl.obs = o
+		cl.rollbackDepth = rbDepth
+		st := &cl.stats
+		lbl := obs.L("cluster", int(cl.id))
+		// Sampled gauges close over the cluster's atomics: registering
+		// them costs the hot path nothing at all.
+		reg.SampleFunc("tw_events", "gate evaluations executed (incl. re-execution)",
+			func() float64 { return float64(st.events.Load()) }, lbl)
+		reg.SampleFunc("tw_messages", "positive inter-cluster events sent",
+			func() float64 { return float64(st.messages.Load()) }, lbl)
+		reg.SampleFunc("tw_anti_messages", "cancellations sent",
+			func() float64 { return float64(st.antiMessages.Load()) }, lbl)
+		reg.SampleFunc("tw_rollbacks", "rollback occurrences",
+			func() float64 { return float64(st.rollbacks.Load()) }, lbl)
+		reg.SampleFunc("tw_rolled_back_events", "evaluations undone by rollbacks",
+			func() float64 { return float64(st.rolledBackEvents.Load()) }, lbl)
+		reg.SampleFunc("tw_checkpoints", "state checkpoints taken",
+			func() float64 { return float64(st.checkpoints.Load()) }, lbl)
+		reg.SampleFunc("tw_max_straggler_depth", "deepest single rollback in cycles",
+			func() float64 { return float64(st.maxStragglerDepth.Load()) }, lbl)
+		reg.SampleFunc("tw_queue_len", "pending remote events in the cluster queue",
+			func() float64 { return float64(st.queueLen.Load()) }, lbl)
+		reg.SampleFunc("tw_batches", "inter-cluster comm messages sent (batches)",
+			func() float64 { return float64(st.batches.Load()) }, lbl)
+		reg.SampleFunc("tw_batch_events", "events carried inside sent batches",
+			func() float64 { return float64(st.batchedEvents.Load()) }, lbl)
+		reg.SampleFunc("tw_pool_hits", "checkpoint buffer free-list reuses",
+			func() float64 { return float64(st.poolHits.Load()) }, lbl)
+		reg.SampleFunc("tw_pool_misses", "checkpoint buffer fresh allocations",
+			func() float64 { return float64(st.poolMisses.Load()) }, lbl)
+		reg.SampleFunc("tw_checkpoint_bytes_saved", "mirror bytes avoided by delta checkpoints",
+			func() float64 { return float64(st.checkpointBytesSaved.Load()) }, lbl)
+		reg.SampleFunc("tw_checkpoint_interval", "live state-saving interval in cycles",
+			func() float64 { return float64(st.checkpointInterval.Load()) }, lbl)
+		ci := cl.id
+		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
+			func() float64 { return float64(h.progress[ci].Load()) - float64(h.gvt.Load()) }, lbl)
+	}
+	reg.SampleFunc("tw_gvt", "quiescent global virtual time in cycles",
+		func() float64 { return float64(h.gvt.Load()) })
+}

@@ -2,9 +2,6 @@ package timewarp
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -60,9 +57,6 @@ type Config struct {
 	// delivery-order schedule the fuzz harness uses to provoke stragglers
 	// and rollback cascades.
 	Transport comm.TransportFactory
-	// WatcherInterval is the poll period of the termination/deadlock
-	// watcher (default 200µs, the previous hard-coded value).
-	WatcherInterval time.Duration
 	// StallTimeout, when positive, makes the watcher abort the run with
 	// an error if no cluster makes progress and no message moves for this
 	// long before termination — a genuinely wedged cluster becomes a
@@ -154,341 +148,70 @@ type Result struct {
 	WireFramesRecv uint64
 }
 
+// watcherInterval is the poll period of Run's quiescence loop.
+const watcherInterval = 200 * time.Microsecond
+
 // Run executes the optimistic parallel simulation and returns the
-// committed waveforms plus kernel statistics.
+// committed waveforms plus kernel statistics: one host owning all K
+// clusters, sampled into the quiescence tracker until it terminates or
+// aborts the run.
 func Run(cfg Config) (*Result, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("timewarp: K must be >= 1")
-	}
-	if len(cfg.GateParts) != len(cfg.NL.Gates) {
-		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
-			len(cfg.GateParts), len(cfg.NL.Gates))
-	}
-	for gi, p := range cfg.GateParts {
-		if p < 0 || int(p) >= cfg.K {
-			return nil, fmt.Errorf("timewarp: gate %d assigned to cluster %d (K=%d)", gi, p, cfg.K)
-		}
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 8
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 1
-	}
-	depth, err := cfg.NL.Depth()
+	h, err := newHost(cfg, "tw", nil)
 	if err != nil {
 		return nil, err
 	}
-	deltaRange := uint64(depth) + 4
-	observe := cfg.Observe
-	if observe == nil {
-		observe = cfg.NL.POs
-	}
-
-	if cfg.WatcherInterval <= 0 {
-		cfg.WatcherInterval = 200 * time.Microsecond
-	}
-
-	net := comm.NewNetworkTransport(cfg.K, cfg.Transport)
-	progress := make([]atomic.Uint64, cfg.K) // published cycle per cluster
-	var absorbed atomic.Uint64               // messages fully absorbed
-	var cancelled atomic.Bool                // any-cluster failure flag
-	var gvt atomic.Uint64                    // quiescent GVT in cycles
-
+	cfg = h.cfg
 	cfg.Causality.Attach(cfg.K, cfg.Cycles)
 	cfg.Probe.attach(cfg.Cycles)
-
-	clusters := make([]*cluster, cfg.K)
-	for c := 0; c < cfg.K; c++ {
-		clusters[c] = newCluster(int32(c), &cfg, deltaRange, net.Endpoint(c), progress, &absorbed, &cancelled, &gvt, observe)
-		clusters[c].rec = cfg.Causality
-	}
-
 	runT0 := cfg.Obs.Start()
-	instrumentClusters(cfg.Obs, clusters, progress, &gvt)
-	if cfg.Obs.Enabled() {
-		net.Instrument(cfg.Obs.Registry())
-	}
 
-	// Watcher: termination when every cluster has published Cycles and
-	// every sent message has been fully absorbed (absorbing includes any
-	// rollback it caused, so progress would have dropped first). Stable
-	// across two polls to ride out transients, then close the endpoints
-	// so blocked clusters exit.
-	stop := make(chan struct{})
-	var watcher sync.WaitGroup
-	var watcherErr error           // stall-timeout abort, read after watcher.Wait
-	var watcherViolations []string // invariant breaks seen by the watcher
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		profile.Do("tw", obs.TrackKernel, "watcher", func() {
-			// Quiescent-GVT detection: if across two polls (a) no message was
-			// sent, (b) every sent message was absorbed, and (c) no cluster's
-			// published cycle changed, then no absorption (hence no rollback)
-			// occurred in the window either — absorbed is capped by sent and
-			// already equal to it. The progress minimum therefore held at a
-			// provably quiescent instant, and since any future rollback chain
-			// starts from a message sent at or above its sender's LVT, no
-			// rollback can ever target a cycle below that minimum: it is a
-			// safe fossil-collection line, and "all finished + quiescent" is
-			// safe termination.
-			prevSent := uint64(0)
-			prevAbsorbed := uint64(0)
-			prevProg := make([]uint64, cfg.K)
-			curProg := make([]uint64, cfg.K)
-			prevValid := false
-			doneStreak := 0
-			started := time.Now()
-			lastActivity := started
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(cfg.WatcherInterval):
-				}
-				sent := net.TotalSent()
-				nowAbsorbed := absorbed.Load()
-				allAbsorbed := nowAbsorbed == sent
-				allDone := true
-				minProg := uint64(math.MaxUint64)
-				for c := range progress {
-					curProg[c] = progress[c].Load()
-					if curProg[c] < minProg {
-						minProg = curProg[c]
-					}
-					if curProg[c] < cfg.Cycles {
-						allDone = false
-					}
-				}
-				progMoved := false
-				for c := range curProg {
-					if curProg[c] != prevProg[c] {
-						progMoved = true
-						break
-					}
-				}
-				active := sent != prevSent || nowAbsorbed != prevAbsorbed || progMoved
-				if active {
-					lastActivity = time.Now()
-				}
-				if cfg.Probe != nil {
-					maxDepth := uint64(0)
-					for _, cl := range clusters {
-						if d := cl.stats.maxStragglerDepth.Load(); d > maxDepth {
-							maxDepth = d
-						}
-					}
-					cfg.Probe.note(gvt.Load(), minProg, maxDepth, active)
-				}
-				if cfg.Profile != nil {
-					var rb uint64
-					for _, cl := range clusters {
-						rb += cl.stats.rollbacks.Load()
-					}
-					cfg.Profile.NoteRollbacks(rb)
-				}
-				stable := prevValid && sent == prevSent && allAbsorbed && !progMoved
-				if stable {
-					// GVT advances only at quiescent instants and must never
-					// regress — the invariant fossil collection stands on.
-					if old := gvt.Load(); minProg > old {
-						gvt.Store(minProg)
-						cfg.Obs.Count(obs.TrackKernel, "gvt", float64(minProg))
-						cfg.Obs.Instant(obs.TrackKernel, "gvt_advance",
-							obs.Arg{Key: "gvt", Val: float64(minProg)})
-					} else if minProg < old {
-						watcherViolations = append(watcherViolations, fmt.Sprintf(
-							"GVT regression: quiescent minimum %d below established GVT %d", minProg, old))
-					}
-				}
-				if stable && allDone {
-					doneStreak++
-					if doneStreak >= 2 {
-						for c := 0; c < cfg.K; c++ {
-							net.Endpoint(c).Close()
-						}
-						return
-					}
-				} else {
-					doneStreak = 0
-				}
-				// Deadlock watcher: everything is quiet yet the run has not
-				// terminated — a wedged cluster or a lost message. Abort so
-				// tests fail with a diagnosis instead of hanging.
-				if cfg.StallTimeout > 0 && !(allDone && allAbsorbed) &&
-					time.Since(lastActivity) > cfg.StallTimeout {
-					watcherErr = fmt.Errorf(
-						"timewarp: run stalled for %v (progress min %d of %d cycles, %d of %d messages absorbed): wedged cluster or lost message",
-						cfg.StallTimeout, minProg, cfg.Cycles, nowAbsorbed, sent)
-					cfg.Profile.Trigger(watcherErr.Error())
-					cancelled.Store(true)
-					for c := 0; c < cfg.K; c++ {
-						net.Endpoint(c).Close()
-					}
-					return
-				}
-				// Hard cap: activity without termination forever is livelock
-				// (e.g. rollback churn with broken cancellation).
-				if cfg.RunTimeout > 0 && time.Since(started) > cfg.RunTimeout {
-					watcherErr = fmt.Errorf(
-						"timewarp: run exceeded hard cap %v while still active (progress min %d of %d cycles, %d of %d messages absorbed): livelocked kernel",
-						cfg.RunTimeout, minProg, cfg.Cycles, nowAbsorbed, sent)
-					cfg.Profile.Trigger(watcherErr.Error())
-					cancelled.Store(true)
-					for c := 0; c < cfg.K; c++ {
-						net.Endpoint(c).Close()
-					}
-					return
-				}
-				prevSent = sent
-				prevAbsorbed = nowAbsorbed
-				copy(prevProg, curProg)
-				prevValid = allAbsorbed
+	h.start(nil)
+	q := newQuiescence(cfg.K, cfg.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
+	var abortErr error
+	profile.Do("tw", obs.TrackKernel, "watcher", func() {
+		s := sample{progress: make([]uint64, cfg.K), complete: true, drained: true}
+		for h.failure() == nil { // a failing cluster stops its peers itself
+			time.Sleep(watcherInterval)
+			h.sample(&s)
+			s.now = time.Now()
+			v := q.step(s)
+			h.note(&s, v.gvt, v.active)
+			if v.advanced {
+				h.gvt.Store(v.gvt)
+				cfg.Obs.Count(obs.TrackKernel, "gvt", float64(v.gvt))
+				cfg.Obs.Instant(obs.TrackKernel, "gvt_advance",
+					obs.Arg{Key: "gvt", Val: float64(v.gvt)})
 			}
-		})
-	}()
-
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.K)
-	for c := 0; c < cfg.K; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			profile.Do("tw", int32(c), "sim", func() {
-				errs[c] = clusters[c].run()
-			})
-			if errs[c] != nil {
-				// Abort the whole run: wake and stop every peer.
-				cancelled.Store(true)
-				for i := 0; i < cfg.K; i++ {
-					net.Endpoint(i).Close()
-				}
+			if v.terminate {
+				h.closeEndpoints()
+				return
 			}
-		}(c)
+			if v.abort != "" {
+				abortErr = fmt.Errorf("timewarp: %s", v.abort)
+				cfg.Profile.Trigger(abortErr.Error())
+				h.abort()
+				return
+			}
+		}
+	})
+	if err := h.wait(); err != nil {
+		abortErr = err
 	}
-	wg.Wait()
-	close(stop)
-	watcher.Wait()
 	// Stop background delivery. On clean termination the transport holds
 	// nothing (absorbed == sent gates the close); on abort it flushes into
 	// the already-closed endpoints, preserving exactly-once accounting.
-	net.CloseTransport()
+	h.net.CloseTransport()
 
-	for c := 0; c < cfg.K; c++ {
-		if errs[c] != nil {
-			cfg.Profile.Trigger("cluster failure: " + errs[c].Error())
-			cfg.Profile.Wait()
-			cfg.Probe.finish(errs[c])
-			return nil, errs[c]
-		}
-	}
-	if watcherErr != nil {
+	if abortErr != nil {
 		cfg.Profile.Wait()
-		cfg.Probe.finish(watcherErr)
-		return nil, watcherErr
+		cfg.Probe.finish(abortErr)
+		return nil, abortErr
 	}
 	cfg.Probe.finish(nil)
-
-	res := &Result{
-		Observed:            make(map[netlist.NetID][]bool, len(observe)),
-		PerCluster:          make([]Stats, cfg.K),
-		FinalGVT:            gvt.Load(),
-		InvariantViolations: watcherViolations,
-	}
-	// Termination invariant: a clean run leaves no message in flight and
-	// every sent message absorbed (received AND survived by its rollback).
-	if n := net.InFlight(); n != 0 {
-		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("%d messages still in flight at termination", n))
-	}
-	if a, s := absorbed.Load(), net.TotalSent(); a != s {
-		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("absorbed %d of %d sent messages at termination", a, s))
-	}
-	for _, cl := range clusters {
-		st := cl.stats.Snapshot()
-		res.PerCluster[cl.id] = st
-		res.Stats.Messages += st.Messages
-		res.Stats.AntiMessages += st.AntiMessages
-		res.Stats.Rollbacks += st.Rollbacks
-		res.Stats.Events += st.Events
-		res.Stats.RolledBackEvents += st.RolledBackEvents
-		res.Stats.Checkpoints += st.Checkpoints
-		res.Stats.Batches += st.Batches
-		res.Stats.BatchedEvents += st.BatchedEvents
-		res.Stats.PoolHits += st.PoolHits
-		res.Stats.PoolMisses += st.PoolMisses
-		res.Stats.CheckpointBytesSaved += st.CheckpointBytesSaved
-		if st.MaxStragglerDepth > res.Stats.MaxStragglerDepth {
-			res.Stats.MaxStragglerDepth = st.MaxStragglerDepth
-		}
-		for n, vals := range cl.obsLog {
-			res.Observed[n] = vals
-		}
-	}
+	res := mergeResults(cfg.K, []*distResult{h.collect()}, q)
 	cfg.Obs.Span(obs.TrackKernel, "timewarp.run", runT0,
 		obs.Arg{Key: "k", Val: float64(cfg.K)},
 		obs.Arg{Key: "cycles", Val: float64(cfg.Cycles)},
 		obs.Arg{Key: "rollbacks", Val: float64(res.Stats.Rollbacks)})
 	return res, nil
-}
-
-// instrumentClusters registers the per-cluster kernel metrics on o and
-// hooks each cluster's trace emitter. Shared by the in-process kernel
-// and the distributed worker, so a federated worker registry carries
-// exactly the tw_* series a local run would — the property that lets
-// one coordinator scrape stand in for per-worker scrapes. clusters may
-// be a subset of the run's clusters (a worker's share); labels come
-// from each cluster's own id.
-func instrumentClusters(o *obs.Observer, clusters []*cluster, progress []atomic.Uint64, gvt *atomic.Uint64) {
-	if !o.Enabled() {
-		return
-	}
-	reg := o.Registry()
-	// One shared rollback-depth histogram; depth is a property of the
-	// run, the per-cluster split already lives in the sampled counters.
-	rbDepth := reg.Histogram("tw_rollback_depth", "rollback depth in cycles",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-	for _, cl := range clusters {
-		cl.obs = o
-		cl.rollbackDepth = rbDepth
-		st := &cl.stats
-		lbl := obs.L("cluster", int(cl.id))
-		// Sampled gauges close over the cluster's atomics: registering
-		// them costs the hot path nothing at all.
-		reg.SampleFunc("tw_events", "gate evaluations executed (incl. re-execution)",
-			func() float64 { return float64(st.events.Load()) }, lbl)
-		reg.SampleFunc("tw_messages", "positive inter-cluster events sent",
-			func() float64 { return float64(st.messages.Load()) }, lbl)
-		reg.SampleFunc("tw_anti_messages", "cancellations sent",
-			func() float64 { return float64(st.antiMessages.Load()) }, lbl)
-		reg.SampleFunc("tw_rollbacks", "rollback occurrences",
-			func() float64 { return float64(st.rollbacks.Load()) }, lbl)
-		reg.SampleFunc("tw_rolled_back_events", "evaluations undone by rollbacks",
-			func() float64 { return float64(st.rolledBackEvents.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoints", "state checkpoints taken",
-			func() float64 { return float64(st.checkpoints.Load()) }, lbl)
-		reg.SampleFunc("tw_max_straggler_depth", "deepest single rollback in cycles",
-			func() float64 { return float64(st.maxStragglerDepth.Load()) }, lbl)
-		reg.SampleFunc("tw_queue_len", "pending remote events in the cluster queue",
-			func() float64 { return float64(st.queueLen.Load()) }, lbl)
-		reg.SampleFunc("tw_batches", "inter-cluster comm messages sent (batches)",
-			func() float64 { return float64(st.batches.Load()) }, lbl)
-		reg.SampleFunc("tw_batch_events", "events carried inside sent batches",
-			func() float64 { return float64(st.batchedEvents.Load()) }, lbl)
-		reg.SampleFunc("tw_pool_hits", "checkpoint buffer free-list reuses",
-			func() float64 { return float64(st.poolHits.Load()) }, lbl)
-		reg.SampleFunc("tw_pool_misses", "checkpoint buffer fresh allocations",
-			func() float64 { return float64(st.poolMisses.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoint_bytes_saved", "mirror bytes avoided by delta checkpoints",
-			func() float64 { return float64(st.checkpointBytesSaved.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoint_interval", "live state-saving interval in cycles",
-			func() float64 { return float64(st.checkpointInterval.Load()) }, lbl)
-		ci := cl.id
-		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
-			func() float64 { return float64(progress[ci].Load()) - float64(gvt.Load()) }, lbl)
-	}
-	reg.SampleFunc("tw_gvt", "quiescent global virtual time in cycles",
-		func() float64 { return float64(gvt.Load()) })
 }

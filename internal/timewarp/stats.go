@@ -59,3 +59,24 @@ func (s *atomicStats) Snapshot() Stats {
 		CheckpointBytesSaved: s.checkpointBytesSaved.Load(),
 	}
 }
+
+// fields lists every counter of s in wire order — the one enumeration
+// the accumulator and the result codec share.
+func (s *Stats) fields() [12]*uint64 {
+	return [12]*uint64{
+		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
+		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
+		&s.PoolHits, &s.PoolMisses, &s.CheckpointBytesSaved,
+	}
+}
+
+// add accumulates one cluster's statistics into a run total: counters
+// sum, MaxStragglerDepth aggregates by max.
+func (s *Stats) add(o Stats) {
+	depth := max(s.MaxStragglerDepth, o.MaxStragglerDepth)
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f += *of[i]
+	}
+	s.MaxStragglerDepth = depth
+}

@@ -64,30 +64,6 @@ func TestStallWatcherDisabledByDefaultStillTerminates(t *testing.T) {
 	}
 }
 
-func TestWatcherIntervalConfigurable(t *testing.T) {
-	// A much coarser watcher interval slows termination detection but must
-	// not change results.
-	c := gen.Multiplier(4)
-	ed, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := ed.Netlist
-	st := runBoth(t, ed, randomParts(nl, 3, 2), 3, 60, 21)
-	_ = st
-	res, err := Run(Config{
-		NL: nl, GateParts: randomParts(nl, 3, 2), K: 3,
-		Vectors: sim.RandomVectors{Seed: 21}, Cycles: 60,
-		WatcherInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.InvariantViolations) != 0 {
-		t.Fatalf("invariant violations with coarse watcher: %v", res.InvariantViolations)
-	}
-}
-
 func TestChaosTransportStallsDoNotTripGenerousTimeout(t *testing.T) {
 	// Chaos stall schedules hold messages for milliseconds; a seconds-scale
 	// stall timeout must ride them out and the run must stay correct.
