@@ -217,7 +217,7 @@ func TestPackedMixedRaggedSchedule(t *testing.T) {
 }
 
 // TestPackedGateTruthTables exhaustively checks every combinational gate
-// kind against verilog.GateKind.Eval and the scalar evalGate, with all
+// kind against verilog.GateKind.Eval and the scalar EvalGate, with all
 // input combinations loaded as lanes of a single 64-lane word (the
 // 6-input gates cover the full 64-row truth table in exactly one word).
 func TestPackedGateTruthTables(t *testing.T) {

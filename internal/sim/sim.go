@@ -116,7 +116,7 @@ func settle(nl *netlist.Netlist, order []netlist.GateID, values []bool) {
 		if g.Kind.Sequential() {
 			continue
 		}
-		values[g.Output] = evalGate(g, values)
+		values[g.Output] = EvalGate(g, values)
 	}
 }
 
@@ -253,7 +253,7 @@ func (s *Simulator) propagateDelta(t VTime) {
 		if s.OnGateEval != nil {
 			s.OnGateEval(gi, t)
 		}
-		out := evalGate(g, s.values)
+		out := EvalGate(g, s.values)
 		if s.values[g.Output] != out {
 			s.applyNets = append(s.applyNets, g.Output)
 			s.applyVals = append(s.applyVals, out)
@@ -274,8 +274,9 @@ func (s *Simulator) setNet(n netlist.NetID, v bool, t VTime) {
 	s.changedNets = append(s.changedNets, n)
 }
 
-// evalGate computes a combinational gate's output from current net values.
-func evalGate(g *netlist.Gate, values []bool) bool {
+// EvalGate computes a combinational gate's output from current net values.
+// The Time Warp kernel evaluates its clusters' gates with it too.
+func EvalGate(g *netlist.Gate, values []bool) bool {
 	switch g.Kind {
 	case verilog.GateNot:
 		return !values[g.Inputs[0]]

@@ -248,8 +248,7 @@ func (co *Coordinator) Run() (*Result, error) {
 		}
 		raw, err := co.ln.Accept()
 		if err != nil {
-			co.abortAll(conns, fmt.Sprintf("only %d of %d workers connected within %v", i, cfg.Workers, cfg.Watchdog))
-			return co.fail(fmt.Errorf("timewarp: %d of %d workers connected within %v: %w",
+			return co.fail(co.abortf(conns, "only %d of %d workers connected within %v: %w",
 				i, cfg.Workers, cfg.Watchdog, err))
 		}
 		conn := nettrans.NewConn(raw)
@@ -263,8 +262,7 @@ func (co *Coordinator) Run() (*Result, error) {
 		}
 		if err != nil {
 			conn.Close()
-			co.abortAll(conns, "bad worker handshake")
-			return co.fail(fmt.Errorf("timewarp: worker handshake: %w", err))
+			return co.fail(co.abortf(conns, "bad worker handshake: %w", err))
 		}
 		conns[i] = conn
 		dataAddrs[i] = hello.DataAddr
@@ -288,8 +286,7 @@ func (co *Coordinator) Run() (*Result, error) {
 			Config:     specBlob,
 		}
 		if err := conn.Send(nettrans.FrameWelcome, nettrans.AppendWelcome(nil, w)); err != nil {
-			co.abortAll(conns, "worker unreachable during welcome")
-			return co.fail(fmt.Errorf("timewarp: welcome worker %d: %w", i, err))
+			return co.fail(co.abortf(conns, "worker %d unreachable at welcome: %w", i, err))
 		}
 	}
 
@@ -317,8 +314,7 @@ func (co *Coordinator) Run() (*Result, error) {
 	}
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameStart, nil); err != nil {
-			co.abortAll(conns, "worker unreachable at start")
-			return co.fail(fmt.Errorf("timewarp: start worker %d: %w", i, err))
+			return co.fail(co.abortf(conns, "worker %d unreachable at start: %w", i, err))
 		}
 	}
 
@@ -417,22 +413,16 @@ func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration,
 	}
 }
 
-// nextFrame is pollFrame under the watchdog: no frame in time is an abort.
-func (co *Coordinator) nextFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (workerFrame, error) {
-	f, ok, err := co.pollFrame(frames, timeout, conns)
-	if err == nil && !ok {
-		err = co.abortf(conns, "watchdog: no worker activity within %v", timeout)
-	}
-	return f, err
-}
-
 // gather waits, under the watchdog, for exactly one frame of type want
 // from every worker and hands each to use. Per-connection FIFO means
 // anything else is a protocol violation, not skew.
 func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, want byte, what string, use func(workerFrame) error) error {
 	seen := make([]bool, co.cfg.Workers)
 	for n := 0; n < co.cfg.Workers; n++ {
-		f, err := co.nextFrame(frames, co.cfg.Watchdog, conns)
+		f, ok, err := co.pollFrame(frames, co.cfg.Watchdog, conns)
+		if err == nil && !ok {
+			err = co.abortf(conns, "watchdog: no worker activity within %v", co.cfg.Watchdog)
+		}
 		if err != nil {
 			return err
 		}
@@ -529,7 +519,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		round++
 		gRound.Set(int64(round))
 		roundT0 := time.Now()
-		cutPayload := appendCut(nil, distCut{Round: round})
+		cutPayload := nettrans.AppendU64(nil, round)
 		for i, conn := range conns {
 			if err := conn.Send(nettrans.FrameCut, cutPayload); err != nil {
 				return nil, co.abortf(conns, "worker %d unreachable at cut %d: %w", i, round, err)
@@ -537,7 +527,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		}
 
 		// Collect one report per worker and fold it into the sample.
-		s.sent, s.absorbed, s.maxStraggler = 0, 0, 0
+		s.sent, s.absorbed, s.work, s.maxStraggler = 0, 0, 0, 0
 		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
 			r, err := decodeReport(f.payload, k)
 			if err != nil {
@@ -548,6 +538,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			}
 			s.sent += r.Sent
 			s.absorbed += r.Absorbed
+			s.work += r.Work
 			s.maxStraggler = max(s.maxStraggler, r.MaxStraggler)
 			for _, cp := range r.Progress {
 				s.progress[cp.Cluster] = cp.Cycle
@@ -574,7 +565,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		cfg.Probe.note(v.gvt, v.minProg, s.maxStraggler, v.active)
 
 		if v.advanced {
-			gvtPayload := appendGVT(nil, distGVT{Value: v.gvt})
+			gvtPayload := nettrans.AppendU64(nil, v.gvt)
 			for i, conn := range conns {
 				if err := conn.Send(nettrans.FrameGVT, gvtPayload); err != nil {
 					return nil, co.abortf(conns, "worker %d unreachable at gvt broadcast: %w", i, err)
@@ -588,7 +579,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		gGvt.Set(int64(v.gvt))
 		gMinProg.Set(int64(v.minProg))
 		gInflight.Set(inflight)
-		gFreeze.Set(int64(v.doneStreak))
+		gFreeze.Set(int64(q.doneStreak))
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
 			obs.Arg{Key: "gvt", Val: float64(v.gvt)},
@@ -619,8 +610,7 @@ func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q
 	cfg := co.cfg
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameFinish, nil); err != nil {
-			co.abortAll(conns, fmt.Sprintf("worker %d unreachable at finish", i))
-			return nil, fmt.Errorf("timewarp: worker %d unreachable at finish: %w", i, err)
+			return nil, co.abortf(conns, "worker %d unreachable at finish: %w", i, err)
 		}
 	}
 	results := make([]*distResult, 0, cfg.Workers)

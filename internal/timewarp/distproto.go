@@ -13,23 +13,17 @@ import (
 // or the worker mesh (Progress); the data plane's event payloads live in
 // wire.go.
 
-// distCut opens one GVT round: every worker flips its send color to the
-// round number (the Mattern cut) and replies with a distReport.
-type distCut struct {
-	Round uint64
-}
-
-func appendCut(dst []byte, c distCut) []byte {
-	return nettrans.AppendU64(dst, c.Round)
-}
-
-func decodeCut(p []byte) (distCut, error) {
+// decodeU64 reads the one-number payload of a cut or a GVT frame. A cut
+// opens GVT round N: every worker flips its send color to N (the Mattern
+// cut) and replies with a distReport. A GVT frame broadcasts a newly
+// established safe GVT so workers fossil-collect without shared memory.
+func decodeU64(p []byte, what string) (uint64, error) {
 	d := nettrans.NewDec(p)
-	c := distCut{Round: d.U64()}
+	v := d.U64()
 	if err := d.Err(); err != nil {
-		return distCut{}, fmt.Errorf("timewarp: malformed cut: %w", err)
+		return 0, fmt.Errorf("timewarp: malformed %s: %w", what, err)
 	}
-	return c, nil
+	return v, nil
 }
 
 // eraCount is one (era, frames) tally — the white/black message counting
@@ -43,15 +37,17 @@ type eraCount struct {
 // distReport is a worker's answer to a cut: a consistent-enough snapshot
 // of its local counters. Progress lists only the clusters this worker
 // owns; Sent/Absorbed are the worker-local cumulative message counters
-// whose global sums the coordinator's freeze rule compares; WireSent and
-// WireRecv are per-era data-frame deltas — the piggybacked color counts
-// that prove the wire drained of pre-cut frames.
+// whose global sums the coordinator's freeze rule compares; Work is its
+// clusters' gate evaluations so far (activity a coasting cluster's
+// constant progress would hide); WireSent and WireRecv are per-era
+// data-frame deltas — the piggybacked color counts that prove the wire
+// drained of pre-cut frames.
 type distReport struct {
 	Round        uint64
 	Progress     []clusterProgress
 	Sent         uint64
 	Absorbed     uint64
-	InFlight     int64
+	Work         uint64
 	MaxStraggler uint64
 	WireSent     []eraCount
 	WireRecv     []eraCount
@@ -122,7 +118,7 @@ func appendReport(dst []byte, r distReport) []byte {
 	dst = appendProgressList(dst, r.Progress)
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
-	dst = nettrans.AppendI64(dst, r.InFlight)
+	dst = nettrans.AppendU64(dst, r.Work)
 	dst = nettrans.AppendU64(dst, r.MaxStraggler)
 	dst = appendEraCounts(dst, r.WireSent)
 	dst = appendEraCounts(dst, r.WireRecv)
@@ -139,7 +135,7 @@ func decodeReport(p []byte, k int) (distReport, error) {
 	}
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
-	r.InFlight = d.I64()
+	r.Work = d.U64()
 	r.MaxStraggler = d.U64()
 	if r.WireSent, err = decodeEraCounts(d); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
@@ -151,25 +147,6 @@ func decodeReport(p []byte, k int) (distReport, error) {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
 	return r, nil
-}
-
-// distGVT broadcasts a newly established safe GVT so workers fossil-
-// collect without shared memory.
-type distGVT struct {
-	Value uint64
-}
-
-func appendGVT(dst []byte, g distGVT) []byte {
-	return nettrans.AppendU64(dst, g.Value)
-}
-
-func decodeGVT(p []byte) (distGVT, error) {
-	d := nettrans.NewDec(p)
-	g := distGVT{Value: d.U64()}
-	if err := d.Err(); err != nil {
-		return distGVT{}, fmt.Errorf("timewarp: malformed gvt: %w", err)
-	}
-	return g, nil
 }
 
 // distAbort carries the coordinator's abort diagnosis (or a worker's
@@ -210,7 +187,6 @@ type clusterResult struct {
 
 type observedNet struct {
 	Net    netlist.NetID
-	Cycles uint64
 	Values []bool
 }
 
@@ -241,7 +217,7 @@ func appendResult(dst []byte, r distResult) []byte {
 	dst = nettrans.AppendU32(dst, uint32(len(r.Observed)))
 	for _, o := range r.Observed {
 		dst = nettrans.AppendU32(dst, uint32(o.Net))
-		dst = nettrans.AppendU64(dst, o.Cycles)
+		dst = nettrans.AppendU64(dst, uint64(len(o.Values)))
 		packed := make([]byte, (len(o.Values)+7)/8)
 		for i, v := range o.Values {
 			if v {
@@ -283,15 +259,15 @@ func decodeResult(p []byte, k int) (distResult, error) {
 		for i := range r.Observed {
 			o := &r.Observed[i]
 			o.Net = netlist.NetID(int32(d.U32()))
-			o.Cycles = d.U64()
+			cycles := d.U64()
 			packed := d.Bytes()
 			if d.Err() != nil {
 				break
 			}
-			if o.Cycles > uint64(len(packed))*8 {
-				return distResult{}, fmt.Errorf("timewarp: observed net %d: %d cycles in %d packed bytes", o.Net, o.Cycles, len(packed))
+			if cycles > uint64(len(packed))*8 {
+				return distResult{}, fmt.Errorf("timewarp: observed net %d: %d cycles in %d packed bytes", o.Net, cycles, len(packed))
 			}
-			o.Values = make([]bool, o.Cycles)
+			o.Values = make([]bool, cycles)
 			for c := range o.Values {
 				o.Values[c] = packed[c/8]&(1<<(c%8)) != 0
 			}

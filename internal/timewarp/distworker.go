@@ -37,10 +37,10 @@ type WorkerOptions struct {
 	Profile *profile.Capturer
 	// DialTimeout bounds the coordinator and peer dials (default 5s).
 	DialTimeout time.Duration
-	// FailAfter, when positive, drops every connection abruptly this long
-	// after the synchronized start — the injected mid-run crash the
-	// kill-a-worker tests use to prove the coordinator aborts instead of
-	// hanging. Never set it outside tests.
+	// FailAfter, when positive, drops every connection abruptly after
+	// this duration — the injected crash the kill-a-worker test uses to
+	// prove the coordinator aborts instead of hanging. Never set it
+	// outside tests.
 	FailAfter time.Duration
 }
 
@@ -176,6 +176,17 @@ func (w *distWorker) run(peerAddrs []string) error {
 		go w.peerReadLoop(p, conn)
 	}
 
+	// The injected crash: drop everything mid-run, exactly as a killed
+	// process would, and let the coordinator's watchdog prove itself.
+	if w.opts.FailAfter > 0 {
+		time.AfterFunc(w.opts.FailAfter, func() {
+			w.h.cancelled.Store(true)
+			w.coord.Close()
+			w.ln.Close()
+			w.closePeers()
+		})
+	}
+
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
 		return fmt.Errorf("timewarp: send ready: %w", err)
 	}
@@ -191,17 +202,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 		return fmt.Errorf("timewarp: expected start, got frame type 0x%02x", typ)
 	}
 	w.opts.Probe.attach(w.spec.Cycles)
-
-	// The injected crash: drop everything mid-run, exactly as a killed
-	// process would, and let the coordinator's watchdog prove itself.
-	if w.opts.FailAfter > 0 {
-		time.AfterFunc(w.opts.FailAfter, func() {
-			w.h.cancelled.Store(true)
-			w.coord.Close()
-			w.ln.Close()
-			w.closePeers()
-		})
-	}
 
 	w.h.start(func(err error) {
 		// Best effort: ship the evidence, then tell the coordinator why; it
@@ -247,30 +247,30 @@ func (w *distWorker) controlLoop() error {
 		}
 		switch typ {
 		case nettrans.FrameCut:
-			cut, err := decodeCut(payload)
+			round, err := decodeU64(payload, "cut")
 			if err != nil {
 				return err
 			}
-			w.mesh.flipEra(cut.Round)
+			w.mesh.flipEra(round)
 			if err := w.coord.Send(nettrans.FrameReport,
-				appendReport(nil, w.report(cut.Round))); err != nil {
+				appendReport(nil, w.report(round))); err != nil {
 				return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
 			}
 			// Piggyback the observability federation on the round cadence:
 			// a throttled registry snapshot plus the trace ring's new tail.
 			w.shipObs(false)
 		case nettrans.FrameGVT:
-			g, err := decodeGVT(payload)
+			gvt, err := decodeU64(payload, "gvt")
 			if err != nil {
 				return err
 			}
-			w.h.gvt.Store(g.Value)
+			w.h.gvt.Store(gvt)
 			// The worker-local liveness view: the coordinator-established
 			// GVT plus the progress and straggler depth of its own clusters.
 			w.h.sample(&w.smp)
-			w.h.note(&w.smp, g.Value, true)
+			w.h.note(&w.smp, gvt, true)
 			w.opts.Obs.Instant(obs.TrackKernel, "gvt_broadcast",
-				obs.Arg{Key: "gvt", Val: float64(g.Value)})
+				obs.Arg{Key: "gvt", Val: float64(gvt)})
 		case nettrans.FrameFinish:
 			// Quiescent and done: wake the clusters, let them drain out,
 			// then ship the final observability state and the merged local
@@ -364,7 +364,7 @@ func (w *distWorker) report(round uint64) distReport {
 		Round:        round,
 		Sent:         w.smp.sent,
 		Absorbed:     w.smp.absorbed,
-		InFlight:     w.h.net.InFlight(),
+		Work:         w.smp.work,
 		MaxStraggler: w.smp.maxStraggler,
 	}
 	for _, cl := range w.h.clusters {
@@ -379,7 +379,7 @@ func (w *distWorker) report(round uint64) distReport {
 // staleness (a throttle, never a correctness input) against wire chatter.
 func (w *distWorker) gossipLoop() {
 	defer w.gossipWG.Done()
-	last := make([]uint64, len(w.h.clusters))
+	ps := make([]clusterProgress, len(w.h.clusters)) // as last gossiped
 	buf := []byte(nil)
 	for {
 		select {
@@ -388,14 +388,10 @@ func (w *distWorker) gossipLoop() {
 		case <-time.After(300 * time.Microsecond):
 		}
 		changed := false
-		ps := make([]clusterProgress, len(w.h.clusters))
 		for i, cl := range w.h.clusters {
 			v := w.h.progress[cl.id].Load()
+			changed = changed || v != ps[i].Cycle
 			ps[i] = clusterProgress{Cluster: cl.id, Cycle: v}
-			if v != last[i] {
-				changed = true
-				last[i] = v
-			}
 		}
 		if !changed {
 			continue

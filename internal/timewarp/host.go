@@ -162,13 +162,14 @@ func (h *host) closeEndpoints() {
 
 // sample reads the host's counters into s: the message totals, the
 // published cycle of every local cluster (other entries of s.progress are
-// left alone) and the deepest straggler.
+// left alone), the gate evaluations so far and the deepest straggler.
 func (h *host) sample(s *sample) {
 	s.sent = h.net.TotalSent()
 	s.absorbed = h.absorbed.Load()
-	s.maxStraggler = 0
+	s.work, s.maxStraggler = 0, 0
 	for _, cl := range h.clusters {
 		s.progress[cl.id] = h.progress[cl.id].Load()
+		s.work += cl.stats.events.Load()
 		s.maxStraggler = max(s.maxStraggler, cl.stats.maxStragglerDepth.Load())
 	}
 }
@@ -203,7 +204,7 @@ func (h *host) collect() *distResult {
 	for _, cl := range h.clusters {
 		res.Clusters = append(res.Clusters, clusterResult{Cluster: cl.id, Stats: cl.stats.Snapshot()})
 		for n, vals := range cl.obsLog {
-			res.Observed = append(res.Observed, observedNet{Net: n, Cycles: uint64(len(vals)), Values: vals})
+			res.Observed = append(res.Observed, observedNet{Net: n, Values: vals})
 		}
 	}
 	return res

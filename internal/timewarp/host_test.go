@@ -122,6 +122,9 @@ func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
 	if got := h.progress[1].Load(); got != 7 {
 		t.Errorf("b published %d while coasting at cycle 6, want 7", got)
 	}
+	if v := poll(); !v.active || !v.frozen {
+		t.Errorf("coasting under a constant published cycle: active=%v frozen=%v, want quiescent for GVT yet active for the stall clock", v.active, v.frozen)
+	}
 	late := event{T: 6*b.deltaRange + 1, Net: b.nl.Gates[a.ownDFFs[0]].Output, Val: true, Src: 0, Seq: 1 << 20}
 	if err := b.absorb([]comm.Message{late}); err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ type Result struct {
 	// cycles). On clean termination it equals Cycles.
 	FinalGVT uint64
 	// InvariantViolations lists kernel invariants found broken during the
-	// run: GVT regression, or messages left undrained / unabsorbed at
+	// run: a GVT that regressed, or messages left undrained / unabsorbed at
 	// termination. Always empty for a healthy kernel; the fuzz harness
 	// fails a run whose list is non-empty.
 	InvariantViolations []string

@@ -16,6 +16,10 @@ type sample struct {
 	// complete is false until every cluster's progress has been observed
 	// at least once (a distributed run's first rounds).
 	complete bool
+	// work is the cumulative count of gate evaluations. It feeds the
+	// activity clock only: a cluster coasting forward from a sparse
+	// checkpoint publishes a constant cycle, yet it is not stalled.
+	work uint64
 	// wire is the cumulative count of cross-process data frames sent plus
 	// received; constant zero in-process.
 	wire uint64
@@ -29,20 +33,18 @@ type sample struct {
 
 // verdict is what the tracker concludes from one sample.
 type verdict struct {
-	// active: some counter or cluster moved since the previous sample.
+	// active: some counter or cluster moved, or gates were evaluated,
+	// since the previous sample.
 	active bool
-	// frozen: this sample and the previous one are identical and every
-	// sent message is absorbed.
+	// frozen: this sample and the previous one agree on every message
+	// counter and published cycle, and every sent message is absorbed.
 	frozen  bool
 	minProg uint64
 	// gvt is the established GVT after this sample; advanced marks the
 	// samples that raised it.
-	gvt      uint64
-	advanced bool
-	// doneStreak counts consecutive quiescent all-done samples; the second
-	// one terminates the run.
-	doneStreak int
-	terminate  bool
+	gvt       uint64
+	advanced  bool
+	terminate bool
 	// abort, when non-empty, is the diagnosis the run must end with: a
 	// lost wire frame, a stall or a livelock.
 	abort string
@@ -75,9 +77,11 @@ type quiescence struct {
 	started      time.Time
 	lastActivity time.Time
 
-	prev       sample // progress is the tracker's own copy
-	havePrev   bool
-	gvt        uint64
+	prev     sample // progress is the tracker's own copy
+	havePrev bool
+	gvt      uint64
+	// doneStreak counts consecutive quiescent all-done samples; the second
+	// one terminates the run.
 	doneStreak int
 	// violations lists kernel invariants the samples broke (a quiescent
 	// minimum below the established GVT).
@@ -108,9 +112,10 @@ func (q *quiescence) step(s sample) verdict {
 			allDone = false
 		}
 	}
+	moved = moved || s.sent != q.prev.sent || s.absorbed != q.prev.absorbed || s.wire != q.prev.wire
 	v := verdict{minProg: minProg}
-	v.active = moved || s.sent != q.prev.sent || s.absorbed != q.prev.absorbed || s.wire != q.prev.wire
-	v.frozen = !v.active && s.complete && s.sent == s.absorbed
+	v.active = moved || s.work != q.prev.work
+	v.frozen = !moved && s.complete && s.sent == s.absorbed
 	if v.active {
 		q.lastActivity = s.now
 	}
@@ -140,7 +145,7 @@ func (q *quiescence) step(s sample) verdict {
 	default:
 		q.doneStreak = 0
 	}
-	v.gvt, v.doneStreak = q.gvt, q.doneStreak
+	v.gvt = q.gvt
 	if v.terminate || v.abort != "" {
 		return v
 	}
