@@ -16,12 +16,21 @@ MONITOR_PORT ?= 8315
 MONITOR_HOLD ?= 10s
 
 BENCH_COUNT ?= 5
-BENCH_PATTERN ?= TimeWarp
+FORWARD_COUNT ?= 20
+BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn
+
+# bench-pairs: the parent revision to compare against (required), pairs
+# per workload (name:n overrides it for one workload) and the per-layer
+# metrics the traced pair prints.
+PARENT ?=
+BENCH_PAIRS ?= 10
+BENCH_PAIRS_WORKLOADS ?= soc_tw_aligned,viterbi_tw_rollback,soc_dist_split,partition_campaign:3
+BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,sim.run_s,sim.events,sim.events_per_s
 
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-record bench-record-packed bench-record-dist bench-record-prof bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs bench-record bench-record-packed bench-record-dist bench-record-prof bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -172,12 +181,33 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
+# The evidence a performance PR commits as BENCH_<n>.txt: alternating
+# parent/change pairs of the pipeline benchmark's driver command
+# (BENCHMARK.json), the parent's committed files checked out under the
+# git-ignored .bench_build/, medians, quartile spreads, wins and a verdict
+# per (end-to-end metric, workload), one traced pair, and every run made
+# (cmd/benchpairs). About 50 minutes at the defaults on two cores.
+#
+#	make bench-pairs PARENT=HEAD~1 | tee BENCH_14.txt
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev>"; exit 2; }
+	rm -rf .bench_build/parent && mkdir -p .bench_build/parent
+	git archive $(PARENT) | tar -x -C .bench_build/parent
+	$(GO) run ./cmd/benchpairs -parent .bench_build/parent -change . -pairs $(BENCH_PAIRS) \
+		-workloads '$(BENCH_PAIRS_WORKLOADS)' -layers '$(BENCH_PAIRS_LAYERS)'
+
 # Re-record the committed perf baseline: the kernel/obs benchmark set with
-# -count=$(BENCH_COUNT), aggregated into BENCH_5.json (name → mean ns/op,
-# B/op, allocs/op). Commit the file so future PRs have a trajectory; the
-# perf-smoke CI job gates allocs/op against it.
+# -count=$(BENCH_COUNT) plus the forward-path benchmark at one iteration
+# per sample (one iteration is a 500-cycle run of the 17.8k-gate SoC) and
+# $(FORWARD_COUNT) samples — its allocs/op spread ±14 % from run to run
+# with the checkpoint pool's hit rate, which follows when GVT happens to
+# advance, so the gate compares means of many — aggregated into
+# BENCH_5.json (name → mean ns/op, B/op, allocs/op).
+# Commit the file so future PRs have a trajectory; the perf-smoke CI job
+# gates allocs/op against it.
 bench-record:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . \
+	{ $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . && \
+	  $(GO) test -run '^$$' -bench 'ClusterForward' -benchmem -benchtime 1x -count=$(FORWARD_COUNT) . ; } \
 		| tee bench-record.txt \
 		| $(GO) run ./cmd/benchrec -out BENCH_5.json
 
@@ -225,9 +255,10 @@ bench-record-part:
 # (shared runners are too noisy to gate on). The pattern must keep
 # matching exactly the benchmark set recorded in BENCH_5.json.
 perf-smoke:
-	$(GO) test -run '^$$' \
+	{ $(GO) test -run '^$$' \
 		-bench 'TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn' \
-		-benchmem -count=3 . \
+		-benchmem -count=3 . && \
+	  $(GO) test -run '^$$' -bench 'ClusterForward' -benchmem -benchtime 1x -count=$(FORWARD_COUNT) . ; } \
 		| $(GO) run ./cmd/benchrec -check BENCH_5.json -max-allocs-regress 10
 	$(GO) test -run '^$$' \
 		-bench 'PresimScalar|PresimPacked' \

@@ -327,6 +327,42 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterForward is the kernel's forward path alone: the default
+// two-channel SoC split k=2 along its channels (cut 0), so no message is
+// sent and nothing rolls back — what is timed is processCycle walking the
+// cluster program, checkpointing every cycle. ns/event is wall time over
+// gate evaluations executed; allocs/op is gated in perf-smoke.
+func BenchmarkClusterForward(b *testing.B) {
+	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := partition.Multiway(ed, partition.Options{K: 2, B: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if parts.Cut != 0 {
+		b.Fatalf("aligned SoC partition has cut %d, want 0", parts.Cut)
+	}
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := timewarp.Run(timewarp.Config{
+			NL: ed.Netlist, GateParts: parts.GateParts, K: 2,
+			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 500,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Messages != 0 || res.Stats.Rollbacks != 0 {
+			b.Fatalf("forward-only run sent %d messages, rolled back %d times",
+				res.Stats.Messages, res.Stats.Rollbacks)
+		}
+		events += res.Stats.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 func BenchmarkClusterModel(b *testing.B) {
 	ed := workload(b)
 	res, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1})

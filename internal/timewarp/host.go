@@ -9,6 +9,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
+	"repro/internal/sim"
 )
 
 // checkPartition validates a cluster count and a gate → cluster map
@@ -27,19 +28,21 @@ func checkPartition(k int, gateParts []int32) error {
 }
 
 // prepare validates cfg and fills its defaults in place. It returns the
-// virtual-time width of one cycle.
-func (cfg *Config) prepare() (deltaRange uint64, err error) {
+// two things a run takes from the sequential simulator of cfg.NL, so that
+// they are the simulator's by construction: the virtual-time width of one
+// cycle and the power-on net values.
+func (cfg *Config) prepare() (deltaRange uint64, initial []bool, err error) {
 	if cfg.NL == nil {
-		return 0, fmt.Errorf("timewarp: Config.NL is nil")
+		return 0, nil, fmt.Errorf("timewarp: Config.NL is nil")
 	}
 	if cfg.Vectors == nil {
-		return 0, fmt.Errorf("timewarp: Config.Vectors is nil")
+		return 0, nil, fmt.Errorf("timewarp: Config.Vectors is nil")
 	}
 	if err := checkPartition(cfg.K, cfg.GateParts); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if len(cfg.GateParts) != len(cfg.NL.Gates) {
-		return 0, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
+		return 0, nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
 			len(cfg.GateParts), len(cfg.NL.Gates))
 	}
 	if cfg.Window == 0 {
@@ -51,11 +54,11 @@ func (cfg *Config) prepare() (deltaRange uint64, err error) {
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
-	depth, err := cfg.NL.Depth()
+	ref, err := sim.New(cfg.NL)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return uint64(depth) + 4, nil
+	return ref.DeltaRange, ref.InitialValues(), nil
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
@@ -67,6 +70,7 @@ type host struct {
 	cfg        Config // validated, defaults filled
 	mode       string // pprof label: "tw" in-process, "dist" in a worker
 	deltaRange uint64
+	initial    []bool // power-on net values; every cluster starts from a copy
 	net        *comm.Network
 	progress   []atomic.Uint64 // published cycle per cluster (all K)
 	absorbed   atomic.Uint64   // messages fully absorbed by local clusters
@@ -82,7 +86,7 @@ type host struct {
 // newHost validates cfg and builds the network and the clusters for which
 // owns reports true (nil = all of them), instrumented on cfg.Obs.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
-	deltaRange, err := cfg.prepare()
+	deltaRange, initial, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +94,7 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		cfg:        cfg,
 		mode:       mode,
 		deltaRange: deltaRange,
+		initial:    initial,
 		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress:   make([]atomic.Uint64, cfg.K),
 	}
@@ -203,8 +208,8 @@ func (h *host) collect() *distResult {
 	}
 	for _, cl := range h.clusters {
 		res.Clusters = append(res.Clusters, clusterResult{Cluster: cl.id, Stats: cl.stats.Snapshot()})
-		for n, vals := range cl.obsLog {
-			res.Observed = append(res.Observed, observedNet{Net: n, Values: vals})
+		for i, n := range cl.prog.obsOwn {
+			res.Observed = append(res.Observed, observedNet{Net: n, Values: cl.obsVals[i]})
 		}
 	}
 	return res

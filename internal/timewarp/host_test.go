@@ -60,11 +60,6 @@ func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
 	a, b := h.clusters[0], h.clusters[1]
 	run := func(c *cluster, until uint64) {
 		t.Helper()
-		if c.values == nil {
-			if err := c.initialState(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for c.cycle < until {
 			if err := c.processCycle(c.cycle); err != nil {
 				t.Fatal(err)
@@ -125,7 +120,7 @@ func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
 	if v := poll(); !v.active || !v.frozen {
 		t.Errorf("coasting under a constant published cycle: active=%v frozen=%v, want quiescent for GVT yet active for the stall clock", v.active, v.frozen)
 	}
-	late := event{T: 6*b.deltaRange + 1, Net: b.nl.Gates[a.ownDFFs[0]].Output, Val: true, Src: 0, Seq: 1 << 20}
+	late := event{T: 6*b.deltaRange + 1, Net: a.prog.out[a.prog.nComb], Val: true, Src: 0, Seq: 1 << 20}
 	if err := b.absorb([]comm.Message{late}); err != nil {
 		t.Fatal(err)
 	}

@@ -100,10 +100,15 @@ type Config struct {
 
 // Stats aggregates kernel activity over a run.
 type Stats struct {
-	Messages         uint64 // positive inter-cluster events sent
-	AntiMessages     uint64 // cancellations sent
-	Rollbacks        uint64 // rollback occurrences
-	Events           uint64 // gate evaluations executed (incl. re-execution)
+	Messages     uint64 // positive inter-cluster events sent
+	AntiMessages uint64 // cancellations sent
+	Rollbacks    uint64 // rollback occurrences
+	// Events counts gate evaluations executed, re-execution included. It
+	// is not comparable with sim.Simulator.Events even on a run that never
+	// rolls back: a cluster writes a gate's output at once within a delta,
+	// the sequential simulator evaluates a whole delta before applying it
+	// and so re-evaluates gates the kernel reaches once (DESIGN.md §20).
+	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
 	Checkpoints      uint64 // state checkpoints taken
 	// MaxStragglerDepth is the deepest single rollback in cycles (LVT

@@ -1,0 +1,297 @@
+package timewarp
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/elab"
+	"repro/internal/netlist"
+	"repro/internal/partition"
+	"repro/internal/sim"
+	"repro/internal/verilog"
+)
+
+// TestProgramEvalMatchesSimEvalGate holds the kernel's evaluator and the
+// sequential simulator's together: every gate kind at every arity from 1
+// to 4 (not and buf are unary), over all input combinations.
+func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
+	const inputs = 4
+	nl := &netlist.Netlist{}
+	addNet := func(driver netlist.GateID) netlist.NetID {
+		id := netlist.NetID(len(nl.Nets))
+		nl.Nets = append(nl.Nets, netlist.Net{ID: id, Name: fmt.Sprintf("n%d", id), Driver: driver, Const: -1})
+		return id
+	}
+	for i := 0; i < inputs; i++ {
+		pi := addNet(netlist.NoGate)
+		nl.Nets[pi].IsPI = true
+		nl.PIs = append(nl.PIs, pi)
+	}
+	for kind := verilog.GateAnd; kind < verilog.GateDff; kind++ {
+		maxArity := inputs
+		if kind == verilog.GateNot || kind == verilog.GateBuf {
+			maxArity = 1
+		}
+		for arity := 1; arity <= maxArity; arity++ {
+			gi := netlist.GateID(len(nl.Gates))
+			g := netlist.Gate{ID: gi, Kind: kind, Path: fmt.Sprintf("%v%d", kind, arity), Output: addNet(gi)}
+			for in := netlist.NetID(0); in < netlist.NetID(arity); in++ {
+				g.Inputs = append(g.Inputs, in)
+				nl.Nets[in].Sinks = append(nl.Nets[in].Sinks, gi)
+			}
+			nl.Gates = append(nl.Gates, g)
+		}
+	}
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := compile(nl, make([]int32, len(nl.Gates)), 0, nil)
+	if int(p.nComb) != len(nl.Gates) {
+		t.Fatalf("program has %d combinational gates, netlist %d", p.nComb, len(nl.Gates))
+	}
+	values := make([]bool, len(nl.Nets))
+	for combo := 0; combo < 1<<inputs; combo++ {
+		for i := 0; i < inputs; i++ {
+			values[i] = combo>>i&1 == 1
+		}
+		for gi := range nl.Gates {
+			// One cluster owns every gate, so local ids are global ids.
+			if got, want := p.eval(int32(gi), values), sim.EvalGate(&nl.Gates[gi], values); got != want {
+				t.Errorf("%s inputs %04b: eval %v, sim.EvalGate %v", nl.Gates[gi].Path, combo, got, want)
+			}
+		}
+	}
+}
+
+// TestProgramTablesMatchNetlist recomputes, naively from the netlist and
+// the partition, what each table of every cluster's program must hold.
+func TestProgramTablesMatchNetlist(t *testing.T) {
+	for _, tc := range distWorkloads() {
+		ed, err := tc.c.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := ed.Netlist
+		for _, k := range []int{2, 4} {
+			res, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 17, Restarts: 2})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			for id := int32(0); id < int32(k); id++ {
+				checkProgram(t, fmt.Sprintf("%s k=%d cluster %d", tc.name, k, id),
+					nl, res.GateParts, id, compile(nl, res.GateParts, id, nl.POs))
+			}
+		}
+	}
+}
+
+func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program) {
+	t.Helper()
+	// Local gate → GateID: own combinational gates, then own flip-flops.
+	var global, dffs []netlist.GateID
+	for gi := range nl.Gates {
+		if parts[gi] != id {
+			continue
+		}
+		if nl.Gates[gi].Kind.Sequential() {
+			dffs = append(dffs, netlist.GateID(gi))
+		} else {
+			global = append(global, netlist.GateID(gi))
+		}
+	}
+	if int(p.nComb) != len(global) {
+		t.Fatalf("%s: nComb %d, want %d", label, p.nComb, len(global))
+	}
+	global = append(global, dffs...)
+	if len(p.kind) != len(global) || len(p.out) != len(global) || len(p.inOff) != len(global)+1 {
+		t.Fatalf("%s: gate table sized %d/%d/%d for %d own gates", label, len(p.kind), len(p.out), len(p.inOff), len(global))
+	}
+	for l, gi := range global {
+		g := &nl.Gates[gi]
+		want := g.Inputs
+		if g.Kind.Sequential() {
+			want = g.Inputs[:1] // d only
+		}
+		got := p.ins[p.inOff[l]:p.inOff[l+1]]
+		if verilog.GateKind(p.kind[l]) != g.Kind || p.out[l] != g.Output || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: local gate %d is %v %v → %d, netlist gate %s is %v %v → %d",
+				label, l, verilog.GateKind(p.kind[l]), got, p.out[l], g.Path, g.Kind, want, g.Output)
+		}
+	}
+
+	for n := range nl.Nets {
+		net := &nl.Nets[n]
+		var wantSinks []int
+		wantDsts := map[int32]bool{}
+		for _, s := range net.Sinks {
+			if parts[s] == id && !nl.Gates[s].Kind.Sequential() {
+				wantSinks = append(wantSinks, int(s))
+			}
+			if net.Driver != netlist.NoGate && parts[net.Driver] == id && parts[s] != id {
+				wantDsts[parts[s]] = true
+			}
+		}
+		sort.Ints(wantSinks)
+		wantSinks = slices.Compact(wantSinks)
+
+		var gotSinks []int
+		for _, l := range p.sinks[p.sinkOff[n]:p.sinkOff[n+1]] {
+			if l < 0 || l >= p.nComb {
+				t.Fatalf("%s: net %s sink %d is not a combinational local gate", label, net.Name, l)
+			}
+			gotSinks = append(gotSinks, int(global[l]))
+		}
+		if !sort.IntsAreSorted(gotSinks) {
+			t.Fatalf("%s: net %s sinks %v not ascending: a delta would evaluate them in another order", label, net.Name, gotSinks)
+		}
+		if got := slices.Compact(gotSinks); fmt.Sprint(got) != fmt.Sprint(wantSinks) {
+			t.Fatalf("%s: net %s sinks %v, want %v", label, net.Name, got, wantSinks)
+		}
+
+		gotDsts := p.readers(netlist.NetID(n))
+		if len(gotDsts) != len(wantDsts) {
+			t.Fatalf("%s: net %s read by clusters %v, want %v", label, net.Name, gotDsts, wantDsts)
+		}
+		for _, d := range gotDsts {
+			if !wantDsts[d] {
+				t.Fatalf("%s: net %s read by clusters %v, want %v", label, net.Name, gotDsts, wantDsts)
+			}
+		}
+	}
+
+	pos, own := 0, 0
+	for _, pi := range nl.PIs {
+		if nl.IsClockNet(pi) {
+			continue
+		}
+		read := id == 0
+		for _, s := range nl.Nets[pi].Sinks {
+			read = read || parts[s] == id
+		}
+		if read {
+			if own >= len(p.ownPIs) || p.ownPIs[own] != pi || int(p.piPos[own]) != pos {
+				t.Fatalf("%s: stimulus input %s (vector position %d) missing or misplaced in %v / %v",
+					label, nl.Nets[pi].Name, pos, p.ownPIs, p.piPos)
+			}
+			own++
+		}
+		pos++
+	}
+	if own != len(p.ownPIs) || pos != p.vecWidth {
+		t.Fatalf("%s: %d own PIs of width %d, want %d of %d", label, len(p.ownPIs), p.vecWidth, own, pos)
+	}
+}
+
+// alignedSoC is the small two-channel SoC split k=2 along its channels:
+// nothing is cut, so no cluster ever hears from the other.
+func alignedSoC(t *testing.T) (*elab.Design, []int32) {
+	t.Helper()
+	ed := socDesign(t)
+	parts, err := partition.Multiway(ed, partition.Options{K: 2, B: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts.Cut != 0 {
+		t.Fatalf("the two-channel SoC split k=2 has cut %d, want 0", parts.Cut)
+	}
+	return ed, parts.GateParts
+}
+
+// TestCutZeroRunIsPinned: on a partition that cuts nothing the kernel is
+// deterministic, so the number of gate evaluations is a fingerprint of the
+// within-delta evaluation order and the immediate writes. 98,295 is what
+// the map-based kernel before the cluster program executed on this input.
+func TestCutZeroRunIsPinned(t *testing.T) {
+	ed, parts := alignedSoC(t)
+	st := runBoth(t, ed, parts, 2, 60, 1)
+	if st.Events != 98295 || st.Messages != 0 || st.Rollbacks != 0 {
+		t.Errorf("cut-0 run: %d events, %d messages, %d rollbacks; want 98295, 0, 0",
+			st.Events, st.Messages, st.Rollbacks)
+	}
+}
+
+// TestProcessedLogStaysSorted steps three clusters of a randomly cut
+// decoder by hand under a random schedule with no optimism window, so
+// stragglers, rollbacks and anti-messages for already consumed events are
+// plentiful. After every absorb the replay log must be sorted by
+// timestamp — findProcessed bisects it — and the bisection must land
+// where a linear scan does.
+func TestProcessedLogStaysSorted(t *testing.T) {
+	nl := viterbiDesign(t).Netlist
+	const k, cycles, seed = 3, 40, 41
+	h, err := newHost(Config{
+		NL: nl, GateParts: randomParts(nl, k, 17), K: k,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+	}, "tw", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(c *cluster, e event) int {
+		for i, p := range c.processed {
+			if p.Src == e.Src && p.Seq == e.Seq {
+				return i
+			}
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(1))
+	consumedAntis := 0 // anti-messages whose positive was in the replay log
+	finished := func() bool {
+		for _, c := range h.clusters {
+			if c.cycle < cycles {
+				return false
+			}
+		}
+		return h.net.TotalSent() == h.absorbed.Load()
+	}
+	for !finished() {
+		c := h.clusters[rng.Intn(k)]
+		msgs := c.ep.TryRecvAll()
+		for _, m := range msgs {
+			evs, _ := m.(batch)
+			if e, ok := m.(event); ok {
+				evs = batch{e}
+			}
+			for _, e := range evs {
+				if want := scan(c, e); e.Anti && want >= 0 {
+					consumedAntis++
+					if got := c.findProcessed(e.T, e.Src, e.Seq); got != want {
+						t.Fatalf("cluster %d: findProcessed(T=%d src=%d seq=%d) = %d, linear scan %d",
+							c.id, e.T, e.Src, e.Seq, got, want)
+					}
+				}
+			}
+		}
+		if err := c.absorb(msgs); err != nil {
+			t.Fatal(err)
+		}
+		h.absorbed.Add(uint64(len(msgs)))
+		if !sort.SliceIsSorted(c.processed, func(i, j int) bool { return c.processed[i].T < c.processed[j].T }) {
+			t.Fatalf("cluster %d: replay log not sorted by T after absorbing %d messages", c.id, len(msgs))
+		}
+		if c.cycle < cycles && rng.Intn(3) > 0 {
+			if err := c.processCycle(c.cycle); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var st Stats
+	for _, c := range h.clusters {
+		st.add(c.stats.Snapshot())
+	}
+	if st.Rollbacks == 0 || st.AntiMessages == 0 || consumedAntis == 0 {
+		t.Errorf("schedule too tame: %d rollbacks, %d anti-messages, %d of them for consumed events",
+			st.Rollbacks, st.AntiMessages, consumedAntis)
+	}
+	got := map[netlist.NetID][]bool{}
+	for _, o := range h.collect().Observed {
+		got[o.Net] = o.Values
+	}
+	compareObserved(t, nl, got, seqOracle(t, nl, cycles, seed), cycles, "hand-stepped")
+	h.closeEndpoints()
+}

@@ -288,29 +288,23 @@ func TestSparseCheckpointingStillCorrect(t *testing.T) {
 	}
 }
 
+// TestSparseCheckpointingSavesCheckpoints runs on a partition that cuts
+// nothing, so no cluster rolls back and each executes every cycle exactly
+// once: the checkpoint count is then the schedule's alone. (Across a cut,
+// every rollback re-executes cycles and re-takes their checkpoints, and
+// how many depends on goroutine scheduling — comparing two such runs is
+// comparing their luck.)
 func TestSparseCheckpointingSavesCheckpoints(t *testing.T) {
-	c := gen.LFSR(16, nil)
-	ed, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := randomParts(ed.Netlist, 2, 1)
-	dense, err := Run(Config{
-		NL: ed.Netlist, GateParts: parts, K: 2,
-		Vectors: sim.RandomVectors{Seed: 5}, Cycles: 200, CheckpointEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := Run(Config{
-		NL: ed.Netlist, GateParts: parts, K: 2,
-		Vectors: sim.RandomVectors{Seed: 5}, Cycles: 200, CheckpointEvery: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.Stats.Checkpoints*4 > dense.Stats.Checkpoints {
-		t.Errorf("sparse checkpointing saved too little: %d vs %d",
-			sparse.Stats.Checkpoints, dense.Stats.Checkpoints)
+	ed, parts := alignedSoC(t)
+	const cycles = 64
+	for _, every := range []uint64{1, 8} {
+		st := runBothCfg(t, ed, parts, 2, cycles, 5, func(c *Config) { c.CheckpointEvery = every })
+		if st.Rollbacks != 0 {
+			t.Fatalf("every=%d: %d rollbacks on a cut-0 partition", every, st.Rollbacks)
+		}
+		if want := 2 * cycles / every; st.Checkpoints != want {
+			t.Errorf("every=%d: %d checkpoints, want %d (two clusters, one per %d cycles)",
+				every, st.Checkpoints, want, every)
+		}
 	}
 }
