@@ -34,6 +34,7 @@ type Network struct {
 	inFlight atomic.Int64
 	sent     atomic.Uint64
 	tr       Transport
+	poller   Poller // tr when it must be polled for deliveries, else nil
 	trClosed sync.Once
 
 	// Observability (nil when uninstrumented; each hot-path use costs one
@@ -92,6 +93,7 @@ func NewNetworkTransport(k int, f TransportFactory) *Network {
 	} else {
 		n.tr = f(k, n.enqueue)
 	}
+	n.poller, _ = n.tr.(Poller)
 	return n
 }
 
@@ -162,10 +164,14 @@ func (e *Endpoint) Send(dst int, msg Message) {
 }
 
 // TryRecvAll drains and returns all queued messages without blocking
-// (nil when empty). Drain-after-close is guaranteed: messages queued
+// (nil when empty), after giving a polled transport the chance to deliver
+// what its sockets hold. Drain-after-close is guaranteed: messages queued
 // before (or even after) Close remain receivable — Close only wakes
 // blocked receivers, it never discards the mailbox.
 func (e *Endpoint) TryRecvAll() []Message {
+	if p := e.net.poller; p != nil {
+		p.Poll()
+	}
 	e.mu.Lock()
 	msgs := e.box
 	e.box = nil

@@ -8,6 +8,14 @@
 // Mattern-colored GVT cut/report rounds, progress gossip, abort and
 // result collection.
 //
+// A Conn is received from in one of two ways (conn.go). Recv blocks in the
+// runtime's netpoller until a frame arrives: the control plane, the
+// handshakes and the Loopback transport's reader, where a goroutine has
+// nothing else to do. TryRecv reads the descriptor without waiting and is
+// called from the loop of whoever consumes the frames: the worker mesh's
+// data plane, which no goroutine reads in the background (DESIGN §21).
+// Both yield the same frames and the same errors on the same bytes.
+//
 // The package is deliberately ignorant of event payloads: senders hand it
 // opaque comm.Message values and a Codec that turns them into bytes (the
 // kernel's codec lives in internal/timewarp/wire.go). Everything here is
@@ -108,6 +116,31 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// frameLen validates a length prefix: the one place that decides what a
+// legal frame length is, shared by ReadFrame and Conn.TryRecv's
+// incremental parser.
+func frameLen(hdr []byte) (uint32, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 {
+		return 0, ErrFrameEmpty
+	}
+	if n > MaxFrame {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return n, nil
+}
+
+// The two ways a stream can end inside a frame. Both wrap
+// io.ErrUnexpectedEOF: truncation is never silent.
+func errTruncatedHeader() error {
+	return fmt.Errorf("nettrans: truncated frame header: %w", io.ErrUnexpectedEOF)
+}
+
+func errTruncatedBody(got int, want uint32) error {
+	return fmt.Errorf("nettrans: truncated frame body (%d of %d bytes): %w",
+		got, want, io.ErrUnexpectedEOF)
+}
+
 // ReadFrame reads one frame, rejecting oversized and empty lengths before
 // allocating. A clean EOF at a frame boundary returns io.EOF; EOF inside
 // a frame returns io.ErrUnexpectedEOF — truncation is never silent.
@@ -115,22 +148,18 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("nettrans: truncated frame header: %w", io.ErrUnexpectedEOF)
+			return 0, nil, errTruncatedHeader()
 		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return 0, nil, ErrFrameEmpty
-	}
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
 	buf := make([]byte, n)
 	if m, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("nettrans: truncated frame body (%d of %d bytes): %w",
-				m, n, io.ErrUnexpectedEOF)
+			return 0, nil, errTruncatedBody(m, n)
 		}
 		return 0, nil, err
 	}

@@ -136,7 +136,6 @@ type distWorker struct {
 	smp  sample // scratch for reports and probe notes
 
 	stopGossip chan struct{}
-	gossipWG   sync.WaitGroup
 
 	// Observability-federation state: the trace-ring streaming cursor and
 	// the last ship instant (snapshots are throttled so a fast GVT cadence
@@ -167,26 +166,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 	w.mesh.net = w.h.net
 	w.smp.progress = make([]uint64, w.spec.K)
 
-	// Peer readers deliver remote events and progress gossip from here on.
-	for p, conn := range w.peers {
-		if conn == nil {
-			continue
-		}
-		w.gossipWG.Add(1)
-		go w.peerReadLoop(p, conn)
-	}
-
-	// The injected crash: drop everything mid-run, exactly as a killed
-	// process would, and let the coordinator's watchdog prove itself.
-	if w.opts.FailAfter > 0 {
-		time.AfterFunc(w.opts.FailAfter, func() {
-			w.h.cancelled.Store(true)
-			w.coord.Close()
-			w.ln.Close()
-			w.closePeers()
-		})
-	}
-
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
 		return fmt.Errorf("timewarp: send ready: %w", err)
 	}
@@ -203,6 +182,19 @@ func (w *distWorker) run(peerAddrs []string) error {
 	}
 	w.opts.Probe.attach(w.spec.Cycles)
 
+	// The injected crash: drop everything mid-run, exactly as a killed
+	// process would, and let the coordinator's watchdog prove itself. Armed
+	// at the synchronized start, so the clock measures the run and cannot
+	// beat the handshake on a loaded box.
+	if w.opts.FailAfter > 0 {
+		time.AfterFunc(w.opts.FailAfter, func() {
+			w.h.cancelled.Store(true)
+			w.coord.Close()
+			w.ln.Close()
+			w.closePeers()
+		})
+	}
+
 	w.h.start(func(err error) {
 		// Best effort: ship the evidence, then tell the coordinator why; it
 		// aborts the whole run and relays the reason to every other worker.
@@ -212,7 +204,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 	})
 
 	w.stopGossip = make(chan struct{})
-	w.gossipWG.Add(1)
 	go w.gossipLoop()
 
 	err = w.controlLoop()
@@ -377,16 +368,21 @@ func (w *distWorker) report(round uint64) distReport {
 // gossipLoop broadcasts local cluster progress to every peer so their
 // optimism windows see this worker's clusters. Frequency trades window
 // staleness (a throttle, never a correctness input) against wire chatter.
+// The same tick pumps the mesh sockets: clusters poll them whenever they
+// look in their mailboxes, but one parked in RecvWait at the end of its
+// trace looks nowhere, and its stragglers must still arrive.
 func (w *distWorker) gossipLoop() {
-	defer w.gossipWG.Done()
+	tick := time.NewTicker(300 * time.Microsecond)
+	defer tick.Stop()
 	ps := make([]clusterProgress, len(w.h.clusters)) // as last gossiped
 	buf := []byte(nil)
 	for {
 		select {
 		case <-w.stopGossip:
 			return
-		case <-time.After(300 * time.Microsecond):
+		case <-tick.C:
 		}
+		w.mesh.Poll()
 		changed := false
 		for i, cl := range w.h.clusters {
 			v := w.h.progress[cl.id].Load()
@@ -405,48 +401,38 @@ func (w *distWorker) gossipLoop() {
 	}
 }
 
-// peerReadLoop drains one mesh connection: data frames become local
-// deliveries, progress frames update the shared progress view.
-func (w *distWorker) peerReadLoop(peer int, conn *nettrans.Conn) {
-	defer w.gossipWG.Done()
-	codec := WireCodec()
-	for {
-		typ, payload, err := conn.Recv()
+// peerFrame is the one handler of everything a mesh connection carries:
+// data frames become local deliveries, progress frames update the shared
+// progress view, anything else poisons the link. The payload is the
+// poller's read buffer; nothing decoded from it may alias it.
+func (w *distWorker) peerFrame(typ byte, payload []byte) error {
+	switch typ {
+	case nettrans.FrameData:
+		df, err := nettrans.DecodeDataFrame(payload, w.spec.K)
 		if err != nil {
-			return // peer closed (finish) or died (coordinator will abort)
+			return err
 		}
-		switch typ {
-		case nettrans.FrameData:
-			df, err := nettrans.DecodeDataFrame(payload, w.spec.K)
-			if err != nil {
-				w.failLink(peer, err)
-				return
-			}
-			msg, err := codec.Decode(df.Msg)
-			if err != nil {
-				w.failLink(peer, err)
-				return
-			}
-			w.mesh.noteRecv(df.Era, len(payload))
-			w.h.net.NoteArrived()
-			w.mesh.deliver(df.Dst, msg)
-		case nettrans.FrameProgress:
-			d := nettrans.NewDec(payload)
-			ps, err := decodeProgressList(d, w.spec.K)
-			if err != nil {
-				w.failLink(peer, err)
-				return
-			}
-			for _, p := range ps {
-				if int(w.placement[p.Cluster]) != w.id {
-					w.h.progress[p.Cluster].Store(p.Cycle)
-				}
-			}
-		default:
-			w.failLink(peer, fmt.Errorf("unexpected frame type 0x%02x", typ))
-			return
+		msg, err := WireCodec().Decode(df.Msg)
+		if err != nil {
+			return err
 		}
+		w.mesh.noteRecv(df.Era, len(payload))
+		w.h.net.NoteArrived()
+		w.mesh.deliver(df.Dst, msg)
+	case nettrans.FrameProgress:
+		ps, err := decodeProgressList(nettrans.NewDec(payload), w.spec.K)
+		if err != nil {
+			return err
+		}
+		for _, p := range ps {
+			if int(w.placement[p.Cluster]) != w.id {
+				w.h.progress[p.Cluster].Store(p.Cycle)
+			}
+		}
+	default:
+		return fmt.Errorf("unexpected frame type 0x%02x", typ)
 	}
+	return nil
 }
 
 // failLink reports a poisoned mesh link to the coordinator; a garbled
@@ -547,6 +533,12 @@ type meshTransport struct {
 
 	era atomic.Uint64
 
+	// pollMu admits one poller at a time; the rest find it taken and go on
+	// with what is already in their mailboxes. down marks links that ended
+	// (peer finished, died, or sent garbage) and are polled no more.
+	pollMu sync.Mutex
+	down   []bool
+
 	encMu  sync.Mutex
 	encBuf []byte
 
@@ -562,6 +554,7 @@ type meshTransport struct {
 func newMeshTransport(w *distWorker) *meshTransport {
 	t := &meshTransport{
 		w:         w,
+		down:      make([]bool, w.numW),
 		sentByEra: make(map[uint64]uint64),
 		recvByEra: make(map[uint64]uint64),
 	}
@@ -668,6 +661,32 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	}
 }
 
+// Poll drains every mesh socket into the local mailboxes and the progress
+// view without blocking — the receive half of the data plane (DESIGN §21).
+// There is no reader goroutine: the clusters call this through
+// Endpoint.TryRecvAll each time they look for messages, and the gossip tick
+// calls it while they are parked. A link that ended quietly (the peer
+// finished, or died — the coordinator's control connection says which) is
+// dropped from the rounds; one that carried something illegal is reported
+// first, because a garbled data plane can neither be trusted nor repaired.
+func (t *meshTransport) Poll() {
+	if !t.pollMu.TryLock() {
+		return
+	}
+	defer t.pollMu.Unlock()
+	for p, conn := range t.w.peers {
+		if conn == nil || t.down[p] {
+			continue
+		}
+		if err := conn.TryRecv(t.w.peerFrame); err != nil {
+			t.down[p] = true
+			if !nettrans.LinkDown(err) {
+				t.w.failLink(p, err)
+			}
+		}
+	}
+}
+
 // Close is a no-op: the worker owns the mesh connections and closes them
-// in its own shutdown order (readers drained before sockets drop).
+// in its own shutdown order.
 func (t *meshTransport) Close() {}
