@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s
+	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:
@@ -286,8 +287,10 @@ perf-smoke:
 
 # The CI partition-quality gate: the n-level engine's cut must match or
 # beat the flat multilevel cut on all four canonical workloads at
-# k ∈ {2,4,8} with a fixed seed, and the same seed must yield the
-# identical assignment at any worker count.
+# k ∈ {2,4,8} with a fixed seed, the same seed must yield the identical
+# assignment at any worker count, and every engine (design-driven, flat,
+# n-level) must reproduce its recorded GateParts digest on the same grid
+# — the behavioural-drift gate of every refiner refactoring.
 partition-quality:
 	$(GO) test ./internal/multilevel/ \
-		-run 'TestPartitionNQualityVsFlat|TestPartitionNDeterministicAcrossWorkers' -v
+		-run 'TestPartitionNQualityVsFlat|TestPartitionNDeterministicAcrossWorkers|TestGoldenPartitionDigests' -v

@@ -97,20 +97,8 @@ func (c *Context) AblationInitial(k int, b float64) (*stats.Table, error) {
 		return nil, err
 	}
 	cons := partition.NewConstraint(h, k, b)
-	feas := cons.Feasible(h)
-
 	refine := func(a *hypergraph.Assignment) {
-		for sweep := 0; sweep < 8; sweep++ {
-			gain := 0
-			for p := int32(0); p < int32(k); p++ {
-				for q := p + 1; q < int32(k); q++ {
-					gain += fm.RefinePair(h, a, p, q, feas, 0).GainTotal
-				}
-			}
-			if gain == 0 {
-				break
-			}
-		}
+		fm.Over(h, a, cons.Feasible(h)).RefineAllPairs(0)
 	}
 
 	t := stats.NewTable("init", "cut before", "cut after", "balanced")

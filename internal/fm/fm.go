@@ -2,12 +2,6 @@ package fm
 
 import "repro/internal/hypergraph"
 
-// Feasible decides whether moving vertex v from partition `from` to
-// partition `to` is allowed (the load-balancing constraint, supplied by
-// the caller). loads is the refiner's live per-partition weight, updated
-// after every tentative move. A nil Feasible allows every move.
-type Feasible func(v hypergraph.VertexID, from, to int32, loads []int) bool
-
 // Result summarizes one RefinePair call.
 type Result struct {
 	Passes    int // passes actually run
@@ -15,214 +9,115 @@ type Result struct {
 	GainTotal int // total cut reduction achieved
 }
 
-// refiner holds the per-call state of a pairwise FM refinement.
-type refiner struct {
-	h    *hypergraph.H
-	a    *hypergraph.Assignment
-	p, q int32
-
-	// pinCount[e][part] — pins of edge e in each partition; distinct[e] —
-	// number of distinct partitions edge e touches. Maintained
-	// incrementally so gains are O(degree) to compute.
-	pinCount [][]int32
-	distinct []int32
-
-	locked  []bool
-	buckets *bucketList
-	maxDeg  int
-
-	feasible Feasible
-	loads    []int // current load per partition (all k parts)
+// RefinePair is Over(h, a, feasible).RefinePair(p, q, maxPasses): one
+// refinement on a throw-away refiner. Callers that refine the same view
+// more than once keep the Refiner instead.
+func RefinePair(h *hypergraph.H, a *hypergraph.Assignment, p, q int32, feasible Feasible, maxPasses int) Result {
+	return Over(h, a, feasible).RefinePair(p, q, maxPasses)
 }
 
-// RefinePair runs FM passes moving vertices between partitions p and q of
-// assignment a until a pass yields no improvement, or maxPasses is
-// reached. Vertices in other partitions are fixed. It returns the total
-// cut-size reduction.
+// RefinePair runs FM passes moving vertices between blocks p and q until
+// a pass yields no improvement, or maxPasses is reached (0 → 16).
+// Vertices in other blocks are fixed. It returns the total cut-size
+// reduction.
 //
 // Each pass follows the classic algorithm: all vertices of p∪q start
 // free; the best-gain feasible move is applied and the vertex locked;
 // after all moves, the pass is rolled back to the prefix with the best
 // cumulative cut. "No free vertex or no gain" (paper fig. 2) ends the
 // refinement.
-func RefinePair(h *hypergraph.H, a *hypergraph.Assignment, p, q int32, feasible Feasible, maxPasses int) Result {
+func (r *Refiner) RefinePair(p, q int32, maxPasses int) Result {
 	if maxPasses <= 0 {
 		maxPasses = 16
 	}
-	r := &refiner{h: h, a: a, p: p, q: q, feasible: feasible}
-	r.init()
 	var res Result
 	for pass := 0; pass < maxPasses; pass++ {
-		gain, moves := r.runPass()
+		gain := r.pairPass(p, q)
 		res.Passes++
 		if gain <= 0 {
 			break
 		}
 		res.GainTotal += gain
-		res.Moves += moves
+		res.Moves += len(r.moves)
 	}
 	return res
 }
 
-func (r *refiner) init() {
-	h, a := r.h, r.a
-	r.pinCount = make([][]int32, len(h.Edges))
-	r.distinct = make([]int32, len(h.Edges))
-	for ei := range h.Edges {
-		counts := make([]int32, a.K)
-		for _, pin := range h.Edges[ei].Pins {
-			counts[a.Parts[pin]]++
-		}
-		d := int32(0)
-		for _, c := range counts {
-			if c > 0 {
-				d++
-			}
-		}
-		r.pinCount[ei] = counts
-		r.distinct[ei] = d
-	}
-	r.locked = make([]bool, len(h.Vertices))
-	r.loads = hypergraph.PartLoads(h, a)
-	// The gain of a vertex is bounded by the total weight of its incident
-	// edges (weights matter on coarsened hypergraphs).
-	r.maxDeg = 1
-	for vi := range h.Vertices {
-		d := 0
-		for _, e := range h.Vertices[vi].Edges {
-			d += h.Edges[e].Weight
-		}
-		if d > r.maxDeg {
-			r.maxDeg = d
-		}
-	}
-}
-
-// gainOf computes the cut reduction of moving v to the other side of the
-// pair.
-func (r *refiner) gainOf(v hypergraph.VertexID) int {
-	from := r.a.Parts[v]
-	to := r.other(from)
-	gain := 0
-	for _, e := range r.h.Vertices[v].Edges {
-		cFrom := r.pinCount[e][from]
-		cTo := r.pinCount[e][to]
-		d := r.distinct[e]
-		// Cut before: d > 1. After the move: distinct count changes by
-		// -1 if v was the last pin in `from`, +1 if `to` was empty.
-		dAfter := d
-		if cFrom == 1 {
-			dAfter--
-		}
-		if cTo == 0 {
-			dAfter++
-		}
-		before, after := 0, 0
-		if d > 1 {
-			before = 1
-		}
-		if dAfter > 1 {
-			after = 1
-		}
-		gain += (before - after) * r.h.Edges[e].Weight
-	}
+// ProbePair returns the cut reduction one pass between p and q would
+// achieve, leaving the assignment and the cache exactly as they were:
+// the pass runs on the live cache and is then undone.
+func (r *Refiner) ProbePair(p, q int32) int {
+	gain := r.pairPass(p, q)
+	r.undo(0)
 	return gain
 }
 
-func (r *refiner) other(part int32) int32 {
-	if part == r.p {
-		return r.q
+// RefineAllPairs sweeps RefinePair over every pair of blocks in
+// ascending (p, q) order until a full sweep yields no gain (at most 8
+// sweeps).
+func (r *Refiner) RefineAllPairs(maxPasses int) {
+	k := int32(r.gc.k)
+	for sweep := 0; sweep < 8; sweep++ {
+		gain := 0
+		for p := int32(0); p < k; p++ {
+			for q := p + 1; q < k; q++ {
+				gain += r.RefinePair(p, q, maxPasses).GainTotal
+			}
+		}
+		if gain == 0 {
+			break
+		}
 	}
-	return r.p
 }
 
-// apply moves v to the other side, updating pin counts, distinct counts
-// and loads.
-func (r *refiner) apply(v hypergraph.VertexID) {
-	from := r.a.Parts[v]
-	to := r.other(from)
-	for _, e := range r.h.Vertices[v].Edges {
-		if r.pinCount[e][from] == 1 {
-			r.distinct[e]--
+// pairPass executes one FM pass between p and q and rolls back to the
+// best prefix, which it leaves in the move log. It returns the kept gain.
+func (r *Refiner) pairPass(p, q int32) int {
+	gc, d := r.gc, r.gc.d
+	other := func(part int32) int32 {
+		if part == p {
+			return q
 		}
-		if r.pinCount[e][to] == 0 {
-			r.distinct[e]++
-		}
-		r.pinCount[e][from]--
-		r.pinCount[e][to]++
+		return p
 	}
-	w := r.h.Vertices[v].Weight
-	r.loads[from] -= w
-	r.loads[to] += w
-	r.a.Parts[v] = to
-}
-
-// runPass executes one FM pass and rolls back to the best prefix. It
-// returns the kept gain and the number of kept moves.
-func (r *refiner) runPass() (int, int) {
-	h, a := r.h, r.a
-	r.buckets = newBucketList(len(h.Vertices), r.maxDeg)
-	for i := range r.locked {
-		r.locked[i] = false
-	}
-	free := 0
-	for vi := range h.Vertices {
-		if a.Parts[vi] == r.p || a.Parts[vi] == r.q {
-			r.buckets.insert(hypergraph.VertexID(vi), r.gainOf(hypergraph.VertexID(vi)))
-			free++
+	r.begin()
+	for vi, part := range gc.parts {
+		v := hypergraph.VertexID(vi)
+		if (part == p || part == q) && d.Active(v) {
+			r.buckets.insert(v, gc.Gain(v, other(part)))
+			r.touched = append(r.touched, v)
 		}
 	}
-	if free == 0 {
-		return 0, 0
-	}
-
-	type move struct {
-		v    hypergraph.VertexID
-		gain int
-	}
-	moves := make([]move, 0, free)
-	cum, bestCum, bestIdx := 0, 0, -1
-
 	accept := func(v hypergraph.VertexID) bool {
-		if r.locked[v] {
-			return false
-		}
-		if r.feasible == nil {
-			return true
-		}
-		from := a.Parts[v]
-		return r.feasible(v, from, r.other(from), r.loads)
+		from := gc.parts[v]
+		return r.allowed(v, from, other(from))
 	}
-
-	for !r.buckets.empty() {
+	cum, bestCum, bestLen := 0, 0, 0
+	for {
 		v, g := r.buckets.popBest(accept)
 		if v == hypergraph.NoVertex {
-			break // no feasible move remains
+			break // no free vertex, or no feasible move remains
 		}
-		r.locked[v] = true
-		r.apply(v)
-		moves = append(moves, move{v: v, gain: g})
+		r.apply(v, other(gc.parts[v]))
 		cum += g
+		// Strict: the shortest best prefix, so a pass that only shuffles
+		// zero-gain moves keeps nothing and ends the refinement.
 		if cum > bestCum {
-			bestCum = cum
-			bestIdx = len(moves) - 1
+			bestCum, bestLen = cum, len(r.moves)
 		}
-		// Update gains of unlocked neighbours on v's nets.
-		for _, e := range h.Vertices[v].Edges {
-			for _, n := range h.Edges[e].Pins {
-				if n == v || r.locked[n] {
+		// Refresh the keys of the free pair vertices on v's nets.
+		for _, e := range d.Incident(v) {
+			for _, n := range d.Pins(e) {
+				if n == v || r.locked[n] == r.epoch {
 					continue
 				}
-				if pt := a.Parts[n]; pt == r.p || pt == r.q {
-					r.buckets.update(n, r.gainOf(n))
+				if pt := gc.parts[n]; pt == p || pt == q {
+					r.buckets.update(n, gc.Gain(n, other(pt)))
 				}
 			}
 		}
 	}
-
-	// Roll back moves after the best prefix.
-	for i := len(moves) - 1; i > bestIdx; i-- {
-		r.apply(moves[i].v) // apply is its own inverse for a pair swap
-	}
-	return bestCum, bestIdx + 1
+	r.undo(bestLen)
+	r.drain()
+	return bestCum
 }

@@ -8,9 +8,10 @@ import (
 
 // GainCache maintains, for every active vertex of a dynamic hypergraph,
 // the cut-metric gain of moving it to every target block — updated
-// incrementally in O(affected pins) per move instead of recomputed from
-// scratch the way RefinePair's gainOf does. It is the data structure
-// behind the n-level k-way FM refiner ("n-Level Hypergraph Partitioning",
+// incrementally in O(affected pins) per move. It is the only code in the
+// repository that evaluates "what does moving v to block t gain": every
+// search policy of the Refiner, the pairing probe and the greedy load
+// redistribution read it ("n-Level Hypergraph Partitioning",
 // arXiv 1505.00693).
 //
 // Decomposition (Φ(e,t) = number of active pins of e in block t, s =
@@ -38,10 +39,16 @@ type GainCache struct {
 // NewGainCache allocates a cache for d with k blocks. Call Reset to
 // initialize it from an assignment of the currently active vertices.
 func NewGainCache(d *hypergraph.Dyn, k int) *GainCache {
+	return newGainCache(d, k, make([]int32, d.NumVertices()))
+}
+
+// newGainCache is NewGainCache with the block array supplied by the
+// caller (Over hands it the assignment it writes through to).
+func newGainCache(d *hypergraph.Dyn, k int, parts []int32) *GainCache {
 	return &GainCache{
 		d:       d,
 		k:       k,
-		parts:   make([]int32, d.NumVertices()),
+		parts:   parts,
 		phi:     make([]int32, d.NumEdges()*k),
 		benefit: make([]int32, d.NumVertices()*k),
 		penalty: make([]int32, d.NumVertices()),

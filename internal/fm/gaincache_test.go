@@ -138,7 +138,7 @@ func TestKWayLocalSearchImproves(t *testing.T) {
 	d := hypergraph.NewDyn(h)
 	gc := NewGainCache(d, 2)
 	gc.Reset([]int32{1, 0, 0, 0})
-	kw := NewKWay(gc, nil)
+	kw := NewRefiner(gc, nil)
 	if gc.CutSize() != 3 {
 		t.Fatalf("initial cut %d, want 3", gc.CutSize())
 	}
@@ -164,7 +164,7 @@ func TestKWayGlobalRoundDeterministic(t *testing.T) {
 		}
 		gc := NewGainCache(d, 3)
 		gc.Reset(parts)
-		kw := NewKWay(gc, nil)
+		kw := NewRefiner(gc, nil)
 		kw.GlobalRounds(workers, 16)
 		out := make([]int32, len(parts))
 		copy(out, gc.Parts())

@@ -7,86 +7,28 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// KWay is the n-level k-way FM refiner: gain-bucket localized searches
-// seeded at freshly uncontracted vertex pairs, plus deterministic
-// parallel global rounds that batch independent positive-gain moves.
-// All moves go through the GainCache, so gains stay exact at O(affected
-// pins) per move.
-type KWay struct {
-	gc       *GainCache
-	feasible Feasible
+// This file is the n-level engine's search policy over the Refiner:
+// gain-bucket localized searches seeded at freshly uncontracted vertex
+// pairs, plus deterministic parallel global rounds that batch independent
+// positive-gain moves. Unlike the pair pass, a vertex may go to any block
+// (its best feasible target), only the seeds' neighbourhood is queued,
+// and zero-gain plateau moves are kept.
 
-	buckets *bucketList
-	maxDeg  int
-
-	epoch   int64
-	locked  []int64 // epoch in which the vertex was moved (FM lock)
-	touched []hypergraph.VertexID
-
-	// StallLimit bounds how many non-improving moves a localized search
-	// tolerates past its best prefix before giving up (default 8).
-	StallLimit int
-
-	moves []kwMove
-}
-
-type kwMove struct {
-	v    hypergraph.VertexID
-	from int32
-}
-
-// NewKWay builds a refiner over gc. feasible guards every move (nil
-// allows all); it receives the cache's live loads.
-func NewKWay(gc *GainCache, feasible Feasible) *KWay {
-	d := gc.d
-	maxDeg := 1
-	for vi := 0; vi < d.NumVertices(); vi++ {
-		v := hypergraph.VertexID(vi)
-		if !d.Active(v) {
-			continue
-		}
-		deg := 0
-		for _, e := range d.Incident(v) {
-			deg += d.EdgeWeight(e)
-		}
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	// During uncoarsening incidence lists only split, so the max weighted
-	// degree observed now bounds every future gain.
-	return &KWay{
-		gc:         gc,
-		feasible:   feasible,
-		buckets:    newBucketList(d.NumVertices(), maxDeg),
-		maxDeg:     maxDeg,
-		locked:     make([]int64, d.NumVertices()),
-		StallLimit: 8,
-	}
-}
-
-func (kw *KWay) allowed(v hypergraph.VertexID, from, to int32) bool {
-	if kw.feasible == nil {
-		return true
-	}
-	return kw.feasible(v, from, to, kw.gc.loads)
-}
-
-func (kw *KWay) bestOf(v hypergraph.VertexID) (int32, int, bool) {
-	return kw.gc.BestMove(v, func(v hypergraph.VertexID, from, to int32) bool {
-		return kw.allowed(v, from, to)
+func (r *Refiner) bestOf(v hypergraph.VertexID) (int32, int, bool) {
+	return r.gc.BestMove(v, func(v hypergraph.VertexID, from, to int32) bool {
+		return r.allowed(v, from, to)
 	})
 }
 
 // activate inserts v into the gain buckets keyed by its best feasible
 // gain, if it has one and is neither locked this epoch nor queued.
-func (kw *KWay) activate(v hypergraph.VertexID) {
-	if kw.locked[v] == kw.epoch || kw.buckets.inList[v] {
+func (r *Refiner) activate(v hypergraph.VertexID) {
+	if r.locked[v] == r.epoch || r.buckets.inList[v] {
 		return
 	}
-	if _, g, ok := kw.bestOf(v); ok {
-		kw.buckets.insert(v, g)
-		kw.touched = append(kw.touched, v)
+	if _, g, ok := r.bestOf(v); ok {
+		r.buckets.insert(v, g)
+		r.touched = append(r.touched, v)
 	}
 }
 
@@ -94,76 +36,64 @@ func (kw *KWay) activate(v hypergraph.VertexID) {
 // (typically the two endpoints of a just-undone contraction). It
 // hill-climbs with a stall limit and rolls back to the best positive
 // prefix. Returns the cut improvement kept (≥ 0).
-func (kw *KWay) LocalSearch(seeds ...hypergraph.VertexID) int {
-	kw.epoch++
-	kw.touched = kw.touched[:0]
-	kw.moves = kw.moves[:0]
+func (r *Refiner) LocalSearch(seeds ...hypergraph.VertexID) int {
+	r.begin()
 	for _, s := range seeds {
-		if kw.gc.d.Active(s) {
-			kw.activate(s)
+		if r.gc.d.Active(s) {
+			r.activate(s)
 		}
 	}
 	cum, bestCum, bestLen := 0, 0, 0
 	for {
-		v, key := kw.buckets.popBest(func(v hypergraph.VertexID) bool {
-			return kw.locked[v] != kw.epoch
+		v, key := r.buckets.popBest(func(v hypergraph.VertexID) bool {
+			return r.locked[v] != r.epoch
 		})
 		if v == hypergraph.NoVertex {
 			break
 		}
-		t, g, ok := kw.bestOf(v)
+		t, g, ok := r.bestOf(v)
 		if !ok {
 			continue // no longer has a feasible target; drop
 		}
 		if g != key {
-			kw.buckets.insert(v, g) // stale key: requeue with the fresh gain
+			r.buckets.insert(v, g) // stale key: requeue with the fresh gain
 			continue
 		}
-		kw.locked[v] = kw.epoch
-		from := kw.gc.parts[v]
-		kw.gc.Move(v, t)
-		kw.moves = append(kw.moves, kwMove{v: v, from: from})
+		r.apply(v, t)
 		cum += g
 		// ≥ keeps the longest best prefix: zero-gain plateau moves
 		// survive the rollback, giving later searches fresh terrain.
 		if cum >= bestCum {
-			bestCum, bestLen = cum, len(kw.moves)
+			bestCum, bestLen = cum, len(r.moves)
 		}
-		if len(kw.moves)-bestLen > kw.StallLimit {
+		if len(r.moves)-bestLen > r.StallLimit {
 			break
 		}
 		// Neighborhood expansion + key refresh for pins whose gains the
 		// move changed.
-		for _, e := range kw.gc.d.Incident(v) {
-			for _, p := range kw.gc.d.Pins(e) {
-				if p == v || kw.locked[p] == kw.epoch {
+		for _, e := range r.gc.d.Incident(v) {
+			for _, p := range r.gc.d.Pins(e) {
+				if p == v || r.locked[p] == r.epoch {
 					continue
 				}
-				if kw.buckets.inList[p] {
-					if _, g2, ok2 := kw.bestOf(p); ok2 {
-						kw.buckets.update(p, g2)
+				if r.buckets.inList[p] {
+					if _, g2, ok2 := r.bestOf(p); ok2 {
+						r.buckets.update(p, g2)
 					} else {
-						kw.buckets.remove(p)
+						r.buckets.remove(p)
 					}
 				} else {
-					kw.activate(p)
+					r.activate(p)
 				}
 			}
 		}
 	}
-	// Roll back past the best prefix.
-	for i := len(kw.moves) - 1; i >= bestLen; i-- {
-		kw.gc.Move(kw.moves[i].v, kw.moves[i].from)
-	}
-	// Drain the queue so the next search starts clean.
-	for _, v := range kw.touched {
-		kw.buckets.remove(v)
-	}
-	kw.buckets.maxGain = -kw.buckets.offset - 1
+	r.undo(bestLen)
+	r.drain()
 	return bestCum
 }
 
-type kwCandidate struct {
+type candidate struct {
 	v    hypergraph.VertexID
 	gain int
 }
@@ -174,8 +104,8 @@ type kwCandidate struct {
 // asc) — a fixed priority independent of the worker count — and applied
 // serially with live revalidation against the cache. Returns the number
 // of applied moves.
-func (kw *KWay) GlobalRound(workers int) int {
-	d := kw.gc.d
+func (r *Refiner) GlobalRound(workers int) int {
+	d := r.gc.d
 	n := d.NumVertices()
 	if workers < 1 {
 		workers = 1
@@ -183,7 +113,7 @@ func (kw *KWay) GlobalRound(workers int) int {
 	if workers > n {
 		workers = n
 	}
-	chunks := make([][]kwCandidate, workers)
+	chunks := make([][]candidate, workers)
 	var wg sync.WaitGroup
 	per := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -197,21 +127,21 @@ func (kw *KWay) GlobalRound(workers int) int {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var out []kwCandidate
+			var out []candidate
 			for vi := lo; vi < hi; vi++ {
 				v := hypergraph.VertexID(vi)
 				if !d.Active(v) {
 					continue
 				}
-				if _, g, ok := kw.bestOf(v); ok && g > 0 {
-					out = append(out, kwCandidate{v: v, gain: g})
+				if _, g, ok := r.bestOf(v); ok && g > 0 {
+					out = append(out, candidate{v: v, gain: g})
 				}
 			}
 			chunks[w] = out
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var cands []kwCandidate
+	var cands []candidate
 	for _, c := range chunks {
 		cands = append(cands, c...)
 	}
@@ -225,8 +155,8 @@ func (kw *KWay) GlobalRound(workers int) int {
 	for _, c := range cands {
 		// Earlier applications may have changed this vertex's gains:
 		// revalidate against the live cache before moving.
-		if t, g, ok := kw.bestOf(c.v); ok && g > 0 {
-			kw.gc.Move(c.v, t)
+		if t, g, ok := r.bestOf(c.v); ok && g > 0 {
+			r.gc.Move(c.v, t)
 			applied++
 		}
 	}
@@ -235,10 +165,10 @@ func (kw *KWay) GlobalRound(workers int) int {
 
 // GlobalRounds runs GlobalRound until a fixpoint or maxRounds, returning
 // the total number of applied moves.
-func (kw *KWay) GlobalRounds(workers, maxRounds int) int {
+func (r *Refiner) GlobalRounds(workers, maxRounds int) int {
 	total := 0
-	for r := 0; r < maxRounds; r++ {
-		n := kw.GlobalRound(workers)
+	for round := 0; round < maxRounds; round++ {
+		n := r.GlobalRound(workers)
 		total += n
 		if n == 0 {
 			break

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // Options configures the multilevel partitioner.
@@ -121,7 +122,7 @@ func Partition(h *hypergraph.H, opts Options) (*Result, error) {
 		Loads:      hypergraph.PartLoads(h, a),
 		Levels:     len(levels),
 	}
-	res.Balanced = constraintOf(h, opts).Satisfied(res.Loads)
+	res.Balanced = partition.NewConstraint(h, opts.K, opts.B).Satisfied(res.Loads)
 	res.GateParts = make([]int32, len(h.GateVertex))
 	for gi, v := range h.GateVertex {
 		res.GateParts[gi] = a.Parts[v]
@@ -158,55 +159,6 @@ func uncoarsen(levels []level, a *hypergraph.Assignment, opts Options) *hypergra
 		refineAllPairs(levels[0].h, a, opts)
 	}
 	return a
-}
-
-// constraint mirrors partition.Constraint without importing it (keeps the
-// baseline self-contained): window total·(1/k ± b/100).
-type constraint struct {
-	lo, hi int
-}
-
-func constraintOf(h *hypergraph.H, opts Options) constraint {
-	t := float64(h.TotalWeight)
-	lo := int(t*(1.0/float64(opts.K)-opts.B/100.0) + 0.999999)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := int(t * (1.0/float64(opts.K) + opts.B/100.0))
-	return constraint{lo: lo, hi: hi}
-}
-
-func (c constraint) Satisfied(loads []int) bool {
-	for _, l := range loads {
-		if l < c.lo || l > c.hi {
-			return false
-		}
-	}
-	return true
-}
-
-func (c constraint) feasible(h *hypergraph.H) fm.Feasible {
-	return func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-		w := h.Vertices[v].Weight
-		newFrom := loads[from] - w
-		newTo := loads[to] + w
-		if newFrom >= c.lo && newTo <= c.hi {
-			return true
-		}
-		before := clampExcess(loads[from], c) + clampExcess(loads[to], c)
-		after := clampExcess(newFrom, c) + clampExcess(newTo, c)
-		return after < before
-	}
-}
-
-func clampExcess(l int, c constraint) int {
-	if l < c.lo {
-		return c.lo - l
-	}
-	if l > c.hi {
-		return l - c.hi
-	}
-	return 0
 }
 
 // initialPartition grows k regions from random seeds over the coarsest
@@ -296,28 +248,16 @@ func initialPartition(h *hypergraph.H, opts Options, rng *rand.Rand) *hypergraph
 }
 
 // refineAllPairs runs pairwise FM over every pair of parts until a full
-// sweep yields no gain.
+// sweep yields no gain, on one refiner built for this level's view.
 func refineAllPairs(h *hypergraph.H, a *hypergraph.Assignment, opts Options) {
-	cons := constraintOf(h, opts)
-	feas := cons.feasible(h)
-	for sweep := 0; sweep < 8; sweep++ {
-		gain := 0
-		for p := int32(0); p < int32(opts.K); p++ {
-			for q := p + 1; q < int32(opts.K); q++ {
-				res := fm.RefinePair(h, a, p, q, feas, opts.MaxPasses)
-				gain += res.GainTotal
-			}
-		}
-		if gain == 0 {
-			break
-		}
-	}
+	cons := partition.NewConstraint(h, opts.K, opts.B)
+	fm.Over(h, a, cons.Feasible(h)).RefineAllPairs(opts.MaxPasses)
 }
 
 // better compares two candidate assignments: prefer balanced, then lower
 // cut.
 func better(h *hypergraph.H, cand, best *hypergraph.Assignment, opts Options) bool {
-	cons := constraintOf(h, opts)
+	cons := partition.NewConstraint(h, opts.K, opts.B)
 	cb := cons.Satisfied(hypergraph.PartLoads(h, cand))
 	bb := cons.Satisfied(hypergraph.PartLoads(h, best))
 	if cb != bb {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
+	"repro/internal/partition"
 )
 
 func flatViterbi(t *testing.T) *hypergraph.H {
@@ -224,5 +225,63 @@ func TestCoarsenRespectingKeepsParts(t *testing.T) {
 			t.Fatalf("level %d: projected cut %d != fine cut %d", li, got, fineCut)
 		}
 		parts = coarseParts
+	}
+}
+
+// TestBalancedJudgedByFormula1Window pins the balance window both engines
+// report against to partition.Constraint — the one the benchmark's oracle
+// recounts with. The point is an integral endpoint: total 400, k=2,
+// b=7.5 gives exactly [170, 230], and the graph's natural split (two
+// dense clusters of weight 230 and 170 joined by one net) sits on it. The
+// baseline's private copy of the window rounded that to [170, 229] and
+// would have called the split unbalanced — and refused to move into it.
+func TestBalancedJudgedByFormula1Window(t *testing.T) {
+	h := &hypergraph.H{}
+	for i := 0; i < 40; i++ {
+		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 10, Gate: -1})
+		h.TotalWeight += 10
+	}
+	edge := func(pins ...hypergraph.VertexID) {
+		e := hypergraph.EdgeID(len(h.Edges))
+		h.Edges = append(h.Edges, hypergraph.Edge{ID: e, Pins: pins, Weight: 1})
+		for _, p := range pins {
+			h.Vertices[p].Edges = append(h.Vertices[p].Edges, e)
+		}
+	}
+	cluster := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				edge(hypergraph.VertexID(i), hypergraph.VertexID(j))
+			}
+		}
+	}
+	cluster(0, 23)  // weight 230
+	cluster(23, 40) // weight 170
+	edge(22, 23)
+
+	window := partition.NewConstraint(h, 2, 7.5)
+	if lo, hi := window.Bounds(); lo != 170 || hi != 230 {
+		t.Fatalf("window [%d,%d], want [170,230]", lo, hi)
+	}
+	opts := Options{K: 2, B: 7.5, Seed: 1, CoarsestSize: 8}
+	for name, run := range map[string]func(*hypergraph.H, Options) (*Result, error){
+		"flat": Partition, "n-level": PartitionN,
+	} {
+		res, err := run(h, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Balanced != window.Satisfied(res.Loads) {
+			t.Errorf("%s: Balanced=%v but formula-1 window says %v for loads %v",
+				name, res.Balanced, window.Satisfied(res.Loads), res.Loads)
+		}
+		heavy := res.Loads[0]
+		if res.Loads[1] > heavy {
+			heavy = res.Loads[1]
+		}
+		if res.Cut != 1 || heavy != 230 || !res.Balanced {
+			t.Errorf("%s: cut %d loads %v balanced %v, want the 230/170 split at cut 1, balanced",
+				name, res.Cut, res.Loads, res.Balanced)
+		}
 	}
 }

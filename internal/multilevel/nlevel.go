@@ -139,8 +139,8 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 	feasible := func(v hypergraph.VertexID, from, to int32, loads []int) bool {
 		return aware.FeasibleLoad(d.Weight(v), from, to, loads)
 	}
-	kw := fm.NewKWay(gc, feasible)
-	globalMoves := kw.GlobalRounds(workers, 8)
+	ref := fm.NewRefiner(gc, feasible)
+	globalMoves := ref.GlobalRounds(workers, 8)
 	searches := 0
 	for i := len(boundaries) - 1; i >= 0; i-- {
 		floor := 0
@@ -150,12 +150,12 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 		for d.Depth() > floor {
 			m := d.Uncontract()
 			gc.OnUncontract(m)
-			kw.LocalSearch(m.U, m.V)
+			ref.LocalSearch(m.U, m.V)
 			searches++
 		}
-		globalMoves += kw.GlobalRound(workers)
+		globalMoves += ref.GlobalRound(workers)
 	}
-	globalMoves += kw.GlobalRounds(workers, 8)
+	globalMoves += ref.GlobalRounds(workers, 8)
 	opts.Obs.Span(obs.TrackPartition, "nlevel_refine", refineT0,
 		obs.Arg{Key: "local_searches", Val: float64(searches)},
 		obs.Arg{Key: "global_moves", Val: float64(globalMoves)})
@@ -168,11 +168,7 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 		Levels:     len(boundaries),
 		Restart:    bestRestart,
 	}
-	if len(soloVerts) == 0 {
-		res.Balanced = constraintOf(h, opts).Satisfied(res.Loads)
-	} else {
-		res.Balanced = aware.Satisfied(res.Loads)
-	}
+	res.Balanced = aware.Satisfied(res.Loads) // the plain window when nothing is solo
 	res.GateParts = make([]int32, len(h.GateVertex))
 	for gi, v := range h.GateVertex {
 		res.GateParts[gi] = a.Parts[v]

@@ -3,15 +3,24 @@ package multilevel
 import (
 	"testing"
 
+	"repro/internal/elab"
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
 )
 
-// nlevelWorkloads builds the four canonical flat workloads used across
-// the repo's differential suites.
-func nlevelWorkloads(t *testing.T) map[string]*hypergraph.H {
+// workload is one canonical circuit: the elaborated design (what the
+// design-driven partitioner consumes) and its flat hypergraph.
+type workload struct {
+	name   string
+	design *elab.Design
+	flat   *hypergraph.H
+}
+
+// canonicalWorkloads builds the four canonical smoke-size workloads used
+// across the repo's differential suites, in a fixed order.
+func canonicalWorkloads(t *testing.T) []workload {
 	t.Helper()
-	out := map[string]*hypergraph.H{}
+	var out []workload
 	add := func(name string, c *gen.Circuit) {
 		ed, err := c.Elaborate()
 		if err != nil {
@@ -21,7 +30,7 @@ func nlevelWorkloads(t *testing.T) map[string]*hypergraph.H {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out[name] = h
+		out = append(out, workload{name: name, design: ed, flat: h})
 	}
 	add("viterbi", gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}))
 	add("fir", gen.FIR(gen.FIRConfig{Taps: 8, W: 6, Seed: 3}))
@@ -58,7 +67,8 @@ func TestPartitionNBasic(t *testing.T) {
 // TestPartitionNDeterministicAcrossWorkers is the ISSUE's determinism
 // gate: same seed must yield the identical assignment at Workers 1 and 4.
 func TestPartitionNDeterministicAcrossWorkers(t *testing.T) {
-	for name, h := range nlevelWorkloads(t) {
+	for _, w := range canonicalWorkloads(t) {
+		name, h := w.name, w.flat
 		for _, k := range []int{2, 4, 8} {
 			var ref *Result
 			for _, workers := range []int{1, 4} {
@@ -92,7 +102,8 @@ func TestPartitionNQualityVsFlat(t *testing.T) {
 		t.Skip("quality sweep in -short mode")
 	}
 	worse := 0
-	for name, h := range nlevelWorkloads(t) {
+	for _, w := range canonicalWorkloads(t) {
+		name, h := w.name, w.flat
 		for _, k := range []int{2, 4, 8} {
 			opts := Options{K: k, B: 10, Seed: 1}
 			flat, err := Partition(h, opts)

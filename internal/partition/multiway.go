@@ -20,7 +20,10 @@ type Options struct {
 	K int
 	// B is the load-balancing factor in percent (formula 1).
 	B float64
-	// Strategy selects the pairing criterion (default PairGainBased).
+	// Strategy selects the pairing criterion. The zero value is
+	// PairRandom and nothing defaults it: the benchmark, vsim, presim and
+	// the examples all pair at random; only cmd/vpart's -strategy flag
+	// defaults to "gain".
 	Strategy PairingStrategy
 	// Seed drives the random pairing strategy.
 	Seed int64
@@ -253,6 +256,11 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 	opts.Obs.Span(obs.TrackPartition, "initial_partition", initT0, rArg)
 	cons := NewConstraint(h, opts.K, opts.B)
 	pr := newPairer(opts.Strategy, opts.K, pairSeed)
+	// One refiner per hypergraph view: pairing probes, iterative movement
+	// and load redistribution all read and move through its gain cache,
+	// which writes through to a. It is rebuilt only when flattening
+	// replaces the view.
+	ref := fm.Over(h, a, cons.Feasible(h))
 
 	res := &Result{Constraint: cons}
 	const maxRounds = 10000
@@ -262,10 +270,10 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, q, ok := pr.next(h, a, cons.Feasible(h))
+		p, q, ok := pr.next(h, a, ref)
 		if ok {
 			// Phase 2: iterative movement between the paired partitions.
-			r := fm.RefinePair(h, a, p, q, cons.Feasible(h), opts.MaxPasses)
+			r := ref.RefinePair(p, q, opts.MaxPasses)
 			if r.GainTotal > 0 {
 				pr.markFresh(p, q)
 			}
@@ -274,21 +282,20 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 		}
 
 		// No pairing configuration available: check the constraint.
-		loads := hypergraph.PartLoads(h, a)
-		if cons.Satisfied(loads) {
+		if cons.Satisfied(ref.Cache().Loads()) {
 			break // terminate (paper fig. 2)
 		}
 
 		// Phase 3: greedy load redistribution, then flattening if the
 		// granularity is still too coarse.
-		if rebalance(h, a, cons) {
+		if rebalance(h, ref.Cache(), cons) {
 			pr.resetStale()
 			continue
 		}
 		if opts.DisableFlattening || (opts.MaxFlattens > 0 && res.Flattened >= opts.MaxFlattens) {
 			break
 		}
-		target := flattenTarget(h, a, cons)
+		target := flattenTarget(h, a, ref.Cache().Loads(), cons)
 		if target == hypergraph.NoVertex {
 			break // nothing left to flatten; best effort
 		}
@@ -304,6 +311,7 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 			return nil, err
 		}
 		h, a = newH, newA
+		ref = fm.Over(h, a, cons.Feasible(h))
 		res.Flattened++
 		pr.resetStale()
 	}
@@ -333,8 +341,7 @@ func GatePartsOf(h *hypergraph.H, a *hypergraph.Assignment) []int32 {
 // the most over-loaded partition; if that partition holds none, the
 // largest super-gate anywhere (so progress is always possible while
 // super-gates remain).
-func flattenTarget(h *hypergraph.H, a *hypergraph.Assignment, cons Constraint) hypergraph.VertexID {
-	loads := hypergraph.PartLoads(h, a)
+func flattenTarget(h *hypergraph.H, a *hypergraph.Assignment, loads []int, cons Constraint) hypergraph.VertexID {
 	_, hi := cons.Bounds()
 	worst, worstExcess := int32(-1), 0
 	for p, l := range loads {
@@ -361,11 +368,12 @@ func flattenTarget(h *hypergraph.H, a *hypergraph.Assignment, cons Constraint) h
 // rebalance performs greedy load redistribution: while some partition is
 // outside the window, move the boundary vertex with the least cut damage
 // from the most over-loaded partition to the most under-loaded one,
-// provided the move does not overshoot. It returns true if the constraint
+// provided the move does not overshoot. Gains are read from, and moves
+// made through, the view's gain cache. It returns true if the constraint
 // became satisfied.
-func rebalance(h *hypergraph.H, a *hypergraph.Assignment, cons Constraint) bool {
+func rebalance(h *hypergraph.H, gc *fm.GainCache, cons Constraint) bool {
 	lo, hi := cons.Bounds()
-	loads := hypergraph.PartLoads(h, a)
+	loads := gc.Loads()
 	for iter := 0; iter < h.NumVertices(); iter++ {
 		over, under := int32(-1), int32(-1)
 		overBy, underBy := 0, 0
@@ -393,14 +401,11 @@ func rebalance(h *hypergraph.H, a *hypergraph.Assignment, cons Constraint) bool 
 		if src == dst {
 			return false
 		}
-		v := bestMove(h, a, src, dst, loads, hi)
+		v := bestMove(h, gc, src, dst, hi)
 		if v == hypergraph.NoVertex {
 			return false
 		}
-		w := h.Vertices[v].Weight
-		a.Parts[v] = dst
-		loads[src] -= w
-		loads[dst] += w
+		gc.Move(v, dst)
 	}
 	return cons.Satisfied(loads)
 }
@@ -428,63 +433,22 @@ func lightest(loads []int) int32 {
 // bestMove finds the vertex in src whose move to dst damages the cut
 // least (ties broken toward smaller weight overshoot), or NoVertex if no
 // vertex fits under the hi bound.
-func bestMove(h *hypergraph.H, a *hypergraph.Assignment, src, dst int32, loads []int, hi int) hypergraph.VertexID {
+func bestMove(h *hypergraph.H, gc *fm.GainCache, src, dst int32, hi int) hypergraph.VertexID {
 	best := hypergraph.NoVertex
 	bestScore := 0
-	for vi := range h.Vertices {
-		if a.Parts[vi] != src {
-			continue
-		}
+	room := hi - gc.Loads()[dst]
+	for vi, part := range gc.Parts() {
 		w := h.Vertices[vi].Weight
-		if loads[dst]+w > hi {
+		if part != src || w > room {
 			continue
 		}
-		gain := moveGain(h, a, hypergraph.VertexID(vi), dst)
 		// Score: cut gain dominates; prefer heavier vertices to converge
 		// faster when gains tie.
-		score := gain*1_000_000 + w
+		score := gc.Gain(hypergraph.VertexID(vi), dst)*1_000_000 + w
 		if best == hypergraph.NoVertex || score > bestScore {
 			best = hypergraph.VertexID(vi)
 			bestScore = score
 		}
 	}
 	return best
-}
-
-// moveGain computes the hyperedge-cut reduction of moving v to part dst.
-func moveGain(h *hypergraph.H, a *hypergraph.Assignment, v hypergraph.VertexID, dst int32) int {
-	from := a.Parts[v]
-	gain := 0
-	for _, e := range h.Vertices[v].Edges {
-		pins := h.Edges[e].Pins
-		cFrom, cDst, distinct := 0, 0, 0
-		seen := make(map[int32]bool, 4)
-		for _, pin := range pins {
-			pt := a.Parts[pin]
-			if pt == from {
-				cFrom++
-			}
-			if pt == dst {
-				cDst++
-			}
-			if !seen[pt] {
-				seen[pt] = true
-				distinct++
-			}
-		}
-		dAfter := distinct
-		if cFrom == 1 {
-			dAfter--
-		}
-		if cDst == 0 {
-			dAfter++
-		}
-		if distinct > 1 {
-			gain++
-		}
-		if dAfter > 1 {
-			gain--
-		}
-	}
-	return gain
 }

@@ -96,7 +96,7 @@ func pairKey(p, q int32) [2]int32 {
 
 // next picks the next pair to refine, or ok=false when no pairing
 // configuration remains.
-func (pr *pairer) next(h *hypergraph.H, a *hypergraph.Assignment, feasible fm.Feasible) (p, q int32, ok bool) {
+func (pr *pairer) next(h *hypergraph.H, a *hypergraph.Assignment, ref *fm.Refiner) (p, q int32, ok bool) {
 	fresh := pr.freshPairs()
 	if len(fresh) == 0 {
 		return 0, 0, false
@@ -124,15 +124,14 @@ func (pr *pairer) next(h *hypergraph.H, a *hypergraph.Assignment, feasible fm.Fe
 		return best[0], best[1], true
 
 	case PairGainBased:
-		// Probe each fresh pair with a single FM pass on a scratch copy
-		// and pick the pair with the largest achievable reduction.
+		// Probe each fresh pair with a single FM pass — run on the live
+		// gain cache and undone — and pick the pair with the largest
+		// achievable reduction.
 		best := fresh[0]
 		bestGain := -1
 		for _, key := range fresh {
-			scratch := a.Clone()
-			res := fm.RefinePair(h, scratch, key[0], key[1], feasible, 1)
-			if res.GainTotal > bestGain {
-				bestGain = res.GainTotal
+			if g := ref.ProbePair(key[0], key[1]); g > bestGain {
+				bestGain = g
 				best = key
 			}
 		}

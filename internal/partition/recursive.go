@@ -51,14 +51,17 @@ func Recursive(d *elab.Design, opts Options) (*Result, error) {
 		a.Parts[i] = 0
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	if err := bisect(d, h, a, 0, opts.K, opts, rng); err != nil {
+	// One refiner for the whole recursion: every split of the same view
+	// moves through its gain cache and swaps in its own window.
+	ref := fm.Over(h, a, nil)
+	if err := bisect(h, ref, 0, opts.K, opts, rng); err != nil {
 		return nil, err
 	}
 
 	cons := NewConstraint(h, opts.K, opts.B)
 	// A final repair pass: the recursion balances each split locally,
 	// which can still leave end-to-end violations.
-	rebalance(h, a, cons)
+	rebalance(h, ref.Cache(), cons)
 
 	res := &Result{H: h, Assignment: a, Constraint: cons}
 	res.Cut = hypergraph.CutSize(h, a)
@@ -71,8 +74,7 @@ func Recursive(d *elab.Design, opts Options) (*Result, error) {
 // bisect splits the vertices currently in part `lo` into parts covering
 // [lo, lo+n) by recursive bisection. n1 = floor(n/2) leaf parts stay in
 // lo's half; the rest move to part lo+n1.
-func bisect(d *elab.Design, h *hypergraph.H, a *hypergraph.Assignment,
-	lo int32, n int, opts Options, rng *rand.Rand) error {
+func bisect(h *hypergraph.H, ref *fm.Refiner, lo int32, n int, opts Options, rng *rand.Rand) error {
 	if n <= 1 {
 		return nil
 	}
@@ -83,8 +85,9 @@ func bisect(d *elab.Design, h *hypergraph.H, a *hypergraph.Assignment,
 	// Region weight and the target share for the hi side.
 	region := make([]hypergraph.VertexID, 0)
 	total := 0
-	for vi := range h.Vertices {
-		if a.Parts[vi] == lo {
+	gc := ref.Cache()
+	for vi, part := range gc.Parts() {
+		if part == lo {
 			region = append(region, hypergraph.VertexID(vi))
 			total += h.Vertices[vi].Weight
 		}
@@ -101,7 +104,7 @@ func bisect(d *elab.Design, h *hypergraph.H, a *hypergraph.Assignment,
 	moved := 0
 	for i := 0; i < len(region) && moved < want; i++ {
 		v := region[(i+offset)%len(region)]
-		a.Parts[v] = hi
+		gc.Move(v, hi)
 		moved += h.Vertices[v].Weight
 	}
 
@@ -138,10 +141,11 @@ func bisect(d *elab.Design, h *hypergraph.H, a *hypergraph.Assignment,
 		after := dev(from, newFrom) + dev(to, newTo)
 		return after < before
 	}
-	fm.RefinePair(h, a, lo, hi, feasible, opts.MaxPasses)
+	ref.SetFeasible(feasible)
+	ref.RefinePair(lo, hi, opts.MaxPasses)
 
-	if err := bisect(d, h, a, lo, n1, opts, rng); err != nil {
+	if err := bisect(h, ref, lo, n1, opts, rng); err != nil {
 		return err
 	}
-	return bisect(d, h, a, hi, n2, opts, rng)
+	return bisect(h, ref, hi, n2, opts, rng)
 }
