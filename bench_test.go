@@ -772,7 +772,7 @@ func benchDistFederation(b *testing.B, instrumented bool) {
 func BenchmarkDistFederationObsOff(b *testing.B) { benchDistFederation(b, false) }
 func BenchmarkDistFederationObsOn(b *testing.B)  { benchDistFederation(b, true) }
 
-// ---- partitioner: flat multilevel vs n-level on the SoC --------------------
+// ---- partitioner: the multilevel skeleton's two policies on the SoC --------
 
 var (
 	socHOnce sync.Once
@@ -796,19 +796,20 @@ func socFlatH(b *testing.B) *hypergraph.H {
 }
 
 // BenchmarkPartitionFlatSoc / BenchmarkPartitionNLevelSoc record the
-// documented flat-vs-n-level comparison on soc@k=8: the n-level engine
-// must match or beat the flat cut (gated by TestPartitionNQualityVsFlat
-// and the partition-quality CI job) while its allocs/op are gated by
-// perf-smoke against BENCH_10.json. The Workers4 variant exists to keep
-// the parallel path's allocation behavior visible; its assignment is
-// bit-identical to the single-worker run.
+// multilevel skeleton's two refinement policies on soc@k=8 — same
+// coarsening, same initial partition, so the difference in cut and time is
+// the policy's (the flat cut is gated by TestFlatCutNoWorseThanLevelCopy
+// and the partition-quality CI job). Allocs/op are gated by perf-smoke
+// against BENCH_10.json. The Workers4 variant exists to keep the parallel
+// path's allocation behavior visible; its assignment is bit-identical to
+// the single-worker run.
 func BenchmarkPartitionFlatSoc(b *testing.B) {
 	h := socFlatH(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cut int
 	for i := 0; i < b.N; i++ {
-		res, err := multilevel.Partition(h, multilevel.Options{K: 8, B: 10, Seed: 1})
+		res, err := multilevel.Partition(h, multilevel.Options{K: 8, B: 10, Seed: 1, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func main() {
 		algo      = flag.String("algo", "dd", "partitioner: dd (design-driven) | ml (flat multilevel) | nlevel (flat n-level)")
 		strategy  = flag.String("strategy", "gain", "dd pairing strategy: random | exhaustive | cut | gain")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallelism for dd restarts and nlevel coarsening/refinement (0 = all cores; the result is identical at any value)")
+		workers   = flag.Int("workers", 0, "parallelism for dd restarts and ml/nlevel coarsening, restarts and refinement (0 = all cores; the result is identical at any value)")
 		jsonOut   = flag.Bool("json", false, "write a machine-readable cut-quality report to stdout (human summary goes to stderr)")
 		out       = flag.String("out", "", "write gate→partition mapping to this file")
 		opt       = flag.Bool("opt", false, "run constant propagation + dead-gate sweep first")
@@ -143,20 +143,18 @@ func main() {
 			res.Cut, res.Balanced, res.Loads, res.Flattened, res.Constraint)
 		gateParts = res.GateParts
 		rep.Cut, rep.Loads, rep.Balanced, rep.Flattened = res.Cut, res.Loads, res.Balanced, res.Flattened
-	case "ml":
-		_, res, err := multilevel.PartitionFlat(ed, multilevel.Options{K: *k, B: *b, Seed: *seed})
-		fatal(err)
-		fmt.Fprintf(human, "multilevel(flat): cut=%d balanced=%v loads=%v levels=%d\n",
-			res.Cut, res.Balanced, res.Loads, res.Levels)
-		gateParts = res.GateParts
-		rep.Cut, rep.Loads, rep.Balanced, rep.Levels = res.Cut, res.Loads, res.Balanced, res.Levels
-	case "nlevel":
-		_, res, err := multilevel.PartitionNFlat(ed, multilevel.Options{
+	case "ml", "nlevel":
+		// One skeleton, two refinement policies; the entry point selects.
+		engine, label := multilevel.PartitionFlat, "multilevel(flat)"
+		if *algo == "nlevel" {
+			engine, label = multilevel.PartitionNFlat, "nlevel(flat)"
+		}
+		_, res, err := engine(ed, multilevel.Options{
 			K: *k, B: *b, Seed: *seed, Workers: *workers, Obs: o,
 		})
 		fatal(err)
-		fmt.Fprintf(human, "nlevel(flat): cut=%d balanced=%v loads=%v rounds=%d restart=%d\n",
-			res.Cut, res.Balanced, res.Loads, res.Levels, res.Restart)
+		fmt.Fprintf(human, "%s: cut=%d balanced=%v loads=%v rounds=%d restart=%d\n",
+			label, res.Cut, res.Balanced, res.Loads, res.Levels, res.Restart)
 		gateParts = res.GateParts
 		rep.Cut, rep.Loads, rep.Balanced, rep.Levels, rep.Restart = res.Cut, res.Loads, res.Balanced, res.Levels, res.Restart
 	default:

@@ -26,6 +26,25 @@ func (s *byteSource) next() int {
 
 func (s *byteSource) dry() bool { return s.pos >= len(s.data) }
 
+// pair draws two distinct blocks out of k.
+func (s *byteSource) pair(k int) (p, q int32) {
+	p = int32(s.next() % k)
+	q = int32((int(p) + 1 + s.next()%(k-1)) % k)
+	return p, q
+}
+
+// addRandomSeeds gives a fuzz target its seed corpus: one all-zero input
+// and six 300-byte random ones.
+func addRandomSeeds(f *testing.F, seed int64) {
+	f.Add([]byte{0, 0, 0})
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 6; i++ {
+		b := make([]byte, 300)
+		rng.Read(b)
+		f.Add(b)
+	}
+}
+
 // fuzzHypergraph decodes a small hypergraph with weighted vertices and
 // edges, single-pin edges and parallel edges (an edge repeating the
 // previous one's pins) — the shapes coarsening produces and circuit nets
@@ -214,11 +233,6 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 			t.Fatalf("%s: loads %v, recounted %v", step, gc.Loads(), want)
 		}
 	}
-	pair := func() (int32, int32) {
-		p := int32(s.next() % k)
-		q := int32((int(p) + 1 + s.next()%(k-1)) % k)
-		return p, q
-	}
 	singleMove := func(step string, v hypergraph.VertexID, to int32) {
 		t.Helper()
 		if to == gc.Part(v) {
@@ -235,7 +249,7 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 	for step := 0; step < 64 && !s.dry(); step++ {
 		switch s.next() % 4 {
 		case 0: // refine a pair
-			p, q := pair()
+			p, q := s.pair(k)
 			maxPasses := s.next() % 3
 			orig := slices.Clone(a.Parts)
 			before := slices.Clone(orig)
@@ -258,7 +272,7 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 			}
 			check("refine")
 		case 1: // probe a pair: one pass, read the gain, undo
-			p, q := pair()
+			p, q := s.pair(k)
 			before := slices.Clone(a.Parts)
 			g := r.ProbePair(p, q)
 			if !slices.Equal(a.Parts, before) {
@@ -307,13 +321,7 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 // mispredicts a gain, touches a vertex outside the pair, leaks a probe
 // into the assignment, or lets the cache drift from a recount.
 func FuzzPairRefine(f *testing.F) {
-	f.Add([]byte{0, 0, 0})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 6; i++ {
-		b := make([]byte, 300)
-		rng.Read(b)
-		f.Add(b)
-	}
+	addRandomSeeds(f, 1)
 	f.Fuzz(func(t *testing.T, data []byte) { drivePairRefine(t, data) })
 }
 

@@ -15,12 +15,14 @@ type Feasible func(v hypergraph.VertexID, from, to int32, loads []int) bool
 //
 //   - the pair pass (RefinePair, ProbePair, RefineAllPairs; fm.go) —
 //     the paper's iterative movement between two paired partitions, used
-//     by the design-driven partitioner and the flat multilevel baseline;
+//     by the design-driven partitioner and the multilevel skeleton's
+//     level policy (the flat baseline);
 //   - the localized k-way search and the batched global rounds
-//     (LocalSearch, GlobalRound; kway.go) — the n-level engine's.
+//     (LocalSearch, GlobalRound; kway.go) — its n-level policy's.
 //
 // A Refiner lives as long as the hypergraph view it was built for: one
-// per coarsening level, one per flattening step. Moves made through it
+// per multilevel run (the view uncontracts under it, GainCache.OnUncontract
+// keeping the gains exact), one per flattening step. Moves made through it
 // (or through Cache().Move between searches) keep the gains exact, so
 // nothing is rebuilt between calls.
 type Refiner struct {
@@ -64,8 +66,8 @@ func NewRefiner(gc *GainCache, feasible Feasible) *Refiner {
 			maxDeg = deg
 		}
 	}
-	// A gain is bounded by the weighted degree, and during uncoarsening
-	// incidence lists only split, so the maximum observed now bounds every
+	// A gain is bounded by the weighted degree, and an uncontraction only
+	// splits an incidence list, so the maximum observed now bounds every
 	// future gain.
 	return &Refiner{
 		gc:         gc,

@@ -5,10 +5,11 @@ import "fmt"
 // Dyn is a dynamic view of a hypergraph that supports contracting one
 // vertex pair at a time and uncontracting in exact LIFO order — the
 // memory-compact contraction stack of the n-level partitioning scheme
-// (Osipov & Sanders, "n-Level Hypergraph Partitioning"). Unlike the flat
-// multilevel coarsener, no per-level hypergraph copies are made: a
-// contraction mutates the incidence structure in place and pushes a small
-// memento, and Uncontract restores the finer graph exactly.
+// (Osipov & Sanders, "n-Level Hypergraph Partitioning"). It is the only
+// code in the repository that contracts a hypergraph, and it makes no
+// per-level copies: a contraction mutates the incidence structure in place
+// and pushes a small memento, and Uncontract restores the finer graph
+// exactly.
 //
 // Representation invariants while vertex v is active:
 //
@@ -56,8 +57,13 @@ type Memento struct {
 	Case2 []EdgeID // edges where V's pin was relabeled to U
 }
 
-// NewDyn builds the dynamic view of h. h itself is not modified and must
-// stay alive (pin slices are copied; names/weights are read once).
+// NewDyn builds the dynamic view of h. h itself is not modified (pin and
+// incidence lists are copied; weights are read once).
+//
+// All incidence lists share one backing array and all pin lists another.
+// Each list is cut out with a three-index slice, so its capacity ends
+// where the next list begins: Contract's append to inc[u] then reallocates
+// that one list instead of overwriting its neighbour.
 func NewDyn(h *H) *Dyn {
 	d := &Dyn{
 		weight:  make([]int, len(h.Vertices)),
@@ -69,18 +75,27 @@ func NewDyn(h *H) *Dyn {
 		nActive: len(h.Vertices),
 		total:   h.TotalWeight,
 	}
+	nInc, nPins := 0, 0
+	for vi := range h.Vertices {
+		nInc += len(h.Vertices[vi].Edges)
+	}
+	for ei := range h.Edges {
+		nPins += len(h.Edges[ei].Pins)
+	}
+	incBuf := make([]EdgeID, 0, nInc)
+	pinBuf := make([]VertexID, 0, nPins)
 	for vi := range h.Vertices {
 		d.weight[vi] = h.Vertices[vi].Weight
 		d.active[vi] = true
-		edges := make([]EdgeID, len(h.Vertices[vi].Edges))
-		copy(edges, h.Vertices[vi].Edges)
-		d.inc[vi] = edges
+		lo := len(incBuf)
+		incBuf = append(incBuf, h.Vertices[vi].Edges...)
+		d.inc[vi] = incBuf[lo:len(incBuf):len(incBuf)]
 	}
 	for ei := range h.Edges {
-		pins := make([]VertexID, len(h.Edges[ei].Pins))
-		copy(pins, h.Edges[ei].Pins)
-		d.pins[ei] = pins
-		d.size[ei] = int32(len(pins))
+		lo := len(pinBuf)
+		pinBuf = append(pinBuf, h.Edges[ei].Pins...)
+		d.pins[ei] = pinBuf[lo:len(pinBuf):len(pinBuf)]
+		d.size[ei] = int32(len(d.pins[ei]))
 		d.ew[ei] = int32(h.Edges[ei].Weight)
 	}
 	return d

@@ -1,7 +1,20 @@
+// Package multilevel implements the repository's multilevel hypergraph
+// partitioners: the level-granularity one in the style of hMetis (Karypis,
+// Aggarwal, Kumar & Shekhar, DAC 1997 / IEEE TVLSI 1999) — the baseline the
+// paper compares against, applied as in the paper to the FLATTENED netlist
+// so it cannot exploit the Verilog design hierarchy — and the n-level one
+// ("n-Level Hypergraph Partitioning", arXiv 1505.00693).
+//
+// Both are one skeleton (run, nlevel.go): coarsen by contracting heavy-edge
+// pairs on a hypergraph.Dyn, partition the coarsest view by greedy region
+// growing (best of several restarts), then uncontract back to full
+// resolution with the one fm.Refiner kept exact by GainCache.OnUncontract.
+// They differ only in the refinement policy applied on the way up, and the
+// entry point is the selection: Partition refines all block pairs once per
+// coarsening round, PartitionN searches around every single uncontraction.
 package multilevel
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/elab"
@@ -20,31 +33,33 @@ type Options struct {
 	// CoarsestSize is the vertex count at which coarsening stops
 	// (default 30·K).
 	CoarsestSize int
-	// Seed controls matching and initial-partition randomness.
+	// Seed controls the initial-partition randomness (coarsening is
+	// deterministic).
 	Seed int64
 	// MaxPasses bounds FM passes per refinement round (0 → default).
 	MaxPasses int
 	// Restarts runs the initial partitioning this many times at the
-	// coarsest level and keeps the best (default 4).
+	// coarsest level and keeps the best (≤ 0 → 8).
 	Restarts int
-	// VCycles repeats partition-respecting coarsening plus refinement
-	// this many extra times (hMetis's V-cycles). 0 disables.
-	VCycles int
-	// RefineAbove, when positive, skips refinement at levels finer than
-	// this vertex count: the result is a partition at CLUSTER granularity
-	// (the bottom-up clustering approach of Karypis et al. and Dutt &
-	// Deng the paper cites), projected to the gates without fine-grained
-	// FM. Used by the clustering-vs-hierarchy study.
+	// RefineAbove, when positive, makes Partition skip refinement at
+	// levels finer than this vertex count: the result is a partition at
+	// CLUSTER granularity (the bottom-up clustering approach of Karypis et
+	// al. and Dutt & Deng the paper cites), projected to the gates without
+	// fine-grained FM. Used by the clustering-vs-hierarchy study.
 	RefineAbove int
-	// Workers bounds parallelism in PartitionN (0 → GOMAXPROCS, 1 →
-	// sequential). The result is identical for every Workers value.
-	// Ignored by the flat Partition.
+	// Workers bounds parallelism in the coarsening scans, the restart pool
+	// and PartitionN's global rounds (0 → GOMAXPROCS, 1 → sequential). The
+	// result is identical for every Workers value.
 	Workers int
-	// Obs, when enabled, records n-level phase spans (coarsen, initial
+	// Obs, when enabled, records the phase spans (coarsen, initial
 	// partition, refine) on the partition trace track. Nil disables.
-	// Ignored by the flat Partition.
 	Obs *obs.Observer
 }
+
+// defaultRestarts is how many initial partitions compete when
+// Options.Restarts is unset. A restart repeats only the coarsest-level
+// region growing (~CoarsestSize vertices), so it is cheap.
+const defaultRestarts = 8
 
 // Result is the outcome of a multilevel run.
 type Result struct {
@@ -52,82 +67,19 @@ type Result struct {
 	Cut        int
 	Loads      []int
 	Balanced   bool
-	Levels     int // coarsening levels (flat) or contraction rounds (n-level)
+	Levels     int // coarsening (contraction) rounds
 	GateParts  []int32
-	Restart    int // index of the winning initial-partition restart (n-level)
+	Restart    int // index of the winning initial-partition restart
 }
 
-// Partition runs the multilevel algorithm on hypergraph h. As in the
-// paper's comparison, callers pass the FLAT hypergraph
+// Partition runs the level-granularity multilevel algorithm — the hMetis
+// substitute — on hypergraph h: nothing happens per uncontraction, and at
+// every coarsening-round boundary on the way up the pair pass sweeps all
+// block pairs (Refiner.RefineAllPairs), as hMetis refines once per level.
+// As in the paper's comparison, callers pass the FLAT hypergraph
 // (hypergraph.BuildFlat), but any hypergraph works.
 func Partition(h *hypergraph.H, opts Options) (*Result, error) {
-	if opts.K < 2 {
-		return nil, fmt.Errorf("multilevel: K must be >= 2, got %d", opts.K)
-	}
-	if opts.B <= 0 {
-		return nil, fmt.Errorf("multilevel: B must be positive, got %g", opts.B)
-	}
-	if opts.CoarsestSize == 0 {
-		opts.CoarsestSize = 30 * opts.K
-	}
-	if opts.Restarts == 0 {
-		opts.Restarts = 4
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	levels := coarsen(h, opts.CoarsestSize, rng)
-	coarsest := levels[len(levels)-1].h
-
-	// Initial partitioning at the coarsest level: best of several
-	// region-growing runs, each polished by pairwise FM.
-	best := initialPartition(coarsest, opts, rng)
-	for r := 1; r < opts.Restarts; r++ {
-		cand := initialPartition(coarsest, opts, rng)
-		if better(coarsest, cand, best, opts) {
-			best = cand
-		}
-	}
-	a := best
-
-	// Uncoarsening with refinement at every level.
-	a = uncoarsen(levels, a, opts)
-
-	// Optional V-cycles: re-coarsen respecting the partition, refine on
-	// the way back up. Keep a cycle's result only if it improves the cut.
-	for v := 0; v < opts.VCycles; v++ {
-		vLevels := coarsenRespecting(h, a.Parts, opts.CoarsestSize, rng)
-		if len(vLevels) < 2 {
-			break
-		}
-		// Project the assignment to the coarsest level (exact: merges
-		// never cross partitions).
-		cand := a
-		for li := 1; li < len(vLevels); li++ {
-			proj := hypergraph.NewAssignment(vLevels[li].h, opts.K)
-			for vi := range vLevels[li-1].h.Vertices {
-				proj.Parts[vLevels[li].fineToCoarse[vi]] = cand.Parts[vi]
-			}
-			cand = proj
-		}
-		refineAllPairs(vLevels[len(vLevels)-1].h, cand, opts)
-		cand = uncoarsen(vLevels, cand, opts)
-		if hypergraph.CutSize(h, cand) < hypergraph.CutSize(h, a) {
-			a = cand
-		}
-	}
-
-	res := &Result{
-		Assignment: a,
-		Cut:        hypergraph.CutSize(h, a),
-		Loads:      hypergraph.PartLoads(h, a),
-		Levels:     len(levels),
-	}
-	res.Balanced = partition.NewConstraint(h, opts.K, opts.B).Satisfied(res.Loads)
-	res.GateParts = make([]int32, len(h.GateVertex))
-	for gi, v := range h.GateVertex {
-		res.GateParts[gi] = a.Parts[v]
-	}
-	return res, nil
+	return run(h, opts, policy{name: "ml", refine: refineLevels})
 }
 
 // PartitionFlat is the paper's baseline configuration: flatten the design
@@ -141,36 +93,78 @@ func PartitionFlat(d *elab.Design, opts Options) (*hypergraph.H, *Result, error)
 	return h, res, err
 }
 
-// uncoarsen projects the assignment from the coarsest level of `levels`
-// back to the finest, refining all pairs at every level.
-func uncoarsen(levels []level, a *hypergraph.Assignment, opts Options) *hypergraph.Assignment {
-	for li := len(levels) - 1; li >= 1; li-- {
-		fine := levels[li-1].h
-		proj := hypergraph.NewAssignment(fine, opts.K)
-		for vi := range fine.Vertices {
-			proj.Parts[vi] = a.Parts[levels[li].fineToCoarse[vi]]
-		}
-		a = proj
-		if opts.RefineAbove == 0 || fine.NumVertices() <= opts.RefineAbove {
-			refineAllPairs(fine, a, opts)
+// PartitionN runs the n-level multilevel algorithm on hypergraph h: a
+// localized k-way FM search around every single uncontraction
+// (Refiner.LocalSearch), a deterministic parallel global round per
+// coarsening-round boundary, and a polish of global rounds at the coarsest
+// and at full resolution.
+func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
+	return run(h, opts, policy{name: "nlevel", refine: refineNLevel})
+}
+
+// PartitionNFlat flattens the design and runs PartitionN on the gate-level
+// hypergraph — the n-level counterpart of PartitionFlat.
+func PartitionNFlat(des *elab.Design, opts Options) (*hypergraph.H, *Result, error) {
+	h, err := hypergraph.BuildFlat(des)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := PartitionN(h, opts)
+	return h, res, err
+}
+
+// policy is the one part of the skeleton that varies: how the partition is
+// refined on the way back up. refine is handed the ascent at the coarsest
+// view with the winning initial partition loaded, must drive it to full
+// resolution, and returns what it wants recorded on its refine span. opts
+// arrive with their defaults resolved.
+type policy struct {
+	name   string // span prefix
+	refine func(up *ascent, opts Options) []obs.Arg
+}
+
+// refineLevels is the level policy: one all-pairs sweep of the pair pass
+// per coarsening round undone, none while the view is finer than
+// RefineAbove. The coarsest view needs none — the initial partition was
+// swept on its compact copy.
+func refineLevels(up *ascent, opts Options) []obs.Arg {
+	refined := 0
+	for up.next(nil) {
+		if opts.RefineAbove == 0 || up.d.NumActive() <= opts.RefineAbove {
+			up.ref.RefineAllPairs(opts.MaxPasses)
+			refined++
 		}
 	}
-	if len(levels) == 1 {
-		refineAllPairs(levels[0].h, a, opts)
+	return []obs.Arg{{Key: "levels_refined", Val: float64(refined)}}
+}
+
+// refineNLevel is the n-level policy: global rounds to a fixpoint on the
+// coarsest view, a localized search around every popped pair, one global
+// round per coarsening round undone, and a final polish at full
+// resolution.
+func refineNLevel(up *ascent, opts Options) []obs.Arg {
+	globalMoves := up.ref.GlobalRounds(opts.Workers, 8)
+	searches := 0
+	for up.next(func(m hypergraph.Memento) {
+		up.ref.LocalSearch(m.U, m.V)
+		searches++
+	}) {
+		globalMoves += up.ref.GlobalRound(opts.Workers)
 	}
-	return a
+	globalMoves += up.ref.GlobalRounds(opts.Workers, 8)
+	return []obs.Arg{
+		{Key: "local_searches", Val: float64(searches)},
+		{Key: "global_moves", Val: float64(globalMoves)},
+	}
 }
 
 // initialPartition grows k regions from random seeds over the coarsest
-// hypergraph, then refines all pairs once.
+// hypergraph, then sweeps pairwise FM over all block pairs until a sweep
+// yields no gain.
 func initialPartition(h *hypergraph.H, opts Options, rng *rand.Rand) *hypergraph.Assignment {
 	k := opts.K
 	a := hypergraph.NewAssignment(h, k)
 	n := h.NumVertices()
-	targets := make([]int, k)
-	for p := range targets {
-		targets[p] = h.TotalWeight / k
-	}
 	loads := make([]int, k)
 
 	// BFS region growing, one frontier per part, least-loaded part grows
@@ -243,15 +237,9 @@ func initialPartition(h *hypergraph.H, opts Options, rng *rand.Rand) *hypergraph
 			loads[p] += h.Vertices[vi].Weight
 		}
 	}
-	refineAllPairs(h, a, opts)
-	return a
-}
-
-// refineAllPairs runs pairwise FM over every pair of parts until a full
-// sweep yields no gain, on one refiner built for this level's view.
-func refineAllPairs(h *hypergraph.H, a *hypergraph.Assignment, opts Options) {
-	cons := partition.NewConstraint(h, opts.K, opts.B)
+	cons := partition.NewConstraint(h, k, opts.B)
 	fm.Over(h, a, cons.Feasible(h)).RefineAllPairs(opts.MaxPasses)
+	return a
 }
 
 // better compares two candidate assignments: prefer balanced, then lower

@@ -23,6 +23,11 @@ func flatViterbi(t *testing.T) *hypergraph.H {
 	return h
 }
 
+// engines are the package's two entry points over the one skeleton.
+var engines = map[string]func(*hypergraph.H, Options) (*Result, error){
+	"flat": Partition, "n-level": PartitionN,
+}
+
 func TestPartitionBasic(t *testing.T) {
 	h := flatViterbi(t)
 	for _, k := range []int{2, 3, 4} {
@@ -60,109 +65,35 @@ func TestPartitionBetterThanRandom(t *testing.T) {
 	}
 }
 
-func TestCoarsenPreservesWeight(t *testing.T) {
-	h := flatViterbi(t)
-	rng := rand.New(rand.NewSource(1))
-	levels := coarsen(h, 50, rng)
-	if len(levels) < 2 {
-		t.Fatalf("no coarsening happened: %d levels", len(levels))
-	}
-	for li, lv := range levels {
-		if lv.h.TotalWeight != h.TotalWeight {
-			t.Errorf("level %d: weight %d, want %d", li, lv.h.TotalWeight, h.TotalWeight)
-		}
-		sum := 0
-		for vi := range lv.h.Vertices {
-			sum += lv.h.Vertices[vi].Weight
-		}
-		if sum != h.TotalWeight {
-			t.Errorf("level %d: vertex weights sum %d", li, sum)
-		}
-		if li > 0 && lv.h.NumVertices() >= levels[li-1].h.NumVertices() {
-			t.Errorf("level %d did not shrink: %d -> %d",
-				li, levels[li-1].h.NumVertices(), lv.h.NumVertices())
-		}
-	}
-	last := levels[len(levels)-1].h
-	t.Logf("coarsened %d -> %d vertices over %d levels",
-		h.NumVertices(), last.NumVertices(), len(levels))
-}
-
-func TestCoarsenMappingValid(t *testing.T) {
-	h := flatViterbi(t)
-	rng := rand.New(rand.NewSource(1))
-	levels := coarsen(h, 50, rng)
-	for li := 1; li < len(levels); li++ {
-		fine := levels[li-1].h
-		mapping := levels[li].fineToCoarse
-		if len(mapping) != fine.NumVertices() {
-			t.Fatalf("level %d: mapping covers %d of %d", li, len(mapping), fine.NumVertices())
-		}
-		for _, cv := range mapping {
-			if cv < 0 || int(cv) >= levels[li].h.NumVertices() {
-				t.Fatalf("level %d: mapping out of range: %d", li, cv)
-			}
-		}
-	}
-}
-
-func TestContractMergesParallelEdges(t *testing.T) {
-	// Two vertices joined by two parallel edges; contracting their
-	// neighbours should merge projected identical edges with summed
-	// weight.
-	h := &hypergraph.H{}
-	for i := 0; i < 4; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1, Gate: -1})
-		h.TotalWeight++
-	}
-	addEdge := func(pins ...hypergraph.VertexID) {
-		id := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-		}
-	}
-	addEdge(0, 2)
-	addEdge(1, 3)
-	addEdge(0, 3)
-	// Cluster {0,1} -> c0, {2,3} -> c1: edges all become {c0,c1}, weight 3.
-	coarse, mapping := contract(h, []int32{0, 0, 1, 1})
-	if coarse.NumVertices() != 2 {
-		t.Fatalf("coarse vertices: %d", coarse.NumVertices())
-	}
-	if len(coarse.Edges) != 1 || coarse.Edges[0].Weight != 3 {
-		t.Fatalf("expected one merged edge of weight 3, got %+v", coarse.Edges)
-	}
-	if mapping[0] != mapping[1] || mapping[2] != mapping[3] || mapping[0] == mapping[2] {
-		t.Errorf("mapping wrong: %v", mapping)
-	}
-	if coarse.Vertices[0].Weight != 2 || coarse.Vertices[1].Weight != 2 {
-		t.Errorf("cluster weights wrong: %+v", coarse.Vertices)
-	}
-}
-
-func TestContractDropsInternalEdges(t *testing.T) {
-	h := &hypergraph.H{}
-	for i := 0; i < 2; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1, Gate: -1})
-		h.TotalWeight++
-	}
-	h.Edges = append(h.Edges, hypergraph.Edge{ID: 0, Pins: []hypergraph.VertexID{0, 1}, Weight: 1})
-	h.Vertices[0].Edges = []hypergraph.EdgeID{0}
-	h.Vertices[1].Edges = []hypergraph.EdgeID{0}
-	coarse, _ := contract(h, []int32{0, 0})
-	if len(coarse.Edges) != 0 {
-		t.Errorf("internal edge should vanish, got %d edges", len(coarse.Edges))
-	}
-}
-
 func TestPartitionErrors(t *testing.T) {
 	h := flatViterbi(t)
-	if _, err := Partition(h, Options{K: 1, B: 10}); err == nil {
-		t.Error("K=1 should error")
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"K=1", Options{K: 1, B: 10}},
+		{"B=0", Options{K: 2, B: 0}},
+		{"K above the vertex count", Options{K: h.NumVertices() + 1, B: 10}},
 	}
-	if _, err := Partition(h, Options{K: 2, B: 0}); err == nil {
-		t.Error("B=0 should error")
+	for name, run := range engines {
+		for _, c := range cases {
+			if _, err := run(h, c.opts); err == nil {
+				t.Errorf("%s: %s should error", name, c.name)
+			}
+		}
+		// A negative Restarts takes the default, like 0 does.
+		def, err := run(h, Options{K: 2, B: 10, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		neg, err := run(h, Options{K: 2, B: 10, Seed: 1, Restarts: -3})
+		if err != nil {
+			t.Fatalf("%s: Restarts=-3: %v", name, err)
+		}
+		if neg.Cut != def.Cut || neg.Restart != def.Restart {
+			t.Errorf("%s: Restarts=-3 gave cut %d restart %d, default gives %d / %d",
+				name, neg.Cut, neg.Restart, def.Cut, def.Restart)
+		}
 	}
 }
 
@@ -178,53 +109,6 @@ func TestPartitionDeterministicPerSeed(t *testing.T) {
 	}
 	if a.Cut != b.Cut {
 		t.Errorf("same seed produced different cuts: %d vs %d", a.Cut, b.Cut)
-	}
-}
-
-func TestVCyclesNeverWorsen(t *testing.T) {
-	h := flatViterbi(t)
-	base, err := Partition(h, Options{K: 3, B: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := Partition(h, Options{K: 3, B: 10, Seed: 2, VCycles: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vc.Cut > base.Cut {
-		t.Errorf("V-cycles worsened the cut: %d -> %d", base.Cut, vc.Cut)
-	}
-	if err := vc.Assignment.Validate(h); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cut without V-cycles: %d, with 2 V-cycles: %d", base.Cut, vc.Cut)
-}
-
-func TestCoarsenRespectingKeepsParts(t *testing.T) {
-	h := flatViterbi(t)
-	res, err := Partition(h, Options{K: 2, B: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	levels := coarsenRespecting(h, res.Assignment.Parts, 60, rng)
-	if len(levels) < 2 {
-		t.Skip("no coarsening possible")
-	}
-	// Project down and verify no merge crossed partitions: the projected
-	// cut must equal the fine cut at every level.
-	parts := res.Assignment.Parts
-	fineCut := hypergraph.CutSize(h, res.Assignment)
-	for li := 1; li < len(levels); li++ {
-		coarseParts := make([]int32, levels[li].h.NumVertices())
-		for vi, cv := range levels[li].fineToCoarse {
-			coarseParts[cv] = parts[vi]
-		}
-		ca := &hypergraph.Assignment{K: 2, Parts: coarseParts}
-		if got := hypergraph.CutSize(levels[li].h, ca); got != fineCut {
-			t.Fatalf("level %d: projected cut %d != fine cut %d", li, got, fineCut)
-		}
-		parts = coarseParts
 	}
 }
 
@@ -264,9 +148,7 @@ func TestBalancedJudgedByFormula1Window(t *testing.T) {
 		t.Fatalf("window [%d,%d], want [170,230]", lo, hi)
 	}
 	opts := Options{K: 2, B: 7.5, Seed: 1, CoarsestSize: 8}
-	for name, run := range map[string]func(*hypergraph.H, Options) (*Result, error){
-		"flat": Partition, "n-level": PartitionN,
-	} {
+	for name, run := range engines {
 		res, err := run(h, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

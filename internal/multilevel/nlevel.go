@@ -6,50 +6,51 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/elab"
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
-// PartitionN runs the n-level multilevel algorithm ("n-Level Hypergraph
-// Partitioning", arXiv 1505.00693) on hypergraph h: instead of building a
-// fresh coarse hypergraph per level like Partition, it contracts one
-// vertex pair at a time onto a memory-compact contraction stack
-// (hypergraph.Dyn), then uncoarsens pair by pair with a localized k-way
-// FM around each uncontraction, backed by an incrementally maintained
-// gain cache (fm.GainCache).
+// run is the one multilevel skeleton, the layout of "n-Level Hypergraph
+// Partitioning" (arXiv 1505.00693): validate, contract heavy-edge pairs
+// one at a time onto a memory-compact contraction stack (hypergraph.Dyn)
+// instead of building a coarse hypergraph per level, partition a compact
+// copy of the coarsest view, load the winner into an incrementally
+// maintained gain cache (fm.GainCache), and hand the ascent to the
+// refinement policy. It owns the Dyn, the cache and the refiner for the
+// whole run and does not know which entry point called it.
 //
-// Coarsening and refinement are parallel but deterministic: each round
-// computes heavy-edge partners for all active vertices in a read-only
-// parallel scan, resolves conflicts by fixed vertex-ID priority, and the
-// same seed yields the same assignment at any Workers value.
+// Coarsening and the restart pool are parallel but deterministic: each
+// round computes heavy-edge partners for all active vertices in a
+// read-only parallel scan and resolves conflicts by fixed vertex-ID
+// priority, restarts run from pre-drawn seeds, and the same seed yields
+// the same assignment at any Workers value.
 //
 // Individually-oversized vertices (weight above the balance window — the
 // huge super-gates that used to force the flattening fallback) sit alone
 // in dedicated solo blocks, and the balance window is re-derived over the
 // remaining blocks (partition.Aware, arXiv 2102.01378).
-func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
+func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	if opts.K < 2 {
 		return nil, fmt.Errorf("multilevel: K must be >= 2, got %d", opts.K)
 	}
 	if opts.B <= 0 {
 		return nil, fmt.Errorf("multilevel: B must be positive, got %g", opts.B)
 	}
+	if h.NumVertices() < opts.K {
+		return nil, fmt.Errorf("multilevel: only %d vertices for K=%d", h.NumVertices(), opts.K)
+	}
 	if opts.CoarsestSize == 0 {
 		opts.CoarsestSize = 30 * opts.K
 	}
-	if opts.Restarts == 0 {
-		// Restarts only repeat the coarsest-level initial partitioning
-		// (~CoarsestSize vertices), so n-level affords more of them than
-		// the flat baseline's whole-hierarchy default.
-		opts.Restarts = 8
+	if opts.Restarts <= 0 {
+		opts.Restarts = defaultRestarts
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	totalT0 := opts.Obs.Start()
 
 	cons := partition.NewConstraint(h, opts.K, opts.B)
@@ -76,11 +77,11 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 	}
 	aware := cons.Aware(soloMask, soloWeight)
 
-	// Phase 1: n-level coarsening.
+	// Phase 1: coarsening.
 	coarsenT0 := opts.Obs.Start()
 	d := hypergraph.NewDyn(h)
 	boundaries := coarsenN(d, skip, opts.CoarsestSize, clusterCap(aware, opts.CoarsestSize), workers)
-	opts.Obs.Span(obs.TrackPartition, "nlevel_coarsen", coarsenT0,
+	opts.Obs.Span(obs.TrackPartition, pol.name+"_coarsen", coarsenT0,
 		obs.Arg{Key: "rounds", Val: float64(len(boundaries))},
 		obs.Arg{Key: "contractions", Val: float64(d.Depth())},
 		obs.Arg{Key: "coarsest", Val: float64(d.NumActive())})
@@ -126,39 +127,20 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 	for i, v := range soloVerts {
 		parts[v] = int32(kShared + i)
 	}
-	opts.Obs.Span(obs.TrackPartition, "nlevel_init", initT0,
+	opts.Obs.Span(obs.TrackPartition, pol.name+"_init", initT0,
 		obs.Arg{Key: "restart", Val: float64(bestRestart)},
 		obs.Arg{Key: "restarts", Val: float64(opts.Restarts)})
 
-	// Phase 3: uncoarsening with gain-cache k-way FM — a localized search
-	// around every popped pair, a deterministic parallel global round per
-	// coarsening-round boundary, and a final polish at full resolution.
+	// Phase 3: back up to full resolution, refined as the policy sees fit.
 	refineT0 := opts.Obs.Start()
 	gc := fm.NewGainCache(d, opts.K)
 	gc.Reset(parts)
 	feasible := func(v hypergraph.VertexID, from, to int32, loads []int) bool {
 		return aware.FeasibleLoad(d.Weight(v), from, to, loads)
 	}
-	ref := fm.NewRefiner(gc, feasible)
-	globalMoves := ref.GlobalRounds(workers, 8)
-	searches := 0
-	for i := len(boundaries) - 1; i >= 0; i-- {
-		floor := 0
-		if i > 0 {
-			floor = boundaries[i-1]
-		}
-		for d.Depth() > floor {
-			m := d.Uncontract()
-			gc.OnUncontract(m)
-			ref.LocalSearch(m.U, m.V)
-			searches++
-		}
-		globalMoves += ref.GlobalRound(workers)
-	}
-	globalMoves += ref.GlobalRounds(workers, 8)
-	opts.Obs.Span(obs.TrackPartition, "nlevel_refine", refineT0,
-		obs.Arg{Key: "local_searches", Val: float64(searches)},
-		obs.Arg{Key: "global_moves", Val: float64(globalMoves)})
+	up := &ascent{d: d, ref: fm.NewRefiner(gc, feasible), boundaries: boundaries}
+	refineArgs := pol.refine(up, opts)
+	opts.Obs.Span(obs.TrackPartition, pol.name+"_refine", refineT0, refineArgs...)
 
 	a := &hypergraph.Assignment{K: opts.K, Parts: append([]int32(nil), gc.Parts()...)}
 	res := &Result{
@@ -166,14 +148,11 @@ func PartitionN(h *hypergraph.H, opts Options) (*Result, error) {
 		Cut:        hypergraph.CutSize(h, a),
 		Loads:      hypergraph.PartLoads(h, a),
 		Levels:     len(boundaries),
+		GateParts:  partition.GatePartsOf(h, a),
 		Restart:    bestRestart,
 	}
 	res.Balanced = aware.Satisfied(res.Loads) // the plain window when nothing is solo
-	res.GateParts = make([]int32, len(h.GateVertex))
-	for gi, v := range h.GateVertex {
-		res.GateParts[gi] = a.Parts[v]
-	}
-	opts.Obs.Span(obs.TrackPartition, "nlevel", totalT0,
+	opts.Obs.Span(obs.TrackPartition, pol.name, totalT0,
 		obs.Arg{Key: "k", Val: float64(opts.K)},
 		obs.Arg{Key: "cut", Val: float64(res.Cut)},
 		obs.Arg{Key: "balanced", Val: boolArg(res.Balanced)})
@@ -187,15 +166,38 @@ func boolArg(b bool) float64 {
 	return 0
 }
 
-// PartitionNFlat flattens the design and runs PartitionN on the gate-level
-// hypergraph — the n-level counterpart of PartitionFlat.
-func PartitionNFlat(des *elab.Design, opts Options) (*hypergraph.H, *Result, error) {
-	h, err := hypergraph.BuildFlat(des)
-	if err != nil {
-		return nil, nil, err
+// ascent is the way back up to full resolution as a refinement policy
+// sees it: the contracted view, the refiner whose gain cache tracks it, and
+// the coarsening-round boundaries still to be crossed.
+type ascent struct {
+	d          *hypergraph.Dyn
+	ref        *fm.Refiner
+	boundaries []int // stack depth at the end of each round not yet undone
+}
+
+// next uncontracts one coarsening round — down to the previous round's
+// boundary, or to full resolution — keeping the gain cache exact, and
+// calls each (nil: nothing) after every single uncontraction. It reports
+// false, touching nothing, once the view is at full resolution.
+func (up *ascent) next(each func(m hypergraph.Memento)) bool {
+	n := len(up.boundaries)
+	if n == 0 {
+		return false
 	}
-	res, err := PartitionN(h, opts)
-	return h, res, err
+	up.boundaries = up.boundaries[:n-1]
+	floor := 0
+	if n > 1 {
+		floor = up.boundaries[n-2]
+	}
+	gc := up.ref.Cache()
+	for up.d.Depth() > floor {
+		m := up.d.Uncontract()
+		gc.OnUncontract(m)
+		if each != nil {
+			each(m)
+		}
+	}
+	return true
 }
 
 // clusterCap bounds the weight a coarse cluster may accumulate: a few
