@@ -37,6 +37,7 @@ check: build test vet race
 fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
+	$(GO) test ./internal/timewarp -run 'TestStraggler|TestChaosRunAbandonsCycles' -count=5
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
@@ -197,7 +198,7 @@ bench:
 # per (end-to-end metric, workload), one traced pair, and every run made
 # (cmd/benchpairs). About 50 minutes at the defaults on two cores.
 #
-#	make bench-pairs PARENT=HEAD~1 | tee BENCH_15.txt
+#	make bench-pairs PARENT=HEAD~1 | tee BENCH_19.txt
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev>"; exit 2; }
 	rm -rf .bench_build/parent && mkdir -p .bench_build/parent

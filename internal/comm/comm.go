@@ -103,6 +103,7 @@ func (n *Network) enqueue(dst int, msg Message) {
 	d := n.eps[dst]
 	d.mu.Lock()
 	d.box = append(d.box, msg)
+	d.ready.Store(true)
 	d.mu.Unlock()
 	d.cond.Signal()
 }
@@ -134,13 +135,21 @@ func (n *Network) InFlight() int64 { return n.inFlight.Load() }
 // TotalSent returns the total number of messages sent on the network.
 func (n *Network) TotalSent() uint64 { return n.sent.Load() }
 
-// Endpoint is one mailbox.
+// Endpoint is one mailbox, drained by one receiver. The receive calls hand
+// out the mailbox's own buffer: the returned slice is valid until the next
+// receive call on the endpoint and must not be kept across it.
 type Endpoint struct {
 	id   int
 	net  *Network
 	mu   sync.Mutex
 	cond *sync.Cond
 	box  []Message
+	// spare is the buffer the previous drain handed out; the next drain
+	// makes it the mailbox again, so a steady exchange allocates nothing.
+	spare []Message
+	// ready mirrors len(box) > 0. It is written under mu and read without
+	// it: the receiver's idle poll costs one atomic load, no lock.
+	ready atomic.Bool
 	// closed wakes blocked receivers permanently.
 	closed bool
 }
@@ -163,26 +172,50 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n.tr.Send(e.id, dst, msg)
 }
 
+// Pending reports whether the mailbox holds a message, at the cost of one
+// atomic load. It does not poll the transport: a receiver in the middle of
+// something it would rather not interrupt asks Pending often and Poll at
+// whatever rate the transport's sockets are worth.
+func (e *Endpoint) Pending() bool { return e.ready.Load() }
+
+// Poll gives a polled transport the chance to deliver what its sockets
+// hold; with any other transport it does nothing.
+func (e *Endpoint) Poll() {
+	if p := e.net.poller; p != nil {
+		p.Poll()
+	}
+}
+
+// drain takes everything queued (nil when empty) and swaps the two mailbox
+// buffers. Caller holds e.mu.
+func (e *Endpoint) drain() []Message {
+	if len(e.box) == 0 {
+		return nil
+	}
+	msgs := e.box
+	clear(e.spare) // the previous drain's messages: let go of them
+	e.box, e.spare = e.spare[:0], msgs
+	e.ready.Store(false)
+	e.net.inFlight.Add(int64(-len(msgs)))
+	if e.net.epRecv != nil {
+		e.net.epRecv[e.id].Add(uint64(len(msgs)))
+	}
+	return msgs
+}
+
 // TryRecvAll drains and returns all queued messages without blocking
 // (nil when empty), after giving a polled transport the chance to deliver
 // what its sockets hold. Drain-after-close is guaranteed: messages queued
 // before (or even after) Close remain receivable — Close only wakes
 // blocked receivers, it never discards the mailbox.
 func (e *Endpoint) TryRecvAll() []Message {
-	if p := e.net.poller; p != nil {
-		p.Poll()
+	e.Poll()
+	if !e.ready.Load() {
+		return nil
 	}
 	e.mu.Lock()
-	msgs := e.box
-	e.box = nil
-	e.mu.Unlock()
-	if len(msgs) > 0 {
-		e.net.inFlight.Add(int64(-len(msgs)))
-		if e.net.epRecv != nil {
-			e.net.epRecv[e.id].Add(uint64(len(msgs)))
-		}
-	}
-	return msgs
+	defer e.mu.Unlock()
+	return e.drain()
 }
 
 // RecvWait blocks until at least one message is queued or the endpoint is
@@ -191,23 +224,11 @@ func (e *Endpoint) TryRecvAll() []Message {
 // still queued (drain-after-close), so no message is lost to shutdown.
 func (e *Endpoint) RecvWait() []Message {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for len(e.box) == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	msgs := e.box
-	e.box = nil
-	closed := e.closed
-	e.mu.Unlock()
-	if len(msgs) > 0 {
-		e.net.inFlight.Add(int64(-len(msgs)))
-		if e.net.epRecv != nil {
-			e.net.epRecv[e.id].Add(uint64(len(msgs)))
-		}
-	}
-	if len(msgs) == 0 && closed {
-		return nil
-	}
-	return msgs
+	return e.drain()
 }
 
 // Close wakes any blocked receiver on this endpoint. Idempotent, and it

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -219,5 +220,127 @@ func TestDrainAfterCloseUnderTransportFlush(t *testing.T) {
 	}
 	if n.InFlight() != 0 {
 		t.Fatalf("in flight %d after full drain", n.InFlight())
+	}
+}
+
+// TestPendingMirrorsTheMailbox: Pending is the lock-free answer to "would
+// TryRecvAll return something", across sends, drains and Close.
+func TestPendingMirrorsTheMailbox(t *testing.T) {
+	n := NewNetwork(2)
+	ep := n.Endpoint(1)
+	if ep.Pending() {
+		t.Fatal("empty mailbox reports pending")
+	}
+	if msgs := ep.TryRecvAll(); msgs != nil {
+		t.Fatalf("idle poll returned %v, want nil", msgs)
+	}
+	n.Endpoint(0).Send(1, "a")
+	n.Endpoint(0).Send(1, "b")
+	if !ep.Pending() {
+		t.Fatal("two queued messages, nothing pending")
+	}
+	ep.Close()
+	if !ep.Pending() {
+		t.Fatal("Close emptied the mailbox flag; the messages are still there to drain")
+	}
+	if msgs := ep.TryRecvAll(); len(msgs) != 2 {
+		t.Fatalf("drained %v, want both messages", msgs)
+	}
+	if ep.Pending() {
+		t.Fatal("drained mailbox still reports pending")
+	}
+	n.Endpoint(0).Send(1, "c")
+	if !ep.Pending() {
+		t.Fatal("send after close not pending")
+	}
+	if msgs := ep.RecvWait(); len(msgs) != 1 || ep.Pending() {
+		t.Fatalf("RecvWait drained %v and left pending=%v", msgs, ep.Pending())
+	}
+}
+
+// TestDrainsAlternateTwoBuffers pins the buffer contract: a drained slice
+// is the receiver's until its next receive call, which takes the array back
+// as the mailbox — emptied of the old messages, so they can be collected —
+// and an exchange at steady state allocates nothing.
+func TestDrainsAlternateTwoBuffers(t *testing.T) {
+	n := NewNetwork(2)
+	src, ep := n.Endpoint(0), n.Endpoint(1)
+	var msg Message = "payload" // boxed once, so the sends allocate nothing
+	drain := func(want int) []Message {
+		t.Helper()
+		for i := 0; i < want; i++ {
+			src.Send(1, msg)
+		}
+		msgs := ep.TryRecvAll()
+		if len(msgs) != want {
+			t.Fatalf("drained %d messages, want %d", len(msgs), want)
+		}
+		for _, m := range msgs {
+			if m != msg {
+				t.Fatalf("drained %v", msgs)
+			}
+		}
+		return msgs
+	}
+	a := drain(4)
+	b := drain(3)
+	if &a[0] == &b[0] {
+		t.Fatal("consecutive drains returned the same array")
+	}
+	c := drain(2)
+	if &c[0] != &a[0] {
+		t.Error("third drain did not reuse the first one's array")
+	}
+	if a[2] != nil || a[3] != nil || b[0] != nil {
+		t.Errorf("buffers taken back still hold old messages: first %v, second %v", a, b)
+	}
+	if avg := testing.AllocsPerRun(200, func() { drain(3) }); avg != 0 {
+		t.Errorf("steady exchange allocates %.1f times per drain, want 0", avg)
+	}
+	if n.InFlight() != 0 {
+		t.Errorf("in flight %d after every drain", n.InFlight())
+	}
+}
+
+// TestPendingPolledBesideSenders is the kernel's use under the race
+// detector: senders deliver while the one receiver asks Pending between
+// other work and drains only when told to. Nothing is lost, every link
+// stays FIFO, and the flag never strands a message.
+func TestPendingPolledBesideSenders(t *testing.T) {
+	const senders, per = 3, 2000
+	n := NewNetwork(senders + 1)
+	ep := n.Endpoint(senders)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				n.Endpoint(s).Send(senders, [2]int{s, i})
+			}
+		}(s)
+	}
+	next := make([]int, senders)
+	got := 0
+	for deadline := time.Now().Add(20 * time.Second); got < senders*per; {
+		if !ep.Pending() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d messages arrived and nothing is pending", got, senders*per)
+			}
+			runtime.Gosched()
+			continue
+		}
+		for _, m := range ep.TryRecvAll() {
+			si := m.([2]int)
+			if si[1] != next[si[0]] {
+				t.Fatalf("link %d delivered %d, want %d", si[0], si[1], next[si[0]])
+			}
+			next[si[0]]++
+			got++
+		}
+	}
+	wg.Wait()
+	if ep.Pending() || n.InFlight() != 0 {
+		t.Errorf("after the last message: pending=%v, in flight %d", ep.Pending(), n.InFlight())
 	}
 }

@@ -29,9 +29,10 @@ type Transport interface {
 // Poller is the optional receive half of a Transport whose deliveries
 // come from somewhere that must be polled — a wire transport whose sockets
 // nobody reads in the background. A receiver calls Poll before it looks in
-// its mailbox (Endpoint.TryRecvAll does), so the goroutine that consumes a
-// message is the one that fetches it, the way an MPI progress engine is
-// driven from the caller's own loop. Poll must not block, must be safe to
+// its mailbox (Endpoint.TryRecvAll does; Endpoint.Poll is the call on its
+// own, for a receiver that watches Endpoint.Pending meanwhile), so the
+// goroutine that consumes a message is the one that fetches it, the way an
+// MPI progress engine is driven from the caller's own loop. Poll must not block, must be safe to
 // call from every receiver at once, and delivers through the transport's
 // DeliverFunc like any other delivery.
 type Poller interface {

@@ -14,6 +14,11 @@ import (
 
 const testStall = 30 * time.Second
 
+// Every kernel run this package's tests make — the chaos campaign, the
+// fault self-tests, the shrinker — verifies the clusters' log order after
+// each rollback and prune; a violation fails the run like any kernel error.
+func init() { timewarp.CheckInvariants = true }
+
 func TestSpecDerivationDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		a, b := NewSpec(seed, true), NewSpec(seed, true)

@@ -35,8 +35,9 @@ const (
 )
 
 // maxArgs bounds per-event argument storage; a fixed array keeps Event
-// flat so the ring is one contiguous allocation.
-const maxArgs = 3
+// flat so the ring is one contiguous allocation. The kernel's rollback
+// span is the event that uses all of them.
+const maxArgs = 5
 
 // Arg is one numeric event argument.
 type Arg struct {

@@ -14,8 +14,6 @@
 package timewarp
 
 import (
-	"container/heap"
-
 	"repro/internal/netlist"
 	"repro/internal/obs/causality"
 	"repro/internal/sim"
@@ -54,8 +52,8 @@ type heapKey struct {
 // eventHeap is a min-heap of events ordered by (T, Src, Seq) — so replay
 // order is deterministic — backed by a (src, seq) → heap-index map
 // maintained through every sift, so anti-message annihilation
-// (removeMatching) is an O(1) lookup plus an O(log n) heap.Remove instead
-// of the former O(n) scan.
+// (removeMatching) is an O(1) lookup plus an O(log n) removal instead of
+// the former O(n) scan.
 //
 // The kernel guarantees a positive (src, seq) resides in the heap at most
 // once (exactly-once delivery; an event lives in either pending or the
@@ -75,7 +73,8 @@ type eventHeap struct {
 }
 
 func (h *eventHeap) Len() int { return len(h.ev) }
-func (h *eventHeap) Less(i, j int) bool {
+
+func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.ev[i], &h.ev[j]
 	if a.T != b.T {
 		return a.T < b.T
@@ -85,7 +84,8 @@ func (h *eventHeap) Less(i, j int) bool {
 	}
 	return a.Seq < b.Seq
 }
-func (h *eventHeap) Swap(i, j int) {
+
+func (h *eventHeap) swap(i, j int) {
 	h.ev[i], h.ev[j] = h.ev[j], h.ev[i]
 	if !h.ev[i].Anti {
 		h.pos[heapKey{h.ev[i].Src, h.ev[i].Seq}] = i
@@ -94,8 +94,42 @@ func (h *eventHeap) Swap(i, j int) {
 		h.pos[heapKey{h.ev[j].Src, h.ev[j].Seq}] = j
 	}
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(event)
+
+// up and down are container/heap's sifts, written over the event slice so
+// that pushing and popping an event does not box it into an interface: a
+// rollback requeues its replay-log tail through here without allocating.
+func (h *eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) pushEvent(e event) {
 	if !e.Anti {
 		if h.pos == nil {
 			h.pos = make(map[heapKey]int)
@@ -108,11 +142,22 @@ func (h *eventHeap) Push(x any) {
 		}
 	}
 	h.ev = append(h.ev, e)
+	h.up(len(h.ev) - 1)
 }
-func (h *eventHeap) Pop() any {
-	n := len(h.ev)
-	e := h.ev[n-1]
-	h.ev = h.ev[:n-1]
+
+func (h *eventHeap) popEvent() event { return h.remove(0) }
+
+// remove takes the event at heap index i out and returns it.
+func (h *eventHeap) remove(i int) event {
+	n := len(h.ev) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	e := h.ev[n]
+	h.ev = h.ev[:n]
 	if !e.Anti && h.dups == 0 {
 		delete(h.pos, heapKey{e.Src, e.Seq})
 	}
@@ -125,10 +170,6 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
-
-func (h *eventHeap) popEvent() event { return heap.Pop(h).(event) }
-
 // min returns the heap minimum without removing it. Caller checks Len.
 func (h *eventHeap) min() *event { return &h.ev[0] }
 
@@ -140,14 +181,14 @@ func (h *eventHeap) removeMatching(src int32, seq uint64) bool {
 		if !ok {
 			return false
 		}
-		heap.Remove(h, i)
+		h.remove(i)
 		return true
 	}
 	// Collision fallback: the index may point at either duplicate, so scan
 	// for the first match in slice order — the pre-index behaviour.
 	for i := range h.ev {
 		if h.ev[i].Src == src && h.ev[i].Seq == seq && !h.ev[i].Anti {
-			heap.Remove(h, i)
+			h.remove(i)
 			return true
 		}
 	}

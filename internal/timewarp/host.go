@@ -28,21 +28,21 @@ func checkPartition(k int, gateParts []int32) error {
 }
 
 // prepare validates cfg and fills its defaults in place. It returns the
-// two things a run takes from the sequential simulator of cfg.NL, so that
-// they are the simulator's by construction: the virtual-time width of one
-// cycle and the power-on net values.
-func (cfg *Config) prepare() (deltaRange uint64, initial []bool, err error) {
+// sequential simulator of cfg.NL, from which a run takes the virtual-time
+// width of one cycle, the power-on net values and the stimulus width, so
+// that they are the simulator's by construction.
+func (cfg *Config) prepare() (*sim.Simulator, error) {
 	if cfg.NL == nil {
-		return 0, nil, fmt.Errorf("timewarp: Config.NL is nil")
+		return nil, fmt.Errorf("timewarp: Config.NL is nil")
 	}
 	if cfg.Vectors == nil {
-		return 0, nil, fmt.Errorf("timewarp: Config.Vectors is nil")
+		return nil, fmt.Errorf("timewarp: Config.Vectors is nil")
 	}
 	if err := checkPartition(cfg.K, cfg.GateParts); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if len(cfg.GateParts) != len(cfg.NL.Gates) {
-		return 0, nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
+		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
 			len(cfg.GateParts), len(cfg.NL.Gates))
 	}
 	if cfg.Window == 0 {
@@ -54,11 +54,7 @@ func (cfg *Config) prepare() (deltaRange uint64, initial []bool, err error) {
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
-	ref, err := sim.New(cfg.NL)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ref.DeltaRange, ref.InitialValues(), nil
+	return sim.New(cfg.NL)
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
@@ -71,6 +67,7 @@ type host struct {
 	mode       string // pprof label: "tw" in-process, "dist" in a worker
 	deltaRange uint64
 	initial    []bool // power-on net values; every cluster starts from a copy
+	stim       *stimulus
 	net        *comm.Network
 	progress   []atomic.Uint64 // published cycle per cluster (all K)
 	absorbed   atomic.Uint64   // messages fully absorbed by local clusters
@@ -86,15 +83,16 @@ type host struct {
 // newHost validates cfg and builds the network and the clusters for which
 // owns reports true (nil = all of them), instrumented on cfg.Obs.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
-	deltaRange, initial, err := cfg.prepare()
+	ref, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
 	h := &host{
 		cfg:        cfg,
 		mode:       mode,
-		deltaRange: deltaRange,
-		initial:    initial,
+		deltaRange: ref.DeltaRange,
+		initial:    ref.InitialValues(),
+		stim:       newStimulus(cfg.Vectors, ref.VectorWidth(), cfg.Cycles),
 		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress:   make([]atomic.Uint64, cfg.K),
 	}
@@ -289,6 +287,8 @@ func instrumentClusters(h *host) {
 			func() float64 { return float64(st.rollbacks.Load()) }, lbl)
 		reg.SampleFunc("tw_rolled_back_events", "evaluations undone by rollbacks",
 			func() float64 { return float64(st.rolledBackEvents.Load()) }, lbl)
+		reg.SampleFunc("tw_abandoned_cycles", "cycles given up part-way for a straggler",
+			func() float64 { return float64(st.abandonedCycles.Load()) }, lbl)
 		reg.SampleFunc("tw_checkpoints", "state checkpoints taken",
 			func() float64 { return float64(st.checkpoints.Load()) }, lbl)
 		reg.SampleFunc("tw_max_straggler_depth", "deepest single rollback in cycles",

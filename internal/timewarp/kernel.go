@@ -111,6 +111,10 @@ type Stats struct {
 	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
 	Checkpoints      uint64 // state checkpoints taken
+	// AbandonedCycles counts cycles given up part-way because a straggler
+	// for them arrived while they executed. Each is also one of Rollbacks,
+	// and what it had evaluated is in Events and RolledBackEvents.
+	AbandonedCycles uint64
 	// MaxStragglerDepth is the deepest single rollback in cycles (LVT
 	// minus restored checkpoint) — how far behind its cluster the worst
 	// straggler arrived. Aggregated by max, not sum.

@@ -1,0 +1,92 @@
+package timewarp
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/sim"
+)
+
+// BenchmarkRollbackHistory is a one-cycle rollback and the re-execution of
+// that cycle, behind histories of different length: a two-flip-flop ring cut
+// between the flip-flops, in which each cluster consumes one event and sends
+// one event every cycle, stepped in turn so that nothing rolls back and
+// nothing is fossil-collected while the logs grow to the given number of
+// entries. The rollback bisects them and moves one entry of each; the
+// re-execution regenerates the event it sent, so nothing goes out. The cost
+// must not depend on the history (the three sizes within 1.5× of each
+// other) and nothing may allocate.
+func BenchmarkRollbackHistory(b *testing.B) {
+	ring := &gen.Circuit{Name: "ring", Top: "ring", Source: `
+module ring (input clk, output out);
+  wire q, nq, r, s;
+  not n0 (nq, q);
+  dff f0 (q, nq, clk);
+  dff f1 (r, q, clk);
+  xor x0 (s, r, q);
+  buf ob (out, s);
+endmodule
+`}
+	ed, err := ring.Elaborate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl := ed.Netlist
+	parts := make([]int32, len(nl.Gates))
+	for gi := range nl.Gates {
+		if strings.HasSuffix(nl.Nets[nl.Gates[gi].Output].Name, "r") {
+			parts[gi] = 1 // f1 alone; it hears q and is heard through r
+		}
+	}
+	defer func(on bool) { CheckInvariants = on }(CheckInvariants)
+	CheckInvariants = false // the scan it adds is the cost this benchmark shows gone
+
+	for _, entries := range []uint64{1 << 10, 16 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("entries=%dk", entries>>10), func(b *testing.B) {
+			h, err := newHost(Config{
+				NL: nl, GateParts: parts, K: 2,
+				Vectors: sim.RandomVectors{Seed: 1}, Cycles: entries + 8,
+			}, "tw", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := h.clusters[1]
+			for c.cycle < entries+2 {
+				for _, cl := range h.clusters {
+					if err := cl.absorb(cl.ep.TryRecvAll()); err != nil {
+						b.Fatal(err)
+					}
+					if err := cl.processCycle(cl.cycle); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if st := c.stats.Snapshot(); st.Rollbacks != 0 || uint64(len(c.processed)) < entries || uint64(len(c.outputLog)) < entries {
+				b.Fatalf("history: %d rollbacks, %d replay-log and %d output-log entries; want none and at least %d of each",
+					st.Rollbacks, len(c.processed), len(c.outputLog), entries)
+			}
+			round := func() {
+				if err := c.rollback(c.cycle-1, 0); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.processCycle(c.cycle); err != nil {
+					b.Fatal(err)
+				}
+			}
+			round() // the stale-event buffers and the heap's index get their capacity
+			sent := h.net.TotalSent()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.StopTimer()
+			if h.net.TotalSent() != sent || uint64(len(c.processed)) < entries || uint64(len(c.outputLog)) < entries {
+				b.Fatalf("the rounds sent %d messages and left %d replay-log and %d output-log entries",
+					h.net.TotalSent()-sent, len(c.processed), len(c.outputLog))
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ type atomicStats struct {
 	events            atomic.Uint64
 	rolledBackEvents  atomic.Uint64
 	checkpoints       atomic.Uint64
+	abandonedCycles   atomic.Uint64
 	maxStragglerDepth atomic.Uint64 // single-writer max; see noteMax
 	queueLen          atomic.Int64  // pending remote events (gauge)
 
@@ -50,6 +51,7 @@ func (s *atomicStats) Snapshot() Stats {
 		Events:            s.events.Load(),
 		RolledBackEvents:  s.rolledBackEvents.Load(),
 		Checkpoints:       s.checkpoints.Load(),
+		AbandonedCycles:   s.abandonedCycles.Load(),
 		MaxStragglerDepth: s.maxStragglerDepth.Load(),
 
 		Batches:              s.batches.Load(),
@@ -62,11 +64,11 @@ func (s *atomicStats) Snapshot() Stats {
 
 // fields lists every counter of s in wire order — the one enumeration
 // the accumulator and the result codec share.
-func (s *Stats) fields() [12]*uint64 {
-	return [12]*uint64{
+func (s *Stats) fields() [13]*uint64 {
+	return [13]*uint64{
 		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
 		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
-		&s.PoolHits, &s.PoolMisses, &s.CheckpointBytesSaved,
+		&s.PoolHits, &s.PoolMisses, &s.CheckpointBytesSaved, &s.AbandonedCycles,
 	}
 }
 
