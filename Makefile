@@ -30,7 +30,7 @@ BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.ev
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-pairs bench-record bench-record-packed bench-record-dist bench-record-prof bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs pipeline-smoke bench-record bench-record-packed bench-record-dist bench-record-prof bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -206,6 +206,17 @@ bench-pairs:
 	$(GO) run ./cmd/benchpairs -parent .bench_build/parent -change . -pairs $(BENCH_PAIRS) \
 		-workloads '$(BENCH_PAIRS_WORKLOADS)' -layers '$(BENCH_PAIRS_LAYERS)'
 
+# The pipeline benchmark (BENCHMARK.json's driver command) at self-test
+# sizes, traced, three seconds a workload: every workload's oracle runs —
+# waveform digests and registered state against the sequential simulator,
+# partition invariants, determinism guards; exit status 1 on any failed
+# check — and the traced run prints every per-layer row, the two
+# observability overhead ratios (obs.on_off_ratio,
+# harness.trace_overhead_ratio) among them. CI runs it on every push; it
+# gates the checks, not the timings (ROADMAP item 1).
+pipeline-smoke:
+	bash benchmark/run.sh -workload all -scale smoke -seed 1 -trace 1 --seconds 3
+
 # Re-record the committed perf baseline: the kernel/obs benchmark set with
 # -count=$(BENCH_COUNT) plus the forward-path benchmark at one iteration
 # per sample (one iteration is a 500-cycle run of the 17.8k-gate SoC) and
@@ -240,8 +251,8 @@ bench-record-dist:
 		| $(GO) run ./cmd/benchrec -out BENCH_8.json
 
 # Re-record the profiling-plane pair (BENCH_9.json): the instrumented
-# soc@k4 kernel with and without the continuous-profiling layer (live
-# self-time collector + pprof labels + armed capturer). The Off/On delta
+# soc@k4 kernel without and with an armed, never-firing capturer (the
+# kernel labels its goroutines for pprof on both sides). The Off/On delta
 # is the documented standing cost of the profiling plane (budget: ≤5%
 # wall); perf-smoke gates the pair's allocs/op like the kernel set.
 bench-record-prof:

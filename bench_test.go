@@ -672,11 +672,11 @@ func BenchmarkTimeWarpObsOn(b *testing.B)       { benchObsTimeWarp(b, true, fals
 func BenchmarkTimeWarpCausalityOn(b *testing.B) { benchObsTimeWarp(b, true, true) }
 
 // benchProfTimeWarp measures the profiling plane on soc@k=4. Both sides
-// run with the observer on (the plane rides on the span tracer); the On
-// side additionally attaches the live self-time collector to the span
-// sink, labels every kernel goroutine through runtime/pprof, and arms a
-// capturer whose triggers never fire on a healthy run — so the delta is
-// the standing cost of continuous profiling, not of a capture.
+// run with the observer on (the plane rides on the span tracer, and the
+// kernel labels its goroutines through runtime/pprof either way); the On
+// side additionally arms a capturer whose triggers never fire on a
+// healthy run — so the delta is the standing cost of an armed capturer,
+// not of a capture.
 func benchProfTimeWarp(b *testing.B, profiled bool) {
 	ed, parts := socK4(b)
 	b.ResetTimer()
@@ -688,7 +688,6 @@ func benchProfTimeWarp(b *testing.B, profiled bool) {
 			Obs: o,
 		}
 		if profiled {
-			profile.NewCollector(o.Registry()).Attach(o)
 			cfg.Profile = &profile.Capturer{
 				Source: func() []obs.Event { evs, _ := o.Events(); return evs },
 			}
@@ -701,9 +700,8 @@ func benchProfTimeWarp(b *testing.B, profiled bool) {
 
 // BenchmarkTimeWarpProfOff / BenchmarkTimeWarpProfOn are the documented
 // overhead budget of the continuous-profiling plane on soc@k=4: with the
-// observer already on, enabling the collector, pprof labels, and an
-// armed (never-firing) capturer must stay within 5% wall time of the
-// unprofiled instrumented run. The Off side's allocs/op are gated in
+// observer already on, an armed (never-firing) capturer must stay within
+// 5% wall time of the run without one. Both sides' allocs/op are gated in
 // perf-smoke against BENCH_9.json.
 //
 // Compare with: go test -bench 'TimeWarpProf' -count 10 . | benchstat.

@@ -87,7 +87,6 @@ func main() {
 
 	if *jsonOut {
 		// Machine-readable mode: the grid is the result; tables are for eyes.
-		o.Snapshot()
 		fatal(o.Dump(*trace, *metrics))
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -209,7 +208,6 @@ func main() {
 		fmt.Print(t.String())
 	}
 
-	o.Snapshot()
 	fatal(o.Dump(*trace, *metrics))
 }
 

@@ -85,7 +85,6 @@ func main() {
 		best, visited, err := presim.Heuristic(cfg)
 		fatal(err)
 		summary := cfg.Campaign.Finish()
-		o.Snapshot()
 		fatal(o.Dump(*trace, *metrics))
 		if *jsonOut {
 			writeJSON(result{
@@ -107,7 +106,6 @@ func main() {
 	points, best, err := presim.BruteForce(cfg)
 	fatal(err)
 	summary := cfg.Campaign.Finish()
-	o.Snapshot()
 	fatal(o.Dump(*trace, *metrics))
 	if *jsonOut {
 		writeJSON(result{

@@ -55,7 +55,7 @@ func main() {
 		top    = flag.String("top", "", "top module name (required)")
 		cycles = flag.Uint64("cycles", 10000, "number of random vectors")
 		seed   = flag.Int64("seed", 1, "vector seed")
-		mode   = flag.String("mode", "seq", "seq | tw | model")
+		mode   = flag.String("mode", "seq", "seq | tw | model | dist")
 		k      = flag.Int("k", 2, "partitions (tw/model)")
 		b      = flag.Float64("b", 10, "balance factor in percent (tw/model)")
 		packed = flag.Bool("packed", true, "use the 64-wide bit-parallel engine for the cluster model; results are identical to -packed=false (model mode)")
@@ -147,7 +147,8 @@ func main() {
 	case "tw", "model":
 		// The observer is created only when an export (or the monitoring
 		// server) was requested, so an uninstrumented run pays a single
-		// nil-check per site.
+		// nil-check per site. (validateFlags lets none of these flags
+		// through in model mode, so the model always runs unobserved.)
 		var o *obs.Observer
 		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *profileDir != "" {
 			o = obs.New(obs.Options{})
@@ -163,11 +164,9 @@ func main() {
 				Obs: o,
 			}
 			if o != nil {
-				// The phase collector turns completed spans into live
-				// tw_phase_* metrics; the capturer arms triggered capture
-				// (probe-health degradation and, with -capture-rollback-rate,
-				// rollback storms).
-				profile.NewCollector(o.Registry()).Attach(o)
+				// The capturer arms triggered capture (probe-health
+				// degradation and, with -capture-rollback-rate, rollback
+				// storms).
 				cfg.Profile = &profile.Capturer{
 					Dir: *profileDir,
 					Source: func() []obs.Event {
@@ -225,7 +224,6 @@ func main() {
 				fatal(profile.WriteFileAtomic(flame, profile.Build(evs).AppendFolded(nil, "")))
 				fmt.Printf("wrote %s\n", flame)
 			}
-			o.Snapshot()
 			fatal(o.Dump(*trace, *metrics))
 			if *trace != "" && *trace != "-" {
 				fmt.Printf("wrote %s\n", *trace)
@@ -263,7 +261,6 @@ func main() {
 		var o *obs.Observer
 		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *postmortem != "" || *profileDir != "" {
 			o = obs.New(obs.Options{})
-			profile.NewCollector(o.Registry()).Attach(o)
 		}
 		pr, err := partition.Multiway(ed, partition.Options{K: *k, B: *b, Obs: o})
 		fatal(err)
@@ -339,7 +336,6 @@ func main() {
 				fmt.Printf("wrote %s\n", *trace)
 			}
 		}
-		o.Snapshot()
 		fatal(o.Dump("", *metrics))
 		if *report {
 			fmt.Print(o.Report())
@@ -351,9 +347,6 @@ func main() {
 			}
 			fatal(srv.Close())
 		}
-
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
 }
 
@@ -385,6 +378,11 @@ func waveDigest(pos []netlist.NetID, waves map[netlist.NetID][]bool) string {
 // otherwise misbehave in ways that look like simulation bugs (a zero
 // checkpoint interval silently becomes 1 deep inside Config defaulting).
 func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, workers int, set map[string]bool) error {
+	switch mode {
+	case "seq", "tw", "model", "dist":
+	default:
+		return fmt.Errorf("unknown -mode %q (want seq, tw, model or dist)", mode)
+	}
 	if cycles < 1 {
 		return fmt.Errorf("-cycles must be >= 1 (got %d)", cycles)
 	}
@@ -403,6 +401,10 @@ func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, worke
 	// The packed engine backs the deterministic cluster model only.
 	if mode != "model" && set["packed"] {
 		return fmt.Errorf("-packed only applies to -mode model (mode is %q)", mode)
+	}
+	// Only the sequential simulator has a net-change hook to dump from.
+	if mode != "seq" && set["vcd"] {
+		return fmt.Errorf("-vcd only applies to -mode seq (mode is %q)", mode)
 	}
 	// Flags that only mean something to the optimistic kernel are an
 	// error elsewhere, not a silent no-op.
@@ -424,14 +426,18 @@ func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, worke
 		}
 	}
 	if mode != "tw" && mode != "dist" {
-		// The observability exports work for both the in-process kernel
-		// and the distributed coordinator (where one scrape federates
-		// every worker's registry and the trace merges all clocks).
-		for _, f := range []string{"trace", "metrics", "report", "profile-dir"} {
+		// The observability exports and the monitoring server work for
+		// both the in-process kernel and the distributed coordinator (where
+		// one scrape federates every worker's registry and the trace merges
+		// all clocks).
+		for _, f := range []string{"trace", "metrics", "report", "profile-dir", "serve", "serve-hold"} {
 			if set[f] {
 				return fmt.Errorf("-%s only applies to -mode tw or dist (mode is %q)", f, mode)
 			}
 		}
+	}
+	if set["serve-hold"] && !set["serve"] {
+		return fmt.Errorf("-serve-hold needs -serve: there is no monitoring server to keep up")
 	}
 	if mode == "dist" {
 		if workers < 1 {

@@ -61,11 +61,8 @@ func main() {
 	var capt *profile.Capturer
 	if *obsOn {
 		o = obs.New(obs.Options{})
-		// Phase collector: completed spans become live tw_phase_* metrics
-		// on /metrics and in the federated snapshots. The capturer arms
-		// triggered evidence capture; its last capture ships to the
-		// coordinator inside the worker's FrameProfile.
-		profile.NewCollector(o.Registry()).Attach(o)
+		// The capturer arms triggered evidence capture; its last capture
+		// ships to the coordinator inside the worker's FrameProfile.
 		capt = &profile.Capturer{
 			Dir: *profileDir,
 			Source: func() []obs.Event {
@@ -102,7 +99,6 @@ func main() {
 		Profile:     capt,
 	})
 	if *metrics != "" {
-		o.Snapshot()
 		if derr := o.Dump("", *metrics); derr != nil {
 			fmt.Fprintln(os.Stderr, "vsimd:", derr)
 		}

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 )
 
 // ChromeEvent is one entry of the Chrome trace-event JSON format
@@ -21,8 +21,6 @@ type ChromeEvent struct {
 	Cat   string             `json:"cat,omitempty"`
 	ID    uint64             `json:"id,omitempty"`
 	Args  map[string]float64 `json:"args,omitempty"`
-	// MetaArgs carries string args for metadata events (thread names).
-	MetaArgs map[string]string `json:"-"`
 }
 
 // ChromeTrace is the container object the exporter writes: loadable by
@@ -34,9 +32,6 @@ type ChromeTrace struct {
 	Dropped uint64 `json:"droppedEvents,omitempty"`
 }
 
-// chromePid is the single process all tracks live under.
-const chromePid = 1
-
 // ChromeTid maps a tracer track to a Chrome thread id: cluster tracks
 // keep their id (0..k-1), subsystem tracks map above 1000 so they sort
 // below the clusters in the viewer.
@@ -47,23 +42,27 @@ func ChromeTid(track int32) int {
 	return 1000 + int(-track-1) // TrackKernel → 1000, TrackPartition → 1001, …
 }
 
-// TrackName renders the human name of a track, shown as the thread name
-// in the trace viewer.
+// TrackName is the one name of a track: the thread name in a trace
+// viewer, the root frame of the track's folded stacks, the "cluster"
+// pprof label and the report's row heading. Non-negative tracks are
+// clusters ("cluster 3"), negative tracks the shared subsystem lanes.
 func TrackName(track int32) string {
 	switch track {
 	case TrackKernel:
-		return "kernel/GVT"
+		return "kernel"
 	case TrackPartition:
-		return "partitioner"
+		return "partition"
 	case TrackCampaign:
 		return "campaign"
 	case TrackComm:
 		return "comm"
 	case TrackNet:
 		return "net"
-	default:
-		return fmt.Sprintf("cluster %d", track)
 	}
+	if track < 0 {
+		return fmt.Sprintf("track%d", track)
+	}
+	return "cluster " + strconv.Itoa(int(track))
 }
 
 // WriteChromeTrace exports the trace ring as Chrome trace-event JSON:
@@ -72,81 +71,5 @@ func TrackName(track int32) string {
 // and counters as-is. Nil observers write an empty but valid trace.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	events, dropped := o.Events()
-
-	// Thread-name metadata for every distinct track, emitted first and in
-	// sorted tid order so the file is deterministic for a fixed event set.
-	tracks := map[int32]bool{}
-	for _, e := range events {
-		tracks[e.Track] = true
-	}
-	ids := make([]int32, 0, len(tracks))
-	for t := range tracks {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ChromeTid(ids[i]) < ChromeTid(ids[j]) })
-
-	raw := []json.RawMessage{} // non-nil so an empty trace renders as []
-	push := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		raw = append(raw, b)
-		return nil
-	}
-	for _, t := range ids {
-		meta := map[string]any{
-			"name": "thread_name", "ph": "M", "pid": chromePid, "tid": ChromeTid(t),
-			"args": map[string]string{"name": TrackName(t)},
-		}
-		if err := push(meta); err != nil {
-			return err
-		}
-		sortMeta := map[string]any{
-			"name": "thread_sort_index", "ph": "M", "pid": chromePid, "tid": ChromeTid(t),
-			"args": map[string]int{"sort_index": ChromeTid(t)},
-		}
-		if err := push(sortMeta); err != nil {
-			return err
-		}
-	}
-
-	for _, e := range events {
-		ce := ChromeEvent{
-			Name:  e.Name,
-			Phase: string(e.Phase),
-			Pid:   chromePid,
-			Tid:   ChromeTid(e.Track),
-			Ts:    e.Ts,
-			Dur:   e.Dur,
-		}
-		if e.Phase == PhaseInstant {
-			ce.Scope = "t" // thread-scoped instant
-		}
-		if e.Phase == PhaseFlowStart || e.Phase == PhaseFlowStep {
-			// Flow events bind on (cat, name, id): every link of one causal
-			// chain (e.g. a rollback cascade) shares the origin id.
-			ce.Cat = "flow"
-			ce.ID = e.ID
-		}
-		for _, a := range e.Args {
-			if a.Key == "" {
-				continue
-			}
-			if ce.Args == nil {
-				ce.Args = make(map[string]float64, maxArgs)
-			}
-			ce.Args[a.Key] = a.Val
-		}
-		if err := push(ce); err != nil {
-			return err
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTrace{
-		TraceEvents:     raw,
-		DisplayTimeUnit: "ms",
-		Dropped:         dropped,
-	})
+	return WriteMergedChromeTrace(w, []TraceSource{{Events: events, Dropped: dropped}})
 }

@@ -34,11 +34,21 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		0:                      "cluster 0",
 		1:                      "cluster 1",
 		ChromeTid(TrackComm):   "comm",
-		ChromeTid(TrackKernel): "kernel/GVT",
+		ChromeTid(TrackKernel): "kernel",
 	}
 	for tid, want := range wantNames {
 		if got := d.ThreadNames[tid]; got != want {
 			t.Fatalf("tid %d name = %q, want %q (all: %v)", tid, got, want, d.ThreadNames)
+		}
+	}
+	// One unnamed source under pid 1: a single-process trace carries no
+	// process metadata.
+	if len(d.ProcessNames) != 0 {
+		t.Fatalf("single-process trace names processes: %v", d.ProcessNames)
+	}
+	for _, e := range d.Events {
+		if e.Pid != 1 {
+			t.Fatalf("event %q on pid %d, want 1", e.Name, e.Pid)
 		}
 	}
 

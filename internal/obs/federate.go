@@ -1,32 +1,20 @@
 package obs
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Metrics federation: a compact binary codec for registry snapshots and a
-// registry-side merge of external (per-worker) snapshots under an
-// injected label. The distributed coordinator decodes each worker's
-// shipped snapshot and installs it with SetExternal, so one /metrics
-// scrape, one Snapshot and one Report cover the whole multi-process run.
-//
-// The codec lives here rather than in nettrans because nettrans already
-// imports obs (the loopback transport is instrumented); the few binary
-// helpers below are deliberately self-contained to keep the import graph
-// acyclic. The decode side is hostile-input hardened exactly like the
-// nettrans payloads: every malformed input is an error, never a panic,
-// and no length prefix drives an allocation bigger than the payload that
-// carries it.
+// Metrics federation: a registry-side merge of external (per-worker)
+// snapshots under an injected label. The distributed coordinator decodes
+// each worker's shipped snapshot (the wire codec lives with the rest of
+// the control-plane payloads in internal/timewarp) and installs it with
+// SetExternal, so one /metrics scrape, one Snapshot and one Report cover
+// the whole multi-process run.
 
-// Kind classifies a metric family for exposition typing, carried through
-// the snapshot wire format so a merged dump can emit correct TYPE lines.
+// Kind classifies a metric family for exposition typing, carried in every
+// snapshot so a merged dump can emit correct TYPE lines.
 type Kind byte
 
 const (
@@ -54,134 +42,6 @@ type Family struct {
 	Name string
 	Help string
 	Kind Kind
-}
-
-// snapshotVersion versions the snapshot wire format; decoders reject
-// anything else, so a skewed peer fails loudly instead of misparsing.
-const snapshotVersion byte = 1
-
-// Sample-name suffix codes of the wire format.
-const (
-	suffixNone byte = iota
-	suffixBucket
-	suffixCount
-	suffixSum
-)
-
-var suffixStrings = [...]string{suffixNone: "", suffixBucket: "_bucket", suffixCount: "_count", suffixSum: "_sum"}
-
-// maxSnapshotEntries bounds the family and sample counts a decoded
-// snapshot may claim, over and above the per-entry size check — no
-// plausible registry has a million series, so anything bigger is garbage.
-const maxSnapshotEntries = 1 << 20
-
-// AppendSnapshot serializes a snapshot (families and samples) into the
-// compact binary form the distributed runtime ships over FrameMetrics.
-func AppendSnapshot(dst []byte, s Snapshot) []byte {
-	famIdx := make(map[string]int, len(s.Families))
-	dst = append(dst, snapshotVersion)
-	dst = fedAppendU64(dst, uint64(s.At/time.Microsecond))
-	dst = fedAppendU32(dst, uint32(len(s.Families)))
-	for i, f := range s.Families {
-		famIdx[f.Name] = i
-		dst = fedAppendStr(dst, f.Name)
-		dst = fedAppendStr(dst, f.Help)
-		dst = append(dst, byte(f.Kind))
-	}
-	dst = fedAppendU32(dst, uint32(len(s.Samples)))
-	for _, sm := range s.Samples {
-		idx, suffix := resolveFamily(sm.Name, famIdx)
-		dst = fedAppendU32(dst, uint32(idx))
-		dst = append(dst, suffix)
-		dst = fedAppendStr(dst, sm.Labels)
-		dst = fedAppendU64(dst, math.Float64bits(sm.Value))
-	}
-	return dst
-}
-
-// resolveFamily maps a (possibly suffixed) sample name to its family
-// index. Samples without a known family are impossible for snapshots the
-// registry built (Snapshot always emits a family per metric), but a
-// hand-built snapshot gets index 0 rather than a panic.
-func resolveFamily(name string, famIdx map[string]int) (int, byte) {
-	if i, ok := famIdx[name]; ok {
-		return i, suffixNone
-	}
-	for code, suffix := range suffixStrings {
-		if suffix == "" {
-			continue
-		}
-		if base, found := strings.CutSuffix(name, suffix); found {
-			if i, ok := famIdx[base]; ok {
-				return i, byte(code)
-			}
-		}
-	}
-	return 0, suffixNone
-}
-
-// DecodeSnapshot parses a snapshot produced by AppendSnapshot,
-// validating every count against the remaining payload before
-// allocating.
-func DecodeSnapshot(p []byte) (Snapshot, error) {
-	d := fedDec{p: p}
-	var s Snapshot
-	if v := d.u8(); d.err == nil && v != snapshotVersion {
-		return Snapshot{}, fmt.Errorf("obs: snapshot version %d, this build speaks %d", v, snapshotVersion)
-	}
-	s.At = time.Duration(d.u64()) * time.Microsecond
-	nf := d.u32()
-	if d.err == nil {
-		// A family needs at least 9 bytes (two length prefixes + kind).
-		if nf > maxSnapshotEntries || uint64(nf)*9 > uint64(len(d.p)) {
-			return Snapshot{}, fmt.Errorf("obs: snapshot claims %d families in %d bytes", nf, len(d.p))
-		}
-		s.Families = make([]Family, nf)
-		for i := range s.Families {
-			s.Families[i].Name = d.str()
-			s.Families[i].Help = d.str()
-			k := d.u8()
-			if d.err == nil && k > byte(KindHistogram) {
-				return Snapshot{}, fmt.Errorf("obs: snapshot family %d has kind %d", i, k)
-			}
-			s.Families[i].Kind = Kind(k)
-		}
-	}
-	ns := d.u32()
-	if d.err == nil {
-		// A sample needs at least 17 bytes (index, suffix, labels prefix, value).
-		if ns > maxSnapshotEntries || uint64(ns)*17 > uint64(len(d.p)) {
-			return Snapshot{}, fmt.Errorf("obs: snapshot claims %d samples in %d bytes", ns, len(d.p))
-		}
-		s.Samples = make([]Sample, ns)
-		for i := range s.Samples {
-			idx := d.u32()
-			suffix := d.u8()
-			labels := d.str()
-			bits := d.u64()
-			if d.err != nil {
-				break
-			}
-			if int(idx) >= len(s.Families) {
-				return Snapshot{}, fmt.Errorf("obs: snapshot sample %d names family %d of %d", i, idx, len(s.Families))
-			}
-			if suffix > suffixSum {
-				return Snapshot{}, fmt.Errorf("obs: snapshot sample %d has suffix code %d", i, suffix)
-			}
-			s.Samples[i] = Sample{
-				Name:   s.Families[idx].Name + suffixStrings[suffix],
-				Labels: labels,
-				Value:  math.Float64frombits(bits),
-			}
-		}
-	}
-	if d.err != nil {
-		return Snapshot{}, fmt.Errorf("obs: malformed snapshot: %w", d.err)
-	}
-	if d.len() != 0 {
-		return Snapshot{}, fmt.Errorf("obs: snapshot has %d trailing bytes", d.len())
-	}
-	return s, nil
 }
 
 // SetExternal installs (or replaces) the sample set of one external
@@ -279,77 +139,4 @@ func parseRenderedLabels(rendered string) []Label {
 		s = strings.TrimPrefix(s, ",")
 	}
 	return out
-}
-
-// Self-contained binary helpers (big-endian, sticky-error decode),
-// mirroring the nettrans conventions without the import.
-
-func fedAppendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-func fedAppendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-func fedAppendStr(dst []byte, s string) []byte {
-	dst = fedAppendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-var errSnapshotShort = errors.New("snapshot payload truncated")
-
-type fedDec struct {
-	p   []byte
-	err error
-}
-
-func (d *fedDec) len() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.p)
-}
-
-func (d *fedDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.p) < n {
-		d.err = errSnapshotShort
-		return nil
-	}
-	v := d.p[:n]
-	d.p = d.p[n:]
-	return v
-}
-
-func (d *fedDec) u8() byte {
-	v := d.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (d *fedDec) u32() uint32 {
-	v := d.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (d *fedDec) u64() uint64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func (d *fedDec) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(len(d.p)) {
-		d.err = errSnapshotShort
-		return ""
-	}
-	return string(d.take(int(n)))
 }

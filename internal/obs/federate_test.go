@@ -2,85 +2,9 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
-
-// testSnapshot builds a registry with every instrument kind and returns
-// its snapshot.
-func testSnapshot() Snapshot {
-	o := New(Options{})
-	reg := o.Registry()
-	reg.Counter("tw_events_total", "gate evaluations", L("cluster", 0)).Add(42)
-	reg.Counter("tw_events_total", "gate evaluations", L("cluster", 1)).Add(7)
-	reg.Gauge("tw_gvt", "global virtual time").Set(19)
-	h := reg.Histogram("tw_rollback_depth", "rollback depth in cycles", []float64{1, 4, 16})
-	h.Observe(2)
-	h.Observe(100)
-	reg.SampleFunc("tw_queue_len", "pending", func() float64 { return 3 })
-	s := reg.Snapshot()
-	s.At = 1234 * time.Microsecond
-	return s
-}
-
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	want := testSnapshot()
-	blob := AppendSnapshot(nil, want)
-	got, err := DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-func TestSnapshotCodecEmpty(t *testing.T) {
-	blob := AppendSnapshot(nil, Snapshot{})
-	got, err := DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatalf("decode empty: %v", err)
-	}
-	if len(got.Families) != 0 || len(got.Samples) != 0 {
-		t.Fatalf("empty snapshot decoded non-empty: %+v", got)
-	}
-}
-
-// TestSnapshotCodecTruncation demands every strict prefix of a valid
-// encoding fail to decode — the hostile-input bar all wire payloads in
-// this repo meet.
-func TestSnapshotCodecTruncation(t *testing.T) {
-	blob := AppendSnapshot(nil, testSnapshot())
-	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeSnapshot(blob[:n]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(blob))
-		}
-	}
-	// Trailing garbage must be rejected too.
-	if _, err := DecodeSnapshot(append(append([]byte(nil), blob...), 0)); err == nil {
-		t.Fatal("snapshot with trailing byte decoded without error")
-	}
-}
-
-func TestSnapshotCodecHostile(t *testing.T) {
-	cases := map[string][]byte{
-		"bad version":    {99},
-		"huge families":  AppendSnapshot(nil, Snapshot{})[:13], // cut before family count...
-		"garbage counts": append(AppendSnapshot(nil, Snapshot{}), 0xFF, 0xFF),
-	}
-	// A snapshot claiming 2^20 families in a tiny payload.
-	huge := []byte{snapshotVersion}
-	huge = fedAppendU64(huge, 0)
-	huge = fedAppendU32(huge, 1<<20)
-	cases["family count overflow"] = huge
-	for name, blob := range cases {
-		if _, err := DecodeSnapshot(blob); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}
 
 // TestFederatedMergeDeterministic installs two external worker snapshots
 // in both arrival orders and demands byte-identical Prometheus output —
@@ -140,21 +64,17 @@ func TestFederatedMergeDeterministic(t *testing.T) {
 }
 
 // TestFederatedMergeGolden pins the merged exposition byte for byte: a
-// coordinator gauge plus two workers' counters and a histogram, shipped
-// through the wire codec, with the worker label inserted in key-sorted
-// position and buckets in numeric order.
+// coordinator gauge plus two workers' counters and a histogram, with the
+// worker label inserted in key-sorted position and buckets in numeric
+// order. (That a snapshot survives the wire unchanged is
+// TestSnapshotCodecRoundTrip, fedwire_test.go.)
 func TestFederatedMergeGolden(t *testing.T) {
 	worker := func(n uint64) Snapshot {
 		o := New(Options{})
 		o.Registry().Counter("net_frames_sent_total", "frames sent", L("peer", 1)).Add(n)
 		h := o.Registry().Histogram("tw_rollback_depth", "rollback depth in cycles", []float64{2, 16})
 		h.Observe(float64(n))
-		blob := AppendSnapshot(nil, o.Registry().Snapshot())
-		s, err := DecodeSnapshot(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return o.Registry().Snapshot()
 	}
 
 	o := New(Options{})
@@ -224,24 +144,4 @@ func TestInsertLabelSorted(t *testing.T) {
 			t.Errorf("insertLabel(%q, %q, %q) = %q, want %q", c.rendered, c.key, c.value, got, c.want)
 		}
 	}
-}
-
-func FuzzDecodeSnapshot(f *testing.F) {
-	f.Add(AppendSnapshot(nil, testSnapshot()))
-	f.Add(AppendSnapshot(nil, Snapshot{}))
-	f.Add([]byte{snapshotVersion})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		s, err := DecodeSnapshot(p)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode and decode to the same value.
-		again, err := DecodeSnapshot(AppendSnapshot(nil, s))
-		if err != nil {
-			t.Fatalf("re-decode of valid snapshot failed: %v", err)
-		}
-		if !reflect.DeepEqual(s, again) {
-			t.Fatalf("re-encode not stable:\n%+v\nvs\n%+v", s, again)
-		}
-	})
 }

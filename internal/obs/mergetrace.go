@@ -2,110 +2,21 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
-// Merged cluster traces: a wire codec for shipping trace-ring batches
-// across the socket boundary (FrameTrace payloads) and a writer that
-// folds the coordinator's own ring plus every worker's shipped events
-// into one Chrome trace — one process track per worker, worker clocks
-// rebased onto the coordinator's via the handshake-exchanged start
-// timestamps.
-
-// traceVersion versions the trace-batch wire format.
-const traceVersion byte = 1
-
-// maxTraceEvents bounds the event count a decoded batch may claim.
-const maxTraceEvents = 1 << 20
-
-// AppendTraceEvents serializes a batch of trace events plus the ring's
-// cumulative drop count into the compact binary form shipped over
-// FrameTrace.
-func AppendTraceEvents(dst []byte, events []Event, dropped uint64) []byte {
-	dst = append(dst, traceVersion)
-	dst = fedAppendU64(dst, dropped)
-	dst = fedAppendU32(dst, uint32(len(events)))
-	for _, e := range events {
-		dst = fedAppendU64(dst, uint64(e.Ts))
-		dst = fedAppendU64(dst, uint64(e.Dur))
-		dst = fedAppendU32(dst, uint32(e.Track))
-		dst = append(dst, e.Phase)
-		dst = fedAppendU64(dst, e.ID)
-		dst = fedAppendStr(dst, e.Name)
-		n := byte(0)
-		for _, a := range e.Args {
-			if a.Key != "" {
-				n++
-			}
-		}
-		dst = append(dst, n)
-		for _, a := range e.Args {
-			if a.Key == "" {
-				continue
-			}
-			dst = fedAppendStr(dst, a.Key)
-			dst = fedAppendU64(dst, math.Float64bits(a.Val))
-		}
-	}
-	return dst
-}
-
-// DecodeTraceEvents parses a batch produced by AppendTraceEvents, with
-// the same hostile-input posture as the snapshot codec: counts are
-// validated against the remaining payload before any allocation.
-func DecodeTraceEvents(p []byte) (events []Event, dropped uint64, err error) {
-	d := fedDec{p: p}
-	if v := d.u8(); d.err == nil && v != traceVersion {
-		return nil, 0, fmt.Errorf("obs: trace batch version %d, this build speaks %d", v, traceVersion)
-	}
-	dropped = d.u64()
-	n := d.u32()
-	if d.err == nil {
-		// An event needs at least 34 bytes (fixed fields + two prefixes).
-		if n > maxTraceEvents || uint64(n)*34 > uint64(len(d.p)) {
-			return nil, 0, fmt.Errorf("obs: trace batch claims %d events in %d bytes", n, len(d.p))
-		}
-		events = make([]Event, n)
-		for i := range events {
-			events[i].Ts = int64(d.u64())
-			events[i].Dur = int64(d.u64())
-			events[i].Track = int32(d.u32())
-			events[i].Phase = d.u8()
-			events[i].ID = d.u64()
-			events[i].Name = d.str()
-			na := d.u8()
-			if d.err != nil {
-				break
-			}
-			if na > maxArgs {
-				return nil, 0, fmt.Errorf("obs: trace event %d claims %d args (max %d)", i, na, maxArgs)
-			}
-			for j := byte(0); j < na; j++ {
-				key := d.str()
-				bits := d.u64()
-				if d.err != nil {
-					break
-				}
-				events[i].Args[j] = Arg{Key: key, Val: math.Float64frombits(bits)}
-			}
-		}
-	}
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("obs: malformed trace batch: %w", d.err)
-	}
-	if d.len() != 0 {
-		return nil, 0, fmt.Errorf("obs: trace batch has %d trailing bytes", d.len())
-	}
-	return events, dropped, nil
-}
+// The one Chrome-trace writer: it folds any number of trace rings into
+// one file, one process track per source. The distributed coordinator
+// passes its own ring plus every worker's shipped events, worker clocks
+// rebased onto its own via the handshake-exchanged start timestamps; a
+// single-process trace is the one-source call (Observer.WriteChromeTrace).
 
 // TraceSource is one process's contribution to a merged trace.
 type TraceSource struct {
 	// Name labels the process track in the viewer ("coordinator",
-	// "worker 0", ...).
+	// "worker 0", ...). An unnamed source gets no process metadata — the
+	// shape of a single-process trace.
 	Name string
 	// OffsetMicros rebases this source's event timestamps onto the merged
 	// trace's clock: merged Ts = event Ts + OffsetMicros. The coordinator
@@ -122,8 +33,8 @@ type TraceSource struct {
 // processes: source i becomes pid i+1 with a process_name metadata
 // record, each with its own per-track thread names, and every event's
 // timestamp rebased by its source's offset (clamped at zero — the
-// viewer rejects negative timestamps). The output round-trips through
-// DecodeChromeTrace like the single-process exporter's.
+// viewer rejects negative timestamps). It is the only place an Event
+// becomes a ChromeEvent; the output round-trips through DecodeChromeTrace.
 func WriteMergedChromeTrace(w io.Writer, sources []TraceSource) error {
 	raw := []json.RawMessage{} // non-nil so an empty trace renders as []
 	push := func(v any) error {
@@ -139,19 +50,23 @@ func WriteMergedChromeTrace(w io.Writer, sources []TraceSource) error {
 	for si, src := range sources {
 		pid := si + 1
 		dropped += src.Dropped
-		if err := push(map[string]any{
-			"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-			"args": map[string]string{"name": src.Name},
-		}); err != nil {
-			return err
-		}
-		if err := push(map[string]any{
-			"name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
-			"args": map[string]int{"sort_index": si},
-		}); err != nil {
-			return err
+		if src.Name != "" {
+			if err := push(map[string]any{
+				"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+				"args": map[string]string{"name": src.Name},
+			}); err != nil {
+				return err
+			}
+			if err := push(map[string]any{
+				"name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
+				"args": map[string]int{"sort_index": si},
+			}); err != nil {
+				return err
+			}
 		}
 
+		// Thread-name metadata for every distinct track, emitted first and in
+		// sorted tid order so the file is deterministic for a fixed event set.
 		tracks := map[int32]bool{}
 		for _, e := range src.Events {
 			tracks[e.Track] = true
@@ -190,9 +105,11 @@ func WriteMergedChromeTrace(w io.Writer, sources []TraceSource) error {
 				Dur:   e.Dur,
 			}
 			if e.Phase == PhaseInstant {
-				ce.Scope = "t"
+				ce.Scope = "t" // thread-scoped instant
 			}
 			if e.Phase == PhaseFlowStart || e.Phase == PhaseFlowStep {
+				// Flow events bind on (cat, name, id): every link of one causal
+				// chain (e.g. a rollback cascade) shares the origin id.
 				ce.Cat = "flow"
 				ce.ID = e.ID
 			}

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// FixtureEvents hands testEvents to the external wire tests
+// (fedwire_test.go, package obs_test).
+var FixtureEvents = testEvents
+
 func testEvents() []Event {
 	return []Event{
 		{Ts: 10, Dur: 5, Track: 0, Phase: PhaseSpan, Name: "advance",
@@ -16,41 +20,6 @@ func testEvents() []Event {
 		{Ts: 15, Track: 0, Phase: PhaseFlowStart, Name: "cascade", ID: 99,
 			Args: [maxArgs]Arg{{Key: "src", Val: 0}, {Key: "depth", Val: 2}}},
 		{Ts: 16, Track: 1, Phase: PhaseFlowStep, Name: "cascade", ID: 99},
-	}
-}
-
-func TestTraceBatchRoundTrip(t *testing.T) {
-	want := testEvents()
-	blob := AppendTraceEvents(nil, want, 17)
-	got, dropped, err := DecodeTraceEvents(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if dropped != 17 {
-		t.Fatalf("dropped = %d, want 17", dropped)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-func TestTraceBatchTruncation(t *testing.T) {
-	blob := AppendTraceEvents(nil, testEvents(), 0)
-	for n := 0; n < len(blob); n++ {
-		if _, _, err := DecodeTraceEvents(blob[:n]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(blob))
-		}
-	}
-	if _, _, err := DecodeTraceEvents(append(append([]byte(nil), blob...), 0)); err == nil {
-		t.Fatal("batch with trailing byte decoded without error")
-	}
-	// A batch claiming 2^20 events in a tiny payload must be rejected
-	// before allocation.
-	huge := []byte{traceVersion}
-	huge = fedAppendU64(huge, 0)
-	huge = fedAppendU32(huge, 1<<20)
-	if _, _, err := DecodeTraceEvents(huge); err == nil {
-		t.Fatal("event-count overflow decoded without error")
 	}
 }
 
@@ -155,22 +124,4 @@ func TestMergedChromeTraceEmpty(t *testing.T) {
 	if len(dt.Events) != 0 {
 		t.Fatalf("empty merge decoded %d events", len(dt.Events))
 	}
-}
-
-func FuzzDecodeTraceEvents(f *testing.F) {
-	f.Add(AppendTraceEvents(nil, testEvents(), 5))
-	f.Add(AppendTraceEvents(nil, nil, 0))
-	f.Fuzz(func(t *testing.T, p []byte) {
-		ev, dropped, err := DecodeTraceEvents(p)
-		if err != nil {
-			return
-		}
-		again, d2, err := DecodeTraceEvents(AppendTraceEvents(nil, ev, dropped))
-		if err != nil {
-			t.Fatalf("re-decode of valid batch failed: %v", err)
-		}
-		if d2 != dropped || !reflect.DeepEqual(ev, again) {
-			t.Fatal("re-encode not stable")
-		}
-	})
 }

@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability layer of the
 // simulator: a metrics registry (atomic counters, gauges and fixed-bucket
-// histograms, periodically snapshotted into a time series), a span/event
-// tracer with a bounded ring-buffer backend, and exporters — Chrome
+// histograms, snapshotted on demand), a span/event tracer with a bounded
+// ring-buffer backend, and exporters — Chrome
 // trace-event JSON (chrome://tracing / Perfetto loadable, one track per
 // cluster), a Prometheus-style text dump, and a human-readable run
 // report.
@@ -23,63 +23,37 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// SpanSink receives every completed span as it is recorded: track, span
-// name, start timestamp and duration (both µs on the observer clock).
-// Sinks run inline on the instrumented goroutine and must be cheap and
-// race-safe — the profile collector's phase aggregation is the intended
-// consumer.
-type SpanSink func(track int32, name string, tsUS, durUS int64)
 
 // Observer is the per-run instrumentation hub: one registry, one tracer,
 // one clock. A nil Observer is valid and disables all instrumentation.
 type Observer struct {
-	start    time.Time
-	reg      *Registry
-	tr       *Tracer
-	spanSink atomic.Pointer[SpanSink]
+	start time.Time
+	reg   *Registry
+	tr    *Tracer
 
 	mu       sync.Mutex
-	series   []Snapshot // periodic registry snapshots, oldest first
-	maxSnap  int
 	sections []reportSection // extra Report sections, in registration order
-
-	stopSample chan struct{}
-	sampleWG   sync.WaitGroup
-	sampling   bool
 }
 
 // Options configures a new Observer. The zero value is usable.
 type Options struct {
-	// TraceCapacity is the tracer ring size in events (default 1<<16).
+	// TraceCapacity is the tracer ring size in events (default
+	// DefaultTraceCapacity).
 	TraceCapacity int
-	// SampleEvery enables background registry snapshots at this period
-	// (0 disables background sampling; Snapshot can still be called
-	// manually). StartSampling/StopSampling bracket the sampled window.
-	SampleEvery time.Duration
-	// MaxSnapshots bounds the retained time series (default 16384); once
-	// full, further snapshots are dropped, keeping memory bounded.
-	MaxSnapshots int
 }
 
 // New creates an Observer. The run clock starts now; all trace
 // timestamps are relative to it.
 func New(opts Options) *Observer {
 	if opts.TraceCapacity <= 0 {
-		opts.TraceCapacity = 1 << 16
+		opts.TraceCapacity = DefaultTraceCapacity
 	}
-	if opts.MaxSnapshots <= 0 {
-		opts.MaxSnapshots = 16384
-	}
-	start := time.Now()
 	return &Observer{
-		start:   start,
-		reg:     newRegistry(),
-		tr:      newTracer(opts.TraceCapacity, start),
-		maxSnap: opts.MaxSnapshots,
+		start: time.Now(),
+		reg:   newRegistry(),
+		tr:    NewTracer(opts.TraceCapacity),
 	}
 }
 
@@ -110,33 +84,14 @@ func (o *Observer) Span(track int32, name string, t0 time.Time, args ...Arg) {
 	if o == nil || t0.IsZero() {
 		return
 	}
-	ts := o.since(t0)
-	dur := int64(time.Since(t0) / time.Microsecond)
-	o.tr.push(Event{
-		Ts:    ts,
-		Dur:   dur,
+	o.tr.Push(Event{
+		Ts:    o.since(t0),
+		Dur:   int64(time.Since(t0) / time.Microsecond),
 		Track: track,
 		Phase: PhaseSpan,
 		Name:  name,
 		Args:  packArgs(args),
 	})
-	if sink := o.spanSink.Load(); sink != nil {
-		(*sink)(track, name, ts, dur)
-	}
-}
-
-// SetSpanSink installs (or, with nil, removes) the live span sink. Safe
-// to call concurrently with recording, though the usual pattern installs
-// it once before the run starts.
-func (o *Observer) SetSpanSink(fn SpanSink) {
-	if o == nil {
-		return
-	}
-	if fn == nil {
-		o.spanSink.Store(nil)
-		return
-	}
-	o.spanSink.Store(&fn)
 }
 
 // Instant records a point-in-time event on track.
@@ -144,7 +99,7 @@ func (o *Observer) Instant(track int32, name string, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.tr.push(Event{
+	o.tr.Push(Event{
 		Ts:    o.sinceStart(),
 		Track: track,
 		Phase: PhaseInstant,
@@ -159,7 +114,7 @@ func (o *Observer) Count(track int32, name string, val float64) {
 	if o == nil {
 		return
 	}
-	o.tr.push(Event{
+	o.tr.Push(Event{
 		Ts:    o.sinceStart(),
 		Track: track,
 		Phase: PhaseCounter,
@@ -182,7 +137,7 @@ func (o *Observer) Flow(track int32, name string, id uint64, first bool, args ..
 	if first {
 		ph = PhaseFlowStart
 	}
-	o.tr.push(Event{
+	o.tr.Push(Event{
 		Ts:    o.sinceStart(),
 		Track: track,
 		Phase: ph,
@@ -212,91 +167,16 @@ func (o *Observer) Uptime() time.Duration {
 	return time.Since(o.start)
 }
 
-// Snapshot takes a registry snapshot, appends it to the retained time
-// series (unless full), and returns it. Safe to call from any goroutine,
-// including mid-run — the registry reads only atomics and sampled
-// functions.
+// Snapshot takes a registry snapshot stamped with the observer's uptime.
+// Safe to call from any goroutine, including mid-run — the registry reads
+// only atomics and sampled functions.
 func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
 	s := o.reg.Snapshot()
 	s.At = o.Uptime()
-	o.mu.Lock()
-	if len(o.series) < o.maxSnap {
-		o.series = append(o.series, s)
-	} else {
-		// Full: overwrite the newest entry so the series still ends with
-		// the run's closing state (memory stays bounded either way).
-		o.series[len(o.series)-1] = s
-	}
-	o.mu.Unlock()
 	return s
-}
-
-// Series returns the retained snapshot time series (oldest first).
-func (o *Observer) Series() []Snapshot {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]Snapshot, len(o.series))
-	copy(out, o.series)
-	return out
-}
-
-// StartSampling begins background registry snapshots every period (≤ 0
-// picks 10ms). No-op when already sampling or disabled.
-func (o *Observer) StartSampling(period time.Duration) {
-	if o == nil {
-		return
-	}
-	if period <= 0 {
-		period = 10 * time.Millisecond
-	}
-	o.mu.Lock()
-	if o.sampling {
-		o.mu.Unlock()
-		return
-	}
-	o.sampling = true
-	o.stopSample = make(chan struct{})
-	stop := o.stopSample
-	o.mu.Unlock()
-
-	o.sampleWG.Add(1)
-	go func() {
-		defer o.sampleWG.Done()
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				o.Snapshot()
-			}
-		}
-	}()
-}
-
-// StopSampling stops the background sampler and takes one final
-// snapshot, so the series always ends with the run's closing state.
-func (o *Observer) StopSampling() {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	if !o.sampling {
-		o.mu.Unlock()
-		return
-	}
-	o.sampling = false
-	close(o.stopSample)
-	o.mu.Unlock()
-	o.sampleWG.Wait()
-	o.Snapshot()
 }
 
 // reportSection is one registered extra section of the run report.
@@ -324,7 +204,7 @@ func (o *Observer) Events() (events []Event, dropped uint64) {
 	if o == nil {
 		return nil, 0
 	}
-	return o.tr.drain()
+	return o.tr.Events()
 }
 
 // EventsSince returns the trace events pushed at or after the cursor

@@ -21,8 +21,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.Instant(0, "i")
 	o.Count(0, "c", 1)
 	o.Snapshot()
-	o.StartSampling(time.Millisecond)
-	o.StopSampling()
 	if ev, dropped := o.Events(); ev != nil || dropped != 0 {
 		t.Fatalf("nil observer has events: %v %d", ev, dropped)
 	}
@@ -182,36 +180,9 @@ func TestConcurrentUse(t *testing.T) {
 			}
 		}(g)
 	}
-	o.StartSampling(100 * time.Microsecond)
 	wg.Wait()
-	o.StopSampling()
 	if got := c.Load(); got != 8*500 {
 		t.Fatalf("counter = %d, want %d", got, 8*500)
-	}
-	if len(o.Series()) == 0 {
-		t.Fatal("no snapshots retained")
-	}
-}
-
-func TestSamplingSeries(t *testing.T) {
-	o := New(Options{})
-	g := o.Registry().Gauge("x", "")
-	g.Set(5)
-	o.StartSampling(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	o.StopSampling()
-	series := o.Series()
-	if len(series) == 0 {
-		t.Fatal("no snapshots")
-	}
-	last := series[len(series)-1]
-	if v, ok := last.Get("x", ""); !ok || v != 5 {
-		t.Fatalf("final snapshot x = %v %v", v, ok)
-	}
-	for i := 1; i < len(series); i++ {
-		if series[i].At < series[i-1].At {
-			t.Fatal("snapshot timestamps not monotone")
-		}
 	}
 }
 

@@ -1,51 +1,33 @@
 // Package profile is the continuous-profiling layer over the obs span
 // tracer: it aggregates the span hierarchy into deterministic self/total
 // time tables keyed by (cluster, phase), renders them as folded-stack
-// text (the flamegraph.pl / speedscope input format), exposes a live
-// tw_phase_self_us metric family through a span-sink collector, and
-// captures triggered evidence bundles (CPU profile, goroutine dump,
-// phase flame) when a run degrades. Zero dependencies: the CPU leg is
-// runtime/pprof, everything else is plain text over the obs event model.
+// text (the flamegraph.pl / speedscope input format), labels goroutines
+// for the stdlib CPU profiler, and captures triggered evidence bundles
+// (CPU profile, goroutine dump, phase flame) when a run degrades. Zero
+// dependencies: the CPU leg is runtime/pprof, everything else is plain
+// text over the obs event model.
 //
 // The paper's argument is a time-attribution claim — speedup lives or
 // dies on where wall-clock time goes (gate evaluation vs. rollback
 // coast-forward vs. GVT waits) — and this package is what turns the
-// span tracer's raw intervals into that attribution, per cluster, both
-// after the fact (Build over a trace ring) and live (Collector).
+// span tracer's raw intervals into that attribution, per cluster: Build
+// over a trace ring is the one self-time computation, whoever asks (the
+// run report, a flame file, a triggered capture, the coordinator's
+// per-worker flames).
 package profile
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/obs"
 )
-
-// TrackLabel names a trace track for stacks and metric labels:
-// non-negative tracks are clusters ("cluster 3"), negative tracks are
-// the shared subsystem lanes the obs package defines.
-func TrackLabel(track int32) string {
-	switch track {
-	case obs.TrackKernel:
-		return "kernel"
-	case obs.TrackPartition:
-		return "partition"
-	case obs.TrackCampaign:
-		return "campaign"
-	case obs.TrackComm:
-		return "comm"
-	case obs.TrackNet:
-		return "net"
-	}
-	if track < 0 {
-		return fmt.Sprintf("track%d", track)
-	}
-	return "cluster " + strconv.Itoa(int(track))
-}
 
 // PhaseStat is one row of the flat attribution table: every span named
 // Phase on Track, regardless of nesting position, folded into one entry.
@@ -125,7 +107,7 @@ func Build(events []obs.Event) *Table {
 			childUS int64
 		}
 		var stack []frame
-		root := TrackLabel(tr)
+		root := obs.TrackName(tr)
 		pop := func() {
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -242,7 +224,7 @@ func (t *Table) String() string {
 	fmt.Fprintf(&b, "%-14s %-20s %8s %12s %12s\n", "track", "phase", "count", "self µs", "total µs")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %-20s %8d %12d %12d\n",
-			TrackLabel(r.Track), r.Phase, r.Count, r.SelfUS, r.TotalUS)
+			obs.TrackName(r.Track), r.Phase, r.Count, r.SelfUS, r.TotalUS)
 	}
 	return b.String()
 }
@@ -338,4 +320,16 @@ func MergeFolded(dst []byte, sources []FoldedSource) []byte {
 type FoldedSource struct {
 	Prefix string
 	Stacks []StackStat
+}
+
+// Do runs fn with pprof goroutine labels (mode, cluster, phase)
+// attached, so /debug/pprof/profile CPU samples taken while fn runs
+// attribute to the cluster and phase — per-cluster CPU attribution from
+// the stdlib profiler, no new dependency. The kernel wraps each cluster
+// goroutine and the watcher in it; the distributed worker and the
+// pre-simulation campaign pool do the same under their own modes.
+func Do(mode string, track int32, phase string, fn func()) {
+	pprof.Do(context.Background(),
+		pprof.Labels("mode", mode, "cluster", obs.TrackName(track), "phase", phase),
+		func(context.Context) { fn() })
 }

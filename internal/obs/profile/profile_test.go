@@ -159,6 +159,9 @@ func TestMergeFolded(t *testing.T) {
 	}
 }
 
+// TestTrackLabel pins the root frame of a track's stacks to the one
+// track namer, so a flame, a trace's thread names and the pprof cluster
+// label agree on what a track is called.
 func TestTrackLabel(t *testing.T) {
 	for track, want := range map[int32]string{
 		obs.TrackKernel:    "kernel",
@@ -167,70 +170,9 @@ func TestTrackLabel(t *testing.T) {
 		0:                  "cluster 0",
 		7:                  "cluster 7",
 	} {
-		if got := TrackLabel(track); got != want {
-			t.Fatalf("TrackLabel(%d) = %q, want %q", track, got, want)
+		tab := Build([]obs.Event{{Track: track, Phase: obs.PhaseSpan, Name: "p", Dur: 1}})
+		if got := tab.Stacks[0].Stack; got != want+";p" || want != obs.TrackName(track) {
+			t.Fatalf("track %d: stack %q, want root %q (TrackName %q)", track, got, want, obs.TrackName(track))
 		}
-	}
-}
-
-func TestCollectorSelfTime(t *testing.T) {
-	o := obs.New(obs.Options{})
-	c := NewCollector(o.Registry())
-	c.Attach(o)
-	// Completion order: children complete (and reach the sink) before the
-	// parent, exactly as the tracer emits them.
-	c.NoteSpan(0, "rollback", 10, 30)
-	c.NoteSpan(0, "checkpoint", 50, 20)
-	c.NoteSpan(0, "sim", 0, 100)
-	if got := c.Self(0, "sim"); got != 50 {
-		t.Fatalf("sim self = %d, want 50", got)
-	}
-	if got := c.Self(0, "rollback"); got != 30 {
-		t.Fatalf("rollback self = %d, want 30", got)
-	}
-	// The registered family shows up in a registry snapshot.
-	snap := o.Registry().Snapshot()
-	found := false
-	for _, s := range snap.Samples {
-		if s.Name == "tw_phase_self_us" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("tw_phase_self_us not registered")
-	}
-}
-
-func TestCollectorThroughObserver(t *testing.T) {
-	o := obs.New(obs.Options{})
-	c := NewCollector(o.Registry())
-	c.Attach(o)
-	t0 := o.Start()
-	o.Span(3, "sim", t0)
-	if c.Self(3, "sim") < 0 {
-		t.Fatal("negative self time")
-	}
-	// The key must exist even for a ~0µs span.
-	c.mu.Lock()
-	_, ok := c.keys["3\x00sim"]
-	c.mu.Unlock()
-	if !ok {
-		t.Fatal("span did not reach the collector through the observer sink")
-	}
-}
-
-func TestCollectorBoundedRetention(t *testing.T) {
-	c := NewCollector(nil)
-	// A pathological emitter that never produces an enclosing span must
-	// not grow the retained-interval stack without bound.
-	for i := 0; i < 3*maxRetainedIntervals; i++ {
-		c.NoteSpan(0, "leaf", int64(i*10), 5)
-	}
-	c.mu.Lock()
-	n := len(c.tracks[0].stack)
-	c.mu.Unlock()
-	if n > maxRetainedIntervals {
-		t.Fatalf("retained %d intervals, cap %d", n, maxRetainedIntervals)
 	}
 }

@@ -59,10 +59,6 @@ func (o *Observer) Report() string {
 		}
 	}
 
-	if n := len(o.Series()); n > 0 {
-		fmt.Fprintf(&b, "series: %d snapshots retained\n", n)
-	}
-
 	o.mu.Lock()
 	sections := append([]reportSection(nil), o.sections...)
 	o.mu.Unlock()

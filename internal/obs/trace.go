@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Track identities. Non-negative tracks are cluster IDs (one trace track
 // per Time Warp cluster); negative tracks are the shared subsystem
@@ -68,8 +65,14 @@ func packArgs(args []Arg) (out [maxArgs]Arg) {
 	return out
 }
 
+// DefaultTraceCapacity is the ring size, in events, of an Observer built
+// from the zero Options. The distributed coordinator sizes the ring it
+// keeps per worker with the same constant, so whatever a worker still
+// holds at the end of a run the coordinator holds too.
+const DefaultTraceCapacity = 1 << 16
+
 // Tracer is a fixed-capacity ring of events. Pushing overwrites the
-// oldest events once full (the drop count is reported by drain), so the
+// oldest events once full (the drop count is reported by Events), so the
 // tracer is safe to leave enabled for arbitrarily long runs. The backing
 // slice grows on demand up to the capacity — a short run never pays for
 // the full ring, which keeps per-run observer setup out of the overhead
@@ -79,14 +82,17 @@ type Tracer struct {
 	buf      []Event
 	capacity uint64
 	next     uint64 // total events ever pushed; write slot = next % capacity
-	start    time.Time
 }
 
-func newTracer(capacity int, start time.Time) *Tracer {
-	return &Tracer{capacity: uint64(capacity), start: start}
+// NewTracer creates a ring holding up to capacity events. An Observer
+// owns one; the distributed coordinator keeps one per worker for the
+// events that worker ships.
+func NewTracer(capacity int) *Tracer {
+	return &Tracer{capacity: uint64(capacity)}
 }
 
-func (t *Tracer) push(e Event) {
+// Push records one event, overwriting the oldest once the ring is full.
+func (t *Tracer) Push(e Event) {
 	t.mu.Lock()
 	if uint64(len(t.buf)) < t.capacity {
 		// Still filling: event i lives at index i, so the ring arithmetic
@@ -99,9 +105,9 @@ func (t *Tracer) push(e Event) {
 	t.mu.Unlock()
 }
 
-// drain copies the retained events out in push order (oldest retained
+// Events copies the retained events out in push order (oldest retained
 // first) and reports how many older events the ring overwrote.
-func (t *Tracer) drain() (events []Event, dropped uint64) {
+func (t *Tracer) Events() (events []Event, dropped uint64) {
 	events, _, dropped = t.drainSince(0)
 	return events, dropped
 }

@@ -757,14 +757,13 @@ func FuzzDistProtoDecode(f *testing.F) {
 		Clusters: []clusterResult{{Cluster: 0, Stats: Stats{Messages: 2}}},
 		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
 	f.Add([]byte{})
-	f.Add(obs.AppendSnapshot(nil, obs.Snapshot{
+	f.Add(AppendSnapshot(nil, obs.Snapshot{
 		Families: []obs.Family{{Name: "m", Kind: obs.KindCounter}},
 		Samples:  []obs.Sample{{Name: "m", Value: 1}},
 	}))
-	f.Add(obs.AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
+	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
 	f.Add(appendProfile(nil, distProfile{
 		Reason:     "finish",
-		Stacks:     []profile.StackStat{{Stack: "cluster 0;sim", Count: 2, SelfUS: 120}},
 		CPU:        []byte{0x1f, 0x8b},
 		Goroutines: []byte("goroutine 1 [running]\n"),
 	}))
@@ -777,7 +776,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 		_, _ = decodeProfile(data)
 		// The federation payloads ride the same control plane: their
 		// decoders face the same hostile bytes.
-		_, _ = obs.DecodeSnapshot(data)
-		_, _, _ = obs.DecodeTraceEvents(data)
+		_, _ = DecodeSnapshot(data)
+		_, _, _ = DecodeTraceEvents(data)
 	})
 }

@@ -73,26 +73,24 @@ type Coordinator struct {
 }
 
 // coordFed is the coordinator-retained observability state: per-worker
-// clock offsets from the handshake, the most recent federated snapshot,
-// a bounded flight-recorder ring of each worker's recent trace events,
-// and the GVT-round history. It is what the post-mortem bundle and the
-// merged cluster trace are written from — everything is already here
-// when a worker dies, so an abort costs no extra collection.
+// clock offsets from the handshake, one trace ring per worker fed by the
+// worker's FrameTrace batches, and the GVT-round history. The merged
+// cluster trace, every worker flame and the post-mortem bundle are
+// written from it — everything is already here when a worker dies, so
+// an abort costs no extra collection. (The workers' latest metrics
+// snapshots live in the coordinator's registry, under SetExternal.)
 type coordFed struct {
 	mu        sync.Mutex
 	offsetsUS []int64 // per worker: worker-clock µs − coordinator-clock µs
-	hasSnap   []bool
-	snaps     []obs.Snapshot
-	events    [][]obs.Event  // per worker, drop-oldest at maxFedEvents
-	dropped   []uint64       // ring-overwrite + transit losses per worker
-	rounds    []roundRecord  // drop-oldest at maxRoundHistory
-	profiles  []*distProfile // latest shipped profile capture per worker
+	snapAtUS  []int64 // per worker: its uptime at its latest shipped snapshot, -1 before the first
+	// rings holds what each worker shipped, in a ring of the tracer's own
+	// type and of the worker's own size: what the worker still holds when
+	// it finishes, the coordinator holds too.
+	rings    []*obs.Tracer
+	lost     []uint64       // per worker: events its ring overwrote before they were shipped
+	rounds   []roundRecord  // drop-oldest at maxRoundHistory
+	profiles []*distProfile // latest shipped profile capture per worker
 }
-
-// maxFedEvents bounds the per-worker flight-recorder ring the
-// coordinator retains; older events are dropped (and counted) so a
-// chatty worker cannot grow coordinator memory without bound.
-const maxFedEvents = 1 << 14
 
 // maxRoundHistory bounds the retained GVT-round records.
 const maxRoundHistory = 512
@@ -110,14 +108,18 @@ type roundRecord struct {
 }
 
 func newCoordFed(workers int) *coordFed {
-	return &coordFed{
+	fd := &coordFed{
 		offsetsUS: make([]int64, workers),
-		hasSnap:   make([]bool, workers),
-		snaps:     make([]obs.Snapshot, workers),
-		events:    make([][]obs.Event, workers),
-		dropped:   make([]uint64, workers),
+		snapAtUS:  make([]int64, workers),
+		rings:     make([]*obs.Tracer, workers),
+		lost:      make([]uint64, workers),
 		profiles:  make([]*distProfile, workers),
 	}
+	for i := range fd.rings {
+		fd.snapAtUS[i] = -1
+		fd.rings[i] = obs.NewTracer(obs.DefaultTraceCapacity)
+	}
+	return fd
 }
 
 func (fd *coordFed) noteRound(rec roundRecord) {
@@ -130,41 +132,36 @@ func (fd *coordFed) noteRound(rec roundRecord) {
 	fd.mu.Unlock()
 }
 
-// absorbObs consumes a worker's federation frame: snapshots replace the
-// worker's retained state and are merged into the coordinator registry
-// under worker="<id>"; trace batches append to the worker's bounded
-// flight-recorder ring. Returns handled=false for every other frame
-// type; a malformed payload is a protocol violation like any other.
+// absorbObs consumes a worker's federation frame: a snapshot replaces the
+// worker's previous one in the coordinator registry under worker="<id>";
+// trace batches go into the worker's ring. Returns handled=false for
+// every other frame type; a malformed payload is a protocol violation
+// like any other.
 func (co *Coordinator) absorbObs(f workerFrame) (handled bool, err error) {
 	switch f.typ {
 	case nettrans.FrameMetrics:
-		s, err := obs.DecodeSnapshot(f.payload)
+		s, err := DecodeSnapshot(f.payload)
 		if err != nil {
 			return true, fmt.Errorf("timewarp: worker %d metrics: %w", f.worker, err)
 		}
 		fd := co.fed
 		fd.mu.Lock()
-		fd.hasSnap[f.worker] = true
-		fd.snaps[f.worker] = s
+		fd.snapAtUS[f.worker] = s.At.Microseconds()
 		fd.mu.Unlock()
 		co.cfg.Obs.Registry().SetExternal("worker", strconv.Itoa(f.worker), s)
 		return true, nil
 	case nettrans.FrameTrace:
-		events, dropped, err := obs.DecodeTraceEvents(f.payload)
+		events, lost, err := DecodeTraceEvents(f.payload)
 		if err != nil {
 			return true, fmt.Errorf("timewarp: worker %d trace: %w", f.worker, err)
 		}
 		fd := co.fed
 		fd.mu.Lock()
-		fd.dropped[f.worker] += dropped
-		ring := append(fd.events[f.worker], events...)
-		if over := len(ring) - maxFedEvents; over > 0 {
-			fd.dropped[f.worker] += uint64(over)
-			copy(ring, ring[over:])
-			ring = ring[:maxFedEvents]
-		}
-		fd.events[f.worker] = ring
+		fd.lost[f.worker] += lost
 		fd.mu.Unlock()
+		for _, e := range events {
+			fd.rings[f.worker].Push(e)
+		}
 		return true, nil
 	case nettrans.FrameProfile:
 		p, err := decodeProfile(f.payload)

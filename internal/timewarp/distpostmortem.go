@@ -13,10 +13,10 @@ import (
 )
 
 // The coordinator's flight recorder: everything below renders from the
-// state coordFed already retains (per-worker snapshots, bounded trace
-// rings, clock offsets, GVT-round history), so a post-mortem bundle can
-// be written at the instant of an abort with no further collection —
-// the workers may already be dead.
+// state the coordinator already retains (coordFed's per-worker trace
+// rings, clock offsets and GVT-round history, and the federated registry),
+// so a post-mortem bundle can be written at the instant of an abort with
+// no further collection — the workers may already be dead.
 
 // traceSources assembles the merged-trace inputs: the coordinator's own
 // ring first, then one source per worker with its handshake-derived
@@ -32,12 +32,13 @@ func (co *Coordinator) traceSources() []obs.TraceSource {
 	fd := co.fed
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	for i := range fd.events {
+	for i, ring := range fd.rings {
+		events, dropped := ring.Events()
 		sources = append(sources, obs.TraceSource{
 			Name:         fmt.Sprintf("worker %d", i),
 			OffsetMicros: fd.offsetsUS[i],
-			Events:       append([]obs.Event(nil), fd.events[i]...),
-			Dropped:      fd.dropped[i],
+			Events:       events,
+			Dropped:      dropped + fd.lost[i],
 		})
 	}
 	return sources
@@ -70,7 +71,7 @@ type postMortemWorker struct {
 	// OffsetUS is the handshake-derived clock offset applied to this
 	// worker's trace timestamps.
 	OffsetUS int64 `json:"offset_us"`
-	// RetainedEvents and DroppedEvents describe the flight-recorder ring.
+	// RetainedEvents and DroppedEvents describe the worker's ring here.
 	RetainedEvents int    `json:"retained_events"`
 	DroppedEvents  uint64 `json:"dropped_events"`
 }
@@ -107,7 +108,10 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	}); err != nil {
 		return err
 	}
-	if err := write("trace.json", co.WriteMergedTrace); err != nil {
+	sources := co.traceSources()
+	if err := write("trace.json", func(w io.Writer) error {
+		return obs.WriteMergedChromeTrace(w, sources)
+	}); err != nil {
 		return err
 	}
 
@@ -117,18 +121,14 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	if reason != nil {
 		probe.Reason = reason.Error()
 	}
-	for i := range fd.events {
-		var atUS int64
-		if fd.hasSnap[i] {
-			atUS = fd.snaps[i].At.Microseconds()
-		}
+	for i, src := range sources[1:] {
 		probe.Workers = append(probe.Workers, postMortemWorker{
 			Worker:         i,
-			HasSnapshot:    fd.hasSnap[i],
-			SnapshotAtUS:   atUS,
-			OffsetUS:       fd.offsetsUS[i],
-			RetainedEvents: len(fd.events[i]),
-			DroppedEvents:  fd.dropped[i],
+			HasSnapshot:    fd.snapAtUS[i] >= 0,
+			SnapshotAtUS:   max(fd.snapAtUS[i], 0),
+			OffsetUS:       src.OffsetMicros,
+			RetainedEvents: len(src.Events),
+			DroppedEvents:  src.Dropped,
 		})
 	}
 	rounds := append([]roundRecord(nil), fd.rounds...)

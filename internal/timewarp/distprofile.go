@@ -7,128 +7,15 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/comm/nettrans"
 	"repro/internal/obs/profile"
 )
 
-// The profiling leg of the distributed federation: a worker ships its
-// profiling capture to the coordinator inside a FrameProfile — the
-// folded phase stacks of its full trace ring (the coordinator's
-// flight-recorder ring is bounded and may have dropped the early run),
-// plus the CPU profile and goroutine dump of a triggered capture when
-// one fired. The coordinator retains the latest bundle per worker and
-// renders per-worker artifacts plus one merged, worker-labeled folded
-// stack into the profile dir and the post-mortem bundle.
-
-// distProfile is the FrameProfile payload.
-type distProfile struct {
-	Reason     string
-	Stacks     []profile.StackStat
-	CPU        []byte
-	Goroutines []byte
-}
-
-// Payload caps, checked before any count-sized allocation — the same
-// hostile-decode contract as every other control frame: a corrupted or
-// adversarial payload is an error, never an allocation of doom.
-const (
-	maxProfileStacks   = 1 << 16
-	maxProfileStackLen = 64 << 10
-	maxProfileBlob     = 8 << 20
-)
-
-func appendProfile(dst []byte, p distProfile) []byte {
-	dst = nettrans.AppendU8(dst, 1) // version
-	dst = nettrans.AppendStr(dst, p.Reason)
-	dst = nettrans.AppendU32(dst, uint32(len(p.Stacks)))
-	for _, s := range p.Stacks {
-		dst = nettrans.AppendStr(dst, s.Stack)
-		dst = nettrans.AppendU64(dst, uint64(s.Count))
-		dst = nettrans.AppendU64(dst, uint64(s.SelfUS))
-	}
-	dst = nettrans.AppendBytes(dst, p.CPU)
-	dst = nettrans.AppendBytes(dst, p.Goroutines)
-	return dst
-}
-
-func decodeProfile(payload []byte) (distProfile, error) {
-	d := nettrans.NewDec(payload)
-	var p distProfile
-	if v := d.U8(); d.Err() == nil && v != 1 {
-		return distProfile{}, fmt.Errorf("timewarp: profile frame version %d", v)
-	}
-	p.Reason = d.Str()
-	n := d.U32()
-	if d.Err() == nil {
-		if n > maxProfileStacks {
-			return distProfile{}, fmt.Errorf("timewarp: profile frame claims %d stacks", n)
-		}
-		// Every stack entry needs at least a length prefix plus two u64s;
-		// the count must fit in the remaining bytes before allocating.
-		if uint64(n)*20 > uint64(d.Len()) {
-			return distProfile{}, fmt.Errorf("timewarp: profile frame of %d stacks in %d bytes", n, d.Len())
-		}
-		p.Stacks = make([]profile.StackStat, n)
-		for i := range p.Stacks {
-			s := &p.Stacks[i]
-			s.Stack = d.Str()
-			s.Count = int64(d.U64())
-			s.SelfUS = int64(d.U64())
-			if d.Err() != nil {
-				break
-			}
-			if len(s.Stack) == 0 || len(s.Stack) > maxProfileStackLen {
-				return distProfile{}, fmt.Errorf("timewarp: profile stack %d has %d bytes", i, len(s.Stack))
-			}
-			if s.Count < 0 || s.SelfUS < 0 {
-				return distProfile{}, fmt.Errorf("timewarp: profile stack %d has negative counters", i)
-			}
-		}
-	}
-	p.CPU = append([]byte(nil), d.Bytes()...)
-	p.Goroutines = append([]byte(nil), d.Bytes()...)
-	if err := d.Err(); err != nil {
-		return distProfile{}, fmt.Errorf("timewarp: malformed profile frame: %w", err)
-	}
-	if len(p.CPU) > maxProfileBlob || len(p.Goroutines) > maxProfileBlob {
-		return distProfile{}, fmt.Errorf("timewarp: profile frame blobs of %d+%d bytes",
-			len(p.CPU), len(p.Goroutines))
-	}
-	return p, nil
-}
-
-// workerFolded returns the folded stacks attributed to worker i: the
-// worker's own shipped profile when one arrived (full trace ring), the
-// flight-recorder ring's reconstruction otherwise (a worker that died
-// without shipping still gets a flame from what it federated). Caller
-// holds fd.mu.
-func (co *Coordinator) workerFoldedLocked(i int) []profile.StackStat {
-	fd := co.fed
-	if fd.profiles[i] != nil && len(fd.profiles[i].Stacks) > 0 {
-		return fd.profiles[i].Stacks
-	}
-	return profile.Build(fd.events[i]).Stacks
-}
-
-// profileSources assembles the merged-flame inputs: the coordinator's
-// own span profile first, then one labeled source per worker.
-func (co *Coordinator) profileSources() []profile.FoldedSource {
-	events, _ := co.cfg.Obs.Events()
-	sources := []profile.FoldedSource{{
-		Prefix: "coordinator",
-		Stacks: profile.Build(events).Stacks,
-	}}
-	fd := co.fed
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	for i := range fd.events {
-		sources = append(sources, profile.FoldedSource{
-			Prefix: fmt.Sprintf("worker %d", i),
-			Stacks: co.workerFoldedLocked(i),
-		})
-	}
-	return sources
-}
+// The profiling leg of the distributed federation. Every flame the
+// coordinator writes — merged or per worker, after a clean finish or in a
+// post-mortem bundle — is profile.Build over a trace ring it holds: its
+// own, or the one it keeps per worker (coordFed.rings). A worker ships
+// only what the coordinator cannot compute: the CPU profile and goroutine
+// dump of a triggered capture (FrameProfile, distfed.go).
 
 // WriteProfiles renders the run's profiling artifacts into dir: one
 // merged worker-labeled folded stack (flame.folded), per-worker folded
@@ -141,33 +28,46 @@ func (co *Coordinator) WriteProfiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("timewarp: profile dir: %w", err)
 	}
-	merged := profile.MergeFolded(nil, co.profileSources())
-	if err := profile.WriteFileAtomic(filepath.Join(dir, profile.FlameFile), merged); err != nil {
-		return fmt.Errorf("timewarp: profile %s: %w", profile.FlameFile, err)
-	}
-	fd := co.fed
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	for i := range fd.events {
-		folded := profile.MergeFolded(nil, []profile.FoldedSource{{Stacks: co.workerFoldedLocked(i)}})
-		name := fmt.Sprintf("worker-%d.%s", i, profile.FlameFile)
-		if err := profile.WriteFileAtomic(filepath.Join(dir, name), folded); err != nil {
+	write := func(name string, data []byte) error {
+		if err := profile.WriteFileAtomic(filepath.Join(dir, name), data); err != nil {
 			return fmt.Errorf("timewarp: profile %s: %w", name, err)
 		}
+		return nil
+	}
+	// The coordinator's own span profile first, then one labeled source
+	// per worker.
+	events, _ := co.cfg.Obs.Events()
+	sources := []profile.FoldedSource{{Prefix: "coordinator", Stacks: profile.Build(events).Stacks}}
+	fd := co.fed
+	for i, ring := range fd.rings {
+		events, _ := ring.Events()
+		sources = append(sources, profile.FoldedSource{
+			Prefix: fmt.Sprintf("worker %d", i),
+			Stacks: profile.Build(events).Stacks,
+		})
+	}
+	if err := write(profile.FlameFile, profile.MergeFolded(nil, sources)); err != nil {
+		return err
+	}
+	for i, src := range sources[1:] {
+		folded := profile.MergeFolded(nil, []profile.FoldedSource{{Stacks: src.Stacks}})
+		if err := write(fmt.Sprintf("worker-%d.%s", i, profile.FlameFile), folded); err != nil {
+			return err
+		}
+		fd.mu.Lock()
 		p := fd.profiles[i]
+		fd.mu.Unlock()
 		if p == nil {
 			continue
 		}
 		if len(p.CPU) > 0 {
-			name := fmt.Sprintf("worker-%d.%s", i, profile.CPUProfileFile)
-			if err := profile.WriteFileAtomic(filepath.Join(dir, name), p.CPU); err != nil {
-				return fmt.Errorf("timewarp: profile %s: %w", name, err)
+			if err := write(fmt.Sprintf("worker-%d.%s", i, profile.CPUProfileFile), p.CPU); err != nil {
+				return err
 			}
 		}
 		if len(p.Goroutines) > 0 {
-			name := fmt.Sprintf("worker-%d.%s", i, profile.GoroutinesFile)
-			if err := profile.WriteFileAtomic(filepath.Join(dir, name), p.Goroutines); err != nil {
-				return fmt.Errorf("timewarp: profile %s: %w", name, err)
+			if err := write(fmt.Sprintf("worker-%d.%s", i, profile.GoroutinesFile), p.Goroutines); err != nil {
+				return err
 			}
 		}
 	}

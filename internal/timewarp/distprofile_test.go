@@ -14,12 +14,7 @@ import (
 
 func TestProfileCodecRoundTrip(t *testing.T) {
 	p := distProfile{
-		Reason: "rollback storm: 9000 rollbacks/s",
-		Stacks: []profile.StackStat{
-			{Stack: "cluster 0;sim", Count: 3, SelfUS: 120},
-			{Stack: "cluster 0;sim;rollback", Count: 2, SelfUS: 45},
-			{Stack: "kernel;watcher", Count: 1, SelfUS: 7},
-		},
+		Reason:     "rollback storm: 9000 rollbacks/s",
 		CPU:        []byte{0x1f, 0x8b, 0x08, 0x00},
 		Goroutines: []byte("goroutine 1 [running]:\nmain.main()\n"),
 	}
@@ -31,24 +26,16 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 	if got.Reason != p.Reason {
 		t.Errorf("reason = %q, want %q", got.Reason, p.Reason)
 	}
-	if len(got.Stacks) != len(p.Stacks) {
-		t.Fatalf("stacks = %d, want %d", len(got.Stacks), len(p.Stacks))
-	}
-	for i := range p.Stacks {
-		if got.Stacks[i] != p.Stacks[i] {
-			t.Errorf("stack %d = %+v, want %+v", i, got.Stacks[i], p.Stacks[i])
-		}
-	}
 	if !bytes.Equal(got.CPU, p.CPU) || !bytes.Equal(got.Goroutines, p.Goroutines) {
 		t.Error("blobs did not round-trip")
 	}
 
-	// An empty profile (no capture fired, empty ring) round-trips too.
+	// An empty profile round-trips too.
 	empty, err := decodeProfile(appendProfile(nil, distProfile{Reason: "finish"}))
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
-	if empty.Reason != "finish" || len(empty.Stacks) != 0 {
+	if empty.Reason != "finish" || len(empty.CPU)+len(empty.Goroutines) != 0 {
 		t.Fatalf("empty profile = %+v", empty)
 	}
 
@@ -61,37 +48,22 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 }
 
 func TestProfileCodecRejectsHostile(t *testing.T) {
-	// Wrong version byte.
+	// Wrong version byte — including the one that carried folded stacks.
 	enc := appendProfile(nil, distProfile{Reason: "x"})
-	bad := append([]byte(nil), enc...)
-	bad[0] = 2
-	if _, err := decodeProfile(bad); err == nil {
-		t.Error("decode accepted unknown version")
+	for _, v := range []byte{1, 3} {
+		bad := append([]byte(nil), enc...)
+		bad[0] = v
+		if _, err := decodeProfile(bad); err == nil {
+			t.Errorf("decode accepted version %d", v)
+		}
 	}
 
-	// A stack count far larger than the payload could hold: the size
-	// check must reject it before allocating.
-	hostile := []byte{1}                              // version
+	// A blob length far larger than the payload: rejected, not allocated.
+	hostile := []byte{profileVersion}
 	hostile = append(hostile, 0, 0, 0, 0)             // empty reason
-	hostile = append(hostile, 0xff, 0xff, 0xff, 0x7f) // absurd count
+	hostile = append(hostile, 0xff, 0xff, 0xff, 0x7f) // absurd CPU length
 	if _, err := decodeProfile(hostile); err == nil {
-		t.Error("decode accepted oversized stack count")
-	}
-
-	// Negative counters (top bit set in the u64) are invalid.
-	neg := appendProfile(nil, distProfile{
-		Stacks: []profile.StackStat{{Stack: "cluster 0;sim", Count: -1, SelfUS: 5}},
-	})
-	if _, err := decodeProfile(neg); err == nil {
-		t.Error("decode accepted negative stack counter")
-	}
-
-	// An empty stack path is invalid.
-	emptyStack := appendProfile(nil, distProfile{
-		Stacks: []profile.StackStat{{Stack: "", Count: 1, SelfUS: 5}},
-	})
-	if _, err := decodeProfile(emptyStack); err == nil {
-		t.Error("decode accepted empty stack path")
+		t.Error("decode accepted oversized blob length")
 	}
 
 	// Blobs over the cap are rejected after decode, before retention.
@@ -168,7 +140,15 @@ func TestDistributedProfileFederation(t *testing.T) {
 		}
 	}
 
-	// Per-worker folded stacks exist and validate on their own.
+	// Per-worker folded stacks exist and validate on their own, and each
+	// is the flame of one worker's own ring: the coordinator's ring per
+	// worker lost nothing the worker still held, which is why no flame
+	// needs shipping. (Worker ids follow accept order, so match as a set.)
+	own := map[string]bool{}
+	for _, wo := range wobs {
+		evs, _ := wo.Events()
+		own[string(profile.Build(evs).AppendFolded(nil, ""))] = true
+	}
 	for w := 0; w < 2; w++ {
 		name := filepath.Join(dir, "worker-"+string(rune('0'+w))+"."+profile.FlameFile)
 		data, err := os.ReadFile(name)
@@ -177,6 +157,9 @@ func TestDistributedProfileFederation(t *testing.T) {
 		}
 		if _, err := profile.ValidateFolded(data); err != nil {
 			t.Errorf("worker %d flame invalid: %v", w, err)
+		}
+		if !own[string(data)] {
+			t.Errorf("worker %d flame is not the flame of either worker's own ring:\n%s", w, data)
 		}
 	}
 }

@@ -306,46 +306,37 @@ func (w *distWorker) shipObs(force bool) {
 		return
 	}
 	w.lastShip = now
-	snap := w.opts.Obs.Registry().Snapshot()
-	snap.At = w.opts.Obs.Uptime()
-	if err := w.coord.Send(nettrans.FrameMetrics, obs.AppendSnapshot(nil, snap)); err != nil {
+	if err := w.coord.Send(nettrans.FrameMetrics, AppendSnapshot(nil, w.opts.Obs.Snapshot())); err != nil {
 		return
 	}
 	events, next, dropped := w.opts.Obs.EventsSince(w.traceCursor)
 	if len(events) == 0 && dropped == 0 && !force {
 		return
 	}
-	if err := w.coord.Send(nettrans.FrameTrace, obs.AppendTraceEvents(nil, events, dropped)); err != nil {
+	if err := w.coord.Send(nettrans.FrameTrace, AppendTraceEvents(nil, events, dropped)); err != nil {
 		return
 	}
 	w.traceCursor = next
 }
 
-// shipProfile sends the worker's profiling capture to the coordinator
-// inside a FrameProfile: the folded phase stacks of the full local trace
-// ring (the coordinator's flight-recorder ring is bounded, this is not)
-// plus the CPU profile and goroutine dump of the last triggered capture
-// when one fired. Best-effort, same contract as shipObs. Must run before
-// the frame that ends the run (FrameResult / FrameError) so the
-// coordinator absorbs it while still draining this worker's stream.
+// shipProfile sends the CPU profile and goroutine dump of the worker's
+// last triggered capture, when one fired, to the coordinator inside a
+// FrameProfile. (Its phase flame needs no shipping: the coordinator
+// builds it from the trace events shipObs already sent.) Best-effort,
+// same contract as shipObs. Must run before the frame that ends the run
+// (FrameResult / FrameError) so the coordinator absorbs it while still
+// draining this worker's stream.
 func (w *distWorker) shipProfile(reason string) {
 	if !w.opts.Obs.Enabled() {
 		return
 	}
 	w.opts.Profile.Wait() // let an in-flight triggered capture finish
-	events, _ := w.opts.Obs.Events()
-	p := distProfile{
-		Reason: reason,
-		Stacks: profile.Build(events).Stacks,
-	}
-	if arts, ok := w.opts.Profile.Last(); ok {
-		p.CPU = arts.CPU
-		p.Goroutines = arts.Goroutines
-	}
-	if len(p.Stacks) == 0 && len(p.CPU) == 0 && len(p.Goroutines) == 0 {
+	arts, ok := w.opts.Profile.Last()
+	if !ok || len(arts.CPU)+len(arts.Goroutines) == 0 {
 		return
 	}
-	w.coord.Send(nettrans.FrameProfile, appendProfile(nil, p))
+	w.coord.Send(nettrans.FrameProfile,
+		appendProfile(nil, distProfile{Reason: reason, CPU: arts.CPU, Goroutines: arts.Goroutines}))
 }
 
 // report snapshots the worker-local counters for one GVT round.

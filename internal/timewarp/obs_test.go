@@ -73,7 +73,7 @@ func TestObservedRunEmitsValidChromeTrace(t *testing.T) {
 				t.Fatalf("tid %d named %q, want %q", c, got, want)
 			}
 		}
-		if got := d.ThreadNames[obs.ChromeTid(obs.TrackKernel)]; got != "kernel/GVT" {
+		if got := d.ThreadNames[obs.ChromeTid(obs.TrackKernel)]; got != "kernel" {
 			t.Fatalf("kernel track named %q", got)
 		}
 
@@ -214,7 +214,24 @@ func TestSnapshotMidRunRace(t *testing.T) {
 	const k = 4
 
 	o := obs.New(obs.Options{})
-	o.StartSampling(500 * time.Microsecond)
+	// The concurrent reader: snapshots every 500µs until the run returns,
+	// then one closing snapshot.
+	var series []obs.Snapshot
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				series = append(series, o.Registry().Snapshot())
+				return
+			case <-tick.C:
+				series = append(series, o.Registry().Snapshot())
+			}
+		}
+	}()
 	res, err := Run(Config{
 		NL:        nl,
 		GateParts: randomParts(nl, k, 3),
@@ -224,12 +241,12 @@ func TestSnapshotMidRunRace(t *testing.T) {
 		Transport: comm.Chaos(comm.ChaosConfig{Seed: 3, StallEvery: 5, Obs: o}),
 		Obs:       o,
 	})
-	o.StopSampling()
+	close(stop)
+	<-sampled
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	series := o.Series()
 	if len(series) < 2 {
 		t.Fatalf("expected several mid-run snapshots, got %d", len(series))
 	}
