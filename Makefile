@@ -16,8 +16,7 @@ MONITOR_PORT ?= 8315
 MONITOR_HOLD ?= 10s
 
 BENCH_COUNT ?= 5
-FORWARD_COUNT ?= 20
-BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn
+BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn|ClusterForward
 
 # bench-pairs: the parent revision to compare against (required), pairs
 # per workload (name:n overrides it for one workload) and the per-layer
@@ -39,6 +38,7 @@ fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
 	$(GO) test ./internal/timewarp -run 'TestStraggler|TestChaosRunAbandonsCycles' -count=5
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzCPStore -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzLevelRefine -fuzztime 20s
@@ -217,18 +217,13 @@ bench-pairs:
 pipeline-smoke:
 	bash benchmark/run.sh -workload all -scale smoke -seed 1 -trace 1 --seconds 3
 
-# Re-record the committed perf baseline: the kernel/obs benchmark set with
-# -count=$(BENCH_COUNT) plus the forward-path benchmark at one iteration
-# per sample (one iteration is a 500-cycle run of the 17.8k-gate SoC) and
-# $(FORWARD_COUNT) samples — its allocs/op spread ±14 % from run to run
-# with the checkpoint pool's hit rate, which follows when GVT happens to
-# advance, so the gate compares means of many — aggregated into
+# Re-record the committed perf baseline: the kernel/obs benchmark set and
+# the forward-path benchmark with -count=$(BENCH_COUNT), aggregated into
 # BENCH_5.json (name → mean ns/op, B/op, allocs/op).
 # Commit the file so future PRs have a trajectory; the perf-smoke CI job
 # gates allocs/op against it.
 bench-record:
-	{ $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . && \
-	  $(GO) test -run '^$$' -bench 'ClusterForward' -benchmem -benchtime 1x -count=$(FORWARD_COUNT) . ; } \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . \
 		| tee bench-record.txt \
 		| $(GO) run ./cmd/benchrec -out BENCH_5.json
 
@@ -277,10 +272,9 @@ bench-record-part:
 # (shared runners are too noisy to gate on). The pattern must keep
 # matching exactly the benchmark set recorded in BENCH_5.json.
 perf-smoke:
-	{ $(GO) test -run '^$$' \
-		-bench 'TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn' \
-		-benchmem -count=3 . && \
-	  $(GO) test -run '^$$' -bench 'ClusterForward' -benchmem -benchtime 1x -count=$(FORWARD_COUNT) . ; } \
+	$(GO) test -run '^$$' \
+		-bench '$(BENCH_PATTERN)' \
+		-benchmem -count=3 . \
 		| $(GO) run ./cmd/benchrec -check BENCH_5.json -max-allocs-regress 10
 	$(GO) test -run '^$$' \
 		-bench 'PresimScalar|PresimPacked' \

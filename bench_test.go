@@ -330,8 +330,9 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 // BenchmarkClusterForward is the kernel's forward path alone: the default
 // two-channel SoC split k=2 along its channels (cut 0), so no message is
 // sent and nothing rolls back — what is timed is processCycle walking the
-// cluster program, checkpointing every cycle. ns/event is wall time over
-// gate evaluations executed; allocs/op is gated in perf-smoke.
+// cluster program; neither cluster can be rolled back, so neither saves
+// state. ns/event is wall time over gate evaluations executed; allocs/op is
+// gated in perf-smoke.
 func BenchmarkClusterForward(b *testing.B) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {

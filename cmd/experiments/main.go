@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/clustersim"
 	"repro/internal/experiments"
@@ -25,13 +26,98 @@ import (
 	"repro/internal/stats"
 )
 
+// study is one -ablation: its flag value, its section title, whether it
+// reads the pre-simulation grid, and its body.
+type study struct {
+	name, title string
+	grid        bool
+	run         func(ctx *experiments.Context, points []*experiments.GridPoint) (string, error)
+}
+
+// ablations is every -ablation study in the order -all prints them: the one
+// list the dispatch, the flag's help text and its validation read.
+var ablations = []study{
+	{"pairing", "Ablation: pairing strategies (paper §3.1.1)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(c.AblationPairing(10))
+		}},
+	{"recursive", "Ablation: direct pairwise vs recursive bisection (paper §3.1.1)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(c.AblationRecursive(10))
+		}},
+	{"flatten", "Ablation: super-gate flattening (paper §3.2)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(c.AblationFlattening())
+		}},
+	{"init", "Ablation: initial partition (cone vs random)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(c.AblationInitial(2, 10))
+		}},
+	{"activity", "Extension: activity-weighted load metric (paper future work)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			s, err := c.ActivityWeightStudy(3, 10)
+			return s + "\n", err
+		}},
+	{"sync", "Ablation: optimistic (Time Warp) vs synchronous (barrier) execution", true,
+		func(c *experiments.Context, points []*experiments.GridPoint) (string, error) {
+			return render(c.SyncVsOptimistic(points))
+		}},
+	{"hierarchy", "Extension: hierarchy destruction on a 2-channel SoC (paper §4.3 discussion)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(experiments.HierarchyStudy(min(c.PresimCycles, 2000), c.Seed))
+		}},
+	{"clustering", "Extension: bottom-up clustering vs design hierarchy (paper §2 related work)", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(c.ClusteringStudy(3, 10))
+		}},
+	{"scale", "Extension: scaling the design-driven partitioner", false,
+		func(c *experiments.Context, _ []*experiments.GridPoint) (string, error) {
+			return render(experiments.ScaleStudy(nil, c.Seed))
+		}},
+}
+
+func render(t *stats.Table, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return t.String(), nil
+}
+
+func ablationNames() string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return strings.Join(names, " | ")
+}
+
+// validateSelection rejects a -table, -fig or -ablation value that selects
+// nothing; 0 and "" are the flags left unset.
+func validateSelection(table, fig int, ablation string) error {
+	if table != 0 && (table < 1 || table > 5) {
+		return fmt.Errorf("-table %d: there are tables 1..5", table)
+	}
+	if fig != 0 && (fig < 5 || fig > 7) {
+		return fmt.Errorf("-fig %d: there are figures 5..7", fig)
+	}
+	if ablation == "" {
+		return nil
+	}
+	for _, a := range ablations {
+		if a.name == ablation {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -ablation %q (want %s)", ablation, ablationNames())
+}
+
 func main() {
 	var (
 		all       = flag.Bool("all", false, "run every table and figure")
 		table     = flag.Int("table", 0, "regenerate one table (1..5)")
 		fig       = flag.Int("fig", 0, "regenerate one figure (5..7)")
 		heuristic = flag.Bool("heuristic", false, "run the heuristic pre-simulation study")
-		ablation  = flag.String("ablation", "", "pairing | flatten | init | activity")
+		ablation  = flag.String("ablation", "", "run one study: "+ablationNames())
 		dump      = flag.String("dump", "", "also write the figure series as TSV files into this directory")
 		presimC   = flag.Uint64("presim", 10000, "pre-simulation vectors (paper: 10,000)")
 		fullC     = flag.Uint64("full", 100000, "full-run vectors (paper: 1,000,000)")
@@ -44,6 +130,10 @@ func main() {
 		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while the experiments run")
 	)
 	flag.Parse()
+	if err := validateSelection(*table, *fig, *ablation); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 
 	ctx, err := experiments.NewDefaultContext()
 	fatal(err)
@@ -75,6 +165,9 @@ func main() {
 	}
 
 	needGrid := *all || *table >= 3 || *fig >= 5 || *jsonOut
+	for _, a := range ablations {
+		needGrid = needGrid || a.grid && a.name == *ablation
+	}
 	var points []*experiments.GridPoint
 	if needGrid {
 		ctx.Campaign = stats.NewCampaign(min(ctx.GridWorkers(), len(ctx.Ks)))
@@ -153,69 +246,16 @@ func main() {
 		fatal(err)
 		fmt.Println(s)
 	}
-	if *all || *ablation == "pairing" {
-		section("Ablation: pairing strategies (paper §3.1.1)")
-		t, err := ctx.AblationPairing(10)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "recursive" {
-		section("Ablation: direct pairwise vs recursive bisection (paper §3.1.1)")
-		t, err := ctx.AblationRecursive(10)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "flatten" {
-		section("Ablation: super-gate flattening (paper §3.2)")
-		t, err := ctx.AblationFlattening()
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "init" {
-		section("Ablation: initial partition (cone vs random)")
-		t, err := ctx.AblationInitial(2, 10)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "activity" {
-		section("Extension: activity-weighted load metric (paper future work)")
-		s, err := ctx.ActivityWeightStudy(3, 10)
-		fatal(err)
-		fmt.Println(s)
-	}
-	if (*all || *ablation == "sync") && points != nil {
-		section("Ablation: optimistic (Time Warp) vs synchronous (barrier) execution")
-		t, err := ctx.SyncVsOptimistic(points)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "hierarchy" {
-		section("Extension: hierarchy destruction on a 2-channel SoC (paper §4.3 discussion)")
-		t, err := experiments.HierarchyStudy(min64(*presimC, 2000), *seed)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "clustering" {
-		section("Extension: bottom-up clustering vs design hierarchy (paper §2 related work)")
-		t, err := ctx.ClusteringStudy(3, 10)
-		fatal(err)
-		fmt.Print(t.String())
-	}
-	if *all || *ablation == "scale" {
-		section("Extension: scaling the design-driven partitioner")
-		t, err := experiments.ScaleStudy(nil, *seed)
-		fatal(err)
-		fmt.Print(t.String())
+	for _, a := range ablations {
+		if *all || *ablation == a.name {
+			section(a.title)
+			out, err := a.run(ctx, points)
+			fatal(err)
+			fmt.Print(out)
+		}
 	}
 
 	fatal(o.Dump(*trace, *metrics))
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // dumpTSV writes one row per grid point: plot-ready data for the paper's

@@ -1,0 +1,48 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestValidateSelection walks every value of the three selecting flags: one
+// that selects something is accepted, one that selects nothing is an error
+// naming what there is, never a run that prints nothing.
+func TestValidateSelection(t *testing.T) {
+	cases := []struct {
+		table, fig int
+		ablation   string
+		want       string // substring of the error; "" = accepted
+	}{
+		{0, 0, "", ""},
+		{1, 0, "", ""}, {5, 0, "", ""},
+		{-1, 0, "", "tables 1..5"}, {6, 0, "", "tables 1..5"},
+		{0, 5, "", ""}, {0, 7, "", ""},
+		{0, 4, "", "figures 5..7"}, {0, 8, "", "figures 5..7"}, {0, -2, "", "figures 5..7"},
+		{0, 0, "pairing", ""}, {0, 0, "recursive", ""}, {0, 0, "flatten", ""},
+		{0, 0, "init", ""}, {0, 0, "activity", ""}, {0, 0, "sync", ""},
+		{0, 0, "hierarchy", ""}, {0, 0, "clustering", ""}, {0, 0, "scale", ""},
+		{0, 0, "Pairing", "unknown -ablation"}, {0, 0, "all", "unknown -ablation"},
+		{3, 6, "scale", ""},
+	}
+	for _, c := range cases {
+		err := validateSelection(c.table, c.fig, c.ablation)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("-table %d -fig %d -ablation %q: rejected: %v", c.table, c.fig, c.ablation, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("-table %d -fig %d -ablation %q: error %v, want %q", c.table, c.fig, c.ablation, err, c.want)
+		}
+	}
+	// The error for an unknown study and the flag's help offer every study
+	// the dispatch runs.
+	err := validateSelection(0, 0, "nope")
+	for _, a := range ablations {
+		if !strings.Contains(err.Error(), a.name) {
+			t.Errorf("unknown -ablation error %q does not offer %q", err, a.name)
+		}
+	}
+	if len(ablations) != 9 {
+		t.Errorf("%d studies listed, the table above accepts 9: add the new name to it", len(ablations))
+	}
+}

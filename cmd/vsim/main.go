@@ -73,9 +73,6 @@ func main() {
 		profileDir  = flag.String("profile-dir", "", "write profiling artifacts into this directory after the run: the folded phase flame (flame.folded; flamegraph.pl/speedscope-compatible), and in dist mode the per-worker flames and shipped captures (tw/dist mode)")
 		captureRate = flag.Float64("capture-rollback-rate", 0, "trigger an automatic evidence capture (CPU profile, goroutine dump, phase flame) when the rollback rate exceeds this many rollbacks/s; 0 disables (tw mode)")
 
-		chkEvery = flag.Uint64("checkpoint-every", 1, "state-saving interval in cycles; sparse checkpointing trades rollback coast-forward cost for lower saving overhead (tw/dist mode)")
-		adaptive = flag.Bool("adaptive-checkpoint", false, "let each cluster tune its checkpoint interval from its observed rollback rate, starting at -checkpoint-every (tw/dist mode)")
-
 		listen     = flag.String("listen", "127.0.0.1:0", "coordinator control-plane bind address (dist mode); the chosen address is printed for workers to -connect to")
 		workers    = flag.Int("workers", 0, "number of vsimd worker processes to wait for (dist mode, required, 1..k)")
 		postmortem = flag.String("postmortem-dir", "", "write a flight-recorder bundle (merged metrics, merged trace tail, probe states, GVT-round history) into this directory if the run aborts (dist mode)")
@@ -90,7 +87,7 @@ func main() {
 	// that overrides it is a user error worth stopping.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(*mode, *k, *b, *cycles, *chkEvery, *workers, set); err != nil {
+	if err := validateFlags(*mode, *k, *b, *cycles, *workers, set); err != nil {
 		fmt.Fprintln(os.Stderr, "vsim:", err)
 		os.Exit(2)
 	}
@@ -160,7 +157,6 @@ func main() {
 		if *mode == "tw" {
 			cfg := timewarp.Config{
 				NL: nl, GateParts: pr.GateParts, K: *k, Vectors: vs, Cycles: *cycles,
-				CheckpointEvery: *chkEvery, AdaptiveCheckpoint: *adaptive,
 				Obs: o,
 			}
 			if o != nil {
@@ -272,8 +268,6 @@ func main() {
 			GateParts: pr.GateParts,
 			K:         *k,
 			Cycles:    *cycles,
-			ChkEvery:  *chkEvery,
-			Adaptive:  *adaptive,
 			VecSeed:   *seed,
 		}
 		var probe *timewarp.Probe
@@ -374,10 +368,9 @@ func waveDigest(pos []netlist.NetID, waves map[netlist.NetID][]bool) string {
 }
 
 // validateFlags rejects out-of-range values and nonsensical flag
-// combinations up front, with an actionable message — the kernel would
-// otherwise misbehave in ways that look like simulation bugs (a zero
-// checkpoint interval silently becomes 1 deep inside Config defaulting).
-func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, workers int, set map[string]bool) error {
+// combinations up front, with an actionable message — the run would
+// otherwise misbehave in ways that look like simulation bugs.
+func validateFlags(mode string, k int, b float64, cycles uint64, workers int, set map[string]bool) error {
 	switch mode {
 	case "seq", "tw", "model", "dist":
 	default:
@@ -395,9 +388,6 @@ func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, worke
 			return fmt.Errorf("-b must be > 0 percent (got %g)", b)
 		}
 	}
-	if chkEvery < 1 {
-		return fmt.Errorf("-checkpoint-every must be >= 1 cycle (got %d): the kernel checkpoints at a fixed positive interval; use -adaptive-checkpoint to let it tune the interval itself", chkEvery)
-	}
 	// The packed engine backs the deterministic cluster model only.
 	if mode != "model" && set["packed"] {
 		return fmt.Errorf("-packed only applies to -mode model (mode is %q)", mode)
@@ -408,13 +398,6 @@ func validateFlags(mode string, k int, b float64, cycles, chkEvery uint64, worke
 	}
 	// Flags that only mean something to the optimistic kernel are an
 	// error elsewhere, not a silent no-op.
-	if mode != "tw" && mode != "dist" {
-		for _, f := range []string{"checkpoint-every", "adaptive-checkpoint"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies to -mode tw or dist (mode is %q)", f, mode)
-			}
-		}
-	}
 	if mode != "tw" {
 		// The chaos transport and the causality recorder live inside the
 		// in-process kernel; the distributed runtime has neither (its

@@ -11,8 +11,6 @@ var modes = []string{"seq", "tw", "model", "dist"}
 var scoped = map[string][]string{
 	"packed":                {"model"},
 	"vcd":                   {"seq"},
-	"checkpoint-every":      {"tw", "dist"},
-	"adaptive-checkpoint":   {"tw", "dist"},
 	"chaos":                 {"tw"},
 	"chaos-seed":            {"tw"},
 	"blame":                 {"tw"},
@@ -38,7 +36,7 @@ func validate(mode string, set ...string) error {
 	for _, f := range set {
 		m[f] = true
 	}
-	return validateFlags(mode, 2, 10, 100, 1, workers, m)
+	return validateFlags(mode, 2, 10, 100, workers, m)
 }
 
 func accepts(modes []string, mode string) bool {
@@ -95,32 +93,30 @@ func TestValidateFlagsUnknownMode(t *testing.T) {
 func TestValidateFlagsRanges(t *testing.T) {
 	none := map[string]bool{}
 	cases := []struct {
-		name     string
-		mode     string
-		k        int
-		b        float64
-		cycles   uint64
-		chkEvery uint64
-		workers  int
-		want     string // substring of the error; "" = accepted
+		name    string
+		mode    string
+		k       int
+		b       float64
+		cycles  uint64
+		workers int
+		want    string // substring of the error; "" = accepted
 	}{
-		{"defaults", "seq", 2, 10, 10000, 1, 0, ""},
-		{"zero cycles", "seq", 2, 10, 0, 1, 0, "-cycles must be >= 1"},
-		{"k ignored in seq", "seq", 0, 0, 1, 1, 0, ""},
-		{"zero k tw", "tw", 0, 10, 1, 1, 0, "-k must be >= 1"},
-		{"negative k model", "model", -3, 10, 1, 1, 0, "-k must be >= 1"},
-		{"zero k dist", "dist", 0, 10, 1, 1, 1, "-k must be >= 1"},
-		{"zero b", "tw", 2, 0, 1, 1, 0, "-b must be > 0"},
-		{"negative b", "model", 2, -5, 1, 1, 0, "-b must be > 0"},
-		{"k=1", "tw", 1, 0.5, 1, 1, 0, ""},
-		{"zero checkpoint interval", "tw", 2, 10, 1, 0, 0, "-checkpoint-every must be >= 1"},
-		{"dist without workers", "dist", 4, 10, 1, 1, 0, "-mode dist needs -workers >= 1"},
-		{"dist negative workers", "dist", 4, 10, 1, 1, -1, "-mode dist needs -workers >= 1"},
-		{"more workers than clusters", "dist", 2, 10, 1, 1, 3, "-workers 3 exceeds -k 2"},
-		{"one worker per cluster", "dist", 2, 10, 1, 1, 2, ""},
+		{"defaults", "seq", 2, 10, 10000, 0, ""},
+		{"zero cycles", "seq", 2, 10, 0, 0, "-cycles must be >= 1"},
+		{"k ignored in seq", "seq", 0, 0, 1, 0, ""},
+		{"zero k tw", "tw", 0, 10, 1, 0, "-k must be >= 1"},
+		{"negative k model", "model", -3, 10, 1, 0, "-k must be >= 1"},
+		{"zero k dist", "dist", 0, 10, 1, 1, "-k must be >= 1"},
+		{"zero b", "tw", 2, 0, 1, 0, "-b must be > 0"},
+		{"negative b", "model", 2, -5, 1, 0, "-b must be > 0"},
+		{"k=1", "tw", 1, 0.5, 1, 0, ""},
+		{"dist without workers", "dist", 4, 10, 1, 0, "-mode dist needs -workers >= 1"},
+		{"dist negative workers", "dist", 4, 10, 1, -1, "-mode dist needs -workers >= 1"},
+		{"more workers than clusters", "dist", 2, 10, 1, 3, "-workers 3 exceeds -k 2"},
+		{"one worker per cluster", "dist", 2, 10, 1, 2, ""},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.mode, c.k, c.b, c.cycles, c.chkEvery, c.workers, none)
+		err := validateFlags(c.mode, c.k, c.b, c.cycles, c.workers, none)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

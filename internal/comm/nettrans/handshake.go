@@ -11,8 +11,9 @@ const (
 	// Magic opens every Hello payload ("VSTW").
 	Magic uint32 = 0x56535457
 	// Version is the wire-protocol version; coordinator and workers must
-	// match exactly — the frame layout has no compatibility machinery.
-	Version uint32 = 1
+	// match exactly — the frame layout has no compatibility machinery, so
+	// every change to a control-plane payload's layout raises it.
+	Version uint32 = 2
 )
 
 // Hello is the worker's opening message on the coordinator connection:

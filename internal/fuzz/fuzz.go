@@ -53,9 +53,6 @@ type Spec struct {
 	B         float64
 	Cycles    uint64
 	Window    uint64
-	ChkEvery  uint64
-	Adaptive  bool              // adaptive checkpoint-interval tuning
-	Keyframe  uint64            // keyframe cadence of the delta store (0 = default)
 	NoBatch   bool              // one comm.Message per event (pre-batching framing)
 	Chaos     *comm.ChaosConfig // nil = benign direct delivery
 	// NetTrans ships every inter-cluster message through the framed TCP
@@ -86,11 +83,14 @@ func NewSpec(seed int64, chaos bool) Spec {
 		B:         2.5 * float64(1+rng.Intn(6)), // 2.5..15
 		Cycles:    uint64(40 + rng.Intn(120)),
 		Window:    uint64(4 + rng.Intn(12)),
-		ChkEvery:  uint64(1 + rng.Intn(6)),
-		Adaptive:  rng.Intn(3) == 0, // 1/3 of runs tune the interval live
-		Keyframe:  uint64(1 + rng.Intn(8)),
-		NoBatch:   rng.Intn(4) == 0, // 1/4 keep the unbatched wire format
 	}
+	// Three draws the kernel's former checkpoint options consumed, still
+	// made so that every later field — and every historical replay seed —
+	// derives as before.
+	rng.Intn(6)
+	rng.Intn(3)
+	rng.Intn(8)
+	s.NoBatch = rng.Intn(4) == 0 // 1/4 keep the unbatched wire format
 	if chaos {
 		s.Chaos = &comm.ChaosConfig{
 			Seed:       rng.Int63(),
@@ -267,20 +267,17 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 
 	// Time Warp under (optionally) adversarial delivery.
 	cfg := timewarp.Config{
-		NL:                 nl,
-		GateParts:          parts,
-		K:                  k,
-		Vectors:            vs,
-		Cycles:             spec.Cycles,
-		Window:             spec.Window,
-		CheckpointEvery:    spec.ChkEvery,
-		AdaptiveCheckpoint: spec.Adaptive,
-		KeyframeEvery:      spec.Keyframe,
-		DisableBatching:    spec.NoBatch,
-		StallTimeout:       stallTimeout,
-		RunTimeout:         4 * stallTimeout,
-		Faults:             faults,
-		Obs:                o,
+		NL:              nl,
+		GateParts:       parts,
+		K:               k,
+		Vectors:         vs,
+		Cycles:          spec.Cycles,
+		Window:          spec.Window,
+		DisableBatching: spec.NoBatch,
+		StallTimeout:    stallTimeout,
+		RunTimeout:      4 * stallTimeout,
+		Faults:          faults,
+		Obs:             o,
 	}
 	var inner comm.TransportFactory
 	if spec.Chaos != nil {

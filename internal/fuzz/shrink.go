@@ -14,8 +14,8 @@ import (
 const ShrinkAttempts = 3
 
 // Shrink greedily minimises a failing spec: it tries, in order, fewer
-// cycles, a smaller circuit, fewer clusters, a denser checkpoint/window
-// normalisation and finally chaos off, restarting from the front after
+// cycles, a smaller circuit, fewer clusters, the default window and
+// finally chaos off, restarting from the front after
 // every accepted reduction, until no candidate still fails. It returns
 // the minimal failing spec and its failure.
 func Shrink(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.Duration) (Spec, RunResult) {
@@ -69,9 +69,9 @@ func shrinkCandidates(spec Spec) []Spec {
 		c.K--
 		cands = append(cands, c)
 	}
-	if spec.ChkEvery != 1 || spec.Window != 8 {
+	if spec.Window != 8 {
 		c := spec
-		c.ChkEvery, c.Window = 1, 8
+		c.Window = 8
 		cands = append(cands, c)
 	}
 	if spec.Chaos != nil {
@@ -103,11 +103,10 @@ func ReproSnippet(spec Spec, failure string) string {
 	fmt.Fprintf(&b, "\t\tSeed: %d, Family: %q, GenSeed: %d, Size: %d,\n",
 		spec.Seed, spec.Family, spec.GenSeed, spec.Size)
 	fmt.Fprintf(&b, "\t\tK: %d, Partition: %q, B: %g,\n", spec.K, spec.Partition, spec.B)
-	fmt.Fprintf(&b, "\t\tCycles: %d, Window: %d, ChkEvery: %d,\n",
-		spec.Cycles, spec.Window, spec.ChkEvery)
-	if spec.Adaptive || spec.Keyframe != 0 || spec.NoBatch || spec.NetTrans || spec.Packed {
-		fmt.Fprintf(&b, "\t\tAdaptive: %v, Keyframe: %d, NoBatch: %v, NetTrans: %v, Packed: %v,\n",
-			spec.Adaptive, spec.Keyframe, spec.NoBatch, spec.NetTrans, spec.Packed)
+	fmt.Fprintf(&b, "\t\tCycles: %d, Window: %d,\n", spec.Cycles, spec.Window)
+	if spec.NoBatch || spec.NetTrans || spec.Packed {
+		fmt.Fprintf(&b, "\t\tNoBatch: %v, NetTrans: %v, Packed: %v,\n",
+			spec.NoBatch, spec.NetTrans, spec.Packed)
 	}
 	if c := spec.Chaos; c != nil {
 		fmt.Fprintf(&b, "\t\tChaos: &comm.ChaosConfig{Seed: %d, MaxDelay: %d, StallEvery: %d, StallFor: %d},\n",

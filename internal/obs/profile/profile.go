@@ -8,8 +8,8 @@
 // text over the obs event model.
 //
 // The paper's argument is a time-attribution claim — speedup lives or
-// dies on where wall-clock time goes (gate evaluation vs. rollback
-// coast-forward vs. GVT waits) — and this package is what turns the
+// dies on where wall-clock time goes (gate evaluation vs. rollback and
+// re-execution vs. GVT waits) — and this package is what turns the
 // span tracer's raw intervals into that attribution, per cluster: Build
 // over a trace ring is the one self-time computation, whoever asks (the
 // run report, a flame file, a triggered capture, the coordinator's

@@ -20,7 +20,7 @@ import (
 // benchmark's viterbi_tw_rollback partition: traffic both ways, and each
 // cluster evaluates several times pollEvals gates a cycle, so a cycle in
 // progress polls its transport more than once.
-func serialCut(t *testing.T) (*elab.Design, []int32) {
+func serialCut(t testing.TB) (*elab.Design, []int32) {
 	t.Helper()
 	ed, err := gen.Viterbi(gen.DefaultViterbi).Elaborate()
 	if err != nil {
@@ -73,15 +73,13 @@ func (h *heldTransport) Close() {
 // transport; cluster 1 starts the cycle without them and meets them at its
 // first poll, pollEvals evaluations in — it must give the cycle up there,
 // account what it evaluated as rolled back and be back at the start of the
-// cycle (or at the sparse checkpoint before it), all in one rollback. The
-// rest of the run follows a seeded schedule in which a cluster looks in its mailbox before a cycle
-// only half of the time, so stragglers keep landing inside cycles, at delta
-// 0 (already in the mailbox) and further in (released by a poll). At the end
-// every message is absorbed, the quiescence tracker terminates the run at
-// GVT = Cycles and the waveforms are the sequential simulator's. With
-// CheckpointEvery 4 an abandon restores a sparse checkpoint before the
-// cycle it gave up and coasts forward to it; with DisableBatching the abandoned cycle's events have
-// left one by one before it is given up.
+// cycle, all in one rollback. The rest of the run follows a seeded schedule
+// in which a cluster looks in its mailbox before a cycle only half of the
+// time, so stragglers keep landing inside cycles, at delta 0 (already in the
+// mailbox) and further in (released by a poll). At the end every message is
+// absorbed, the quiescence tracker terminates the run at GVT = Cycles and
+// the waveforms are the sequential simulator's. With DisableBatching the
+// abandoned cycle's events have left one by one before it is given up.
 func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 	ed, parts := serialCut(t)
 	nl := ed.Netlist
@@ -93,7 +91,6 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 		tune func(*Config)
 	}{
 		{"every-cycle", func(*Config) {}},
-		{"checkpoint-every-4", func(c *Config) { c.CheckpointEvery = 4 }},
 		{"no-batching", func(c *Config) { c.DisableBatching = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,7 +154,6 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 					evals, undone, pollEvals)
 			}
 			rng := rand.New(rand.NewSource(seed))
-			coasting := uint64(0) // abandons that restored a checkpoint before the straggler's cycle
 			finished := func() bool {
 				return a.cycle == cycles && b.cycle == cycles && h.net.TotalSent() == h.absorbed.Load()
 			}
@@ -167,11 +163,7 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 					look(c)
 				}
 				if c.cycle < cycles {
-					before := c.stats.abandonedCycles.Load()
 					step(c)
-					if c.cycle < c.sendFloor {
-						coasting += c.stats.abandonedCycles.Load() - before
-					}
 				}
 			}
 
@@ -179,13 +171,10 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 			for _, c := range h.clusters {
 				total.add(c.stats.Snapshot())
 			}
-			t.Logf("%d evaluations, %d rolled back; %d rollbacks, %d of them abandoned cycles (%d into a coast-forward)",
-				total.Events, total.RolledBackEvents, total.Rollbacks, total.AbandonedCycles, coasting)
+			t.Logf("%d evaluations, %d rolled back; %d rollbacks, %d of them abandoned cycles",
+				total.Events, total.RolledBackEvents, total.Rollbacks, total.AbandonedCycles)
 			if total.AbandonedCycles < 5 {
 				t.Errorf("schedule too tame: %d cycles abandoned", total.AbandonedCycles)
-			}
-			if cfg.CheckpointEvery > 1 && coasting == 0 {
-				t.Errorf("no abandoned cycle restored a sparse checkpoint and coasted forward")
 			}
 
 			q := newQuiescence(2, cycles, 0, 0, time.Time{})

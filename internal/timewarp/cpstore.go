@@ -17,10 +17,10 @@ type netVal struct {
 // (NetID plus bool, padded), used for the checkpoint-bytes-saved metric.
 const netValBytes = 8
 
-// defaultKeyframeEvery is the full-mirror cadence: one keyframe per this
+// keyframeEvery is the kernel's full-mirror cadence: one keyframe per this
 // many checkpoint records. Restoring a delta record walks at most this
 // many delta segments forward from its keyframe.
-const defaultKeyframeEvery = 8
+const keyframeEvery = 8
 
 // checkpointRec is one saved state point: a keyframe carrying the full
 // net-value mirror, or a delta carrying only the nets written since the
@@ -58,11 +58,10 @@ type cpStore struct {
 	bytesSaved   uint64
 }
 
-func newCPStore(keyframeEvery uint64) *cpStore {
-	if keyframeEvery == 0 {
-		keyframeEvery = defaultKeyframeEvery
-	}
-	return &cpStore{keyframeEvery: keyframeEvery}
+// newCPStore returns an empty store cutting a keyframe every cadence
+// records (≥1; the kernel passes keyframeEvery, unit tests what they probe).
+func newCPStore(cadence uint64) *cpStore {
+	return &cpStore{keyframeEvery: cadence}
 }
 
 func (s *cpStore) len() int { return len(s.recs) }
@@ -102,15 +101,6 @@ func (s *cpStore) take(cycle uint64, values []bool, carry, dirty []netlist.NetID
 	}
 	s.recs = append(s.recs, rec)
 	return true
-}
-
-// latestAtOrBefore returns the newest checkpointed cycle ≤ tc.
-func (s *cpStore) latestAtOrBefore(tc uint64) (uint64, bool) {
-	i := s.searchAtOrBefore(tc)
-	if i < 0 {
-		return 0, false
-	}
-	return s.recs[i].cycle, true
 }
 
 // searchAtOrBefore returns the index of the newest record with cycle ≤ tc,

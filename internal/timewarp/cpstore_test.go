@@ -1,6 +1,8 @@
 package timewarp
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/elab"
@@ -130,7 +132,7 @@ func TestCPStoreTruncateAndTrim(t *testing.T) {
 	}
 	// Rollback invalidation: drop everything after cycle 6.
 	s.truncateAfter(6)
-	if got, _ := s.latestAtOrBefore(99); got != 6 {
+	if got := s.recs[s.len()-1].cycle; got != 6 {
 		t.Fatalf("latest after truncate = %d", got)
 	}
 	// Restore of 6 must still replay correctly (keyframes at 0,4 w/ cadence
@@ -170,19 +172,17 @@ func TestCPStoreTruncateAndTrim(t *testing.T) {
 }
 
 func TestCPStoreSingleCheckpointWholeRun(t *testing.T) {
-	// CheckpointEvery larger than the run: only cycle 0 is ever saved.
-	s := newCPStore(0)
+	// Only cycle 0 is ever saved: it is the newest record at or before any
+	// cycle, and the caller sees from the returned cycle which one it got.
+	s := newCPStore(keyframeEvery)
 	vals := mkvals(8, 2)
 	s.take(0, vals, []netlist.NetID{5}, nil)
-	if got, ok := s.latestAtOrBefore(1 << 40); !ok || got != 0 {
-		t.Fatalf("latest = %d,%v", got, ok)
-	}
 	out := make([]bool, 8)
 	cyc, carry, ok := s.restore(1<<40, out)
 	if !ok || cyc != 0 || len(carry) != 1 || carry[0] != 5 || !out[2] {
 		t.Fatalf("restore = %d,%v,%v out=%v", cyc, carry, ok, out)
 	}
-	if _, ok := s.latestAtOrBefore(0); !ok {
+	if s.searchAtOrBefore(0) != 0 {
 		t.Fatal("cycle 0 must be findable")
 	}
 }
@@ -238,42 +238,15 @@ func viterbiDesign(t *testing.T) *elab.Design {
 	return ed
 }
 
-func TestCheckpointEveryLargerThanRun(t *testing.T) {
-	// Every rollback must coast forward from the single cycle-0 record.
-	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 2, 23), 2, 20, 29, func(c *Config) {
-		c.CheckpointEvery = 1_000_000
-	})
-	if st.Checkpoints != 2 { // exactly one per cluster
-		t.Errorf("expected one checkpoint per cluster, got %d", st.Checkpoints)
-	}
-}
-
 func TestRollbackAcrossKeyframesAndDeltas(t *testing.T) {
-	// Sparse checkpoints with a tiny keyframe cadence: rollbacks land both
-	// exactly on keyframes and inside delta chains, and restores span
-	// multiple delta segments. Random partitioning provokes plenty.
+	// Rollbacks land both exactly on keyframes and inside delta chains, and
+	// restores span several delta segments. Random partitioning provokes
+	// plenty.
 	ed := viterbiDesign(t)
-	for _, kf := range []uint64{1, 2, 8} {
-		st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(c *Config) {
-			c.CheckpointEvery = 3
-			c.KeyframeEvery = kf
-		})
-		if st.Rollbacks == 0 {
-			t.Errorf("kf=%d: expected rollbacks under random partitioning", kf)
-		}
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(*Config) {})
+	if st.Rollbacks == 0 {
+		t.Error("expected rollbacks under random partitioning")
 	}
-}
-
-func TestAdaptiveCheckpointingStillCorrect(t *testing.T) {
-	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 41), 4, 150, 43, func(c *Config) {
-		c.AdaptiveCheckpoint = true
-	})
-	if st.Checkpoints == 0 {
-		t.Error("adaptive run took no checkpoints")
-	}
-	t.Logf("adaptive: checkpoints=%d rollbacks=%d", st.Checkpoints, st.Rollbacks)
 }
 
 func TestBatchingDisabledStillCorrect(t *testing.T) {
@@ -297,14 +270,12 @@ func TestBatchingCoalesces(t *testing.T) {
 }
 
 func TestFossilCollectionRacesDeepRollback(t *testing.T) {
-	// Long sparse-checkpoint run with a wide window: GVT advances and
-	// fossil-collects while stragglers force deep rollbacks near the
-	// fossil line. Run under -race in CI; the waveform oracle plus the
-	// kernel's fossil-restore invariant check catch any unsafe trim.
+	// A run with a wide window: GVT advances and fossil-collects while
+	// stragglers force deep rollbacks near the fossil line. Run under -race
+	// in CI; the waveform oracle plus the kernel's fossil-restore invariant
+	// check catch any unsafe trim.
 	ed := viterbiDesign(t)
 	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) {
-		c.CheckpointEvery = 5
-		c.KeyframeEvery = 3
 		c.Window = 16
 	})
 	if st.Rollbacks == 0 {
@@ -314,25 +285,135 @@ func TestFossilCollectionRacesDeepRollback(t *testing.T) {
 		st.Rollbacks, st.MaxStragglerDepth, st.PoolHits, st.PoolMisses, st.CheckpointBytesSaved)
 }
 
-func TestAdaptiveIntervalWidens(t *testing.T) {
-	// A rollback-free run (K=1) must widen the interval and take far fewer
-	// checkpoints than cycles.
-	c := gen.LFSR(16, nil)
-	ed, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
+// driveCPStore runs one schedule of the kernel's calls on a checkpoint
+// store — take at the start of every cycle, restore + truncateAfter for a
+// rollback, trimBefore for a fossil collection — against a model that keeps
+// one full mirror per cycle. After every call each cycle from the fossil
+// line up restores to the model's values and carry, the records are one per
+// cycle without a gap, and a buffer was made fresh only when no released one
+// of its kind was waiting.
+func driveCPStore(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
 	}
-	res, err := Run(Config{
-		NL: ed.Netlist, GateParts: make([]int32, len(ed.Netlist.Gates)), K: 1,
-		Vectors: sim.RandomVectors{Seed: 5}, Cycles: 400, AdaptiveCheckpoint: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type mirror struct {
+		values []bool
+		carry  []netlist.NetID
 	}
-	// Interval doubles every 32 quiet cycles up to 32: well under half the
-	// dense count.
-	if res.Stats.Checkpoints*2 >= 400 {
-		t.Errorf("adaptive interval never widened: %d checkpoints over 400 cycles",
-			res.Stats.Checkpoints)
+	var (
+		s      = newCPStore(1 + uint64(data[0]%keyframeEvery))
+		values = make([]bool, 16+int(data[1]%112))
+		carry  []netlist.NetID
+		dirty  []netlist.NetID
+		model  = map[uint64]mirror{}
+		cycle  uint64 // the next to execute
+		fossil uint64
+		out    = make([]bool, len(values))
+	)
+	check := func(what string) {
+		t.Helper()
+		deltas := uint64(0) // since the last keyframe
+		for i, r := range s.recs {
+			if i == 0 && (!r.keyframe() || r.cycle > fossil) {
+				t.Fatalf("after %s: front record of cycle %d (keyframe %v) cannot rebuild the fossil line %d", what, r.cycle, r.keyframe(), fossil)
+			}
+			if i > 0 && r.cycle != s.recs[i-1].cycle+1 {
+				t.Fatalf("after %s: record of cycle %d follows that of cycle %d", what, r.cycle, s.recs[i-1].cycle)
+			}
+			if deltas++; r.keyframe() {
+				deltas = 0
+			} else if deltas >= s.keyframeEvery {
+				t.Fatalf("after %s: record of cycle %d is delta %d of its chain, cadence %d", what, r.cycle, deltas, s.keyframeEvery)
+			}
+		}
+		for c, m := range model {
+			for i := range out {
+				out[i] = !m.values[i] // restore must overwrite every net
+			}
+			got, gotCarry, ok := s.restore(c, out)
+			if !ok || got != c || !slices.Equal(out, m.values) || !slices.Equal(gotCarry, m.carry) {
+				t.Fatalf("after %s: restore(%d) = cycle %d ok=%v carry %v, want carry %v and the cycle's values", what, c, got, ok, gotCarry, m.carry)
+			}
+		}
 	}
+	for _, b := range data[2:] {
+		op, arg := b&3, uint64(b>>2)
+		switch {
+		case op <= 1: // execute a cycle: checkpoint its start, then write
+			free := [3]int{len(s.valuesFree), len(s.deltaFree), len(s.carryFree)}
+			hits, misses := s.hits, s.misses
+			_, saved := model[cycle]
+			if took := s.take(cycle, values, carry, dirty); took == saved {
+				t.Fatalf("take(%d) = %v with a record of it standing: %v", cycle, took, saved)
+			} else if took {
+				r, used := s.recs[len(s.recs)-1], [3]bool{}
+				used[0], used[1], used[2] = r.values != nil, r.delta != nil, r.carry != nil
+				var wantHits, wantMisses uint64
+				for kind, u := range used {
+					if u && free[kind] > 0 {
+						wantHits++
+					} else if u {
+						wantMisses++
+					}
+				}
+				if s.hits-hits != wantHits || s.misses-misses != wantMisses {
+					t.Fatalf("take(%d): %d buffers reused and %d made with %v waiting released, want %d and %d",
+						cycle, s.hits-hits, s.misses-misses, free, wantHits, wantMisses)
+				}
+				model[cycle] = mirror{slices.Clone(values), slices.Clone(carry)}
+				dirty = dirty[:0]
+			}
+			carry = carry[:0]
+			for i := uint64(0); i < arg%4; i++ {
+				n := netlist.NetID((arg*7 + cycle*13 + i*29) % uint64(len(values)))
+				values[n] = !values[n]
+				if !slices.Contains(dirty, n) {
+					dirty = append(dirty, n)
+				}
+				if op == 1 {
+					carry = append(carry, n)
+				}
+			}
+			cycle++
+			check("take")
+		case op == 2 && cycle > fossil: // roll back to an executed cycle
+			tc := fossil + arg%(cycle-fossil)
+			if got, c, ok := s.restore(tc, values); !ok || got != tc {
+				t.Fatalf("restore(%d) = cycle %d ok=%v", tc, got, ok)
+			} else {
+				carry = append(carry[:0], c...)
+			}
+			s.truncateAfter(tc)
+			for c := range model {
+				if c > tc {
+					delete(model, c)
+				}
+			}
+			cycle, dirty = tc, dirty[:0]
+			check("rollback")
+		case op == 3: // fossil-collect up to a line at or below the LVT
+			fossil += arg % (cycle - fossil + 1)
+			s.trimBefore(fossil)
+			for c := range model {
+				if c < fossil {
+					delete(model, c)
+				}
+			}
+			check("trim")
+		}
+	}
+}
+
+// FuzzCPStore searches for a schedule of kernel calls after which the
+// checkpoint store restores a state other than the one saved.
+func FuzzCPStore(f *testing.F) {
+	f.Add([]byte{7, 0})
+	f.Add([]byte{2, 100, 0x04, 0x05, 0x08, 0x0d, 0x06, 0x04, 0x0b, 0x05, 0x04, 0x0a, 0x04})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 300)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(driveCPStore)
 }

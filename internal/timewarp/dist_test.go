@@ -713,9 +713,6 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		K:         2,
 		Cycles:    77,
 		Window:    6,
-		ChkEvery:  3,
-		Adaptive:  true,
-		Keyframe:  4,
 		NoBatch:   true,
 		VecSeed:   -12345,
 	}
@@ -725,8 +722,7 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Source != s.Source || got.Top != s.Top || got.K != s.K ||
-		got.Cycles != 77 || got.Window != 6 || got.ChkEvery != 3 ||
-		!got.Adaptive || got.Keyframe != 4 || !got.NoBatch || got.VecSeed != -12345 ||
+		got.Cycles != 77 || got.Window != 6 || !got.NoBatch || got.VecSeed != -12345 ||
 		len(got.GateParts) != 4 || got.GateParts[1] != 1 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
@@ -742,6 +738,16 @@ func TestDistSpecRoundTrip(t *testing.T) {
 	bad[9] ^= 0x01 // inside Source
 	if _, err := DecodeDistSpec(bad); err == nil {
 		t.Fatal("corrupted spec accepted (fingerprint did not catch it)")
+	}
+
+	// A blob in the format before the checkpoint options went — 17 bytes
+	// (u64, bool, u64) between Window and NoBatch — has a valid fingerprint
+	// and enough bytes for every field: only the length tells. Decoded on,
+	// its interval would be read as NoBatch and VecSeed.
+	tail := len(blob) - 9 // NoBatch (1) + VecSeed (8)
+	old := append(append(append([]byte(nil), blob[:tail]...), make([]byte, 17)...), blob[tail:]...)
+	if _, err := DecodeDistSpec(old); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("parent-format spec: error %v, want trailing bytes rejected", err)
 	}
 }
 

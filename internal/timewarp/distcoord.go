@@ -524,7 +524,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		}
 
 		// Collect one report per worker and fold it into the sample.
-		s.sent, s.absorbed, s.work, s.maxStraggler = 0, 0, 0, 0
+		s.sent, s.absorbed, s.maxStraggler = 0, 0, 0
 		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
 			r, err := decodeReport(f.payload, k)
 			if err != nil {
@@ -535,7 +535,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			}
 			s.sent += r.Sent
 			s.absorbed += r.Absorbed
-			s.work += r.Work
 			s.maxStraggler = max(s.maxStraggler, r.MaxStraggler)
 			for _, cp := range r.Progress {
 				s.progress[cp.Cluster] = cp.Cycle

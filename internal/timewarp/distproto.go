@@ -37,17 +37,14 @@ type eraCount struct {
 // distReport is a worker's answer to a cut: a consistent-enough snapshot
 // of its local counters. Progress lists only the clusters this worker
 // owns; Sent/Absorbed are the worker-local cumulative message counters
-// whose global sums the coordinator's freeze rule compares; Work is its
-// clusters' gate evaluations so far (activity a coasting cluster's
-// constant progress would hide); WireSent and WireRecv are per-era
-// data-frame deltas — the piggybacked color counts that prove the wire
-// drained of pre-cut frames.
+// whose global sums the coordinator's freeze rule compares; WireSent and
+// WireRecv are per-era data-frame deltas — the piggybacked color counts
+// that prove the wire drained of pre-cut frames.
 type distReport struct {
 	Round        uint64
 	Progress     []clusterProgress
 	Sent         uint64
 	Absorbed     uint64
-	Work         uint64
 	MaxStraggler uint64
 	WireSent     []eraCount
 	WireRecv     []eraCount
@@ -118,7 +115,6 @@ func appendReport(dst []byte, r distReport) []byte {
 	dst = appendProgressList(dst, r.Progress)
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
-	dst = nettrans.AppendU64(dst, r.Work)
 	dst = nettrans.AppendU64(dst, r.MaxStraggler)
 	dst = appendEraCounts(dst, r.WireSent)
 	dst = appendEraCounts(dst, r.WireRecv)
@@ -135,7 +131,6 @@ func decodeReport(p []byte, k int) (distReport, error) {
 	}
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
-	r.Work = d.U64()
 	r.MaxStraggler = d.U64()
 	if r.WireSent, err = decodeEraCounts(d); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)

@@ -32,9 +32,6 @@ type DistSpec struct {
 	K         int
 	Cycles    uint64
 	Window    uint64
-	ChkEvery  uint64
-	Adaptive  bool
-	Keyframe  uint64
 	NoBatch   bool
 	// VecSeed seeds sim.RandomVectors; stimulus is derived, not shipped.
 	VecSeed int64
@@ -80,16 +77,13 @@ func (s *DistSpec) Elaborate() (*elab.Design, error) {
 // elaboration — the one DistSpec → Config mapping.
 func (s *DistSpec) config(nl *netlist.Netlist) Config {
 	return Config{
-		NL:                 nl,
-		GateParts:          s.GateParts,
-		K:                  s.K,
-		Vectors:            sim.RandomVectors{Seed: s.VecSeed},
-		Cycles:             s.Cycles,
-		Window:             s.Window,
-		CheckpointEvery:    s.ChkEvery,
-		AdaptiveCheckpoint: s.Adaptive,
-		KeyframeEvery:      s.Keyframe,
-		DisableBatching:    s.NoBatch,
+		NL:              nl,
+		GateParts:       s.GateParts,
+		K:               s.K,
+		Vectors:         sim.RandomVectors{Seed: s.VecSeed},
+		Cycles:          s.Cycles,
+		Window:          s.Window,
+		DisableBatching: s.NoBatch,
 	}
 }
 
@@ -105,9 +99,6 @@ func AppendDistSpec(dst []byte, s *DistSpec) []byte {
 	dst = nettrans.AppendU32(dst, uint32(s.K))
 	dst = nettrans.AppendU64(dst, s.Cycles)
 	dst = nettrans.AppendU64(dst, s.Window)
-	dst = nettrans.AppendU64(dst, s.ChkEvery)
-	dst = nettrans.AppendBool(dst, s.Adaptive)
-	dst = nettrans.AppendU64(dst, s.Keyframe)
 	dst = nettrans.AppendBool(dst, s.NoBatch)
 	dst = nettrans.AppendI64(dst, s.VecSeed)
 	return dst
@@ -135,13 +126,15 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	s.K = int(int32(d.U32()))
 	s.Cycles = d.U64()
 	s.Window = d.U64()
-	s.ChkEvery = d.U64()
-	s.Adaptive = d.Bool()
-	s.Keyframe = d.U64()
 	s.NoBatch = d.Bool()
 	s.VecSeed = d.I64()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("timewarp: malformed dist spec: %w", err)
+	}
+	if d.Len() != 0 {
+		// A blob in another build's format: decoding on would read its
+		// fields under the wrong names.
+		return nil, fmt.Errorf("timewarp: dist spec has %d trailing bytes", d.Len())
 	}
 	if err := checkPartition(s.K, s.GateParts); err != nil {
 		return nil, fmt.Errorf("%w (dist spec)", err)

@@ -346,7 +346,6 @@ func (w *distWorker) report(round uint64) distReport {
 		Round:        round,
 		Sent:         w.smp.sent,
 		Absorbed:     w.smp.absorbed,
-		Work:         w.smp.work,
 		MaxStraggler: w.smp.maxStraggler,
 	}
 	for _, cl := range w.h.clusters {

@@ -134,7 +134,7 @@ func TestEventHeapIndexMatchesScan(t *testing.T) {
 }
 
 // TestEventHeapDuplicateKeyCollision pins the (src,seq) collision
-// semantics the coast-forward path relies on: if the same positive key is
+// semantics the rollback replay path relies on: if the same positive key is
 // ever present twice (it cannot be in the kernel, but the index must not
 // silently corrupt if it were), annihilation falls back to the pre-index
 // linear scan and removes the first slice-order match — never a third,

@@ -48,9 +48,6 @@ func (cfg *Config) prepare() (*sim.Simulator, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 8
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 1
-	}
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
@@ -165,14 +162,13 @@ func (h *host) closeEndpoints() {
 
 // sample reads the host's counters into s: the message totals, the
 // published cycle of every local cluster (other entries of s.progress are
-// left alone), the gate evaluations so far and the deepest straggler.
+// left alone) and the deepest straggler.
 func (h *host) sample(s *sample) {
 	s.sent = h.net.TotalSent()
 	s.absorbed = h.absorbed.Load()
-	s.work, s.maxStraggler = 0, 0
+	s.maxStraggler = 0
 	for _, cl := range h.clusters {
 		s.progress[cl.id] = h.progress[cl.id].Load()
-		s.work += cl.stats.events.Load()
 		s.maxStraggler = max(s.maxStraggler, cl.stats.maxStragglerDepth.Load())
 	}
 }
@@ -305,8 +301,6 @@ func instrumentClusters(h *host) {
 			func() float64 { return float64(st.poolMisses.Load()) }, lbl)
 		reg.SampleFunc("tw_checkpoint_bytes_saved", "mirror bytes avoided by delta checkpoints",
 			func() float64 { return float64(st.checkpointBytesSaved.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoint_interval", "live state-saving interval in cycles",
-			func() float64 { return float64(st.checkpointInterval.Load()) }, lbl)
 		ci := cl.id
 		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
 			func() float64 { return float64(h.progress[ci].Load()) - float64(h.gvt.Load()) }, lbl)

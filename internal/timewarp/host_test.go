@@ -41,23 +41,28 @@ endmodule
 	return nl, parts
 }
 
-// TestRollbackPastSparseCheckpointKeepsGVT is the deterministic form of
-// the fuzz campaign's "GVT regression" flake (seeds 13 and 34). With
-// CheckpointEvery > 1 a rollback to a cycle at or above GVT restores a
-// checkpoint below it; a cluster that published the restored cycle made
-// the next quiescent minimum fall under the established GVT, although
-// nothing it can still send is stamped below the rollback target. The
-// clusters are stepped by hand, so the schedule is exact.
-func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
+// TestRollbackRestoresItsTargetCycle steps the one-way pair by hand, so the
+// schedule is exact. The cluster that can be rolled back takes one
+// checkpoint per cycle it executes, a rollback to cycle tc restores the
+// record of tc itself and publishes tc — so a quiescent minimum never falls
+// under the established GVT (the fuzz campaign's old "GVT regression",
+// seeds 13 and 34, was a cluster publishing a restored cycle below its
+// target) — and a target without a record of its own, below the fossil line
+// or not, is an error. The sender cannot be rolled back: it keeps no
+// rollback state, and an event delivered to it fails the run.
+func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 	nl, parts := togglePair(t)
 	h, err := newHost(Config{
 		NL: nl, GateParts: parts, K: 2,
-		Vectors: sim.RandomVectors{Seed: 1}, Cycles: 20, CheckpointEvery: 5,
+		Vectors: sim.RandomVectors{Seed: 1}, Cycles: 20,
 	}, "tw", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := h.clusters[0], h.clusters[1]
+	if a.cps != nil || b.cps == nil {
+		t.Fatalf("sender saves state: %v, receiver saves state: %v; want false, true", a.cps != nil, b.cps != nil)
+	}
 	run := func(c *cluster, until uint64) {
 		t.Helper()
 		for c.cycle < until {
@@ -81,27 +86,31 @@ func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
 		return q.step(s)
 	}
 
-	// b runs ahead, a catches up to cycle 6, b absorbs a's events and
-	// re-runs: checkpoints at 0 and 5, everything quiet, GVT = 6.
+	// b runs ahead, a catches up to cycle 6; its first event, the latch of
+	// cycle 0, is stamped at the start of cycle 1 and takes b back there. b
+	// re-runs: one checkpoint per executed cycle but the restored one, whose
+	// record stands. Everything quiet, GVT = 6.
 	run(b, 8)
 	run(a, 6)
 	deliver(b)
+	if b.cycle != 1 || h.progress[1].Load() != 1 {
+		t.Fatalf("b stands at cycle %d and published %d after a rollback to cycle 1", b.cycle, h.progress[1].Load())
+	}
 	run(b, 8)
+	if got := b.stats.checkpoints.Load(); got != 8+6 {
+		t.Errorf("b took %d checkpoints executing cycles 0-7 and again 1-7, want %d", got, 8+6)
+	}
 	poll()
 	if v := poll(); !v.frozen || v.gvt != 6 {
 		t.Fatalf("setup: frozen=%v gvt=%d, want a quiescent GVT of 6", v.frozen, v.gvt)
 	}
-	h.gvt.Store(6)
 
-	// a executes cycle 6; its latch event is stamped at the start of cycle
-	// 7 and rolls b back to 7 — through the checkpoint at cycle 5.
+	// a executes cycle 6; its latch event rolls b back to 7, at the GVT's
+	// heels.
 	run(a, 7)
 	deliver(b)
-	if b.cycle != 5 {
-		t.Fatalf("b restored cycle %d, want the sparse checkpoint at 5", b.cycle)
-	}
-	if got := h.progress[1].Load(); got != 7 {
-		t.Errorf("b published %d after a rollback to cycle 7, want 7: cycles 5 and 6 replay unchanged and send nothing", got)
+	if b.cycle != 7 || h.progress[1].Load() != 7 {
+		t.Errorf("b stands at cycle %d and published %d after a rollback to cycle 7", b.cycle, h.progress[1].Load())
 	}
 	poll()
 	if v := poll(); !v.frozen || v.gvt != 7 {
@@ -111,25 +120,84 @@ func TestRollbackPastSparseCheckpointKeepsGVT(t *testing.T) {
 		t.Fatalf("false invariant violation: %v", q.violations)
 	}
 
-	// While b coasts the floor holds; an input landing inside the coasted
-	// window lowers it, because re-execution diverges from there.
-	run(b, 6)
-	if got := h.progress[1].Load(); got != 7 {
-		t.Errorf("b published %d while coasting at cycle 6, want 7", got)
+	// A target whose own record is gone is an error, not a restore of the
+	// one before it.
+	b.cps.truncateAfter(5)
+	if err := b.rollback(6, 0); err == nil || !strings.Contains(err.Error(), "has no checkpoint") {
+		t.Errorf("rollback to a cycle without a record: error %v", err)
 	}
-	if v := poll(); !v.active || !v.frozen {
-		t.Errorf("coasting under a constant published cycle: active=%v frozen=%v, want quiescent for GVT yet active for the stall clock", v.active, v.frozen)
+	b.fossil = 5
+	if err := b.rollback(4, 0); err == nil || !strings.Contains(err.Error(), "fossil-collected") {
+		t.Errorf("rollback below the fossil line: error %v", err)
 	}
-	late := event{T: 6*b.deltaRange + 1, Net: a.prog.out[a.prog.nComb], Val: true, Src: 0, Seq: 1 << 20}
-	if err := b.absorb([]comm.Message{late}); err != nil {
+
+	// The sender kept nothing to roll back to, and says so when asked.
+	if len(a.outputLog) != 0 || len(a.execLog) != 0 || len(a.dirtyNets) != 0 || a.stats.checkpoints.Load() != 0 {
+		t.Errorf("sender holds %d output-log, %d exec-log and %d dirty-net entries and took %d checkpoints; want none",
+			len(a.outputLog), len(a.execLog), len(a.dirtyNets), a.stats.checkpoints.Load())
+	}
+	stray := event{T: 3 * a.deltaRange, Net: b.prog.out[0], Val: true, Src: 1, Seq: 1}
+	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
+		t.Errorf("event delivered to a cluster without remote inputs: error %v, want it refused as misrouted", err)
+	}
+}
+
+// TestOneWaySenderRunsInConstantMemory is the same pair free-running under
+// the chaos transport for 2,000 cycles. The sender still sends an event a
+// cycle, yet ends the run having taken no checkpoint, touched no pool buffer
+// and logged nothing; the receiver, rolled back by every event it ran ahead
+// of, holds one record per cycle down to the last; the waveforms are the
+// sequential simulator's. And a single cluster, which nothing can roll back
+// either, takes no checkpoint at all.
+func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
+	nl, parts := togglePair(t)
+	const cycles, seed = 2000, 1
+	h, err := newHost(Config{
+		NL: nl, GateParts: parts, K: 2,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+		Transport:    comm.Chaos(comm.ChaosConfig{Seed: seed, StallEvery: 16, StallFor: 200 * time.Microsecond}),
+		StallTimeout: 30 * time.Second,
+	}, "tw", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.progress[1].Load(); got != 6 {
-		t.Errorf("b published %d after an input at cycle 6 arrived mid-coast, want 6", got)
+	res, err := h.run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	run(b, 9)
-	if got := h.progress[1].Load(); got != 9 {
-		t.Errorf("b published %d past the floor, want its cycle 9", got)
+	if res.FinalGVT != cycles || len(res.InvariantViolations) != 0 {
+		t.Errorf("FinalGVT %d, violations %v; want %d and none", res.FinalGVT, res.InvariantViolations, cycles)
+	}
+	compareObserved(t, nl, res.Observed, seqOracle(t, nl, cycles, seed), cycles, "one-way")
+
+	a, b := h.clusters[0], h.clusters[1]
+	if st := res.PerCluster[0]; st.Messages < cycles-1 || st.Checkpoints != 0 || st.PoolHits+st.PoolMisses != 0 || st.Rollbacks != 0 {
+		t.Errorf("sender: %d messages, %d checkpoints, %d pool buffers, %d rollbacks; want an event a cycle and nothing else",
+			st.Messages, st.Checkpoints, st.PoolHits+st.PoolMisses, st.Rollbacks)
+	}
+	if len(a.outputLog) != 0 || len(a.execLog) != 0 || len(a.dirtyNets) != 0 {
+		t.Errorf("sender ends with %d output-log, %d exec-log and %d dirty-net entries; want none",
+			len(a.outputLog), len(a.execLog), len(a.dirtyNets))
+	}
+	st := res.PerCluster[1]
+	if st.Rollbacks == 0 || st.Checkpoints < cycles {
+		t.Errorf("receiver: %d rollbacks, %d checkpoints; want some, and at least %d", st.Rollbacks, st.Checkpoints, cycles)
+	}
+	for i, r := range b.cps.recs {
+		if want := cycles - uint64(len(b.cps.recs)-i); r.cycle != want {
+			t.Fatalf("receiver: record %d of %d is of cycle %d, want %d: one per cycle up to the last", i, len(b.cps.recs), r.cycle, want)
+		}
+	}
+
+	single, err := Run(Config{
+		NL: nl, GateParts: make([]int32, len(nl.Gates)), K: 1,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Stats.Checkpoints != 0 || single.Stats.PoolMisses != 0 {
+		t.Errorf("K=1: %d checkpoints, %d pool buffers; want none", single.Stats.Checkpoints, single.Stats.PoolMisses)
 	}
 }
 

@@ -28,22 +28,6 @@ type Config struct {
 	// ahead of the slowest cluster (also bounds rollback depth and wasted
 	// speculative work). Default 8.
 	Window uint64
-	// CheckpointEvery is the state-saving interval in cycles (default 1:
-	// checkpoint every cycle). Sparse checkpointing trades rollback cost
-	// (the kernel coasts forward from the nearest earlier checkpoint,
-	// re-executing silently) for much lower state-saving overhead —
-	// the classic Time Warp trade-off.
-	CheckpointEvery uint64
-	// AdaptiveCheckpoint lets each cluster tune its own checkpoint
-	// interval at runtime, starting from CheckpointEvery: quiet windows
-	// (no rollbacks) double it up to a cap, rollback-heavy windows halve
-	// it down to 1. Off by default so fixed-interval runs stay exactly
-	// reproducible cycle-for-cycle.
-	AdaptiveCheckpoint bool
-	// KeyframeEvery is the full-mirror cadence of the incremental
-	// checkpoint store: one keyframe per this many checkpoint records,
-	// delta records (dirty nets only) in between. 0 = default (8).
-	KeyframeEvery uint64
 	// DisableBatching sends one comm.Message per event instead of
 	// coalescing per destination per cycle — the pre-batching wire
 	// format, kept reachable so the differential fuzzer can cover both
@@ -110,7 +94,11 @@ type Stats struct {
 	// and so re-evaluates gates the kernel reaches once (DESIGN.md §20).
 	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
-	Checkpoints      uint64 // state checkpoints taken
+	// Checkpoints counts state checkpoints taken: one per executed cycle,
+	// re-execution included, less one per rollback (the restored cycle's
+	// record stands), in every cluster that reads a net another cluster
+	// drives; none in a cluster that does not, which nothing can roll back.
+	Checkpoints uint64
 	// AbandonedCycles counts cycles given up part-way because a straggler
 	// for them arrived while they executed. Each is also one of Rollbacks,
 	// and what it had evaluated is in Events and RolledBackEvents.
@@ -169,7 +157,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = h.cfg
+	return h.run()
+}
+
+// run drives a host owning all K clusters from start to termination.
+func (h *host) run() (*Result, error) {
+	cfg := h.cfg
 	cfg.Causality.Attach(cfg.K, cfg.Cycles)
 	cfg.Probe.attach(cfg.Cycles)
 	runT0 := cfg.Obs.Start()

@@ -3,7 +3,6 @@ package timewarp
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -155,8 +154,11 @@ func TestMetricsGoldenSequential(t *testing.T) {
 	if v := get("tw_rollbacks", cl0); v != 0 {
 		t.Fatalf("single cluster rolled back %v times", v)
 	}
-	if v := get("tw_checkpoints", cl0); v != cycles {
-		t.Fatalf("tw_checkpoints = %v, want %d (CheckpointEvery=1)", v, cycles)
+	// Nothing can roll a single cluster back, so it saves no state.
+	for _, name := range []string{"tw_checkpoints", "tw_pool_hits", "tw_pool_misses", "tw_checkpoint_bytes_saved"} {
+		if v := get(name, cl0); v != 0 {
+			t.Fatalf("%s = %v on a single cluster, want 0", name, v)
+		}
 	}
 	if v := get("tw_gvt", ""); v != cycles {
 		t.Fatalf("tw_gvt = %v, want %d at clean termination", v, cycles)
@@ -169,11 +171,7 @@ func TestMetricsGoldenSequential(t *testing.T) {
 	}
 
 	// Determinism: an independent identical run renders an identical
-	// Prometheus dump, byte for byte — after dropping the checkpoint-pool
-	// series. Fossil collection is driven by the watcher's wall-clock GVT
-	// timer, so free-list reuse (and the delta-chain savings it enables)
-	// legitimately varies with machine load even on a deterministic
-	// schedule; everything else must match exactly.
+	// Prometheus dump, byte for byte.
 	_, o2 := run()
 	var a, b bytes.Buffer
 	if err := o1.WritePrometheus(&a); err != nil {
@@ -182,27 +180,10 @@ func TestMetricsGoldenSequential(t *testing.T) {
 	if err := o2.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	da, db := dropTimingSeries(a.String()), dropTimingSeries(b.String())
-	if da != db {
+	if a.String() != b.String() {
 		t.Fatalf("sequential schedule metrics not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s",
-			da, db)
+			a.String(), b.String())
 	}
-}
-
-// dropTimingSeries strips the Prometheus lines (HELP/TYPE/samples) of the
-// series whose values depend on GVT-timer timing rather than on the
-// schedule: checkpoint free-list reuse and the delta savings it unlocks.
-func dropTimingSeries(dump string) string {
-	var out []string
-	for _, line := range strings.Split(dump, "\n") {
-		if strings.Contains(line, "tw_pool_hits") ||
-			strings.Contains(line, "tw_pool_misses") ||
-			strings.Contains(line, "tw_checkpoint_bytes_saved") {
-			continue
-		}
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
 }
 
 // TestSnapshotMidRunRace reads metrics snapshots concurrently with a

@@ -50,6 +50,13 @@ type program struct {
 	// obsOwn are the observed nets this cluster records: those an own gate
 	// drives, and on cluster 0 the driverless ones (PIs, constants).
 	obsOwn []netlist.NetID
+
+	// remoteIn says some own gate is a sink of a net another cluster drives
+	// — exactly when that cluster's program lists this one in its dsts. A
+	// cluster for which it is false is never sent an event, so it can meet
+	// no straggler and is never rolled back: remoteIn is what decides
+	// whether a cluster keeps rollback state (newCluster).
+	remoteIn bool
 }
 
 // compile builds cluster id's program for netlist nl partitioned by
@@ -67,6 +74,11 @@ func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist
 		p.out = append(p.out, g.Output)
 		p.inOff = append(p.inOff, uint32(len(p.ins)))
 		p.ins = append(p.ins, inputs...)
+		for _, in := range g.Inputs { // every pin, as dsts below counts sinks
+			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id {
+				p.remoteIn = true
+			}
+		}
 	}
 	for gi := range nl.Gates {
 		if g := &nl.Gates[gi]; gateParts[gi] == id && !g.Kind.Sequential() {

@@ -81,9 +81,23 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
-			for id := int32(0); id < int32(k); id++ {
+			progs := make([]*program, k)
+			for id := range progs {
+				progs[id] = compile(nl, res.GateParts, int32(id), nl.POs)
 				checkProgram(t, fmt.Sprintf("%s k=%d cluster %d", tc.name, k, id),
-					nl, res.GateParts, id, compile(nl, res.GateParts, id, nl.POs))
+					nl, res.GateParts, int32(id), progs[id])
+			}
+			// A cluster has remote inputs exactly when some other cluster
+			// would send to it.
+			for id, p := range progs {
+				heard := false
+				for _, q := range progs {
+					heard = heard || slices.Contains(q.dsts, int32(id))
+				}
+				if p.remoteIn != heard {
+					t.Errorf("%s k=%d cluster %d: remoteIn %v, but listed as a reader by another cluster: %v",
+						tc.name, k, id, p.remoteIn, heard)
+				}
 			}
 		}
 	}
@@ -205,12 +219,13 @@ func alignedSoC(t *testing.T) (*elab.Design, []int32) {
 // deterministic, so the number of gate evaluations is a fingerprint of the
 // within-delta evaluation order and the immediate writes. 98,295 is what
 // the map-based kernel before the cluster program executed on this input.
+// Neither cluster hears from the other, so neither saves any state.
 func TestCutZeroRunIsPinned(t *testing.T) {
 	ed, parts := alignedSoC(t)
 	st := runBoth(t, ed, parts, 2, 60, 1)
-	if st.Events != 98295 || st.Messages != 0 || st.Rollbacks != 0 {
-		t.Errorf("cut-0 run: %d events, %d messages, %d rollbacks; want 98295, 0, 0",
-			st.Events, st.Messages, st.Rollbacks)
+	if st.Events != 98295 || st.Messages != 0 || st.Rollbacks != 0 || st.Checkpoints != 0 {
+		t.Errorf("cut-0 run: %d events, %d messages, %d rollbacks, %d checkpoints; want 98295, 0, 0, 0",
+			st.Events, st.Messages, st.Rollbacks, st.Checkpoints)
 	}
 }
 

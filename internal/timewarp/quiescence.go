@@ -16,10 +16,6 @@ type sample struct {
 	// complete is false until every cluster's progress has been observed
 	// at least once (a distributed run's first rounds).
 	complete bool
-	// work is the cumulative count of gate evaluations. It feeds the
-	// activity clock only: a cluster coasting forward from a sparse
-	// checkpoint publishes a constant cycle, yet it is not stalled.
-	work uint64
 	// wire is the cumulative count of cross-process data frames sent plus
 	// received; constant zero in-process.
 	wire uint64
@@ -33,8 +29,7 @@ type sample struct {
 
 // verdict is what the tracker concludes from one sample.
 type verdict struct {
-	// active: some counter or cluster moved, or gates were evaluated,
-	// since the previous sample.
+	// active: some counter or cluster moved since the previous sample.
 	active bool
 	// frozen: this sample and the previous one agree on every message
 	// counter and published cycle, and every sent message is absorbed.
@@ -61,15 +56,14 @@ type verdict struct {
 // was idle and drained, then no absorption — hence no rollback — happened
 // in between either: absorbed is capped by sent and already equals it.
 // The progress minimum therefore held at a provably quiescent instant.
-// A cluster publishes a lower bound on the timestamp of anything it will
-// still send (its LVT, or the rollback target while it silently coasts
-// forward from an earlier checkpoint), and any future rollback chain
-// starts from such a send, so no rollback can ever target a cycle below
-// that minimum: it is a safe fossil-collection line, and "all clusters
-// finished + quiescent", seen twice, is safe termination. In-process (d)
-// holds trivially; across processes the per-worker counters are read at
-// different instants, so the coordinator colours data frames by round and
-// (d) is "every frame coloured before this cut was counted received".
+// A cluster publishes its cycle, a lower bound on the timestamp of anything
+// it will still send, and any future rollback chain starts from such a
+// send, so no rollback can ever target a cycle below that minimum: it is a
+// safe fossil-collection line, and "all clusters finished + quiescent",
+// seen twice, is safe termination. In-process (d) holds trivially; across
+// processes the per-worker counters are read at different instants, so the
+// coordinator colours data frames by round and (d) is "every frame coloured
+// before this cut was counted received".
 type quiescence struct {
 	cycles       uint64
 	stallTimeout time.Duration
@@ -113,8 +107,7 @@ func (q *quiescence) step(s sample) verdict {
 		}
 	}
 	moved = moved || s.sent != q.prev.sent || s.absorbed != q.prev.absorbed || s.wire != q.prev.wire
-	v := verdict{minProg: minProg}
-	v.active = moved || s.work != q.prev.work
+	v := verdict{minProg: minProg, active: moved}
 	v.frozen = !moved && s.complete && s.sent == s.absorbed
 	if v.active {
 		q.lastActivity = s.now

@@ -18,7 +18,6 @@ type qStep struct {
 	partial   bool
 	undrained bool
 	wire      uint64
-	work      uint64
 
 	frozen    bool
 	gvt       uint64
@@ -114,21 +113,6 @@ func TestQuiescenceDecisions(t *testing.T) {
 			},
 		},
 		{
-			name:  "a coasting cluster is quiescent but not stalled",
-			stall: 250 * ms,
-			steps: []qStep{
-				// Published cycles stand still while gates are re-evaluated:
-				// safe to advance GVT on, and activity for the stall clock.
-				{at: 0, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 10},
-				{at: 200 * ms, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 20, frozen: true, gvt: 3, advanced: true},
-				{at: 400 * ms, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 30, frozen: true, gvt: 3},
-				{at: 600 * ms, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 40, frozen: true, gvt: 3},
-				// The coast ends without the cluster getting anywhere.
-				{at: 800 * ms, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 40, frozen: true, gvt: 3},
-				{at: 900 * ms, sent: 5, absorbed: 5, progress: []uint64{3, 6}, work: 40, frozen: true, gvt: 3, abort: "stalled"},
-			},
-		},
-		{
 			name:  "no stall abort once everything is done and absorbed",
 			stall: 250 * ms,
 			steps: []qStep{
@@ -162,7 +146,7 @@ func TestQuiescenceDecisions(t *testing.T) {
 			for i, st := range tc.steps {
 				v := q.step(sample{
 					sent: st.sent, absorbed: st.absorbed, progress: st.progress,
-					complete: !st.partial, drained: !st.undrained, wire: st.wire, work: st.work,
+					complete: !st.partial, drained: !st.undrained, wire: st.wire,
 					now: t0.Add(st.at),
 				})
 				if v.frozen != st.frozen || v.gvt != st.gvt || v.advanced != st.advanced || v.terminate != st.terminate {

@@ -22,14 +22,12 @@ type atomicStats struct {
 	// Hot-path overhaul counters. batches counts comm.Messages actually
 	// sent, batchedEvents the events they carried (ratio = mean batch
 	// size). poolHits/poolMisses mirror the checkpoint store's free-list
-	// reuse, checkpointBytesSaved the mirror bytes delta records avoided,
-	// checkpointInterval the live (possibly adaptive) interval gauge.
+	// reuse, checkpointBytesSaved the mirror bytes delta records avoided.
 	batches              atomic.Uint64
 	batchedEvents        atomic.Uint64
 	poolHits             atomic.Uint64
 	poolMisses           atomic.Uint64
 	checkpointBytesSaved atomic.Uint64
-	checkpointInterval   atomic.Uint64
 }
 
 // noteMax raises maxStragglerDepth to d if larger. The cluster goroutine

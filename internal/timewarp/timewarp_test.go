@@ -240,71 +240,3 @@ func TestRandomHierCircuitsMatchSequential(t *testing.T) {
 		runBoth(t, ed, randomParts(ed.Netlist, 3, seed), 3, 80, seed)
 	}
 }
-
-func TestSparseCheckpointingStillCorrect(t *testing.T) {
-	c := gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8})
-	ed, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := ed.Netlist
-	vs := sim.RandomVectors{Seed: 41}
-	const cycles = 32
-	seq, err := sim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]bool, cycles)
-	buf := make([]bool, seq.VectorWidth())
-	for cyc := uint64(0); cyc < cycles; cyc++ {
-		vs.Vector(cyc, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		row := make([]bool, len(nl.POs))
-		for i, po := range nl.POs {
-			row[i] = seq.Value(po)
-		}
-		want[cyc] = row
-	}
-	parts := randomParts(nl, 3, 17)
-	for _, every := range []uint64{1, 4, 16} {
-		res, err := Run(Config{
-			NL: nl, GateParts: parts, K: 3,
-			Vectors: vs, Cycles: cycles, CheckpointEvery: every,
-		})
-		if err != nil {
-			t.Fatalf("every=%d: %v", every, err)
-		}
-		for i, po := range nl.POs {
-			for cyc := 0; cyc < cycles; cyc++ {
-				if res.Observed[po][cyc] != want[cyc][i] {
-					t.Fatalf("every=%d: PO %s cycle %d mismatch", every, nl.Nets[po].Name, cyc)
-				}
-			}
-		}
-		t.Logf("every=%d: checkpoints=%d rollbacks=%d rolledback=%d",
-			every, res.Stats.Checkpoints, res.Stats.Rollbacks, res.Stats.RolledBackEvents)
-	}
-}
-
-// TestSparseCheckpointingSavesCheckpoints runs on a partition that cuts
-// nothing, so no cluster rolls back and each executes every cycle exactly
-// once: the checkpoint count is then the schedule's alone. (Across a cut,
-// every rollback re-executes cycles and re-takes their checkpoints, and
-// how many depends on goroutine scheduling — comparing two such runs is
-// comparing their luck.)
-func TestSparseCheckpointingSavesCheckpoints(t *testing.T) {
-	ed, parts := alignedSoC(t)
-	const cycles = 64
-	for _, every := range []uint64{1, 8} {
-		st := runBothCfg(t, ed, parts, 2, cycles, 5, func(c *Config) { c.CheckpointEvery = every })
-		if st.Rollbacks != 0 {
-			t.Fatalf("every=%d: %d rollbacks on a cut-0 partition", every, st.Rollbacks)
-		}
-		if want := 2 * cycles / every; st.Checkpoints != want {
-			t.Errorf("every=%d: %d checkpoints, want %d (two clusters, one per %d cycles)",
-				every, st.Checkpoints, want, every)
-		}
-	}
-}
