@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test ./internal/timewarp -run 'TestStraggler|TestChaosRunAbandonsCycles' -count=5
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzCPStore -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzLevelRefine -fuzztime 20s

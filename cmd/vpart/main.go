@@ -88,6 +88,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateFlags(*algo, *strategy, *k, *b, *opt, set); err != nil {
+		fmt.Fprintln(os.Stderr, "vpart:", err)
+		os.Exit(2)
+	}
 
 	// With -json, stdout carries only the report.
 	human := os.Stdout
@@ -114,12 +120,6 @@ func main() {
 	fmt.Fprintf(human, "design: %d gates, %d nets, %d module instances\n",
 		st.Gates, st.Nets, len(ed.Instances)-1)
 	if *opt {
-		// Optimization rewrites the flat netlist; the hierarchy-aware
-		// design-driven algorithm needs the original instance tree, so
-		// -opt applies to the flattened paths only.
-		if *algo == "dd" {
-			fatal(fmt.Errorf("-opt is only supported with -algo ml or nlevel (optimization discards hierarchy)"))
-		}
 		optNL, _, res, err := ed.Netlist.Optimize()
 		fatal(err)
 		fmt.Fprintf(human, "optimized: %s\n", res)
@@ -131,10 +131,7 @@ func main() {
 	t0 := time.Now()
 	switch *algo {
 	case "dd":
-		ps, ok := partition.ParsePairingStrategy(*strategy)
-		if !ok {
-			fatal(fmt.Errorf("unknown strategy %q", *strategy))
-		}
+		ps, _ := partition.ParsePairingStrategy(*strategy)
 		res, err := partition.Multiway(ed, partition.Options{
 			K: *k, B: *b, Strategy: ps, Seed: *seed, Workers: *workers, Obs: o,
 		})
@@ -157,8 +154,6 @@ func main() {
 			label, res.Cut, res.Balanced, res.Loads, res.Levels, res.Restart)
 		gateParts = res.GateParts
 		rep.Cut, rep.Loads, rep.Balanced, rep.Levels, rep.Restart = res.Cut, res.Loads, res.Balanced, res.Levels, res.Restart
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 	rep.WallMS = float64(time.Since(t0).Microseconds()) / 1000.0
 
@@ -183,6 +178,36 @@ func main() {
 		}
 		fatal(w.Flush())
 	}
+}
+
+// validateFlags rejects what the partitioners would refuse, or silently
+// ignore, only after the design has been read, parsed and elaborated. set
+// holds the flags given explicitly: a default left alone is never an error.
+func validateFlags(algo, strategy string, k int, b float64, opt bool, set map[string]bool) error {
+	switch algo {
+	case "dd":
+		if _, ok := partition.ParsePairingStrategy(strategy); !ok {
+			return fmt.Errorf("unknown -strategy %q (want random, exhaustive, cut or gain)", strategy)
+		}
+		// Optimization rewrites the flat netlist; the hierarchy-aware
+		// design-driven algorithm needs the original instance tree.
+		if opt {
+			return fmt.Errorf("-opt only applies to -algo ml or nlevel (optimization discards the hierarchy -algo dd partitions)")
+		}
+	case "ml", "nlevel":
+		if set["strategy"] {
+			return fmt.Errorf("-strategy only applies to -algo dd (algo is %q)", algo)
+		}
+	default:
+		return fmt.Errorf("unknown -algo %q (want dd, ml or nlevel)", algo)
+	}
+	if k < 2 {
+		return fmt.Errorf("-k must be >= 2 (got %d)", k)
+	}
+	if b <= 0 {
+		return fmt.Errorf("-b must be > 0 percent (got %g)", b)
+	}
+	return nil
 }
 
 func fatal(err error) {

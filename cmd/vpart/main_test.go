@@ -1,0 +1,54 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestValidateFlags holds every rejection to its message and every flag
+// combination the partitioners accept to none. wantErr "" means accepted.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		algo     string
+		strategy string
+		k        int
+		b        float64
+		opt      bool
+		set      []string
+		wantErr  string
+	}{
+		{name: "defaults", algo: "dd", strategy: "gain", k: 2, b: 10},
+		{name: "dd with every strategy: random", algo: "dd", strategy: "random", k: 4, b: 5, set: []string{"strategy"}},
+		{name: "dd with every strategy: exhaustive", algo: "dd", strategy: "exhaustive", k: 4, b: 5, set: []string{"strategy"}},
+		{name: "dd with every strategy: cut", algo: "dd", strategy: "cut", k: 4, b: 5, set: []string{"strategy"}},
+		{name: "ml", algo: "ml", strategy: "gain", k: 8, b: 0.5, set: []string{"algo", "k", "b"}},
+		{name: "nlevel optimized", algo: "nlevel", strategy: "gain", k: 3, b: 10, opt: true, set: []string{"algo", "opt"}},
+
+		{name: "unknown algo", algo: "hmetis", strategy: "gain", k: 2, b: 10, wantErr: `unknown -algo "hmetis"`},
+		{name: "empty algo", algo: "", strategy: "gain", k: 2, b: 10, wantErr: "unknown -algo"},
+		{name: "unknown strategy", algo: "dd", strategy: "greedy", k: 2, b: 10, set: []string{"strategy"}, wantErr: `unknown -strategy "greedy"`},
+		{name: "opt with dd", algo: "dd", strategy: "gain", k: 2, b: 10, opt: true, wantErr: "-opt only applies to -algo ml or nlevel"},
+		{name: "strategy with ml", algo: "ml", strategy: "cut", k: 2, b: 10, set: []string{"strategy"}, wantErr: "-strategy only applies to -algo dd"},
+		{name: "strategy with nlevel, even the default typed out", algo: "nlevel", strategy: "gain", k: 2, b: 10, set: []string{"strategy"}, wantErr: "-strategy only applies to -algo dd"},
+		{name: "k=1", algo: "dd", strategy: "gain", k: 1, b: 10, wantErr: "-k must be >= 2"},
+		{name: "k=0 with ml", algo: "ml", strategy: "gain", k: 0, b: 10, wantErr: "-k must be >= 2"},
+		{name: "negative k", algo: "nlevel", strategy: "gain", k: -3, b: 10, wantErr: "-k must be >= 2"},
+		{name: "b=0", algo: "dd", strategy: "gain", k: 2, b: 0, wantErr: "-b must be > 0"},
+		{name: "negative b", algo: "ml", strategy: "gain", k: 2, b: -5, wantErr: "-b must be > 0"},
+	} {
+		set := map[string]bool{}
+		for _, f := range tc.set {
+			set[f] = true
+		}
+		err := validateFlags(tc.algo, tc.strategy, tc.k, tc.b, tc.opt, set)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want an error containing %q", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/clustersim"
-	"repro/internal/netlist"
 	"repro/internal/sim"
 )
 
@@ -55,6 +54,3 @@ func (c *Context) evalParts(gateParts []int32, k int, cycles uint64) (*GridPoint
 		Messages: res.Messages, Rollbacks: res.Rollbacks,
 	}, nil
 }
-
-// CountGates is a small helper for reports.
-func CountGates(nl *netlist.Netlist) int { return nl.NumGates() }

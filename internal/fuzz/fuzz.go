@@ -242,27 +242,13 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		k = 1
 	}
 
-	// Sequential oracle.
+	// Sequential oracle over the design's whole registered state.
 	vs := sim.RandomVectors{Seed: spec.GenSeed}
-	seq, err := sim.New(nl)
+	state := sim.StateNets(nl)
+	want, err := sim.Record(nl, vs, spec.Cycles, state)
 	if err != nil {
 		res.Err = fmt.Errorf("sim: %w", err)
 		return res
-	}
-	want := make(map[netlist.NetID][]bool, len(nl.POs))
-	for _, po := range nl.POs {
-		want[po] = make([]bool, spec.Cycles)
-	}
-	buf := make([]bool, seq.VectorWidth())
-	for c := uint64(0); c < spec.Cycles; c++ {
-		vs.Vector(c, buf)
-		if _, err := seq.Step(buf); err != nil {
-			res.Err = fmt.Errorf("sim cycle %d: %w", c, err)
-			return res
-		}
-		for _, po := range nl.POs {
-			want[po][c] = seq.Value(po)
-		}
 	}
 
 	// Time Warp under (optionally) adversarial delivery.
@@ -272,6 +258,7 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		K:               k,
 		Vectors:         vs,
 		Cycles:          spec.Cycles,
+		Observe:         state,
 		Window:          spec.Window,
 		DisableBatching: spec.NoBatch,
 		StallTimeout:    stallTimeout,
@@ -302,17 +289,17 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 	res.FinalGVT = tw.FinalGVT
 	res.Violations = tw.InvariantViolations
 
-	for _, po := range nl.POs {
-		got, ok := tw.Observed[po]
+	for _, n := range state {
+		got, ok := tw.Observed[n]
 		if !ok {
-			res.Mismatch = fmt.Sprintf("PO %s not observed by the kernel", nl.Nets[po].Name)
+			res.Mismatch = fmt.Sprintf("net %s not observed by the kernel", nl.Nets[n].Name)
 			return res
 		}
-		for c := uint64(0); c < spec.Cycles; c++ {
-			if got[c] != want[po][c] {
+		for c, w := range want[n] {
+			if got[c] != w {
 				res.Mismatch = fmt.Sprintf(
-					"PO %s cycle %d: timewarp %v, sequential %v (family=%s part=%s k=%d chaos=%v)",
-					nl.Nets[po].Name, c, got[c], want[po][c],
+					"net %s cycle %d: timewarp %v, sequential %v (family=%s part=%s k=%d chaos=%v)",
+					nl.Nets[n].Name, c, got[c], w,
 					spec.Family, used, k, spec.Chaos != nil)
 				return res
 			}

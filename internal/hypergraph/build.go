@@ -42,9 +42,6 @@ func (b *Builder) Open(inst *elab.Instance) {
 	}
 }
 
-// Opened reports whether inst is currently opened.
-func (b *Builder) Opened(inst *elab.Instance) bool { return b.opened[inst.ID] }
-
 // OpenAll opens every instance, producing the fully flattened hypergraph —
 // the view hMetis-style algorithms operate on.
 func (b *Builder) OpenAll() {

@@ -54,9 +54,6 @@ type Netlist struct {
 // NumGates returns the number of gates.
 func (n *Netlist) NumGates() int { return len(n.Gates) }
 
-// NumNets returns the number of nets.
-func (n *Netlist) NumNets() int { return len(n.Nets) }
-
 // Stats summarizes a netlist for reporting.
 type Stats struct {
 	Gates, Nets, PIs, POs, DFFs int

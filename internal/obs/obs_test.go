@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -183,21 +182,6 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := c.Load(); got != 8*500 {
 		t.Fatalf("counter = %d, want %d", got, 8*500)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	// Median of 20 samples, 10 in (0,1], 10 in (1,2]: rank 10 falls at the
-	// top of the first bucket.
-	if q := HistogramQuantile(0.5, []float64{1, 2, 4}, []uint64{10, 10, 0}); q != 1 {
-		t.Fatalf("q50 = %v, want 1", q)
-	}
-	if q := HistogramQuantile(0.5, nil, nil); q != 0 {
-		t.Fatalf("empty histogram quantile = %v", q)
-	}
-	// All mass in the open +Inf bucket clamps to the last finite bound.
-	if q := HistogramQuantile(0.99, []float64{1, 2, math.Inf(1)}, []uint64{0, 0, 5}); q != 2 {
-		t.Fatalf("open-bucket quantile = %v, want 2", q)
 	}
 }
 

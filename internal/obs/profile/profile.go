@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -198,13 +197,6 @@ func (t *Table) AppendFolded(dst []byte, prefix string) []byte {
 		dst = append(dst, '\n')
 	}
 	return dst
-}
-
-// WriteFolded builds the profile of events and writes its folded-stack
-// text (prefix semantics as in AppendFolded).
-func WriteFolded(w io.Writer, prefix string, events []obs.Event) error {
-	_, err := w.Write(Build(events).AppendFolded(nil, prefix))
-	return err
 }
 
 // String renders the flat phase table, widest self time first — the

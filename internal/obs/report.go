@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -71,42 +70,4 @@ func (o *Observer) Report() string {
 		}
 	}
 	return b.String()
-}
-
-// HistogramQuantile estimates the q-quantile (0..1) of a cumulative
-// bucket layout (bounds as returned by Histogram.Buckets, last +Inf) by
-// linear interpolation inside the holding bucket — the standard
-// Prometheus estimator, here for the run report and tests.
-func HistogramQuantile(q float64, bounds []float64, counts []uint64) float64 {
-	total := uint64(0)
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i, c := range counts {
-		cum += c
-		if float64(cum) >= rank {
-			if math.IsInf(bounds[i], 1) {
-				if i == 0 {
-					return 0
-				}
-				return bounds[i-1] // open-ended top bucket: clamp to last bound
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			inBucket := float64(c)
-			if inBucket == 0 {
-				return bounds[i]
-			}
-			frac := (rank - float64(cum-c)) / inBucket
-			return lo + (bounds[i]-lo)*frac
-		}
-	}
-	return bounds[len(bounds)-1]
 }

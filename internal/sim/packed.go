@@ -149,10 +149,7 @@ func (s *PackedSimulator) Value(lane int, n netlist.NetID) bool {
 	return LaneBit(s.words[n], lane)
 }
 
-// Word returns a net's raw lane-word.
-func (s *PackedSimulator) Word(n netlist.NetID) uint64 { return s.words[n] }
-
-// LaneValues extracts one lane's full net state into dst (len = NumNets).
+// LaneValues extracts one lane's full net state into dst (len = len(NL.Nets)).
 func (s *PackedSimulator) LaneValues(lane int, dst []bool) {
 	for n, w := range s.words {
 		dst[n] = LaneBit(w, lane)
@@ -167,9 +164,6 @@ func (s *PackedSimulator) LaneEvents(lane int) uint64 { return s.events.Count(la
 
 // LaneToggles returns a lane's net-change count — the scalar Toggles.
 func (s *PackedSimulator) LaneToggles(lane int) uint64 { return s.toggles.Count(lane) }
-
-// TotalEvents returns the gate evaluations summed over all lanes.
-func (s *PackedSimulator) TotalEvents() uint64 { return s.events.Total() }
 
 // StepBatch simulates one clock cycle per vector: vectors[w*64+j] drives
 // lane j for its wave-w cycle. Waves run back to back; a final ragged

@@ -325,3 +325,59 @@ func TestTraceHooksFire(t *testing.T) {
 		t.Errorf("hook count %d != Events %d", evals, s.Events)
 	}
 }
+
+// TestRecordMatchesStepping holds Record to a simulator stepped by hand over
+// the state nets of a small decoder: every flip-flop output and primary
+// output exactly once, each with the post-latch value of every cycle.
+func TestRecordMatchesStepping(t *testing.T) {
+	ed, err := gen.Viterbi(gen.ViterbiConfig{K: 3, W: 4, TB: 8}).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	state := StateNets(nl)
+	listed := map[netlist.NetID]int{}
+	for _, n := range state {
+		listed[n]++
+	}
+	for _, po := range nl.POs {
+		if listed[po] != 1 {
+			t.Errorf("primary output %s listed %d times", nl.Nets[po].Name, listed[po])
+		}
+	}
+	dffs := 0
+	for i := range nl.Gates {
+		if g := &nl.Gates[i]; g.Kind.Sequential() {
+			dffs++
+			if listed[g.Output] != 1 {
+				t.Errorf("flip-flop output %s listed %d times", nl.Nets[g.Output].Name, listed[g.Output])
+			}
+		}
+	}
+	if dffs == 0 || len(listed) != len(state) || len(state) > len(nl.POs)+dffs {
+		t.Fatalf("%d state nets (%d distinct) for %d primary outputs and %d flip-flops", len(state), len(listed), len(nl.POs), dffs)
+	}
+
+	const cycles = 50
+	vs := RandomVectors{Seed: 9}
+	waves, err := Record(nl, vs, cycles, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]bool, s.VectorWidth())
+	for c := uint64(0); c < cycles; c++ {
+		vs.Vector(c, buf)
+		if _, err := s.Step(buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range state {
+			if len(waves[n]) != cycles || waves[n][c] != s.Value(n) {
+				t.Fatalf("net %s cycle %d: recorded %d cycles, value differs from the stepped simulator", nl.Nets[n].Name, c, len(waves[n]))
+			}
+		}
+	}
+}

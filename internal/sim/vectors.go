@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/netlist"
+)
 
 // VectorSource produces input vectors, one per cycle.
 type VectorSource interface {
@@ -38,4 +42,48 @@ func (s *Simulator) Run(src VectorSource, cycles uint64) (uint64, error) {
 		}
 	}
 	return s.Events - start, nil
+}
+
+// StateNets returns the primary outputs plus every flip-flop output: the
+// design's whole registered state, which is what a differential against
+// Record should watch — a wrong value that never reaches a primary output
+// within the run still shows in the register that holds it.
+func StateNets(nl *netlist.Netlist) []netlist.NetID {
+	nets := append([]netlist.NetID(nil), nl.POs...)
+	for i := range nl.Gates {
+		if g := &nl.Gates[i]; g.Kind.Sequential() && !nl.Nets[g.Output].IsPO {
+			nets = append(nets, g.Output)
+		}
+	}
+	return nets
+}
+
+// Record is the sequential reference run every parallel simulator is held
+// against: a fresh Simulator over nl driven with cycles vectors from src,
+// returning the post-latch value of each net of observe after every cycle
+// (waves[n][c], the layout of timewarp.Result.Observed).
+func Record(nl *netlist.Netlist, src VectorSource, cycles uint64, observe []netlist.NetID) (map[netlist.NetID][]bool, error) {
+	s, err := New(nl)
+	if err != nil {
+		return nil, err
+	}
+	waves := make(map[netlist.NetID][]bool, len(observe))
+	rows := make([][]bool, len(observe)) // waves[observe[i]], without the lookup per cycle
+	for i, n := range observe {
+		if waves[n] == nil {
+			waves[n] = make([]bool, cycles)
+		}
+		rows[i] = waves[n]
+	}
+	buf := make([]bool, s.VectorWidth())
+	for c := uint64(0); c < cycles; c++ {
+		src.Vector(c, buf)
+		if _, err := s.Step(buf); err != nil {
+			return nil, err
+		}
+		for i, n := range observe {
+			rows[i][c] = s.Value(n)
+		}
+	}
+	return waves, nil
 }

@@ -84,7 +84,8 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 	ed, parts := serialCut(t)
 	nl := ed.Netlist
 	const cycles, warm, seed = 48, 11, 5
-	want := seqOracle(t, nl, cycles, seed)
+	state := sim.StateNets(nl)
+	want := seqOracle(t, nl, state, cycles, seed)
 
 	for _, tc := range []struct {
 		name string
@@ -97,7 +98,7 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 			var tr *heldTransport
 			cfg := Config{
 				NL: nl, GateParts: parts, K: 2,
-				Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+				Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
 				Transport: func(k int, deliver comm.DeliverFunc) comm.Transport {
 					tr = &heldTransport{deliver: deliver}
 					return tr
@@ -192,7 +193,7 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 			for _, o := range h.collect().Observed {
 				got[o.Net] = o.Values
 			}
-			compareObserved(t, nl, got, want, cycles, tc.name)
+			compareObserved(t, nl, state, got, want, tc.name)
 			h.closeEndpoints()
 			h.net.CloseTransport()
 		})
@@ -327,7 +328,8 @@ func TestChaosRunAbandonsCycles(t *testing.T) {
 	ed, parts := serialCut(t)
 	nl := ed.Netlist
 	const cycles, seed = 150, 7
-	want := seqOracle(t, nl, cycles, seed)
+	state := sim.StateNets(nl)
+	want := seqOracle(t, nl, state, cycles, seed)
 	for _, tc := range []struct {
 		name      string
 		transport comm.TransportFactory
@@ -338,7 +340,7 @@ func TestChaosRunAbandonsCycles(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(Config{
 				NL: nl, GateParts: parts, K: 2,
-				Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+				Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
 				Transport: tc.transport, StallTimeout: 30 * time.Second,
 			})
 			if err != nil {
@@ -358,7 +360,7 @@ func TestChaosRunAbandonsCycles(t *testing.T) {
 			if res.FinalGVT != cycles || len(res.InvariantViolations) != 0 {
 				t.Errorf("FinalGVT %d, violations %v; want %d and none", res.FinalGVT, res.InvariantViolations, cycles)
 			}
-			compareObserved(t, nl, res.Observed, want, cycles, tc.name)
+			compareObserved(t, nl, state, res.Observed, want, tc.name)
 		})
 	}
 }

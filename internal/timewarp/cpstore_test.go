@@ -8,7 +8,6 @@ import (
 	"repro/internal/elab"
 	"repro/internal/gen"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // mkvals builds a value mirror of n nets with the given true positions.
@@ -185,48 +184,6 @@ func TestCPStoreSingleCheckpointWholeRun(t *testing.T) {
 	if s.searchAtOrBefore(0) != 0 {
 		t.Fatal("cycle 0 must be findable")
 	}
-}
-
-// runBothCfg mirrors runBoth but lets the caller mutate the kernel Config,
-// so checkpointing/batching variants reuse the same sequential oracle.
-func runBothCfg(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64,
-	seed int64, mutate func(*Config)) Stats {
-	t.Helper()
-	nl := ed.Netlist
-	vs := sim.RandomVectors{Seed: seed}
-	seq, err := sim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[netlist.NetID][]bool, len(nl.POs))
-	for _, po := range nl.POs {
-		want[po] = make([]bool, cycles)
-	}
-	buf := make([]bool, seq.VectorWidth())
-	for c := uint64(0); c < cycles; c++ {
-		vs.Vector(c, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, po := range nl.POs {
-			want[po][c] = seq.Value(po)
-		}
-	}
-	cfg := Config{NL: nl, GateParts: gateParts, K: k, Vectors: vs, Cycles: cycles}
-	mutate(&cfg)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, po := range nl.POs {
-		for c := uint64(0); c < cycles; c++ {
-			if res.Observed[po][c] != want[po][c] {
-				t.Fatalf("PO %s cycle %d: timewarp %v, sequential %v",
-					nl.Nets[po].Name, c, res.Observed[po][c], want[po][c])
-			}
-		}
-	}
-	return res.Stats
 }
 
 func viterbiDesign(t *testing.T) *elab.Design {

@@ -3,7 +3,6 @@ package timewarp
 import (
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/partition"
 )
 
@@ -14,22 +13,7 @@ import (
 // regression that changes committed waveforms fails here without needing
 // a fuzz campaign.
 func TestDifferentialWorkloadsVsSequential(t *testing.T) {
-	cases := []struct {
-		name   string
-		c      *gen.Circuit
-		cycles uint64
-	}{
-		{"viterbi", gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}), 120},
-		{"fir", gen.FIR(gen.FIRConfig{Taps: 8, W: 6, Seed: 3}), 120},
-		{"multiplier", gen.Multiplier(6), 100},
-		{"soc", gen.ViterbiSoC(gen.SoCConfig{
-			Channels:      2,
-			Viterbi:       gen.ViterbiConfig{K: 4, W: 4, TB: 8},
-			ScramblerBits: 12,
-			CRCBits:       8,
-		}), 60},
-	}
-	for _, tc := range cases {
+	for _, tc := range distWorkloads() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ed, err := tc.c.Elaborate()

@@ -44,42 +44,30 @@ func distWorkloads() []struct {
 	}
 }
 
-// seqOracle computes the sequential per-cycle PO waveforms.
-func seqOracle(t *testing.T, nl *netlist.Netlist, cycles uint64, seed int64) map[netlist.NetID][]bool {
+// seqOracle is the sequential reference's per-cycle waveforms of nets under
+// the seeded random stimulus.
+func seqOracle(t *testing.T, nl *netlist.Netlist, nets []netlist.NetID, cycles uint64, seed int64) map[netlist.NetID][]bool {
 	t.Helper()
-	vs := sim.RandomVectors{Seed: seed}
-	seq, err := sim.New(nl)
+	want, err := sim.Record(nl, sim.RandomVectors{Seed: seed}, cycles, nets)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := make(map[netlist.NetID][]bool, len(nl.POs))
-	for _, po := range nl.POs {
-		want[po] = make([]bool, cycles)
-	}
-	buf := make([]bool, seq.VectorWidth())
-	for c := uint64(0); c < cycles; c++ {
-		vs.Vector(c, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, po := range nl.POs {
-			want[po][c] = seq.Value(po)
-		}
 	}
 	return want
 }
 
-func compareObserved(t *testing.T, nl *netlist.Netlist, got, want map[netlist.NetID][]bool, cycles uint64, label string) {
+// compareObserved fails the test at the first (net, cycle) of nets where
+// got differs from want.
+func compareObserved(t *testing.T, nl *netlist.Netlist, nets []netlist.NetID, got, want map[netlist.NetID][]bool, label string) {
 	t.Helper()
-	for _, po := range nl.POs {
-		g, ok := got[po]
+	for _, n := range nets {
+		g, ok := got[n]
 		if !ok {
-			t.Fatalf("%s: PO %s not observed", label, nl.Nets[po].Name)
+			t.Fatalf("%s: net %s not observed", label, nl.Nets[n].Name)
 		}
-		for c := uint64(0); c < cycles; c++ {
-			if g[c] != want[po][c] {
-				t.Fatalf("%s: PO %s cycle %d: got %v, sequential %v",
-					label, nl.Nets[po].Name, c, g[c], want[po][c])
+		for c, w := range want[n] {
+			if g[c] != w {
+				t.Fatalf("%s: net %s cycle %d: got %v, sequential %v",
+					label, nl.Nets[n].Name, c, g[c], w)
 			}
 		}
 	}
@@ -103,7 +91,8 @@ func TestDifferentialNetTransportVsSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			nl := ed.Netlist
-			want := seqOracle(t, nl, tc.cycles, 29)
+			state := sim.StateNets(nl)
+			want := seqOracle(t, nl, state, tc.cycles, 29)
 			for _, k := range []int{2, 4} {
 				pr, err := partition.Multiway(ed, partition.Options{
 					K: k, B: 10, Seed: 17, Restarts: 2,
@@ -117,6 +106,7 @@ func TestDifferentialNetTransportVsSequential(t *testing.T) {
 					K:            k,
 					Vectors:      sim.RandomVectors{Seed: 29},
 					Cycles:       tc.cycles,
+					Observe:      state,
 					Transport:    nettrans.Loopback(nettrans.LoopbackConfig{Codec: WireCodec()}),
 					StallTimeout: 20 * time.Second,
 					RunTimeout:   80 * time.Second,
@@ -127,7 +117,7 @@ func TestDifferentialNetTransportVsSequential(t *testing.T) {
 				if len(res.InvariantViolations) > 0 {
 					t.Fatalf("k=%d: invariant violations: %v", k, res.InvariantViolations)
 				}
-				compareObserved(t, nl, res.Observed, want, tc.cycles, tc.name)
+				compareObserved(t, nl, state, res.Observed, want, tc.name)
 			}
 		})
 	}
@@ -229,7 +219,7 @@ func TestDistributedDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			nl := ed.Netlist
-			want := seqOracle(t, nl, tc.cycles, 29)
+			want := seqOracle(t, nl, nl.POs, tc.cycles, 29) // a DistSpec carries no observe list
 			for _, k := range []int{2, 4} {
 				pr, err := partition.Multiway(ed, partition.Options{
 					K: k, B: 10, Seed: 17, Restarts: 2,
@@ -260,7 +250,7 @@ func TestDistributedDifferential(t *testing.T) {
 				if res.FinalGVT != tc.cycles {
 					t.Errorf("k=%d: final GVT %d, want %d", k, res.FinalGVT, tc.cycles)
 				}
-				compareObserved(t, nl, res.Observed, want, tc.cycles, tc.name)
+				compareObserved(t, nl, nl.POs, res.Observed, want, tc.name)
 				t.Logf("%s k=%d workers=2: msgs=%d rollbacks=%d gvt=%d",
 					tc.name, k, res.Stats.Messages, res.Stats.Rollbacks, res.FinalGVT)
 			}

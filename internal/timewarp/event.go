@@ -14,6 +14,8 @@
 package timewarp
 
 import (
+	"cmp"
+
 	"repro/internal/netlist"
 	"repro/internal/obs/causality"
 	"repro/internal/sim"
@@ -35,162 +37,17 @@ type event struct {
 	Origin causality.EventID
 }
 
+// cmpEvent orders events by (T, Src, Seq): the order of a cluster's input
+// queue, hence the order events are consumed and replayed in. An
+// anti-message repeats all three of its positive's, so it compares equal to
+// the event it cancels.
+func cmpEvent(a, b event) int {
+	return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
+}
+
 // batch is the transport payload coalescing every event one cluster emits
 // to one destination within a cycle into a single comm.Message. Order
 // within the batch is send order, so per-link FIFO survives batching: the
 // receiver unpacks sequentially and an anti-message can never overtake the
 // positive it cancels.
 type batch []event
-
-// heapKey identifies a positive event for annihilation: anti-messages
-// repeat their positive's (Src, Seq).
-type heapKey struct {
-	src int32
-	seq uint64
-}
-
-// eventHeap is a min-heap of events ordered by (T, Src, Seq) — so replay
-// order is deterministic — backed by a (src, seq) → heap-index map
-// maintained through every sift, so anti-message annihilation
-// (removeMatching) is an O(1) lookup plus an O(log n) removal instead of
-// the former O(n) scan.
-//
-// The kernel guarantees a positive (src, seq) resides in the heap at most
-// once (exactly-once delivery; an event lives in either pending or the
-// processed log, never both — rollback moves it back atomically). Should a
-// duplicate positive key ever be pushed anyway (tests can), the heap
-// detects the collision and degrades to the scan fallback until it drains,
-// so a colliding key can never annihilate the wrong copy via a stale index.
-type eventHeap struct {
-	ev []event
-	// pos indexes positive events only; anti-marked events are never
-	// annihilation targets and stay unindexed.
-	pos map[heapKey]int
-	// dups counts positive keys pushed while already indexed. While
-	// non-zero the index is untrusted and removeMatching scans; the state
-	// resets when the heap drains.
-	dups int
-}
-
-func (h *eventHeap) Len() int { return len(h.ev) }
-
-func (h *eventHeap) less(i, j int) bool {
-	a, b := &h.ev[i], &h.ev[j]
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Seq < b.Seq
-}
-
-func (h *eventHeap) swap(i, j int) {
-	h.ev[i], h.ev[j] = h.ev[j], h.ev[i]
-	if !h.ev[i].Anti {
-		h.pos[heapKey{h.ev[i].Src, h.ev[i].Seq}] = i
-	}
-	if !h.ev[j].Anti {
-		h.pos[heapKey{h.ev[j].Src, h.ev[j].Seq}] = j
-	}
-}
-
-// up and down are container/heap's sifts, written over the event slice so
-// that pushing and popping an event does not box it into an interface: a
-// rollback requeues its replay-log tail through here without allocating.
-func (h *eventHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-func (h *eventHeap) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-func (h *eventHeap) pushEvent(e event) {
-	if !e.Anti {
-		if h.pos == nil {
-			h.pos = make(map[heapKey]int)
-		}
-		k := heapKey{e.Src, e.Seq}
-		if _, exists := h.pos[k]; exists {
-			h.dups++
-		} else {
-			h.pos[k] = len(h.ev)
-		}
-	}
-	h.ev = append(h.ev, e)
-	h.up(len(h.ev) - 1)
-}
-
-func (h *eventHeap) popEvent() event { return h.remove(0) }
-
-// remove takes the event at heap index i out and returns it.
-func (h *eventHeap) remove(i int) event {
-	n := len(h.ev) - 1
-	if n != i {
-		h.swap(i, n)
-		if !h.down(i, n) {
-			h.up(i)
-		}
-	}
-	e := h.ev[n]
-	h.ev = h.ev[:n]
-	if !e.Anti && h.dups == 0 {
-		delete(h.pos, heapKey{e.Src, e.Seq})
-	}
-	if len(h.ev) == 0 && (h.dups > 0 || len(h.pos) > 0) {
-		// Drained: any collision state (and stale entries it left behind)
-		// is gone; re-arm the index.
-		h.dups = 0
-		clear(h.pos)
-	}
-	return e
-}
-
-// min returns the heap minimum without removing it. Caller checks Len.
-func (h *eventHeap) min() *event { return &h.ev[0] }
-
-// removeMatching deletes the positive event with the given (src, seq),
-// returning whether one was found. Anti-marked events never match.
-func (h *eventHeap) removeMatching(src int32, seq uint64) bool {
-	if h.dups == 0 {
-		i, ok := h.pos[heapKey{src, seq}]
-		if !ok {
-			return false
-		}
-		h.remove(i)
-		return true
-	}
-	// Collision fallback: the index may point at either duplicate, so scan
-	// for the first match in slice order — the pre-index behaviour.
-	for i := range h.ev {
-		if h.ev[i].Src == src && h.ev[i].Seq == seq && !h.ev[i].Anti {
-			h.remove(i)
-			return true
-		}
-	}
-	return false
-}

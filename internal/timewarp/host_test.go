@@ -152,9 +152,10 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	nl, parts := togglePair(t)
 	const cycles, seed = 2000, 1
+	state := sim.StateNets(nl)
 	h, err := newHost(Config{
 		NL: nl, GateParts: parts, K: 2,
-		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
 		Transport:    comm.Chaos(comm.ChaosConfig{Seed: seed, StallEvery: 16, StallFor: 200 * time.Microsecond}),
 		StallTimeout: 30 * time.Second,
 	}, "tw", nil)
@@ -168,7 +169,7 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	if res.FinalGVT != cycles || len(res.InvariantViolations) != 0 {
 		t.Errorf("FinalGVT %d, violations %v; want %d and none", res.FinalGVT, res.InvariantViolations, cycles)
 	}
-	compareObserved(t, nl, res.Observed, seqOracle(t, nl, cycles, seed), cycles, "one-way")
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), "one-way")
 
 	a, b := h.clusters[0], h.clusters[1]
 	if st := res.PerCluster[0]; st.Messages < cycles-1 || st.Checkpoints != 0 || st.PoolHits+st.PoolMisses != 0 || st.Rollbacks != 0 {

@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -229,24 +230,27 @@ func TestCutZeroRunIsPinned(t *testing.T) {
 	}
 }
 
-// TestProcessedLogStaysSorted steps three clusters of a randomly cut
-// decoder by hand under a random schedule with no optimism window, so
-// stragglers, rollbacks and anti-messages for already consumed events are
-// plentiful. After every absorb the replay log must be sorted by
-// timestamp — findProcessed bisects it — and the bisection must land
-// where a linear scan does.
-func TestProcessedLogStaysSorted(t *testing.T) {
+// TestInputQueueStaysSorted steps three clusters of a randomly cut decoder
+// by hand under a random schedule with no optimism window, so stragglers,
+// rollbacks and anti-messages for already consumed events are plentiful.
+// Before every absorb each anti-message's positive is looked up by a linear
+// scan of the input queue: the bisection absorbOne does must delete that
+// very entry, and count it consumed exactly when the scan found it before
+// the cursor. After every absorb the queue must be in (T, Src, Seq) order
+// with the cursor where the cluster's cycle begins.
+func TestInputQueueStaysSorted(t *testing.T) {
 	nl := viterbiDesign(t).Netlist
 	const k, cycles, seed = 3, 40, 41
+	state := sim.StateNets(nl)
 	h, err := newHost(Config{
 		NL: nl, GateParts: randomParts(nl, k, 17), K: k,
-		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
 	}, "tw", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scan := func(c *cluster, e event) int {
-		for i, p := range c.processed {
+		for i, p := range c.inq {
 			if p.Src == e.Src && p.Seq == e.Seq {
 				return i
 			}
@@ -254,7 +258,7 @@ func TestProcessedLogStaysSorted(t *testing.T) {
 		return -1
 	}
 	rng := rand.New(rand.NewSource(1))
-	consumedAntis := 0 // anti-messages whose positive was in the replay log
+	consumedAntis := 0 // anti-messages whose positive had been consumed
 	finished := func() bool {
 		for _, c := range h.clusters {
 			if c.cycle < cycles {
@@ -266,27 +270,43 @@ func TestProcessedLogStaysSorted(t *testing.T) {
 	for !finished() {
 		c := h.clusters[rng.Intn(k)]
 		msgs := c.ep.TryRecvAll()
+		st := absorbState{lvt: c.cycle * c.deltaRange, rollTo: math.MaxUint64}
 		for _, m := range msgs {
 			evs, _ := m.(batch)
 			if e, ok := m.(event); ok {
 				evs = batch{e}
 			}
 			for _, e := range evs {
-				if want := scan(c, e); e.Anti && want >= 0 {
+				at, next, n := scan(c, e), c.next, len(c.inq)
+				if e.Anti && at < 0 {
+					t.Fatalf("cluster %d: anti-message (T=%d src=%d seq=%d) for an event the queue does not hold", c.id, e.T, e.Src, e.Seq)
+				}
+				if err := c.absorbOne(e, &st); err != nil {
+					t.Fatal(err)
+				}
+				if !e.Anti {
+					continue
+				}
+				if len(c.inq) != n-1 || scan(c, e) >= 0 {
+					t.Fatalf("cluster %d: anti-message (T=%d src=%d seq=%d) left %d of %d entries, its positive among them: %v",
+						c.id, e.T, e.Src, e.Seq, len(c.inq), n, scan(c, e) >= 0)
+				}
+				if consumed := at < next; consumed != (c.next == next-1) {
+					t.Fatalf("cluster %d: positive at %d with the cursor at %d, cursor now %d", c.id, at, next, c.next)
+				} else if consumed {
 					consumedAntis++
-					if got := c.findProcessed(e.T, e.Src, e.Seq); got != want {
-						t.Fatalf("cluster %d: findProcessed(T=%d src=%d seq=%d) = %d, linear scan %d",
-							c.id, e.T, e.Src, e.Seq, got, want)
-					}
 				}
 			}
 		}
-		if err := c.absorb(msgs); err != nil {
+		if err := c.resolve(&st); err != nil { // runs checkLogs after a rollback
 			t.Fatal(err)
 		}
 		h.absorbed.Add(uint64(len(msgs)))
-		if !sort.SliceIsSorted(c.processed, func(i, j int) bool { return c.processed[i].T < c.processed[j].T }) {
-			t.Fatalf("cluster %d: replay log not sorted by T after absorbing %d messages", c.id, len(msgs))
+		if err := c.checkLogs(); err != nil {
+			t.Fatal(err)
+		}
+		if want := firstAt(c.inq, c.cycle*c.deltaRange); c.next != want {
+			t.Fatalf("cluster %d at cycle %d: cursor %d, the cycle's first event is at %d of %d", c.id, c.cycle, c.next, want, len(c.inq))
 		}
 		if c.cycle < cycles && rng.Intn(3) > 0 {
 			if err := c.processCycle(c.cycle); err != nil {
@@ -307,6 +327,6 @@ func TestProcessedLogStaysSorted(t *testing.T) {
 	for _, o := range h.collect().Observed {
 		got[o.Net] = o.Values
 	}
-	compareObserved(t, nl, got, seqOracle(t, nl, cycles, seed), cycles, "hand-stepped")
+	compareObserved(t, nl, state, got, seqOracle(t, nl, state, cycles, seed), "hand-stepped")
 	h.closeEndpoints()
 }

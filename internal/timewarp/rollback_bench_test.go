@@ -14,7 +14,8 @@ import (
 // between the flip-flops, in which each cluster consumes one event and sends
 // one event every cycle, stepped in turn so that nothing rolls back and
 // nothing is fossil-collected while the logs grow to the given number of
-// entries. The rollback bisects them and moves one entry of each; the
+// entries. The rollback bisects them, moves the input queue's cursor back
+// over one entry and one output-log entry to the stale events; the
 // re-execution regenerates the event it sent, so nothing goes out. The cost
 // must not depend on the history (the three sizes within 1.5× of each
 // other) and nothing may allocate.
@@ -63,9 +64,9 @@ endmodule
 					}
 				}
 			}
-			if st := c.stats.Snapshot(); st.Rollbacks != 0 || uint64(len(c.processed)) < entries || uint64(len(c.outputLog)) < entries {
-				b.Fatalf("history: %d rollbacks, %d replay-log and %d output-log entries; want none and at least %d of each",
-					st.Rollbacks, len(c.processed), len(c.outputLog), entries)
+			if st := c.stats.Snapshot(); st.Rollbacks != 0 || uint64(c.next) < entries || uint64(len(c.outputLog)) < entries {
+				b.Fatalf("history: %d rollbacks, %d consumed input-queue and %d output-log entries; want none and at least %d of each",
+					st.Rollbacks, c.next, len(c.outputLog), entries)
 			}
 			round := func() {
 				if err := c.rollback(c.cycle-1, 0); err != nil {
@@ -75,7 +76,7 @@ endmodule
 					b.Fatal(err)
 				}
 			}
-			round() // the stale-event buffers and the heap's index get their capacity
+			round() // the stale-event buffers get their capacity
 			sent := h.net.TotalSent()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -83,9 +84,9 @@ endmodule
 				round()
 			}
 			b.StopTimer()
-			if h.net.TotalSent() != sent || uint64(len(c.processed)) < entries || uint64(len(c.outputLog)) < entries {
-				b.Fatalf("the rounds sent %d messages and left %d replay-log and %d output-log entries",
-					h.net.TotalSent()-sent, len(c.processed), len(c.outputLog))
+			if h.net.TotalSent() != sent || uint64(c.next) < entries || uint64(len(c.outputLog)) < entries {
+				b.Fatalf("the rounds sent %d messages and left %d consumed input-queue and %d output-log entries",
+					h.net.TotalSent()-sent, c.next, len(c.outputLog))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,53 +14,38 @@ import (
 
 // runBoth simulates cycles vectors both sequentially and with the Time
 // Warp kernel over the given gate partitioning, and compares the per-cycle
-// primary-output waveforms bit for bit.
+// waveforms of the design's whole registered state (sim.StateNets: primary
+// outputs and every flip-flop output) bit for bit.
 func runBoth(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64, seed int64) Stats {
 	t.Helper()
+	return runBothCfg(t, ed, gateParts, k, cycles, seed, func(*Config) {})
+}
+
+// runBothCfg is runBoth with the kernel Config open to the caller, so
+// window, batching and transport variants share the one oracle. The run
+// must also end clean: no invariant violation, every cycle committed.
+func runBothCfg(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64,
+	seed int64, mutate func(*Config)) Stats {
+	t.Helper()
 	nl := ed.Netlist
-	vs := sim.RandomVectors{Seed: seed}
-
-	seq, err := sim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[netlist.NetID][]bool, len(nl.POs))
-	for _, po := range nl.POs {
-		want[po] = make([]bool, cycles)
-	}
-	buf := make([]bool, seq.VectorWidth())
-	for c := uint64(0); c < cycles; c++ {
-		vs.Vector(c, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, po := range nl.POs {
-			want[po][c] = seq.Value(po)
-		}
-	}
-
-	res, err := Run(Config{
+	state := sim.StateNets(nl)
+	cfg := Config{
 		NL:        nl,
 		GateParts: gateParts,
 		K:         k,
-		Vectors:   vs,
+		Vectors:   sim.RandomVectors{Seed: seed},
 		Cycles:    cycles,
-	})
+		Observe:   state,
+	}
+	mutate(&cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, po := range nl.POs {
-		got, ok := res.Observed[po]
-		if !ok {
-			t.Fatalf("PO %s not observed", nl.Nets[po].Name)
-		}
-		for c := uint64(0); c < cycles; c++ {
-			if got[c] != want[po][c] {
-				t.Fatalf("PO %s cycle %d: timewarp %v, sequential %v (k=%d)",
-					nl.Nets[po].Name, c, got[c], want[po][c], k)
-			}
-		}
+	if len(res.InvariantViolations) != 0 || res.FinalGVT != cycles {
+		t.Fatalf("k=%d: final GVT %d of %d cycles, invariant violations %v", k, res.FinalGVT, cycles, res.InvariantViolations)
 	}
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), fmt.Sprintf("k=%d", k))
 	return res.Stats
 }
 
@@ -164,45 +150,11 @@ func TestRunValidation(t *testing.T) {
 func TestSmallWindowStillCorrect(t *testing.T) {
 	// A tiny optimism window forces tight coupling; results must not
 	// change.
-	c := gen.Multiplier(4)
-	ed, err := c.Elaborate()
+	ed, err := gen.Multiplier(4).Elaborate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl := ed.Netlist
-	vs := sim.RandomVectors{Seed: 21}
-	seq, err := sim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 80
-	want := make([][]bool, cycles)
-	buf := make([]bool, seq.VectorWidth())
-	for cyc := uint64(0); cyc < cycles; cyc++ {
-		vs.Vector(cyc, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		row := make([]bool, len(nl.POs))
-		for i, po := range nl.POs {
-			row[i] = seq.Value(po)
-		}
-		want[cyc] = row
-	}
-	res, err := Run(Config{
-		NL: nl, GateParts: randomParts(nl, 3, 2), K: 3,
-		Vectors: vs, Cycles: cycles, Window: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, po := range nl.POs {
-		for cyc := 0; cyc < cycles; cyc++ {
-			if res.Observed[po][cyc] != want[cyc][i] {
-				t.Fatalf("window=2: PO %s cycle %d mismatch", nl.Nets[po].Name, cyc)
-			}
-		}
-	}
+	runBothCfg(t, ed, randomParts(ed.Netlist, 3, 2), 3, 80, 21, func(c *Config) { c.Window = 2 })
 }
 
 func TestSoCPartitionedMatchesSequential(t *testing.T) {

@@ -67,53 +67,17 @@ func TestStallWatcherDisabledByDefaultStillTerminates(t *testing.T) {
 func TestChaosTransportStallsDoNotTripGenerousTimeout(t *testing.T) {
 	// Chaos stall schedules hold messages for milliseconds; a seconds-scale
 	// stall timeout must ride them out and the run must stay correct.
-	c := gen.LFSR(16, nil)
-	ed, err := c.Elaborate()
+	ed, err := gen.LFSR(16, nil).Elaborate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl := ed.Netlist
-	vs := sim.RandomVectors{Seed: 13}
-	seq, err := sim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 150
-	want := make([][]bool, cycles)
-	buf := make([]bool, seq.VectorWidth())
-	for cyc := uint64(0); cyc < cycles; cyc++ {
-		vs.Vector(cyc, buf)
-		if _, err := seq.Step(buf); err != nil {
-			t.Fatal(err)
-		}
-		row := make([]bool, len(nl.POs))
-		for i, po := range nl.POs {
-			row[i] = seq.Value(po)
-		}
-		want[cyc] = row
-	}
-	res, err := Run(Config{
-		NL: nl, GateParts: randomParts(nl, 3, 7), K: 3,
-		Vectors: vs, Cycles: cycles,
-		Transport: comm.Chaos(comm.ChaosConfig{
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 3, 7), 3, 150, 13, func(c *Config) {
+		c.Transport = comm.Chaos(comm.ChaosConfig{
 			Seed: 41, MaxDelay: 200 * time.Microsecond,
 			StallEvery: 20, StallFor: 2 * time.Millisecond,
-		}),
-		StallTimeout: 20 * time.Second,
+		})
+		c.StallTimeout = 20 * time.Second
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, po := range nl.POs {
-		for cyc := 0; cyc < cycles; cyc++ {
-			if res.Observed[po][cyc] != want[cyc][i] {
-				t.Fatalf("chaos: PO %s cycle %d mismatch", nl.Nets[po].Name, cyc)
-			}
-		}
-	}
-	if len(res.InvariantViolations) != 0 {
-		t.Fatalf("invariant violations under chaos: %v", res.InvariantViolations)
-	}
 	t.Logf("chaos run: msgs=%d anti=%d rollbacks=%d maxStragglerDepth=%d",
-		res.Stats.Messages, res.Stats.AntiMessages, res.Stats.Rollbacks, res.Stats.MaxStragglerDepth)
+		st.Messages, st.AntiMessages, st.Rollbacks, st.MaxStragglerDepth)
 }
