@@ -127,7 +127,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "run the pre-simulation grid and emit machine-readable JSON on stdout (suppresses tables)")
 		trace     = flag.String("trace", "", "write a Chrome trace of the partitioner/grid work to this file (\"-\" = stdout)")
 		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while the experiments run")
+		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the experiments run")
 	)
 	flag.Parse()
 	if err := validateSelection(*table, *fig, *ablation); err != nil {

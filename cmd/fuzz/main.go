@@ -38,7 +38,7 @@ func main() {
 		trace     = flag.String("trace", "", "with -replay: write the replayed run's Chrome trace to this file (\"-\" = stdout)")
 		traceDir  = flag.String("trace-dir", "", "write the Chrome trace of every FAILING seed into this directory")
 		verbose   = flag.Bool("v", false, "one line per run")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while the campaign runs")
+		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the campaign runs")
 	)
 	flag.Parse()
 

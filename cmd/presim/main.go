@@ -40,11 +40,16 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON results on stdout instead of text tables")
 		trace     = flag.String("trace", "", "write a Chrome trace of the campaign to this file (\"-\" = stdout)")
 		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while the campaign runs")
+		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the campaign runs")
 	)
 	flag.Parse()
 	if *in == "" || *top == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	ks, bs, err := validateFlags(*ksFlag, *bsFlag, *cycles, *workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "presim:", err)
 		os.Exit(2)
 	}
 
@@ -71,8 +76,8 @@ func main() {
 	}
 	cfg := &presim.Config{
 		Design:  ed,
-		Ks:      parseInts(*ksFlag),
-		Bs:      parseFloats(*bsFlag),
+		Ks:      ks,
+		Bs:      bs,
 		Cycles:  *cycles,
 		Seed:    *seed,
 		Workers: *workers,
@@ -157,24 +162,57 @@ func printPoints(points []*presim.Point) {
 	fmt.Print(tbl.String())
 }
 
-func parseInts(s string) []int {
+// validateFlags rejects, before any work is done, the flag values no
+// campaign accepts, and returns the two candidate lists parsed.
+func validateFlags(ksFlag, bsFlag string, cycles uint64, workers int) (ks []int, bs []float64, err error) {
+	if ks, err = parseInts(ksFlag); err != nil {
+		return nil, nil, fmt.Errorf("-ks: %v", err)
+	}
+	for _, k := range ks {
+		if k < 2 {
+			return nil, nil, fmt.Errorf("-ks: machine counts must be >= 2 (got %d)", k)
+		}
+	}
+	if bs, err = parseFloats(bsFlag); err != nil {
+		return nil, nil, fmt.Errorf("-bs: %v", err)
+	}
+	for _, b := range bs {
+		if !(b > 0) {
+			return nil, nil, fmt.Errorf("-bs: balance factors must be > 0 percent (got %g)", b)
+		}
+	}
+	if cycles == 0 {
+		return nil, nil, fmt.Errorf("-cycles must be >= 1")
+	}
+	if workers < 0 {
+		return nil, nil, fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	}
+	return ks, bs, nil
+}
+
+// parseInts parses a comma-separated list with at least one entry.
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		fatal(err)
+		if err != nil {
+			return nil, fmt.Errorf("entry %q of %q is not an integer", part, s)
+		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func parseFloats(s string) []float64 {
+func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		fatal(err)
+		if err != nil {
+			return nil, fmt.Errorf("entry %q of %q is not a number", part, s)
+		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func fatal(err error) {

@@ -81,7 +81,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "write a machine-readable cut-quality report to stdout (human summary goes to stderr)")
 		out       = flag.String("out", "", "write gate→partition mapping to this file")
 		opt       = flag.Bool("opt", false, "run constant propagation + dead-gate sweep first")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while partitioning")
+		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while partitioning")
 	)
 	flag.Parse()
 	if *in == "" || *top == "" {

@@ -66,7 +66,7 @@ func main() {
 		report    = flag.Bool("report", false, "print the human-readable observability report after the run (tw mode)")
 		chaos     = flag.Bool("chaos", false, "deliver inter-cluster messages through the adversarial chaos transport (tw mode)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "chaos transport schedule seed")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /events /debug/pprof) on this host:port while the run executes (tw mode)")
+		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the run executes (tw mode)")
 		serveHold = flag.Duration("serve-hold", 0, "keep the monitoring server up this long after the run finishes (with -serve; for scripted scrapes and demos)")
 		blame     = flag.Bool("blame", false, "record per-event causality and print the rollback-blame / critical-path report after the run (tw mode)")
 

@@ -13,7 +13,7 @@ const (
 	// Version is the wire-protocol version; coordinator and workers must
 	// match exactly — the frame layout has no compatibility machinery, so
 	// every change to a control-plane payload's layout raises it.
-	Version uint32 = 2
+	Version uint32 = 3
 )
 
 // Hello is the worker's opening message on the coordinator connection:

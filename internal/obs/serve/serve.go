@@ -11,7 +11,6 @@
 //	/metrics   Prometheus text exposition (version 0.0.4) of the registry
 //	/healthz   liveness: 200 while the run advances, 503 when wedged
 //	/status    JSON snapshot: uptime, health, current samples, app state
-//	/events    server-sent events stream of sampled registry snapshots
 //	/debug/pprof/...  the net/http/pprof profile suite
 package serve
 
@@ -31,19 +30,15 @@ import (
 // Options configures the server. Every field is optional; the zero
 // value serves an empty registry and reports healthy.
 type Options struct {
-	// Obs supplies the registry behind /metrics, /status and /events.
-	// nil serves empty exposition.
+	// Obs supplies the registry behind /metrics and /status. nil serves
+	// empty exposition.
 	Obs *obs.Observer
 	// Health decides /healthz. nil means always healthy.
 	Health func() (ok bool, detail string)
 	// Status, when set, is marshalled under the "app" key of /status —
 	// the hook for kernel probes and per-cluster stats.
 	Status func() any
-	// SamplePeriod spaces /events frames. ≤ 0 picks 500ms.
-	SamplePeriod time.Duration
 }
-
-const defaultSamplePeriod = 500 * time.Millisecond
 
 // promContentType is the Prometheus text exposition format version the
 // /metrics endpoint speaks.
@@ -53,7 +48,6 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 type Server struct {
 	ln       net.Listener
 	srv      *http.Server
-	stop     chan struct{}
 	done     chan struct{}
 	opts     Options
 	t0       time.Time
@@ -64,16 +58,12 @@ type Server struct {
 // Start listens on addr (host:port; port 0 picks a free one) and serves
 // in a background goroutine until Close.
 func Start(addr string, opts Options) (*Server, error) {
-	if opts.SamplePeriod <= 0 {
-		opts.SamplePeriod = defaultSamplePeriod
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s := &Server{
 		ln:   ln,
-		stop: make(chan struct{}),
 		done: make(chan struct{}),
 		opts: opts,
 		t0:   time.Now(),
@@ -83,7 +73,6 @@ func Start(addr string, opts Options) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/status", s.handleStatus)
-	mux.HandleFunc("/events", s.handleEvents)
 	// pprof registers on DefaultServeMux via init; wire it onto our
 	// private mux explicitly instead of serving the global one.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -102,12 +91,10 @@ func Start(addr string, opts Options) (*Server, error) {
 // Addr returns the bound listen address, useful with port 0.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting, unblocks /events streams, and shuts the
-// server down (gracefully for 2s, then hard). Idempotent; later calls
-// return the first call's error.
+// Close stops accepting and shuts the server down (gracefully for 2s,
+// then hard). Idempotent; later calls return the first call's error.
 func (s *Server) Close() error {
 	s.closing.Do(func() {
-		close(s.stop)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		err := s.srv.Shutdown(ctx)
@@ -130,7 +117,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /metrics        Prometheus text exposition
   /healthz        liveness (503 when the run is wedged)
   /status         JSON snapshot of metrics and kernel state
-  /events         SSE stream of sampled snapshots
   /debug/pprof/   Go profiles
 `)
 }
@@ -168,57 +154,19 @@ type statusBody struct {
 	App      any          `json:"app,omitempty"`
 }
 
-func (s *Server) statusSnapshot() statusBody {
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	ok, detail := s.health()
 	b := statusBody{
 		UptimeUS: time.Since(s.t0).Microseconds(),
 		Healthy:  ok,
 		Health:   detail,
+		Samples:  s.opts.Obs.Registry().Snapshot().Samples,
 	}
-	// Registry().Snapshot() reads without mutating the observer's
-	// retained series (unlike Observer.Snapshot, which appends).
-	b.Samples = s.opts.Obs.Registry().Snapshot().Samples
 	if s.opts.Status != nil {
 		b.App = s.opts.Status()
 	}
-	return b
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.statusSnapshot())
-}
-
-// handleEvents streams `event: metrics` SSE frames, one sampled status
-// snapshot per period, until the client disconnects or Close.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	tick := time.NewTicker(s.opts.SamplePeriod)
-	defer tick.Stop()
-	for {
-		payload, err := json.Marshal(s.statusSnapshot())
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: metrics\ndata: %s\n\n", payload); err != nil {
-			return
-		}
-		fl.Flush()
-		select {
-		case <-tick.C:
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		}
-	}
+	_ = enc.Encode(b)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -131,61 +129,6 @@ func TestIndexAndPprof(t *testing.T) {
 	}
 	if resp, _ := get(t, s, "/nope"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path status = %d", resp.StatusCode)
-	}
-}
-
-// TestEventsStream reads two SSE frames and checks their shape, then
-// verifies Close unblocks the stream promptly even with the client
-// still connected.
-func TestEventsStream(t *testing.T) {
-	s := startTestServer(t, Options{Obs: testObserver(), SamplePeriod: 10 * time.Millisecond})
-	resp, err := http.Get("http://" + s.Addr() + "/events")
-	if err != nil {
-		t.Fatalf("GET /events: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	frames := 0
-	for sc.Scan() && frames < 2 {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "event: ") {
-			if line != "event: metrics" {
-				t.Fatalf("unexpected event line %q", line)
-			}
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			t.Fatalf("unexpected SSE line %q", line)
-		}
-		var st map[string]any
-		if err := json.Unmarshal([]byte(data), &st); err != nil {
-			t.Fatalf("frame not JSON: %v\n%s", err, data)
-		}
-		if _, ok := st["healthy"]; !ok {
-			t.Fatalf("frame missing healthy: %s", data)
-		}
-		frames++
-	}
-	if frames < 2 {
-		t.Fatalf("got %d frames, want 2 (scan err %v)", frames, sc.Err())
-	}
-
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung with a connected SSE client")
 	}
 }
 

@@ -289,8 +289,8 @@ func TestStragglerOnTheMeshAbandonsTheCycle(t *testing.T) {
 			st.AbandonedCycles, st.Rollbacks, c.cycle, first)
 	}
 	standing := uint64(0)
-	for _, n := range c.execLog {
-		standing += n
+	for _, r := range c.undo.hist {
+		standing += r.evals
 	}
 	if in := st.Events - before.Events; in < pollEvals || st.Events-st.RolledBackEvents != standing {
 		t.Fatalf("the abandoned cycle evaluated %d gates; %d of all %d evaluations counted rolled back with %d standing; want at least %d, and the books to balance",

@@ -16,26 +16,32 @@ import (
 	"repro/internal/comm/nettrans"
 )
 
-// tcpPair returns both ends of one loopback TCP connection, framed.
-func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
+// rawPair returns both ends of one loopback TCP connection.
+func rawPair(t *testing.T) (a, b net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ra, err := net.Dial("tcp", ln.Addr().String())
+	a, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ln.Accept()
+	b, err = ln.Accept()
 	if err != nil {
-		ra.Close()
+		a.Close()
 		t.Fatal(err)
 	}
-	a, b = nettrans.NewConn(ra), nettrans.NewConn(rb)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
+}
+
+// tcpPair is rawPair, framed.
+func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
+	t.Helper()
+	ra, rb := rawPair(t)
+	return nettrans.NewConn(ra), nettrans.NewConn(rb)
 }
 
 // meshFixture is worker 0 of a two-worker, two-cluster run — cluster 0
@@ -125,6 +131,63 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	}
 	if _, recv := f.w.mesh.takeEraDeltas(); len(recv) != 1 || recv[0].Count != 200 {
 		t.Errorf("era tally of received frames: %+v, want 200 in era 0", recv)
+	}
+}
+
+// hookedConn runs written after each Write has returned from the socket and
+// before the writer hears of it: the place where a sender can lose the
+// processor with its frame already on the wire.
+type hookedConn struct {
+	net.Conn
+	written func()
+}
+
+func (c hookedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written()
+	return n, err
+}
+
+// TestMeshSendTalliesBeforeTheWrite: a data frame is in the era tally of
+// sent frames before its bytes reach the socket. The peer can read, tally,
+// deliver and absorb a frame the moment the write returns; were the send
+// tallied only after that, two Mattern rounds falling in the gap would see
+// one receive and no send of it on an otherwise quiet cut — frozen and not
+// drained, the coordinator's "wire frame lost" abort on a healthy run
+// (ROADMAP item 10). A frame whose send is untallied must be one nobody can
+// have received.
+func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
+	f := newMeshFixture(t)
+	local, remote := rawPair(t)
+	peer := nettrans.NewConn(remote)
+	var sent []eraCount
+	var recvErr error
+	written := func() {
+		_, _, recvErr = peer.Recv() // the frame has arrived at worker 1
+		sent, _ = f.w.mesh.takeEraDeltas()
+	}
+	f.w.peers[1] = nettrans.NewConn(hookedConn{local, func() { written() }})
+	f.ep.Send(1, event{T: 1, Src: 0, Seq: 1})
+	if recvErr != nil {
+		t.Fatal(recvErr)
+	}
+	if len(sent) != 1 || sent[0] != (eraCount{Era: 0, Count: 1}) {
+		t.Fatalf("era tally of sent frames with the frame at the peer: %+v, want 1 in era 0", sent)
+	}
+	if sent, _ := f.w.mesh.takeEraDeltas(); len(sent) != 0 {
+		t.Errorf("the frame was tallied again after the write: %+v", sent)
+	}
+	if got := f.w.h.net.InFlight(); got != 0 {
+		t.Errorf("in-flight gauge %d after the frame left", got)
+	}
+
+	// A frame that could not be written is not counted sent: the tally is
+	// taken back.
+	local.Close()
+	written = func() {}
+	f.ep.Send(1, event{T: 2, Src: 0, Seq: 2})
+	if sent, _ := f.w.mesh.takeEraDeltas(); len(sent) != 0 && sent[0].Count != 0 {
+		t.Errorf("era tally of sent frames after a failed write: %+v, want none", sent)
 	}
 }
 

@@ -619,6 +619,14 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	conn := t.w.peers[owner]
 	era := t.era.Load()
 
+	// Tallied before it is written: the peer can read, tally and absorb the
+	// frame the moment the write returns, and a round that saw that receive
+	// without this send would take the frame for lost. An untallied frame
+	// is one nobody can have received.
+	t.tallyMu.Lock()
+	t.sentByEra[era]++
+	t.tallyMu.Unlock()
+
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, era, nil)
@@ -640,11 +648,15 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	// the counters stop mattering), it no longer counts as locally held.
 	t.net.NoteDeparted()
 	if sendErr != nil {
+		// Not sent after all: the tally is taken back, unless a report has
+		// carried it off already.
+		t.tallyMu.Lock()
+		if n := t.sentByEra[era]; n > 0 {
+			t.sentByEra[era] = n - 1
+		}
+		t.tallyMu.Unlock()
 		return
 	}
-	t.tallyMu.Lock()
-	t.sentByEra[era]++
-	t.tallyMu.Unlock()
 	if t.framesSent != nil {
 		t.framesSent[owner].Inc()
 		t.bytesSent[owner].Add(uint64(n))

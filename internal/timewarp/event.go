@@ -4,8 +4,8 @@
 // netlist becomes a cluster of logic owned by one goroutine ("machine");
 // clusters exchange net-change events through the comm network, execute
 // optimistically ahead of their peers, and repair causality violations by
-// rolling back to a saved checkpoint, cancelling already-sent events with
-// anti-messages, and replaying.
+// rolling back — writing back what the undone cycles overwrote — cancelling
+// already-sent events with anti-messages, and replaying.
 //
 // Virtual time is shared verbatim with the sequential simulator
 // (cycle*DeltaRange + delta), so a Time Warp run over any partitioning

@@ -285,7 +285,7 @@ func instrumentClusters(h *host) {
 			func() float64 { return float64(st.rolledBackEvents.Load()) }, lbl)
 		reg.SampleFunc("tw_abandoned_cycles", "cycles given up part-way for a straggler",
 			func() float64 { return float64(st.abandonedCycles.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoints", "state checkpoints taken",
+		reg.SampleFunc("tw_checkpoints", "rollback records written, one per executed cycle",
 			func() float64 { return float64(st.checkpoints.Load()) }, lbl)
 		reg.SampleFunc("tw_max_straggler_depth", "deepest single rollback in cycles",
 			func() float64 { return float64(st.maxStragglerDepth.Load()) }, lbl)
@@ -295,12 +295,6 @@ func instrumentClusters(h *host) {
 			func() float64 { return float64(st.batches.Load()) }, lbl)
 		reg.SampleFunc("tw_batch_events", "events carried inside sent batches",
 			func() float64 { return float64(st.batchedEvents.Load()) }, lbl)
-		reg.SampleFunc("tw_pool_hits", "checkpoint buffer free-list reuses",
-			func() float64 { return float64(st.poolHits.Load()) }, lbl)
-		reg.SampleFunc("tw_pool_misses", "checkpoint buffer fresh allocations",
-			func() float64 { return float64(st.poolMisses.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoint_bytes_saved", "mirror bytes avoided by delta checkpoints",
-			func() float64 { return float64(st.checkpointBytesSaved.Load()) }, lbl)
 		ci := cl.id
 		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
 			func() float64 { return float64(h.progress[ci].Load()) - float64(h.gvt.Load()) }, lbl)

@@ -42,9 +42,9 @@ endmodule
 }
 
 // TestRollbackRestoresItsTargetCycle steps the one-way pair by hand, so the
-// schedule is exact. The cluster that can be rolled back takes one
-// checkpoint per cycle it executes, a rollback to cycle tc restores the
-// record of tc itself and publishes tc — so a quiescent minimum never falls
+// schedule is exact. The cluster that can be rolled back writes one record
+// per cycle it executes, a rollback to cycle tc restores the start of tc
+// itself and publishes tc — so a quiescent minimum never falls
 // under the established GVT (the fuzz campaign's old "GVT regression",
 // seeds 13 and 34, was a cluster publishing a restored cycle below its
 // target) — and a target without a record of its own, below the fossil line
@@ -60,8 +60,8 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := h.clusters[0], h.clusters[1]
-	if a.cps != nil || b.cps == nil {
-		t.Fatalf("sender saves state: %v, receiver saves state: %v; want false, true", a.cps != nil, b.cps != nil)
+	if a.undo != nil || b.undo == nil {
+		t.Fatalf("sender saves state: %v, receiver saves state: %v; want false, true", a.undo != nil, b.undo != nil)
 	}
 	run := func(c *cluster, until uint64) {
 		t.Helper()
@@ -88,8 +88,8 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 
 	// b runs ahead, a catches up to cycle 6; its first event, the latch of
 	// cycle 0, is stamped at the start of cycle 1 and takes b back there. b
-	// re-runs: one checkpoint per executed cycle but the restored one, whose
-	// record stands. Everything quiet, GVT = 6.
+	// re-runs: one record per executed cycle, the restored one's rewritten.
+	// Everything quiet, GVT = 6.
 	run(b, 8)
 	run(a, 6)
 	deliver(b)
@@ -97,8 +97,8 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 		t.Fatalf("b stands at cycle %d and published %d after a rollback to cycle 1", b.cycle, h.progress[1].Load())
 	}
 	run(b, 8)
-	if got := b.stats.checkpoints.Load(); got != 8+6 {
-		t.Errorf("b took %d checkpoints executing cycles 0-7 and again 1-7, want %d", got, 8+6)
+	if got := b.stats.checkpoints.Load(); got != 8+7 || len(b.undo.hist) != 8 {
+		t.Errorf("b wrote %d records executing cycles 0-7 and again 1-7 and holds %d, want %d and 8", got, len(b.undo.hist), 8+7)
 	}
 	poll()
 	if v := poll(); !v.frozen || v.gvt != 6 {
@@ -122,19 +122,19 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 
 	// A target whose own record is gone is an error, not a restore of the
 	// one before it.
-	b.cps.truncateAfter(5)
+	b.undo.hist = b.undo.hist[:6]
 	if err := b.rollback(6, 0); err == nil || !strings.Contains(err.Error(), "has no checkpoint") {
 		t.Errorf("rollback to a cycle without a record: error %v", err)
 	}
-	b.fossil = 5
+	b.undo.trim(5)
 	if err := b.rollback(4, 0); err == nil || !strings.Contains(err.Error(), "fossil-collected") {
 		t.Errorf("rollback below the fossil line: error %v", err)
 	}
 
 	// The sender kept nothing to roll back to, and says so when asked.
-	if len(a.outputLog) != 0 || len(a.execLog) != 0 || len(a.dirtyNets) != 0 || a.stats.checkpoints.Load() != 0 {
-		t.Errorf("sender holds %d output-log, %d exec-log and %d dirty-net entries and took %d checkpoints; want none",
-			len(a.outputLog), len(a.execLog), len(a.dirtyNets), a.stats.checkpoints.Load())
+	if len(a.outputLog) != 0 || a.stats.checkpoints.Load() != 0 {
+		t.Errorf("sender holds %d output-log entries and wrote %d records; want none",
+			len(a.outputLog), a.stats.checkpoints.Load())
 	}
 	stray := event{T: 3 * a.deltaRange, Net: b.prog.out[0], Val: true, Src: 1, Seq: 1}
 	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
@@ -144,11 +144,11 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 
 // TestOneWaySenderRunsInConstantMemory is the same pair free-running under
 // the chaos transport for 2,000 cycles. The sender still sends an event a
-// cycle, yet ends the run having taken no checkpoint, touched no pool buffer
-// and logged nothing; the receiver, rolled back by every event it ran ahead
-// of, holds one record per cycle down to the last; the waveforms are the
-// sequential simulator's. And a single cluster, which nothing can roll back
-// either, takes no checkpoint at all.
+// cycle, yet ends the run having written no record and logged nothing; the
+// receiver, rolled back by every event it ran ahead of, holds one record per
+// cycle from its fossil line to the last; the waveforms are the sequential
+// simulator's. And a single cluster, which nothing can roll back either,
+// writes no record at all.
 func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	nl, parts := togglePair(t)
 	const cycles, seed = 2000, 1
@@ -172,22 +172,19 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), "one-way")
 
 	a, b := h.clusters[0], h.clusters[1]
-	if st := res.PerCluster[0]; st.Messages < cycles-1 || st.Checkpoints != 0 || st.PoolHits+st.PoolMisses != 0 || st.Rollbacks != 0 {
-		t.Errorf("sender: %d messages, %d checkpoints, %d pool buffers, %d rollbacks; want an event a cycle and nothing else",
-			st.Messages, st.Checkpoints, st.PoolHits+st.PoolMisses, st.Rollbacks)
+	if st := res.PerCluster[0]; st.Messages < cycles-1 || st.Checkpoints != 0 || st.Rollbacks != 0 {
+		t.Errorf("sender: %d messages, %d records, %d rollbacks; want an event a cycle and nothing else",
+			st.Messages, st.Checkpoints, st.Rollbacks)
 	}
-	if len(a.outputLog) != 0 || len(a.execLog) != 0 || len(a.dirtyNets) != 0 {
-		t.Errorf("sender ends with %d output-log, %d exec-log and %d dirty-net entries; want none",
-			len(a.outputLog), len(a.execLog), len(a.dirtyNets))
+	if len(a.outputLog) != 0 || a.undo != nil {
+		t.Errorf("sender ends with %d output-log entries and an undo log: %v; want none", len(a.outputLog), a.undo != nil)
 	}
 	st := res.PerCluster[1]
-	if st.Rollbacks == 0 || st.Checkpoints < cycles {
-		t.Errorf("receiver: %d rollbacks, %d checkpoints; want some, and at least %d", st.Rollbacks, st.Checkpoints, cycles)
+	if st.Rollbacks == 0 || st.Checkpoints < cycles+st.Rollbacks {
+		t.Errorf("receiver: %d rollbacks, %d records written; want some, and a record per cycle and one more per rollback", st.Rollbacks, st.Checkpoints)
 	}
-	for i, r := range b.cps.recs {
-		if want := cycles - uint64(len(b.cps.recs)-i); r.cycle != want {
-			t.Fatalf("receiver: record %d of %d is of cycle %d, want %d: one per cycle up to the last", i, len(b.cps.recs), r.cycle, want)
-		}
+	if got := b.undo.fossil + uint64(len(b.undo.hist)); got != cycles {
+		t.Errorf("receiver: %d records from the fossil line %d, want one per cycle up to the last of %d", len(b.undo.hist), b.undo.fossil, cycles)
 	}
 
 	single, err := Run(Config{
@@ -197,8 +194,8 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Stats.Checkpoints != 0 || single.Stats.PoolMisses != 0 {
-		t.Errorf("K=1: %d checkpoints, %d pool buffers; want none", single.Stats.Checkpoints, single.Stats.PoolMisses)
+	if single.Stats.Checkpoints != 0 {
+		t.Errorf("K=1: %d records written; want none", single.Stats.Checkpoints)
 	}
 }
 

@@ -94,17 +94,17 @@ type Stats struct {
 	// and so re-evaluates gates the kernel reaches once (DESIGN.md §20).
 	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
-	// Checkpoints counts state checkpoints taken: one per executed cycle,
-	// re-execution included, less one per rollback (the restored cycle's
-	// record stands), in every cluster that reads a net another cluster
-	// drives; none in a cluster that does not, which nothing can roll back.
+	// Checkpoints counts rollback records written: one per executed cycle,
+	// re-executed and abandoned ones included, in every cluster that reads a
+	// net another cluster drives; none in a cluster that does not, which
+	// nothing can roll back.
 	Checkpoints uint64
 	// AbandonedCycles counts cycles given up part-way because a straggler
 	// for them arrived while they executed. Each is also one of Rollbacks,
 	// and what it had evaluated is in Events and RolledBackEvents.
 	AbandonedCycles uint64
 	// MaxStragglerDepth is the deepest single rollback in cycles (LVT
-	// minus restored checkpoint) — how far behind its cluster the worst
+	// minus restored cycle) — how far behind its cluster the worst
 	// straggler arrived. Aggregated by max, not sum.
 	MaxStragglerDepth uint64
 	// Batches counts comm.Messages sent and BatchedEvents the events they
@@ -112,12 +112,12 @@ type Stats struct {
 	// disabled).
 	Batches       uint64
 	BatchedEvents uint64
-	// PoolHits/PoolMisses count checkpoint-buffer free-list reuse versus
-	// fresh allocations; CheckpointBytesSaved is the full-mirror bytes
-	// delta checkpoints avoided copying.
-	PoolHits             uint64
-	PoolMisses           uint64
-	CheckpointBytesSaved uint64
+	// The two pool counters always read zero: no buffer pool is left for
+	// them to count (DESIGN §28). They stay declared only because
+	// benchmark/workloads.go reads them, until a benchmark PR retires its
+	// timewarp.pool_hit_frac row (ROADMAP item 1).
+	PoolHits   uint64
+	PoolMisses uint64
 }
 
 // Result is the outcome of a run.

@@ -14,8 +14,8 @@ import (
 // hashing net ids or chasing *netlist.Gate pointers. It is built once in
 // newCluster and never written afterwards.
 //
-// Nets keep their global netlist.NetID: values, events and checkpoints are
-// net-indexed, and a net id is what clusters exchange. Gates are
+// Nets keep their global netlist.NetID: values, events and rollback records
+// are net-indexed, and a net id is what clusters exchange. Gates are
 // renumbered cluster-locally — the own combinational gates in ascending
 // GateID order, then the own flip-flops likewise — so the gate table and
 // the scratch marks over it are dense in the cluster's own gates.

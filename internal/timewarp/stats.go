@@ -19,15 +19,10 @@ type atomicStats struct {
 	maxStragglerDepth atomic.Uint64 // single-writer max; see noteMax
 	queueLen          atomic.Int64  // pending remote events (gauge)
 
-	// Hot-path overhaul counters. batches counts comm.Messages actually
-	// sent, batchedEvents the events they carried (ratio = mean batch
-	// size). poolHits/poolMisses mirror the checkpoint store's free-list
-	// reuse, checkpointBytesSaved the mirror bytes delta records avoided.
-	batches              atomic.Uint64
-	batchedEvents        atomic.Uint64
-	poolHits             atomic.Uint64
-	poolMisses           atomic.Uint64
-	checkpointBytesSaved atomic.Uint64
+	// batches counts comm.Messages actually sent, batchedEvents the events
+	// they carried (ratio = mean batch size).
+	batches       atomic.Uint64
+	batchedEvents atomic.Uint64
 }
 
 // noteMax raises maxStragglerDepth to d if larger. The cluster goroutine
@@ -51,22 +46,18 @@ func (s *atomicStats) Snapshot() Stats {
 		Checkpoints:       s.checkpoints.Load(),
 		AbandonedCycles:   s.abandonedCycles.Load(),
 		MaxStragglerDepth: s.maxStragglerDepth.Load(),
-
-		Batches:              s.batches.Load(),
-		BatchedEvents:        s.batchedEvents.Load(),
-		PoolHits:             s.poolHits.Load(),
-		PoolMisses:           s.poolMisses.Load(),
-		CheckpointBytesSaved: s.checkpointBytesSaved.Load(),
+		Batches:           s.batches.Load(),
+		BatchedEvents:     s.batchedEvents.Load(),
 	}
 }
 
 // fields lists every counter of s in wire order — the one enumeration
 // the accumulator and the result codec share.
-func (s *Stats) fields() [13]*uint64 {
-	return [13]*uint64{
+func (s *Stats) fields() [10]*uint64 {
+	return [10]*uint64{
 		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
 		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
-		&s.PoolHits, &s.PoolMisses, &s.CheckpointBytesSaved, &s.AbandonedCycles,
+		&s.AbandonedCycles,
 	}
 }
 

@@ -192,3 +192,57 @@ func TestRandomHierCircuitsMatchSequential(t *testing.T) {
 		runBoth(t, ed, randomParts(ed.Netlist, 3, seed), 3, 80, seed)
 	}
 }
+
+func viterbiDesign(t *testing.T) *elab.Design {
+	t.Helper()
+	ed, err := gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ed
+}
+
+func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
+	// Random partitioning provokes plenty of rollbacks, one cycle deep and
+	// many: the waveform oracle checks what each one restored.
+	ed := viterbiDesign(t)
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(*Config) {})
+	if st.Rollbacks == 0 {
+		t.Error("expected rollbacks under random partitioning")
+	}
+}
+
+func TestBatchingDisabledStillCorrect(t *testing.T) {
+	ed := viterbiDesign(t)
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {
+		c.DisableBatching = true
+	})
+	if st.Batches != st.BatchedEvents {
+		t.Errorf("unbatched run must ship one event per message: %d batches, %d events",
+			st.Batches, st.BatchedEvents)
+	}
+}
+
+func TestBatchingCoalesces(t *testing.T) {
+	ed := viterbiDesign(t)
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {})
+	if st.BatchedEvents <= st.Batches {
+		t.Errorf("batching never coalesced: %d batches for %d events", st.Batches, st.BatchedEvents)
+	}
+	t.Logf("mean batch size %.2f", float64(st.BatchedEvents)/float64(st.Batches))
+}
+
+func TestFossilCollectionRacesDeepRollback(t *testing.T) {
+	// A run with a wide window: GVT advances and fossil-collects while
+	// stragglers force deep rollbacks near the fossil line. Run under -race
+	// in CI; the waveform oracle plus the kernel's fossil-restore invariant
+	// check catch any unsafe trim.
+	ed := viterbiDesign(t)
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) {
+		c.Window = 16
+	})
+	if st.Rollbacks == 0 {
+		t.Error("expected rollbacks in the fossil/rollback race test")
+	}
+	t.Logf("rollbacks=%d maxDepth=%d records=%d", st.Rollbacks, st.MaxStragglerDepth, st.Checkpoints)
+}
