@@ -112,7 +112,7 @@ type Config struct {
 	// Waves optionally shares a pre-recorded wave bank across runs (it
 	// must have been built from this NL and Vectors, covering at least
 	// Cycles). A pre-simulation campaign builds one bank and passes it to
-	// every (k, b) point, so the scalar scout pass runs once per design
+	// every (k, b) point, so the scout pass runs once per design
 	// rather than once per point. Nil → the run records its own waves
 	// (and trims them as it goes). Ignored on the scalar path.
 	Waves *sim.WaveBank
@@ -393,6 +393,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.K > 64 {
 		return nil, fmt.Errorf("clustersim: K > 64 not supported")
+	}
+	for gi, p := range cfg.GateParts {
+		if p < 0 || int(p) >= cfg.K {
+			return nil, fmt.Errorf("clustersim: gate %d assigned to cluster %d (K=%d)", gi, p, cfg.K)
+		}
 	}
 	cfg.Costs.fill()
 	if cfg.Window == 0 {

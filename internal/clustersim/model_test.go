@@ -1,6 +1,8 @@
 package clustersim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/elab"
@@ -138,6 +140,33 @@ func TestModelValidation(t *testing.T) {
 	if _, err := Run(Config{NL: ed.Netlist, GateParts: make([]int32, ed.Netlist.NumGates()), K: 0,
 		Vectors: sim.RandomVectors{}, Cycles: 1}); err == nil {
 		t.Error("K=0 should error")
+	}
+}
+
+// TestModelRejectsPartOutOfRange: a gate assigned outside [0, K) is an
+// error from every generator, as it is from timewarp.Run — not an index
+// out of range in a per-machine counter.
+func TestModelRejectsPartOutOfRange(t *testing.T) {
+	ed, err := gen.Multiplier(4).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name   string
+		packed PackedMode
+		sync   bool
+	}{{"PackedOn", PackedOn, false}, {"PackedOff", PackedOff, false}, {"Synchronous", PackedAuto, true}}
+	for _, bad := range []int32{2, -1} {
+		parts := make([]int32, ed.Netlist.NumGates())
+		parts[3] = bad
+		for _, m := range modes {
+			_, err := Run(Config{NL: ed.Netlist, GateParts: parts, K: 2,
+				Vectors: sim.RandomVectors{Seed: 1}, Cycles: 8, Packed: m.packed, Synchronous: m.sync})
+			want := fmt.Sprintf("gate 3 assigned to cluster %d", bad)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, part %d: error %v, want %q", m.name, bad, err, want)
+			}
+		}
 	}
 }
 

@@ -95,29 +95,6 @@ func BuildVertexGraph(d *elab.Design, h *hypergraph.H) *VertexGraph {
 	return g
 }
 
-// Cone returns the fan-in cone of root over the vertex graph (root
-// included) as a vertex list in discovery order.
-func (g *VertexGraph) Cone(root hypergraph.VertexID) []hypergraph.VertexID {
-	seen := make(map[hypergraph.VertexID]bool)
-	stack := []hypergraph.VertexID{root}
-	var out []hypergraph.VertexID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
-		for _, p := range g.Pred[v] {
-			if !seen[p] {
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
-}
-
 // Partition produces an initial k-way assignment by cone packing:
 //
 //  1. compute the combinational fan-in cone of every primary output and
@@ -144,19 +121,24 @@ func Partition(d *elab.Design, h *hypergraph.H, k int) *hypergraph.Assignment {
 		verts  []hypergraph.VertexID
 		weight int
 	}
-	roots, gateCones := nl.OutputCones(true)
+	// Roots in a fixed order: the primary outputs, then every flip-flop's
+	// d pin (a pseudo primary output).
+	roots := append([]netlist.NetID(nil), nl.POs...)
+	for gi := range nl.Gates {
+		if g := &nl.Gates[gi]; g.Kind.Sequential() && len(g.Inputs) > 0 {
+			roots = append(roots, g.Inputs[0])
+		}
+	}
+	walker := netlist.NewConeWalker(nl)
 	cones := make([]coneInfo, 0, len(roots))
 	stamp := make([]int, h.NumVertices())
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	for ci, gc := range gateCones {
+	for ci, root := range roots {
 		var verts []hypergraph.VertexID
 		w := 0
-		for gid, in := range gc {
-			if !in {
-				continue
-			}
+		for _, gid := range walker.FanIn(root, true) {
 			v := h.GateVertex[gid]
 			if stamp[v] != ci {
 				stamp[v] = ci
@@ -168,7 +150,7 @@ func Partition(d *elab.Design, h *hypergraph.H, k int) *hypergraph.Assignment {
 		// is not in the combinational cone; its vertex usually already
 		// appears via the super-gate, so no special handling is needed.
 		if len(verts) > 0 {
-			cones = append(cones, coneInfo{root: roots[ci], verts: verts, weight: w})
+			cones = append(cones, coneInfo{root: root, verts: verts, weight: w})
 		}
 	}
 	sort.Slice(cones, func(i, j int) bool {

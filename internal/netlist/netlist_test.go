@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,26 +173,25 @@ func TestFanInConeStopsAtDFF(t *testing.T) {
 	}
 }
 
-func TestOutputConesIncludeDFFs(t *testing.T) {
+// TestConeWalkerReuse walks three roots with one walker: a cone lists
+// what its own walk reached and nothing an earlier walk left behind, also
+// when the stamp wraps.
+func TestConeWalkerReuse(t *testing.T) {
 	nl := build(t)
-	roots, cones := nl.OutputCones(true)
-	// POs q and n, plus the DFF's d input w.
-	if len(roots) != 3 {
-		t.Fatalf("roots: %d, want 3", len(roots))
-	}
-	if len(cones) != len(roots) {
-		t.Fatalf("cones/roots mismatch")
-	}
-	// The cone of w contains the AND gate.
-	found := false
-	for i, r := range roots {
-		if r == 3 { // net w
-			if cones[i][0] { // gate 0 is the AND
-				found = true
-			}
+	w := NewConeWalker(nl)
+	// Net 3 is w, the DFF's d input (a cone root beside the POs q and n):
+	// its cone is the AND gate; q's (net 4) stops at the DFF; a's (net 0,
+	// a primary input) is empty.
+	for i, c := range []struct {
+		root NetID
+		want []GateID
+	}{{3, []GateID{0}}, {4, []GateID{1}}, {0, nil}, {3, []GateID{0}}} {
+		if i == 3 {
+			w.stamp = ^uint32(0) // the next walk wraps the stamp
 		}
-	}
-	if !found {
-		t.Error("cone of the DFF d-input should contain the AND gate")
+		got := w.FanIn(c.root, true)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("cone of net %d: %v, want %v", c.root, got, c.want)
+		}
 	}
 }

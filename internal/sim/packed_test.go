@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -415,6 +418,180 @@ func TestWaveBankReplayMatchesScalarTrace(t *testing.T) {
 			diffTrace(t, "evals", gotEvals, wantEvals)
 			diffTrace(t, "changes", gotChanges, wantChanges)
 		})
+	}
+}
+
+// stepRecorder is the reference the WaveBank is checked against: the
+// recorder the bank used before it scouted with settle. It steps a scalar
+// Simulator cycle by cycle and transposes the net-change stream into
+// lane-words: the wave starts as a broadcast of the first cycle's entry
+// state, every change the simulator reports overwrites the remaining
+// higher lanes, and a change applied at the next cycle's delta 0 (a
+// latched q toggle) is pending in the next lane.
+func stepRecorder(t *testing.T, nl *netlist.Netlist, src VectorSource, cycles uint64) []*Wave {
+	t.Helper()
+	scout, err := New(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecBuf := make([]bool, scout.VectorWidth())
+	var waves []*Wave
+	for base := uint64(0); base < cycles; base += Lanes {
+		lanes := Lanes
+		if rem := cycles - base; rem < Lanes {
+			lanes = int(rem)
+		}
+		w := &Wave{
+			Base:  base,
+			Lanes: lanes,
+			Words: make([]uint64, len(nl.Nets)),
+			Vecs:  make([]uint64, scout.VectorWidth()),
+		}
+		for n, v := range scout.values {
+			w.Words[n] = broadcastWord(v)
+		}
+		pend := make(map[netlist.NetID]uint64)
+		for _, n := range scout.changedNets {
+			pend[n] |= 1
+		}
+		for l := 0; l < lanes; l++ {
+			cyc := base + uint64(l)
+			src.Vector(cyc, vecBuf)
+			for i, v := range vecBuf {
+				if v {
+					w.Vecs[i] |= 1 << uint(l)
+				}
+			}
+			// hi covers the lanes after l: any change during cycle `cyc`
+			// updates the entry state of every later cycle in the wave.
+			var hi uint64
+			if l+1 < Lanes {
+				hi = ^uint64(0) << uint(l+1)
+			}
+			// A change applied at the next cycle's delta 0 is a latched q
+			// toggle: it must also mark sinks dirty at the next lane's delta 0.
+			qTime := (cyc + 1) * scout.DeltaRange
+			nextLane := l + 1
+			scout.OnNetChange = func(n netlist.NetID, t VTime, v bool) {
+				if v {
+					w.Words[n] |= hi
+				} else {
+					w.Words[n] &^= hi
+				}
+				if t == qTime && nextLane < Lanes {
+					pend[n] |= 1 << uint(nextLane)
+				}
+			}
+			if _, err := scout.Step(vecBuf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Pending = make([]MaskedNet, 0, len(pend))
+		for n, m := range pend {
+			w.Pending = append(w.Pending, MaskedNet{Net: n, Mask: m})
+		}
+		sort.Slice(w.Pending, func(i, j int) bool { return w.Pending[i].Net < w.Pending[j].Net })
+		waves = append(waves, w)
+	}
+	return waves
+}
+
+// populated returns w with the lanes at or above w.Lanes cleared. Those
+// lanes are never replayed (ReplayWave runs LaneMask(w.Lanes) only): the
+// Step recorder left the state after the last cycle in them, the settle
+// scout leaves zeros.
+func populated(w *Wave) Wave {
+	m := LaneMask(w.Lanes)
+	out := Wave{Base: w.Base, Lanes: w.Lanes, Words: make([]uint64, len(w.Words)), Vecs: w.Vecs}
+	for n, x := range w.Words {
+		out.Words[n] = x & m
+	}
+	for _, p := range w.Pending {
+		if p.Mask&m != 0 {
+			out.Pending = append(out.Pending, MaskedNet{Net: p.Net, Mask: p.Mask & m})
+		}
+	}
+	return out
+}
+
+// TestWaveBankMatchesStepRecorder holds the settle scout to the recorder
+// it replaced: over the four workload families and bank lengths on both
+// sides of a wave boundary, every wave equals the Step recorder's in
+// Base, Lanes, Words, Pending and Vecs — built in order, built past a
+// discarded prefix, and built by two goroutines asking at once.
+func TestWaveBankMatchesStepRecorder(t *testing.T) {
+	fixtures := map[string]*gen.Circuit{
+		"viterbi":    gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}),
+		"fir":        gen.FIR(gen.FIRConfig{Taps: 6, W: 6, Seed: 5}),
+		"multiplier": gen.Multiplier(5),
+		"soc": gen.ViterbiSoC(gen.SoCConfig{
+			Channels:      2,
+			Viterbi:       gen.ViterbiConfig{K: 4, W: 4, TB: 8},
+			ScramblerBits: 12,
+			CRCBits:       8,
+		}),
+	}
+	for name, c := range fixtures {
+		ed, err := c.Elaborate()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nl := ed.Netlist
+		src := RandomVectors{Seed: 11}
+		for _, cycles := range []uint64{1, 63, 64, 65, 200} {
+			t.Run(fmt.Sprintf("%s/%d", name, cycles), func(t *testing.T) {
+				want := stepRecorder(t, nl, src, cycles)
+				newBank := func() *WaveBank {
+					b, err := NewWaveBank(nl, src, cycles)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b.NumWaves() != len(want) {
+						t.Fatalf("bank has %d waves, recorder %d", b.NumWaves(), len(want))
+					}
+					return b
+				}
+				check := func(b *WaveBank, i int) {
+					got, err := b.Wave(i)
+					if err != nil {
+						t.Errorf("wave %d: %v", i, err)
+						return
+					}
+					if g, w := populated(got), populated(want[i]); !reflect.DeepEqual(g, w) {
+						t.Errorf("wave %d diverges from the Step recorder:\n got %+v\nwant %+v", i, g, w)
+					}
+				}
+
+				b := newBank()
+				for i := range want {
+					check(b, i)
+				}
+
+				// The scout's state is carried through waves nobody keeps.
+				b = newBank()
+				last := len(want) - 1
+				b.DiscardBelow(last)
+				check(b, last)
+				if last > 0 {
+					if _, err := b.Wave(last - 1); err == nil {
+						t.Errorf("wave %d served after DiscardBelow(%d)", last-1, last)
+					}
+				}
+
+				b = newBank()
+				var wg sync.WaitGroup
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := range want {
+							check(b, i)
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }
 

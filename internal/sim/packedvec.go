@@ -1,6 +1,6 @@
 // Lane-word plumbing for the 64-wide packed simulator (packed.go): bit ↔
 // word packing helpers, word-parallel per-lane counters, and the WaveBank
-// that records a scalar run as replayable 64-cycle waves.
+// that records a run as replayable 64-cycle waves.
 package sim
 
 import (
@@ -90,7 +90,7 @@ type MaskedNet struct {
 	Mask uint64
 }
 
-// Wave is one replayable 64-cycle slice of a scalar run: lane l carries
+// Wave is one replayable 64-cycle slice of a run: lane l carries
 // cycle Base+l. Words hold each net's entry value per lane (the settled
 // state the cycle starts from, before its vector is applied), Pending the
 // q-output changes latched by each lane's predecessor cycle (they mark
@@ -105,36 +105,59 @@ type Wave struct {
 	Vecs    []uint64
 }
 
-// WaveBank lazily converts a scalar simulation into waves: a scalar
-// "scout" run advances cycle by cycle while its net-change stream is
-// transposed into lane-words. Waves are partition-independent, so one
-// bank built from (netlist, vectors, cycles) serves every (k, b) point of
-// a pre-simulation campaign — the scout runs once, each point only
-// replays. Safe for concurrent use; wave construction is serialized.
+// WaveBank lazily records a run as waves. All a wave needs of a cycle is
+// its entry state — the settled state the previous cycle left, with the
+// flip-flops already flipped — and a settled state has no deltas, events
+// or hooks in it: the combinational logic is acyclic (New refuses
+// anything else), so the value it settles to is unique and one pass of
+// the power-on settle over the topological order reaches the same one the
+// unit-delay delta loop does. The bank therefore scouts each cycle with
+// settle and a latch; the replay (PackedSimulator.ReplayWave) alone
+// produces events. Waves are partition-independent, so one bank built
+// from (netlist, vectors, cycles) serves every (k, b) point of a
+// pre-simulation campaign — the scout runs once, each point only replays.
+// Safe for concurrent use; wave construction is serialized.
 type WaveBank struct {
 	mu     sync.Mutex
-	scout  *Simulator
+	nl     *netlist.Netlist
 	src    VectorSource
 	cycles uint64
 	waves  []*Wave
 	floor  int // waves below this index have been discarded
-	vecBuf []bool
-	err    error // sticky scout failure
+
+	// Scout state, carried from lane to lane and from wave to wave.
+	order   []netlist.GateID // topological, for settle
+	pis     []netlist.NetID  // stimulus inputs
+	dffs    []netlist.GateID
+	values  []bool   // entry state of the next cycle to record
+	toggled []int    // indices into dffs: the q's the last latch flipped
+	qMask   []uint64 // per dff: lanes of the wave being built that q is pending in
+	vecBuf  []bool
 }
 
 // NewWaveBank prepares a bank covering `cycles` cycles of the given
 // stimulus. No simulation happens until the first Wave call.
 func NewWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64) (*WaveBank, error) {
-	scout, err := New(nl)
+	s, err := New(nl) // the power-on state and the tables the scout walks
 	if err != nil {
 		return nil, err
 	}
-	return &WaveBank{
-		scout:  scout,
+	b := &WaveBank{
+		nl:     nl,
 		src:    src,
 		cycles: cycles,
-		vecBuf: make([]bool, scout.VectorWidth()),
-	}, nil
+		order:  s.topoOrder,
+		pis:    s.vectorPIs,
+		values: s.values,
+		vecBuf: make([]bool, len(s.vectorPIs)),
+	}
+	for gi := range nl.Gates {
+		if nl.Gates[gi].Kind.Sequential() {
+			b.dffs = append(b.dffs, netlist.GateID(gi))
+		}
+	}
+	b.qMask = make([]uint64, len(b.dffs))
+	return b, nil
 }
 
 // Cycles returns the stimulus length the bank covers.
@@ -144,16 +167,13 @@ func (b *WaveBank) Cycles() uint64 { return b.cycles }
 func (b *WaveBank) NumWaves() int { return int((b.cycles + Lanes - 1) / Lanes) }
 
 // Netlist returns the netlist the bank's waves describe.
-func (b *WaveBank) Netlist() *netlist.Netlist { return b.scout.NL }
+func (b *WaveBank) Netlist() *netlist.Netlist { return b.nl }
 
 // Wave returns wave i, running the scout forward as needed. Waves must
 // not have been discarded below i.
 func (b *WaveBank) Wave(i int) (*Wave, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.err != nil {
-		return nil, b.err
-	}
 	if i < 0 || i >= b.NumWaves() {
 		return nil, fmt.Errorf("sim: wave %d out of range (bank has %d)", i, b.NumWaves())
 	}
@@ -161,10 +181,7 @@ func (b *WaveBank) Wave(i int) (*Wave, error) {
 		return nil, fmt.Errorf("sim: wave %d already discarded", i)
 	}
 	for len(b.waves) <= i {
-		if err := b.buildNext(); err != nil {
-			b.err = err
-			return nil, err
-		}
+		b.buildNext()
 	}
 	return b.waves[i], nil
 }
@@ -182,15 +199,15 @@ func (b *WaveBank) DiscardBelow(i int) {
 	}
 }
 
-// buildNext advances the scout 64 cycles (fewer on the ragged tail) and
-// transposes the traversed states into the next wave. The transposition
-// is incremental: the wave starts as a broadcast of the first cycle's
-// entry state, and every net change the scout reports overwrites the
-// remaining higher lanes — processing changes in order leaves each lane
-// holding exactly its cycle's entry value, glitches included, at O(events)
-// rather than O(lanes × nets) cost.
-func (b *WaveBank) buildNext() error {
-	nl := b.scout.NL
+// buildNext scouts the next 64 cycles (fewer on the ragged tail) into a
+// wave. Lane l takes the state as cycle Base+l finds it and the q's the
+// previous latch flipped (they mark sinks dirty at the lane's delta 0);
+// then the scout applies the vector, settles, and latches — finding
+// every q that differs from its d before flipping any, so a flip-flop
+// chain shifts one stage per cycle. Lanes at or above Wave.Lanes stay
+// zero.
+func (b *WaveBank) buildNext() {
+	nl := b.nl
 	base := uint64(len(b.waves)) * Lanes
 	lanes := Lanes
 	if rem := b.cycles - base; rem < Lanes {
@@ -200,53 +217,44 @@ func (b *WaveBank) buildNext() error {
 		Base:  base,
 		Lanes: lanes,
 		Words: make([]uint64, len(nl.Nets)),
-		Vecs:  make([]uint64, b.scout.VectorWidth()),
+		Vecs:  make([]uint64, len(b.pis)),
 	}
-	for n, v := range b.scout.Values() {
-		w.Words[n] = broadcastWord(v)
-	}
-	pend := make(map[netlist.NetID]uint64)
-	for _, n := range b.scout.PendingChanges() {
-		pend[n] |= 1
-	}
-	defer func() { b.scout.OnNetChange = nil }()
 	for l := 0; l < lanes; l++ {
-		cyc := base + uint64(l)
-		b.src.Vector(cyc, b.vecBuf)
+		bit := uint64(1) << uint(l)
+		for n, v := range b.values {
+			if v {
+				w.Words[n] |= bit
+			}
+		}
+		for _, i := range b.toggled {
+			b.qMask[i] |= bit
+		}
+		b.src.Vector(base+uint64(l), b.vecBuf)
 		for i, v := range b.vecBuf {
+			b.values[b.pis[i]] = v
 			if v {
-				w.Vecs[i] |= 1 << uint(l)
+				w.Vecs[i] |= bit
 			}
 		}
-		// hi covers the lanes after l: any change during cycle `cyc`
-		// updates the entry state of every later cycle in the wave.
-		var hi uint64
-		if l+1 < Lanes {
-			hi = ^uint64(0) << uint(l+1)
-		}
-		// A change applied at the next cycle's delta 0 is a latched q
-		// toggle: it must also mark sinks dirty at the next lane's delta 0.
-		qTime := (cyc + 1) * b.scout.DeltaRange
-		nextLane := l + 1
-		b.scout.OnNetChange = func(n netlist.NetID, t VTime, v bool) {
-			if v {
-				w.Words[n] |= hi
-			} else {
-				w.Words[n] &^= hi
-			}
-			if t == qTime && nextLane < Lanes {
-				pend[n] |= 1 << uint(nextLane)
+		settle(nl, b.order, b.values)
+		b.toggled = b.toggled[:0]
+		for i, gi := range b.dffs {
+			g := &nl.Gates[gi]
+			if b.values[g.Output] != b.values[g.Inputs[0]] {
+				b.toggled = append(b.toggled, i)
 			}
 		}
-		if _, err := b.scout.Step(b.vecBuf); err != nil {
-			return err
+		for _, i := range b.toggled {
+			q := nl.Gates[b.dffs[i]].Output
+			b.values[q] = !b.values[q]
 		}
 	}
-	w.Pending = make([]MaskedNet, 0, len(pend))
-	for n, m := range pend {
-		w.Pending = append(w.Pending, MaskedNet{Net: n, Mask: m})
+	for i, m := range b.qMask {
+		if m != 0 {
+			w.Pending = append(w.Pending, MaskedNet{Net: nl.Gates[b.dffs[i]].Output, Mask: m})
+			b.qMask[i] = 0
+		}
 	}
 	sort.Slice(w.Pending, func(i, j int) bool { return w.Pending[i].Net < w.Pending[j].Net })
 	b.waves = append(b.waves, w)
-	return nil
 }

@@ -149,17 +149,6 @@ func (s *Simulator) Reset() {
 // Value returns the current value of a net.
 func (s *Simulator) Value(n netlist.NetID) bool { return s.values[n] }
 
-// Values returns the simulator's live net-value slice, indexed by NetID.
-// It is the entry state of the next cycle (between Steps, all values are
-// settled). Read-only: callers must not mutate it; contents change on the
-// next Step. The packed wave recorder (WaveBank) snapshots from it.
-func (s *Simulator) Values() []bool { return s.values }
-
-// PendingChanges returns the nets whose changes are waiting for the next
-// Step's delta 0 — the q outputs that toggled at the end of the previous
-// cycle's latch. Read-only and valid only until the next Step.
-func (s *Simulator) PendingChanges() []netlist.NetID { return s.changedNets }
-
 // Cycle returns the number of completed cycles.
 func (s *Simulator) Cycle() uint64 { return s.cycle }
 
