@@ -29,7 +29,7 @@ BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.ev
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-pairs pipeline-smoke bench-record bench-record-packed bench-record-dist bench-record-prof bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs pipeline-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -40,6 +40,8 @@ fuzz:
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzUndoLog -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzDistProtoDecode -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzWireDecode -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzLevelRefine -fuzztime 20s
@@ -175,6 +177,7 @@ dist-postmortem:
 		-folded dist-postmortem.bundle/flame.folded \
 		|| { echo "post-mortem artifacts invalid"; exit 1; }; \
 	grep -q '"reason"' dist-postmortem.bundle/probes.json || { echo "probes.json has no abort reason"; exit 1; }; \
+	grep -q '"frozen"' dist-postmortem.bundle/rounds.json || { echo "rounds.json has no GVT rounds"; exit 1; }; \
 	grep -q 'goroutine' dist-postmortem.bundle/goroutines.txt || { echo "goroutines.txt has no goroutines"; exit 1; }; \
 	echo "dist-postmortem: bundle complete and valid after worker kill"
 
@@ -247,16 +250,6 @@ bench-record-dist:
 		| tee bench-record-dist.txt \
 		| $(GO) run ./cmd/benchrec -out BENCH_8.json
 
-# Re-record the profiling-plane pair (BENCH_9.json): the instrumented
-# soc@k4 kernel without and with an armed, never-firing capturer (the
-# kernel labels its goroutines for pprof on both sides). The Off/On delta
-# is the documented standing cost of the profiling plane (budget: ≤5%
-# wall); perf-smoke gates the pair's allocs/op like the kernel set.
-bench-record-prof:
-	$(GO) test -run '^$$' -bench 'TimeWarpProfOff|TimeWarpProfOn' -benchmem -count=$(BENCH_COUNT) . \
-		| tee bench-record-prof.txt \
-		| $(GO) run ./cmd/benchrec -out BENCH_9.json
-
 # Re-record the partitioner set (BENCH_10.json): the multilevel skeleton
 # under its level policy (the flat baseline) and its n-level policy
 # (single-worker and 4-worker) on soc@k=8. The recorded cut metric is the
@@ -286,10 +279,6 @@ perf-smoke:
 		-bench 'DistFederationObsOff|DistFederationObsOn' \
 		-benchmem -count=3 . \
 		| $(GO) run ./cmd/benchrec -check BENCH_8.json -max-allocs-regress 10
-	$(GO) test -run '^$$' \
-		-bench 'TimeWarpProfOff|TimeWarpProfOn' \
-		-benchmem -count=3 . \
-		| $(GO) run ./cmd/benchrec -check BENCH_9.json -max-allocs-regress 10
 	$(GO) test -run '^$$' \
 		-bench 'PartitionFlatSoc|PartitionNLevelSoc' \
 		-benchmem -count=3 . \

@@ -21,7 +21,6 @@ import (
 	"repro/internal/multilevel"
 	"repro/internal/obs"
 	causalitypkg "repro/internal/obs/causality"
-	"repro/internal/obs/profile"
 	"repro/internal/partition"
 	"repro/internal/presim"
 	"repro/internal/sim"
@@ -671,43 +670,6 @@ func benchObsTimeWarp(b *testing.B, instrumented, causality bool) {
 func BenchmarkTimeWarpObsOff(b *testing.B)      { benchObsTimeWarp(b, false, false) }
 func BenchmarkTimeWarpObsOn(b *testing.B)       { benchObsTimeWarp(b, true, false) }
 func BenchmarkTimeWarpCausalityOn(b *testing.B) { benchObsTimeWarp(b, true, true) }
-
-// benchProfTimeWarp measures the profiling plane on soc@k=4. Both sides
-// run with the observer on (the plane rides on the span tracer, and the
-// kernel labels its goroutines through runtime/pprof either way); the On
-// side additionally arms a capturer whose triggers never fire on a
-// healthy run — so the delta is the standing cost of an armed capturer,
-// not of a capture.
-func benchProfTimeWarp(b *testing.B, profiled bool) {
-	ed, parts := socK4(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := obs.New(obs.Options{})
-		cfg := timewarp.Config{
-			NL: ed.Netlist, GateParts: parts, K: 4,
-			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 100,
-			Obs: o,
-		}
-		if profiled {
-			cfg.Profile = &profile.Capturer{
-				Source: func() []obs.Event { evs, _ := o.Events(); return evs },
-			}
-		}
-		if _, err := timewarp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTimeWarpProfOff / BenchmarkTimeWarpProfOn are the documented
-// overhead budget of the continuous-profiling plane on soc@k=4: with the
-// observer already on, an armed (never-firing) capturer must stay within
-// 5% wall time of the run without one. Both sides' allocs/op are gated in
-// perf-smoke against BENCH_9.json.
-//
-// Compare with: go test -bench 'TimeWarpProf' -count 10 . | benchstat.
-func BenchmarkTimeWarpProfOff(b *testing.B) { benchProfTimeWarp(b, false) }
-func BenchmarkTimeWarpProfOn(b *testing.B)  { benchProfTimeWarp(b, true) }
 
 // ---- distributed federation overhead (DESIGN.md §16) ------------------------
 

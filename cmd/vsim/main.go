@@ -70,8 +70,7 @@ func main() {
 		serveHold = flag.Duration("serve-hold", 0, "keep the monitoring server up this long after the run finishes (with -serve; for scripted scrapes and demos)")
 		blame     = flag.Bool("blame", false, "record per-event causality and print the rollback-blame / critical-path report after the run (tw mode)")
 
-		profileDir  = flag.String("profile-dir", "", "write profiling artifacts into this directory after the run: the folded phase flame (flame.folded; flamegraph.pl/speedscope-compatible), and in dist mode the per-worker flames and shipped captures (tw/dist mode)")
-		captureRate = flag.Float64("capture-rollback-rate", 0, "trigger an automatic evidence capture (CPU profile, goroutine dump, phase flame) when the rollback rate exceeds this many rollbacks/s; 0 disables (tw mode)")
+		profileDir = flag.String("profile-dir", "", "write the folded phase flame (flame.folded; flamegraph.pl/speedscope-compatible) into this directory after the run, and in dist mode the per-worker flames beside it (tw/dist mode)")
 
 		listen     = flag.String("listen", "127.0.0.1:0", "coordinator control-plane bind address (dist mode); the chosen address is printed for workers to -connect to")
 		workers    = flag.Int("workers", 0, "number of vsimd worker processes to wait for (dist mode, required, 1..k)")
@@ -158,19 +157,6 @@ func main() {
 			cfg := timewarp.Config{
 				NL: nl, GateParts: pr.GateParts, K: *k, Vectors: vs, Cycles: *cycles,
 				Obs: o,
-			}
-			if o != nil {
-				// The capturer arms triggered capture (probe-health
-				// degradation and, with -capture-rollback-rate, rollback
-				// storms).
-				cfg.Profile = &profile.Capturer{
-					Dir: *profileDir,
-					Source: func() []obs.Event {
-						evs, _ := o.Events()
-						return evs
-					},
-					RollbackRate: *captureRate,
-				}
 			}
 			if *chaos {
 				cfg.Transport = comm.Chaos(comm.ChaosConfig{Seed: *chaosSeed, StallEvery: 16, Obs: o})
@@ -311,7 +297,7 @@ func main() {
 		fmt.Println(waveDigest(nl.POs, res.Observed))
 		if *profileDir != "" {
 			// Run already rendered the merged worker-labeled flame plus the
-			// per-worker artifacts into the directory.
+			// per-worker flames into the directory.
 			fmt.Printf("wrote %s\n", filepath.Join(*profileDir, profile.FlameFile))
 		}
 		// -trace writes the merged cluster trace (one Chrome-trace process
@@ -402,7 +388,7 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 		// The chaos transport and the causality recorder live inside the
 		// in-process kernel; the distributed runtime has neither (its
 		// adversary is the real network).
-		for _, f := range []string{"chaos", "chaos-seed", "blame", "capture-rollback-rate"} {
+		for _, f := range []string{"chaos", "chaos-seed", "blame"} {
 			if set[f] {
 				return fmt.Errorf("-%s only applies to -mode tw (mode is %q)", f, mode)
 			}

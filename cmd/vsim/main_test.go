@@ -9,20 +9,19 @@ var modes = []string{"seq", "tw", "model", "dist"}
 
 // scoped lists every mode-scoped flag with the modes that accept it.
 var scoped = map[string][]string{
-	"packed":                {"model"},
-	"vcd":                   {"seq"},
-	"chaos":                 {"tw"},
-	"chaos-seed":            {"tw"},
-	"blame":                 {"tw"},
-	"capture-rollback-rate": {"tw"},
-	"trace":                 {"tw", "dist"},
-	"metrics":               {"tw", "dist"},
-	"report":                {"tw", "dist"},
-	"profile-dir":           {"tw", "dist"},
-	"serve":                 {"tw", "dist"},
-	"listen":                {"dist"},
-	"workers":               {"dist"},
-	"postmortem-dir":        {"dist"},
+	"packed":         {"model"},
+	"vcd":            {"seq"},
+	"chaos":          {"tw"},
+	"chaos-seed":     {"tw"},
+	"blame":          {"tw"},
+	"trace":          {"tw", "dist"},
+	"metrics":        {"tw", "dist"},
+	"report":         {"tw", "dist"},
+	"profile-dir":    {"tw", "dist"},
+	"serve":          {"tw", "dist"},
+	"listen":         {"dist"},
+	"workers":        {"dist"},
+	"postmortem-dir": {"dist"},
 }
 
 // validate calls validateFlags with in-range values for mode, so only the

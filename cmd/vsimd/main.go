@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/obs/serve"
 	"repro/internal/timewarp"
 )
@@ -41,14 +40,11 @@ func main() {
 		metrics    = flag.String("metrics", "", "write a Prometheus-style dump of the worker's wire metrics to this file after the run (\"-\" = stdout)")
 		serveAddr  = flag.String("serve", "", "serve /metrics, /healthz, /status and pprof on this address while the worker runs (e.g. 127.0.0.1:9110)")
 		stallAfter = flag.Duration("stall-after", 0, "report unhealthy on /healthz after this long without progress (0 = 10s default)")
-		obsOn      = flag.Bool("obs", true, "instrument the worker and federate its metrics, trace ring and profiling capture to the coordinator; -obs=false runs bare (and disables -metrics/-serve content and profiling)")
-		profileDir = flag.String("profile-dir", "", "also write this worker's triggered-capture artifacts (profile.pb.gz, goroutines.txt, flame.folded) locally into this directory; they federate to the coordinator regardless")
-		capRate    = flag.Float64("capture-rollback-rate", 0, "trigger an automatic evidence capture when the local rollback rate exceeds this many rollbacks/s; 0 disables")
+		obsOn      = flag.Bool("obs", true, "instrument the worker and federate its metrics and trace ring to the coordinator; -obs=false runs bare (-metrics and /metrics are then empty; /healthz still reads the probe)")
 	)
 	flag.Parse()
-	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "vsimd: -connect is required (the address printed by vsim -mode dist)")
-		flag.Usage()
+	if err := validateFlags(*connect, *dialTO, *stallAfter, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "vsimd:", err)
 		os.Exit(2)
 	}
 
@@ -58,19 +54,8 @@ func main() {
 	// registry is what makes the coordinator's single /metrics scrape and
 	// post-mortem bundle worth anything — and -obs=false drops all three.
 	var o *obs.Observer
-	var capt *profile.Capturer
 	if *obsOn {
 		o = obs.New(obs.Options{})
-		// The capturer arms triggered evidence capture; its last capture
-		// ships to the coordinator inside the worker's FrameProfile.
-		capt = &profile.Capturer{
-			Dir: *profileDir,
-			Source: func() []obs.Event {
-				evs, _ := o.Events()
-				return evs
-			},
-			RollbackRate: *capRate,
-		}
 	}
 	probe := timewarp.NewProbe()
 
@@ -96,7 +81,6 @@ func main() {
 		DialTimeout: *dialTO,
 		Obs:         o,
 		Probe:       probe,
-		Profile:     capt,
 	})
 	if *metrics != "" {
 		if derr := o.Dump("", *metrics); derr != nil {
@@ -108,4 +92,23 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("vsimd: run complete")
+}
+
+// validateFlags rejects what no run can use, before anything is dialed:
+// no coordinator to join, a dial that cannot wait, a negative stall bound,
+// or arguments no flag reads (a forgotten "-connect" before the address).
+func validateFlags(connect string, dialTimeout, stallAfter time.Duration, args []string) error {
+	if connect == "" {
+		return fmt.Errorf("-connect is required (the address printed by vsim -mode dist)")
+	}
+	if dialTimeout <= 0 {
+		return fmt.Errorf("-dial-timeout must be > 0 (got %v)", dialTimeout)
+	}
+	if stallAfter < 0 {
+		return fmt.Errorf("-stall-after must be >= 0 (got %v; 0 = 10s default)", stallAfter)
+	}
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments %q: vsimd takes flags only", args)
+	}
+	return nil
 }

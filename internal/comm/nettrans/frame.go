@@ -77,11 +77,6 @@ const (
 	// (obs.AppendTraceEvents) to the coordinator for the merged cluster
 	// trace and the crash flight recorder.
 	FrameTrace byte = 0x10
-	// FrameProfile ships a worker's profiling capture (folded phase
-	// stacks, optional CPU profile and goroutine dump) to the
-	// coordinator at finish, on local failure, and when a triggered
-	// capture fires mid-run.
-	FrameProfile byte = 0x11
 )
 
 // MaxFrame caps a frame payload. Large enough for a full-mirror result

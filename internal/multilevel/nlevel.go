@@ -155,15 +155,8 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	opts.Obs.Span(obs.TrackPartition, pol.name, totalT0,
 		obs.Arg{Key: "k", Val: float64(opts.K)},
 		obs.Arg{Key: "cut", Val: float64(res.Cut)},
-		obs.Arg{Key: "balanced", Val: boolArg(res.Balanced)})
+		obs.BoolArg("balanced", res.Balanced))
 	return res, nil
-}
-
-func boolArg(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ascent is the way back up to full resolution as a refinement policy

@@ -67,32 +67,3 @@ func (n *Netlist) FanInCone(root NetID, stopAtDFF bool) []bool {
 	}
 	return inCone
 }
-
-// FanOutCone returns the set of gates in the transitive fan-out of net
-// `root`, optionally stopping at DFF boundaries.
-func (n *Netlist) FanOutCone(root NetID, stopAtDFF bool) []bool {
-	inCone := make([]bool, len(n.Gates))
-	stack := []NetID{root}
-	seenNet := make([]bool, len(n.Nets))
-	for len(stack) > 0 {
-		net := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seenNet[net] {
-			continue
-		}
-		seenNet[net] = true
-		for _, s := range n.Nets[net].Sinks {
-			if inCone[s] {
-				continue
-			}
-			inCone[s] = true
-			if stopAtDFF && n.Gates[s].Kind.Sequential() {
-				continue
-			}
-			if !seenNet[n.Gates[s].Output] {
-				stack = append(stack, n.Gates[s].Output)
-			}
-		}
-	}
-	return inCone
-}

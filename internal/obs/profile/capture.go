@@ -1,266 +1,22 @@
 package profile
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
-	"sync"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// Artifact names every capture writes (and the post-mortem bundle
-// carries). Fixed names keep repeated captures size-capped on disk:
-// a later capture overwrites, never accumulates.
+// Artifact names of the profile directory and the post-mortem bundle.
+// Fixed names keep repeated writes size-capped on disk: a later write
+// overwrites, never accumulates.
 const (
-	CPUProfileFile = "profile.pb.gz"
 	GoroutinesFile = "goroutines.txt"
 	FlameFile      = "flame.folded"
 )
 
-// Artifacts is one capture's evidence bundle, retained in memory for
-// shipping (the distributed worker sends it to the coordinator inside a
-// FrameProfile) and optionally written to Dir.
-type Artifacts struct {
-	Reason     string
-	Flame      []byte // folded-stack text of the phase profile
-	CPU        []byte // gzipped pprof protobuf; empty when the CPU leg was unavailable
-	Goroutines []byte // full goroutine dump, size-capped
-}
-
-// Capturer takes bounded, rate-limited evidence captures when a run
-// degrades: a phase flame from the trace ring, a goroutine dump, and a
-// short CPU profile. Triggers are generic — the Time Warp kernel wires
-// its probe-health transitions and per-window rollback rate to Trigger
-// and NoteRollbacks — so the package stays import-cycle-free under
-// internal/timewarp. A nil *Capturer disables everything at one branch
-// per call site, the same contract as the obs instruments.
-type Capturer struct {
-	// Dir, when non-empty, receives the artifact files of every capture
-	// (profile.pb.gz, goroutines.txt, flame.folded; fixed names, each
-	// capture overwrites). Empty keeps captures in memory only.
-	Dir string
-	// Source supplies the trace events behind the phase flame (usually
-	// Observer.Events wrapped to drop the cursor). nil skips the flame.
-	Source func() []obs.Event
-	// FlamePrefix roots the flame's stacks (e.g. "worker 1"; "" = none).
-	FlamePrefix string
-	// CPUDuration is the CPU-profile window (default 200ms). The CPU leg
-	// is skipped gracefully when another CPU profile is already running
-	// (an operator's /debug/pprof/profile, or a concurrent capture in the
-	// same process).
-	CPUDuration time.Duration
-	// MaxCaptures bounds captures per Capturer lifetime (default 4): a
-	// flapping probe triggers a handful of captures, then goes quiet.
-	MaxCaptures int
-	// MinInterval spaces captures (default 30s).
-	MinInterval time.Duration
-	// RollbackRate, when positive, is the NoteRollbacks trigger
-	// threshold in rollbacks per second over the sampling window.
-	RollbackRate float64
-
-	mu       sync.Mutex
-	captures int
-	last     time.Time
-	lastArts *Artifacts
-	inflight bool
-	wg       sync.WaitGroup
-
-	rbLast  uint64
-	rbLastT time.Time
-}
-
-// maxArtifact bounds each retained artifact; larger output is truncated
-// (goroutine dumps, flames) so a capture can neither balloon process
-// memory nor a shipped control frame.
-const maxArtifact = 4 << 20
-
-// begin claims a capture slot under the rate limits; returns false when
-// the capture must be skipped.
-func (c *Capturer) begin() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	max := c.MaxCaptures
-	if max <= 0 {
-		max = 4
-	}
-	interval := c.MinInterval
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	if c.inflight || c.captures >= max {
-		return false
-	}
-	if !c.last.IsZero() && time.Since(c.last) < interval {
-		return false
-	}
-	c.inflight = true
-	c.captures++
-	c.last = time.Now()
-	return true
-}
-
-// Trigger starts a capture in the background when the rate limits allow
-// one. Safe from hot-adjacent paths (the kernel watcher): the expensive
-// legs run on their own goroutine; a disallowed trigger costs one mutex.
-func (c *Capturer) Trigger(reason string) {
-	if c == nil || !c.begin() {
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.capture(reason)
-	}()
-}
-
-// Capture runs one capture synchronously (rate limits still apply) and
-// returns the artifacts. ok=false when the limits suppressed it —
-// callers wanting the last successful capture use Last.
-func (c *Capturer) Capture(reason string) (Artifacts, bool) {
-	if c == nil || !c.begin() {
-		return Artifacts{}, false
-	}
-	c.wg.Add(1)
-	defer c.wg.Done()
-	return c.capture(reason), true
-}
-
-// NoteRollbacks feeds the cumulative rollback count; when the rate over
-// the window since the previous call exceeds RollbackRate, a capture
-// triggers. The watcher calls this once per poll.
-func (c *Capturer) NoteRollbacks(total uint64) {
-	if c == nil || c.RollbackRate <= 0 {
-		return
-	}
-	now := time.Now()
-	c.mu.Lock()
-	if c.rbLastT.IsZero() {
-		c.rbLast, c.rbLastT = total, now
-		c.mu.Unlock()
-		return
-	}
-	dt := now.Sub(c.rbLastT)
-	if dt < 10*time.Millisecond {
-		c.mu.Unlock()
-		return // window too small for a meaningful rate
-	}
-	delta := total - c.rbLast
-	c.rbLast, c.rbLastT = total, now
-	rate := float64(delta) / dt.Seconds()
-	fire := rate > c.RollbackRate
-	c.mu.Unlock()
-	if fire {
-		c.Trigger(fmt.Sprintf("rollback storm: %.0f rollbacks/s over %v (threshold %.0f/s)",
-			rate, dt.Round(time.Millisecond), c.RollbackRate))
-	}
-}
-
-// Wait blocks until any in-flight background capture finishes — the
-// shipping paths call it so a triggered capture is complete before the
-// worker sends its FrameProfile.
-func (c *Capturer) Wait() {
-	if c == nil {
-		return
-	}
-	c.wg.Wait()
-}
-
-// Last returns the most recent capture's artifacts (ok=false before the
-// first capture completes).
-func (c *Capturer) Last() (Artifacts, bool) {
-	if c == nil {
-		return Artifacts{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastArts == nil {
-		return Artifacts{}, false
-	}
-	return *c.lastArts, true
-}
-
-// capture runs the three legs and retains/writes the result. Caller
-// already holds a begin() slot.
-func (c *Capturer) capture(reason string) Artifacts {
-	arts := Artifacts{Reason: reason}
-
-	// Goroutine dump first: cheapest, and most useful for a wedged run.
-	var gbuf bytes.Buffer
-	if p := pprof.Lookup("goroutine"); p != nil {
-		p.WriteTo(&gbuf, 1)
-	}
-	arts.Goroutines = truncateArtifact(gbuf.Bytes())
-
-	// Phase flame from the trace ring.
-	if c.Source != nil {
-		flame := Build(c.Source()).AppendFolded(nil, c.FlamePrefix)
-		arts.Flame = truncateArtifact(flame)
-	}
-
-	// Short CPU profile. StartCPUProfile fails when profiling is already
-	// active — another capture or an operator request owns the profiler;
-	// skip the leg rather than fight over it.
-	dur := c.CPUDuration
-	if dur <= 0 {
-		dur = 200 * time.Millisecond
-	}
-	var cbuf bytes.Buffer
-	if err := pprof.StartCPUProfile(&cbuf); err == nil {
-		time.Sleep(dur)
-		pprof.StopCPUProfile()
-		if cbuf.Len() <= maxArtifact {
-			arts.CPU = cbuf.Bytes()
-		}
-	}
-
-	if c.Dir != "" {
-		c.writeArtifacts(arts)
-	}
-	c.mu.Lock()
-	c.lastArts = &arts
-	c.inflight = false
-	c.mu.Unlock()
-	return arts
-}
-
-// writeArtifacts writes the bundle files atomically (temp + rename), so
-// a capture racing an abort-time bundle read never exposes a truncated
-// file. Errors are swallowed: captures are diagnostics for an already
-// degraded run and must not add failure modes to it.
-func (c *Capturer) writeArtifacts(arts Artifacts) {
-	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return
-	}
-	WriteFileAtomic(filepath.Join(c.Dir, GoroutinesFile), arts.Goroutines)
-	if len(arts.Flame) > 0 {
-		WriteFileAtomic(filepath.Join(c.Dir, FlameFile), arts.Flame)
-	}
-	if len(arts.CPU) > 0 {
-		WriteFileAtomic(filepath.Join(c.Dir, CPUProfileFile), arts.CPU)
-	}
-}
-
-// truncateArtifact caps one artifact at maxArtifact bytes, cutting at a
-// line boundary when one exists so folded text stays parseable.
-func truncateArtifact(b []byte) []byte {
-	if len(b) <= maxArtifact {
-		return b
-	}
-	b = b[:maxArtifact]
-	if i := bytes.LastIndexByte(b, '\n'); i > 0 {
-		b = b[:i+1]
-	}
-	return b
-}
-
 // WriteFileAtomic writes data to path via a temp file and rename, so
-// readers never observe a partial write and a repeated write (double
-// abort, capture overwrite) is idempotent at every instant. Shared by
-// the capturer and the coordinator's post-mortem bundle writer.
+// readers never observe a partial write and a repeated write (a double
+// abort) is idempotent at every instant. Shared by vsim -profile-dir and
+// the coordinator's profile and post-mortem bundle writers.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

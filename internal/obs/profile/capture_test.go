@@ -1,186 +1,10 @@
 package profile
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
-
-func testSource() func() []obs.Event {
-	return func() []obs.Event {
-		return []obs.Event{
-			span(0, "sim", 0, 100),
-			span(0, "rollback", 10, 30),
-		}
-	}
-}
-
-func TestCaptureArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	c := &Capturer{
-		Dir:         dir,
-		Source:      testSource(),
-		FlamePrefix: "worker 0",
-		CPUDuration: 10 * time.Millisecond,
-	}
-	arts, ok := c.Capture("test trigger")
-	if !ok {
-		t.Fatal("first capture suppressed")
-	}
-	if arts.Reason != "test trigger" {
-		t.Fatalf("reason = %q", arts.Reason)
-	}
-	if !bytes.Contains(arts.Goroutines, []byte("goroutine")) {
-		t.Fatal("goroutine dump empty")
-	}
-	if _, err := ValidateFolded(arts.Flame); err != nil {
-		t.Fatalf("flame invalid: %v", err)
-	}
-	if !strings.HasPrefix(string(arts.Flame), "worker 0;") {
-		t.Fatalf("flame prefix missing: %q", arts.Flame)
-	}
-	// The artifact files landed under fixed names.
-	for _, name := range []string{GoroutinesFile, FlameFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("artifact %s: %v", name, err)
-		}
-	}
-	// Last returns the same capture.
-	last, ok := c.Last()
-	if !ok || last.Reason != "test trigger" {
-		t.Fatalf("Last = (%+v, %v)", last, ok)
-	}
-}
-
-func TestCaptureRateLimits(t *testing.T) {
-	c := &Capturer{
-		Source:      testSource(),
-		CPUDuration: time.Millisecond,
-		MaxCaptures: 2,
-		MinInterval: time.Nanosecond, // effectively off for this test
-	}
-	if _, ok := c.Capture("one"); !ok {
-		t.Fatal("capture 1 suppressed")
-	}
-	if _, ok := c.Capture("two"); !ok {
-		t.Fatal("capture 2 suppressed")
-	}
-	if _, ok := c.Capture("three"); ok {
-		t.Fatal("capture 3 exceeded MaxCaptures")
-	}
-}
-
-func TestCaptureMinInterval(t *testing.T) {
-	c := &Capturer{
-		Source:      testSource(),
-		CPUDuration: time.Millisecond,
-		MaxCaptures: 10,
-		MinInterval: time.Hour,
-	}
-	if _, ok := c.Capture("one"); !ok {
-		t.Fatal("capture 1 suppressed")
-	}
-	if _, ok := c.Capture("two"); ok {
-		t.Fatal("capture 2 ignored MinInterval")
-	}
-}
-
-func TestNilCapturer(t *testing.T) {
-	var c *Capturer
-	c.Trigger("x")
-	c.NoteRollbacks(100)
-	c.Wait()
-	if _, ok := c.Capture("x"); ok {
-		t.Fatal("nil capturer captured")
-	}
-	if _, ok := c.Last(); ok {
-		t.Fatal("nil capturer has a last capture")
-	}
-}
-
-func TestNoteRollbacksTrigger(t *testing.T) {
-	c := &Capturer{
-		Source:       testSource(),
-		CPUDuration:  time.Millisecond,
-		MinInterval:  time.Nanosecond,
-		RollbackRate: 100, // rollbacks/s
-	}
-	c.NoteRollbacks(0) // arms the window
-	time.Sleep(20 * time.Millisecond)
-	c.NoteRollbacks(1_000_000) // enormously over threshold
-	c.Wait()
-	arts, ok := c.Last()
-	if !ok {
-		t.Fatal("rollback storm did not trigger a capture")
-	}
-	if !strings.Contains(arts.Reason, "rollback storm") {
-		t.Fatalf("reason = %q", arts.Reason)
-	}
-}
-
-func TestNoteRollbacksBelowThreshold(t *testing.T) {
-	c := &Capturer{
-		Source:       testSource(),
-		CPUDuration:  time.Millisecond,
-		RollbackRate: 1e12,
-	}
-	c.NoteRollbacks(0)
-	time.Sleep(15 * time.Millisecond)
-	c.NoteRollbacks(10)
-	c.Wait()
-	if _, ok := c.Last(); ok {
-		t.Fatal("capture fired below threshold")
-	}
-}
-
-func TestCaptureOverwritesNotAccumulates(t *testing.T) {
-	dir := t.TempDir()
-	c := &Capturer{
-		Dir:         dir,
-		Source:      testSource(),
-		CPUDuration: time.Millisecond,
-		MaxCaptures: 3,
-		MinInterval: time.Nanosecond,
-	}
-	c.Capture("one")
-	c.Capture("two")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixed names only: no .tmp litter, no per-capture accumulation.
-	for _, e := range entries {
-		switch e.Name() {
-		case CPUProfileFile, GoroutinesFile, FlameFile:
-		default:
-			t.Fatalf("unexpected artifact %q", e.Name())
-		}
-	}
-	if len(entries) > 3 {
-		t.Fatalf("%d files after two captures", len(entries))
-	}
-}
-
-func TestTruncateArtifact(t *testing.T) {
-	line := strings.Repeat("x", 100) + "\n"
-	big := []byte(strings.Repeat(line, maxArtifact/100))
-	got := truncateArtifact(big)
-	if len(got) > maxArtifact {
-		t.Fatalf("truncated to %d > cap %d", len(got), maxArtifact)
-	}
-	if got[len(got)-1] != '\n' {
-		t.Fatal("truncation did not end on a line boundary")
-	}
-	small := []byte("ok\n")
-	if &truncateArtifact(small)[0] != &small[0] {
-		t.Fatal("small artifact must pass through unchanged")
-	}
-}
 
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()

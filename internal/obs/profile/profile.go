@@ -1,19 +1,18 @@
 // Package profile is the continuous-profiling layer over the obs span
 // tracer: it aggregates the span hierarchy into deterministic self/total
 // time tables keyed by (cluster, phase), renders them as folded-stack
-// text (the flamegraph.pl / speedscope input format), labels goroutines
-// for the stdlib CPU profiler, and captures triggered evidence bundles
-// (CPU profile, goroutine dump, phase flame) when a run degrades. Zero
-// dependencies: the CPU leg is runtime/pprof, everything else is plain
-// text over the obs event model.
+// text (the flamegraph.pl / speedscope input format), and labels
+// goroutines for the stdlib CPU profiler, which the monitoring server's
+// /debug/pprof routes hand out on request. Zero dependencies: the labels
+// are runtime/pprof's, everything else is plain text over the obs event
+// model.
 //
 // The paper's argument is a time-attribution claim — speedup lives or
 // dies on where wall-clock time goes (gate evaluation vs. rollback and
 // re-execution vs. GVT waits) — and this package is what turns the
 // span tracer's raw intervals into that attribution, per cluster: Build
 // over a trace ring is the one self-time computation, whoever asks (the
-// run report, a flame file, a triggered capture, the coordinator's
-// per-worker flames).
+// run report, a flame file, the coordinator's per-worker flames).
 package profile
 
 import (

@@ -42,6 +42,14 @@ type Arg struct {
 	Val float64
 }
 
+// BoolArg is the Arg of a flag: 1 when set, 0 when not.
+func BoolArg(key string, b bool) Arg {
+	if b {
+		return Arg{Key: key, Val: 1}
+	}
+	return Arg{Key: key}
+}
+
 // Event is one trace record. Timestamps and durations are microseconds
 // relative to the observer start (the Chrome trace-event unit).
 type Event struct {

@@ -24,12 +24,24 @@ import (
 	"repro/internal/obs/profile"
 )
 
+// checkGrid refuses a grid with no point in it: neither search has a best
+// point to return.
+func (cfg *Config) checkGrid() error {
+	if len(cfg.Ks) == 0 || len(cfg.Bs) == 0 {
+		return fmt.Errorf("presim: empty candidate sets")
+	}
+	return nil
+}
+
 // BruteForce evaluates every (k, b) combination — the paper's Table 3 —
 // and returns all points in cfg.Ks × cfg.Bs order plus the best one
 // (largest speedup; ties to smaller k, then smaller b). With more than
 // one worker the grid is evaluated concurrently; the returned points
 // order, best point, and error are identical to the sequential sweep.
 func BruteForce(cfg *Config) (points []*Point, best *Point, err error) {
+	if err := cfg.checkGrid(); err != nil {
+		return nil, nil, err
+	}
 	sweepT0 := cfg.Obs.Start()
 	type cell struct {
 		k int
@@ -104,8 +116,8 @@ func BruteForce(cfg *Config) (points []*Point, best *Point, err error) {
 // of each row are evaluated speculatively; visited and best are identical
 // to the sequential search.
 func Heuristic(cfg *Config) (best *Point, visited []*Point, err error) {
-	if len(cfg.Ks) == 0 || len(cfg.Bs) == 0 {
-		return nil, nil, fmt.Errorf("presim: empty candidate sets")
+	if err := cfg.checkGrid(); err != nil {
+		return nil, nil, err
 	}
 	// Descending k: "start with the maximum number of processors".
 	searchT0 := cfg.Obs.Start()

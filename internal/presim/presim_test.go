@@ -45,6 +45,29 @@ func TestBruteForceCoversGrid(t *testing.T) {
 	}
 }
 
+// TestEmptyGridIsAnError: a grid with no k or no b has no best point, and
+// both searches say so instead of dereferencing one.
+func TestEmptyGridIsAnError(t *testing.T) {
+	const want = "presim: empty candidate sets"
+	for _, grid := range []struct {
+		name string
+		ks   []int
+		bs   []float64
+	}{
+		{"no Ks", nil, []float64{10}},
+		{"no Bs", []int{2}, nil},
+	} {
+		cfg := testConfig(t)
+		cfg.Ks, cfg.Bs = grid.ks, grid.bs
+		if _, _, err := BruteForce(cfg); err == nil || err.Error() != want {
+			t.Errorf("BruteForce, %s: error %v, want %q", grid.name, err, want)
+		}
+		if _, _, err := Heuristic(cfg); err == nil || err.Error() != want {
+			t.Errorf("Heuristic, %s: error %v, want %q", grid.name, err, want)
+		}
+	}
+}
+
 func TestBestPerK(t *testing.T) {
 	cfg := testConfig(t)
 	points, _, err := BruteForce(cfg)

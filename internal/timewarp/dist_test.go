@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,7 +133,6 @@ type distObs struct {
 	coordProbe    *Probe
 	workers       []*obs.Observer
 	probes        []*Probe
-	workerProfs   []*profile.Capturer
 	postMortemDir string
 	profileDir    string
 	coordinator   **Coordinator // when non-nil, receives the coordinator handle
@@ -182,9 +182,6 @@ func distRunObs(t *testing.T, spec *DistSpec, workers int, failAfter time.Durati
 		}
 		if w < len(do.probes) {
 			opts.Probe = do.probes[w]
-		}
-		if w < len(do.workerProfs) {
-			opts.Profile = do.workerProfs[w]
 		}
 		if w == workers-1 {
 			opts.FailAfter = failAfter
@@ -613,6 +610,42 @@ func TestDistributedPostMortem(t *testing.T) {
 	if err := json.Unmarshal(rj, &rounds); err != nil {
 		t.Fatalf("rounds.json malformed: %v", err)
 	}
+	if len(rounds) == 0 || len(rounds) > 512 {
+		t.Fatalf("rounds.json holds %d rounds, want 1..512", len(rounds))
+	}
+	// It is the tail of the coordinator's gvt_round spans in the bundle's
+	// own trace.json, entry for entry.
+	var spans []obs.DecodedEvent
+	for _, ev := range dec.Events {
+		if ev.Pid == 1 && ev.Phase == "X" && ev.Name == "gvt_round" {
+			spans = append(spans, ev)
+		}
+	}
+	if len(spans) < len(rounds) {
+		t.Fatalf("rounds.json holds %d rounds, trace.json only %d gvt_round spans", len(rounds), len(spans))
+	}
+	spans = spans[len(spans)-len(rounds):]
+	for i, r := range rounds {
+		sp := spans[i]
+		want := map[string]any{
+			"round":        sp.Args["round"],
+			"gvt":          sp.Args["gvt"],
+			"min_progress": sp.Args["min_progress"],
+			"frozen":       sp.Args["frozen"] != 0,
+			"drained":      sp.Args["drained"] != 0,
+			"latency_us":   float64(sp.Dur),
+			"uptime_us":    float64(sp.Ts),
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("rounds.json entry %d = %v, its span says %v", i, r, want)
+		}
+		if len(sp.Args) != 5 {
+			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen, drained", i, sp.Args)
+		}
+		if i > 0 && r["round"].(float64) <= rounds[i-1]["round"].(float64) {
+			t.Fatalf("rounds.json not ascending at entry %d: round %v after %v", i, r["round"], rounds[i-1]["round"])
+		}
+	}
 
 	// goroutines.txt: the coordinator's own dump — a wedged distributed
 	// run usually wedges the coordinator's round loop too.
@@ -668,6 +701,33 @@ func TestDistributedPostMortem(t *testing.T) {
 	}
 
 	t.Logf("post-mortem: reason=%q rounds=%d trace_events=%d", probes.Reason, len(rounds), len(dec.Events))
+}
+
+// TestRoundHistoryKeepsTheLastRounds: rounds.json is the tail of the ring's
+// gvt_round spans, whatever else the ring holds.
+func TestRoundHistoryKeepsTheLastRounds(t *testing.T) {
+	var events []obs.Event
+	for r := 1; r <= roundsKept+88; r++ {
+		events = append(events,
+			obs.Event{Phase: obs.PhaseInstant, Name: "worker_join"},
+			obs.Event{Phase: obs.PhaseSpan, Name: "gvt_round", Ts: int64(10 * r), Dur: 3,
+				Args: [5]obs.Arg{{Key: "round", Val: float64(r)}, {Key: "gvt", Val: float64(r / 2)},
+					{Key: "min_progress", Val: float64(r/2 + 1)}, obs.BoolArg("frozen", r%2 == 0), obs.BoolArg("drained", true)}})
+	}
+	got := roundHistory(events)
+	if len(got) != roundsKept {
+		t.Fatalf("kept %d rounds, want %d", len(got), roundsKept)
+	}
+	want := roundRecord{Round: 89, GVT: 44, MinProgress: 45, Drained: true, LatencyUS: 3, UptimeUS: 890}
+	if got[0] != want {
+		t.Errorf("oldest kept round = %+v, want %+v", got[0], want)
+	}
+	if last := got[len(got)-1]; last.Round != roundsKept+88 || !last.Frozen {
+		t.Errorf("newest kept round = %+v, want round %d, frozen", last, roundsKept+88)
+	}
+	if h := roundHistory(nil); h == nil || len(h) != 0 {
+		t.Errorf("no spans: history %#v, want an empty non-nil slice", h)
+	}
 }
 
 // bundleSnapshot reads every file of a post-mortem bundle into memory,
@@ -758,18 +818,13 @@ func FuzzDistProtoDecode(f *testing.F) {
 		Samples:  []obs.Sample{{Name: "m", Value: 1}},
 	}))
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
-	f.Add(appendProfile(nil, distProfile{
-		Reason:     "finish",
-		CPU:        []byte{0x1f, 0x8b},
-		Goroutines: []byte("goroutine 1 [running]\n"),
-	}))
+	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeDistSpec(data)
 		_, _ = decodeReport(data, 8)
 		_, _ = decodeResult(data, 8)
 		_, _ = decodeU64(data, "cut")
 		_, _ = decodeAbort(data)
-		_, _ = decodeProfile(data)
 		// The federation payloads ride the same control plane: their
 		// decoders face the same hostile bytes.
 		_, _ = DecodeSnapshot(data)

@@ -46,9 +46,9 @@ type CoordConfig struct {
 	// history, goroutine dump, per-worker and merged phase flames)
 	// whenever the run aborts.
 	PostMortemDir string
-	// ProfileDir, when non-empty, receives the run's profiling
-	// artifacts (merged and per-worker folded stacks, shipped worker
-	// captures) after a clean finish and on abort.
+	// ProfileDir, when non-empty, receives the run's phase flames
+	// (merged and per-worker folded stacks) after a clean finish and on
+	// abort.
 	ProfileDir string
 }
 
@@ -73,12 +73,13 @@ type Coordinator struct {
 }
 
 // coordFed is the coordinator-retained observability state: per-worker
-// clock offsets from the handshake, one trace ring per worker fed by the
-// worker's FrameTrace batches, and the GVT-round history. The merged
-// cluster trace, every worker flame and the post-mortem bundle are
-// written from it — everything is already here when a worker dies, so
-// an abort costs no extra collection. (The workers' latest metrics
-// snapshots live in the coordinator's registry, under SetExternal.)
+// clock offsets from the handshake and one trace ring per worker fed by
+// the worker's FrameTrace batches. The merged cluster trace, every worker
+// flame and the post-mortem bundle are written from it and from the
+// coordinator's own ring (whose gvt_round spans are the round history) —
+// everything is already here when a worker dies, so an abort costs no
+// extra collection. (The workers' latest metrics snapshots live in the
+// coordinator's registry, under SetExternal.)
 type coordFed struct {
 	mu        sync.Mutex
 	offsetsUS []int64 // per worker: worker-clock µs − coordinator-clock µs
@@ -86,25 +87,8 @@ type coordFed struct {
 	// rings holds what each worker shipped, in a ring of the tracer's own
 	// type and of the worker's own size: what the worker still holds when
 	// it finishes, the coordinator holds too.
-	rings    []*obs.Tracer
-	lost     []uint64       // per worker: events its ring overwrote before they were shipped
-	rounds   []roundRecord  // drop-oldest at maxRoundHistory
-	profiles []*distProfile // latest shipped profile capture per worker
-}
-
-// maxRoundHistory bounds the retained GVT-round records.
-const maxRoundHistory = 512
-
-// roundRecord is one GVT round's outcome, retained for the post-mortem
-// bundle's rounds.json.
-type roundRecord struct {
-	Round       uint64 `json:"round"`
-	GVT         uint64 `json:"gvt"`
-	MinProgress uint64 `json:"min_progress"`
-	Frozen      bool   `json:"frozen"`
-	Drained     bool   `json:"drained"`
-	LatencyUS   int64  `json:"latency_us"`
-	UptimeUS    int64  `json:"uptime_us"` // coordinator observer clock; 0 when uninstrumented
+	rings []*obs.Tracer
+	lost  []uint64 // per worker: events its ring overwrote before they were shipped
 }
 
 func newCoordFed(workers int) *coordFed {
@@ -113,23 +97,12 @@ func newCoordFed(workers int) *coordFed {
 		snapAtUS:  make([]int64, workers),
 		rings:     make([]*obs.Tracer, workers),
 		lost:      make([]uint64, workers),
-		profiles:  make([]*distProfile, workers),
 	}
 	for i := range fd.rings {
 		fd.snapAtUS[i] = -1
 		fd.rings[i] = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	return fd
-}
-
-func (fd *coordFed) noteRound(rec roundRecord) {
-	fd.mu.Lock()
-	if len(fd.rounds) >= maxRoundHistory {
-		copy(fd.rounds, fd.rounds[1:])
-		fd.rounds = fd.rounds[:maxRoundHistory-1]
-	}
-	fd.rounds = append(fd.rounds, rec)
-	fd.mu.Unlock()
 }
 
 // absorbObs consumes a worker's federation frame: a snapshot replaces the
@@ -162,16 +135,6 @@ func (co *Coordinator) absorbObs(f workerFrame) (handled bool, err error) {
 		for _, e := range events {
 			fd.rings[f.worker].Push(e)
 		}
-		return true, nil
-	case nettrans.FrameProfile:
-		p, err := decodeProfile(f.payload)
-		if err != nil {
-			return true, fmt.Errorf("timewarp: worker %d profile: %w", f.worker, err)
-		}
-		fd := co.fed
-		fd.mu.Lock()
-		fd.profiles[f.worker] = &p
-		fd.mu.Unlock()
 		return true, nil
 	}
 	return false, nil
@@ -569,9 +532,9 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			}
 		}
 
-		// Round instrumentation and flight-recorder history, recorded after
-		// the GVT update so the terminal round is captured with its final
-		// values.
+		// Round instrumentation, recorded after the GVT update so the
+		// terminal round is captured with its final values. The gvt_round
+		// spans are the flight recorder's round history (rounds.json).
 		gGvt.Set(int64(v.gvt))
 		gMinProg.Set(int64(v.minProg))
 		gInflight.Set(inflight)
@@ -579,16 +542,9 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
 			obs.Arg{Key: "gvt", Val: float64(v.gvt)},
-			obs.Arg{Key: "min_progress", Val: float64(v.minProg)})
-		co.fed.noteRound(roundRecord{
-			Round:       round,
-			GVT:         v.gvt,
-			MinProgress: v.minProg,
-			Frozen:      v.frozen,
-			Drained:     s.drained,
-			LatencyUS:   roundLatUS,
-			UptimeUS:    int64(cfg.Obs.Uptime() / time.Microsecond),
-		})
+			obs.Arg{Key: "min_progress", Val: float64(v.minProg)},
+			obs.BoolArg("frozen", v.frozen),
+			obs.BoolArg("drained", s.drained))
 		if v.terminate {
 			return co.finish(conns, frames, q, &ledger)
 		}

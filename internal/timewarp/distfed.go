@@ -11,16 +11,16 @@ import (
 )
 
 // Federation payloads of the control plane: the bodies of FrameMetrics (a
-// registry snapshot), FrameTrace (a batch of trace-ring events) and
-// FrameProfile (a triggered capture). They sit on nettrans.Dec like every
-// other control payload in distproto.go — internal/obs holds no wire code,
-// which is what keeps obs ← nettrans ← timewarp acyclic without a private
-// copy of the decoder — and meet the same hostile-input contract: every
-// malformed payload is an error, never a panic, and no count drives an
-// allocation bigger than the payload that carries it. The snapshot and
-// trace-batch codecs are exported for their round-trip, truncation and
-// hostile-input tests, which stay with the obs types whose wire image
-// they pin (internal/obs/fedwire_test.go, an external test package).
+// registry snapshot) and FrameTrace (a batch of trace-ring events). They
+// sit on nettrans.Dec like every other control payload in distproto.go —
+// internal/obs holds no wire code, which is what keeps obs ← nettrans ←
+// timewarp acyclic without a private copy of the decoder — and meet the
+// same hostile-input contract: every malformed payload is an error, never
+// a panic, and no count drives an allocation bigger than the payload that
+// carries it. The snapshot and trace-batch codecs are exported for their
+// round-trip, truncation and hostile-input tests, which stay with the obs
+// types whose wire image they pin (internal/obs/fedwire_test.go, an
+// external test package).
 
 // snapshotVersion versions the snapshot wire format; decoders reject
 // anything else, so a skewed peer fails loudly instead of misparsing.
@@ -235,48 +235,4 @@ func DecodeTraceEvents(p []byte) (events []obs.Event, dropped uint64, err error)
 		return nil, 0, fmt.Errorf("timewarp: trace batch has %d trailing bytes", d.Len())
 	}
 	return events, dropped, nil
-}
-
-// distProfile is the FrameProfile payload: the CPU profile and goroutine
-// dump of the worker's last triggered capture. The worker's phase flame
-// is not in it — the coordinator builds that from the events the worker
-// already shipped over FrameTrace.
-type distProfile struct {
-	Reason     string
-	CPU        []byte
-	Goroutines []byte
-}
-
-// profileVersion versions the FrameProfile payload (1 carried folded
-// stacks between the reason and the blobs).
-const profileVersion byte = 2
-
-// maxProfileBlob caps each blob of a decoded FrameProfile.
-const maxProfileBlob = 8 << 20
-
-func appendProfile(dst []byte, p distProfile) []byte {
-	dst = nettrans.AppendU8(dst, profileVersion)
-	dst = nettrans.AppendStr(dst, p.Reason)
-	dst = nettrans.AppendBytes(dst, p.CPU)
-	dst = nettrans.AppendBytes(dst, p.Goroutines)
-	return dst
-}
-
-func decodeProfile(payload []byte) (distProfile, error) {
-	d := nettrans.NewDec(payload)
-	var p distProfile
-	if v := d.U8(); d.Err() == nil && v != profileVersion {
-		return distProfile{}, fmt.Errorf("timewarp: profile frame version %d, this build speaks %d", v, profileVersion)
-	}
-	p.Reason = d.Str()
-	p.CPU = append([]byte(nil), d.Bytes()...)
-	p.Goroutines = append([]byte(nil), d.Bytes()...)
-	if err := d.Err(); err != nil {
-		return distProfile{}, fmt.Errorf("timewarp: malformed profile frame: %w", err)
-	}
-	if len(p.CPU) > maxProfileBlob || len(p.Goroutines) > maxProfileBlob {
-		return distProfile{}, fmt.Errorf("timewarp: profile frame blobs of %d+%d bytes",
-			len(p.CPU), len(p.Goroutines))
-	}
-	return p, nil
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // The coordinator's flight recorder: everything below renders from the
-// state the coordinator already retains (coordFed's per-worker trace
-// rings, clock offsets and GVT-round history, and the federated registry),
-// so a post-mortem bundle can be written at the instant of an abort with
-// no further collection — the workers may already be dead.
+// state the coordinator already retains (its own trace ring, coordFed's
+// per-worker rings and clock offsets, and the federated registry), so a
+// post-mortem bundle can be written at the instant of an abort with no
+// further collection — the workers may already be dead.
 
 // traceSources assembles the merged-trace inputs: the coordinator's own
 // ring first, then one source per worker with its handshake-derived
@@ -76,13 +76,57 @@ type postMortemWorker struct {
 	DroppedEvents  uint64 `json:"dropped_events"`
 }
 
+// roundRecord is one GVT round's outcome, an entry of the post-mortem
+// bundle's rounds.json.
+type roundRecord struct {
+	Round       uint64 `json:"round"`
+	GVT         uint64 `json:"gvt"`
+	MinProgress uint64 `json:"min_progress"`
+	Frozen      bool   `json:"frozen"`
+	Drained     bool   `json:"drained"`
+	LatencyUS   int64  `json:"latency_us"`
+	UptimeUS    int64  `json:"uptime_us"` // coordinator observer clock at the round's start
+}
+
+// roundsKept bounds rounds.json to the most recent rounds.
+const roundsKept = 512
+
+// roundHistory reads the GVT-round history back out of the coordinator's
+// trace ring: one record per gvt_round span, the last roundsKept of them.
+func roundHistory(events []obs.Event) []roundRecord {
+	rounds := []roundRecord{} // non-nil so an empty history renders as []
+	for _, e := range events {
+		if e.Phase != obs.PhaseSpan || e.Name != "gvt_round" {
+			continue
+		}
+		r := roundRecord{LatencyUS: e.Dur, UptimeUS: e.Ts}
+		for _, a := range e.Args {
+			switch a.Key {
+			case "round":
+				r.Round = uint64(a.Val)
+			case "gvt":
+				r.GVT = uint64(a.Val)
+			case "min_progress":
+				r.MinProgress = uint64(a.Val)
+			case "frozen":
+				r.Frozen = a.Val != 0
+			case "drained":
+				r.Drained = a.Val != 0
+			}
+		}
+		rounds = append(rounds, r)
+	}
+	return rounds[max(len(rounds)-roundsKept, 0):]
+}
+
 // WritePostMortem flushes the flight recorder into dir: the merged
 // metrics exposition (metrics.prom), the merged cluster trace
 // (trace.json, DecodeChromeTrace-clean), the probe and federation state
-// (probes.json), the GVT-round history (rounds.json), the coordinator's
-// goroutine dump (goroutines.txt), and the profiling artifacts — the
-// merged worker-labeled flame (flame.folded) plus per-worker folded
-// stacks and shipped captures (worker-N.*). The dir is created if
+// (probes.json), the GVT-round history (rounds.json, read back from the
+// coordinator's gvt_round spans), the coordinator's goroutine dump
+// (goroutines.txt), and the phase flames — the merged worker-labeled one
+// (flame.folded) plus per-worker folded stacks (worker-N.flame.folded).
+// The dir is created if
 // missing. reason records why the run died (nil for a user-requested
 // dump of a live run). Every file is written atomically (temp + rename)
 // and the content renders from retained state, so calling this twice —
@@ -131,7 +175,6 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 			DroppedEvents:  src.Dropped,
 		})
 	}
-	rounds := append([]roundRecord(nil), fd.rounds...)
 	fd.mu.Unlock()
 
 	if err := write("probes.json", func(w io.Writer) error {
@@ -144,10 +187,7 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	if err := write("rounds.json", func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if rounds == nil {
-			rounds = []roundRecord{}
-		}
-		return enc.Encode(rounds)
+		return enc.Encode(roundHistory(sources[0].Events))
 	}); err != nil {
 		return err
 	}

@@ -13,17 +13,15 @@ import (
 // The profiling leg of the distributed federation. Every flame the
 // coordinator writes — merged or per worker, after a clean finish or in a
 // post-mortem bundle — is profile.Build over a trace ring it holds: its
-// own, or the one it keeps per worker (coordFed.rings). A worker ships
-// only what the coordinator cannot compute: the CPU profile and goroutine
-// dump of a triggered capture (FrameProfile, distfed.go).
+// own, or the one it keeps per worker (coordFed.rings). A worker's CPU
+// profile and goroutine dump are asked of the worker itself, at its
+// -serve address (/debug/pprof).
 
-// WriteProfiles renders the run's profiling artifacts into dir: one
-// merged worker-labeled folded stack (flame.folded), per-worker folded
-// stacks (worker-N.flame.folded), and — for workers whose shipped
-// capture carried them — worker-N.profile.pb.gz and
-// worker-N.goroutines.txt. Valid at any point of the run; every write
-// is atomic (temp + rename), so repeated calls are idempotent and a
-// crash mid-write never leaves a truncated artifact.
+// WriteProfiles renders the run's phase flames into dir: one merged
+// worker-labeled folded stack (flame.folded) and per-worker folded stacks
+// (worker-N.flame.folded). Valid at any point of the run; every write is
+// atomic (temp + rename), so repeated calls are idempotent and a crash
+// mid-write never leaves a truncated artifact.
 func (co *Coordinator) WriteProfiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("timewarp: profile dir: %w", err)
@@ -38,8 +36,7 @@ func (co *Coordinator) WriteProfiles(dir string) error {
 	// per worker.
 	events, _ := co.cfg.Obs.Events()
 	sources := []profile.FoldedSource{{Prefix: "coordinator", Stacks: profile.Build(events).Stacks}}
-	fd := co.fed
-	for i, ring := range fd.rings {
+	for i, ring := range co.fed.rings {
 		events, _ := ring.Events()
 		sources = append(sources, profile.FoldedSource{
 			Prefix: fmt.Sprintf("worker %d", i),
@@ -53,22 +50,6 @@ func (co *Coordinator) WriteProfiles(dir string) error {
 		folded := profile.MergeFolded(nil, []profile.FoldedSource{{Stacks: src.Stacks}})
 		if err := write(fmt.Sprintf("worker-%d.%s", i, profile.FlameFile), folded); err != nil {
 			return err
-		}
-		fd.mu.Lock()
-		p := fd.profiles[i]
-		fd.mu.Unlock()
-		if p == nil {
-			continue
-		}
-		if len(p.CPU) > 0 {
-			if err := write(fmt.Sprintf("worker-%d.%s", i, profile.CPUProfileFile), p.CPU); err != nil {
-				return err
-			}
-		}
-		if len(p.Goroutines) > 0 {
-			if err := write(fmt.Sprintf("worker-%d.%s", i, profile.GoroutinesFile), p.Goroutines); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -12,72 +12,11 @@ import (
 	"repro/internal/partition"
 )
 
-func TestProfileCodecRoundTrip(t *testing.T) {
-	p := distProfile{
-		Reason:     "rollback storm: 9000 rollbacks/s",
-		CPU:        []byte{0x1f, 0x8b, 0x08, 0x00},
-		Goroutines: []byte("goroutine 1 [running]:\nmain.main()\n"),
-	}
-	enc := appendProfile(nil, p)
-	got, err := decodeProfile(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Reason != p.Reason {
-		t.Errorf("reason = %q, want %q", got.Reason, p.Reason)
-	}
-	if !bytes.Equal(got.CPU, p.CPU) || !bytes.Equal(got.Goroutines, p.Goroutines) {
-		t.Error("blobs did not round-trip")
-	}
-
-	// An empty profile round-trips too.
-	empty, err := decodeProfile(appendProfile(nil, distProfile{Reason: "finish"}))
-	if err != nil {
-		t.Fatalf("decode empty: %v", err)
-	}
-	if empty.Reason != "finish" || len(empty.CPU)+len(empty.Goroutines) != 0 {
-		t.Fatalf("empty profile = %+v", empty)
-	}
-
-	// Every truncation prefix must fail cleanly, never panic or succeed.
-	for n := 0; n < len(enc); n++ {
-		if _, err := decodeProfile(enc[:n]); err == nil {
-			t.Fatalf("decode accepted %d-byte truncation of %d-byte frame", n, len(enc))
-		}
-	}
-}
-
-func TestProfileCodecRejectsHostile(t *testing.T) {
-	// Wrong version byte — including the one that carried folded stacks.
-	enc := appendProfile(nil, distProfile{Reason: "x"})
-	for _, v := range []byte{1, 3} {
-		bad := append([]byte(nil), enc...)
-		bad[0] = v
-		if _, err := decodeProfile(bad); err == nil {
-			t.Errorf("decode accepted version %d", v)
-		}
-	}
-
-	// A blob length far larger than the payload: rejected, not allocated.
-	hostile := []byte{profileVersion}
-	hostile = append(hostile, 0, 0, 0, 0)             // empty reason
-	hostile = append(hostile, 0xff, 0xff, 0xff, 0x7f) // absurd CPU length
-	if _, err := decodeProfile(hostile); err == nil {
-		t.Error("decode accepted oversized blob length")
-	}
-
-	// Blobs over the cap are rejected after decode, before retention.
-	bigBlob := appendProfile(nil, distProfile{CPU: make([]byte, maxProfileBlob+1)})
-	if _, err := decodeProfile(bigBlob); err == nil {
-		t.Error("decode accepted oversized CPU blob")
-	}
-}
-
 // TestDistributedProfileFederation runs a clean two-worker distributed
-// simulation with observers and capturers attached and a profile dir
-// set, then checks the coordinator rendered the merged worker-labeled
-// flame plus per-worker folded stacks — the -profile-dir contract of
-// vsim -mode dist.
+// simulation with observers attached and a profile dir set, then checks
+// the coordinator rendered the merged worker-labeled flame plus per-worker
+// folded stacks and nothing else — the -profile-dir contract of vsim
+// -mode dist.
 func TestDistributedProfileFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed runs are socket-heavy; skipped in -short")
@@ -103,13 +42,9 @@ func TestDistributedProfileFederation(t *testing.T) {
 	dir := t.TempDir()
 	wobs := []*obs.Observer{obs.New(obs.Options{}), obs.New(obs.Options{})}
 	do := distObs{
-		coord:   obs.New(obs.Options{}),
-		workers: wobs,
-		probes:  []*Probe{NewProbe(), NewProbe()},
-		workerProfs: []*profile.Capturer{
-			{Source: func() []obs.Event { evs, _ := wobs[0].Events(); return evs }},
-			{Source: func() []obs.Event { evs, _ := wobs[1].Events(); return evs }},
-		},
+		coord:      obs.New(obs.Options{}),
+		workers:    wobs,
+		probes:     []*Probe{NewProbe(), NewProbe()},
 		profileDir: dir,
 	}
 	res, runErr, workerErrs := distRunObs(t, spec, 2, 0, do)
@@ -161,5 +96,9 @@ func TestDistributedProfileFederation(t *testing.T) {
 		if !own[string(data)] {
 			t.Errorf("worker %d flame is not the flame of either worker's own ring:\n%s", w, data)
 		}
+	}
+	// No CPU profile is written: that one is asked of /debug/pprof.
+	if pb, _ := filepath.Glob(filepath.Join(dir, "*.pb.gz")); len(pb) > 0 {
+		t.Errorf("profile dir holds %v", pb)
 	}
 }

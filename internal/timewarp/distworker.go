@@ -10,7 +10,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/nettrans"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // WorkerOptions configures one worker process of a distributed run.
@@ -30,11 +29,6 @@ type WorkerOptions struct {
 	// coordinator's GVT broadcasts and local cluster progress) — the
 	// state behind vsimd's /healthz.
 	Probe *Probe
-	// Profile, when non-nil, receives degradation triggers (local cluster
-	// failure, rollback storms) exactly like the in-process kernel's
-	// Config.Profile; its last capture ships to the coordinator inside
-	// the worker's FrameProfile at finish and on local failure.
-	Profile *profile.Capturer
 	// DialTimeout bounds the coordinator and peer dials (default 5s).
 	DialTimeout time.Duration
 	// FailAfter, when positive, drops every connection abruptly after
@@ -156,7 +150,7 @@ func (w *distWorker) run(peerAddrs []string) error {
 	defer w.closePeers()
 
 	cfg := w.spec.config(ed.Netlist)
-	cfg.Obs, cfg.Probe, cfg.Profile = w.opts.Obs, w.opts.Probe, w.opts.Profile
+	cfg.Obs, cfg.Probe = w.opts.Obs, w.opts.Probe
 	w.mesh = newMeshTransport(w)
 	cfg.Transport = w.mesh.factory()
 	w.h, err = newHost(cfg, "dist", func(c int) bool { return int(w.placement[c]) == w.id })
@@ -196,9 +190,8 @@ func (w *distWorker) run(peerAddrs []string) error {
 	}
 
 	w.h.start(func(err error) {
-		// Best effort: ship the evidence, then tell the coordinator why; it
-		// aborts the whole run and relays the reason to every other worker.
-		w.shipProfile("cluster failure: " + err.Error())
+		// Best effort: tell the coordinator why; it aborts the whole run
+		// and relays the reason to every other worker.
 		w.coord.Send(nettrans.FrameError,
 			appendAbort(nil, distAbort{Reason: err.Error()}))
 	})
@@ -269,7 +262,6 @@ func (w *distWorker) controlLoop() error {
 			w.h.closeEndpoints()
 			w.h.wg.Wait()
 			w.shipObs(true)
-			w.shipProfile("finish")
 			if err := w.coord.Send(nettrans.FrameResult,
 				appendResult(nil, *w.h.collect())); err != nil {
 				return fmt.Errorf("timewarp: worker %d send result: %w", w.id, err)
@@ -317,26 +309,6 @@ func (w *distWorker) shipObs(force bool) {
 		return
 	}
 	w.traceCursor = next
-}
-
-// shipProfile sends the CPU profile and goroutine dump of the worker's
-// last triggered capture, when one fired, to the coordinator inside a
-// FrameProfile. (Its phase flame needs no shipping: the coordinator
-// builds it from the trace events shipObs already sent.) Best-effort,
-// same contract as shipObs. Must run before the frame that ends the run
-// (FrameResult / FrameError) so the coordinator absorbs it while still
-// draining this worker's stream.
-func (w *distWorker) shipProfile(reason string) {
-	if !w.opts.Obs.Enabled() {
-		return
-	}
-	w.opts.Profile.Wait() // let an in-flight triggered capture finish
-	arts, ok := w.opts.Profile.Last()
-	if !ok || len(arts.CPU)+len(arts.Goroutines) == 0 {
-		return
-	}
-	w.coord.Send(nettrans.FrameProfile,
-		appendProfile(nil, distProfile{Reason: reason, CPU: arts.CPU, Goroutines: arts.Goroutines}))
 }
 
 // report snapshots the worker-local counters for one GVT round.

@@ -103,8 +103,8 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 }
 
 // start launches one goroutine per local cluster. The first cluster error
-// aborts the run — every local cluster is woken and stops, the capturer is
-// triggered — and is then handed to onFail (nil = nothing more to do).
+// aborts the run — every local cluster is woken and stops — and is then
+// handed to onFail (nil = nothing more to do).
 func (h *host) start(onFail func(error)) {
 	for _, cl := range h.clusters {
 		cl := cl
@@ -123,11 +123,8 @@ func (h *host) start(onFail func(error)) {
 			}
 			h.errMu.Unlock()
 			h.abort()
-			if first {
-				h.cfg.Profile.Trigger("cluster failure: " + err.Error())
-				if onFail != nil {
-					onFail(err)
-				}
+			if first && onFail != nil {
+				onFail(err)
 			}
 		}()
 	}
@@ -173,16 +170,8 @@ func (h *host) sample(s *sample) {
 	}
 }
 
-// note feeds the liveness probe and the capturer's rollback-rate trigger
-// from s, a sample this host just took.
+// note feeds the liveness probe from s, a sample this host just took.
 func (h *host) note(s *sample, gvt uint64, active bool) {
-	if h.cfg.Profile != nil {
-		var rb uint64
-		for _, cl := range h.clusters {
-			rb += cl.stats.rollbacks.Load()
-		}
-		h.cfg.Profile.NoteRollbacks(rb)
-	}
 	if h.cfg.Probe == nil {
 		return
 	}

@@ -73,13 +73,6 @@ type Config struct {
 	// (GVT, minimum progress, straggler depth, last-activity time) — the
 	// read-only feed behind the monitoring server's /healthz.
 	Probe *Probe
-	// Profile, when non-nil, receives degradation triggers from the
-	// watcher: probe-health transitions (stalled, livelocked, failed) and
-	// the per-window rollback rate. The capturer decides — under its own
-	// rate limits — whether to take a CPU profile, goroutine dump, and
-	// phase flame. Nil disables triggered capture; pprof goroutine labels
-	// are applied regardless (they are free without an active profile).
-	Profile *profile.Capturer
 }
 
 // Stats aggregates kernel activity over a run.
@@ -190,7 +183,6 @@ func (h *host) run() (*Result, error) {
 			}
 			if v.abort != "" {
 				abortErr = fmt.Errorf("timewarp: %s", v.abort)
-				cfg.Profile.Trigger(abortErr.Error())
 				h.abort()
 				return
 			}
@@ -205,7 +197,6 @@ func (h *host) run() (*Result, error) {
 	h.net.CloseTransport()
 
 	if abortErr != nil {
-		cfg.Profile.Wait()
 		cfg.Probe.finish(abortErr)
 		return nil, abortErr
 	}
