@@ -24,12 +24,12 @@ BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn
 PARENT ?=
 BENCH_PAIRS ?= 10
 BENCH_PAIRS_WORKLOADS ?= soc_tw_aligned,viterbi_tw_rollback,soc_dist_split,partition_campaign:3
-BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,timewarp.rollbacks,timewarp.anti_messages,timewarp.max_straggler_depth,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,elab.elaborate_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,harness.pipeline_wall_s
+BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,timewarp.rollbacks,timewarp.anti_messages,timewarp.max_straggler_depth,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,verilog.parse_s,elab.elaborate_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,harness.pipeline_wall_s
 
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-pairs pipeline-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs pipeline-smoke scale-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzPairRefine -fuzztime 20s
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzLevelRefine -fuzztime 20s
 	$(GO) test ./internal/netlist -run xxx -fuzz FuzzConeWalk -fuzztime 20s
+	$(GO) test ./internal/elab -run xxx -fuzz FuzzElaborate -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:
@@ -221,6 +222,15 @@ bench-pairs:
 # gates the checks, not the timings (ROADMAP item 1).
 pipeline-smoke:
 	bash benchmark/run.sh -workload all -scale smoke -seed 1 -trace 1 --seconds 3
+
+# The front end at the paper's scale (ROADMAP item 11): the 728,121-gate
+# decoder gen.Viterbi{K: 11, W: 12, TB: 96} parsed, elaborated, validated,
+# levelized and handed to sim.New, failing when elaboration passes 1.5 s or
+# 4 allocations a gate, and printing ns, bytes and allocations a gate at
+# 17.6 k, 121 k and 728 k gates side by side. About half a gigabyte and a few
+# seconds; tier-1 skips the test (SCALE unset).
+scale-smoke:
+	SCALE=1 $(GO) test -run TestScaleSmoke -count=1 -v .
 
 # Re-record the committed perf baseline: the kernel/obs benchmark set and
 # the forward-path benchmark with -count=$(BENCH_COUNT), aggregated into

@@ -240,17 +240,26 @@ func BenchmarkVerilogParse(b *testing.B) {
 	}
 }
 
+// BenchmarkElaborate elaborates the 17,776-gate SoC of the pipeline
+// benchmark and the decoders of scale_test.go's smaller two sizes.
 func BenchmarkElaborate(b *testing.B) {
-	workload(b)
-	d, err := verilog.Parse(fixtureSrc)
-	if err != nil {
-		b.Fatal(err)
+	circuits := []*gen.Circuit{gen.ViterbiSoC(gen.DefaultSoC)}
+	for _, sz := range elabSizes[:2] {
+		circuits = append(circuits, gen.Viterbi(sz.cfg))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := elab.Elaborate(d, "viterbi"); err != nil {
+	for _, c := range circuits {
+		d, err := verilog.Parse(c.Source)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := elab.Elaborate(d, c.Top); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

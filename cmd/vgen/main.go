@@ -22,52 +22,51 @@ import (
 
 func main() {
 	var (
-		circuit = flag.String("circuit", "viterbi", "circuit family: viterbi | soc | mul | lfsr | randhier")
-		out     = flag.String("o", "", "output file (default stdout)")
-		stats   = flag.Bool("stats", false, "elaborate and print statistics instead of emitting source")
-		tree    = flag.Int("tree", -2, "print the instance hierarchy to this depth (-1 = unlimited)")
-
-		kFlag = flag.Int("k", 7, "viterbi/soc: constraint length (states = 2^(k-1))")
-		w     = flag.Int("w", 8, "viterbi/soc: path metric width in bits")
-		tb    = flag.Int("tb", 24, "viterbi/soc: survivor path depth")
-
-		channels = flag.Int("channels", 0, "soc: decoder channels (0 = default SoC: 2 channels around the default core)")
-
-		n = flag.Int("n", 16, "mul/lfsr: operand width / register length")
-
-		seed    = flag.Int64("seed", 1, "randhier: generation seed")
-		modules = flag.Int("modules", 12, "randhier: module library size")
-		gates   = flag.Int("gates", 40, "randhier: approx gates per module")
-		insts   = flag.Int("insts", 3, "randhier: approx child instances per module")
-		top     = flag.Int("top", 24, "randhier: instances in the top module")
-		pis     = flag.Int("pis", 16, "randhier: primary inputs")
+		f     flags
+		out   = flag.String("o", "", "output file (default stdout)")
+		stats = flag.Bool("stats", false, "elaborate and print statistics instead of emitting source")
+		tree  = flag.Int("tree", -2, "print the instance hierarchy to this depth (-1 = unlimited)")
+		seed  = flag.Int64("seed", 1, "randhier: generation seed")
 	)
+	flag.StringVar(&f.circuit, "circuit", "viterbi", "circuit family: viterbi | soc | mul | lfsr | randhier")
+	flag.IntVar(&f.k, "k", 7, "viterbi/soc: constraint length, 1..30 (states = 2^(k-1); 0 = the default, 7)")
+	flag.IntVar(&f.w, "w", 8, "viterbi/soc: path metric width in bits, at least 2 (0 = the default, 8)")
+	flag.IntVar(&f.tb, "tb", 24, "viterbi/soc: survivor path depth, at least 2 (0 = the generator's default, 32)")
+	flag.IntVar(&f.channels, "channels", 0, "soc: decoder channels (0 = default SoC: 2 channels around the default core, whatever -k, -w, -tb)")
+	flag.IntVar(&f.n, "n", 16, "mul/lfsr: operand width (1..2048) / register length (at least 3)")
+	flag.IntVar(&f.modules, "modules", 12, "randhier: module library size")
+	flag.IntVar(&f.gates, "gates", 40, "randhier: approx gates per module")
+	flag.IntVar(&f.insts, "insts", 3, "randhier: approx child instances per module (0 = none)")
+	flag.IntVar(&f.top, "top", 24, "randhier: instances in the top module")
+	flag.IntVar(&f.pis, "pis", 16, "randhier: primary inputs")
 	flag.Parse()
+	f.args = flag.Args()
+	if err := validateFlags(f); err != nil {
+		fmt.Fprintln(os.Stderr, "vgen:", err)
+		os.Exit(2)
+	}
 
 	var c *gen.Circuit
-	switch *circuit {
+	switch f.circuit {
 	case "viterbi":
-		c = gen.Viterbi(gen.ViterbiConfig{K: *kFlag, W: *w, TB: *tb})
+		c = gen.Viterbi(gen.ViterbiConfig{K: f.k, W: f.w, TB: f.tb})
 	case "soc":
 		cfg := gen.DefaultSoC
-		if *channels > 0 {
-			cfg.Channels = *channels
-			cfg.Viterbi = gen.ViterbiConfig{K: *kFlag, W: *w, TB: *tb}
+		if f.channels > 0 {
+			cfg.Channels = f.channels
+			cfg.Viterbi = gen.ViterbiConfig{K: f.k, W: f.w, TB: f.tb}
 		}
 		c = gen.ViterbiSoC(cfg)
 	case "mul":
-		c = gen.Multiplier(*n)
+		c = gen.Multiplier(f.n)
 	case "lfsr":
-		c = gen.LFSR(*n, nil)
+		c = gen.LFSR(f.n, nil)
 	case "randhier":
 		c = gen.RandomHierarchical(gen.RandHierConfig{
-			ModuleTypes: *modules, GatesPerModule: *gates,
-			InstancesPerModule: *insts, TopInstances: *top,
-			PIs: *pis, Seed: *seed, DFFFraction: 0.25,
+			ModuleTypes: f.modules, GatesPerModule: f.gates,
+			InstancesPerModule: f.insts, TopInstances: f.top,
+			PIs: f.pis, Seed: *seed, DFFFraction: 0.25,
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "vgen: unknown circuit %q\n", *circuit)
-		os.Exit(2)
 	}
 
 	if *tree >= -1 {
@@ -113,4 +112,74 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vgen:", err)
 		os.Exit(1)
 	}
+}
+
+// flags are the values that size a generated circuit, and what the command
+// line left over.
+type flags struct {
+	circuit                         string
+	k, w, tb, channels, n           int
+	modules, gates, insts, top, pis int
+	args                            []string
+}
+
+// maxBits is the elaborator's bound on a design's signal bits (elab's
+// maxSignalBits): vgen generates nothing no tool of this repository loads.
+const maxBits = 1 << 27
+
+// flagRange is one flag a circuit family reads and the values its generator
+// can build.
+type flagRange struct {
+	name      string
+	v, lo, hi int
+}
+
+// validateFlags rejects, before anything is generated, a size the chosen
+// generator cannot build (it would emit source that does not parse, or
+// never return) and arguments no flag reads. Flags of the other circuit
+// families are ignored, as the generators ignore them.
+func validateFlags(f flags) error {
+	if len(f.args) > 0 {
+		return fmt.Errorf("unexpected arguments %q: vgen takes flags only", f.args)
+	}
+	var ranges []flagRange
+	k, w, tb := f.k, f.w, f.tb // 0 is the generator's default
+	switch f.circuit {
+	case "viterbi", "soc":
+		if k == 0 {
+			k = 7
+		}
+		if w == 0 {
+			w = 8
+		}
+		if tb == 0 {
+			tb = 32
+		}
+		ranges = []flagRange{{"k", k, 1, 30}, {"w", w, 2, 1 << 16}, {"tb", tb, 2, 1 << 16}, {"channels", f.channels, 0, 1 << 10}}
+	case "mul":
+		ranges = []flagRange{{"n", f.n, 1, 2048}}
+	case "lfsr":
+		ranges = []flagRange{{"n", f.n, 3, 1 << 20}}
+	case "randhier":
+		ranges = []flagRange{{"modules", f.modules, 1, 1 << 20}, {"gates", f.gates, 1, 1 << 20},
+			{"insts", f.insts, 0, 1 << 20}, {"top", f.top, 1, 1 << 20}, {"pis", f.pis, 1, 1 << 20}}
+	default:
+		return fmt.Errorf("unknown -circuit %q (viterbi, soc, mul, lfsr, randhier)", f.circuit)
+	}
+	for _, r := range ranges {
+		if r.v < r.lo || r.v > r.hi {
+			return fmt.Errorf("-%s must be in %d..%d for -circuit %s (got %d)", r.name, r.lo, r.hi, f.circuit, r.v)
+		}
+	}
+	// A decoder has 2^(k-1) trellis states, each ≈ 48 signal bits a metric
+	// bit (the add-compare-select datapath) and 13 a survivor stage: within
+	// 1 % of what elaboration counts from k = 2 to 11.
+	if f.circuit == "viterbi" || f.circuit == "soc" {
+		channels := max(f.channels, 1)
+		if bits := channels << (k - 1) * (48*w + 13*tb + 16); bits > maxBits {
+			return fmt.Errorf("-k %d -w %d -tb %d, %d channel(s): about %d signal bits (2^(k-1) states of 48w + 13tb + 16 each), limit %d",
+				k, w, tb, channels, bits, maxBits)
+		}
+	}
+	return nil
 }

@@ -3,14 +3,21 @@
 // the design-driven partitioner exploits and flattened-netlist algorithms
 // ignore.
 //
-// Elaboration walks the instance tree depth-first, allocates a signal slot
-// for every bit of every declared net in every instance, and merges slots
-// through port connections with a union–find. Gates then reference the
-// union representative, which becomes a netlist.Net.
+// Elaboration costs what it returns (DESIGN §30). Every module reached is
+// compiled once into a layout — its gates and port connections with their
+// pins as offsets into an instance's block of signal slots, and its
+// subtree's totals, which size every output array (or refuse the design)
+// before the instance tree is walked. An instance is then a base offset,
+// its port connections unions of two offsets; a union's representative (a
+// constant, else its lowest slot) becomes a netlist.Net, and only
+// representatives are given a name.
 package elab
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/netlist"
 	"repro/internal/verilog"
@@ -54,40 +61,74 @@ func (d *Design) Instance(path string) *Instance {
 // instantiation in malformed inputs.
 const maxDepthDefault = 64
 
-// slot is a single-bit signal endpoint before union-find resolution.
+// maxSignalBits bounds what a design may ask for — signal bits, gates, gate
+// pins, instances — and is checked on widths computed from declarations and
+// literals before a bit is materialised: a worker elaborates source it got
+// over TCP. 72 times the 1.87 M bits of the 728 k-gate decoder.
+const maxSignalBits = 1 << 27
+
+// slot is a single-bit signal endpoint before union-find resolution. An
+// instance's own bits — declared nets in order, MSB first, then its operator
+// gates' outputs — precede its children's blocks: slots ascend in pre-order.
 type slot = int32
 
-// elaborator carries the global state of one elaboration run.
-type elaborator struct {
-	design *verilog.Design
-	uf     []slot   // union-find parent array over slots
-	names  []string // representative hierarchical name per slot (first writer wins)
-	// Constant slots (allocated up front).
-	const0, const1 slot
+const (
+	const0  slot = 0
+	const1  slot = 1
+	topBase slot = 2
+)
 
-	instances []*Instance
-	gates     []protoGate
-	synthSeq  int // numbers operator-synthesized gates
-	// po/pi slots of the top module, in port order.
-	piSlots, poSlots []slot
-	piNames, poNames []string
+// layout is one module compiled for one Elaborate call. Slots in it are
+// relative to an instance's block (see rel); -1 and -2 are const0 and const1.
+type layout struct {
+	mod   *verilog.Module
+	net   map[string]int32 // net name → index into mod.Nets
+	off   []int32          // off[i]: mod.Nets[i]'s first (MSB) bit
+	bits  int32            // declared bits; operator outputs follow them
+	ops   int32            // operator gates the module's assigns synthesize
+	gates []lgate          // direct gates, in GateID order
+	pins  []int32          // their inputs, gate after gate
+	kids  []*layout        // kids[k]: the module of mod.Instances[k]
+	conns []int32          // port connections: (slot here, slot in the child's block) pairs
+	wired []int32          // wired[k]: mod.Instances[k]'s connections end at conns[wired[k]]
+
+	height                        int   // levels of hierarchy below the module
+	nSlots, nGates, nPins, nInsts int64 // subtree totals, the module's own included
 }
 
-// protoGate is a gate before slot→net renumbering.
-type protoGate struct {
+type lgate struct {
 	kind   verilog.GateKind
-	path   string
-	owner  int32
-	inputs []slot
-	output slot
-	line   int
+	out    int32
+	pinEnd int32  // inputs are pins[previous gate's pinEnd : pinEnd]
+	suffix string // what follows the instance path; "" for an operator gate, numbered per design
 }
 
-// scope is the per-instance signal table: (net name) → slots MSB-first.
-type scope struct {
-	inst *Instance
-	nets map[string][]slot // in declaration bit order, MSB first
-	mod  *verilog.Module
+// rel resolves a layout slot against an instance's base.
+func rel(base slot, r int32) slot {
+	if r < 0 {
+		return -1 - r
+	}
+	return base + r
+}
+
+// elaborator carries the state of one elaboration run.
+type elaborator struct {
+	design  *verilog.Design
+	layouts map[*verilog.Module]*layout
+	path    []string // instance names from the top to the module being compiled, for messages
+	out     []int32  // the slots expr emits
+
+	uf        []slot // union-find parent array over slots
+	nl        *netlist.Netlist
+	pins      []netlist.NetID  // every Gate.Inputs is a view of this; slots until finish renumbers them
+	ids       []netlist.GateID // ids[i] == i: every Instance.Gates is a view of this
+	instances []*Instance
+	children  []*Instance // every Instance.Children is a view of this
+	names     names
+
+	// Cursors of the instance walk.
+	nextSlot                                       slot
+	nextGate, nextPin, nextOp, nextInst, nextChild int
 }
 
 // Elaborate builds the hierarchy and flat netlist for module `top` of the
@@ -97,47 +138,58 @@ func Elaborate(d *verilog.Design, top string) (*Design, error) {
 	if topMod == nil {
 		return nil, fmt.Errorf("elab: top module %q not found", top)
 	}
-	e := &elaborator{design: d}
-	e.const0 = e.newSlot("const0")
-	e.const1 = e.newSlot("const1")
-
-	root := &Instance{ID: 0, Module: topMod, Name: top, Path: top}
-	e.instances = append(e.instances, root)
-	sc, err := e.openScope(root)
+	for _, p := range topMod.Ports {
+		if p.Dir == verilog.DirInout {
+			return nil, fmt.Errorf("elab: inout port %s.%s not supported at top level", top, p.Name)
+		}
+	}
+	e := &elaborator{design: d, layouts: make(map[*verilog.Module]*layout), path: []string{top},
+		nextSlot: topBase, nextInst: 1}
+	l, err := e.compile(topMod, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Record primary I/O slots from the top module's ports.
-	for _, p := range topMod.Ports {
-		bits := sc.nets[p.Name]
-		for i, b := range p.Range.Bits() {
-			name := p.Name
-			if !p.Range.Scalar {
-				name = fmt.Sprintf("%s[%d]", p.Name, b)
-			}
-			switch p.Dir {
-			case verilog.DirInput:
-				e.piSlots = append(e.piSlots, bits[i])
-				e.piNames = append(e.piNames, name)
-			case verilog.DirOutput:
-				e.poSlots = append(e.poSlots, bits[i])
-				e.poNames = append(e.poNames, name)
-			case verilog.DirInout:
-				return nil, fmt.Errorf("elab: inout port %s.%s not supported at top level", top, p.Name)
-			}
-		}
+
+	e.uf = make([]slot, int64(topBase)+l.nSlots)
+	for i := range e.uf {
+		e.uf[i] = slot(i)
 	}
-	if err := e.elabBody(sc, 0); err != nil {
-		return nil, err
+	e.nl = &netlist.Netlist{Gates: make([]netlist.Gate, l.nGates)}
+	e.pins = make([]netlist.NetID, l.nPins)
+	e.ids = make([]netlist.GateID, l.nGates)
+	for i := range e.ids {
+		e.ids[i] = netlist.GateID(i)
 	}
-	return e.finish()
+	slab := make([]Instance, l.nInsts)
+	e.instances = make([]*Instance, l.nInsts)
+	for i := range slab {
+		e.instances[i] = &slab[i]
+	}
+	e.children = make([]*Instance, l.nInsts-1)
+	*e.instances[0] = Instance{Module: topMod, Name: top, Path: top}
+	e.instantiate(l, e.instances[0])
+	return e.finish(l)
 }
 
-func (e *elaborator) newSlot(name string) slot {
-	s := slot(len(e.uf))
-	e.uf = append(e.uf, s)
-	e.names = append(e.names, name)
-	return s
+// names cuts the paths and net names a design keeps from shared chunks: a
+// strings.Builder never rewrites a byte it has handed out, so a name is the
+// tail of its chunk as it stood when the name was complete.
+type names struct{ b strings.Builder }
+
+func (a *names) cut(parts ...string) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if a.b.Cap()-a.b.Len() < n {
+		a.b = strings.Builder{}
+		a.b.Grow(max(n, 1<<16))
+	}
+	start := a.b.Len()
+	for _, p := range parts {
+		a.b.WriteString(p)
+	}
+	return a.b.String()[start:]
 }
 
 // find returns the union-find representative with path compression.
@@ -154,388 +206,440 @@ func (e *elaborator) find(s slot) slot {
 // (lower-numbered, i.e. outermost) slot wins, keeping shallow names.
 func (e *elaborator) union(a, b slot) {
 	ra, rb := e.find(a), e.find(b)
-	if ra == rb {
-		return
-	}
-	// Prefer constants, then lower slot numbers, as representatives.
-	swap := false
-	switch {
-	case rb == e.const0 || rb == e.const1:
-		swap = true
-	case ra == e.const0 || ra == e.const1:
-	case rb < ra:
-		swap = true
-	}
-	if swap {
+	// Prefer constants (the two lowest slots; the second named of two wins),
+	// then lower slot numbers, as representatives.
+	if rb <= const1 || rb < ra {
 		ra, rb = rb, ra
 	}
 	e.uf[rb] = ra
 }
 
-// openScope allocates slots for every net declared in inst's module.
-func (e *elaborator) openScope(inst *Instance) (*scope, error) {
-	sc := &scope{inst: inst, mod: inst.Module, nets: make(map[string][]slot, len(inst.Module.Nets))}
-	for _, n := range inst.Module.Nets {
-		bits := n.Range.Bits()
-		slots := make([]slot, len(bits))
-		for i, b := range bits {
-			name := inst.Path + "." + n.Name
-			if !n.Range.Scalar {
-				name = fmt.Sprintf("%s.%s[%d]", inst.Path, n.Name, b)
-			}
-			slots[i] = e.newSlot(name)
-		}
-		sc.nets[n.Name] = slots
+// where is the path of the first instance, in pre-order, of the module
+// being compiled: where a walk of every instance would meet its mistakes.
+func (e *elaborator) where() string { return strings.Join(e.path, ".") }
+
+// plus adds two non-negative sizes, saturating.
+func plus(a, b int64) int64 {
+	if s := a + b; s >= a {
+		return s
 	}
-	return sc, nil
+	return math.MaxInt64
 }
 
-// exprBits resolves a structural expression to its slot list, MSB first.
-// ctxWidth gives the width an unsized constant should take (-1 if unknown).
-func (e *elaborator) exprBits(sc *scope, expr verilog.Expr, ctxWidth int) ([]slot, error) {
-	switch x := expr.(type) {
-	case *verilog.Ref:
-		bits, ok := sc.nets[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("elab: %s: unknown net %q", sc.inst.Path, x.Name)
+// limits refuses a design one of whose totals passed maxSignalBits.
+func (e *elaborator) limits(l *layout) error {
+	for i, n := range [...]int64{l.nSlots, l.nGates, l.nPins, l.nInsts} {
+		if n > maxSignalBits {
+			return fmt.Errorf("elab: %s: needs %d %s, limit %d", e.where(), n,
+				[...]string{"signal bits", "gates", "gate pins", "instances"}[i], maxSignalBits)
 		}
-		return bits, nil
+	}
+	return nil
+}
 
-	case *verilog.BitSelect:
-		bits, ok := sc.nets[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("elab: %s: unknown net %q", sc.inst.Path, x.Name)
-		}
-		n := sc.mod.Net(x.Name)
-		idx, err := bitIndex(n.Range, x.Bit)
-		if err != nil {
-			return nil, fmt.Errorf("elab: %s: %s: %v", sc.inst.Path, expr, err)
-		}
-		return bits[idx : idx+1], nil
-
-	case *verilog.PartSelect:
-		bits, ok := sc.nets[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("elab: %s: unknown net %q", sc.inst.Path, x.Name)
-		}
-		n := sc.mod.Net(x.Name)
-		hi, err := bitIndex(n.Range, x.MSB)
-		if err != nil {
-			return nil, fmt.Errorf("elab: %s: %s: %v", sc.inst.Path, expr, err)
-		}
-		lo, err := bitIndex(n.Range, x.LSB)
-		if err != nil {
-			return nil, fmt.Errorf("elab: %s: %s: %v", sc.inst.Path, expr, err)
-		}
-		if hi > lo {
-			return nil, fmt.Errorf("elab: %s: part select %s is reversed", sc.inst.Path, expr)
-		}
-		return bits[hi : lo+1], nil
-
-	case *verilog.Concat:
-		var out []slot
-		for _, p := range x.Parts {
-			bits, err := e.exprBits(sc, p, -1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, bits...)
-		}
-		return out, nil
-
-	case *verilog.Unary:
-		in, err := e.exprBits(sc, x.X, ctxWidth)
-		if err != nil {
+// compile lays module m out, once per run; depth is that of the instance
+// that reached it. Every mistake a module's text can hold is reported here.
+func (e *elaborator) compile(m *verilog.Module, depth int) (*layout, error) {
+	// Memoised on success only: a recursive instantiation never finds itself
+	// finished and descends to the depth bound.
+	if l := e.layouts[m]; l != nil && depth+l.height <= maxDepthDefault {
+		return l, nil
+	} else if l != nil || depth > maxDepthDefault {
+		return nil, fmt.Errorf("elab: %s: hierarchy deeper than %d levels (recursive instantiation?)",
+			e.where(), maxDepthDefault)
+	}
+	l := &layout{mod: m, net: make(map[string]int32, len(m.Nets)), off: make([]int32, len(m.Nets)), nInsts: 1}
+	for i, n := range m.Nets {
+		l.net[n.Name] = int32(i)
+		l.off[i] = int32(l.nSlots)
+		l.nSlots = plus(l.nSlots, int64(n.Range.Width()))
+		if err := e.limits(l); err != nil {
 			return nil, err
 		}
-		out := make([]slot, len(in))
-		for i := range in {
-			out[i] = e.synthGate(sc, verilog.GateNot, []slot{in[i]})
-		}
-		return out, nil
-
-	case *verilog.Binary:
-		var kind verilog.GateKind
-		switch x.Op {
-		case '&':
-			kind = verilog.GateAnd
-		case '|':
-			kind = verilog.GateOr
-		case '^':
-			kind = verilog.GateXor
-		default:
-			return nil, fmt.Errorf("elab: %s: unsupported operator %q", sc.inst.Path, string(x.Op))
-		}
-		xb, err := e.exprBits(sc, x.X, ctxWidth)
-		if err != nil {
-			return nil, err
-		}
-		yb, err := e.exprBits(sc, x.Y, len(xb))
-		if err != nil {
-			return nil, err
-		}
-		if len(xb) != len(yb) {
-			return nil, fmt.Errorf("elab: %s: operand width mismatch in %s (%d vs %d bits)",
-				sc.inst.Path, expr, len(xb), len(yb))
-		}
-		out := make([]slot, len(xb))
-		for i := range xb {
-			out[i] = e.synthGate(sc, kind, []slot{xb[i], yb[i]})
-		}
-		return out, nil
-
-	case *verilog.Const:
-		w := x.Width
-		if w < 0 {
-			w = ctxWidth
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("elab: %s: unsized constant %s in a context with unknown width",
-				sc.inst.Path, x.Text)
-		}
-		out := make([]slot, w)
-		for i := 0; i < w; i++ {
-			bit := (x.Value >> uint(w-1-i)) & 1 // MSB first
-			if bit == 1 {
-				out[i] = e.const1
-			} else {
-				out[i] = e.const0
-			}
-		}
-		return out, nil
 	}
-	return nil, fmt.Errorf("elab: %s: unsupported expression %T", sc.inst.Path, expr)
-}
-
-// synthGate creates a gate for an operator expression, returning the slot
-// of its fresh output net. The gate is owned by the scope's instance.
-func (e *elaborator) synthGate(sc *scope, kind verilog.GateKind, inputs []slot) slot {
-	e.synthSeq++
-	out := e.newSlot(fmt.Sprintf("%s._op%d", sc.inst.Path, e.synthSeq))
-	gid := netlist.GateID(len(e.gates))
-	e.gates = append(e.gates, protoGate{
-		kind:   kind,
-		path:   fmt.Sprintf("%s._op%d", sc.inst.Path, e.synthSeq),
-		owner:  sc.inst.ID,
-		inputs: inputs,
-		output: out,
-	})
-	sc.inst.Gates = append(sc.inst.Gates, gid)
-	return out
-}
-
-// bitIndex converts a declared bit number to an MSB-first slice index.
-func bitIndex(r verilog.Range, bit int) (int, error) {
-	if !r.Contains(bit) {
-		return 0, fmt.Errorf("bit %d outside range %s", bit, r)
-	}
-	for i, b := range r.Bits() {
-		if b == bit {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("bit %d not found in range %s", bit, r)
-}
-
-// scalarBit resolves an expression that must be exactly one bit wide.
-func (e *elaborator) scalarBit(sc *scope, expr verilog.Expr, what string) (slot, error) {
-	bits, err := e.exprBits(sc, expr, 1)
-	if err != nil {
-		return 0, err
-	}
-	if len(bits) != 1 {
-		return 0, fmt.Errorf("elab: %s: %s connection %s is %d bits wide, want 1",
-			sc.inst.Path, what, expr, len(bits))
-	}
-	return bits[0], nil
-}
-
-// elabBody processes gates, assigns and child instances of one scope.
-func (e *elaborator) elabBody(sc *scope, depth int) error {
-	if depth > maxDepthDefault {
-		return fmt.Errorf("elab: %s: hierarchy deeper than %d levels (recursive instantiation?)",
-			sc.inst.Path, maxDepthDefault)
-	}
-	inst := sc.inst
+	l.bits = int32(l.nSlots)
 
 	// Gate primitives.
-	for _, g := range sc.mod.Gates {
-		pg := protoGate{kind: g.Kind, path: inst.Path + "." + g.Name, owner: inst.ID, line: g.Line}
+	for _, g := range m.Gates {
 		if g.Kind == verilog.GateDff {
 			if len(g.Conns) != 3 {
-				return fmt.Errorf("elab: %s.%s: dff needs (q, d, clk), got %d connections",
-					inst.Path, g.Name, len(g.Conns))
+				return nil, fmt.Errorf("elab: %s.%s: dff needs (q, d, clk), got %d connections",
+					e.where(), g.Name, len(g.Conns))
 			}
 		} else if g.Kind == verilog.GateNot || g.Kind == verilog.GateBuf {
 			if len(g.Conns) != 2 {
-				return fmt.Errorf("elab: %s.%s: %s needs exactly (out, in)", inst.Path, g.Name, g.Kind)
+				return nil, fmt.Errorf("elab: %s.%s: %s needs exactly (out, in)", e.where(), g.Name, g.Kind)
 			}
 		}
-		out, err := e.scalarBit(sc, g.Conns[0], "gate output")
-		if err != nil {
-			return err
-		}
-		pg.output = out
-		for _, c := range g.Conns[1:] {
-			in, err := e.scalarBit(sc, c, "gate input")
+		e.out = e.out[:0]
+		what := "gate output"
+		for _, c := range g.Conns {
+			w, err := e.plain(l, c, 1)
+			if err == nil && w != 1 {
+				err = fmt.Errorf("elab: %s: %s connection %s is %d bits wide, want 1", e.where(), what, c, w)
+			}
 			if err != nil {
-				return err
+				return nil, err
 			}
-			pg.inputs = append(pg.inputs, in)
+			e.expr(l, c, 1, true)
+			what = "gate input"
 		}
-		gid := netlist.GateID(len(e.gates))
-		e.gates = append(e.gates, pg)
-		inst.Gates = append(inst.Gates, gid)
+		l.pins = append(l.pins, e.out[1:]...)
+		l.gates = append(l.gates, lgate{kind: g.Kind, out: e.out[0], pinEnd: int32(len(l.pins)), suffix: "." + g.Name})
 	}
 
-	// Continuous assignments become per-bit buffers.
-	for _, a := range sc.mod.Assigns {
-		lhs, err := e.exprBits(sc, a.LHS, -1)
+	// Continuous assignments: operator gates, then per-bit buffers.
+	for _, a := range m.Assigns {
+		w, err := e.plain(l, a.LHS, -1)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rhs, err := e.exprBits(sc, a.RHS, len(lhs))
+		rw, ops, err := e.expr(l, a.RHS, w, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(lhs) != len(rhs) {
-			return fmt.Errorf("elab: %s: assign width mismatch: %s (%d bits) = %s (%d bits)",
-				inst.Path, a.LHS, len(lhs), a.RHS, len(rhs))
+		if w != rw {
+			return nil, fmt.Errorf("elab: %s: assign width mismatch: %s (%d bits) = %s (%d bits)",
+				e.where(), a.LHS, w, a.RHS, rw)
 		}
-		for i := range lhs {
-			gid := netlist.GateID(len(e.gates))
-			e.gates = append(e.gates, protoGate{
-				kind:   verilog.GateBuf,
-				path:   fmt.Sprintf("%s._assign%d_%d", inst.Path, a.Line, i),
-				owner:  inst.ID,
-				inputs: []slot{rhs[i]},
-				output: lhs[i],
-				line:   a.Line,
-			})
-			inst.Gates = append(inst.Gates, gid)
+		l.nSlots, l.nGates = plus(l.nSlots, ops), plus(int64(len(l.gates)), plus(w, ops))
+		if err := e.limits(l); err != nil {
+			return nil, err
+		}
+		e.out = e.out[:0]
+		e.expr(l, a.LHS, -1, true)
+		e.expr(l, a.RHS, w, true)
+		for i, lhs := range e.out[:w] {
+			l.pins = append(l.pins, e.out[int(w)+i])
+			l.gates = append(l.gates, lgate{kind: verilog.GateBuf, out: lhs, pinEnd: int32(len(l.pins)),
+				suffix: fmt.Sprintf("._assign%d_%d", a.Line, i)})
 		}
 	}
+	l.nGates, l.nPins = int64(len(l.gates)), int64(len(l.pins))
 
-	// Child module instances.
-	for _, mi := range sc.mod.Instances {
+	// Child module instances: the child's layout, then its ports' wiring.
+	for _, mi := range m.Instances {
 		childMod := e.design.Module(mi.ModuleName)
 		if childMod == nil {
-			return fmt.Errorf("elab: %s: unknown module %q instantiated as %q",
-				inst.Path, mi.ModuleName, mi.Name)
+			return nil, fmt.Errorf("elab: %s: unknown module %q instantiated as %q",
+				e.where(), mi.ModuleName, mi.Name)
 		}
-		child := &Instance{
-			ID:     int32(len(e.instances)),
-			Module: childMod,
-			Name:   mi.Name,
-			Path:   inst.Path + "." + mi.Name,
-			Parent: inst,
-			Depth:  depth + 1,
-		}
-		e.instances = append(e.instances, child)
-		inst.Children = append(inst.Children, child)
-		childScope, err := e.openScope(child)
+		e.path = append(e.path, mi.Name)
+		cl, err := e.compile(childMod, depth+1)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		e.path = e.path[:len(e.path)-1]
+		l.height = max(l.height, cl.height+1)
+		l.nSlots, l.nGates = plus(l.nSlots, cl.nSlots), plus(l.nGates, cl.nGates)
+		l.nPins, l.nInsts = plus(l.nPins, cl.nPins), plus(l.nInsts, cl.nInsts)
+		if err := e.limits(l); err != nil {
+			return nil, err
 		}
 
-		// Wire the ports.
+		// Positional connections are the ports' names in header order.
+		conns := mi.Named
 		if mi.Positional != nil {
 			if len(mi.Positional) != len(childMod.Ports) {
-				return fmt.Errorf("elab: %s: %s has %d connections, module %s has %d ports",
-					inst.Path, mi.Name, len(mi.Positional), childMod.Name, len(childMod.Ports))
+				return nil, fmt.Errorf("elab: %s: %s has %d connections, module %s has %d ports",
+					e.where(), mi.Name, len(mi.Positional), childMod.Name, len(childMod.Ports))
 			}
+			conns = make([]verilog.NamedConn, len(mi.Positional))
 			for i, expr := range mi.Positional {
-				if err := e.connectPort(sc, childScope, childMod.Ports[i], expr); err != nil {
-					return err
-				}
+				conns[i] = verilog.NamedConn{Port: childMod.Ports[i].Name, Expr: expr}
 			}
+		}
+		seen := make(map[string]bool, len(conns))
+		for _, nc := range conns {
+			port := childMod.Port(nc.Port)
+			if port == nil {
+				return nil, fmt.Errorf("elab: %s: %s: module %s has no port %q",
+					e.where(), mi.Name, childMod.Name, nc.Port)
+			}
+			if seen[nc.Port] {
+				return nil, fmt.Errorf("elab: %s: %s: port %q connected twice", e.where(), mi.Name, nc.Port)
+			}
+			seen[nc.Port] = true
+			if nc.Expr == nil {
+				continue // explicitly unconnected
+			}
+			// The expression's bits pair with the first bits of the port's net.
+			want := int64(port.Range.Width())
+			w, err := e.plain(l, nc.Expr, want)
+			if err == nil && w != want {
+				err = fmt.Errorf("elab: %s: connection %s to port %s.%s.%s is %d bits, want %d",
+					e.where(), nc.Expr, e.where(), mi.Name, port.Name, w, want)
+			}
+			ni, ok := cl.net[port.Name]
+			if err == nil && (!ok || want > int64(childMod.Nets[ni].Range.Width())) {
+				err = fmt.Errorf("elab: %s: port %s.%s is wider than its net", e.where(), mi.Name, port.Name)
+			}
+			if err != nil {
+				return nil, err
+			}
+			e.out = e.out[:0]
+			e.expr(l, nc.Expr, want, true)
+			for b, s := range e.out {
+				l.conns = append(l.conns, s, cl.off[ni]+int32(b))
+			}
+		}
+		l.kids, l.wired = append(l.kids, cl), append(l.wired, int32(len(l.conns)))
+	}
+	e.layouts[m] = l
+	return l, nil
+}
+
+// plain measures where the grammar allows no operator: a gate pin, a port
+// connection, an assign's left-hand side.
+func (e *elaborator) plain(l *layout, x verilog.Expr, ctx int64) (int64, error) {
+	w, ops, err := e.expr(l, x, ctx, false)
+	if err == nil && ops != 0 {
+		err = fmt.Errorf("elab: %s: operator in %s outside an assign's right-hand side", e.where(), x)
+	}
+	return w, err
+}
+
+// expr checks a structural expression against the module's declarations
+// and measures it: its width and the operator gates it synthesizes, by
+// arithmetic on declared ranges and literal sizes, so a hostile width costs
+// nothing before the caller refuses it. ctx is the width an unsized constant
+// takes (-1: unknown). With emit, on an expression measured and accepted,
+// it also appends the bits' slots to e.out, MSB first, and the operator
+// gates to l.gates: one per bit, taking its operands' place in e.out.
+func (e *elaborator) expr(l *layout, expr verilog.Expr, ctx int64, emit bool) (w, ops int64, err error) {
+	name, whole, msb, lsb := "", false, 0, 0
+	switch x := expr.(type) {
+	case *verilog.Ref:
+		name, whole = x.Name, true
+	case *verilog.BitSelect:
+		name, msb, lsb = x.Name, x.Bit, x.Bit
+	case *verilog.PartSelect:
+		name, msb, lsb = x.Name, x.MSB, x.LSB
+
+	case *verilog.Concat:
+		for _, p := range x.Parts {
+			pw, pops, err := e.expr(l, p, -1, emit)
+			if err != nil {
+				return 0, 0, err
+			}
+			w, ops = plus(w, pw), plus(ops, pops)
+		}
+		return w, ops, nil
+
+	case *verilog.Unary:
+		from := len(e.out)
+		w, ops, err = e.expr(l, x.X, ctx, emit)
+		if emit {
+			for i := from; i < len(e.out); i++ {
+				e.out[i] = l.op(verilog.GateNot, e.out[i:i+1])
+			}
+		}
+		return w, plus(ops, w), err
+
+	case *verilog.Binary:
+		kind, ok := binaryGates[x.Op]
+		if !ok {
+			return 0, 0, fmt.Errorf("elab: %s: unsupported operator %q", e.where(), string(x.Op))
+		}
+		from := len(e.out)
+		w, ops, err = e.expr(l, x.X, ctx, emit)
+		if err != nil {
+			return 0, 0, err
+		}
+		yw, yops, err := e.expr(l, x.Y, w, emit)
+		if err != nil {
+			return 0, 0, err
+		}
+		if w != yw {
+			return 0, 0, fmt.Errorf("elab: %s: operand width mismatch in %s (%d vs %d bits)",
+				e.where(), expr, w, yw)
+		}
+		if emit {
+			mid := from + int(w)
+			for i := from; i < mid; i++ {
+				e.out[i] = l.op(kind, []int32{e.out[i], e.out[i+int(w)]})
+			}
+			e.out = e.out[:mid]
+		}
+		return w, plus(plus(ops, yops), w), nil
+
+	case *verilog.Const:
+		if w = int64(x.Width); w < 0 {
+			w = ctx
+		}
+		if w <= 0 {
+			return 0, 0, fmt.Errorf("elab: %s: unsized constant %s in a context with unknown width",
+				e.where(), x.Text)
+		}
+		for i := w - 1; emit && i >= 0; i-- {
+			e.out = append(e.out, -1-int32(x.Value>>uint(i)&1))
+		}
+		return w, 0, nil
+
+	default:
+		return 0, 0, fmt.Errorf("elab: %s: unsupported expression %T", e.where(), expr)
+	}
+
+	// Bits hi..lo of a declared net, counted from its MSB end.
+	i, ok := l.net[name]
+	if !ok {
+		return 0, 0, fmt.Errorf("elab: %s: unknown net %q", e.where(), name)
+	}
+	r := l.mod.Nets[i].Range
+	hi, lo := int32(0), int32(int64(r.Width())-1)
+	if !whole {
+		for _, bit := range [...]int{msb, lsb} {
+			if !r.Contains(bit) {
+				return 0, 0, fmt.Errorf("elab: %s: %s: bit %d outside range %s", e.where(), expr, bit, r)
+			}
+		}
+		// A bit the range contains lies |MSB - bit| from its MSB end.
+		if hi, lo = int32(max(r.MSB-msb, msb-r.MSB)), int32(max(r.MSB-lsb, lsb-r.MSB)); hi > lo {
+			return 0, 0, fmt.Errorf("elab: %s: part select %s is reversed", e.where(), expr)
+		}
+	}
+	for b := hi; emit && b <= lo; b++ {
+		e.out = append(e.out, l.off[i]+b)
+	}
+	return int64(lo-hi) + 1, 0, nil
+}
+
+var binaryGates = map[byte]verilog.GateKind{'&': verilog.GateAnd, '|': verilog.GateOr, '^': verilog.GateXor}
+
+// op adds an operator gate and returns the slot of its fresh output.
+func (l *layout) op(kind verilog.GateKind, inputs []int32) int32 {
+	l.ops++
+	l.pins = append(l.pins, inputs...)
+	l.gates = append(l.gates, lgate{kind: kind, out: l.bits + l.ops - 1, pinEnd: int32(len(l.pins))})
+	return l.bits + l.ops - 1
+}
+
+// instantiate writes instance inst of layout l, then its subtree, at the
+// walk's cursors.
+func (e *elaborator) instantiate(l *layout, inst *Instance) {
+	base := e.nextSlot
+	e.nextSlot += l.bits + l.ops
+
+	var digits [20]byte
+	first, pin := e.nextGate, int32(0)
+	for j := range l.gates {
+		lg := &l.gates[j]
+		g := &e.nl.Gates[first+j]
+		*g = netlist.Gate{ID: netlist.GateID(first + j), Kind: lg.kind, Owner: inst.ID,
+			Output: netlist.NetID(rel(base, lg.out))}
+		if lg.suffix == "" {
+			e.nextOp++
+			g.Path = e.names.cut(inst.Path, "._op", string(strconv.AppendInt(digits[:0], int64(e.nextOp), 10)))
 		} else {
-			seen := make(map[string]bool, len(mi.Named))
-			for _, nc := range mi.Named {
-				port := childMod.Port(nc.Port)
-				if port == nil {
-					return fmt.Errorf("elab: %s: %s: module %s has no port %q",
-						inst.Path, mi.Name, childMod.Name, nc.Port)
-				}
-				if seen[nc.Port] {
-					return fmt.Errorf("elab: %s: %s: port %q connected twice", inst.Path, mi.Name, nc.Port)
-				}
-				seen[nc.Port] = true
-				if nc.Expr == nil {
-					continue // explicitly unconnected
-				}
-				if err := e.connectPort(sc, childScope, port, nc.Expr); err != nil {
-					return err
+			g.Path = e.names.cut(inst.Path, lg.suffix)
+		}
+		n := int(lg.pinEnd - pin)
+		g.Inputs = e.pins[e.nextPin : e.nextPin+n : e.nextPin+n]
+		for k := range g.Inputs {
+			g.Inputs[k] = netlist.NetID(rel(base, l.pins[int(pin)+k]))
+		}
+		e.nextPin, pin = e.nextPin+n, lg.pinEnd
+	}
+	e.nextGate += len(l.gates)
+	inst.Gates = e.ids[first:e.nextGate:e.nextGate]
+	inst.SubtreeGates = int(l.nGates)
+
+	inst.Children = e.children[e.nextChild : e.nextChild+len(l.kids) : e.nextChild+len(l.kids)]
+	e.nextChild += len(l.kids)
+	conn := int32(0)
+	for k, kl := range l.kids {
+		child, name := e.instances[e.nextInst], l.mod.Instances[k].Name
+		*child = Instance{ID: int32(e.nextInst), Module: kl.mod, Name: name,
+			Path: e.names.cut(inst.Path, ".", name), Parent: inst, Depth: inst.Depth + 1}
+		e.nextInst++
+		inst.Children[k] = child
+		// Wire the ports: the child's block starts at the slot cursor.
+		for ; conn < l.wired[k]; conn += 2 {
+			e.union(rel(base, l.conns[conn]), e.nextSlot+l.conns[conn+1])
+		}
+		e.instantiate(kl, child)
+	}
+}
+
+// finish renumbers slots into nets, names the nets, records drivers, sinks
+// and primary I/O, and validates.
+func (e *elaborator) finish(top *layout) (*Design, error) {
+	nl := e.nl
+	// A union becomes a net when first mentioned: by the gates in GateID
+	// order (output, then inputs), then the primary inputs, then the outputs.
+	// netOf[r] is the NetID + 1 of the union slot r represents.
+	netOf := make([]netlist.NetID, len(e.uf))
+	nets := netlist.NetID(0)
+	number := func(s netlist.NetID) netlist.NetID {
+		r := e.find(slot(s))
+		if netOf[r] == 0 {
+			nets++
+			netOf[r] = nets
+		}
+		return netOf[r] - 1
+	}
+	for gi := range nl.Gates {
+		g := &nl.Gates[gi]
+		g.Output = number(g.Output)
+		for k, in := range g.Inputs {
+			g.Inputs[k] = number(in)
+		}
+	}
+	// The top module's ports, bit-expanded MSB first: inputs, then outputs.
+	for _, dir := range [...]verilog.PortDir{verilog.DirInput, verilog.DirOutput} {
+		for _, p := range top.mod.Ports {
+			first := netlist.NetID(topBase + top.off[top.net[p.Name]])
+			for b := 0; p.Dir == dir && b < p.Range.Width(); b++ {
+				if id := number(first + netlist.NetID(b)); dir == verilog.DirInput {
+					nl.PIs = append(nl.PIs, id)
+				} else {
+					nl.POs = append(nl.POs, id)
 				}
 			}
 		}
-		if err := e.elabBody(childScope, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// connectPort unions the parent-side expression bits with the child's port
-// net bits.
-func (e *elaborator) connectPort(parent, child *scope, port *verilog.Port, expr verilog.Expr) error {
-	want := port.Range.Width()
-	bits, err := e.exprBits(parent, expr, want)
-	if err != nil {
-		return err
-	}
-	if len(bits) != want {
-		return fmt.Errorf("elab: %s: connection %s to port %s.%s is %d bits, want %d",
-			parent.inst.Path, expr, child.inst.Path, port.Name, len(bits), want)
-	}
-	childBits := child.nets[port.Name]
-	for i := range bits {
-		e.union(bits[i], childBits[i])
-	}
-	return nil
-}
-
-// finish renumbers slots into nets, builds the netlist, computes subtree
-// gate counts, and validates.
-func (e *elaborator) finish() (*Design, error) {
-	nl := &netlist.Netlist{}
-	netOf := make(map[slot]netlist.NetID)
-
-	getNet := func(s slot) netlist.NetID {
-		r := e.find(s)
-		if id, ok := netOf[r]; ok {
-			return id
-		}
-		id := netlist.NetID(len(nl.Nets))
-		c := int8(-1)
-		switch r {
-		case e.const0:
-			c = 0
-		case e.const1:
-			c = 1
-		}
-		nl.Nets = append(nl.Nets, netlist.Net{
-			ID: id, Name: e.names[r], Driver: netlist.NoGate, Const: c,
-		})
-		netOf[r] = id
-		return id
 	}
 
-	for gi := range e.gates {
-		pg := &e.gates[gi]
-		g := netlist.Gate{
-			ID:     netlist.GateID(gi),
-			Kind:   pg.kind,
-			Path:   pg.path,
-			Owner:  pg.owner,
-			Output: getNet(pg.output),
+	// Names, for the representatives alone: one sweep of the slots, instance
+	// after instance — declared bits, then operator outputs, named as their
+	// gates — meets every net's representative once and looks nothing up.
+	nl.Nets = make([]netlist.Net, nets)
+	name := func(s slot, c int8, parts ...string) {
+		if id := netOf[s] - 1; id >= 0 {
+			nl.Nets[id] = netlist.Net{ID: id, Name: e.names.cut(parts...), Driver: netlist.NoGate, Const: c}
 		}
-		for _, in := range pg.inputs {
-			g.Inputs = append(g.Inputs, getNet(in))
-		}
-		nl.Gates = append(nl.Gates, g)
 	}
-	// Drivers and sinks.
+	name(const0, 0, "const0")
+	name(const1, 1, "const1")
+	var digits [20]byte
+	s := topBase
+	for _, inst := range e.instances {
+		l := e.layouts[inst.Module]
+		for _, n := range l.mod.Nets {
+			bit, step := n.Range.MSB, 1
+			if n.Range.MSB >= n.Range.LSB {
+				step = -1
+			}
+			for w := n.Range.Width(); w > 0; w, s, bit = w-1, s+1, bit+step {
+				switch {
+				case netOf[s] == 0:
+				case n.Range.Scalar:
+					name(s, -1, inst.Path, ".", n.Name)
+				default:
+					name(s, -1, inst.Path, ".", n.Name, "[", string(strconv.AppendInt(digits[:0], int64(bit), 10)), "]")
+				}
+			}
+		}
+		for j := range l.gates {
+			if l.gates[j].suffix == "" {
+				name(s, -1, nl.Gates[int(inst.Gates[0])+j].Path)
+				s++
+			}
+		}
+	}
+
+	// Drivers, and sinks as one array cut by net: counted, then filled in
+	// ascending gate, then pin, order, as appending gate after gate would.
+	fill := make([]int32, nets+1)
 	for gi := range nl.Gates {
 		g := &nl.Gates[gi]
 		out := &nl.Nets[g.Output]
@@ -548,37 +652,34 @@ func (e *elaborator) finish() (*Design, error) {
 		}
 		out.Driver = g.ID
 		for _, in := range g.Inputs {
-			nl.Nets[in].Sinks = append(nl.Nets[in].Sinks, g.ID)
+			fill[in+1]++
 		}
 	}
-	// Primary I/O.
-	for i, s := range e.piSlots {
-		id := getNet(s)
-		if nl.Nets[id].Driver != netlist.NoGate {
+	sinks := make([]netlist.GateID, len(e.pins))
+	for i := range nl.Nets {
+		fill[i+1] += fill[i]
+		nl.Nets[i].Sinks = sinks[fill[i]:fill[i+1]:fill[i+1]]
+	}
+	for gi := range nl.Gates {
+		for _, in := range nl.Gates[gi].Inputs {
+			sinks[fill[in]] = netlist.GateID(gi)
+			fill[in]++
+		}
+	}
+
+	for _, id := range nl.PIs {
+		if d := nl.Nets[id].Driver; d != netlist.NoGate {
+			// A port bit of the top module is the lowest slot of its union.
 			return nil, fmt.Errorf("elab: primary input %s is driven by gate %s",
-				e.piNames[i], nl.Gates[nl.Nets[id].Driver].Path)
+				strings.TrimPrefix(nl.Nets[id].Name, top.mod.Name+"."), nl.Gates[d].Path)
 		}
 		nl.Nets[id].IsPI = true
-		nl.PIs = append(nl.PIs, id)
 	}
-	for _, s := range e.poSlots {
-		id := getNet(s)
+	for _, id := range nl.POs {
 		nl.Nets[id].IsPO = true
-		nl.POs = append(nl.POs, id)
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-
-	d := &Design{Top: e.instances[0], Instances: e.instances, Netlist: nl}
-	// Subtree gate counts, children before parents (instances are
-	// pre-order, so iterate backwards).
-	for i := len(e.instances) - 1; i >= 0; i-- {
-		inst := e.instances[i]
-		inst.SubtreeGates = len(inst.Gates)
-		for _, c := range inst.Children {
-			inst.SubtreeGates += c.SubtreeGates
-		}
-	}
-	return d, nil
+	return &Design{Top: e.instances[0], Instances: e.instances, Netlist: nl}, nil
 }

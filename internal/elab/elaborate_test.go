@@ -1,8 +1,11 @@
 package elab
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/netlist"
 	"repro/internal/verilog"
@@ -115,13 +118,14 @@ func TestElaborateCarryChainIsShared(t *testing.T) {
 	}
 }
 
-func TestElaborateAssignBecomesBuf(t *testing.T) {
-	src := `
+const assignSrc = `
 module m (input [1:0] a, output [1:0] y);
   assign y = a;
 endmodule
 `
-	ed := mustElab(t, src, "m")
+
+func TestElaborateAssignBecomesBuf(t *testing.T) {
+	ed := mustElab(t, assignSrc, "m")
 	if got := ed.Netlist.NumGates(); got != 2 {
 		t.Fatalf("gates: got %d, want 2 buffers", got)
 	}
@@ -132,14 +136,15 @@ endmodule
 	}
 }
 
-func TestElaborateDff(t *testing.T) {
-	src := `
+const dffSrc = `
 module reg2 (input [1:0] d, input clk, output [1:0] q);
   dff f0 (q[0], d[0], clk);
   dff f1 (q[1], d[1], clk);
 endmodule
 `
-	ed := mustElab(t, src, "reg2")
+
+func TestElaborateDff(t *testing.T) {
+	ed := mustElab(t, dffSrc, "reg2")
 	st := ed.Netlist.Stats()
 	if st.DFFs != 2 || st.Combinational != 0 {
 		t.Fatalf("stats: %+v, want 2 DFFs", st)
@@ -155,16 +160,17 @@ endmodule
 	}
 }
 
-func TestElaborateSequentialLoopLevels(t *testing.T) {
-	// A DFF in a feedback loop with an inverter: q -> not -> d -> q.
-	src := `
+const togglerSrc = `
 module toggler (input clk, output q);
   wire dn;
   not n1 (dn, q);
   dff f (q, dn, clk);
 endmodule
 `
-	ed := mustElab(t, src, "toggler")
+
+func TestElaborateSequentialLoopLevels(t *testing.T) {
+	// A DFF in a feedback loop with an inverter: q -> not -> d -> q.
+	ed := mustElab(t, togglerSrc, "toggler")
 	depth, err := ed.Netlist.Depth()
 	if err != nil {
 		t.Fatalf("sequential loop should levelize: %v", err)
@@ -185,79 +191,99 @@ endmodule
 	}
 }
 
-func TestElaborateCombinationalLoopDetected(t *testing.T) {
-	src := `
+const loopSrc = `
 module loop (input a, output y);
   wire w;
   and g1 (w, a, y);
   buf g2 (y, w);
 endmodule
 `
-	ed := mustElab(t, src, "loop")
+
+func TestElaborateCombinationalLoopDetected(t *testing.T) {
+	ed := mustElab(t, loopSrc, "loop")
 	if _, err := ed.Netlist.Levels(); err == nil {
 		t.Fatal("expected combinational cycle error")
 	}
 }
 
-func TestElaborateErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown top": `module m; endmodule`,
-		"unknown module": `
+// errorSources are the sources TestElaborateErrors must see refused, by
+// case name; every case elaborates top "top" but "unknown top".
+var errorSources = map[string]string{
+	"unknown top": `module m; endmodule`,
+	"unknown module": `
 module top (input a, output y);
   ghost g (.a(a), .y(y));
 endmodule`,
-		"unknown net": `
+	"unknown net": `
 module top (input a, output y);
   and g (y, a, phantom);
 endmodule`,
-		"width mismatch": `
+	"width mismatch": `
 module sub (input [3:0] x, output y);
   and g (y, x[0], x[1]);
 endmodule
 module top (input [1:0] a, output y);
   sub s (.x(a), .y(y));
 endmodule`,
-		"double driver": `
+	"double driver": `
 module top (input a, input b, output y);
   buf g1 (y, a);
   buf g2 (y, b);
 endmodule`,
-		"driven PI": `
+	"driven PI": `
 module top (input a, output y);
   buf g1 (a, y);
   buf g2 (y, a);
 endmodule`,
-		"dff conn count": `
+	"dff conn count": `
 module top (input d, input clk, output q);
   dff f (q, d);
 endmodule`,
-		"bad port name": `
+	"bad port name": `
 module sub (input x, output y);
   buf g (y, x);
 endmodule
 module top (input a, output y);
   sub s (.nope(a), .y(y));
 endmodule`,
-		"positional count": `
+	"positional count": `
 module sub (input x, output y);
   buf g (y, x);
 endmodule
 module top (input a, output y);
   sub s (a);
 endmodule`,
-		"vector gate pin": `
+	"vector gate pin": `
 module top (input [1:0] a, output y);
   and g (y, a, a);
 endmodule`,
-		"port connected twice": `
+	"port connected twice": `
 module sub (input x, output y);
   buf g (y, x);
 endmodule
 module top (input a, output y);
   sub s (.x(a), .x(a), .y(y));
 endmodule`,
-	}
-	for name, src := range cases {
+}
+
+// errorLines pins the first line of each refusal, as the elaborator worded
+// it before it was rewritten to lay a module out once (PR 28).
+var errorLines = map[string]string{
+	"unknown top":          `elab: top module "nonexistent" not found`,
+	"unknown module":       `elab: top: unknown module "ghost" instantiated as "g"`,
+	"unknown net":          `elab: top: unknown net "phantom"`,
+	"width mismatch":       `elab: top: connection a to port top.s.x is 2 bits, want 4`,
+	"double driver":        `elab: net top.y driven by both top.g1 and top.g2`,
+	"driven PI":            `elab: primary input a is driven by gate top.g1`,
+	"dff conn count":       `elab: top.f: dff needs (q, d, clk), got 2 connections`,
+	"bad port name":        `elab: top: s: module sub has no port "nope"`,
+	"positional count":     `elab: top: s has 1 connections, module sub has 2 ports`,
+	"vector gate pin":      `elab: top: gate input connection a is 2 bits wide, want 1`,
+	"port connected twice": `elab: top: s: port "x" connected twice`,
+}
+
+func TestElaborateErrors(t *testing.T) {
+	for name, src := range errorSources {
 		top := "top"
 		if name == "unknown top" {
 			top = "nonexistent"
@@ -266,14 +292,18 @@ endmodule`,
 		if err != nil {
 			t.Fatalf("%s: parse failed: %v", name, err)
 		}
-		if _, err := Elaborate(d, top); err == nil {
+		_, err = Elaborate(d, top)
+		if err == nil {
 			t.Errorf("%s: expected elaboration error", name)
+			continue
+		}
+		if line, _, _ := strings.Cut(err.Error(), "\n"); line != errorLines[name] {
+			t.Errorf("%s: refused with %q, want %q", name, line, errorLines[name])
 		}
 	}
 }
 
-func TestElaborateUnconnectedPort(t *testing.T) {
-	src := `
+const unconnectedSrc = `
 module sub (input x, input unused, output y);
   buf g (y, x);
 endmodule
@@ -281,14 +311,15 @@ module top (input a, output y);
   sub s (.x(a), .y(y), .unused());
 endmodule
 `
-	ed := mustElab(t, src, "top")
+
+func TestElaborateUnconnectedPort(t *testing.T) {
+	ed := mustElab(t, unconnectedSrc, "top")
 	if err := ed.Netlist.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestElaborateConcatConnection(t *testing.T) {
-	src := `
+const concatSrc = `
 module sub (input [3:0] x, output [3:0] y);
   buf b0 (y[0], x[0]);
   buf b1 (y[1], x[1]);
@@ -299,7 +330,9 @@ module top (input [1:0] a, output [3:0] y);
   sub s (.x({a, 2'b10}), .y(y));
 endmodule
 `
-	ed := mustElab(t, src, "top")
+
+func TestElaborateConcatConnection(t *testing.T) {
+	ed := mustElab(t, concatSrc, "top")
 	nl := ed.Netlist
 	// y[1] is driven by b1, whose input is constant 1 (bit 1 of 2'b10);
 	// y[0] input is constant 0.
@@ -314,6 +347,59 @@ endmodule
 		t.Errorf("y[0] should be fed const 0, got net %+v", nl.Nets[b0in])
 	}
 }
+
+const partSelectSrc = `
+module sub (input [3:0] x, output [1:0] y);
+  buf b0 (y[0], x[0]);
+  buf b1 (y[1], x[3]);
+endmodule
+module top (input [7:0] a, input [0:3] r, output [1:0] y, output [1:0] z, output [2:0] w);
+  sub s0 (.x(a[6:3]), .y(y));
+  sub s1 (.x({r[1:2], a[1:0]}), .y(z));
+  assign w = {a[7], r[0:1]} ^ ~a[2:0];
+endmodule
+`
+
+// TestElaboratePartSelect reads descending and ascending ranges through
+// part selects: the bit a select names is found by arithmetic on the
+// declared range, MSB first either way.
+func TestElaboratePartSelect(t *testing.T) {
+	ed := mustElab(t, partSelectSrc, "top")
+	nl := ed.Netlist
+	feeds := func(po int) string { return nl.Nets[nl.Gates[nl.Nets[nl.POs[po]].Driver].Inputs[0]].Name }
+	// POs are y[1], y[0], z[1], z[0], w[2..0]; s0.x = a[6:3], so y[1] (from
+	// x[3]) reads a[6] and y[0] (from x[0]) reads a[3]; s1.x = {r[1], r[2],
+	// a[1], a[0]}, so z[1] reads r[1] and z[0] reads a[0].
+	for po, want := range []string{"top.a[6]", "top.a[3]", "top.r[1]", "top.a[0]"} {
+		if got := feeds(po); got != want {
+			t.Errorf("PO %d is fed by %s, want %s", po, got, want)
+		}
+	}
+	// 3 nots + 3 xors + 3 assign buffers + 2×2 bufs in the subs.
+	if got := nl.NumGates(); got != 13 {
+		t.Errorf("gates: got %d, want 13", got)
+	}
+}
+
+// Sources names the sources above for the external test package
+// (golden_test.go, fuzz_test.go), which may import gen where this package,
+// which gen imports, may not.
+var Sources = []struct{ Name, Top, Src string }{
+	{"adder4", "adder4", adder4Src},
+	{"assign", "m", assignSrc},
+	{"dff", "reg2", dffSrc},
+	{"toggler", "toggler", togglerSrc},
+	{"loop", "loop", loopSrc},
+	{"unconnected", "top", unconnectedSrc},
+	{"concat", "top", concatSrc},
+	{"partselect", "top", partSelectSrc},
+	{"opassign", "alu1", opAssignSrc},
+	{"vecop", "vec", vecOpSrc},
+	{"opmismatch", "bad", opMismatchSrc},
+}
+
+// ErrorSources is errorSources for the external test package.
+var ErrorSources = errorSources
 
 func TestHierarchyHelpers(t *testing.T) {
 	ed := mustElab(t, adder4Src, "adder4")
@@ -388,15 +474,16 @@ func TestFanInCone(t *testing.T) {
 	}
 }
 
-func TestElaborateOperatorAssigns(t *testing.T) {
-	src := `
+const opAssignSrc = `
 module alu1 (input a, input b, input c, output y, output z, output w);
   assign y = a & b | ~c;
   assign z = a ^ b ^ c;
   assign w = ~(a | b) & c;
 endmodule
 `
-	ed := mustElab(t, src, "alu1")
+
+func TestElaborateOperatorAssigns(t *testing.T) {
+	ed := mustElab(t, opAssignSrc, "alu1")
 	nl := ed.Netlist
 	// Exhaustive truth-table check against Go's operators via simulation
 	// would need the sim package (import cycle); check structurally and
@@ -441,26 +528,28 @@ endmodule
 	}
 }
 
-func TestElaborateVectorOperatorAssign(t *testing.T) {
-	src := `
+const vecOpSrc = `
 module vec (input [3:0] a, input [3:0] b, output [3:0] y);
   assign y = a & ~b;
 endmodule
 `
-	ed := mustElab(t, src, "vec")
+
+func TestElaborateVectorOperatorAssign(t *testing.T) {
+	ed := mustElab(t, vecOpSrc, "vec")
 	// 4 not gates + 4 and gates + 4 assign buffers.
 	if got := ed.Netlist.NumGates(); got != 12 {
 		t.Errorf("gates: got %d, want 12", got)
 	}
 }
 
-func TestElaborateOperatorWidthMismatch(t *testing.T) {
-	src := `
+const opMismatchSrc = `
 module bad (input [3:0] a, input [1:0] b, output [3:0] y);
   assign y = a & b;
 endmodule
 `
-	d, err := verilog.Parse(src)
+
+func TestElaborateOperatorWidthMismatch(t *testing.T) {
+	d, err := verilog.Parse(opMismatchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,5 +577,48 @@ func TestWriteHierarchy(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "fa0") {
 		t.Error("depth 0 should not show children")
+	}
+}
+
+// TestElaborateRefusesHostileSizes feeds designs a few dozen bytes long
+// that ask for gigabytes — `vsimd` elaborates source it received over TCP —
+// and wants each refused on arithmetic alone: an error within a second and
+// 64 MB, never a panic, a hang or the kernel's OOM killer.
+func TestElaborateRefusesHostileSizes(t *testing.T) {
+	doubling := "module m0; endmodule\n"
+	for i := 1; i <= 40; i++ { // 2^40 instances, none with a bit to its name
+		doubling += fmt.Sprintf("module m%d; m%d u (); m%d v (); endmodule\n", i, i-1, i-1)
+	}
+	cases := []struct{ name, top, src, want string }{
+		{"huge range", "t", `module t(output y); wire [2000000000:0] a; endmodule`, "signal bits, limit"},
+		{"reversed huge range", "t", `module t(output y); wire [0:2000000000] a; endmodule`, "signal bits, limit"},
+		{"range as wide as int", "t", `module t(output y); wire [9223372036854775807:9223372036854775808] a; endmodule`, "signal bits, limit"},
+		{"literal in an assign", "t", `module t(output [3:0] a); assign a = 2000000000'b0; endmodule`, "assign width mismatch"},
+		{"literal under an operator", "t", `module t(output [3:0] a); assign a = ~2000000000'b0; endmodule`, "assign width mismatch"},
+		{"literal in a port connection", "t",
+			`module s(input [3:0] x); endmodule module t(output y); s u (.x(2000000000'b0)); endmodule`, "is 2000000000 bits, want 4"},
+		{"literal in a gate pin", "t", `module t(output y); buf g (y, 2000000000'b0); endmodule`, "is 2000000000 bits wide, want 1"},
+		{"bus repeated in a concatenation", "t", `module t(input [99999:0] a, output [99999:0] b); assign {b` +
+			strings.Repeat(`, b`, 1999) + `} = {a` + strings.Repeat(`, a`, 1999) + `}; endmodule`, "gates, limit"},
+		{"instances doubling forty times", "m40", doubling, "instances, limit"},
+		{"recursive instantiation", "t", `module t(input a); t u (a); t v (a); endmodule`, "deeper than 64 levels"},
+	}
+	for _, c := range cases {
+		d, err := verilog.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err = Elaborate(d, c.top)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want a refusal mentioning %q", c.name, err, c.want)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; took > time.Second || mb > 64 {
+			t.Errorf("%s: refused after %v and %d MB", c.name, took, mb)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/verilog"
 )
@@ -119,7 +120,11 @@ func (n *Netlist) Validate() error {
 			}
 		}
 	}
-	seenSink := make(map[[2]int32]int)
+	// listed[g] == ni+1 once net ni's sinks have shown gate g; unlisted is
+	// the distinct (gate, input net) pairs less the distinct (net, sink)
+	// pairs, every one of which the walk checks is a gate reading the net.
+	listed := make([]int32, len(n.Gates))
+	unlisted := 0
 	for ni := range n.Nets {
 		net := &n.Nets[ni]
 		if net.ID != NetID(ni) {
@@ -137,24 +142,31 @@ func (n *Netlist) Validate() error {
 			if s < 0 || int(s) >= len(n.Gates) {
 				return fmt.Errorf("netlist: net %s sink out of range", net.Name)
 			}
-			found := false
-			for _, in := range n.Gates[s].Inputs {
-				if in == net.ID {
-					found = true
-					break
-				}
+			if listed[s] == int32(ni)+1 {
+				continue // listed once per pin that reads it
 			}
-			if !found {
+			listed[s] = int32(ni) + 1
+			if !slices.Contains(n.Gates[s].Inputs, net.ID) {
 				return fmt.Errorf("netlist: net %s lists sink %s that does not read it",
 					net.Name, n.Gates[s].Path)
 			}
-			seenSink[[2]int32{int32(ni), int32(s)}]++
+			unlisted--
 		}
 	}
-	// Cross-check: every gate input appears in the net's sink list.
+	// Cross-check: every gate input appears in the net's sink list. read[ni]
+	// == gi+1 once gate gi has been counted as a reader of net ni.
+	read := make([]int32, len(n.Nets))
 	for gi := range n.Gates {
 		for _, in := range n.Gates[gi].Inputs {
-			if seenSink[[2]int32{int32(in), int32(gi)}] == 0 {
+			if read[in] != int32(gi)+1 {
+				read[in] = int32(gi) + 1
+				unlisted++
+			}
+		}
+	}
+	for gi := 0; unlisted != 0 && gi < len(n.Gates); gi++ {
+		for _, in := range n.Gates[gi].Inputs {
+			if !slices.Contains(n.Nets[in].Sinks, GateID(gi)) {
 				return fmt.Errorf("netlist: gate %s reads net %s but is not in its sinks",
 					n.Gates[gi].Path, n.Nets[in].Name)
 			}

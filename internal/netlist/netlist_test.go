@@ -129,11 +129,36 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}, "does not read"},
 		{"missing sink", func(nl *Netlist) { nl.Nets[0].Sinks = nl.Nets[0].Sinks[:1] }, "not in its sinks"},
 		{"output out of range", func(nl *Netlist) { nl.Gates[0].Output = 99 }, "out of range"},
+		// What a (net, sink) map used to decide. A net lists a sink once for
+		// every pin that reads it; one entry too many is tolerated, as it
+		// always was, one gate missing altogether is not.
+		{"first sink missing", func(nl *Netlist) { nl.Nets[0].Sinks = nl.Nets[0].Sinks[1:] },
+			"gate top.g1 reads net a but is not in its sinks"},
+		{"only sink missing", func(nl *Netlist) { nl.Nets[3].Sinks = nil }, "gate top.f1 reads net w"},
+		{"sink listed twice", func(nl *Netlist) { nl.Nets[0].Sinks = append(nl.Nets[0].Sinks, 0) }, ""},
+		{"one gate, two pins", func(nl *Netlist) {
+			nl.Gates[0].Inputs[1] = 0 // g1 reads a twice and b no more
+			nl.Nets[0].Sinks, nl.Nets[1].Sinks = []GateID{0, 0, 2}, nil
+		}, ""},
+		{"one gate, two pins, listed once", func(nl *Netlist) {
+			nl.Gates[0].Inputs[1] = 0
+			nl.Nets[1].Sinks = nil
+		}, ""},
+		{"one gate, two pins, not listed", func(nl *Netlist) {
+			nl.Gates[0].Inputs[1] = 0
+			nl.Nets[0].Sinks, nl.Nets[1].Sinks = []GateID{2}, nil
+		}, "gate top.g1 reads net a"},
 	}
 	for _, c := range cases {
 		nl := build(t)
 		c.corrupt(nl)
 		err := nl.Validate()
+		if c.match == "" {
+			if err != nil {
+				t.Errorf("%s: legal, refused: %v", c.name, err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("%s: corruption not detected", c.name)
 			continue

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -60,15 +61,20 @@ type Range struct {
 	Scalar   bool
 }
 
-// Width returns the number of bits covered by the range.
+// Width returns the number of bits covered by the range, math.MaxInt when
+// it is that or more: the bounds are any two ints a source file can spell.
 func (r Range) Width() int {
 	if r.Scalar {
 		return 1
 	}
-	if r.MSB >= r.LSB {
-		return r.MSB - r.LSB + 1
+	hi, lo := r.MSB, r.LSB
+	if hi < lo {
+		hi, lo = lo, hi
 	}
-	return r.LSB - r.MSB + 1
+	if d := uint(hi) - uint(lo); d < math.MaxInt {
+		return int(d) + 1
+	}
+	return math.MaxInt
 }
 
 // Bits returns the bit indices of the range in declaration order
