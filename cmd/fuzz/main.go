@@ -27,32 +27,38 @@ import (
 
 func main() {
 	var (
+		f         flags
 		seed      = flag.Int64("seed", 1, "base seed; run i uses seed+i")
-		runs      = flag.Int("runs", 100, "number of differential runs")
 		chaos     = flag.Bool("chaos", true, "adversarial delivery-order transport")
-		replay    = flag.Int64("replay", 0, "replay this single seed verbosely and exit")
 		shrink    = flag.Bool("shrink", true, "shrink the first failure to a minimal reproducer")
-		minRoll   = flag.Float64("min-rollback-frac", fuzz.DefaultMinRollbackFraction, "fraction of runs that must provoke ≥1 rollback (0 disables)")
-		stall     = flag.Duration("stall", 30*time.Second, "per-run stall timeout (wedged-kernel detector)")
 		out       = flag.String("out", "", "also write the report to this file")
-		trace     = flag.String("trace", "", "with -replay: write the replayed run's Chrome trace to this file (\"-\" = stdout)")
 		traceDir  = flag.String("trace-dir", "", "write the Chrome trace of every FAILING seed into this directory")
 		verbose   = flag.Bool("v", false, "one line per run")
 		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the campaign runs")
 	)
+	flag.IntVar(&f.runs, "runs", 100, "number of differential runs (at least 1)")
+	flag.Int64Var(&f.replay, "replay", 0, "replay this single seed verbosely and exit")
+	flag.Float64Var(&f.minRoll, "min-rollback-frac", fuzz.DefaultMinRollbackFraction, "fraction of runs, 0..1, that must provoke ≥1 rollback (0 disables)")
+	flag.DurationVar(&f.stall, "stall", 30*time.Second, "per-run stall timeout, positive (wedged-kernel detector)")
+	flag.StringVar(&f.trace, "trace", "", "with -replay: write the replayed run's Chrome trace to this file (\"-\" = stdout)")
 	flag.Parse()
+	f.args = flag.Args()
+	if err := validateFlags(f); err != nil {
+		fmt.Fprintln(os.Stderr, "fuzz:", err)
+		os.Exit(2)
+	}
 
-	if *replay != 0 {
-		spec := fuzz.NewSpec(*replay, *chaos)
-		fmt.Printf("replaying seed %d: %+v\n", *replay, spec)
+	if f.replay != 0 {
+		spec := fuzz.NewSpec(f.replay, *chaos)
+		fmt.Printf("replaying seed %d: %+v\n", f.replay, spec)
 		var o *obs.Observer
-		if *trace != "" {
+		if f.trace != "" {
 			o = obs.New(obs.Options{})
 		}
-		res := fuzz.ExecuteObserved(spec, nil, *stall, o)
+		res := fuzz.ExecuteObserved(spec, nil, f.stall, o)
 		fmt.Printf("partitioner=%s elapsed=%v stats=%+v finalGVT=%d\n",
 			res.Partitioner, res.Elapsed.Round(time.Millisecond), res.Stats, res.FinalGVT)
-		if err := o.Dump(*trace, ""); err != nil {
+		if err := o.Dump(f.trace, ""); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -78,10 +84,10 @@ func main() {
 
 	rep := fuzz.Campaign(fuzz.Config{
 		Seed:                *seed,
-		Runs:                *runs,
+		Runs:                f.runs,
 		Chaos:               *chaos,
-		MinRollbackFraction: *minRoll,
-		StallTimeout:        *stall,
+		MinRollbackFraction: f.minRoll,
+		StallTimeout:        f.stall,
 		Verbose:             *verbose,
 		Out:                 os.Stdout,
 		TraceDir:            *traceDir,
@@ -101,11 +107,41 @@ func main() {
 		if len(rep.Failures) > 0 && *shrink {
 			first := rep.Failures[0]
 			fmt.Printf("\nshrinking failing seed %d ...\n", first.Spec.Seed)
-			min, res := fuzz.Shrink(first.Spec, nil, *stall)
+			min, res := fuzz.Shrink(first.Spec, nil, f.stall)
 			fmt.Printf("minimal spec: %+v\n", min)
 			fmt.Printf("replay: fuzz -replay %d -chaos=%v\n\n", min.Seed, min.Chaos != nil)
 			fmt.Println(fuzz.ReproSnippet(min, res.Failure()))
 		}
 		os.Exit(1)
 	}
+}
+
+// flags are the values validateFlags judges, and what the command line
+// left over.
+type flags struct {
+	runs    int
+	replay  int64
+	minRoll float64
+	stall   time.Duration
+	trace   string
+	args    []string
+}
+
+// validateFlags rejects, before any run, a command line that would run a
+// campaign of nothing, judge it by a bar no campaign can meet or miss, or
+// silently drop what it was asked to do.
+func validateFlags(f flags) error {
+	switch {
+	case len(f.args) > 0:
+		return fmt.Errorf("unexpected arguments %q: fuzz takes flags only", f.args)
+	case f.runs < 1:
+		return fmt.Errorf("-runs must be at least 1 (got %d)", f.runs)
+	case !(f.minRoll >= 0 && f.minRoll <= 1): // NaN too
+		return fmt.Errorf("-min-rollback-frac must be in 0..1 (got %g)", f.minRoll)
+	case f.stall <= 0:
+		return fmt.Errorf("-stall must be positive (got %v)", f.stall)
+	case f.trace != "" && f.replay == 0:
+		return fmt.Errorf("-trace applies to -replay only; a campaign writes failing seeds' traces with -trace-dir")
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package fm
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -261,6 +262,39 @@ func TestRefinePairWeightedNeverWorsens(t *testing.T) {
 		}
 		if before-after != res.GainTotal {
 			t.Fatalf("trial %d: gain accounting %d vs %d", trial, before-after, res.GainTotal)
+		}
+	}
+}
+
+// TestLocalSearchLeavesInteriorVerticesAlone: a localized search seeded
+// where no net is cut moves nothing. Net {0,1} lies whole in block 1, net
+// {2,3} whole in block 0, vertex 4 is on a single-pin net only. Before the
+// border rule the plateau rule (keep zero-gain moves) carried 4, and then
+// the whole of {0,1}, to block 0 and reported gain 0.
+func TestLocalSearchLeavesInteriorVerticesAlone(t *testing.T) {
+	h := &hypergraph.H{}
+	for i := 0; i < 5; i++ {
+		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1, Gate: -1})
+		h.TotalWeight++
+	}
+	for _, pins := range [][]hypergraph.VertexID{{0, 1}, {2, 3}, {4}} {
+		id := hypergraph.EdgeID(len(h.Edges))
+		h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: 1})
+		for _, p := range pins {
+			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
+		}
+	}
+	a := &hypergraph.Assignment{K: 2, Parts: []int32{1, 1, 0, 0, 1}}
+	r := Over(h, a, nil)
+	for _, seed := range []hypergraph.VertexID{4, 0} {
+		if g := r.LocalSearch(seed); g != 0 {
+			t.Errorf("LocalSearch(%d) = %d, want 0", seed, g)
+		}
+		if want := []int32{1, 1, 0, 0, 1}; !slices.Equal(a.Parts, want) {
+			t.Fatalf("LocalSearch(%d) moved vertices: parts %v, want %v", seed, a.Parts, want)
+		}
+		if loads := r.Cache().Loads(); !slices.Equal(loads, []int{2, 3}) {
+			t.Fatalf("LocalSearch(%d): loads %v, want [2 3]", seed, loads)
 		}
 	}
 }

@@ -61,8 +61,9 @@ func driveLevelRefine(t *testing.T, data []byte) (uncontracted, refined int) {
 		start[i] = int32(s.next() % k)
 	}
 	var feasible Feasible
+	maxLoad := 0
 	if limit := s.next() % 4; limit > 0 {
-		maxLoad := h.TotalWeight * limit / 3
+		maxLoad = h.TotalWeight * limit / 3
 		feasible = func(v hypergraph.VertexID, from, to int32, loads []int) bool {
 			return loads[to]+d.Weight(v) <= maxLoad
 		}
@@ -95,6 +96,16 @@ func driveLevelRefine(t *testing.T, data []byte) (uncontracted, refined int) {
 			if !d.Active(v) && parts[v] != before[v] {
 				t.Fatalf("%s: inactive vertex %d went %d → %d", step, v, before[v], parts[v])
 			}
+			// The border rule's premise: a vertex on no cut edge has no
+			// positive move, so searches may pass it over.
+			if !d.Active(v) || gc.border(v) {
+				continue
+			}
+			for to := int32(0); to < int32(k); to++ {
+				if to != parts[v] && gc.Gain(v, to) > 0 {
+					t.Fatalf("%s: interior vertex %d gains %d by moving %d → %d", step, v, gc.Gain(v, to), parts[v], to)
+				}
+			}
 		}
 		if d.Depth() == 0 {
 			if got, want := gc.CutSize(), hypergraph.CutSize(h, proj); got != want {
@@ -124,8 +135,9 @@ func driveLevelRefine(t *testing.T, data []byte) (uncontracted, refined int) {
 	// returns by how much the cut fell.
 	refine := func(step string, search func()) int {
 		t.Helper()
-		before, cutBefore := slices.Clone(parts), cut()
+		before, cutBefore, loadsBefore := slices.Clone(parts), cut(), slices.Clone(gc.Loads())
 		search()
+		checkCap(t, step, maxLoad, loadsBefore, gc.Loads())
 		fell := cutBefore - cut()
 		if fell < 0 {
 			t.Fatalf("%s: cut %d → %d", step, cutBefore, cutBefore-fell)

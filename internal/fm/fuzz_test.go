@@ -93,6 +93,18 @@ func weightedCut(h *hypergraph.H, parts []int32) int {
 	return cut
 }
 
+// checkCap fails a step that took a block from at or under maxLoad to
+// above it: the fuzz's one-sided load cap is the move predicate, and no
+// search may break it (maxLoad 0: no cap).
+func checkCap(t *testing.T, step string, maxLoad int, before, after []int) {
+	t.Helper()
+	for b := range after {
+		if maxLoad > 0 && before[b] <= maxLoad && after[b] > maxLoad {
+			t.Fatalf("%s: block %d load %d → %d, over the cap %d", step, b, before[b], after[b], maxLoad)
+		}
+	}
+}
+
 func spans(pins []hypergraph.VertexID, parts []int32) bool {
 	for _, p := range pins[1:] {
 		if parts[p] != parts[pins[0]] {
@@ -210,10 +222,11 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 		a.Parts[i] = int32(s.next() % k)
 	}
 	var feasible Feasible
+	maxLoad := 0
 	if limit := s.next() % 4; limit > 0 {
 		// A one-sided load cap somewhere between "everything fits" and
 		// "most moves are refused".
-		maxLoad := h.TotalWeight * limit / 3
+		maxLoad = h.TotalWeight * limit / 3
 		feasible = func(v hypergraph.VertexID, from, to int32, loads []int) bool {
 			return loads[to]+h.Vertices[v].Weight <= maxLoad
 		}
@@ -254,8 +267,10 @@ func drivePairRefine(t *testing.T, data []byte) (refined, probed int) {
 			orig := slices.Clone(a.Parts)
 			before := slices.Clone(orig)
 			cutBefore := weightedCut(h, before)
+			loadsBefore := slices.Clone(gc.Loads())
 			want := referenceRefinePair(h, before, k, p, q, feasible, maxPasses)
 			got := r.RefinePair(p, q, maxPasses)
+			checkCap(t, "refine", maxLoad, loadsBefore, gc.Loads())
 			if got != want || !slices.Equal(a.Parts, before) {
 				t.Fatalf("refine(%d,%d): %+v parts %v, reference %+v parts %v", p, q, got, a.Parts, want, before)
 			}

@@ -22,6 +22,10 @@ import (
 //	penalty[v]    = Σ_{e ∋ v, s ≥ 2} w(e)·[Φ(e,part[v]) == s]
 //	Gain(v → t)   = benefit[v][t] − penalty[v]          (t ≠ part[v])
 //
+// v is on the border when some edge e ∋ v with s ≥ 2 has Φ(e,part[v]) < s.
+// An interior vertex has benefit 0 toward every other block, so no move
+// of it gains anything.
+//
 // benefit is independent of v's own block, which is what makes the move
 // update local: moving v from f to t only changes terms of edges incident
 // to v whose Φ(·,f) or Φ(·,t) crosses one of the thresholds s, s−1, s−2.
@@ -121,6 +125,19 @@ func (gc *GainCache) Reset(parts []int32) {
 // when the move worsens the cut). t must differ from v's block.
 func (gc *GainCache) Gain(v hypergraph.VertexID, t int32) int {
 	return int(gc.benefit[int(v)*gc.k+int(t)] - gc.penalty[v])
+}
+
+// border reports whether v lies on at least one cut edge. O(deg v): a
+// stored weighted degree would make it O(1), but bought no resolvable
+// end-to-end gain for the updates it needs (DESIGN §31).
+func (gc *GainCache) border(v hypergraph.VertexID) bool {
+	p := int(gc.parts[v])
+	for _, e := range gc.d.Incident(v) {
+		if s := int32(gc.d.EdgeSize(e)); s >= 2 && gc.phi[int(e)*gc.k+p] != s {
+			return true
+		}
+	}
+	return false
 }
 
 // BestMove returns the target block maximizing Gain(v→t) among feasible

@@ -12,18 +12,20 @@ import (
 // pairs, plus deterministic parallel global rounds that batch independent
 // positive-gain moves. Unlike the pair pass, a vertex may go to any block
 // (its best feasible target), only the seeds' neighbourhood is queued,
-// and zero-gain plateau moves are kept.
+// and zero-gain plateau moves are kept. Both look only at border vertices
+// (GainCache.border): an interior vertex gains −(its weighted degree) ≤ 0
+// by any move, and the plateau rule would otherwise carry whole uncut nets
+// to another block for nothing.
 
 func (r *Refiner) bestOf(v hypergraph.VertexID) (int32, int, bool) {
-	return r.gc.BestMove(v, func(v hypergraph.VertexID, from, to int32) bool {
-		return r.allowed(v, from, to)
-	})
+	return r.gc.BestMove(v, r.allowed)
 }
 
 // activate inserts v into the gain buckets keyed by its best feasible
-// gain, if it has one and is neither locked this epoch nor queued.
+// gain, if it is on the border, has a feasible target and is neither
+// locked this epoch nor queued.
 func (r *Refiner) activate(v hypergraph.VertexID) {
-	if r.locked[v] == r.epoch || r.buckets.inList[v] {
+	if r.locked[v] == r.epoch || r.buckets.inList[v] || !r.gc.border(v) {
 		return
 	}
 	if _, g, ok := r.bestOf(v); ok {
@@ -100,10 +102,10 @@ type candidate struct {
 
 // GlobalRound batches independent positive-gain moves the way the GPU
 // partitioner does: a parallel read-only scan proposes the best feasible
-// move per active vertex, proposals are ordered by (gain desc, vertex ID
-// asc) — a fixed priority independent of the worker count — and applied
-// serially with live revalidation against the cache. Returns the number
-// of applied moves.
+// move per active border vertex (no other has a positive gain), proposals
+// are ordered by (gain desc, vertex ID asc) — a fixed priority independent
+// of the worker count — and applied serially with live revalidation
+// against the cache. Returns the number of applied moves.
 func (r *Refiner) GlobalRound(workers int) int {
 	d := r.gc.d
 	n := d.NumVertices()
@@ -130,7 +132,7 @@ func (r *Refiner) GlobalRound(workers int) int {
 			var out []candidate
 			for vi := lo; vi < hi; vi++ {
 				v := hypergraph.VertexID(vi)
-				if !d.Active(v) {
+				if !d.Active(v) || !r.gc.border(v) {
 					continue
 				}
 				if _, g, ok := r.bestOf(v); ok && g > 0 {

@@ -135,10 +135,7 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	refineT0 := opts.Obs.Start()
 	gc := fm.NewGainCache(d, opts.K)
 	gc.Reset(parts)
-	feasible := func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-		return aware.FeasibleLoad(d.Weight(v), from, to, loads)
-	}
-	up := &ascent{d: d, ref: fm.NewRefiner(gc, feasible), boundaries: boundaries}
+	up := &ascent{d: d, ref: fm.NewRefiner(gc, aware.Feasible(d.Weight)), boundaries: boundaries}
 	refineArgs := pol.refine(up, opts)
 	opts.Obs.Span(obs.TrackPartition, pol.name+"_refine", refineT0, refineArgs...)
 

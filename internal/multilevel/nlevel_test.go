@@ -139,6 +139,43 @@ func TestFlatCutNoWorseThanLevelCopy(t *testing.T) {
 	}
 }
 
+// nlevelSmokeCut bounds the n-level policy's cut summed over the 96 smoke
+// points of TestNLevelSmokeGrid. It read 2,896 before PR 29 and 2,897
+// since: the border rule (DESIGN §31) is +1 on one point, 0 on the rest.
+const nlevelSmokeCut = 2897
+
+// TestNLevelSmokeGrid holds n-level's quality as a number rather than as
+// digests, which move on any tie-break change: over the canonical circuits
+// × k ∈ {2,3,4,8} × b ∈ {5,10} × seeds 1–3 the summed cut stays at or
+// under nlevelSmokeCut and every point is balanced.
+func TestNLevelSmokeGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quality sweep in -short mode")
+	}
+	sum, points := 0, 0
+	for _, w := range canonicalWorkloads(t) {
+		for _, k := range []int{2, 3, 4, 8} {
+			for _, b := range []float64{5, 10} {
+				for seed := int64(1); seed <= 3; seed++ {
+					res, err := PartitionN(w.flat, Options{K: k, B: b, Seed: seed, Workers: 1})
+					if err != nil {
+						t.Fatalf("%s k=%d b=%g seed=%d: %v", w.name, k, b, seed, err)
+					}
+					if !res.Balanced {
+						t.Errorf("%s k=%d b=%g seed=%d: unbalanced: %v", w.name, k, b, seed, res.Loads)
+					}
+					sum += res.Cut
+					points++
+				}
+			}
+		}
+	}
+	t.Logf("%d points: summed n-level cut %d (bound %d)", points, sum, nlevelSmokeCut)
+	if sum > nlevelSmokeCut {
+		t.Errorf("summed n-level cut %d over %d points, bound %d", sum, points, nlevelSmokeCut)
+	}
+}
+
 // TestPartitionNOversizedSolo: a vertex heavier than the window's upper
 // bound must sit alone in a solo block instead of flattening or failing,
 // with the remaining blocks balanced over the remaining weight.

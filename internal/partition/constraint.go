@@ -95,13 +95,12 @@ func (c Constraint) Violation(loads []int) int {
 	return v
 }
 
-// FeasibleLoad reports whether moving weight w from block `from` to block
-// `to` is allowed: it must not push the destination above hi or pull the
-// source below lo — unless it strictly reduces the total violation
-// (repair moves on unbalanced inputs). loads is the caller's live
-// per-partition weight.
-func (c Constraint) FeasibleLoad(w int, from, to int32, loads []int) bool {
-	lo, hi := c.Bounds()
+// feasibleIn reports whether moving weight w from block `from` to block
+// `to` is allowed under the window [lo, hi]: it must not push the
+// destination above hi or pull the source below lo — unless it strictly
+// reduces the total violation (repair moves on unbalanced inputs). loads
+// is the caller's live per-partition weight.
+func feasibleIn(lo, hi, w int, from, to int32, loads []int) bool {
 	newFrom := loads[from] - w
 	newTo := loads[to] + w
 	if newFrom >= lo && newTo <= hi {
@@ -113,11 +112,14 @@ func (c Constraint) FeasibleLoad(w int, from, to int32, loads []int) bool {
 	return after < before
 }
 
-// Feasible returns an fm.Feasible-compatible predicate over h's vertex
-// weights (see FeasibleLoad).
+// Feasible returns an fm.Feasible-compatible move predicate over h's
+// vertex weights (see feasibleIn). The window is computed here, once: a
+// search asks the predicate for every candidate target of every vertex it
+// looks at.
 func (c Constraint) Feasible(h *hypergraph.H) func(v hypergraph.VertexID, from, to int32, loads []int) bool {
+	lo, hi := c.Bounds()
 	return func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-		return c.FeasibleLoad(h.Vertices[v].Weight, from, to, loads)
+		return feasibleIn(lo, hi, h.Vertices[v].Weight, from, to, loads)
 	}
 }
 
@@ -161,7 +163,7 @@ func (a Aware) Satisfied(loads []int) bool {
 	}
 	lo, hi := a.Rem.Bounds()
 	for t, l := range loads {
-		if t < len(a.Solo) && a.Solo[t] {
+		if a.solo(int32(t)) {
 			continue
 		}
 		if l < lo || l > hi {
@@ -171,21 +173,22 @@ func (a Aware) Satisfied(loads []int) bool {
 	return true
 }
 
-// FeasibleLoad is the move predicate: moves into or out of solo blocks
-// are rejected outright (an oversized super-gate sits alone), everything
-// else follows the re-derived window's FeasibleLoad.
-func (a Aware) FeasibleLoad(w int, from, to int32, loads []int) bool {
-	if int(from) < len(a.Solo) && a.Solo[from] {
-		return false
+// Feasible returns the fm.Feasible-compatible move predicate over the
+// vertex weights weight reports: moves into or out of solo blocks are
+// rejected outright (an oversized super-gate sits alone), everything else
+// follows the re-derived window, computed once, as Constraint.Feasible
+// does.
+func (a Aware) Feasible(weight func(hypergraph.VertexID) int) func(v hypergraph.VertexID, from, to int32, loads []int) bool {
+	lo, hi := a.Rem.Bounds()
+	return func(v hypergraph.VertexID, from, to int32, loads []int) bool {
+		if a.solo(from) || a.solo(to) || a.Rem.K <= 0 {
+			return false
+		}
+		return feasibleIn(lo, hi, weight(v), from, to, loads)
 	}
-	if int(to) < len(a.Solo) && a.Solo[to] {
-		return false
-	}
-	if a.Rem.K <= 0 {
-		return false
-	}
-	return a.Rem.FeasibleLoad(w, from, to, loads)
 }
+
+func (a Aware) solo(b int32) bool { return int(b) < len(a.Solo) && a.Solo[b] }
 
 func excess(l, lo, hi int) int {
 	if l < lo {

@@ -3,6 +3,8 @@ package partition
 import (
 	"math"
 	"testing"
+
+	"repro/internal/hypergraph"
 )
 
 // TestBoundsExactIntegerEndpoints: window endpoints that are
@@ -80,16 +82,19 @@ func TestAwareSoloBlocks(t *testing.T) {
 		t.Error("non-solo block above rem hi must fail")
 	}
 	loads := []int{400, 200, 200, 200}
-	if a.FeasibleLoad(10, 0, 1, loads) {
+	feasible := func(w int, from, to int32) bool {
+		return a.Feasible(func(hypergraph.VertexID) int { return w })(0, from, to, loads)
+	}
+	if feasible(10, 0, 1) {
 		t.Error("moving out of a solo block must be rejected")
 	}
-	if a.FeasibleLoad(10, 1, 0, loads) {
+	if feasible(10, 1, 0) {
 		t.Error("moving into a solo block must be rejected")
 	}
-	if !a.FeasibleLoad(10, 1, 2, loads) {
+	if !feasible(10, 1, 2) {
 		t.Error("a window-respecting move between shared blocks must pass")
 	}
-	if a.FeasibleLoad(70, 1, 2, loads) {
+	if feasible(70, 1, 2) {
 		t.Error("a move overflowing rem hi must be rejected")
 	}
 
