@@ -20,8 +20,8 @@ import (
 )
 
 // Message is an opaque payload routed between endpoints. A payload may
-// itself be a batch (the Time Warp kernel coalesces every event bound for
-// one destination within a cycle into a single slice-valued Message); the
+// itself be a batch (the Time Warp kernel coalesces the events bound for
+// one destination within a cycle into slice-valued Messages); the
 // transport neither knows nor cares — a batch counts as one message for
 // delivery, FIFO ordering and the sent/in-flight accounting, and the
 // receiver unpacks it in order, so batching inherits per-link FIFO from

@@ -152,10 +152,10 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
-	// A worker built while the control plane still carried frame type 0x11.
-	v3 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 3), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v3); err == nil || !strings.Contains(err.Error(), "protocol version 3, this build speaks 4") {
-		t.Fatalf("version-3 hello: error %v, want the version refused", err)
+	// A worker built while the run spec still carried the batching switch.
+	v4 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 4), "10.0.0.1:9"), 0)
+	if _, err := DecodeHello(v4); err == nil || !strings.Contains(err.Error(), "protocol version 4, this build speaks 5") {
+		t.Fatalf("version-4 hello: error %v, want the version refused", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")

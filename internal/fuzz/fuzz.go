@@ -53,7 +53,6 @@ type Spec struct {
 	B         float64
 	Cycles    uint64
 	Window    uint64
-	NoBatch   bool              // one comm.Message per event (pre-batching framing)
 	Chaos     *comm.ChaosConfig // nil = benign direct delivery
 	// NetTrans ships every inter-cluster message through the framed TCP
 	// loopback transport (internal/comm/nettrans) instead of direct
@@ -84,13 +83,13 @@ func NewSpec(seed int64, chaos bool) Spec {
 		Cycles:    uint64(40 + rng.Intn(120)),
 		Window:    uint64(4 + rng.Intn(12)),
 	}
-	// Three draws the kernel's former checkpoint options consumed, still
-	// made so that every later field — and every historical replay seed —
-	// derives as before.
+	// Four draws the kernel's former checkpoint options and its batching
+	// switch consumed, still made so that every later field — and every
+	// historical replay seed — derives as before.
 	rng.Intn(6)
 	rng.Intn(3)
 	rng.Intn(8)
-	s.NoBatch = rng.Intn(4) == 0 // 1/4 keep the unbatched wire format
+	rng.Intn(4)
 	if chaos {
 		s.Chaos = &comm.ChaosConfig{
 			Seed:       rng.Int63(),
@@ -253,18 +252,17 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 
 	// Time Warp under (optionally) adversarial delivery.
 	cfg := timewarp.Config{
-		NL:              nl,
-		GateParts:       parts,
-		K:               k,
-		Vectors:         vs,
-		Cycles:          spec.Cycles,
-		Observe:         state,
-		Window:          spec.Window,
-		DisableBatching: spec.NoBatch,
-		StallTimeout:    stallTimeout,
-		RunTimeout:      4 * stallTimeout,
-		Faults:          faults,
-		Obs:             o,
+		NL:           nl,
+		GateParts:    parts,
+		K:            k,
+		Vectors:      vs,
+		Cycles:       spec.Cycles,
+		Observe:      state,
+		Window:       spec.Window,
+		StallTimeout: stallTimeout,
+		RunTimeout:   4 * stallTimeout,
+		Faults:       faults,
+		Obs:          o,
 	}
 	var inner comm.TransportFactory
 	if spec.Chaos != nil {

@@ -41,6 +41,7 @@ type heldTransport struct {
 	deliver comm.DeliverFunc
 	shut    bool
 	held    []heldMessage
+	onSend  func(dst int, msg comm.Message) // when set, sees every message sent
 }
 
 type heldMessage struct {
@@ -49,6 +50,9 @@ type heldMessage struct {
 }
 
 func (h *heldTransport) Send(src, dst int, msg comm.Message) {
+	if h.onSend != nil {
+		h.onSend(dst, msg)
+	}
 	h.held = append(h.held, heldMessage{dst, msg})
 }
 
@@ -67,19 +71,110 @@ func (h *heldTransport) Close() {
 	h.Poll()
 }
 
+// handStepped is a host whose clusters the test steps by hand over a
+// heldTransport.
+type handStepped struct {
+	t  *testing.T
+	h  *host
+	tr *heldTransport
+}
+
+// newHandStepped builds the host for cfg (owns as newHost's) over a
+// heldTransport.
+func newHandStepped(t *testing.T, cfg Config, owns func(c int) bool) *handStepped {
+	t.Helper()
+	s := &handStepped{t: t}
+	cfg.Transport = func(k int, deliver comm.DeliverFunc) comm.Transport {
+		s.tr = &heldTransport{deliver: deliver}
+		return s.tr
+	}
+	var err error
+	if s.h, err = newHost(cfg, "tw", owns); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// step executes c's next cycle.
+func (s *handStepped) step(c *cluster) {
+	s.t.Helper()
+	if err := c.processCycle(c.cycle); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// look has c absorb what its mailbox holds, as between two cycles.
+func (s *handStepped) look(c *cluster) {
+	s.t.Helper()
+	msgs := c.ep.TryRecvAll()
+	if err := c.absorb(msgs); err != nil {
+		s.t.Fatal(err)
+	}
+	s.h.absorbed.Add(uint64(len(msgs)))
+}
+
+// settle steps the clusters in turn to cycle warm and lets everything sent
+// on the way be absorbed.
+func (s *handStepped) settle(warm uint64) {
+	s.t.Helper()
+	h := s.h
+	for h.clusters[0].cycle < warm || h.clusters[1].cycle < warm || h.net.TotalSent() != h.absorbed.Load() {
+		for _, c := range h.clusters {
+			s.look(c)
+			if c.cycle < warm {
+				s.step(c)
+			}
+		}
+	}
+}
+
+// finish runs the two clusters to the end on a schedule seeded by seed, in
+// which a cluster looks in its mailbox before a cycle a third of the time,
+// so stragglers keep landing inside cycles: at delta 0 (already in the
+// mailbox) and further in (released by a poll). At the end every message is
+// absorbed, the quiescence tracker terminates the run at GVT = Cycles and
+// the waveforms of state are want. It returns the run's statistics.
+func (s *handStepped) finish(seed int64, state []netlist.NetID, want map[netlist.NetID][]bool) Stats {
+	t, h := s.t, s.h
+	t.Helper()
+	cycles := h.cfg.Cycles
+	rng := rand.New(rand.NewSource(seed))
+	for h.clusters[0].cycle < cycles || h.clusters[1].cycle < cycles || h.net.TotalSent() != h.absorbed.Load() {
+		c := h.clusters[rng.Intn(2)]
+		if c.cycle == cycles || rng.Intn(3) == 0 {
+			s.look(c)
+		}
+		if c.cycle < cycles {
+			s.step(c)
+		}
+	}
+
+	q := newQuiescence(2, cycles, 0, 0, time.Time{})
+	smp := sample{progress: make([]uint64, 2), complete: true, drained: true}
+	var v verdict
+	for i := 0; i < 3; i++ { // the first sample has no predecessor to be frozen against
+		h.sample(&smp)
+		v = q.step(smp)
+	}
+	res := mergeResults(2, []*distResult{h.collect()}, q)
+	if !v.terminate || v.gvt != cycles || len(res.InvariantViolations) != 0 {
+		t.Errorf("at the end: terminate=%v gvt=%d violations=%v, want a clean termination at GVT %d",
+			v.terminate, v.gvt, res.InvariantViolations, cycles)
+	}
+	compareObserved(t, h.cfg.NL, state, res.Observed, want, t.Name())
+	h.closeEndpoints()
+	h.net.CloseTransport()
+	return res.Stats
+}
+
 // TestStragglerMidCycleAbandonsTheCycle steps the two clusters of the serial
 // cut by hand. The opening is exact: with both clusters settled at the start
 // of a busy cycle, cluster 0 executes it and its events stay in the
 // transport; cluster 1 starts the cycle without them and meets them at its
 // first poll, pollEvals evaluations in — it must give the cycle up there,
 // account what it evaluated as rolled back and be back at the start of the
-// cycle, all in one rollback. The rest of the run follows a seeded schedule
-// in which a cluster looks in its mailbox before a cycle only half of the
-// time, so stragglers keep landing inside cycles, at delta 0 (already in the
-// mailbox) and further in (released by a poll). At the end every message is
-// absorbed, the quiescence tracker terminates the run at GVT = Cycles and
-// the waveforms are the sequential simulator's. With DisableBatching the
-// abandoned cycle's events have left one by one before it is given up.
+// cycle, all in one rollback. The rest of the run follows handStepped.finish's
+// seeded schedule, and ends clean with the sequential simulator's waveforms.
 func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 	ed, parts := serialCut(t)
 	nl := ed.Netlist
@@ -87,117 +182,140 @@ func TestStragglerMidCycleAbandonsTheCycle(t *testing.T) {
 	state := sim.StateNets(nl)
 	want := seqOracle(t, nl, state, cycles, seed)
 
-	for _, tc := range []struct {
-		name string
-		tune func(*Config)
-	}{
-		{"every-cycle", func(*Config) {}},
-		{"no-batching", func(c *Config) { c.DisableBatching = true }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var tr *heldTransport
-			cfg := Config{
-				NL: nl, GateParts: parts, K: 2,
-				Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
-				Transport: func(k int, deliver comm.DeliverFunc) comm.Transport {
-					tr = &heldTransport{deliver: deliver}
-					return tr
-				},
-			}
-			tc.tune(&cfg)
-			h, err := newHost(cfg, "tw", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := h.clusters[0], h.clusters[1]
-			step := func(c *cluster) {
-				t.Helper()
-				if err := c.processCycle(c.cycle); err != nil {
-					t.Fatal(err)
-				}
-			}
-			look := func(c *cluster) {
-				t.Helper()
-				msgs := c.ep.TryRecvAll()
-				if err := c.absorb(msgs); err != nil {
-					t.Fatal(err)
-				}
-				h.absorbed.Add(uint64(len(msgs)))
-			}
+	// Events are batched to one message per destination per cycle, less
+	// what the early-send rule lets leave alone.
+	t.Run("every-cycle", func(t *testing.T) {
+		s := newHandStepped(t, Config{
+			NL: nl, GateParts: parts, K: 2,
+			Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
+		}, nil)
+		h, a, b := s.h, s.h.clusters[0], s.h.clusters[1]
 
-			// Warm up in step to a cycle busy enough to poll inside, and
-			// let everything settle there.
-			for a.cycle < warm || b.cycle < warm || h.net.TotalSent() != h.absorbed.Load() {
-				for _, c := range h.clusters {
-					look(c)
-					if c.cycle < warm {
-						step(c)
-					}
-				}
-			}
-			before, sent := b.stats.Snapshot(), h.net.TotalSent()
+		// Warm up in step to a cycle busy enough to poll inside, and let
+		// everything settle there.
+		s.settle(warm)
+		before, sent := b.stats.Snapshot(), h.net.TotalSent()
 
-			tr.shut = true // cluster 0's own polls must not deliver its events
-			step(a)
-			tr.shut = false
-			if a.cycle != warm+1 || h.net.TotalSent() == sent {
-				t.Fatalf("opening: cluster 0 at cycle %d after %d messages, want cycle %d and some",
-					a.cycle, h.net.TotalSent()-sent, warm+1)
-			}
-			step(b)
-			st := b.stats.Snapshot()
-			if st.AbandonedCycles != before.AbandonedCycles+1 || st.Rollbacks != before.Rollbacks+1 || b.cycle > warm {
-				t.Fatalf("opening: cluster 1 abandoned %d cycles in %d rollbacks and stands at cycle %d, want 1, 1 and at most %d",
-					st.AbandonedCycles-before.AbandonedCycles, st.Rollbacks-before.Rollbacks, b.cycle, warm)
-			}
-			if evals, undone := st.Events-before.Events, st.RolledBackEvents-before.RolledBackEvents; evals < pollEvals || undone < evals {
-				t.Fatalf("opening: the abandoned cycle evaluated %d gates and the rollback undid %d; want at least %d, all undone",
-					evals, undone, pollEvals)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			finished := func() bool {
-				return a.cycle == cycles && b.cycle == cycles && h.net.TotalSent() == h.absorbed.Load()
-			}
-			for !finished() {
-				c := h.clusters[rng.Intn(2)]
-				if c.cycle == cycles || rng.Intn(3) == 0 {
-					look(c)
-				}
-				if c.cycle < cycles {
-					step(c)
-				}
-			}
+		s.tr.shut = true // cluster 0's own polls must not deliver its events
+		s.step(a)
+		s.tr.shut = false
+		if a.cycle != warm+1 || h.net.TotalSent() == sent {
+			t.Fatalf("opening: cluster 0 at cycle %d after %d messages, want cycle %d and some",
+				a.cycle, h.net.TotalSent()-sent, warm+1)
+		}
+		s.step(b)
+		st := b.stats.Snapshot()
+		if st.AbandonedCycles != before.AbandonedCycles+1 || st.Rollbacks != before.Rollbacks+1 || b.cycle > warm {
+			t.Fatalf("opening: cluster 1 abandoned %d cycles in %d rollbacks and stands at cycle %d, want 1, 1 and at most %d",
+				st.AbandonedCycles-before.AbandonedCycles, st.Rollbacks-before.Rollbacks, b.cycle, warm)
+		}
+		if evals, undone := st.Events-before.Events, st.RolledBackEvents-before.RolledBackEvents; evals < pollEvals || undone < evals {
+			t.Fatalf("opening: the abandoned cycle evaluated %d gates and the rollback undid %d; want at least %d, all undone",
+				evals, undone, pollEvals)
+		}
 
-			var total Stats
-			for _, c := range h.clusters {
-				total.add(c.stats.Snapshot())
-			}
-			t.Logf("%d evaluations, %d rolled back; %d rollbacks, %d of them abandoned cycles",
-				total.Events, total.RolledBackEvents, total.Rollbacks, total.AbandonedCycles)
-			if total.AbandonedCycles < 5 {
-				t.Errorf("schedule too tame: %d cycles abandoned", total.AbandonedCycles)
-			}
+		total := s.finish(seed, state, want)
+		t.Logf("%d evaluations, %d rolled back; %d rollbacks, %d of them abandoned cycles",
+			total.Events, total.RolledBackEvents, total.Rollbacks, total.AbandonedCycles)
+		if total.AbandonedCycles < 5 {
+			t.Errorf("schedule too tame: %d cycles abandoned", total.AbandonedCycles)
+		}
+	})
+}
 
-			q := newQuiescence(2, cycles, 0, 0, time.Time{})
-			s := sample{progress: make([]uint64, 2), complete: true, drained: true}
-			var v verdict
-			for i := 0; i < 3; i++ { // the first sample has no predecessor to be frozen against
-				h.sample(&s)
-				v = q.step(s)
-			}
-			if !v.terminate || v.gvt != cycles || len(q.violations) != 0 {
-				t.Errorf("at the end: terminate=%v gvt=%d violations=%v, want a clean termination at GVT %d",
-					v.terminate, v.gvt, q.violations, cycles)
-			}
-			got := map[netlist.NetID][]bool{}
-			for _, o := range h.collect().Observed {
-				got[o.Net] = o.Values
-			}
-			compareObserved(t, nl, state, got, want, tc.name)
-			h.closeEndpoints()
-			h.net.CloseTransport()
-		})
+// TestStragglerSentWhileReceiverIsThere steps the serial cut by hand over a
+// transport that shows the test every message as it is sent. With both
+// clusters settled at the start of a busy cycle, cluster 1 has reached it,
+// so the first combinational event cluster 0 computes for it leaves alone
+// before cluster 0's latch has run — held for the cycle's one batch, it
+// would reach a cluster 1 that might have started the cycle without it.
+// Cluster 1, looking before it starts the cycle, then runs it without a
+// rollback. Cluster 0 goes on to execute the next cycle, which cluster 1 has
+// not reached: one message to it, at cycle end. The run then finishes on a
+// seeded schedule with the sequential simulator's waveforms. A worker host,
+// whose cluster 1 runs in another process, sends it at most one message a
+// cycle however far ahead cluster 1's progress reads; a host running both
+// clusters sends more.
+func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
+	ed, parts := serialCut(t)
+	nl := ed.Netlist
+	const cycles, warm, seed = 48, 11, 5
+	state := sim.StateNets(nl)
+	cfg := Config{
+		NL: nl, GateParts: parts, K: 2,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
 	}
+
+	t.Run("receiver-there", func(t *testing.T) {
+		want := seqOracle(t, nl, state, cycles, seed)
+		s := newHandStepped(t, cfg, nil)
+		a, b := s.h.clusters[0], s.h.clusters[1]
+		s.settle(warm)
+
+		type sent struct {
+			msg         comm.Message
+			beforeLatch bool // the sender's cycle has toggled no flip-flop yet
+		}
+		var toB []sent
+		s.tr.onSend = func(dst int, msg comm.Message) {
+			if dst == 1 {
+				toB = append(toB, sent{msg, len(a.carry) == 0})
+			}
+		}
+		s.step(a)
+		if len(a.carry) == 0 || len(toB) < 2 {
+			t.Fatalf("cycle %d: cluster 0 toggled %d flip-flops and sent cluster 1 %d messages; want some and at least 2",
+				warm, len(a.carry), len(toB))
+		}
+		base := warm * s.h.deltaRange
+		if e, ok := toB[0].msg.(event); !ok || e.Anti || e.T <= base || e.T >= base+s.h.deltaRange || !toB[0].beforeLatch {
+			t.Fatalf("cycle %d: the first message to cluster 1 is %+v, sent before the latch: %v; want one positive event stamped inside the cycle, before the latch",
+				warm, toB[0].msg, toB[0].beforeLatch)
+		}
+
+		toB = toB[:0]
+		s.step(a)
+		if len(toB) != 1 {
+			t.Fatalf("cycle %d, which cluster 1 (at %d) has not reached: %d messages to it, want 1", warm+1, b.cycle, len(toB))
+		}
+		s.tr.onSend = nil
+
+		before := b.stats.Snapshot()
+		s.look(b)
+		s.step(b)
+		if st := b.stats.Snapshot(); st.Rollbacks != before.Rollbacks {
+			t.Fatalf("cluster 1 rolled back %d times in cycle %d with cluster 0's events in hand", st.Rollbacks-before.Rollbacks, warm)
+		}
+		s.finish(seed, state, want)
+	})
+
+	// perCycle steps cluster 0 alone through ten cycles, cluster 1's
+	// published progress at the end of the run, and returns the most
+	// messages one cycle sent cluster 1.
+	perCycle := func(t *testing.T, owns func(c int) bool) int {
+		s := newHandStepped(t, cfg, owns)
+		s.h.progress[1].Store(cycles)
+		a, most, n := s.h.clusters[0], 0, 0
+		s.tr.onSend = func(dst int, _ comm.Message) {
+			if dst == 1 {
+				n++
+			}
+		}
+		for a.cycle < 10 {
+			n = 0
+			s.step(a)
+			most = max(most, n)
+		}
+		return most
+	}
+	t.Run("remote-receiver", func(t *testing.T) {
+		if most := perCycle(t, func(c int) bool { return c == 0 }); most != 1 {
+			t.Errorf("a worker host sent its remote cluster 1 up to %d messages a cycle, want 1", most)
+		}
+		if most := perCycle(t, nil); most < 2 {
+			t.Errorf("a host running both clusters sent cluster 1 at most %d messages a cycle, want more than 1", most)
+		}
+	})
 }
 
 // TestStragglerOnTheMeshAbandonsTheCycle is the same encounter over the

@@ -763,7 +763,6 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		K:         2,
 		Cycles:    77,
 		Window:    6,
-		NoBatch:   true,
 		VecSeed:   -12345,
 	}
 	blob := AppendDistSpec(nil, s)
@@ -772,7 +771,7 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Source != s.Source || got.Top != s.Top || got.K != s.K ||
-		got.Cycles != 77 || got.Window != 6 || !got.NoBatch || got.VecSeed != -12345 ||
+		got.Cycles != 77 || got.Window != 6 || got.VecSeed != -12345 ||
 		len(got.GateParts) != 4 || got.GateParts[1] != 1 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
@@ -790,12 +789,12 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		t.Fatal("corrupted spec accepted (fingerprint did not catch it)")
 	}
 
-	// A blob in the format before the checkpoint options went — 17 bytes
-	// (u64, bool, u64) between Window and NoBatch — has a valid fingerprint
-	// and enough bytes for every field: only the length tells. Decoded on,
-	// its interval would be read as NoBatch and VecSeed.
-	tail := len(blob) - 9 // NoBatch (1) + VecSeed (8)
-	old := append(append(append([]byte(nil), blob[:tail]...), make([]byte, 17)...), blob[tail:]...)
+	// A blob in protocol version 4's format carries one more field, a bool
+	// between Window and VecSeed that said whether to batch: it has a valid
+	// fingerprint and enough bytes for every field, so only the length
+	// tells. Decoded on, its VecSeed would start one byte early.
+	tail := len(blob) - 8 // VecSeed
+	old := append(append(append([]byte(nil), blob[:tail]...), 1), blob[tail:]...)
 	if _, err := DecodeDistSpec(old); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("parent-format spec: error %v, want trailing bytes rejected", err)
 	}

@@ -32,7 +32,6 @@ type DistSpec struct {
 	K         int
 	Cycles    uint64
 	Window    uint64
-	NoBatch   bool
 	// VecSeed seeds sim.RandomVectors; stimulus is derived, not shipped.
 	VecSeed int64
 }
@@ -77,13 +76,12 @@ func (s *DistSpec) Elaborate() (*elab.Design, error) {
 // elaboration — the one DistSpec → Config mapping.
 func (s *DistSpec) config(nl *netlist.Netlist) Config {
 	return Config{
-		NL:              nl,
-		GateParts:       s.GateParts,
-		K:               s.K,
-		Vectors:         sim.RandomVectors{Seed: s.VecSeed},
-		Cycles:          s.Cycles,
-		Window:          s.Window,
-		DisableBatching: s.NoBatch,
+		NL:        nl,
+		GateParts: s.GateParts,
+		K:         s.K,
+		Vectors:   sim.RandomVectors{Seed: s.VecSeed},
+		Cycles:    s.Cycles,
+		Window:    s.Window,
 	}
 }
 
@@ -99,7 +97,6 @@ func AppendDistSpec(dst []byte, s *DistSpec) []byte {
 	dst = nettrans.AppendU32(dst, uint32(s.K))
 	dst = nettrans.AppendU64(dst, s.Cycles)
 	dst = nettrans.AppendU64(dst, s.Window)
-	dst = nettrans.AppendBool(dst, s.NoBatch)
 	dst = nettrans.AppendI64(dst, s.VecSeed)
 	return dst
 }
@@ -126,7 +123,6 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	s.K = int(int32(d.U32()))
 	s.Cycles = d.U64()
 	s.Window = d.U64()
-	s.NoBatch = d.Bool()
 	s.VecSeed = d.I64()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("timewarp: malformed dist spec: %w", err)

@@ -45,9 +45,10 @@ func cmpEvent(a, b event) int {
 	return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 }
 
-// batch is the transport payload coalescing every event one cluster emits
-// to one destination within a cycle into a single comm.Message. Order
-// within the batch is send order, so per-link FIFO survives batching: the
-// receiver unpacks sequentially and an anti-message can never overtake the
-// positive it cancels.
+// batch is the transport payload coalescing events one cluster emits to one
+// destination within a cycle into a single comm.Message (enqueueOut says
+// when it leaves). Order within the batch, and from batch to batch, is send
+// order, so per-link FIFO survives batching: the receiver unpacks
+// sequentially and an anti-message can never overtake the positive it
+// cancels.
 type batch []event

@@ -67,6 +67,7 @@ type host struct {
 	stim       *stimulus
 	net        *comm.Network
 	progress   []atomic.Uint64 // published cycle per cluster (all K)
+	local      []bool          // local[c]: this process runs cluster c
 	absorbed   atomic.Uint64   // messages fully absorbed by local clusters
 	cancelled  atomic.Bool     // any failure: every cluster abandons the run
 	gvt        atomic.Uint64   // established GVT in cycles; safe fossil line
@@ -92,9 +93,11 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		stim:       newStimulus(cfg.Vectors, ref.VectorWidth(), cfg.Cycles),
 		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress:   make([]atomic.Uint64, cfg.K),
+		local:      make([]bool, cfg.K),
 	}
-	for c := 0; c < cfg.K; c++ {
-		if owns == nil || owns(c) {
+	for c := range h.local {
+		h.local[c] = owns == nil || owns(c)
+		if h.local[c] {
 			h.clusters = append(h.clusters, newCluster(int32(c), h))
 		}
 	}
@@ -200,8 +203,9 @@ func (h *host) collect() *distResult {
 
 // mergeResults folds the per-process results of a terminated run into its
 // Result and checks the global termination invariants: a clean run leaves
-// no message in flight and every sent message absorbed (received AND
-// survived by its rollback).
+// no message in flight, every sent message absorbed (received AND survived
+// by its rollback) and every event a cluster enqueued sent in exactly one
+// message, at cycle end or early (enqueueOut).
 func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	res := &Result{
 		Observed:            make(map[netlist.NetID][]bool),
@@ -234,6 +238,11 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	if absorbed != sent {
 		res.InvariantViolations = append(res.InvariantViolations,
 			fmt.Sprintf("absorbed %d of %d sent messages at termination", absorbed, sent))
+	}
+	if st := res.Stats; st.BatchedEvents != st.Messages+st.AntiMessages || st.Batches > st.BatchedEvents {
+		res.InvariantViolations = append(res.InvariantViolations,
+			fmt.Sprintf("%d events sent in %d messages, but %d positives and %d anti-messages enqueued",
+				st.BatchedEvents, st.Batches, st.Messages, st.AntiMessages))
 	}
 	return res
 }

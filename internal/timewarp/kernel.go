@@ -28,11 +28,6 @@ type Config struct {
 	// ahead of the slowest cluster (also bounds rollback depth and wasted
 	// speculative work). Default 8.
 	Window uint64
-	// DisableBatching sends one comm.Message per event instead of
-	// coalescing per destination per cycle — the pre-batching wire
-	// format, kept reachable so the differential fuzzer can cover both
-	// framings.
-	DisableBatching bool
 	// Observe lists nets whose committed per-cycle (post-latch) values
 	// are recorded; defaults to the primary outputs.
 	Observe []netlist.NetID
@@ -101,8 +96,8 @@ type Stats struct {
 	// straggler arrived. Aggregated by max, not sum.
 	MaxStragglerDepth uint64
 	// Batches counts comm.Messages sent and BatchedEvents the events they
-	// carried; their ratio is the mean batch size (1.0 with batching
-	// disabled).
+	// carried; their ratio is the mean batch size. Every event sent leaves
+	// in exactly one message, so BatchedEvents is Messages + AntiMessages.
 	Batches       uint64
 	BatchedEvents uint64
 	// The two pool counters always read zero: no buffer pool is left for

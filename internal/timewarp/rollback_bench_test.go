@@ -95,33 +95,26 @@ endmodule
 }
 
 // BenchmarkSerialCutRun is a whole free-running kernel run on the serial cut
-// (the benchmark's viterbi_tw_rollback partition), with the cycle-end
-// batches and with one message per event. An unbatched straggler leaves its
-// sender a cycle's length earlier, so the receiver has run less far ahead
-// when it lands: rolledback/executed is the share of gate evaluations
-// undone, beside the wall time per run.
+// (the benchmark's viterbi_tw_rollback partition). An event for a cycle its
+// receiver has reached leaves its sender at once rather than at cycle end,
+// so the receiver has run less far ahead when it lands: rolledback/executed
+// is the share of gate evaluations undone and events/message the mean batch,
+// beside the wall time per run.
 func BenchmarkSerialCutRun(b *testing.B) {
 	ed, parts := serialCut(b)
 	defer func(on bool) { CheckInvariants = on }(CheckInvariants)
 	CheckInvariants = false
-	for _, tc := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"unbatched", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var st Stats
-			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{
-					NL: ed.Netlist, GateParts: parts, K: 2,
-					Vectors: sim.RandomVectors{Seed: 1}, Cycles: 400,
-					DisableBatching: tc.noBatch,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.add(res.Stats)
-			}
-			b.ReportMetric(float64(st.RolledBackEvents)/float64(st.Events), "rolledback/executed")
+	var st Stats
+	for i := 0; i < b.N; i++ {
+		res, err := Run(Config{
+			NL: ed.Netlist, GateParts: parts, K: 2,
+			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 400,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.add(res.Stats)
 	}
+	b.ReportMetric(float64(st.RolledBackEvents)/float64(st.Events), "rolledback/executed")
+	b.ReportMetric(float64(st.BatchedEvents)/float64(st.Batches), "events/message")
 }

@@ -22,8 +22,8 @@ func runBoth(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uin
 }
 
 // runBothCfg is runBoth with the kernel Config open to the caller, so
-// window, batching and transport variants share the one oracle. The run
-// must also end clean: no invariant violation, every cycle committed.
+// window and transport variants share the one oracle. The run must also end
+// clean: no invariant violation, every cycle committed.
 func runBothCfg(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64,
 	seed int64, mutate func(*Config)) Stats {
 	t.Helper()
@@ -212,24 +212,13 @@ func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
 	}
 }
 
-func TestBatchingDisabledStillCorrect(t *testing.T) {
-	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {
-		c.DisableBatching = true
-	})
-	if st.Batches != st.BatchedEvents {
-		t.Errorf("unbatched run must ship one event per message: %d batches, %d events",
-			st.Batches, st.BatchedEvents)
-	}
-}
-
 func TestBatchingCoalesces(t *testing.T) {
 	ed := viterbiDesign(t)
 	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {})
 	if st.BatchedEvents <= st.Batches {
 		t.Errorf("batching never coalesced: %d batches for %d events", st.Batches, st.BatchedEvents)
 	}
-	t.Logf("mean batch size %.2f", float64(st.BatchedEvents)/float64(st.Batches))
+	t.Logf("mean batch size %.2f (%d/%d)", float64(st.BatchedEvents)/float64(st.Batches), st.BatchedEvents, st.Batches)
 }
 
 func TestFossilCollectionRacesDeepRollback(t *testing.T) {
