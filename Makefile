@@ -29,7 +29,7 @@ BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.ev
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-pairs pipeline-smoke scale-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs pipeline-smoke scale-smoke experiments-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -222,6 +222,19 @@ bench-pairs:
 # gates the checks, not the timings (ROADMAP item 1).
 pipeline-smoke:
 	bash benchmark/run.sh -workload all -scale smoke -seed 1 -trace 1 --seconds 3
+
+# The paper's tables as an oracle: every table and figure of
+# `experiments -all` at reduced lengths (about 16 s on two cores), diffed
+# against the output recorded in internal/experiments/testdata/smoke.golden.
+# The one line dropped is the "(campaign: …)" summary, which carries wall
+# times; every other line is deterministic, so any difference means a model
+# or partitioner result moved. Re-record the golden only for a change
+# meant to move a table.
+experiments-smoke:
+	$(GO) build -o experiments.smoke ./cmd/experiments
+	./experiments.smoke -all -presim 2000 -full 5000 > experiments-smoke.out
+	grep -v '^(campaign: ' experiments-smoke.out | diff internal/experiments/testdata/smoke.golden -
+	@echo "experiments-smoke: tables match smoke.golden"
 
 # The front end at the paper's scale (ROADMAP item 11): the 728,121-gate
 # decoder gen.Viterbi{K: 11, W: 12, TB: 96} parsed, elaborated, validated,

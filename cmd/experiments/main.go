@@ -19,7 +19,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/clustersim"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
@@ -111,6 +110,21 @@ func validateSelection(table, fig int, ablation string) error {
 	return fmt.Errorf("unknown -ablation %q (want %s)", ablation, ablationNames())
 }
 
+// validateFlags rejects the run lengths and pool size no run accepts: a
+// pre-simulation or full run of no vectors models nothing.
+func validateFlags(presim, full uint64, workers int) error {
+	if presim == 0 {
+		return fmt.Errorf("-presim must be >= 1")
+	}
+	if full == 0 {
+		return fmt.Errorf("-full must be >= 1")
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		all       = flag.Bool("all", false, "run every table and figure")
@@ -123,14 +137,17 @@ func main() {
 		fullC     = flag.Uint64("full", 100000, "full-run vectors (paper: 1,000,000)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "grid worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		packed    = flag.Bool("packed", true, "use the 64-wide bit-parallel cluster model (results are identical to -packed=false)")
 		jsonOut   = flag.Bool("json", false, "run the pre-simulation grid and emit machine-readable JSON on stdout (suppresses tables)")
 		trace     = flag.String("trace", "", "write a Chrome trace of the partitioner/grid work to this file (\"-\" = stdout)")
 		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
 		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the experiments run")
 	)
 	flag.Parse()
-	if err := validateSelection(*table, *fig, *ablation); err != nil {
+	err := validateSelection(*table, *fig, *ablation)
+	if err == nil {
+		err = validateFlags(*presimC, *fullC, *workers)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -141,10 +158,6 @@ func main() {
 	ctx.FullCycles = *fullC
 	ctx.Seed = *seed
 	ctx.Workers = *workers
-	ctx.Packed = clustersim.PackedOn
-	if !*packed {
-		ctx.Packed = clustersim.PackedOff
-	}
 	var o *obs.Observer
 	if *trace != "" || *metrics != "" || *serveAddr != "" {
 		o = obs.New(obs.Options{})

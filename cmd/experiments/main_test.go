@@ -46,3 +46,28 @@ func TestValidateSelection(t *testing.T) {
 		t.Errorf("%d studies listed, the table above accepts 9: add the new name to it", len(ablations))
 	}
 }
+
+// TestValidateFlags holds every rejection of a run length or pool size to
+// its message, and the values a run accepts to none.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		presim, full uint64
+		workers      int
+		want         string // substring of the error; "" = accepted
+	}{
+		{"defaults", 10000, 100000, 0, ""},
+		{"smallest, sequential", 1, 1, 1, ""},
+		{"no presim", 0, 5000, 0, "-presim must be >= 1"},
+		{"no full run", 2000, 0, 0, "-full must be >= 1"},
+		{"negative workers", 2000, 5000, -1, "-workers must be >= 0 (got -1)"},
+	} {
+		err := validateFlags(tc.presim, tc.full, tc.workers)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/clustersim"
 	"repro/internal/elab"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
@@ -36,7 +35,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "vector seed")
 		heuristic = flag.Bool("heuristic", false, "use the heuristic search instead of brute force")
 		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		packed    = flag.Bool("packed", true, "use the 64-wide bit-parallel cluster model (one shared wave bank per campaign; results are identical to -packed=false)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON results on stdout instead of text tables")
 		trace     = flag.String("trace", "", "write a Chrome trace of the campaign to this file (\"-\" = stdout)")
 		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
@@ -70,10 +68,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "monitoring on http://%s/\n", srv.Addr())
 	}
-	packedMode := clustersim.PackedOn
-	if !*packed {
-		packedMode = clustersim.PackedOff
-	}
 	cfg := &presim.Config{
 		Design:  ed,
 		Ks:      ks,
@@ -82,7 +76,6 @@ func main() {
 		Seed:    *seed,
 		Workers: *workers,
 		Obs:     o,
-		Packed:  packedMode,
 	}
 	cfg.Campaign = stats.NewCampaign(cfg.WorkerCount())
 

@@ -58,7 +58,6 @@ func main() {
 		mode   = flag.String("mode", "seq", "seq | tw | model | dist")
 		k      = flag.Int("k", 2, "partitions (tw/model)")
 		b      = flag.Float64("b", 10, "balance factor in percent (tw/model)")
-		packed = flag.Bool("packed", true, "use the 64-wide bit-parallel engine for the cluster model; results are identical to -packed=false (model mode)")
 		vcd    = flag.String("vcd", "", "dump primary-output waveforms to this VCD file (seq mode)")
 
 		trace     = flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file (tw mode; \"-\" = stdout)")
@@ -221,13 +220,8 @@ func main() {
 				fatal(srv.Close())
 			}
 		} else {
-			pm := clustersim.PackedOn
-			if !*packed {
-				pm = clustersim.PackedOff
-			}
 			res, err := clustersim.Run(clustersim.Config{
 				NL: nl, GateParts: pr.GateParts, K: *k, Vectors: vs, Cycles: *cycles,
-				Packed: pm,
 			})
 			fatal(err)
 			fmt.Printf("model: seqTime=%.0f parTime=%.0f speedup=%.2f msgs=%d rollbacks=%d reexec=%d critPath=%.0f boundSpeedup=%.2f\n",
@@ -373,10 +367,6 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 		if b <= 0 {
 			return fmt.Errorf("-b must be > 0 percent (got %g)", b)
 		}
-	}
-	// The packed engine backs the deterministic cluster model only.
-	if mode != "model" && set["packed"] {
-		return fmt.Errorf("-packed only applies to -mode model (mode is %q)", mode)
 	}
 	// Only the sequential simulator has a net-change hook to dump from.
 	if mode != "seq" && set["vcd"] {

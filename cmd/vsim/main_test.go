@@ -9,7 +9,6 @@ var modes = []string{"seq", "tw", "model", "dist"}
 
 // scoped lists every mode-scoped flag with the modes that accept it.
 var scoped = map[string][]string{
-	"packed":         {"model"},
 	"vcd":            {"seq"},
 	"chaos":          {"tw"},
 	"chaos-seed":     {"tw"},

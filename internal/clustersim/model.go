@@ -78,13 +78,11 @@ func (c *Costs) fill() {
 type PackedMode int
 
 const (
-	// PackedAuto (the zero value) uses the 64-wide bit-parallel engine —
-	// the default, since its traces are bit-identical to the scalar
-	// generator's (differentially tested) at a fraction of the cost.
-	PackedAuto PackedMode = iota
-	// PackedOn forces the packed engine (same as PackedAuto today).
-	PackedOn
-	// PackedOff forces the scalar per-event engine.
+	// PackedOn (the zero value) replays a WaveBank on the 64-wide
+	// bit-parallel engine (packedgen.go): the cluster model's engine.
+	PackedOn PackedMode = iota
+	// PackedOff runs the scalar per-event generator, the reference the
+	// packed engine is differentially tested against.
 	PackedOff
 )
 
@@ -104,10 +102,11 @@ type Config struct {
 	// This is the classic alternative to Time Warp and the ablation that
 	// shows what optimism buys.
 	Synchronous bool
-	// Packed selects the word-parallel trace generator (packedgen.go):
-	// 64 cycles per wave, one uint64 lane-word per net, per-machine
-	// counters accumulated by change-mask popcounts instead of per-event
-	// callbacks. Results are bit-identical to the scalar path.
+	// Packed selects the trace generator. The zero value, PackedOn, is
+	// the word-parallel one (packedgen.go): 64 cycles per wave, one uint64
+	// lane-word per net, per-machine counters accumulated by change-mask
+	// popcounts instead of per-event callbacks. PackedOff selects the
+	// scalar reference; results are bit-identical.
 	Packed PackedMode
 	// Waves optionally shares a pre-recorded wave bank across runs (it
 	// must have been built from this NL and Vectors, covering at least

@@ -155,7 +155,7 @@ func TestModelRejectsPartOutOfRange(t *testing.T) {
 		name   string
 		packed PackedMode
 		sync   bool
-	}{{"PackedOn", PackedOn, false}, {"PackedOff", PackedOff, false}, {"Synchronous", PackedAuto, true}}
+	}{{"PackedOn", PackedOn, false}, {"PackedOff", PackedOff, false}, {"Synchronous", PackedOn, true}}
 	for _, bad := range []int32{2, -1} {
 		parts := make([]int32, ed.Netlist.NumGates())
 		parts[3] = bad

@@ -125,7 +125,6 @@ func newPackedGen(cfg *Config) (*packedGen, error) {
 			g.remDst[n] = append(g.remDst[n], dst)
 		}
 	}
-	eng.DisableCounters = true // evals aggregate via the hooks below
 	eng.OnGateEvalMask = func(gid netlist.GateID, _ uint64, mask uint64) {
 		g.evalCnt[parts[gid]].Add(mask)
 	}

@@ -29,8 +29,6 @@ type ChaosConfig struct {
 	StallEvery int
 	// StallFor is the stall duration (default 2ms).
 	StallFor time.Duration
-	// Pump is the background delivery poll period (default 50µs).
-	Pump time.Duration
 	// Obs, when enabled, makes the transport emit one trace instant per
 	// link stall window and publish held-message/stall counters on the
 	// comm track. Nil disables (the default).
@@ -43,9 +41,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.StallFor <= 0 {
 		c.StallFor = 2 * time.Millisecond
-	}
-	if c.Pump <= 0 {
-		c.Pump = 50 * time.Microsecond
 	}
 	return c
 }
@@ -148,6 +143,9 @@ func (c *chaosTransport) Send(src, dst int, msg Message) {
 	c.mu.Unlock()
 }
 
+// chaosPump is the background delivery poll period.
+const chaosPump = 50 * time.Microsecond
+
 // pump releases due messages. Links are swept in an order reshuffled from
 // a seeded stream each round, so simultaneous releases on different links
 // interleave adversarially rather than in creation order.
@@ -158,7 +156,7 @@ func (c *chaosTransport) pump() {
 		select {
 		case <-c.stop:
 			return
-		case <-time.After(c.cfg.Pump):
+		case <-time.After(chaosPump):
 		}
 		c.flush(time.Now(), shuf)
 	}

@@ -98,7 +98,7 @@ func (c *Context) AblationInitial(k int, b float64) (*stats.Table, error) {
 	}
 	cons := partition.NewConstraint(h, k, b)
 	refine := func(a *hypergraph.Assignment) {
-		fm.Over(h, a, cons.Feasible(h)).RefineAllPairs(0)
+		fm.Over(h, a, cons.Feasible(h)).RefineAllPairs()
 	}
 
 	t := stats.NewTable("init", "cut before", "cut after", "balanced")
@@ -141,11 +141,11 @@ func (c *Context) ActivityWeightStudy(k int, b float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	wPoint, err := c.evalParts(res.GateParts, k, c.PresimCycles)
+	wRes, err := c.model(res.GateParts, k, c.PresimCycles, false)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf(
 		"k=%d b=%g: gate-count weights: cut=%d speedup=%.2f; activity weights: cut=%d speedup=%.2f",
-		k, b, plain.Cut, plain.Speedup, res.Cut, wPoint.Speedup), nil
+		k, b, plain.Cut, plain.Speedup, res.Cut, wRes.Speedup), nil
 }

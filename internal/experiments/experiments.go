@@ -54,13 +54,6 @@ type Context struct {
 	// Obs, when non-nil, traces partitioner phases and grid points
 	// (cmd/experiments -trace / -metrics).
 	Obs *obs.Observer
-	// Packed selects the cluster-model engine (see clustersim.PackedMode):
-	// the zero value and PackedOn run the 64-wide bit-parallel generator —
-	// grid points at PresimCycles share one recorded wave bank, full-length
-	// runs use private banks so their memory stays bounded by the replay
-	// window — PackedOff forces the scalar reference path. The tables are
-	// bit-identical either way.
-	Packed clustersim.PackedMode
 
 	mu    sync.Mutex // guards parts (rows touch disjoint keys, the map races)
 	parts map[partKey]*partRec
@@ -311,22 +304,7 @@ func (c *Context) evalPoint(k int, b float64, cycles uint64) (*GridPoint, error)
 	}
 	partWall := time.Since(t0)
 	t1 := time.Now()
-	scfg := clustersim.Config{
-		NL: c.ED.Netlist, GateParts: rec.gateParts, K: k,
-		Vectors: sim.RandomVectors{Seed: c.Seed}, Cycles: cycles, Costs: c.Costs,
-		Packed: c.Packed,
-	}
-	if c.Packed != clustersim.PackedOff && cycles == c.PresimCycles {
-		// Grid points all replay the same PresimCycles stream: share one
-		// bank. Other lengths (FullRuns) run once each and keep a private,
-		// replay-trimmed bank instead of pinning 100k+ cycles of waves.
-		bank, err := c.presimWaveBank()
-		if err != nil {
-			return nil, err
-		}
-		scfg.Waves = bank
-	}
-	res, err := clustersim.Run(scfg)
+	res, err := c.model(rec.gateParts, k, cycles, false)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +426,6 @@ func (c *Context) HeuristicStudy() (string, error) {
 	cfg := &presim.Config{
 		Design: c.ED, Ks: c.Ks, Bs: c.Bs,
 		Cycles: c.PresimCycles / 4, Seed: c.Seed, Costs: c.Costs,
-		Packed: c.Packed,
 	}
 	points, bruteBest, err := presim.BruteForce(cfg)
 	if err != nil {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/clustersim"
 	"repro/internal/gen"
+	"repro/internal/sim"
 )
 
 // smallContext builds a context over a small workload so the whole grid
@@ -224,5 +227,61 @@ func TestPresimGridParallelDeterminism(t *testing.T) {
 		if *p != *q {
 			t.Errorf("grid point %d differs: %+v vs %+v", i, p, q)
 		}
+	}
+}
+
+// TestPackedGridBitIdentical is the experiments layer of the
+// scalar-vs-packed differential: every grid point, modeled by replaying
+// the context's shared wave bank, and every full run, modeled over a
+// private bank, equals the scalar reference generator run on the same
+// partition.
+func TestPackedGridBitIdentical(t *testing.T) {
+	ctx := smallContext(t)
+	points, err := ctx.PresimGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, series, err := ctx.FullRuns(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := func(k int, b float64, cycles uint64) *clustersim.Result {
+		parts, err := ctx.PartitionParts(k, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := clustersim.Run(clustersim.Config{
+			NL: ctx.ED.Netlist, GateParts: parts, K: k,
+			Vectors: sim.RandomVectors{Seed: ctx.Seed}, Cycles: cycles, Costs: ctx.Costs,
+			Packed: clustersim.PackedOff,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, p := range points {
+		res := scalar(p.K, p.B, ctx.PresimCycles)
+		want := GridPoint{
+			K: p.K, B: p.B, Cut: p.Cut,
+			SimTime: res.ParTime, SeqTime: res.SeqTime, Speedup: res.Speedup,
+			Messages: res.Messages, Rollbacks: res.Rollbacks,
+			CritPath: res.CritPath, BoundSpeedup: res.BoundSpeedup,
+		}
+		if *p != want {
+			t.Errorf("grid point diverges:\nshared bank: %+v\nscalar:      %+v", *p, want)
+		}
+	}
+	var want []float64
+	best := BestPerK(points)
+	for _, k := range ctx.Ks {
+		res := scalar(k, best[k].B, ctx.FullCycles)
+		if want == nil {
+			want = append(want, res.SeqTime)
+		}
+		want = append(want, res.ParTime)
+	}
+	if !reflect.DeepEqual(series, want) {
+		t.Errorf("full-run series diverge:\nprivate banks: %v\nscalar:        %v", series, want)
 	}
 }

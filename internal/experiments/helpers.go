@@ -31,26 +31,23 @@ func profileActivity(c *Context, cycles uint64) ([]int, error) {
 	return w, nil
 }
 
-// evalParts models a run over an explicit gate partition.
-func (c *Context) evalParts(gateParts []int32, k int, cycles uint64) (*GridPoint, error) {
+// model runs the cluster model over an explicit gate partition. Runs of
+// PresimCycles (the grid's points and the studies beside them) replay the
+// one wave bank the context records for that stream; other lengths
+// (FullRuns) run once each and keep a private, replay-trimmed bank
+// instead of pinning 100k+ cycles of waves.
+func (c *Context) model(gateParts []int32, k int, cycles uint64, synchronous bool) (*clustersim.Result, error) {
 	scfg := clustersim.Config{
 		NL: c.ED.Netlist, GateParts: gateParts, K: k,
 		Vectors: sim.RandomVectors{Seed: c.Seed}, Cycles: cycles, Costs: c.Costs,
-		Packed: c.Packed,
+		Synchronous: synchronous,
 	}
-	if c.Packed != clustersim.PackedOff && cycles == c.PresimCycles {
+	if cycles == c.PresimCycles {
 		bank, err := c.presimWaveBank()
 		if err != nil {
 			return nil, err
 		}
 		scfg.Waves = bank
 	}
-	res, err := clustersim.Run(scfg)
-	if err != nil {
-		return nil, err
-	}
-	return &GridPoint{
-		K: k, SimTime: res.ParTime, SeqTime: res.SeqTime, Speedup: res.Speedup,
-		Messages: res.Messages, Rollbacks: res.Rollbacks,
-	}, nil
+	return clustersim.Run(scfg)
 }

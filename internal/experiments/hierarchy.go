@@ -65,19 +65,7 @@ func (c *Context) SyncVsOptimistic(points []*GridPoint) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		scfg := clustersim.Config{
-			NL: c.ED.Netlist, GateParts: rec.gateParts, K: p.K,
-			Vectors: sim.RandomVectors{Seed: c.Seed}, Cycles: c.PresimCycles,
-			Costs: c.Costs, Synchronous: true, Packed: c.Packed,
-		}
-		if c.Packed != clustersim.PackedOff {
-			bank, err := c.presimWaveBank()
-			if err != nil {
-				return nil, err
-			}
-			scfg.Waves = bank
-		}
-		syn, err := clustersim.Run(scfg)
+		syn, err := c.model(rec.gateParts, p.K, c.PresimCycles, true)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +100,7 @@ func (c *Context) ClusteringStudy(k int, b float64) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clusterPoint, err := c.evalParts(mlRes.GateParts, k, c.PresimCycles)
+	clusterRes, err := c.model(mlRes.GateParts, k, c.PresimCycles, false)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +111,8 @@ func (c *Context) ClusteringStudy(k int, b float64) (*stats.Table, error) {
 	t := stats.NewTable("granularity", "cut", "messages", "speedup")
 	t.AddRow("design hierarchy (modules)", ddPoint.Cut, ddPoint.Messages,
 		fmt.Sprintf("%.2f", ddPoint.Speedup))
-	t.AddRow("bottom-up clusters (flat)", mlRes.Cut, clusterPoint.Messages,
-		fmt.Sprintf("%.2f", clusterPoint.Speedup))
+	t.AddRow("bottom-up clusters (flat)", mlRes.Cut, clusterRes.Messages,
+		fmt.Sprintf("%.2f", clusterRes.Speedup))
 	return t, nil
 }
 

@@ -52,16 +52,16 @@ func (r *Refiner) ProbePair(p, q int32) int {
 	return gain
 }
 
-// RefineAllPairs sweeps RefinePair over every pair of blocks in
-// ascending (p, q) order until a full sweep yields no gain (at most 8
-// sweeps).
-func (r *Refiner) RefineAllPairs(maxPasses int) {
+// RefineAllPairs sweeps RefinePair (at its default pass bound) over every
+// pair of blocks in ascending (p, q) order until a full sweep yields no
+// gain (at most 8 sweeps).
+func (r *Refiner) RefineAllPairs() {
 	k := int32(r.gc.k)
 	for sweep := 0; sweep < 8; sweep++ {
 		gain := 0
 		for p := int32(0); p < k; p++ {
 			for q := p + 1; q < k; q++ {
-				gain += r.RefinePair(p, q, maxPasses).GainTotal
+				gain += r.RefinePair(p, q, 0).GainTotal
 			}
 		}
 		if gain == 0 {

@@ -36,8 +36,6 @@ type Options struct {
 	// Seed controls the initial-partition randomness (coarsening is
 	// deterministic).
 	Seed int64
-	// MaxPasses bounds FM passes per refinement round (0 → default).
-	MaxPasses int
 	// Restarts runs the initial partitioning this many times at the
 	// coarsest level and keeps the best (≤ 0 → 8).
 	Restarts int
@@ -131,7 +129,7 @@ func refineLevels(up *ascent, opts Options) []obs.Arg {
 	refined := 0
 	for up.next(nil) {
 		if opts.RefineAbove == 0 || up.d.NumActive() <= opts.RefineAbove {
-			up.ref.RefineAllPairs(opts.MaxPasses)
+			up.ref.RefineAllPairs()
 			refined++
 		}
 	}
@@ -238,7 +236,7 @@ func initialPartition(h *hypergraph.H, opts Options, rng *rand.Rand) *hypergraph
 		}
 	}
 	cons := partition.NewConstraint(h, k, opts.B)
-	fm.Over(h, a, cons.Feasible(h)).RefineAllPairs(opts.MaxPasses)
+	fm.Over(h, a, cons.Feasible(h)).RefineAllPairs()
 	return a
 }
 

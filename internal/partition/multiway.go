@@ -27,10 +27,6 @@ type Options struct {
 	Strategy PairingStrategy
 	// Seed drives the random pairing strategy.
 	Seed int64
-	// MaxPasses bounds FM passes per pairing round (0 → default).
-	MaxPasses int
-	// MaxFlattens bounds super-gate flattening steps (0 → unlimited).
-	MaxFlattens int
 	// DisableFlattening turns off the flattening step (used by the
 	// ablation study); balance may then be unachievable.
 	DisableFlattening bool
@@ -273,7 +269,7 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 		p, q, ok := pr.next(h, a, ref)
 		if ok {
 			// Phase 2: iterative movement between the paired partitions.
-			r := ref.RefinePair(p, q, opts.MaxPasses)
+			r := ref.RefinePair(p, q, 0)
 			if r.GainTotal > 0 {
 				pr.markFresh(p, q)
 			}
@@ -292,7 +288,7 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 			pr.resetStale()
 			continue
 		}
-		if opts.DisableFlattening || (opts.MaxFlattens > 0 && res.Flattened >= opts.MaxFlattens) {
+		if opts.DisableFlattening {
 			break
 		}
 		target := flattenTarget(h, a, ref.Cache().Loads(), cons)

@@ -142,7 +142,7 @@ func bisect(h *hypergraph.H, ref *fm.Refiner, lo int32, n int, opts Options, rng
 		return after < before
 	}
 	ref.SetFeasible(feasible)
-	ref.RefinePair(lo, hi, opts.MaxPasses)
+	ref.RefinePair(lo, hi, 0)
 
 	if err := bisect(h, ref, lo, n1, opts, rng); err != nil {
 		return err

@@ -24,11 +24,15 @@ import (
 	"repro/internal/obs/profile"
 )
 
-// checkGrid refuses a grid with no point in it: neither search has a best
+// checkGrid refuses a grid with no point in it, and a pre-simulation of
+// no cycles, whose every point models nothing: neither search has a best
 // point to return.
 func (cfg *Config) checkGrid() error {
 	if len(cfg.Ks) == 0 || len(cfg.Bs) == 0 {
 		return fmt.Errorf("presim: empty candidate sets")
+	}
+	if cfg.Cycles == 0 {
+		return fmt.Errorf("presim: a pre-simulation of 0 cycles")
 	}
 	return nil
 }
@@ -110,7 +114,8 @@ func BruteForce(cfg *Config) (points []*Point, best *Point, err error) {
 // Heuristic is the paper's fig. 3 search: for each k from the maximum
 // down, sweep b upward from the smallest candidate and stop as soon as
 // the speedup first *drops* below the row's running maximum (a plateau of
-// equal speedups keeps going); track the best point seen. It visits far
+// equal speedups keeps going); track the best point seen, ties broken as
+// BruteForce breaks them (smaller k, then smaller b). It visits far
 // fewer combinations than the brute force at the risk of a local minimum,
 // which the paper acknowledges. With more than one worker the next points
 // of each row are evaluated speculatively; visited and best are identical
@@ -132,7 +137,7 @@ func Heuristic(cfg *Config) (best *Point, visited []*Point, err error) {
 		}
 		for _, p := range row {
 			visited = append(visited, p)
-			if best == nil || p.Speedup > best.Speedup {
+			if best == nil || betterPoint(p, best) {
 				best = p
 			}
 		}

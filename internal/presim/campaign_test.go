@@ -14,7 +14,7 @@ import (
 // from the given (k, b) table — no partitioning or simulation — so search
 // semantics can be pinned exactly.
 func fakeConfig(ks []int, bs []float64, speedup map[[2]float64]float64) *Config {
-	cfg := &Config{Ks: ks, Bs: bs}
+	cfg := &Config{Ks: ks, Bs: bs, Cycles: 1}
 	cfg.evalFn = func(ctx context.Context, k int, b float64) (*Point, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -89,6 +89,46 @@ func TestBruteForceTieBreak(t *testing.T) {
 			if best.K != 2 || best.B != 5 {
 				t.Errorf("ks=%v bs=%v: best = (k=%d, b=%g), want (2, 5)",
 					order, bs, best.K, best.B)
+			}
+		}
+	}
+}
+
+// TestHeuristicTieBreak: the heuristic breaks ties as BruteForce does
+// (smaller k, then smaller b). It walks k downward, so keeping the first
+// point at the best speedup picked the largest k.
+func TestHeuristicTieBreak(t *testing.T) {
+	speedup := map[[2]float64]float64{}
+	for _, k := range []int{2, 3, 4} {
+		for _, b := range []float64{5, 10} {
+			speedup[[2]float64{float64(k), b}] = 1.5 // all tied
+		}
+	}
+	for _, tc := range []struct {
+		ks    []int
+		bs    []float64
+		wantK int
+		wantB float64
+	}{
+		{[]int{2, 3, 4}, []float64{5, 10}, 2, 5},
+		{[]int{4, 3, 2}, []float64{10, 5}, 2, 5},
+		{[]int{3, 4}, []float64{5, 10}, 3, 5},
+		{[]int{4}, []float64{10, 5}, 4, 5},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := fakeConfig(tc.ks, tc.bs, speedup)
+			cfg.Workers = workers
+			best, _, err := Heuristic(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, bruteBest, err := BruteForce(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best.K != tc.wantK || best.B != tc.wantB || best.K != bruteBest.K || best.B != bruteBest.B {
+				t.Errorf("ks=%v bs=%v workers=%d: heuristic best (k=%d, b=%g), brute force (k=%d, b=%g), want (%d, %g)",
+					tc.ks, tc.bs, workers, best.K, best.B, bruteBest.K, bruteBest.B, tc.wantK, tc.wantB)
 			}
 		}
 	}

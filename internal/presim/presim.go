@@ -55,26 +55,20 @@ type Config struct {
 	// (k, b) point (with partition/simulation wall split) and forwards
 	// itself to the partitioner for phase spans. Nil disables.
 	Obs *obs.Observer
-	// Packed selects the cluster-model trace generator: the zero value
-	// (clustersim.PackedAuto) and PackedOn use the 64-wide bit-parallel
-	// engine, sharing one recorded wave bank across every (k, b) point of
-	// the campaign; PackedOff forces the scalar reference path. Points are
-	// bit-identical either way (differentially tested).
-	Packed clustersim.PackedMode
 
 	// evalFn substitutes the evaluator in tests (nil → real pipeline).
 	evalFn func(ctx context.Context, k int, b float64) (*Point, error)
 
-	// waves is the campaign-shared wave bank, built lazily on the first
-	// packed evaluation. The bank is partition-independent (it depends
-	// only on the netlist and the vector stream), so one scalar recording
-	// pass serves every point.
+	// waves is the campaign-shared wave bank the cluster model replays,
+	// built lazily on the first evaluation. The bank is
+	// partition-independent (it depends only on the netlist and the vector
+	// stream), so one recording pass serves every point.
 	wavesOnce sync.Once
 	waves     *sim.WaveBank
 	wavesErr  error
 }
 
-// waveBank lazily builds the shared wave bank for packed campaigns.
+// waveBank lazily builds the campaign's shared wave bank.
 func (cfg *Config) waveBank() (*sim.WaveBank, error) {
 	cfg.wavesOnce.Do(func() {
 		cfg.waves, cfg.wavesErr = sim.NewWaveBank(
@@ -163,23 +157,19 @@ func evaluateCtx(ctx context.Context, cfg *Config, k int, b float64) (*Point, er
 		return nil, err
 	}
 	t1 := time.Now()
-	scfg := clustersim.Config{
+	bank, err := cfg.waveBank()
+	if err != nil {
+		return nil, err
+	}
+	res, err := clustersim.Run(clustersim.Config{
 		NL:        cfg.Design.Netlist,
 		GateParts: pr.GateParts,
 		K:         k,
 		Vectors:   sim.RandomVectors{Seed: cfg.Seed},
 		Cycles:    cfg.Cycles,
 		Costs:     cfg.Costs,
-		Packed:    cfg.Packed,
-	}
-	if cfg.Packed != clustersim.PackedOff {
-		bank, err := cfg.waveBank()
-		if err != nil {
-			return nil, err
-		}
-		scfg.Waves = bank
-	}
-	res, err := clustersim.Run(scfg)
+		Waves:     bank,
+	})
 	if err != nil {
 		return nil, err
 	}

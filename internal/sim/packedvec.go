@@ -1,6 +1,6 @@
-// Lane-word plumbing for the 64-wide packed simulator (packed.go): bit ↔
-// word packing helpers, word-parallel per-lane counters, and the WaveBank
-// that records a run as replayable 64-cycle waves.
+// Lane-word plumbing for the 64-wide packed simulator (packed.go): lane
+// masks, word-parallel per-lane counters, and the WaveBank that records a
+// run as replayable 64-cycle waves.
 package sim
 
 import (
@@ -22,17 +22,6 @@ func LaneMask(n int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(n) - 1
-}
-
-// LaneBit reports bit `lane` of a lane-word.
-func LaneBit(w uint64, lane int) bool { return w>>uint(lane)&1 == 1 }
-
-// broadcastWord returns the lane-word with every lane set to v.
-func broadcastWord(v bool) uint64 {
-	if v {
-		return ^uint64(0)
-	}
-	return 0
 }
 
 // LaneCounter is a word-parallel counter: 64 independent tallies, one per
