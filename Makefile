@@ -24,7 +24,7 @@ BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn
 PARENT ?=
 BENCH_PAIRS ?= 10
 BENCH_PAIRS_WORKLOADS ?= soc_tw_aligned,viterbi_tw_rollback,soc_dist_split,partition_campaign:3
-BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,timewarp.rollbacks,timewarp.anti_messages,timewarp.mean_batch,timewarp.max_straggler_depth,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,verilog.parse_s,elab.elaborate_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,multilevel.flat_s,multilevel.nlevel_s,multilevel.flat_cut,multilevel.nlevel_cut,harness.pipeline_wall_s
+BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,timewarp.rollbacks,timewarp.anti_messages,timewarp.mean_batch,timewarp.max_straggler_depth,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,verilog.parse_s,elab.elaborate_s,hypergraph.build_flat_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,multilevel.flat_s,multilevel.nlevel_s,multilevel.flat_cut,multilevel.nlevel_cut,harness.pipeline_wall_s
 
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316

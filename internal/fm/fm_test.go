@@ -13,22 +13,15 @@ import (
 // buildChain makes a hypergraph that is a simple chain of n unit-weight
 // vertices: v0-v1, v1-v2, ... Each edge has two pins.
 func buildChain(n int) *hypergraph.H {
-	h := &hypergraph.H{}
+	var vs []hypergraph.Vertex
+	var es []hypergraph.Edge
 	for i := 0; i < n; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{
-			ID: hypergraph.VertexID(i), Name: "v", Weight: 1, Gate: -1,
-		})
-		h.TotalWeight++
+		vs = append(vs, hypergraph.Vertex{Name: "v", Weight: 1, Gate: -1})
 	}
 	for i := 0; i+1 < n; i++ {
-		e := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{
-			ID: e, Pins: []hypergraph.VertexID{hypergraph.VertexID(i), hypergraph.VertexID(i + 1)}, Weight: 1,
-		})
-		h.Vertices[i].Edges = append(h.Vertices[i].Edges, e)
-		h.Vertices[i+1].Edges = append(h.Vertices[i+1].Edges, e)
+		es = append(es, hypergraph.Edge{Pins: []hypergraph.VertexID{hypergraph.VertexID(i), hypergraph.VertexID(i + 1)}, Weight: 1})
 	}
-	return h
+	return hypergraph.New(vs, es)
 }
 
 func TestRefinePairChainAlternating(t *testing.T) {
@@ -171,24 +164,18 @@ func TestBucketListBasics(t *testing.T) {
 // dominate refinement decisions: e1 = {0,1} weight 10, e2 = {1,2} weight 1,
 // e3 = {2,3} weight 1.
 func buildWeighted() *hypergraph.H {
-	h := &hypergraph.H{}
-	for i := 0; i < 4; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{
-			ID: hypergraph.VertexID(i), Weight: 1, Gate: -1,
-		})
-		h.TotalWeight++
+	vs := make([]hypergraph.Vertex, 4)
+	for i := range vs {
+		vs[i] = hypergraph.Vertex{Weight: 1, Gate: -1}
 	}
+	var es []hypergraph.Edge
 	add := func(w int, pins ...hypergraph.VertexID) {
-		id := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: w})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: w})
 	}
 	add(10, 0, 1)
 	add(1, 1, 2)
 	add(1, 2, 3)
-	return h
+	return hypergraph.New(vs, es)
 }
 
 func TestRefinePairHonorsEdgeWeights(t *testing.T) {
@@ -215,14 +202,11 @@ func TestRefinePairHonorsEdgeWeights(t *testing.T) {
 func TestRefinePairWeightedNeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 30; trial++ {
-		h := &hypergraph.H{}
+		var vs []hypergraph.Vertex
+		var es []hypergraph.Edge
 		n := 6 + rng.Intn(10)
 		for i := 0; i < n; i++ {
-			w := 1 + rng.Intn(5)
-			h.Vertices = append(h.Vertices, hypergraph.Vertex{
-				ID: hypergraph.VertexID(i), Weight: w, Gate: -1,
-			})
-			h.TotalWeight += w
+			vs = append(vs, hypergraph.Vertex{Weight: 1 + rng.Intn(5), Gate: -1})
 		}
 		edges := 5 + rng.Intn(15)
 		for e := 0; e < edges; e++ {
@@ -235,12 +219,9 @@ func TestRefinePairWeightedNeverWorsens(t *testing.T) {
 				pins = append(pins, p)
 			}
 			sort.Slice(pins, func(i, j int) bool { return pins[i] < pins[j] })
-			id := hypergraph.EdgeID(len(h.Edges))
-			h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: 1 + rng.Intn(4)})
-			for _, p := range pins {
-				h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-			}
+			es = append(es, hypergraph.Edge{Pins: pins, Weight: 1 + rng.Intn(4)})
 		}
+		h := hypergraph.New(vs, es)
 		a := hypergraph.NewAssignment(h, 2)
 		for i := range a.Parts {
 			a.Parts[i] = int32(rng.Intn(2))
@@ -272,18 +253,15 @@ func TestRefinePairWeightedNeverWorsens(t *testing.T) {
 // border rule the plateau rule (keep zero-gain moves) carried 4, and then
 // the whole of {0,1}, to block 0 and reported gain 0.
 func TestLocalSearchLeavesInteriorVerticesAlone(t *testing.T) {
-	h := &hypergraph.H{}
-	for i := 0; i < 5; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1, Gate: -1})
-		h.TotalWeight++
+	vs := make([]hypergraph.Vertex, 5)
+	for i := range vs {
+		vs[i] = hypergraph.Vertex{Weight: 1, Gate: -1}
 	}
+	var es []hypergraph.Edge
 	for _, pins := range [][]hypergraph.VertexID{{0, 1}, {2, 3}, {4}} {
-		id := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: 1})
 	}
+	h := hypergraph.New(vs, es)
 	a := &hypergraph.Assignment{K: 2, Parts: []int32{1, 1, 0, 0, 1}}
 	r := Over(h, a, nil)
 	for _, seed := range []hypergraph.VertexID{4, 0} {

@@ -50,18 +50,17 @@ func addRandomSeeds(f *testing.F, seed int64) {
 // previous one's pins) — the shapes coarsening produces and circuit nets
 // never do.
 func fuzzHypergraph(s *byteSource) *hypergraph.H {
-	h := &hypergraph.H{}
 	nv := 2 + s.next()%14
-	for i := 0; i < nv; i++ {
-		w := 1 + s.next()%4
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: w, Gate: -1})
-		h.TotalWeight += w
+	vs := make([]hypergraph.Vertex, nv)
+	for i := range vs {
+		vs[i] = hypergraph.Vertex{Weight: 1 + s.next()%4, Gate: -1}
 	}
+	var es []hypergraph.Edge
 	ne := s.next() % 24
 	for e := 0; e < ne; e++ {
 		var pins []hypergraph.VertexID
 		if e > 0 && s.next()%5 == 0 {
-			pins = slices.Clone(h.Edges[e-1].Pins)
+			pins = slices.Clone(es[e-1].Pins)
 		} else {
 			for n := 1 + s.next()%5; len(pins) < n && len(pins) < nv; {
 				// Probe linearly past pins already drawn, so a dry source
@@ -73,13 +72,9 @@ func fuzzHypergraph(s *byteSource) *hypergraph.H {
 				pins = append(pins, p)
 			}
 		}
-		id := hypergraph.EdgeID(e)
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: id, Pins: pins, Weight: 1 + s.next()%3})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: 1 + s.next()%3})
 	}
-	return h
+	return hypergraph.New(vs, es)
 }
 
 // weightedCut recounts the cut from nothing but pins and parts.

@@ -8,11 +8,11 @@ import (
 )
 
 func randomDynH(rng *rand.Rand, nv, ne, maxPins int) *hypergraph.H {
-	h := &hypergraph.H{}
-	for i := 0; i < nv; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1 + rng.Intn(3)})
-		h.TotalWeight += h.Vertices[i].Weight
+	vs := make([]hypergraph.Vertex, nv)
+	for i := range vs {
+		vs[i] = hypergraph.Vertex{Weight: 1 + rng.Intn(3)}
 	}
+	var es []hypergraph.Edge
 	for e := 0; e < ne; e++ {
 		n := 2 + rng.Intn(maxPins-1)
 		if n > nv {
@@ -23,12 +23,9 @@ func randomDynH(rng *rand.Rand, nv, ne, maxPins int) *hypergraph.H {
 		for i, p := range perm {
 			pins[i] = hypergraph.VertexID(p)
 		}
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: hypergraph.EdgeID(e), Pins: pins, Weight: 1 + rng.Intn(3)})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, hypergraph.EdgeID(e))
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: 1 + rng.Intn(3)})
 	}
-	return h
+	return hypergraph.New(vs, es)
 }
 
 // TestGainCacheMatchesRecompute is the ISSUE's property test: after random
@@ -100,11 +97,7 @@ func TestGainCacheMatchesRecompute(t *testing.T) {
 func TestGainCacheBestMoveTieBreak(t *testing.T) {
 	// Isolated vertex: every target has gain 0 — must pick block 0's
 	// successor deterministically.
-	h := &hypergraph.H{}
-	for i := 0; i < 2; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1})
-		h.TotalWeight++
-	}
+	h := hypergraph.New([]hypergraph.Vertex{{Weight: 1}, {Weight: 1}}, nil)
 	d := hypergraph.NewDyn(h)
 	gc := NewGainCache(d, 4)
 	gc.Reset([]int32{1, 1})
@@ -124,17 +117,11 @@ func TestGainCacheBestMoveTieBreak(t *testing.T) {
 func TestKWayLocalSearchImproves(t *testing.T) {
 	// Star: vertex 0 connected to 1,2,3 by three 2-pin edges; 0 in block
 	// 1, everything else in block 0. Moving 0 to block 0 gains 3.
-	h := &hypergraph.H{}
-	for i := 0; i < 4; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 1})
-		h.TotalWeight++
-	}
+	var es []hypergraph.Edge
 	for i := 1; i <= 3; i++ {
-		e := hypergraph.EdgeID(i - 1)
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: e, Pins: []hypergraph.VertexID{0, hypergraph.VertexID(i)}, Weight: 1})
-		h.Vertices[0].Edges = append(h.Vertices[0].Edges, e)
-		h.Vertices[i].Edges = append(h.Vertices[i].Edges, e)
+		es = append(es, hypergraph.Edge{Pins: []hypergraph.VertexID{0, hypergraph.VertexID(i)}, Weight: 1})
 	}
+	h := hypergraph.New([]hypergraph.Vertex{{Weight: 1}, {Weight: 1}, {Weight: 1}, {Weight: 1}}, es)
 	d := hypergraph.NewDyn(h)
 	gc := NewGainCache(d, 2)
 	gc.Reset([]int32{1, 0, 0, 0})

@@ -16,6 +16,9 @@ import (
 type Builder struct {
 	D      *elab.Design
 	opened []bool // by instance ID
+	// silent[n] marks a net that is constant or a clock: it carries no
+	// events, so no view has a hyperedge for it. Fixed per design.
+	silent []bool
 	// GateWeights optionally overrides the unit load of each netlist gate
 	// (indexed by GateID). The paper's future-work extension weighs gates
 	// by simulation activity instead of counting them equally; presim
@@ -27,8 +30,15 @@ type Builder struct {
 // paper's design-driven view: top-level gates plus one super-gate per
 // top-level module instance.
 func NewBuilder(d *elab.Design) *Builder {
-	b := &Builder{D: d, opened: make([]bool, len(d.Instances))}
+	nl := d.Netlist
+	b := &Builder{D: d, opened: make([]bool, len(d.Instances)), silent: make([]bool, len(nl.Nets))}
 	b.opened[d.Top.ID] = true
+	for ni := range nl.Nets {
+		// Constant nets never carry events; clock nets are broadcast as the
+		// synchronous cycle tick, not as events. Neither represents
+		// partition communication.
+		b.silent[ni] = nl.Nets[ni].Const >= 0 || nl.IsClockNet(netlist.NetID(ni))
+	}
 	return b
 }
 
@@ -88,97 +98,102 @@ func (b *Builder) Build() (*H, error) {
 		}
 	}
 
-	h := &H{GateVertex: make([]VertexID, len(nl.Gates))}
-	instVertex := make([]VertexID, len(d.Instances))
-	for i := range instVertex {
-		instVertex[i] = NoVertex
-	}
-
-	gw := func(g netlist.GateID) int {
-		if b.GateWeights == nil {
-			return 1
-		}
-		if w := b.GateWeights[g]; w > 0 {
-			return w
-		}
-		return 1
-	}
-
-	// Super-gate vertices, in instance order for determinism.
+	// Vertices: super-gates in instance order, then ordinary gates (those
+	// whose owner is fully open) in gate order.
+	nv := 0
 	for _, inst := range d.Instances {
 		if rep[inst.ID] == inst.ID {
-			id := VertexID(len(h.Vertices))
-			h.Vertices = append(h.Vertices, Vertex{
-				ID: id, Name: inst.Path, Inst: inst, Gate: -1,
-			})
-			instVertex[inst.ID] = id
+			nv++
 		}
 	}
-	// Ordinary-gate vertices: gates whose owner is fully open.
+	for gi := range nl.Gates {
+		if rep[nl.Gates[gi].Owner] == -1 {
+			nv++
+		}
+	}
+	vertices := make([]Vertex, 0, nv)
+	gateVertex := make([]VertexID, len(nl.Gates))
+	instVertex := make([]VertexID, len(d.Instances))
+	for _, inst := range d.Instances {
+		if rep[inst.ID] == inst.ID {
+			instVertex[inst.ID] = VertexID(len(vertices))
+			vertices = append(vertices, Vertex{Name: inst.Path, Inst: inst, Gate: -1})
+		}
+	}
 	for gi := range nl.Gates {
 		g := &nl.Gates[gi]
-		r := rep[g.Owner]
-		if r == -1 {
-			id := VertexID(len(h.Vertices))
-			h.Vertices = append(h.Vertices, Vertex{
-				ID: id, Name: g.Path, Weight: gw(g.ID), Inst: nil, Gate: g.ID,
-			})
-			h.GateVertex[gi] = id
+		w := 1
+		if b.GateWeights != nil && b.GateWeights[gi] > 0 {
+			w = b.GateWeights[gi]
+		}
+		if r := rep[g.Owner]; r == -1 {
+			gateVertex[gi] = VertexID(len(vertices))
+			vertices = append(vertices, Vertex{Name: g.Path, Weight: w, Gate: g.ID})
 		} else {
-			h.GateVertex[gi] = instVertex[r]
-			h.Vertices[instVertex[r]].Weight += gw(g.ID)
+			gateVertex[gi] = instVertex[r]
+			vertices[instVertex[r]].Weight += w
 		}
 	}
 	// Empty wrapper instances still occupy a vertex of weight 1.
-	for vi := range h.Vertices {
-		if h.Vertices[vi].Weight == 0 {
-			h.Vertices[vi].Weight = 1
+	for vi := range vertices {
+		if vertices[vi].Weight == 0 {
+			vertices[vi].Weight = 1
 		}
-	}
-	for vi := range h.Vertices {
-		h.TotalWeight += h.Vertices[vi].Weight
 	}
 
-	// Hyperedges: one per net touching ≥ 2 distinct vertices.
-	mark := make([]EdgeID, len(h.Vertices))
-	for i := range mark {
-		mark[i] = -1
-	}
+	// Hyperedges: one per net touching ≥ 2 distinct vertices, pins in
+	// driver-then-sink order. Pass 1 counts each net's distinct vertices
+	// (stamp ni+1), pass 2 writes them into one array (stamp -(ni+1), so
+	// the stamps need no reset) and rewinds a net that kept fewer than 2.
+	// One spare slot holds such a net's lone pin after the last kept net.
+	stamp := make([]int32, nv)
+	nEdges, nPins := 0, 0
 	for ni := range nl.Nets {
-		net := &nl.Nets[ni]
-		if net.Const >= 0 {
-			// Constant nets never carry events, so they represent no
-			// communication and are excluded from the hypergraph.
+		if b.silent[ni] {
 			continue
 		}
-		if nl.IsClockNet(netlist.NetID(ni)) {
-			// Clock nets are broadcast as the synchronous cycle tick, not
-			// as events, so they carry no partition communication either.
+		net, s, n := &nl.Nets[ni], int32(ni+1), int32(0)
+		if net.Driver != netlist.NoGate {
+			stamp[gateVertex[net.Driver]] = s
+			n++
+		}
+		for _, g := range net.Sinks {
+			if v := gateVertex[g]; stamp[v] != s {
+				stamp[v] = s
+				n++
+			}
+		}
+		if n >= 2 {
+			nEdges++
+			nPins += int(n)
+		}
+	}
+	edges := make([]Edge, 0, nEdges)
+	pins := make([]VertexID, 0, nPins+1)
+	for ni := range nl.Nets {
+		if b.silent[ni] {
 			continue
 		}
-		var pins []VertexID
-		addPin := func(g netlist.GateID) {
-			v := h.GateVertex[g]
-			if mark[v] != EdgeID(ni) {
-				mark[v] = EdgeID(ni)
+		net, s, lo := &nl.Nets[ni], -int32(ni+1), len(pins)
+		if net.Driver != netlist.NoGate {
+			v := gateVertex[net.Driver]
+			stamp[v] = s
+			pins = append(pins, v)
+		}
+		for _, g := range net.Sinks {
+			if v := gateVertex[g]; stamp[v] != s {
+				stamp[v] = s
 				pins = append(pins, v)
 			}
 		}
-		if net.Driver != netlist.NoGate {
-			addPin(net.Driver)
-		}
-		for _, s := range net.Sinks {
-			addPin(s)
-		}
-		if len(pins) < 2 {
+		if len(pins)-lo < 2 {
+			pins = pins[:lo]
 			continue
 		}
-		id := EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, Edge{ID: id, Net: netlist.NetID(ni), Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, id)
-		}
+		edges = append(edges, Edge{Net: netlist.NetID(ni), Pins: pins[lo:len(pins):len(pins)], Weight: 1})
 	}
+	h := New(vertices, edges)
+	h.GateVertex = gateVertex
 	return h, nil
 }
 

@@ -8,11 +8,11 @@ import (
 // randomH builds a random hypergraph with nv vertices and ne edges of
 // 2..maxPins distinct pins each.
 func randomH(rng *rand.Rand, nv, ne, maxPins int) *H {
-	h := &H{}
-	for i := 0; i < nv; i++ {
-		h.Vertices = append(h.Vertices, Vertex{ID: VertexID(i), Weight: 1 + rng.Intn(3)})
-		h.TotalWeight += h.Vertices[i].Weight
+	vs := make([]Vertex, nv)
+	for i := range vs {
+		vs[i] = Vertex{Weight: 1 + rng.Intn(3)}
 	}
+	var es []Edge
 	for e := 0; e < ne; e++ {
 		n := 2 + rng.Intn(maxPins-1)
 		if n > nv {
@@ -23,12 +23,9 @@ func randomH(rng *rand.Rand, nv, ne, maxPins int) *H {
 		for i, p := range perm {
 			pins[i] = VertexID(p)
 		}
-		h.Edges = append(h.Edges, Edge{ID: EdgeID(e), Pins: pins, Weight: 1 + rng.Intn(2)})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, EdgeID(e))
-		}
+		es = append(es, Edge{Pins: pins, Weight: 1 + rng.Intn(2)})
 	}
-	return h
+	return New(vs, es)
 }
 
 // snapshot captures the observable state of d for later comparison.
@@ -203,22 +200,12 @@ func TestDynCutMatchesStatic(t *testing.T) {
 // TestDynParallelEdgeAndSingleton exercises edges collapsing to size 1
 // and parallel edges staying separate.
 func TestDynParallelEdgeAndSingleton(t *testing.T) {
-	h := &H{}
-	for i := 0; i < 3; i++ {
-		h.Vertices = append(h.Vertices, Vertex{ID: VertexID(i), Weight: 1})
-		h.TotalWeight++
-	}
 	// Two parallel edges {0,1} and one edge {0,1,2}.
-	addEdge := func(pins ...VertexID) {
-		e := EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, Edge{ID: e, Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, e)
-		}
-	}
-	addEdge(0, 1)
-	addEdge(0, 1)
-	addEdge(0, 1, 2)
+	h := New([]Vertex{{Weight: 1}, {Weight: 1}, {Weight: 1}}, []Edge{
+		{Pins: []VertexID{0, 1}, Weight: 1},
+		{Pins: []VertexID{0, 1}, Weight: 1},
+		{Pins: []VertexID{0, 1, 2}, Weight: 1},
+	})
 
 	d := NewDyn(h)
 	d.Contract(0, 1)

@@ -33,8 +33,11 @@ type Vertex struct {
 	// Inst is non-nil for a super-gate (a closed module instance).
 	Inst *elab.Instance
 	// Gate is the netlist gate for an ordinary-gate vertex (Inst == nil).
-	Gate  netlist.GateID
-	Edges []EdgeID // incident hyperedges
+	Gate netlist.GateID
+	// Edges lists the incident hyperedges in ascending order. It is a
+	// read-only view into storage shared by every vertex of the
+	// hypergraph: never append to it or write through it.
+	Edges []EdgeID
 }
 
 // IsSuper reports whether the vertex is a super-gate.
@@ -42,10 +45,13 @@ func (v *Vertex) IsSuper() bool { return v.Inst != nil }
 
 // Edge is a hyperedge (a net spanning ≥ 2 vertices).
 type Edge struct {
-	ID     EdgeID
-	Net    netlist.NetID
-	Pins   []VertexID // distinct vertices on the net
-	Weight int        // unit for all nets in this repository
+	ID  EdgeID
+	Net netlist.NetID
+	// Pins lists the distinct vertices on the net. It is a read-only view
+	// into storage shared by every edge of the hypergraph: never append to
+	// it or write through it.
+	Pins   []VertexID
+	Weight int // unit for all nets in this repository
 }
 
 // H is the hypergraph.
@@ -56,8 +62,44 @@ type H struct {
 	// (its own vertex, or the enclosing super-gate). It lets partition
 	// assignments survive flattening.
 	GateVertex []VertexID
-	// TotalWeight is the sum of vertex weights == total gate count.
+	// TotalWeight is the sum of vertex weights: the gate count (or the
+	// gate weights' sum) plus one for every closed instance that contains
+	// no gate, since such a vertex still weighs 1.
 	TotalWeight int
+}
+
+// New returns the hypergraph over vertices and edges, keeping both
+// slices and every edge's Pins. It numbers the vertices and edges, sums
+// TotalWeight, and lays every vertex's Edges, in edge order, out as a
+// capacity-capped view of one shared array. Each edge's Pins must be
+// distinct, in-range vertices. GateVertex is left to the caller.
+func New(vertices []Vertex, edges []Edge) *H {
+	h := &H{Vertices: vertices, Edges: edges}
+	// off[v+1] counts v's incidences; the prefix sum makes off[v] the
+	// start of v's run in inc, which appends then fill within its cap.
+	off := make([]int32, len(vertices)+1)
+	for ei := range edges {
+		edges[ei].ID = EdgeID(ei)
+		for _, p := range edges[ei].Pins {
+			off[p+1]++
+		}
+	}
+	for vi := range vertices {
+		vertices[vi].ID = VertexID(vi)
+		h.TotalWeight += vertices[vi].Weight
+		off[vi+1] += off[vi]
+	}
+	inc := make([]EdgeID, off[len(vertices)])
+	for vi := range vertices {
+		lo, hi := off[vi], off[vi+1]
+		vertices[vi].Edges = inc[lo:lo:hi]
+	}
+	for ei := range edges {
+		for _, p := range edges[ei].Pins {
+			vertices[p].Edges = append(vertices[p].Edges, EdgeID(ei))
+		}
+	}
+	return h
 }
 
 // NumVertices returns the vertex count.
@@ -97,6 +139,7 @@ func (h *H) Validate() error {
 	if w != h.TotalWeight {
 		return fmt.Errorf("hypergraph: total weight %d != sum of vertex weights %d", h.TotalWeight, w)
 	}
+	seen := make([]int32, len(h.Vertices)) // ei+1 once edge ei listed the vertex
 	for ei := range h.Edges {
 		e := &h.Edges[ei]
 		if e.ID != EdgeID(ei) {
@@ -105,15 +148,14 @@ func (h *H) Validate() error {
 		if len(e.Pins) < 2 {
 			return fmt.Errorf("hypergraph: edge %d has %d pins", ei, len(e.Pins))
 		}
-		seen := map[VertexID]bool{}
 		for _, p := range e.Pins {
-			if int(p) >= len(h.Vertices) {
+			if p < 0 || int(p) >= len(h.Vertices) {
 				return fmt.Errorf("hypergraph: edge %d pin %d out of range", ei, p)
 			}
-			if seen[p] {
+			if seen[p] == int32(ei+1) {
 				return fmt.Errorf("hypergraph: edge %d has duplicate pin %d", ei, p)
 			}
-			seen[p] = true
+			seen[p] = int32(ei + 1)
 		}
 	}
 	return nil

@@ -120,17 +120,13 @@ func TestPartitionDeterministicPerSeed(t *testing.T) {
 // baseline's private copy of the window rounded that to [170, 229] and
 // would have called the split unbalanced — and refused to move into it.
 func TestBalancedJudgedByFormula1Window(t *testing.T) {
-	h := &hypergraph.H{}
-	for i := 0; i < 40; i++ {
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: hypergraph.VertexID(i), Weight: 10, Gate: -1})
-		h.TotalWeight += 10
+	vs := make([]hypergraph.Vertex, 40)
+	for i := range vs {
+		vs[i] = hypergraph.Vertex{Weight: 10, Gate: -1}
 	}
+	var es []hypergraph.Edge
 	edge := func(pins ...hypergraph.VertexID) {
-		e := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: e, Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, e)
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: 1})
 	}
 	cluster := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -142,6 +138,7 @@ func TestBalancedJudgedByFormula1Window(t *testing.T) {
 	cluster(0, 23)  // weight 230
 	cluster(23, 40) // weight 170
 	edge(22, 23)
+	h := hypergraph.New(vs, es)
 
 	window := partition.NewConstraint(h, 2, 7.5)
 	if lo, hi := window.Bounds(); lo != 170 || hi != 230 {

@@ -332,40 +332,53 @@ func parallelChunks(n, workers int, f func(w, lo, hi int)) {
 // the mapping from compact vertex index back to finest VertexID.
 func compactActive(d *hypergraph.Dyn, skip []bool) (*hypergraph.H, []hypergraph.VertexID) {
 	toCompact := make([]int32, d.NumVertices())
-	for i := range toCompact {
-		toCompact[i] = -1
-	}
-	var cvert []hypergraph.VertexID
-	ch := &hypergraph.H{}
-	for vi := 0; vi < d.NumVertices(); vi++ {
+	nv := 0
+	for vi := range toCompact {
 		v := hypergraph.VertexID(vi)
-		if !d.Active(v) || skip[v] {
-			continue
+		toCompact[vi] = -1
+		if d.Active(v) && !skip[v] {
+			toCompact[vi] = int32(nv)
+			nv++
 		}
-		toCompact[v] = int32(len(cvert))
-		ch.Vertices = append(ch.Vertices, hypergraph.Vertex{
-			ID:     hypergraph.VertexID(len(cvert)),
-			Weight: d.Weight(v),
-		})
-		ch.TotalWeight += d.Weight(v)
-		cvert = append(cvert, v)
 	}
+	vertices := make([]hypergraph.Vertex, 0, nv)
+	cvert := make([]hypergraph.VertexID, 0, nv)
+	for vi, c := range toCompact {
+		if c >= 0 {
+			vertices = append(vertices, hypergraph.Vertex{Weight: d.Weight(hypergraph.VertexID(vi))})
+			cvert = append(cvert, hypergraph.VertexID(vi))
+		}
+	}
+	// Count, then fill: an edge survives with ≥ 2 compacted pins. One spare
+	// slot holds the lone pin of a dropped edge that follows the last kept
+	// one, until it is rewound.
+	nEdges, nPins := 0, 0
 	for ei := 0; ei < d.NumEdges(); ei++ {
-		e := hypergraph.EdgeID(ei)
-		var pins []hypergraph.VertexID
+		n := 0
+		for _, p := range d.Pins(hypergraph.EdgeID(ei)) {
+			if toCompact[p] >= 0 {
+				n++
+			}
+		}
+		if n >= 2 {
+			nEdges++
+			nPins += n
+		}
+	}
+	edges := make([]hypergraph.Edge, 0, nEdges)
+	pins := make([]hypergraph.VertexID, 0, nPins+1)
+	for ei := 0; ei < d.NumEdges(); ei++ {
+		e, lo := hypergraph.EdgeID(ei), len(pins)
 		for _, p := range d.Pins(e) {
 			if toCompact[p] >= 0 {
 				pins = append(pins, hypergraph.VertexID(toCompact[p]))
 			}
 		}
-		if len(pins) < 2 {
+		if len(pins)-lo < 2 {
+			pins = pins[:lo]
 			continue
 		}
-		ce := hypergraph.EdgeID(len(ch.Edges))
-		ch.Edges = append(ch.Edges, hypergraph.Edge{ID: ce, Pins: pins, Weight: d.EdgeWeight(e)})
-		for _, p := range pins {
-			ch.Vertices[p].Edges = append(ch.Vertices[p].Edges, ce)
-		}
+		edges = append(edges, hypergraph.Edge{Pins: pins[lo:len(pins):len(pins)], Weight: d.EdgeWeight(e)})
 	}
-	return ch, cvert
+	return hypergraph.New(vertices, edges), cvert
 }

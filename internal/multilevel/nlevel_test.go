@@ -182,29 +182,25 @@ func TestNLevelSmokeGrid(t *testing.T) {
 func TestPartitionNOversizedSolo(t *testing.T) {
 	// 1 giant (weight 500) + 60 unit vertices in a ring, k=4, b=10:
 	// window over 560 is [84, 196] → the giant is oversized.
-	h := &hypergraph.H{}
+	var vs []hypergraph.Vertex
+	var es []hypergraph.Edge
 	add := func(w int) hypergraph.VertexID {
-		v := hypergraph.VertexID(len(h.Vertices))
-		h.Vertices = append(h.Vertices, hypergraph.Vertex{ID: v, Weight: w})
-		h.TotalWeight += w
-		return v
+		vs = append(vs, hypergraph.Vertex{Weight: w})
+		return hypergraph.VertexID(len(vs) - 1)
 	}
 	giant := add(500)
 	for i := 0; i < 60; i++ {
 		add(1)
 	}
 	edge := func(pins ...hypergraph.VertexID) {
-		e := hypergraph.EdgeID(len(h.Edges))
-		h.Edges = append(h.Edges, hypergraph.Edge{ID: e, Pins: pins, Weight: 1})
-		for _, p := range pins {
-			h.Vertices[p].Edges = append(h.Vertices[p].Edges, e)
-		}
+		es = append(es, hypergraph.Edge{Pins: pins, Weight: 1})
 	}
 	for i := 1; i <= 60; i++ {
 		next := i%60 + 1
 		edge(hypergraph.VertexID(i), hypergraph.VertexID(next))
 	}
 	edge(giant, 1) // tie the giant to the ring
+	h := hypergraph.New(vs, es)
 
 	res, err := PartitionN(h, Options{K: 4, B: 10, Seed: 1})
 	if err != nil {

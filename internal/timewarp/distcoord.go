@@ -167,8 +167,10 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("timewarp: coordinator listen: %w", err)
 	}
 	// Contiguous balanced blocks: cluster c belongs to worker c·W/K, so
-	// partitioner-adjacent clusters co-locate and every worker gets
-	// ⌊K/W⌋ or ⌈K/W⌉ clusters.
+	// every worker gets ⌊K/W⌋ or ⌈K/W⌉ clusters. Block numbers say nothing
+	// about which clusters share nets, so this neither co-locates the
+	// clusters that talk nor balances gates: on soc_dist_split every cut
+	// net joins a cluster on one worker to a cluster on the other.
 	placement := make([]int32, cfg.Spec.K)
 	for c := range placement {
 		placement[c] = int32(c * cfg.Workers / cfg.Spec.K)
