@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is what CI runs: build + tier-1
-# tests, vet, and the race detector over the concurrent packages, so the
-# campaign engine's parallelism stays race-free. `make fuzz` runs the
-# short differential-fuzzing tier (see internal/fuzz); bump FUZZ_RUNS for
-# a longer campaign. `make trace-demo` produces soc.trace.json — a Chrome
+# tests (the allocation guards among them: testing.AllocsPerRun with an
+# absolute bound beside the code each one holds), vet, and the race
+# detector over the concurrent packages, so the campaign engine's
+# parallelism stays race-free. `make fuzz` runs the short
+# differential-fuzzing tier (see internal/fuzz); bump FUZZ_RUNS for a
+# longer campaign. `make trace-demo` produces soc.trace.json — a Chrome
 # trace (chrome://tracing / Perfetto) of a chaotic Time Warp run on the
 # 2-channel SoC workload (DESIGN.md §11). `make monitor-demo` runs the
 # same workload with the embedded monitoring server (-serve) and scrapes
@@ -15,9 +17,6 @@ TRACE_CYCLES ?= 2000
 MONITOR_PORT ?= 8315
 MONITOR_HOLD ?= 10s
 
-BENCH_COUNT ?= 5
-BENCH_PATTERN ?= TimeWarpKernel|TimeWarpObsOff|TimeWarpObsOn|TimeWarpCausalityOn|ClusterForward
-
 # bench-pairs: the parent revision to compare against (required), pairs
 # per workload (name:n overrides it for one workload) and the per-layer
 # metrics the traced pair prints.
@@ -29,7 +28,7 @@ BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.ev
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
 
-.PHONY: check build test vet race bench bench-pairs pipeline-smoke scale-smoke experiments-smoke bench-record bench-record-packed bench-record-dist bench-record-part perf-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
+.PHONY: check build test vet race bench bench-pairs pipeline-smoke scale-smoke experiments-smoke partition-quality fuzz trace-demo monitor-demo dist-smoke dist-postmortem
 
 check: build test vet race
 
@@ -244,68 +243,6 @@ experiments-smoke:
 # seconds; tier-1 skips the test (SCALE unset).
 scale-smoke:
 	SCALE=1 $(GO) test -run TestScaleSmoke -count=1 -v .
-
-# Re-record the committed perf baseline: the kernel/obs benchmark set and
-# the forward-path benchmark with -count=$(BENCH_COUNT), aggregated into
-# BENCH_5.json (name → mean ns/op, B/op, allocs/op).
-# Commit the file so future PRs have a trajectory; the perf-smoke CI job
-# gates allocs/op against it.
-bench-record:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . \
-		| tee bench-record.txt \
-		| $(GO) run ./cmd/benchrec -out BENCH_5.json
-
-# Re-record the packed-vs-scalar pre-simulation pair (BENCH_7.json): the
-# soc@k4 cluster model run scalar and through the 64-wide bit-parallel
-# engine. The recorded ratio is the documented packed speedup; perf-smoke
-# gates its allocs/op like the kernel set.
-bench-record-packed:
-	$(GO) test -run '^$$' -bench 'PresimScalar|PresimPacked' -benchmem -count=$(BENCH_COUNT) . \
-		| tee bench-record-packed.txt \
-		| $(GO) run ./cmd/benchrec -out BENCH_7.json
-
-# Re-record the distributed-federation pair (BENCH_8.json): a full
-# 2-worker distributed run with observability off and with full metrics +
-# trace federation on. The Off/On delta is the documented federation
-# overhead; perf-smoke gates the pair's allocs/op like the kernel set.
-bench-record-dist:
-	$(GO) test -run '^$$' -bench 'DistFederationObsOff|DistFederationObsOn' -benchmem -count=$(BENCH_COUNT) . \
-		| tee bench-record-dist.txt \
-		| $(GO) run ./cmd/benchrec -out BENCH_8.json
-
-# Re-record the partitioner set (BENCH_10.json): the multilevel skeleton
-# under its level policy (the flat baseline) and its n-level policy
-# (single-worker and 4-worker) on soc@k=8. The recorded cut metric is the
-# documented comparison of the two policies; perf-smoke gates the set's
-# allocs/op like the kernel set.
-bench-record-part:
-	$(GO) test -run '^$$' -bench 'PartitionFlatSoc|PartitionNLevelSoc' -benchmem -count=$(BENCH_COUNT) . \
-		| tee bench-record-part.txt \
-		| $(GO) run ./cmd/benchrec -out BENCH_10.json
-
-# The CI allocs/op gate: fresh benchmark runs compared against the
-# committed baseline. Fails on >10% allocs/op regression and on any
-# run/baseline benchmark-set mismatch (benchrec refuses to silently skip
-# an added, renamed or deleted benchmark); wall time is advisory only
-# (shared runners are too noisy to gate on). The pattern must keep
-# matching exactly the benchmark set recorded in BENCH_5.json.
-perf-smoke:
-	$(GO) test -run '^$$' \
-		-bench '$(BENCH_PATTERN)' \
-		-benchmem -count=3 . \
-		| $(GO) run ./cmd/benchrec -check BENCH_5.json -max-allocs-regress 10
-	$(GO) test -run '^$$' \
-		-bench 'PresimScalar|PresimPacked' \
-		-benchmem -count=3 . \
-		| $(GO) run ./cmd/benchrec -check BENCH_7.json -max-allocs-regress 10
-	$(GO) test -run '^$$' \
-		-bench 'DistFederationObsOff|DistFederationObsOn' \
-		-benchmem -count=3 . \
-		| $(GO) run ./cmd/benchrec -check BENCH_8.json -max-allocs-regress 10
-	$(GO) test -run '^$$' \
-		-bench 'PartitionFlatSoc|PartitionNLevelSoc' \
-		-benchmem -count=3 . \
-		| $(GO) run ./cmd/benchrec -check BENCH_10.json -max-allocs-regress 10
 
 # The CI partition-quality gate: on all four canonical workloads at
 # k ∈ {2,4,8} with a fixed seed the flat baseline's cut must not exceed

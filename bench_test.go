@@ -339,8 +339,8 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 // two-channel SoC split k=2 along its channels (cut 0), so no message is
 // sent and nothing rolls back — what is timed is processCycle walking the
 // cluster program; neither cluster can be rolled back, so neither saves
-// state. ns/event is wall time over gate evaluations executed; allocs/op is
-// gated in perf-smoke.
+// state. ns/event is wall time over gate evaluations executed;
+// TestRunAllocs' forward row (internal/timewarp) bounds its allocations.
 func BenchmarkClusterForward(b *testing.B) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {
@@ -560,125 +560,39 @@ func BenchmarkMultiwayRestartsParallel(b *testing.B) {
 	benchMultiwayRestarts(b, runtime.GOMAXPROCS(0))
 }
 
-// ---- packed cluster model (DESIGN.md §15) ----------------------------------
+// ---- causality recorder (DESIGN.md §11) ------------------------------------
 
-// benchPresim is the pre-simulation inner loop on the SoC: one modeled
-// cluster run over presimBenchCycles vectors. The scalar and packed
-// variants are the recorded acceptance pair — the packed engine replays a
-// prebuilt wave bank, the regime of a real campaign, where the bank is
-// recorded once and every (k, b) point replays it.
-const presimBenchCycles = 2000
-
-func benchPresim(b *testing.B, mode clustersim.PackedMode, bank *sim.WaveBank) {
-	ed, parts := socK4(b)
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		res, err := clustersim.Run(clustersim.Config{
-			NL: ed.Netlist, GateParts: parts, K: 4,
-			Vectors: sim.RandomVectors{Seed: 1}, Cycles: presimBenchCycles,
-			Packed: mode, Waves: bank,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = res.Speedup
-	}
-	b.ReportMetric(speedup, "modeled-speedup")
-}
-
-func BenchmarkPresimScalar(b *testing.B) {
-	benchPresim(b, clustersim.PackedOff, nil)
-}
-
-func BenchmarkPresimPacked(b *testing.B) {
-	ed, _ := socK4(b)
-	bank, err := sim.NewWaveBank(ed.Netlist, sim.RandomVectors{Seed: 1}, presimBenchCycles)
+// BenchmarkTimeWarpCausalityOn runs the kernel on the 2-channel SoC at k=4
+// with the metrics observer and the per-event lineage recorder (vsim
+// -blame) attached, so the cost of turning blame analysis on stays
+// visible. TestRunAllocs (internal/timewarp) bounds its allocations;
+// obs.on_off_ratio in the pipeline benchmark reports the observer's
+// overhead alone.
+func BenchmarkTimeWarpCausalityOn(b *testing.B) {
+	ed, err := gen.ViterbiSoC(gen.SoCConfig{
+		Channels:      2,
+		Viterbi:       gen.ViterbiConfig{K: 4, W: 4, TB: 8},
+		ScramblerBits: 12,
+		CRCBits:       8,
+	}).Elaborate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Force the bank's one-time scalar recording pass out of the timed
-	// region by touching every wave once.
-	for i := 0; i < bank.NumWaves(); i++ {
-		if _, err := bank.Wave(i); err != nil {
-			b.Fatal(err)
-		}
+	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1, Restarts: 2})
+	if err != nil {
+		b.Fatal(err)
 	}
-	benchPresim(b, clustersim.PackedOn, bank)
-}
-
-// ---- observability overhead guard (DESIGN.md §11) --------------------------
-
-var (
-	socOnce  sync.Once
-	socED    *elab.Design
-	socParts []int32
-)
-
-// socK4 is the overhead-guard workload: the 2-channel SoC partitioned
-// 4 ways, the configuration the observability budget is stated against.
-func socK4(b *testing.B) (*elab.Design, []int32) {
-	b.Helper()
-	socOnce.Do(func() {
-		c := gen.ViterbiSoC(gen.SoCConfig{
-			Channels:      2,
-			Viterbi:       gen.ViterbiConfig{K: 4, W: 4, TB: 8},
-			ScramblerBits: 12,
-			CRCBits:       8,
-		})
-		ed, err := c.Elaborate()
-		if err != nil {
-			panic(err)
-		}
-		res, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1, Restarts: 2})
-		if err != nil {
-			panic(err)
-		}
-		socED, socParts = ed, res.GateParts
-	})
-	return socED, socParts
-}
-
-func benchObsTimeWarp(b *testing.B, instrumented, causality bool) {
-	ed, parts := socK4(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := timewarp.Config{
-			NL: ed.Netlist, GateParts: parts, K: 4,
+		if _, err := timewarp.Run(timewarp.Config{
+			NL: ed.Netlist, GateParts: pr.GateParts, K: 4,
 			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 100,
-		}
-		if instrumented {
-			cfg.Obs = obs.New(obs.Options{})
-		}
-		if causality {
-			cfg.Causality = causalitypkg.New()
-		}
-		if _, err := timewarp.Run(cfg); err != nil {
+			Obs: obs.New(obs.Options{}), Causality: causalitypkg.New(),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkTimeWarpObsOff / BenchmarkTimeWarpObsOn are the documented
-// overhead budget of the observability layer on soc@k=4:
-//
-//   - Obs off (nil observer): within run-to-run noise of the
-//     pre-instrumentation kernel — every instrumentation site is a single
-//     nil-check, and the hot per-gate counter batches into one atomic add
-//     per cycle;
-//   - Obs on: ≤ 5% over the off configuration — counters are atomics read
-//     by sampled closures, spans hit only the rollback/GVT/fossil paths,
-//     and the tracer is a fixed-size ring.
-//
-// Compare with: go test -bench 'TimeWarpObs' -count 10 . | benchstat.
-//
-// BenchmarkTimeWarpCausalityOn additionally attaches the per-event
-// lineage recorder (vsim -blame). It sits outside the 5% budget — the
-// budget is stated with causality OFF — but is tracked here so the cost
-// of turning blame analysis on stays visible and bounded.
-func BenchmarkTimeWarpObsOff(b *testing.B)      { benchObsTimeWarp(b, false, false) }
-func BenchmarkTimeWarpObsOn(b *testing.B)       { benchObsTimeWarp(b, true, false) }
-func BenchmarkTimeWarpCausalityOn(b *testing.B) { benchObsTimeWarp(b, true, true) }
 
 // ---- distributed federation overhead (DESIGN.md §16) ------------------------
 
@@ -687,8 +601,8 @@ func BenchmarkTimeWarpCausalityOn(b *testing.B) { benchObsTimeWarp(b, true, true
 // round protocol, result merge. The instrumented variant additionally
 // federates every worker's registry snapshot and trace-ring tail to the
 // coordinator on each round — the delta between the pair is the whole
-// price of cluster-wide observability, and the Off side is gated in
-// perf-smoke against BENCH_8.json.
+// price of cluster-wide observability. TestDistRunAllocs (internal/timewarp)
+// bounds the pair's allocations.
 func benchDistFederation(b *testing.B, instrumented bool) {
 	ed := workload(b)
 	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1})
@@ -741,67 +655,3 @@ func benchDistFederation(b *testing.B, instrumented bool) {
 
 func BenchmarkDistFederationObsOff(b *testing.B) { benchDistFederation(b, false) }
 func BenchmarkDistFederationObsOn(b *testing.B)  { benchDistFederation(b, true) }
-
-// ---- partitioner: the multilevel skeleton's two policies on the SoC --------
-
-var (
-	socHOnce sync.Once
-	socH     *hypergraph.H
-)
-
-// socFlatH is the partitioner benchmark workload: the 2-channel SoC
-// flattened into a gate-level hypergraph (same fixture the quality and
-// determinism gates use).
-func socFlatH(b *testing.B) *hypergraph.H {
-	b.Helper()
-	ed, _ := socK4(b)
-	socHOnce.Do(func() {
-		h, err := hypergraph.BuildFlat(ed)
-		if err != nil {
-			panic(err)
-		}
-		socH = h
-	})
-	return socH
-}
-
-// BenchmarkPartitionFlatSoc / BenchmarkPartitionNLevelSoc record the
-// multilevel skeleton's two refinement policies on soc@k=8 — same
-// coarsening, same initial partition, so the difference in cut and time is
-// the policy's (the flat cut is gated by TestFlatCutNoWorseThanLevelCopy
-// and the partition-quality CI job). Allocs/op are gated by perf-smoke
-// against BENCH_10.json. The Workers4 variant exists to keep the parallel
-// path's allocation behavior visible; its assignment is bit-identical to
-// the single-worker run.
-func BenchmarkPartitionFlatSoc(b *testing.B) {
-	h := socFlatH(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cut int
-	for i := 0; i < b.N; i++ {
-		res, err := multilevel.Partition(h, multilevel.Options{K: 8, B: 10, Seed: 1, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cut = res.Cut
-	}
-	b.ReportMetric(float64(cut), "cut")
-}
-
-func benchPartitionNLevelSoc(b *testing.B, workers int) {
-	h := socFlatH(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cut int
-	for i := 0; i < b.N; i++ {
-		res, err := multilevel.PartitionN(h, multilevel.Options{K: 8, B: 10, Seed: 1, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cut = res.Cut
-	}
-	b.ReportMetric(float64(cut), "cut")
-}
-
-func BenchmarkPartitionNLevelSoc(b *testing.B)         { benchPartitionNLevelSoc(b, 1) }
-func BenchmarkPartitionNLevelSocWorkers4(b *testing.B) { benchPartitionNLevelSoc(b, 4) }

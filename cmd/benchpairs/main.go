@@ -16,7 +16,9 @@
 //	            change better than every run of the parent
 //
 // `make bench-pairs PARENT=<rev>` builds the parent checkout and calls it;
-// the output is what the BENCH_<n>.txt evidence files hold.
+// the output is what the BENCH_<n>.txt evidence files hold. Fewer than one
+// pair, or a workload or per-layer metric BENCHMARK.json does not name,
+// exits with status 2 and one line on stderr before any run.
 //
 //	benchpairs -parent /tmp/parent -change . -pairs 10 \
 //	    -workloads soc_tw_aligned,viterbi_tw_rollback -layers timewarp.run_s,sim.run_s
@@ -25,6 +27,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +35,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,10 +45,19 @@ import (
 type spec struct {
 	Command    []string `json:"command"`
 	RunSeconds int      `json:"run_seconds"`
-	Workloads  []struct {
-		Name string `json:"name"`
-	} `json:"workloads"`
-	EndToEnd []metric `json:"end_to_end"`
+	Workloads  []named  `json:"workloads"`
+	EndToEnd   []metric `json:"end_to_end"`
+	PerLayer   []named  `json:"per_layer"`
+}
+
+// named is an entry of a BENCHMARK.json list of which only the name is read.
+type named struct {
+	Name string `json:"name"`
+}
+
+// has reports whether list holds an entry called name.
+func has(list []named, name string) bool {
+	return slices.ContainsFunc(list, func(e named) bool { return e.Name == name })
 }
 
 type metric struct {
@@ -62,6 +75,9 @@ type outcome struct {
 	} `json:"metrics"`
 }
 
+// usageError is a rejection made before any run; it exits with status 2.
+type usageError struct{ error }
+
 func main() {
 	parent := flag.String("parent", "", "checkout of the parent commit (required)")
 	change := flag.String("change", ".", "checkout of the change")
@@ -69,24 +85,29 @@ func main() {
 	workloads := flag.String("workloads", "", "comma-separated workload[:pairs] list (default: every workload of BENCHMARK.json)")
 	layers := flag.String("layers", "", "comma-separated per-layer metrics: one extra traced pair per workload at seed 1 prints them side by side")
 	flag.Parse()
-	if *parent == "" {
-		fmt.Fprintln(os.Stderr, "benchpairs: -parent is required")
-		os.Exit(2)
-	}
 	if err := run(os.Stdout, *parent, *change, *pairs, *workloads, *layers); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(w io.Writer, parent, change string, pairs int, workloads, layers string) error {
+	if parent == "" {
+		return usageError{errors.New("-parent is required")}
+	}
 	buf, err := os.ReadFile(filepath.Join(change, "BENCHMARK.json"))
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	var sp spec
 	if err := json.Unmarshal(buf, &sp); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
+		return usageError{fmt.Errorf("BENCHMARK.json: %w", err)}
+	}
+	if pairs < 1 {
+		return usageError{fmt.Errorf("-pairs %d: want at least 1", pairs)}
 	}
 	if workloads == "" {
 		var names []string
@@ -95,20 +116,41 @@ func run(w io.Writer, parent, change string, pairs int, workloads, layers string
 		}
 		workloads = strings.Join(names, ",")
 	}
+	type job struct {
+		name  string
+		pairs int
+	}
+	var jobs []job
+	for _, item := range strings.Split(workloads, ",") {
+		j := job{item, pairs}
+		if name, n, ok := strings.Cut(item, ":"); ok {
+			j.name = name
+			if j.pairs, err = strconv.Atoi(n); err != nil || j.pairs < 1 {
+				return usageError{fmt.Errorf("-workloads: %q: the pair count must be an integer of at least 1", item)}
+			}
+		}
+		if !has(sp.Workloads, j.name) {
+			return usageError{fmt.Errorf("-workloads: %q is not a workload of BENCHMARK.json", j.name)}
+		}
+		jobs = append(jobs, j)
+	}
+	var layerNames []string
+	if layers != "" {
+		layerNames = strings.Split(layers, ",")
+	}
+	for _, l := range layerNames {
+		if !has(sp.PerLayer, l) {
+			return usageError{fmt.Errorf("-layers: %q is not a per_layer metric of BENCHMARK.json", l)}
+		}
+	}
 	sides := [2]string{parent, change}
 	label := [2]string{"parent", "change"}
 
 	fmt.Fprintf(w, "%-20s %-18s %5s %12s %12s %8s %8s %8s %5s  %s\n",
 		"workload", "metric", "pairs", "parent med", "change med", "worse%", "parIQR%", "chgIQR%", "wins", "verdict")
 	var raw, traced bytes.Buffer
-	for _, item := range strings.Split(workloads, ",") {
-		name, n := item, pairs
-		if i := strings.IndexByte(item, ':'); i >= 0 {
-			name = item[:i]
-			if n, err = strconv.Atoi(item[i+1:]); err != nil {
-				return fmt.Errorf("workload %q: %w", item, err)
-			}
-		}
+	for _, j := range jobs {
+		name, n := j.name, j.pairs
 		var runs [2][]outcome
 		for seed := 1; seed <= n; seed++ {
 			first := seed % 2 // odd seeds run the change first
@@ -140,14 +182,14 @@ func run(w io.Writer, parent, change string, pairs int, workloads, layers string
 		fmt.Fprintf(w, "%-20s failed checks: parent %d of %d, change %d of %d\n",
 			name, failed[0], attempted[0], failed[1], attempted[1])
 
-		if layers != "" {
+		if layerNames != nil {
 			var o [2]outcome
 			for side := range sides {
 				if o[side], err = drive(sides[side], sp, name, 1, true); err != nil {
 					return fmt.Errorf("%s %s traced: %w", label[side], name, err)
 				}
 			}
-			for _, l := range strings.Split(layers, ",") {
+			for _, l := range layerNames {
 				fmt.Fprintf(&traced, "%-20s %-34s %14.6g %14.6g\n", name, l, o[0].Metrics[l].Value, o[1].Metrics[l].Value)
 			}
 		}

@@ -132,3 +132,38 @@ func TestPackedSharedWaveBank(t *testing.T) {
 		t.Fatal("foreign-netlist bank accepted")
 	}
 }
+
+// TestPackedRunAllocs holds one packed run over a prebuilt wave bank — the
+// regime of a campaign, where every (k, b) point replays one bank — on the
+// SoC at k=4 for 2,000 cycles to at most 53,000 allocations (48,456 when
+// the bound was set; the count does not depend on scheduling).
+func TestPackedRunAllocs(t *testing.T) {
+	ed := packedWorkloads(t)["soc"]
+	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1, Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 2000
+	bank, err := sim.NewWaveBank(ed.Netlist, sim.RandomVectors{Seed: 1}, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record every wave outside the counted run.
+	for i := 0; i < bank.NumWaves(); i++ {
+		if _, err := bank.Wave(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(Config{
+			NL: ed.Netlist, GateParts: pr.GateParts, K: 4,
+			Vectors: sim.RandomVectors{Seed: 1}, Cycles: cycles, Waves: bank,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations a run", allocs)
+	if allocs > 53000 {
+		t.Errorf("packed run (SoC, K=4, %d cycles): %.0f allocations, want at most 53,000", cycles, allocs)
+	}
+}

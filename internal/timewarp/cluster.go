@@ -329,7 +329,6 @@ func (c *cluster) publish() {
 // the cluster has to roll back to its time, like for a positive straggler.
 func (c *cluster) absorbOne(e event, st *absorbState) error {
 	if e.Anti {
-		dbg("c%d RECV- src=%d seq=%d T=%d", c.id, e.Src, e.Seq, e.T)
 		i, ok := slices.BinarySearchFunc(c.inq, e, cmpEvent)
 		if !ok {
 			return fmt.Errorf("timewarp: cluster %d: anti-message for unknown event (src %d seq %d)",
@@ -341,7 +340,6 @@ func (c *cluster) absorbOne(e event, st *absorbState) error {
 		}
 		c.next--
 	} else {
-		dbg("c%d RECV+ src=%d seq=%d T=%d (lvt=%d)", c.id, e.Src, e.Seq, e.T, st.lvt)
 		if n := len(c.inq); n == 0 || cmpEvent(c.inq[n-1], e) < 0 {
 			c.inq = append(c.inq, e)
 		} else {
@@ -597,7 +595,6 @@ func (c *cluster) send(t sim.VTime, n netlist.NetID, v bool) {
 		e.Origin = c.blameOrigin
 		c.rec.Sent(c.id, e.Seq, e.Origin)
 	}
-	dbg("c%d SEND+ seq=%d T=%d net=%d val=%v dsts=%v", c.id, e.Seq, e.T, e.Net, e.Val, dsts)
 	if c.undo != nil { // nothing else will ever cancel it
 		c.outputLog = append(c.outputLog, e)
 	}
@@ -623,7 +620,6 @@ func (c *cluster) cancel(e event) {
 		}
 		c.rec.Cancelled(c.id, e.Seq, anti.Origin, len(dsts))
 	}
-	dbg("c%d SEND- seq=%d T=%d", c.id, e.Seq, e.T)
 	for _, dst := range dsts {
 		c.enqueueOut(dst, anti)
 	}
@@ -857,18 +853,9 @@ func (c *cluster) interrupt(cyc, evals uint64) (abandoned bool, err error) {
 	return st.needRoll, err
 }
 
-// Debug enables verbose event logging for kernel diagnosis (tests only).
-var Debug bool
-
 // CheckInvariants makes every cluster verify its log order (checkLogs)
 // after each rollback and each fossil collection, and fail the run when it
 // is broken. The scan is as long as the history, which is the cost the
 // bisections exist to avoid, so only tests turn it on — before the runs it
 // is to cover, never during one.
 var CheckInvariants bool
-
-func dbg(format string, args ...any) {
-	if Debug {
-		fmt.Printf(format+"\n", args...)
-	}
-}
