@@ -92,11 +92,10 @@ dist-smoke:
 	$(GO) build -o vsimd.dist ./cmd/vsimd
 	$(GO) build -o obscheck.dist ./cmd/obscheck
 	./vsim.dist -in soc.v -top soc -cycles $(DIST_CYCLES) -seed 7 > dist-seq.out; \
-	rm -rf dist-profile; \
 	./vsim.dist -in soc.v -top soc -cycles $(DIST_CYCLES) -seed 7 \
 		-mode dist -k 4 -workers 2 \
 		-serve 127.0.0.1:$(DIST_MONITOR_PORT) -serve-hold $(MONITOR_HOLD) \
-		-trace dist.trace.json -metrics dist.metrics.prom -profile-dir dist-profile > dist-coord.out 2>&1 & \
+		-trace dist.trace.json -metrics dist.metrics.prom > dist-coord.out 2>&1 & \
 	pid=$$!; \
 	addr=""; \
 	for i in $$(seq 1 100); do \
@@ -120,10 +119,8 @@ dist-smoke:
 	wait $$pid || { echo "coordinator failed:"; cat dist-coord.out; exit 1; }; \
 	./obscheck.dist -prom dist.metrics.prom -require 'worker="' -trace dist.trace.json \
 		|| { echo "observability artifacts invalid"; exit 1; }; \
-	./obscheck.dist -folded dist-profile/flame.folded \
-		|| { echo "merged phase flame invalid"; exit 1; }; \
-	grep -q 'worker 1;' dist-profile/flame.folded \
-		|| { echo "merged phase flame has no worker 1 stacks"; exit 1; }; \
+	grep -q '"worker 1"' dist.trace.json \
+		|| { echo "merged trace names no worker 1 process"; exit 1; }; \
 	cat dist-seq.out dist-coord.out; \
 	awk '/^timewarp-dist:/ { for (i = 2; i <= NF; i++) { split($$i, kv, "="); v[kv[1]] = kv[2] } \
 		if (v["events"] > 0) printf "dist-smoke: rolled back %d of %d executed evaluations = %.3f (advisory, not gated)\n", \
@@ -138,8 +135,9 @@ dist-smoke:
 # Post-mortem drill: start a distributed run with the flight recorder
 # armed, kill one worker process mid-run (SIGKILL: sockets drop exactly
 # like a machine death), and require the coordinator to abort AND leave a
-# complete post-mortem bundle behind — federated metrics, the merged
-# trace tail (decodable), probe states and the GVT-round history.
+# complete post-mortem bundle behind: exactly the federated metrics, the
+# merged trace tail (decodable, the GVT-round history among its spans),
+# probe states and the coordinator's goroutine dump.
 dist-postmortem:
 	$(GO) run ./cmd/vgen -circuit soc -o soc.v
 	$(GO) build -o vsim.dist ./cmd/vsim
@@ -163,21 +161,17 @@ dist-postmortem:
 	kill -9 $$w1; \
 	if wait $$pid; then echo "coordinator survived a killed worker"; exit 1; fi; \
 	wait $$w0 2>/dev/null; true; \
-	for f in metrics.prom trace.json probes.json rounds.json goroutines.txt flame.folded; do \
+	for f in metrics.prom trace.json probes.json goroutines.txt; do \
 		if [ ! -s dist-postmortem.bundle/$$f ]; then \
 			echo "post-mortem bundle missing $$f"; ls -la dist-postmortem.bundle 2>/dev/null; exit 1; \
 		fi; \
 	done; \
-	for f in worker-0.flame.folded worker-1.flame.folded; do \
-		if [ ! -f dist-postmortem.bundle/$$f ]; then \
-			echo "post-mortem bundle missing $$f"; ls -la dist-postmortem.bundle 2>/dev/null; exit 1; \
-		fi; \
-	done; \
+	extra=$$(ls dist-postmortem.bundle | grep -vxE 'metrics\.prom|trace\.json|probes\.json|goroutines\.txt'); \
+	if [ -n "$$extra" ]; then echo "post-mortem bundle holds more than its four files:" $$extra; exit 1; fi; \
 	./obscheck.dist -prom dist-postmortem.bundle/metrics.prom -trace dist-postmortem.bundle/trace.json \
-		-folded dist-postmortem.bundle/flame.folded \
 		|| { echo "post-mortem artifacts invalid"; exit 1; }; \
 	grep -q '"reason"' dist-postmortem.bundle/probes.json || { echo "probes.json has no abort reason"; exit 1; }; \
-	grep -q '"frozen"' dist-postmortem.bundle/rounds.json || { echo "rounds.json has no GVT rounds"; exit 1; }; \
+	grep -q '"frozen"' dist-postmortem.bundle/trace.json || { echo "trace.json has no GVT rounds"; exit 1; }; \
 	grep -q 'goroutine' dist-postmortem.bundle/goroutines.txt || { echo "goroutines.txt has no goroutines"; exit 1; }; \
 	echo "dist-postmortem: bundle complete and valid after worker kill"
 

@@ -1,21 +1,18 @@
 // Command obscheck validates observability artifacts from the command
 // line — the CI half of the observability plane. It checks a Prometheus
-// text exposition with the same parser the obs test-suite uses,
-// round-trips a Chrome trace through the package's own decoder, and
-// parses a folded-stack flame profile with the strict profile-plane
-// parser, so a scraped /metrics body, an exported (merged) trace file
-// or a flame.folded artifact can be gated in shell scripts without a
-// Prometheus server, a browser or a flamegraph renderer.
+// text exposition with the same parser the obs test-suite uses and
+// round-trips a Chrome trace through the package's own decoder, so a
+// scraped /metrics body or an exported (merged) trace file can be gated
+// in shell scripts without a Prometheus server or a browser.
 //
 // Examples:
 //
 //	curl -fsS http://127.0.0.1:8080/metrics | obscheck -prom -
 //	obscheck -prom metrics.prom -require 'worker="1"'
 //	obscheck -trace cluster.trace.json
-//	obscheck -folded dist-profile/flame.folded
 //
-// Exit status 0 when every requested check passes, 1 otherwise, 2 when
-// no check was requested.
+// Exit status 0 when every requested check passes, 1 otherwise, 2 for a
+// command line that asks for no check or for one that cannot apply.
 package main
 
 import (
@@ -26,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // checks names the artifacts one obscheck invocation validates. Empty
@@ -34,7 +30,6 @@ import (
 type checks struct {
 	Prom    string
 	Trace   string
-	Folded  string
 	Require string
 }
 
@@ -42,21 +37,36 @@ func main() {
 	var (
 		prom    = flag.String("prom", "", "validate this Prometheus text exposition file (\"-\" = stdin)")
 		trace   = flag.String("trace", "", "decode this Chrome trace file (\"-\" = stdin) and report its contents")
-		folded  = flag.String("folded", "", "validate this folded-stack flame profile (\"-\" = stdin): every line must be \"frame;frame... value\"")
 		require = flag.String("require", "", "with -prom: additionally require this substring to appear in the exposition (e.g. a label like worker=\"1\")")
 	)
 	flag.Parse()
-	c := checks{Prom: *prom, Trace: *trace, Folded: *folded, Require: *require}
-	if c.Prom == "" && c.Trace == "" && c.Folded == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to do: pass -prom, -trace and/or -folded")
-		flag.Usage()
+	c := checks{Prom: *prom, Trace: *trace, Require: *require}
+	if err := validateFlags(c, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "obscheck:", err)
 		os.Exit(2)
 	}
 	os.Exit(run(c, os.Stdin, os.Stdout, os.Stderr))
 }
 
+// validateFlags rejects, before any file is read, a command line whose
+// checks would not all be applied: no check at all, a -require with no
+// exposition to search, or arguments no flag reads. Each would otherwise
+// exit 0 having gated nothing.
+func validateFlags(c checks, args []string) error {
+	if c.Prom == "" && c.Trace == "" {
+		return fmt.Errorf("nothing to do: pass -prom and/or -trace")
+	}
+	if c.Require != "" && c.Prom == "" {
+		return fmt.Errorf("-require %q needs -prom: it searches the exposition", c.Require)
+	}
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments %q: obscheck takes flags only", args)
+	}
+	return nil
+}
+
 // run performs the requested checks and returns the process exit code —
-// the whole command minus flag parsing and os.Exit, so the test-suite
+// the whole command minus flag handling and os.Exit, so the test-suite
 // can drive every path in-process.
 func run(c checks, stdin io.Reader, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
@@ -90,18 +100,6 @@ func run(c checks, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "obscheck: trace ok: %d events, %d processes, %d named tracks, %d dropped\n",
 			len(dec.Events), len(dec.ProcessNames), len(dec.ThreadNames), dec.Dropped)
-	}
-
-	if c.Folded != "" {
-		data, err := readInput(c.Folded, stdin)
-		if err != nil {
-			return fail(err)
-		}
-		n, err := profile.ValidateFolded(data)
-		if err != nil {
-			return fail(fmt.Errorf("folded flame invalid: %w", err))
-		}
-		fmt.Fprintf(stdout, "obscheck: folded ok: %d stacks\n", n)
 	}
 	return 0
 }

@@ -97,42 +97,15 @@ func TestRunTraceInvalid(t *testing.T) {
 	}
 }
 
-func TestRunFoldedValid(t *testing.T) {
-	code, out, _ := runCheck(t, checks{
-		Folded: writeFile(t, "f.folded", "worker 0;cluster 0;sim 120\nkernel;watcher 5\n"),
-	})
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if !strings.Contains(out, "folded ok: 2 stacks") {
-		t.Fatalf("stdout %q", out)
-	}
-}
-
-func TestRunFoldedInvalid(t *testing.T) {
-	for _, bad := range []string{
-		"",                   // no stacks at all
-		"no-value-line\n",    // missing the sample value
-		"a;;b 10\n",          // empty frame
-		"stack notanumber\n", // non-integer value
-		"stack -5\n",         // negative value
-	} {
-		code, _, _ := runCheck(t, checks{Folded: writeFile(t, "f.folded", bad)})
-		if code != 1 {
-			t.Fatalf("input %q: exit %d, want 1", bad, code)
-		}
-	}
-}
-
 func TestRunMissingFile(t *testing.T) {
-	if code, _, _ := runCheck(t, checks{Folded: filepath.Join(t.TempDir(), "absent")}); code != 1 {
+	if code, _, _ := runCheck(t, checks{Trace: filepath.Join(t.TempDir(), "absent")}); code != 1 {
 		t.Fatal("missing file must exit 1")
 	}
 }
 
 func TestRunStdin(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(checks{Folded: "-"}, strings.NewReader("root;leaf 7\n"), &out, &errw)
+	code := run(checks{Prom: "-"}, strings.NewReader(validProm), &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 (stderr %q)", code, errw.String())
 	}
@@ -143,13 +116,42 @@ func TestRunStdin(t *testing.T) {
 func TestRunAllChecks(t *testing.T) {
 	prom := writeFile(t, "m.prom", validProm)
 	trace := writeFile(t, "t.json", validTrace(t))
-	folded := writeFile(t, "f.folded", "a;b 1\n")
-	if code, _, _ := runCheck(t, checks{Prom: prom, Trace: trace, Folded: folded}); code != 0 {
+	if code, _, _ := runCheck(t, checks{Prom: prom, Trace: trace, Require: `worker="1"`}); code != 0 {
 		t.Fatal("all-valid invocation must exit 0")
 	}
-	bad := writeFile(t, "bad.folded", "nope\n")
-	if code, _, _ := runCheck(t, checks{Prom: prom, Trace: trace, Folded: bad}); code != 1 {
+	bad := writeFile(t, "bad.json", "nope\n")
+	if code, _, _ := runCheck(t, checks{Prom: prom, Trace: bad}); code != 1 {
 		t.Fatal("one invalid artifact must exit 1")
+	}
+}
+
+// TestValidateFlags: a command line whose checks would not all be applied
+// is a usage error (exit 2 in main), before any file is read — a CI gate
+// must not pass by checking nothing.
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		c    checks
+		args []string
+		want string // substring of the error; "" = accepted
+	}{
+		{"prom", checks{Prom: "m.prom"}, nil, ""},
+		{"trace", checks{Trace: "t.json"}, nil, ""},
+		{"prom with require", checks{Prom: "m.prom", Require: `worker="1"`}, nil, ""},
+		{"both", checks{Prom: "m.prom", Trace: "t.json", Require: "x"}, nil, ""},
+		{"nothing", checks{}, nil, "nothing to do"},
+		{"require alone", checks{Require: "x"}, nil, "nothing to do"},
+		{"require without prom", checks{Trace: "t.json", Require: `worker="1"`}, nil, "needs -prom"},
+		{"stray argument", checks{Trace: "t.json"}, []string{"m.prom"}, `unexpected arguments ["m.prom"]`},
+	}
+	for _, c := range cases {
+		err := validateFlags(c.c, c.args)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/clustersim"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/obs/causality"
-	"repro/internal/obs/profile"
 	"repro/internal/obs/serve"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -69,11 +67,9 @@ func main() {
 		serveHold = flag.Duration("serve-hold", 0, "keep the monitoring server up this long after the run finishes (with -serve; for scripted scrapes and demos)")
 		blame     = flag.Bool("blame", false, "record per-event causality and print the rollback-blame / critical-path report after the run (tw mode)")
 
-		profileDir = flag.String("profile-dir", "", "write the folded phase flame (flame.folded; flamegraph.pl/speedscope-compatible) into this directory after the run, and in dist mode the per-worker flames beside it (tw/dist mode)")
-
 		listen     = flag.String("listen", "127.0.0.1:0", "coordinator control-plane bind address (dist mode); the chosen address is printed for workers to -connect to")
 		workers    = flag.Int("workers", 0, "number of vsimd worker processes to wait for (dist mode, required, 1..k)")
-		postmortem = flag.String("postmortem-dir", "", "write a flight-recorder bundle (merged metrics, merged trace tail, probe states, GVT-round history) into this directory if the run aborts (dist mode)")
+		postmortem = flag.String("postmortem-dir", "", "write a flight-recorder bundle (merged metrics, merged trace tail, probe states, goroutine dump) into this directory if the run aborts (dist mode)")
 	)
 	flag.Parse()
 	if *in == "" || *top == "" {
@@ -145,7 +141,7 @@ func main() {
 		// nil-check per site. (validateFlags lets none of these flags
 		// through in model mode, so the model always runs unobserved.)
 		var o *obs.Observer
-		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *profileDir != "" {
+		if *trace != "" || *metrics != "" || *report || *serveAddr != "" {
 			o = obs.New(obs.Options{})
 		}
 		pr, err := partition.Multiway(ed, partition.Options{K: *k, B: *b, Obs: o})
@@ -192,19 +188,6 @@ func main() {
 				fmt.Print(an.String())
 				o.AddReportSection("causality", an.String)
 			}
-			if o != nil {
-				o.AddReportSection("phase profile", func() string {
-					evs, _ := o.Events()
-					return profile.Build(evs).String()
-				})
-			}
-			if *profileDir != "" {
-				fatal(os.MkdirAll(*profileDir, 0o755))
-				evs, _ := o.Events()
-				flame := filepath.Join(*profileDir, profile.FlameFile)
-				fatal(profile.WriteFileAtomic(flame, profile.Build(evs).AppendFolded(nil, "")))
-				fmt.Printf("wrote %s\n", flame)
-			}
 			fatal(o.Dump(*trace, *metrics))
 			if *trace != "" && *trace != "-" {
 				fmt.Printf("wrote %s\n", *trace)
@@ -235,7 +218,7 @@ func main() {
 		// dump or /metrics scrape covers the whole cluster. The flight
 		// recorder (-postmortem-dir) needs it too.
 		var o *obs.Observer
-		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *postmortem != "" || *profileDir != "" {
+		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *postmortem != "" {
 			o = obs.New(obs.Options{})
 		}
 		pr, err := partition.Multiway(ed, partition.Options{K: *k, B: *b, Obs: o})
@@ -269,7 +252,6 @@ func main() {
 			Probe:         probe,
 			Obs:           o,
 			PostMortemDir: *postmortem,
-			ProfileDir:    *profileDir,
 		})
 		fatal(err)
 		// The exact line scripts parse to learn the port (with -listen :0).
@@ -289,11 +271,6 @@ func main() {
 			fatal(fmt.Errorf("invariant violations: %v", res.InvariantViolations))
 		}
 		fmt.Println(waveDigest(nl.POs, res.Observed))
-		if *profileDir != "" {
-			// Run already rendered the merged worker-labeled flame plus the
-			// per-worker flames into the directory.
-			fmt.Printf("wrote %s\n", filepath.Join(*profileDir, profile.FlameFile))
-		}
 		// -trace writes the merged cluster trace (one Chrome-trace process
 		// per node, worker clocks rebased onto the coordinator's); the
 		// metrics dump and report render the federated registry.
@@ -389,7 +366,7 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 		// both the in-process kernel and the distributed coordinator (where
 		// one scrape federates every worker's registry and the trace merges
 		// all clocks).
-		for _, f := range []string{"trace", "metrics", "report", "profile-dir", "serve", "serve-hold"} {
+		for _, f := range []string{"trace", "metrics", "report", "serve", "serve-hold"} {
 			if set[f] {
 				return fmt.Errorf("-%s only applies to -mode tw or dist (mode is %q)", f, mode)
 			}

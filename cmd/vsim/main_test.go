@@ -16,7 +16,6 @@ var scoped = map[string][]string{
 	"trace":          {"tw", "dist"},
 	"metrics":        {"tw", "dist"},
 	"report":         {"tw", "dist"},
-	"profile-dir":    {"tw", "dist"},
 	"serve":          {"tw", "dist"},
 	"listen":         {"dist"},
 	"workers":        {"dist"},

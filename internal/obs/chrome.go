@@ -43,8 +43,8 @@ func ChromeTid(track int32) int {
 }
 
 // TrackName is the one name of a track: the thread name in a trace
-// viewer, the root frame of the track's folded stacks, the "cluster"
-// pprof label and the report's row heading. Non-negative tracks are
+// viewer, the "cluster" pprof label and the row heading of the report
+// and its phase table. Non-negative tracks are
 // clusters ("cluster 3"), negative tracks the shared subsystem lanes.
 func TrackName(track int32) string {
 	switch track {

@@ -8,9 +8,10 @@ import (
 )
 
 // Report renders a human-readable run summary: uptime, every counter and
-// gauge grouped by family, histogram shapes, trace-ring occupancy, and
-// per-track event counts — the "what happened in this run" view for
-// terminals, complementing the machine-readable exporters.
+// gauge grouped by family, histogram shapes, trace-ring occupancy,
+// per-track event counts and the phase table (Phases) — the "what
+// happened in this run, and where did the time go" view for terminals,
+// complementing the machine-readable exporters.
 func (o *Observer) Report() string {
 	if o == nil {
 		return "observability disabled\n"
@@ -40,12 +41,8 @@ func (o *Observer) Report() string {
 	fmt.Fprintf(&b, "trace: %d events retained, %d dropped by ring overwrite\n", len(events), dropped)
 	if len(events) > 0 {
 		perTrack := map[int32]int{}
-		spanDur := map[int32]time.Duration{}
 		for _, e := range events {
 			perTrack[e.Track]++
-			if e.Phase == PhaseSpan {
-				spanDur[e.Track] += time.Duration(e.Dur) * time.Microsecond
-			}
 		}
 		ids := make([]int32, 0, len(perTrack))
 		for t := range perTrack {
@@ -53,10 +50,10 @@ func (o *Observer) Report() string {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ChromeTid(ids[i]) < ChromeTid(ids[j]) })
 		for _, t := range ids {
-			fmt.Fprintf(&b, "  %-14s %6d events, %v in spans\n",
-				TrackName(t), perTrack[t], spanDur[t].Round(time.Microsecond))
+			fmt.Fprintf(&b, "  %-14s %6d events\n", TrackName(t), perTrack[t])
 		}
 	}
+	writePhases(&b, Phases(events))
 
 	o.mu.Lock()
 	sections := append([]reportSection(nil), o.sections...)
@@ -70,4 +67,18 @@ func (o *Observer) Report() string {
 		}
 	}
 	return b.String()
+}
+
+// writePhases renders the phase table in Phases' order. A track's self
+// column sums to the wall time its spans cover, counting nested time once.
+func writePhases(b *strings.Builder, rows []PhaseStat) {
+	if len(rows) == 0 {
+		return
+	}
+	b.WriteString("phases (self = span time minus the spans it encloses):\n")
+	fmt.Fprintf(b, "  %-14s %-20s %8s %12s %12s\n", "track", "phase", "count", "self µs", "total µs")
+	for _, r := range rows {
+		fmt.Fprintf(b, "  %-14s %-20s %8d %12d %12d\n",
+			TrackName(r.Track), r.Phase, r.Count, r.SelfUS, r.TotalUS)
+	}
 }

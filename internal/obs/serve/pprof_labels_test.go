@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // TestCPUProfileCarriesLabels takes a short CPU profile from
-// /debug/pprof/profile while goroutines labeled via profile.Do burn CPU
+// /debug/pprof/profile while goroutines labeled via obs.Labeled burn CPU
 // and /metrics is being scraped concurrently. The decoded profile must
 // carry the label keys, proving /debug/pprof attribution works alongside
 // a live exposition scrape (and, under -race, that the paths are clean).
@@ -33,7 +32,7 @@ func TestCPUProfileCarriesLabels(t *testing.T) {
 		wg.Add(1)
 		go func(c int32) {
 			defer wg.Done()
-			profile.Do("tw", c, "sim", func() {
+			obs.Labeled("tw", c, "sim", func() {
 				x := uint64(c)
 				for {
 					select {

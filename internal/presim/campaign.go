@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // checkGrid refuses a grid with no point in it, and a pre-simulation of
@@ -80,7 +79,7 @@ func BruteForce(cfg *Config) (points []*Point, best *Point, err error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				profile.Do("presim", obs.TrackCampaign, "brute", func() {
+				obs.Labeled("presim", obs.TrackCampaign, "brute", func() {
 					for i := range idx {
 						results[i], errs[i] = cfg.eval(context.Background(), cells[i].k, cells[i].b)
 					}
@@ -219,7 +218,7 @@ func (cfg *Config) runRow(k int, bs []float64) ([]*Point, error) {
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				profile.Do("presim", obs.TrackCampaign, "heuristic", func() {
+				obs.Labeled("presim", obs.TrackCampaign, "heuristic", func() {
 					slots[i].p, slots[i].err = cfg.eval(ctx, k, bs[i])
 				})
 				close(done[i])

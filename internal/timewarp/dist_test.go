@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/partition"
 	"repro/internal/sim"
 )
@@ -134,7 +133,6 @@ type distObs struct {
 	workers       []*obs.Observer
 	probes        []*Probe
 	postMortemDir string
-	profileDir    string
 	coordinator   **Coordinator // when non-nil, receives the coordinator handle
 }
 
@@ -164,7 +162,6 @@ func distRunObs(t *testing.T, spec *DistSpec, workers int, failAfter time.Durati
 		Probe:         probe,
 		Obs:           do.coord,
 		PostMortemDir: do.postMortemDir,
-		ProfileDir:    do.profileDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,6 +516,95 @@ func TestDistributedFederation(t *testing.T) {
 	}
 }
 
+// TestDistributedProfileFederation runs a clean two-worker distributed
+// simulation and checks that the merged trace lost none of a worker's
+// spans: each worker process in it holds the same (name, track, dur) span
+// multiset as one worker's own ring. The phase table or a flame of a
+// worker is therefore the same whether it is read at the worker or at the
+// coordinator. Worker ids follow accept order, so match as a set.
+func TestDistributedProfileFederation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed runs are socket-heavy; skipped in -short")
+	}
+	c := gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8})
+	ed, err := c.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 17, Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &DistSpec{
+		Source:    c.Source,
+		Top:       c.Top,
+		GateParts: pr.GateParts,
+		K:         4,
+		Cycles:    2000,
+		VecSeed:   29,
+	}
+	var co *Coordinator
+	do := distObs{
+		coord:       obs.New(obs.Options{}),
+		workers:     []*obs.Observer{obs.New(obs.Options{}), obs.New(obs.Options{})},
+		coordinator: &co,
+	}
+	if _, runErr, workerErrs := distRunObs(t, spec, 2, 0, do); runErr != nil || workerErrs[0] != nil || workerErrs[1] != nil {
+		t.Fatalf("coordinator: %v, workers: %v", runErr, workerErrs)
+	}
+
+	// spanSet renders a span multiset canonically: one sorted line per
+	// (name, tid, dur) with its multiplicity.
+	spanSet := func(count map[string]int) string {
+		lines := make([]string, 0, len(count))
+		for k, n := range count {
+			lines = append(lines, k+" ×"+strconv.Itoa(n))
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	key := func(name string, tid int, dur int64) string {
+		return name + "|" + strconv.Itoa(tid) + "|" + strconv.FormatInt(dur, 10)
+	}
+	var own []string
+	for _, wo := range do.workers {
+		evs, _ := wo.Events()
+		count := map[string]int{}
+		for _, e := range evs {
+			if e.Phase == obs.PhaseSpan {
+				count[key(e.Name, obs.ChromeTid(e.Track), e.Dur)]++
+			}
+		}
+		own = append(own, spanSet(count))
+	}
+
+	var trace bytes.Buffer
+	if err := co.WriteMergedTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := obs.DecodeChromeTrace(&trace)
+	if err != nil {
+		t.Fatalf("merged trace does not decode: %v", err)
+	}
+	merged := map[int]map[string]int{2: {}, 3: {}} // pid 1 is the coordinator
+	for _, ev := range dec.Events {
+		if ev.Phase == "X" && ev.Pid > 1 {
+			merged[ev.Pid][key(ev.Name, ev.Tid, ev.Dur)]++
+		}
+	}
+	got := []string{spanSet(merged[2]), spanSet(merged[3])}
+	sort.Strings(got)
+	sort.Strings(own)
+	if got[0] == "" || got[1] == "" {
+		t.Fatalf("a worker process of the merged trace holds no spans")
+	}
+	for i := range got {
+		if got[i] != own[i] {
+			t.Errorf("merged worker spans differ from the workers' own rings:\nmerged:\n%s\nown:\n%s", got[i], own[i])
+		}
+	}
+}
+
 // TestDistributedPostMortem crashes a worker mid-run with a
 // flight-recorder directory configured and requires the abort to leave a
 // complete, well-formed post-mortem bundle behind.
@@ -601,50 +687,25 @@ func TestDistributedPostMortem(t *testing.T) {
 		t.Errorf("probes.json lists %d workers, want 2", len(probes.Workers))
 	}
 
-	// rounds.json: the GVT-round history, a JSON array.
-	rj, err := os.ReadFile(filepath.Join(dir, "rounds.json"))
-	if err != nil {
-		t.Fatalf("post-mortem bundle missing rounds: %v", err)
-	}
-	var rounds []map[string]any
-	if err := json.Unmarshal(rj, &rounds); err != nil {
-		t.Fatalf("rounds.json malformed: %v", err)
-	}
-	if len(rounds) == 0 || len(rounds) > 512 {
-		t.Fatalf("rounds.json holds %d rounds, want 1..512", len(rounds))
-	}
-	// It is the tail of the coordinator's gvt_round spans in the bundle's
-	// own trace.json, entry for entry.
-	var spans []obs.DecodedEvent
+	// The round history is the coordinator's gvt_round spans in trace.json:
+	// each carries exactly its five args, rounds ascending.
+	var rounds int
+	var lastRound float64
 	for _, ev := range dec.Events {
-		if ev.Pid == 1 && ev.Phase == "X" && ev.Name == "gvt_round" {
-			spans = append(spans, ev)
+		if ev.Pid != 1 || ev.Phase != "X" || ev.Name != "gvt_round" {
+			continue
 		}
+		if got := sortedKeys(ev.Args); got != "drained frozen gvt min_progress round" {
+			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen, drained", rounds, ev.Args)
+		}
+		if ev.Args["round"] <= lastRound {
+			t.Fatalf("gvt_round spans not ascending at span %d: round %v after %v", rounds, ev.Args["round"], lastRound)
+		}
+		lastRound = ev.Args["round"]
+		rounds++
 	}
-	if len(spans) < len(rounds) {
-		t.Fatalf("rounds.json holds %d rounds, trace.json only %d gvt_round spans", len(rounds), len(spans))
-	}
-	spans = spans[len(spans)-len(rounds):]
-	for i, r := range rounds {
-		sp := spans[i]
-		want := map[string]any{
-			"round":        sp.Args["round"],
-			"gvt":          sp.Args["gvt"],
-			"min_progress": sp.Args["min_progress"],
-			"frozen":       sp.Args["frozen"] != 0,
-			"drained":      sp.Args["drained"] != 0,
-			"latency_us":   float64(sp.Dur),
-			"uptime_us":    float64(sp.Ts),
-		}
-		if !reflect.DeepEqual(r, want) {
-			t.Fatalf("rounds.json entry %d = %v, its span says %v", i, r, want)
-		}
-		if len(sp.Args) != 5 {
-			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen, drained", i, sp.Args)
-		}
-		if i > 0 && r["round"].(float64) <= rounds[i-1]["round"].(float64) {
-			t.Fatalf("rounds.json not ascending at entry %d: round %v after %v", i, r["round"], rounds[i-1]["round"])
-		}
+	if rounds == 0 {
+		t.Fatal("post-mortem trace.json holds no gvt_round span")
 	}
 
 	// goroutines.txt: the coordinator's own dump — a wedged distributed
@@ -657,28 +718,15 @@ func TestDistributedPostMortem(t *testing.T) {
 		t.Error("goroutines.txt does not look like a goroutine dump")
 	}
 
-	// flame.folded: the merged worker-labeled phase flame, strictly
-	// parseable. The killed worker never shipped a profile, so its stacks
-	// come from the coordinator's flight-recorder ring.
-	flame, err := os.ReadFile(filepath.Join(dir, "flame.folded"))
-	if err != nil {
-		t.Fatalf("post-mortem bundle missing flame: %v", err)
-	}
-	if _, err := profile.ValidateFolded(flame); err != nil {
-		t.Errorf("flame.folded invalid: %v\n%s", err, flame)
-	}
-	// Per-worker folded stacks exist for every worker — dead or alive.
-	for w := 0; w < 2; w++ {
-		name := filepath.Join(dir, "worker-"+strconv.Itoa(w)+".flame.folded")
-		if _, err := os.Stat(name); err != nil {
-			t.Errorf("post-mortem bundle missing %s: %v", name, err)
-		}
+	// Nothing else: one file per artifact, each written by one producer.
+	before := bundleSnapshot(t, dir)
+	if got := sortedKeys(before); got != "goroutines.txt metrics.prom probes.json trace.json" {
+		t.Errorf("bundle holds %s, want goroutines.txt metrics.prom probes.json trace.json", got)
 	}
 
 	// Double abort: rewriting the bundle must neither duplicate nor
 	// truncate files — the deterministic artifacts come back identical,
 	// and no temp litter survives.
-	before := bundleSnapshot(t, dir)
 	if err := co.WritePostMortem(dir, runErr); err != nil {
 		t.Fatalf("second WritePostMortem: %v", err)
 	}
@@ -700,34 +748,17 @@ func TestDistributedPostMortem(t *testing.T) {
 		}
 	}
 
-	t.Logf("post-mortem: reason=%q rounds=%d trace_events=%d", probes.Reason, len(rounds), len(dec.Events))
+	t.Logf("post-mortem: reason=%q rounds=%d trace_events=%d", probes.Reason, rounds, len(dec.Events))
 }
 
-// TestRoundHistoryKeepsTheLastRounds: rounds.json is the tail of the ring's
-// gvt_round spans, whatever else the ring holds.
-func TestRoundHistoryKeepsTheLastRounds(t *testing.T) {
-	var events []obs.Event
-	for r := 1; r <= roundsKept+88; r++ {
-		events = append(events,
-			obs.Event{Phase: obs.PhaseInstant, Name: "worker_join"},
-			obs.Event{Phase: obs.PhaseSpan, Name: "gvt_round", Ts: int64(10 * r), Dur: 3,
-				Args: [5]obs.Arg{{Key: "round", Val: float64(r)}, {Key: "gvt", Val: float64(r / 2)},
-					{Key: "min_progress", Val: float64(r/2 + 1)}, obs.BoolArg("frozen", r%2 == 0), obs.BoolArg("drained", true)}})
+// sortedKeys renders a map's keys sorted and space-separated.
+func sortedKeys[V any](m map[string]V) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	got := roundHistory(events)
-	if len(got) != roundsKept {
-		t.Fatalf("kept %d rounds, want %d", len(got), roundsKept)
-	}
-	want := roundRecord{Round: 89, GVT: 44, MinProgress: 45, Drained: true, LatencyUS: 3, UptimeUS: 890}
-	if got[0] != want {
-		t.Errorf("oldest kept round = %+v, want %+v", got[0], want)
-	}
-	if last := got[len(got)-1]; last.Round != roundsKept+88 || !last.Frozen {
-		t.Errorf("newest kept round = %+v, want round %d, frozen", last, roundsKept+88)
-	}
-	if h := roundHistory(nil); h == nil || len(h) != 0 {
-		t.Errorf("no spans: history %#v, want an empty non-nil slice", h)
-	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 // bundleSnapshot reads every file of a post-mortem bundle into memory,

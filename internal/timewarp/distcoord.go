@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -42,14 +43,9 @@ type CoordConfig struct {
 	// label — one /metrics scrape or Report covers the whole run.
 	Obs *obs.Observer
 	// PostMortemDir, when non-empty, receives a flight-recorder bundle
-	// (merged metrics, merged trace tail, probe states, GVT-round
-	// history, goroutine dump, per-worker and merged phase flames)
+	// (merged metrics, merged trace tail, probe states, goroutine dump)
 	// whenever the run aborts.
 	PostMortemDir string
-	// ProfileDir, when non-empty, receives the run's phase flames
-	// (merged and per-worker folded stacks) after a clean finish and on
-	// abort.
-	ProfileDir string
 }
 
 // Coordinator drives a distributed Time Warp run: it assigns clusters to
@@ -66,16 +62,16 @@ type Coordinator struct {
 	// control connection right after it, so that EOF is the normal exit,
 	// not a death.
 	finished []bool
-	// pmOnce guards the abort-time artifact writes: repeated abort
-	// signals (a dying worker racing the watchdog, a double fail) write
-	// the post-mortem bundle and profile artifacts exactly once.
+	// pmOnce guards the abort-time bundle write: repeated abort signals
+	// (a dying worker racing the watchdog, a double fail) write the
+	// post-mortem bundle exactly once.
 	pmOnce sync.Once
 }
 
 // coordFed is the coordinator-retained observability state: per-worker
 // clock offsets from the handshake and one trace ring per worker fed by
-// the worker's FrameTrace batches. The merged cluster trace, every worker
-// flame and the post-mortem bundle are written from it and from the
+// the worker's FrameTrace batches. The merged cluster trace and the
+// post-mortem bundle are written from it and from the
 // coordinator's own ring (whose gvt_round spans are the round history) —
 // everything is already here when a worker dies, so an abort costs no
 // extra collection. (The workers' latest metrics snapshots live in the
@@ -286,34 +282,23 @@ func (co *Coordinator) Run() (*Result, error) {
 		return co.fail(err)
 	}
 	cfg.Probe.finish(nil)
-	if cfg.ProfileDir != "" {
-		// Clean finish: every worker shipped its final profile just before
-		// its result, so the merged flame covers the whole run.
-		if werr := co.WriteProfiles(cfg.ProfileDir); werr != nil {
-			return nil, werr
-		}
-	}
 	return res, nil
 }
 
 // fail records the abort on the probe, flushes the flight recorder into
 // a post-mortem bundle when one was requested, and returns the error.
-// Every abort path funnels through here; the artifact writes are
-// once-guarded and individually atomic, so repeated abort signals write
-// the bundle exactly once and never truncate it.
+// Every abort path funnels through here; the bundle write is
+// once-guarded and its files individually atomic, so repeated abort
+// signals write the bundle exactly once and never truncate it. A bundle
+// that cannot be written is joined to the run's error, not printed: the
+// original cause still matches errors.Is, and the CLIs' stdout stays
+// the lines scripts parse.
 func (co *Coordinator) fail(err error) (*Result, error) {
 	co.cfg.Probe.finish(err)
 	co.pmOnce.Do(func() {
 		if co.cfg.PostMortemDir != "" {
 			if werr := co.WritePostMortem(co.cfg.PostMortemDir, err); werr != nil {
-				// The bundle is diagnostics for an already-failed run; losing it
-				// must not mask the original error.
-				fmt.Printf("timewarp: post-mortem bundle: %v\n", werr)
-			}
-		}
-		if co.cfg.ProfileDir != "" && co.cfg.ProfileDir != co.cfg.PostMortemDir {
-			if werr := co.WriteProfiles(co.cfg.ProfileDir); werr != nil {
-				fmt.Printf("timewarp: profile artifacts: %v\n", werr)
+				err = errors.Join(err, fmt.Errorf("post-mortem bundle: %w", werr))
 			}
 		}
 	})
@@ -343,7 +328,7 @@ func (co *Coordinator) abortf(conns []*nettrans.Conn, format string, args ...any
 
 // pollFrame waits up to timeout for one protocol frame (ok=false when none
 // came), turning worker errors and worker death into run aborts.
-// Federation frames (metrics/trace/profile) are absorbed in place — they
+// Federation frames (metrics/trace) are absorbed in place — they
 // can arrive interleaved with any solicited frame — so callers only ever
 // see protocol frames.
 func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (f workerFrame, ok bool, err error) {
@@ -536,7 +521,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 
 		// Round instrumentation, recorded after the GVT update so the
 		// terminal round is captured with its final values. The gvt_round
-		// spans are the flight recorder's round history (rounds.json).
+		// spans are the flight recorder's round history.
 		gGvt.Set(int64(v.gvt))
 		gMinProg.Set(int64(v.minProg))
 		gInflight.Set(inflight)

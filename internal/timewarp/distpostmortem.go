@@ -7,9 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // The coordinator's flight recorder: everything below renders from the
@@ -76,62 +76,16 @@ type postMortemWorker struct {
 	DroppedEvents  uint64 `json:"dropped_events"`
 }
 
-// roundRecord is one GVT round's outcome, an entry of the post-mortem
-// bundle's rounds.json.
-type roundRecord struct {
-	Round       uint64 `json:"round"`
-	GVT         uint64 `json:"gvt"`
-	MinProgress uint64 `json:"min_progress"`
-	Frozen      bool   `json:"frozen"`
-	Drained     bool   `json:"drained"`
-	LatencyUS   int64  `json:"latency_us"`
-	UptimeUS    int64  `json:"uptime_us"` // coordinator observer clock at the round's start
-}
-
-// roundsKept bounds rounds.json to the most recent rounds.
-const roundsKept = 512
-
-// roundHistory reads the GVT-round history back out of the coordinator's
-// trace ring: one record per gvt_round span, the last roundsKept of them.
-func roundHistory(events []obs.Event) []roundRecord {
-	rounds := []roundRecord{} // non-nil so an empty history renders as []
-	for _, e := range events {
-		if e.Phase != obs.PhaseSpan || e.Name != "gvt_round" {
-			continue
-		}
-		r := roundRecord{LatencyUS: e.Dur, UptimeUS: e.Ts}
-		for _, a := range e.Args {
-			switch a.Key {
-			case "round":
-				r.Round = uint64(a.Val)
-			case "gvt":
-				r.GVT = uint64(a.Val)
-			case "min_progress":
-				r.MinProgress = uint64(a.Val)
-			case "frozen":
-				r.Frozen = a.Val != 0
-			case "drained":
-				r.Drained = a.Val != 0
-			}
-		}
-		rounds = append(rounds, r)
-	}
-	return rounds[max(len(rounds)-roundsKept, 0):]
-}
-
 // WritePostMortem flushes the flight recorder into dir: the merged
 // metrics exposition (metrics.prom), the merged cluster trace
-// (trace.json, DecodeChromeTrace-clean), the probe and federation state
-// (probes.json), the GVT-round history (rounds.json, read back from the
-// coordinator's gvt_round spans), the coordinator's goroutine dump
-// (goroutines.txt), and the phase flames — the merged worker-labeled one
-// (flame.folded) plus per-worker folded stacks (worker-N.flame.folded).
-// The dir is created if
-// missing. reason records why the run died (nil for a user-requested
-// dump of a live run). Every file is written atomically (temp + rename)
-// and the content renders from retained state, so calling this twice —
-// a double abort — rewrites identical artifacts instead of duplicating
-// or truncating them.
+// (trace.json, DecodeChromeTrace-clean; its coordinator process holds
+// the gvt_round spans, the round history), the probe and federation
+// state (probes.json) and the coordinator's goroutine dump
+// (goroutines.txt). The dir is created if missing. reason records why
+// the run died (nil for a user-requested dump of a live run). Every file
+// is written atomically (temp + rename) and the content renders from
+// retained state, so calling this twice — a double abort — rewrites
+// identical artifacts instead of duplicating or truncating them.
 func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("timewarp: post-mortem dir: %w", err)
@@ -141,7 +95,7 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 		if err := render(&buf); err != nil {
 			return fmt.Errorf("timewarp: post-mortem %s: %w", name, err)
 		}
-		if err := profile.WriteFileAtomic(filepath.Join(dir, name), buf.Bytes()); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, name), buf.Bytes()); err != nil {
 			return fmt.Errorf("timewarp: post-mortem %s: %w", name, err)
 		}
 		return nil
@@ -184,18 +138,31 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	}); err != nil {
 		return err
 	}
-	if err := write("rounds.json", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(roundHistory(sources[0].Events))
-	}); err != nil {
+	// The coordinator's own goroutine dump: a wedged distributed run
+	// usually wedges the coordinator's round loop too, and the dump shows
+	// where. A worker's is asked of the worker, at its -serve address.
+	return write("goroutines.txt", func(w io.Writer) error {
+		return pprof.Lookup("goroutine").WriteTo(w, 1)
+	})
+}
+
+// writeFileAtomic writes data to path via a temp file and rename, so
+// readers never observe a partial file and a repeated write (a double
+// abort) is idempotent at every instant.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	if err := write(profile.GoroutinesFile, func(w io.Writer) error {
-		_, err := w.Write(coordGoroutineDump())
-		return err
-	}); err != nil {
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return co.WriteProfiles(dir)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

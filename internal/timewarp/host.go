@@ -8,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -115,7 +114,7 @@ func (h *host) start(onFail func(error)) {
 		go func() {
 			defer h.wg.Done()
 			var err error
-			profile.Do(h.mode, cl.id, "sim", func() { err = cl.run() })
+			obs.Labeled(h.mode, cl.id, "sim", func() { err = cl.run() })
 			if err == nil {
 				return
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/obs/causality"
-	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -158,7 +157,7 @@ func (h *host) run() (*Result, error) {
 	h.start(nil)
 	q := newQuiescence(cfg.K, cfg.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
 	var abortErr error
-	profile.Do("tw", obs.TrackKernel, "watcher", func() {
+	obs.Labeled("tw", obs.TrackKernel, "watcher", func() {
 		s := sample{progress: make([]uint64, cfg.K), complete: true, drained: true}
 		for h.failure() == nil { // a failing cluster stops its peers itself
 			time.Sleep(watcherInterval)
