@@ -55,10 +55,14 @@ trace-demo:
 
 # Start vsim with the live monitoring server, poll until it answers, then
 # scrape every endpoint once. The server holds for $(MONITOR_HOLD) after
-# the run so scrapes still land when the simulation finishes first.
+# the run so scrapes still land when the simulation finishes first. The
+# /metrics body must be valid exposition carrying the kernel's tw_events
+# series (obscheck); the scrape is retried while the kernel is still
+# registering them.
 monitor-demo:
 	$(GO) run ./cmd/vgen -circuit soc -o soc.v
 	$(GO) build -o vsim.monitor ./cmd/vsim
+	$(GO) build -o obscheck.monitor ./cmd/obscheck
 	./vsim.monitor -in soc.v -top soc -mode tw -k 4 -cycles $(TRACE_CYCLES) \
 		-chaos -blame -serve 127.0.0.1:$(MONITOR_PORT) -serve-hold $(MONITOR_HOLD) & \
 	pid=$$!; \
@@ -70,8 +74,13 @@ monitor-demo:
 	if [ $$up -ne 1 ]; then echo "monitoring server never came up"; kill $$pid 2>/dev/null; exit 1; fi; \
 	echo "--- /healthz ---"; curl -fsS http://127.0.0.1:$(MONITOR_PORT)/healthz; \
 	echo "--- /status ---";  curl -fsS http://127.0.0.1:$(MONITOR_PORT)/status; \
-	echo "--- /metrics (first 20 lines) ---"; \
-	curl -fsS http://127.0.0.1:$(MONITOR_PORT)/metrics | head -20; \
+	echo "--- /metrics ---"; \
+	scraped=0; \
+	for i in $$(seq 1 50); do \
+		if curl -fsS http://127.0.0.1:$(MONITOR_PORT)/metrics | ./obscheck.monitor -prom - -require 'tw_events{'; then scraped=1; break; fi; \
+		sleep 0.1; \
+	done; \
+	if [ $$scraped -ne 1 ]; then echo "/metrics never carried the kernel's tw_events series"; kill $$pid 2>/dev/null; exit 1; fi; \
 	wait $$pid
 
 # Distributed smoke: the SoC workload simulated sequentially and then

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/obs/serve"
 	"repro/internal/stats"
 )
 
@@ -110,9 +109,10 @@ func validateSelection(table, fig int, ablation string) error {
 	return fmt.Errorf("unknown -ablation %q (want %s)", ablation, ablationNames())
 }
 
-// validateFlags rejects the run lengths and pool size no run accepts: a
-// pre-simulation or full run of no vectors models nothing.
-func validateFlags(presim, full uint64, workers int) error {
+// validateFlags rejects the run lengths and pool size no run accepts — a
+// pre-simulation or full run of no vectors models nothing — and a trace
+// sent to stdout beside the -json document.
+func validateFlags(presim, full uint64, workers int, jsonOut bool, trace string) error {
 	if presim == 0 {
 		return fmt.Errorf("-presim must be >= 1")
 	}
@@ -121,6 +121,9 @@ func validateFlags(presim, full uint64, workers int) error {
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	}
+	if jsonOut && trace == "-" {
+		return fmt.Errorf("-trace - with -json would write two JSON documents to stdout: give -trace a file")
 	}
 	return nil
 }
@@ -138,14 +141,12 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "grid worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		jsonOut   = flag.Bool("json", false, "run the pre-simulation grid and emit machine-readable JSON on stdout (suppresses tables)")
-		trace     = flag.String("trace", "", "write a Chrome trace of the partitioner/grid work to this file (\"-\" = stdout)")
-		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the experiments run")
+		trace     = flag.String("trace", "", "write a Chrome trace of the partitioner/grid work to this file (\"-\" = stdout, not with -json)")
 	)
 	flag.Parse()
 	err := validateSelection(*table, *fig, *ablation)
 	if err == nil {
-		err = validateFlags(*presimC, *fullC, *workers)
+		err = validateFlags(*presimC, *fullC, *workers, *jsonOut, *trace)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -159,15 +160,9 @@ func main() {
 	ctx.Seed = *seed
 	ctx.Workers = *workers
 	var o *obs.Observer
-	if *trace != "" || *metrics != "" || *serveAddr != "" {
+	if *trace != "" {
 		o = obs.New(obs.Options{})
 		ctx.Obs = o
-	}
-	if *serveAddr != "" {
-		srv, err := serve.Start(*serveAddr, serve.Options{Obs: o})
-		fatal(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "monitoring on http://%s/\n", srv.Addr())
 	}
 	if !*jsonOut {
 		st := ctx.ED.Netlist.Stats()
@@ -193,7 +188,7 @@ func main() {
 
 	if *jsonOut {
 		// Machine-readable mode: the grid is the result; tables are for eyes.
-		fatal(o.Dump(*trace, *metrics))
+		fatal(o.Dump(*trace, ""))
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		fatal(enc.Encode(struct {
@@ -268,7 +263,7 @@ func main() {
 		}
 	}
 
-	fatal(o.Dump(*trace, *metrics))
+	fatal(o.Dump(*trace, ""))
 }
 
 // dumpTSV writes one row per grid point: plot-ready data for the paper's

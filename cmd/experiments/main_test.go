@@ -54,15 +54,20 @@ func TestValidateFlags(t *testing.T) {
 		name         string
 		presim, full uint64
 		workers      int
+		jsonOut      bool
+		trace        string
 		want         string // substring of the error; "" = accepted
 	}{
-		{"defaults", 10000, 100000, 0, ""},
-		{"smallest, sequential", 1, 1, 1, ""},
-		{"no presim", 0, 5000, 0, "-presim must be >= 1"},
-		{"no full run", 2000, 0, 0, "-full must be >= 1"},
-		{"negative workers", 2000, 5000, -1, "-workers must be >= 0 (got -1)"},
+		{"defaults", 10000, 100000, 0, false, "", ""},
+		{"smallest, sequential", 1, 1, 1, false, "", ""},
+		{"json with a trace file", 2000, 5000, 0, true, "grid.trace.json", ""},
+		{"trace to stdout without json", 2000, 5000, 0, false, "-", ""},
+		{"no presim", 0, 5000, 0, false, "", "-presim must be >= 1"},
+		{"no full run", 2000, 0, 0, false, "", "-full must be >= 1"},
+		{"negative workers", 2000, 5000, -1, false, "", "-workers must be >= 0 (got -1)"},
+		{"json and trace both on stdout", 2000, 5000, 0, true, "-", "-trace - with -json"},
 	} {
-		err := validateFlags(tc.presim, tc.full, tc.workers)
+		err := validateFlags(tc.presim, tc.full, tc.workers, tc.jsonOut, tc.trace)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

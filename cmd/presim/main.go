@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/elab"
 	"repro/internal/obs"
-	"repro/internal/obs/serve"
 	"repro/internal/presim"
 	"repro/internal/stats"
 	"repro/internal/verilog"
@@ -36,16 +35,14 @@ func main() {
 		heuristic = flag.Bool("heuristic", false, "use the heuristic search instead of brute force")
 		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON results on stdout instead of text tables")
-		trace     = flag.String("trace", "", "write a Chrome trace of the campaign to this file (\"-\" = stdout)")
-		metrics   = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file (\"-\" = stdout)")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the campaign runs")
+		trace     = flag.String("trace", "", "write a Chrome trace of the campaign to this file (\"-\" = stdout, not with -json)")
 	)
 	flag.Parse()
 	if *in == "" || *top == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ks, bs, err := validateFlags(*ksFlag, *bsFlag, *cycles, *workers)
+	ks, bs, err := validateFlags(*ksFlag, *bsFlag, *cycles, *workers, *jsonOut, *trace)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "presim:", err)
 		os.Exit(2)
@@ -59,14 +56,8 @@ func main() {
 	fatal(err)
 
 	var o *obs.Observer
-	if *trace != "" || *metrics != "" || *serveAddr != "" {
+	if *trace != "" {
 		o = obs.New(obs.Options{})
-	}
-	if *serveAddr != "" {
-		srv, err := serve.Start(*serveAddr, serve.Options{Obs: o})
-		fatal(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "monitoring on http://%s/\n", srv.Addr())
 	}
 	cfg := &presim.Config{
 		Design:  ed,
@@ -83,7 +74,7 @@ func main() {
 		best, visited, err := presim.Heuristic(cfg)
 		fatal(err)
 		summary := cfg.Campaign.Finish()
-		fatal(o.Dump(*trace, *metrics))
+		fatal(o.Dump(*trace, ""))
 		if *jsonOut {
 			writeJSON(result{
 				Mode: "heuristic", Ks: cfg.Ks, Bs: cfg.Bs,
@@ -104,7 +95,7 @@ func main() {
 	points, best, err := presim.BruteForce(cfg)
 	fatal(err)
 	summary := cfg.Campaign.Finish()
-	fatal(o.Dump(*trace, *metrics))
+	fatal(o.Dump(*trace, ""))
 	if *jsonOut {
 		writeJSON(result{
 			Mode: "brute-force", Ks: cfg.Ks, Bs: cfg.Bs,
@@ -156,8 +147,9 @@ func printPoints(points []*presim.Point) {
 }
 
 // validateFlags rejects, before any work is done, the flag values no
-// campaign accepts, and returns the two candidate lists parsed.
-func validateFlags(ksFlag, bsFlag string, cycles uint64, workers int) (ks []int, bs []float64, err error) {
+// campaign accepts, and returns the two candidate lists parsed. With -json
+// stdout is the one result document, so a trace cannot go there too.
+func validateFlags(ksFlag, bsFlag string, cycles uint64, workers int, jsonOut bool, trace string) (ks []int, bs []float64, err error) {
 	if ks, err = parseInts(ksFlag); err != nil {
 		return nil, nil, fmt.Errorf("-ks: %v", err)
 	}
@@ -179,6 +171,9 @@ func validateFlags(ksFlag, bsFlag string, cycles uint64, workers int) (ks []int,
 	}
 	if workers < 0 {
 		return nil, nil, fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	}
+	if jsonOut && trace == "-" {
+		return nil, nil, fmt.Errorf("-trace - with -json would write two JSON documents to stdout: give -trace a file")
 	}
 	return ks, bs, nil
 }

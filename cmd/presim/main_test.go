@@ -15,6 +15,8 @@ func TestValidateFlags(t *testing.T) {
 		ks, bs  string
 		cycles  uint64
 		workers int
+		jsonOut bool
+		trace   string
 		wantKs  []int
 		wantBs  []float64
 		wantErr string
@@ -24,6 +26,10 @@ func TestValidateFlags(t *testing.T) {
 		{name: "one point, spaces, sequential", ks: " 7 ", bs: "0.001 ", cycles: 1, workers: 1,
 			wantKs: []int{7}, wantBs: []float64{0.001}},
 		{name: "more workers than points", ks: "2", bs: "10", cycles: 5, workers: 64,
+			wantKs: []int{2}, wantBs: []float64{10}},
+		{name: "json with a trace file", ks: "2", bs: "10", cycles: 5, jsonOut: true, trace: "presim.trace.json",
+			wantKs: []int{2}, wantBs: []float64{10}},
+		{name: "trace to stdout without json", ks: "2", bs: "10", cycles: 5, trace: "-",
 			wantKs: []int{2}, wantBs: []float64{10}},
 
 		{name: "unparsable k", ks: "2,x", bs: "10", cycles: 1, wantErr: `-ks: entry "x" of "2,x" is not an integer`},
@@ -39,8 +45,9 @@ func TestValidateFlags(t *testing.T) {
 		{name: "empty bs", ks: "2", bs: "", cycles: 1, wantErr: "-bs: entry"},
 		{name: "no cycles", ks: "2", bs: "10", cycles: 0, wantErr: "-cycles must be >= 1"},
 		{name: "negative workers", ks: "2", bs: "10", cycles: 1, workers: -3, wantErr: "-workers must be >= 0 (got -3)"},
+		{name: "json and trace both on stdout", ks: "2", bs: "10", cycles: 1, jsonOut: true, trace: "-", wantErr: "-trace - with -json"},
 	} {
-		ks, bs, err := validateFlags(tc.ks, tc.bs, tc.cycles, tc.workers)
+		ks, bs, err := validateFlags(tc.ks, tc.bs, tc.cycles, tc.workers, tc.jsonOut, tc.trace)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

@@ -27,8 +27,6 @@ import (
 
 	"repro/internal/elab"
 	"repro/internal/multilevel"
-	"repro/internal/obs"
-	"repro/internal/obs/serve"
 	"repro/internal/partition"
 	"repro/internal/verilog"
 )
@@ -70,18 +68,17 @@ func (r *report) fill(total int) {
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input Verilog file (required)")
-		top       = flag.String("top", "", "top module name (required)")
-		k         = flag.Int("k", 2, "number of partitions")
-		b         = flag.Float64("b", 10, "load balance factor in percent")
-		algo      = flag.String("algo", "dd", "partitioner: dd (design-driven) | ml (flat multilevel) | nlevel (flat n-level)")
-		strategy  = flag.String("strategy", "gain", "dd pairing strategy: random | exhaustive | cut | gain")
-		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallelism for dd restarts and ml/nlevel coarsening, restarts and refinement (0 = all cores; the result is identical at any value)")
-		jsonOut   = flag.Bool("json", false, "write a machine-readable cut-quality report to stdout (human summary goes to stderr)")
-		out       = flag.String("out", "", "write gate→partition mapping to this file")
-		opt       = flag.Bool("opt", false, "run constant propagation + dead-gate sweep first")
-		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while partitioning")
+		in       = flag.String("in", "", "input Verilog file (required)")
+		top      = flag.String("top", "", "top module name (required)")
+		k        = flag.Int("k", 2, "number of partitions")
+		b        = flag.Float64("b", 10, "load balance factor in percent")
+		algo     = flag.String("algo", "dd", "partitioner: dd (design-driven) | ml (flat multilevel) | nlevel (flat n-level)")
+		strategy = flag.String("strategy", "gain", "dd pairing strategy: random | exhaustive | cut | gain")
+		seed     = flag.Int64("seed", 1, "random seed")
+		workers  = flag.Int("workers", 0, "parallelism for dd restarts and ml/nlevel coarsening, restarts and refinement (0 = all cores; the result is identical at any value)")
+		jsonOut  = flag.Bool("json", false, "write a machine-readable cut-quality report to stdout (human summary goes to stderr)")
+		out      = flag.String("out", "", "write gate→partition mapping to this file")
+		opt      = flag.Bool("opt", false, "run constant propagation + dead-gate sweep first")
 	)
 	flag.Parse()
 	if *in == "" || *top == "" {
@@ -99,15 +96,6 @@ func main() {
 	human := os.Stdout
 	if *jsonOut {
 		human = os.Stderr
-	}
-
-	var o *obs.Observer
-	if *serveAddr != "" {
-		o = obs.New(obs.Options{})
-		srv, err := serve.Start(*serveAddr, serve.Options{Obs: o})
-		fatal(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "monitoring on http://%s/\n", srv.Addr())
 	}
 
 	src, err := os.ReadFile(*in)
@@ -133,7 +121,7 @@ func main() {
 	case "dd":
 		ps, _ := partition.ParsePairingStrategy(*strategy)
 		res, err := partition.Multiway(ed, partition.Options{
-			K: *k, B: *b, Strategy: ps, Seed: *seed, Workers: *workers, Obs: o,
+			K: *k, B: *b, Strategy: ps, Seed: *seed, Workers: *workers,
 		})
 		fatal(err)
 		fmt.Fprintf(human, "design-driven: cut=%d balanced=%v loads=%v flattened=%d (%s)\n",
@@ -147,7 +135,7 @@ func main() {
 			engine, label = multilevel.PartitionNFlat, "nlevel(flat)"
 		}
 		_, res, err := engine(ed, multilevel.Options{
-			K: *k, B: *b, Seed: *seed, Workers: *workers, Obs: o,
+			K: *k, B: *b, Seed: *seed, Workers: *workers,
 		})
 		fatal(err)
 		fmt.Fprintf(human, "%s: cut=%d balanced=%v loads=%v rounds=%d restart=%d\n",

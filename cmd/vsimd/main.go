@@ -7,8 +7,8 @@
 // partition, and every worker re-elaborates them deterministically.
 //
 // With -serve the worker exposes the obs monitoring server: /metrics
-// scrapes its local registry (per-cluster kernel series plus per-peer
-// wire counters), and /healthz answers 503 as soon as the worker's
+// scrapes its local registry (the per-cluster kernel series of the
+// clusters it runs), and /healthz answers 503 as soon as the worker's
 // kernel probe reports the run wedged or failed — the hook a process
 // supervisor or Kubernetes liveness check wants. The same registry is
 // federated to the coordinator regardless, so -serve is for operators
@@ -37,7 +37,7 @@ func main() {
 		connect    = flag.String("connect", "", "coordinator control-plane address (required)")
 		bind       = flag.String("bind", "127.0.0.1:0", "data-plane listen address peer workers will dial; bind a routable interface for multi-host runs")
 		dialTO     = flag.Duration("dial-timeout", 5*time.Second, "coordinator and peer dial timeout")
-		metrics    = flag.String("metrics", "", "write a Prometheus-style dump of the worker's wire metrics to this file after the run (\"-\" = stdout)")
+		metrics    = flag.String("metrics", "", "write a Prometheus-style dump of the worker's registry (its clusters' kernel series) to this file after the run (\"-\" = stdout)")
 		serveAddr  = flag.String("serve", "", "serve /metrics, /healthz, /status and pprof on this address while the worker runs (e.g. 127.0.0.1:9110)")
 		stallAfter = flag.Duration("stall-after", 0, "report unhealthy on /healthz after this long without progress (0 = 10s default)")
 		obsOn      = flag.Bool("obs", true, "instrument the worker and federate its metrics and trace ring to the coordinator; -obs=false runs bare (-metrics and /metrics are then empty; /healthz still reads the probe)")

@@ -1,7 +1,8 @@
 // Package comm is the message-passing substrate for the Time Warp kernel —
 // the role MPICH played under DVS. Endpoints are in-process mailboxes with
 // unbounded buffering (sends never block, so optimistic clusters cannot
-// deadlock on full channels) and per-endpoint delivery counters.
+// deadlock on full channels), and the network counts messages sent and in
+// flight.
 //
 // Delivery is pluggable: the default transport hands messages to the
 // destination mailbox synchronously, while the chaos transport (see
@@ -36,36 +37,14 @@ type Network struct {
 	tr       Transport
 	poller   Poller // tr when it must be polled for deliveries, else nil
 	trClosed sync.Once
-
-	// Observability (nil when uninstrumented; each hot-path use costs one
-	// branch). linkSent is a k×k matrix indexed src*k+dst.
-	linkSent []*obs.Counter
-	epRecv   []*obs.Counter
-	obsK     int
 }
 
-// Instrument registers per-link send counters, per-endpoint receive
-// counters and an in-flight gauge with reg. Call before traffic starts
-// (the Time Warp kernel does, before spawning clusters); a nil registry
-// is a no-op.
+// Instrument registers the in-flight gauge with reg; a nil registry is a
+// no-op. Messages sent are the kernel's tw_batches, so the network counts
+// nothing of its own on the send or receive path.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
-	}
-	k := len(n.eps)
-	n.obsK = k
-	n.linkSent = make([]*obs.Counter, k*k)
-	n.epRecv = make([]*obs.Counter, k)
-	for s := 0; s < k; s++ {
-		for d := 0; d < k; d++ {
-			if s == d {
-				continue // clusters never send to themselves
-			}
-			n.linkSent[s*k+d] = reg.Counter("comm_link_sent_total",
-				"messages sent per (src,dst) link", obs.L("src", s), obs.L("dst", d))
-		}
-		n.epRecv[s] = reg.Counter("comm_recv_total",
-			"messages drained by the destination endpoint", obs.L("endpoint", s))
 	}
 	reg.SampleFunc("comm_inflight", "sent-but-not-received messages",
 		func() float64 { return float64(n.inFlight.Load()) })
@@ -166,9 +145,6 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n := e.net
 	n.inFlight.Add(1)
 	n.sent.Add(1)
-	if n.linkSent != nil {
-		n.linkSent[e.id*n.obsK+dst].Inc()
-	}
 	n.tr.Send(e.id, dst, msg)
 }
 
@@ -197,9 +173,6 @@ func (e *Endpoint) drain() []Message {
 	e.box, e.spare = e.spare[:0], msgs
 	e.ready.Store(false)
 	e.net.inFlight.Add(int64(-len(msgs)))
-	if e.net.epRecv != nil {
-		e.net.epRecv[e.id].Add(uint64(len(msgs)))
-	}
 	return msgs
 }
 

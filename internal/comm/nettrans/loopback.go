@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/comm"
-	"repro/internal/obs"
 )
 
 // LoopbackConfig parameterizes the loopback wire transport.
@@ -19,9 +18,6 @@ type LoopbackConfig struct {
 	// puts the delivery-order adversary directly on the wire link, the
 	// configuration the fuzz harness uses to attack the framed path.
 	Inner comm.TransportFactory
-	// Obs, when enabled, publishes wire counters (frames/bytes sent,
-	// frames received, decode errors) on the net track.
-	Obs *obs.Observer
 }
 
 // Loopback builds a TransportFactory that ships every inter-cluster
@@ -77,14 +73,6 @@ func Loopback(cfg LoopbackConfig) comm.TransportFactory {
 		} else {
 			t.inner = directDeliver{deliver}
 		}
-		if cfg.Obs.Enabled() {
-			reg := cfg.Obs.Registry()
-			lbl := obs.L("peer", "loopback")
-			t.framesSent = reg.Counter("net_frames_sent_total", "wire frames written", lbl)
-			t.bytesSent = reg.Counter("net_bytes_sent_total", "wire payload bytes written", lbl)
-			t.framesRecv = reg.Counter("net_frames_recv_total", "wire frames read and delivered", lbl)
-			t.decodeErrs = reg.Counter("net_decode_errors_total", "frames that failed to decode", lbl)
-		}
 		t.wg.Add(1)
 		go t.readLoop()
 		return t
@@ -111,11 +99,6 @@ type loopbackTransport struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	readErr   atomic.Pointer[error]
-
-	framesSent *obs.Counter
-	bytesSent  *obs.Counter
-	framesRecv *obs.Counter
-	decodeErrs *obs.Counter
 }
 
 // Send serializes the message and writes one data frame. The write lock
@@ -139,10 +122,7 @@ func (t *loopbackTransport) Send(src, dst int, msg comm.Message) {
 	t.encMu.Unlock()
 	if sendErr != nil {
 		t.noteReadErr(sendErr)
-		return
 	}
-	t.framesSent.Inc()
-	t.bytesSent.Add(uint64(len(buf)))
 }
 
 func (t *loopbackTransport) readLoop() {
@@ -156,23 +136,19 @@ func (t *loopbackTransport) readLoop() {
 			return
 		}
 		if typ != FrameData {
-			t.decodeErrs.Inc()
 			t.noteReadErr(fmt.Errorf("nettrans: unexpected frame type 0x%02x on loopback link", typ))
 			return
 		}
 		df, err := DecodeDataFrame(payload, t.k)
 		if err != nil {
-			t.decodeErrs.Inc()
 			t.noteReadErr(err)
 			return
 		}
 		msg, err := t.codec.Decode(df.Msg)
 		if err != nil {
-			t.decodeErrs.Inc()
 			t.noteReadErr(err)
 			return
 		}
-		t.framesRecv.Inc()
 		t.inner.Send(df.Src, df.Dst, msg)
 	}
 }

@@ -275,7 +275,6 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		cfg.Transport = nettrans.Loopback(nettrans.LoopbackConfig{
 			Codec: timewarp.WireCodec(),
 			Inner: inner,
-			Obs:   o,
 		})
 	}
 	tw, err := timewarp.Run(cfg)

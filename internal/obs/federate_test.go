@@ -71,7 +71,7 @@ func TestFederatedMergeDeterministic(t *testing.T) {
 func TestFederatedMergeGolden(t *testing.T) {
 	worker := func(n uint64) Snapshot {
 		o := New(Options{})
-		o.Registry().Counter("net_frames_sent_total", "frames sent", L("peer", 1)).Add(n)
+		o.Registry().Counter("test_frames_total", "frames sent", L("peer", 1)).Add(n)
 		h := o.Registry().Histogram("tw_rollback_depth", "rollback depth in cycles", []float64{2, 16})
 		h.Observe(float64(n))
 		return o.Registry().Snapshot()
@@ -88,10 +88,10 @@ func TestFederatedMergeGolden(t *testing.T) {
 	want := `# HELP dist_round GVT round
 # TYPE dist_round gauge
 dist_round 9
-# HELP net_frames_sent_total frames sent
-# TYPE net_frames_sent_total counter
-net_frames_sent_total{peer="1",worker="0"} 1
-net_frames_sent_total{peer="1",worker="1"} 20
+# HELP test_frames_total frames sent
+# TYPE test_frames_total counter
+test_frames_total{peer="1",worker="0"} 1
+test_frames_total{peer="1",worker="1"} 20
 # HELP tw_rollback_depth rollback depth in cycles
 # TYPE tw_rollback_depth histogram
 tw_rollback_depth_bucket{le="2",worker="0"} 1

@@ -327,41 +327,38 @@ func sumSeries(snap obs.Snapshot, name, want string) float64 {
 }
 
 // assignedWorkerID recovers a worker's coordinator-assigned id from its
-// local registry: the mesh registers net_frames_sent_total{peer=...} for
-// every peer but itself, so the missing peer id is its own.
-func assignedWorkerID(t *testing.T, snap obs.Snapshot, workers int) int {
+// local registry: the cluster labels of its tw_events series are the
+// clusters it ran, and the placement names the one worker that owns them.
+func assignedWorkerID(t *testing.T, snap obs.Snapshot, placement []int32) int {
 	t.Helper()
-	present := make(map[int]bool)
+	id := -1
 	for _, sm := range snap.Samples {
-		if sm.Name != "net_frames_sent_total" {
+		if sm.Name != "tw_events" {
 			continue
 		}
-		i := strings.Index(sm.Labels, `peer="`)
-		if i < 0 {
-			continue
+		c, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(sm.Labels, `{cluster="`), `"}`))
+		if err != nil || c < 0 || c >= len(placement) {
+			t.Fatalf("tw_events%s names no cluster of %d", sm.Labels, len(placement))
 		}
-		rest := sm.Labels[i+len(`peer="`):]
-		j := strings.Index(rest, `"`)
-		if p, err := strconv.Atoi(rest[:j]); err == nil {
-			present[p] = true
-		}
-	}
-	for id := 0; id < workers; id++ {
-		if !present[id] {
-			return id
+		if owner := int(placement[c]); id < 0 {
+			id = owner
+		} else if owner != id {
+			t.Fatalf("one registry holds clusters placed on workers %d and %d", id, owner)
 		}
 	}
-	t.Fatalf("cannot resolve worker id: peers %v of %d", present, workers)
-	return -1
+	if id < 0 {
+		t.Fatal("cannot resolve worker id: the registry has no tw_events series")
+	}
+	return id
 }
 
 // TestDistributedFederation runs an instrumented 2-worker cluster and
 // checks the whole observability plane end to end: the coordinator's
 // single registry carries every worker's series under a worker label,
-// the per-peer wire counters tie out exactly against the coordinator's
-// era tallies, the merged dump is valid Prometheus exposition, the
-// merged Chrome trace decodes with one process per node, and the worker
-// probes report clean completion.
+// the federated tw_batches tie out exactly against each worker's own
+// scrape and against the merged result, the merged dump is valid
+// Prometheus exposition, the merged Chrome trace decodes with one process
+// per node, and the worker probes report clean completion.
 func TestDistributedFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed runs are socket-heavy; skipped in -short")
@@ -405,23 +402,6 @@ func TestDistributedFederation(t *testing.T) {
 		t.Errorf("final GVT %d, want %d", res.FinalGVT, cycles)
 	}
 
-	// Satellite: the per-peer wire counters on each worker's local
-	// registry must tie out exactly against the coordinator's era
-	// tallies — both sides count exactly the successfully sent frames.
-	var localSent, localRecv float64
-	for _, wo := range do.workers {
-		snap := wo.Snapshot()
-		localSent += sumSeries(snap, "net_frames_sent_total", "")
-		localRecv += sumSeries(snap, "net_frames_recv_total", "")
-	}
-	if localSent != float64(res.WireFramesSent) {
-		t.Errorf("sum of net_frames_sent_total across workers = %v, coordinator era tally = %d",
-			localSent, res.WireFramesSent)
-	}
-	if localRecv != float64(res.WireFramesRecv) {
-		t.Errorf("sum of net_frames_recv_total across workers = %v, coordinator era tally = %d",
-			localRecv, res.WireFramesRecv)
-	}
 	if res.WireFramesSent == 0 {
 		t.Error("no cross-process frames counted: k=4 over 2 workers must cut the graph")
 	}
@@ -430,12 +410,12 @@ func TestDistributedFederation(t *testing.T) {
 	// worker's series under a worker label, and the final federated
 	// values must equal each worker's own final scrape. Worker ids are
 	// assigned by control-plane accept order, so map each local observer
-	// to its id via the per-peer counter labels before comparing.
+	// to its id through the clusters it ran before comparing.
 	fedSnap := do.coord.Snapshot()
 	seenID := make(map[int]bool)
 	for w, wo := range do.workers {
 		localSnap := wo.Snapshot()
-		id := assignedWorkerID(t, localSnap, workers)
+		id := assignedWorkerID(t, localSnap, co.placement)
 		if seenID[id] {
 			t.Fatalf("two workers resolved to id %d", id)
 		}
@@ -444,12 +424,17 @@ func TestDistributedFederation(t *testing.T) {
 		if sumSeries(fedSnap, "tw_events", wantLbl) == 0 {
 			t.Errorf("coordinator registry has no tw_events series for %s", wantLbl)
 		}
-		fs := sumSeries(fedSnap, "net_frames_sent_total", wantLbl)
-		ls := sumSeries(localSnap, "net_frames_sent_total", "")
-		if fs != ls {
-			t.Errorf("worker %d (id %d): federated net_frames_sent_total = %v, local scrape = %v",
-				w, id, fs, ls)
+		fb := sumSeries(fedSnap, "tw_batches", wantLbl)
+		lb := sumSeries(localSnap, "tw_batches", "")
+		if fb != lb {
+			t.Errorf("worker %d (id %d): federated tw_batches = %v, local scrape = %v", w, id, fb, lb)
 		}
+	}
+	// Every comm message a cluster sends is one batch, counted once by the
+	// cluster that sent it: summed over the workers, the federated series
+	// is the merged result's count exactly.
+	if fb := sumSeries(fedSnap, "tw_batches", `worker="`); fb != float64(res.Stats.Batches) || fb == 0 {
+		t.Errorf("federated tw_batches summed over workers = %v, merged Stats.Batches = %d", fb, res.Stats.Batches)
 	}
 	if v, ok := fedSnap.Get("dist_gvt", ""); !ok || v != cycles {
 		t.Errorf("dist_gvt = %v (present %v), want %d", v, ok, cycles)

@@ -19,11 +19,9 @@ type WorkerOptions struct {
 	// Bind is the data-plane listen address peers will dial
 	// (default "127.0.0.1:0").
 	Bind string
-	// Obs, when enabled, publishes per-peer wire metrics (frames/bytes
-	// sent and received per link) on the net track, and turns on the
-	// observability federation: the worker ships registry snapshots and
-	// trace-ring batches to the coordinator piggybacked on every GVT
-	// round and on termination.
+	// Obs, when enabled, turns on the observability federation: the
+	// worker ships registry snapshots and trace-ring batches to the
+	// coordinator piggybacked on every GVT round and on termination.
 	Obs *obs.Observer
 	// Probe receives the worker-local liveness view (driven by the
 	// coordinator's GVT broadcasts and local cluster progress) — the
@@ -378,7 +376,7 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		w.mesh.noteRecv(df.Era, len(payload))
+		w.mesh.noteRecv(df.Era)
 		w.h.net.NoteArrived()
 		w.mesh.deliver(df.Dst, msg)
 	case nettrans.FrameProgress:
@@ -504,40 +502,18 @@ type meshTransport struct {
 	encMu  sync.Mutex
 	encBuf []byte
 
-	tallyMu    sync.Mutex
-	sentByEra  map[uint64]uint64
-	recvByEra  map[uint64]uint64
-	framesSent []*obs.Counter // per peer worker; nil when uninstrumented
-	bytesSent  []*obs.Counter
-	framesRecv *obs.Counter
-	bytesRecv  *obs.Counter
+	tallyMu   sync.Mutex
+	sentByEra map[uint64]uint64
+	recvByEra map[uint64]uint64
 }
 
 func newMeshTransport(w *distWorker) *meshTransport {
-	t := &meshTransport{
+	return &meshTransport{
 		w:         w,
 		down:      make([]bool, w.numW),
 		sentByEra: make(map[uint64]uint64),
 		recvByEra: make(map[uint64]uint64),
 	}
-	if w.opts.Obs.Enabled() {
-		reg := w.opts.Obs.Registry()
-		t.framesSent = make([]*obs.Counter, w.numW)
-		t.bytesSent = make([]*obs.Counter, w.numW)
-		for p := 0; p < w.numW; p++ {
-			if p == w.id {
-				continue
-			}
-			lbl := obs.L("peer", p)
-			t.framesSent[p] = reg.Counter("net_frames_sent_total", "wire frames written", lbl)
-			t.bytesSent[p] = reg.Counter("net_bytes_sent_total", "wire payload bytes written", lbl)
-		}
-		t.framesRecv = reg.Counter("net_frames_recv_total", "wire frames read and delivered",
-			obs.L("peer", "any"))
-		t.bytesRecv = reg.Counter("net_bytes_recv_total", "wire payload bytes read",
-			obs.L("peer", "any"))
-	}
-	return t
 }
 
 // factory adapts the transport to comm.TransportFactory, capturing the
@@ -552,14 +528,10 @@ func (t *meshTransport) factory() comm.TransportFactory {
 func (t *meshTransport) flipEra(era uint64) { t.era.Store(era) }
 
 // noteRecv tallies one received data frame under its wire color.
-func (t *meshTransport) noteRecv(era uint64, bytes int) {
+func (t *meshTransport) noteRecv(era uint64) {
 	t.tallyMu.Lock()
 	t.recvByEra[era]++
 	t.tallyMu.Unlock()
-	if t.framesRecv != nil {
-		t.framesRecv.Inc()
-		t.bytesRecv.Add(uint64(bytes))
-	}
 }
 
 // takeEraDeltas drains the per-era tallies accumulated since the last
@@ -612,7 +584,6 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	}
 	sendErr := conn.Send(nettrans.FrameData, buf)
 	t.encBuf = buf
-	n := len(buf)
 	t.encMu.Unlock()
 
 	// Departed this process — whether the write succeeded or the peer is
@@ -627,11 +598,6 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 			t.sentByEra[era] = n - 1
 		}
 		t.tallyMu.Unlock()
-		return
-	}
-	if t.framesSent != nil {
-		t.framesSent[owner].Inc()
-		t.bytesSent[owner].Add(uint64(n))
 	}
 }
 

@@ -126,8 +126,7 @@ type Result struct {
 	InvariantViolations []string
 	// WireFramesSent and WireFramesRecv are the cross-process data-frame
 	// totals the coordinator's Mattern era tallies accumulated — zero for
-	// in-process runs, and the ground truth the workers' per-peer wire
-	// counters must tie out against.
+	// in-process runs, and the one count of frames on the wire.
 	WireFramesSent uint64
 	WireFramesRecv uint64
 }

@@ -130,7 +130,13 @@ func TestTaxonomy(t *testing.T) {
 	if _, runErr, workerErrs := distRunObs(t, spec, 2, 0, do); runErr != nil {
 		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
 	}
-	emitted(seen, do.coord)
+	// The coordinator registers only dist_* families, so a kernel family in
+	// its snapshot is one a worker registry federated.
+	federated := map[taxonomyRow]bool{}
+	emitted(federated, do.coord)
+	for r := range federated {
+		seen[r] = true
+	}
 	for _, wo := range do.workers {
 		emitted(seen, wo)
 	}
@@ -146,11 +152,13 @@ func TestTaxonomy(t *testing.T) {
 		{"rollback", "span"}, {"gvt_advance", "instant"}, {"gvt", "counter"}, {"cascade", "flow"},
 		{"link_stall", "instant"}, {"gvt_round", "span"}, {"gvt_broadcast", "instant"},
 		{"tw_rollbacks", "metric"}, {"comm_inflight", "metric"}, {"dist_gvt", "metric"},
-		{"net_frames_sent_total", "metric"},
 	} {
 		if !seen[want] {
 			t.Errorf("neither run emitted %s %q", want.kind, want.name)
 		}
+	}
+	if !federated[taxonomyRow{"tw_batches", "metric"}] {
+		t.Error(`the coordinator's registry holds no federated "tw_batches"`)
 	}
 
 	var src strings.Builder
