@@ -89,9 +89,10 @@ monitor-demo:
 # identical "waveforms sha256:..." digest — bit-identical committed
 # waveforms across process boundaries (DESIGN.md §14) — and the
 # observability plane checks out: the coordinator's /metrics scrape
-# federates every worker's registry (validated and required to carry
-# worker labels via obscheck), and the merged cluster trace decodes
-# cleanly (DESIGN.md §16). It also prints, ungated, the share of executed
+# carries the tw_* series of the clusters worker 1 runs, which only its
+# round reports put there (validated and required via obscheck; with
+# k=4 over two workers, clusters 2 and 3 are placed on worker 1), and the
+# merged cluster trace decodes cleanly (DESIGN.md §16). It also prints, ungated, the share of executed
 # gate evaluations the cross-process run rolled back (the coordinator's
 # "timewarp-dist:" line): the number the polled data plane (DESIGN.md §21)
 # is judged by, here with real process boundaries between the workers.
@@ -123,10 +124,10 @@ dist-smoke:
 		sleep 0.1; \
 	done; \
 	if [ $$scraped -ne 1 ]; then echo "coordinator /metrics never answered"; cat dist-coord.out; exit 1; fi; \
-	./obscheck.dist -prom dist-scrape.prom -require 'worker="' \
-		|| { echo "federated /metrics scrape invalid"; exit 1; }; \
+	./obscheck.dist -prom dist-scrape.prom -require 'tw_batches{cluster="3"}' \
+		|| { echo "coordinator /metrics scrape invalid"; exit 1; }; \
 	wait $$pid || { echo "coordinator failed:"; cat dist-coord.out; exit 1; }; \
-	./obscheck.dist -prom dist.metrics.prom -require 'worker="' -trace dist.trace.json \
+	./obscheck.dist -prom dist.metrics.prom -require 'tw_batches{cluster="3"}' -trace dist.trace.json \
 		|| { echo "observability artifacts invalid"; exit 1; }; \
 	grep -q '"worker 1"' dist.trace.json \
 		|| { echo "merged trace names no worker 1 process"; exit 1; }; \
@@ -144,7 +145,7 @@ dist-smoke:
 # Post-mortem drill: start a distributed run with the flight recorder
 # armed, kill one worker process mid-run (SIGKILL: sockets drop exactly
 # like a machine death), and require the coordinator to abort AND leave a
-# complete post-mortem bundle behind: exactly the federated metrics, the
+# complete post-mortem bundle behind: exactly the coordinator's metrics, the
 # merged trace tail (decodable, the GVT-round history among its spans),
 # probe states and the coordinator's goroutine dump.
 dist-postmortem:

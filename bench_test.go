@@ -599,9 +599,10 @@ func BenchmarkTimeWarpCausalityOn(b *testing.B) {
 // benchDistFederation runs a full 2-worker distributed round trip in one
 // process: coordinator handshake, worker elaboration, TCP mesh, the GVT
 // round protocol, result merge. The instrumented variant additionally
-// federates every worker's registry snapshot and trace-ring tail to the
-// coordinator on each round — the delta between the pair is the whole
-// price of cluster-wide observability. TestDistRunAllocs (internal/timewarp)
+// instruments every worker and ships its trace-ring tail to the
+// coordinator on the round cadence — the delta between the pair is what
+// worker-side observability costs (the counters ride the round reports
+// on both sides). TestDistRunAllocs (internal/timewarp)
 // bounds the pair's allocations.
 func benchDistFederation(b *testing.B, instrumented bool) {
 	ed := workload(b)

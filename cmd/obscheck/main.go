@@ -8,7 +8,7 @@
 // Examples:
 //
 //	curl -fsS http://127.0.0.1:8080/metrics | obscheck -prom -
-//	obscheck -prom metrics.prom -require 'worker="1"'
+//	obscheck -prom metrics.prom -require 'tw_batches{cluster="3"}'
 //	obscheck -trace cluster.trace.json
 //
 // Exit status 0 when every requested check passes, 1 otherwise, 2 for a
@@ -37,7 +37,7 @@ func main() {
 	var (
 		prom    = flag.String("prom", "", "validate this Prometheus text exposition file (\"-\" = stdin)")
 		trace   = flag.String("trace", "", "decode this Chrome trace file (\"-\" = stdin) and report its contents")
-		require = flag.String("require", "", "with -prom: additionally require this substring to appear in the exposition (e.g. a label like worker=\"1\")")
+		require = flag.String("require", "", "with -prom: additionally require this substring to appear in the exposition (e.g. a series like tw_batches{cluster=\"3\"})")
 	)
 	flag.Parse()
 	c := checks{Prom: *prom, Trace: *trace, Require: *require}

@@ -213,10 +213,10 @@ func main() {
 		}
 
 	case "dist":
-		// The coordinator's observer is the federation sink: worker
-		// snapshots merge into it under a worker label, so one -metrics
-		// dump or /metrics scrape covers the whole cluster. The flight
-		// recorder (-postmortem-dir) needs it too.
+		// The coordinator's observer holds every cluster's tw_* series,
+		// fed by the workers' round reports, and the merged trace, so one
+		// -metrics dump or /metrics scrape covers the whole cluster. The
+		// flight recorder (-postmortem-dir) needs it too.
 		var o *obs.Observer
 		if *trace != "" || *metrics != "" || *report || *serveAddr != "" || *postmortem != "" {
 			o = obs.New(obs.Options{})
@@ -273,7 +273,7 @@ func main() {
 		fmt.Println(waveDigest(nl.POs, res.Observed))
 		// -trace writes the merged cluster trace (one Chrome-trace process
 		// per node, worker clocks rebased onto the coordinator's); the
-		// metrics dump and report render the federated registry.
+		// metrics dump and report render the coordinator's registry.
 		if *trace != "" {
 			w := os.Stdout
 			if *trace != "-" {
@@ -364,7 +364,7 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 	if mode != "tw" && mode != "dist" {
 		// The observability exports and the monitoring server work for
 		// both the in-process kernel and the distributed coordinator (where
-		// one scrape federates every worker's registry and the trace merges
+		// one scrape shows every cluster's counters and the trace merges
 		// all clocks).
 		for _, f := range []string{"trace", "metrics", "report", "serve", "serve-hold"} {
 			if set[f] {

@@ -10,9 +10,10 @@
 // scrapes its local registry (the per-cluster kernel series of the
 // clusters it runs), and /healthz answers 503 as soon as the worker's
 // kernel probe reports the run wedged or failed — the hook a process
-// supervisor or Kubernetes liveness check wants. The same registry is
-// federated to the coordinator regardless, so -serve is for operators
-// who want to interrogate one worker directly.
+// supervisor or Kubernetes liveness check wants. The coordinator's scrape
+// already carries the clusters' counters (every round report does), so
+// -serve and -metrics are for what only this process holds: queue
+// lengths, GVT lag, the rollback-depth histogram, comm_inflight.
 //
 // Examples:
 //
@@ -40,7 +41,7 @@ func main() {
 		metrics    = flag.String("metrics", "", "write a Prometheus-style dump of the worker's registry (its clusters' kernel series) to this file after the run (\"-\" = stdout)")
 		serveAddr  = flag.String("serve", "", "serve /metrics, /healthz, /status and pprof on this address while the worker runs (e.g. 127.0.0.1:9110)")
 		stallAfter = flag.Duration("stall-after", 0, "report unhealthy on /healthz after this long without progress (0 = 10s default)")
-		obsOn      = flag.Bool("obs", true, "instrument the worker and federate its metrics and trace ring to the coordinator; -obs=false runs bare (-metrics and /metrics are then empty; /healthz still reads the probe)")
+		obsOn      = flag.Bool("obs", true, "instrument the worker: its own metrics registry, and a trace ring shipped to the coordinator's merged trace; -obs=false runs bare (-metrics and /metrics are then empty; /healthz still reads the probe; the coordinator still gets every cluster's counters)")
 	)
 	flag.Parse()
 	if err := validateFlags(*connect, *dialTO, *stallAfter, flag.Args()); err != nil {
@@ -48,11 +49,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The observer feeds three consumers from one registry: the -metrics
-	// dump, the -serve endpoint, and the federation stream the worker
-	// ships to the coordinator. It is on by default — a worker daemon's
-	// registry is what makes the coordinator's single /metrics scrape and
-	// post-mortem bundle worth anything — and -obs=false drops all three.
+	// The observer feeds three consumers: the -metrics dump, the -serve
+	// endpoint, and the trace ring the worker ships to the coordinator's
+	// merged trace and post-mortem bundle. It is on by default, and
+	// -obs=false drops all three.
 	var o *obs.Observer
 	if *obsOn {
 		o = obs.New(obs.Options{})

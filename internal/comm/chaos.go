@@ -30,8 +30,7 @@ type ChaosConfig struct {
 	// StallFor is the stall duration (default 2ms).
 	StallFor time.Duration
 	// Obs, when enabled, makes the transport emit one trace instant per
-	// link stall window and publish held-message/stall counters on the
-	// comm track. Nil disables (the default).
+	// link stall window on the comm track. Nil disables (the default).
 	Obs *obs.Observer
 }
 
@@ -53,12 +52,6 @@ func Chaos(cfg ChaosConfig) TransportFactory {
 			deliver: deliver,
 			links:   make(map[[2]int]*chaosLink),
 			stop:    make(chan struct{}),
-		}
-		if cfg.Obs.Enabled() {
-			reg := cfg.Obs.Registry()
-			c.obs = cfg.Obs
-			c.stalls = reg.Counter("comm_chaos_stalls_total", "link stall windows begun")
-			c.held = reg.Gauge("comm_chaos_held", "messages currently held by the chaos transport")
 		}
 		c.wg.Add(1)
 		go c.pump()
@@ -88,12 +81,6 @@ type chaosTransport struct {
 	mu    sync.Mutex
 	links map[[2]int]*chaosLink
 	order []*chaosLink // links in creation order, for deterministic sweeps
-	heldN int          // messages currently queued across all links
-
-	// Observability (nil when disabled; one branch per use).
-	obs    *obs.Observer
-	stalls *obs.Counter
-	held   *obs.Gauge
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -124,10 +111,9 @@ func (c *chaosTransport) Send(src, dst int, msg Message) {
 	d := time.Duration(l.rng.Int63n(int64(c.cfg.MaxDelay) + 1))
 	if c.cfg.StallEvery > 0 && l.seq%c.cfg.StallEvery == 0 {
 		d += c.cfg.StallFor
-		c.stalls.Inc()
 		// The instant marks where the adversary planted a straggler: the
 		// rollback spans it provokes appear on the victim cluster tracks.
-		c.obs.Instant(obs.TrackComm, "link_stall",
+		c.cfg.Obs.Instant(obs.TrackComm, "link_stall",
 			obs.Arg{Key: "src", Val: float64(src)},
 			obs.Arg{Key: "dst", Val: float64(dst)},
 			obs.Arg{Key: "hold_us", Val: float64(c.cfg.StallFor.Microseconds())})
@@ -138,8 +124,6 @@ func (c *chaosTransport) Send(src, dst int, msg Message) {
 	}
 	l.last = rel
 	l.q = append(l.q, heldMsg{msg: msg, release: rel})
-	c.heldN++
-	c.held.Set(int64(c.heldN))
 	c.mu.Unlock()
 }
 
@@ -193,8 +177,6 @@ func (c *chaosTransport) flush(now time.Time, shuf *rand.Rand) {
 			l.q = append(l.q[:0], l.q[n:]...)
 		}
 	}
-	c.heldN -= len(due)
-	c.held.Set(int64(c.heldN))
 	c.mu.Unlock()
 	// Deliver outside the transport lock: enqueue takes endpoint locks and
 	// may wake receivers that immediately Send (re-entering the transport).

@@ -55,7 +55,8 @@ const (
 	FrameProgress byte = 0x07
 	// FrameCut opens one GVT round: every worker flips its send color.
 	FrameCut byte = 0x08
-	// FrameReport answers a cut with the worker's counters and progress.
+	// FrameReport answers a cut with the worker's counters and, per
+	// cluster, its progress and kernel statistics.
 	FrameReport byte = 0x09
 	// FrameGVT broadcasts a newly established safe GVT value.
 	FrameGVT byte = 0x0A
@@ -69,12 +70,8 @@ const (
 	FrameAbort byte = 0x0D
 	// FrameError reports a worker-local failure to the coordinator.
 	FrameError byte = 0x0E
-	// FrameMetrics ships a worker's metrics-registry snapshot (the
-	// compact binary form of obs.AppendSnapshot) to the coordinator,
-	// piggybacked on GVT-round reports and on termination.
-	FrameMetrics byte = 0x0F
 	// FrameTrace streams a bounded batch of the worker's trace ring
-	// (obs.AppendTraceEvents) to the coordinator for the merged cluster
+	// (timewarp.AppendTraceEvents) to the coordinator for the merged cluster
 	// trace and the crash flight recorder.
 	FrameTrace byte = 0x10
 )

@@ -167,16 +167,14 @@ func (o *Observer) Uptime() time.Duration {
 	return time.Since(o.start)
 }
 
-// Snapshot takes a registry snapshot stamped with the observer's uptime.
-// Safe to call from any goroutine, including mid-run — the registry reads
-// only atomics and sampled functions.
+// Snapshot takes a registry snapshot. Safe to call from any goroutine,
+// including mid-run — the registry reads only atomics and sampled
+// functions.
 func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
-	s := o.reg.Snapshot()
-	s.At = o.Uptime()
-	return s
+	return o.reg.Snapshot()
 }
 
 // reportSection is one registered extra section of the run report.

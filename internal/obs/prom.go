@@ -14,10 +14,7 @@ import (
 // one line per sample, sorted — so two equal registry states render to
 // byte-identical dumps (the property the golden metrics tests pin).
 // Histogram buckets are ordered by their numeric le bound, +Inf last.
-// Sampled funcs are exposed as gauges. Federated external snapshots
-// (Registry.SetExternal) are merged in under their injected label; the
-// output is identical regardless of the order the snapshots arrived in.
-// Nil observers write nothing.
+// Sampled funcs are exposed as gauges. Nil observers write nothing.
 func (o *Observer) WritePrometheus(w io.Writer) error {
 	if o == nil {
 		return nil
@@ -30,14 +27,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	return WriteSnapshotPrometheus(w, r.Snapshot())
-}
-
-// WriteSnapshotPrometheus renders a self-describing snapshot — the
-// registry's own, a decoded federated one, or a merged set — in the
-// Prometheus text format. Samples whose family metadata is missing are
-// exposed as gauges so the output still validates.
-func WriteSnapshotPrometheus(w io.Writer, snap Snapshot) error {
+	snap := r.Snapshot()
 	fams := make(map[string]Family, len(snap.Families))
 	for _, f := range snap.Families {
 		fams[f.Name] = f
@@ -155,4 +145,45 @@ func formatValue(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
+}
+
+// parseRenderedLabels inverts renderLabels; malformed input (impossible
+// for sets this package rendered) yields the parseable prefix.
+func parseRenderedLabels(rendered string) []Label {
+	if len(rendered) < 2 || rendered[0] != '{' {
+		return nil
+	}
+	s := rendered[1 : len(rendered)-1]
+	var out []Label
+	for len(s) > 0 {
+		eq := strings.IndexByte(s, '=')
+		if eq < 0 || eq+1 >= len(s) || s[eq+1] != '"' {
+			return out
+		}
+		key := s[:eq]
+		rest := s[eq+1:]
+		// Find the closing quote, honouring backslash escapes.
+		end := -1
+		for i := 1; i < len(rest); i++ {
+			if rest[i] == '\\' {
+				i++
+				continue
+			}
+			if rest[i] == '"' {
+				end = i
+				break
+			}
+		}
+		if end < 0 {
+			return out
+		}
+		val, err := strconv.Unquote(rest[:end+1])
+		if err != nil {
+			return out
+		}
+		out = append(out, Label{Key: key, Value: val})
+		s = rest[end+1:]
+		s = strings.TrimPrefix(s, ",")
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one metric dimension (e.g. {cluster, "3"} or {src, "0"}).
@@ -163,10 +162,6 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
 	order   []*metric // registration order, for stable snapshots
-	// external holds federated snapshots from other processes (see
-	// SetExternal in federate.go), merged into Snapshot and the exporters
-	// under their injected label.
-	external map[string]externalSource
 }
 
 func newRegistry() *Registry {
@@ -239,12 +234,40 @@ type Sample struct {
 // one sample per bucket (suffix _bucket with an le label) plus _count
 // and _sum, mirroring the Prometheus exposition shape. Families carries
 // the per-family type and help metadata so a snapshot is self-describing
-// — the property the federation codec and merged Prometheus dump rely
-// on.
+// — the property the Prometheus writer relies on.
 type Snapshot struct {
-	At       time.Duration // observer uptime when taken
-	Families []Family      // sorted by Name, one entry per metric family
-	Samples  []Sample      // sorted by (Name, Labels)
+	Families []Family // sorted by Name, one entry per metric family
+	Samples  []Sample // sorted by (Name, Labels)
+}
+
+// Kind classifies a metric family for exposition typing.
+type Kind byte
+
+const (
+	KindCounter Kind = iota
+	KindGauge
+	KindHistogram
+)
+
+func (k Kind) String() string {
+	switch k {
+	case KindCounter:
+		return "counter"
+	case KindGauge:
+		return "gauge"
+	case KindHistogram:
+		return "histogram"
+	default:
+		return "untyped"
+	}
+}
+
+// Family is one metric family's metadata: the base name (histogram
+// samples carry suffixed names), its help string, and its type.
+type Family struct {
+	Name string
+	Help string
+	Kind Kind
 }
 
 // Get returns the value of the sample with the given name and rendered
@@ -261,9 +284,7 @@ func (s Snapshot) Get(name, labels string) (float64, bool) {
 // Snapshot reads every instrument. Values come from atomics and sampled
 // funcs only, so it is safe mid-run; the sample and family lists are
 // sorted so equal registry states render identically regardless of
-// registration interleaving. Federated external snapshots (SetExternal)
-// are merged in with their source label inserted, ordered by source —
-// never by arrival.
+// registration interleaving.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -271,7 +292,6 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	ms := make([]*metric, len(r.order))
 	copy(ms, r.order)
-	ext := r.externalSorted()
 	r.mu.Unlock()
 
 	var out []Sample
@@ -302,24 +322,13 @@ func (r *Registry) Snapshot() Snapshot {
 			out = append(out, Sample{Name: m.name + "_sum", Labels: m.labels, Value: float64(m.hist.Sum())})
 		}
 	}
-	fams := familiesOf(ms)
-	for _, src := range ext {
-		for _, sm := range src.snap.Samples {
-			out = append(out, Sample{
-				Name:   sm.Name,
-				Labels: insertLabel(sm.Labels, src.key, src.value),
-				Value:  sm.Value,
-			})
-		}
-		fams = mergeFamilies(fams, src.snap.Families)
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}
 		return out[i].Labels < out[j].Labels
 	})
-	return Snapshot{Families: fams, Samples: out}
+	return Snapshot{Families: familiesOf(ms), Samples: out}
 }
 
 // familiesOf derives the sorted family metadata of a metric list. The
@@ -354,38 +363,9 @@ func familiesOf(ms []*metric) []Family {
 	return out
 }
 
-// mergeFamilies folds extra family metadata into a sorted family list,
-// keeping the result sorted and the help choice deterministic.
-func mergeFamilies(fams, extra []Family) []Family {
-	if len(extra) == 0 {
-		return fams
-	}
-	byName := make(map[string]Family, len(fams)+len(extra))
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	for _, f := range extra {
-		prev, ok := byName[f.Name]
-		if !ok {
-			byName[f.Name] = f
-			continue
-		}
-		if betterHelp(f.Help, prev.Help) {
-			prev.Help = f.Help
-			byName[f.Name] = prev
-		}
-	}
-	out := make([]Family, 0, len(byName))
-	for _, f := range byName {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // betterHelp reports whether candidate should replace current as a
 // family's help: any help beats none, then smallest byte order wins —
-// an arrival-order-free tie break for federated sources that disagree.
+// a registration-order-free tie break for series that disagree.
 func betterHelp(candidate, current string) bool {
 	if candidate == "" {
 		return false

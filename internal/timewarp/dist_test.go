@@ -124,7 +124,8 @@ func TestDifferentialNetTransportVsSequential(t *testing.T) {
 }
 
 // distObs carries the observability wiring for an instrumented
-// distributed test run: the coordinator's observer (federation sink),
+// distributed test run: the coordinator's observer (the cluster series
+// and the merged trace),
 // one observer and probe per worker, and an optional flight-recorder
 // directory.
 type distObs struct {
@@ -309,79 +310,54 @@ func TestDistributedWorkerCrashAborts(t *testing.T) {
 	}
 }
 
-// sumSeries totals every sample of one metric family across all label
-// sets, optionally keeping only samples whose rendered labels contain
-// want (e.g. `worker="1"`).
-func sumSeries(snap obs.Snapshot, name, want string) float64 {
-	var total float64
-	for _, sm := range snap.Samples {
-		if sm.Name != name {
-			continue
+// requireClusterSeries demands that a coordinator's registry hold, for
+// every cluster of the run, the ten Stats-backed tw_* series with the
+// merged result's per-cluster values exactly — the counters the workers
+// reported, overwritten by their results — and nothing under a worker
+// label.
+func requireClusterSeries(t *testing.T, snap obs.Snapshot, res *Result) {
+	t.Helper()
+	for c := range res.PerCluster {
+		if res.PerCluster[c].Events == 0 {
+			t.Errorf("cluster %d executed nothing", c)
 		}
-		if want != "" && !strings.Contains(sm.Labels, want) {
-			continue
+		lbl := `{cluster="` + strconv.Itoa(c) + `"}`
+		for i, f := range res.PerCluster[c].fields() {
+			if got, ok := snap.Get(statSeries[i].name, lbl); !ok || got != float64(*f) {
+				t.Errorf("coordinator %s%s = %v (present %v), Result.PerCluster[%d] = %d",
+					statSeries[i].name, lbl, got, ok, c, *f)
+			}
 		}
-		total += sm.Value
 	}
-	return total
+	for _, sm := range snap.Samples {
+		if strings.Contains(sm.Labels, "worker=") {
+			t.Errorf("coordinator series %s%s carries a worker label", sm.Name, sm.Labels)
+		}
+	}
 }
 
-// assignedWorkerID recovers a worker's coordinator-assigned id from its
-// local registry: the cluster labels of its tw_events series are the
-// clusters it ran, and the placement names the one worker that owns them.
-func assignedWorkerID(t *testing.T, snap obs.Snapshot, placement []int32) int {
+// federationSpec is the run the federation tests share: the small decoder
+// at k=4 over two workers, long enough for many GVT rounds.
+func federationSpec(t *testing.T, cycles uint64) *DistSpec {
 	t.Helper()
-	id := -1
-	for _, sm := range snap.Samples {
-		if sm.Name != "tw_events" {
-			continue
-		}
-		c, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(sm.Labels, `{cluster="`), `"}`))
-		if err != nil || c < 0 || c >= len(placement) {
-			t.Fatalf("tw_events%s names no cluster of %d", sm.Labels, len(placement))
-		}
-		if owner := int(placement[c]); id < 0 {
-			id = owner
-		} else if owner != id {
-			t.Fatalf("one registry holds clusters placed on workers %d and %d", id, owner)
-		}
-	}
-	if id < 0 {
-		t.Fatal("cannot resolve worker id: the registry has no tw_events series")
-	}
-	return id
+	c := gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8})
+	_, pr := multiway(t, c, partition.Options{K: 4, B: 10, Seed: 17, Restarts: 2})
+	return &DistSpec{Source: c.Source, Top: c.Top, GateParts: pr.GateParts, K: 4, Cycles: cycles, VecSeed: 29}
 }
 
 // TestDistributedFederation runs an instrumented 2-worker cluster and
 // checks the whole observability plane end to end: the coordinator's
-// single registry carries every worker's series under a worker label,
-// the federated tw_batches tie out exactly against each worker's own
-// scrape and against the merged result, the merged dump is valid
-// Prometheus exposition, the merged Chrome trace decodes with one process
-// per node, and the worker probes report clean completion.
+// registry carries every cluster's tw_* series, equal to the merged
+// result and to each worker's own scrape, under the labels an in-process
+// run uses; the dump is valid Prometheus exposition, the merged Chrome
+// trace decodes with one process per node, and the worker probes report
+// clean completion.
 func TestDistributedFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed runs are socket-heavy; skipped in -short")
 	}
-	c := gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8})
-	ed, err := c.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 17, Restarts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const cycles = 2000
-	spec := &DistSpec{
-		Source:    c.Source,
-		Top:       c.Top,
-		GateParts: pr.GateParts,
-		K:         4,
-		Cycles:    cycles,
-		VecSeed:   29,
-	}
-	const workers = 2
+	spec := federationSpec(t, cycles)
 	do := distObs{
 		coord:   obs.New(obs.Options{}),
 		workers: []*obs.Observer{obs.New(obs.Options{}), obs.New(obs.Options{})},
@@ -389,7 +365,7 @@ func TestDistributedFederation(t *testing.T) {
 	}
 	var co *Coordinator
 	do.coordinator = &co
-	res, runErr, workerErrs := distRunObs(t, spec, workers, 0, do)
+	res, runErr, workerErrs := distRunObs(t, spec, 2, 0, do)
 	if runErr != nil {
 		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
 	}
@@ -401,45 +377,35 @@ func TestDistributedFederation(t *testing.T) {
 	if res.FinalGVT != cycles {
 		t.Errorf("final GVT %d, want %d", res.FinalGVT, cycles)
 	}
-
 	if res.WireFramesSent == 0 {
 		t.Error("no cross-process frames counted: k=4 over 2 workers must cut the graph")
 	}
 
-	// Federation: the coordinator's single registry must carry every
-	// worker's series under a worker label, and the final federated
-	// values must equal each worker's own final scrape. Worker ids are
-	// assigned by control-plane accept order, so map each local observer
-	// to its id through the clusters it ran before comparing.
-	fedSnap := do.coord.Snapshot()
-	seenID := make(map[int]bool)
+	coordSnap := do.coord.Snapshot()
+	requireClusterSeries(t, coordSnap, res)
+	// A worker's own scrape shows its clusters under the same names and
+	// labels, with the same final values.
 	for w, wo := range do.workers {
-		localSnap := wo.Snapshot()
-		id := assignedWorkerID(t, localSnap, co.placement)
-		if seenID[id] {
-			t.Fatalf("two workers resolved to id %d", id)
+		local := 0
+		for _, sm := range wo.Snapshot().Samples {
+			if !strings.HasPrefix(sm.Name, "tw_") {
+				continue
+			}
+			if v, ok := coordSnap.Get(sm.Name, sm.Labels); ok {
+				local++
+				if v != sm.Value {
+					t.Errorf("worker %d: %s%s = %v locally, %v at the coordinator", w, sm.Name, sm.Labels, sm.Value, v)
+				}
+			}
 		}
-		seenID[id] = true
-		wantLbl := `worker="` + strconv.Itoa(id) + `"`
-		if sumSeries(fedSnap, "tw_events", wantLbl) == 0 {
-			t.Errorf("coordinator registry has no tw_events series for %s", wantLbl)
-		}
-		fb := sumSeries(fedSnap, "tw_batches", wantLbl)
-		lb := sumSeries(localSnap, "tw_batches", "")
-		if fb != lb {
-			t.Errorf("worker %d (id %d): federated tw_batches = %v, local scrape = %v", w, id, fb, lb)
+		if local != 2*len(statSeries) {
+			t.Errorf("worker %d: %d of its local series are at the coordinator, want %d", w, local, 2*len(statSeries))
 		}
 	}
-	// Every comm message a cluster sends is one batch, counted once by the
-	// cluster that sent it: summed over the workers, the federated series
-	// is the merged result's count exactly.
-	if fb := sumSeries(fedSnap, "tw_batches", `worker="`); fb != float64(res.Stats.Batches) || fb == 0 {
-		t.Errorf("federated tw_batches summed over workers = %v, merged Stats.Batches = %d", fb, res.Stats.Batches)
-	}
-	if v, ok := fedSnap.Get("dist_gvt", ""); !ok || v != cycles {
+	if v, ok := coordSnap.Get("dist_gvt", ""); !ok || v != cycles {
 		t.Errorf("dist_gvt = %v (present %v), want %d", v, ok, cycles)
 	}
-	if sumSeries(fedSnap, "dist_round_latency_us_count", "") == 0 {
+	if v, _ := coordSnap.Get("dist_round_latency_us_count", ""); v == 0 {
 		t.Error("dist_round_latency_us histogram recorded no rounds")
 	}
 
@@ -449,7 +415,7 @@ func TestDistributedFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := obs.ValidatePrometheusText(dump.Bytes()); err != nil {
-		t.Fatalf("merged /metrics dump invalid: %v", err)
+		t.Fatalf("coordinator /metrics dump invalid: %v", err)
 	}
 
 	// Merged cluster trace: one Chrome-trace process per node, decodable
@@ -499,6 +465,36 @@ func TestDistributedFederation(t *testing.T) {
 			t.Errorf("worker %d probe never saw a GVT broadcast", w)
 		}
 	}
+}
+
+// TestDistributedStatsWithoutWorkerObservers: the kernel counters reach
+// the coordinator in the round reports, so its series are complete when
+// no worker is instrumented. A scraper reads them all through the run,
+// while each report overwrites them (run it under -race).
+func TestDistributedStatsWithoutWorkerObservers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed runs are socket-heavy; skipped in -short")
+	}
+	do := distObs{coord: obs.New(obs.Options{})}
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+				do.coord.Snapshot()
+			}
+		}
+	}()
+	res, runErr, workerErrs := distRunObs(t, federationSpec(t, 500), 2, 0, do)
+	close(stop)
+	<-scraped
+	if runErr != nil {
+		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
+	}
+	requireClusterSeries(t, do.coord.Snapshot(), res)
 }
 
 // TestDistributedProfileFederation runs a clean two-worker distributed
@@ -635,6 +631,20 @@ func TestDistributedPostMortem(t *testing.T) {
 	}
 	if _, err := obs.ValidatePrometheusText(prom); err != nil {
 		t.Errorf("post-mortem metrics.prom invalid: %v", err)
+	}
+	// The killed worker (the last one, FailAfter's) reported its clusters'
+	// counters before it died; the bundle keeps the last of them.
+	killed := 0
+	for _, sm := range do.workers[1].Snapshot().Samples {
+		if sm.Name == "tw_events" {
+			killed++
+			if !bytes.Contains(prom, []byte("\ntw_events"+sm.Labels+" ")) {
+				t.Errorf("metrics.prom has no tw_events%s of the killed worker", sm.Labels)
+			}
+		}
+	}
+	if killed == 0 {
+		t.Error("the killed worker ran no cluster")
 	}
 
 	// trace.json: round-trips through our Chrome-trace decoder.
@@ -822,16 +832,13 @@ func TestDistSpecRoundTrip(t *testing.T) {
 func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1}))
 	f.Add(appendReport(nil, distReport{Round: 3,
-		Progress: []clusterProgress{{Cluster: 0, Cycle: 9}},
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}},
 		WireSent: []eraCount{{Era: 2, Count: 5}}}))
 	f.Add(appendResult(nil, distResult{Sent: 1, Absorbed: 1,
-		Clusters: []clusterResult{{Cluster: 0, Stats: Stats{Messages: 2}}},
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 1, Stats: Stats{Messages: 2}}},
 		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
 	f.Add([]byte{})
-	f.Add(AppendSnapshot(nil, obs.Snapshot{
-		Families: []obs.Family{{Name: "m", Kind: obs.KindCounter}},
-		Samples:  []obs.Sample{{Name: "m", Value: 1}},
-	}))
+	f.Add(appendProgressList(nil, []clusterProgress{{Cluster: 1, Cycle: 7}}))
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
 	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -840,9 +847,108 @@ func FuzzDistProtoDecode(f *testing.F) {
 		_, _ = decodeResult(data, 8)
 		_, _ = decodeU64(data, "cut")
 		_, _ = decodeAbort(data)
-		// The federation payloads ride the same control plane: their
-		// decoders face the same hostile bytes.
-		_, _ = DecodeSnapshot(data)
+		_, _ = decodeProgressList(data, 8)
+		// The trace batches ride the same control plane: their decoder
+		// faces the same hostile bytes.
 		_, _, _ = DecodeTraceEvents(data)
 	})
+}
+
+// TestControlDecodersRejectTrailingBytes: a control payload of every kind
+// decodes, and the same payload with one byte more does not — a payload
+// in another build's layout may decode field by field, and only its
+// length tells.
+func TestControlDecodersRejectTrailingBytes(t *testing.T) {
+	entry := []clusterReport{{Cluster: 1, Cycle: 2, Stats: Stats{Events: 3, MaxStragglerDepth: 1}}}
+	for _, tc := range []struct {
+		name   string
+		valid  []byte
+		decode func([]byte) error
+	}{
+		{"cut", nettrans.AppendU64(nil, 3), func(p []byte) error {
+			_, err := decodeU64(p, "cut")
+			return err
+		}},
+		{"abort", appendAbort(nil, distAbort{Reason: "worker 1 died"}), func(p []byte) error {
+			_, err := decodeAbort(p)
+			return err
+		}},
+		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry, Sent: 4, Absorbed: 4,
+			WireSent: []eraCount{{Era: 1, Count: 2}}}), func(p []byte) error {
+			_, err := decodeReport(p, 2)
+			return err
+		}},
+		{"result", appendResult(nil, distResult{Sent: 4, Absorbed: 4, Clusters: entry,
+			Observed: []observedNet{{Net: 0, Values: []bool{true}}}}), func(p []byte) error {
+			_, err := decodeResult(p, 2)
+			return err
+		}},
+		{"progress", appendProgressList(nil, []clusterProgress{{Cluster: 1, Cycle: 9}}), func(p []byte) error {
+			_, err := decodeProgressList(p, 2)
+			return err
+		}},
+	} {
+		if err := tc.decode(tc.valid); err != nil {
+			t.Errorf("%s: valid payload: %v", tc.name, err)
+		}
+		if err := tc.decode(append(tc.valid, 0)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("%s: one trailing byte: error %v, want it rejected", tc.name, err)
+		}
+	}
+}
+
+// TestCoordinatorTrustsNoClusterID: a report or result that names a
+// cluster placed on another worker is a protocol violation naming the
+// worker, and a cluster merged twice is an invariant violation, not a
+// double count.
+func TestCoordinatorTrustsNoClusterID(t *testing.T) {
+	type part struct {
+		worker   int
+		clusters []int32
+	}
+	for _, tc := range []struct {
+		name      string
+		parts     []part
+		abort     string // the noteStats error, "" for none
+		violation string // the mergeResults violation, "" for none
+	}{
+		{"each cluster once, from its worker", []part{{0, []int32{0, 1}}, {1, []int32{2, 3}}}, "", ""},
+		{"a cluster of another worker", []part{{0, []int32{0, 2}}},
+			"worker 0 sent counters of cluster 2, which is placed on worker 1", ""},
+		{"only another worker's clusters", []part{{1, []int32{0}}},
+			"worker 1 sent counters of cluster 0, which is placed on worker 0", ""},
+		{"a cluster twice", []part{{0, []int32{0, 1, 0}}, {1, []int32{2, 3}}}, "", "cluster 0 reported twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := &Coordinator{placement: []int32{0, 0, 1, 1}, stats: make([]Stats, 4), registered: make([]bool, 4)}
+			var results []*distResult
+			var err error
+			for _, p := range tc.parts {
+				r := &distResult{}
+				for _, c := range p.clusters {
+					r.Clusters = append(r.Clusters, clusterReport{Cluster: c, Stats: Stats{Events: 10 + uint64(c)}})
+				}
+				if err = co.noteStats(p.worker, r.Clusters); err != nil {
+					break
+				}
+				results = append(results, r)
+			}
+			if tc.abort != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.abort) {
+					t.Fatalf("error %v, want %q", err, tc.abort)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mergeResults(4, results, &quiescence{})
+			if got := strings.Join(res.InvariantViolations, "; "); got != tc.violation {
+				t.Errorf("violations %q, want %q", got, tc.violation)
+			}
+			if res.Stats.Events != 10+11+12+13 {
+				t.Errorf("merged Events = %d, want each cluster counted once (46)", res.Stats.Events)
+			}
+		})
+	}
 }

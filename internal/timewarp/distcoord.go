@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -38,12 +37,13 @@ type CoordConfig struct {
 	// failed state with the diagnosis.
 	Probe *Probe
 	// Obs, when enabled, instruments the GVT rounds (per-round gauges,
-	// latency histogram, gvt_round spans) and federates the workers'
-	// shipped registry snapshots into this observer under a worker
-	// label — one /metrics scrape or Report covers the whole run.
+	// latency histogram, gvt_round spans), registers every cluster's
+	// Stats-backed tw_* series over the counters its worker last reported,
+	// and merges the workers' shipped trace rings — one /metrics scrape or
+	// trace covers the whole run.
 	Obs *obs.Observer
 	// PostMortemDir, when non-empty, receives a flight-recorder bundle
-	// (merged metrics, merged trace tail, probe states, goroutine dump)
+	// (metrics, merged trace tail, probe states, goroutine dump)
 	// whenever the run aborts.
 	PostMortemDir string
 }
@@ -58,6 +58,13 @@ type Coordinator struct {
 	ln        net.Listener
 	placement []int32
 	fed       *coordFed
+	// stats holds, per cluster, the Stats its worker last reported: each
+	// round's report overwrites it, the worker's result at finish too. The
+	// coordinator's tw_* series read it.
+	statsMu sync.Mutex
+	stats   []Stats
+	// registered marks the clusters whose series exist.
+	registered []bool
 	// finished marks the workers whose result arrived: they close their
 	// control connection right after it, so that EOF is the normal exit,
 	// not a death.
@@ -68,18 +75,15 @@ type Coordinator struct {
 	pmOnce sync.Once
 }
 
-// coordFed is the coordinator-retained observability state: per-worker
-// clock offsets from the handshake and one trace ring per worker fed by
-// the worker's FrameTrace batches. The merged cluster trace and the
-// post-mortem bundle are written from it and from the
-// coordinator's own ring (whose gvt_round spans are the round history) —
-// everything is already here when a worker dies, so an abort costs no
-// extra collection. (The workers' latest metrics snapshots live in the
-// coordinator's registry, under SetExternal.)
+// coordFed is the coordinator-retained trace state: per-worker clock
+// offsets from the handshake and one trace ring per worker fed by the
+// worker's FrameTrace batches. The merged cluster trace and the
+// post-mortem bundle are written from it and from the coordinator's own
+// ring (whose gvt_round spans are the round history) — everything is
+// already here when a worker dies, so an abort costs no extra collection.
 type coordFed struct {
 	mu        sync.Mutex
 	offsetsUS []int64 // per worker: worker-clock µs − coordinator-clock µs
-	snapAtUS  []int64 // per worker: its uptime at its latest shipped snapshot, -1 before the first
 	// rings holds what each worker shipped, in a ring of the tracer's own
 	// type and of the worker's own size: what the worker still holds when
 	// it finishes, the coordinator holds too.
@@ -90,50 +94,66 @@ type coordFed struct {
 func newCoordFed(workers int) *coordFed {
 	fd := &coordFed{
 		offsetsUS: make([]int64, workers),
-		snapAtUS:  make([]int64, workers),
 		rings:     make([]*obs.Tracer, workers),
 		lost:      make([]uint64, workers),
 	}
 	for i := range fd.rings {
-		fd.snapAtUS[i] = -1
 		fd.rings[i] = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	return fd
 }
 
-// absorbObs consumes a worker's federation frame: a snapshot replaces the
-// worker's previous one in the coordinator registry under worker="<id>";
-// trace batches go into the worker's ring. Returns handled=false for
-// every other frame type; a malformed payload is a protocol violation
-// like any other.
-func (co *Coordinator) absorbObs(f workerFrame) (handled bool, err error) {
-	switch f.typ {
-	case nettrans.FrameMetrics:
-		s, err := DecodeSnapshot(f.payload)
-		if err != nil {
-			return true, fmt.Errorf("timewarp: worker %d metrics: %w", f.worker, err)
-		}
-		fd := co.fed
-		fd.mu.Lock()
-		fd.snapAtUS[f.worker] = s.At.Microseconds()
-		fd.mu.Unlock()
-		co.cfg.Obs.Registry().SetExternal("worker", strconv.Itoa(f.worker), s)
-		return true, nil
-	case nettrans.FrameTrace:
-		events, lost, err := DecodeTraceEvents(f.payload)
-		if err != nil {
-			return true, fmt.Errorf("timewarp: worker %d trace: %w", f.worker, err)
-		}
-		fd := co.fed
-		fd.mu.Lock()
-		fd.lost[f.worker] += lost
-		fd.mu.Unlock()
-		for _, e := range events {
-			fd.rings[f.worker].Push(e)
-		}
-		return true, nil
+// absorbTrace consumes a worker's trace batch into the worker's ring.
+// Returns handled=false for every other frame type; a malformed payload
+// is a protocol violation like any other.
+func (co *Coordinator) absorbTrace(f workerFrame) (handled bool, err error) {
+	if f.typ != nettrans.FrameTrace {
+		return false, nil
 	}
-	return false, nil
+	events, lost, err := DecodeTraceEvents(f.payload)
+	if err != nil {
+		return true, fmt.Errorf("timewarp: worker %d trace: %w", f.worker, err)
+	}
+	fd := co.fed
+	fd.mu.Lock()
+	fd.lost[f.worker] += lost
+	fd.mu.Unlock()
+	for _, e := range events {
+		fd.rings[f.worker].Push(e)
+	}
+	return true, nil
+}
+
+// noteStats checks that every entry a worker sent names a cluster placed
+// on it and keeps each entry's Stats as the cluster's latest; the first
+// report of a cluster registers its tw_* series. A misplaced entry is a
+// protocol violation naming the worker.
+func (co *Coordinator) noteStats(worker int, cs []clusterReport) error {
+	for _, c := range cs {
+		if owner := int(co.placement[c.Cluster]); owner != worker {
+			return fmt.Errorf("timewarp: worker %d sent counters of cluster %d, which is placed on worker %d",
+				worker, c.Cluster, owner)
+		}
+	}
+	reg := co.cfg.Obs.Registry()
+	co.statsMu.Lock()
+	defer co.statsMu.Unlock()
+	for _, c := range cs {
+		co.stats[c.Cluster] = c.Stats
+		if co.registered[c.Cluster] {
+			continue
+		}
+		co.registered[c.Cluster] = true
+		lbl := obs.L("cluster", int(c.Cluster))
+		for i, f := range co.stats[c.Cluster].fields() {
+			reg.SampleFunc(statSeries[i].name, statSeries[i].help, func() float64 {
+				co.statsMu.Lock()
+				defer co.statsMu.Unlock()
+				return float64(*f)
+			}, lbl)
+		}
+	}
+	return nil
 }
 
 // NewCoordinator validates the config and opens the control listener so
@@ -172,6 +192,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		placement[c] = int32(c * cfg.Workers / cfg.Spec.K)
 	}
 	return &Coordinator{cfg: cfg, ln: ln, placement: placement, fed: newCoordFed(cfg.Workers),
+		stats: make([]Stats, cfg.Spec.K), registered: make([]bool, cfg.Spec.K),
 		finished: make([]bool, cfg.Workers)}, nil
 }
 
@@ -328,9 +349,8 @@ func (co *Coordinator) abortf(conns []*nettrans.Conn, format string, args ...any
 
 // pollFrame waits up to timeout for one protocol frame (ok=false when none
 // came), turning worker errors and worker death into run aborts.
-// Federation frames (metrics/trace) are absorbed in place — they
-// can arrive interleaved with any solicited frame — so callers only ever
-// see protocol frames.
+// Trace batches are absorbed in place — they can arrive interleaved with
+// any solicited frame — so callers only ever see protocol frames.
 func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (f workerFrame, ok bool, err error) {
 	deadline := time.After(timeout)
 	for {
@@ -346,7 +366,7 @@ func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration,
 				a, _ := decodeAbort(f.payload)
 				return f, false, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
 			}
-			if handled, err := co.absorbObs(f); handled {
+			if handled, err := co.absorbTrace(f); handled {
 				if err != nil {
 					co.abortAll(conns, err.Error())
 					return f, false, err
@@ -454,7 +474,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 
 	for {
 		// Idle between rounds, but keep listening: a worker crash or a
-		// FrameError must cut the nap short, and federation frames from a
+		// FrameError must cut the nap short, and trace batches from a
 		// worker's throttled shipper are absorbed here.
 		if f, ok, err := co.pollFrame(frames, cfg.RoundEvery, conns); err != nil {
 			return nil, err
@@ -483,12 +503,15 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			if r.Round != round {
 				return fmt.Errorf("timewarp: worker %d answered round %d during round %d", f.worker, r.Round, round)
 			}
+			if err := co.noteStats(f.worker, r.Clusters); err != nil {
+				return err
+			}
 			s.sent += r.Sent
 			s.absorbed += r.Absorbed
-			s.maxStraggler = max(s.maxStraggler, r.MaxStraggler)
-			for _, cp := range r.Progress {
-				s.progress[cp.Cluster] = cp.Cycle
-				reported[cp.Cluster] = true
+			for _, c := range r.Clusters {
+				s.progress[c.Cluster] = c.Cycle
+				s.maxStraggler = max(s.maxStraggler, c.Stats.MaxStragglerDepth)
+				reported[c.Cluster] = true
 			}
 			ledger.fold(&r)
 			return nil
@@ -542,9 +565,10 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 }
 
 // finish tells every worker to wrap up, collects their results and
-// merges them into the kernel's Result shape. Workers ship their final
-// observability state (snapshot + trace tail) just before the result,
-// so the federation is complete by the time the Result exists.
+// merges them into the kernel's Result shape. Workers ship their trace
+// tail just before the result, and each result's Stats overwrite the
+// reported ones, so the coordinator's trace and tw_* series are complete
+// — the series equal Result.PerCluster — by the time the Result exists.
 func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q *quiescence, ledger *eraLedger) (*Result, error) {
 	cfg := co.cfg
 	for i, conn := range conns {
@@ -556,6 +580,9 @@ func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q
 	err := co.gather(frames, conns, nettrans.FrameResult, "result", func(f workerFrame) error {
 		r, err := decodeResult(f.payload, cfg.Spec.K)
 		if err != nil {
+			return err
+		}
+		if err := co.noteStats(f.worker, r.Clusters); err != nil {
 			return err
 		}
 		results = append(results, &r)

@@ -14,7 +14,8 @@ import (
 
 // The coordinator's flight recorder: everything below renders from the
 // state the coordinator already retains (its own trace ring, coordFed's
-// per-worker rings and clock offsets, and the federated registry), so a
+// per-worker rings and clock offsets, and its registry, whose tw_* series
+// hold the counters each worker last reported), so a
 // post-mortem bundle can be written at the instant of an abort with no
 // further collection — the workers may already be dead.
 
@@ -53,7 +54,7 @@ func (co *Coordinator) WriteMergedTrace(w io.Writer) error {
 }
 
 // postMortemProbe is the probes.json shape: the coordinator's liveness
-// view plus the per-worker federation state at the moment of death.
+// view plus the per-worker trace state at the moment of death.
 type postMortemProbe struct {
 	Reason      string             `json:"reason"`
 	Coordinator ProbeState         `json:"coordinator"`
@@ -62,12 +63,6 @@ type postMortemProbe struct {
 
 type postMortemWorker struct {
 	Worker int `json:"worker"`
-	// HasSnapshot is false when the worker never shipped metrics (died
-	// before its first round, or ran uninstrumented).
-	HasSnapshot bool `json:"has_snapshot"`
-	// SnapshotAtUS is the worker's uptime (µs) when its last shipped
-	// snapshot was taken.
-	SnapshotAtUS int64 `json:"snapshot_at_us"`
 	// OffsetUS is the handshake-derived clock offset applied to this
 	// worker's trace timestamps.
 	OffsetUS int64 `json:"offset_us"`
@@ -76,11 +71,11 @@ type postMortemWorker struct {
 	DroppedEvents  uint64 `json:"dropped_events"`
 }
 
-// WritePostMortem flushes the flight recorder into dir: the merged
+// WritePostMortem flushes the flight recorder into dir: the coordinator's
 // metrics exposition (metrics.prom), the merged cluster trace
 // (trace.json, DecodeChromeTrace-clean; its coordinator process holds
-// the gvt_round spans, the round history), the probe and federation
-// state (probes.json) and the coordinator's goroutine dump
+// the gvt_round spans, the round history), the probe and trace state
+// (probes.json) and the coordinator's goroutine dump
 // (goroutines.txt). The dir is created if missing. reason records why
 // the run died (nil for a user-requested dump of a live run). Every file
 // is written atomically (temp + rename) and the content renders from
@@ -113,8 +108,6 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 		return err
 	}
 
-	fd := co.fed
-	fd.mu.Lock()
 	probe := postMortemProbe{Coordinator: co.cfg.Probe.State()}
 	if reason != nil {
 		probe.Reason = reason.Error()
@@ -122,14 +115,11 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 	for i, src := range sources[1:] {
 		probe.Workers = append(probe.Workers, postMortemWorker{
 			Worker:         i,
-			HasSnapshot:    fd.snapAtUS[i] >= 0,
-			SnapshotAtUS:   max(fd.snapAtUS[i], 0),
 			OffsetUS:       src.OffsetMicros,
 			RetainedEvents: len(src.Events),
 			DroppedEvents:  src.Dropped,
 		})
 	}
-	fd.mu.Unlock()
 
 	if err := write("probes.json", func(w io.Writer) error {
 		enc := json.NewEncoder(w)

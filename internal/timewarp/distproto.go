@@ -20,10 +20,24 @@ import (
 func decodeU64(p []byte, what string) (uint64, error) {
 	d := nettrans.NewDec(p)
 	v := d.U64()
-	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("timewarp: malformed %s: %w", what, err)
+	if err := decodeEnd(d, what); err != nil {
+		return 0, err
 	}
 	return v, nil
+}
+
+// decodeEnd is the last step of every control-payload decode: the
+// decoder's first error, or the bytes left over. A payload in another
+// build's layout can decode field by field and only its length tells
+// (TestDistSpecRoundTrip builds one).
+func decodeEnd(d *nettrans.Dec, what string) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("timewarp: malformed %s: %w", what, err)
+	}
+	if d.Len() != 0 {
+		return fmt.Errorf("timewarp: %s has %d trailing bytes", what, d.Len())
+	}
+	return nil
 }
 
 // eraCount is one (era, frames) tally — the white/black message counting
@@ -35,21 +49,57 @@ type eraCount struct {
 }
 
 // distReport is a worker's answer to a cut: a consistent-enough snapshot
-// of its local counters. Progress lists only the clusters this worker
-// owns; Sent/Absorbed are the worker-local cumulative message counters
-// whose global sums the coordinator's freeze rule compares; WireSent and
-// WireRecv are per-era data-frame deltas — the piggybacked color counts
-// that prove the wire drained of pre-cut frames.
+// of its local counters. Clusters lists only the clusters this worker
+// owns, each with its published cycle and its Stats — the coordinator's
+// only source of per-cluster kernel metrics; Sent/Absorbed are the
+// worker-local cumulative message counters whose global sums the
+// coordinator's freeze rule compares; WireSent and WireRecv are per-era
+// data-frame deltas — the piggybacked color counts that prove the wire
+// drained of pre-cut frames.
 type distReport struct {
-	Round        uint64
-	Progress     []clusterProgress
-	Sent         uint64
-	Absorbed     uint64
-	MaxStraggler uint64
-	WireSent     []eraCount
-	WireRecv     []eraCount
+	Round    uint64
+	Clusters []clusterReport
+	Sent     uint64
+	Absorbed uint64
+	WireSent []eraCount
+	WireRecv []eraCount
 }
 
+// clusterReport is one cluster's entry of a round report or a result.
+type clusterReport struct {
+	Cluster int32
+	Cycle   uint64
+	Stats   Stats
+}
+
+func appendClusters(dst []byte, cs []clusterReport) []byte {
+	dst = nettrans.AppendU32(dst, uint32(len(cs)))
+	for _, c := range cs {
+		dst = nettrans.AppendU32(dst, uint32(c.Cluster))
+		dst = nettrans.AppendU64(dst, c.Cycle)
+		dst = appendStats(dst, c.Stats)
+	}
+	return dst
+}
+
+func decodeClusters(d *nettrans.Dec, k int) ([]clusterReport, error) {
+	n := d.U32() // 0 after an error
+	if int(n) > k {
+		return nil, fmt.Errorf("timewarp: %d cluster entries for k=%d", n, k)
+	}
+	cs := make([]clusterReport, n)
+	for i := range cs {
+		cs[i].Cluster = int32(d.U32())
+		cs[i].Cycle = d.U64()
+		cs[i].Stats = decodeStats(d)
+		if d.Err() == nil && (cs[i].Cluster < 0 || int(cs[i].Cluster) >= k) {
+			return nil, fmt.Errorf("timewarp: entry for cluster %d of %d", cs[i].Cluster, k)
+		}
+	}
+	return cs, d.Err()
+}
+
+// clusterProgress is one entry of a worker's progress gossip.
 type clusterProgress struct {
 	Cluster int32
 	Cycle   uint64
@@ -64,11 +114,9 @@ func appendProgressList(dst []byte, ps []clusterProgress) []byte {
 	return dst
 }
 
-func decodeProgressList(d *nettrans.Dec, k int) ([]clusterProgress, error) {
-	n := d.U32()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
+func decodeProgressList(p []byte, k int) ([]clusterProgress, error) {
+	d := nettrans.NewDec(p)
+	n := d.U32() // 0 after an error
 	if int(n) > k {
 		return nil, fmt.Errorf("timewarp: progress list of %d entries for k=%d", n, k)
 	}
@@ -80,7 +128,10 @@ func decodeProgressList(d *nettrans.Dec, k int) ([]clusterProgress, error) {
 			return nil, fmt.Errorf("timewarp: progress for cluster %d of %d", ps[i].Cluster, k)
 		}
 	}
-	return ps, d.Err()
+	if err := decodeEnd(d, "progress list"); err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 func appendEraCounts(dst []byte, es []eraCount) []byte {
@@ -112,10 +163,9 @@ func decodeEraCounts(d *nettrans.Dec) ([]eraCount, error) {
 
 func appendReport(dst []byte, r distReport) []byte {
 	dst = nettrans.AppendU64(dst, r.Round)
-	dst = appendProgressList(dst, r.Progress)
+	dst = appendClusters(dst, r.Clusters)
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
-	dst = nettrans.AppendU64(dst, r.MaxStraggler)
 	dst = appendEraCounts(dst, r.WireSent)
 	dst = appendEraCounts(dst, r.WireRecv)
 	return dst
@@ -123,23 +173,21 @@ func appendReport(dst []byte, r distReport) []byte {
 
 func decodeReport(p []byte, k int) (distReport, error) {
 	d := nettrans.NewDec(p)
-	var r distReport
+	r := distReport{Round: d.U64()}
 	var err error
-	r.Round = d.U64()
-	if r.Progress, err = decodeProgressList(d, k); err != nil {
+	if r.Clusters, err = decodeClusters(d, k); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
-	r.MaxStraggler = d.U64()
 	if r.WireSent, err = decodeEraCounts(d); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
 	if r.WireRecv, err = decodeEraCounts(d); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
-	if err := d.Err(); err != nil {
-		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
+	if err := decodeEnd(d, "report"); err != nil {
+		return distReport{}, err
 	}
 	return r, nil
 }
@@ -157,8 +205,8 @@ func appendAbort(dst []byte, a distAbort) []byte {
 func decodeAbort(p []byte) (distAbort, error) {
 	d := nettrans.NewDec(p)
 	a := distAbort{Reason: d.Str()}
-	if err := d.Err(); err != nil {
-		return distAbort{}, fmt.Errorf("timewarp: malformed abort: %w", err)
+	if err := decodeEnd(d, "abort"); err != nil {
+		return distAbort{}, err
 	}
 	return a, nil
 }
@@ -171,13 +219,8 @@ type distResult struct {
 	Sent     uint64
 	Absorbed uint64
 	InFlight int64
-	Clusters []clusterResult
+	Clusters []clusterReport
 	Observed []observedNet
-}
-
-type clusterResult struct {
-	Cluster int32
-	Stats   Stats
 }
 
 type observedNet struct {
@@ -204,11 +247,7 @@ func appendResult(dst []byte, r distResult) []byte {
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
 	dst = nettrans.AppendI64(dst, r.InFlight)
-	dst = nettrans.AppendU32(dst, uint32(len(r.Clusters)))
-	for _, c := range r.Clusters {
-		dst = nettrans.AppendU32(dst, uint32(c.Cluster))
-		dst = appendStats(dst, c.Stats)
-	}
+	dst = appendClusters(dst, r.Clusters)
 	dst = nettrans.AppendU32(dst, uint32(len(r.Observed)))
 	for _, o := range r.Observed {
 		dst = nettrans.AppendU32(dst, uint32(o.Net))
@@ -230,19 +269,9 @@ func decodeResult(p []byte, k int) (distResult, error) {
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
 	r.InFlight = d.I64()
-	nc := d.U32()
-	if d.Err() == nil && int(nc) > k {
-		return distResult{}, fmt.Errorf("timewarp: result claims %d clusters for k=%d", nc, k)
-	}
-	if d.Err() == nil {
-		r.Clusters = make([]clusterResult, nc)
-		for i := range r.Clusters {
-			r.Clusters[i].Cluster = int32(d.U32())
-			r.Clusters[i].Stats = decodeStats(d)
-			if d.Err() == nil && (r.Clusters[i].Cluster < 0 || int(r.Clusters[i].Cluster) >= k) {
-				return distResult{}, fmt.Errorf("timewarp: result for cluster %d of %d", r.Clusters[i].Cluster, k)
-			}
-		}
+	var err error
+	if r.Clusters, err = decodeClusters(d, k); err != nil {
+		return distResult{}, fmt.Errorf("timewarp: malformed result: %w", err)
 	}
 	no := d.U32()
 	if d.Err() == nil {
@@ -268,8 +297,8 @@ func decodeResult(p []byte, k int) (distResult, error) {
 			}
 		}
 	}
-	if err := d.Err(); err != nil {
-		return distResult{}, fmt.Errorf("timewarp: malformed result: %w", err)
+	if err := decodeEnd(d, "result"); err != nil {
+		return distResult{}, err
 	}
 	return r, nil
 }

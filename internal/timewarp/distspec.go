@@ -124,13 +124,8 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	s.Cycles = d.U64()
 	s.Window = d.U64()
 	s.VecSeed = d.I64()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("timewarp: malformed dist spec: %w", err)
-	}
-	if d.Len() != 0 {
-		// A blob in another build's format: decoding on would read its
-		// fields under the wrong names.
-		return nil, fmt.Errorf("timewarp: dist spec has %d trailing bytes", d.Len())
+	if err := decodeEnd(d, "dist spec"); err != nil {
+		return nil, err
 	}
 	if err := checkPartition(s.K, s.GateParts); err != nil {
 		return nil, fmt.Errorf("%w (dist spec)", err)

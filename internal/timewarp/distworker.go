@@ -19,9 +19,10 @@ type WorkerOptions struct {
 	// Bind is the data-plane listen address peers will dial
 	// (default "127.0.0.1:0").
 	Bind string
-	// Obs, when enabled, turns on the observability federation: the
-	// worker ships registry snapshots and trace-ring batches to the
-	// coordinator piggybacked on every GVT round and on termination.
+	// Obs, when enabled, instruments the worker's clusters and ships its
+	// trace ring to the coordinator, throttled on the GVT round cadence
+	// and in full on termination. The kernel counters reach the
+	// coordinator in every round report regardless.
 	Obs *obs.Observer
 	// Probe receives the worker-local liveness view (driven by the
 	// coordinator's GVT broadcasts and local cluster progress) — the
@@ -129,9 +130,9 @@ type distWorker struct {
 
 	stopGossip chan struct{}
 
-	// Observability-federation state: the trace-ring streaming cursor and
-	// the last ship instant (snapshots are throttled so a fast GVT cadence
-	// does not turn into a metrics firehose).
+	// Trace-shipping state: the ring's streaming cursor and the last ship
+	// instant (batches are throttled so a fast GVT cadence does not turn
+	// into a trace firehose).
 	traceCursor uint64
 	lastShip    time.Time
 }
@@ -238,9 +239,8 @@ func (w *distWorker) controlLoop() error {
 				appendReport(nil, w.report(round))); err != nil {
 				return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
 			}
-			// Piggyback the observability federation on the round cadence:
-			// a throttled registry snapshot plus the trace ring's new tail.
-			w.shipObs(false)
+			// Piggyback the trace ring's new tail on the round cadence.
+			w.shipTrace(false)
 		case nettrans.FrameGVT:
 			gvt, err := decodeU64(payload, "gvt")
 			if err != nil {
@@ -255,11 +255,10 @@ func (w *distWorker) controlLoop() error {
 				obs.Arg{Key: "gvt", Val: float64(gvt)})
 		case nettrans.FrameFinish:
 			// Quiescent and done: wake the clusters, let them drain out,
-			// then ship the final observability state and the merged local
-			// result.
+			// then ship the trace tail and the merged local result.
 			w.h.closeEndpoints()
 			w.h.wg.Wait()
-			w.shipObs(true)
+			w.shipTrace(true)
 			if err := w.coord.Send(nettrans.FrameResult,
 				appendResult(nil, *w.h.collect())); err != nil {
 				return fmt.Errorf("timewarp: worker %d send result: %w", w.id, err)
@@ -277,28 +276,24 @@ func (w *distWorker) controlLoop() error {
 	}
 }
 
-// shipObsEvery throttles the piggybacked metrics/trace shipping: at the
-// default 500µs round cadence a snapshot per round would dominate the
-// control plane, so snapshots ride at most this often (the final ship at
-// finish is unconditional).
-const shipObsEvery = 10 * time.Millisecond
+// shipTraceEvery throttles the piggybacked trace shipping: at the default
+// 500µs round cadence a batch per round would dominate the control plane
+// (the final ship at finish is unconditional).
+const shipTraceEvery = 10 * time.Millisecond
 
-// shipObs sends the worker's registry snapshot and the unshipped tail of
-// its trace ring to the coordinator. Best-effort: a send failure means
-// the coordinator is gone, which the next control Recv surfaces as the
-// real error. force skips the throttle (termination and abort paths).
-func (w *distWorker) shipObs(force bool) {
+// shipTrace sends the unshipped tail of the worker's trace ring to the
+// coordinator. Best-effort: a send failure means the coordinator is gone,
+// which the next control Recv surfaces as the real error. force skips the
+// throttle (termination).
+func (w *distWorker) shipTrace(force bool) {
 	if !w.opts.Obs.Enabled() {
 		return
 	}
 	now := time.Now()
-	if !force && now.Sub(w.lastShip) < shipObsEvery {
+	if !force && now.Sub(w.lastShip) < shipTraceEvery {
 		return
 	}
 	w.lastShip = now
-	if err := w.coord.Send(nettrans.FrameMetrics, AppendSnapshot(nil, w.opts.Obs.Snapshot())); err != nil {
-		return
-	}
 	events, next, dropped := w.opts.Obs.EventsSince(w.traceCursor)
 	if len(events) == 0 && dropped == 0 && !force {
 		return
@@ -312,14 +307,10 @@ func (w *distWorker) shipObs(force bool) {
 // report snapshots the worker-local counters for one GVT round.
 func (w *distWorker) report(round uint64) distReport {
 	w.h.sample(&w.smp)
-	r := distReport{
-		Round:        round,
-		Sent:         w.smp.sent,
-		Absorbed:     w.smp.absorbed,
-		MaxStraggler: w.smp.maxStraggler,
-	}
+	r := distReport{Round: round, Sent: w.smp.sent, Absorbed: w.smp.absorbed}
 	for _, cl := range w.h.clusters {
-		r.Progress = append(r.Progress, clusterProgress{Cluster: cl.id, Cycle: w.smp.progress[cl.id]})
+		r.Clusters = append(r.Clusters, clusterReport{
+			Cluster: cl.id, Cycle: w.smp.progress[cl.id], Stats: cl.stats.Snapshot()})
 	}
 	r.WireSent, r.WireRecv = w.mesh.takeEraDeltas()
 	return r
@@ -380,7 +371,7 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		w.h.net.NoteArrived()
 		w.mesh.deliver(df.Dst, msg)
 	case nettrans.FrameProgress:
-		ps, err := decodeProgressList(nettrans.NewDec(payload), w.spec.K)
+		ps, err := decodeProgressList(payload, w.spec.K)
 		if err != nil {
 			return err
 		}

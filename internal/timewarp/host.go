@@ -192,7 +192,8 @@ func (h *host) collect() *distResult {
 		InFlight: h.net.InFlight(),
 	}
 	for _, cl := range h.clusters {
-		res.Clusters = append(res.Clusters, clusterResult{Cluster: cl.id, Stats: cl.stats.Snapshot()})
+		res.Clusters = append(res.Clusters, clusterReport{
+			Cluster: cl.id, Cycle: h.progress[cl.id].Load(), Stats: cl.stats.Snapshot()})
 		for i, n := range cl.prog.obsOwn {
 			res.Observed = append(res.Observed, observedNet{Net: n, Values: cl.obsVals[i]})
 		}
@@ -201,10 +202,11 @@ func (h *host) collect() *distResult {
 }
 
 // mergeResults folds the per-process results of a terminated run into its
-// Result and checks the global termination invariants: a clean run leaves
-// no message in flight, every sent message absorbed (received AND survived
-// by its rollback) and every event a cluster enqueued sent in exactly one
-// message, at cycle end or early (enqueueOut).
+// Result and checks the global termination invariants: a clean run
+// reports each cluster once, leaves no message in flight, every sent
+// message absorbed (received AND survived by its rollback) and every
+// event a cluster enqueued sent in exactly one message, at cycle end or
+// early (enqueueOut).
 func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	res := &Result{
 		Observed:            make(map[netlist.NetID][]bool),
@@ -214,11 +216,18 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	}
 	var sent, absorbed uint64
 	var inFlight int64
+	merged := make([]bool, k)
 	for _, r := range parts {
 		sent += r.Sent
 		absorbed += r.Absorbed
 		inFlight += r.InFlight
 		for _, c := range r.Clusters {
+			if merged[c.Cluster] {
+				res.InvariantViolations = append(res.InvariantViolations,
+					fmt.Sprintf("cluster %d reported twice", c.Cluster))
+				continue
+			}
+			merged[c.Cluster] = true
 			res.PerCluster[c.Cluster] = c.Stats
 			res.Stats.add(c.Stats)
 		}
@@ -249,9 +258,9 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 // instrumentClusters registers the per-cluster kernel metrics on the
 // host's observer and hooks each cluster's trace emitter. A worker's
 // clusters are a subset of the run's; labels come from each cluster's own
-// id, so a federated worker registry carries exactly the tw_* series a
-// local run would — the property that lets one coordinator scrape stand
-// in for per-worker scrapes.
+// id. The Stats-backed series are statSeries, the ones a coordinator
+// keeps from its workers' reports; queue length, GVT lag, GVT and the
+// rollback-depth histogram are this process's own.
 func instrumentClusters(h *host) {
 	o := h.cfg.Obs
 	if !o.Enabled() {
@@ -270,28 +279,12 @@ func instrumentClusters(h *host) {
 		lbl := obs.L("cluster", int(cl.id))
 		// Sampled gauges close over the cluster's atomics: registering
 		// them costs the hot path nothing at all.
-		reg.SampleFunc("tw_events", "gate evaluations executed (incl. re-execution)",
-			func() float64 { return float64(st.events.Load()) }, lbl)
-		reg.SampleFunc("tw_messages", "positive inter-cluster events sent",
-			func() float64 { return float64(st.messages.Load()) }, lbl)
-		reg.SampleFunc("tw_anti_messages", "cancellations sent",
-			func() float64 { return float64(st.antiMessages.Load()) }, lbl)
-		reg.SampleFunc("tw_rollbacks", "rollback occurrences",
-			func() float64 { return float64(st.rollbacks.Load()) }, lbl)
-		reg.SampleFunc("tw_rolled_back_events", "evaluations undone by rollbacks",
-			func() float64 { return float64(st.rolledBackEvents.Load()) }, lbl)
-		reg.SampleFunc("tw_abandoned_cycles", "cycles given up part-way for a straggler",
-			func() float64 { return float64(st.abandonedCycles.Load()) }, lbl)
-		reg.SampleFunc("tw_checkpoints", "rollback records written, one per executed cycle",
-			func() float64 { return float64(st.checkpoints.Load()) }, lbl)
-		reg.SampleFunc("tw_max_straggler_depth", "deepest single rollback in cycles",
-			func() float64 { return float64(st.maxStragglerDepth.Load()) }, lbl)
+		for i, f := range st.fields() {
+			reg.SampleFunc(statSeries[i].name, statSeries[i].help,
+				func() float64 { return float64(f.Load()) }, lbl)
+		}
 		reg.SampleFunc("tw_queue_len", "pending remote events in the cluster queue",
 			func() float64 { return float64(st.queueLen.Load()) }, lbl)
-		reg.SampleFunc("tw_batches", "inter-cluster comm messages sent (batches)",
-			func() float64 { return float64(st.batches.Load()) }, lbl)
-		reg.SampleFunc("tw_batch_events", "events carried inside sent batches",
-			func() float64 { return float64(st.batchedEvents.Load()) }, lbl)
 		ci := cl.id
 		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
 			func() float64 { return float64(h.progress[ci].Load()) - float64(h.gvt.Load()) }, lbl)

@@ -34,31 +34,51 @@ func (s *atomicStats) noteMax(d uint64) {
 	}
 }
 
-// Snapshot reads a point-in-time copy of the counters. Safe mid-run from
-// any goroutine.
-func (s *atomicStats) Snapshot() Stats {
-	return Stats{
-		Messages:          s.messages.Load(),
-		AntiMessages:      s.antiMessages.Load(),
-		Rollbacks:         s.rollbacks.Load(),
-		Events:            s.events.Load(),
-		RolledBackEvents:  s.rolledBackEvents.Load(),
-		Checkpoints:       s.checkpoints.Load(),
-		AbandonedCycles:   s.abandonedCycles.Load(),
-		MaxStragglerDepth: s.maxStragglerDepth.Load(),
-		Batches:           s.batches.Load(),
-		BatchedEvents:     s.batchedEvents.Load(),
+// fields lists the counters of s in Stats.fields order.
+func (s *atomicStats) fields() [10]*atomic.Uint64 {
+	return [10]*atomic.Uint64{
+		&s.messages, &s.antiMessages, &s.rollbacks, &s.events, &s.rolledBackEvents,
+		&s.checkpoints, &s.maxStragglerDepth, &s.batches, &s.batchedEvents,
+		&s.abandonedCycles,
 	}
 }
 
+// Snapshot reads a point-in-time copy of the counters. Safe mid-run from
+// any goroutine.
+func (s *atomicStats) Snapshot() Stats {
+	var out Stats
+	of := out.fields()
+	for i, f := range s.fields() {
+		*of[i] = f.Load()
+	}
+	return out
+}
+
 // fields lists every counter of s in wire order — the one enumeration
-// the accumulator and the result codec share.
+// the accumulator, the wire codec and the tw_* series share.
 func (s *Stats) fields() [10]*uint64 {
 	return [10]*uint64{
 		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
 		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
 		&s.AbandonedCycles,
 	}
+}
+
+// statSeries names the per-cluster metric family of each Stats counter,
+// row i for fields()[i]. A host samples its clusters' atomics under these
+// names, and a coordinator the last Stats each worker reported, so a
+// distributed run's scrape shows the series an in-process run does.
+var statSeries = [10]struct{ name, help string }{
+	{"tw_messages", "positive inter-cluster events sent"},
+	{"tw_anti_messages", "cancellations sent"},
+	{"tw_rollbacks", "rollback occurrences"},
+	{"tw_events", "gate evaluations executed (incl. re-execution)"},
+	{"tw_rolled_back_events", "evaluations undone by rollbacks"},
+	{"tw_checkpoints", "rollback records written, one per executed cycle"},
+	{"tw_max_straggler_depth", "deepest single rollback in cycles"},
+	{"tw_batches", "inter-cluster comm messages sent (batches)"},
+	{"tw_batch_events", "events carried inside sent batches"},
+	{"tw_abandoned_cycles", "cycles given up part-way for a straggler"},
 }
 
 // add accumulates one cluster's statistics into a run total: counters

@@ -61,7 +61,7 @@ var phaseKinds = map[byte]string{
 }
 
 // emitted collects the (name, kind) pairs an observer saw: its trace
-// events and its registry's metric families, federated ones included.
+// events and its registry's metric families.
 func emitted(into map[taxonomyRow]bool, o *obs.Observer) {
 	evs, _ := o.Events()
 	for _, e := range evs {
@@ -116,7 +116,8 @@ func TestTaxonomy(t *testing.T) {
 	emitted(seen, o)
 
 	// Coordinator + 2 workers over loopback TCP, everything observed; the
-	// coordinator's registry federates the workers' families.
+	// coordinator's registry holds the Stats-backed families of every
+	// cluster, from the workers' round reports.
 	pr, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 17, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +131,11 @@ func TestTaxonomy(t *testing.T) {
 	if _, runErr, workerErrs := distRunObs(t, spec, 2, 0, do); runErr != nil {
 		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
 	}
-	// The coordinator registers only dist_* families, so a kernel family in
-	// its snapshot is one a worker registry federated.
-	federated := map[taxonomyRow]bool{}
-	emitted(federated, do.coord)
-	for r := range federated {
+	// The coordinator runs no cluster, so a kernel family in its snapshot
+	// is one it keeps from the reports.
+	reported := map[taxonomyRow]bool{}
+	emitted(reported, do.coord)
+	for r := range reported {
 		seen[r] = true
 	}
 	for _, wo := range do.workers {
@@ -157,8 +158,10 @@ func TestTaxonomy(t *testing.T) {
 			t.Errorf("neither run emitted %s %q", want.kind, want.name)
 		}
 	}
-	if !federated[taxonomyRow{"tw_batches", "metric"}] {
-		t.Error(`the coordinator's registry holds no federated "tw_batches"`)
+	for _, row := range statSeries {
+		if !reported[taxonomyRow{row.name, "metric"}] {
+			t.Errorf("the coordinator's registry holds no %q", row.name)
+		}
 	}
 
 	var src strings.Builder
