@@ -229,14 +229,13 @@ pipeline-smoke:
 # The paper's tables as an oracle: every table and figure of
 # `experiments -all` at reduced lengths (about 16 s on two cores), diffed
 # against the output recorded in internal/experiments/testdata/smoke.golden.
-# The one line dropped is the "(campaign: …)" summary, which carries wall
-# times; every other line is deterministic, so any difference means a model
-# or partitioner result moved. Re-record the golden only for a change
-# meant to move a table.
+# Every line is deterministic, so any difference means a model or
+# partitioner result moved. Re-record the golden only for a change meant to
+# move a table.
 experiments-smoke:
 	$(GO) build -o experiments.smoke ./cmd/experiments
 	./experiments.smoke -all -presim 2000 -full 5000 > experiments-smoke.out
-	grep -v '^(campaign: ' experiments-smoke.out | diff internal/experiments/testdata/smoke.golden -
+	diff internal/experiments/testdata/smoke.golden experiments-smoke.out
 	@echo "experiments-smoke: tables match smoke.golden"
 
 # The front end at the paper's scale (ROADMAP item 11): the 728,121-gate

@@ -525,7 +525,9 @@ func BenchmarkCampaignBruteForceParallel(b *testing.B) {
 	benchBruteForce(b, runtime.GOMAXPROCS(0))
 }
 
-func BenchmarkCampaignHeuristicSpeculative(b *testing.B) {
+// BenchmarkCampaignHeuristicParallel walks the heuristic's k-rows on a
+// GOMAXPROCS pool.
+func BenchmarkCampaignHeuristicParallel(b *testing.B) {
 	cfg := campaignConfig(b, runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	var visits int

@@ -139,7 +139,7 @@ func main() {
 		presimC   = flag.Uint64("presim", 10000, "pre-simulation vectors (paper: 10,000)")
 		fullC     = flag.Uint64("full", 100000, "full-run vectors (paper: 1,000,000)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "grid worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
+		workers   = flag.Int("workers", 0, "pre-simulation grid pool size; the pool runs over k-rows (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		jsonOut   = flag.Bool("json", false, "run the pre-simulation grid and emit machine-readable JSON on stdout (suppresses tables)")
 		trace     = flag.String("trace", "", "write a Chrome trace of the partitioner/grid work to this file (\"-\" = stdout, not with -json)")
 	)
@@ -178,11 +178,10 @@ func main() {
 	}
 	var points []*experiments.GridPoint
 	if needGrid {
-		ctx.Campaign = stats.NewCampaign(min(ctx.GridWorkers(), len(ctx.Ks)))
 		points, err = ctx.PresimGrid()
 		fatal(err)
 		if !*jsonOut {
-			fmt.Printf("(%s)\n\n", ctx.Campaign.Finish())
+			fmt.Println() // the tables' layout keeps a blank line after the grid
 		}
 	}
 
@@ -192,13 +191,12 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		fatal(enc.Encode(struct {
-			Ks       []int                    `json:"ks"`
-			Bs       []float64                `json:"bs"`
-			Presim   uint64                   `json:"presim_cycles"`
-			Seed     int64                    `json:"seed"`
-			Points   []*experiments.GridPoint `json:"points"`
-			Campaign stats.CampaignSummary    `json:"campaign"`
-		}{ctx.Ks, ctx.Bs, ctx.PresimCycles, ctx.Seed, points, ctx.Campaign.Finish()}))
+			Ks     []int                    `json:"ks"`
+			Bs     []float64                `json:"bs"`
+			Presim uint64                   `json:"presim_cycles"`
+			Seed   int64                    `json:"seed"`
+			Points []*experiments.GridPoint `json:"points"`
+		}{ctx.Ks, ctx.Bs, ctx.PresimCycles, ctx.Seed, points}))
 		return
 	}
 

@@ -33,7 +33,7 @@ func main() {
 		cycles    = flag.Uint64("cycles", 10000, "pre-simulation vectors")
 		seed      = flag.Int64("seed", 1, "vector seed")
 		heuristic = flag.Bool("heuristic", false, "use the heuristic search instead of brute force")
-		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = sequential; results are identical)")
+		workers   = flag.Int("workers", 0, "campaign pool size; the pool runs over grid cells, or over k-rows with -heuristic (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON results on stdout instead of text tables")
 		trace     = flag.String("trace", "", "write a Chrome trace of the campaign to this file (\"-\" = stdout, not with -json)")
 	)
@@ -68,19 +68,16 @@ func main() {
 		Workers: *workers,
 		Obs:     o,
 	}
-	cfg.Campaign = stats.NewCampaign(cfg.WorkerCount())
 
 	if *heuristic {
 		best, visited, err := presim.Heuristic(cfg)
 		fatal(err)
-		summary := cfg.Campaign.Finish()
 		fatal(o.Dump(*trace, ""))
 		if *jsonOut {
 			writeJSON(result{
 				Mode: "heuristic", Ks: cfg.Ks, Bs: cfg.Bs,
 				Points: visited, Best: best,
 				Visited: len(visited), Grid: len(cfg.Ks) * len(cfg.Bs),
-				Campaign: summary,
 			})
 			return
 		}
@@ -88,20 +85,17 @@ func main() {
 		fmt.Printf("\nheuristic visited %d of %d combinations\n",
 			len(visited), len(cfg.Ks)*len(cfg.Bs))
 		fmt.Printf("best: k=%d b=%g speedup=%.2f cut=%d\n", best.K, best.B, best.Speedup, best.Cut)
-		fmt.Println(summary)
 		return
 	}
 
 	points, best, err := presim.BruteForce(cfg)
 	fatal(err)
-	summary := cfg.Campaign.Finish()
 	fatal(o.Dump(*trace, ""))
 	if *jsonOut {
 		writeJSON(result{
 			Mode: "brute-force", Ks: cfg.Ks, Bs: cfg.Bs,
 			Points: points, Best: best,
 			Visited: len(points), Grid: len(cfg.Ks) * len(cfg.Bs),
-			Campaign: summary,
 		})
 		return
 	}
@@ -116,20 +110,19 @@ func main() {
 	}
 	fmt.Print(tbl.String())
 	fmt.Printf("\noverall best: k=%d b=%g speedup=%.2f\n", best.K, best.B, best.Speedup)
-	fmt.Println(summary)
 }
 
-// result is the -json document: the campaign's points and winner plus the
-// worker-pool summary, correlatable with a -trace of the same run.
+// result is the -json document: the campaign's points, each with its
+// partition and model wall times, and the winner, correlatable with a
+// -trace of the same run.
 type result struct {
-	Mode     string                `json:"mode"`
-	Ks       []int                 `json:"ks"`
-	Bs       []float64             `json:"bs"`
-	Points   []*presim.Point       `json:"points"`
-	Best     *presim.Point         `json:"best"`
-	Visited  int                   `json:"visited"`
-	Grid     int                   `json:"grid"`
-	Campaign stats.CampaignSummary `json:"campaign"`
+	Mode    string          `json:"mode"`
+	Ks      []int           `json:"ks"`
+	Bs      []float64       `json:"bs"`
+	Points  []*presim.Point `json:"points"`
+	Best    *presim.Point   `json:"best"`
+	Visited int             `json:"visited"`
+	Grid    int             `json:"grid"`
 }
 
 func writeJSON(v any) {

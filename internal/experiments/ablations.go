@@ -98,7 +98,7 @@ func (c *Context) AblationInitial(k int, b float64) (*stats.Table, error) {
 	}
 	cons := partition.NewConstraint(h, k, b)
 	refine := func(a *hypergraph.Assignment) {
-		fm.Over(h, a, cons.Feasible(h)).RefineAllPairs()
+		fm.Over(h, a, cons.Feasible(h.Weight)).RefineAllPairs()
 	}
 
 	t := stats.NewTable("init", "cut before", "cut after", "balanced")

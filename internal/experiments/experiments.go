@@ -12,15 +12,14 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/clustersim"
 	"repro/internal/elab"
 	"repro/internal/gen"
 	"repro/internal/multilevel"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/presim"
 	"repro/internal/sim"
@@ -49,8 +48,6 @@ type Context struct {
 	// partitions at one k only carry over from tighter b at the same k, so
 	// rows are independent — and the output is identical for any Workers.
 	Workers int
-	// Campaign optionally collects grid timing and pool utilization.
-	Campaign *stats.Campaign
 	// Obs, when non-nil, traces partitioner phases and grid points
 	// (cmd/experiments -trace / -metrics).
 	Obs *obs.Observer
@@ -154,9 +151,8 @@ func (c *Context) Partition(k int, b float64) (*partRec, error) {
 		// The grid is the headline result; spend extra restarts to keep
 		// heuristic noise out of the tables.
 		Restarts: 16,
-		// One restart pipeline per grid worker; with a single worker (or
-		// outside PresimGrid) Multiway parallelizes the restarts itself.
-		Workers: c.innerWorkers(),
+		// The grid's pool is the only pool: the restarts run sequentially.
+		Workers: 1,
 		Obs:     c.Obs,
 	})
 	if err != nil {
@@ -172,26 +168,6 @@ func (c *Context) Partition(k int, b float64) (*partRec, error) {
 	c.parts[partKey{k, b}] = rec
 	c.mu.Unlock()
 	return rec, nil
-}
-
-// GridWorkers resolves the effective grid pool size (Workers, or
-// GOMAXPROCS when unset) — what cmd/experiments passes to
-// stats.NewCampaign.
-func (c *Context) GridWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// innerWorkers decides how much restart parallelism each Multiway call
-// gets: all of it when the grid itself is sequential, none when the grid
-// rows already occupy the pool.
-func (c *Context) innerWorkers() int {
-	if c.GridWorkers() > 1 {
-		return 1
-	}
-	return 0 // GOMAXPROCS
 }
 
 // Table1 regenerates the paper's Table 1: hyperedge cut of the
@@ -250,7 +226,7 @@ type GridPoint struct {
 // data behind Table 3 and Figures 6 and 7. The k-rows evaluate on a
 // worker pool (see Workers); within a row the b sweep stays sequential so
 // the partition carry-over across b is preserved, and the returned point
-// order and values are identical to the sequential sweep.
+// order, values and error are identical to the sequential sweep.
 func (c *Context) PresimGrid() ([]*GridPoint, error) {
 	out := make([]*GridPoint, len(c.Ks)*len(c.Bs))
 	row := func(ki int) error {
@@ -263,31 +239,8 @@ func (c *Context) PresimGrid() ([]*GridPoint, error) {
 		}
 		return nil
 	}
-	workers := c.GridWorkers()
-	if workers > len(c.Ks) {
-		workers = len(c.Ks)
-	}
-	if workers <= 1 {
-		for ki := range c.Ks {
-			if err := row(ki); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	errs := make([]error, len(c.Ks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ki := range c.Ks {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(ki int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[ki] = row(ki)
-		}(ki)
-	}
-	wg.Wait()
+	par.Each(len(c.Ks), c.Workers, func(ki int) { errs[ki] = row(ki) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -297,19 +250,14 @@ func (c *Context) PresimGrid() ([]*GridPoint, error) {
 }
 
 func (c *Context) evalPoint(k int, b float64, cycles uint64) (*GridPoint, error) {
-	t0 := time.Now()
+	t0 := c.Obs.Start()
 	rec, err := c.Partition(k, b)
 	if err != nil {
 		return nil, err
 	}
-	partWall := time.Since(t0)
-	t1 := time.Now()
 	res, err := c.model(rec.gateParts, k, cycles, false)
 	if err != nil {
 		return nil, err
-	}
-	if c.Campaign != nil {
-		c.Campaign.Record(partWall, time.Since(t1))
 	}
 	c.Obs.Span(obs.TrackCampaign, "grid.point", t0,
 		obs.Arg{Key: "k", Val: float64(k)},

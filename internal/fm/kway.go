@@ -2,9 +2,9 @@ package fm
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/hypergraph"
+	"repro/internal/par"
 )
 
 // This file is the n-level engine's search policy over the Refiner:
@@ -101,51 +101,33 @@ type candidate struct {
 }
 
 // GlobalRound batches independent positive-gain moves the way the GPU
-// partitioner does: a parallel read-only scan proposes the best feasible
-// move per active border vertex (no other has a positive gain), proposals
-// are ordered by (gain desc, vertex ID asc) — a fixed priority independent
-// of the worker count — and applied serially with live revalidation
-// against the cache. Returns the number of applied moves.
+// partitioner does: a read-only scan, one par.Each job per chunk of the
+// vertex range, proposes the best feasible move per active border vertex
+// (no other has a positive gain), proposals are ordered by (gain desc,
+// vertex ID asc) — a fixed priority independent of the worker count — and
+// applied serially with live revalidation against the cache. Returns the
+// number of applied moves.
 func (r *Refiner) GlobalRound(workers int) int {
 	d := r.gc.d
 	n := d.NumVertices()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	chunks := make([][]candidate, workers)
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []candidate
-			for vi := lo; vi < hi; vi++ {
-				v := hypergraph.VertexID(vi)
-				if !d.Active(v) || !r.gc.border(v) {
-					continue
-				}
-				if _, g, ok := r.bestOf(v); ok && g > 0 {
-					out = append(out, candidate{v: v, gain: g})
-				}
+	chunks := max(1, min(workers, n))
+	props := make([][]candidate, chunks) // by chunk
+	par.Each(chunks, chunks, func(c int) {
+		var out []candidate
+		for vi := c * n / chunks; vi < (c+1)*n/chunks; vi++ {
+			v := hypergraph.VertexID(vi)
+			if !d.Active(v) || !r.gc.border(v) {
+				continue
 			}
-			chunks[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			if _, g, ok := r.bestOf(v); ok && g > 0 {
+				out = append(out, candidate{v: v, gain: g})
+			}
+		}
+		props[c] = out
+	})
 	var cands []candidate
-	for _, c := range chunks {
-		cands = append(cands, c...)
+	for _, p := range props {
+		cands = append(cands, p...)
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].gain != cands[j].gain {

@@ -108,6 +108,9 @@ func (h *H) NumVertices() int { return len(h.Vertices) }
 // NumEdges returns the hyperedge count.
 func (h *H) NumEdges() int { return len(h.Edges) }
 
+// Weight returns vertex v's weight, as Dyn.Weight does for a contracted view.
+func (h *H) Weight(v VertexID) int { return h.Vertices[v].Weight }
+
 // Validate checks internal consistency; used by tests.
 func (h *H) Validate() error {
 	w := 0

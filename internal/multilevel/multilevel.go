@@ -236,7 +236,7 @@ func initialPartition(h *hypergraph.H, opts Options, rng *rand.Rand) *hypergraph
 		}
 	}
 	cons := partition.NewConstraint(h, k, opts.B)
-	fm.Over(h, a, cons.Feasible(h)).RefineAllPairs()
+	fm.Over(h, a, cons.Feasible(h.Weight)).RefineAllPairs()
 	return a
 }
 

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -21,16 +21,16 @@ import (
 // refinement policy. It owns the Dyn, the cache and the refiner for the
 // whole run and does not know which entry point called it.
 //
-// Coarsening and the restart pool are parallel but deterministic: each
-// round computes heavy-edge partners for all active vertices in a
-// read-only parallel scan and resolves conflicts by fixed vertex-ID
-// priority, restarts run from pre-drawn seeds, and the same seed yields
-// the same assignment at any Workers value.
+// Coarsening, the restart pool and the global rounds are parallel but
+// deterministic: each coarsening round computes heavy-edge partners for
+// all active vertices in a read-only scan and resolves conflicts by fixed
+// vertex-ID priority, restarts run from pre-drawn seeds, and the same
+// seed yields the same assignment at any Workers value. Every fan-out is
+// one par.Each.
 //
-// Individually-oversized vertices (weight above the balance window — the
-// huge super-gates that used to force the flattening fallback) sit alone
-// in dedicated solo blocks, and the balance window is re-derived over the
-// remaining blocks (partition.Aware, arXiv 2102.01378).
+// Every vertex must fit the balance window on its own: one heavier than
+// its upper bound is an error. The callers' flat hypergraphs have unit
+// weights, which never exceed it once there are K vertices.
 func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	if opts.K < 2 {
 		return nil, fmt.Errorf("multilevel: K must be >= 2, got %d", opts.K)
@@ -41,6 +41,13 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	if h.NumVertices() < opts.K {
 		return nil, fmt.Errorf("multilevel: only %d vertices for K=%d", h.NumVertices(), opts.K)
 	}
+	cons := partition.NewConstraint(h, opts.K, opts.B)
+	_, hi := cons.Bounds()
+	for vi := range h.Vertices {
+		if w := h.Vertices[vi].Weight; w > hi {
+			return nil, fmt.Errorf("multilevel: vertex %d weighs %d, above the balance window (%v)", vi, w, cons)
+		}
+	}
 	if opts.CoarsestSize == 0 {
 		opts.CoarsestSize = 30 * opts.K
 	}
@@ -50,37 +57,12 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	workers := opts.Workers
 	totalT0 := opts.Obs.Start()
-
-	cons := partition.NewConstraint(h, opts.K, opts.B)
-
-	// Oversized super-gates sit alone in solo blocks (the last nSolo block
-	// indices, in ascending vertex-ID order).
-	var soloVerts []hypergraph.VertexID
-	skip := make([]bool, h.NumVertices())
-	soloWeight := 0
-	for vi := range h.Vertices {
-		if cons.Oversized(h.Vertices[vi].Weight) {
-			skip[vi] = true
-			soloVerts = append(soloVerts, hypergraph.VertexID(vi))
-			soloWeight += h.Vertices[vi].Weight
-		}
-	}
-	kShared := opts.K - len(soloVerts)
-	if kShared < 1 {
-		return nil, fmt.Errorf("multilevel: %d oversized vertices leave no shared block at k=%d", len(soloVerts), opts.K)
-	}
-	soloMask := make([]bool, opts.K)
-	for i := range soloVerts {
-		soloMask[kShared+i] = true
-	}
-	aware := cons.Aware(soloMask, soloWeight)
 
 	// Phase 1: coarsening.
 	coarsenT0 := opts.Obs.Start()
 	d := hypergraph.NewDyn(h)
-	boundaries := coarsenN(d, skip, opts.CoarsestSize, clusterCap(aware, opts.CoarsestSize), workers)
+	boundaries := coarsenN(d, opts.CoarsestSize, clusterCap(cons, opts.CoarsestSize), opts.Workers)
 	opts.Obs.Span(obs.TrackPartition, pol.name+"_coarsen", coarsenT0,
 		obs.Arg{Key: "rounds", Val: float64(len(boundaries))},
 		obs.Arg{Key: "contractions", Val: float64(d.Depth())},
@@ -88,44 +70,24 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 
 	// Phase 2: initial partitioning at the coarsest level — best of
 	// Restarts region-growing runs over a compact materialization of the
-	// active sub-hypergraph, run on a bounded worker pool with pre-drawn
-	// per-restart seeds so any Workers value reproduces the same winner.
+	// active sub-hypergraph, from pre-drawn per-restart seeds so any
+	// Workers value reproduces the same winner.
 	initT0 := opts.Obs.Start()
-	ch, cvert := compactActive(d, skip)
-	optsC := opts
-	optsC.K = kShared
+	ch, cvert := compactActive(d)
 	seeds := partition.RestartSeeds(opts.Seed, opts.Restarts)
 	cands := make([]*hypergraph.Assignment, opts.Restarts)
-	if workers <= 1 || opts.Restarts == 1 {
-		for r := range cands {
-			cands[r] = initialPartition(ch, optsC, rand.New(rand.NewSource(seeds[r])))
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for r := range cands {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cands[r] = initialPartition(ch, optsC, rand.New(rand.NewSource(seeds[r])))
-			}(r)
-		}
-		wg.Wait()
-	}
+	par.Each(opts.Restarts, opts.Workers, func(r int) {
+		cands[r] = initialPartition(ch, opts, rand.New(rand.NewSource(seeds[r])))
+	})
 	bestRestart := 0
 	for r := 1; r < len(cands); r++ {
-		if better(ch, cands[r], cands[bestRestart], optsC) {
+		if better(ch, cands[r], cands[bestRestart], opts) {
 			bestRestart = r
 		}
 	}
 	parts := make([]int32, h.NumVertices())
 	for ci, v := range cvert {
 		parts[v] = cands[bestRestart].Parts[ci]
-	}
-	for i, v := range soloVerts {
-		parts[v] = int32(kShared + i)
 	}
 	opts.Obs.Span(obs.TrackPartition, pol.name+"_init", initT0,
 		obs.Arg{Key: "restart", Val: float64(bestRestart)},
@@ -135,7 +97,7 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	refineT0 := opts.Obs.Start()
 	gc := fm.NewGainCache(d, opts.K)
 	gc.Reset(parts)
-	up := &ascent{d: d, ref: fm.NewRefiner(gc, aware.Feasible(d.Weight)), boundaries: boundaries}
+	up := &ascent{d: d, ref: fm.NewRefiner(gc, cons.Feasible(d.Weight)), boundaries: boundaries}
 	refineArgs := pol.refine(up, opts)
 	opts.Obs.Span(obs.TrackPartition, pol.name+"_refine", refineT0, refineArgs...)
 
@@ -148,7 +110,7 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 		GateParts:  partition.GatePartsOf(h, a),
 		Restart:    bestRestart,
 	}
-	res.Balanced = aware.Satisfied(res.Loads) // the plain window when nothing is solo
+	res.Balanced = cons.Satisfied(res.Loads)
 	opts.Obs.Span(obs.TrackPartition, pol.name, totalT0,
 		obs.Arg{Key: "k", Val: float64(opts.K)},
 		obs.Arg{Key: "cut", Val: float64(res.Cut)},
@@ -191,11 +153,11 @@ func (up *ascent) next(each func(m hypergraph.Memento)) bool {
 }
 
 // clusterCap bounds the weight a coarse cluster may accumulate: a few
-// times the average coarsest-cluster weight, and never above the shared
-// window's upper bound so every cluster stays individually placeable.
-func clusterCap(aware partition.Aware, coarsestSize int) int {
-	_, hi := aware.Rem.Bounds()
-	limit := 4 * aware.Rem.Total / coarsestSize
+// times the average coarsest-cluster weight, and never above the window's
+// upper bound so every cluster stays individually placeable.
+func clusterCap(cons partition.Constraint, coarsestSize int) int {
+	_, hi := cons.Bounds()
+	limit := 4 * cons.Total / coarsestSize
 	if limit > hi {
 		limit = hi
 	}
@@ -205,20 +167,25 @@ func clusterCap(aware partition.Aware, coarsestSize int) int {
 	return limit
 }
 
+// minChunked is the active-vertex count below which a coarsening round
+// rates partners in one chunk: smaller scans cost less than the fan-out.
+const minChunked = 512
+
 // coarsenN contracts heavy-edge pairs round by round until coarsestSize
-// active vertices remain (or no further progress). Per round: a parallel
-// read-only scan rates every active vertex's best partner, then matches
-// are resolved serially in ascending vertex-ID order — a fixed priority
-// that makes the outcome independent of the worker count. Returns the
-// stack depth at each round boundary (ascending).
-func coarsenN(d *hypergraph.Dyn, skip []bool, coarsestSize, maxW, workers int) []int {
+// active vertices remain (or no further progress). Per round: a read-only
+// scan, one par.Each job per chunk of the active list, rates every active
+// vertex's best partner, then matches are resolved serially in ascending
+// vertex-ID order — a fixed priority that makes the outcome independent of
+// the worker count. Returns the stack depth at each round boundary
+// (ascending).
+func coarsenN(d *hypergraph.Dyn, coarsestSize, maxW, workers int) []int {
 	var boundaries []int
 	n := d.NumVertices()
 	partner := make([]hypergraph.VertexID, n)
 	matched := make([]bool, n)
-	scratch := make([]*rateScratch, workers)
-	for w := range scratch {
-		scratch[w] = &rateScratch{score: make([]float64, n)}
+	scratch := make([]*rateScratch, workers) // by chunk
+	for c := range scratch {
+		scratch[c] = &rateScratch{score: make([]float64, n)}
 	}
 	var active []hypergraph.VertexID
 	for d.NumActive() > coarsestSize {
@@ -227,13 +194,14 @@ func coarsenN(d *hypergraph.Dyn, skip []bool, coarsestSize, maxW, workers int) [
 			partner[v] = hypergraph.NoVertex
 			matched[v] = false
 		}
-		parallelChunks(len(active), workers, func(w, lo, hi int) {
-			s := scratch[w]
-			for i := lo; i < hi; i++ {
-				u := active[i]
-				if !skip[u] {
-					partner[u] = bestPartner(d, u, skip, maxW, s)
-				}
+		chunks := 1
+		if len(active) >= minChunked {
+			chunks = workers
+		}
+		par.Each(chunks, workers, func(c int) {
+			s := scratch[c]
+			for _, u := range active[c*len(active)/chunks : (c+1)*len(active)/chunks] {
+				partner[u] = bestPartner(d, u, maxW, s)
 			}
 		})
 		contracted := 0
@@ -267,7 +235,7 @@ type rateScratch struct {
 // heavy-edge rating Σ_e w(e)/(|e|−1) over shared edges, respecting the
 // cluster weight cap. Ties break toward the smaller vertex ID, so the
 // result is deterministic regardless of scan order.
-func bestPartner(d *hypergraph.Dyn, u hypergraph.VertexID, skip []bool, maxW int, s *rateScratch) hypergraph.VertexID {
+func bestPartner(d *hypergraph.Dyn, u hypergraph.VertexID, maxW int, s *rateScratch) hypergraph.VertexID {
 	for _, e := range d.Incident(u) {
 		sz := d.EdgeSize(e)
 		if sz < 2 {
@@ -275,7 +243,7 @@ func bestPartner(d *hypergraph.Dyn, u hypergraph.VertexID, skip []bool, maxW int
 		}
 		r := float64(d.EdgeWeight(e)) / float64(sz-1)
 		for _, v := range d.Pins(e) {
-			if v == u || skip[v] {
+			if v == u {
 				continue
 			}
 			if s.score[v] == 0 {
@@ -301,42 +269,16 @@ func bestPartner(d *hypergraph.Dyn, u hypergraph.VertexID, skip []bool, maxW int
 	return best
 }
 
-// parallelChunks splits [0,n) into one contiguous chunk per worker and
-// runs f(workerIdx, lo, hi) concurrently. Small inputs run inline.
-func parallelChunks(n, workers int, f func(w, lo, hi int)) {
-	if workers <= 1 || n < 512 {
-		f(0, 0, n)
-		return
-	}
-	per := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// compactActive materializes the active, non-skipped sub-hypergraph of d
-// as a plain H for the coarsest-level initial partitioning, and returns
-// the mapping from compact vertex index back to finest VertexID.
-func compactActive(d *hypergraph.Dyn, skip []bool) (*hypergraph.H, []hypergraph.VertexID) {
+// compactActive materializes the active sub-hypergraph of d as a plain H
+// for the coarsest-level initial partitioning, and returns the mapping
+// from compact vertex index back to finest VertexID.
+func compactActive(d *hypergraph.Dyn) (*hypergraph.H, []hypergraph.VertexID) {
 	toCompact := make([]int32, d.NumVertices())
 	nv := 0
 	for vi := range toCompact {
 		v := hypergraph.VertexID(vi)
 		toCompact[vi] = -1
-		if d.Active(v) && !skip[v] {
+		if d.Active(v) {
 			toCompact[vi] = int32(nv)
 			nv++
 		}

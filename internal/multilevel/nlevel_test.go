@@ -177,8 +177,9 @@ func TestNLevelSmokeGrid(t *testing.T) {
 }
 
 // TestPartitionNOversizedSolo: a vertex heavier than the window's upper
-// bound must sit alone in a solo block instead of flattening or failing,
-// with the remaining blocks balanced over the remaining weight.
+// bound fits no block, alone or shared, so both policies refuse the input
+// with an error that names the vertex rather than return an unbalanced
+// partition.
 func TestPartitionNOversizedSolo(t *testing.T) {
 	// 1 giant (weight 500) + 60 unit vertices in a ring, k=4, b=10:
 	// window over 560 is [84, 196] → the giant is oversized.
@@ -202,24 +203,13 @@ func TestPartitionNOversizedSolo(t *testing.T) {
 	edge(giant, 1) // tie the giant to the ring
 	h := hypergraph.New(vs, es)
 
-	res, err := PartitionN(h, Options{K: 4, B: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gBlock := res.Assignment.Parts[giant]
-	if res.Loads[gBlock] != 500 {
-		t.Errorf("giant must sit alone: block %d load %d, want 500", gBlock, res.Loads[gBlock])
-	}
-	if !res.Balanced {
-		t.Errorf("aware balance must hold: loads %v", res.Loads)
-	}
-	// Remaining 60 weight over 3 blocks, b=10 → window [14, 26].
-	for b, l := range res.Loads {
-		if int32(b) == gBlock {
-			continue
-		}
-		if l < 14 || l > 26 {
-			t.Errorf("shared block %d load %d outside [14,26]", b, l)
+	const want = "multilevel: vertex 0 weighs 500, above the balance window (k=4 b=10.0% window=[84,196] of 560)"
+	for name, run := range map[string]func(*hypergraph.H, Options) (*Result, error){
+		"flat": Partition, "n-level": PartitionN,
+	} {
+		res, err := run(h, Options{K: 4, B: 10, Seed: 1})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: result %v, error %v, want %q", name, res, err, want)
 		}
 	}
 }

@@ -112,83 +112,17 @@ func feasibleIn(lo, hi, w int, from, to int32, loads []int) bool {
 	return after < before
 }
 
-// Feasible returns an fm.Feasible-compatible move predicate over h's
-// vertex weights (see feasibleIn). The window is computed here, once: a
-// search asks the predicate for every candidate target of every vertex it
-// looks at.
-func (c Constraint) Feasible(h *hypergraph.H) func(v hypergraph.VertexID, from, to int32, loads []int) bool {
+// Feasible returns an fm.Feasible-compatible move predicate over the
+// vertex weights weight reports (see feasibleIn): H.Weight for a
+// hypergraph, Dyn.Weight for a contracted view. The window is computed
+// here, once: a search asks the predicate for every candidate target of
+// every vertex it looks at.
+func (c Constraint) Feasible(weight func(hypergraph.VertexID) int) func(v hypergraph.VertexID, from, to int32, loads []int) bool {
 	lo, hi := c.Bounds()
 	return func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-		return feasibleIn(lo, hi, h.Vertices[v].Weight, from, to, loads)
-	}
-}
-
-// Oversized reports whether a single vertex of weight w cannot fit the
-// window at all — no balanced assignment containing it in a shared block
-// exists, which is what used to force the flattening fallback.
-func (c Constraint) Oversized(w int) bool {
-	_, hi := c.Bounds()
-	return w > hi
-}
-
-// Aware is the vertex-weight-aware relaxation of the constraint
-// ("Multilevel Hypergraph Partitioning with Vertex Weights Revisited",
-// arXiv 2102.01378): blocks that host an individually-oversized
-// super-gate are marked solo and exempted from the window, and the
-// window is re-derived over the remaining blocks and remaining weight.
-// With no solo blocks it degenerates to the plain Constraint.
-type Aware struct {
-	Solo []bool     // by block: true when the block holds one oversized vertex
-	Rem  Constraint // window over the non-solo blocks
-}
-
-// Aware builds the vertex-weight-aware view given the solo-block mask and
-// the total weight parked in solo blocks.
-func (c Constraint) Aware(solo []bool, soloWeight int) Aware {
-	nSolo := 0
-	for _, s := range solo {
-		if s {
-			nSolo++
-		}
-	}
-	rem := Constraint{K: c.K - nSolo, B: c.B, Total: c.Total - soloWeight}
-	return Aware{Solo: solo, Rem: rem}
-}
-
-// Satisfied reports whether every non-solo block load lies in the
-// re-derived window. Solo blocks are exempt by construction.
-func (a Aware) Satisfied(loads []int) bool {
-	if a.Rem.K <= 0 {
-		return true
-	}
-	lo, hi := a.Rem.Bounds()
-	for t, l := range loads {
-		if a.solo(int32(t)) {
-			continue
-		}
-		if l < lo || l > hi {
-			return false
-		}
-	}
-	return true
-}
-
-// Feasible returns the fm.Feasible-compatible move predicate over the
-// vertex weights weight reports: moves into or out of solo blocks are
-// rejected outright (an oversized super-gate sits alone), everything else
-// follows the re-derived window, computed once, as Constraint.Feasible
-// does.
-func (a Aware) Feasible(weight func(hypergraph.VertexID) int) func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-	lo, hi := a.Rem.Bounds()
-	return func(v hypergraph.VertexID, from, to int32, loads []int) bool {
-		if a.solo(from) || a.solo(to) || a.Rem.K <= 0 {
-			return false
-		}
 		return feasibleIn(lo, hi, weight(v), from, to, loads)
 	}
 }
-
-func (a Aware) solo(b int32) bool { return int(b) < len(a.Solo) && a.Solo[b] }
 
 func excess(l, lo, hi int) int {
 	if l < lo {

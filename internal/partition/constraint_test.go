@@ -52,56 +52,25 @@ func TestBoundsTinyB(t *testing.T) {
 	}
 }
 
-// TestOversized: a vertex heavier than hi can never share a window.
-func TestOversized(t *testing.T) {
+// TestFeasibleReadsTheWeightFunction: the move predicate judges the
+// weight its weight function reports against the window: a move that
+// stays inside passes, one that overflows the destination fails, and one
+// that shrinks the total violation of an unbalanced pair passes.
+func TestFeasibleReadsTheWeightFunction(t *testing.T) {
 	c := Constraint{K: 4, B: 10, Total: 1000} // window [150, 350]
-	if c.Oversized(350) {
-		t.Error("weight 350 fits exactly at hi")
+	feasible := func(w int, loads []int) bool {
+		return c.Feasible(func(hypergraph.VertexID) int { return w })(0, 1, 2, loads)
 	}
-	if !c.Oversized(351) {
-		t.Error("weight 351 exceeds hi and must be oversized")
+	if !feasible(10, []int{250, 250, 250, 250}) {
+		t.Error("a window-respecting move must pass")
 	}
-}
-
-// TestAwareSoloBlocks: with an oversized super-gate parked alone in block
-// 0, the window is re-derived over the remaining blocks and weight, solo
-// loads are exempt, and moves touching the solo block are rejected.
-func TestAwareSoloBlocks(t *testing.T) {
-	c := Constraint{K: 4, B: 10, Total: 1000} // plain window [150, 350]
-	solo := []bool{true, false, false, false}
-	a := c.Aware(solo, 400) // block 0 holds a weight-400 super-gate
-
-	// Remaining: 600 over 3 blocks → window 600·(1/3 ± 0.1) = [140, 260].
-	if lo, hi := a.Rem.Bounds(); lo != 140 || hi != 260 {
-		t.Fatalf("rem window [%d,%d], want [140,260]", lo, hi)
+	if feasible(120, []int{250, 250, 250, 250}) {
+		t.Error("a move overflowing the destination's hi must be rejected")
 	}
-	if !a.Satisfied([]int{400, 200, 200, 200}) {
-		t.Error("solo block load must be exempt")
-	}
-	if a.Satisfied([]int{400, 300, 150, 150}) {
-		t.Error("non-solo block above rem hi must fail")
-	}
-	loads := []int{400, 200, 200, 200}
-	feasible := func(w int, from, to int32) bool {
-		return a.Feasible(func(hypergraph.VertexID) int { return w })(0, from, to, loads)
-	}
-	if feasible(10, 0, 1) {
-		t.Error("moving out of a solo block must be rejected")
-	}
-	if feasible(10, 1, 0) {
-		t.Error("moving into a solo block must be rejected")
-	}
-	if !feasible(10, 1, 2) {
-		t.Error("a window-respecting move between shared blocks must pass")
-	}
-	if feasible(70, 1, 2) {
-		t.Error("a move overflowing rem hi must be rejected")
-	}
-
-	// No solo blocks → degenerates to the plain constraint.
-	plain := c.Aware([]bool{false, false, false, false}, 0)
-	if lo, hi := plain.Rem.Bounds(); lo != 150 || hi != 350 {
-		t.Fatalf("degenerate window [%d,%d], want [150,350]", lo, hi)
+	// 500 → 300 by 100 overflows the destination (400 > 350) but takes the
+	// pair's excess from 150 to 100.
+	if !feasible(100, []int{200, 500, 300, 0}) {
+		t.Error("a move that shrinks the violation must pass")
 	}
 }
 

@@ -1,17 +1,15 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/cone"
 	"repro/internal/elab"
 	"repro/internal/fm"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Options configures the multiway design-driven partitioner.
@@ -72,7 +70,49 @@ type Result struct {
 // balance cannot be met. Restarts > 1 repeats the pipeline from random
 // initial partitions and keeps the best balanced result.
 func Multiway(d *elab.Design, opts Options) (*Result, error) {
-	return MultiwayCtx(context.Background(), d, opts)
+	if opts.K < 2 {
+		return nil, fmt.Errorf("partition: K must be >= 2, got %d", opts.K)
+	}
+	if opts.B <= 0 {
+		return nil, fmt.Errorf("partition: B must be positive, got %g", opts.B)
+	}
+	restarts := opts.Restarts
+	if restarts <= 0 {
+		restarts = 8
+	}
+
+	mwT0 := opts.Obs.Start()
+	seeds := restartSeeds(opts.Seed, restarts)
+	results := make([]*Result, restarts)
+	errs := make([]error, restarts)
+	par.Each(restarts, opts.Workers, func(r int) {
+		init := coneInit
+		if r > 0 {
+			init = randomInit(seeds[r].init)
+		}
+		results[r], errs[r] = runOnce(d, opts, init, r, seeds[r].pair)
+	})
+
+	// Deterministic selection: walk restarts in index order, so ties (and
+	// errors) resolve to the lowest restart index regardless of workers.
+	var best *Result
+	for r := 0; r < restarts; r++ {
+		if errs[r] != nil {
+			return nil, errs[r]
+		}
+		if best == nil || betterResult(results[r], best) {
+			best = results[r]
+		}
+	}
+	balanced := 0.0
+	if best.Balanced {
+		balanced = 1
+	}
+	opts.Obs.Span(obs.TrackPartition, "multiway", mwT0,
+		obs.Arg{Key: "k", Val: float64(opts.K)},
+		obs.Arg{Key: "cut", Val: float64(best.Cut)},
+		obs.Arg{Key: "balanced", Val: balanced})
+	return best, nil
 }
 
 // restartSeed carries the two independent random streams of one restart:
@@ -120,81 +160,6 @@ func randomInit(seed int64) initFunc {
 	}
 }
 
-// MultiwayCtx is Multiway with cancellation: when ctx is cancelled,
-// in-flight restarts abort at their next pairing round and the context
-// error is returned. The pre-simulation campaign engine uses this to stop
-// speculative partitioning work once its search rule has fired.
-func MultiwayCtx(ctx context.Context, d *elab.Design, opts Options) (*Result, error) {
-	if opts.K < 2 {
-		return nil, fmt.Errorf("partition: K must be >= 2, got %d", opts.K)
-	}
-	if opts.B <= 0 {
-		return nil, fmt.Errorf("partition: B must be positive, got %g", opts.B)
-	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 8
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > restarts {
-		workers = restarts
-	}
-
-	mwT0 := opts.Obs.Start()
-	seeds := restartSeeds(opts.Seed, restarts)
-	results := make([]*Result, restarts)
-	errs := make([]error, restarts)
-	run := func(r int) {
-		init := coneInit
-		if r > 0 {
-			init = randomInit(seeds[r].init)
-		}
-		results[r], errs[r] = runOnce(ctx, d, opts, init, r, seeds[r].pair)
-	}
-	if workers == 1 {
-		for r := 0; r < restarts; r++ {
-			run(r)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for r := 0; r < restarts; r++ {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(r)
-			}(r)
-		}
-		wg.Wait()
-	}
-
-	// Deterministic selection: walk restarts in index order, so ties (and
-	// errors) resolve to the lowest restart index regardless of workers.
-	var best *Result
-	for r := 0; r < restarts; r++ {
-		if errs[r] != nil {
-			return nil, errs[r]
-		}
-		if best == nil || betterResult(results[r], best) {
-			best = results[r]
-		}
-	}
-	balanced := 0.0
-	if best.Balanced {
-		balanced = 1
-	}
-	opts.Obs.Span(obs.TrackPartition, "multiway", mwT0,
-		obs.Arg{Key: "k", Val: float64(opts.K)},
-		obs.Arg{Key: "cut", Val: float64(best.Cut)},
-		obs.Arg{Key: "balanced", Val: balanced})
-	return best, nil
-}
-
 // betterResult prefers balanced results, then lower cut, then fewer
 // flattened super-gates (more hierarchy preserved).
 func betterResult(cand, best *Result) bool {
@@ -220,7 +185,7 @@ func coneInit(d *elab.Design, h *hypergraph.H, k int) *hypergraph.Assignment {
 
 // runOnce executes the full pipeline (fig. 2) from one initial partition.
 // pairSeed drives this restart's pairer (distinct per restart).
-func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, restart int, pairSeed int64) (*Result, error) {
+func runOnce(d *elab.Design, opts Options, init initFunc, restart int, pairSeed int64) (*Result, error) {
 	rArg := obs.Arg{Key: "restart", Val: float64(restart)}
 	buildT0 := opts.Obs.Start()
 	builder := hypergraph.NewBuilder(d)
@@ -256,16 +221,13 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 	// and load redistribution all read and move through its gain cache,
 	// which writes through to a. It is rebuilt only when flattening
 	// replaces the view.
-	ref := fm.Over(h, a, cons.Feasible(h))
+	ref := fm.Over(h, a, cons.Feasible(h.Weight))
 
 	res := &Result{Constraint: cons}
 	const maxRounds = 10000
 	refineT0 := opts.Obs.Start()
 
 	for res.Rounds = 0; res.Rounds < maxRounds; res.Rounds++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		p, q, ok := pr.next(h, a, ref)
 		if ok {
 			// Phase 2: iterative movement between the paired partitions.
@@ -307,7 +269,7 @@ func runOnce(ctx context.Context, d *elab.Design, opts Options, init initFunc, r
 			return nil, err
 		}
 		h, a = newH, newA
-		ref = fm.Over(h, a, cons.Feasible(h))
+		ref = fm.Over(h, a, cons.Feasible(h.Weight))
 		res.Flattened++
 		pr.resetStale()
 	}

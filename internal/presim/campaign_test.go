@@ -1,13 +1,11 @@
 package presim
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // fakeConfig builds a Config whose evaluator returns synthetic speedups
@@ -15,10 +13,7 @@ import (
 // semantics can be pinned exactly.
 func fakeConfig(ks []int, bs []float64, speedup map[[2]float64]float64) *Config {
 	cfg := &Config{Ks: ks, Bs: bs, Cycles: 1}
-	cfg.evalFn = func(ctx context.Context, k int, b float64) (*Point, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	cfg.evalFn = func(k int, b float64) (*Point, error) {
 		s, ok := speedup[[2]float64{float64(k), b}]
 		if !ok {
 			return nil, fmt.Errorf("unexpected point k=%d b=%g", k, b)
@@ -219,7 +214,7 @@ func TestBruteForceParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestHeuristicParallelDeterminism: the speculative search must visit the
+// TestHeuristicParallelDeterminism: the row-parallel search must visit the
 // exact sequence the sequential search visits and pick the same best.
 func TestHeuristicParallelDeterminism(t *testing.T) {
 	seqCfg := testConfig(t)
@@ -273,32 +268,74 @@ func TestConcurrentCampaigns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCampaignCounters: the campaign collector sees every evaluated point
-// with non-zero busy time, and the summary stays self-consistent.
-func TestCampaignCounters(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Workers = 2
-	cfg.Campaign = stats.NewCampaign(cfg.WorkerCount())
-	points, _, err := BruteForce(cfg)
-	if err != nil {
-		t.Fatal(err)
+// countingConfig is fakeConfig over a 4×6 grid whose rows stop at
+// different depths — k=5 after its second point, k=4 at its third, k=3
+// runs out, k=2 drops at its fifth — with an evaluator that counts its
+// calls.
+func countingConfig(calls *atomic.Int64) *Config {
+	ks, bs := []int{2, 3, 4, 5}, []float64{1, 2, 3, 4, 5, 6}
+	rows := map[int][]float64{
+		5: {2, 1, 9, 9, 9, 9},
+		4: {1, 2, 1, 9, 9, 9},
+		3: {1, 2, 3, 4, 5, 6},
+		2: {1, 1, 2, 2, 1, 9},
 	}
-	s := cfg.Campaign.Finish()
-	if s.Points != len(points) {
-		t.Errorf("campaign recorded %d points, want %d", s.Points, len(points))
+	speedup := map[[2]float64]float64{}
+	for k, row := range rows {
+		for i, s := range row {
+			speedup[[2]float64{float64(k), bs[i]}] = s
+		}
 	}
-	if s.PartBusy <= 0 || s.SimBusy <= 0 {
-		t.Errorf("busy times not recorded: part=%v sim=%v", s.PartBusy, s.SimBusy)
+	cfg := fakeConfig(ks, bs, speedup)
+	eval := cfg.evalFn
+	cfg.evalFn = func(k int, b float64) (*Point, error) {
+		calls.Add(1)
+		return eval(k, b)
 	}
-	if s.PointsPerSec() <= 0 {
-		t.Error("points/sec should be positive")
+	return cfg
+}
+
+// TestHeuristicEvaluatesOnlyVisited: the search evaluates exactly the
+// points it visits, at one worker, at two, and at more workers than rows:
+// no point past a row's stop is ever run, not even speculatively.
+func TestHeuristicEvaluatesOnlyVisited(t *testing.T) {
+	var ref []*Point
+	for _, workers := range []int{1, 2, 5} {
+		var calls atomic.Int64
+		cfg := countingConfig(&calls)
+		cfg.Workers = workers
+		_, visited, err := Heuristic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(visited) != 2+3+6+5 {
+			t.Fatalf("workers=%d: visited %d points, want 16", workers, len(visited))
+		}
+		if n := calls.Load(); n != int64(len(visited)) {
+			t.Errorf("workers=%d: %d evaluations for %d visited points", workers, n, len(visited))
+		}
+		if ref == nil {
+			ref = visited
+		} else if d := pointsDiff(ref, visited); d != "" {
+			t.Errorf("workers=%d: %s", workers, d)
+		}
 	}
-	if u := s.Utilization(); u <= 0 {
-		t.Errorf("utilization %v should be positive", u)
-	}
-	for _, p := range points {
-		if p.PartWall <= 0 {
-			t.Fatalf("point k=%d b=%g has no partition timing", p.K, p.B)
+}
+
+// TestBruteForceEvaluatesEachCellOnce: the brute force runs every grid
+// cell exactly once, whatever the pool size.
+func TestBruteForceEvaluatesEachCellOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 0, 64} {
+		var calls atomic.Int64
+		cfg := countingConfig(&calls)
+		cfg.Workers = workers
+		points, _, err := BruteForce(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(cfg.Ks) * len(cfg.Bs)
+		if n := calls.Load(); n != int64(want) || len(points) != want {
+			t.Errorf("workers=%d: %d evaluations, %d points, want %d of each", workers, n, len(points), want)
 		}
 	}
 }

@@ -5,15 +5,12 @@
 //
 // Both the brute-force sweep (all k×b combinations, paper Table 3) and the
 // heuristic search (paper fig. 3: start from the maximum machine count,
-// grow b until the speedup first drops) are provided. Either search can
-// run on a bounded worker pool (Config.Workers); the campaign engine in
-// campaign.go guarantees that the parallel paths return results identical
-// to the sequential ones.
+// grow b until the speedup first drops) are provided. Either search runs
+// on a bounded worker pool (Config.Workers) and returns results identical
+// to the sequential ones; see campaign.go.
 package presim
 
 import (
-	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -22,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config drives a pre-simulation campaign.
@@ -45,19 +41,17 @@ type Config struct {
 	Strategy partition.PairingStrategy
 	Restarts int
 	// Workers bounds the campaign worker pool (0 → GOMAXPROCS, 1 →
-	// sequential). BruteForce and Heuristic return identical points and
-	// best for every Workers value; see campaign.go.
+	// sequential), which runs over grid cells in BruteForce and over k-rows
+	// in Heuristic. Both return identical points and best for every
+	// Workers value; see campaign.go.
 	Workers int
-	// Campaign optionally collects per-point timing and pool utilization
-	// (stats.NewCampaign); nil disables collection.
-	Campaign *stats.Campaign
 	// Obs, when enabled, records one campaign-track span per evaluated
 	// (k, b) point (with partition/simulation wall split) and forwards
 	// itself to the partitioner for phase spans. Nil disables.
 	Obs *obs.Observer
 
 	// evalFn substitutes the evaluator in tests (nil → real pipeline).
-	evalFn func(ctx context.Context, k int, b float64) (*Point, error)
+	evalFn func(k int, b float64) (*Point, error)
 
 	// waves is the campaign-shared wave bank the cluster model replays,
 	// built lazily on the first evaluation. The bank is
@@ -75,15 +69,6 @@ func (cfg *Config) waveBank() (*sim.WaveBank, error) {
 			cfg.Design.Netlist, sim.RandomVectors{Seed: cfg.Seed}, cfg.Cycles)
 	})
 	return cfg.waves, cfg.wavesErr
-}
-
-// WorkerCount resolves the effective pool size (Workers, or GOMAXPROCS
-// when unset) — what the CLIs pass to stats.NewCampaign.
-func (cfg *Config) WorkerCount() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Point is the outcome of one (k, b) pre-simulation.
@@ -109,43 +94,31 @@ type Point struct {
 	SimWall  time.Duration
 }
 
-// Evaluate partitions the design for (k, b) and pre-simulates it.
-func Evaluate(cfg *Config, k int, b float64) (*Point, error) {
-	return evaluateCtx(context.Background(), cfg, k, b)
-}
-
 // eval dispatches to the test stub or the real pipeline and records the
-// point into the campaign collector.
-func (cfg *Config) eval(ctx context.Context, k int, b float64) (*Point, error) {
+// point's span.
+func (cfg *Config) eval(k int, b float64) (*Point, error) {
 	f := cfg.evalFn
 	if f == nil {
-		f = func(ctx context.Context, k int, b float64) (*Point, error) {
-			return evaluateCtx(ctx, cfg, k, b)
-		}
+		f = func(k int, b float64) (*Point, error) { return Evaluate(cfg, k, b) }
 	}
 	t0 := cfg.Obs.Start()
-	p, err := f(ctx, k, b)
+	p, err := f(k, b)
 	if err == nil {
 		cfg.Obs.Span(obs.TrackCampaign, "presim.point", t0,
 			obs.Arg{Key: "k", Val: float64(k)},
 			obs.Arg{Key: "b", Val: b},
 			obs.Arg{Key: "speedup", Val: p.Speedup})
-		if cfg.Campaign != nil {
-			cfg.Campaign.Record(p.PartWall, p.SimWall)
-		}
 	}
 	return p, err
 }
 
-func evaluateCtx(ctx context.Context, cfg *Config, k int, b float64) (*Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Evaluate partitions the design for (k, b) and pre-simulates it.
+func Evaluate(cfg *Config, k int, b float64) (*Point, error) {
 	t0 := time.Now()
-	pr, err := partition.MultiwayCtx(ctx, cfg.Design, partition.Options{
+	pr, err := partition.Multiway(cfg.Design, partition.Options{
 		K: k, B: b, Strategy: cfg.Strategy, Restarts: cfg.Restarts,
-		// The campaign already fans out across (k, b) points; nested
-		// restart parallelism would only oversubscribe the pool.
+		// A campaign's pool is the only pool inside it: the restarts of
+		// every point it evaluates run sequentially.
 		Workers: 1,
 		Obs:     cfg.Obs,
 	})
@@ -153,9 +126,6 @@ func evaluateCtx(ctx context.Context, cfg *Config, k int, b float64) (*Point, er
 		return nil, err
 	}
 	partWall := time.Since(t0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	t1 := time.Now()
 	bank, err := cfg.waveBank()
 	if err != nil {

@@ -46,6 +46,9 @@ func TestBruteForceCoversGrid(t *testing.T) {
 		if len(p.GateParts) != cfg.Design.Netlist.NumGates() {
 			t.Errorf("k=%d b=%g: GateParts incomplete", p.K, p.B)
 		}
+		if p.PartWall <= 0 || p.SimWall <= 0 {
+			t.Errorf("k=%d b=%g: no wall time recorded (partition %v, model %v)", p.K, p.B, p.PartWall, p.SimWall)
+		}
 	}
 }
 

@@ -1,79 +1,11 @@
-// Package stats provides run-record aggregation and plain-text table
-// rendering for the experiment harness — the paper reports each data point
-// as the average of five runs, and its tables are fixed-width text.
+// Package stats renders the experiment harness's plain-text tables, which
+// are fixed-width like the paper's.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Series accumulates float samples.
-type Series struct {
-	xs []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(x float64) { s.xs = append(s.xs, x) }
-
-// N returns the sample count.
-func (s *Series) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Std returns the sample standard deviation (0 for fewer than 2 samples).
-func (s *Series) Std() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.xs)-1))
-}
-
-// Min returns the smallest sample (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	min := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest sample (0 for an empty series).
-func (s *Series) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	max := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
 
 // Table renders fixed-width text tables in the style of the paper.
 type Table struct {
@@ -142,32 +74,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts rows by the given column indices (numeric-aware: cells
-// that parse as floats compare numerically).
-func (t *Table) SortRowsBy(cols ...int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		for _, c := range cols {
-			a, b := t.rows[i][c], t.rows[j][c]
-			af, aerr := parseFloat(a)
-			bf, berr := parseFloat(b)
-			if aerr == nil && berr == nil {
-				if af != bf {
-					return af < bf
-				}
-				continue
-			}
-			if a != b {
-				return a < b
-			}
-		}
-		return false
-	})
-}
-
-func parseFloat(s string) (float64, error) {
-	var f float64
-	_, err := fmt.Sscanf(s, "%g", &f)
-	return f, err
 }
