@@ -2,27 +2,11 @@ package nettrans
 
 import (
 	"fmt"
-
-	"repro/internal/comm"
 )
 
-// Codec serializes the application's comm.Message payloads. The wire
-// layer is payload-agnostic; the Time Warp kernel supplies its own codec
-// for event/batch values (timewarp.WireCodec). Implementations must obey
-// one law the differential tests enforce: Decode(Append(nil, m)) is
-// semantically identical to m, and Decode never panics on truncated,
-// oversized or garbage input — it errors.
-type Codec interface {
-	// Append serializes msg onto dst and returns the extended slice.
-	Append(dst []byte, msg comm.Message) ([]byte, error)
-	// Decode parses one serialized message. p is only valid for the
-	// duration of the call; retain nothing that aliases it.
-	Decode(p []byte) (comm.Message, error)
-}
-
 // Data-frame payload layout: [src u32][dst u32][era u64][message bytes].
-// The era is the Mattern GVT color of the send (always 0 on loopback
-// links, which never take part in a distributed cut).
+// The era is the Mattern GVT color of the send; the message bytes are the
+// kernel's own encoding (internal/timewarp/wire.go).
 const dataHdrLen = 4 + 4 + 8
 
 // AppendDataFrame builds a FrameData payload.
@@ -34,8 +18,8 @@ func AppendDataFrame(dst []byte, src, dstCluster int, era uint64, msgBytes []byt
 }
 
 // DataFrame is one decoded FrameData payload. Msg aliases the frame
-// buffer and must be consumed (or decoded via Codec) before the next
-// read on the same Conn.
+// buffer and must be consumed (decoded) before the next read on the same
+// Conn.
 type DataFrame struct {
 	Src, Dst int
 	Era      uint64

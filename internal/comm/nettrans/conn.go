@@ -234,14 +234,6 @@ func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
 // AppendU8 appends one byte.
 func AppendU8(dst []byte, v byte) []byte { return append(dst, v) }
 
-// AppendBool appends a bool as one byte.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
 // AppendU32 appends a big-endian uint32.
 func AppendU32(dst []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, v)
@@ -326,9 +318,6 @@ func (d *Dec) U8() byte {
 	}
 	return v[0]
 }
-
-// Bool consumes one byte as a bool (any non-zero is true).
-func (d *Dec) Bool() bool { return d.U8() != 0 }
 
 // U32 consumes a big-endian uint32.
 func (d *Dec) U32() uint32 {

@@ -9,18 +9,18 @@
 // result collection.
 //
 // A Conn is received from in one of two ways (conn.go). Recv blocks in the
-// runtime's netpoller until a frame arrives: the control plane, the
-// handshakes and the Loopback transport's reader, where a goroutine has
-// nothing else to do. TryRecv reads the descriptor without waiting and is
-// called from the loop of whoever consumes the frames: the worker mesh's
-// data plane, which no goroutine reads in the background (DESIGN §21).
+// runtime's netpoller until a frame arrives: the control plane and the
+// handshakes, where a goroutine has nothing else to do. TryRecv reads the
+// descriptor without waiting and is called from the loop of whoever
+// consumes the frames: the worker mesh's data plane, which no goroutine
+// reads in the background (DESIGN §21).
 // Both yield the same frames and the same errors on the same bytes.
 //
-// The package is deliberately ignorant of event payloads: senders hand it
-// opaque comm.Message values and a Codec that turns them into bytes (the
-// kernel's codec lives in internal/timewarp/wire.go). Everything here is
-// hostile-input hardened — a truncated, oversized or garbage frame is an
-// error, never a panic and never a partially delivered message.
+// The package is deliberately ignorant of event payloads: a data frame
+// carries the bytes the kernel encoded (internal/timewarp/wire.go) and
+// hands them back undecoded. Everything here is hostile-input hardened —
+// a truncated, oversized or garbage frame is an error, never a panic and
+// never a partially delivered message.
 package nettrans
 
 import (

@@ -109,7 +109,7 @@ func TestDecDoesNotPanicOnUnderflow(t *testing.T) {
 	_ = d.U32()
 	_ = d.Str()
 	_ = d.Bytes()
-	_ = d.Bool()
+	_ = d.U8()
 	if !errors.Is(d.Err(), ErrShortPayload) {
 		t.Fatalf("underflow err: %v", d.Err())
 	}
@@ -152,10 +152,11 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
-	// A worker built while workers still shipped registry snapshots.
-	v5 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 5), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v5); err == nil || !strings.Contains(err.Error(), "protocol version 5, this build speaks 6") {
-		t.Fatalf("version-5 hello: error %v, want the version refused", err)
+	// A worker built while events still carried their causality lineage
+	// and a run spec no observe list.
+	v6 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 6), "10.0.0.1:9"), 0)
+	if _, err := DecodeHello(v6); err == nil || !strings.Contains(err.Error(), "protocol version 6, this build speaks 7") {
+		t.Fatalf("version-6 hello: error %v, want the version refused", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/clustersim"
 	"repro/internal/comm"
-	"repro/internal/comm/nettrans"
 	"repro/internal/elab"
 	"repro/internal/gen"
 	"repro/internal/netlist"
@@ -54,12 +53,6 @@ type Spec struct {
 	Cycles    uint64
 	Window    uint64
 	Chaos     *comm.ChaosConfig // nil = benign direct delivery
-	// NetTrans ships every inter-cluster message through the framed TCP
-	// loopback transport (internal/comm/nettrans) instead of direct
-	// in-process delivery; combined with Chaos, the delivery adversary
-	// sits on the decode side of the socket — the full wire path under
-	// attack.
-	NetTrans bool
 	// Packed additionally runs the cluster model twice — scalar and
 	// 64-wide bit-parallel trace generators — and fails on any Result
 	// divergence: the packed engine differential, fuzzed over the same
@@ -98,10 +91,9 @@ func NewSpec(seed int64, chaos bool) Spec {
 			StallFor:   time.Duration(1+rng.Intn(4)) * time.Millisecond,
 		}
 	}
+	rng.Intn(4) // the former loopback-socket knob's draw, kept for the same reason
 	// Drawn last so every earlier seed→field derivation (and therefore
 	// every historical replay seed) is unchanged by the knob's addition.
-	s.NetTrans = rng.Intn(4) == 0 // 1/4 of runs cross a real socket
-	// Drawn after NetTrans, same rule: historical seeds stay stable.
 	s.Packed = rng.Intn(3) == 0 // 1/3 of runs also diff the packed model
 	return s
 }
@@ -200,12 +192,12 @@ func (r *RunResult) Failure() string {
 }
 
 // Execute runs the spec differentially: sequential oracle first, then the
-// Time Warp cluster, comparing committed per-cycle primary-output values
-// bit for bit. faults, when non-nil, injects kernel regressions (harness
-// self-tests only). stallTimeout bounds a wedged run (0 = wait forever);
-// a livelocked run — continuous activity that never terminates, invisible
-// to the inactivity detector — is cut at four times that by the kernel's
-// hard wall-clock cap.
+// Time Warp cluster, comparing the committed per-cycle values of the
+// primary outputs and every flip-flop bit for bit. faults, when non-nil,
+// injects kernel regressions (harness self-tests only). stallTimeout
+// bounds a wedged run (0 = wait forever); a livelocked run — continuous
+// activity that never terminates, invisible to the inactivity detector —
+// is cut at four times that by the kernel's hard wall-clock cap.
 func Execute(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.Duration) (res RunResult) {
 	return ExecuteObserved(spec, faults, stallTimeout, nil)
 }
@@ -231,15 +223,7 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		return res
 	}
 	res.Partitioner = used
-	k := 0
-	for _, p := range parts {
-		if int(p) >= k {
-			k = int(p) + 1
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
+	k := clusterCount(parts)
 
 	// Sequential oracle over the design's whole registered state.
 	vs := sim.RandomVectors{Seed: spec.GenSeed}
@@ -264,18 +248,10 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		Faults:       faults,
 		Obs:          o,
 	}
-	var inner comm.TransportFactory
 	if spec.Chaos != nil {
 		cc := *spec.Chaos
 		cc.Obs = o
-		inner = comm.Chaos(cc)
-		cfg.Transport = inner
-	}
-	if spec.NetTrans {
-		cfg.Transport = nettrans.Loopback(nettrans.LoopbackConfig{
-			Codec: timewarp.WireCodec(),
-			Inner: inner,
-		})
+		cfg.Transport = comm.Chaos(cc)
 	}
 	tw, err := timewarp.Run(cfg)
 	if err != nil {
@@ -286,21 +262,10 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 	res.FinalGVT = tw.FinalGVT
 	res.Violations = tw.InvariantViolations
 
-	for _, n := range state {
-		got, ok := tw.Observed[n]
-		if !ok {
-			res.Mismatch = fmt.Sprintf("net %s not observed by the kernel", nl.Nets[n].Name)
-			return res
-		}
-		for c, w := range want[n] {
-			if got[c] != w {
-				res.Mismatch = fmt.Sprintf(
-					"net %s cycle %d: timewarp %v, sequential %v (family=%s part=%s k=%d chaos=%v)",
-					nl.Nets[n].Name, c, got[c], w,
-					spec.Family, used, k, spec.Chaos != nil)
-				return res
-			}
-		}
+	if msg := diffObserved(nl, state, want, tw.Observed); msg != "" {
+		res.Mismatch = fmt.Sprintf("%s (family=%s part=%s k=%d chaos=%v)",
+			msg, spec.Family, used, k, spec.Chaos != nil)
+		return res
 	}
 
 	if spec.Packed {
@@ -309,6 +274,34 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		}
 	}
 	return res
+}
+
+// clusterCount is the number of clusters a gate partition uses (at
+// least 1).
+func clusterCount(parts []int32) int {
+	k := 1
+	for _, p := range parts {
+		k = max(k, int(p)+1)
+	}
+	return k
+}
+
+// diffObserved reports the first (net, cycle) of nets where the kernel's
+// committed values got differ from the sequential oracle's want ("" if
+// none).
+func diffObserved(nl *netlist.Netlist, nets []netlist.NetID, want, got map[netlist.NetID][]bool) string {
+	for _, n := range nets {
+		g, ok := got[n]
+		if !ok {
+			return fmt.Sprintf("net %s not observed by the kernel", nl.Nets[n].Name)
+		}
+		for c, w := range want[n] {
+			if g[c] != w {
+				return fmt.Sprintf("net %s cycle %d: timewarp %v, sequential %v", nl.Nets[n].Name, c, g[c], w)
+			}
+		}
+	}
+	return ""
 }
 
 // diffPackedModel runs the cluster model with the scalar and the packed

@@ -79,11 +79,6 @@ func shrinkCandidates(spec Spec) []Spec {
 		c.Chaos = nil
 		cands = append(cands, c)
 	}
-	if spec.NetTrans {
-		c := spec
-		c.NetTrans = false
-		cands = append(cands, c)
-	}
 	if spec.Packed {
 		c := spec
 		c.Packed = false
@@ -104,8 +99,8 @@ func ReproSnippet(spec Spec, failure string) string {
 		spec.Seed, spec.Family, spec.GenSeed, spec.Size)
 	fmt.Fprintf(&b, "\t\tK: %d, Partition: %q, B: %g,\n", spec.K, spec.Partition, spec.B)
 	fmt.Fprintf(&b, "\t\tCycles: %d, Window: %d,\n", spec.Cycles, spec.Window)
-	if spec.NetTrans || spec.Packed {
-		fmt.Fprintf(&b, "\t\tNetTrans: %v, Packed: %v,\n", spec.NetTrans, spec.Packed)
+	if spec.Packed {
+		fmt.Fprintf(&b, "\t\tPacked: true,\n")
 	}
 	if c := spec.Chaos; c != nil {
 		fmt.Fprintf(&b, "\t\tChaos: &comm.ChaosConfig{Seed: %d, MaxDelay: %d, StallEvery: %d, StallFor: %d},\n",

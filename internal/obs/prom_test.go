@@ -8,7 +8,8 @@ import (
 // TestPrometheusGolden pins the text exposition format byte for byte:
 // HELP/TYPE blocks in name order, samples sorted, histograms expanded
 // into cumulative buckets in ascending numeric bound order (+Inf last)
-// with _sum and _count.
+// with _sum and _count — also where the bounds sort the other way as text
+// ("16" < "2") and a family has several label sets.
 func TestPrometheusGolden(t *testing.T) {
 	o := New(Options{})
 	reg := o.Registry()
@@ -20,12 +21,30 @@ func TestPrometheusGolden(t *testing.T) {
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(9)
+	for c, vs := range [][]float64{{1, 20}, {5}} {
+		bh := reg.Histogram("tw_batch_events", "events per batch", []float64{2, 16}, L("cluster", c))
+		for _, v := range vs {
+			bh.Observe(v)
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := o.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP tw_events_total gate evaluations
+	want := `# HELP tw_batch_events events per batch
+# TYPE tw_batch_events histogram
+tw_batch_events_bucket{cluster="0",le="2"} 1
+tw_batch_events_bucket{cluster="0",le="16"} 1
+tw_batch_events_bucket{cluster="0",le="+Inf"} 2
+tw_batch_events_bucket{cluster="1",le="2"} 0
+tw_batch_events_bucket{cluster="1",le="16"} 1
+tw_batch_events_bucket{cluster="1",le="+Inf"} 1
+tw_batch_events_count{cluster="0"} 2
+tw_batch_events_count{cluster="1"} 1
+tw_batch_events_sum{cluster="0"} 21
+tw_batch_events_sum{cluster="1"} 5
+# HELP tw_events_total gate evaluations
 # TYPE tw_events_total counter
 tw_events_total{cluster="0"} 20
 tw_events_total{cluster="1"} 10

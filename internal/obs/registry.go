@@ -232,12 +232,15 @@ type Sample struct {
 
 // Snapshot is the registry state at one instant. Histograms contribute
 // one sample per bucket (suffix _bucket with an le label) plus _count
-// and _sum, mirroring the Prometheus exposition shape. Families carries
-// the per-family type and help metadata so a snapshot is self-describing
-// — the property the Prometheus writer relies on.
+// and _sum, mirroring the Prometheus exposition shape. Samples are in
+// exposition order: by family name, then sample name, then labels, a
+// histogram's buckets by ascending bound with +Inf last. Families carries
+// the per-family type and help metadata and each family's window of
+// Samples, so a snapshot is self-describing — the property the
+// Prometheus writer relies on.
 type Snapshot struct {
 	Families []Family // sorted by Name, one entry per metric family
-	Samples  []Sample // sorted by (Name, Labels)
+	Samples  []Sample // in exposition order
 }
 
 // Kind classifies a metric family for exposition typing.
@@ -268,6 +271,8 @@ type Family struct {
 	Name string
 	Help string
 	Kind Kind
+	// Samples is the family's run of Snapshot.Samples.
+	Samples []Sample
 }
 
 // Get returns the value of the sample with the given name and rendered
@@ -282,9 +287,9 @@ func (s Snapshot) Get(name, labels string) (float64, bool) {
 }
 
 // Snapshot reads every instrument. Values come from atomics and sampled
-// funcs only, so it is safe mid-run; the sample and family lists are
-// sorted so equal registry states render identically regardless of
-// registration interleaving.
+// funcs only, so it is safe mid-run; samples and families are sorted so
+// equal registry states render identically regardless of registration
+// interleaving.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -294,15 +299,25 @@ func (r *Registry) Snapshot() Snapshot {
 	copy(ms, r.order)
 	r.mu.Unlock()
 
-	var out []Sample
+	// Each sample keeps its family, its metric's labels and its bucket
+	// bound as sort keys, so no rendered label set is parsed back.
+	type keyed struct {
+		fam, labels string
+		le          float64
+		s           Sample
+	}
+	var ks []keyed
+	add := func(m *metric, name string, v float64) {
+		ks = append(ks, keyed{fam: m.name, labels: m.labels, s: Sample{Name: name, Labels: m.labels, Value: v}})
+	}
 	for _, m := range ms {
 		switch {
 		case m.counter != nil:
-			out = append(out, Sample{Name: m.name, Labels: m.labels, Value: float64(m.counter.Load())})
+			add(m, m.name, float64(m.counter.Load()))
 		case m.gauge != nil:
-			out = append(out, Sample{Name: m.name, Labels: m.labels, Value: float64(m.gauge.Load())})
+			add(m, m.name, float64(m.gauge.Load()))
 		case m.sample != nil:
-			out = append(out, Sample{Name: m.name, Labels: m.labels, Value: m.sample()})
+			add(m, m.name, m.sample())
 		case m.hist != nil:
 			bounds, counts := m.hist.Buckets()
 			cum := uint64(0)
@@ -312,23 +327,42 @@ func (r *Registry) Snapshot() Snapshot {
 				if !math.IsInf(bounds[i], 1) {
 					le = trimFloat(bounds[i])
 				}
-				out = append(out, Sample{
+				ks = append(ks, keyed{fam: m.name, labels: m.labels, le: bounds[i], s: Sample{
 					Name:   m.name + "_bucket",
 					Labels: mergeLabel(m.labels, "le", le),
 					Value:  float64(cum),
-				})
+				}})
 			}
-			out = append(out, Sample{Name: m.name + "_count", Labels: m.labels, Value: float64(m.hist.Count())})
-			out = append(out, Sample{Name: m.name + "_sum", Labels: m.labels, Value: float64(m.hist.Sum())})
+			add(m, m.name+"_count", float64(m.hist.Count()))
+			add(m, m.name+"_sum", float64(m.hist.Sum()))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		switch {
+		case a.fam != b.fam:
+			return a.fam < b.fam
+		case a.s.Name != b.s.Name:
+			return a.s.Name < b.s.Name
+		case a.labels != b.labels:
+			return a.labels < b.labels
 		}
-		return out[i].Labels < out[j].Labels
+		return a.le < b.le
 	})
-	return Snapshot{Families: familiesOf(ms), Samples: out}
+	out := make([]Sample, len(ks))
+	for i := range ks {
+		out[i] = ks[i].s
+	}
+	fams := familiesOf(ms)
+	for f, i := 0, 0; f < len(fams); f++ {
+		j := i
+		for j < len(ks) && ks[j].fam == fams[f].Name {
+			j++
+		}
+		fams[f].Samples = out[i:j:j]
+		i = j
+	}
+	return Snapshot{Families: fams, Samples: out}
 }
 
 // familiesOf derives the sorted family metadata of a metric list. The

@@ -390,7 +390,7 @@ func TestStragglerOnTheMeshAbandonsTheCycle(t *testing.T) {
 	}
 	for _, m := range msgs {
 		buf := nettrans.AppendDataFrame(nil, 0, 1, 0, nil)
-		if buf, err = WireCodec().Append(buf, m); err != nil {
+		if buf, err = appendMessage(buf, m); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.peer.Send(nettrans.FrameData, buf); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,56 +71,6 @@ func compareObserved(t *testing.T, nl *netlist.Netlist, nets []netlist.NetID, go
 					label, nl.Nets[n].Name, c, g[c], w)
 			}
 		}
-	}
-}
-
-// TestDifferentialNetTransportVsSequential pins the kernel over the real
-// TCP loopback transport — every inter-cluster message framed, encoded,
-// shipped through a socket and decoded — against the sequential oracle on
-// every workload family at k ∈ {2, 4}. The waveforms must be bit-identical
-// to the in-process runs: the wire is a delivery detail, never a
-// semantics change.
-func TestDifferentialNetTransportVsSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full loopback differential is socket-heavy; covered by the plain test tier and the fuzz NetTrans knob")
-	}
-	for _, tc := range distWorkloads() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			ed, err := tc.c.Elaborate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			nl := ed.Netlist
-			state := sim.StateNets(nl)
-			want := seqOracle(t, nl, state, tc.cycles, 29)
-			for _, k := range []int{2, 4} {
-				pr, err := partition.Multiway(ed, partition.Options{
-					K: k, B: 10, Seed: 17, Restarts: 2,
-				})
-				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
-				}
-				res, err := Run(Config{
-					NL:           nl,
-					GateParts:    pr.GateParts,
-					K:            k,
-					Vectors:      sim.RandomVectors{Seed: 29},
-					Cycles:       tc.cycles,
-					Observe:      state,
-					Transport:    nettrans.Loopback(nettrans.LoopbackConfig{Codec: WireCodec()}),
-					StallTimeout: 20 * time.Second,
-					RunTimeout:   80 * time.Second,
-				})
-				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
-				}
-				if len(res.InvariantViolations) > 0 {
-					t.Fatalf("k=%d: invariant violations: %v", k, res.InvariantViolations)
-				}
-				compareObserved(t, nl, state, res.Observed, want, tc.name)
-			}
-		})
 	}
 }
 
@@ -200,8 +151,9 @@ func distRunObs(t *testing.T, spec *DistSpec, workers int, failAfter time.Durati
 
 // TestDistributedDifferential is the acceptance check of the multi-process
 // path: every workload family, k ∈ {2, 4} clusters spread over two worker
-// processes meshed over real sockets, waveforms bit-identical to the
-// sequential oracle, no invariant violations, clean worker exits.
+// processes meshed over real sockets, the primary outputs and every
+// flip-flop bit-identical to the sequential oracle, no invariant
+// violations, clean worker exits.
 func TestDistributedDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed runs are socket-heavy; skipped in -short")
@@ -214,7 +166,8 @@ func TestDistributedDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			nl := ed.Netlist
-			want := seqOracle(t, nl, nl.POs, tc.cycles, 29) // a DistSpec carries no observe list
+			state := sim.StateNets(nl)
+			want := seqOracle(t, nl, state, tc.cycles, 29)
 			for _, k := range []int{2, 4} {
 				pr, err := partition.Multiway(ed, partition.Options{
 					K: k, B: 10, Seed: 17, Restarts: 2,
@@ -229,6 +182,7 @@ func TestDistributedDifferential(t *testing.T) {
 					K:         k,
 					Cycles:    tc.cycles,
 					VecSeed:   29,
+					Observe:   state,
 				}
 				res, runErr, workerErrs := distRun(t, spec, 2, 0)
 				if runErr != nil {
@@ -245,7 +199,7 @@ func TestDistributedDifferential(t *testing.T) {
 				if res.FinalGVT != tc.cycles {
 					t.Errorf("k=%d: final GVT %d, want %d", k, res.FinalGVT, tc.cycles)
 				}
-				compareObserved(t, nl, nl.POs, res.Observed, want, tc.name)
+				compareObserved(t, nl, state, res.Observed, want, tc.name)
 				t.Logf("%s k=%d workers=2: msgs=%d rollbacks=%d gvt=%d",
 					tc.name, k, res.Stats.Messages, res.Stats.Rollbacks, res.FinalGVT)
 			}
@@ -790,16 +744,19 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		Cycles:    77,
 		Window:    6,
 		VecSeed:   -12345,
+		Observe:   []netlist.NetID{3, 0, 7},
 	}
 	blob := AppendDistSpec(nil, s)
 	got, err := DecodeDistSpec(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Source != s.Source || got.Top != s.Top || got.K != s.K ||
-		got.Cycles != 77 || got.Window != 6 || got.VecSeed != -12345 ||
-		len(got.GateParts) != 4 || got.GateParts[1] != 1 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	}
+	// No observe list decodes as none: the run observes the primary outputs.
+	if got, err := DecodeDistSpec(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", K: 1})); err != nil || got.Observe != nil {
+		t.Fatalf("spec without an observe list decoded to %v, %v", got, err)
 	}
 
 	// Every strict prefix must fail (truncation), and a flipped content
@@ -814,15 +771,30 @@ func TestDistSpecRoundTrip(t *testing.T) {
 	if _, err := DecodeDistSpec(bad); err == nil {
 		t.Fatal("corrupted spec accepted (fingerprint did not catch it)")
 	}
+	// The fingerprint covers the observe list too: a net flipped there,
+	// or the last gate's cluster moved into it, is caught.
+	bad = append([]byte(nil), blob...)
+	bad[len(bad)-1] ^= 0x01
+	if _, err := DecodeDistSpec(bad); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("spec with a flipped observed net: error %v, want a fingerprint mismatch", err)
+	}
+	moved := *s
+	moved.GateParts, moved.Observe = s.GateParts[:3], []netlist.NetID{0, 3, 0, 7}
+	if moved.Fingerprint() == s.Fingerprint() {
+		t.Fatal("a gate moved into the observe list keeps the fingerprint")
+	}
+	// An observe count past the payload fails before it allocates.
+	huge := AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", K: 1})
+	huge = nettrans.AppendU32(huge[:len(huge)-4], 0xFFFFFFF0)
+	if _, err := DecodeDistSpec(huge); err == nil || !strings.Contains(err.Error(), "observed nets") {
+		t.Fatalf("absurd observe count: error %v, want it rejected by size", err)
+	}
 
-	// A blob in protocol version 4's format carries one more field, a bool
-	// between Window and VecSeed that said whether to batch: it has a valid
-	// fingerprint and enough bytes for every field, so only the length
-	// tells. Decoded on, its VecSeed would start one byte early.
-	tail := len(blob) - 8 // VecSeed
-	old := append(append(append([]byte(nil), blob[:tail]...), 1), blob[tail:]...)
-	if _, err := DecodeDistSpec(old); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-		t.Fatalf("parent-format spec: error %v, want trailing bytes rejected", err)
+	// A blob in another build's layout may decode field by field; only
+	// its length tells (protocol version 4 carried a batching bool between
+	// Window and VecSeed).
+	if _, err := DecodeDistSpec(append(blob, 1)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("spec with a trailing byte: error %v, want trailing bytes rejected", err)
 	}
 }
 
@@ -831,6 +803,8 @@ func TestDistSpecRoundTrip(t *testing.T) {
 // allocations are not.
 func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1}))
+	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
+		Observe: []netlist.NetID{2, 0}}))
 	f.Add(appendReport(nil, distReport{Round: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}},
 		WireSent: []eraCount{{Era: 2, Count: 5}}}))

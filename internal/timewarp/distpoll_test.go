@@ -79,7 +79,7 @@ func newMeshFixture(t *testing.T) *meshFixture {
 // writeEvent writes one data frame 1→0 on worker 1's end of the link.
 func (f *meshFixture) writeEvent(seq uint64) error {
 	buf := nettrans.AppendDataFrame(nil, 1, 0, 0, nil)
-	buf, err := WireCodec().Append(buf, event{T: seq, Src: 1, Seq: seq})
+	buf, err := appendMessage(buf, event{T: seq, Src: 1, Seq: seq})
 	if err != nil {
 		return err
 	}

@@ -34,11 +34,15 @@ type DistSpec struct {
 	Window    uint64
 	// VecSeed seeds sim.RandomVectors; stimulus is derived, not shipped.
 	VecSeed int64
+	// Observe lists the nets whose committed per-cycle values the run
+	// records, exactly as Config.Observe; nil or empty means the primary
+	// outputs.
+	Observe []netlist.NetID
 }
 
 // Fingerprint digests the parts of the spec every participant must agree
-// on byte-for-byte. It is cheap (FNV-1a over source, top and partition)
-// and is carried inside the encoded spec; DecodeDistSpec recomputes and
+// on byte-for-byte. It is cheap (FNV-1a over source, top, partition and
+// observe list) and is carried inside the encoded spec; DecodeDistSpec recomputes and
 // compares, so a truncated or skewed blob fails closed.
 func (s *DistSpec) Fingerprint() uint64 {
 	h := fnv.New64a()
@@ -47,9 +51,18 @@ func (s *DistSpec) Fingerprint() uint64 {
 	h.Write([]byte(s.Top))
 	h.Write([]byte{0})
 	var b [4]byte
-	for _, p := range s.GateParts {
-		b[0], b[1], b[2], b[3] = byte(p>>24), byte(p>>16), byte(p>>8), byte(p)
+	word := func(v int32) {
+		b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 		h.Write(b[:])
+	}
+	for _, p := range s.GateParts {
+		word(p)
+	}
+	// The count separates the two lists: a gate moved into the observe
+	// list changes the digest.
+	word(int32(len(s.Observe)))
+	for _, n := range s.Observe {
+		word(int32(n))
 	}
 	return h.Sum64()
 }
@@ -82,6 +95,7 @@ func (s *DistSpec) config(nl *netlist.Netlist) Config {
 		Vectors:   sim.RandomVectors{Seed: s.VecSeed},
 		Cycles:    s.Cycles,
 		Window:    s.Window,
+		Observe:   s.Observe,
 	}
 }
 
@@ -98,6 +112,10 @@ func AppendDistSpec(dst []byte, s *DistSpec) []byte {
 	dst = nettrans.AppendU64(dst, s.Cycles)
 	dst = nettrans.AppendU64(dst, s.Window)
 	dst = nettrans.AppendI64(dst, s.VecSeed)
+	dst = nettrans.AppendU32(dst, uint32(len(s.Observe)))
+	for _, n := range s.Observe {
+		dst = nettrans.AppendU32(dst, uint32(n))
+	}
 	return dst
 }
 
@@ -124,6 +142,15 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	s.Cycles = d.U64()
 	s.Window = d.U64()
 	s.VecSeed = d.I64()
+	if n := d.U32(); d.Err() == nil && n > 0 {
+		if uint64(n)*4 > uint64(d.Len()) {
+			return nil, fmt.Errorf("timewarp: dist spec claims %d observed nets in %d bytes", n, d.Len())
+		}
+		s.Observe = make([]netlist.NetID, n)
+		for i := range s.Observe {
+			s.Observe[i] = netlist.NetID(int32(d.U32()))
+		}
+	}
 	if err := decodeEnd(d, "dist spec"); err != nil {
 		return nil, err
 	}

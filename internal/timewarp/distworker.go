@@ -363,7 +363,7 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		msg, err := WireCodec().Decode(df.Msg)
+		msg, err := decodeMessage(df.Msg)
 		if err != nil {
 			return err
 		}
@@ -566,11 +566,11 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, era, nil)
 	var err error
-	buf, err = WireCodec().Append(buf, msg)
+	buf, err = appendMessage(buf, msg)
 	if err != nil {
 		t.encMu.Unlock()
-		// Unencodable payloads are programming errors, same contract as
-		// the loopback transport.
+		// An unencodable payload is a programming error (an unknown message
+		// type), not a runtime condition.
 		panic(fmt.Sprintf("timewarp: wire-encode %T: %v", msg, err))
 	}
 	sendErr := conn.Send(nettrans.FrameData, buf)

@@ -47,6 +47,11 @@ func (cfg *Config) prepare() (*sim.Simulator, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 8
 	}
+	for _, n := range cfg.Observe {
+		if n < 0 || int(n) >= len(cfg.NL.Nets) {
+			return nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))
+		}
+	}
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}

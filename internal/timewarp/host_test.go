@@ -225,6 +225,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"nil gate parts", func(c *Config) { c.GateParts = nil }, "GateParts covers 0 gates"},
 		{"part out of range", func(c *Config) { c.GateParts = outOfRange }, "assigned to cluster 2"},
 		{"part negative", func(c *Config) { c.GateParts = negative }, "assigned to cluster -1"},
+		{"observe out of range", func(c *Config) { c.Observe = []netlist.NetID{0, netlist.NetID(len(nl.Nets))} }, "Observe names net"},
+		{"observe negative", func(c *Config) { c.Observe = []netlist.NetID{-1} }, "Observe names net -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

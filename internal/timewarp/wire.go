@@ -6,11 +6,10 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/nettrans"
 	"repro/internal/netlist"
-	"repro/internal/obs/causality"
 )
 
 // Wire encoding of the kernel's comm.Message payloads — the only two
-// shapes the transport ever carries: a bare event, or a cycle batch of
+// shapes the worker mesh ever carries: a bare event, or a cycle batch of
 // events bound for one destination. The layout is fixed-width so decode
 // cost is a bounds check per field and the framing fuzz tests can reason
 // about exact sizes:
@@ -18,26 +17,20 @@ import (
 //	message  = kind(1) rest
 //	kind 0   = one event record
 //	kind 1   = count(4) count × event records
-//	event    = T(8) Net(4) flags(1) Src(4) Seq(8) Parent(8) Origin(8)
+//	event    = T(8) Net(4) flags(1) Src(4) Seq(8)
 //	flags    = bit0 Val, bit1 Anti
 //
-// Encoding and decoding are exact inverses (the differential fuzzer's
-// net-transport runs stand on that), and the decoder rejects truncated,
-// oversized and garbage input with an error — never a panic, never a
-// partial batch.
+// An event's causality lineage (Parent, Origin) stays in its process: no
+// worker records it, so a decoded event carries none. Encoding and
+// decoding are exact inverses on everything else, and the decoder
+// rejects truncated, oversized and garbage input with an error — never a
+// panic, never a partial batch.
 const (
 	wireKindEvent byte = 0
 	wireKindBatch byte = 1
 
-	wireEventLen = 8 + 4 + 1 + 4 + 8 + 8 + 8
+	wireEventLen = 8 + 4 + 1 + 4 + 8
 )
-
-// wireCodec implements nettrans.Codec for event/batch payloads.
-type wireCodec struct{}
-
-// WireCodec returns the kernel's nettrans codec. It is stateless and
-// safe for concurrent use by every link of a transport.
-func WireCodec() nettrans.Codec { return wireCodec{} }
 
 func appendEvent(dst []byte, e event) []byte {
 	dst = nettrans.AppendU64(dst, e.T)
@@ -52,8 +45,6 @@ func appendEvent(dst []byte, e event) []byte {
 	dst = nettrans.AppendU8(dst, flags)
 	dst = nettrans.AppendU32(dst, uint32(e.Src))
 	dst = nettrans.AppendU64(dst, e.Seq)
-	dst = nettrans.AppendU64(dst, uint64(e.Parent))
-	dst = nettrans.AppendU64(dst, uint64(e.Origin))
 	return dst
 }
 
@@ -69,13 +60,11 @@ func decodeEvent(d *nettrans.Dec) (event, error) {
 	e.Anti = flags&2 != 0
 	e.Src = int32(d.U32())
 	e.Seq = d.U64()
-	e.Parent = causality.EventID(d.U64())
-	e.Origin = causality.EventID(d.U64())
 	return e, nil
 }
 
-// Append serializes one kernel message.
-func (wireCodec) Append(dst []byte, msg comm.Message) ([]byte, error) {
+// appendMessage serializes one kernel message onto dst.
+func appendMessage(dst []byte, msg comm.Message) ([]byte, error) {
 	switch v := msg.(type) {
 	case event:
 		dst = nettrans.AppendU8(dst, wireKindEvent)
@@ -92,9 +81,10 @@ func (wireCodec) Append(dst []byte, msg comm.Message) ([]byte, error) {
 	}
 }
 
-// Decode parses one kernel message, validating the length exactly: a
-// message with trailing bytes is as corrupt as a truncated one.
-func (wireCodec) Decode(p []byte) (comm.Message, error) {
+// decodeMessage parses one kernel message, validating the length exactly:
+// a message with trailing bytes is as corrupt as a truncated one. p is
+// only read during the call; nothing returned aliases it.
+func decodeMessage(p []byte) (comm.Message, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("timewarp: empty wire message")
 	}

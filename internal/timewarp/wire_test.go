@@ -6,24 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
-	"repro/internal/obs/causality"
 )
 
 func randEvent(rng *rand.Rand) event {
 	return event{
-		T:      rng.Uint64(),
-		Net:    netlist.NetID(rng.Int31()),
-		Val:    rng.Intn(2) == 0,
-		Anti:   rng.Intn(2) == 0,
-		Src:    rng.Int31(),
-		Seq:    rng.Uint64(),
-		Parent: causality.EventID(rng.Uint64()),
-		Origin: causality.EventID(rng.Uint64()),
+		T:    rng.Uint64(),
+		Net:  netlist.NetID(rng.Int31()),
+		Val:  rng.Intn(2) == 0,
+		Anti: rng.Intn(2) == 0,
+		Src:  rng.Int31(),
+		Seq:  rng.Uint64(),
 	}
 }
 
 func TestWireCodecRoundTrip(t *testing.T) {
-	c := WireCodec()
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
 		var msg any
@@ -36,11 +32,11 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			}
 			msg = b
 		}
-		buf, err := c.Append(nil, msg)
+		buf, err := appendMessage(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Decode(buf)
+		got, err := decodeMessage(buf)
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
@@ -51,13 +47,12 @@ func TestWireCodecRoundTrip(t *testing.T) {
 }
 
 func TestWireCodecRejectsUnknownPayload(t *testing.T) {
-	if _, err := WireCodec().Append(nil, "not an event"); err == nil {
+	if _, err := appendMessage(nil, "not an event"); err == nil {
 		t.Fatal("string payload encoded without error")
 	}
 }
 
 func TestWireCodecDecodeHostile(t *testing.T) {
-	c := WireCodec()
 	rng := rand.New(rand.NewSource(23))
 
 	// Every strict prefix and every one-byte extension of a valid
@@ -66,34 +61,34 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 	for j := range b {
 		b[j] = randEvent(rng)
 	}
-	buf, err := c.Append(nil, b)
+	buf, err := appendMessage(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := c.Decode(buf[:cut]); err == nil {
+		if _, err := decodeMessage(buf[:cut]); err == nil {
 			t.Fatalf("truncated batch (%d/%d bytes) decoded", cut, len(buf))
 		}
 	}
-	if _, err := c.Decode(append(append([]byte(nil), buf...), 0x00)); err == nil {
+	if _, err := decodeMessage(append(append([]byte(nil), buf...), 0x00)); err == nil {
 		t.Fatal("batch with trailing garbage decoded")
 	}
 
 	// A count field claiming far more events than the payload holds must
 	// be rejected before any count-sized allocation.
 	huge := []byte{1, 0xFF, 0xFF, 0xFF, 0xF0}
-	if _, err := c.Decode(huge); err == nil {
+	if _, err := decodeMessage(huge); err == nil {
 		t.Fatal("batch with absurd count decoded")
 	}
 
 	// Unknown kinds and random garbage error cleanly.
-	if _, err := c.Decode([]byte{0x7F, 1, 2, 3}); err == nil {
+	if _, err := decodeMessage([]byte{0x7F, 1, 2, 3}); err == nil {
 		t.Fatal("unknown kind decoded")
 	}
 	for i := 0; i < 2000; i++ {
 		junk := make([]byte, rng.Intn(128))
 		rng.Read(junk)
-		_, _ = c.Decode(junk) // must not panic
+		_, _ = decodeMessage(junk) // must not panic
 	}
 }
 
@@ -101,18 +96,17 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 // bytes; anything that does decode must re-encode to the same bytes
 // (the decoder accepts only canonical encodings).
 func FuzzWireDecode(f *testing.F) {
-	c := WireCodec()
-	seed, _ := c.Append(nil, event{T: 7, Net: 3, Val: true, Src: 1, Seq: 9})
+	seed, _ := appendMessage(nil, event{T: 7, Net: 3, Val: true, Src: 1, Seq: 9})
 	f.Add(seed)
-	seed2, _ := c.Append(nil, batch{{T: 1}, {T: 2, Anti: true}})
+	seed2, _ := appendMessage(nil, batch{{T: 1}, {T: 2, Anti: true}})
 	f.Add(seed2)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := c.Decode(data)
+		msg, err := decodeMessage(data)
 		if err != nil {
 			return
 		}
-		re, err := c.Append(nil, msg)
+		re, err := appendMessage(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encode of decoded message: %v", err)
 		}
