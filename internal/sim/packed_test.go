@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -421,12 +422,23 @@ func populated(w *Wave) Wave {
 }
 
 // TestWaveBankMatchesStepRecorder holds the settle scout to the recorder
-// it replaced: over the four workload families and bank lengths on both
-// sides of a wave boundary, every wave equals the Step recorder's in
-// Base, Lanes, Words, Pending and Vecs — built in order, built past a
-// discarded prefix, and built by two goroutines asking at once.
+// it replaced: over the four workload families, a random hierarchical
+// circuit with gates of up to four inputs (the scout's wide path), and
+// bank lengths on both sides of a wave boundary, every wave equals the
+// Step recorder's in Base, Lanes, Words, Pending and Vecs — built in
+// order, built past a discarded prefix, and built by two goroutines asking
+// at once.
 func TestWaveBankMatchesStepRecorder(t *testing.T) {
 	fixtures := map[string]*gen.Circuit{
+		"randhier": gen.RandomHierarchical(gen.RandHierConfig{
+			ModuleTypes:        3,
+			GatesPerModule:     8,
+			InstancesPerModule: 2,
+			TopInstances:       3,
+			PIs:                6,
+			Seed:               12,
+			DFFFraction:        0.3,
+		}),
 		"viterbi":    gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}),
 		"fir":        gen.FIR(gen.FIRConfig{Taps: 6, W: 6, Seed: 5}),
 		"multiplier": gen.Multiplier(5),
@@ -443,6 +455,9 @@ func TestWaveBankMatchesStepRecorder(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		nl := ed.Netlist
+		if name == "randhier" && !slices.ContainsFunc(nl.Gates, func(g netlist.Gate) bool { return len(g.Inputs) > 2 && !g.Kind.Sequential() }) {
+			t.Fatal("randhier: no gate of more than two inputs, so the scout's wide path goes unexercised")
+		}
 		src := RandomVectors{Seed: 11}
 		for _, cycles := range []uint64{1, 63, 64, 65, 200} {
 			t.Run(fmt.Sprintf("%s/%d", name, cycles), func(t *testing.T) {

@@ -115,14 +115,17 @@ type WaveBank struct {
 	floor  int // waves below this index have been discarded
 
 	// Scout state, carried from lane to lane and from wave to wave.
-	order   []netlist.GateID // topological, for settle
-	pis     []netlist.NetID  // stimulus inputs
-	dffs    []netlist.GateID
-	values  []bool   // entry state of the next cycle to record
-	toggled []int    // indices into dffs: the q's the last latch flipped
-	qMask   []uint64 // per dff: lanes of the wave being built that q is pending in
+	tab     []TruthGate     // the Simulator's settle table
+	pis     []netlist.NetID // stimulus inputs
+	dffs    []dq            // the flip-flops' (d, q) nets
+	values  []bool          // entry state of the next cycle to record
+	toggled []int           // indices into dffs: the q's the last latch flipped
+	qMask   []uint64        // per dff: lanes of the wave being built that q is pending in
 	vecBuf  []bool
 }
+
+// dq is a flip-flop's d input and q output.
+type dq struct{ d, q netlist.NetID }
 
 // NewWaveBank prepares a bank covering `cycles` cycles of the given
 // stimulus. No simulation happens until the first Wave call.
@@ -135,14 +138,14 @@ func NewWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64) (*WaveBan
 		nl:     nl,
 		src:    src,
 		cycles: cycles,
-		order:  s.topoOrder,
+		tab:    s.settleTab,
 		pis:    s.vectorPIs,
 		values: s.values,
 		vecBuf: make([]bool, len(s.vectorPIs)),
 	}
 	for gi := range nl.Gates {
-		if nl.Gates[gi].Kind.Sequential() {
-			b.dffs = append(b.dffs, netlist.GateID(gi))
+		if g := &nl.Gates[gi]; g.Kind.Sequential() {
+			b.dffs = append(b.dffs, dq{d: g.Inputs[0], q: g.Output})
 		}
 	}
 	b.qMask = make([]uint64, len(b.dffs))
@@ -208,39 +211,34 @@ func (b *WaveBank) buildNext() {
 		Words: make([]uint64, len(nl.Nets)),
 		Vecs:  make([]uint64, len(b.pis)),
 	}
+	words := w.Words[:len(b.values)]
 	for l := 0; l < lanes; l++ {
-		bit := uint64(1) << uint(l)
 		for n, v := range b.values {
-			if v {
-				w.Words[n] |= bit
-			}
+			words[n] |= uint64(b2u(v)) << l
 		}
 		for _, i := range b.toggled {
-			b.qMask[i] |= bit
+			b.qMask[i] |= 1 << l
 		}
 		b.src.Vector(base+uint64(l), b.vecBuf)
 		for i, v := range b.vecBuf {
 			b.values[b.pis[i]] = v
-			if v {
-				w.Vecs[i] |= bit
-			}
+			w.Vecs[i] |= uint64(b2u(v)) << l
 		}
-		settle(nl, b.order, b.values)
+		settle(nl, b.tab, b.values)
 		b.toggled = b.toggled[:0]
-		for i, gi := range b.dffs {
-			g := &nl.Gates[gi]
-			if b.values[g.Output] != b.values[g.Inputs[0]] {
+		for i, f := range b.dffs {
+			if b.values[f.q] != b.values[f.d] {
 				b.toggled = append(b.toggled, i)
 			}
 		}
 		for _, i := range b.toggled {
-			q := nl.Gates[b.dffs[i]].Output
+			q := b.dffs[i].q
 			b.values[q] = !b.values[q]
 		}
 	}
 	for i, m := range b.qMask {
 		if m != 0 {
-			w.Pending = append(w.Pending, MaskedNet{Net: nl.Gates[b.dffs[i]].Output, Mask: m})
+			w.Pending = append(w.Pending, MaskedNet{Net: b.dffs[i].q, Mask: m})
 			b.qMask[i] = 0
 		}
 	}

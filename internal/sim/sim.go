@@ -53,10 +53,10 @@ type Simulator struct {
 	dirtyGates  []netlist.GateID
 	gateMark    []uint64
 	markStamp   uint64
-	topoOrder   []netlist.GateID // for the power-on settle
-	latchBuf    []netlist.NetID  // q nets toggling at the current latch
-	applyNets   []netlist.NetID  // outputs changing in the current delta
-	applyVals   []bool           // their new values (applied after all evals)
+	settleTab   []TruthGate     // combinational gates in topological order
+	latchBuf    []netlist.NetID // q nets toggling at the current latch
+	applyNets   []netlist.NetID // outputs changing in the current delta
+	applyVals   []bool          // their new values (applied after all evals)
 
 	// Trace hooks (nil when not tracing).
 	OnGateEval  func(g netlist.GateID, t VTime)
@@ -84,7 +84,12 @@ func New(nl *netlist.Netlist) (*Simulator, error) {
 		values:     make([]bool, len(nl.Nets)),
 		gateMark:   make([]uint64, len(nl.Gates)),
 		EvalCount:  make([]uint64, len(nl.Gates)),
-		topoOrder:  order,
+	}
+	s.settleTab = make([]TruthGate, 0, nl.Stats().Combinational)
+	for _, gi := range order {
+		if !nl.Gates[gi].Kind.Sequential() {
+			s.settleTab = append(s.settleTab, CompileGate(nl, gi))
+		}
 	}
 	for _, pi := range nl.PIs {
 		if !nl.IsClockNet(pi) {
@@ -104,19 +109,20 @@ func (s *Simulator) InitialValues() []bool {
 	for i := range init {
 		init[i] = s.NL.Nets[i].Const == 1
 	}
-	settle(s.NL, s.topoOrder, init)
+	settle(s.NL, s.settleTab, init)
 	return init
 }
 
 // settle makes `values` combinationally consistent by evaluating every
-// non-sequential gate once in topological order.
-func settle(nl *netlist.Netlist, order []netlist.GateID, values []bool) {
-	for _, gi := range order {
-		g := &nl.Gates[gi]
-		if g.Kind.Sequential() {
-			continue
+// combinational gate once, in the topological order of tab.
+func settle(nl *netlist.Netlist, tab []TruthGate, values []bool) {
+	for i := range tab {
+		t := &tab[i]
+		if t.TT < Wide {
+			values[t.Out] = t.Eval(values)
+		} else {
+			values[t.Out] = EvalGate(&nl.Gates[t.A], values)
 		}
-		values[g.Output] = EvalGate(g, values)
 	}
 }
 
@@ -136,7 +142,7 @@ func (s *Simulator) Reset() {
 	for i := range s.values {
 		s.values[i] = s.NL.Nets[i].Const == 1
 	}
-	settle(s.NL, s.topoOrder, s.values)
+	settle(s.NL, s.settleTab, s.values)
 	s.cycle = 0
 	s.Events = 0
 	s.Toggles = 0
@@ -264,7 +270,9 @@ func (s *Simulator) setNet(n netlist.NetID, v bool, t VTime) {
 }
 
 // EvalGate computes a combinational gate's output from current net values.
-// The Time Warp kernel evaluates its clusters' gates with it too.
+// Step evaluates every gate with it; Truth tabulates it for the gates of one
+// or two inputs, and the scout and the Time Warp kernel evaluate those from
+// the table and hand only the wider ones back to it.
 func EvalGate(g *netlist.Gate, values []bool) bool {
 	switch g.Kind {
 	case verilog.GateNot:

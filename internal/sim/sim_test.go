@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/elab"
@@ -285,6 +287,34 @@ func TestRandomVectorsDeterministic(t *testing.T) {
 	if same {
 		t.Error("different seeds produced identical vectors")
 	}
+}
+
+// TestRandomVectorsMatchFreshGenerator pins the stimulus stream to the one
+// a generator seeded afresh for the cycle draws, while four goroutines
+// draw vectors at once, as clusters filling one stimulus row do: the
+// generators RandomVectors reuses must carry nothing from one cycle, or
+// one caller, to the next.
+func TestRandomVectorsMatchFreshGenerator(t *testing.T) {
+	const seed, cycles, width = 9, 200, 70
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]bool, width-w) // callers of different widths
+			for c := uint64(0); c < cycles; c++ {
+				RandomVectors{Seed: seed}.Vector(c, got)
+				rng := rand.New(rand.NewSource(seed ^ int64(c*0x9E3779B97F4A7C15)))
+				for i, v := range got {
+					if want := rng.Int63()&1 == 1; v != want {
+						t.Errorf("caller %d cycle %d bit %d: %v, a fresh generator draws %v", w, c, i, v, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStepVectorWidthError(t *testing.T) {

@@ -22,13 +22,30 @@ type RandomVectors struct {
 
 // Vector fills buf with the random vector for `cycle`.
 func (r RandomVectors) Vector(cycle uint64, buf []bool) {
-	// A dedicated PRNG per cycle keeps vectors independent of how many
-	// bits earlier cycles consumed (random access by cycle).
-	rng := rand.New(rand.NewSource(r.Seed ^ int64(cycle*0x9E3779B97F4A7C15)))
+	// A PRNG seeded per cycle keeps vectors independent of how many bits
+	// earlier cycles consumed (random access by cycle). Seed resets the
+	// generator's whole state, so a reused one yields the stream a fresh
+	// one would, without allocating its 4.9 kB per cycle.
+	var rng *rand.Rand
+	select {
+	case rng = <-idleRNGs:
+	default:
+		rng = rand.New(rand.NewSource(0))
+	}
+	rng.Seed(r.Seed ^ int64(cycle*0x9E3779B97F4A7C15))
 	for i := range buf {
 		buf[i] = rng.Int63()&1 == 1
 	}
+	select {
+	case idleRNGs <- rng:
+	default: // more callers at once than the list holds
+	}
 }
+
+// idleRNGs is a leaky free list of RandomVectors' generators. Unlike a
+// sync.Pool it drops none while it has room, so a run allocates the same
+// whatever the collector or the race detector does.
+var idleRNGs = make(chan *rand.Rand, 8)
 
 // Run drives the simulator with cycles vectors from src and returns the
 // total number of gate evaluations.

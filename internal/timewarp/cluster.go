@@ -86,11 +86,11 @@ type cluster struct {
 	local  []bool // local[c]: cluster c runs in this process (host.local)
 
 	// Scratch.
-	changed     []netlist.NetID
-	nextChanged []netlist.NetID
-	gateMark    []uint64 // by local gate (prog)
-	markStamp   uint64
-	dirtyGates  []int32 // per-delta re-evaluation set, local gates
+	changed    []netlist.NetID
+	toggling   []int32  // the latch's flipping flip-flops, by index into prog.latch
+	gateMark   []uint32 // by local gate (prog)
+	markStamp  uint32
+	dirtyGates []int32 // per-delta re-evaluation set, local gates
 
 	faultCtr uint64 // positive events sent, for CorruptEveryN injection
 
@@ -136,7 +136,7 @@ func newCluster(id int32, h *host) *cluster {
 		obsVals:    make([][]bool, len(p.obsOwn)),
 		stim:       h.stim,
 		vecBuf:     make([]bool, p.vecWidth),
-		gateMark:   make([]uint64, p.nComb),
+		gateMark:   make([]uint32, len(p.gates)),
 		outBuf:     make([]batch, cfg.K),
 		local:      h.local,
 	}
@@ -663,6 +663,7 @@ func (c *cluster) processCycle(cyc uint64) error {
 	evals := uint64(0)
 
 	p, values, undo := c.prog, c.values, c.undo
+	nl := c.cfg.NL
 
 	// Delta 0 changes: carried q updates + stimulus diffs.
 	c.changed = append(c.changed[:0], c.carry...)
@@ -724,7 +725,10 @@ func (c *cluster) processCycle(cyc uint64) error {
 		// Evaluate own combinational readers of the changed nets, each
 		// once, in first-reached order; outputs are written at once, so a
 		// gate later in the delta reads them.
-		c.markStamp++
+		if c.markStamp++; c.markStamp == 0 { // wrapped: forget every old mark
+			clear(c.gateMark)
+			c.markStamp = 1
+		}
 		c.dirtyGates = c.dirtyGates[:0]
 		for _, n := range c.changed {
 			for _, g := range p.sinks[p.sinkOff[n]:p.sinkOff[n+1]] {
@@ -738,12 +742,18 @@ func (c *cluster) processCycle(cyc uint64) error {
 		evals += uint64(len(c.dirtyGates))
 		sincePoll += len(c.dirtyGates)
 		for _, g := range c.dirtyGates {
-			o, v := p.out[g], p.eval(g, values)
-			if values[o] != v {
+			r := &p.gates[g]
+			var v bool // inline: a call here costs a tenth of the forward path
+			if r.TT < sim.Wide {
+				v = r.Eval(values)
+			} else {
+				v = sim.EvalGate(&nl.Gates[r.A], values)
+			}
+			if o := r.Out; values[o] != v {
 				values[o] = v
 				undo.note(o, values)
 				c.changed = append(c.changed, o)
-				if p.dstOff[o] != p.dstOff[o+1] {
+				if r.remote {
 					c.send(base+d+1, o, v)
 				}
 			}
@@ -754,22 +764,24 @@ func (c *cluster) processCycle(cyc uint64) error {
 	// (a DFF chain shifts one stage per cycle), and q changes take
 	// effect at the next cycle's delta 0.
 	nextBase := (cyc + 1) * c.deltaRange
-	toggling := c.nextChanged[:0]
-	for g := int(p.nComb); g < len(p.out); g++ {
-		if q := p.out[g]; values[p.ins[p.inOff[g]]] != values[q] {
-			toggling = append(toggling, q)
+	toggling := c.toggling[:0]
+	for i := range p.latch {
+		if f := &p.latch[i]; values[f.d] != values[f.q] {
+			toggling = append(toggling, int32(i))
 		}
 	}
-	evals += uint64(len(p.out)) - uint64(p.nComb)
-	for _, q := range toggling {
+	evals += uint64(len(p.latch))
+	for _, i := range toggling {
+		f := &p.latch[i]
+		q := f.q
 		values[q] = !values[q]
 		undo.note(q, values)
 		c.carry = append(c.carry, q)
-		if p.dstOff[q] != p.dstOff[q+1] {
+		if f.remote {
 			c.send(nextBase, q, values[q])
 		}
 	}
-	c.nextChanged = toggling[:0]
+	c.toggling = toggling[:0]
 
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).

@@ -136,7 +136,7 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 		t.Errorf("sender holds %d output-log entries and wrote %d records; want none",
 			len(a.outputLog), a.stats.checkpoints.Load())
 	}
-	stray := event{T: 3 * a.deltaRange, Net: b.prog.out[0], Val: true, Src: 1, Seq: 1}
+	stray := event{T: 3 * a.deltaRange, Net: b.prog.gates[0].Out, Val: true, Src: 1, Seq: 1}
 	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
 		t.Errorf("event delivered to a cluster without remote inputs: error %v, want it refused as misrouted", err)
 	}

@@ -1,11 +1,10 @@
 package timewarp
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/netlist"
-	"repro/internal/verilog"
+	"repro/internal/sim"
 )
 
 // program is one cluster compiled to flat read-only arrays: everything the
@@ -17,18 +16,19 @@ import (
 // Nets keep their global netlist.NetID: values, events and rollback records
 // are net-indexed, and a net id is what clusters exchange. Gates are
 // renumbered cluster-locally — the own combinational gates in ascending
-// GateID order, then the own flip-flops likewise — so the gate table and
-// the scratch marks over it are dense in the cluster's own gates.
+// GateID order, the own flip-flops likewise in a table of their own — so
+// the gate table and the scratch marks over it are dense in the cluster's
+// own gates.
 type program struct {
-	// Gate table, structure-of-arrays, indexed by local gate: [0, nComb)
-	// are combinational, [nComb, len(kind)) flip-flops. A combinational
-	// gate reads ins[inOff[g]:inOff[g+1]]; a flip-flop has exactly one
-	// entry there, its d input (the clock is a global tick, not an event).
-	nComb int32
-	kind  []uint8 // verilog.GateKind
-	out   []netlist.NetID
-	inOff []uint32
-	ins   []netlist.NetID
+	// gates are the own combinational gates, indexed by local gate: each
+	// one 16-byte record of its inputs, output and truth table
+	// (sim.TruthGate), and whether another cluster reads its output. A
+	// gate of more than two inputs is evaluated by sim.EvalGate from its
+	// netlist gate (TT == sim.Wide).
+	gates []gate
+	// latch are the own flip-flops: d input, q output, and whether another
+	// cluster reads q. The clock is a global tick, not an event.
+	latch []latchGate
 
 	// Fan-out, CSR by NetID (offset arrays have one entry per net plus
 	// one). sinks[sinkOff[n]:sinkOff[n+1]] are the own combinational
@@ -59,55 +59,25 @@ type program struct {
 	remoteIn bool
 }
 
+// gate is one own combinational gate. remote says its output has readers
+// in other clusters, so a change of it is sent.
+type gate struct {
+	sim.TruthGate
+	remote bool
+}
+
+// latchGate is one own flip-flop.
+type latchGate struct {
+	d, q   netlist.NetID
+	remote bool
+}
+
 // compile builds cluster id's program for netlist nl partitioned by
 // gateParts.
 func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist.NetID) *program {
 	p := &program{
 		sinkOff: make([]uint32, len(nl.Nets)+1),
 		dstOff:  make([]uint32, len(nl.Nets)+1),
-	}
-
-	// Gate table: one pass for the combinational gates, one for the
-	// flip-flops. sinkOff[n+1] meanwhile counts the own readers of net n.
-	addGate := func(g *netlist.Gate, inputs []netlist.NetID) {
-		p.kind = append(p.kind, uint8(g.Kind))
-		p.out = append(p.out, g.Output)
-		p.inOff = append(p.inOff, uint32(len(p.ins)))
-		p.ins = append(p.ins, inputs...)
-		for _, in := range g.Inputs { // every pin, as dsts below counts sinks
-			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id {
-				p.remoteIn = true
-			}
-		}
-	}
-	for gi := range nl.Gates {
-		if g := &nl.Gates[gi]; gateParts[gi] == id && !g.Kind.Sequential() {
-			addGate(g, g.Inputs)
-			for _, in := range g.Inputs {
-				p.sinkOff[in+1]++
-			}
-		}
-	}
-	p.nComb = int32(len(p.kind))
-	for gi := range nl.Gates {
-		if g := &nl.Gates[gi]; gateParts[gi] == id && g.Kind.Sequential() {
-			addGate(g, g.Inputs[:1])
-		}
-	}
-	p.inOff = append(p.inOff, uint32(len(p.ins)))
-
-	// Counts → offsets, then fill in gate order; next[n] is the write
-	// cursor of net n's range.
-	for n := range nl.Nets {
-		p.sinkOff[n+1] += p.sinkOff[n]
-	}
-	p.sinks = make([]int32, p.sinkOff[len(nl.Nets)])
-	next := append([]uint32(nil), p.sinkOff[:len(nl.Nets)]...)
-	for g := int32(0); g < p.nComb; g++ {
-		for _, in := range p.ins[p.inOff[g]:p.inOff[g+1]] {
-			p.sinks[next[in]] = g
-			next[in]++
-		}
 	}
 
 	// Remote readers of own-driven nets, each cluster once.
@@ -121,6 +91,56 @@ func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist
 			}
 		}
 		p.dstOff[n+1] = uint32(len(p.dsts))
+	}
+	remote := func(n netlist.NetID) bool { return p.dstOff[n] != p.dstOff[n+1] }
+
+	// Gate tables, each allocated at its final size: one pass counts the
+	// own gates, and sinkOff[n+1] the own combinational readers of net n.
+	nComb, nLatch := 0, 0
+	for gi := range nl.Gates {
+		if gateParts[gi] != id {
+			continue
+		}
+		g := &nl.Gates[gi]
+		for _, in := range g.Inputs { // every pin, as dsts above counts sinks
+			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id {
+				p.remoteIn = true
+			}
+		}
+		if g.Kind.Sequential() {
+			nLatch++
+			continue
+		}
+		nComb++
+		for _, in := range g.Inputs {
+			p.sinkOff[in+1]++
+		}
+	}
+
+	// Counts → offsets, then a second pass fills the tables in gate order;
+	// next[n] is the write cursor of net n's range.
+	for n := range nl.Nets {
+		p.sinkOff[n+1] += p.sinkOff[n]
+	}
+	p.sinks = make([]int32, p.sinkOff[len(nl.Nets)])
+	next := append([]uint32(nil), p.sinkOff[:len(nl.Nets)]...)
+	p.gates = make([]gate, 0, nComb)
+	p.latch = make([]latchGate, 0, nLatch)
+	for gi := range nl.Gates {
+		if gateParts[gi] != id {
+			continue
+		}
+		g := &nl.Gates[gi]
+		if g.Kind.Sequential() {
+			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)})
+			continue
+		}
+		l := int32(len(p.gates))
+		p.gates = append(p.gates, gate{TruthGate: sim.CompileGate(nl, g.ID), remote: remote(g.Output)})
+		for _, in := range g.Inputs {
+			p.sinks[next[in]] = l
+			next[in]++
+		}
 	}
 
 	for _, pi := range nl.PIs {
@@ -150,41 +170,6 @@ func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist
 		}
 	}
 	return p
-}
-
-// eval computes combinational gate g's output from the current net
-// values. It must agree with sim.EvalGate on every kind and arity (the
-// truth-table test holds the two together).
-func (p *program) eval(g int32, values []bool) bool {
-	ins := p.ins[p.inOff[g]:p.inOff[g+1]]
-	switch k := verilog.GateKind(p.kind[g]); k {
-	case verilog.GateNot:
-		return !values[ins[0]]
-	case verilog.GateBuf:
-		return values[ins[0]]
-	case verilog.GateAnd, verilog.GateNand:
-		for _, in := range ins {
-			if !values[in] {
-				return k == verilog.GateNand
-			}
-		}
-		return k == verilog.GateAnd
-	case verilog.GateOr, verilog.GateNor:
-		for _, in := range ins {
-			if values[in] {
-				return k == verilog.GateOr
-			}
-		}
-		return k == verilog.GateNor
-	case verilog.GateXor, verilog.GateXnor:
-		acc := k == verilog.GateXnor
-		for _, in := range ins {
-			acc = acc != values[in]
-		}
-		return acc
-	default:
-		panic(fmt.Sprintf("timewarp: cannot evaluate gate kind %v", k))
-	}
 }
 
 // readers returns the other clusters reading net n.

@@ -17,7 +17,8 @@ import (
 
 // TestProgramEvalMatchesSimEvalGate holds the kernel's evaluator and the
 // sequential simulator's together: every gate kind at every arity from 1
-// to 4 (not and buf are unary), over all input combinations.
+// to 4 (not and buf are unary), over all input combinations, and each gate
+// on the path its arity calls for.
 func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	const inputs = 4
 	nl := &netlist.Netlist{}
@@ -51,18 +52,33 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	}
 
 	p := compile(nl, make([]int32, len(nl.Gates)), 0, nil)
-	if int(p.nComb) != len(nl.Gates) {
-		t.Fatalf("program has %d combinational gates, netlist %d", p.nComb, len(nl.Gates))
+	if len(p.gates) != len(nl.Gates) {
+		t.Fatalf("program has %d combinational gates, netlist %d", len(p.gates), len(nl.Gates))
 	}
+	// One cluster owns every gate, so local ids are global ids. A gate of
+	// one or two inputs must be tabulated, and its table must be
+	// sim.EvalGate's; a wider one must name itself for processCycle to hand
+	// to sim.EvalGate. Routing every gate to the wide path would evaluate
+	// right, and slowly.
 	values := make([]bool, len(nl.Nets))
-	for combo := 0; combo < 1<<inputs; combo++ {
-		for i := 0; i < inputs; i++ {
-			values[i] = combo>>i&1 == 1
+	for gi := range nl.Gates {
+		g, r := &nl.Gates[gi], &p.gates[gi]
+		if tabulated := len(g.Inputs) <= 2; tabulated != (r.TT < sim.Wide) {
+			t.Errorf("%s: TT %d, want a table: %v", g.Path, r.TT, tabulated)
+			continue
 		}
-		for gi := range nl.Gates {
-			// One cluster owns every gate, so local ids are global ids.
-			if got, want := p.eval(int32(gi), values), sim.EvalGate(&nl.Gates[gi], values); got != want {
-				t.Errorf("%s inputs %04b: eval %v, sim.EvalGate %v", nl.Gates[gi].Path, combo, got, want)
+		if r.TT == sim.Wide {
+			if r.A != netlist.NetID(gi) {
+				t.Errorf("%s: wide record names gate %d", g.Path, r.A)
+			}
+			continue
+		}
+		for combo := 0; combo < 1<<inputs; combo++ {
+			for i := 0; i < inputs; i++ {
+				values[i] = combo>>i&1 == 1
+			}
+			if got, want := r.Eval(values), sim.EvalGate(g, values); got != want {
+				t.Errorf("%s inputs %04b: table %v, sim.EvalGate %v", g.Path, combo, got, want)
 			}
 		}
 	}
@@ -118,23 +134,41 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			global = append(global, netlist.GateID(gi))
 		}
 	}
-	if int(p.nComb) != len(global) {
-		t.Fatalf("%s: nComb %d, want %d", label, p.nComb, len(global))
+	if len(p.gates) != len(global) || len(p.latch) != len(dffs) {
+		t.Fatalf("%s: %d gates and %d flip-flops, want %d and %d", label, len(p.gates), len(p.latch), len(global), len(dffs))
 	}
-	global = append(global, dffs...)
-	if len(p.kind) != len(global) || len(p.out) != len(global) || len(p.inOff) != len(global)+1 {
-		t.Fatalf("%s: gate table sized %d/%d/%d for %d own gates", label, len(p.kind), len(p.out), len(p.inOff), len(global))
+	remote := func(n netlist.NetID) bool {
+		for _, s := range nl.Nets[n].Sinks {
+			if parts[s] != id {
+				return true
+			}
+		}
+		return false
 	}
 	for l, gi := range global {
 		g := &nl.Gates[gi]
-		want := g.Inputs
-		if g.Kind.Sequential() {
-			want = g.Inputs[:1] // d only
+		want := gate{remote: remote(g.Output)}
+		want.Out = g.Output
+		switch len(g.Inputs) {
+		case 1, 2:
+			want.A, want.B = g.Inputs[0], g.Inputs[len(g.Inputs)-1]
+			for i := range 4 { // bit a|b<<1, from the parser's evaluator
+				if g.Kind.Eval([]bool{i&1 != 0, i&2 != 0}[:len(g.Inputs)]) {
+					want.TT |= 1 << i
+				}
+			}
+		default:
+			want.A, want.TT = netlist.NetID(gi), sim.Wide
 		}
-		got := p.ins[p.inOff[l]:p.inOff[l+1]]
-		if verilog.GateKind(p.kind[l]) != g.Kind || p.out[l] != g.Output || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: local gate %d is %v %v → %d, netlist gate %s is %v %v → %d",
-				label, l, verilog.GateKind(p.kind[l]), got, p.out[l], g.Path, g.Kind, want, g.Output)
+		if p.gates[l] != want {
+			t.Fatalf("%s: local gate %d is %+v, netlist gate %s (%v %v → %d) wants %+v",
+				label, l, p.gates[l], g.Path, g.Kind, g.Inputs, g.Output, want)
+		}
+	}
+	for i, gi := range dffs {
+		g := &nl.Gates[gi]
+		if want := (latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)}); p.latch[i] != want {
+			t.Fatalf("%s: flip-flop %d is %+v, netlist gate %s wants %+v", label, i, p.latch[i], g.Path, want)
 		}
 	}
 
@@ -155,7 +189,7 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 
 		var gotSinks []int
 		for _, l := range p.sinks[p.sinkOff[n]:p.sinkOff[n+1]] {
-			if l < 0 || l >= p.nComb {
+			if l < 0 || int(l) >= len(p.gates) {
 				t.Fatalf("%s: net %s sink %d is not a combinational local gate", label, net.Name, l)
 			}
 			gotSinks = append(gotSinks, int(global[l]))
