@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	causalitypkg "repro/internal/obs/causality"
 	"repro/internal/partition"
@@ -299,23 +300,76 @@ func BenchmarkFMRefinePass(b *testing.B) {
 	}
 }
 
-func BenchmarkSequentialSimulator(b *testing.B) {
-	ed := workload(b)
-	s, err := sim.New(ed.Netlist)
-	if err != nil {
-		b.Fatal(err)
+// seqFixtures are the sequential benchmarks' rows: the ledger's two kernel
+// circuits at their cycle counts (soc_tw_aligned, viterbi_tw_rollback),
+// stimulus seed 1.
+var seqFixtures = []struct {
+	name    string
+	circuit func() *gen.Circuit
+	cycles  uint64
+}{
+	{"soc", func() *gen.Circuit { return gen.ViterbiSoC(gen.DefaultSoC) }, 2000},
+	{"viterbi", func() *gen.Circuit { return gen.Viterbi(gen.DefaultViterbi) }, 1500},
+}
+
+// benchSequential runs one sub-benchmark per seqFixtures row, timing run
+// over the row's netlist and cycles, and reports ns/cycle.
+func benchSequential(b *testing.B, run func(b *testing.B, nl *netlist.Netlist, cycles uint64)) {
+	for _, f := range seqFixtures {
+		b.Run(f.name, func(b *testing.B) {
+			ed, err := f.circuit().Elaborate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			run(b, ed.Netlist, f.cycles)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*f.cycles), "ns/cycle")
+		})
 	}
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		n, err := s.Run(sim.RandomVectors{Seed: 1}, 100)
+}
+
+// BenchmarkSequentialSimulator is the event-driven engine, sim.Simulator,
+// the pipeline benchmark's sequential denominator.
+func BenchmarkSequentialSimulator(b *testing.B) {
+	benchSequential(b, func(b *testing.B, nl *netlist.Netlist, cycles uint64) {
+		s, err := sim.New(nl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		events = n
-	}
-	b.ReportMetric(float64(events)/100, "events/cycle")
+		b.ResetTimer()
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			n, err := s.Run(sim.RandomVectors{Seed: 1}, cycles)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events = n
+		}
+		b.ReportMetric(float64(events)/float64(cycles), "events/cycle")
+	})
+}
+
+// BenchmarkSequentialSweep is the levelized cycle sweep, sim.Sweep: every
+// combinational gate once a cycle in topological order, then the latch.
+// Each iteration steps a fresh sweep; compiling it is not timed.
+func BenchmarkSequentialSweep(b *testing.B) {
+	benchSequential(b, func(b *testing.B, nl *netlist.Netlist, cycles uint64) {
+		src := sim.RandomVectors{Seed: 1}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sw, err := sim.NewSweep(nl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vec := make([]bool, len(sw.PIs))
+			b.StartTimer()
+			for c := uint64(0); c < cycles; c++ {
+				src.Vector(c, vec)
+				sw.Step(vec)
+			}
+		}
+	})
 }
 
 func BenchmarkTimeWarpKernel(b *testing.B) {

@@ -78,10 +78,7 @@ func newPackedGen(cfg *Config) (*packedGen, error) {
 				bank.Cycles(), cfg.Cycles)
 		}
 	}
-	eng, err := sim.NewPacked(cfg.NL)
-	if err != nil {
-		return nil, err
-	}
+	eng := sim.NewPacked(bank)
 	k := cfg.K
 	g := &packedGen{
 		cfg:       cfg,

@@ -56,8 +56,6 @@ func TrackName(track int32) string {
 		return "campaign"
 	case TrackComm:
 		return "comm"
-	case TrackNet:
-		return "net"
 	}
 	if track < 0 {
 		return fmt.Sprintf("track%d", track)

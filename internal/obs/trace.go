@@ -17,9 +17,6 @@ const (
 	TrackCampaign int32 = -3
 	// TrackComm carries transport events (chaos stalls and releases).
 	TrackComm int32 = -4
-	// TrackNet carries wire-transport events (socket connects, GVT cuts,
-	// peer-link errors) of the distributed nettrans layer.
-	TrackNet int32 = -5
 )
 
 // Event phases (a subset of the Chrome trace-event phases).

@@ -34,9 +34,8 @@ type PackedSimulator struct {
 	// DeltaRange matches the scalar Simulator's (depth + margin).
 	DeltaRange uint64
 
-	words     []uint64 // current value per net, one bit per lane
-	vectorPIs []netlist.NetID
-	seqGates  []netlist.GateID // DFFs, in gate-index order (latch order)
+	sw    *Sweep   // the bank's: stimulus inputs and flip-flops (latch order)
+	words []uint64 // current value per net, one bit per lane
 
 	// per-delta batching state.
 	chgMask   []uint64 // per net: lanes changed this delta
@@ -56,32 +55,19 @@ type PackedSimulator struct {
 	OnNetChangeMask func(n netlist.NetID, delta uint64, mask uint64, word uint64)
 }
 
-// NewPacked builds a packed simulator for nl, ready to replay its waves.
-// It fails on combinational cycles, exactly as New does.
-func NewPacked(nl *netlist.Netlist) (*PackedSimulator, error) {
-	depth, err := nl.Depth()
-	if err != nil {
-		return nil, err
-	}
-	s := &PackedSimulator{
+// NewPacked builds a packed simulator ready to replay b's waves. It
+// reads the bank's compiled cycle and compiles nothing.
+func NewPacked(b *WaveBank) *PackedSimulator {
+	nl := b.sw.NL
+	return &PackedSimulator{
 		NL:         nl,
-		DeltaRange: uint64(depth) + 4,
+		DeltaRange: b.sw.DeltaRange,
+		sw:         b.sw,
 		words:      make([]uint64, len(nl.Nets)),
 		chgMask:    make([]uint64, len(nl.Nets)),
 		gateMark:   make([]uint64, len(nl.Gates)),
 		evalMask:   make([]uint64, len(nl.Gates)),
 	}
-	for _, pi := range nl.PIs {
-		if !nl.IsClockNet(pi) {
-			s.vectorPIs = append(s.vectorPIs, pi)
-		}
-	}
-	for gi := range nl.Gates {
-		if nl.Gates[gi].Kind.Sequential() {
-			s.seqGates = append(s.seqGates, netlist.GateID(gi))
-		}
-	}
-	return s, nil
 }
 
 // LatchDelta returns the delta slot at which DFFs sample their inputs.
@@ -95,8 +81,8 @@ func (s *PackedSimulator) ReplayWave(w *Wave) error {
 	if len(w.Words) != len(s.words) {
 		return fmt.Errorf("sim: wave has %d nets, netlist has %d", len(w.Words), len(s.words))
 	}
-	if len(w.Vecs) != len(s.vectorPIs) {
-		return fmt.Errorf("sim: wave has %d vector PIs, netlist has %d", len(w.Vecs), len(s.vectorPIs))
+	if len(w.Vecs) != len(s.sw.PIs) {
+		return fmt.Errorf("sim: wave has %d vector PIs, netlist has %d", len(w.Vecs), len(s.sw.PIs))
 	}
 	copy(s.words, w.Words)
 	s.clearChanged()
@@ -109,7 +95,7 @@ func (s *PackedSimulator) ReplayWave(w *Wave) error {
 			s.markChanged(mn.Net, m)
 		}
 	}
-	for i, pi := range s.vectorPIs {
+	for i, pi := range s.sw.PIs {
 		diff := (s.words[pi] ^ w.Vecs[i]) & active
 		if diff == 0 {
 			continue
@@ -136,13 +122,12 @@ func (s *PackedSimulator) ReplayWave(w *Wave) error {
 	s.applyNets = s.applyNets[:0]
 	s.applyDiff = s.applyDiff[:0]
 	latchDelta := s.LatchDelta()
-	for _, gi := range s.seqGates {
-		g := &s.NL.Gates[gi]
+	for _, f := range s.sw.ffs {
 		if s.OnGateEvalMask != nil {
-			s.OnGateEvalMask(gi, latchDelta, active)
+			s.OnGateEvalMask(f.gate, latchDelta, active)
 		}
-		if diff := (s.words[g.Inputs[0]] ^ s.words[g.Output]) & active; diff != 0 {
-			s.applyNets = append(s.applyNets, g.Output)
+		if diff := (s.words[f.d] ^ s.words[f.q]) & active; diff != 0 {
+			s.applyNets = append(s.applyNets, f.q)
 			s.applyDiff = append(s.applyDiff, diff)
 		}
 	}

@@ -95,10 +95,7 @@ func TestPackedLaneEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps, err := NewPacked(nl)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ps := NewPacked(bank)
 				var evals, toggles [Lanes]uint64
 				count := func(c *[Lanes]uint64, mask uint64) {
 					for ; mask != 0; mask &= mask - 1 {
@@ -286,9 +283,7 @@ func replayTrace(t *testing.T, nl *netlist.Netlist, src VectorSource, cycles uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps, err = NewPacked(nl); err != nil {
-		t.Fatal(err)
-	}
+	ps = NewPacked(bank)
 	evals = make(map[packedEvent]int)
 	changes = make(map[packedEvent]int)
 	var base uint64

@@ -97,59 +97,39 @@ type Wave struct {
 // WaveBank lazily records a run as waves. All a wave needs of a cycle is
 // its entry state — the settled state the previous cycle left, with the
 // flip-flops already flipped — and a settled state has no deltas, events
-// or hooks in it: the combinational logic is acyclic (New refuses
-// anything else), so the value it settles to is unique and one pass of
-// the power-on settle over the topological order reaches the same one the
-// unit-delay delta loop does. The bank therefore scouts each cycle with
-// settle and a latch; the replay (PackedSimulator.ReplayWave) alone
-// produces events. Waves are partition-independent, so one bank built
-// from (netlist, vectors, cycles) serves every (k, b) point of a
-// pre-simulation campaign — the scout runs once, each point only replays.
-// Safe for concurrent use; wave construction is serialized.
+// or hooks in it, so the bank scouts each cycle with Sweep.Step; the
+// replay (PackedSimulator.ReplayWave) alone produces events. Waves are
+// partition-independent, so one bank built from (netlist, vectors,
+// cycles) serves every (k, b) point of a pre-simulation campaign — the
+// scout runs once, each point only replays. Safe for concurrent use; wave
+// construction is serialized.
 type WaveBank struct {
 	mu     sync.Mutex
-	nl     *netlist.Netlist
 	src    VectorSource
 	cycles uint64
 	waves  []*Wave
 	floor  int // waves below this index have been discarded
 
 	// Scout state, carried from lane to lane and from wave to wave.
-	tab     []TruthGate     // the Simulator's settle table
-	pis     []netlist.NetID // stimulus inputs
-	dffs    []dq            // the flip-flops' (d, q) nets
-	values  []bool          // entry state of the next cycle to record
-	toggled []int           // indices into dffs: the q's the last latch flipped
-	qMask   []uint64        // per dff: lanes of the wave being built that q is pending in
-	vecBuf  []bool
+	sw     *Sweep   // its state is the entry state of the next cycle to record
+	qMask  []uint64 // per flip-flop: lanes of the wave being built that q is pending in
+	vecBuf []bool
 }
-
-// dq is a flip-flop's d input and q output.
-type dq struct{ d, q netlist.NetID }
 
 // NewWaveBank prepares a bank covering `cycles` cycles of the given
 // stimulus. No simulation happens until the first Wave call.
 func NewWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64) (*WaveBank, error) {
-	s, err := New(nl) // the power-on state and the tables the scout walks
+	sw, err := NewSweep(nl)
 	if err != nil {
 		return nil, err
 	}
-	b := &WaveBank{
-		nl:     nl,
+	return &WaveBank{
 		src:    src,
 		cycles: cycles,
-		tab:    s.settleTab,
-		pis:    s.vectorPIs,
-		values: s.values,
-		vecBuf: make([]bool, len(s.vectorPIs)),
-	}
-	for gi := range nl.Gates {
-		if g := &nl.Gates[gi]; g.Kind.Sequential() {
-			b.dffs = append(b.dffs, dq{d: g.Inputs[0], q: g.Output})
-		}
-	}
-	b.qMask = make([]uint64, len(b.dffs))
-	return b, nil
+		sw:     sw,
+		qMask:  make([]uint64, len(sw.ffs)),
+		vecBuf: make([]bool, len(sw.PIs)),
+	}, nil
 }
 
 // Cycles returns the stimulus length the bank covers.
@@ -159,7 +139,7 @@ func (b *WaveBank) Cycles() uint64 { return b.cycles }
 func (b *WaveBank) NumWaves() int { return int((b.cycles + Lanes - 1) / Lanes) }
 
 // Netlist returns the netlist the bank's waves describe.
-func (b *WaveBank) Netlist() *netlist.Netlist { return b.nl }
+func (b *WaveBank) Netlist() *netlist.Netlist { return b.sw.NL }
 
 // Wave returns wave i, running the scout forward as needed. Waves must
 // not have been discarded below i.
@@ -194,12 +174,9 @@ func (b *WaveBank) DiscardBelow(i int) {
 // buildNext scouts the next 64 cycles (fewer on the ragged tail) into a
 // wave. Lane l takes the state as cycle Base+l finds it and the q's the
 // previous latch flipped (they mark sinks dirty at the lane's delta 0);
-// then the scout applies the vector, settles, and latches — finding
-// every q that differs from its d before flipping any, so a flip-flop
-// chain shifts one stage per cycle. Lanes at or above Wave.Lanes stay
-// zero.
+// then the sweep steps the cycle. Lanes at or above Wave.Lanes stay zero.
 func (b *WaveBank) buildNext() {
-	nl := b.nl
+	sw := b.sw
 	base := uint64(len(b.waves)) * Lanes
 	lanes := Lanes
 	if rem := b.cycles - base; rem < Lanes {
@@ -208,37 +185,26 @@ func (b *WaveBank) buildNext() {
 	w := &Wave{
 		Base:  base,
 		Lanes: lanes,
-		Words: make([]uint64, len(nl.Nets)),
-		Vecs:  make([]uint64, len(b.pis)),
+		Words: make([]uint64, len(sw.values)),
+		Vecs:  make([]uint64, len(sw.PIs)),
 	}
-	words := w.Words[:len(b.values)]
+	words := w.Words[:len(sw.values)]
 	for l := 0; l < lanes; l++ {
-		for n, v := range b.values {
+		for n, v := range sw.values {
 			words[n] |= uint64(b2u(v)) << l
 		}
-		for _, i := range b.toggled {
+		for _, i := range sw.flipped {
 			b.qMask[i] |= 1 << l
 		}
 		b.src.Vector(base+uint64(l), b.vecBuf)
 		for i, v := range b.vecBuf {
-			b.values[b.pis[i]] = v
 			w.Vecs[i] |= uint64(b2u(v)) << l
 		}
-		settle(nl, b.tab, b.values)
-		b.toggled = b.toggled[:0]
-		for i, f := range b.dffs {
-			if b.values[f.q] != b.values[f.d] {
-				b.toggled = append(b.toggled, i)
-			}
-		}
-		for _, i := range b.toggled {
-			q := b.dffs[i].q
-			b.values[q] = !b.values[q]
-		}
+		sw.Step(b.vecBuf)
 	}
 	for i, m := range b.qMask {
 		if m != 0 {
-			w.Pending = append(w.Pending, MaskedNet{Net: b.dffs[i].q, Mask: m})
+			w.Pending = append(w.Pending, MaskedNet{Net: sw.ffs[i].q, Mask: m})
 			b.qMask[i] = 0
 		}
 	}

@@ -1,7 +1,11 @@
-// Package sim is the sequential event-driven gate-level simulator: the
-// correctness oracle for the Time Warp kernel, the sequential-time
-// baseline for speedup measurements, and the producer of the event traces
-// that drive the deterministic cluster model.
+// Package sim is the sequential gate-level simulator. Sweep compiles a
+// netlist's cycle once — stimulus inputs, flip-flops, topological gate
+// table, depth, power-on state — and its Step is the levelized cycle
+// sweep, which the wave bank's scout runs. Simulator is the event-driven
+// engine over the same compiled cycle: the correctness oracle for the Time
+// Warp kernel, the sequential-time baseline for speedup measurements, and
+// the producer of the event traces that drive the deterministic cluster
+// model.
 //
 // Timing model (as in the paper's experiments): unit gate delay, zero wire
 // delay. Each input vector is one clock cycle:
@@ -41,9 +45,10 @@ type Simulator struct {
 	// depth + margin); the DFF latch fires at delta DeltaRange-2.
 	DeltaRange uint64
 
+	sw     *Sweep // the compiled cycle: power-on state, stimulus inputs
 	values []bool // current value per net
 	// vectorPIs are the primary inputs that receive stimulus (clock PIs
-	// excluded).
+	// excluded): the sweep's PIs.
 	vectorPIs []netlist.NetID
 
 	cycle uint64
@@ -53,7 +58,6 @@ type Simulator struct {
 	dirtyGates  []netlist.GateID
 	gateMark    []uint64
 	markStamp   uint64
-	settleTab   []TruthGate     // combinational gates in topological order
 	latchBuf    []netlist.NetID // q nets toggling at the current latch
 	applyNets   []netlist.NetID // outputs changing in the current delta
 	applyVals   []bool          // their new values (applied after all evals)
@@ -70,60 +74,21 @@ type Simulator struct {
 
 // New builds a simulator. It fails on combinational cycles.
 func New(nl *netlist.Netlist) (*Simulator, error) {
-	depth, err := nl.Depth()
-	if err != nil {
-		return nil, err
-	}
-	order, err := nl.TopoOrder()
+	sw, err := NewSweep(nl)
 	if err != nil {
 		return nil, err
 	}
 	s := &Simulator{
 		NL:         nl,
-		DeltaRange: uint64(depth) + 4,
+		DeltaRange: sw.DeltaRange,
+		sw:         sw,
+		vectorPIs:  sw.PIs,
 		values:     make([]bool, len(nl.Nets)),
 		gateMark:   make([]uint64, len(nl.Gates)),
 		EvalCount:  make([]uint64, len(nl.Gates)),
 	}
-	s.settleTab = make([]TruthGate, 0, nl.Stats().Combinational)
-	for _, gi := range order {
-		if !nl.Gates[gi].Kind.Sequential() {
-			s.settleTab = append(s.settleTab, CompileGate(nl, gi))
-		}
-	}
-	for _, pi := range nl.PIs {
-		if !nl.IsClockNet(pi) {
-			s.vectorPIs = append(s.vectorPIs, pi)
-		}
-	}
 	s.Reset()
 	return s, nil
-}
-
-// InitialValues returns a copy of the consistent power-on net state: all
-// PIs and DFF outputs at 0, constants at their value, and every
-// combinational gate's output consistent with its inputs. The Time Warp
-// kernel starts each cluster from this same state.
-func (s *Simulator) InitialValues() []bool {
-	init := make([]bool, len(s.NL.Nets))
-	for i := range init {
-		init[i] = s.NL.Nets[i].Const == 1
-	}
-	settle(s.NL, s.settleTab, init)
-	return init
-}
-
-// settle makes `values` combinationally consistent by evaluating every
-// combinational gate once, in the topological order of tab.
-func settle(nl *netlist.Netlist, tab []TruthGate, values []bool) {
-	for i := range tab {
-		t := &tab[i]
-		if t.TT < Wide {
-			values[t.Out] = t.Eval(values)
-		} else {
-			values[t.Out] = EvalGate(&nl.Gates[t.A], values)
-		}
-	}
 }
 
 // LatchDelta returns the delta slot at which DFFs sample their inputs.
@@ -136,13 +101,10 @@ func (s *Simulator) VectorPIs() []netlist.NetID { return s.vectorPIs }
 // VectorWidth returns the bits expected per input vector.
 func (s *Simulator) VectorWidth() int { return len(s.vectorPIs) }
 
-// Reset restores the consistent power-on state (see InitialValues) and
+// Reset restores the consistent power-on state (Sweep.PowerOn) and
 // rewinds time.
 func (s *Simulator) Reset() {
-	for i := range s.values {
-		s.values[i] = s.NL.Nets[i].Const == 1
-	}
-	settle(s.NL, s.settleTab, s.values)
+	copy(s.values, s.sw.PowerOn)
 	s.cycle = 0
 	s.Events = 0
 	s.Toggles = 0

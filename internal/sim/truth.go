@@ -29,7 +29,7 @@ func Truth(g *netlist.Gate) (tt uint8, ok bool) {
 // and B (a one-input gate has B == A), its output and its truth table. A
 // gate of more than two inputs has TT == Wide, and A holds its
 // netlist.GateID instead of an input: EvalGate evaluates it from there.
-// The wave bank's scout (settle) and the Time Warp kernel's cluster
+// Sweep.Step (the wave bank's scout) and the Time Warp kernel's cluster
 // programs both evaluate from these records.
 type TruthGate struct {
 	A, B, Out netlist.NetID

@@ -27,10 +27,10 @@ func checkPartition(k int, gateParts []int32) error {
 }
 
 // prepare validates cfg and fills its defaults in place. It returns the
-// sequential simulator of cfg.NL, from which a run takes the virtual-time
-// width of one cycle, the power-on net values and the stimulus width, so
-// that they are the simulator's by construction.
-func (cfg *Config) prepare() (*sim.Simulator, error) {
+// compiled cycle of cfg.NL, from which a run takes the virtual-time width
+// of one cycle, the power-on net values and the stimulus width, so that
+// they are the sequential simulator's by construction.
+func (cfg *Config) prepare() (*sim.Sweep, error) {
 	if cfg.NL == nil {
 		return nil, fmt.Errorf("timewarp: Config.NL is nil")
 	}
@@ -55,7 +55,7 @@ func (cfg *Config) prepare() (*sim.Simulator, error) {
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
-	return sim.New(cfg.NL)
+	return sim.NewSweep(cfg.NL)
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
@@ -93,8 +93,8 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		cfg:        cfg,
 		mode:       mode,
 		deltaRange: ref.DeltaRange,
-		initial:    ref.InitialValues(),
-		stim:       newStimulus(cfg.Vectors, ref.VectorWidth(), cfg.Cycles),
+		initial:    ref.PowerOn,
+		stim:       newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
 		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress:   make([]atomic.Uint64, cfg.K),
 		local:      make([]bool, cfg.K),
