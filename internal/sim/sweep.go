@@ -85,16 +85,33 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 
 // settle makes values combinationally consistent by evaluating every
 // combinational gate once, in topological order.
-func (w *Sweep) settle(values []bool) {
-	tab := w.tab // a local, or every store to values would reload it
+func (w *Sweep) settle(values []bool) { Settle(w.NL, w.tab, values) }
+
+// Settle evaluates every gate of tab once, in table order, writing each
+// output into values at once: over a table in topological order (the
+// sweep's, or an AppendSlice of it) it settles the gates' outputs to the
+// unique state their inputs imply. A wide record reads its gate from nl.
+func Settle(nl *netlist.Netlist, tab []TruthGate, values []bool) {
 	for i := range tab {
 		t := &tab[i]
 		if t.TT < Wide {
 			values[t.Out] = t.Eval(values)
 		} else {
-			values[t.Out] = EvalGate(&w.NL.Gates[t.A], values)
+			values[t.Out] = EvalGate(&nl.Gates[t.A], values)
 		}
 	}
+}
+
+// AppendSlice appends to tab the combinational gates keep selects, in the
+// sweep's topological order: a table Settle settles on its own once every
+// other gate's output is final.
+func (w *Sweep) AppendSlice(tab []TruthGate, keep func(netlist.GateID) bool) []TruthGate {
+	for _, t := range w.tab {
+		if keep(w.NL.Nets[t.Out].Driver) {
+			tab = append(tab, t)
+		}
+	}
+	return tab
 }
 
 // Step simulates one clock cycle: it writes vector (one bit per PIs entry)

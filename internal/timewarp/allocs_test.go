@@ -34,9 +34,8 @@ func multiway(t *testing.T, c *gen.Circuit, opts partition.Options) (*elab.Desig
 // two depend on scheduling and are bounded at about twice their count
 // (≈ 2,490 and ≈ 2,040; ≈ 13,650 and ≈ 6,650 when every event sent or
 // received boxed the arguments of a never-enabled printf); the forward run
-// is deterministic (≈ 189; 420 when the host built a whole sim.Simulator and
-// levelized twice to read the compiled cycle, 1,052 when each cycle's
-// stimulus allocated a fresh generator) and bounded at about +10 %.
+// is deterministic (≈ 138: both its clusters sweep their cycles and compile
+// no event tables) and bounded at about +10 %.
 func TestRunAllocs(t *testing.T) {
 	vit, vitParts := multiway(t, gen.Viterbi(gen.DefaultViterbi), partition.Options{K: 2, B: 10, Seed: 1})
 	// The SoC of distWorkloads at k=4, the configuration the observability
@@ -68,7 +67,7 @@ func TestRunAllocs(t *testing.T) {
 		{"forward", func() Config {
 			return Config{NL: fwd.Netlist, GateParts: fwdParts.GateParts, K: 2,
 				Vectors: sim.RandomVectors{Seed: 1}, Cycles: 500}
-		}, 210},
+		}, 152},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res *Result

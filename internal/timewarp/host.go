@@ -67,7 +67,7 @@ type host struct {
 	cfg        Config // validated, defaults filled
 	mode       string // pprof label: "tw" in-process, "dist" in a worker
 	deltaRange uint64
-	initial    []bool // power-on net values; every cluster starts from a copy
+	sweep      *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
 	stim       *stimulus
 	net        *comm.Network
 	progress   []atomic.Uint64 // published cycle per cluster (all K)
@@ -93,7 +93,7 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		cfg:        cfg,
 		mode:       mode,
 		deltaRange: ref.DeltaRange,
-		initial:    ref.PowerOn,
+		sweep:      ref,
 		stim:       newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
 		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress:   make([]atomic.Uint64, cfg.K),

@@ -74,11 +74,14 @@ type Stats struct {
 	Messages     uint64 // positive inter-cluster events sent
 	AntiMessages uint64 // cancellations sent
 	Rollbacks    uint64 // rollback occurrences
-	// Events counts gate evaluations executed, re-execution included. It
-	// is not comparable with sim.Simulator.Events even on a run that never
-	// rolls back: a cluster writes a gate's output at once within a delta,
-	// the sequential simulator evaluates a whole delta before applying it
-	// and so re-evaluates gates the kernel reaches once (DESIGN.md §20).
+	// Events counts gate evaluations executed, re-execution included: a
+	// cluster on the delta-event loop counts the gates its events reached,
+	// a sweeping one every own gate (flip-flops too) once a cycle (DESIGN.md
+	// §26). It is not comparable with sim.Simulator.Events even on a run
+	// that never rolls back: the event loop writes a gate's output at once
+	// within a delta, the sequential simulator evaluates a whole delta
+	// before applying it and so re-evaluates gates the kernel reaches once
+	// (DESIGN.md §20).
 	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
 	// Checkpoints counts rollback records written: one per executed cycle,

@@ -8,10 +8,10 @@ import (
 )
 
 // program is one cluster compiled to flat read-only arrays: everything the
-// per-event path needs to know about the netlist and the partition, laid
-// out so that processCycle, send and cancel index slices instead of
-// hashing net ids or chasing *netlist.Gate pointers. It is built once in
-// newCluster and never written afterwards.
+// cycle needs to know about the netlist and the partition, laid out so that
+// processCycle, send and cancel index slices instead of hashing net ids or
+// chasing *netlist.Gate pointers. It is built once in newCluster and never
+// written afterwards.
 //
 // Nets keep their global netlist.NetID: values, events and rollback records
 // are net-indexed, and a net id is what clusters exchange. Gates are
@@ -19,7 +19,17 @@ import (
 // GateID order, the own flip-flops likewise in a table of their own — so
 // the gate table and the scratch marks over it are dense in the cluster's
 // own gates.
+//
+// A cluster that cannot be sent an event (remoteIn false) sweeps its cycle
+// (sweepCycle, DESIGN §26): its combinational gates are the one table tab,
+// and it has no gates, sinks or sinkOff.
 type program struct {
+	// tab are the own combinational gates of a sweeping cluster, in the
+	// host's sim.Sweep topological order; bound are those of their outputs
+	// another cluster reads, in the same order.
+	tab   []sim.TruthGate
+	bound []netlist.NetID
+
 	// gates are the own combinational gates, indexed by local gate: each
 	// one 16-byte record of its inputs, output and truth table
 	// (sim.TruthGate), and whether another cluster reads its output. A
@@ -55,7 +65,7 @@ type program struct {
 	// — exactly when that cluster's program lists this one in its dsts. A
 	// cluster for which it is false is never sent an event, so it can meet
 	// no straggler and is never rolled back: remoteIn is what decides
-	// whether a cluster keeps rollback state (newCluster).
+	// whether a cluster keeps rollback state or sweeps (newCluster).
 	remoteIn bool
 }
 
@@ -72,20 +82,22 @@ type latchGate struct {
 	remote bool
 }
 
-// compile builds cluster id's program for netlist nl partitioned by
-// gateParts.
-func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist.NetID) *program {
-	p := &program{
-		sinkOff: make([]uint32, len(nl.Nets)+1),
-		dstOff:  make([]uint32, len(nl.Nets)+1),
-	}
+// compile builds cluster id's program for the netlist sw compiles,
+// partitioned by gateParts.
+func compile(sw *sim.Sweep, gateParts []int32, id int32, observe []netlist.NetID) *program {
+	nl := sw.NL
+	p := &program{dstOff: make([]uint32, len(nl.Nets)+1)}
 
-	// Remote readers of own-driven nets, each cluster once.
+	// Remote readers of own-driven nets, each cluster once, and whether an
+	// own gate reads a net another cluster drives: one scan of every sink.
 	for n := range nl.Nets {
-		if d := nl.Nets[n].Driver; d != netlist.NoGate && gateParts[d] == id {
+		if d := nl.Nets[n].Driver; d != netlist.NoGate {
 			own := len(p.dsts)
 			for _, s := range nl.Nets[n].Sinks {
-				if dst := gateParts[s]; dst != id && !slices.Contains(p.dsts[own:], dst) {
+				switch dst := gateParts[s]; {
+				case gateParts[d] != id:
+					p.remoteIn = p.remoteIn || dst == id
+				case dst != id && !slices.Contains(p.dsts[own:], dst):
 					p.dsts = append(p.dsts, dst)
 				}
 			}
@@ -95,37 +107,44 @@ func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist
 	remote := func(n netlist.NetID) bool { return p.dstOff[n] != p.dstOff[n+1] }
 
 	// Gate tables, each allocated at its final size: one pass counts the
-	// own gates, and sinkOff[n+1] the own combinational readers of net n.
+	// own gates, and (for the event tables) sinkOff[n+1] the own
+	// combinational readers of net n.
+	if p.remoteIn {
+		p.sinkOff = make([]uint32, len(nl.Nets)+1)
+	}
 	nComb, nLatch := 0, 0
 	for gi := range nl.Gates {
-		if gateParts[gi] != id {
-			continue
-		}
-		g := &nl.Gates[gi]
-		for _, in := range g.Inputs { // every pin, as dsts above counts sinks
-			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id {
-				p.remoteIn = true
+		switch g := &nl.Gates[gi]; {
+		case gateParts[gi] != id:
+		case g.Kind.Sequential():
+			nLatch++
+		default:
+			nComb++
+			if p.remoteIn {
+				for _, in := range g.Inputs {
+					p.sinkOff[in+1]++
+				}
 			}
 		}
-		if g.Kind.Sequential() {
-			nLatch++
-			continue
-		}
-		nComb++
-		for _, in := range g.Inputs {
-			p.sinkOff[in+1]++
-		}
 	}
-
-	// Counts → offsets, then a second pass fills the tables in gate order;
-	// next[n] is the write cursor of net n's range.
-	for n := range nl.Nets {
-		p.sinkOff[n+1] += p.sinkOff[n]
-	}
-	p.sinks = make([]int32, p.sinkOff[len(nl.Nets)])
-	next := append([]uint32(nil), p.sinkOff[:len(nl.Nets)]...)
-	p.gates = make([]gate, 0, nComb)
 	p.latch = make([]latchGate, 0, nLatch)
+	var next []uint32 // next[n]: the write cursor of net n's range of sinks
+	if !p.remoteIn {
+		p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), func(g netlist.GateID) bool { return gateParts[g] == id })
+		for _, t := range p.tab {
+			if remote(t.Out) {
+				p.bound = append(p.bound, t.Out)
+			}
+		}
+	} else {
+		// Counts → offsets; the pass below fills the tables in gate order.
+		for n := range nl.Nets {
+			p.sinkOff[n+1] += p.sinkOff[n]
+		}
+		p.sinks = make([]int32, p.sinkOff[len(nl.Nets)])
+		next = append(next, p.sinkOff[:len(nl.Nets)]...)
+		p.gates = make([]gate, 0, nComb)
+	}
 	for gi := range nl.Gates {
 		if gateParts[gi] != id {
 			continue
@@ -133,6 +152,9 @@ func compile(nl *netlist.Netlist, gateParts []int32, id int32, observe []netlist
 		g := &nl.Gates[gi]
 		if g.Kind.Sequential() {
 			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)})
+			continue
+		}
+		if !p.remoteIn {
 			continue
 		}
 		l := int32(len(p.gates))

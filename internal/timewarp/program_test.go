@@ -51,18 +51,25 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := compile(nl, make([]int32, len(nl.Gates)), 0, nil)
-	if len(p.gates) != len(nl.Gates) {
-		t.Fatalf("program has %d combinational gates, netlist %d", len(p.gates), len(nl.Gates))
+	sw, err := sim.NewSweep(nl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// One cluster owns every gate, so local ids are global ids. A gate of
-	// one or two inputs must be tabulated, and its table must be
-	// sim.EvalGate's; a wider one must name itself for processCycle to hand
+	p := compile(sw, make([]int32, len(nl.Gates)), 0, nil)
+	if len(p.tab) != len(nl.Gates) {
+		t.Fatalf("program has %d combinational gates, netlist %d", len(p.tab), len(nl.Gates))
+	}
+	// One cluster owns every gate and nothing can send it an event, so its
+	// gates are one sweep table; a record's gate drives its output. A gate
+	// of one or two inputs must be tabulated, and its table must be
+	// sim.EvalGate's; a wider one must name itself for sim.Settle to hand
 	// to sim.EvalGate. Routing every gate to the wide path would evaluate
 	// right, and slowly.
 	values := make([]bool, len(nl.Nets))
-	for gi := range nl.Gates {
-		g, r := &nl.Gates[gi], &p.gates[gi]
+	for i := range p.tab {
+		r := &p.tab[i]
+		gi := nl.Nets[r.Out].Driver
+		g := &nl.Gates[gi]
 		if tabulated := len(g.Inputs) <= 2; tabulated != (r.TT < sim.Wide) {
 			t.Errorf("%s: TT %d, want a table: %v", g.Path, r.TT, tabulated)
 			continue
@@ -87,6 +94,7 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 // TestProgramTablesMatchNetlist recomputes, naively from the netlist and
 // the partition, what each table of every cluster's program must hold.
 func TestProgramTablesMatchNetlist(t *testing.T) {
+	sweeps := 0 // clusters with one sweep table instead of event tables
 	for _, tc := range distWorkloads() {
 		ed, err := tc.c.Elaborate()
 		if err != nil {
@@ -98,9 +106,16 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
+			sw, err := sim.NewSweep(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
 			progs := make([]*program, k)
 			for id := range progs {
-				progs[id] = compile(nl, res.GateParts, int32(id), nl.POs)
+				progs[id] = compile(sw, res.GateParts, int32(id), nl.POs)
+				if !progs[id].remoteIn {
+					sweeps++
+				}
 				checkProgram(t, fmt.Sprintf("%s k=%d cluster %d", tc.name, k, id),
 					nl, res.GateParts, int32(id), progs[id])
 			}
@@ -118,6 +133,9 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			}
 		}
 	}
+	if sweeps == 0 {
+		t.Error("no partition has a cluster that sweeps: checkSweepTable checked nothing")
+	}
 }
 
 func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program) {
@@ -134,9 +152,6 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			global = append(global, netlist.GateID(gi))
 		}
 	}
-	if len(p.gates) != len(global) || len(p.latch) != len(dffs) {
-		t.Fatalf("%s: %d gates and %d flip-flops, want %d and %d", label, len(p.gates), len(p.latch), len(global), len(dffs))
-	}
 	remote := func(n netlist.NetID) bool {
 		for _, s := range nl.Nets[n].Sinks {
 			if parts[s] != id {
@@ -144,6 +159,13 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			}
 		}
 		return false
+	}
+	if !p.remoteIn {
+		checkSweepTable(t, label, nl, parts, id, p, remote)
+		global = nil // a sweeping cluster has no event tables
+	}
+	if len(p.gates) != len(global) || len(p.latch) != len(dffs) {
+		t.Fatalf("%s: %d gates and %d flip-flops, want %d and %d", label, len(p.gates), len(p.latch), len(global), len(dffs))
 	}
 	for l, gi := range global {
 		g := &nl.Gates[gi]
@@ -187,8 +209,11 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		sort.Ints(wantSinks)
 		wantSinks = slices.Compact(wantSinks)
 
+		if !p.remoteIn {
+			wantSinks = nil
+		}
 		var gotSinks []int
-		for _, l := range p.sinks[p.sinkOff[n]:p.sinkOff[n+1]] {
+		for _, l := range sinksOf(p, netlist.NetID(n)) {
 			if l < 0 || int(l) >= len(p.gates) {
 				t.Fatalf("%s: net %s sink %d is not a combinational local gate", label, net.Name, l)
 			}
@@ -235,6 +260,59 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 }
 
+// sinksOf returns the own combinational readers of net n in p's event
+// tables; a sweeping cluster has none.
+func sinksOf(p *program, n netlist.NetID) []int32 {
+	if p.sinkOff == nil {
+		return nil
+	}
+	return p.sinks[p.sinkOff[n]:p.sinkOff[n+1]]
+}
+
+// checkSweepTable checks the one table of a cluster nothing can send an
+// event to: every own combinational gate once, as sim.CompileGate compiles
+// it, each after the own gates driving its inputs; bound lists the table's
+// outputs another cluster reads, in table order; no event tables are built.
+func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program,
+	remote func(netlist.NetID) bool) {
+	t.Helper()
+	if p.gates != nil || p.sinks != nil || p.sinkOff != nil {
+		t.Fatalf("%s: a sweeping cluster built event tables: %d gates, %d sinks", label, len(p.gates), len(p.sinks))
+	}
+	settled := make([]bool, len(nl.Nets)) // outputs of table entries seen so far
+	var own int
+	var bound []netlist.NetID
+	for i, r := range p.tab {
+		gi := nl.Nets[r.Out].Driver
+		if gi == netlist.NoGate || parts[gi] != id || nl.Gates[gi].Kind.Sequential() {
+			t.Fatalf("%s: table entry %d drives %s, which no own combinational gate drives", label, i, nl.Nets[r.Out].Name)
+		}
+		if want := sim.CompileGate(nl, gi); r != want {
+			t.Fatalf("%s: table entry %d is %+v, gate %s compiles to %+v", label, i, r, nl.Gates[gi].Path, want)
+		}
+		for _, in := range nl.Gates[gi].Inputs {
+			if d := nl.Nets[in].Driver; d != netlist.NoGate && parts[d] == id && !nl.Gates[d].Kind.Sequential() && !settled[in] {
+				t.Fatalf("%s: table entry %d (%s) reads %s before the entry driving it", label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
+			}
+		}
+		if settled[r.Out] {
+			t.Fatalf("%s: %s driven twice in the table", label, nl.Nets[r.Out].Name)
+		}
+		settled[r.Out] = true
+		if remote(r.Out) {
+			bound = append(bound, r.Out)
+		}
+	}
+	for gi := range nl.Gates {
+		if parts[gi] == id && !nl.Gates[gi].Kind.Sequential() {
+			own++
+		}
+	}
+	if len(p.tab) != own || !slices.Equal(p.bound, bound) {
+		t.Fatalf("%s: table of %d gates with boundary %v, want %d own gates and %v", label, len(p.tab), p.bound, own, bound)
+	}
+}
+
 // alignedSoC is the small two-channel SoC split k=2 along its channels:
 // nothing is cut, so no cluster ever hears from the other.
 func alignedSoC(t *testing.T) (*elab.Design, []int32) {
@@ -250,17 +328,25 @@ func alignedSoC(t *testing.T) (*elab.Design, []int32) {
 	return ed, parts.GateParts
 }
 
-// TestCutZeroRunIsPinned: on a partition that cuts nothing the kernel is
-// deterministic, so the number of gate evaluations is a fingerprint of the
-// within-delta evaluation order and the immediate writes. 98,295 is what
-// the map-based kernel before the cluster program executed on this input.
-// Neither cluster hears from the other, so neither saves any state.
+// TestCutZeroRunIsPinned: on a partition that cuts nothing neither cluster
+// can be sent an event, so each keeps no state and sweeps its cycle — every
+// own combinational gate evaluated once, every own flip-flop sampled once.
+// Its evaluation count is therefore a closed form, cycles × its own gates
+// (120,480 in all on this input), and it sends, rolls back and records
+// nothing.
 func TestCutZeroRunIsPinned(t *testing.T) {
 	ed, parts := alignedSoC(t)
-	st := runBoth(t, ed, parts, 2, 60, 1)
-	if st.Events != 98295 || st.Messages != 0 || st.Rollbacks != 0 || st.Checkpoints != 0 {
-		t.Errorf("cut-0 run: %d events, %d messages, %d rollbacks, %d checkpoints; want 98295, 0, 0, 0",
-			st.Events, st.Messages, st.Rollbacks, st.Checkpoints)
+	const cycles = 60
+	res := runBothCfg(t, ed, parts, 2, cycles, 1, func(*Config) {})
+	own := make([]uint64, 2)
+	for _, p := range parts {
+		own[p]++
+	}
+	for id, st := range res.PerCluster {
+		if want := cycles * own[id]; st.Events != want || st.Messages != 0 || st.Rollbacks != 0 || st.Checkpoints != 0 {
+			t.Errorf("cut-0 run, cluster %d: %d events, %d messages, %d rollbacks, %d checkpoints; want %d (%d cycles × %d gates), 0, 0, 0",
+				id, st.Events, st.Messages, st.Rollbacks, st.Checkpoints, want, cycles, own[id])
+		}
 	}
 }
 

@@ -18,14 +18,15 @@ import (
 // outputs and every flip-flop output) bit for bit.
 func runBoth(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64, seed int64) Stats {
 	t.Helper()
-	return runBothCfg(t, ed, gateParts, k, cycles, seed, func(*Config) {})
+	return runBothCfg(t, ed, gateParts, k, cycles, seed, func(*Config) {}).Stats
 }
 
 // runBothCfg is runBoth with the kernel Config open to the caller, so
-// window and transport variants share the one oracle. The run must also end
-// clean: no invariant violation, every cycle committed.
+// window and transport variants share the one oracle, and the whole Result
+// returned. The run must also end clean: no invariant violation, every
+// cycle committed.
 func runBothCfg(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles uint64,
-	seed int64, mutate func(*Config)) Stats {
+	seed int64, mutate func(*Config)) *Result {
 	t.Helper()
 	nl := ed.Netlist
 	state := sim.StateNets(nl)
@@ -46,7 +47,7 @@ func runBothCfg(t *testing.T, ed *elab.Design, gateParts []int32, k int, cycles 
 		t.Fatalf("k=%d: final GVT %d of %d cycles, invariant violations %v", k, res.FinalGVT, cycles, res.InvariantViolations)
 	}
 	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), fmt.Sprintf("k=%d", k))
-	return res.Stats
+	return res
 }
 
 // randomParts assigns gates to k clusters at random — the adversarial
@@ -206,7 +207,7 @@ func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
 	// Random partitioning provokes plenty of rollbacks, one cycle deep and
 	// many: the waveform oracle checks what each one restored.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(*Config) {})
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(*Config) {}).Stats
 	if st.Rollbacks == 0 {
 		t.Error("expected rollbacks under random partitioning")
 	}
@@ -214,7 +215,7 @@ func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
 
 func TestBatchingCoalesces(t *testing.T) {
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {})
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 47), 4, 100, 53, func(c *Config) {}).Stats
 	if st.BatchedEvents <= st.Batches {
 		t.Errorf("batching never coalesced: %d batches for %d events", st.Batches, st.BatchedEvents)
 	}
@@ -229,7 +230,7 @@ func TestFossilCollectionRacesDeepRollback(t *testing.T) {
 	ed := viterbiDesign(t)
 	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) {
 		c.Window = 16
-	})
+	}).Stats
 	if st.Rollbacks == 0 {
 		t.Error("expected rollbacks in the fossil/rollback race test")
 	}

@@ -77,7 +77,7 @@ func TestChaosTransportStallsDoNotTripGenerousTimeout(t *testing.T) {
 			StallEvery: 20, StallFor: 2 * time.Millisecond,
 		})
 		c.StallTimeout = 20 * time.Second
-	})
+	}).Stats
 	t.Logf("chaos run: msgs=%d anti=%d rollbacks=%d maxStragglerDepth=%d",
 		st.Messages, st.AntiMessages, st.Rollbacks, st.MaxStragglerDepth)
 }
