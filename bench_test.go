@@ -391,13 +391,14 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 
 // BenchmarkClusterForward is the kernel's forward path alone: the default
 // two-channel SoC split k=2 along its channels (cut 0), so no message is
-// sent and nothing rolls back. Neither cluster can be sent an event, so
-// neither saves state and each sweeps its cycle (sim.Settle over its slice
-// of the topological table): what is timed is the sweep path, and ns/event
-// is wall time per gate evaluation, every own gate once a cycle.
-// BenchmarkSerialCutRun (internal/timewarp) is the delta-event path's run;
-// TestRunAllocs' forward row (internal/timewarp) bounds this one's
-// allocations.
+// sent and nothing rolls back. Every cluster sweeps its cycle (sim.Settle
+// over its slice of the topological table), and neither of these can be
+// sent an event, so neither keeps a rollback record: what is timed is the
+// sweep without state saving, and ns/event is wall time per gate
+// evaluation, every own gate once a cycle. BenchmarkSerialCutRun
+// (internal/timewarp) times the same sweep with records, messages and
+// rollbacks; TestRunAllocs' forward row (internal/timewarp) bounds this
+// one's allocations.
 func BenchmarkClusterForward(b *testing.B) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {

@@ -179,8 +179,8 @@ func main() {
 			fatal(err)
 			wall := time.Since(start)
 			st := res.Stats
-			fmt.Printf("timewarp: events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d abandoned=%d wall %v\n",
-				st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks, st.AbandonedCycles,
+			fmt.Printf("timewarp: events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d wall %v\n",
+				st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks,
 				wall.Round(time.Millisecond))
 			fmt.Println(waveDigest(nl.POs, res.Observed))
 			if rec != nil {
@@ -261,8 +261,8 @@ func main() {
 		fatal(err)
 		wall := time.Since(start)
 		st := res.Stats
-		fmt.Printf("timewarp-dist: workers=%d events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d abandoned=%d gvt=%d wall %v\n",
-			*workers, st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks, st.AbandonedCycles,
+		fmt.Printf("timewarp-dist: workers=%d events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d gvt=%d wall %v\n",
+			*workers, st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks,
 			res.FinalGVT, wall.Round(time.Millisecond))
 		if st.Messages > 0 || res.WireFramesSent > 0 {
 			fmt.Printf("wire: frames sent=%d recv=%d\n", res.WireFramesSent, res.WireFramesRecv)

@@ -148,12 +148,6 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n.tr.Send(e.id, dst, msg)
 }
 
-// Pending reports whether the mailbox holds a message, at the cost of one
-// atomic load. It does not poll the transport: a receiver in the middle of
-// something it would rather not interrupt asks Pending often and Poll at
-// whatever rate the transport's sockets are worth.
-func (e *Endpoint) Pending() bool { return e.ready.Load() }
-
 // Poll gives a polled transport the chance to deliver what its sockets
 // hold; with any other transport it does nothing.
 func (e *Endpoint) Poll() {

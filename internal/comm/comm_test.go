@@ -223,12 +223,13 @@ func TestDrainAfterCloseUnderTransportFlush(t *testing.T) {
 	}
 }
 
-// TestPendingMirrorsTheMailbox: Pending is the lock-free answer to "would
-// TryRecvAll return something", across sends, drains and Close.
+// TestPendingMirrorsTheMailbox: the ready flag, which an idle TryRecvAll
+// reads instead of taking the lock, is the answer to "would TryRecvAll
+// return something", across sends, drains and Close.
 func TestPendingMirrorsTheMailbox(t *testing.T) {
 	n := NewNetwork(2)
 	ep := n.Endpoint(1)
-	if ep.Pending() {
+	if ep.ready.Load() {
 		t.Fatal("empty mailbox reports pending")
 	}
 	if msgs := ep.TryRecvAll(); msgs != nil {
@@ -236,25 +237,25 @@ func TestPendingMirrorsTheMailbox(t *testing.T) {
 	}
 	n.Endpoint(0).Send(1, "a")
 	n.Endpoint(0).Send(1, "b")
-	if !ep.Pending() {
+	if !ep.ready.Load() {
 		t.Fatal("two queued messages, nothing pending")
 	}
 	ep.Close()
-	if !ep.Pending() {
+	if !ep.ready.Load() {
 		t.Fatal("Close emptied the mailbox flag; the messages are still there to drain")
 	}
 	if msgs := ep.TryRecvAll(); len(msgs) != 2 {
 		t.Fatalf("drained %v, want both messages", msgs)
 	}
-	if ep.Pending() {
+	if ep.ready.Load() {
 		t.Fatal("drained mailbox still reports pending")
 	}
 	n.Endpoint(0).Send(1, "c")
-	if !ep.Pending() {
+	if !ep.ready.Load() {
 		t.Fatal("send after close not pending")
 	}
-	if msgs := ep.RecvWait(); len(msgs) != 1 || ep.Pending() {
-		t.Fatalf("RecvWait drained %v and left pending=%v", msgs, ep.Pending())
+	if msgs := ep.RecvWait(); len(msgs) != 1 || ep.ready.Load() {
+		t.Fatalf("RecvWait drained %v and left pending=%v", msgs, ep.ready.Load())
 	}
 }
 
@@ -303,9 +304,10 @@ func TestDrainsAlternateTwoBuffers(t *testing.T) {
 }
 
 // TestPendingPolledBesideSenders is the kernel's use under the race
-// detector: senders deliver while the one receiver asks Pending between
-// other work and drains only when told to. Nothing is lost, every link
-// stays FIFO, and the flag never strands a message.
+// detector: senders deliver while the one receiver polls with TryRecvAll,
+// which most of the time finds the ready flag down and returns at once.
+// Nothing is lost, every link stays FIFO, and the flag never strands a
+// message.
 func TestPendingPolledBesideSenders(t *testing.T) {
 	const senders, per = 3, 2000
 	n := NewNetwork(senders + 1)
@@ -323,14 +325,15 @@ func TestPendingPolledBesideSenders(t *testing.T) {
 	next := make([]int, senders)
 	got := 0
 	for deadline := time.Now().Add(20 * time.Second); got < senders*per; {
-		if !ep.Pending() {
+		msgs := ep.TryRecvAll()
+		if msgs == nil {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d of %d messages arrived and nothing is pending", got, senders*per)
 			}
 			runtime.Gosched()
 			continue
 		}
-		for _, m := range ep.TryRecvAll() {
+		for _, m := range msgs {
 			si := m.([2]int)
 			if si[1] != next[si[0]] {
 				t.Fatalf("link %d delivered %d, want %d", si[0], si[1], next[si[0]])
@@ -340,7 +343,7 @@ func TestPendingPolledBesideSenders(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if ep.Pending() || n.InFlight() != 0 {
-		t.Errorf("after the last message: pending=%v, in flight %d", ep.Pending(), n.InFlight())
+	if ep.ready.Load() || n.InFlight() != 0 {
+		t.Errorf("after the last message: pending=%v, in flight %d", ep.ready.Load(), n.InFlight())
 	}
 }

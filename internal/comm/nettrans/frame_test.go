@@ -152,11 +152,11 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
-	// A worker built while events still carried their causality lineage
-	// and a run spec no observe list.
-	v6 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 6), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v6); err == nil || !strings.Contains(err.Error(), "protocol version 6, this build speaks 7") {
-		t.Fatalf("version-6 hello: error %v, want the version refused", err)
+	// A worker built while a run spec still carried an optimism window and
+	// the round report's counters an abandoned-cycle count.
+	v7 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 7), "10.0.0.1:9"), 0)
+	if _, err := DecodeHello(v7); err == nil || !strings.Contains(err.Error(), "protocol version 7, this build speaks 8") {
+		t.Fatalf("version-7 hello: error %v, want the version refused", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")

@@ -42,7 +42,7 @@ func TestDistributedFuzzSpecs(t *testing.T) {
 			co, err := timewarp.NewCoordinator(timewarp.CoordConfig{
 				Spec: &timewarp.DistSpec{
 					Source: c.Source, Top: c.Top, GateParts: parts, K: k,
-					Cycles: spec.Cycles, Window: spec.Window, VecSeed: spec.GenSeed,
+					Cycles: spec.Cycles, VecSeed: spec.GenSeed,
 					Observe: state,
 				},
 				Workers:      min(2, k),

@@ -51,7 +51,6 @@ type Spec struct {
 	Partition string // multiway | recursive | scatter
 	B         float64
 	Cycles    uint64
-	Window    uint64
 	Chaos     *comm.ChaosConfig // nil = benign direct delivery
 	// Packed additionally runs the cluster model twice — scalar and
 	// 64-wide bit-parallel trace generators — and fails on any Result
@@ -74,11 +73,11 @@ func NewSpec(seed int64, chaos bool) Spec {
 		Partition: partitioners[rng.Intn(len(partitioners))],
 		B:         2.5 * float64(1+rng.Intn(6)), // 2.5..15
 		Cycles:    uint64(40 + rng.Intn(120)),
-		Window:    uint64(4 + rng.Intn(12)),
 	}
-	// Four draws the kernel's former checkpoint options and its batching
-	// switch consumed, still made so that every later field — and every
-	// historical replay seed — derives as before.
+	// Five draws the kernel's former optimism window, checkpoint options and
+	// batching switch consumed, still made so that every later field — and
+	// every historical replay seed — derives as before.
+	rng.Intn(12)
 	rng.Intn(6)
 	rng.Intn(3)
 	rng.Intn(8)
@@ -242,7 +241,6 @@ func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.
 		Vectors:      vs,
 		Cycles:       spec.Cycles,
 		Observe:      state,
-		Window:       spec.Window,
 		StallTimeout: stallTimeout,
 		RunTimeout:   4 * stallTimeout,
 		Faults:       faults,
@@ -316,7 +314,7 @@ func diffPackedModel(spec Spec, nl *netlist.Netlist, parts []int32, k int) strin
 		return clustersim.Run(clustersim.Config{
 			NL: nl, GateParts: parts, K: k,
 			Vectors: sim.RandomVectors{Seed: spec.GenSeed},
-			Cycles:  spec.Cycles, Window: spec.Window, Packed: mode,
+			Cycles:  spec.Cycles, Packed: mode,
 		})
 	}
 	scalar, err := run(clustersim.PackedOff)

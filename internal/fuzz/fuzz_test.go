@@ -62,7 +62,7 @@ func adversarialSpec(seed int64) Spec {
 	return Spec{
 		Seed: seed, Family: "lfsr", GenSeed: seed, Size: 3,
 		K: 3, Partition: "scatter", B: 10,
-		Cycles: 150, Window: 8,
+		Cycles: 150,
 		Chaos: &comm.ChaosConfig{
 			Seed: seed, MaxDelay: 200 * time.Microsecond,
 			StallEvery: 16, StallFor: 2 * time.Millisecond,
@@ -155,7 +155,7 @@ func TestPartitionerFallbackRecorded(t *testing.T) {
 	spec := Spec{
 		Seed: 1, Family: "lfsr", GenSeed: 1, Size: 1,
 		K: 6, Partition: "multiway", B: 2.5,
-		Cycles: 20, Window: 8,
+		Cycles: 20,
 	}
 	res := Execute(spec, nil, testStall)
 	if res.Err != nil {

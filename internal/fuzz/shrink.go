@@ -69,11 +69,6 @@ func shrinkCandidates(spec Spec) []Spec {
 		c.K--
 		cands = append(cands, c)
 	}
-	if spec.Window != 8 {
-		c := spec
-		c.Window = 8
-		cands = append(cands, c)
-	}
 	if spec.Chaos != nil {
 		c := spec
 		c.Chaos = nil
@@ -98,7 +93,7 @@ func ReproSnippet(spec Spec, failure string) string {
 	fmt.Fprintf(&b, "\t\tSeed: %d, Family: %q, GenSeed: %d, Size: %d,\n",
 		spec.Seed, spec.Family, spec.GenSeed, spec.Size)
 	fmt.Fprintf(&b, "\t\tK: %d, Partition: %q, B: %g,\n", spec.K, spec.Partition, spec.B)
-	fmt.Fprintf(&b, "\t\tCycles: %d, Window: %d,\n", spec.Cycles, spec.Window)
+	fmt.Fprintf(&b, "\t\tCycles: %d,\n", spec.Cycles)
 	if spec.Packed {
 		fmt.Fprintf(&b, "\t\tPacked: true,\n")
 	}

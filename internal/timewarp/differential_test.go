@@ -44,8 +44,8 @@ func TestDifferentialWorkloadsVsSequential(t *testing.T) {
 // cluster 0 is the fan-in closure of one gate (every input of a cluster-0
 // gate comes from a PI, a constant or cluster 0), and the other gates are
 // spread at random over clusters 1–3. Cluster 0 can be sent nothing, so it
-// sweeps its cycle and sends its settled boundary nets stamped one delta
-// into the cycle; its readers roll back among themselves as usual. Under
+// keeps no rollback record, and it sends its settled boundary nets stamped
+// one delta into the cycle; its readers roll back among themselves as usual. Under
 // direct and chaos delivery every primary output and flip-flop must match
 // the sequential reference, cluster 0 must keep no rollback record, and it
 // must have sent gate-driven events — the sweep's own sends, not only its

@@ -742,7 +742,6 @@ func TestDistSpecRoundTrip(t *testing.T) {
 		GateParts: []int32{0, 1, 1, 0},
 		K:         2,
 		Cycles:    77,
-		Window:    6,
 		VecSeed:   -12345,
 		Observe:   []netlist.NetID{3, 0, 7},
 	}
@@ -791,11 +790,21 @@ func TestDistSpecRoundTrip(t *testing.T) {
 	}
 
 	// A blob in another build's layout may decode field by field; only
-	// its length tells (protocol version 4 carried a batching bool between
-	// Window and VecSeed).
+	// its length tells.
 	if _, err := DecodeDistSpec(append(blob, 1)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("spec with a trailing byte: error %v, want trailing bytes rejected", err)
 	}
+	if _, err := DecodeDistSpec(distSpecV7(s)); err == nil {
+		t.Fatal("spec in protocol version 7's layout accepted")
+	}
+}
+
+// distSpecV7 encodes s in protocol version 7's layout, which carried an
+// optimism window (the default, 8) between Cycles and VecSeed.
+func distSpecV7(s *DistSpec) []byte {
+	blob := AppendDistSpec(nil, s)
+	at := len(blob) - 8 - 4 - 4*len(s.Observe) // where VecSeed begins
+	return append(nettrans.AppendU64(blob[:at:at], 8), blob[at:]...)
 }
 
 // FuzzDistProtoDecode hardens every distributed control payload decoder
@@ -804,6 +813,8 @@ func TestDistSpecRoundTrip(t *testing.T) {
 func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1}))
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
+		Observe: []netlist.NetID{2, 0}}))
+	f.Add(distSpecV7(&DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
 		Observe: []netlist.NetID{2, 0}}))
 	f.Add(appendReport(nil, distReport{Round: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}},

@@ -31,7 +31,6 @@ type DistSpec struct {
 	GateParts []int32
 	K         int
 	Cycles    uint64
-	Window    uint64
 	// VecSeed seeds sim.RandomVectors; stimulus is derived, not shipped.
 	VecSeed int64
 	// Observe lists the nets whose committed per-cycle values the run
@@ -94,7 +93,6 @@ func (s *DistSpec) config(nl *netlist.Netlist) Config {
 		K:         s.K,
 		Vectors:   sim.RandomVectors{Seed: s.VecSeed},
 		Cycles:    s.Cycles,
-		Window:    s.Window,
 		Observe:   s.Observe,
 	}
 }
@@ -110,7 +108,6 @@ func AppendDistSpec(dst []byte, s *DistSpec) []byte {
 	}
 	dst = nettrans.AppendU32(dst, uint32(s.K))
 	dst = nettrans.AppendU64(dst, s.Cycles)
-	dst = nettrans.AppendU64(dst, s.Window)
 	dst = nettrans.AppendI64(dst, s.VecSeed)
 	dst = nettrans.AppendU32(dst, uint32(len(s.Observe)))
 	for _, n := range s.Observe {
@@ -140,7 +137,6 @@ func DecodeDistSpec(p []byte) (*DistSpec, error) {
 	}
 	s.K = int(int32(d.U32()))
 	s.Cycles = d.U64()
-	s.Window = d.U64()
 	s.VecSeed = d.I64()
 	if n := d.U32(); d.Err() == nil && n > 0 {
 		if uint64(n)*4 > uint64(d.Len()) {

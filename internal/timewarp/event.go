@@ -7,10 +7,14 @@
 // rolling back — writing back what the undone cycles overwrote — cancelling
 // already-sent events with anti-messages, and replaying.
 //
-// Virtual time is shared verbatim with the sequential simulator
-// (cycle*DeltaRange + delta), so a Time Warp run over any partitioning
-// commits exactly the same per-cycle waveforms as sim.Simulator — the
-// correctness property the tests assert.
+// Each cluster executes a cycle by one levelized sweep of its own gates
+// (sim.Settle over its slice of the sequential sweep's table). Virtual time
+// is cycle*DeltaRange + delta with the sequential simulator's DeltaRange: a
+// boundary net's settled value is stamped base+1 of its cycle, a flip-flop
+// output's change the next cycle's base, and a cycle applies every event
+// stamped inside it before it settles. So a Time Warp run over any
+// partitioning commits exactly the same per-cycle waveforms as
+// sim.Simulator — the correctness property the tests assert.
 package timewarp
 
 import (

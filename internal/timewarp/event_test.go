@@ -178,7 +178,7 @@ func driveInputQueue(t *testing.T, data []byte) {
 				ref[k].consumed = ref[k].consumed || ref[k].e.T < c.cycle*R
 			}
 			check("consume")
-		case 12: // a rollback somebody else asked for (an abandoned cycle's, a benchmark's)
+		case 12: // a rollback somebody else asked for (a benchmark's)
 			resolve()
 			tc := fossil + arg%(c.cycle-fossil+1)
 			if got, want := c.rewind(tc*R), ref.unconsume(tc*R); got != want {

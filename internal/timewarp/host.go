@@ -44,9 +44,6 @@ func (cfg *Config) prepare() (*sim.Sweep, error) {
 		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
 			len(cfg.GateParts), len(cfg.NL.Gates))
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 8
-	}
 	for _, n := range cfg.Observe {
 		if n < 0 || int(n) >= len(cfg.NL.Nets) {
 			return nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))

@@ -23,10 +23,6 @@ type Config struct {
 	Vectors sim.VectorSource
 	// Cycles is the number of input vectors to simulate.
 	Cycles uint64
-	// Window bounds optimism: a cluster may run at most Window cycles
-	// ahead of the slowest cluster (also bounds rollback depth and wasted
-	// speculative work). Default 8.
-	Window uint64
 	// Observe lists nets whose committed per-cycle (post-latch) values
 	// are recorded; defaults to the primary outputs.
 	Observe []netlist.NetID
@@ -74,25 +70,18 @@ type Stats struct {
 	Messages     uint64 // positive inter-cluster events sent
 	AntiMessages uint64 // cancellations sent
 	Rollbacks    uint64 // rollback occurrences
-	// Events counts gate evaluations executed, re-execution included: a
-	// cluster on the delta-event loop counts the gates its events reached,
-	// a sweeping one every own gate (flip-flops too) once a cycle (DESIGN.md
-	// §26). It is not comparable with sim.Simulator.Events even on a run
-	// that never rolls back: the event loop writes a gate's output at once
-	// within a delta, the sequential simulator evaluates a whole delta
-	// before applying it and so re-evaluates gates the kernel reaches once
-	// (DESIGN.md §20).
+	// Events counts gate evaluations executed, re-execution included:
+	// every cycle a cluster executes evaluates each own gate, flip-flops
+	// too, once (DESIGN.md §26). It is not comparable with
+	// sim.Simulator.Events, which counts the gates the sequential
+	// simulator's delta events reach (DESIGN.md §20).
 	Events           uint64
 	RolledBackEvents uint64 // evaluations undone by rollbacks
 	// Checkpoints counts rollback records written: one per executed cycle,
-	// re-executed and abandoned ones included, in every cluster that reads a
-	// net another cluster drives; none in a cluster that does not, which
-	// nothing can roll back.
+	// re-executed ones included, in every cluster that reads a net another
+	// cluster drives; none in a cluster that does not, which nothing can
+	// roll back.
 	Checkpoints uint64
-	// AbandonedCycles counts cycles given up part-way because a straggler
-	// for them arrived while they executed. Each is also one of Rollbacks,
-	// and what it had evaluated is in Events and RolledBackEvents.
-	AbandonedCycles uint64
 	// MaxStragglerDepth is the deepest single rollback in cycles (LVT
 	// minus restored cycle) — how far behind its cluster the worst
 	// straggler arrived. Aggregated by max, not sum.

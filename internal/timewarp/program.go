@@ -14,41 +14,24 @@ import (
 // written afterwards.
 //
 // Nets keep their global netlist.NetID: values, events and rollback records
-// are net-indexed, and a net id is what clusters exchange. Gates are
-// renumbered cluster-locally — the own combinational gates in ascending
-// GateID order, the own flip-flops likewise in a table of their own — so
-// the gate table and the scratch marks over it are dense in the cluster's
-// own gates.
-//
-// A cluster that cannot be sent an event (remoteIn false) sweeps its cycle
-// (sweepCycle, DESIGN §26): its combinational gates are the one table tab,
-// and it has no gates, sinks or sinkOff.
+// are net-indexed, and a net id is what clusters exchange. Every cluster has
+// the one layout: its combinational gates are a slice of the host's
+// sim.Sweep table, its flip-flops a table of their own.
 type program struct {
-	// tab are the own combinational gates of a sweeping cluster, in the
-	// host's sim.Sweep topological order; bound are those of their outputs
-	// another cluster reads, in the same order.
+	// tab are the own combinational gates, in the host's sim.Sweep
+	// topological order; bound are those of their outputs another cluster
+	// reads, in the same order.
 	tab   []sim.TruthGate
 	bound []netlist.NetID
-
-	// gates are the own combinational gates, indexed by local gate: each
-	// one 16-byte record of its inputs, output and truth table
-	// (sim.TruthGate), and whether another cluster reads its output. A
-	// gate of more than two inputs is evaluated by sim.EvalGate from its
-	// netlist gate (TT == sim.Wide).
-	gates []gate
 	// latch are the own flip-flops: d input, q output, and whether another
 	// cluster reads q. The clock is a global tick, not an event.
 	latch []latchGate
 
-	// Fan-out, CSR by NetID (offset arrays have one entry per net plus
-	// one). sinks[sinkOff[n]:sinkOff[n+1]] are the own combinational
-	// readers of net n in ascending order — the order a delta evaluates
-	// them in; dsts[dstOff[n]:dstOff[n+1]] are the other clusters reading
-	// n, non-empty only when an own gate drives n.
-	sinkOff []uint32
-	sinks   []int32
-	dstOff  []uint32
-	dsts    []int32
+	// dsts[dstOff[n]:dstOff[n+1]] are the other clusters reading net n
+	// (CSR by NetID, one offset per net plus one), non-empty only when an
+	// own gate drives n.
+	dstOff []uint32
+	dsts   []int32
 
 	// ownPIs are the stimulus inputs read by own gates (cluster 0 mirrors
 	// all of them, to observe driverless nets); piPos[i] is the position
@@ -65,15 +48,8 @@ type program struct {
 	// — exactly when that cluster's program lists this one in its dsts. A
 	// cluster for which it is false is never sent an event, so it can meet
 	// no straggler and is never rolled back: remoteIn is what decides
-	// whether a cluster keeps rollback state or sweeps (newCluster).
+	// whether a cluster keeps rollback state (newCluster).
 	remoteIn bool
-}
-
-// gate is one own combinational gate. remote says its output has readers
-// in other clusters, so a change of it is sent.
-type gate struct {
-	sim.TruthGate
-	remote bool
 }
 
 // latchGate is one own flip-flop.
@@ -106,62 +82,28 @@ func compile(sw *sim.Sweep, gateParts []int32, id int32, observe []netlist.NetID
 	}
 	remote := func(n netlist.NetID) bool { return p.dstOff[n] != p.dstOff[n+1] }
 
-	// Gate tables, each allocated at its final size: one pass counts the
-	// own gates, and (for the event tables) sinkOff[n+1] the own
-	// combinational readers of net n.
-	if p.remoteIn {
-		p.sinkOff = make([]uint32, len(nl.Nets)+1)
-	}
+	// Both gate tables are allocated at their final size: one pass counts
+	// the own gates, the next fills the flip-flops in gate order.
 	nComb, nLatch := 0, 0
 	for gi := range nl.Gates {
-		switch g := &nl.Gates[gi]; {
+		switch {
 		case gateParts[gi] != id:
-		case g.Kind.Sequential():
+		case nl.Gates[gi].Kind.Sequential():
 			nLatch++
 		default:
 			nComb++
-			if p.remoteIn {
-				for _, in := range g.Inputs {
-					p.sinkOff[in+1]++
-				}
-			}
 		}
 	}
 	p.latch = make([]latchGate, 0, nLatch)
-	var next []uint32 // next[n]: the write cursor of net n's range of sinks
-	if !p.remoteIn {
-		p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), func(g netlist.GateID) bool { return gateParts[g] == id })
-		for _, t := range p.tab {
-			if remote(t.Out) {
-				p.bound = append(p.bound, t.Out)
-			}
-		}
-	} else {
-		// Counts → offsets; the pass below fills the tables in gate order.
-		for n := range nl.Nets {
-			p.sinkOff[n+1] += p.sinkOff[n]
-		}
-		p.sinks = make([]int32, p.sinkOff[len(nl.Nets)])
-		next = append(next, p.sinkOff[:len(nl.Nets)]...)
-		p.gates = make([]gate, 0, nComb)
-	}
 	for gi := range nl.Gates {
-		if gateParts[gi] != id {
-			continue
-		}
-		g := &nl.Gates[gi]
-		if g.Kind.Sequential() {
+		if g := &nl.Gates[gi]; gateParts[gi] == id && g.Kind.Sequential() {
 			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)})
-			continue
 		}
-		if !p.remoteIn {
-			continue
-		}
-		l := int32(len(p.gates))
-		p.gates = append(p.gates, gate{TruthGate: sim.CompileGate(nl, g.ID), remote: remote(g.Output)})
-		for _, in := range g.Inputs {
-			p.sinks[next[in]] = l
-			next[in]++
+	}
+	p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), func(g netlist.GateID) bool { return gateParts[g] == id })
+	for _, t := range p.tab {
+		if remote(t.Out) {
+			p.bound = append(p.bound, t.Out)
 		}
 	}
 

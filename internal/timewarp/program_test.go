@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/elab"
@@ -59,8 +58,8 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	if len(p.tab) != len(nl.Gates) {
 		t.Fatalf("program has %d combinational gates, netlist %d", len(p.tab), len(nl.Gates))
 	}
-	// One cluster owns every gate and nothing can send it an event, so its
-	// gates are one sweep table; a record's gate drives its output. A gate
+	// One cluster owns every gate, all of them in its sweep table; a
+	// record's gate drives its output. A gate
 	// of one or two inputs must be tabulated, and its table must be
 	// sim.EvalGate's; a wider one must name itself for sim.Settle to hand
 	// to sim.EvalGate. Routing every gate to the wide path would evaluate
@@ -94,7 +93,6 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 // TestProgramTablesMatchNetlist recomputes, naively from the netlist and
 // the partition, what each table of every cluster's program must hold.
 func TestProgramTablesMatchNetlist(t *testing.T) {
-	sweeps := 0 // clusters with one sweep table instead of event tables
 	for _, tc := range distWorkloads() {
 		ed, err := tc.c.Elaborate()
 		if err != nil {
@@ -113,9 +111,6 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			progs := make([]*program, k)
 			for id := range progs {
 				progs[id] = compile(sw, res.GateParts, int32(id), nl.POs)
-				if !progs[id].remoteIn {
-					sweeps++
-				}
 				checkProgram(t, fmt.Sprintf("%s k=%d cluster %d", tc.name, k, id),
 					nl, res.GateParts, int32(id), progs[id])
 			}
@@ -133,23 +128,14 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			}
 		}
 	}
-	if sweeps == 0 {
-		t.Error("no partition has a cluster that sweeps: checkSweepTable checked nothing")
-	}
 }
 
 func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program) {
 	t.Helper()
-	// Local gate → GateID: own combinational gates, then own flip-flops.
-	var global, dffs []netlist.GateID
+	var dffs []netlist.GateID
 	for gi := range nl.Gates {
-		if parts[gi] != id {
-			continue
-		}
-		if nl.Gates[gi].Kind.Sequential() {
+		if parts[gi] == id && nl.Gates[gi].Kind.Sequential() {
 			dffs = append(dffs, netlist.GateID(gi))
-		} else {
-			global = append(global, netlist.GateID(gi))
 		}
 	}
 	remote := func(n netlist.NetID) bool {
@@ -160,32 +146,9 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		}
 		return false
 	}
-	if !p.remoteIn {
-		checkSweepTable(t, label, nl, parts, id, p, remote)
-		global = nil // a sweeping cluster has no event tables
-	}
-	if len(p.gates) != len(global) || len(p.latch) != len(dffs) {
-		t.Fatalf("%s: %d gates and %d flip-flops, want %d and %d", label, len(p.gates), len(p.latch), len(global), len(dffs))
-	}
-	for l, gi := range global {
-		g := &nl.Gates[gi]
-		want := gate{remote: remote(g.Output)}
-		want.Out = g.Output
-		switch len(g.Inputs) {
-		case 1, 2:
-			want.A, want.B = g.Inputs[0], g.Inputs[len(g.Inputs)-1]
-			for i := range 4 { // bit a|b<<1, from the parser's evaluator
-				if g.Kind.Eval([]bool{i&1 != 0, i&2 != 0}[:len(g.Inputs)]) {
-					want.TT |= 1 << i
-				}
-			}
-		default:
-			want.A, want.TT = netlist.NetID(gi), sim.Wide
-		}
-		if p.gates[l] != want {
-			t.Fatalf("%s: local gate %d is %+v, netlist gate %s (%v %v → %d) wants %+v",
-				label, l, p.gates[l], g.Path, g.Kind, g.Inputs, g.Output, want)
-		}
+	checkSweepTable(t, label, nl, parts, id, p, remote)
+	if len(p.latch) != len(dffs) {
+		t.Fatalf("%s: %d flip-flops, want %d", label, len(p.latch), len(dffs))
 	}
 	for i, gi := range dffs {
 		g := &nl.Gates[gi]
@@ -196,36 +159,12 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 
 	for n := range nl.Nets {
 		net := &nl.Nets[n]
-		var wantSinks []int
 		wantDsts := map[int32]bool{}
 		for _, s := range net.Sinks {
-			if parts[s] == id && !nl.Gates[s].Kind.Sequential() {
-				wantSinks = append(wantSinks, int(s))
-			}
 			if net.Driver != netlist.NoGate && parts[net.Driver] == id && parts[s] != id {
 				wantDsts[parts[s]] = true
 			}
 		}
-		sort.Ints(wantSinks)
-		wantSinks = slices.Compact(wantSinks)
-
-		if !p.remoteIn {
-			wantSinks = nil
-		}
-		var gotSinks []int
-		for _, l := range sinksOf(p, netlist.NetID(n)) {
-			if l < 0 || int(l) >= len(p.gates) {
-				t.Fatalf("%s: net %s sink %d is not a combinational local gate", label, net.Name, l)
-			}
-			gotSinks = append(gotSinks, int(global[l]))
-		}
-		if !sort.IntsAreSorted(gotSinks) {
-			t.Fatalf("%s: net %s sinks %v not ascending: a delta would evaluate them in another order", label, net.Name, gotSinks)
-		}
-		if got := slices.Compact(gotSinks); fmt.Sprint(got) != fmt.Sprint(wantSinks) {
-			t.Fatalf("%s: net %s sinks %v, want %v", label, net.Name, got, wantSinks)
-		}
-
 		gotDsts := p.readers(netlist.NetID(n))
 		if len(gotDsts) != len(wantDsts) {
 			t.Fatalf("%s: net %s read by clusters %v, want %v", label, net.Name, gotDsts, wantDsts)
@@ -260,25 +199,13 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 }
 
-// sinksOf returns the own combinational readers of net n in p's event
-// tables; a sweeping cluster has none.
-func sinksOf(p *program, n netlist.NetID) []int32 {
-	if p.sinkOff == nil {
-		return nil
-	}
-	return p.sinks[p.sinkOff[n]:p.sinkOff[n+1]]
-}
-
-// checkSweepTable checks the one table of a cluster nothing can send an
-// event to: every own combinational gate once, as sim.CompileGate compiles
-// it, each after the own gates driving its inputs; bound lists the table's
-// outputs another cluster reads, in table order; no event tables are built.
+// checkSweepTable checks a cluster's one table: every own combinational
+// gate once, as sim.CompileGate compiles it, each after the own gates
+// driving its inputs; bound lists the table's outputs another cluster reads,
+// in table order.
 func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program,
 	remote func(netlist.NetID) bool) {
 	t.Helper()
-	if p.gates != nil || p.sinks != nil || p.sinkOff != nil {
-		t.Fatalf("%s: a sweeping cluster built event tables: %d gates, %d sinks", label, len(p.gates), len(p.sinks))
-	}
 	settled := make([]bool, len(nl.Nets)) // outputs of table entries seen so far
 	var own int
 	var bound []netlist.NetID

@@ -19,8 +19,8 @@ import (
 // rollback record back; the re-execution regenerates the event it sent, so
 // nothing goes out, and writes that record again. The cost must not depend
 // on the history (the three sizes within 1.5× of each other): the
-// re-executed cycle allocates its record (2 allocs, 16 B on this ring — its
-// carry and the nets it wrote) and nothing that grows with the history.
+// re-executed cycle allocates its record (1 alloc, 8 B on this ring: the
+// nets it noted) and nothing that grows with the history.
 func BenchmarkRollbackHistory(b *testing.B) {
 	ring := &gen.Circuit{Name: "ring", Top: "ring", Source: `
 module ring (input clk, output out);
@@ -95,11 +95,14 @@ endmodule
 }
 
 // BenchmarkSerialCutRun is a whole free-running kernel run on the serial cut
-// (the benchmark's viterbi_tw_rollback partition). An event for a cycle its
-// receiver has reached leaves its sender at once rather than at cycle end,
-// so the receiver has run less far ahead when it lands: rolledback/executed
-// is the share of gate evaluations undone and events/message the mean batch,
-// beside the wall time per run.
+// (the benchmark's viterbi_tw_rollback partition): both clusters sweep their
+// cycles, as every cluster does, and both keep rollback records, since each
+// hears from the other. An event for a cycle its receiver has reached leaves
+// its sender at once rather than at cycle end, so the receiver has run less
+// far ahead when it lands: rolledback/executed is the share of gate
+// evaluations undone and events/message the mean batch, beside the wall time
+// per run. BenchmarkClusterForward (the repository root) times the sweep
+// without records.
 func BenchmarkSerialCutRun(b *testing.B) {
 	ed, parts := serialCut(b)
 	defer func(on bool) { CheckInvariants = on }(CheckInvariants)

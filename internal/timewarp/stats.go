@@ -15,7 +15,6 @@ type atomicStats struct {
 	events            atomic.Uint64
 	rolledBackEvents  atomic.Uint64
 	checkpoints       atomic.Uint64
-	abandonedCycles   atomic.Uint64
 	maxStragglerDepth atomic.Uint64 // single-writer max; see noteMax
 	queueLen          atomic.Int64  // pending remote events (gauge)
 
@@ -35,11 +34,10 @@ func (s *atomicStats) noteMax(d uint64) {
 }
 
 // fields lists the counters of s in Stats.fields order.
-func (s *atomicStats) fields() [10]*atomic.Uint64 {
-	return [10]*atomic.Uint64{
+func (s *atomicStats) fields() [9]*atomic.Uint64 {
+	return [9]*atomic.Uint64{
 		&s.messages, &s.antiMessages, &s.rollbacks, &s.events, &s.rolledBackEvents,
 		&s.checkpoints, &s.maxStragglerDepth, &s.batches, &s.batchedEvents,
-		&s.abandonedCycles,
 	}
 }
 
@@ -56,11 +54,10 @@ func (s *atomicStats) Snapshot() Stats {
 
 // fields lists every counter of s in wire order — the one enumeration
 // the accumulator, the wire codec and the tw_* series share.
-func (s *Stats) fields() [10]*uint64 {
-	return [10]*uint64{
+func (s *Stats) fields() [9]*uint64 {
+	return [9]*uint64{
 		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
 		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
-		&s.AbandonedCycles,
 	}
 }
 
@@ -68,7 +65,7 @@ func (s *Stats) fields() [10]*uint64 {
 // row i for fields()[i]. A host samples its clusters' atomics under these
 // names, and a coordinator the last Stats each worker reported, so a
 // distributed run's scrape shows the series an in-process run does.
-var statSeries = [10]struct{ name, help string }{
+var statSeries = [9]struct{ name, help string }{
 	{"tw_messages", "positive inter-cluster events sent"},
 	{"tw_anti_messages", "cancellations sent"},
 	{"tw_rollbacks", "rollback occurrences"},
@@ -78,7 +75,6 @@ var statSeries = [10]struct{ name, help string }{
 	{"tw_max_straggler_depth", "deepest single rollback in cycles"},
 	{"tw_batches", "inter-cluster comm messages sent (batches)"},
 	{"tw_batch_events", "events carried inside sent batches"},
-	{"tw_abandoned_cycles", "cycles given up part-way for a straggler"},
 }
 
 // add accumulates one cluster's statistics into a run total: counters

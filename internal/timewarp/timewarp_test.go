@@ -148,16 +148,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSmallWindowStillCorrect(t *testing.T) {
-	// A tiny optimism window forces tight coupling; results must not
-	// change.
-	ed, err := gen.Multiplier(4).Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBothCfg(t, ed, randomParts(ed.Netlist, 3, 2), 3, 80, 21, func(c *Config) { c.Window = 2 })
-}
-
 func TestSoCPartitionedMatchesSequential(t *testing.T) {
 	// Two loosely coupled decoder channels: the k=2 partition should align
 	// with channels (few messages); correctness must hold either way.
@@ -223,14 +213,12 @@ func TestBatchingCoalesces(t *testing.T) {
 }
 
 func TestFossilCollectionRacesDeepRollback(t *testing.T) {
-	// A run with a wide window: GVT advances and fossil-collects while
-	// stragglers force deep rollbacks near the fossil line. Run under -race
-	// in CI; the waveform oracle plus the kernel's fossil-restore invariant
-	// check catch any unsafe trim.
+	// GVT advances and fossil-collects while stragglers force deep
+	// rollbacks near the fossil line. Run under -race in CI; the waveform
+	// oracle plus the kernel's fossil-restore invariant check catch any
+	// unsafe trim.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) {
-		c.Window = 16
-	}).Stats
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(*Config) {}).Stats
 	if st.Rollbacks == 0 {
 		t.Error("expected rollbacks in the fossil/rollback race test")
 	}

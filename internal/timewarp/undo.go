@@ -11,14 +11,20 @@ import (
 // when it changes, so what a cycle's first write of a net overwrote is the
 // complement of what the net holds right after it; later writes of the net
 // in the same cycle need no entry.
+//
+// The restore rule: a record holds every net the cycle wrote that is read
+// before the cluster writes it again — stimulus inputs, remote inputs,
+// boundary nets (whose old value decides what the next settle sends) and
+// flip-flop outputs. An own combinational output no other cluster reads is
+// left out: re-executing the restored cycle, the settle rewrites it from its
+// inputs, in topological order, before anything reads it (DESIGN §26).
 type cycleRec struct {
-	carry []netlist.NetID // q changes pending at the cycle's delta 0
-	old   []uint32        // net<<1 | the bit it held, once per net written
-	evals uint64          // gate evaluations, of a whole or abandoned cycle
+	old   []uint32 // net<<1 | the bit it held, once per net noted
+	evals uint64   // gate evaluations of the cycle
 }
 
-// undoLog is all the rollback state a cluster keeps for its net values,
-// carry and evaluation counts: hist[i] is the record of cycle fossil+i, one
+// undoLog is all the rollback state a cluster keeps for its net values and
+// evaluation counts: hist[i] is the record of cycle fossil+i, one
 // per executed cycle from the fossil line to the one executing. A rollback
 // truncates it, re-execution appends again, and a dropped record is garbage:
 // nothing is pooled (DESIGN §28). Only the owning cluster goroutine calls it.
@@ -33,9 +39,9 @@ type undoLog struct {
 	stamp uint64
 }
 
-// begin opens the record of the next cycle, which starts with carry pending.
-func (u *undoLog) begin(carry []netlist.NetID) {
-	u.hist = append(u.hist, cycleRec{carry: append([]netlist.NetID(nil), carry...)})
+// begin opens the record of the next cycle.
+func (u *undoLog) begin() {
+	u.hist = append(u.hist, cycleRec{})
 	u.stamp++
 	u.cur = u.cur[:0]
 }
@@ -54,22 +60,22 @@ func (u *undoLog) note(n netlist.NetID, values []bool) {
 	}
 }
 
-// end closes the open record: the cycle completed, or was abandoned, after
-// evals gate evaluations.
+// end closes the open record: the cycle completed after evals gate
+// evaluations.
 func (u *undoLog) end(evals uint64) {
 	r := &u.hist[len(u.hist)-1]
 	r.old, r.evals = append([]uint32(nil), u.cur...), evals
 }
 
-// undo takes values back to the start of cycle tc, newest record first, and
-// drops the records of tc and later, which re-execution writes again. It
-// returns tc's carry and the evaluations undone.
-func (u *undoLog) undo(tc uint64, values []bool) (carry []netlist.NetID, evals uint64, err error) {
+// undo takes the noted nets back to their values at the start of cycle tc,
+// newest record first, and drops the records of tc and later, which
+// re-execution writes again. It returns the evaluations undone.
+func (u *undoLog) undo(tc uint64, values []bool) (evals uint64, err error) {
 	if tc < u.fossil {
-		return nil, 0, fmt.Errorf("rollback to fossil-collected cycle %d (fossil line %d)", tc, u.fossil)
+		return 0, fmt.Errorf("rollback to fossil-collected cycle %d (fossil line %d)", tc, u.fossil)
 	}
 	if tc-u.fossil >= uint64(len(u.hist)) {
-		return nil, 0, fmt.Errorf("rollback to cycle %d, which has no checkpoint (fossil line %d, %d records)",
+		return 0, fmt.Errorf("rollback to cycle %d, which has no checkpoint (fossil line %d, %d records)",
 			tc, u.fossil, len(u.hist))
 	}
 	at := int(tc - u.fossil)
@@ -79,10 +85,9 @@ func (u *undoLog) undo(tc uint64, values []bool) (carry []netlist.NetID, evals u
 		}
 		evals += u.hist[i].evals
 	}
-	carry = u.hist[at].carry
 	clear(u.hist[at:])
 	u.hist = u.hist[:at]
-	return carry, evals, nil
+	return evals, nil
 }
 
 // trim fossil-collects the records below cycle line, which is at most the

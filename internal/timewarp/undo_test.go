@@ -9,25 +9,23 @@ import (
 )
 
 // driveUndoLog runs one schedule of the kernel's calls on an undo log —
-// begin / note / end around every cycle, whole or abandoned, undo for a
-// rollback, trim for a fossil collection — against a model that keeps one
-// full mirror and one carry per cycle. After every call each cycle from the
-// fossil line up restores to the model's values and carry with the model's
-// evaluations undone, the records are the executed cycles above the line, and
-// a rollback target without a record is an error that changes nothing.
+// begin / note / end around every cycle, undo for a rollback, trim for a
+// fossil collection — against a model that keeps one full mirror per cycle.
+// Every net the schedule writes is noted, so after every call each cycle
+// from the fossil line up restores to the model's values with the model's
+// evaluations undone, the records are the executed cycles above the line,
+// and a rollback target without a record is an error that changes nothing.
 func driveUndoLog(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
 	}
 	type mirror struct {
 		values []bool
-		carry  []netlist.NetID
 		evals  uint64
 	}
 	var (
 		values = make([]bool, 16+int(data[0]%112))
 		u      = &undoLog{mark: make([]uint64, len(values))}
-		carry  []netlist.NetID
 		model  = map[uint64]mirror{} // an entry at or above cycle is stale
 		cycle  uint64                // the next to execute
 		fossil uint64
@@ -44,17 +42,17 @@ func driveUndoLog(t *testing.T, data []byte) {
 		for c := cycle; c > fossil; {
 			c--
 			m := model[c]
-			gotCarry, gotEvals, err := cp.undo(c, out)
-			if err != nil || !slices.Equal(out, m.values) || !slices.Equal(gotCarry, m.carry) || gotEvals != m.evals {
-				t.Fatalf("after %s: undo(%d) = carry %v, %d evaluations, error %v; want carry %v, %d and the cycle's values",
-					what, c, gotCarry, gotEvals, err, m.carry, m.evals)
+			gotEvals, err := cp.undo(c, out)
+			if err != nil || !slices.Equal(out, m.values) || gotEvals != m.evals {
+				t.Fatalf("after %s: undo(%d) = %d evaluations, error %v; want %d and the cycle's values",
+					what, c, gotEvals, err, m.evals)
 			}
 		}
 	}
 	refused := func(tc uint64) {
 		t.Helper()
 		before, records := slices.Clone(values), len(u.hist)
-		if _, _, err := u.undo(tc, values); err == nil {
+		if _, err := u.undo(tc, values); err == nil {
 			t.Fatalf("undo(%d) with records of cycles %d to %d: no error", tc, fossil, cycle)
 		}
 		if !slices.Equal(values, before) || len(u.hist) != records {
@@ -66,20 +64,16 @@ func driveUndoLog(t *testing.T, data []byte) {
 	for _, b := range data[1:min(len(data), 1025)] {
 		op, arg := b&3, uint64(b>>2)
 		switch {
-		case op <= 1: // execute a cycle; op 0 abandons it before its latch
+		case op <= 1: // execute a cycle
 			evals := arg*3 + cycle%5
-			u.begin(carry)
-			model[cycle] = mirror{slices.Clone(values), slices.Clone(carry), evals}
-			carry = carry[:0]
+			u.begin()
+			model[cycle] = mirror{slices.Clone(values), evals}
 			for i := uint64(0); i < arg%7; i++ {
 				// i/3 makes consecutive writes hit the same net: it toggles
 				// two or three times inside the cycle.
 				n := netlist.NetID((arg*7 + cycle*13 + i/3*29) % uint64(len(values)))
 				values[n] = !values[n]
 				u.note(n, values)
-				if op == 1 && !slices.Contains(carry, n) {
-					carry = append(carry, n)
-				}
 			}
 			u.end(evals)
 			cycle++
@@ -95,12 +89,11 @@ func driveUndoLog(t *testing.T, data []byte) {
 			for c := tc; c < cycle; c++ {
 				want += model[c].evals
 			}
-			got, evals, err := u.undo(tc, values)
-			if err != nil || evals != want || !slices.Equal(values, model[tc].values) || !slices.Equal(got, model[tc].carry) {
-				t.Fatalf("undo(%d) from cycle %d = carry %v, %d evaluations, error %v; want carry %v, %d and the cycle's values",
-					tc, cycle, got, evals, err, model[tc].carry, want)
+			evals, err := u.undo(tc, values)
+			if err != nil || evals != want || !slices.Equal(values, model[tc].values) {
+				t.Fatalf("undo(%d) from cycle %d = %d evaluations, error %v; want %d and the cycle's values",
+					tc, cycle, evals, err, want)
 			}
-			carry = append(carry[:0], got...)
 			cycle = tc
 			check("rollback")
 		case op == 3: // fossil-collect up to a line at or below the LVT
@@ -116,8 +109,8 @@ func driveUndoLog(t *testing.T, data []byte) {
 func FuzzUndoLog(f *testing.F) {
 	f.Add([]byte{0})
 	// Three cycles, a rollback to cycle 1 and with nothing executed in
-	// between one to cycle 0, an abandoned cycle and a whole one, a trim to
-	// cycle 1, a rollback onto that line, two refused targets, a cycle.
+	// between one to cycle 0, two cycles, a trim to cycle 1, a rollback onto
+	// that line, two refused targets, a cycle.
 	f.Add([]byte{100, 0x15, 0x0d, 0x19, 0x06, 0x02, 0x14, 0x0d, 0x07, 0x02, 0x1e, 0x3e, 0x15})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
