@@ -114,7 +114,7 @@ func (n *Network) InFlight() int64 { return n.inFlight.Load() }
 // TotalSent returns the total number of messages sent on the network.
 func (n *Network) TotalSent() uint64 { return n.sent.Load() }
 
-// Endpoint is one mailbox, drained by one receiver. The receive calls hand
+// Endpoint is one mailbox, emptied by one receiver. The receive calls hand
 // out the mailbox's own buffer: the returned slice is valid until the next
 // receive call on the endpoint and must not be kept across it.
 type Endpoint struct {
@@ -133,9 +133,6 @@ type Endpoint struct {
 	closed bool
 }
 
-// ID returns the endpoint index.
-func (e *Endpoint) ID() int { return e.id }
-
 // Send hands msg to the network transport for delivery to endpoint dst.
 // It never blocks. With the default direct transport the message is in
 // dst's mailbox when Send returns; other transports may hold it — but a
@@ -146,14 +143,6 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n.inFlight.Add(1)
 	n.sent.Add(1)
 	n.tr.Send(e.id, dst, msg)
-}
-
-// Poll gives a polled transport the chance to deliver what its sockets
-// hold; with any other transport it does nothing.
-func (e *Endpoint) Poll() {
-	if p := e.net.poller; p != nil {
-		p.Poll()
-	}
 }
 
 // drain takes everything queued (nil when empty) and swaps the two mailbox
@@ -176,7 +165,9 @@ func (e *Endpoint) drain() []Message {
 // before (or even after) Close remain receivable — Close only wakes
 // blocked receivers, it never discards the mailbox.
 func (e *Endpoint) TryRecvAll() []Message {
-	e.Poll()
+	if p := e.net.poller; p != nil {
+		p.Poll()
+	}
 	if !e.ready.Load() {
 		return nil
 	}

@@ -4,16 +4,14 @@ import (
 	"fmt"
 )
 
-// Data-frame payload layout: [src u32][dst u32][era u64][message bytes].
-// The era is the Mattern GVT color of the send; the message bytes are the
-// kernel's own encoding (internal/timewarp/wire.go).
-const dataHdrLen = 4 + 4 + 8
+// Data-frame payload layout: [src u32][dst u32][message bytes]. The
+// message bytes are the kernel's own encoding (internal/timewarp/wire.go).
+const dataHdrLen = 4 + 4
 
 // AppendDataFrame builds a FrameData payload.
-func AppendDataFrame(dst []byte, src, dstCluster int, era uint64, msgBytes []byte) []byte {
+func AppendDataFrame(dst []byte, src, dstCluster int, msgBytes []byte) []byte {
 	dst = AppendU32(dst, uint32(src))
 	dst = AppendU32(dst, uint32(dstCluster))
-	dst = AppendU64(dst, era)
 	return append(dst, msgBytes...)
 }
 
@@ -22,7 +20,6 @@ func AppendDataFrame(dst []byte, src, dstCluster int, era uint64, msgBytes []byt
 // Conn.
 type DataFrame struct {
 	Src, Dst int
-	Era      uint64
 	Msg      []byte
 }
 
@@ -38,7 +35,6 @@ func DecodeDataFrame(p []byte, k int) (DataFrame, error) {
 	f := DataFrame{
 		Src: int(d.U32()),
 		Dst: int(d.U32()),
-		Era: d.U64(),
 	}
 	f.Msg = d.Rest()
 	if err := d.Err(); err != nil {

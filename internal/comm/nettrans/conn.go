@@ -31,7 +31,7 @@ func LinkDown(err error) bool {
 // frames concurrently (whole frames interleave, never bytes), and one
 // caller at a time receives them — either blocking in Recv (the control
 // plane and the handshakes, parked in the runtime's netpoller until a
-// frame arrives) or polling with TryRecv (the worker mesh, drained by the
+// frame arrives) or polling with TryRecv (the worker mesh, read by the
 // goroutines that consume the data; DESIGN §21). The write side flushes
 // per frame so a batch is on the wire when Send returns — latency over
 // syscall count, the right trade for the kernel's cycle-grained batches.
@@ -161,7 +161,7 @@ func (c *Conn) TryRecv(handle func(typ byte, payload []byte) error) error {
 			return c.fail(err)
 		}
 		if c.rawN < room {
-			return nil // a short read: the socket is drained
+			return nil // a short read: the socket is empty
 		}
 	}
 }

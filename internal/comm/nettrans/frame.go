@@ -4,9 +4,8 @@
 // binary records over stdlib net.Conn TCP streams, preserving per-link
 // FIFO across the wire (one stream per worker pair; TCP byte order is
 // delivery order), and carries the control plane of the distributed
-// runtime: the connect/accept handshake with cluster placement, the
-// Mattern-colored GVT cut/report rounds, progress gossip, abort and
-// result collection.
+// runtime: the connect/accept handshake with cluster placement, the GVT
+// cut/report rounds, progress gossip, abort and result collection.
 //
 // A Conn is received from in one of two ways (conn.go). Recv blocks in the
 // runtime's netpoller until a frame arrives: the control plane and the
@@ -48,12 +47,13 @@ const (
 	// FrameStart releases the workers into the run.
 	FrameStart byte = 0x05
 	// FrameData carries one comm.Message between clusters: src cluster,
-	// dst cluster, era color, codec payload.
+	// dst cluster, codec payload.
 	FrameData byte = 0x06
 	// FrameProgress gossips the published cycle of each of the sender
 	// worker's clusters to a peer worker.
 	FrameProgress byte = 0x07
-	// FrameCut opens one GVT round: every worker flips its send color.
+	// FrameCut opens one GVT round: every worker answers with a report
+	// stamped with the round number.
 	FrameCut byte = 0x08
 	// FrameReport answers a cut with the worker's counters and, per
 	// cluster, its progress and kernel statistics.

@@ -152,14 +152,38 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
-	// A worker built while a run spec still carried an optimism window and
-	// the round report's counters an abandoned-cycle count.
-	v7 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 7), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v7); err == nil || !strings.Contains(err.Error(), "protocol version 7, this build speaks 8") {
-		t.Fatalf("version-7 hello: error %v, want the version refused", err)
+	// A worker built while data frames still carried an era colour and
+	// round reports per-era frame tallies.
+	v8 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 8), "10.0.0.1:9"), 0)
+	if _, err := DecodeHello(v8); err == nil || !strings.Contains(err.Error(), "protocol version 8, this build speaks 9") {
+		t.Fatalf("version-8 hello: error %v, want the version refused", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")
+	}
+}
+
+// TestDataFrameRoundTrip: a data frame is an 8-byte route header, source
+// and destination cluster, then the message bytes untouched; a shorter
+// payload or a route outside the network is an error.
+func TestDataFrameRoundTrip(t *testing.T) {
+	msg := []byte{0xAA, 0xBB, 0xCC}
+	p := AppendDataFrame(nil, 3, 1, msg)
+	if len(p) != 8+len(msg) {
+		t.Fatalf("data frame of a %d-byte message is %d bytes, want an 8-byte header", len(msg), len(p))
+	}
+	f, err := DecodeDataFrame(p, 4)
+	if err != nil || f.Src != 3 || f.Dst != 1 || !bytes.Equal(f.Msg, msg) {
+		t.Fatalf("round trip: %+v, %v", f, err)
+	}
+	if f, err := DecodeDataFrame(AppendDataFrame(nil, 0, 2, nil), 4); err != nil || len(f.Msg) != 0 {
+		t.Fatalf("header-only frame: %+v, %v", f, err)
+	}
+	if _, err := DecodeDataFrame(p[:7], 4); !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("7-byte payload: error %v, want ErrShortPayload", err)
+	}
+	if _, err := DecodeDataFrame(p, 3); err == nil {
+		t.Fatal("route 3→1 accepted in a 3-cluster network")
 	}
 }
 
@@ -226,6 +250,7 @@ func FuzzDecodeWelcome(f *testing.F) {
 		PeerAddrs: []string{"x", "y"},
 		Config:    []byte{1},
 	}))
+	f.Add(AppendDataFrame(nil, 1, 2, []byte{7}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeWelcome(data)

@@ -14,7 +14,7 @@ const (
 	// match exactly — the frame layout has no compatibility machinery, so
 	// every change to a control-plane payload's layout, or to the set of
 	// frame types, raises it.
-	Version uint32 = 8
+	Version uint32 = 9
 )
 
 // Hello is the worker's opening message on the coordinator connection:

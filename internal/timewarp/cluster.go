@@ -396,10 +396,12 @@ func (c *cluster) rollback(tc uint64, origin causality.EventID) error {
 	t0 := c.obs.Start()
 	// Write back, newest cycle first, the bit every undone cycle found in
 	// each net it noted (undo.go).
-	wasted, err := c.undo.undo(tc, c.values)
+	undone, err := c.undo.undo(tc, c.values)
 	if err != nil {
 		return fmt.Errorf("timewarp: cluster %d: invariant violated: %v (lvt cycle %d)", c.id, err, c.cycle)
 	}
+	// Every cycle of the cluster evaluates the same gates (endCycle).
+	wasted := undone * c.prog.cycleCost()
 	c.stats.rolledBackEvents.Add(wasted)
 	fromCycle := c.cycle
 	depth := c.cycle - tc
@@ -728,12 +730,10 @@ func (c *cluster) endCycle(cyc uint64) {
 	// send early leaves as one coalesced message per destination.
 	c.flushOut()
 
-	// The rollback record, closed here, keeps the cycle's evaluations for
-	// the rollback that undoes it.
-	evals := uint64(len(p.tab) + len(p.latch))
+	evals := p.cycleCost()
 	c.stats.events.Add(evals)
 	if undo != nil {
-		undo.end(evals)
+		undo.end()
 	}
 	c.rec.CycleCost(c.id, cyc, evals)
 	c.stats.queueLen.Store(int64(len(c.inq) - c.next))

@@ -331,8 +331,9 @@ func TestDistributedFederation(t *testing.T) {
 	if res.FinalGVT != cycles {
 		t.Errorf("final GVT %d, want %d", res.FinalGVT, cycles)
 	}
-	if res.WireFramesSent == 0 {
-		t.Error("no cross-process frames counted: k=4 over 2 workers must cut the graph")
+	if res.WireFramesSent == 0 || res.WireFramesRecv != res.WireFramesSent {
+		t.Errorf("wire frames sent %d, read %d: k=4 over 2 workers must cut the graph, and a clean run reads every frame written",
+			res.WireFramesSent, res.WireFramesRecv)
 	}
 
 	coordSnap := do.coord.Snapshot()
@@ -644,8 +645,8 @@ func TestDistributedPostMortem(t *testing.T) {
 		if ev.Pid != 1 || ev.Phase != "X" || ev.Name != "gvt_round" {
 			continue
 		}
-		if got := sortedKeys(ev.Args); got != "drained frozen gvt min_progress round" {
-			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen, drained", rounds, ev.Args)
+		if got := sortedKeys(ev.Args); got != "frozen gvt min_progress round" {
+			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen", rounds, ev.Args)
 		}
 		if ev.Args["round"] <= lastRound {
 			t.Fatalf("gvt_round spans not ascending at span %d: round %v after %v", rounds, ev.Args["round"], lastRound)
@@ -807,6 +808,17 @@ func distSpecV7(s *DistSpec) []byte {
 	return append(nettrans.AppendU64(blob[:at:at], 8), blob[at:]...)
 }
 
+// distReportV8 encodes r in protocol version 8's layout, which ended a
+// report with two lists of per-era wire-frame tallies (one entry each).
+func distReportV8(r distReport) []byte {
+	blob := appendReport(nil, r)
+	for range 2 {
+		blob = nettrans.AppendU32(blob, 1)
+		blob = nettrans.AppendU64(nettrans.AppendU64(blob, r.Round-1), 2)
+	}
+	return blob
+}
+
 // FuzzDistProtoDecode hardens every distributed control payload decoder
 // against arbitrary bytes: errors are fine, panics and absurd
 // allocations are not.
@@ -817,9 +829,10 @@ func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(distSpecV7(&DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
 		Observe: []netlist.NetID{2, 0}}))
 	f.Add(appendReport(nil, distReport{Round: 3,
-		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}},
-		WireSent: []eraCount{{Era: 2, Count: 5}}}))
-	f.Add(appendResult(nil, distResult{Sent: 1, Absorbed: 1,
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}))
+	f.Add(distReportV8(distReport{Round: 3, Sent: 5, Absorbed: 5,
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}))
+	f.Add(appendResult(nil, distResult{Sent: 1, Absorbed: 1, WireSent: 3, WireRecv: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 1, Stats: Stats{Messages: 2}}},
 		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
 	f.Add([]byte{})
@@ -858,12 +871,11 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			_, err := decodeAbort(p)
 			return err
 		}},
-		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry, Sent: 4, Absorbed: 4,
-			WireSent: []eraCount{{Era: 1, Count: 2}}}), func(p []byte) error {
+		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry, Sent: 4, Absorbed: 4}), func(p []byte) error {
 			_, err := decodeReport(p, 2)
 			return err
 		}},
-		{"result", appendResult(nil, distResult{Sent: 4, Absorbed: 4, Clusters: entry,
+		{"result", appendResult(nil, distResult{Sent: 4, Absorbed: 4, WireSent: 2, WireRecv: 2, Clusters: entry,
 			Observed: []observedNet{{Net: 0, Values: []bool{true}}}}), func(p []byte) error {
 			_, err := decodeResult(p, 2)
 			return err
@@ -880,16 +892,23 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			t.Errorf("%s: one trailing byte: error %v, want it rejected", tc.name, err)
 		}
 	}
+	// A version-8 worker's report decodes field by field up to its era
+	// tallies, which only its length betrays.
+	v8 := distReportV8(distReport{Round: 2, Clusters: entry, Sent: 4, Absorbed: 4})
+	if _, err := decodeReport(v8, 2); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("report in version 8's layout: error %v, want it rejected", err)
+	}
 }
 
 // TestCoordinatorTrustsNoClusterID: a report or result that names a
 // cluster placed on another worker is a protocol violation naming the
 // worker, and a cluster merged twice is an invariant violation, not a
-// double count.
+// double count. So is a wire frame written and never read.
 func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 	type part struct {
-		worker   int
-		clusters []int32
+		worker     int
+		clusters   []int32
+		sent, recv uint64 // wire frames
 	}
 	for _, tc := range []struct {
 		name      string
@@ -897,19 +916,23 @@ func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 		abort     string // the noteStats error, "" for none
 		violation string // the mergeResults violation, "" for none
 	}{
-		{"each cluster once, from its worker", []part{{0, []int32{0, 1}}, {1, []int32{2, 3}}}, "", ""},
-		{"a cluster of another worker", []part{{0, []int32{0, 2}}},
+		{"each cluster once, from its worker", []part{{0, []int32{0, 1}, 5, 2}, {1, []int32{2, 3}, 2, 5}}, "", ""},
+		{"a cluster of another worker", []part{{0, []int32{0, 2}, 0, 0}},
 			"worker 0 sent counters of cluster 2, which is placed on worker 1", ""},
-		{"only another worker's clusters", []part{{1, []int32{0}}},
+		{"only another worker's clusters", []part{{1, []int32{0}, 0, 0}},
 			"worker 1 sent counters of cluster 0, which is placed on worker 0", ""},
-		{"a cluster twice", []part{{0, []int32{0, 1, 0}}, {1, []int32{2, 3}}}, "", "cluster 0 reported twice"},
+		{"a cluster twice", []part{{0, []int32{0, 1, 0}, 0, 0}, {1, []int32{2, 3}, 0, 0}}, "", "cluster 0 reported twice"},
+		{"a wire frame never read", []part{{0, []int32{0, 1}, 5, 2}, {1, []int32{2, 3}, 2, 4}}, "",
+			"read 6 of 7 wire frames written at termination"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			co := &Coordinator{placement: []int32{0, 0, 1, 1}, stats: make([]Stats, 4), registered: make([]bool, 4)}
 			var results []*distResult
 			var err error
+			var sent, recv uint64
 			for _, p := range tc.parts {
-				r := &distResult{}
+				sent, recv = sent+p.sent, recv+p.recv
+				r := &distResult{WireSent: p.sent, WireRecv: p.recv}
 				for _, c := range p.clusters {
 					r.Clusters = append(r.Clusters, clusterReport{Cluster: c, Stats: Stats{Events: 10 + uint64(c)}})
 				}
@@ -933,6 +956,10 @@ func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 			}
 			if res.Stats.Events != 10+11+12+13 {
 				t.Errorf("merged Events = %d, want each cluster counted once (46)", res.Stats.Events)
+			}
+			if res.WireFramesSent != sent || res.WireFramesRecv != recv {
+				t.Errorf("wire frames %d written, %d read; want the workers' sums %d and %d",
+					res.WireFramesSent, res.WireFramesRecv, sent, recv)
 			}
 		})
 	}

@@ -49,10 +49,9 @@ type CoordConfig struct {
 }
 
 // Coordinator drives a distributed Time Warp run: it assigns clusters to
-// workers, runs the Mattern-style GVT rounds (era-colored cuts with
-// piggybacked wire counts), detects crashed or wedged workers, and merges
-// the per-worker results into the same Result the in-process kernel
-// returns.
+// workers, runs the GVT rounds (each folds the workers' reports into one
+// quiescence sample), detects crashed or wedged workers, and merges the
+// per-worker results into the same Result the in-process kernel returns.
 type Coordinator struct {
 	cfg       CoordConfig
 	ln        net.Listener
@@ -405,45 +404,7 @@ func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, w
 	return nil
 }
 
-// eraLedger is the Mattern side of the quiescence sample: cumulative
-// data-frame counts per send colour (the round a frame was sent in),
-// folded from the workers' per-round deltas.
-type eraLedger struct {
-	sent, recv map[uint64]uint64
-	frames     uint64 // every frame ever tallied, sent plus received
-}
-
-func (l *eraLedger) fold(r *distReport) {
-	for _, e := range r.WireSent {
-		l.sent[e.Era] += e.Count
-		l.frames += e.Count
-	}
-	for _, e := range r.WireRecv {
-		l.recv[e.Era] += e.Count
-		l.frames += e.Count
-	}
-}
-
-// inflight is the number of frames coloured before round that were sent
-// but not yet reported received; drained says every such colour balances.
-func (l *eraLedger) inflight(round uint64) (n int64, drained bool) {
-	drained = true
-	for era, sent := range l.sent {
-		if era < round {
-			n += int64(sent) - int64(l.recv[era])
-			drained = drained && sent == l.recv[era]
-		}
-	}
-	for era, recv := range l.recv {
-		if era < round && l.sent[era] == 0 {
-			n -= int64(recv)
-			drained = false
-		}
-	}
-	return n, drained
-}
-
-// rounds is the Mattern GVT loop: periodic cuts, report collection, one
+// rounds is the GVT loop: periodic cuts, report collection, one
 // quiescence sample per round, GVT broadcast, termination and the
 // stall/crash watchdogs. It owns the run from start to finish/abort.
 func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
@@ -458,7 +419,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		gRound    = reg.Gauge("dist_round", "GVT rounds opened by the coordinator")
 		gGvt      = reg.Gauge("dist_gvt", "established global virtual time (cycles)")
 		gMinProg  = reg.Gauge("dist_min_progress", "slowest cluster's reported cycle")
-		gInflight = reg.Gauge("dist_wire_inflight", "pre-cut wire frames sent but not yet reported received")
 		gFreeze   = reg.Gauge("dist_freeze_streak", "consecutive quiescent all-done rounds (two terminate the run)")
 		hRoundLat = reg.Histogram("dist_round_latency_us", "cut broadcast to last report (µs)",
 			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000})
@@ -469,7 +429,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		q        = newQuiescence(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
 		s        = sample{progress: make([]uint64, k)}
 		reported = make([]bool, k)
-		ledger   = eraLedger{sent: make(map[uint64]uint64), recv: make(map[uint64]uint64)}
 	)
 
 	for {
@@ -482,7 +441,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			return nil, co.abortf(conns, "worker %d sent unsolicited frame 0x%02x", f.worker, f.typ)
 		}
 
-		// Cut: flip every worker's send color to this round's number.
+		// Cut: ask every worker for its counters, stamped with this round.
 		round++
 		gRound.Set(int64(round))
 		roundT0 := time.Now()
@@ -513,7 +472,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 				s.maxStraggler = max(s.maxStraggler, c.Stats.MaxStragglerDepth)
 				reported[c.Cluster] = true
 			}
-			ledger.fold(&r)
 			return nil
 		})
 		if err != nil {
@@ -526,9 +484,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		for _, ok := range reported {
 			s.complete = s.complete && ok
 		}
-		var inflight int64
-		inflight, s.drained = ledger.inflight(round)
-		s.wire = ledger.frames
 		s.now = time.Now()
 		v := q.step(s)
 		cfg.Probe.note(v.gvt, v.minProg, s.maxStraggler, v.active)
@@ -547,16 +502,14 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		// spans are the flight recorder's round history.
 		gGvt.Set(int64(v.gvt))
 		gMinProg.Set(int64(v.minProg))
-		gInflight.Set(inflight)
 		gFreeze.Set(int64(q.doneStreak))
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
 			obs.Arg{Key: "gvt", Val: float64(v.gvt)},
 			obs.Arg{Key: "min_progress", Val: float64(v.minProg)},
-			obs.BoolArg("frozen", v.frozen),
-			obs.BoolArg("drained", s.drained))
+			obs.BoolArg("frozen", v.frozen))
 		if v.terminate {
-			return co.finish(conns, frames, q, &ledger)
+			return co.finish(conns, frames, q)
 		}
 		if v.abort != "" {
 			return nil, co.abortf(conns, "%s", v.abort)
@@ -569,7 +522,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 // tail just before the result, and each result's Stats overwrite the
 // reported ones, so the coordinator's trace and tw_* series are complete
 // — the series equal Result.PerCluster — by the time the Result exists.
-func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q *quiescence, ledger *eraLedger) (*Result, error) {
+func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q *quiescence) (*Result, error) {
 	cfg := co.cfg
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameFinish, nil); err != nil {
@@ -596,12 +549,5 @@ func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q
 		conn.Close()
 	}
 
-	res := mergeResults(cfg.Spec.K, results, q)
-	for _, n := range ledger.sent {
-		res.WireFramesSent += n
-	}
-	for _, n := range ledger.recv {
-		res.WireFramesRecv += n
-	}
-	return res, nil
+	return mergeResults(cfg.Spec.K, results, q), nil
 }

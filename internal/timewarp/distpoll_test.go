@@ -78,7 +78,7 @@ func newMeshFixture(t *testing.T) *meshFixture {
 
 // writeEvent writes one data frame 1→0 on worker 1's end of the link.
 func (f *meshFixture) writeEvent(seq uint64) error {
-	buf := nettrans.AppendDataFrame(nil, 1, 0, 0, nil)
+	buf := nettrans.AppendDataFrame(nil, 1, 0, nil)
 	buf, err := appendMessage(buf, event{T: seq, Src: 1, Seq: seq})
 	if err != nil {
 		return err
@@ -129,8 +129,8 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	if got := f.w.h.net.InFlight(); got != 0 {
 		t.Errorf("in-flight gauge %d after every frame was drained", got)
 	}
-	if _, recv := f.w.mesh.takeEraDeltas(); len(recv) != 1 || recv[0].Count != 200 {
-		t.Errorf("era tally of received frames: %+v, want 200 in era 0", recv)
+	if got := f.w.mesh.framesRecv.Load(); got != 200 {
+		t.Errorf("%d frames counted read, want 200", got)
 	}
 }
 
@@ -148,46 +148,47 @@ func (c hookedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestMeshSendTalliesBeforeTheWrite: a data frame is in the era tally of
-// sent frames before its bytes reach the socket. The peer can read, tally,
-// deliver and absorb a frame the moment the write returns; were the send
-// tallied only after that, two Mattern rounds falling in the gap would see
-// one receive and no send of it on an otherwise quiet cut — frozen and not
-// drained, the coordinator's "wire frame lost" abort on a healthy run
-// (ROADMAP item 10). A frame whose send is untallied must be one nobody can
-// have received.
+// TestMeshSendTalliesBeforeTheWrite: a data frame's message counts as sent
+// before its bytes reach the socket. The peer can read, deliver and absorb
+// a frame the moment the write returns; were the send counted only after
+// that, the absorbed message could balance another still in flight, and two
+// GVT rounds falling in the gap would freeze a run with a message on its
+// way. Since every frame carries one message counted this way, the freeze
+// rule needs no wire count of its own (DESIGN §19).
 func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 	f := newMeshFixture(t)
 	local, remote := rawPair(t)
 	peer := nettrans.NewConn(remote)
-	var sent []eraCount
+	var sentAtWrite uint64
 	var recvErr error
 	written := func() {
 		_, _, recvErr = peer.Recv() // the frame has arrived at worker 1
-		sent, _ = f.w.mesh.takeEraDeltas()
+		sentAtWrite = f.w.h.net.TotalSent()
 	}
 	f.w.peers[1] = nettrans.NewConn(hookedConn{local, func() { written() }})
 	f.ep.Send(1, event{T: 1, Src: 0, Seq: 1})
 	if recvErr != nil {
 		t.Fatal(recvErr)
 	}
-	if len(sent) != 1 || sent[0] != (eraCount{Era: 0, Count: 1}) {
-		t.Fatalf("era tally of sent frames with the frame at the peer: %+v, want 1 in era 0", sent)
+	if sentAtWrite != 1 {
+		t.Fatalf("%d messages counted sent with the frame at the peer, want 1", sentAtWrite)
 	}
-	if sent, _ := f.w.mesh.takeEraDeltas(); len(sent) != 0 {
-		t.Errorf("the frame was tallied again after the write: %+v", sent)
+	if got := f.w.h.net.TotalSent(); got != 1 {
+		t.Errorf("the message was counted again after the write: %d sent", got)
+	}
+	if got := f.w.mesh.framesSent.Load(); got != 1 {
+		t.Errorf("%d frames counted written, want 1", got)
 	}
 	if got := f.w.h.net.InFlight(); got != 0 {
 		t.Errorf("in-flight gauge %d after the frame left", got)
 	}
 
-	// A frame that could not be written is not counted sent: the tally is
-	// taken back.
+	// A frame that could not be written is no frame on the wire.
 	local.Close()
 	written = func() {}
 	f.ep.Send(1, event{T: 2, Src: 0, Seq: 2})
-	if sent, _ := f.w.mesh.takeEraDeltas(); len(sent) != 0 && sent[0].Count != 0 {
-		t.Errorf("era tally of sent frames after a failed write: %+v, want none", sent)
+	if got := f.w.mesh.framesSent.Load(); got != 1 {
+		t.Errorf("%d frames counted written after a failed write, want 1", got)
 	}
 }
 
@@ -335,8 +336,8 @@ func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 // undecodable event or progress list — poisons the link and is reported to
 // the coordinator with the peer named, once.
 func TestMeshPollReportsGarbage(t *testing.T) {
-	badRoute := nettrans.AppendDataFrame(nil, 1, 7, 0, []byte{wireKindEvent})
-	badEvent := nettrans.AppendDataFrame(nil, 1, 0, 0, []byte{0x7F, 1, 2, 3})
+	badRoute := nettrans.AppendDataFrame(nil, 1, 7, []byte{wireKindEvent})
+	badEvent := nettrans.AppendDataFrame(nil, 1, 0, []byte{0x7F, 1, 2, 3})
 	for _, tc := range []struct {
 		name  string
 		write func(f *meshFixture)

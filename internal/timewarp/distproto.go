@@ -14,9 +14,9 @@ import (
 // wire.go.
 
 // decodeU64 reads the one-number payload of a cut or a GVT frame. A cut
-// opens GVT round N: every worker flips its send color to N (the Mattern
-// cut) and replies with a distReport. A GVT frame broadcasts a newly
-// established safe GVT so workers fossil-collect without shared memory.
+// opens GVT round N: every worker replies with a distReport stamped N. A
+// GVT frame broadcasts a newly established safe GVT so workers
+// fossil-collect without shared memory.
 func decodeU64(p []byte, what string) (uint64, error) {
 	d := nettrans.NewDec(p)
 	v := d.U64()
@@ -40,29 +40,16 @@ func decodeEnd(d *nettrans.Dec, what string) error {
 	return nil
 }
 
-// eraCount is one (era, frames) tally — the white/black message counting
-// of Mattern's algorithm, reported as deltas since the previous report so
-// the payload stays bounded regardless of run length.
-type eraCount struct {
-	Era   uint64
-	Count uint64
-}
-
-// distReport is a worker's answer to a cut: a consistent-enough snapshot
-// of its local counters. Clusters lists only the clusters this worker
-// owns, each with its published cycle and its Stats — the coordinator's
-// only source of per-cluster kernel metrics; Sent/Absorbed are the
-// worker-local cumulative message counters whose global sums the
-// coordinator's freeze rule compares; WireSent and WireRecv are per-era
-// data-frame deltas — the piggybacked color counts that prove the wire
-// drained of pre-cut frames.
+// distReport is a worker's answer to a cut: its share of one quiescence
+// sample. Clusters lists only the clusters this worker owns, each with its
+// published cycle and its Stats — the coordinator's only source of
+// per-cluster kernel metrics; Sent/Absorbed are the worker-local
+// cumulative message counters whose global sums the freeze rule compares.
 type distReport struct {
 	Round    uint64
 	Clusters []clusterReport
 	Sent     uint64
 	Absorbed uint64
-	WireSent []eraCount
-	WireRecv []eraCount
 }
 
 // clusterReport is one cluster's entry of a round report or a result.
@@ -134,40 +121,11 @@ func decodeProgressList(p []byte, k int) ([]clusterProgress, error) {
 	return ps, nil
 }
 
-func appendEraCounts(dst []byte, es []eraCount) []byte {
-	dst = nettrans.AppendU32(dst, uint32(len(es)))
-	for _, e := range es {
-		dst = nettrans.AppendU64(dst, e.Era)
-		dst = nettrans.AppendU64(dst, e.Count)
-	}
-	return dst
-}
-
-func decodeEraCounts(d *nettrans.Dec) ([]eraCount, error) {
-	n := d.U32()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	// 16 bytes per entry must fit in what remains of the payload, checked
-	// before the count-sized allocation.
-	if uint64(n)*16 > uint64(d.Len()) {
-		return nil, fmt.Errorf("timewarp: era-count list of %d entries in %d bytes", n, d.Len())
-	}
-	es := make([]eraCount, n)
-	for i := range es {
-		es[i].Era = d.U64()
-		es[i].Count = d.U64()
-	}
-	return es, d.Err()
-}
-
 func appendReport(dst []byte, r distReport) []byte {
 	dst = nettrans.AppendU64(dst, r.Round)
 	dst = appendClusters(dst, r.Clusters)
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
-	dst = appendEraCounts(dst, r.WireSent)
-	dst = appendEraCounts(dst, r.WireRecv)
 	return dst
 }
 
@@ -180,12 +138,6 @@ func decodeReport(p []byte, k int) (distReport, error) {
 	}
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
-	if r.WireSent, err = decodeEraCounts(d); err != nil {
-		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
-	}
-	if r.WireRecv, err = decodeEraCounts(d); err != nil {
-		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
-	}
 	if err := decodeEnd(d, "report"); err != nil {
 		return distReport{}, err
 	}
@@ -214,11 +166,14 @@ func decodeAbort(p []byte) (distAbort, error) {
 // distResult is a worker's final contribution: its clusters' statistics,
 // the waveforms of the observed nets it owns (bit-packed), and the final
 // counter values the coordinator folds into the global termination
-// invariant checks.
+// invariant checks. WireSent and WireRecv are the data frames its mesh
+// wrote and read (zero in-process).
 type distResult struct {
 	Sent     uint64
 	Absorbed uint64
 	InFlight int64
+	WireSent uint64
+	WireRecv uint64
 	Clusters []clusterReport
 	Observed []observedNet
 }
@@ -247,6 +202,8 @@ func appendResult(dst []byte, r distResult) []byte {
 	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
 	dst = nettrans.AppendI64(dst, r.InFlight)
+	dst = nettrans.AppendU64(dst, r.WireSent)
+	dst = nettrans.AppendU64(dst, r.WireRecv)
 	dst = appendClusters(dst, r.Clusters)
 	dst = nettrans.AppendU32(dst, uint32(len(r.Observed)))
 	for _, o := range r.Observed {
@@ -269,6 +226,8 @@ func decodeResult(p []byte, k int) (distResult, error) {
 	r.Sent = d.U64()
 	r.Absorbed = d.U64()
 	r.InFlight = d.I64()
+	r.WireSent = d.U64()
+	r.WireRecv = d.U64()
 	var err error
 	if r.Clusters, err = decodeClusters(d, k); err != nil {
 		return distResult{}, fmt.Errorf("timewarp: malformed result: %w", err)

@@ -234,7 +234,6 @@ func (w *distWorker) controlLoop() error {
 			if err != nil {
 				return err
 			}
-			w.mesh.flipEra(round)
 			if err := w.coord.Send(nettrans.FrameReport,
 				appendReport(nil, w.report(round))); err != nil {
 				return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
@@ -259,8 +258,9 @@ func (w *distWorker) controlLoop() error {
 			w.h.closeEndpoints()
 			w.h.wg.Wait()
 			w.shipTrace(true)
-			if err := w.coord.Send(nettrans.FrameResult,
-				appendResult(nil, *w.h.collect())); err != nil {
+			r := w.h.collect()
+			r.WireSent, r.WireRecv = w.mesh.framesSent.Load(), w.mesh.framesRecv.Load()
+			if err := w.coord.Send(nettrans.FrameResult, appendResult(nil, *r)); err != nil {
 				return fmt.Errorf("timewarp: worker %d send result: %w", w.id, err)
 			}
 			return nil
@@ -312,7 +312,6 @@ func (w *distWorker) report(round uint64) distReport {
 		r.Clusters = append(r.Clusters, clusterReport{
 			Cluster: cl.id, Cycle: w.smp.progress[cl.id], Stats: cl.stats.Snapshot()})
 	}
-	r.WireSent, r.WireRecv = w.mesh.takeEraDeltas()
 	return r
 }
 
@@ -367,7 +366,7 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		w.mesh.noteRecv(df.Era)
+		w.mesh.framesRecv.Add(1)
 		w.h.net.NoteArrived()
 		w.mesh.deliver(df.Dst, msg)
 	case nettrans.FrameProgress:
@@ -474,15 +473,11 @@ func (w *distWorker) closePeers() {
 
 // meshTransport is the comm.Transport of a worker's K-cluster network:
 // cluster-to-cluster sends stay in-process when both ends are local and
-// become era-colored data frames on the owning peer's mesh connection
-// otherwise. The era tallies it keeps are the piggybacked white/black
-// counts the coordinator's Mattern rounds consume.
+// become data frames on the owning peer's mesh connection otherwise.
 type meshTransport struct {
 	w       *distWorker
 	net     *comm.Network // set after construction, before any traffic
 	deliver comm.DeliverFunc
-
-	era atomic.Uint64
 
 	// pollMu admits one poller at a time; the rest find it taken and go on
 	// with what is already in their mailboxes. down marks links that ended
@@ -493,18 +488,13 @@ type meshTransport struct {
 	encMu  sync.Mutex
 	encBuf []byte
 
-	tallyMu   sync.Mutex
-	sentByEra map[uint64]uint64
-	recvByEra map[uint64]uint64
+	// framesSent and framesRecv count the data frames written to and read
+	// from the mesh: the worker's share of Result.WireFrames*.
+	framesSent, framesRecv atomic.Uint64
 }
 
 func newMeshTransport(w *distWorker) *meshTransport {
-	return &meshTransport{
-		w:         w,
-		down:      make([]bool, w.numW),
-		sentByEra: make(map[uint64]uint64),
-		recvByEra: make(map[uint64]uint64),
-	}
+	return &meshTransport{w: w, down: make([]bool, w.numW)}
 }
 
 // factory adapts the transport to comm.TransportFactory, capturing the
@@ -514,31 +504,6 @@ func (t *meshTransport) factory() comm.TransportFactory {
 		t.deliver = deliver
 		return t
 	}
-}
-
-func (t *meshTransport) flipEra(era uint64) { t.era.Store(era) }
-
-// noteRecv tallies one received data frame under its wire color.
-func (t *meshTransport) noteRecv(era uint64) {
-	t.tallyMu.Lock()
-	t.recvByEra[era]++
-	t.tallyMu.Unlock()
-}
-
-// takeEraDeltas drains the per-era tallies accumulated since the last
-// report. The coordinator folds them into cumulative global counts.
-func (t *meshTransport) takeEraDeltas() (sent, recv []eraCount) {
-	t.tallyMu.Lock()
-	defer t.tallyMu.Unlock()
-	for era, n := range t.sentByEra {
-		sent = append(sent, eraCount{Era: era, Count: n})
-		delete(t.sentByEra, era)
-	}
-	for era, n := range t.recvByEra {
-		recv = append(recv, eraCount{Era: era, Count: n})
-		delete(t.recvByEra, era)
-	}
-	return sent, recv
 }
 
 // Send routes one kernel message: local destinations deliver in-process,
@@ -552,19 +517,13 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 		return
 	}
 	conn := t.w.peers[owner]
-	era := t.era.Load()
 
-	// Tallied before it is written: the peer can read, tally and absorb the
-	// frame the moment the write returns, and a round that saw that receive
-	// without this send would take the frame for lost. An untallied frame
-	// is one nobody can have received.
-	t.tallyMu.Lock()
-	t.sentByEra[era]++
-	t.tallyMu.Unlock()
-
+	// The message already counts as sent (Endpoint.Send counted it before
+	// calling here), so until its receiver absorbs it no quiescence sample
+	// can freeze: the frame on the wire needs no count of its own for GVT.
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
-	buf = nettrans.AppendDataFrame(buf, src, dst, era, nil)
+	buf = nettrans.AppendDataFrame(buf, src, dst, nil)
 	var err error
 	buf, err = appendMessage(buf, msg)
 	if err != nil {
@@ -581,14 +540,8 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	// already gone (in which case the coordinator is about to abort and
 	// the counters stop mattering), it no longer counts as locally held.
 	t.net.NoteDeparted()
-	if sendErr != nil {
-		// Not sent after all: the tally is taken back, unless a report has
-		// carried it off already.
-		t.tallyMu.Lock()
-		if n := t.sentByEra[era]; n > 0 {
-			t.sentByEra[era] = n - 1
-		}
-		t.tallyMu.Unlock()
+	if sendErr == nil {
+		t.framesSent.Add(1)
 	}
 }
 

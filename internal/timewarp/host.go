@@ -206,9 +206,9 @@ func (h *host) collect() *distResult {
 // mergeResults folds the per-process results of a terminated run into its
 // Result and checks the global termination invariants: a clean run
 // reports each cluster once, leaves no message in flight, every sent
-// message absorbed (received AND survived by its rollback) and every
-// event a cluster enqueued sent in exactly one message, at cycle end or
-// early (enqueueOut).
+// message absorbed (received AND survived by its rollback), every wire
+// frame written also read, and every event a cluster enqueued sent in
+// exactly one message, at cycle end or early (enqueueOut).
 func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	res := &Result{
 		Observed:            make(map[netlist.NetID][]bool),
@@ -223,6 +223,8 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 		sent += r.Sent
 		absorbed += r.Absorbed
 		inFlight += r.InFlight
+		res.WireFramesSent += r.WireSent
+		res.WireFramesRecv += r.WireRecv
 		for _, c := range r.Clusters {
 			if merged[c.Cluster] {
 				res.InvariantViolations = append(res.InvariantViolations,
@@ -248,6 +250,10 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	if absorbed != sent {
 		res.InvariantViolations = append(res.InvariantViolations,
 			fmt.Sprintf("absorbed %d of %d sent messages at termination", absorbed, sent))
+	}
+	if res.WireFramesRecv != res.WireFramesSent {
+		res.InvariantViolations = append(res.InvariantViolations,
+			fmt.Sprintf("read %d of %d wire frames written at termination", res.WireFramesRecv, res.WireFramesSent))
 	}
 	if st := res.Stats; st.BatchedEvents != st.Messages+st.AntiMessages || st.Batches > st.BatchedEvents {
 		res.InvariantViolations = append(res.InvariantViolations,

@@ -80,7 +80,7 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 		h.absorbed.Add(uint64(len(msgs)))
 	}
 	q := newQuiescence(2, 20, 0, 0, time.Time{})
-	s := sample{progress: make([]uint64, 2), complete: true, drained: true}
+	s := sample{progress: make([]uint64, 2), complete: true}
 	poll := func() verdict {
 		h.sample(&s)
 		return q.step(s)

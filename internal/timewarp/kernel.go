@@ -112,12 +112,13 @@ type Result struct {
 	// cycles). On clean termination it equals Cycles.
 	FinalGVT uint64
 	// InvariantViolations lists kernel invariants found broken during the
-	// run: a GVT that regressed, or messages left undrained / unabsorbed at
-	// termination. Always empty for a healthy kernel; the fuzz harness
-	// fails a run whose list is non-empty.
+	// run: a GVT that regressed, or messages left in flight or unabsorbed,
+	// or wire frames written but not read, at termination. Always empty for
+	// a healthy kernel; the fuzz harness fails a run whose list is
+	// non-empty.
 	InvariantViolations []string
-	// WireFramesSent and WireFramesRecv are the cross-process data-frame
-	// totals the coordinator's Mattern era tallies accumulated — zero for
+	// WireFramesSent and WireFramesRecv are the cross-process data frames
+	// the workers' meshes wrote and read, summed at termination — zero for
 	// in-process runs, and the one count of frames on the wire.
 	WireFramesSent uint64
 	WireFramesRecv uint64
@@ -149,7 +150,7 @@ func (h *host) run() (*Result, error) {
 	q := newQuiescence(cfg.K, cfg.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
 	var abortErr error
 	obs.Labeled("tw", obs.TrackKernel, "watcher", func() {
-		s := sample{progress: make([]uint64, cfg.K), complete: true, drained: true}
+		s := sample{progress: make([]uint64, cfg.K), complete: true}
 		for h.failure() == nil { // a failing cluster stops its peers itself
 			time.Sleep(watcherInterval)
 			h.sample(&s)

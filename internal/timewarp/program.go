@@ -140,3 +140,9 @@ func compile(sw *sim.Sweep, gateParts []int32, id int32, observe []netlist.NetID
 func (p *program) readers(n netlist.NetID) []int32 {
 	return p.dsts[p.dstOff[n]:p.dstOff[n+1]]
 }
+
+// cycleCost is the gate evaluations of one executed cycle: every own gate,
+// flip-flops too, once (DESIGN §26).
+func (p *program) cycleCost() uint64 {
+	return uint64(len(p.tab) + len(p.latch))
+}

@@ -15,14 +15,7 @@ type sample struct {
 	progress []uint64
 	// complete is false until every cluster's progress has been observed
 	// at least once (a distributed run's first rounds).
-	complete bool
-	// wire is the cumulative count of cross-process data frames sent plus
-	// received; constant zero in-process.
-	wire uint64
-	// drained says every cross-process frame sent before this sample was
-	// taken has also been received (the Mattern era tallies balance).
-	// Shared memory has no wire: Run passes true.
-	drained      bool
+	complete     bool
 	maxStraggler uint64
 	now          time.Time
 }
@@ -41,7 +34,7 @@ type verdict struct {
 	advanced  bool
 	terminate bool
 	// abort, when non-empty, is the diagnosis the run must end with: a
-	// lost wire frame, a stall or a livelock.
+	// stall or a livelock.
 	abort string
 }
 
@@ -50,20 +43,24 @@ type verdict struct {
 // coordinator. It is a pure state machine over samples: no clocks, no
 // atomics, no I/O.
 //
-// The safety argument, stated once. If across two consecutive samples
-// (a) no message was sent, (b) every sent message was absorbed, (c) no
-// cluster's published cycle changed and (d) the wire between processes
-// was idle and drained, then no absorption — hence no rollback — happened
-// in between either: absorbed is capped by sent and already equals it.
+// The safety argument, stated once, for both drivers. If across two
+// consecutive samples (a) no message was sent, (b) every sent message was
+// absorbed and (c) no cluster's published cycle changed, then no
+// absorption — hence no rollback — happened in between either: absorbed is
+// capped by sent and already equals it. Nothing was in flight, on the wire
+// between processes included: a message counts as sent before any
+// transport carries it and as absorbed only after its receiver read and
+// applied it, so a frame on the wire is a sent message not yet absorbed.
 // The progress minimum therefore held at a provably quiescent instant.
 // A cluster publishes its cycle, a lower bound on the timestamp of anything
 // it will still send, and any future rollback chain starts from such a
 // send, so no rollback can ever target a cycle below that minimum: it is a
 // safe fossil-collection line, and "all clusters finished + quiescent",
-// seen twice, is safe termination. In-process (d) holds trivially; across
-// processes the per-worker counters are read at different instants, so the
-// coordinator colours data frames by round and (d) is "every frame coloured
-// before this cut was counted received".
+// seen twice, is safe termination. The reads of one sample need not be
+// simultaneous — the argument uses only monotone counters and the kernel's
+// update order — so Run's watcher, reading atomics one by one, and the
+// coordinator, summing worker reports taken at different instants, fill
+// the same sample.
 type quiescence struct {
 	cycles       uint64
 	stallTimeout time.Duration
@@ -106,7 +103,7 @@ func (q *quiescence) step(s sample) verdict {
 			allDone = false
 		}
 	}
-	moved = moved || s.sent != q.prev.sent || s.absorbed != q.prev.absorbed || s.wire != q.prev.wire
+	moved = moved || s.sent != q.prev.sent || s.absorbed != q.prev.absorbed
 	v := verdict{minProg: minProg, active: moved}
 	v.frozen = !moved && s.complete && s.sent == s.absorbed
 	if v.active {
@@ -116,11 +113,7 @@ func (q *quiescence) step(s sample) verdict {
 	s.progress = q.prev.progress
 	q.prev, q.havePrev = s, true
 
-	switch {
-	case v.frozen && !s.drained:
-		// Nothing is moving, so the missing frame never will arrive.
-		v.abort = "wire frame lost: era counts unbalanced at a frozen cut"
-	case v.frozen:
+	if v.frozen {
 		// GVT advances only at quiescent instants and must never regress —
 		// the invariant fossil collection stands on.
 		if minProg > q.gvt {
@@ -129,17 +122,15 @@ func (q *quiescence) step(s sample) verdict {
 			q.violations = append(q.violations, fmt.Sprintf(
 				"GVT regression: quiescent minimum %d below established GVT %d", minProg, q.gvt))
 		}
-		if allDone {
-			q.doneStreak++
-			v.terminate = q.doneStreak >= 2
-		} else {
-			q.doneStreak = 0
-		}
-	default:
+	}
+	if v.frozen && allDone {
+		q.doneStreak++
+		v.terminate = q.doneStreak >= 2
+	} else {
 		q.doneStreak = 0
 	}
 	v.gvt = q.gvt
-	if v.terminate || v.abort != "" {
+	if v.terminate {
 		return v
 	}
 

@@ -13,11 +13,8 @@ type qStep struct {
 	sent     uint64
 	absorbed uint64
 	progress []uint64
-	// partial marks a sample taken before every cluster reported;
-	// undrained one whose era tallies do not balance.
-	partial   bool
-	undrained bool
-	wire      uint64
+	// partial marks a sample taken before every cluster reported.
+	partial bool
 
 	frozen    bool
 	gvt       uint64
@@ -40,7 +37,7 @@ func TestQuiescenceDecisions(t *testing.T) {
 		wantViolated   string
 	}{
 		{
-			name: "gvt advances only on a frozen drained pair",
+			name: "gvt advances only on a frozen pair",
 			steps: []qStep{
 				{sent: 3, absorbed: 3, progress: []uint64{5, 7}},
 				{sent: 3, absorbed: 3, progress: []uint64{5, 7}, frozen: true, gvt: 5, advanced: true},
@@ -52,10 +49,8 @@ func TestQuiescenceDecisions(t *testing.T) {
 				// Absorbed now, but that is a change against the last sample.
 				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, gvt: 5},
 				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true, gvt: 6, advanced: true},
-				// Wire traffic alone breaks the freeze.
-				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, wire: 2, gvt: 6},
 				// Frozen again at the same minimum: nothing to advance.
-				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, wire: 2, frozen: true, gvt: 6},
+				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true, gvt: 6},
 			},
 		},
 		{
@@ -78,14 +73,6 @@ func TestQuiescenceDecisions(t *testing.T) {
 				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, gvt: cycles},
 				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles},
 				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles, terminate: true},
-			},
-		},
-		{
-			name: "frozen but undrained is a lost frame",
-			steps: []qStep{
-				{sent: 2, absorbed: 2, progress: []uint64{4, 4}, undrained: true},
-				{sent: 2, absorbed: 2, progress: []uint64{4, 4}, undrained: true, frozen: true,
-					abort: "wire frame lost"},
 			},
 		},
 		{
@@ -146,8 +133,7 @@ func TestQuiescenceDecisions(t *testing.T) {
 			for i, st := range tc.steps {
 				v := q.step(sample{
 					sent: st.sent, absorbed: st.absorbed, progress: st.progress,
-					complete: !st.partial, drained: !st.undrained, wire: st.wire,
-					now: t0.Add(st.at),
+					complete: !st.partial, now: t0.Add(st.at),
 				})
 				if v.frozen != st.frozen || v.gvt != st.gvt || v.advanced != st.advanced || v.terminate != st.terminate {
 					t.Fatalf("step %d: got frozen=%v gvt=%d advanced=%v terminate=%v, want frozen=%v gvt=%d advanced=%v terminate=%v",
@@ -172,10 +158,10 @@ func TestQuiescenceDecisions(t *testing.T) {
 // own message counters, exchanging timestamped messages that roll the
 // receiver back. It obeys exactly the kernel's contract with the tracker
 // and nothing else: a message is stamped at or above its sender's LVT,
-// sent is counted at send time, a rollback lowers progress before the
-// message counts as absorbed, and cross-process frames carry the colour
-// of the sender's last cut. Every counter read of a sample is its own
-// step, so the schedule interleaves them with the run at will — the
+// sent is counted at send time and a rollback lowers progress before the
+// message counts as absorbed. A cross-process frame is such a message on
+// its way, with no count of its own. Every counter read of a sample is its
+// own step, so the schedule interleaves them with the run at will — the
 // non-atomic reads of Run's watcher and the skewed worker reports of the
 // coordinator are the same thing here.
 type twModel struct {
@@ -187,29 +173,21 @@ type twModel struct {
 	wire   []modelFrame
 
 	sent, absorbed []uint64 // per process
-	era            []uint64 // per process: colour of outgoing frames
-	wireSent       []map[uint64]uint64
-	wireRecv       []map[uint64]uint64
 }
 
 type modelFrame struct {
 	dst int
 	ts  uint64
-	era uint64
 }
 
 func newTWModel(k, procs int, cycles uint64) *twModel {
 	m := &twModel{
 		cycles: cycles, proc: make([]int, k), lvt: make([]uint64, k),
 		inbox: make([][]uint64, k), owed: make([]uint64, k),
-		sent: make([]uint64, procs), absorbed: make([]uint64, procs), era: make([]uint64, procs),
+		sent: make([]uint64, procs), absorbed: make([]uint64, procs),
 	}
 	for c := range m.proc {
 		m.proc[c] = c * procs / k
-	}
-	for p := 0; p < procs; p++ {
-		m.wireSent = append(m.wireSent, map[uint64]uint64{})
-		m.wireRecv = append(m.wireRecv, map[uint64]uint64{})
 	}
 	return m
 }
@@ -227,8 +205,7 @@ func (m *twModel) advance(c, dst int, send bool, ahead uint64) {
 		if m.proc[dst] == p {
 			m.inbox[dst] = append(m.inbox[dst], ts)
 		} else {
-			m.wire = append(m.wire, modelFrame{dst: dst, ts: ts, era: m.era[p]})
-			m.wireSent[p][m.era[p]]++
+			m.wire = append(m.wire, modelFrame{dst: dst, ts: ts})
 		}
 	}
 	m.lvt[c]++
@@ -238,7 +215,6 @@ func (m *twModel) advance(c, dst int, send bool, ahead uint64) {
 func (m *twModel) arrive(i int) {
 	f := m.wire[i]
 	m.wire = append(m.wire[:i], m.wire[i+1:]...)
-	m.wireRecv[m.proc[f.dst]][f.era]++
 	m.inbox[f.dst] = append(m.inbox[f.dst], f.ts)
 }
 
@@ -300,54 +276,36 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 	cycles := 2 + uint64(data[2]%6)
 	m := newTWModel(k, procs, cycles)
 	q := newQuiescence(k, cycles, 0, 0, time.Time{})
-	ledger := eraLedger{sent: map[uint64]uint64{}, recv: map[uint64]uint64{}}
 
-	// A sample is 3 reads per process (cut + counters, progress, wire
-	// tallies), taken process by process.
+	// A sample is 2 reads per process (sent, then absorbed and progress),
+	// taken process by process.
 	var (
 		s        = sample{progress: make([]uint64, k), complete: true}
-		round    uint64
 		readStep int
 		lastGVT  uint64
 	)
 	read := func() (done bool) {
-		p, phase := readStep/3, readStep%3
-		switch phase {
-		case 0:
+		p := readStep / 2
+		if readStep%2 == 0 {
 			if p == 0 {
-				round++
 				s.sent, s.absorbed = 0, 0
 			}
-			m.era[p] = round
 			s.sent += m.sent[p]
-		case 1:
+		} else {
 			s.absorbed += m.absorbed[p]
 			for c := range m.lvt {
 				if m.proc[c] == p {
 					s.progress[c] = m.lvt[c]
 				}
 			}
-		case 2:
-			var r distReport
-			for era, n := range m.wireSent[p] {
-				r.WireSent = append(r.WireSent, eraCount{Era: era, Count: n})
-				delete(m.wireSent[p], era)
-			}
-			for era, n := range m.wireRecv[p] {
-				r.WireRecv = append(r.WireRecv, eraCount{Era: era, Count: n})
-				delete(m.wireRecv[p], era)
-			}
-			ledger.fold(&r)
 		}
-		readStep = (readStep + 1) % (3 * procs)
+		readStep = (readStep + 1) % (2 * procs)
 		return readStep == 0
 	}
 
 	// judge hands the completed sample to the tracker and checks the
 	// verdict; done reports termination.
 	judge := func() (done bool) {
-		_, s.drained = ledger.inflight(round)
-		s.wire = ledger.frames
 		v := q.step(s)
 		truth := m.trueMin()
 		if v.gvt < lastGVT {

@@ -139,7 +139,7 @@ func (s *handStepped) finish(seed int64, state []netlist.NetID, want map[netlist
 	}
 
 	q := newQuiescence(2, cycles, 0, 0, time.Time{})
-	smp := sample{progress: make([]uint64, 2), complete: true, drained: true}
+	smp := sample{progress: make([]uint64, 2), complete: true}
 	var v verdict
 	for i := 0; i < 3; i++ { // the first sample has no predecessor to be frozen against
 		h.sample(&smp)

@@ -7,10 +7,11 @@ import (
 )
 
 // cycleRec is the rollback record of one executed cycle: what it takes to
-// put the cluster back at the cycle's start. A net is one bit, written only
-// when it changes, so what a cycle's first write of a net overwrote is the
-// complement of what the net holds right after it; later writes of the net
-// in the same cycle need no entry.
+// put the cluster back at the cycle's start, one net<<1 | the bit it held
+// per net noted. A net is one bit, written only when it changes, so what a
+// cycle's first write of a net overwrote is the complement of what the net
+// holds right after it; later writes of the net in the same cycle need no
+// entry.
 //
 // The restore rule: a record holds every net the cycle wrote that is read
 // before the cluster writes it again — stimulus inputs, remote inputs,
@@ -18,16 +19,13 @@ import (
 // flip-flop outputs. An own combinational output no other cluster reads is
 // left out: re-executing the restored cycle, the settle rewrites it from its
 // inputs, in topological order, before anything reads it (DESIGN §26).
-type cycleRec struct {
-	old   []uint32 // net<<1 | the bit it held, once per net noted
-	evals uint64   // gate evaluations of the cycle
-}
+type cycleRec []uint32
 
-// undoLog is all the rollback state a cluster keeps for its net values and
-// evaluation counts: hist[i] is the record of cycle fossil+i, one
-// per executed cycle from the fossil line to the one executing. A rollback
-// truncates it, re-execution appends again, and a dropped record is garbage:
-// nothing is pooled (DESIGN §28). Only the owning cluster goroutine calls it.
+// undoLog is all the rollback state a cluster keeps for its net values:
+// hist[i] is the record of cycle fossil+i, one per executed cycle from the
+// fossil line to the one executing. A rollback truncates it, re-execution
+// appends again, and a dropped record is garbage: nothing is pooled
+// (DESIGN §28). Only the owning cluster goroutine calls it.
 type undoLog struct {
 	hist   []cycleRec
 	fossil uint64 // the cycle of hist[0]; below it nothing can be restored
@@ -41,7 +39,7 @@ type undoLog struct {
 
 // begin opens the record of the next cycle.
 func (u *undoLog) begin() {
-	u.hist = append(u.hist, cycleRec{})
+	u.hist = append(u.hist, nil)
 	u.stamp++
 	u.cur = u.cur[:0]
 }
@@ -60,17 +58,15 @@ func (u *undoLog) note(n netlist.NetID, values []bool) {
 	}
 }
 
-// end closes the open record: the cycle completed after evals gate
-// evaluations.
-func (u *undoLog) end(evals uint64) {
-	r := &u.hist[len(u.hist)-1]
-	r.old, r.evals = append([]uint32(nil), u.cur...), evals
+// end closes the open record: the cycle completed.
+func (u *undoLog) end() {
+	u.hist[len(u.hist)-1] = append(cycleRec(nil), u.cur...)
 }
 
 // undo takes the noted nets back to their values at the start of cycle tc,
 // newest record first, and drops the records of tc and later, which
-// re-execution writes again. It returns the evaluations undone.
-func (u *undoLog) undo(tc uint64, values []bool) (evals uint64, err error) {
+// re-execution writes again. It returns how many cycles it undid.
+func (u *undoLog) undo(tc uint64, values []bool) (cycles uint64, err error) {
 	if tc < u.fossil {
 		return 0, fmt.Errorf("rollback to fossil-collected cycle %d (fossil line %d)", tc, u.fossil)
 	}
@@ -80,14 +76,14 @@ func (u *undoLog) undo(tc uint64, values []bool) (evals uint64, err error) {
 	}
 	at := int(tc - u.fossil)
 	for i := len(u.hist) - 1; i >= at; i-- {
-		for _, o := range u.hist[i].old {
+		for _, o := range u.hist[i] {
 			values[o>>1] = o&1 != 0
 		}
-		evals += u.hist[i].evals
 	}
+	cycles = uint64(len(u.hist) - at)
 	clear(u.hist[at:])
 	u.hist = u.hist[:at]
-	return evals, nil
+	return cycles, nil
 }
 
 // trim fossil-collects the records below cycle line, which is at most the

@@ -12,21 +12,17 @@ import (
 // begin / note / end around every cycle, undo for a rollback, trim for a
 // fossil collection — against a model that keeps one full mirror per cycle.
 // Every net the schedule writes is noted, so after every call each cycle
-// from the fossil line up restores to the model's values with the model's
-// evaluations undone, the records are the executed cycles above the line,
+// from the fossil line up restores to the model's values, an undo reports
+// the cycles it undid, the records are the executed cycles above the line,
 // and a rollback target without a record is an error that changes nothing.
 func driveUndoLog(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
 	}
-	type mirror struct {
-		values []bool
-		evals  uint64
-	}
 	var (
 		values = make([]bool, 16+int(data[0]%112))
 		u      = &undoLog{mark: make([]uint64, len(values))}
-		model  = map[uint64]mirror{} // an entry at or above cycle is stale
+		model  = map[uint64][]bool{} // an entry at or above cycle is stale
 		cycle  uint64                // the next to execute
 		fossil uint64
 	)
@@ -41,11 +37,10 @@ func driveUndoLog(t *testing.T, data []byte) {
 		cp, out := undoLog{hist: slices.Clone(u.hist), fossil: u.fossil}, slices.Clone(values)
 		for c := cycle; c > fossil; {
 			c--
-			m := model[c]
-			gotEvals, err := cp.undo(c, out)
-			if err != nil || !slices.Equal(out, m.values) || gotEvals != m.evals {
-				t.Fatalf("after %s: undo(%d) = %d evaluations, error %v; want %d and the cycle's values",
-					what, c, gotEvals, err, m.evals)
+			undone, err := cp.undo(c, out)
+			if err != nil || !slices.Equal(out, model[c]) || undone != 1 {
+				t.Fatalf("after %s: undo(%d) = %d cycles, error %v; want 1 and the cycle's values",
+					what, c, undone, err)
 			}
 		}
 	}
@@ -65,9 +60,8 @@ func driveUndoLog(t *testing.T, data []byte) {
 		op, arg := b&3, uint64(b>>2)
 		switch {
 		case op <= 1: // execute a cycle
-			evals := arg*3 + cycle%5
 			u.begin()
-			model[cycle] = mirror{slices.Clone(values), evals}
+			model[cycle] = slices.Clone(values)
 			for i := uint64(0); i < arg%7; i++ {
 				// i/3 makes consecutive writes hit the same net: it toggles
 				// two or three times inside the cycle.
@@ -75,7 +69,7 @@ func driveUndoLog(t *testing.T, data []byte) {
 				values[n] = !values[n]
 				u.note(n, values)
 			}
-			u.end(evals)
+			u.end()
 			cycle++
 			check("cycle")
 		case op == 2 && arg%8 == 7: // a target without a record
@@ -85,14 +79,10 @@ func driveUndoLog(t *testing.T, data []byte) {
 			}
 		case op == 2 && cycle > fossil: // roll back to an executed cycle
 			tc := fossil + arg%(cycle-fossil)
-			want := uint64(0)
-			for c := tc; c < cycle; c++ {
-				want += model[c].evals
-			}
-			evals, err := u.undo(tc, values)
-			if err != nil || evals != want || !slices.Equal(values, model[tc].values) {
-				t.Fatalf("undo(%d) from cycle %d = %d evaluations, error %v; want %d and the cycle's values",
-					tc, cycle, evals, err, want)
+			undone, err := u.undo(tc, values)
+			if err != nil || undone != cycle-tc || !slices.Equal(values, model[tc]) {
+				t.Fatalf("undo(%d) from cycle %d = %d cycles, error %v; want %d and the cycle's values",
+					tc, cycle, undone, err, cycle-tc)
 			}
 			cycle = tc
 			check("rollback")
