@@ -35,7 +35,7 @@ check: build test vet race
 fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
-	$(GO) test ./internal/timewarp -run 'TestStraggler|TestRollbackRestoresEveryLiveNet|TestOneWayCut' -count=5
+	$(GO) test ./internal/timewarp -run 'TestStraggler|TestRollbackRestoresEveryLiveNet|TestLazyCancellation|TestOneWayCut' -count=5
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzUndoLog -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s

@@ -681,10 +681,9 @@ func benchDistFederation(b *testing.B, instrumented bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := timewarp.CoordConfig{
-			Spec:       spec,
-			Workers:    2,
-			RoundEvery: 200 * time.Microsecond,
-			Watchdog:   10 * time.Second,
+			Spec:     spec,
+			Workers:  2,
+			Watchdog: 10 * time.Second,
 		}
 		if instrumented {
 			cfg.Obs = obs.New(obs.Options{})

@@ -152,11 +152,11 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
-	// A worker built while data frames still carried an era colour and
-	// round reports per-era frame tallies.
-	v8 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 8), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v8); err == nil || !strings.Contains(err.Error(), "protocol version 8, this build speaks 9") {
-		t.Fatalf("version-8 hello: error %v, want the version refused", err)
+	// A worker built while an event's T was a delta-scaled virtual time
+	// rather than the cycle that reads it.
+	v9 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 9), "10.0.0.1:9"), 0)
+	if _, err := DecodeHello(v9); err == nil || !strings.Contains(err.Error(), "protocol version 9, this build speaks 10") {
+		t.Fatalf("version-9 hello: error %v, want the version refused", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")

@@ -12,9 +12,9 @@ const (
 	Magic uint32 = 0x56535457
 	// Version is the wire-protocol version; coordinator and workers must
 	// match exactly — the frame layout has no compatibility machinery, so
-	// every change to a control-plane payload's layout, or to the set of
-	// frame types, raises it.
-	Version uint32 = 9
+	// every change to a control-plane payload's layout, to the set of frame
+	// types, or to what a field means, raises it.
+	Version uint32 = 10
 )
 
 // Hello is the worker's opening message on the coordinator connection:

@@ -68,7 +68,7 @@ func (r *Refiner) LocalSearch(seeds ...hypergraph.VertexID) int {
 		if cum >= bestCum {
 			bestCum, bestLen = cum, len(r.moves)
 		}
-		if len(r.moves)-bestLen > r.StallLimit {
+		if len(r.moves)-bestLen > stallLimit {
 			break
 		}
 		// Neighborhood expansion + key refresh for pins whose gains the

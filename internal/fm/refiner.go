@@ -8,6 +8,10 @@ import "repro/internal/hypergraph"
 // updated after every tentative move. A nil Feasible allows every move.
 type Feasible func(v hypergraph.VertexID, from, to int32, loads []int) bool
 
+// stallLimit bounds how many non-improving moves a localized search
+// tolerates past its best prefix before giving up.
+const stallLimit = 8
+
 // Refiner is the one FM engine of the repository: a gain cache plus the
 // scratch every search over it needs — gain buckets, an epoch-stamped
 // lock array and a move log for rolling back to the best prefix. Two
@@ -34,10 +38,6 @@ type Refiner struct {
 	epoch   int64
 	locked  []int64 // epoch in which the vertex was moved (FM lock)
 	touched []hypergraph.VertexID
-
-	// StallLimit bounds how many non-improving moves a localized search
-	// tolerates past its best prefix before giving up (default 8).
-	StallLimit int
 
 	moves []move
 }
@@ -70,11 +70,10 @@ func NewRefiner(gc *GainCache, feasible Feasible) *Refiner {
 	// splits an incidence list, so the maximum observed now bounds every
 	// future gain.
 	return &Refiner{
-		gc:         gc,
-		feasible:   feasible,
-		buckets:    newBucketList(d.NumVertices(), maxDeg),
-		locked:     make([]int64, d.NumVertices()),
-		StallLimit: 8,
+		gc:       gc,
+		feasible: feasible,
+		buckets:  newBucketList(d.NumVertices(), maxDeg),
+		locked:   make([]int64, d.NumVertices()),
 	}
 }
 

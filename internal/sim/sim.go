@@ -24,8 +24,10 @@
 // hook sequence — the property that makes the 64-lane PackedSimulator
 // (packed.go) bit-for-bit equivalent to independent scalar runs.
 //
-// Virtual time is cycle*DeltaRange + delta, shared verbatim with the Time
-// Warp kernel so the two simulators are step-for-step comparable.
+// Virtual time is cycle*DeltaRange + delta: what the hooks and the VCD
+// writer see. The Time Warp kernel keeps no delta time; its events carry
+// the cycle that reads them, and the two simulators agree cycle by cycle
+// on the committed values.
 package sim
 
 import (

@@ -25,14 +25,13 @@ const window = 8
 // levelized sweep; optimistically, keeping a rollback record of every cycle,
 // when another cluster can send it an event (DESIGN §26).
 type cluster struct {
-	id         int32
-	cfg        *Config
-	deltaRange uint64
-	ep         *comm.Endpoint
-	progress   []atomic.Uint64
-	absorbed   *atomic.Uint64 // global count of messages fully absorbed
-	cancelled  *atomic.Bool   // set when any cluster fails; everyone exits
-	gvt        *atomic.Uint64 // quiescent GVT (cycles); safe fossil line
+	id        int32
+	cfg       *Config
+	ep        *comm.Endpoint
+	progress  []atomic.Uint64
+	absorbed  *atomic.Uint64 // global count of messages fully absorbed
+	cancelled *atomic.Bool   // set when any cluster fails; everyone exits
+	gvt       *atomic.Uint64 // quiescent GVT (cycles); safe fossil line
 
 	// Static structure: the netlist and partition as this cluster's flat
 	// tables (program.go).
@@ -47,34 +46,21 @@ type cluster struct {
 	// pending; a rollback moves next back (DESIGN §27).
 	inq  []event
 	next int
-	// staleOut holds events sent before a rollback whose fate is decided
-	// lazily: re-execution that regenerates an identical event sends
-	// nothing (the receiver already has it); a different value cancels
-	// the old event and sends the new one; events not regenerated by the
-	// time LVT passes them are cancelled then. Lazy cancellation both
-	// cuts message traffic and breaks the livelock where converged
-	// clusters endlessly re-send identical results.
-	//
-	// The live entries are staleOut[staleHead:], non-decreasing in T: a
-	// rollback merges the output log's tail in (into staleNext, and the two
-	// buffers swap), re-execution looks an event up by bisection, and
-	// flushStale advances staleHead past what LVT has overtaken.
-	staleOut  []event
-	staleHead int
-	staleNext []event
 	// undo holds one rollback record per executed cycle from the fossil
-	// line up: the nets the cycle wrote first with the bit they held and its
-	// evaluation count (undo.go). It is nil in a cluster
-	// nothing can roll back (see newCluster), and that cluster keeps none of
-	// the rollback state: no records, no output log.
-	undo *undoLog
-	// outputLog is the positive events sent and still standing, for
-	// anti-messages; non-decreasing in T like the input queue.
-	outputLog []event
-	seq       uint64
-	obsVals   [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
-	stim      *stimulus
-	vecBuf    []bool // scratch for filling a stimulus row
+	// line up: the nets the cycle wrote first with the bit they held, and
+	// the events it sent that still stand (undo.go). Cancellation is lazy:
+	// re-executing a cycle, an identical send is not repeated (the receiver
+	// already has it), a different value cancels the old event first, and
+	// what the cycle sent last time and not this time is cancelled at its
+	// end. That both cuts message traffic and breaks the livelock where
+	// converged clusters endlessly re-send identical results. undo is nil in
+	// a cluster nothing can roll back (see newCluster), and that cluster
+	// keeps no rollback state at all.
+	undo    *undoLog
+	seq     uint64
+	obsVals [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
+	stim    *stimulus
+	vecBuf  []bool // scratch for filling a stimulus row
 
 	// Outgoing batches: events emitted within a cycle coalesce per
 	// destination, preserving per-link FIFO (batch order = send order). A
@@ -117,23 +103,22 @@ func newCluster(id int32, h *host) *cluster {
 	cfg := &h.cfg
 	p := compile(h.sweep, cfg.GateParts, id, cfg.Observe)
 	c := &cluster{
-		id:         id,
-		cfg:        cfg,
-		deltaRange: h.deltaRange,
-		ep:         h.net.Endpoint(int(id)),
-		progress:   h.progress,
-		absorbed:   &h.absorbed,
-		cancelled:  &h.cancelled,
-		gvt:        &h.gvt,
-		rec:        cfg.Causality,
-		prog:       p,
-		values:     append([]bool(nil), h.sweep.PowerOn...),
-		obsVals:    make([][]bool, len(p.obsOwn)),
-		stim:       h.stim,
-		vecBuf:     make([]bool, p.vecWidth),
-		boundOld:   make([]bool, len(p.bound)),
-		outBuf:     make([]batch, cfg.K),
-		local:      h.local,
+		id:        id,
+		cfg:       cfg,
+		ep:        h.net.Endpoint(int(id)),
+		progress:  h.progress,
+		absorbed:  &h.absorbed,
+		cancelled: &h.cancelled,
+		gvt:       &h.gvt,
+		rec:       cfg.Causality,
+		prog:      p,
+		values:    append([]bool(nil), h.sweep.PowerOn...),
+		obsVals:   make([][]bool, len(p.obsOwn)),
+		stim:      h.stim,
+		vecBuf:    make([]bool, p.vecWidth),
+		boundOld:  make([]bool, len(p.bound)),
+		outBuf:    make([]batch, cfg.K),
+		local:     h.local,
 	}
 	// The one state-saving rule: a cluster that can be sent an event can be
 	// rolled back and keeps a record of every cycle; one that cannot keeps
@@ -214,7 +199,7 @@ func (c *cluster) run() error {
 			c.obs.Instant(int32(c.id), "fossil_collect",
 				obs.Arg{Key: "line", Val: float64(limit)})
 			c.undo.trim(limit)
-			c.pruneLogs(limit * c.deltaRange)
+			c.pruneLogs(limit)
 			if CheckInvariants {
 				if err := c.checkLogs(); err != nil {
 					return err
@@ -238,7 +223,7 @@ func (c *cluster) minPeerCycle() uint64 {
 // absorbState accumulates the earliest straggler across one delivered
 // message batch so a single rollback covers all of it.
 type absorbState struct {
-	lvt      sim.VTime
+	lvt      uint64 // the next cycle to execute
 	rollTo   uint64
 	needRoll bool
 	trigger  event // the straggler that set rollTo, for blame
@@ -246,7 +231,7 @@ type absorbState struct {
 
 // absorb handles a batch of messages received between two cycles:
 // annihilation, queueing, and one rollback to the earliest straggler, an
-// event stamped below the virtual time the cluster has executed up to. Each
+// event for a cycle the cluster has executed. Each
 // comm.Message is either a single event or a batch of events coalesced by the
 // sender (unpacked in order, so per-link FIFO survives).
 func (c *cluster) absorb(msgs []comm.Message) error {
@@ -259,7 +244,7 @@ func (c *cluster) absorb(msgs []comm.Message) error {
 		return fmt.Errorf("timewarp: cluster %d: received %d messages but reads no net another cluster drives: misrouted",
 			c.id, len(msgs))
 	}
-	st := absorbState{lvt: c.cycle * c.deltaRange, rollTo: math.MaxUint64}
+	st := absorbState{lvt: c.cycle, rollTo: math.MaxUint64}
 	for _, m := range msgs {
 		switch v := m.(type) {
 		case event:
@@ -299,7 +284,7 @@ func (c *cluster) resolve(st *absorbState) error {
 }
 
 // publish stores the cluster's progress, its cycle: a lower bound on the
-// timestamp of anything it will still send. That is what the optimism
+// cycle of anything it will still send. That is what the optimism
 // window throttles on and what the quiescence tracker takes the GVT
 // minimum over.
 func (c *cluster) publish() {
@@ -337,33 +322,28 @@ func (c *cluster) absorbOne(e event, st *absorbState) error {
 			}
 		}
 	}
-	if e.T < st.lvt && (!st.needRoll || e.T/c.deltaRange < st.rollTo) {
+	if e.T < st.lvt && (!st.needRoll || e.T < st.rollTo) {
 		st.needRoll = true
-		st.rollTo = e.T / c.deltaRange
+		st.rollTo = e.T
 		st.trigger = e
 	}
 	return nil
 }
 
 // firstAt returns the first index of log, which is non-decreasing in T,
-// whose timestamp is at least t (len(log) when there is none).
-func firstAt(log []event, t sim.VTime) int {
-	i, _ := slices.BinarySearchFunc(log, t, func(e event, t sim.VTime) int { return cmp.Compare(e.T, t) })
+// whose cycle is at least t (len(log) when there is none).
+func firstAt(log []event, t uint64) int {
+	i, _ := slices.BinarySearchFunc(log, t, func(e event, t uint64) int { return cmp.Compare(e.T, t) })
 	return i
 }
 
 // checkLogs verifies the order the bisections stand on: the input queue is
-// strictly increasing in (T, Src, Seq) with its cursor inside it, and the
-// output log and the live stale events are each non-decreasing in T. Every
+// strictly increasing in (T, Src, Seq) with its cursor inside it. Every
 // insertion preserves it — a received event is put at its place, so the same
-// (T, Src, Seq) delivered twice is what breaks the queue's order; a cycle
-// sends its boundary nets at base+1 and its latch at the next cycle's base,
-// cycles execute in rising order; a regenerated stale event
-// re-enters the output log at the very timestamp it is regenerated at — and
-// every removal keeps it: a rollback moves the cursor back, cuts a suffix
-// off the output log and merges it into the stale events, fossil collection
-// cuts a prefix, annihilation deletes in place. Tests run it after every
-// rollback and prune (CheckInvariants).
+// (T, Src, Seq) delivered twice is what breaks it — and every removal keeps
+// it: a rollback moves the cursor back, fossil collection cuts a prefix,
+// annihilation deletes in place. Tests run it after every rollback and prune
+// (CheckInvariants).
 func (c *cluster) checkLogs() error {
 	if c.next < 0 || c.next > len(c.inq) {
 		return fmt.Errorf("timewarp: cluster %d: invariant violated: input queue cursor %d outside 0..%d",
@@ -375,23 +355,13 @@ func (c *cluster) checkLogs() error {
 				c.id, i, len(c.inq), b.T, b.Src, b.Seq, a.T, a.Src, a.Seq)
 		}
 	}
-	for _, l := range []struct {
-		name string
-		log  []event
-	}{{"output log", c.outputLog}, {"stale events", c.staleOut[c.staleHead:]}} {
-		for i := 1; i < len(l.log); i++ {
-			if l.log[i].T < l.log[i-1].T {
-				return fmt.Errorf("timewarp: cluster %d: invariant violated: %s out of order at %d of %d (T %d after %d)",
-					c.id, l.name, i, len(l.log), l.log[i].T, l.log[i-1].T)
-			}
-		}
-	}
 	return nil
 }
 
 // rollback puts the cluster back at the start of cycle tc and replays from
 // there. Every executed cycle at or above the fossil line has a record, so a
-// target without one is a broken invariant.
+// target without one is a broken invariant. What the undone cycles sent
+// stays standing in their records until they are re-executed (undo.go).
 func (c *cluster) rollback(tc uint64, origin causality.EventID) error {
 	t0 := c.obs.Start()
 	// Write back, newest cycle first, the bit every undone cycle found in
@@ -408,21 +378,10 @@ func (c *cluster) rollback(tc uint64, origin causality.EventID) error {
 	c.stats.rollbacks.Add(1)
 	c.stats.noteMax(depth)
 	c.rollbackDepth.Observe(float64(depth))
-	base := tc * c.deltaRange
-
-	// Events sent after the rollback point become stale: their
-	// cancellation is lazy (see staleOut). The boundary is strict
-	// because an event timestamped exactly at the cycle-tc boundary was
-	// generated by cycle tc-1's latch, which is NOT re-executed — it
-	// remains valid.
-	cut := firstAt(c.outputLog, base+1)
-	moved := len(c.outputLog) - cut
-	c.mergeStale(c.outputLog[cut:])
-	c.outputLog = c.outputLog[:cut]
 
 	// The remote events consumed from the restored point on are pending
 	// again: the cursor moves back over them.
-	moved += c.rewind(base)
+	moved := c.rewind(tc)
 
 	c.cycle = tc
 	c.publish()
@@ -456,56 +415,22 @@ func (c *cluster) rollback(tc uint64, origin causality.EventID) error {
 	return nil
 }
 
-// mergeStale merges tail, the suffix a rollback cuts off the output log,
-// into the live stale events, keeping them non-decreasing in T.
-func (c *cluster) mergeStale(tail []event) {
-	live := c.staleOut[c.staleHead:]
-	out := c.staleNext[:0]
-	for len(tail) > 0 && len(live) > 0 {
-		if live[0].T < tail[0].T {
-			out, live = append(out, live[0]), live[1:]
-		} else {
-			out, tail = append(out, tail[0]), tail[1:]
-		}
-	}
-	out = append(append(out, tail...), live...)
-	c.staleOut, c.staleNext, c.staleHead = out, c.staleOut[:0], 0
-}
-
-// takeStale removes and returns the live stale event on net n stamped t, if
-// there is one: a bisection to t's run and a scan of it. The gap closes
-// from the front — what lies before the match is the executing cycle's
-// stale events that were not regenerated, a handful.
-func (c *cluster) takeStale(t sim.VTime, n netlist.NetID) (event, bool) {
-	live := c.staleOut[c.staleHead:]
-	for i := firstAt(live, t); i < len(live) && live[i].T == t; i++ {
-		if live[i].Net == n {
-			s := live[i]
-			copy(live[1:i+1], live[:i])
-			c.staleHead++
-			return s, true
-		}
-	}
-	return event{}, false
-}
-
-// rewind moves the input queue's cursor back to the first event stamped t
+// rewind moves the input queue's cursor back to the first event for cycle t
 // or later and returns how many consumed events it passed over. The caller
-// is between cycles, so everything stamped below t has been consumed.
-func (c *cluster) rewind(t sim.VTime) int {
+// is between cycles, so every event for a cycle below t has been consumed.
+func (c *cluster) rewind(t uint64) int {
 	cut := firstAt(c.inq, t)
 	n := c.next - cut
 	c.next = cut
 	return n
 }
 
-// pruneLogs drops the input queue and output log entries older than vtime
-// limit, the fossil line: all of them consumed.
-func (c *cluster) pruneLogs(limit sim.VTime) {
+// pruneLogs drops the input queue's events for cycles below limit, the
+// fossil line: all of them consumed.
+func (c *cluster) pruneLogs(limit uint64) {
 	cut := firstAt(c.inq, limit)
 	c.inq = append(c.inq[:0], c.inq[cut:]...)
 	c.next -= cut
-	c.outputLog = append(c.outputLog[:0], c.outputLog[firstAt(c.outputLog, limit):]...)
 }
 
 // enqueueOut appends an event (positive or anti) to the destination's
@@ -517,7 +442,7 @@ func (c *cluster) pruneLogs(limit sim.VTime) {
 // TCP write (DESIGN §32).
 func (c *cluster) enqueueOut(dst int32, e event) {
 	c.outBuf[dst] = append(c.outBuf[dst], e)
-	if c.local[dst] && c.progress[dst].Load() >= e.T/c.deltaRange {
+	if c.local[dst] && c.progress[dst].Load() >= e.T {
 		c.ship(dst)
 	}
 }
@@ -547,22 +472,22 @@ func (c *cluster) ship(dst int32) {
 	c.outBuf[dst] = q[:0]
 }
 
-// send emits a positive event to every remote reader of own-driven net n
-// — the caller has checked that it has some — honouring lazy cancellation:
-// regenerating an identical stale event is a no-op, a different value
-// cancels the stale one first.
-func (c *cluster) send(t sim.VTime, n netlist.NetID, v bool) {
+// send emits a positive event for cycle t to every remote reader of
+// own-driven net n — the caller has checked that it has some — honouring
+// lazy cancellation: if the executing cycle's previous execution sent n, an
+// identical value sends nothing and a different one cancels the old event
+// first.
+func (c *cluster) send(t uint64, n netlist.NetID, v bool) {
 	dsts := c.prog.readers(n)
 	f := c.cfg.Faults
-	// Lazy-cancellation suppression; DisableLazySuppression is the
-	// injected regression that treats every regenerated event as new, so
-	// the stale original is cancelled by flushStale instead of being
-	// recognised as already delivered.
-	if f == nil || !f.DisableLazySuppression {
-		if s, ok := c.takeStale(t, n); ok {
+	// DisableLazySuppression is the injected regression that treats every
+	// regenerated event as new, so the old one is cancelled at cycle end
+	// instead of being recognised as already delivered.
+	if c.undo != nil && (f == nil || !f.DisableLazySuppression) {
+		if s, ok := c.undo.takeSent(n); ok {
 			if s.Val == v {
 				// Identical regeneration: the receiver already has it.
-				c.outputLog = append(c.outputLog, s)
+				c.undo.keep(s)
 				return
 			}
 			c.cancel(s)
@@ -581,9 +506,7 @@ func (c *cluster) send(t sim.VTime, n netlist.NetID, v bool) {
 		e.Origin = c.blameOrigin
 		c.rec.Sent(c.id, e.Seq, e.Origin)
 	}
-	if c.undo != nil { // nothing else will ever cancel it
-		c.outputLog = append(c.outputLog, e)
-	}
+	c.undo.keep(e)
 	for _, dst := range dsts {
 		c.enqueueOut(dst, e)
 	}
@@ -615,22 +538,12 @@ func (c *cluster) cancel(e event) {
 	c.obs.Instant(int32(c.id), "anti_message", obs.Arg{Key: "t", Val: float64(e.T)})
 }
 
-// flushStale cancels stale events with T <= bound that re-execution did
-// not regenerate.
-func (c *cluster) flushStale(bound sim.VTime) {
-	for ; c.staleHead < len(c.staleOut) && c.staleOut[c.staleHead].T <= bound; c.staleHead++ {
-		c.cancel(c.staleOut[c.staleHead])
-	}
-	if c.staleHead == len(c.staleOut) {
-		c.staleOut, c.staleHead = c.staleOut[:0], 0
-	}
-}
-
 // processCycle executes cycle cyc by one levelized sweep: it writes the
-// stimulus, applies the remote events stamped inside the cycle, settles the
-// own combinational gates once with sim.Settle (the sequential sweep's
-// settle), sends each boundary net the settle changed stamped base+1 —
-// settled, never a glitch (DESIGN §26) — and ends the cycle (endCycle). A cluster that can be sent an event keeps the cycle's rollback
+// stimulus, applies the remote events for the cycle, settles the own
+// combinational gates once with sim.Settle (the sequential sweep's settle),
+// sends each boundary net the settle changed — settled, never a glitch
+// (DESIGN §26) — for its readers' same cycle, and ends the cycle
+// (endCycle). A cluster that can be sent an event keeps the cycle's rollback
 // record as it goes: every write of a stimulus input, remote input, boundary
 // net or flip-flop output notes itself in it; an own combinational output no
 // other cluster reads needs no entry (undo.go).
@@ -666,7 +579,7 @@ func (c *cluster) processCycle(cyc uint64) error {
 	for i, n := range p.bound {
 		if values[n] != c.boundOld[i] {
 			undo.note(n, values)
-			c.send(cyc*c.deltaRange+1, n, values[n])
+			c.send(cyc, n, values[n])
 		}
 	}
 	c.endCycle(cyc)
@@ -696,9 +609,8 @@ func (c *cluster) writeStimulus(cyc uint64) {
 func (c *cluster) endCycle(cyc uint64) {
 	p, values, undo := c.prog, c.values, c.undo
 	// Latch own DFFs; all d inputs are sampled before any q is updated
-	// (a DFF chain shifts one stage per cycle), and a q change is sent
-	// stamped at the next cycle's base.
-	nextBase := (cyc + 1) * c.deltaRange
+	// (a DFF chain shifts one stage per cycle), and a q change is sent for
+	// the next cycle, which reads it.
 	toggling := c.toggling[:0]
 	for i := range p.latch {
 		if f := &p.latch[i]; values[f.d] != values[f.q] {
@@ -711,7 +623,7 @@ func (c *cluster) endCycle(cyc uint64) {
 		values[q] = !values[q]
 		undo.note(q, values)
 		if f.remote {
-			c.send(nextBase, q, values[q])
+			c.send(cyc+1, q, values[q])
 		}
 	}
 	c.toggling = toggling[:0]
@@ -722,9 +634,13 @@ func (c *cluster) endCycle(cyc uint64) {
 		c.obsVals[i][cyc] = values[n]
 	}
 
-	// Any stale event up to and including this cycle's latch that was
-	// not regenerated is now known wrong: cancel it.
-	c.flushStale(nextBase)
+	// What the cycle's previous execution sent and this one did not is
+	// now known wrong: cancel it.
+	if undo != nil {
+		for _, s := range undo.unsent() {
+			c.cancel(s)
+		}
+	}
 
 	// What this cycle emitted (positives and cancellations) and did not
 	// send early leaves as one coalesced message per destination.
@@ -741,14 +657,13 @@ func (c *cluster) endCycle(cyc uint64) {
 	c.publish()
 }
 
-// consume moves the input queue's cursor over the events stamped inside
-// cycle cyc and returns where it stood: inq[lo:next] is what the cycle reads.
+// consume moves the input queue's cursor over the events for cycle cyc and
+// returns where it stood: inq[lo:next] is what the cycle reads.
 func (c *cluster) consume(cyc uint64) (lo int, err error) {
-	base := cyc * c.deltaRange
-	for lo = c.next; c.next < len(c.inq) && c.inq[c.next].T < base+c.deltaRange; c.next++ {
+	for lo = c.next; c.next < len(c.inq) && c.inq[c.next].T <= cyc; c.next++ {
 		e := &c.inq[c.next]
-		if e.T < base {
-			return lo, fmt.Errorf("timewarp: cluster %d: stale event at %d while processing cycle %d",
+		if e.T < cyc {
+			return lo, fmt.Errorf("timewarp: cluster %d: stale event for cycle %d while processing cycle %d",
 				c.id, e.T, cyc)
 		}
 		if c.rec.Enabled() {

@@ -107,7 +107,6 @@ func distRunObs(t *testing.T, spec *DistSpec, workers int, failAfter time.Durati
 	co, err := NewCoordinator(CoordConfig{
 		Spec:          spec,
 		Workers:       workers,
-		RoundEvery:    200 * time.Microsecond,
 		Watchdog:      10 * time.Second,
 		StallTimeout:  20 * time.Second,
 		RunTimeout:    80 * time.Second,

@@ -11,6 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
+// roundEvery is the GVT round cadence: how long the coordinator idles
+// between rounds, listening for a crash or an error frame.
+const roundEvery = 500 * time.Microsecond
+
 // CoordConfig configures the coordinator of a distributed run.
 type CoordConfig struct {
 	// Spec is the complete run description shipped to every worker
@@ -22,8 +26,6 @@ type CoordConfig struct {
 	// Listen is the control-plane bind address (default "127.0.0.1:0";
 	// read the chosen port back with Addr).
 	Listen string
-	// RoundEvery is the GVT round cadence (default 500µs).
-	RoundEvery time.Duration
 	// Watchdog bounds every per-worker wait: handshake, round reports and
 	// final results. A worker that exceeds it is declared dead and the
 	// run aborts — the crash/timeout path (default 5s).
@@ -170,9 +172,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.RoundEvery <= 0 {
-		cfg.RoundEvery = 500 * time.Microsecond
 	}
 	if cfg.Watchdog <= 0 {
 		cfg.Watchdog = 5 * time.Second
@@ -435,7 +434,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		// Idle between rounds, but keep listening: a worker crash or a
 		// FrameError must cut the nap short, and trace batches from a
 		// worker's throttled shipper are absorbed here.
-		if f, ok, err := co.pollFrame(frames, cfg.RoundEvery, conns); err != nil {
+		if f, ok, err := co.pollFrame(frames, roundEvery, conns); err != nil {
 			return nil, err
 		} else if ok {
 			return nil, co.abortf(conns, "worker %d sent unsolicited frame 0x%02x", f.worker, f.typ)

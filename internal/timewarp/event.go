@@ -8,11 +8,10 @@
 // already-sent events with anti-messages, and replaying.
 //
 // Each cluster executes a cycle by one levelized sweep of its own gates
-// (sim.Settle over its slice of the sequential sweep's table). Virtual time
-// is cycle*DeltaRange + delta with the sequential simulator's DeltaRange: a
-// boundary net's settled value is stamped base+1 of its cycle, a flip-flop
-// output's change the next cycle's base, and a cycle applies every event
-// stamped inside it before it settles. So a Time Warp run over any
+// (sim.Settle over its slice of the sequential sweep's table). An event is
+// stamped with the cycle that reads it: a boundary net's settled value with
+// its own cycle, a flip-flop output's change with the next one; a cycle
+// applies every event for it before it settles. So a Time Warp run over any
 // partitioning commits exactly the same per-cycle waveforms as
 // sim.Simulator — the correctness property the tests assert.
 package timewarp
@@ -22,12 +21,12 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/obs/causality"
-	"repro/internal/sim"
 )
 
-// event is a net value change at a virtual time, sent between clusters.
+// event is a net value change sent between clusters for cycle T, the
+// receiver's cycle that reads it.
 type event struct {
-	T    sim.VTime
+	T    uint64
 	Net  netlist.NetID
 	Val  bool
 	Anti bool

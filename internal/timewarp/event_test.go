@@ -34,8 +34,8 @@ func (q refQueue) sorted() refQueue {
 	return s
 }
 
-// unconsume is the reference's rollback to virtual time t; it returns how
-// many consumed events became pending again.
+// unconsume is the reference's rollback to cycle t; it returns how many
+// consumed events became pending again.
 func (q refQueue) unconsume(t uint64) (n int) {
 	for i := range q {
 		if q[i].consumed && q[i].e.T >= t {
@@ -60,9 +60,8 @@ func (q refQueue) unconsume(t uint64) (n int) {
 // rollback or in none; and an anti-message without a positive is an error,
 // not a panic.
 func driveInputQueue(t *testing.T, data []byte) {
-	const R = 4 // virtual times per cycle: few, so that timestamps collide
 	var (
-		c      = &cluster{deltaRange: R}
+		c      = &cluster{}
 		ref    refQueue
 		seq    [4]uint64 // per source, so that no (Src, Seq) repeats
 		fossil uint64    // cycles; nothing arrives or rolls back below it
@@ -102,8 +101,8 @@ func driveInputQueue(t *testing.T, data []byte) {
 			t.Fatalf("delivery: rollback %v to cycle %d, reference %v to %d", st.needRoll, st.rollTo, needRoll, rollTo)
 		}
 		if needRoll {
-			c.rewind(rollTo * R)
-			ref.unconsume(rollTo * R)
+			c.rewind(rollTo)
+			ref.unconsume(rollTo)
 			c.cycle = rollTo
 		}
 		st = absorbState{rollTo: math.MaxUint64}
@@ -111,14 +110,14 @@ func driveInputQueue(t *testing.T, data []byte) {
 		check("resolve")
 	}
 	straggler := func(e event) {
-		if e.T < st.lvt && e.T/R < rollTo {
-			needRoll, rollTo = true, e.T/R
+		if e.T < st.lvt && e.T < rollTo {
+			needRoll, rollTo = true, e.T
 		}
 	}
 
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i]%16, uint64(data[i+1])
-		st.lvt = c.cycle * R
+		st.lvt = c.cycle
 		switch op {
 		case 0, 1, 2, 3, 4, 5: // a positive up to two cycles ahead: from the LVT on, or (4, 5) from the fossil line on
 			from := c.cycle
@@ -127,7 +126,7 @@ func driveInputQueue(t *testing.T, data []byte) {
 			}
 			src := int32(1 + arg%3)
 			seq[src]++
-			e := event{T: from*R + arg/3%((c.cycle-from+2)*R), Src: src, Seq: seq[src], Val: arg&1 == 0}
+			e := event{T: from + arg/3%(c.cycle-from+2), Src: src, Seq: seq[src], Val: arg&1 == 0}
 			if err := c.absorbOne(e, &st); err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +156,7 @@ func driveInputQueue(t *testing.T, data []byte) {
 			resolve()
 			var want []event
 			for _, r := range ref.sorted() {
-				if !r.consumed && r.e.T < (c.cycle+1)*R {
+				if !r.consumed && r.e.T <= c.cycle {
 					want = append(want, r.e)
 				}
 			}
@@ -175,13 +174,13 @@ func driveInputQueue(t *testing.T, data []byte) {
 			}
 			c.cycle++
 			for k := range ref {
-				ref[k].consumed = ref[k].consumed || ref[k].e.T < c.cycle*R
+				ref[k].consumed = ref[k].consumed || ref[k].e.T < c.cycle
 			}
 			check("consume")
 		case 12: // a rollback somebody else asked for (a benchmark's)
 			resolve()
 			tc := fossil + arg%(c.cycle-fossil+1)
-			if got, want := c.rewind(tc*R), ref.unconsume(tc*R); got != want {
+			if got, want := c.rewind(tc), ref.unconsume(tc); got != want {
 				t.Fatalf("rollback to cycle %d passed over %d events, reference %d", tc, got, want)
 			}
 			c.cycle = tc
@@ -189,10 +188,10 @@ func driveInputQueue(t *testing.T, data []byte) {
 		case 13: // fossil-collect up to a line at or below the LVT
 			resolve()
 			fossil += arg % (c.cycle - fossil + 1)
-			c.pruneLogs(fossil * R)
+			c.pruneLogs(fossil)
 			kept := ref[:0]
 			for _, r := range ref {
-				if r.e.T >= fossil*R {
+				if r.e.T >= fossil {
 					kept = append(kept, r)
 				}
 			}
@@ -202,7 +201,7 @@ func driveInputQueue(t *testing.T, data []byte) {
 			if op == 14 || arg%4 != 3 || len(ref) == 0 {
 				// An anti-message nothing was sent for: refused, queue untouched.
 				src := int32(1 + arg%3)
-				bogus := event{T: fossil*R + arg%R, Src: src, Seq: seq[src] + 1 + arg, Anti: true}
+				bogus := event{T: fossil + arg%4, Src: src, Seq: seq[src] + 1 + arg, Anti: true}
 				if err := c.absorbOne(bogus, &st); err == nil || !strings.Contains(err.Error(), "unknown event") {
 					t.Fatalf("anti-message without a positive: error %v", err)
 				}
@@ -242,8 +241,7 @@ func FuzzInputQueue(f *testing.F) {
 // landing among the consumed, an anti-message for a pending and for a
 // consumed event, the rollback and the prune.
 func TestInputQueueOperations(t *testing.T) {
-	const R = 8
-	c := &cluster{deltaRange: R}
+	c := &cluster{}
 	absorb := func(lvt uint64, evs ...event) absorbState {
 		t.Helper()
 		st := absorbState{lvt: lvt, rollTo: math.MaxUint64}
@@ -276,9 +274,9 @@ func TestInputQueueOperations(t *testing.T) {
 		}
 	}
 
-	// Cycle 0's events arrive out of order, cycle 1's behind them.
+	// Cycle 0's events arrive out of order, cycle 1's among them.
 	st := absorb(0,
-		event{T: 5, Src: 2, Seq: 1}, event{T: 9, Src: 1, Seq: 2}, event{T: 5, Src: 1, Seq: 1}, event{T: 3, Src: 2, Seq: 2})
+		event{T: 0, Src: 2, Seq: 2}, event{T: 1, Src: 1, Seq: 2}, event{T: 0, Src: 2, Seq: 1}, event{T: 0, Src: 1, Seq: 1})
 	if st.needRoll {
 		t.Fatalf("nothing executed yet, rollback to %d asked for", st.rollTo)
 	}
@@ -286,17 +284,17 @@ func TestInputQueueOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect("cycle 0 consumes", c.inq[lo:c.next], [3]uint64{3, 2, 2}, [3]uint64{5, 1, 1}, [3]uint64{5, 2, 1})
-	expect("pending", c.inq[c.next:], [3]uint64{9, 1, 2})
+	expect("cycle 0 consumes", c.inq[lo:c.next], [3]uint64{0, 1, 1}, [3]uint64{0, 2, 1}, [3]uint64{0, 2, 2})
+	expect("pending", c.inq[c.next:], [3]uint64{1, 1, 2})
 	if lo, _ = c.consume(1); c.next-lo != 1 {
 		t.Fatalf("cycle 1 consumed %d events, want 1", c.next-lo)
 	}
 
 	// A straggler for cycle 0 lands among the consumed; the anti-message of
 	// a pending event annihilates it and asks for nothing.
-	st = absorb(2*R, event{T: 20, Src: 1, Seq: 3}, event{T: 4, Src: 1, Seq: 4}, event{T: 20, Src: 1, Seq: 3, Anti: true})
+	st = absorb(2, event{T: 2, Src: 1, Seq: 3}, event{T: 0, Src: 1, Seq: 4}, event{T: 2, Src: 1, Seq: 3, Anti: true})
 	if !st.needRoll || st.rollTo != 0 || st.trigger.Seq != 4 {
-		t.Fatalf("straggler at T=4: rollback %v to %d by %+v", st.needRoll, st.rollTo, st.trigger)
+		t.Fatalf("straggler for cycle 0: rollback %v to %d by %+v", st.needRoll, st.rollTo, st.trigger)
 	}
 	if c.next != 5 || len(c.inq) != 5 {
 		t.Fatalf("cursor %d of %d, want it moved up past the straggler: 5 of 5", c.next, len(c.inq))
@@ -305,23 +303,23 @@ func TestInputQueueOperations(t *testing.T) {
 		t.Fatalf("rollback to cycle 0 passed over %d events to %d, want 5 to 0", n, c.next)
 	}
 	lo, _ = c.consume(0)
-	expect("cycle 0 replays", c.inq[lo:c.next], [3]uint64{3, 2, 2}, [3]uint64{4, 1, 4}, [3]uint64{5, 1, 1}, [3]uint64{5, 2, 1})
+	expect("cycle 0 replays", c.inq[lo:c.next], [3]uint64{0, 1, 1}, [3]uint64{0, 1, 4}, [3]uint64{0, 2, 1}, [3]uint64{0, 2, 2})
 
 	// The anti-message of a consumed event deletes it and rolls back to it.
-	st = absorb(1*R, event{T: 5, Src: 1, Seq: 1, Anti: true})
+	st = absorb(1, event{T: 0, Src: 1, Seq: 1, Anti: true})
 	if !st.needRoll || st.rollTo != 0 || c.next != 3 {
 		t.Fatalf("anti-message for a consumed event: rollback %v to %d, cursor %d; want true, 0, 3", st.needRoll, st.rollTo, c.next)
 	}
 	c.rewind(0)
 	c.consume(0)
 	c.consume(1)
-	c.pruneLogs(1 * R)
-	expect("after fossil collection below cycle 1", c.inq, [3]uint64{9, 1, 2})
+	c.pruneLogs(1)
+	expect("after fossil collection below cycle 1", c.inq, [3]uint64{1, 1, 2})
 	if c.next != 1 {
 		t.Fatalf("cursor %d after the prune, want 1", c.next)
 	}
 	var none absorbState
-	if err := c.absorbOne(event{T: 5, Src: 1, Seq: 1, Anti: true}, &none); err == nil {
+	if err := c.absorbOne(event{T: 0, Src: 1, Seq: 1, Anti: true}, &none); err == nil {
 		t.Error("a second anti-message for the same event was accepted")
 	}
 }

@@ -27,9 +27,9 @@ func checkPartition(k int, gateParts []int32) error {
 }
 
 // prepare validates cfg and fills its defaults in place. It returns the
-// compiled cycle of cfg.NL, from which a run takes the virtual-time width
-// of one cycle, the power-on net values and the stimulus width, so that
-// they are the sequential simulator's by construction.
+// compiled cycle of cfg.NL, from which a run takes the gate table, the
+// power-on net values and the stimulus width, so that they are the
+// sequential simulator's by construction.
 func (cfg *Config) prepare() (*sim.Sweep, error) {
 	if cfg.NL == nil {
 		return nil, fmt.Errorf("timewarp: Config.NL is nil")
@@ -61,18 +61,17 @@ func (cfg *Config) prepare() (*sim.Sweep, error) {
 // quiescence loop; a distributed worker is a host owning its placement
 // share plus the mesh and the coordinator's control loop.
 type host struct {
-	cfg        Config // validated, defaults filled
-	mode       string // pprof label: "tw" in-process, "dist" in a worker
-	deltaRange uint64
-	sweep      *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
-	stim       *stimulus
-	net        *comm.Network
-	progress   []atomic.Uint64 // published cycle per cluster (all K)
-	local      []bool          // local[c]: this process runs cluster c
-	absorbed   atomic.Uint64   // messages fully absorbed by local clusters
-	cancelled  atomic.Bool     // any failure: every cluster abandons the run
-	gvt        atomic.Uint64   // established GVT in cycles; safe fossil line
-	clusters   []*cluster      // the clusters this process runs
+	cfg       Config     // validated, defaults filled
+	mode      string     // pprof label: "tw" in-process, "dist" in a worker
+	sweep     *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
+	stim      *stimulus
+	net       *comm.Network
+	progress  []atomic.Uint64 // published cycle per cluster (all K)
+	local     []bool          // local[c]: this process runs cluster c
+	absorbed  atomic.Uint64   // messages fully absorbed by local clusters
+	cancelled atomic.Bool     // any failure: every cluster abandons the run
+	gvt       atomic.Uint64   // established GVT in cycles; safe fossil line
+	clusters  []*cluster      // the clusters this process runs
 
 	wg    sync.WaitGroup
 	errMu sync.Mutex
@@ -87,14 +86,13 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		return nil, err
 	}
 	h := &host{
-		cfg:        cfg,
-		mode:       mode,
-		deltaRange: ref.DeltaRange,
-		sweep:      ref,
-		stim:       newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
-		net:        comm.NewNetworkTransport(cfg.K, cfg.Transport),
-		progress:   make([]atomic.Uint64, cfg.K),
-		local:      make([]bool, cfg.K),
+		cfg:      cfg,
+		mode:     mode,
+		sweep:    ref,
+		stim:     newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
+		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
+		progress: make([]atomic.Uint64, cfg.K),
+		local:    make([]bool, cfg.K),
 	}
 	for c := range h.local {
 		h.local[c] = owns == nil || owns(c)

@@ -87,7 +87,7 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 	}
 
 	// b runs ahead, a catches up to cycle 6; its first event, the latch of
-	// cycle 0, is stamped at the start of cycle 1 and takes b back there. b
+	// cycle 0, is for cycle 1 and takes b back there. b
 	// re-runs: one record per executed cycle, the restored one's rewritten.
 	// Everything quiet, GVT = 6.
 	run(b, 8)
@@ -122,7 +122,7 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 
 	// A target whose own record is gone is an error, not a restore of the
 	// one before it.
-	b.undo.hist = b.undo.hist[:6]
+	b.undo.hist, b.undo.top = b.undo.hist[:6], 6
 	if err := b.rollback(6, 0); err == nil || !strings.Contains(err.Error(), "has no checkpoint") {
 		t.Errorf("rollback to a cycle without a record: error %v", err)
 	}
@@ -132,11 +132,11 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 	}
 
 	// The sender kept nothing to roll back to, and says so when asked.
-	if len(a.outputLog) != 0 || a.stats.checkpoints.Load() != 0 {
-		t.Errorf("sender holds %d output-log entries and wrote %d records; want none",
-			len(a.outputLog), a.stats.checkpoints.Load())
+	if a.undo != nil || a.stats.checkpoints.Load() != 0 {
+		t.Errorf("sender keeps an undo log: %v, and wrote %d records; want neither",
+			a.undo != nil, a.stats.checkpoints.Load())
 	}
-	stray := event{T: 3 * a.deltaRange, Net: b.prog.tab[0].Out, Val: true, Src: 1, Seq: 1}
+	stray := event{T: 3, Net: b.prog.tab[0].Out, Val: true, Src: 1, Seq: 1}
 	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
 		t.Errorf("event delivered to a cluster without remote inputs: error %v, want it refused as misrouted", err)
 	}
@@ -176,8 +176,8 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 		t.Errorf("sender: %d messages, %d records, %d rollbacks; want an event a cycle and nothing else",
 			st.Messages, st.Checkpoints, st.Rollbacks)
 	}
-	if len(a.outputLog) != 0 || a.undo != nil {
-		t.Errorf("sender ends with %d output-log entries and an undo log: %v; want none", len(a.outputLog), a.undo != nil)
+	if a.undo != nil {
+		t.Error("sender ends with an undo log; want none")
 	}
 	st := res.PerCluster[1]
 	if st.Rollbacks == 0 || st.Checkpoints < cycles+st.Rollbacks {

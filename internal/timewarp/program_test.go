@@ -317,7 +317,7 @@ func TestInputQueueStaysSorted(t *testing.T) {
 	for !finished() {
 		c := h.clusters[rng.Intn(k)]
 		msgs := c.ep.TryRecvAll()
-		st := absorbState{lvt: c.cycle * c.deltaRange, rollTo: math.MaxUint64}
+		st := absorbState{lvt: c.cycle, rollTo: math.MaxUint64}
 		for _, m := range msgs {
 			evs, _ := m.(batch)
 			if e, ok := m.(event); ok {
@@ -352,7 +352,7 @@ func TestInputQueueStaysSorted(t *testing.T) {
 		if err := c.checkLogs(); err != nil {
 			t.Fatal(err)
 		}
-		if want := firstAt(c.inq, c.cycle*c.deltaRange); c.next != want {
+		if want := firstAt(c.inq, c.cycle); c.next != want {
 			t.Fatalf("cluster %d at cycle %d: cursor %d, the cycle's first event is at %d of %d", c.id, c.cycle, c.next, want, len(c.inq))
 		}
 		if c.cycle < cycles && rng.Intn(3) > 0 {

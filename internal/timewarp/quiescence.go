@@ -52,7 +52,7 @@ type verdict struct {
 // transport carries it and as absorbed only after its receiver read and
 // applied it, so a frame on the wire is a sent message not yet absorbed.
 // The progress minimum therefore held at a provably quiescent instant.
-// A cluster publishes its cycle, a lower bound on the timestamp of anything
+// A cluster publishes its cycle, a lower bound on the cycle (T) of anything
 // it will still send, and any future rollback chain starts from such a
 // send, so no rollback can ever target a cycle below that minimum: it is a
 // safe fossil-collection line, and "all clusters finished + quiescent",

@@ -13,14 +13,13 @@ import (
 // that cycle, behind histories of different length: a two-flip-flop ring cut
 // between the flip-flops, in which each cluster consumes one event and sends
 // one event every cycle, stepped in turn so that nothing rolls back and
-// nothing is fossil-collected while the logs grow to the given number of
-// entries. The rollback bisects them, moves the input queue's cursor back
-// over one entry and one output-log entry to the stale events, and writes one
-// rollback record back; the re-execution regenerates the event it sent, so
-// nothing goes out, and writes that record again. The cost must not depend
-// on the history (the three sizes within 1.5× of each other): the
-// re-executed cycle allocates its record (1 alloc, 8 B on this ring: the
-// nets it noted) and nothing that grows with the history.
+// nothing is fossil-collected while the input queue and the records grow to
+// the given number of entries. The rollback bisects the queue, moves its
+// cursor back over one entry and writes one rollback record back, whose
+// send stays standing; the re-execution regenerates the event it sent, so
+// nothing goes out, and writes that record again over its own arrays. The
+// cost must not depend on the history (the three sizes within 1.5× of each
+// other), and the round allocates nothing.
 func BenchmarkRollbackHistory(b *testing.B) {
 	ring := &gen.Circuit{Name: "ring", Top: "ring", Source: `
 module ring (input clk, output out);
@@ -66,9 +65,9 @@ endmodule
 					}
 				}
 			}
-			if st := c.stats.Snapshot(); st.Rollbacks != 0 || uint64(c.next) < entries || uint64(len(c.outputLog)) < entries {
-				b.Fatalf("history: %d rollbacks, %d consumed input-queue and %d output-log entries; want none and at least %d of each",
-					st.Rollbacks, c.next, len(c.outputLog), entries)
+			if st := c.stats.Snapshot(); st.Rollbacks != 0 || uint64(c.next) < entries || uint64(c.undo.top) < entries {
+				b.Fatalf("history: %d rollbacks, %d consumed input-queue entries and %d records; want none and at least %d of each",
+					st.Rollbacks, c.next, c.undo.top, entries)
 			}
 			round := func() {
 				if err := c.rollback(c.cycle-1, 0); err != nil {
@@ -78,7 +77,7 @@ endmodule
 					b.Fatal(err)
 				}
 			}
-			round() // the stale-event buffers get their capacity
+			round()
 			sent := h.net.TotalSent()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -86,9 +85,9 @@ endmodule
 				round()
 			}
 			b.StopTimer()
-			if h.net.TotalSent() != sent || uint64(c.next) < entries || uint64(len(c.outputLog)) < entries {
-				b.Fatalf("the rounds sent %d messages and left %d consumed input-queue and %d output-log entries",
-					h.net.TotalSent()-sent, c.next, len(c.outputLog))
+			if h.net.TotalSent() != sent || uint64(c.next) < entries || uint64(c.undo.top) < entries {
+				b.Fatalf("the rounds sent %d messages and left %d consumed input-queue entries and %d records",
+					h.net.TotalSent()-sent, c.next, c.undo.top)
 			}
 		})
 	}

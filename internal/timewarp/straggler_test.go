@@ -3,6 +3,7 @@ package timewarp
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,9 +210,8 @@ func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
 			t.Fatalf("cycle %d: cluster 0 toggled %d flip-flops and sent cluster 1 %d messages; want some and at least 2",
 				warm, n, len(toB))
 		}
-		base := warm * s.h.deltaRange
-		if e, ok := toB[0].msg.(event); !ok || e.Anti || e.T <= base || e.T >= base+s.h.deltaRange || !toB[0].beforeLatch {
-			t.Fatalf("cycle %d: the first message to cluster 1 is %+v, sent before the latch: %v; want one positive event stamped inside the cycle, before the latch",
+		if e, ok := toB[0].msg.(event); !ok || e.Anti || e.T != warm || !toB[0].beforeLatch {
+			t.Fatalf("cycle %d: the first message to cluster 1 is %+v, sent before the latch: %v; want one positive event for the cycle, before the latch",
 				warm, toB[0].msg, toB[0].beforeLatch)
 		}
 
@@ -347,6 +347,147 @@ func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 			t.Errorf("cycle %d re-executed: net %s is %v, the first execution left it %v",
 				warm, nl.Nets[n].Name, c.values[n], afterFirst[n])
 		}
+	}
+	s.h.closeEndpoints()
+	s.h.net.CloseTransport()
+}
+
+// lazyPair is a two-cluster design with traffic both ways: cluster 0's
+// flip-flop q toggles every cycle and cluster 1 reads it; cluster 1 sends
+// back y = q and z = r, r a flip-flop of its own toggling every cycle. So
+// cluster 1 sends y and z in every cycle, and what it sends of y depends
+// only on what it hears of q.
+func lazyPair(t *testing.T) (*netlist.Netlist, []int32) {
+	t.Helper()
+	c := &gen.Circuit{Name: "lazy", Top: "lazy", Source: `
+module lazy (input clk, output o1, output o2);
+  wire q, nq, y, r, nr, z, w, u;
+  not n0 (nq, q);
+  dff f0 (q, nq, clk);
+  buf by (y, q);
+  not n1 (nr, r);
+  dff f1 (r, nr, clk);
+  buf bz (z, r);
+  dff f2 (w, y, clk);
+  dff f3 (u, z, clk);
+  buf b1 (o1, w);
+  buf b2 (o2, u);
+endmodule
+`}
+	ed, err := c.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	parts := make([]int32, len(nl.Gates))
+	for gi := range nl.Gates {
+		switch name := nl.Nets[nl.Gates[gi].Output].Name; name[strings.LastIndexByte(name, '.')+1:] {
+		case "y", "nr", "r", "z":
+			parts[gi] = 1
+		}
+	}
+	return nl, parts
+}
+
+// TestLazyCancellation hand-steps lazyPair through the three outcomes of
+// lazy cancellation. Both clusters run in step past cycles c and c+1, so
+// cluster 1's records of those cycles hold the y and z it sent. Cluster 0
+// then revises what it said of q: it cancels its events for c and c+1 and
+// sends, for c+1, the opposite of what it had. Cluster 1 rolls back to c and
+// re-executes: q no longer changes in cycle c, so y is not sent again and
+// its old event is cancelled at the cycle's end; in cycle c+1 y changes the
+// other way, so the old event's anti-message leaves ahead of the new
+// positive; z is regenerated identically in both cycles, so nothing goes out
+// for it. Afterwards each record holds exactly what stands.
+func TestLazyCancellation(t *testing.T) {
+	nl, parts := lazyPair(t)
+	const c = 5
+	s := newHandStepped(t, Config{
+		NL: nl, GateParts: parts, K: 2,
+		Vectors: sim.RandomVectors{Seed: 1}, Cycles: c + 4,
+	}, nil)
+	a, b := s.h.clusters[0], s.h.clusters[1]
+	s.settle(c + 2)
+	net := func(name string) netlist.NetID {
+		for n := range nl.Nets {
+			if full := nl.Nets[n].Name; full == name || strings.HasSuffix(full, "."+name) {
+				return netlist.NetID(n)
+			}
+		}
+		t.Fatalf("no net %s", name)
+		return 0
+	}
+	q, y, z := net("q"), net("y"), net("z")
+	sentBy := func(cyc uint64) map[netlist.NetID]event {
+		got := map[netlist.NetID]event{}
+		for _, e := range b.undo.hist[cyc-b.undo.fossil].sent {
+			got[e.Net] = e
+		}
+		return got
+	}
+	first := [2]map[netlist.NetID]event{sentBy(c), sentBy(c + 1)}
+	for i, m := range first {
+		if _, ok := m[y]; !ok || len(m) != 2 {
+			t.Fatalf("cycle %d: cluster 1's record keeps %v, want an event on y and one on z", c+i, m)
+		}
+	}
+
+	// Cluster 0's events on q for cycles c and c+1, as cluster 1 holds them.
+	var heard [2]event
+	for _, e := range b.inq {
+		if e.Src == a.id && e.Net == q && (e.T == c || e.T == c+1) {
+			heard[e.T-c] = e
+		}
+	}
+	if heard[0].Seq == 0 || heard[1].Seq == 0 || heard[0].Val == heard[1].Val {
+		t.Fatalf("cluster 1 heard %+v of q for cycles %d and %d, want a toggle", heard, c, c+1)
+	}
+	revise := batch{heard[0], heard[1], heard[1]}
+	revise[0].Anti, revise[1].Anti = true, true
+	a.seq++
+	revise[2].Val, revise[2].Seq = !heard[1].Val, a.seq
+
+	var out []event // what cluster 1 sends cluster 0, in send order
+	s.tr.onSend = func(dst int, msg comm.Message) {
+		if dst == int(a.id) {
+			switch m := msg.(type) {
+			case event:
+				out = append(out, m)
+			case batch:
+				out = append(out, m...)
+			}
+		}
+	}
+	if err := b.absorb([]comm.Message{revise}); err != nil {
+		t.Fatal(err)
+	}
+	if b.cycle != c {
+		t.Fatalf("cluster 1 at cycle %d after the revision, want it rolled back to %d", b.cycle, c)
+	}
+
+	// Cycle c: y unchanged, so its old event is cancelled at cycle end; z
+	// identical, so nothing.
+	s.step(b)
+	if want := first[0][y]; len(out) != 1 || !out[0].Anti || out[0].Seq != want.Seq || out[0].T != c {
+		t.Fatalf("re-executing cycle %d, cluster 1 sent %+v; want only the anti-message of %+v", c, out, want)
+	}
+	if got := sentBy(c); len(got) != 1 || got[z] != first[0][z] {
+		t.Errorf("cycle %d's record keeps %v, want only the standing event on z, %+v", c, got, first[0][z])
+	}
+
+	// Cycle c+1: y changes the other way: anti-message, then the positive.
+	out = out[:0]
+	s.step(b)
+	old := first[1][y]
+	if len(out) != 2 || !out[0].Anti || out[0].Seq != old.Seq ||
+		out[1].Anti || out[1].Net != y || out[1].Val == old.Val || out[1].T != c+1 {
+		t.Fatalf("re-executing cycle %d, cluster 1 sent %+v; want the anti-message of %+v, then y = %v", c+1, out, old, !old.Val)
+	}
+	if got := sentBy(c + 1); len(got) != 2 || got[z] != first[1][z] || got[y] != out[1] {
+		t.Errorf("cycle %d's record keeps %v, want the standing z %+v and the new y %+v", c+1, got, first[1][z], out[1])
+	}
+	if st := b.stats.Snapshot(); st.AntiMessages != 2 {
+		t.Errorf("cluster 1 sent %d anti-messages, want 2", st.AntiMessages)
 	}
 	s.h.closeEndpoints()
 	s.h.net.CloseTransport()

@@ -9,12 +9,16 @@ import (
 )
 
 // driveUndoLog runs one schedule of the kernel's calls on an undo log —
-// begin / note / end around every cycle, undo for a rollback, trim for a
-// fossil collection — against a model that keeps one full mirror per cycle.
-// Every net the schedule writes is noted, so after every call each cycle
-// from the fossil line up restores to the model's values, an undo reports
-// the cycles it undid, the records are the executed cycles above the line,
-// and a rollback target without a record is an error that changes nothing.
+// begin / note / takeSent / keep / unsent / end around every cycle, undo for
+// a rollback, trim for a fossil collection — against a model that keeps one
+// full mirror of the values and one list of standing sends per cycle. Every
+// net the schedule writes is noted, so after every call each cycle from the
+// fossil line up restores to the model's values, an undo reports the cycles
+// it undid, the records are the cycles executed above the line, each holding
+// what its last execution left standing, and a rollback target without a
+// record is an error that changes nothing. Within a cycle, begin offers
+// exactly what the cycle's last execution left standing, takeSent finds an
+// event by net, and unsent returns the rest in send order.
 func driveUndoLog(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
@@ -22,19 +26,26 @@ func driveUndoLog(t *testing.T, data []byte) {
 	var (
 		values = make([]bool, 16+int(data[0]%112))
 		u      = &undoLog{mark: make([]uint64, len(values))}
-		model  = map[uint64][]bool{} // an entry at or above cycle is stale
-		cycle  uint64                // the next to execute
+		model  = map[uint64][]bool{}  // an entry at or above cycle is stale
+		sent   = map[uint64][]event{} // standing sends by cycle, in send order
+		cycle  uint64                 // the next to execute
+		hi     uint64                 // one past the highest cycle ever executed
 		fossil uint64
+		seq    uint64
 	)
 	check := func(what string) {
 		t.Helper()
-		if u.fossil != fossil || uint64(len(u.hist)) != cycle-fossil {
-			t.Fatalf("after %s: %d records from cycle %d, want the %d executed from the fossil line %d up",
-				what, len(u.hist), u.fossil, cycle-fossil, fossil)
+		if u.fossil != fossil || u.top != int(cycle-fossil) || uint64(len(u.hist)) != hi-fossil {
+			t.Fatalf("after %s: records of cycles %d to %d, %d of them current; want the %d executed from the fossil line %d up, %d current",
+				what, u.fossil, u.fossil+uint64(len(u.hist)), u.top, hi-fossil, fossil, cycle-fossil)
 		}
-		// One cycle at a time, newest first, on a copy: undo reads the
-		// records and truncates the slice.
-		cp, out := undoLog{hist: slices.Clone(u.hist), fossil: u.fossil}, slices.Clone(values)
+		for c := fossil; c < hi; c++ {
+			if got := u.hist[c-fossil].sent; !slices.Equal(got, sent[c]) {
+				t.Fatalf("after %s: cycle %d's record keeps sends %v, its last execution left %v standing", what, c, got, sent[c])
+			}
+		}
+		// One cycle at a time, newest first, on a copy: undo moves top.
+		cp, out := undoLog{hist: slices.Clone(u.hist), top: u.top, fossil: u.fossil}, slices.Clone(values)
 		for c := cycle; c > fossil; {
 			c--
 			undone, err := cp.undo(c, out)
@@ -46,11 +57,11 @@ func driveUndoLog(t *testing.T, data []byte) {
 	}
 	refused := func(tc uint64) {
 		t.Helper()
-		before, records := slices.Clone(values), len(u.hist)
+		before, records, top := slices.Clone(values), len(u.hist), u.top
 		if _, err := u.undo(tc, values); err == nil {
 			t.Fatalf("undo(%d) with records of cycles %d to %d: no error", tc, fossil, cycle)
 		}
-		if !slices.Equal(values, before) || len(u.hist) != records {
+		if !slices.Equal(values, before) || len(u.hist) != records || u.top != top {
 			t.Fatalf("a refused undo(%d) changed the state", tc)
 		}
 	}
@@ -62,6 +73,10 @@ func driveUndoLog(t *testing.T, data []byte) {
 		case op <= 1: // execute a cycle
 			u.begin()
 			model[cycle] = slices.Clone(values)
+			prev := slices.Clone(sent[cycle])
+			if got := u.unsent(); !slices.Equal(got, prev) {
+				t.Fatalf("begin of cycle %d offers %v, its last execution left %v standing", cycle, got, prev)
+			}
 			for i := uint64(0); i < arg%7; i++ {
 				// i/3 makes consecutive writes hit the same net: it toggles
 				// two or three times inside the cycle.
@@ -69,8 +84,45 @@ func driveUndoLog(t *testing.T, data []byte) {
 				values[n] = !values[n]
 				u.note(n, values)
 			}
+			// Sends on some of eight nets, at most one each, in net order
+			// or (odd arg) against it, so a match is not always the first
+			// of the rest: taken back and let stand, taken back and
+			// replaced by a new value, or sent for the first time.
+			var kept []event
+			mask := uint8(arg*37 + cycle*11)
+			for j := 0; j < 8; j++ {
+				n := netlist.NetID(j)
+				if arg&1 == 1 {
+					n = netlist.NetID(7 - j)
+				}
+				if mask>>j&1 == 0 {
+					continue
+				}
+				at := slices.IndexFunc(prev, func(e event) bool { return e.Net == n })
+				s, ok := u.takeSent(n)
+				if ok != (at >= 0) || ok && s != prev[at] {
+					t.Fatalf("cycle %d: takeSent(%d) = %+v, %v; its last execution left %v standing", cycle, n, s, ok, prev)
+				}
+				if ok {
+					prev = slices.Delete(prev, at, at+1)
+				}
+				if ok && (arg>>1+uint64(j))%3 != 0 {
+					u.keep(s)
+					kept = append(kept, s)
+					continue
+				}
+				seq++
+				e := event{T: cycle, Net: n, Val: seq&1 == 0, Seq: seq}
+				u.keep(e)
+				kept = append(kept, e)
+			}
+			if got := u.unsent(); !slices.Equal(got, prev) {
+				t.Fatalf("cycle %d: unsent %v, want %v, in send order", cycle, got, prev)
+			}
 			u.end()
+			sent[cycle] = kept
 			cycle++
+			hi = max(hi, cycle)
 			check("cycle")
 		case op == 2 && arg%8 == 7: // a target without a record
 			refused(cycle + arg>>3)
@@ -87,7 +139,10 @@ func driveUndoLog(t *testing.T, data []byte) {
 			cycle = tc
 			check("rollback")
 		case op == 3: // fossil-collect up to a line at or below the LVT
-			fossil += arg % (cycle - fossil + 1)
+			line := fossil + arg%(cycle-fossil+1)
+			for ; fossil < line; fossil++ {
+				delete(sent, fossil)
+			}
 			u.trim(fossil)
 			check("trim")
 		}
