@@ -35,9 +35,11 @@ check: build test vet race
 fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
-	$(GO) test ./internal/timewarp -run 'TestStraggler|TestRollbackRestoresEveryLiveNet|TestLazyCancellation|TestOneWayCut' -count=5
+	$(GO) test ./internal/timewarp -run 'TestStraggler|TestRollbackRestoresEveryLiveNet|TestLazyCancellation|TestOneWayCut|TestConservative' -count=5
+	$(GO) test -race ./internal/timewarp -run 'TestConservative|TestDifferential'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzUndoLog -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzDistProtoDecode -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzWireDecode -fuzztime 20s

@@ -27,17 +27,19 @@ func multiway(t *testing.T, c *gen.Circuit, opts partition.Options) (*elab.Desig
 }
 
 // TestRunAllocs holds an in-process run's allocations, the run included,
-// on three workloads: the default decoder split through its trellis (the
-// rollback path), the SoC at k=4 with the metrics observer and the
-// causality recorder attached, and the default SoC split along its
+// on three workloads: the default decoder split through its trellis (its
+// clusters wait for each other), the SoC at k=4 with the metrics observer
+// and the causality recorder attached, and the default SoC split along its
 // channels (cut 0: the forward path, no message, no rollback). The first
 // two depend on scheduling and are bounded at about twice their count when
 // they were set (≈ 2,490 and ≈ 2,040; ≈ 2,090 and ≈ 1,590 since every
-// cluster sweeps its cycle; ≈ 13,650 and ≈ 6,650 when every event sent or
-// received boxed the arguments of a never-enabled printf); the forward run
-// is deterministic (≈ 116: neither cluster keeps a rollback record, and
-// since every cluster sweeps none grows a list of pending flip-flop
-// changes; ≈ 138 before) and bounded at about +10 %.
+// cluster sweeps its cycle; ≈ 360 and ≈ 1,120 since the decoder's clusters
+// wait for each other instead of rolling back; ≈ 13,650 and ≈ 6,650 when
+// every event sent or received boxed the arguments of a never-enabled
+// printf); the forward run is deterministic (≈ 120: neither cluster keeps a
+// rollback record, and since every cluster sweeps none grows a list of
+// pending flip-flop changes; ≈ 116 before the copy table, ≈ 138 before the
+// sweep) and bounded at about +10 %.
 func TestRunAllocs(t *testing.T) {
 	vit, vitParts := multiway(t, gen.Viterbi(gen.DefaultViterbi), partition.Options{K: 2, B: 10, Seed: 1})
 	// The SoC of distWorkloads at k=4, the configuration the observability

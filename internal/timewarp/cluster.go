@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,8 +23,9 @@ import (
 const window = 8
 
 // cluster simulates the gates of one partition, a cycle at a time by one
-// levelized sweep; optimistically, keeping a rollback record of every cycle,
-// when another cluster can send it an event (DESIGN §26).
+// levelized sweep. One that another cluster sends events to either waits for
+// its senders before each cycle (direct delivery) or runs ahead of them,
+// keeping a rollback record of every cycle (DESIGN §26).
 type cluster struct {
 	id        int32
 	cfg       *Config
@@ -32,6 +34,7 @@ type cluster struct {
 	absorbed  *atomic.Uint64 // global count of messages fully absorbed
 	cancelled *atomic.Bool   // set when any cluster fails; everyone exits
 	gvt       *atomic.Uint64 // quiescent GVT (cycles); safe fossil line
+	lot       *parkingLot    // where conservative clusters of the host park
 
 	// Static structure: the netlist and partition as this cluster's flat
 	// tables (program.go).
@@ -56,22 +59,24 @@ type cluster struct {
 	// converged clusters endlessly re-send identical results. undo is nil in
 	// a cluster nothing can roll back (see newCluster), and that cluster
 	// keeps no rollback state at all.
-	undo    *undoLog
-	seq     uint64
-	obsVals [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
-	stim    *stimulus
-	vecBuf  []bool // scratch for filling a stimulus row
+	undo *undoLog
+	// conservative says the cluster has senders and waits for them before
+	// each cycle (awaitSenders) instead of running ahead: it keeps no
+	// rollback state, and drops the events it consumed. lastCycle is how
+	// long its last cycle took, the longest it spins before it parks.
+	conservative bool
+	lastCycle    time.Duration
+	seq          uint64
+	obsVals      [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
+	stim         *stimulus
+	vecBuf       []bool // scratch for filling a stimulus row
 
 	// Outgoing batches: events emitted within a cycle coalesce per
 	// destination, preserving per-link FIFO (batch order = send order). A
-	// batch leaves as one comm.Message at cycle end, or at once when its
-	// destination is local and has reached the cycle of the event just
-	// added (enqueueOut).
+	// batch leaves as one comm.Message at cycle end (flushOut).
 	outBuf []batch
-	local  []bool // local[c]: cluster c runs in this process (host.local)
 
 	// Scratch.
-	boundOld []bool  // prog.bound's values before the cycle's settle
 	toggling []int32 // the latch's flipping flip-flops, by index into prog.latch
 
 	faultCtr uint64 // positive events sent, for CorruptEveryN injection
@@ -96,12 +101,12 @@ type cluster struct {
 	blameUntil  uint64
 }
 
-// newCluster builds cluster id of host h's run, wired to h's network
-// endpoint and shared progress / absorbed / cancelled / GVT words, in the
-// power-on state.
-func newCluster(id int32, h *host) *cluster {
+// newCluster builds cluster id of host h's run, replicated by rep, wired to
+// h's network endpoint and shared progress / absorbed / cancelled / GVT
+// words, in the power-on state.
+func newCluster(id int32, h *host, rep *replicas) *cluster {
 	cfg := &h.cfg
-	p := compile(h.sweep, cfg.GateParts, id, cfg.Observe)
+	p := compile(h.sweep, cfg.GateParts, rep, id, cfg.Observe)
 	c := &cluster{
 		id:        id,
 		cfg:       cfg,
@@ -110,20 +115,28 @@ func newCluster(id int32, h *host) *cluster {
 		absorbed:  &h.absorbed,
 		cancelled: &h.cancelled,
 		gvt:       &h.gvt,
+		lot:       &h.lot,
 		rec:       cfg.Causality,
 		prog:      p,
 		values:    append([]bool(nil), h.sweep.PowerOn...),
 		obsVals:   make([][]bool, len(p.obsOwn)),
 		stim:      h.stim,
 		vecBuf:    make([]bool, p.vecWidth),
-		boundOld:  make([]bool, len(p.bound)),
 		outBuf:    make([]batch, cfg.K),
-		local:     h.local,
 	}
-	// The one state-saving rule: a cluster that can be sent an event can be
-	// rolled back and keeps a record of every cycle; one that cannot keeps
-	// no rollback state at all.
-	if p.remoteIn {
+	// The one state-saving rule, in three cases. A cluster without senders
+	// is never sent an event and keeps no rollback state. Over direct
+	// delivery every cluster of the run is in this process, and every event
+	// is a flip-flop's change for the cycle after the one that latched it,
+	// so a cluster with senders can wait until each has published its cycle
+	// and never meet a straggler: it keeps no rollback state either. Any
+	// other transport leaves the arrival of an event open, and there a
+	// cluster with senders runs ahead and keeps a record of every cycle.
+	switch {
+	case len(p.senders) == 0:
+	case cfg.Transport == nil:
+		c.conservative = true
+	default:
 		c.undo = &undoLog{mark: make([]uint64, len(cfg.NL.Nets))}
 	}
 	for i := range c.obsVals {
@@ -141,6 +154,9 @@ func (c *cluster) run() error {
 	for {
 		if c.cancelled.Load() {
 			return nil // another cluster failed; abandon the run
+		}
+		if c.conservative && c.cycle < c.cfg.Cycles && !c.awaitSenders() {
+			return nil
 		}
 		// Absorb any delivered messages; may trigger a rollback.
 		msgs := c.ep.TryRecvAll()
@@ -182,9 +198,11 @@ func (c *cluster) run() error {
 			blockedT0 = time.Time{}
 		}
 
+		t0 := time.Now()
 		if err := c.processCycle(c.cycle); err != nil {
 			return err
 		}
+		c.lastCycle = time.Since(t0)
 		// Yield between cycles so clusters interleave even on few OS
 		// threads; without this a cluster burns a whole scheduler
 		// quantum racing ahead, only to have the work rolled back when
@@ -206,6 +224,70 @@ func (c *cluster) run() error {
 				}
 			}
 		}
+	}
+}
+
+// awaitSenders holds a conservative cluster before its next cycle until
+// every sender has published that cycle. A sender ships what a cycle sent
+// before it publishes the next one, so the mailbox drained after this holds
+// every event the cycle reads. The wait spins on the published words,
+// yielding the processor each round, for as long as the cluster's own last
+// cycle took; a sender that has not published by then is not running, and
+// the cluster parks until a publish wakes it, leaving the core to it. It
+// reports false when the run is abandoned meanwhile.
+func (c *cluster) awaitSenders() bool {
+	var t0, spun time.Time
+	for _, s := range c.prog.senders {
+		for c.progress[s].Load() < c.cycle {
+			if c.cancelled.Load() {
+				return false
+			}
+			if spun.IsZero() {
+				t0, spun = c.obs.Start(), time.Now()
+			}
+			if time.Since(spun) < c.lastCycle {
+				runtime.Gosched()
+				continue
+			}
+			c.lot.park(func() bool { return c.progress[s].Load() >= c.cycle || c.cancelled.Load() })
+		}
+	}
+	if !t0.IsZero() {
+		c.obs.Span(int32(c.id), "blocked(senders)", t0, obs.Arg{Key: "cycle", Val: float64(c.cycle)})
+	}
+	return true
+}
+
+// parkingLot is where a host's conservative clusters wait for a publish
+// once they stop spinning. Publishing costs one atomic load while nobody
+// is parked.
+type parkingLot struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	parked atomic.Int32
+}
+
+// park blocks until ready reports true, re-checking it after every wake.
+// The count is raised before ready is checked under the lock, and a
+// publisher stores its progress (an abort its flag) before it reads the
+// count, so a publish either is seen by the check or wakes the parked
+// cluster.
+func (l *parkingLot) park(ready func() bool) {
+	l.mu.Lock()
+	l.parked.Add(1)
+	for !ready() {
+		l.cond.Wait()
+	}
+	l.parked.Add(-1)
+	l.mu.Unlock()
+}
+
+// wake wakes every parked cluster, if there is one.
+func (l *parkingLot) wake() {
+	if l.parked.Load() > 0 {
+		l.mu.Lock()
+		l.cond.Broadcast()
+		l.mu.Unlock()
 	}
 }
 
@@ -238,7 +320,7 @@ func (c *cluster) absorb(msgs []comm.Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	if c.undo == nil {
+	if len(c.prog.senders) == 0 {
 		// It keeps no state to roll back to, so applying the event could
 		// only be silently wrong.
 		return fmt.Errorf("timewarp: cluster %d: received %d messages but reads no net another cluster drives: misrouted",
@@ -265,10 +347,16 @@ func (c *cluster) absorb(msgs []comm.Message) error {
 }
 
 // resolve acts on what absorb found: one rollback covering every straggler
-// of the batch.
+// of the batch. A conservative cluster cannot be rolled back, and its wait
+// makes a straggler impossible: meeting one fails the run.
 func (c *cluster) resolve(st *absorbState) error {
 	if !st.needRoll {
 		return nil
+	}
+	if c.undo == nil {
+		e := st.trigger
+		return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d seq %d) at cycle %d, which waited for its senders",
+			c.id, e.T, e.Src, e.Seq, st.lvt)
 	}
 	// Blame the cascade on the trigger's own origin when it carries one
 	// (the straggler is itself rollback fallout) and on the trigger itself
@@ -289,6 +377,7 @@ func (c *cluster) resolve(st *absorbState) error {
 // minimum over.
 func (c *cluster) publish() {
 	c.progress[c.id].Store(c.cycle)
+	c.lot.wake()
 }
 
 // absorbOne files one received event in the input queue. A positive is
@@ -433,20 +522,6 @@ func (c *cluster) pruneLogs(limit uint64) {
 	c.next -= cut
 }
 
-// enqueueOut appends an event (positive or anti) to the destination's
-// batch, the one place events join one. A destination in this process that
-// has reached the event's cycle gets the batch now (one atomic load): held
-// to cycle end, the event would reach it as a straggler, or later than it
-// could have. Any other batch waits for flushOut — every batch for another
-// process too, whose progress here is a gossiped copy and whose message is a
-// TCP write (DESIGN §32).
-func (c *cluster) enqueueOut(dst int32, e event) {
-	c.outBuf[dst] = append(c.outBuf[dst], e)
-	if c.local[dst] && c.progress[dst].Load() >= e.T {
-		c.ship(dst)
-	}
-}
-
 // flushOut sends every per-destination batch still held this cycle.
 func (c *cluster) flushOut() {
 	for dst := range c.outBuf {
@@ -508,7 +583,7 @@ func (c *cluster) send(t uint64, n netlist.NetID, v bool) {
 	}
 	c.undo.keep(e)
 	for _, dst := range dsts {
-		c.enqueueOut(dst, e)
+		c.outBuf[dst] = append(c.outBuf[dst], e)
 	}
 	c.stats.messages.Add(uint64(len(dsts)))
 }
@@ -530,7 +605,7 @@ func (c *cluster) cancel(e event) {
 		c.rec.Cancelled(c.id, e.Seq, anti.Origin, len(dsts))
 	}
 	for _, dst := range dsts {
-		c.enqueueOut(dst, anti)
+		c.outBuf[dst] = append(c.outBuf[dst], anti)
 	}
 	c.stats.antiMessages.Add(uint64(len(dsts)))
 	// One instant per cancellation makes an anti-message cascade after a
@@ -540,13 +615,12 @@ func (c *cluster) cancel(e event) {
 
 // processCycle executes cycle cyc by one levelized sweep: it writes the
 // stimulus, applies the remote events for the cycle, settles the own
-// combinational gates once with sim.Settle (the sequential sweep's settle),
-// sends each boundary net the settle changed — settled, never a glitch
-// (DESIGN §26) — for its readers' same cycle, and ends the cycle
-// (endCycle). A cluster that can be sent an event keeps the cycle's rollback
-// record as it goes: every write of a stimulus input, remote input, boundary
-// net or flip-flop output notes itself in it; an own combinational output no
-// other cluster reads needs no entry (undo.go).
+// combinational gates and the copies once with sim.Settle (the sequential
+// sweep's settle), and ends the cycle (endCycle). A cluster that can be
+// rolled back keeps the cycle's rollback record as it goes: every write of
+// a stimulus input, remote input or flip-flop output notes itself in it; a
+// combinational output needs no entry (undo.go). One that cannot drops the
+// events the cycle consumed.
 func (c *cluster) processCycle(cyc uint64) error {
 	p, values, undo := c.prog, c.values, c.undo
 	if c.rec.Enabled() {
@@ -571,17 +645,11 @@ func (c *cluster) processCycle(cyc uint64) error {
 			undo.note(e.Net, values)
 		}
 	}
+	if undo == nil {
+		c.pruneLogs(cyc + 1)
+	}
 
-	for i, n := range p.bound {
-		c.boundOld[i] = values[n]
-	}
 	sim.Settle(c.cfg.NL, p.tab, values)
-	for i, n := range p.bound {
-		if values[n] != c.boundOld[i] {
-			undo.note(n, values)
-			c.send(cyc, n, values[n])
-		}
-	}
 	c.endCycle(cyc)
 	return nil
 }
@@ -642,8 +710,8 @@ func (c *cluster) endCycle(cyc uint64) {
 		}
 	}
 
-	// What this cycle emitted (positives and cancellations) and did not
-	// send early leaves as one coalesced message per destination.
+	// What this cycle emitted (positives and cancellations) leaves as one
+	// coalesced message per destination, before the cycle is published.
 	c.flushOut()
 
 	evals := p.cycleCost()

@@ -1,19 +1,24 @@
-// Package timewarp is an optimistic parallel discrete-event simulation
-// kernel for gate-level netlists — the role OOCTW (object-oriented
-// Clustered Time Warp) plays under DVS in the paper. Each partition of the
-// netlist becomes a cluster of logic owned by one goroutine ("machine");
-// clusters exchange net-change events through the comm network, execute
-// optimistically ahead of their peers, and repair causality violations by
-// rolling back — writing back what the undone cycles overwrote — cancelling
-// already-sent events with anti-messages, and replaying.
+// Package timewarp is a parallel discrete-event simulation kernel for
+// gate-level netlists — the role OOCTW (object-oriented Clustered Time Warp)
+// plays under DVS in the paper. Each partition of the netlist becomes a
+// cluster of logic owned by one goroutine ("machine"); clusters exchange
+// net-change events through the comm network.
 //
 // Each cluster executes a cycle by one levelized sweep of its own gates
-// (sim.Settle over its slice of the sequential sweep's table). An event is
-// stamped with the cycle that reads it: a boundary net's settled value with
-// its own cycle, a flip-flop output's change with the next one; a cycle
-// applies every event for it before it settles. So a Time Warp run over any
-// partitioning commits exactly the same per-cycle waveforms as
-// sim.Simulator — the correctness property the tests assert.
+// (sim.Settle over its slice of the sequential sweep's table). A cluster
+// also evaluates, as copies, the combinational fan-in cones of every net
+// it reads that another cluster's combinational gate drives, so the only
+// nets that cross the cut are flip-flop outputs: an event is a flip-flop's
+// change, stamped with the cycle after the one that latched it, and a
+// cycle applies every event for it before it settles. With every cluster
+// in one process and direct delivery, a cluster waits until its senders
+// have finished the cycle before and never speculates. Over any other
+// transport — the chaos schedule, a distributed run's sockets — it runs
+// optimistically ahead of its peers and repairs causality violations by
+// rolling back — writing back what the undone cycles overwrote —
+// cancelling already-sent events with anti-messages, and replaying. Either
+// way a run over any partitioning commits exactly the same per-cycle
+// waveforms as sim.Simulator — the correctness property the tests assert.
 package timewarp
 
 import (
@@ -49,9 +54,9 @@ func cmpEvent(a, b event) int {
 }
 
 // batch is the transport payload coalescing events one cluster emits to one
-// destination within a cycle into a single comm.Message (enqueueOut says
-// when it leaves). Order within the batch, and from batch to batch, is send
-// order, so per-link FIFO survives batching: the receiver unpacks
+// destination within a cycle into a single comm.Message, which leaves at
+// the end of the cycle. Order within the batch, and from batch to batch, is
+// send order, so per-link FIFO survives batching: the receiver unpacks
 // sequentially and an anti-message can never overtake the positive it
 // cancels.
 type batch []event

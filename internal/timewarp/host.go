@@ -67,10 +67,10 @@ type host struct {
 	stim      *stimulus
 	net       *comm.Network
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
-	local     []bool          // local[c]: this process runs cluster c
 	absorbed  atomic.Uint64   // messages fully absorbed by local clusters
 	cancelled atomic.Bool     // any failure: every cluster abandons the run
 	gvt       atomic.Uint64   // established GVT in cycles; safe fossil line
+	lot       parkingLot      // conservative clusters waiting for a publish
 	clusters  []*cluster      // the clusters this process runs
 
 	wg    sync.WaitGroup
@@ -79,7 +79,10 @@ type host struct {
 }
 
 // newHost validates cfg and builds the network and the clusters for which
-// owns reports true (nil = all of them), instrumented on cfg.Obs.
+// owns reports true (nil = all of them), instrumented on cfg.Obs. Every
+// host of a run computes the copies of all K clusters from the netlist and
+// the partition alone, so a sender's dsts and its receivers' remote reads
+// agree across processes without a word on the wire.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 	ref, err := cfg.prepare()
 	if err != nil {
@@ -92,12 +95,12 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		stim:     newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
 		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress: make([]atomic.Uint64, cfg.K),
-		local:    make([]bool, cfg.K),
 	}
-	for c := range h.local {
-		h.local[c] = owns == nil || owns(c)
-		if h.local[c] {
-			h.clusters = append(h.clusters, newCluster(int32(c), h))
+	h.lot.cond = sync.NewCond(&h.lot.mu)
+	rep := replicate(cfg.NL, cfg.GateParts, cfg.K)
+	for c := 0; c < cfg.K; c++ {
+		if owns == nil || owns(c) {
+			h.clusters = append(h.clusters, newCluster(int32(c), h, rep))
 		}
 	}
 	instrumentClusters(h)
@@ -148,6 +151,7 @@ func (h *host) failure() error {
 // abort makes every local cluster abandon the run.
 func (h *host) abort() {
 	h.cancelled.Store(true)
+	h.lot.wake()
 	h.closeEndpoints()
 }
 
@@ -206,7 +210,7 @@ func (h *host) collect() *distResult {
 // reports each cluster once, leaves no message in flight, every sent
 // message absorbed (received AND survived by its rollback), every wire
 // frame written also read, and every event a cluster enqueued sent in
-// exactly one message, at cycle end or early (enqueueOut).
+// exactly one message, at the end of its cycle.
 func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 	res := &Result{
 		Observed:            make(map[netlist.NetID][]bool),

@@ -14,7 +14,8 @@ import (
 // togglePair is a two-cluster design with one-way traffic: cluster 0
 // holds a flip-flop that toggles every cycle, cluster 1 registers it. So
 // cluster 0 never rolls back and sends exactly one event per cycle, and
-// cluster 1 is rolled back by each of them it ran ahead of.
+// cluster 1 either waits for each of them (direct delivery) or is rolled
+// back by each of them it ran ahead of.
 func togglePair(t *testing.T) (*netlist.Netlist, []int32) {
 	t.Helper()
 	c := &gen.Circuit{Name: "toggle", Top: "toggle", Source: `
@@ -49,12 +50,14 @@ endmodule
 // seeds 13 and 34, was a cluster publishing a restored cycle below its
 // target) — and a target without a record of its own, below the fossil line
 // or not, is an error. The sender cannot be rolled back: it keeps no
-// rollback state, and an event delivered to it fails the run.
+// rollback state, and an event delivered to it fails the run. The
+// receiver runs ahead of its sender because the transport is not direct.
 func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 	nl, parts := togglePair(t)
 	h, err := newHost(Config{
 		NL: nl, GateParts: parts, K: 2,
 		Vectors: sim.RandomVectors{Seed: 1}, Cycles: 20,
+		Transport: syncDelivery,
 	}, "tw", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +150,12 @@ func TestRollbackRestoresItsTargetCycle(t *testing.T) {
 // cycle, yet ends the run having written no record and logged nothing; the
 // receiver, rolled back by every event it ran ahead of, holds one record per
 // cycle from its fossil line to the last; the waveforms are the sequential
-// simulator's. And a single cluster, which nothing can roll back either,
-// writes no record at all.
+// simulator's. Over direct delivery the receiver waits for the sender
+// instead: it writes no record either, is never rolled back, and ends the
+// run holding at most the one event for the cycle after the last, its
+// queue's capacity bounded by the optimism window, not by the run. And a
+// single cluster, which nothing can roll back either, writes no record at
+// all.
 func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	nl, parts := togglePair(t)
 	const cycles, seed = 2000, 1
@@ -185,6 +192,28 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 	}
 	if got := b.undo.fossil + uint64(len(b.undo.hist)); got != cycles {
 		t.Errorf("receiver: %d records from the fossil line %d, want one per cycle up to the last of %d", len(b.undo.hist), b.undo.fossil, cycles)
+	}
+
+	h, err = newHost(Config{
+		NL: nl, GateParts: parts, K: 2,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
+		StallTimeout: 30 * time.Second,
+	}, "tw", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = h.run(); err != nil {
+		t.Fatal(err)
+	}
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), "one-way, direct")
+	b = h.clusters[1]
+	if st := res.Stats; st.Messages < cycles-1 || st.Checkpoints != 0 || st.Rollbacks != 0 || st.AntiMessages != 0 {
+		t.Errorf("direct: %d messages, %d records, %d rollbacks, %d anti-messages; want an event a cycle and nothing else",
+			st.Messages, st.Checkpoints, st.Rollbacks, st.AntiMessages)
+	}
+	if !b.conservative || b.undo != nil || len(b.inq) > 1 || cap(b.inq) > 4*window {
+		t.Errorf("direct receiver: waits %v, undo log %v, holds %d events in a queue of capacity %d; want a waiting receiver without a log, holding at most 1 in at most %d",
+			b.conservative, b.undo != nil, len(b.inq), cap(b.inq), 4*window)
 	}
 
 	single, err := Run(Config{

@@ -27,9 +27,11 @@ type Config struct {
 	// are recorded; defaults to the primary outputs.
 	Observe []netlist.NetID
 	// Transport optionally replaces direct in-process delivery (nil =
-	// direct). The chaos transport (comm.Chaos) is the adversarial
-	// delivery-order schedule the fuzz harness uses to provoke stragglers
-	// and rollback cascades.
+	// direct). Over direct delivery a cluster with remote inputs waits for
+	// its senders; over any transport set here it runs optimistically and
+	// can be rolled back. The chaos transport (comm.Chaos) is the
+	// adversarial delivery-order schedule the fuzz harness uses to provoke
+	// stragglers and rollback cascades.
 	Transport comm.TransportFactory
 	// StallTimeout, when positive, makes the watcher abort the run with
 	// an error if no cluster makes progress and no message moves for this
@@ -79,8 +81,10 @@ type Stats struct {
 	RolledBackEvents uint64 // evaluations undone by rollbacks
 	// Checkpoints counts rollback records written: one per executed cycle,
 	// re-executed ones included, in every cluster that reads a net another
-	// cluster drives; none in a cluster that does not, which nothing can
-	// roll back.
+	// cluster drives and runs ahead of its senders — over a non-nil
+	// Config.Transport. None in a cluster that reads no such net, which
+	// nothing can roll back, and none in Run over direct delivery, where a
+	// cluster waits for its senders instead.
 	Checkpoints uint64
 	// MaxStragglerDepth is the deepest single rollback in cycles (LVT
 	// minus restored cycle) — how far behind its cluster the worst
@@ -127,10 +131,12 @@ type Result struct {
 // watcherInterval is the poll period of Run's quiescence loop.
 const watcherInterval = 200 * time.Microsecond
 
-// Run executes the optimistic parallel simulation and returns the
-// committed waveforms plus kernel statistics: one host owning all K
-// clusters, sampled into the quiescence tracker until it terminates or
-// aborts the run.
+// Run executes the parallel simulation and returns the committed waveforms
+// plus kernel statistics: one host owning all K clusters, sampled into the
+// quiescence tracker until it terminates or aborts the run. Over direct
+// delivery (Config.Transport nil) a cluster with remote inputs waits for
+// its senders before each cycle and is never rolled back; over any other
+// transport it runs optimistically, keeping rollback records.
 func Run(cfg Config) (*Result, error) {
 	h, err := newHost(cfg, "tw", nil)
 	if err != nil {

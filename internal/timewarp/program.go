@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/netlist"
@@ -15,27 +16,28 @@ import (
 //
 // Nets keep their global netlist.NetID: values, events and rollback records
 // are net-indexed, and a net id is what clusters exchange. Every cluster has
-// the one layout: its combinational gates are a slice of the host's
-// sim.Sweep table, its flip-flops a table of their own.
+// the one layout: its combinational gates, copies included, are a slice of
+// the host's sim.Sweep table, its flip-flops a table of their own.
 type program struct {
-	// tab are the own combinational gates, in the host's sim.Sweep
-	// topological order; bound are those of their outputs another cluster
-	// reads, in the same order.
-	tab   []sim.TruthGate
-	bound []netlist.NetID
+	// tab are the own combinational gates and the copies (replicas), in
+	// the host's sim.Sweep topological order. A copy is another cluster's
+	// gate this cluster evaluates too, so that no net a combinational gate
+	// drives is ever sent: its output is never observed, sent or latched.
+	tab []sim.TruthGate
 	// latch are the own flip-flops: d input, q output, and whether another
 	// cluster reads q. The clock is a global tick, not an event.
 	latch []latchGate
 
 	// dsts[dstOff[n]:dstOff[n+1]] are the other clusters reading net n
 	// (CSR by NetID, one offset per net plus one), non-empty only when an
-	// own gate drives n.
+	// own flip-flop drives n.
 	dstOff []uint32
 	dsts   []int32
 
-	// ownPIs are the stimulus inputs read by own gates (cluster 0 mirrors
-	// all of them, to observe driverless nets); piPos[i] is the position
-	// of ownPIs[i] in the stimulus vector, vecWidth that vector's length.
+	// ownPIs are the stimulus inputs read by own gates or copies (cluster
+	// 0 mirrors all of them, to observe driverless nets); piPos[i] is the
+	// position of ownPIs[i] in the stimulus vector, vecWidth that
+	// vector's length.
 	ownPIs   []netlist.NetID
 	piPos    []int32
 	vecWidth int
@@ -44,12 +46,11 @@ type program struct {
 	// drives, and on cluster 0 the driverless ones (PIs, constants).
 	obsOwn []netlist.NetID
 
-	// remoteIn says some own gate is a sink of a net another cluster drives
-	// — exactly when that cluster's program lists this one in its dsts. A
-	// cluster for which it is false is never sent an event, so it can meet
-	// no straggler and is never rolled back: remoteIn is what decides
-	// whether a cluster keeps rollback state (newCluster).
-	remoteIn bool
+	// senders are the other clusters whose flip-flop outputs an own gate or
+	// a copy reads, ascending — exactly the clusters whose programs list
+	// this one in their dsts. A cluster without senders is never sent an
+	// event; newCluster decides from them how a cluster meets its inputs.
+	senders []int32
 }
 
 // latchGate is one own flip-flop.
@@ -58,64 +59,161 @@ type latchGate struct {
 	remote bool
 }
 
+// replicas are every cluster's copies, computed once per host from the
+// netlist and the partition alone, so that every process of a run agrees
+// on them: copiers(g) lists, ascending, the clusters other than g's owner
+// that evaluate combinational gate g themselves. A cluster copies the
+// driver of every net one of its gates reads that another cluster's
+// combinational gate drives, and, the same way, whatever the copies read:
+// the walk stops at flip-flop outputs, stimulus inputs, constants and the
+// cluster's own gates. So every net read across the cut is a flip-flop's
+// output, read one cycle after it latched.
+type replicas struct {
+	off []uint32 // CSR by GateID, one offset per gate plus one
+	by  []int32
+}
+
+// replicate computes the copies of a k-way partition of nl.
+func replicate(nl *netlist.Netlist, gateParts []int32, k int) *replicas {
+	type copyOf struct {
+		g  netlist.GateID
+		by int32
+	}
+	var (
+		found []copyOf
+		stack []netlist.GateID
+		mark  = make([]int32, len(nl.Gates)) // c+1: cluster c copies the gate
+	)
+	for c := int32(0); c < int32(k); c++ {
+		visit := func(n netlist.NetID) {
+			d := nl.Nets[n].Driver
+			if d != netlist.NoGate && gateParts[d] != c && mark[d] != c+1 && !nl.Gates[d].Kind.Sequential() {
+				mark[d] = c + 1
+				found = append(found, copyOf{d, c})
+				stack = append(stack, d)
+			}
+		}
+		for gi := range nl.Gates {
+			if gateParts[gi] != c {
+				continue
+			}
+			for _, in := range nl.Gates[gi].Inputs {
+				visit(in)
+			}
+			for len(stack) > 0 {
+				d := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, in := range nl.Gates[d].Inputs {
+					visit(in)
+				}
+			}
+		}
+	}
+	r := &replicas{off: make([]uint32, len(nl.Gates)+1), by: make([]int32, len(found))}
+	for _, f := range found {
+		r.off[f.g+1]++
+	}
+	for g := range nl.Gates {
+		r.off[g+1] += r.off[g]
+	}
+	fill := slices.Clone(r.off[:len(nl.Gates)])
+	for _, f := range found { // by cluster, so each list is ascending
+		r.by[fill[f.g]] = f.by
+		fill[f.g]++
+	}
+	return r
+}
+
+// copiers returns the clusters that copy gate g.
+func (r *replicas) copiers(g netlist.GateID) []int32 {
+	return r.by[r.off[g]:r.off[g+1]]
+}
+
+// Copies returns, for each of the k clusters of gateParts, how many other
+// clusters' combinational gates it evaluates as copies in a run (DESIGN
+// §20): what replication adds to its cycle.
+func Copies(nl *netlist.Netlist, gateParts []int32, k int) ([]int, error) {
+	if err := checkPartition(k, gateParts); err != nil {
+		return nil, err
+	}
+	if len(gateParts) != len(nl.Gates) {
+		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d", len(gateParts), len(nl.Gates))
+	}
+	n := make([]int, k)
+	for _, c := range replicate(nl, gateParts, k).by {
+		n[c]++
+	}
+	return n, nil
+}
+
 // compile builds cluster id's program for the netlist sw compiles,
-// partitioned by gateParts.
-func compile(sw *sim.Sweep, gateParts []int32, id int32, observe []netlist.NetID) *program {
+// partitioned by gateParts and replicated by rep.
+func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe []netlist.NetID) *program {
 	nl := sw.NL
 	p := &program{dstOff: make([]uint32, len(nl.Nets)+1)}
+	evaluates := func(g netlist.GateID) bool { // own gate or copy
+		return gateParts[g] == id || slices.Contains(rep.copiers(g), id)
+	}
 
-	// Remote readers of own-driven nets, each cluster once, and whether an
-	// own gate reads a net another cluster drives: one scan of every sink.
+	// The remote readers of own flip-flop outputs, each cluster once: a
+	// cluster with an own gate or a copy among the net's sinks.
 	for n := range nl.Nets {
-		if d := nl.Nets[n].Driver; d != netlist.NoGate {
+		if d := nl.Nets[n].Driver; d != netlist.NoGate && gateParts[d] == id && nl.Gates[d].Kind.Sequential() {
 			own := len(p.dsts)
-			for _, s := range nl.Nets[n].Sinks {
-				switch dst := gateParts[s]; {
-				case gateParts[d] != id:
-					p.remoteIn = p.remoteIn || dst == id
-				case dst != id && !slices.Contains(p.dsts[own:], dst):
+			add := func(dst int32) {
+				if dst != id && !slices.Contains(p.dsts[own:], dst) {
 					p.dsts = append(p.dsts, dst)
+				}
+			}
+			for _, s := range nl.Nets[n].Sinks {
+				add(gateParts[s])
+				for _, c := range rep.copiers(s) {
+					add(c)
 				}
 			}
 		}
 		p.dstOff[n+1] = uint32(len(p.dsts))
 	}
-	remote := func(n netlist.NetID) bool { return p.dstOff[n] != p.dstOff[n+1] }
 
 	// Both gate tables are allocated at their final size: one pass counts
-	// the own gates, the next fills the flip-flops in gate order.
+	// the gates this cluster evaluates and finds its senders, the next
+	// fills the flip-flops in gate order.
 	nComb, nLatch := 0, 0
 	for gi := range nl.Gates {
+		g := netlist.GateID(gi)
 		switch {
-		case gateParts[gi] != id:
+		case !evaluates(g):
+			continue
 		case nl.Gates[gi].Kind.Sequential():
 			nLatch++
 		default:
 			nComb++
 		}
+		for _, in := range nl.Gates[gi].Inputs {
+			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() &&
+				!slices.Contains(p.senders, gateParts[d]) {
+				p.senders = append(p.senders, gateParts[d])
+			}
+		}
 	}
+	slices.Sort(p.senders)
 	p.latch = make([]latchGate, 0, nLatch)
 	for gi := range nl.Gates {
 		if g := &nl.Gates[gi]; gateParts[gi] == id && g.Kind.Sequential() {
-			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)})
+			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: len(p.readers(g.Output)) > 0})
 		}
 	}
-	p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), func(g netlist.GateID) bool { return gateParts[g] == id })
-	for _, t := range p.tab {
-		if remote(t.Out) {
-			p.bound = append(p.bound, t.Out)
-		}
-	}
+	p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), evaluates)
 
 	for _, pi := range nl.PIs {
 		if nl.IsClockNet(pi) {
 			continue
 		}
-		readByOwn := id == 0
+		read := id == 0
 		for _, s := range nl.Nets[pi].Sinks {
-			readByOwn = readByOwn || gateParts[s] == id
+			read = read || evaluates(s)
 		}
-		if readByOwn {
+		if read {
 			p.ownPIs = append(p.ownPIs, pi)
 			p.piPos = append(p.piPos, int32(p.vecWidth))
 		}
@@ -142,7 +240,7 @@ func (p *program) readers(n netlist.NetID) []int32 {
 }
 
 // cycleCost is the gate evaluations of one executed cycle: every own gate,
-// flip-flops too, once (DESIGN §26).
+// flip-flops too, and every copy, once (DESIGN §26).
 func (p *program) cycleCost() uint64 {
 	return uint64(len(p.tab) + len(p.latch))
 }

@@ -54,7 +54,8 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := compile(sw, make([]int32, len(nl.Gates)), 0, nil)
+	parts := make([]int32, len(nl.Gates))
+	p := compile(sw, parts, replicate(nl, parts, 1), 0, nil)
 	if len(p.tab) != len(nl.Gates) {
 		t.Fatalf("program has %d combinational gates, netlist %d", len(p.tab), len(nl.Gates))
 	}
@@ -104,66 +105,110 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
-			sw, err := sim.NewSweep(nl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			progs := make([]*program, k)
-			for id := range progs {
-				progs[id] = compile(sw, res.GateParts, int32(id), nl.POs)
-				checkProgram(t, fmt.Sprintf("%s k=%d cluster %d", tc.name, k, id),
-					nl, res.GateParts, int32(id), progs[id])
-			}
-			// A cluster has remote inputs exactly when some other cluster
-			// would send to it.
-			for id, p := range progs {
-				heard := false
-				for _, q := range progs {
-					heard = heard || slices.Contains(q.dsts, int32(id))
-				}
-				if p.remoteIn != heard {
-					t.Errorf("%s k=%d cluster %d: remoteIn %v, but listed as a reader by another cluster: %v",
-						tc.name, k, id, p.remoteIn, heard)
-				}
-			}
+			checkPrograms(t, fmt.Sprintf("%s k=%d", tc.name, k), nl, res.GateParts, k)
 		}
 	}
 }
 
-func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program) {
+// checkPrograms compiles every cluster of a k-way partition and checks each
+// program against the naive recomputation, and the clusters' programs
+// against one another: a cluster's senders are exactly the clusters that
+// list it among a net's readers. It returns the programs.
+func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int32, k int) []*program {
 	t.Helper()
+	sw, err := sim.NewSweep(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := replicate(nl, parts, k)
+	evaluated := naiveCopies(nl, parts, k)
+	progs := make([]*program, k)
+	for id := range progs {
+		progs[id] = compile(sw, parts, rep, int32(id), nl.POs)
+		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), progs[id])
+	}
+	for id, p := range progs {
+		var heard []int32
+		for src, q := range progs {
+			if slices.Contains(q.dsts, int32(id)) {
+				heard = append(heard, int32(src))
+			}
+		}
+		if !slices.Equal(p.senders, heard) {
+			t.Errorf("%s cluster %d: senders %v, but listed as a reader by clusters %v", label, id, p.senders, heard)
+		}
+	}
+	return progs
+}
+
+// naiveCopies returns, for every cluster, which gates it evaluates: its own,
+// and by a fixpoint over the whole netlist the copies — every combinational
+// gate of another cluster driving a net an evaluated gate reads.
+func naiveCopies(nl *netlist.Netlist, parts []int32, k int) [][]bool {
+	evaluated := make([][]bool, k)
+	for c := range evaluated {
+		ev := make([]bool, len(nl.Gates))
+		for gi := range ev {
+			ev[gi] = parts[gi] == int32(c)
+		}
+		for grew := true; grew; {
+			grew = false
+			for gi := range nl.Gates {
+				if !ev[gi] {
+					continue
+				}
+				for _, in := range nl.Gates[gi].Inputs {
+					if d := nl.Nets[in].Driver; d != netlist.NoGate && !ev[d] && !nl.Gates[d].Kind.Sequential() {
+						ev[d], grew = true, true
+					}
+				}
+			}
+		}
+		evaluated[c] = ev
+	}
+	return evaluated
+}
+
+func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, p *program) {
+	t.Helper()
+	ev := evaluated[id]
+	copied := func(g netlist.GateID) bool { return ev[g] && parts[g] != id }
+	// readers[n]: the other clusters that evaluate a gate reading net n.
+	readers := func(n netlist.NetID) map[int32]bool {
+		r := map[int32]bool{}
+		for _, s := range nl.Nets[n].Sinks {
+			for c := range evaluated {
+				if int32(c) != id && evaluated[c][s] {
+					r[int32(c)] = true
+				}
+			}
+		}
+		return r
+	}
 	var dffs []netlist.GateID
 	for gi := range nl.Gates {
 		if parts[gi] == id && nl.Gates[gi].Kind.Sequential() {
 			dffs = append(dffs, netlist.GateID(gi))
 		}
 	}
-	remote := func(n netlist.NetID) bool {
-		for _, s := range nl.Nets[n].Sinks {
-			if parts[s] != id {
-				return true
-			}
-		}
-		return false
-	}
-	checkSweepTable(t, label, nl, parts, id, p, remote)
+	checkSweepTable(t, label, nl, parts, ev, id, p)
 	if len(p.latch) != len(dffs) {
 		t.Fatalf("%s: %d flip-flops, want %d", label, len(p.latch), len(dffs))
 	}
 	for i, gi := range dffs {
 		g := &nl.Gates[gi]
-		if want := (latchGate{d: g.Inputs[0], q: g.Output, remote: remote(g.Output)}); p.latch[i] != want {
+		if want := (latchGate{d: g.Inputs[0], q: g.Output, remote: len(readers(g.Output)) > 0}); p.latch[i] != want {
 			t.Fatalf("%s: flip-flop %d is %+v, netlist gate %s wants %+v", label, i, p.latch[i], g.Path, want)
 		}
 	}
 
+	// Only an own flip-flop's output is sent, to every other cluster that
+	// reads it with an own gate or a copy; a copy's output never is.
 	for n := range nl.Nets {
 		net := &nl.Nets[n]
 		wantDsts := map[int32]bool{}
-		for _, s := range net.Sinks {
-			if net.Driver != netlist.NoGate && parts[net.Driver] == id && parts[s] != id {
-				wantDsts[parts[s]] = true
-			}
+		if d := net.Driver; d != netlist.NoGate && parts[d] == id && nl.Gates[d].Kind.Sequential() {
+			wantDsts = readers(netlist.NetID(n))
 		}
 		gotDsts := p.readers(netlist.NetID(n))
 		if len(gotDsts) != len(wantDsts) {
@@ -175,6 +220,11 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			}
 		}
 	}
+	for _, n := range p.obsOwn {
+		if d := nl.Nets[n].Driver; d != netlist.NoGate && copied(d) {
+			t.Fatalf("%s: observes %s, the output of a copy", label, nl.Nets[n].Name)
+		}
+	}
 
 	pos, own := 0, 0
 	for _, pi := range nl.PIs {
@@ -183,7 +233,7 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		}
 		read := id == 0
 		for _, s := range nl.Nets[pi].Sinks {
-			read = read || parts[s] == id
+			read = read || ev[s]
 		}
 		if read {
 			if own >= len(p.ownPIs) || p.ownPIs[own] != pi || int(p.piPos[own]) != pos {
@@ -199,26 +249,31 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 }
 
-// checkSweepTable checks a cluster's one table: every own combinational
-// gate once, as sim.CompileGate compiles it, each after the own gates
-// driving its inputs; bound lists the table's outputs another cluster reads,
-// in table order.
-func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []int32, id int32, p *program,
-	remote func(netlist.NetID) bool) {
+// checkSweepTable checks a cluster's one table: every combinational gate
+// the cluster evaluates, own or a copy, once, as sim.CompileGate compiles
+// it, each after the entries driving its inputs.
+func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []int32, ev []bool, id int32, p *program) {
 	t.Helper()
 	settled := make([]bool, len(nl.Nets)) // outputs of table entries seen so far
-	var own int
-	var bound []netlist.NetID
+	want := 0
 	for i, r := range p.tab {
 		gi := nl.Nets[r.Out].Driver
-		if gi == netlist.NoGate || parts[gi] != id || nl.Gates[gi].Kind.Sequential() {
-			t.Fatalf("%s: table entry %d drives %s, which no own combinational gate drives", label, i, nl.Nets[r.Out].Name)
+		if gi == netlist.NoGate || !ev[gi] || nl.Gates[gi].Kind.Sequential() {
+			t.Fatalf("%s: table entry %d drives %s, which neither an own combinational gate nor a copy drives", label, i, nl.Nets[r.Out].Name)
 		}
 		if want := sim.CompileGate(nl, gi); r != want {
 			t.Fatalf("%s: table entry %d is %+v, gate %s compiles to %+v", label, i, r, nl.Gates[gi].Path, want)
 		}
 		for _, in := range nl.Gates[gi].Inputs {
-			if d := nl.Nets[in].Driver; d != netlist.NoGate && parts[d] == id && !nl.Gates[d].Kind.Sequential() && !settled[in] {
+			d := nl.Nets[in].Driver
+			if d == netlist.NoGate || nl.Gates[d].Kind.Sequential() {
+				continue
+			}
+			if !ev[d] {
+				t.Fatalf("%s: table entry %d (%s) reads %s, which another cluster's combinational gate drives and no copy computes",
+					label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
+			}
+			if !settled[in] {
 				t.Fatalf("%s: table entry %d (%s) reads %s before the entry driving it", label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
 			}
 		}
@@ -226,17 +281,14 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []in
 			t.Fatalf("%s: %s driven twice in the table", label, nl.Nets[r.Out].Name)
 		}
 		settled[r.Out] = true
-		if remote(r.Out) {
-			bound = append(bound, r.Out)
-		}
 	}
 	for gi := range nl.Gates {
-		if parts[gi] == id && !nl.Gates[gi].Kind.Sequential() {
-			own++
+		if ev[gi] && !nl.Gates[gi].Kind.Sequential() {
+			want++
 		}
 	}
-	if len(p.tab) != own || !slices.Equal(p.bound, bound) {
-		t.Fatalf("%s: table of %d gates with boundary %v, want %d own gates and %v", label, len(p.tab), p.bound, own, bound)
+	if len(p.tab) != want {
+		t.Fatalf("%s: table of %d gates, want %d own gates and copies", label, len(p.tab), want)
 	}
 }
 
@@ -278,8 +330,9 @@ func TestCutZeroRunIsPinned(t *testing.T) {
 }
 
 // TestInputQueueStaysSorted steps three clusters of a randomly cut decoder
-// by hand under a random schedule with no optimism window, so stragglers,
-// rollbacks and anti-messages for already consumed events are plentiful.
+// by hand, over a transport that keeps them optimistic, under a random
+// schedule with no optimism window, so stragglers, rollbacks and
+// anti-messages for already consumed events are plentiful.
 // Before every absorb each anti-message's positive is looked up by a linear
 // scan of the input queue: the bisection absorbOne does must delete that
 // very entry, and count it consumed exactly when the scan found it before
@@ -292,6 +345,7 @@ func TestInputQueueStaysSorted(t *testing.T) {
 	h, err := newHost(Config{
 		NL: nl, GateParts: randomParts(nl, k, 17), K: k,
 		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
+		Transport: syncDelivery,
 	}, "tw", nil)
 	if err != nil {
 		t.Fatal(err)

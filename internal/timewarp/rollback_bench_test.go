@@ -50,6 +50,7 @@ endmodule
 			h, err := newHost(Config{
 				NL: nl, GateParts: parts, K: 2,
 				Vectors: sim.RandomVectors{Seed: 1}, Cycles: entries + 8,
+				Transport: syncDelivery, // clusters that can be rolled back
 			}, "tw", nil)
 			if err != nil {
 				b.Fatal(err)
@@ -94,14 +95,13 @@ endmodule
 }
 
 // BenchmarkSerialCutRun is a whole free-running kernel run on the serial cut
-// (the benchmark's viterbi_tw_rollback partition): both clusters sweep their
-// cycles, as every cluster does, and both keep rollback records, since each
-// hears from the other. An event for a cycle its receiver has reached leaves
-// its sender at once rather than at cycle end, so the receiver has run less
-// far ahead when it lands: rolledback/executed is the share of gate
-// evaluations undone and events/message the mean batch, beside the wall time
-// per run. BenchmarkClusterForward (the repository root) times the sweep
-// without records.
+// (the benchmark's viterbi_tw_rollback partition) over direct delivery:
+// both clusters sweep their cycles, copies included, as every cluster does,
+// and each waits for the other before a cycle, since each hears from the
+// other — so rolledback/executed, the share of gate evaluations undone,
+// reads 0. events/message is the mean batch, beside the wall time per run.
+// BenchmarkClusterForward (the repository root) times the sweep of a
+// cluster that hears from nobody.
 func BenchmarkSerialCutRun(b *testing.B) {
 	ed, parts := serialCut(b)
 	defer func(on bool) { CheckInvariants = on }(CheckInvariants)

@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -15,14 +16,16 @@ import (
 //
 // The table grows by chunks of stimChunkRows rows, so that it costs memory
 // for the cycles a run reaches and not for the cycles it was asked for, and
-// an allocation per chunk, not per cycle. Nothing in it locks or waits. A
-// chunk is published by compare-and-swap, and the loser of that race drops
-// its own. A row is a header word followed by the packed bits; the header
-// turns to rowReady after the bits are stored, and a reader that sees
-// rowReady sees the bits (the atomics order the two). Two clusters that
-// reach an unfilled row together both generate the vector and both store
-// the same words, which costs one redundant call in a rare race and never
-// a stall.
+// an allocation per chunk, not per cycle. Nothing in it locks. A chunk is
+// published by compare-and-swap, and the loser of that race drops its own.
+// A row is a header word followed by the packed bits. A cluster claims an
+// empty row by compare-and-swap on its header (rowEmpty → rowFilling)
+// before it generates the vector, and turns the header to rowReady after
+// the bits are stored; a reader that sees rowReady sees the bits (the
+// atomics order the two). So every row is generated exactly once: clusters
+// that run in lockstep reach each row together, and the loser of the claim
+// waits for rowReady, which costs it at most the generation it would have
+// run itself.
 type stimulus struct {
 	src    sim.VectorSource
 	stride int // words per row, header included
@@ -32,9 +35,13 @@ type stimulus struct {
 // stimChunk is stimChunkRows consecutive rows.
 type stimChunk struct{ words []atomic.Uint64 }
 
+const stimChunkRows = 1024
+
+// A row header's states.
 const (
-	stimChunkRows = 1024
-	rowReady      = 1
+	rowEmpty = iota
+	rowFilling
+	rowReady
 )
 
 // newStimulus prepares the table for cycles vectors of width bits from src.
@@ -59,8 +66,14 @@ func (s *stimulus) row(cyc uint64, scratch []bool) []atomic.Uint64 {
 		}
 	}
 	r := ch.words[cyc%stimChunkRows*uint64(s.stride):][:s.stride]
-	bits := r[1:]
-	if r[0].Load() == rowReady {
+	hdr, bits := &r[0], r[1:]
+	if hdr.Load() == rowReady {
+		return bits
+	}
+	if !hdr.CompareAndSwap(rowEmpty, rowFilling) {
+		for hdr.Load() != rowReady {
+			runtime.Gosched()
+		}
 		return bits
 	}
 	s.src.Vector(cyc, scratch)
@@ -73,6 +86,6 @@ func (s *stimulus) row(cyc uint64, scratch []bool) []atomic.Uint64 {
 		}
 		bits[w].Store(word)
 	}
-	r[0].Store(rowReady)
+	hdr.Store(rowReady)
 	return bits
 }

@@ -48,10 +48,10 @@ func TestStimulusTableIsTheSourceBitForBit(t *testing.T) {
 
 // TestStimulusTableSharedByClusters reads one table from several goroutines
 // at once, the way a host's clusters do, each walking the cycles in its own
-// order. Every reader must see the source's bits; the source runs at least
-// once per cycle and — two readers meeting on an unfilled row both fill it
-// — at most once per cycle per reader. Under -race this is the check that
-// the publication is ordered.
+// order. Every reader must see the source's bits, and the source runs
+// exactly once per cycle: two readers meeting on an unfilled row claim it
+// one at a time, and the loser waits for the winner's bits. Under -race
+// this is the check that the claim and the publication are ordered.
 func TestStimulusTableSharedByClusters(t *testing.T) {
 	const cycles, width, readers = 3 * stimChunkRows, 70, 4
 	src := &countingVectors{RandomVectors: sim.RandomVectors{Seed: 9}}
@@ -79,8 +79,26 @@ func TestStimulusTableSharedByClusters(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got := src.calls.Load(); got < cycles || got > readers*cycles {
-		t.Errorf("the source ran %d times for %d cycles and %d readers", got, cycles, readers)
+	if got := src.calls.Load(); got != cycles {
+		t.Errorf("the source ran %d times for %d cycles and %d readers, want once a cycle", got, cycles, readers)
 	}
-	t.Logf("%d source calls for %d cycles read by %d goroutines", src.calls.Load(), cycles, readers)
+}
+
+// TestRunGeneratesEachRowOnce: in a direct run of the serial cut both
+// clusters reach each row together, as they wait for each other, and
+// the stimulus source still runs exactly once a cycle.
+func TestRunGeneratesEachRowOnce(t *testing.T) {
+	ed, parts := serialCut(t)
+	const cycles = 300
+	src := &countingVectors{RandomVectors: sim.RandomVectors{Seed: 3}}
+	res, err := Run(Config{NL: ed.Netlist, GateParts: parts, K: 2, Vectors: src, Cycles: cycles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.InvariantViolations) != 0 {
+		t.Fatal(res.InvariantViolations)
+	}
+	if got := src.calls.Load(); got != cycles {
+		t.Errorf("the source ran %d times for %d cycles, want once a cycle", got, cycles)
+	}
 }

@@ -1,11 +1,9 @@
 package timewarp
 
 import (
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/elab"
@@ -16,8 +14,8 @@ import (
 )
 
 // serialCut is the default decoder split k=2 through its trellis — the
-// benchmark's viterbi_tw_rollback partition: traffic both ways, so both
-// clusters keep rollback records.
+// benchmark's viterbi_tw_rollback partition: traffic both ways, so each
+// cluster hears from the other.
 func serialCut(t testing.TB) (*elab.Design, []int32) {
 	t.Helper()
 	ed, err := gen.Viterbi(gen.DefaultViterbi).Elaborate()
@@ -118,118 +116,21 @@ func (s *handStepped) settle(warm uint64) {
 	}
 }
 
-// finish runs the two clusters to the end on a schedule seeded by seed, in
-// which a cluster looks in its mailbox before a cycle a third of the time,
-// so stragglers keep arriving for cycles their receiver has executed. At the
-// end every message is
-// absorbed, the quiescence tracker terminates the run at GVT = Cycles and
-// the waveforms of state are want. It returns the run's statistics.
-func (s *handStepped) finish(seed int64, state []netlist.NetID, want map[netlist.NetID][]bool) Stats {
-	t, h := s.t, s.h
-	t.Helper()
-	cycles := h.cfg.Cycles
-	rng := rand.New(rand.NewSource(seed))
-	for h.clusters[0].cycle < cycles || h.clusters[1].cycle < cycles || h.net.TotalSent() != h.absorbed.Load() {
-		c := h.clusters[rng.Intn(2)]
-		if c.cycle == cycles || rng.Intn(3) == 0 {
-			s.look(c)
-		}
-		if c.cycle < cycles {
-			s.step(c)
-		}
-	}
-
-	q := newQuiescence(2, cycles, 0, 0, time.Time{})
-	smp := sample{progress: make([]uint64, 2), complete: true}
-	var v verdict
-	for i := 0; i < 3; i++ { // the first sample has no predecessor to be frozen against
-		h.sample(&smp)
-		v = q.step(smp)
-	}
-	res := mergeResults(2, []*distResult{h.collect()}, q)
-	if !v.terminate || v.gvt != cycles || len(res.InvariantViolations) != 0 {
-		t.Errorf("at the end: terminate=%v gvt=%d violations=%v, want a clean termination at GVT %d",
-			v.terminate, v.gvt, res.InvariantViolations, cycles)
-	}
-	compareObserved(t, h.cfg.NL, state, res.Observed, want, t.Name())
-	h.closeEndpoints()
-	h.net.CloseTransport()
-	return res.Stats
-}
-
-// TestStragglerSentWhileReceiverIsThere steps the serial cut by hand over a
-// transport that shows the test every message as it is sent. With both
-// clusters settled at the start of a busy cycle, cluster 1 has reached it,
-// so the first combinational event cluster 0 computes for it leaves alone
-// before cluster 0's latch has run — held for the cycle's one batch, it
-// would reach a cluster 1 that might have started the cycle without it.
-// Cluster 1, looking before it starts the cycle, then runs it without a
-// rollback. Cluster 0 goes on to execute the next cycle, which cluster 1 has
-// not reached: one message to it, at cycle end. The run then finishes on a
-// seeded schedule with the sequential simulator's waveforms. A worker host,
-// whose cluster 1 runs in another process, sends it at most one message a
-// cycle however far ahead cluster 1's progress reads; a host running both
-// clusters sends more.
+// TestStragglerSentWhileReceiverIsThere steps the serial cut's cluster 0
+// alone through ten cycles, over a transport that shows the test every
+// message as it is sent, with cluster 1's published progress at the end of
+// the run. Every event leaves at the end of the cycle that sent it, in one
+// message per destination: a worker host, whose cluster 1 runs in another
+// process, sends it at most one message a cycle however far ahead cluster
+// 1's progress reads, and so does a host running both clusters.
 func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
 	ed, parts := serialCut(t)
 	nl := ed.Netlist
-	const cycles, warm, seed = 48, 11, 5
-	state := sim.StateNets(nl)
+	const cycles, seed = 48, 5
 	cfg := Config{
 		NL: nl, GateParts: parts, K: 2,
-		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
+		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: sim.StateNets(nl),
 	}
-
-	t.Run("receiver-there", func(t *testing.T) {
-		want := seqOracle(t, nl, state, cycles, seed)
-		s := newHandStepped(t, cfg, nil)
-		a, b := s.h.clusters[0], s.h.clusters[1]
-		s.settle(warm)
-
-		type sent struct {
-			msg         comm.Message
-			beforeLatch bool // the sender's cycle has toggled no flip-flop yet
-		}
-		start := slices.Clone(a.values)
-		flipped := func() (n int) { // flip-flops of cluster 0 toggled since start
-			for _, f := range a.prog.latch {
-				if a.values[f.q] != start[f.q] {
-					n++
-				}
-			}
-			return n
-		}
-		var toB []sent
-		s.tr.onSend = func(dst int, msg comm.Message) {
-			if dst == 1 {
-				toB = append(toB, sent{msg, flipped() == 0})
-			}
-		}
-		s.step(a)
-		if n := flipped(); n == 0 || len(toB) < 2 {
-			t.Fatalf("cycle %d: cluster 0 toggled %d flip-flops and sent cluster 1 %d messages; want some and at least 2",
-				warm, n, len(toB))
-		}
-		if e, ok := toB[0].msg.(event); !ok || e.Anti || e.T != warm || !toB[0].beforeLatch {
-			t.Fatalf("cycle %d: the first message to cluster 1 is %+v, sent before the latch: %v; want one positive event for the cycle, before the latch",
-				warm, toB[0].msg, toB[0].beforeLatch)
-		}
-
-		toB = toB[:0]
-		s.step(a)
-		if len(toB) != 1 {
-			t.Fatalf("cycle %d, which cluster 1 (at %d) has not reached: %d messages to it, want 1", warm+1, b.cycle, len(toB))
-		}
-		s.tr.onSend = nil
-
-		before := b.stats.Snapshot()
-		s.look(b)
-		s.step(b)
-		if st := b.stats.Snapshot(); st.Rollbacks != before.Rollbacks {
-			t.Fatalf("cluster 1 rolled back %d times in cycle %d with cluster 0's events in hand", st.Rollbacks-before.Rollbacks, warm)
-		}
-		s.finish(seed, state, want)
-	})
 
 	// perCycle steps cluster 0 alone through ten cycles, cluster 1's
 	// published progress at the end of the run, and returns the most
@@ -254,21 +155,21 @@ func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
 		if most := perCycle(t, func(c int) bool { return c == 0 }); most != 1 {
 			t.Errorf("a worker host sent its remote cluster 1 up to %d messages a cycle, want 1", most)
 		}
-		if most := perCycle(t, nil); most < 2 {
-			t.Errorf("a host running both clusters sent cluster 1 at most %d messages a cycle, want more than 1", most)
+		if most := perCycle(t, nil); most != 1 {
+			t.Errorf("a host running both clusters sent cluster 1 up to %d messages a cycle, want 1", most)
 		}
 	})
 }
 
 // TestRollbackRestoresEveryLiveNet hand-steps the serial cut's cluster 0,
-// which hears from cluster 1 and so keeps a rollback record of every cycle,
-// and which writes nets of every kind a record holds: stimulus inputs,
-// remote inputs, boundary nets and flip-flop outputs. With cluster 1's
-// events for the cycles ahead in its queue, it executes
-// cycle warm and a few beyond, then rolls back to warm. Every net must hold
-// what it held when cycle warm began — except the own combinational outputs
-// no other cluster reads, which the restore rule leaves to the next settle
-// (undo.go). Re-executing cycle warm must then end in the very state the
+// which hears from cluster 1 over a transport that is not direct and so
+// keeps a rollback record of every cycle, and which writes nets of every
+// kind a record holds: stimulus inputs, remote inputs (flip-flop outputs of
+// cluster 1) and own flip-flop outputs. With cluster 1's events for the
+// cycles ahead in its queue, it executes cycle warm and a few beyond, then
+// rolls back to warm. Every net must hold what it held when cycle warm
+// began — except the combinational outputs, own gates' and copies', which
+// the restore rule leaves to the next settle (undo.go). Re-executing cycle warm must then end in the very state the
 // first execution ended in, those outputs included.
 func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 	ed, parts := serialCut(t)
@@ -289,13 +190,10 @@ func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 			c.cycle, c.undo != nil, len(c.inq)-c.next, warm)
 	}
 
-	// left[n]: net n is an own combinational output no other cluster reads.
+	// left[n]: net n is the output of an own combinational gate or a copy.
 	left := make([]bool, len(nl.Nets))
 	for _, g := range c.prog.tab {
 		left[g.Out] = true
-	}
-	for _, n := range c.prog.bound {
-		left[n] = false
 	}
 
 	atStart := slices.Clone(c.values)
@@ -314,20 +212,18 @@ func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 			moved["stimulus"]++
 		case parts[d] != c.id:
 			moved["remote"]++
-		case nl.Gates[d].Kind.Sequential():
-			moved["flip-flop"]++
 		default:
-			moved["boundary"]++
+			moved["flip-flop"]++
 		}
 	}
-	if len(moved) != 4 {
-		t.Fatalf("cycles %d to %d changed these live nets of cluster 0: %v; want some of each of 4 kinds", warm, c.cycle-1, moved)
+	if len(moved) != 3 {
+		t.Fatalf("cycles %d to %d changed these live nets of cluster 0: %v; want some of each of 3 kinds", warm, c.cycle-1, moved)
 	}
 
 	if err := c.rollback(warm, 0); err != nil {
 		t.Fatal(err)
 	}
-	unrestored := 0 // own combinational outputs the restore left as they were
+	unrestored := 0 // combinational outputs the restore left as they were
 	for n := range atStart {
 		switch {
 		case left[n]:
@@ -339,7 +235,7 @@ func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 				warm, nl.Nets[n].Name, c.values[n], atStart[n])
 		}
 	}
-	t.Logf("changed ahead: %v; %d unread own combinational outputs left to the settle", moved, unrestored)
+	t.Logf("changed ahead: %v; %d combinational outputs left to the settle", moved, unrestored)
 
 	s.step(c)
 	for n := range afterFirst {
@@ -354,20 +250,20 @@ func TestRollbackRestoresEveryLiveNet(t *testing.T) {
 
 // lazyPair is a two-cluster design with traffic both ways: cluster 0's
 // flip-flop q toggles every cycle and cluster 1 reads it; cluster 1 sends
-// back y = q and z = r, r a flip-flop of its own toggling every cycle. So
-// cluster 1 sends y and z in every cycle, and what it sends of y depends
-// only on what it hears of q.
+// back its flip-flops y, which registers q, and z, which toggles every
+// cycle. Both cross the cut as flip-flop outputs, so neither is copied. So
+// cluster 1 sends y and z in every cycle, each for the cycle after, and
+// what it sends of y depends only on what it hears of q.
 func lazyPair(t *testing.T) (*netlist.Netlist, []int32) {
 	t.Helper()
 	c := &gen.Circuit{Name: "lazy", Top: "lazy", Source: `
 module lazy (input clk, output o1, output o2);
-  wire q, nq, y, r, nr, z, w, u;
+  wire q, nq, y, nz, z, w, u;
   not n0 (nq, q);
   dff f0 (q, nq, clk);
-  buf by (y, q);
-  not n1 (nr, r);
-  dff f1 (r, nr, clk);
-  buf bz (z, r);
+  dff fy (y, q, clk);
+  not n1 (nz, z);
+  dff fz (z, nz, clk);
   dff f2 (w, y, clk);
   dff f3 (u, z, clk);
   buf b1 (o1, w);
@@ -382,7 +278,7 @@ endmodule
 	parts := make([]int32, len(nl.Gates))
 	for gi := range nl.Gates {
 		switch name := nl.Nets[nl.Gates[gi].Output].Name; name[strings.LastIndexByte(name, '.')+1:] {
-		case "y", "nr", "r", "z":
+		case "y", "nz", "z":
 			parts[gi] = 1
 		}
 	}
@@ -394,11 +290,12 @@ endmodule
 // cluster 1's records of those cycles hold the y and z it sent. Cluster 0
 // then revises what it said of q: it cancels its events for c and c+1 and
 // sends, for c+1, the opposite of what it had. Cluster 1 rolls back to c and
-// re-executes: q no longer changes in cycle c, so y is not sent again and
-// its old event is cancelled at the cycle's end; in cycle c+1 y changes the
-// other way, so the old event's anti-message leaves ahead of the new
-// positive; z is regenerated identically in both cycles, so nothing goes out
-// for it. Afterwards each record holds exactly what stands.
+// re-executes: q no longer changes in cycle c, so the y latched at its end
+// is unchanged, y is not sent again and its old event is cancelled at the
+// cycle's end; in cycle c+1 y latches the other way, so the old event's
+// anti-message leaves ahead of the new positive; z is regenerated
+// identically in both cycles, so nothing goes out for it. Afterwards each
+// record holds exactly what stands.
 func TestLazyCancellation(t *testing.T) {
 	nl, parts := lazyPair(t)
 	const c = 5
@@ -468,7 +365,7 @@ func TestLazyCancellation(t *testing.T) {
 	// Cycle c: y unchanged, so its old event is cancelled at cycle end; z
 	// identical, so nothing.
 	s.step(b)
-	if want := first[0][y]; len(out) != 1 || !out[0].Anti || out[0].Seq != want.Seq || out[0].T != c {
+	if want := first[0][y]; len(out) != 1 || !out[0].Anti || out[0].Seq != want.Seq || out[0].T != c+1 {
 		t.Fatalf("re-executing cycle %d, cluster 1 sent %+v; want only the anti-message of %+v", c, out, want)
 	}
 	if got := sentBy(c); len(got) != 1 || got[z] != first[0][z] {
@@ -480,7 +377,7 @@ func TestLazyCancellation(t *testing.T) {
 	s.step(b)
 	old := first[1][y]
 	if len(out) != 2 || !out[0].Anti || out[0].Seq != old.Seq ||
-		out[1].Anti || out[1].Net != y || out[1].Val == old.Val || out[1].T != c+1 {
+		out[1].Anti || out[1].Net != y || out[1].Val == old.Val || out[1].T != c+2 {
 		t.Fatalf("re-executing cycle %d, cluster 1 sent %+v; want the anti-message of %+v, then y = %v", c+1, out, old, !old.Val)
 	}
 	if got := sentBy(c + 1); len(got) != 2 || got[z] != first[1][z] || got[y] != out[1] {

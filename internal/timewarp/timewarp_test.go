@@ -195,9 +195,10 @@ func viterbiDesign(t *testing.T) *elab.Design {
 
 func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
 	// Random partitioning provokes plenty of rollbacks, one cycle deep and
-	// many: the waveform oracle checks what each one restored.
+	// many, in clusters that run ahead of their senders (a non-nil
+	// transport): the waveform oracle checks what each one restored.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(*Config) {}).Stats
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(c *Config) { c.Transport = syncDelivery }).Stats
 	if st.Rollbacks == 0 {
 		t.Error("expected rollbacks under random partitioning")
 	}
@@ -214,11 +215,12 @@ func TestBatchingCoalesces(t *testing.T) {
 
 func TestFossilCollectionRacesDeepRollback(t *testing.T) {
 	// GVT advances and fossil-collects while stragglers force deep
-	// rollbacks near the fossil line. Run under -race in CI; the waveform
+	// rollbacks near the fossil line, in clusters that run ahead of their
+	// senders (a non-nil transport). Run under -race in CI; the waveform
 	// oracle plus the kernel's fossil-restore invariant check catch any
 	// unsafe trim.
 	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(*Config) {}).Stats
+	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) { c.Transport = syncDelivery }).Stats
 	if st.Rollbacks == 0 {
 		t.Error("expected rollbacks in the fossil/rollback race test")
 	}

@@ -14,11 +14,10 @@ import (
 // overwrote is the complement of what the net holds right after it; later
 // writes of the net in the same cycle need no entry. The restore rule: old
 // holds every net the cycle wrote that is read before the cluster writes it
-// again — stimulus inputs, remote inputs, boundary nets (whose old value
-// decides what the next settle sends) and flip-flop outputs. An own
-// combinational output no other cluster reads is left out: re-executing the
-// restored cycle, the settle rewrites it from its inputs, in topological
-// order, before anything reads it (DESIGN §26).
+// again — stimulus inputs, remote inputs and flip-flop outputs. A
+// combinational output, an own gate's or a copy's, is left out:
+// re-executing the restored cycle, the settle rewrites it from its inputs,
+// in topological order, before anything reads it (DESIGN §26).
 //
 // sent holds the positive events the cycle sent that still stand, in send
 // order, at most one per net: what an anti-message would have to cancel. A
