@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/fm -run xxx -fuzz FuzzLevelRefine -fuzztime 20s
 	$(GO) test ./internal/netlist -run xxx -fuzz FuzzConeWalk -fuzztime 20s
 	$(GO) test ./internal/elab -run xxx -fuzz FuzzElaborate -fuzztime 20s
+	$(GO) test ./internal/sim -run xxx -fuzz FuzzRandomVectors -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:

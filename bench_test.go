@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -370,6 +371,20 @@ func BenchmarkSequentialSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRandomVectors is the per-cycle cost of the paper's stimulus at
+// a few vector widths: the viterbi and SoC designs read 3 and 5 inputs,
+// the 32-bit multiplier 65, and 700 is past math/rand's 607-word register.
+func BenchmarkRandomVectors(b *testing.B) {
+	for _, width := range []int{4, 64, 700} {
+		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
+			src, vec := sim.RandomVectors{Seed: 1}, make([]bool, width)
+			for i := 0; i < b.N; i++ {
+				src.Vector(uint64(i), vec)
+			}
+		})
+	}
 }
 
 func BenchmarkTimeWarpKernel(b *testing.B) {

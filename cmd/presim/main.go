@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/elab"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/presim"
 	"repro/internal/stats"
 	"repro/internal/verilog"
@@ -155,8 +156,8 @@ func validateFlags(ksFlag, bsFlag string, cycles uint64, workers int, jsonOut bo
 		return nil, nil, fmt.Errorf("-bs: %v", err)
 	}
 	for _, b := range bs {
-		if !(b > 0) {
-			return nil, nil, fmt.Errorf("-bs: balance factors must be > 0 percent (got %g)", b)
+		if err := partition.CheckB(b); err != nil {
+			return nil, nil, fmt.Errorf("-bs: balance factors %w", err)
 		}
 	}
 	if cycles == 0 {

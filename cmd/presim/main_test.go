@@ -42,6 +42,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "b=0", ks: "2", bs: "5,0", cycles: 1, wantErr: "-bs: balance factors must be > 0 percent (got 0)"},
 		{name: "negative b", ks: "2", bs: "-2.5", cycles: 1, wantErr: "-bs: balance factors must be > 0"},
 		{name: "b not a number", ks: "2", bs: "nan", cycles: 1, wantErr: "-bs: balance factors must be > 0"},
+		{name: "b infinite", ks: "2", bs: "10,+Inf", cycles: 1, wantErr: "-bs: balance factors must be finite (got +Inf)"},
 		{name: "empty bs", ks: "2", bs: "", cycles: 1, wantErr: "-bs: entry"},
 		{name: "no cycles", ks: "2", bs: "10", cycles: 0, wantErr: "-cycles must be >= 1"},
 		{name: "negative workers", ks: "2", bs: "10", cycles: 1, workers: -3, wantErr: "-workers must be >= 0 (got -3)"},

@@ -236,8 +236,8 @@ func validateFlags(algo, strategy string, k int, b float64, opt bool, set map[st
 	if k < 2 {
 		return fmt.Errorf("-k must be >= 2 (got %d)", k)
 	}
-	if b <= 0 {
-		return fmt.Errorf("-b must be > 0 percent (got %g)", b)
+	if err := partition.CheckB(b); err != nil {
+		return fmt.Errorf("-b %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,10 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative k", algo: "nlevel", strategy: "gain", k: -3, b: 10, wantErr: "-k must be >= 2"},
 		{name: "b=0", algo: "dd", strategy: "gain", k: 2, b: 0, wantErr: "-b must be > 0"},
 		{name: "negative b", algo: "ml", strategy: "gain", k: 2, b: -5, wantErr: "-b must be > 0"},
+		{name: "NaN b", algo: "dd", strategy: "gain", k: 2, b: math.NaN(), wantErr: "-b must be > 0"},
+		{name: "NaN b with ml", algo: "ml", strategy: "gain", k: 2, b: math.NaN(), wantErr: "-b must be > 0"},
+		{name: "infinite b", algo: "nlevel", strategy: "gain", k: 2, b: math.Inf(1), wantErr: "-b must be finite"},
+		{name: "negative infinite b", algo: "dd", strategy: "gain", k: 2, b: math.Inf(-1), wantErr: "-b must be > 0"},
 	} {
 		set := map[string]bool{}
 		for _, f := range tc.set {

@@ -338,11 +338,11 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 	}
 	parallel := mode == "tw" || mode == "model" || mode == "dist"
 	if parallel {
-		if k < 1 {
-			return fmt.Errorf("-k must be >= 1 (got %d)", k)
+		if k < 2 {
+			return fmt.Errorf("-k must be >= 2 (got %d)", k)
 		}
-		if b <= 0 {
-			return fmt.Errorf("-b must be > 0 percent (got %g)", b)
+		if err := partition.CheckB(b); err != nil {
+			return fmt.Errorf("-b %w", err)
 		}
 	}
 	// Only the sequential simulator has a net-change hook to dump from.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -101,12 +102,16 @@ func TestValidateFlagsRanges(t *testing.T) {
 		{"defaults", "seq", 2, 10, 10000, 0, ""},
 		{"zero cycles", "seq", 2, 10, 0, 0, "-cycles must be >= 1"},
 		{"k ignored in seq", "seq", 0, 0, 1, 0, ""},
-		{"zero k tw", "tw", 0, 10, 1, 0, "-k must be >= 1"},
-		{"negative k model", "model", -3, 10, 1, 0, "-k must be >= 1"},
-		{"zero k dist", "dist", 0, 10, 1, 1, "-k must be >= 1"},
+		{"zero k tw", "tw", 0, 10, 1, 0, "-k must be >= 2"},
+		{"negative k model", "model", -3, 10, 1, 0, "-k must be >= 2"},
+		{"zero k dist", "dist", 0, 10, 1, 1, "-k must be >= 2"},
+		{"k=1", "tw", 1, 0.5, 1, 0, "-k must be >= 2"},
+		{"k=1 dist", "dist", 1, 10, 1, 1, "-k must be >= 2"},
 		{"zero b", "tw", 2, 0, 1, 0, "-b must be > 0"},
 		{"negative b", "model", 2, -5, 1, 0, "-b must be > 0"},
-		{"k=1", "tw", 1, 0.5, 1, 0, ""},
+		{"NaN b", "tw", 2, math.NaN(), 1, 0, "-b must be > 0"},
+		{"infinite b", "dist", 2, math.Inf(1), 1, 1, "-b must be finite"},
+		{"k=2", "tw", 2, 0.5, 1, 0, ""},
 		{"dist without workers", "dist", 4, 10, 1, 0, "-mode dist needs -workers >= 1"},
 		{"dist negative workers", "dist", 4, 10, 1, -1, "-mode dist needs -workers >= 1"},
 		{"more workers than clusters", "dist", 2, 10, 1, 3, "-workers 3 exceeds -k 2"},

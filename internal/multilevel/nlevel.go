@@ -35,8 +35,8 @@ func run(h *hypergraph.H, opts Options, pol policy) (*Result, error) {
 	if opts.K < 2 {
 		return nil, fmt.Errorf("multilevel: K must be >= 2, got %d", opts.K)
 	}
-	if opts.B <= 0 {
-		return nil, fmt.Errorf("multilevel: B must be positive, got %g", opts.B)
+	if err := partition.CheckB(opts.B); err != nil {
+		return nil, fmt.Errorf("multilevel: B %w", err)
 	}
 	if h.NumVertices() < opts.K {
 		return nil, fmt.Errorf("multilevel: only %d vertices for K=%d", h.NumVertices(), opts.K)

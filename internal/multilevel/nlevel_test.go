@@ -1,6 +1,8 @@
 package multilevel
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/elab"
@@ -61,6 +63,23 @@ func TestPartitionNBasic(t *testing.T) {
 			t.Errorf("k=%d: expected real coarsening rounds, got %d", k, res.Levels)
 		}
 		t.Logf("k=%d: cut=%d loads=%v rounds=%d restart=%d", k, res.Cut, res.Loads, res.Levels, res.Restart)
+	}
+}
+
+// TestRejectsUnusableB holds both multilevel entry points to
+// partition.CheckB: a balance factor that is not a positive finite
+// percentage is an error naming B, not a window no vertex fits.
+func TestRejectsUnusableB(t *testing.T) {
+	h := flatViterbi(t)
+	for name, run := range map[string]func(*hypergraph.H, Options) (*Result, error){
+		"Partition": Partition, "PartitionN": PartitionN,
+	} {
+		for _, b := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			res, err := run(h, Options{K: 2, B: b})
+			if err == nil || !strings.Contains(err.Error(), "multilevel: B must be") {
+				t.Errorf("%s with B=%g: result %v, error %v; want a rejection of B", name, b, res, err)
+			}
+		}
 	}
 }
 

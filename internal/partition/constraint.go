@@ -34,6 +34,20 @@ type Constraint struct {
 	Total int     // total vertex weight (gate count)
 }
 
+// CheckB reports whether b is a balance factor formula 1 can use: a
+// positive, finite percentage. NaN fails every comparison, so a bare
+// b <= 0 check lets it through, and +Inf opens the window to any load.
+// Every partitioner and command that takes a b checks it here.
+func CheckB(b float64) error {
+	if !(b > 0) {
+		return fmt.Errorf("must be > 0 percent (got %g)", b)
+	}
+	if math.IsInf(b, 1) {
+		return fmt.Errorf("must be finite (got %g)", b)
+	}
+	return nil
+}
+
 // NewConstraint builds the constraint for hypergraph h.
 func NewConstraint(h *hypergraph.H, k int, b float64) Constraint {
 	return Constraint{K: k, B: b, Total: h.TotalWeight}

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/elab"
@@ -180,8 +182,23 @@ func TestMultiwayErrors(t *testing.T) {
 	if _, err := Multiway(ed, Options{K: 1, B: 10}); err == nil {
 		t.Error("K=1 should error")
 	}
-	if _, err := Multiway(ed, Options{K: 2, B: 0}); err == nil {
-		t.Error("B=0 should error")
+}
+
+// TestRejectsUnusableB holds both design-driven entry points to CheckB:
+// every balance factor that is not a positive finite percentage is an
+// error naming it, NaN and +Inf included, before any partitioning runs.
+func TestRejectsUnusableB(t *testing.T) {
+	ed := viterbiDesign(t)
+	for name, run := range map[string]func(Options) (*Result, error){
+		"Multiway":  func(o Options) (*Result, error) { return Multiway(ed, o) },
+		"Recursive": func(o Options) (*Result, error) { return Recursive(ed, o) },
+	} {
+		for _, b := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			res, err := run(Options{K: 2, B: b})
+			if err == nil || !strings.Contains(err.Error(), "partition: B must be") {
+				t.Errorf("%s with B=%g: result %v, error %v; want a rejection of B", name, b, res, err)
+			}
+		}
 	}
 }
 

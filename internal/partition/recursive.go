@@ -28,8 +28,8 @@ func Recursive(d *elab.Design, opts Options) (*Result, error) {
 	if opts.K < 2 {
 		return nil, fmt.Errorf("partition: K must be >= 2, got %d", opts.K)
 	}
-	if opts.B <= 0 {
-		return nil, fmt.Errorf("partition: B must be positive, got %g", opts.B)
+	if err := CheckB(opts.B); err != nil {
+		return nil, fmt.Errorf("partition: B %w", err)
 	}
 	builder := hypergraph.NewBuilder(d)
 	builder.GateWeights = opts.GateWeights

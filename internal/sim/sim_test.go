@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -289,32 +290,74 @@ func TestRandomVectorsDeterministic(t *testing.T) {
 	}
 }
 
+// freshVector is the reference RandomVectors is held to: the low bits of
+// the first width Int63 draws of a math/rand generator seeded afresh for
+// the cycle.
+func freshVector(seed int64, c uint64, width int) []bool {
+	rng := rand.New(rand.NewSource(seed ^ int64(c*0x9E3779B97F4A7C15)))
+	v := make([]bool, width)
+	for i := range v {
+		v[i] = rng.Int63()&1 == 1
+	}
+	return v
+}
+
 // TestRandomVectorsMatchFreshGenerator pins the stimulus stream to the one
-// a generator seeded afresh for the cycle draws, while four goroutines
-// draw vectors at once, as clusters filling one stimulus row do: the
-// generators RandomVectors reuses must carry nothing from one cycle, or
-// one caller, to the next.
+// a generator seeded afresh for the cycle draws. The widths sit on each
+// side of where an output bit stops reading the seeded register and reads
+// an earlier output instead (273 for the tap, 334 and 607 for the feed);
+// the seeds sit on the edges of math/rand's seed normalisation (0 and the
+// multiples of 2³¹−1 all start it at 89482311, negative seeds wrap), plus
+// random ones. Four goroutines draw at once, as a host's clusters do.
 func TestRandomVectorsMatchFreshGenerator(t *testing.T) {
-	const seed, cycles, width = 9, 200, 70
+	const m = 1<<31 - 1
+	widths := []int{0, 1, 2, 4, 64, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1300}
+	seeds := []int64{0, 1, -1, m, -m, 2 * m, math.MinInt64, math.MaxInt64, 89482311}
+	rng := rand.New(rand.NewSource(2026))
+	for range 12 {
+		seeds = append(seeds, rng.Int63()-rng.Int63())
+	}
 	var wg sync.WaitGroup
 	for w := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := make([]bool, width-w) // callers of different widths
-			for c := uint64(0); c < cycles; c++ {
-				RandomVectors{Seed: seed}.Vector(c, got)
-				rng := rand.New(rand.NewSource(seed ^ int64(c*0x9E3779B97F4A7C15)))
-				for i, v := range got {
-					if want := rng.Int63()&1 == 1; v != want {
-						t.Errorf("caller %d cycle %d bit %d: %v, a fresh generator draws %v", w, c, i, v, want)
-						return
+			for si := w; si < len(seeds); si += 4 {
+				seed := seeds[si]
+				for _, c := range []uint64{0, 1, 2, 1 << 40} {
+					for _, width := range widths {
+						got := make([]bool, width)
+						RandomVectors{Seed: seed}.Vector(c, got)
+						for i, want := range freshVector(seed, c, width) {
+							if got[i] != want {
+								t.Errorf("seed %d cycle %d width %d bit %d: %v, a fresh generator draws %v", seed, c, width, i, got[i], want)
+								return
+							}
+						}
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzRandomVectors holds RandomVectors to the fresh generator at any
+// seed, cycle and width up to 2,048.
+func FuzzRandomVectors(f *testing.F) {
+	f.Add(int64(0), uint64(0), uint16(4))
+	f.Add(int64(math.MinInt64), uint64(3), uint16(608))
+	f.Add(int64(1<<31-1), uint64(0), uint16(1300))
+	f.Fuzz(func(t *testing.T, seed int64, c uint64, w uint16) {
+		width := int(w) % 2049
+		got := make([]bool, width)
+		RandomVectors{Seed: seed}.Vector(c, got)
+		for i, want := range freshVector(seed, c, width) {
+			if got[i] != want {
+				t.Fatalf("seed %d cycle %d width %d bit %d: %v, a fresh generator draws %v", seed, c, width, i, got[i], want)
+			}
+		}
+	})
 }
 
 func TestStepVectorWidthError(t *testing.T) {

@@ -68,8 +68,7 @@ type cluster struct {
 	lastCycle    time.Duration
 	seq          uint64
 	obsVals      [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
-	stim         *stimulus
-	vecBuf       []bool // scratch for filling a stimulus row
+	vecBuf       []bool   // the stimulus vector of the cycle being executed
 
 	// Outgoing batches: events emitted within a cycle coalesce per
 	// destination, preserving per-link FIFO (batch order = send order). A
@@ -120,7 +119,6 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		prog:      p,
 		values:    append([]bool(nil), h.sweep.PowerOn...),
 		obsVals:   make([][]bool, len(p.obsOwn)),
-		stim:      h.stim,
 		vecBuf:    make([]bool, p.vecWidth),
 		outBuf:    make([]batch, cfg.K),
 	}
@@ -654,17 +652,16 @@ func (c *cluster) processCycle(cyc uint64) error {
 	return nil
 }
 
-// writeStimulus writes cycle cyc's vector into the own stimulus inputs,
-// noting each one it changes in the rollback record.
+// writeStimulus asks cfg.Vectors for cycle cyc's vector and writes it into
+// the own stimulus inputs, noting each one it changes in the rollback record.
 func (c *cluster) writeStimulus(cyc uint64) {
 	p, values := c.prog, c.values
 	if len(p.ownPIs) == 0 {
 		return
 	}
-	row := c.stim.row(cyc, c.vecBuf)
+	c.cfg.Vectors.Vector(cyc, c.vecBuf)
 	for i, pi := range p.ownPIs {
-		pos := uint(p.piPos[i])
-		if v := row[pos/64].Load()>>(pos%64)&1 != 0; values[pi] != v {
+		if v := c.vecBuf[p.piPos[i]]; values[pi] != v {
 			values[pi] = v
 			c.undo.note(pi, values)
 		}

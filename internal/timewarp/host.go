@@ -64,7 +64,6 @@ type host struct {
 	cfg       Config     // validated, defaults filled
 	mode      string     // pprof label: "tw" in-process, "dist" in a worker
 	sweep     *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
-	stim      *stimulus
 	net       *comm.Network
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
 	absorbed  atomic.Uint64   // messages fully absorbed by local clusters
@@ -92,7 +91,6 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		cfg:      cfg,
 		mode:     mode,
 		sweep:    ref,
-		stim:     newStimulus(cfg.Vectors, len(ref.PIs), cfg.Cycles),
 		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress: make([]atomic.Uint64, cfg.K),
 	}

@@ -19,7 +19,9 @@ type Config struct {
 	GateParts []int32
 	// K is the number of clusters.
 	K int
-	// Vectors is the stimulus, shared deterministically by all clusters.
+	// Vectors is the stimulus. Each cluster that owns a primary input
+	// calls it for every cycle it executes, concurrently with the others,
+	// and every call for a cycle must yield the same vector.
 	Vectors sim.VectorSource
 	// Cycles is the number of input vectors to simulate.
 	Cycles uint64
