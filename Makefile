@@ -19,7 +19,7 @@ MONITOR_HOLD ?= 10s
 
 # bench-pairs: the parent revision to compare against (required), pairs
 # per workload (name:n overrides it for one workload) and the per-layer
-# metrics the traced pair prints.
+# metrics the three traced pairs print, each side's median.
 PARENT ?=
 BENCH_PAIRS ?= 10
 BENCH_PAIRS_WORKLOADS ?= soc_tw_aligned,viterbi_tw_rollback,soc_dist_split,partition_campaign:3
@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/netlist -run xxx -fuzz FuzzConeWalk -fuzztime 20s
 	$(GO) test ./internal/elab -run xxx -fuzz FuzzElaborate -fuzztime 20s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzRandomVectors -fuzztime 20s
+	$(GO) test ./internal/sim -run xxx -fuzz FuzzFuse -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:
@@ -207,8 +208,9 @@ bench:
 # parent/change pairs of the pipeline benchmark's driver command
 # (BENCHMARK.json), the parent's committed files checked out under the
 # git-ignored .bench_build/, medians, quartile spreads, wins and a verdict
-# per (end-to-end metric, workload), one traced pair, and every run made
-# (cmd/benchpairs). About 50 minutes at the defaults on two cores.
+# per (end-to-end metric, workload), each side's median of three traced
+# pairs per layer, and every run made (cmd/benchpairs). About half an hour
+# at the defaults on two cores.
 #
 #	make bench-pairs PARENT=HEAD~1 | tee BENCH_19.txt
 bench-pairs:

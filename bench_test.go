@@ -407,10 +407,11 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 // BenchmarkClusterForward is the kernel's forward path alone: the default
 // two-channel SoC split k=2 along its channels (cut 0), so no message is
 // sent and nothing rolls back. Every cluster sweeps its cycle (sim.Settle
-// over its slice of the topological table), and neither of these can be
-// sent an event, so neither keeps a rollback record: what is timed is the
+// over its slice of the topological table, fused), and neither of these can
+// be sent an event, so neither keeps a rollback record: what is timed is the
 // sweep without state saving, and ns/event is wall time per gate
-// evaluation, every own gate once a cycle. BenchmarkSerialCutRun
+// evaluation, every own gate once a cycle — a count of netlist gates, not of
+// the fused records that evaluate them. BenchmarkSerialCutRun
 // (internal/timewarp) times the same sweep with records, messages and
 // rollbacks; TestRunAllocs' forward row (internal/timewarp) bounds this
 // one's allocations.

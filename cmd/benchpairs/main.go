@@ -15,6 +15,11 @@
 //	unresolved  a spread wider than the bound, and not every run of the
 //	            change better than every run of the parent
 //
+// With -layers, three more alternating pairs per workload, seeds 1..3, run
+// traced, and a second table prints each side's median of the three for
+// every per-layer metric named: where a change's saving came from, steadier
+// than one traced run a side.
+//
 // `make bench-pairs PARENT=<rev>` builds the parent checkout and calls it;
 // the output is what the BENCH_<n>.txt evidence files hold. Fewer than one
 // pair, or a workload or per-layer metric BENCHMARK.json does not name,
@@ -75,6 +80,10 @@ type outcome struct {
 	} `json:"metrics"`
 }
 
+// tracedPairs is how many traced pairs per workload the per-layer table
+// takes each side's median of.
+const tracedPairs = 3
+
 // usageError is a rejection made before any run; it exits with status 2.
 type usageError struct{ error }
 
@@ -83,7 +92,7 @@ func main() {
 	change := flag.String("change", ".", "checkout of the change")
 	pairs := flag.Int("pairs", 10, "parent/change pairs per workload, seeds 1..pairs")
 	workloads := flag.String("workloads", "", "comma-separated workload[:pairs] list (default: every workload of BENCHMARK.json)")
-	layers := flag.String("layers", "", "comma-separated per-layer metrics: one extra traced pair per workload at seed 1 prints them side by side")
+	layers := flag.String("layers", "", "comma-separated per-layer metrics: three extra traced pairs per workload, seeds 1..3, print each side's median")
 	flag.Parse()
 	if err := run(os.Stdout, *parent, *change, *pairs, *workloads, *layers); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
@@ -183,20 +192,27 @@ func run(w io.Writer, parent, change string, pairs int, workloads, layers string
 			name, failed[0], attempted[0], failed[1], attempted[1])
 
 		if layerNames != nil {
-			var o [2]outcome
-			for side := range sides {
-				if o[side], err = drive(sides[side], sp, name, 1, true); err != nil {
-					return fmt.Errorf("%s %s traced: %w", label[side], name, err)
+			var o [2][]outcome
+			for seed := 1; seed <= tracedPairs; seed++ {
+				first := seed % 2
+				for _, side := range [2]int{first, 1 - first} {
+					r, err := drive(sides[side], sp, name, seed, true)
+					if err != nil {
+						return fmt.Errorf("%s %s traced seed %d: %w", label[side], name, seed, err)
+					}
+					o[side] = append(o[side], r)
 				}
 			}
 			for _, l := range layerNames {
-				fmt.Fprintf(&traced, "%-20s %-34s %14.6g %14.6g\n", name, l, o[0].Metrics[l].Value, o[1].Metrics[l].Value)
+				_, p, _ := quartiles(column(o[0], l))
+				_, c, _ := quartiles(column(o[1], l))
+				fmt.Fprintf(&traced, "%-20s %-34s %14.6g %14.6g\n", name, l, p, c)
 			}
 		}
 	}
 	if traced.Len() > 0 {
-		fmt.Fprintf(w, "\ntraced pair, seed 1 (--trace 1; per-layer medians, 0 = layer not run by the workload)\n%-20s %-34s %14s %14s\n%s",
-			"workload", "metric", "parent", "change", traced.String())
+		fmt.Fprintf(w, "\ntraced pairs, seeds 1..%d (--trace 1; each side's median, 0 = layer not run by the workload)\n%-20s %-34s %14s %14s\n%s",
+			tracedPairs, "workload", "metric", "parent", "change", traced.String())
 	}
 	fmt.Fprintf(w, "\nevery run, in the order made\n%s", raw.String())
 	return nil

@@ -121,15 +121,19 @@ func TestRejectsBadFlags(t *testing.T) {
 
 // TestProtocol runs the protocol over a stub driver that reads which side
 // it is from a file in its checkout: odd seeds run the change first, the
-// failed-checks line sums each side's runs, and -layers adds one traced
-// pair whose values are printed side by side.
+// failed-checks line sums each side's runs, and -layers adds three
+// alternating traced pairs, seeds 1 to 3, of which each side's median is
+// printed side by side. The stub's layer reads 100 more at seed 2, so a
+// mean, or seed 2 alone, would print another value.
 func TestProtocol(t *testing.T) {
 	root := t.TempDir()
 	const script = `side=$(cat side)
 echo "$side seed=$4 trace=$8" >> ../order.log
 if [ "$side" = parent ]; then v=1 failed=1; else v=2 failed=0; fi
+x=$((10 * $8 + v))
+if [ "$4" = 2 ]; then x=$((x + 100)); fi
 echo "driver output before the contract line"
-echo "{\"attempted\":3,\"failed\":$failed,\"metrics\":{\"wall_s\":{\"value\":$v},\"layer.x\":{\"value\":$((10 * $8 + v))}}}"`
+echo "{\"attempted\":3,\"failed\":$failed,\"metrics\":{\"wall_s\":{\"value\":$v},\"layer.x\":{\"value\":$x}}}"`
 	dirs := map[string]string{}
 	for _, side := range []string{"parent", "change"} {
 		dirs[side] = filepath.Join(root, side)
@@ -153,8 +157,12 @@ echo "{\"attempted\":3,\"failed\":$failed,\"metrics\":{\"wall_s\":{\"value\":$v}
 parent seed=1 trace=0
 parent seed=2 trace=0
 change seed=2 trace=0
-parent seed=1 trace=1
 change seed=1 trace=1
+parent seed=1 trace=1
+parent seed=2 trace=1
+change seed=2 trace=1
+change seed=3 trace=1
+parent seed=3 trace=1
 `
 	if string(order) != wantOrder {
 		t.Errorf("runs made in the order\n%swant\n%s", order, wantOrder)

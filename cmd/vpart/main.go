@@ -11,9 +11,10 @@
 //	vpart -in design.v -top mychip -k 4 -b 10 -out parts.txt
 //
 // Every run also prints the copies the Time Warp kernel would evaluate for
-// the partition — each cluster's copied combinational gates — and the cut's
-// split into flip-flop-driven and gate-driven nets, the latter being what
-// the copies keep off the wire.
+// the partition — each cluster's copied combinational gates — each
+// cluster's fused table size in records, and the cut's split into
+// flip-flop-driven and gate-driven nets, the latter being what the copies
+// keep off the wire.
 //
 // The optional output file lists one "gatePath partition" pair per line.
 // With -json, a machine-readable cut-quality report (cut size, per-block
@@ -151,9 +152,9 @@ func main() {
 		rep.Cut, rep.Loads, rep.Balanced, rep.Levels, rep.Restart = res.Cut, res.Loads, res.Balanced, res.Levels, res.Restart
 	}
 	rep.WallMS = float64(time.Since(t0).Microseconds()) / 1000.0
-	copies, err := timewarp.Copies(ed.Netlist, gateParts, *k)
+	copies, records, err := timewarp.Tables(ed.Netlist, gateParts, *k)
 	fatal(err)
-	fmt.Fprintln(human, replicationLine(ed.Netlist, gateParts, copies))
+	fmt.Fprintln(human, replicationLine(ed.Netlist, gateParts, copies, records))
 
 	if *jsonOut {
 		total := 0
@@ -179,16 +180,22 @@ func main() {
 }
 
 // replicationLine reports each cluster's copies, their share of the
-// design's gates, and the cut nets split by the kind of gate driving them:
-// "copies 0,40 (0.2 %); cut 142 = 110 flip-flop-driven + 32 gate-driven".
-func replicationLine(nl *netlist.Netlist, gateParts []int32, copies []int) string {
-	var list []byte
-	total := 0
-	for i, c := range copies {
-		if i > 0 {
-			list = append(list, ',')
+// design's gates, each cluster's fused records, and the cut nets split by
+// the kind of gate driving them: "copies 0,40 (0.2 %); records 3052,3135;
+// cut 142 = 110 flip-flop-driven + 32 gate-driven".
+func replicationLine(nl *netlist.Netlist, gateParts []int32, copies, records []int) string {
+	list := func(v []int) []byte {
+		var b []byte
+		for i, c := range v {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = fmt.Appendf(b, "%d", c)
 		}
-		list = fmt.Appendf(list, "%d", c)
+		return b
+	}
+	total := 0
+	for _, c := range copies {
 		total += c
 	}
 	ffDriven, gateDriven := 0, 0
@@ -208,8 +215,8 @@ func replicationLine(nl *netlist.Netlist, gateParts []int32, copies []int) strin
 			}
 		}
 	}
-	return fmt.Sprintf("copies %s (%.1f %%); cut %d = %d flip-flop-driven + %d gate-driven",
-		list, 100*float64(total)/float64(len(nl.Gates)), ffDriven+gateDriven, ffDriven, gateDriven)
+	return fmt.Sprintf("copies %s (%.1f %%); records %s; cut %d = %d flip-flop-driven + %d gate-driven",
+		list(copies), 100*float64(total)/float64(len(nl.Gates)), list(records), ffDriven+gateDriven, ffDriven, gateDriven)
 }
 
 // validateFlags rejects what the partitioners would refuse, or silently

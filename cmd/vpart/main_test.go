@@ -1,9 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/partition"
+	"repro/internal/timewarp"
 )
 
 // TestValidateFlags holds every rejection to its message and every flag
@@ -55,5 +60,30 @@ func TestValidateFlags(t *testing.T) {
 		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
 			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestReplicationLine prints, for a partition of the default decoder, the
+// copies and the fused records timewarp.Tables counts, in cluster order.
+func TestReplicationLine(t *testing.T) {
+	ed, err := gen.Viterbi(gen.ViterbiConfig{K: 3, W: 4, TB: 6}).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.Multiway(ed, partition.Options{K: 2, B: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies, records, err := timewarp.Tables(ed.Netlist, res.GateParts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := replicationLine(ed.Netlist, res.GateParts, copies, records)
+	want := fmt.Sprintf("copies %d,%d (", copies[0], copies[1])
+	if !strings.HasPrefix(line, want) || !strings.Contains(line, fmt.Sprintf("; records %d,%d; cut ", records[0], records[1])) {
+		t.Errorf("line %q, want copies %v and records %v", line, copies, records)
+	}
+	if records[0] == 0 || records[0]+records[1] >= len(ed.Netlist.Gates) {
+		t.Errorf("records %v of %d gates: want some, and fewer than the gates", records, len(ed.Netlist.Gates))
 	}
 }

@@ -30,7 +30,7 @@ type Sweep struct {
 	ffs     []flipFlop  // in gate order
 	tab     []TruthGate // combinational gates in topological order
 	values  []bool      // the state the next Step starts from
-	flipped []int       // indices into ffs: the q's the last latch flipped
+	flipped []int32     // indices into ffs: the q's the last latch flipped (capacity: one per flip-flop)
 }
 
 // flipFlop is a DFF: its gate, d input and q output.
@@ -78,33 +78,31 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 	for n := range w.PowerOn {
 		w.PowerOn[n] = nl.Nets[n].Const == 1
 	}
+	w.flipped = make([]int32, 0, len(w.ffs))
 	w.settle(w.PowerOn)
 	w.values = append([]bool(nil), w.PowerOn...)
 	return w, nil
 }
 
 // settle makes values combinationally consistent by evaluating every
-// combinational gate once, in topological order.
-func (w *Sweep) settle(values []bool) { Settle(w.NL, w.tab, values) }
-
-// Settle evaluates every gate of tab once, in table order, writing each
-// output into values at once: over a table in topological order (the
-// sweep's, or an AppendSlice of it) it settles the gates' outputs to the
-// unique state their inputs imply. A wide record reads its gate from nl.
-func Settle(nl *netlist.Netlist, tab []TruthGate, values []bool) {
-	for i := range tab {
-		t := &tab[i]
+// combinational gate once, in topological order, writing each output at
+// once. A wide record reads its gate from the netlist. The sweep writes
+// every net because the wave bank reads every net, so its table is not
+// fused (Fuse; DESIGN §20).
+func (w *Sweep) settle(values []bool) {
+	for i := range w.tab {
+		t := &w.tab[i]
 		if t.TT < Wide {
 			values[t.Out] = t.Eval(values)
 		} else {
-			values[t.Out] = EvalGate(&nl.Gates[t.A], values)
+			values[t.Out] = EvalGate(&w.NL.Gates[t.A], values)
 		}
 	}
 }
 
 // AppendSlice appends to tab the combinational gates keep selects, in the
-// sweep's topological order: a table Settle settles on its own once every
-// other gate's output is final.
+// sweep's topological order: a table that settles on its own once every
+// other gate's output is final, and that Fuse compiles for Settle.
 func (w *Sweep) AppendSlice(tab []TruthGate, keep func(netlist.GateID) bool) []TruthGate {
 	for _, t := range w.tab {
 		if keep(w.NL.Nets[t.Out].Driver) {
@@ -117,19 +115,20 @@ func (w *Sweep) AppendSlice(tab []TruthGate, keep func(netlist.GateID) bool) []T
 // Step simulates one clock cycle: it writes vector (one bit per PIs entry)
 // to the stimulus inputs, settles, and latches — finding every q that
 // differs from its d before flipping any, so a flip-flop chain shifts one
-// stage per cycle.
+// stage per cycle. The flipping ones are collected without a branch: every
+// index is written, and the end advances by whether q differs from d.
 func (w *Sweep) Step(vector []bool) {
 	values := w.values
 	for i, pi := range w.PIs {
 		values[pi] = vector[i]
 	}
 	w.settle(values)
-	w.flipped = w.flipped[:0]
+	flipped, n := w.flipped[:len(w.ffs)], 0
 	for i, f := range w.ffs {
-		if values[f.q] != values[f.d] {
-			w.flipped = append(w.flipped, i)
-		}
+		flipped[n] = int32(i)
+		n += int(b2u(values[f.q] != values[f.d]))
 	}
+	w.flipped = flipped[:n]
 	for _, i := range w.flipped {
 		q := w.ffs[i].q
 		values[q] = !values[q]

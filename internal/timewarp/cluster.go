@@ -76,7 +76,7 @@ type cluster struct {
 	outBuf []batch
 
 	// Scratch.
-	toggling []int32 // the latch's flipping flip-flops, by index into prog.latch
+	toggling []int32 // one slot per flip-flop: the latch's compaction buffer
 
 	faultCtr uint64 // positive events sent, for CorruptEveryN injection
 
@@ -121,6 +121,7 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		obsVals:   make([][]bool, len(p.obsOwn)),
 		vecBuf:    make([]bool, p.vecWidth),
 		outBuf:    make([]batch, cfg.K),
+		toggling:  make([]int32, len(p.latch)),
 	}
 	// The one state-saving rule, in three cases. A cluster without senders
 	// is never sent an event and keeps no rollback state. Over direct
@@ -612,12 +613,12 @@ func (c *cluster) cancel(e event) {
 }
 
 // processCycle executes cycle cyc by one levelized sweep: it writes the
-// stimulus, applies the remote events for the cycle, settles the own
-// combinational gates and the copies once with sim.Settle (the sequential
-// sweep's settle), and ends the cycle (endCycle). A cluster that can be
-// rolled back keeps the cycle's rollback record as it goes: every write of
-// a stimulus input, remote input or flip-flop output notes itself in it; a
-// combinational output needs no entry (undo.go). One that cannot drops the
+// stimulus, applies the remote events for the cycle, settles the fused
+// table of own combinational gates and copies once with sim.Settle, and
+// ends the cycle (endCycle). A cluster that can be rolled back keeps the
+// cycle's rollback record as it goes: every write of a stimulus input,
+// remote input or flip-flop output notes itself in it; a combinational
+// output needs no entry (undo.go). One that cannot drops the
 // events the cycle consumed.
 func (c *cluster) processCycle(cyc uint64) error {
 	p, values, undo := c.prog, c.values, c.undo
@@ -675,15 +676,17 @@ func (c *cluster) endCycle(cyc uint64) {
 	p, values, undo := c.prog, c.values, c.undo
 	// Latch own DFFs; all d inputs are sampled before any q is updated
 	// (a DFF chain shifts one stage per cycle), and a q change is sent for
-	// the next cycle, which reads it.
-	toggling := c.toggling[:0]
-	for i := range p.latch {
-		if f := &p.latch[i]; values[f.d] != values[f.q] {
-			toggling = append(toggling, int32(i))
-		}
+	// the next cycle, which reads it. The toggling ones are collected
+	// without a branch: every index is written, and the end advances by
+	// whether d differs from q.
+	latch, toggling, n := p.latch, c.toggling[:len(p.latch)], 0
+	for i := range latch {
+		f := &latch[i]
+		toggling[n] = int32(i)
+		n += b2i(values[f.d] != values[f.q])
 	}
-	for _, i := range toggling {
-		f := &p.latch[i]
+	for _, i := range toggling[:n] {
+		f := &latch[i]
 		q := f.q
 		values[q] = !values[q]
 		undo.note(q, values)
@@ -691,7 +694,6 @@ func (c *cluster) endCycle(cyc uint64) {
 			c.send(cyc+1, q, values[q])
 		}
 	}
-	c.toggling = toggling[:0]
 
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).
@@ -720,6 +722,14 @@ func (c *cluster) endCycle(cyc uint64) {
 	c.stats.queueLen.Store(int64(len(c.inq) - c.next))
 	c.cycle = cyc + 1
 	c.publish()
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // consume moves the input queue's cursor over the events for cycle cyc and

@@ -189,7 +189,7 @@ func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 	for id, p := range progs {
 		var gates []netlist.GateID // own gates and copies
 		for _, r := range p.tab {
-			gates = append(gates, nl.Nets[r.Out].Driver)
+			gates = append(gates, coneOf(t, fmt.Sprintf("cluster %d", id), nl, r)...)
 		}
 		for _, f := range p.latch {
 			gates = append(gates, nl.Nets[f.q].Driver)

@@ -75,8 +75,9 @@ type Stats struct {
 	AntiMessages uint64 // cancellations sent
 	Rollbacks    uint64 // rollback occurrences
 	// Events counts gate evaluations executed, re-execution included:
-	// every cycle a cluster executes evaluates each own gate, flip-flops
-	// too, once (DESIGN.md §26). It is not comparable with
+	// every cycle a cluster executes evaluates each own gate and copy,
+	// flip-flops too, once (DESIGN.md §26). It counts netlist gates, not
+	// the fused records a cluster settles them in (§20). It is not comparable with
 	// sim.Simulator.Events, which counts the gates the sequential
 	// simulator's delta events reach (DESIGN.md §20).
 	Events           uint64

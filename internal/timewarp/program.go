@@ -17,13 +17,21 @@ import (
 // Nets keep their global netlist.NetID: values, events and rollback records
 // are net-indexed, and a net id is what clusters exchange. Every cluster has
 // the one layout: its combinational gates, copies included, are a slice of
-// the host's sim.Sweep table, its flip-flops a table of their own.
+// the host's sim.Sweep table fused by sim.Fuse, its flip-flops a table of
+// their own.
 type program struct {
-	// tab are the own combinational gates and the copies (replicas), in
-	// the host's sim.Sweep topological order. A copy is another cluster's
-	// gate this cluster evaluates too, so that no net a combinational gate
-	// drives is ever sent: its output is never observed, sent or latched.
-	tab []sim.TruthGate
+	// tab are the own combinational gates and the copies (replicas) as
+	// sim.FusedGate records, in the host's sim.Sweep topological order: a
+	// gate whose output nothing but one other gate of the table reads is
+	// folded into that gate's record while it keeps at most four inputs
+	// (the live rule, compile). A copy is
+	// another cluster's gate this cluster evaluates too, so that no net a
+	// combinational gate drives is ever sent: its output is never
+	// observed, sent or latched.
+	tab []sim.FusedGate
+	// gates is how many own gates and copies tab evaluates, folded ones
+	// included.
+	gates int
 	// latch are the own flip-flops: d input, q output, and whether another
 	// cluster reads q. The clock is a global tick, not an event.
 	latch []latchGate
@@ -129,21 +137,30 @@ func (r *replicas) copiers(g netlist.GateID) []int32 {
 	return r.by[r.off[g]:r.off[g+1]]
 }
 
-// Copies returns, for each of the k clusters of gateParts, how many other
+// Tables returns, for each of the k clusters of gateParts, how many other
 // clusters' combinational gates it evaluates as copies in a run (DESIGN
-// §20): what replication adds to its cycle.
-func Copies(nl *netlist.Netlist, gateParts []int32, k int) ([]int, error) {
+// §20), what replication adds to its cycle, and how many fused records its
+// table settles when the run observes the primary outputs (the default).
+func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []int, err error) {
 	if err := checkPartition(k, gateParts); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(gateParts) != len(nl.Gates) {
-		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d", len(gateParts), len(nl.Gates))
+		return nil, nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d", len(gateParts), len(nl.Gates))
 	}
-	n := make([]int, k)
-	for _, c := range replicate(nl, gateParts, k).by {
-		n[c]++
+	sw, err := sim.NewSweep(nl)
+	if err != nil {
+		return nil, nil, err
 	}
-	return n, nil
+	rep := replicate(nl, gateParts, k)
+	copies, records = make([]int, k), make([]int, k)
+	for _, c := range rep.by {
+		copies[c]++
+	}
+	for c := range records {
+		records[c] = len(compile(sw, gateParts, rep, int32(c), nl.POs).tab)
+	}
+	return copies, records, nil
 }
 
 // compile builds cluster id's program for the netlist sw compiles,
@@ -203,7 +220,6 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: len(p.readers(g.Output)) > 0})
 		}
 	}
-	p.tab = sw.AppendSlice(make([]sim.TruthGate, 0, nComb), evaluates)
 
 	for _, pi := range nl.PIs {
 		if nl.IsClockNet(pi) {
@@ -220,17 +236,36 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		p.vecWidth++
 	}
 
-	listed := make([]bool, len(nl.Nets)) // observe may name a net twice
+	// The live rule: an output of the table keeps its value after the
+	// settle when observe names it, a flip-flop, a gate this cluster does
+	// not evaluate or a wide gate reads it, or more than one gate of the
+	// table does. No other code reads a net, so the rest are free for
+	// sim.Fuse to fold away.
+	live := make([]bool, len(nl.Nets))
 	for _, n := range observe {
 		owner := int32(0)
 		if d := nl.Nets[n].Driver; d != netlist.NoGate {
 			owner = gateParts[d]
 		}
-		if owner == id && !listed[n] {
-			listed[n] = true
+		if owner == id && !live[n] { // observe may name a net twice
 			p.obsOwn = append(p.obsOwn, n)
 		}
+		live[n] = true
 	}
+	tab := sw.AppendSlice(make([]sim.TruthGate, 0, nComb), evaluates)
+	for _, t := range tab {
+		reader := netlist.NoGate
+		for _, s := range nl.Nets[t.Out].Sinks {
+			if g := &nl.Gates[s]; reader != netlist.NoGate && reader != s ||
+				g.Kind.Sequential() || len(g.Inputs) > 2 || !evaluates(s) {
+				live[t.Out] = true
+				break
+			}
+			reader = s
+		}
+	}
+	p.gates = len(tab)
+	p.tab = sim.Fuse(nl, tab, func(n netlist.NetID) bool { return live[n] })
 	return p
 }
 
@@ -240,7 +275,9 @@ func (p *program) readers(n netlist.NetID) []int32 {
 }
 
 // cycleCost is the gate evaluations of one executed cycle: every own gate,
-// flip-flops too, and every copy, once (DESIGN §26).
+// flip-flops too, and every copy, once (DESIGN §26). It counts netlist
+// gates, not records: a fused record evaluates all the gates folded into
+// it.
 func (p *program) cycleCost() uint64 {
-	return uint64(len(p.tab) + len(p.latch))
+	return uint64(p.gates + len(p.latch))
 }

@@ -59,9 +59,9 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	if len(p.tab) != len(nl.Gates) {
 		t.Fatalf("program has %d combinational gates, netlist %d", len(p.tab), len(nl.Gates))
 	}
-	// One cluster owns every gate, all of them in its sweep table; a
-	// record's gate drives its output. A gate
-	// of one or two inputs must be tabulated, and its table must be
+	// One cluster owns every gate, all of them in its table, and no output
+	// is read, so none is folded: a record's gate drives its output. A
+	// gate of one or two inputs must be tabulated, and its table must be
 	// sim.EvalGate's; a wider one must name itself for sim.Settle to hand
 	// to sim.EvalGate. Routing every gate to the wide path would evaluate
 	// right, and slowly.
@@ -70,13 +70,13 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 		r := &p.tab[i]
 		gi := nl.Nets[r.Out].Driver
 		g := &nl.Gates[gi]
-		if tabulated := len(g.Inputs) <= 2; tabulated != (r.TT < sim.Wide) {
-			t.Errorf("%s: TT %d, want a table: %v", g.Path, r.TT, tabulated)
+		if tabulated := len(g.Inputs) <= 2; tabulated != (r.N > 0) {
+			t.Errorf("%s: %d table inputs, want a table: %v", g.Path, r.N, tabulated)
 			continue
 		}
-		if r.TT == sim.Wide {
-			if r.A != netlist.NetID(gi) {
-				t.Errorf("%s: wide record names gate %d", g.Path, r.A)
+		if r.N == 0 {
+			if r.In[0] != netlist.NetID(gi) {
+				t.Errorf("%s: wide record names gate %d", g.Path, r.In[0])
 			}
 			continue
 		}
@@ -125,7 +125,7 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 	progs := make([]*program, k)
 	for id := range progs {
 		progs[id] = compile(sw, parts, rep, int32(id), nl.POs)
-		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), progs[id])
+		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), nl.POs, progs[id])
 	}
 	for id, p := range progs {
 		var heard []int32
@@ -169,7 +169,7 @@ func naiveCopies(nl *netlist.Netlist, parts []int32, k int) [][]bool {
 	return evaluated
 }
 
-func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, p *program) {
+func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, observe []netlist.NetID, p *program) {
 	t.Helper()
 	ev := evaluated[id]
 	copied := func(g netlist.GateID) bool { return ev[g] && parts[g] != id }
@@ -191,7 +191,7 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			dffs = append(dffs, netlist.GateID(gi))
 		}
 	}
-	checkSweepTable(t, label, nl, parts, ev, id, p)
+	checkSweepTable(t, label, nl, ev, id, observe, p)
 	if len(p.latch) != len(dffs) {
 		t.Fatalf("%s: %d flip-flops, want %d", label, len(p.latch), len(dffs))
 	}
@@ -249,47 +249,143 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 }
 
-// checkSweepTable checks a cluster's one table: every combinational gate
-// the cluster evaluates, own or a copy, once, as sim.CompileGate compiles
-// it, each after the entries driving its inputs.
-func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, parts []int32, ev []bool, id int32, p *program) {
+// checkSweepTable checks a cluster's fused table against the naive
+// recomputation: the records cover every combinational gate the cluster
+// evaluates, own or a copy, once each — a record's cone, the gates a walk
+// back from its output meets before its inputs — with no input a record
+// writes later; a wide gate is a record of its own; every net the live rule
+// names that such a gate drives is a record's output, and every other net
+// a record reads is a leaf (a stimulus input, a constant or a flip-flop
+// output); and on random leaf values the fused table settles every record
+// output to what the gates, evaluated one by one in topological order,
+// give it.
+func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool, id int32, observe []netlist.NetID, p *program) {
 	t.Helper()
-	settled := make([]bool, len(nl.Nets)) // outputs of table entries seen so far
-	want := 0
+	comb := func(g netlist.GateID) bool { return g != netlist.NoGate && !nl.Gates[g].Kind.Sequential() }
+	written := make([]bool, len(nl.Nets)) // outputs of records seen so far
+	covered := make([]bool, len(nl.Gates))
 	for i, r := range p.tab {
 		gi := nl.Nets[r.Out].Driver
-		if gi == netlist.NoGate || !ev[gi] || nl.Gates[gi].Kind.Sequential() {
-			t.Fatalf("%s: table entry %d drives %s, which neither an own combinational gate nor a copy drives", label, i, nl.Nets[r.Out].Name)
+		if !comb(gi) || !ev[gi] {
+			t.Fatalf("%s: record %d drives %s, which neither an own combinational gate nor a copy drives", label, i, nl.Nets[r.Out].Name)
 		}
-		if want := sim.CompileGate(nl, gi); r != want {
-			t.Fatalf("%s: table entry %d is %+v, gate %s compiles to %+v", label, i, r, nl.Gates[gi].Path, want)
+		if written[r.Out] {
+			t.Fatalf("%s: %s written by two records", label, nl.Nets[r.Out].Name)
 		}
-		for _, in := range nl.Gates[gi].Inputs {
-			d := nl.Nets[in].Driver
-			if d == netlist.NoGate || nl.Gates[d].Kind.Sequential() {
-				continue
+		if r.N == 0 != (len(nl.Gates[gi].Inputs) > 2) || r.N == 0 && r.In[0] != netlist.NetID(gi) {
+			t.Fatalf("%s: record %d (%s) is %+v; a gate of %d inputs", label, i, nl.Gates[gi].Path, r, len(nl.Gates[gi].Inputs))
+		}
+		ins := r.In[:r.N]
+		if r.N == 0 {
+			ins = nl.Gates[gi].Inputs
+		}
+		for _, in := range ins {
+			if d := nl.Nets[in].Driver; comb(d) && !written[in] {
+				t.Fatalf("%s: record %d (%s) reads %s before the record writing it", label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
 			}
-			if !ev[d] {
-				t.Fatalf("%s: table entry %d (%s) reads %s, which another cluster's combinational gate drives and no copy computes",
-					label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
-			}
-			if !settled[in] {
-				t.Fatalf("%s: table entry %d (%s) reads %s before the entry driving it", label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
-			}
 		}
-		if settled[r.Out] {
-			t.Fatalf("%s: %s driven twice in the table", label, nl.Nets[r.Out].Name)
+		for _, g := range coneOf(t, label, nl, r) {
+			if covered[g] {
+				t.Fatalf("%s: gate %s in two records' cones", label, nl.Gates[g].Path)
+			}
+			covered[g] = true
 		}
-		settled[r.Out] = true
+		written[r.Out] = true
 	}
 	for gi := range nl.Gates {
-		if ev[gi] && !nl.Gates[gi].Kind.Sequential() {
-			want++
+		if comb(netlist.GateID(gi)) && ev[gi] != covered[gi] {
+			t.Fatalf("%s: gate %s evaluated by the cluster: %v, in a record's cone: %v", label, nl.Gates[gi].Path, ev[gi], covered[gi])
 		}
 	}
-	if len(p.tab) != want {
-		t.Fatalf("%s: table of %d gates, want %d own gates and copies", label, len(p.tab), want)
+	if p.gates != countTrue(covered) {
+		t.Fatalf("%s: program counts %d gates, its records cover %d", label, p.gates, countTrue(covered))
 	}
+
+	live := make([]bool, len(nl.Nets))
+	for _, n := range observe {
+		live[n] = true
+	}
+	for n := range nl.Nets {
+		readers := map[netlist.GateID]bool{}
+		for _, s := range nl.Nets[n].Sinks {
+			g := &nl.Gates[s]
+			live[n] = live[n] || g.Kind.Sequential() || len(g.Inputs) > 2 || !ev[s]
+			readers[s] = true
+		}
+		live[n] = live[n] || len(readers) > 1
+		if d := nl.Nets[n].Driver; live[n] && comb(d) && ev[d] && !written[n] {
+			t.Fatalf("%s: live net %s is no record's output", label, nl.Nets[n].Name)
+		}
+	}
+
+	// The reference: every evaluated gate in the sweep's order, one by one.
+	sw, err := sim.NewSweep(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sw.AppendSlice(nil, func(g netlist.GateID) bool { return ev[g] })
+	rng := rand.New(rand.NewSource(int64(id)))
+	want, got := make([]bool, len(nl.Nets)), make([]bool, len(nl.Nets))
+	for range 4 {
+		for n := range want {
+			want[n] = rng.Intn(2) == 1
+		}
+		copy(got, want)
+		for i := range ref {
+			if r := &ref[i]; r.TT < sim.Wide {
+				want[r.Out] = r.Eval(want)
+			} else {
+				want[r.Out] = sim.EvalGate(&nl.Gates[r.A], want)
+			}
+		}
+		sim.Settle(nl, p.tab, got)
+		for n := range written {
+			if written[n] && got[n] != want[n] {
+				t.Fatalf("%s: the fused table settles %s to %v, its gates to %v", label, nl.Nets[n].Name, got[n], want[n])
+			}
+		}
+	}
+}
+
+// coneOf returns the gates record r evaluates: its output's driver and,
+// walking back, every gate driving a net the cone reads that is not one of
+// r's inputs, which must be a combinational gate's.
+func coneOf(t *testing.T, label string, nl *netlist.Netlist, r sim.FusedGate) []netlist.GateID {
+	t.Helper()
+	d := nl.Nets[r.Out].Driver
+	if r.N == 0 {
+		return []netlist.GateID{d}
+	}
+	cone, stack := []netlist.GateID{}, []netlist.GateID{d}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if slices.Contains(cone, g) {
+			continue
+		}
+		cone = append(cone, g)
+		for _, in := range nl.Gates[g].Inputs {
+			if slices.Contains(r.In[:r.N], in) {
+				continue
+			}
+			d := nl.Nets[in].Driver
+			if d == netlist.NoGate || nl.Gates[d].Kind.Sequential() {
+				t.Fatalf("%s: the record of %s reads %s, which is not among its inputs", label, nl.Nets[r.Out].Name, nl.Nets[in].Name)
+			}
+			stack = append(stack, d)
+		}
+	}
+	return cone
+}
+
+func countTrue(v []bool) int {
+	n := 0
+	for _, b := range v {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 // alignedSoC is the small two-channel SoC split k=2 along its channels:
