@@ -35,10 +35,9 @@ check: build test vet race
 fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
-	$(GO) test ./internal/timewarp -run 'TestStraggler|TestRollbackRestoresEveryLiveNet|TestLazyCancellation|TestOneWayCut|TestConservative' -count=5
-	$(GO) test -race ./internal/timewarp -run 'TestConservative|TestDifferential'
+	$(GO) test ./internal/timewarp ./internal/comm -run 'TestConservative|TestStraggler|TestOneWay|TestChaos|TestAwaitHeard' -count=5
+	$(GO) test -race ./internal/timewarp ./internal/comm -run 'TestConservative|TestDifferential|TestChaos'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
-	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzUndoLog -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzDistProtoDecode -fuzztime 20s
@@ -96,10 +95,7 @@ monitor-demo:
 # carries the tw_* series of the clusters worker 1 runs, which only its
 # round reports put there (validated and required via obscheck; with
 # k=4 over two workers, clusters 2 and 3 are placed on worker 1), and the
-# merged cluster trace decodes cleanly (DESIGN.md §16). It also prints, ungated, the share of executed
-# gate evaluations the cross-process run rolled back (the coordinator's
-# "timewarp-dist:" line): the number the polled data plane (DESIGN.md §21)
-# is judged by, here with real process boundaries between the workers.
+# merged cluster trace decodes cleanly (DESIGN.md §16).
 dist-smoke:
 	$(GO) run ./cmd/vgen -circuit soc -o soc.v
 	$(GO) build -o vsim.dist ./cmd/vsim
@@ -136,9 +132,6 @@ dist-smoke:
 	grep -q '"worker 1"' dist.trace.json \
 		|| { echo "merged trace names no worker 1 process"; exit 1; }; \
 	cat dist-seq.out dist-coord.out; \
-	awk '/^timewarp-dist:/ { for (i = 2; i <= NF; i++) { split($$i, kv, "="); v[kv[1]] = kv[2] } \
-		if (v["events"] > 0) printf "dist-smoke: rolled back %d of %d executed evaluations = %.3f (advisory, not gated)\n", \
-			v["rolledback"], v["events"], v["rolledback"] / v["events"] }' dist-coord.out; \
 	seq_digest=$$(grep '^waveforms ' dist-seq.out); \
 	dist_digest=$$(grep '^waveforms ' dist-coord.out); \
 	if [ "$$seq_digest" != "$$dist_digest" ]; then \

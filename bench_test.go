@@ -437,9 +437,8 @@ func BenchmarkClusterForward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Stats.Messages != 0 || res.Stats.Rollbacks != 0 {
-			b.Fatalf("forward-only run sent %d messages, rolled back %d times",
-				res.Stats.Messages, res.Stats.Rollbacks)
+		if res.Stats.Messages != 0 {
+			b.Fatalf("forward-only run sent %d messages", res.Stats.Messages)
 		}
 		events += res.Stats.Events
 	}

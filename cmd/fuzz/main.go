@@ -1,7 +1,7 @@
 // Command fuzz runs the seed-driven differential fuzzing campaign:
 // random circuits and stimulus, real partitioners, sequential reference
 // vs Time Warp kernel under adversarial (chaos-transport) delivery, with
-// kernel-invariant checks, an adversarial-enough rollback bar, seed
+// kernel-invariant checks, an adversarial-enough link-wait bar, seed
 // replay and a greedy shrinker that emits a minimal Go-test reproducer.
 //
 // Examples:
@@ -38,7 +38,7 @@ func main() {
 	)
 	flag.IntVar(&f.runs, "runs", 100, "number of differential runs (at least 1)")
 	flag.Int64Var(&f.replay, "replay", 0, "replay this single seed verbosely and exit")
-	flag.Float64Var(&f.minRoll, "min-rollback-frac", fuzz.DefaultMinRollbackFraction, "fraction of runs, 0..1, that must provoke ≥1 rollback (0 disables)")
+	flag.Float64Var(&f.minWait, "min-link-wait-frac", fuzz.DefaultMinLinkWaitFraction, "fraction of runs, 0..1, in which a link must hold a watermark past its publish (0 disables)")
 	flag.DurationVar(&f.stall, "stall", 30*time.Second, "per-run stall timeout, positive (wedged-kernel detector)")
 	flag.StringVar(&f.trace, "trace", "", "with -replay: write the replayed run's Chrome trace to this file (\"-\" = stdout)")
 	flag.Parse()
@@ -86,7 +86,7 @@ func main() {
 		Seed:                *seed,
 		Runs:                f.runs,
 		Chaos:               *chaos,
-		MinRollbackFraction: f.minRoll,
+		MinLinkWaitFraction: f.minWait,
 		StallTimeout:        f.stall,
 		Verbose:             *verbose,
 		Out:                 os.Stdout,
@@ -121,7 +121,7 @@ func main() {
 type flags struct {
 	runs    int
 	replay  int64
-	minRoll float64
+	minWait float64
 	stall   time.Duration
 	trace   string
 	args    []string
@@ -136,8 +136,8 @@ func validateFlags(f flags) error {
 		return fmt.Errorf("unexpected arguments %q: fuzz takes flags only", f.args)
 	case f.runs < 1:
 		return fmt.Errorf("-runs must be at least 1 (got %d)", f.runs)
-	case !(f.minRoll >= 0 && f.minRoll <= 1): // NaN too
-		return fmt.Errorf("-min-rollback-frac must be in 0..1 (got %g)", f.minRoll)
+	case !(f.minWait >= 0 && f.minWait <= 1): // NaN too
+		return fmt.Errorf("-min-link-wait-frac must be in 0..1 (got %g)", f.minWait)
 	case f.stall <= 0:
 		return fmt.Errorf("-stall must be positive (got %v)", f.stall)
 	case f.trace != "" && f.replay == 0:

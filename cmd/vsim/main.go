@@ -3,7 +3,8 @@
 // Modes:
 //
 //	-mode seq      sequential event-driven simulation (default)
-//	-mode tw       optimistic Time Warp over k partitions (goroutines)
+//	-mode tw       Time Warp over k partitions (goroutines), each
+//	               cluster waiting for its senders' watermarks
 //	-mode model    deterministic cluster model: modeled parallel time,
 //	               speedup, message and rollback counts
 //	-mode dist     distributed Time Warp coordinator: partitions the
@@ -65,7 +66,7 @@ func main() {
 		chaosSeed = flag.Int64("chaos-seed", 1, "chaos transport schedule seed")
 		serveAddr = flag.String("serve", "", "serve live monitoring endpoints (/metrics /healthz /status /debug/pprof) on this host:port while the run executes (tw mode)")
 		serveHold = flag.Duration("serve-hold", 0, "keep the monitoring server up this long after the run finishes (with -serve; for scripted scrapes and demos)")
-		blame     = flag.Bool("blame", false, "record per-event causality and print the rollback-blame / critical-path report after the run (tw mode)")
+		blame     = flag.Bool("blame", false, "record per-event causality and print the critical-path report after the run (tw mode)")
 
 		listen     = flag.String("listen", "127.0.0.1:0", "coordinator control-plane bind address (dist mode); the chosen address is printed for workers to -connect to")
 		workers    = flag.Int("workers", 0, "number of vsimd worker processes to wait for (dist mode, required, 1..k)")
@@ -179,9 +180,8 @@ func main() {
 			fatal(err)
 			wall := time.Since(start)
 			st := res.Stats
-			fmt.Printf("timewarp: events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d wall %v\n",
-				st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks,
-				wall.Round(time.Millisecond))
+			fmt.Printf("timewarp: events=%d msgs=%d linkwaits=%d wall %v\n",
+				st.Events, st.Messages, st.LinkWaits, wall.Round(time.Millisecond))
 			fmt.Println(waveDigest(nl.POs, res.Observed))
 			if rec != nil {
 				an := rec.Analyze()
@@ -261,9 +261,8 @@ func main() {
 		fatal(err)
 		wall := time.Since(start)
 		st := res.Stats
-		fmt.Printf("timewarp-dist: workers=%d events=%d rolledback=%d msgs=%d anti=%d rollbacks=%d gvt=%d wall %v\n",
-			*workers, st.Events, st.RolledBackEvents, st.Messages, st.AntiMessages, st.Rollbacks,
-			res.FinalGVT, wall.Round(time.Millisecond))
+		fmt.Printf("timewarp-dist: workers=%d events=%d msgs=%d cycles=%d wall %v\n",
+			*workers, st.Events, st.Messages, res.FinalGVT, wall.Round(time.Millisecond))
 		if st.Messages > 0 || res.WireFramesSent > 0 {
 			fmt.Printf("wire: frames sent=%d recv=%d\n", res.WireFramesSent, res.WireFramesRecv)
 		}
@@ -349,7 +348,7 @@ func validateFlags(mode string, k int, b float64, cycles uint64, workers int, se
 	if mode != "seq" && set["vcd"] {
 		return fmt.Errorf("-vcd only applies to -mode seq (mode is %q)", mode)
 	}
-	// Flags that only mean something to the optimistic kernel are an
+	// Flags that only mean something to the in-process kernel are an
 	// error elsewhere, not a silent no-op.
 	if mode != "tw" {
 		// The chaos transport and the causality recorder live inside the

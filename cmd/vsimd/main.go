@@ -13,7 +13,7 @@
 // supervisor or Kubernetes liveness check wants. The coordinator's scrape
 // already carries the clusters' counters (every round report does), so
 // -serve and -metrics are for what only this process holds: queue
-// lengths, GVT lag, the rollback-depth histogram, comm_inflight.
+// lengths and comm_inflight.
 //
 // Examples:
 //

@@ -10,22 +10,24 @@ import (
 )
 
 // ChaosConfig parameterizes the chaos transport: a delivery-order
-// adversary for the Time Warp kernel. All decisions are drawn from
-// per-link PRNGs seeded from Seed, so the schedule shape (which message
-// gets how much delay, where stalls begin and end) is a pure function of
-// (Seed, src, dst, per-link message index) and reproduces across runs of
-// the same workload. The adversary perturbs only delivery order and
-// timing: no message is ever lost or duplicated, and per-(src,dst)-link
-// FIFO order is preserved — the freedoms MPI-style transports actually
-// have, and exactly the ones Time Warp must tolerate.
+// adversary for the Time Warp kernel. Messages and watermarks wait in one
+// queue per link, so a receiver that waits for a watermark waits as long
+// as the link holds it, however long ago its sender published. All
+// decisions are drawn from per-link PRNGs seeded from Seed, so the
+// schedule shape (which item gets how much delay, where stalls begin and
+// end) is a pure function of (Seed, src, dst, per-link item index) and
+// reproduces across runs of the same workload. The adversary perturbs only
+// delivery order and timing: nothing is ever lost or duplicated, and
+// per-(src,dst)-link FIFO order is preserved — the freedoms MPI-style
+// transports actually have.
 type ChaosConfig struct {
 	// Seed drives every per-link random decision.
 	Seed int64
 	// MaxDelay caps the per-message delivery delay (default 200µs).
 	MaxDelay time.Duration
-	// StallEvery starts a link stall every n-th message on that link
-	// (0 disables stalls). Stalled links buffer everything and release it
-	// as one burst when the stall expires — the straggler generator.
+	// StallEvery starts a link stall every n-th item (message or
+	// watermark) on that link (0 disables stalls). Stalled links buffer
+	// everything and release it as one burst when the stall expires.
 	StallEvery int
 	// StallFor is the stall duration (default 2ms).
 	StallFor time.Duration
@@ -46,10 +48,12 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // Chaos returns a TransportFactory building the chaos transport.
 func Chaos(cfg ChaosConfig) TransportFactory {
-	return func(k int, deliver DeliverFunc) Transport {
+	return func(k int, deliver DeliverFunc, mark MarkFunc) Transport {
 		c := &chaosTransport{
 			cfg:     cfg.withDefaults(),
 			deliver: deliver,
+			mark:    mark,
+			k:       k,
 			links:   make(map[[2]int]*chaosLink),
 			stop:    make(chan struct{}),
 		}
@@ -59,9 +63,11 @@ func Chaos(cfg ChaosConfig) TransportFactory {
 	}
 }
 
-// heldMsg is a message waiting in a link's limbo queue.
+// heldMsg is a message, or a watermark when msg is nil, waiting in a
+// link's limbo queue.
 type heldMsg struct {
 	msg     Message
+	through uint64
 	release time.Time
 }
 
@@ -70,13 +76,15 @@ type chaosLink struct {
 	key  [2]int
 	rng  *rand.Rand
 	q    []heldMsg // FIFO; release times are monotone within the queue
-	seq  int       // messages seen on this link
+	seq  int       // items seen on this link
 	last time.Time // release time of the newest queued/delivered message
 }
 
 type chaosTransport struct {
 	cfg     ChaosConfig
 	deliver DeliverFunc
+	mark    MarkFunc
+	k       int
 
 	mu    sync.Mutex
 	links map[[2]int]*chaosLink
@@ -100,10 +108,23 @@ func (c *chaosTransport) link(src, dst int) *chaosLink {
 	return l
 }
 
-// Send assigns the message a seeded delay (plus a stall window every
-// StallEvery messages) and queues it on its link. Release times are made
+// Send queues msg on its link (hold).
+func (c *chaosTransport) Send(src, dst int, msg Message) { c.hold(src, dst, heldMsg{msg: msg}) }
+
+// Mark queues the watermark on each of src's links, behind everything
+// sent on it before (hold).
+func (c *chaosTransport) Mark(src int, through uint64) {
+	for dst := 0; dst < c.k; dst++ {
+		if dst != src {
+			c.hold(src, dst, heldMsg{through: through})
+		}
+	}
+}
+
+// hold assigns the item a seeded delay (plus a stall window every
+// StallEvery items) and queues it on its link. Release times are made
 // monotone per link so FIFO order survives any delay draw.
-func (c *chaosTransport) Send(src, dst int, msg Message) {
+func (c *chaosTransport) hold(src, dst int, h heldMsg) {
 	now := time.Now()
 	c.mu.Lock()
 	l := c.link(src, dst)
@@ -111,8 +132,8 @@ func (c *chaosTransport) Send(src, dst int, msg Message) {
 	d := time.Duration(l.rng.Int63n(int64(c.cfg.MaxDelay) + 1))
 	if c.cfg.StallEvery > 0 && l.seq%c.cfg.StallEvery == 0 {
 		d += c.cfg.StallFor
-		// The instant marks where the adversary planted a straggler: the
-		// rollback spans it provokes appear on the victim cluster tracks.
+		// The instant marks where the adversary held a link: the
+		// blocked(senders) spans it provokes appear on the receiver tracks.
 		c.cfg.Obs.Instant(obs.TrackComm, "link_stall",
 			obs.Arg{Key: "src", Val: float64(src)},
 			obs.Arg{Key: "dst", Val: float64(dst)},
@@ -123,7 +144,8 @@ func (c *chaosTransport) Send(src, dst int, msg Message) {
 		rel = l.last // preserve per-link FIFO
 	}
 	l.last = rel
-	l.q = append(l.q, heldMsg{msg: msg, release: rel})
+	h.release = rel
+	l.q = append(l.q, h)
 	c.mu.Unlock()
 }
 
@@ -160,17 +182,15 @@ func (c *chaosTransport) flush(now time.Time, shuf *rand.Rand) {
 				(links[i].key[0] == links[j].key[0] && links[i].key[1] < links[j].key[1])
 		})
 	}
-	var due []struct {
-		dst int
-		msg Message
+	type dueMsg struct {
+		src, dst int
+		heldMsg
 	}
+	var due []dueMsg
 	for _, l := range links {
 		n := 0
 		for n < len(l.q) && !l.q[n].release.After(now) {
-			due = append(due, struct {
-				dst int
-				msg Message
-			}{l.key[1], l.q[n].msg})
+			due = append(due, dueMsg{l.key[0], l.key[1], l.q[n]})
 			n++
 		}
 		if n > 0 {
@@ -181,7 +201,11 @@ func (c *chaosTransport) flush(now time.Time, shuf *rand.Rand) {
 	// Deliver outside the transport lock: enqueue takes endpoint locks and
 	// may wake receivers that immediately Send (re-entering the transport).
 	for _, m := range due {
-		c.deliver(m.dst, m.msg)
+		if m.msg == nil {
+			c.mark(m.src, m.dst, m.through)
+		} else {
+			c.deliver(m.dst, m.msg)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -45,8 +46,7 @@ func TestChaosPreservesPerLinkFIFO(t *testing.T) {
 // framing the Time Warp kernel uses) mixed with single values through the
 // chaos transport: each batch must arrive intact as one message, in
 // per-link send order relative to its neighbours — the property that lets
-// a receiver unpack batches sequentially and still never see an
-// anti-message overtake its positive.
+// a receiver unpack batches sequentially.
 func TestChaosPreservesBatchOrder(t *testing.T) {
 	n := NewNetworkTransport(2, Chaos(ChaosConfig{
 		Seed: 11, MaxDelay: 300 * time.Microsecond, StallEvery: 13, StallFor: time.Millisecond,
@@ -218,4 +218,54 @@ func TestChaosRecvWaitWokenByPump(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RecvWait never woken by pump delivery")
 	}
+}
+
+// TestChaosMarkFollowsItsLinksMessages sends, on every link out of one
+// endpoint, a message and then a watermark counting the messages sent so
+// far, through a stalling chaos schedule. A watermark arrives after its
+// sender marked it — the links must be seen to hold one — but never ahead
+// of a message sent before it, on any link: whatever a receiver has heard,
+// it has received at least that many messages once it drains its mailbox.
+func TestChaosMarkFollowsItsLinksMessages(t *testing.T) {
+	const k, count = 3, 400
+	n := NewNetworkTransport(k, Chaos(ChaosConfig{
+		Seed: 5, MaxDelay: 300 * time.Microsecond, StallEvery: 13, StallFor: time.Millisecond,
+	}))
+	defer n.CloseTransport()
+	var marked atomic.Uint64
+	go func() {
+		for i := 1; i <= count; i++ {
+			for dst := 1; dst < k; dst++ {
+				n.Endpoint(0).Send(dst, i)
+			}
+			n.Endpoint(0).Mark(uint64(i))
+			marked.Store(uint64(i))
+		}
+	}()
+	var wg sync.WaitGroup
+	for dst := 1; dst < k; dst++ {
+		ep := n.Endpoint(dst)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, held := 0, false
+			for deadline := time.Now().Add(10 * time.Second); ep.Heard(0) < count; {
+				heard := ep.Heard(0)
+				got += len(ep.TryRecvAll())
+				if uint64(got) < heard {
+					t.Errorf("endpoint %d heard watermark %d with %d messages received", ep.id, heard, got)
+					return
+				}
+				held = held || marked.Load() > ep.Heard(0)
+				if time.Now().After(deadline) {
+					t.Errorf("endpoint %d: watermark %d of %d before the deadline", ep.id, ep.Heard(0), count)
+					return
+				}
+			}
+			if !held {
+				t.Errorf("endpoint %d: the link never held a watermark its sender had marked", ep.id)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,19 +1,25 @@
 // Package comm is the message-passing substrate for the Time Warp kernel —
 // the role MPICH played under DVS. Endpoints are in-process mailboxes with
-// unbounded buffering (sends never block, so optimistic clusters cannot
-// deadlock on full channels), and the network counts messages sent and in
-// flight.
+// unbounded buffering (sends never block), and the network counts messages
+// sent and in flight.
 //
-// Delivery is pluggable: the default transport hands messages to the
-// destination mailbox synchronously, while the chaos transport (see
-// Chaos) injects seeded delays, cross-link reordering and burst/stall
-// schedules to adversarially exercise the kernel's rollback machinery.
-// Every transport must preserve exactly-once, per-link-FIFO delivery —
-// the delivery-order freedoms are the only ones Time Warp semantics
-// permit.
+// Every link (src, dst) carries two things in one FIFO order: messages, and
+// src's watermarks — "everything I send you for the cycles below this one
+// is ahead of this mark". A receiver reads the watermark its link from src
+// has delivered (Heard) and can block until it reaches a cycle
+// (AwaitHeard): that is the whole synchronisation a conservative cluster
+// needs, on every transport.
+//
+// Delivery is pluggable: the default transport hands messages and
+// watermarks over synchronously, while the chaos transport (see Chaos)
+// holds both in seeded per-link queues with delays, cross-link reordering
+// and burst/stall schedules, so a watermark's arrival, and not only a
+// sender's progress, decides when a receiver may go on. Every transport
+// must preserve exactly-once, per-link-FIFO delivery.
 package comm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -62,15 +68,16 @@ func NewNetwork(k int) *Network {
 // transports with background delivery can flush and stop.
 func NewNetworkTransport(k int, f TransportFactory) *Network {
 	n := &Network{eps: make([]*Endpoint, k)}
+	marks := make([]atomic.Uint64, k*k) // one row of heard watermarks per endpoint
 	for i := range n.eps {
-		ep := &Endpoint{id: i, net: n}
+		ep := &Endpoint{id: i, net: n, heard: marks[i*k : (i+1)*k]}
 		ep.cond = sync.NewCond(&ep.mu)
 		n.eps[i] = ep
 	}
 	if f == nil {
-		n.tr = directTransport{deliver: n.enqueue}
+		n.tr = directTransport{k: k, deliver: n.enqueue, mark: n.mark}
 	} else {
-		n.tr = f(k, n.enqueue)
+		n.tr = f(k, n.enqueue, n.mark)
 	}
 	n.poller, _ = n.tr.(Poller)
 	return n
@@ -85,6 +92,24 @@ func (n *Network) enqueue(dst int, msg Message) {
 	d.ready.Store(true)
 	d.mu.Unlock()
 	d.cond.Signal()
+}
+
+// mark files through as the src→dst link's watermark and wakes dst if it
+// waits for one. It is the watermark sink handed to transports. A link is
+// FIFO, so its watermarks arrive in order; the comparison only keeps a
+// stale one from lowering what is filed. The watermark is stored before the
+// waiter count is read, and AwaitHeard raises the count before it reads the
+// watermark, so a mark either is seen by the waiter's check or wakes it.
+func (n *Network) mark(src, dst int, through uint64) {
+	d := n.eps[dst]
+	if w := &d.heard[src]; through > w.Load() {
+		w.Store(through)
+	}
+	if d.waiting.Load() > 0 {
+		d.mu.Lock()
+		d.cond.Broadcast()
+		d.mu.Unlock()
+	}
 }
 
 // CloseTransport flushes and stops the transport. Call after the last
@@ -131,6 +156,10 @@ type Endpoint struct {
 	ready atomic.Bool
 	// closed wakes blocked receivers permanently.
 	closed bool
+	// heard[src] is the watermark the src→e link has delivered; waiting
+	// counts the goroutines blocked in AwaitHeard.
+	heard   []atomic.Uint64
+	waiting atomic.Int32
 }
 
 // Send hands msg to the network transport for delivery to endpoint dst.
@@ -143,6 +172,51 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n.inFlight.Add(1)
 	n.sent.Add(1)
 	n.tr.Send(e.id, dst, msg)
+}
+
+// Mark sends e's watermark through to every other endpoint, on each link
+// behind everything e sent on it before. It never blocks and is not
+// counted as a message.
+func (e *Endpoint) Mark(through uint64) { e.net.tr.Mark(e.id, through) }
+
+// Heard returns the watermark the src→e link has delivered so far.
+func (e *Endpoint) Heard(src int) uint64 { return e.heard[src].Load() }
+
+// AwaitHeard blocks until the src→e link has delivered a watermark of at
+// least through or the endpoint is closed, and reports whether the
+// watermark arrived. Over a polled transport nothing but a poll delivers
+// the watermark, so the caller polls, yielding the processor between
+// polls; otherwise it sleeps until the watermark or the close wakes it.
+func (e *Endpoint) AwaitHeard(src int, through uint64) bool {
+	if p := e.net.poller; p != nil {
+		for e.heard[src].Load() < through && !e.isClosed() {
+			p.Poll()
+			runtime.Gosched()
+		}
+		return e.heard[src].Load() >= through
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.waiting.Add(1)
+	defer e.waiting.Add(-1)
+	for e.heard[src].Load() < through && !e.closed {
+		e.cond.Wait()
+	}
+	return e.heard[src].Load() >= through
+}
+
+func (e *Endpoint) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
+}
+
+// Poll gives a polled transport the chance to deliver what its sockets
+// hold, messages and watermarks, without blocking.
+func (e *Endpoint) Poll() {
+	if p := e.net.poller; p != nil {
+		p.Poll()
+	}
 }
 
 // drain takes everything queued (nil when empty) and swaps the two mailbox
@@ -165,9 +239,7 @@ func (e *Endpoint) drain() []Message {
 // before (or even after) Close remain receivable — Close only wakes
 // blocked receivers, it never discards the mailbox.
 func (e *Endpoint) TryRecvAll() []Message {
-	if p := e.net.poller; p != nil {
-		p.Poll()
-	}
+	e.Poll()
 	if !e.ready.Load() {
 		return nil
 	}

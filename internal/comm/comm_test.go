@@ -344,3 +344,97 @@ func TestPendingPolledBesideSenders(t *testing.T) {
 		t.Errorf("after the last message: pending=%v, in flight %d", ep.ready.Load(), n.InFlight())
 	}
 }
+
+// TestAwaitHeardWakesOnMarkAndClose: over direct delivery a watermark is
+// heard the moment it is marked; a receiver asleep in AwaitHeard wakes for
+// the watermark it waits for and for no lower one, and Close wakes it
+// without one.
+func TestAwaitHeardWakesOnMarkAndClose(t *testing.T) {
+	n := NewNetwork(3)
+	a, b := n.Endpoint(0), n.Endpoint(1)
+	a.Mark(2)
+	if b.Heard(0) != 2 || n.Endpoint(2).Heard(0) != 2 || a.Heard(0) != 0 {
+		t.Fatalf("heard %d, %d and by itself %d; want 2, 2 and 0", b.Heard(0), n.Endpoint(2).Heard(0), a.Heard(0))
+	}
+	sleep := func(through uint64) chan bool {
+		done := make(chan bool, 1)
+		go func() { done <- b.AwaitHeard(0, through) }()
+		for b.waiting.Load() == 0 {
+			runtime.Gosched()
+		}
+		return done
+	}
+	done := sleep(4)
+	a.Mark(3)
+	select {
+	case <-done:
+		t.Fatal("AwaitHeard(4) returned on watermark 3")
+	case <-time.After(10 * time.Millisecond):
+	}
+	a.Mark(4)
+	if ok := <-done; !ok {
+		t.Fatal("AwaitHeard(4) reported no watermark after watermark 4")
+	}
+	done = sleep(9)
+	b.Close()
+	if ok := <-done; ok {
+		t.Fatal("AwaitHeard(9) reported a watermark after Close")
+	}
+}
+
+// heldMarks is a polled transport that keeps every watermark until it is
+// polled, like a socket nobody reads in the background.
+type heldMarks struct {
+	k    int
+	mark MarkFunc
+	mu   sync.Mutex
+	held []uint64 // src 0's watermarks
+}
+
+func (h *heldMarks) Send(src, dst int, msg Message) {}
+func (h *heldMarks) Close()                         {}
+
+func (h *heldMarks) Mark(src int, through uint64) {
+	h.mu.Lock()
+	h.held = append(h.held, through)
+	h.mu.Unlock()
+}
+
+func (h *heldMarks) Poll() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, v := range h.held {
+		for dst := 1; dst < h.k; dst++ {
+			h.mark(0, dst, v)
+		}
+	}
+	h.held = h.held[:0]
+}
+
+// TestAwaitHeardPollsAPolledTransport: over a polled transport only a poll
+// delivers a watermark, so a receiver waiting for one polls itself rather
+// than sleeping until somebody else does; and Close still ends the wait.
+func TestAwaitHeardPollsAPolledTransport(t *testing.T) {
+	n := NewNetworkTransport(2, func(k int, _ DeliverFunc, mark MarkFunc) Transport {
+		return &heldMarks{k: k, mark: mark}
+	})
+	n.Endpoint(0).Mark(5)
+	if got := n.Endpoint(1).Heard(0); got != 0 {
+		t.Fatalf("heard %d before any poll, want 0", got)
+	}
+	if !n.Endpoint(1).AwaitHeard(0, 5) {
+		t.Fatal("AwaitHeard(5) reported no watermark")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- n.Endpoint(1).AwaitHeard(0, 9) }()
+	time.Sleep(5 * time.Millisecond)
+	n.Endpoint(1).Close()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("AwaitHeard(9) reported a watermark after Close")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not end a polling AwaitHeard")
+	}
+}

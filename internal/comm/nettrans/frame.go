@@ -4,8 +4,8 @@
 // binary records over stdlib net.Conn TCP streams, preserving per-link
 // FIFO across the wire (one stream per worker pair; TCP byte order is
 // delivery order), and carries the control plane of the distributed
-// runtime: the connect/accept handshake with cluster placement, the GVT
-// cut/report rounds, progress gossip, abort and result collection.
+// runtime: the connect/accept handshake with cluster placement, the
+// cut/report rounds, the clusters' watermarks, abort and result collection.
 //
 // A Conn is received from in one of two ways (conn.go). Recv blocks in the
 // runtime's netpoller until a frame arrives: the control plane and the
@@ -49,17 +49,15 @@ const (
 	// FrameData carries one comm.Message between clusters: src cluster,
 	// dst cluster, codec payload.
 	FrameData byte = 0x06
-	// FrameProgress gossips the published cycle of each of the sender
-	// worker's clusters to a peer worker.
+	// FrameProgress carries one cluster's watermark to a peer worker,
+	// behind the data frames the cluster sent it before.
 	FrameProgress byte = 0x07
-	// FrameCut opens one GVT round: every worker answers with a report
+	// FrameCut opens one round: every worker answers with a report
 	// stamped with the round number.
 	FrameCut byte = 0x08
 	// FrameReport answers a cut with the worker's counters and, per
 	// cluster, its progress and kernel statistics.
 	FrameReport byte = 0x09
-	// FrameGVT broadcasts a newly established safe GVT value.
-	FrameGVT byte = 0x0A
 	// FrameFinish tells workers the run terminated cleanly: close
 	// endpoints, join clusters, send results.
 	FrameFinish byte = 0x0B

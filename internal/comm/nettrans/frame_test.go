@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -153,10 +154,14 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
 	// A worker built while an event's T was a delta-scaled virtual time
-	// rather than the cycle that reads it.
-	v9 := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), 9), "10.0.0.1:9"), 0)
-	if _, err := DecodeHello(v9); err == nil || !strings.Contains(err.Error(), "protocol version 9, this build speaks 10") {
-		t.Fatalf("version-9 hello: error %v, want the version refused", err)
+	// rather than the cycle that reads it, and one built while clusters
+	// rolled back and a GVT frame went round.
+	for _, v := range []uint32{9, 10} {
+		old := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), v), "10.0.0.1:9"), 0)
+		want := fmt.Sprintf("protocol version %d, this build speaks %d", v, Version)
+		if _, err := DecodeHello(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d hello: error %v, want the version refused", v, err)
+		}
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")

@@ -14,7 +14,7 @@ const (
 	// match exactly — the frame layout has no compatibility machinery, so
 	// every change to a control-plane payload's layout, to the set of frame
 	// types, or to what a field means, raises it.
-	Version uint32 = 10
+	Version uint32 = 11
 )
 
 // Hello is the worker's opening message on the coordinator connection:

@@ -5,6 +5,11 @@ package comm
 // way a message becomes visible to a receiver.
 type DeliverFunc func(dst int, msg Message)
 
+// MarkFunc files through as the watermark the src→dst link has delivered:
+// dst has received everything src sent it before it marked through. It is
+// the network-side sink for watermarks, as DeliverFunc is for messages.
+type MarkFunc func(src, dst int, through uint64)
+
 // Transport decides when and in what order sent messages reach their
 // destination mailboxes. Implementations MUST preserve Time Warp delivery
 // semantics:
@@ -12,15 +17,19 @@ type DeliverFunc func(dst int, msg Message)
 //   - no loss: every message handed to Send is eventually delivered
 //     exactly once (Close flushes anything still held);
 //   - no duplication;
-//   - per-link FIFO: messages on the same (src, dst) pair are delivered in
-//     send order. The kernel relies on this — an anti-message must never
-//     overtake the positive event it cancels on the same link.
+//   - per-link FIFO: messages and watermarks on the same (src, dst) pair
+//     are delivered in send order. The kernel relies on this — a
+//     watermark must never overtake an event sent before it.
 //
 // Cross-link ordering and timing are entirely up to the transport; that is
 // the degree of freedom the chaos transport exploits.
 type Transport interface {
 	// Send routes one message from endpoint src to endpoint dst.
 	Send(src, dst int, msg Message)
+	// Mark carries src's watermark through to every other endpoint, on
+	// each link behind everything src sent on it before, and hands it to
+	// the MarkFunc as it arrives at each.
+	Mark(src int, through uint64)
 	// Close flushes all held messages and stops any background delivery.
 	// The network calls it exactly once, after the last Send.
 	Close()
@@ -39,14 +48,24 @@ type Poller interface {
 }
 
 // TransportFactory builds a transport for a k-endpoint network, delivering
-// through the given sink. A nil factory selects direct delivery.
-type TransportFactory func(k int, deliver DeliverFunc) Transport
+// through the given sinks. A nil factory selects direct delivery.
+type TransportFactory func(k int, deliver DeliverFunc, mark MarkFunc) Transport
 
-// directTransport delivers synchronously inside Send — the original
+// directTransport delivers synchronously inside Send and Mark — the
 // benign in-process behaviour.
 type directTransport struct {
+	k       int
 	deliver DeliverFunc
+	mark    MarkFunc
 }
 
 func (d directTransport) Send(src, dst int, msg Message) { d.deliver(dst, msg) }
 func (d directTransport) Close()                         {}
+
+func (d directTransport) Mark(src int, through uint64) {
+	for dst := 0; dst < d.k; dst++ {
+		if dst != src {
+			d.mark(src, dst, through)
+		}
+	}
+}

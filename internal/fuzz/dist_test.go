@@ -77,8 +77,8 @@ func TestDistributedFuzzSpecs(t *testing.T) {
 			if msg := diffObserved(nl, state, want, res.Observed); msg != "" {
 				t.Fatalf("%s (family=%s part=%s k=%d)", msg, spec.Family, used, k)
 			}
-			t.Logf("family=%s part=%s k=%d cycles=%d: %d state nets, %d rollbacks, %d wire frames",
-				spec.Family, used, k, spec.Cycles, len(state), res.Stats.Rollbacks, res.WireFramesSent)
+			t.Logf("family=%s part=%s k=%d cycles=%d: %d state nets, %d messages, %d wire frames",
+				spec.Family, used, k, spec.Cycles, len(state), res.Stats.Messages, res.WireFramesSent)
 		})
 	}
 }

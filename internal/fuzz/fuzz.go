@@ -1,13 +1,13 @@
 // Package fuzz is the seed-driven differential correctness harness for
 // the Time Warp kernel: every run generates a random circuit and
 // stimulus, partitions it with one of the real partitioners, simulates it
-// both sequentially (internal/sim, the oracle) and optimistically
+// both sequentially (internal/sim, the oracle) and in parallel
 // (internal/timewarp over internal/comm), and asserts bit-identical
 // observed waveforms per cycle plus kernel invariants. Runs execute under
-// the chaos transport by default, so delivery-order adversaries provoke
-// the stragglers, rollback cascades and lazy cancellations the benign Go
-// scheduler never would — the harness fails a campaign that provokes too
-// few rollbacks as "not adversarial enough".
+// the chaos transport by default, so links hold events and watermarks in
+// delivery schedules the benign Go scheduler never would — the harness
+// fails a campaign in which too few runs ever waited on a held watermark
+// as "not adversarial enough".
 //
 // Everything is derived deterministically from one int64 seed, so any
 // failure replays from its printed seed (cmd/fuzz -replay) and shrinks to
@@ -33,7 +33,7 @@ import (
 
 // Families and partitioners the spec generator draws from. Scatter is
 // over-weighted: random gate scattering maximizes inter-cluster traffic,
-// the fuel rollback cascades run on.
+// and with it the links a schedule can hold.
 var (
 	families     = []string{"randhier", "lfsr", "multiplier", "fir", "viterbi"}
 	partitioners = []string{"multiway", "recursive", "scatter", "scatter"}
@@ -203,8 +203,8 @@ func Execute(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.Duration
 
 // ExecuteObserved is Execute with the observability layer attached to the
 // kernel and (when chaotic) the transport: the trace of a failing seed —
-// rollback spans, anti-message bursts, chaos stall instants — is the
-// post-mortem the campaign writes out. A nil observer reduces to Execute.
+// wait spans, chaos stall instants — is the post-mortem the campaign
+// writes out. A nil observer reduces to Execute.
 func ExecuteObserved(spec Spec, faults *timewarp.FaultConfig, stallTimeout time.Duration, o *obs.Observer) (res RunResult) {
 	start := time.Now()
 	res = RunResult{Spec: spec}

@@ -15,8 +15,8 @@ import (
 const testStall = 30 * time.Second
 
 // Every kernel run this package's tests make — the chaos campaign, the
-// fault self-tests, the shrinker — verifies the clusters' log order after
-// each rollback and prune; a violation fails the run like any kernel error.
+// fault self-tests, the shrinker — verifies the clusters' input-queue order
+// after each cycle; a violation fails the run like any kernel error.
 func init() { timewarp.CheckInvariants = true }
 
 func TestSpecDerivationDeterministic(t *testing.T) {
@@ -46,7 +46,7 @@ func TestFuzzShort(t *testing.T) {
 		Seed:                1,
 		Runs:                runs,
 		Chaos:               true,
-		MinRollbackFraction: DefaultMinRollbackFraction,
+		MinLinkWaitFraction: DefaultMinLinkWaitFraction,
 		StallTimeout:        testStall,
 	})
 	if err := rep.Err(); err != nil {
@@ -88,35 +88,29 @@ func TestHarnessCatchesCorruptedEvents(t *testing.T) {
 	t.Logf("caught: %s", res.Failure())
 }
 
-// TestHarnessCatchesSuppressedAntiMessages: dropping cancellations leaves
-// receivers computing on rolled-back events; under chaos-provoked
-// rollbacks the harness must notice — as a waveform mismatch, an
-// invariant break, a wedged run (stall watcher) or a livelocked rollback
-// churn (hard run cap).
-func TestHarnessCatchesSuppressedAntiMessages(t *testing.T) {
-	faults := &timewarp.FaultConfig{SuppressAntiMessages: true}
-	stall := 2 * time.Second // broken cancellation may wedge or livelock
+// TestHarnessCatchesSkippedSenderWait: a cluster that runs its cycle
+// without waiting for its senders' watermarks computes on whatever its
+// mailbox holds; under chaos the events it skipped arrive after it, and
+// the harness must notice — as a straggler error or a waveform mismatch —
+// and the failure must replay from the same seed.
+func TestHarnessCatchesSkippedSenderWait(t *testing.T) {
+	faults := &timewarp.FaultConfig{SkipSenderWait: true}
 	for seed := int64(1); seed <= 5; seed++ {
-		res := Execute(adversarialSpec(seed), faults, stall)
-		if res.Failed() {
-			t.Logf("caught at seed %d: %s", seed, res.Failure())
-			return
+		spec := adversarialSpec(seed)
+		res := Execute(spec, faults, testStall)
+		if !res.Failed() {
+			continue
 		}
+		if replay := Execute(spec, faults, testStall); !replay.Failed() {
+			t.Fatalf("failure at seed %d did not replay (original: %s)", seed, res.Failure())
+		}
+		if healthy := Execute(spec, nil, testStall); healthy.Failed() {
+			t.Fatalf("seed %d fails without the fault too: %s", seed, healthy.Failure())
+		}
+		t.Logf("caught at seed %d: %s", seed, res.Failure())
+		return
 	}
-	t.Fatal("suppressed anti-messages never detected across 5 adversarial seeds")
-}
-
-// TestHarnessSurvivesDisabledLazySuppression: disabling lazy-cancellation
-// suppression must not silently pass as a healthy run forever — it either
-// stays correct (extra traffic only) or is caught; what it must never do
-// is hang the harness.
-func TestHarnessSurvivesDisabledLazySuppression(t *testing.T) {
-	faults := &timewarp.FaultConfig{DisableLazySuppression: true}
-	res := Execute(adversarialSpec(3), faults, 2*time.Second)
-	// Either outcome is acceptable; a hang is not (the stall watcher
-	// converts it into res.Err).
-	t.Logf("disabled lazy suppression: failed=%v msgs=%d anti=%d rollbacks=%d",
-		res.Failed(), res.Stats.Messages, res.Stats.AntiMessages, res.Stats.Rollbacks)
+	t.Fatal("skipping the sender wait was never detected across 5 adversarial seeds")
 }
 
 // TestShrinkerMinimisesFailure runs the shrinker on an injected failure

@@ -21,10 +21,11 @@ type Config struct {
 	Runs int
 	// Chaos enables the adversarial delivery transport (recommended).
 	Chaos bool
-	// MinRollbackFraction is the adversarial-enough bar: the fraction of
-	// runs that must provoke at least one rollback (default 0.3 via
-	// DefaultMinRollbackFraction in callers; 0 disables the check).
-	MinRollbackFraction float64
+	// MinLinkWaitFraction is the adversarial-enough bar: the fraction of
+	// runs in which a link must have held a watermark past its sender's
+	// publish at least once (default 0.3 via DefaultMinLinkWaitFraction in
+	// callers; 0 disables the check).
+	MinLinkWaitFraction float64
 	// StallTimeout bounds each run (default 30s) so a wedged kernel
 	// becomes a reported failure, not a hung campaign.
 	StallTimeout time.Duration
@@ -42,33 +43,35 @@ type Config struct {
 	// fuzz job uploads. Passing runs write nothing.
 	TraceDir string
 	// Obs, when non-nil, receives campaign-level progress counters
-	// (fuzz_runs_total, fuzz_failures_total, fuzz_rollback_runs_total) so
+	// (fuzz_runs_total, fuzz_failures_total, fuzz_link_wait_runs_total) so
 	// a long campaign can be scraped live via the monitoring server. It is
 	// separate from the per-run TraceDir observers, which capture a single
 	// run's trace.
 	Obs *obs.Observer
 }
 
-// DefaultMinRollbackFraction is the campaign-level adversarial bar: at
-// least this fraction of runs must provoke ≥1 rollback, otherwise the
-// campaign exercised too little of the optimistic machinery to mean
-// anything and fails as "not adversarial enough".
-const DefaultMinRollbackFraction = 0.3
+// DefaultMinLinkWaitFraction is the campaign-level adversarial bar: in at
+// least this fraction of runs some cycle must have waited for a watermark
+// its link still held after the sender had published it (Stats.LinkWaits
+// > 0). Otherwise the transport never decided when a receiver could go on
+// — the schedule the wait exists for went untested — and the campaign
+// fails as "not adversarial enough".
+const DefaultMinLinkWaitFraction = 0.3
 
 // Report aggregates a campaign.
 type Report struct {
 	BaseSeed            int64
 	Runs                int
 	Chaos               bool
-	MinRollbackFraction float64
+	MinLinkWaitFraction float64
 
 	Failures     []RunResult // failing runs, in seed order
 	TracePaths   []string    // failing-seed trace files written (TraceDir set)
-	RollbackRuns int         // runs that provoked ≥1 rollback
+	LinkWaitRuns int         // runs in which a link held a watermark past its publish
 	ByFamily     map[string]int
 	ByPartition  map[string]int
 
-	Stats   timewarp.Stats // summed across runs (MaxStragglerDepth by max)
+	Stats   timewarp.Stats // summed across runs
 	Elapsed time.Duration
 }
 
@@ -85,16 +88,16 @@ func Campaign(cfg Config) *Report {
 		BaseSeed:            cfg.Seed,
 		Runs:                cfg.Runs,
 		Chaos:               cfg.Chaos,
-		MinRollbackFraction: cfg.MinRollbackFraction,
+		MinLinkWaitFraction: cfg.MinLinkWaitFraction,
 		ByFamily:            make(map[string]int),
 		ByPartition:         make(map[string]int),
 	}
-	var runsC, failC, rollC *obs.Counter
+	var runsC, failC, waitC *obs.Counter
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Registry()
 		runsC = reg.Counter("fuzz_runs_total", "differential runs completed")
 		failC = reg.Counter("fuzz_failures_total", "differential runs that failed")
-		rollC = reg.Counter("fuzz_rollback_runs_total", "runs that provoked at least one rollback")
+		waitC = reg.Counter("fuzz_link_wait_runs_total", "runs in which a link held a watermark past its sender's publish")
 	}
 	start := time.Now()
 	for i := 0; i < cfg.Runs; i++ {
@@ -109,8 +112,8 @@ func Campaign(cfg Config) *Report {
 			if res.Failed() {
 				failC.Inc()
 			}
-			if res.Stats.Rollbacks > 0 {
-				rollC.Inc()
+			if res.Stats.LinkWaits > 0 {
+				waitC.Inc()
 			}
 		}
 		if res.Failed() && o != nil {
@@ -127,9 +130,9 @@ func Campaign(cfg Config) *Report {
 			if res.Failed() {
 				status = "FAIL"
 			}
-			fmt.Fprintf(out, "seed %-8d %-10s %-18s k=%d cycles=%-4d rollbacks=%-5d depth=%-3d %s\n",
+			fmt.Fprintf(out, "seed %-8d %-10s %-18s k=%d cycles=%-4d linkwaits=%-5d %s\n",
 				spec.Seed, spec.Family, res.Partitioner, spec.K, spec.Cycles,
-				res.Stats.Rollbacks, res.Stats.MaxStragglerDepth, status)
+				res.Stats.LinkWaits, status)
 		}
 	}
 	rep.Elapsed = time.Since(start)
@@ -156,34 +159,29 @@ func writeSeedTrace(dir string, seed int64, o *obs.Observer) (string, error) {
 func (r *Report) absorb(res RunResult) {
 	r.ByFamily[res.Spec.Family]++
 	r.ByPartition[res.Partitioner]++
-	if res.Stats.Rollbacks > 0 {
-		r.RollbackRuns++
+	if res.Stats.LinkWaits > 0 {
+		r.LinkWaitRuns++
 	}
 	r.Stats.Messages += res.Stats.Messages
-	r.Stats.AntiMessages += res.Stats.AntiMessages
-	r.Stats.Rollbacks += res.Stats.Rollbacks
 	r.Stats.Events += res.Stats.Events
-	r.Stats.RolledBackEvents += res.Stats.RolledBackEvents
-	r.Stats.Checkpoints += res.Stats.Checkpoints
-	if res.Stats.MaxStragglerDepth > r.Stats.MaxStragglerDepth {
-		r.Stats.MaxStragglerDepth = res.Stats.MaxStragglerDepth
-	}
+	r.Stats.LinkWaits += res.Stats.LinkWaits
 	if res.Failed() {
 		r.Failures = append(r.Failures, res)
 	}
 }
 
-// RollbackFraction is the fraction of runs that provoked ≥1 rollback.
-func (r *Report) RollbackFraction() float64 {
+// LinkWaitFraction is the fraction of runs in which a link held a
+// watermark past its sender's publish at least once.
+func (r *Report) LinkWaitFraction() float64 {
 	if r.Runs == 0 {
 		return 0
 	}
-	return float64(r.RollbackRuns) / float64(r.Runs)
+	return float64(r.LinkWaitRuns) / float64(r.Runs)
 }
 
-// AdversarialEnough reports whether the campaign met its rollback bar.
+// AdversarialEnough reports whether the campaign met its link-wait bar.
 func (r *Report) AdversarialEnough() bool {
-	return r.MinRollbackFraction <= 0 || r.RollbackFraction() >= r.MinRollbackFraction
+	return r.MinLinkWaitFraction <= 0 || r.LinkWaitFraction() >= r.MinLinkWaitFraction
 }
 
 // Err summarises the campaign outcome: nil when every run passed and the
@@ -193,8 +191,8 @@ func (r *Report) Err() error {
 		return fmt.Errorf("fuzz: %d of %d runs failed (first: %s)", n, r.Runs, r.Failures[0].Failure())
 	}
 	if !r.AdversarialEnough() {
-		return fmt.Errorf("fuzz: not adversarial enough: only %.0f%% of runs provoked a rollback (bar %.0f%%)",
-			100*r.RollbackFraction(), 100*r.MinRollbackFraction)
+		return fmt.Errorf("fuzz: not adversarial enough: a link held a watermark past its publish in only %.0f%% of runs (bar %.0f%%)",
+			100*r.LinkWaitFraction(), 100*r.MinLinkWaitFraction)
 	}
 	return nil
 }
@@ -206,11 +204,10 @@ func (r *Report) String() string {
 		r.Runs, r.BaseSeed, r.Chaos, r.Elapsed.Seconds())
 	fmt.Fprintf(&b, "  families:     %s\n", countMap(r.ByFamily))
 	fmt.Fprintf(&b, "  partitioners: %s\n", countMap(r.ByPartition))
-	fmt.Fprintf(&b, "  rollback runs: %d/%d (%.0f%%, bar %.0f%%)\n",
-		r.RollbackRuns, r.Runs, 100*r.RollbackFraction(), 100*r.MinRollbackFraction)
-	fmt.Fprintf(&b, "  kernel totals: msgs=%d anti=%d rollbacks=%d events=%d rolledback=%d maxStragglerDepth=%d\n",
-		r.Stats.Messages, r.Stats.AntiMessages, r.Stats.Rollbacks,
-		r.Stats.Events, r.Stats.RolledBackEvents, r.Stats.MaxStragglerDepth)
+	fmt.Fprintf(&b, "  link-wait runs: %d/%d (%.0f%%, bar %.0f%%)\n",
+		r.LinkWaitRuns, r.Runs, 100*r.LinkWaitFraction(), 100*r.MinLinkWaitFraction)
+	fmt.Fprintf(&b, "  kernel totals: msgs=%d events=%d linkwaits=%d\n",
+		r.Stats.Messages, r.Stats.Events, r.Stats.LinkWaits)
 	if len(r.Failures) == 0 {
 		adv := "adversarial bar met"
 		if !r.AdversarialEnough() {

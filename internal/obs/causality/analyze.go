@@ -2,28 +2,8 @@ package causality
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// OriginBlame aggregates the damage attributed to one straggler event.
-type OriginBlame struct {
-	Origin       EventID `json:"origin"`
-	Cluster      int32   `json:"cluster"` // sending cluster of the origin
-	Rollbacks    uint64  `json:"rollbacks"`
-	WastedEvents uint64  `json:"wasted_events"`
-	AntiMessages uint64  `json:"anti_messages"`
-	MaxDepth     uint64  `json:"max_depth"` // deepest rewind blamed on it, in cycles
-}
-
-// PairBlame aggregates blame along one source→victim cluster pair.
-type PairBlame struct {
-	Src          int32  `json:"src"`
-	Victim       int32  `json:"victim"`
-	Rollbacks    uint64 `json:"rollbacks"`
-	WastedEvents uint64 `json:"wasted_events"`
-	AntiMessages uint64 `json:"anti_messages"`
-}
 
 // Segment is one maximal single-cluster stretch of the critical path.
 type Segment struct {
@@ -37,13 +17,6 @@ type Segment struct {
 type Analysis struct {
 	K      int    `json:"k"`
 	Cycles uint64 `json:"cycles"`
-
-	// Rollback-cascade attribution.
-	TotalRollbacks    uint64        `json:"total_rollbacks"`
-	TotalWastedEvents uint64        `json:"total_wasted_events"`
-	TotalAntiMessages uint64        `json:"total_anti_messages"`
-	Origins           []OriginBlame `json:"origins"` // descending by wasted events
-	Pairs             []PairBlame   `json:"pairs"`   // descending by wasted events
 
 	// Committed-event critical path. Costs are gate evaluations (the cost
 	// model's unit). CritPath is a lower bound on achievable parallel time
@@ -73,75 +46,12 @@ func (r *Recorder) Analyze() *Analysis {
 	}
 	a := &Analysis{K: r.k, Cycles: r.cycles, ClusterCost: make([]uint64, r.k)}
 
-	// --- rollback attribution ------------------------------------------
-	perOrigin := map[EventID]*OriginBlame{}
-	perPair := map[[2]int32]*PairBlame{}
-	blame := func(origin EventID, victim int32) (*OriginBlame, *PairBlame) {
-		ob := perOrigin[origin]
-		if ob == nil {
-			ob = &OriginBlame{Origin: origin, Cluster: origin.Cluster()}
-			perOrigin[origin] = ob
-		}
-		key := [2]int32{origin.Cluster(), victim}
-		pb := perPair[key]
-		if pb == nil {
-			pb = &PairBlame{Src: key[0], Victim: key[1]}
-			perPair[key] = pb
-		}
-		return ob, pb
-	}
-	for c := range r.shards {
-		sh := &r.shards[c]
-		for _, rr := range sh.rolls {
-			ob, pb := blame(rr.origin, int32(c))
-			ob.Rollbacks++
-			ob.WastedEvents += rr.wasted
-			if rr.depth > ob.MaxDepth {
-				ob.MaxDepth = rr.depth
-			}
-			pb.Rollbacks++
-			pb.WastedEvents += rr.wasted
-			a.TotalRollbacks++
-			a.TotalWastedEvents += rr.wasted
-		}
-		for origin, n := range sh.anti {
-			ob, pb := blame(origin, int32(c))
-			ob.AntiMessages += n
-			pb.AntiMessages += n
-			a.TotalAntiMessages += n
-		}
-	}
-	for _, ob := range perOrigin {
-		a.Origins = append(a.Origins, *ob)
-	}
-	sort.Slice(a.Origins, func(i, j int) bool {
-		if a.Origins[i].WastedEvents != a.Origins[j].WastedEvents {
-			return a.Origins[i].WastedEvents > a.Origins[j].WastedEvents
-		}
-		return a.Origins[i].Origin < a.Origins[j].Origin
-	})
-	for _, pb := range perPair {
-		a.Pairs = append(a.Pairs, *pb)
-	}
-	sort.Slice(a.Pairs, func(i, j int) bool {
-		if a.Pairs[i].WastedEvents != a.Pairs[j].WastedEvents {
-			return a.Pairs[i].WastedEvents > a.Pairs[j].WastedEvents
-		}
-		if a.Pairs[i].Src != a.Pairs[j].Src {
-			return a.Pairs[i].Src < a.Pairs[j].Src
-		}
-		return a.Pairs[i].Victim < a.Pairs[j].Victim
-	})
-
-	// --- committed-event critical path ---------------------------------
 	// Node (c, t) is cluster c executing cycle t, weighted by its
-	// committed evaluation count. Edges: (c, t-1) → (c, t) within each
-	// cluster, plus (src, u-1) → (dst, u) for every committed
-	// (non-cancelled) cross-cluster message consumed at cycle u — implied
-	// by true causality for both same-cycle combinational crossings
-	// (sent during cycle u) and latch crossings (sent at the end of
-	// cycle u-1), so the longest weighted chain is a genuine lower bound
-	// on parallel completion time.
+	// evaluation count. Edges: (c, t-1) → (c, t) within each cluster, plus
+	// (src, u-1) → (dst, u) for every cross-cluster message consumed at
+	// cycle u — a flip-flop's change, sent at the end of cycle u-1 — so
+	// the longest weighted chain is a genuine lower bound on parallel
+	// completion time.
 	for c := range r.shards {
 		for _, n := range r.shards[c].cost {
 			a.ClusterCost[c] += uint64(n)
@@ -160,9 +70,6 @@ func (r *Recorder) Analyze() *Analysis {
 			src := id.Cluster()
 			if src < 0 || int(src) >= r.k || int32(dst) == src || u == 0 || u >= r.cycles {
 				continue
-			}
-			if s, ok := r.shards[src].sent[id.Seq()]; ok && s.cancelled {
-				continue // revoked by an anti-message: not committed work
 			}
 			key := (u*k64+uint64(src))*k64 + uint64(dst)
 			if seenEdge[key] {
@@ -238,28 +145,6 @@ func (r *Recorder) Analyze() *Analysis {
 func (a *Analysis) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "causality: %d clusters, %d cycles\n", a.K, a.Cycles)
-	fmt.Fprintf(&b, "rollbacks: %d (%d wasted events, %d anti-messages)\n",
-		a.TotalRollbacks, a.TotalWastedEvents, a.TotalAntiMessages)
-	if len(a.Origins) > 0 {
-		b.WriteString("top stragglers:\n")
-		for i, ob := range a.Origins {
-			if i == 10 {
-				fmt.Fprintf(&b, "  ... %d more\n", len(a.Origins)-i)
-				break
-			}
-			fmt.Fprintf(&b, "  %-12s %3d rollbacks, %6d wasted events, %4d anti-messages, max depth %d\n",
-				ob.Origin, ob.Rollbacks, ob.WastedEvents, ob.AntiMessages, ob.MaxDepth)
-		}
-		b.WriteString("blame by cluster pair (src -> victim):\n")
-		for i, pb := range a.Pairs {
-			if i == 20 {
-				fmt.Fprintf(&b, "  ... %d more\n", len(a.Pairs)-i)
-				break
-			}
-			fmt.Fprintf(&b, "  %2d -> %-2d %3d rollbacks, %6d wasted events, %4d anti-messages\n",
-				pb.Src, pb.Victim, pb.Rollbacks, pb.WastedEvents, pb.AntiMessages)
-		}
-	}
 	fmt.Fprintf(&b, "critical path: %d of %d committed event-costs (bound speedup %.2fx, busiest cluster %d)\n",
 		a.CritPath, a.SeqCost, a.BoundSpeedup, a.MaxClusterCost)
 	if len(a.CritSegments) > 0 {
@@ -277,17 +162,4 @@ func (a *Analysis) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// WastedBlamedOnCluster sums the wasted events attributed to origins sent
-// by the given cluster — the share test the crafted-straggler acceptance
-// test asserts.
-func (a *Analysis) WastedBlamedOnCluster(src int32) uint64 {
-	var n uint64
-	for _, ob := range a.Origins {
-		if ob.Cluster == src {
-			n += ob.WastedEvents
-		}
-	}
-	return n
 }

@@ -1,10 +1,9 @@
 // Package causality tracks per-event lineage through the Time Warp
-// kernel and explains, post-run, where parallel time went: which
-// straggler event seeded each rollback cascade (and how much work it
-// destroyed), and which chain of committed events forms the critical
-// path that lower-bounds the achievable parallel time of the chosen
-// partition — the quantity the paper's pre-simulation phase is implicitly
-// optimizing when it searches over (k, b).
+// kernel and explains, post-run, where parallel time went: which chain of
+// committed events forms the critical path that lower-bounds the
+// achievable parallel time of the chosen partition — the quantity the
+// paper's pre-simulation phase is implicitly optimizing when it searches
+// over (k, b).
 //
 // The Recorder follows the obs layer's cost discipline: a nil *Recorder
 // is valid and disables everything, so every kernel instrumentation site
@@ -14,10 +13,7 @@
 // which Analyze reads the shards.
 package causality
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // seqBits is the number of EventID bits holding the per-source sequence
 // number; the cluster id occupies the bits above. 2^44 events per cluster
@@ -47,35 +43,15 @@ func (id EventID) String() string {
 	return fmt.Sprintf("c%d#%d", id.Cluster(), id.Seq())
 }
 
-// sentRec is the fate of one sent positive event.
-type sentRec struct {
-	origin    EventID // blame origin carried at send time (0 = first-run work)
-	cancelled bool    // an anti-message revoked it; not part of the committed run
-}
-
-// rollRec is one rollback occurrence at a victim cluster.
-type rollRec struct {
-	origin EventID
-	wasted uint64 // gate evaluations undone
-	depth  uint64 // cycles rewound
-}
-
 // shard is the single-writer record block of one cluster. Only the owning
 // cluster goroutine writes it during the run; Analyze reads after the
 // kernel joins all clusters.
 type shard struct {
-	// cost[cy] is the committed gate-evaluation count of cycle cy:
-	// re-execution overwrites, so the final value is the committed one.
+	// cost[cy] is the gate-evaluation count of cycle cy.
 	cost []uint32
-	// sent[seq] records every positive event this cluster sent.
-	sent map[uint64]sentRec
 	// consumed[id] is the cycle at which this cluster consumed remote
 	// event id (keyed per destination: one seq fans out to many clusters).
 	consumed map[EventID]uint64
-	// rolls is the append-only rollback log of this victim.
-	rolls []rollRec
-	// anti[origin] counts anti-messages sent while blamed on origin.
-	anti map[EventID]uint64
 }
 
 // Recorder collects per-event lineage for one Time Warp run. Create with
@@ -85,11 +61,6 @@ type Recorder struct {
 	k      int
 	cycles uint64
 	shards []shard
-
-	// flowSeen is the one cross-cluster structure: rollbacks are rare, so
-	// a mutexed map stays off the hot path.
-	flowMu   sync.Mutex
-	flowSeen map[EventID]bool // origins that already emitted a flow head
 }
 
 // New creates an empty Recorder; the kernel sizes it via Attach.
@@ -110,17 +81,12 @@ func (r *Recorder) Attach(k int, cycles uint64) {
 	for c := range r.shards {
 		r.shards[c] = shard{
 			cost:     make([]uint32, cycles),
-			sent:     make(map[uint64]sentRec),
 			consumed: make(map[EventID]uint64),
-			anti:     make(map[EventID]uint64),
 		}
 	}
-	r.flowSeen = make(map[EventID]bool)
 }
 
-// CycleCost records the gate evaluations of one executed cycle,
-// overwriting any earlier execution — the surviving value is the
-// committed cost.
+// CycleCost records the gate evaluations of one executed cycle.
 func (r *Recorder) CycleCost(cluster int32, cycle, evals uint64) {
 	if r == nil || cycle >= uint64(len(r.shards[cluster].cost)) {
 		return
@@ -129,57 +95,10 @@ func (r *Recorder) CycleCost(cluster int32, cycle, evals uint64) {
 }
 
 // Consumed records that cluster dst consumed remote event (src, seq)
-// while executing the given cycle. Re-consumption after a rollback
-// overwrites — the last consumption is the committed one.
+// while executing the given cycle.
 func (r *Recorder) Consumed(dst, src int32, seq, cycle uint64) {
 	if r == nil {
 		return
 	}
 	r.shards[dst].consumed[Make(src, seq)] = cycle
-}
-
-// Sent records a positive event leaving cluster with the blame origin it
-// carries (zero outside rollback re-execution).
-func (r *Recorder) Sent(cluster int32, seq uint64, origin EventID) {
-	if r == nil {
-		return
-	}
-	r.shards[cluster].sent[seq] = sentRec{origin: origin}
-}
-
-// Cancelled marks a previously sent event revoked by an anti-message and
-// charges the fanout (one anti per destination) to the blame origin.
-func (r *Recorder) Cancelled(cluster int32, seq uint64, origin EventID, fanout int) {
-	if r == nil {
-		return
-	}
-	sh := &r.shards[cluster]
-	rec := sh.sent[seq]
-	rec.cancelled = true
-	sh.sent[seq] = rec
-	sh.anti[origin] += uint64(fanout)
-}
-
-// Rollback records one rollback at victim blamed on origin: wasted gate
-// evaluations undone and the rewind depth in cycles.
-func (r *Recorder) Rollback(victim int32, origin EventID, wasted, depth uint64) {
-	if r == nil {
-		return
-	}
-	sh := &r.shards[victim]
-	sh.rolls = append(sh.rolls, rollRec{origin: origin, wasted: wasted, depth: depth})
-}
-
-// FirstFlow reports whether origin has not yet headed a trace flow chain
-// and marks it; the kernel uses the result as the first-link flag of
-// Observer.Flow so each cascade gets exactly one flow head.
-func (r *Recorder) FirstFlow(origin EventID) bool {
-	if r == nil {
-		return false
-	}
-	r.flowMu.Lock()
-	first := !r.flowSeen[origin]
-	r.flowSeen[origin] = true
-	r.flowMu.Unlock()
-	return first
 }

@@ -109,7 +109,7 @@ func WriteMergedChromeTrace(w io.Writer, sources []TraceSource) error {
 			}
 			if e.Phase == PhaseFlowStart || e.Phase == PhaseFlowStep {
 				// Flow events bind on (cat, name, id): every link of one causal
-				// chain (e.g. a rollback cascade) shares the origin id.
+				// chain shares its id.
 				ce.Cat = "flow"
 				ce.ID = e.ID
 			}

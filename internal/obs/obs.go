@@ -109,7 +109,7 @@ func (o *Observer) Instant(track int32, name string, args ...Arg) {
 }
 
 // Count records a counter sample on track (rendered as a counter track
-// in the Chrome trace, e.g. the GVT progression).
+// in the Chrome trace).
 func (o *Observer) Count(track int32, name string, val float64) {
 	if o == nil {
 		return
@@ -125,8 +125,7 @@ func (o *Observer) Count(track int32, name string, val float64) {
 
 // Flow records one link of a causal chain on track. Events sharing a
 // nonzero id are rendered as connected flow arrows in the Chrome trace
-// viewer — e.g. a rollback cascade linked across the victim cluster
-// tracks by its straggler-origin id. The chain head passes first=true
+// viewer, across tracks. The chain head passes first=true
 // ('s'); later links emit 't', which binds to the previous event with the
 // same id.
 func (o *Observer) Flow(track int32, name string, id uint64, first bool, args ...Arg) {

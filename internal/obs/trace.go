@@ -6,8 +6,8 @@ import "sync"
 // per Time Warp cluster); negative tracks are the shared subsystem
 // lanes.
 const (
-	// TrackKernel carries watcher-side events: GVT rounds, termination,
-	// stall diagnostics.
+	// TrackKernel carries watcher-side events: quiescence rounds,
+	// termination, stall diagnostics.
 	TrackKernel int32 = -1
 	// TrackPartition carries partitioner phases (cone growth, pairwise FM
 	// rounds, flattening steps).
@@ -29,8 +29,7 @@ const (
 )
 
 // maxArgs bounds per-event argument storage; a fixed array keeps Event
-// flat so the ring is one contiguous allocation. The kernel's rollback
-// span is the event that uses all of them.
+// flat so the ring is one contiguous allocation.
 const maxArgs = 5
 
 // Arg is one numeric event argument.

@@ -54,41 +54,83 @@ func Settle(nl *netlist.Netlist, tab []FusedGate, values []bool) {
 // folds into it. Every bit of a fused table is read from the folded
 // TruthGates' tables on the 16 input combinations, so it is EvalGate's
 // answer by construction, as Truth's bits are. The result is in topological
-// order.
+// order, and its capacity is its length: a first walk decides every fold on
+// the records' inputs alone and counts the records, a second makes the
+// same decisions with the tables into a slice of exactly that size.
 func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool) []FusedGate {
-	// reader[n] is r+1 while out[r] is the one record reading net n, 0
+	w := fuser{reader: make([]int32, len(nl.Nets)), cones: make([][4]netlist.NetID, 0, len(tab))}
+	out := make([]FusedGate, 0, w.walk(nl, tab, live, func(int, int32) {}))
+	w.walk(nl, tab, live, func(i int, r int32) {
+		switch t := &tab[i]; {
+		case t.TT == Wide:
+			out = append(out, FusedGate{In: [4]netlist.NetID{t.A}, Out: t.Out})
+		case r < 0:
+			out = append(out, leaf(t))
+		default:
+			out[r].fold(t)
+		}
+	})
+	slices.Reverse(out)
+	return out
+}
+
+// fuser is the state of Fuse's walk: who reads each net, and each
+// record's inputs.
+type fuser struct {
+	// reader[n] is r+1 while record r is the one record reading net n, 0
 	// while no record reads it, and shared once two do or a wide gate does.
-	const shared = -1
-	reader := make([]int32, len(nl.Nets))
+	reader []int32
+	cones  [][4]netlist.NetID // record r's inputs, as FusedGate.In
+}
+
+const shared = -1
+
+// walk runs Fuse's backward walk over tab, keeping of each record only its
+// inputs, and tells emit, for every tab[i] in walk order, whether it starts
+// a record (r < 0) or folds into record r. It returns how many records the
+// walk made.
+func (w *fuser) walk(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, emit func(i int, r int32)) int {
+	clear(w.reader)
+	w.cones = w.cones[:0]
 	claim := func(n netlist.NetID, r int32) {
-		switch reader[n] {
+		switch w.reader[n] {
 		case 0:
-			reader[n] = r + 1
+			w.reader[n] = r + 1
 		case r + 1:
 		default:
-			reader[n] = shared
+			w.reader[n] = shared
 		}
 	}
-	out := make([]FusedGate, 0, len(tab))
 	for i := len(tab) - 1; i >= 0; i-- {
 		t := &tab[i]
 		if t.TT == Wide {
-			out = append(out, FusedGate{In: [4]netlist.NetID{t.A}, Out: t.Out})
+			w.cones = append(w.cones, [4]netlist.NetID{})
+			emit(i, -1)
 			for _, in := range nl.Gates[t.A].Inputs {
-				reader[in] = shared
+				w.reader[in] = shared
 			}
 			continue
 		}
-		r := reader[t.Out] - 1
-		if r < 0 || live(t.Out) || !out[r].fold(t) {
-			r = int32(len(out))
-			out = append(out, leaf(t))
+		r := w.reader[t.Out] - 1
+		if r >= 0 && !live(t.Out) {
+			if in, ok := merge(w.cones[r], t); ok {
+				w.cones[r] = in
+				emit(i, r)
+			} else {
+				r = -1
+			}
+		} else {
+			r = -1
+		}
+		if r < 0 {
+			r = int32(len(w.cones))
+			w.cones = append(w.cones, [4]netlist.NetID{t.A, t.B, t.A, t.A})
+			emit(i, -1)
 		}
 		claim(t.A, r)
 		claim(t.B, r)
 	}
-	slices.Reverse(out)
-	return out
+	return len(w.cones)
 }
 
 // inputs are the 16-bit tables of the four record inputs themselves: bit i
@@ -105,45 +147,66 @@ func leaf(t *TruthGate) FusedGate {
 	return f
 }
 
-// fold replaces input t.Out of f by t, the tabulated gate driving it, when
-// the inputs that leaves number at most four, and reports whether it did.
-// The new table is f's composed with t's, both read bit by bit.
-func (f *FusedGate) fold(t *TruthGate) bool {
-	var in [4]netlist.NetID
-	var x [4]uint16 // f's input j as a table over the new inputs
-	n := uint8(0)
-	at := func(v netlist.NetID) (uint16, bool) {
-		for k := range n {
-			if in[k] == v {
-				return inputs[k], true
-			}
+// width is how many distinct inputs in holds, In[:N] of a FusedGate: the
+// slots from N up repeat In[0].
+func width(in [4]netlist.NetID) uint8 {
+	n := uint8(1)
+	for _, v := range in[1:] {
+		if v != in[0] {
+			n++
+		}
+	}
+	return n
+}
+
+// merge returns the inputs of a record with inputs in once its input t.Out
+// is replaced by t, the tabulated gate driving it: in's others in order,
+// then t.A and t.B, each once, the slots past them repeating the first. It
+// reports false when they are more than four.
+func merge(in [4]netlist.NetID, t *TruthGate) ([4]netlist.NetID, bool) {
+	var m [4]netlist.NetID
+	n := 0
+	add := func(v netlist.NetID) bool {
+		if slices.Contains(m[:n], v) {
+			return true
 		}
 		if n == 4 {
-			return 0, false
+			return false
 		}
-		in[n] = v
+		m[n] = v
 		n++
-		return inputs[n-1], true
+		return true
 	}
-	out := 0
+	for _, v := range in[:width(in)] {
+		if v != t.Out {
+			add(v) // at most three: in holds t.Out too
+		}
+	}
+	if !add(t.A) || !add(t.B) {
+		return m, false
+	}
+	for k := n; k < 4; k++ {
+		m[k] = m[0]
+	}
+	return m, true
+}
+
+// fold replaces input t.Out of f by t, the tabulated gate driving it; the
+// walk has checked that the inputs that leaves number at most four (merge).
+// The new table is f's composed with t's, both read bit by bit.
+func (f *FusedGate) fold(t *TruthGate) {
+	in, _ := merge(f.In, t)
+	n := width(in)
+	at := func(v netlist.NetID) uint16 { return inputs[slices.Index(in[:n], v)] }
+	var x [4]uint16 // f's input j as a table over the new inputs
 	for j, v := range f.In[:f.N] {
 		if v == t.Out {
-			out = j
+			x[j] = compose(uint16(t.TT)*0x1111, [4]uint16{at(t.A), at(t.B)})
 		} else {
-			x[j], _ = at(v)
+			x[j] = at(v)
 		}
 	}
-	a, okA := at(t.A)
-	b, okB := at(t.B)
-	if !okA || !okB {
-		return false
-	}
-	x[out] = compose(uint16(t.TT)*0x1111, [4]uint16{a, b})
-	for k := n; k < 4; k++ {
-		in[k] = in[0]
-	}
 	f.In, f.N, f.TT = in, n, compose(f.TT, x)
-	return true
 }
 
 // compose returns the table of the function whose table is tt applied to

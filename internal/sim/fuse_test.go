@@ -33,7 +33,8 @@ var fuseFamilies = []func() (*elab.Design, error){
 // live net the slice drives, and every record's output, as settling the
 // slice gate by gate does. The records must write distinct nets the slice
 // drives, each after every record whose output it reads, read at most four
-// distinct inputs, keep a wide gate whole, and write every live net.
+// distinct inputs, keep a wide gate whole, and write every live net; and
+// the table must be allocated at exactly its length.
 func FuzzFuse(f *testing.F) {
 	for fam := range fuseFamilies {
 		f.Add(uint8(fam), uint8(255), uint8(0), int64(fam))
@@ -57,6 +58,9 @@ func FuzzFuse(f *testing.F) {
 			live[n] = rng.Intn(256) < int(liveness)
 		}
 		fused := Fuse(nl, slice, func(n netlist.NetID) bool { return live[n] })
+		if cap(fused) != len(fused) {
+			t.Fatalf("%d records in a table of capacity %d", len(fused), cap(fused))
+		}
 
 		drives := make([]bool, len(nl.Nets)) // nets the slice drives
 		for _, g := range slice {

@@ -5,9 +5,8 @@ import "repro/internal/netlist"
 // VectorSource produces input vectors, one per cycle.
 type VectorSource interface {
 	// Vector fills buf with the stimulus for the given cycle. A cluster of
-	// the Time Warp kernel calls it once for every cycle it executes,
-	// re-executions after a rollback included, and the clusters of a host
-	// call it concurrently, so an implementation keeps no state between
+	// the Time Warp kernel calls it once for every cycle it executes, and
+	// the clusters of a host call it concurrently, so an implementation keeps no state between
 	// calls that another caller could see.
 	Vector(cycle uint64, buf []bool)
 }

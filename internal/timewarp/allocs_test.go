@@ -86,9 +86,8 @@ func TestRunAllocs(t *testing.T) {
 			if len(res.InvariantViolations) > 0 {
 				t.Fatalf("invariant violations: %v", res.InvariantViolations)
 			}
-			if tc.name == "forward" && (res.Stats.Messages != 0 || res.Stats.Rollbacks != 0) {
-				t.Fatalf("forward-only run sent %d messages, rolled back %d times",
-					res.Stats.Messages, res.Stats.Rollbacks)
+			if tc.name == "forward" && res.Stats.Messages != 0 {
+				t.Fatalf("forward-only run sent %d messages", res.Stats.Messages)
 			}
 			t.Logf("%.0f allocations a run", allocs)
 			if allocs > tc.bound {

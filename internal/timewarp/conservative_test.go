@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,14 +16,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestConservativeRunNeverRollsBack runs, over direct delivery, the
-// benchmark's design-driven decoder split k=2 and the gen families at
-// k ∈ {2, 3, 4} over random partitions. Every cluster with senders waits
-// for them, so nothing rolls back, no record is written and no
-// anti-message sent, and the design's whole registered state commits the
-// sequential simulator's waveforms (runBothCfg). The chaos twins of the
-// same runs, whose clusters run ahead, must still roll back at least once
-// across the set.
+// TestConservativeRunNeverRollsBack runs the benchmark's design-driven
+// decoder split k=2 and the gen families at k ∈ {2, 3, 4} over random
+// partitions, each over direct delivery and under the chaos transport.
+// Every cluster with senders waits for their watermarks, so each run
+// commits the sequential simulator's waveforms over the design's whole
+// registered state (runBothCfg) and meets no straggler. Over direct
+// delivery no wait outlasts a publish; under chaos some must, across the
+// set, or the links held nothing and the wait went untested.
 func TestConservativeRunNeverRollsBack(t *testing.T) {
 	type run struct {
 		name   string
@@ -42,32 +43,32 @@ func TestConservativeRunNeverRollsBack(t *testing.T) {
 			runs = append(runs, run{fmt.Sprintf("%s random k=%d", tc.name, k), ed, randomParts(ed.Netlist, k, int64(k)), k, tc.cycles})
 		}
 	}
-	var chaosRollbacks uint64
+	var chaosWaits uint64
 	for i, r := range runs {
 		seed := int64(i + 1)
 		res := runBothCfg(t, r.ed, r.parts, r.k, r.cycles, seed, func(c *Config) { c.StallTimeout = 30 * time.Second })
-		if st := res.Stats; st.Rollbacks != 0 || st.Checkpoints != 0 || st.AntiMessages != 0 || st.RolledBackEvents != 0 {
-			t.Errorf("%s, direct: %d rollbacks, %d records, %d anti-messages, %d evaluations rolled back; want none",
-				r.name, st.Rollbacks, st.Checkpoints, st.AntiMessages, st.RolledBackEvents)
+		if w := res.Stats.LinkWaits; w != 0 {
+			t.Errorf("%s, direct: %d waits on a watermark held after its publish; want none", r.name, w)
 		}
 		res = runBothCfg(t, r.ed, r.parts, r.k, r.cycles, seed, func(c *Config) {
 			c.Transport = comm.Chaos(comm.ChaosConfig{Seed: seed, StallEvery: 16})
 			c.StallTimeout = 30 * time.Second
 		})
-		chaosRollbacks += res.Stats.Rollbacks
+		chaosWaits += res.Stats.LinkWaits
 	}
-	if chaosRollbacks == 0 {
-		t.Errorf("the chaos twins of %d runs rolled back nothing: the optimistic path went uncovered", len(runs))
+	if chaosWaits == 0 {
+		t.Errorf("the chaos twins of %d runs never waited on a held watermark: the links held nothing", len(runs))
 	}
 }
 
-// TestConservativeClusterFailsOnAStraggler: a cluster that waits for its
-// senders keeps nothing to roll back to, so an event for a cycle it has
+// TestConservativeClusterFailsOnAStraggler is the straggler oracle: a
+// cluster keeps nothing to roll back to, so an event for a cycle it has
 // executed is a broken invariant that fails the run, never a silently
 // wrong answer. The one-way pair over direct delivery: the receiver is
 // stepped by hand past its wait to cycle 4, the sender executes cycle 0,
-// whose latch is for cycle 1, and publishes far ahead; the receiver's own
-// loop then absorbs the event and fails.
+// whose latch is for cycle 1, and marks a watermark far ahead; the
+// receiver's own loop then absorbs the event and fails. And an event
+// delivered to a cluster without senders is refused as misrouted.
 func TestConservativeClusterFailsOnAStraggler(t *testing.T) {
 	nl, parts := togglePair(t)
 	h, err := newHost(Config{
@@ -78,9 +79,8 @@ func TestConservativeClusterFailsOnAStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := h.clusters[0], h.clusters[1]
-	if a.conservative || a.undo != nil || !b.conservative || b.undo != nil {
-		t.Fatalf("sender waits %v, keeps a log %v; receiver waits %v, keeps a log %v; want false, false, true, false",
-			a.conservative, a.undo != nil, b.conservative, b.undo != nil)
+	if len(a.prog.senders) != 0 || !slices.Equal(b.prog.senders, []int32{0}) {
+		t.Fatalf("senders %v and %v; want none and cluster 0", a.prog.senders, b.prog.senders)
 	}
 	for b.cycle < 4 {
 		if err := b.processCycle(b.cycle); err != nil {
@@ -90,16 +90,21 @@ func TestConservativeClusterFailsOnAStraggler(t *testing.T) {
 	if err := a.processCycle(0); err != nil {
 		t.Fatal(err)
 	}
-	h.progress[0].Store(8)
+	a.ep.Mark(8)
 	if err := b.run(); err == nil || !strings.Contains(err.Error(), "invariant violated: straggler") {
 		t.Errorf("a straggler reached a cluster that waits for its senders: error %v, want the run failed", err)
 	}
 	h.closeEndpoints()
+
+	stray := event{T: 3, Net: b.prog.latch[0].q, Val: true, Src: 1, Seq: 1}
+	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
+		t.Errorf("event delivered to a cluster without remote inputs: error %v, want it refused as misrouted", err)
+	}
 }
 
-// TestParkedClusterWakesOnAbort: a conservative cluster whose sender never
-// publishes spins for one own cycle and parks; aborting the run wakes it,
-// and its loop returns.
+// TestParkedClusterWakesOnAbort: a cluster whose sender never marks a
+// watermark spins for one own cycle and sleeps in AwaitHeard; aborting the
+// run wakes it, and its loop returns.
 func TestParkedClusterWakesOnAbort(t *testing.T) {
 	nl, parts := togglePair(t)
 	h, err := newHost(Config{
@@ -112,11 +117,11 @@ func TestParkedClusterWakesOnAbort(t *testing.T) {
 	b := h.clusters[1]
 	done := make(chan error, 1)
 	go func() { done <- b.run() }() // cluster 0 never runs: b waits at cycle 1
-	for deadline := time.Now().Add(10 * time.Second); h.lot.parked.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the receiver never parked")
-		}
-		time.Sleep(time.Millisecond)
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("the receiver returned %v without its sender's watermark", err)
+	default:
 	}
 	h.abort()
 	select {
@@ -125,7 +130,7 @@ func TestParkedClusterWakesOnAbort(t *testing.T) {
 			t.Errorf("aborted run: %v, want a plain exit", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the parked receiver did not wake on abort")
+		t.Fatal("the sleeping receiver did not wake on abort")
 	}
 }
 

@@ -33,8 +33,7 @@ func TestDifferentialWorkloadsVsSequential(t *testing.T) {
 					t.Fatalf("k=%d: %v", k, err)
 				}
 				st := runBoth(t, ed, res.GateParts, k, tc.cycles, 29)
-				t.Logf("%s k=%d: msgs=%d rollbacks=%d maxStragglerDepth=%d",
-					tc.name, k, st.Messages, st.Rollbacks, st.MaxStragglerDepth)
+				t.Logf("%s k=%d: msgs=%d", tc.name, k, st.Messages)
 			}
 		})
 	}
@@ -44,13 +43,12 @@ func TestDifferentialWorkloadsVsSequential(t *testing.T) {
 // cluster 0 is the fan-in closure of one gate (every input of a cluster-0
 // gate comes from a PI, a constant or cluster 0), and the other gates are
 // spread at random over clusters 1–3. Cluster 0 can be sent nothing, so it
-// keeps no rollback record; its readers hold copies of the combinational
-// cones they read of it, so it sends only its flip-flops' changes, and they
-// wait for it (direct delivery) or roll back among themselves (chaos).
-// Under both every primary output and flip-flop must match the sequential
-// reference and cluster 0 must keep no rollback record; over direct
-// delivery nothing rolls back, and under chaos, where every event is
-// tapped, cluster 0 sends no gate-driven event: the readers hold copies.
+// waits for nobody; its readers hold copies of the combinational cones
+// they read of it, so it sends only its flip-flops' changes, and they wait
+// for its watermarks. Over direct delivery and under chaos every primary
+// output and flip-flop must match the sequential reference, and under
+// chaos, where every event is tapped, cluster 0 sends no gate-driven
+// event: the readers hold copies.
 func TestOneWayCutMatchesSequential(t *testing.T) {
 	for _, tc := range distWorkloads() {
 		if tc.name != "viterbi" && tc.name != "soc" {
@@ -71,7 +69,7 @@ func TestOneWayCutMatchesSequential(t *testing.T) {
 				res := runBothCfg(t, ed, parts, 4, tc.cycles, 3, func(c *Config) {
 					if tr.f != nil {
 						c.Transport = tapSends(tr.f, func(e event) {
-							if e.Src == 0 && !e.Anti && !nl.Gates[nl.Nets[e.Net].Driver].Kind.Sequential() {
+							if e.Src == 0 && !nl.Gates[nl.Nets[e.Net].Driver].Kind.Sequential() {
 								gateDriven.Add(1)
 							}
 						})
@@ -79,14 +77,11 @@ func TestOneWayCutMatchesSequential(t *testing.T) {
 					c.StallTimeout = 20 * time.Second
 				})
 				st := res.PerCluster[0]
-				if st.Checkpoints != 0 || st.Rollbacks != 0 || gateDriven.Load() != 0 {
-					t.Errorf("cluster 0: %d records, %d rollbacks, %d gate-driven events sent; want 0, 0 and none: the readers hold copies",
-						st.Checkpoints, st.Rollbacks, gateDriven.Load())
+				if st.LinkWaits != 0 || gateDriven.Load() != 0 {
+					t.Errorf("cluster 0: %d waits, %d gate-driven events sent; want none and none: it has no sender, the readers hold copies",
+						st.LinkWaits, gateDriven.Load())
 				}
-				if tr.f == nil && res.Stats.Rollbacks != 0 {
-					t.Errorf("direct delivery: %d rollbacks, want none", res.Stats.Rollbacks)
-				}
-				t.Logf("cluster 0 sent %d events; the run rolled back %d times", st.Messages, res.Stats.Rollbacks)
+				t.Logf("cluster 0 sent %d events; the readers waited on a held watermark %d times", st.Messages, res.Stats.LinkWaits)
 			})
 		}
 	}
@@ -135,7 +130,7 @@ func oneWayParts(t *testing.T, nl *netlist.Netlist, k int, seed int64) []int32 {
 // tapSends wraps a transport factory (nil: syncDelivery) so that seen is
 // called on every event delivered, before the delivery.
 func tapSends(f comm.TransportFactory, seen func(event)) comm.TransportFactory {
-	return func(k int, deliver comm.DeliverFunc) comm.Transport {
+	return func(k int, deliver comm.DeliverFunc, mark comm.MarkFunc) comm.Transport {
 		tap := func(dst int, m comm.Message) {
 			evs, _ := m.(batch)
 			if e, ok := m.(event); ok {
@@ -147,19 +142,32 @@ func tapSends(f comm.TransportFactory, seen func(event)) comm.TransportFactory {
 			deliver(dst, m)
 		}
 		if f == nil {
-			return syncTransport(tap)
+			f = syncDelivery
 		}
-		return f(k, tap)
+		return f(k, tap, mark)
 	}
 }
 
-// syncDelivery is a transport that delivers inside Send, as direct
-// delivery does. Being a non-nil Config.Transport, it leaves a cluster with
-// senders optimistic: the in-process way to run the rollback machinery
-// without the chaos schedule.
-func syncDelivery(_ int, deliver comm.DeliverFunc) comm.Transport { return syncTransport(deliver) }
+// syncDelivery is a transport that delivers inside Send and Mark, as
+// direct delivery does: the in-process way to send every event and every
+// watermark through a Config.Transport without the chaos schedule.
+func syncDelivery(k int, deliver comm.DeliverFunc, mark comm.MarkFunc) comm.Transport {
+	return syncTransport{k, deliver, mark}
+}
 
-type syncTransport comm.DeliverFunc
+type syncTransport struct {
+	k       int
+	deliver comm.DeliverFunc
+	mark    comm.MarkFunc
+}
 
-func (d syncTransport) Send(_, dst int, m comm.Message) { d(dst, m) }
+func (d syncTransport) Send(_, dst int, m comm.Message) { d.deliver(dst, m) }
 func (syncTransport) Close()                            {}
+
+func (d syncTransport) Mark(src int, through uint64) {
+	for dst := 0; dst < d.k; dst++ {
+		if dst != src {
+			d.mark(src, dst, through)
+		}
+	}
+}

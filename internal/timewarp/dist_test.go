@@ -199,8 +199,8 @@ func TestDistributedDifferential(t *testing.T) {
 					t.Errorf("k=%d: final GVT %d, want %d", k, res.FinalGVT, tc.cycles)
 				}
 				compareObserved(t, nl, state, res.Observed, want, tc.name)
-				t.Logf("%s k=%d workers=2: msgs=%d rollbacks=%d gvt=%d",
-					tc.name, k, res.Stats.Messages, res.Stats.Rollbacks, res.FinalGVT)
+				t.Logf("%s k=%d workers=2: msgs=%d final=%d",
+					tc.name, k, res.Stats.Messages, res.FinalGVT)
 			}
 		})
 	}
@@ -356,8 +356,8 @@ func TestDistributedFederation(t *testing.T) {
 			t.Errorf("worker %d: %d of its local series are at the coordinator, want %d", w, local, 2*len(statSeries))
 		}
 	}
-	if v, ok := coordSnap.Get("dist_gvt", ""); !ok || v != cycles {
-		t.Errorf("dist_gvt = %v (present %v), want %d", v, ok, cycles)
+	if v, ok := coordSnap.Get("dist_min_progress", ""); !ok || v != cycles {
+		t.Errorf("dist_min_progress = %v (present %v), want %d", v, ok, cycles)
 	}
 	if v, _ := coordSnap.Get("dist_round_latency_us_count", ""); v == 0 {
 		t.Error("dist_round_latency_us histogram recorded no rounds")
@@ -404,7 +404,7 @@ func TestDistributedFederation(t *testing.T) {
 		t.Error("merged trace has no worker events (trace federation shipped nothing)")
 	}
 
-	// Worker probes: driven by GVT broadcasts during the run, finished
+	// Worker probes: noted at every round report during the run, finished
 	// clean at the end.
 	for w, p := range do.probes {
 		st := p.State()
@@ -415,8 +415,8 @@ func TestDistributedFederation(t *testing.T) {
 		if st.Cycles != cycles {
 			t.Errorf("worker %d probe cycles = %d, want %d", w, st.Cycles, cycles)
 		}
-		if st.GVT == 0 {
-			t.Errorf("worker %d probe never saw a GVT broadcast", w)
+		if st.MinProgress == 0 {
+			t.Errorf("worker %d probe never saw its clusters progress", w)
 		}
 	}
 }
@@ -644,8 +644,8 @@ func TestDistributedPostMortem(t *testing.T) {
 		if ev.Pid != 1 || ev.Phase != "X" || ev.Name != "gvt_round" {
 			continue
 		}
-		if got := sortedKeys(ev.Args); got != "frozen gvt min_progress round" {
-			t.Fatalf("gvt_round span %d carries args %v, want round, gvt, min_progress, frozen", rounds, ev.Args)
+		if got := sortedKeys(ev.Args); got != "frozen min_progress round" {
+			t.Fatalf("gvt_round span %d carries args %v, want round, min_progress, frozen", rounds, ev.Args)
 		}
 		if ev.Args["round"] <= lastRound {
 			t.Fatalf("gvt_round spans not ascending at span %d: round %v after %v", rounds, ev.Args["round"], lastRound)
@@ -835,7 +835,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 1, Stats: Stats{Messages: 2}}},
 		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
 	f.Add([]byte{})
-	f.Add(appendProgressList(nil, []clusterProgress{{Cluster: 1, Cycle: 7}}))
+	f.Add(appendMark(nil, 1, 7))
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
 	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -844,7 +844,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 		_, _ = decodeResult(data, 8)
 		_, _ = decodeU64(data, "cut")
 		_, _ = decodeAbort(data)
-		_, _ = decodeProgressList(data, 8)
+		_, _, _ = decodeMark(data, 8)
 		// The trace batches ride the same control plane: their decoder
 		// faces the same hostile bytes.
 		_, _, _ = DecodeTraceEvents(data)
@@ -856,7 +856,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 // in another build's layout may decode field by field, and only its
 // length tells.
 func TestControlDecodersRejectTrailingBytes(t *testing.T) {
-	entry := []clusterReport{{Cluster: 1, Cycle: 2, Stats: Stats{Events: 3, MaxStragglerDepth: 1}}}
+	entry := []clusterReport{{Cluster: 1, Cycle: 2, Stats: Stats{Events: 3, LinkWaits: 1}}}
 	for _, tc := range []struct {
 		name   string
 		valid  []byte
@@ -879,8 +879,8 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			_, err := decodeResult(p, 2)
 			return err
 		}},
-		{"progress", appendProgressList(nil, []clusterProgress{{Cluster: 1, Cycle: 9}}), func(p []byte) error {
-			_, err := decodeProgressList(p, 2)
+		{"watermark", appendMark(nil, 1, 9), func(p []byte) error {
+			_, _, err := decodeMark(p, 2)
 			return err
 		}},
 	} {
@@ -949,7 +949,7 @@ func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := mergeResults(4, results, &quiescence{})
+			res := mergeResults(4, results)
 			if got := strings.Join(res.InvariantViolations, "; "); got != tc.violation {
 				t.Errorf("violations %q, want %q", got, tc.violation)
 			}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/obs"
 )
 
-// roundEvery is the GVT round cadence: how long the coordinator idles
-// between rounds, listening for a crash or an error frame.
+// roundEvery is the round cadence: how long the coordinator idles between
+// rounds, listening for a crash or an error frame.
 const roundEvery = 500 * time.Microsecond
 
 // CoordConfig configures the coordinator of a distributed run.
@@ -38,7 +38,7 @@ type CoordConfig struct {
 	// for the in-process kernel; an abort surfaces through it as a
 	// failed state with the diagnosis.
 	Probe *Probe
-	// Obs, when enabled, instruments the GVT rounds (per-round gauges,
+	// Obs, when enabled, instruments the rounds (per-round gauges,
 	// latency histogram, gvt_round spans), registers every cluster's
 	// Stats-backed tw_* series over the counters its worker last reported,
 	// and merges the workers' shipped trace rings — one /metrics scrape or
@@ -51,7 +51,7 @@ type CoordConfig struct {
 }
 
 // Coordinator drives a distributed Time Warp run: it assigns clusters to
-// workers, runs the GVT rounds (each folds the workers' reports into one
+// workers, runs the rounds (each folds the workers' reports into one
 // quiescence sample), detects crashed or wedged workers, and merges the
 // per-worker results into the same Result the in-process kernel returns.
 type Coordinator struct {
@@ -403,9 +403,9 @@ func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, w
 	return nil
 }
 
-// rounds is the GVT loop: periodic cuts, report collection, one
-// quiescence sample per round, GVT broadcast, termination and the
-// stall/crash watchdogs. It owns the run from start to finish/abort.
+// rounds is the quiescence loop: periodic cuts, report collection, one
+// quiescence sample per round, termination and the stall/crash watchdogs.
+// It owns the run from start to finish/abort.
 func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	k := cfg.Spec.K
@@ -415,8 +415,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 	// branches here.
 	reg := cfg.Obs.Registry()
 	var (
-		gRound    = reg.Gauge("dist_round", "GVT rounds opened by the coordinator")
-		gGvt      = reg.Gauge("dist_gvt", "established global virtual time (cycles)")
+		gRound    = reg.Gauge("dist_round", "rounds opened by the coordinator")
 		gMinProg  = reg.Gauge("dist_min_progress", "slowest cluster's reported cycle")
 		gFreeze   = reg.Gauge("dist_freeze_streak", "consecutive quiescent all-done rounds (two terminate the run)")
 		hRoundLat = reg.Histogram("dist_round_latency_us", "cut broadcast to last report (µs)",
@@ -452,7 +451,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		}
 
 		// Collect one report per worker and fold it into the sample.
-		s.sent, s.absorbed, s.maxStraggler = 0, 0, 0
+		s.sent, s.absorbed = 0, 0
 		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
 			r, err := decodeReport(f.payload, k)
 			if err != nil {
@@ -468,7 +467,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			s.absorbed += r.Absorbed
 			for _, c := range r.Clusters {
 				s.progress[c.Cluster] = c.Cycle
-				s.maxStraggler = max(s.maxStraggler, c.Stats.MaxStragglerDepth)
 				reported[c.Cluster] = true
 			}
 			return nil
@@ -485,30 +483,19 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		}
 		s.now = time.Now()
 		v := q.step(s)
-		cfg.Probe.note(v.gvt, v.minProg, s.maxStraggler, v.active)
+		cfg.Probe.note(v.minProg, v.active)
 
-		if v.advanced {
-			gvtPayload := nettrans.AppendU64(nil, v.gvt)
-			for i, conn := range conns {
-				if err := conn.Send(nettrans.FrameGVT, gvtPayload); err != nil {
-					return nil, co.abortf(conns, "worker %d unreachable at gvt broadcast: %w", i, err)
-				}
-			}
-		}
-
-		// Round instrumentation, recorded after the GVT update so the
+		// Round instrumentation, recorded after the verdict so the
 		// terminal round is captured with its final values. The gvt_round
 		// spans are the flight recorder's round history.
-		gGvt.Set(int64(v.gvt))
 		gMinProg.Set(int64(v.minProg))
 		gFreeze.Set(int64(q.doneStreak))
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
-			obs.Arg{Key: "gvt", Val: float64(v.gvt)},
 			obs.Arg{Key: "min_progress", Val: float64(v.minProg)},
 			obs.BoolArg("frozen", v.frozen))
 		if v.terminate {
-			return co.finish(conns, frames, q)
+			return co.finish(conns, frames)
 		}
 		if v.abort != "" {
 			return nil, co.abortf(conns, "%s", v.abort)
@@ -521,7 +508,7 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 // tail just before the result, and each result's Stats overwrite the
 // reported ones, so the coordinator's trace and tw_* series are complete
 // — the series equal Result.PerCluster — by the time the Result exists.
-func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q *quiescence) (*Result, error) {
+func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	for i, conn := range conns {
 		if err := conn.Send(nettrans.FrameFinish, nil); err != nil {
@@ -548,5 +535,5 @@ func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame, q
 		conn.Close()
 	}
 
-	return mergeResults(cfg.Spec.K, results, q), nil
+	return mergeResults(cfg.Spec.K, results), nil
 }

@@ -45,7 +45,7 @@ func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
 }
 
 // meshFixture is worker 0 of a two-worker, two-cluster run — cluster 0
-// local, cluster 1 on worker 1 — with no cluster goroutines, no gossip loop
+// local, cluster 1 on worker 1 — with no cluster goroutines, no poll loop
 // and no coordinator: the test holds worker 1's end of the mesh socket and
 // the coordinator's end of the control connection.
 type meshFixture struct {
@@ -152,7 +152,7 @@ func (c hookedConn) Write(p []byte) (int, error) {
 // before its bytes reach the socket. The peer can read, deliver and absorb
 // a frame the moment the write returns; were the send counted only after
 // that, the absorbed message could balance another still in flight, and two
-// GVT rounds falling in the gap would freeze a run with a message on its
+// rounds falling in the gap would freeze a run with a message on its
 // way. Since every frame carries one message counted this way, the freeze
 // rule needs no wire count of its own (DESIGN §19).
 func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
@@ -193,10 +193,11 @@ func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 }
 
 // TestMeshPollFromManyGoroutines drives Poll the way a run does — every
-// cluster through TryRecvAll, the gossip tick beside them — while the peer
-// streams frames and gossip: each frame must be delivered exactly once, in
-// link order. Run under -race this is the check that one poller at a time
-// really is one.
+// cluster through TryRecvAll, the poll tick beside them — while the peer
+// streams frames and watermarks: each frame must be delivered exactly once,
+// in link order, and a watermark never ahead of the frames sent before it.
+// Run under -race this is the check that one poller at a time really is
+// one.
 func TestMeshPollFromManyGoroutines(t *testing.T) {
 	f := newMeshFixture(t)
 	const frames = 2000
@@ -207,8 +208,7 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 				return
 			}
 			if seq%16 == 0 {
-				f.peer.Send(nettrans.FrameProgress,
-					appendProgressList(nil, []clusterProgress{{Cluster: 1, Cycle: seq}}))
+				f.peer.Send(nettrans.FrameProgress, appendMark(nil, 1, seq))
 			}
 		}
 	}()
@@ -217,7 +217,7 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() { // the gossip tick and the other clusters
+		go func() { // the poll tick and the other clusters
 			defer wg.Done()
 			for !stop.Load() {
 				f.w.mesh.Poll()
@@ -226,17 +226,21 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 		}()
 	}
 	next := uint64(1)
-	const lastGossip = frames - frames%16 // follows the last data frame on the link
-	for deadline := time.Now().Add(20 * time.Second); next <= frames || f.w.h.progress[1].Load() != lastGossip; {
+	const lastMark = frames - frames%16 // follows the last data frame on the link
+	for deadline := time.Now().Add(20 * time.Second); next <= frames || f.ep.Heard(1) != lastMark; {
+		heard := f.ep.Heard(1)
 		for _, m := range f.ep.TryRecvAll() {
 			if e := m.(event); e.Seq != next {
 				t.Fatalf("delivered seq %d, want %d", e.Seq, next)
 			}
 			next++
 		}
+		if next <= heard {
+			t.Fatalf("watermark %d heard with only %d frames delivered: it overtook the data", heard, next-1)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d frames arrived, gossiped progress %d of %d",
-				next-1, frames, f.w.h.progress[1].Load(), lastGossip)
+			t.Fatalf("%d of %d frames arrived, watermark %d of %d",
+				next-1, frames, f.ep.Heard(1), lastMark)
 		}
 		runtime.Gosched()
 	}
@@ -307,9 +311,9 @@ func TestMeshPollSeesPeerDeathFirst(t *testing.T) {
 	})
 	t.Run("ECONNRESET", func(t *testing.T) {
 		f := newMeshFixture(t)
-		// A peer that dies with our gossip unread in its receive buffer is
-		// answered for by its kernel with a reset, not a FIN.
-		f.w.peers[1].Send(nettrans.FrameProgress, appendProgressList(nil, nil))
+		// A peer that dies with our watermark unread in its receive buffer
+		// is answered for by its kernel with a reset, not a FIN.
+		f.w.peers[1].Send(nettrans.FrameProgress, appendMark(nil, 0, 1))
 		time.Sleep(10 * time.Millisecond)
 		f.peer.Close()
 		f.pollUntilDown(t, syscall.ECONNRESET)
@@ -333,7 +337,7 @@ func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 
 // TestMeshPollReportsGarbage: anything illegal on a mesh link — a frame
 // type the data plane does not carry, a route outside the network, an
-// undecodable event or progress list — poisons the link and is reported to
+// undecodable event or watermark — poisons the link and is reported to
 // the coordinator with the peer named, once.
 func TestMeshPollReportsGarbage(t *testing.T) {
 	badRoute := nettrans.AppendDataFrame(nil, 1, 7, []byte{wireKindEvent})
@@ -346,7 +350,7 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 		{"frame type", func(f *meshFixture) { f.peer.Send(nettrans.FrameCut, []byte{1}) }, "unexpected frame type 0x08"},
 		{"route", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badRoute) }, "outside 2-cluster network"},
 		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badEvent) }, "unknown wire message kind"},
-		{"progress", func(f *meshFixture) { f.peer.Send(nettrans.FrameProgress, []byte{0, 0, 0, 9}) }, "progress list of 9 entries"},
+		{"progress", func(f *meshFixture) { f.peer.Send(nettrans.FrameProgress, []byte{0, 0, 0, 9}) }, "malformed watermark"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newMeshFixture(t)

@@ -9,14 +9,12 @@ import (
 
 // Control-plane payloads of the distributed runtime. The frame types are
 // nettrans constants; these are their bodies. Everything here flows over
-// the coordinator connection (Cut/Report/GVT/Finish/Result/Abort/Error)
-// or the worker mesh (Progress); the data plane's event payloads live in
-// wire.go.
+// the coordinator connection (Cut/Report/Finish/Result/Abort/Error) or the
+// worker mesh (Progress, a cluster's watermark); the data plane's event
+// payloads live in wire.go.
 
-// decodeU64 reads the one-number payload of a cut or a GVT frame. A cut
-// opens GVT round N: every worker replies with a distReport stamped N. A
-// GVT frame broadcasts a newly established safe GVT so workers
-// fossil-collect without shared memory.
+// decodeU64 reads the one-number payload of a cut frame, which opens round
+// N: every worker replies with a distReport stamped N.
 func decodeU64(p []byte, what string) (uint64, error) {
 	d := nettrans.NewDec(p)
 	v := d.U64()
@@ -86,39 +84,25 @@ func decodeClusters(d *nettrans.Dec, k int) ([]clusterReport, error) {
 	return cs, d.Err()
 }
 
-// clusterProgress is one entry of a worker's progress gossip.
-type clusterProgress struct {
-	Cluster int32
-	Cycle   uint64
+// appendMark encodes the payload of a watermark frame: cluster src has
+// sent the receiving worker everything it will send for the cycles below
+// through.
+func appendMark(dst []byte, src int32, through uint64) []byte {
+	dst = nettrans.AppendU32(dst, uint32(src))
+	return nettrans.AppendU64(dst, through)
 }
 
-func appendProgressList(dst []byte, ps []clusterProgress) []byte {
-	dst = nettrans.AppendU32(dst, uint32(len(ps)))
-	for _, p := range ps {
-		dst = nettrans.AppendU32(dst, uint32(p.Cluster))
-		dst = nettrans.AppendU64(dst, p.Cycle)
-	}
-	return dst
-}
-
-func decodeProgressList(p []byte, k int) ([]clusterProgress, error) {
+func decodeMark(p []byte, k int) (src int32, through uint64, err error) {
 	d := nettrans.NewDec(p)
-	n := d.U32() // 0 after an error
-	if int(n) > k {
-		return nil, fmt.Errorf("timewarp: progress list of %d entries for k=%d", n, k)
+	src = int32(d.U32())
+	through = d.U64()
+	if err := decodeEnd(d, "watermark"); err != nil {
+		return 0, 0, err
 	}
-	ps := make([]clusterProgress, n)
-	for i := range ps {
-		ps[i].Cluster = int32(d.U32())
-		ps[i].Cycle = d.U64()
-		if d.Err() == nil && (ps[i].Cluster < 0 || int(ps[i].Cluster) >= k) {
-			return nil, fmt.Errorf("timewarp: progress for cluster %d of %d", ps[i].Cluster, k)
-		}
+	if src < 0 || int(src) >= k {
+		return 0, 0, fmt.Errorf("timewarp: watermark of cluster %d of %d", src, k)
 	}
-	if err := decodeEnd(d, "progress list"); err != nil {
-		return nil, err
-	}
-	return ps, nil
+	return src, through, nil
 }
 
 func appendReport(dst []byte, r distReport) []byte {

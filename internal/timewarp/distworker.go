@@ -20,13 +20,13 @@ type WorkerOptions struct {
 	// (default "127.0.0.1:0").
 	Bind string
 	// Obs, when enabled, instruments the worker's clusters and ships its
-	// trace ring to the coordinator, throttled on the GVT round cadence
-	// and in full on termination. The kernel counters reach the
-	// coordinator in every round report regardless.
+	// trace ring to the coordinator, throttled on the round cadence and in
+	// full on termination. The kernel counters reach the coordinator in
+	// every round report regardless.
 	Obs *obs.Observer
-	// Probe receives the worker-local liveness view (driven by the
-	// coordinator's GVT broadcasts and local cluster progress) — the
-	// state behind vsimd's /healthz.
+	// Probe receives the worker-local liveness view (the progress of its
+	// own clusters, noted at every round report) — the state behind
+	// vsimd's /healthz.
 	Probe *Probe
 	// DialTimeout bounds the coordinator and peer dials (default 5s).
 	DialTimeout time.Duration
@@ -40,7 +40,7 @@ type WorkerOptions struct {
 // RunWorker joins a distributed run as one worker: it dials the
 // coordinator, receives its cluster assignment and the run spec, meshes
 // with its peer workers over TCP, simulates its share of the clusters,
-// and obeys the coordinator's GVT/finish/abort protocol. It returns nil
+// and obeys the coordinator's round/finish/abort protocol. It returns nil
 // after a clean finish and an error when the run aborted (locally or by
 // coordinator decision).
 func RunWorker(opts WorkerOptions) error {
@@ -128,10 +128,10 @@ type distWorker struct {
 	h    *host  // this worker's share of the clusters
 	smp  sample // scratch for reports and probe notes
 
-	stopGossip chan struct{}
+	stopPoll chan struct{}
 
 	// Trace-shipping state: the ring's streaming cursor and the last ship
-	// instant (batches are throttled so a fast GVT cadence does not turn
+	// instant (batches are throttled so a fast round cadence does not turn
 	// into a trace firehose).
 	traceCursor uint64
 	lastShip    time.Time
@@ -195,16 +195,16 @@ func (w *distWorker) run(peerAddrs []string) error {
 			appendAbort(nil, distAbort{Reason: err.Error()}))
 	})
 
-	w.stopGossip = make(chan struct{})
-	go w.gossipLoop()
+	w.stopPoll = make(chan struct{})
+	go w.pollLoop()
 
 	err = w.controlLoop()
 
-	// Whatever ended the run, unwind in one order: stop gossip, wake the
+	// Whatever ended the run, unwind in one order: stop polling, wake the
 	// clusters (making them abandon an unfinished run), wait for them, then
 	// stop the transport (flushing nothing on the clean path, draining into
 	// closed endpoints on abort).
-	close(w.stopGossip)
+	close(w.stopPoll)
 	if err != nil {
 		w.h.cancelled.Store(true)
 	}
@@ -240,18 +240,6 @@ func (w *distWorker) controlLoop() error {
 			}
 			// Piggyback the trace ring's new tail on the round cadence.
 			w.shipTrace(false)
-		case nettrans.FrameGVT:
-			gvt, err := decodeU64(payload, "gvt")
-			if err != nil {
-				return err
-			}
-			w.h.gvt.Store(gvt)
-			// The worker-local liveness view: the coordinator-established
-			// GVT plus the progress and straggler depth of its own clusters.
-			w.h.sample(&w.smp)
-			w.h.note(&w.smp, gvt, true)
-			w.opts.Obs.Instant(obs.TrackKernel, "gvt_broadcast",
-				obs.Arg{Key: "gvt", Val: float64(gvt)})
 		case nettrans.FrameFinish:
 			// Quiescent and done: wake the clusters, let them drain out,
 			// then ship the trace tail and the merged local result.
@@ -304,9 +292,11 @@ func (w *distWorker) shipTrace(force bool) {
 	w.traceCursor = next
 }
 
-// report snapshots the worker-local counters for one GVT round.
+// report snapshots the worker-local counters for one round, and notes the
+// progress of its own clusters on the worker's liveness probe.
 func (w *distWorker) report(round uint64) distReport {
 	w.h.sample(&w.smp)
+	w.h.note(&w.smp, true)
 	r := distReport{Round: round, Sent: w.smp.sent, Absorbed: w.smp.absorbed}
 	for _, cl := range w.h.clusters {
 		r.Clusters = append(r.Clusters, clusterReport{
@@ -315,46 +305,27 @@ func (w *distWorker) report(round uint64) distReport {
 	return r
 }
 
-// gossipLoop broadcasts local cluster progress to every peer so their
-// optimism windows see this worker's clusters. Frequency trades window
-// staleness (a throttle, never a correctness input) against wire chatter.
-// The same tick pumps the mesh sockets: clusters poll them whenever they
-// look in their mailboxes, but one parked in RecvWait at the end of its
-// trace looks nowhere, and its stragglers must still arrive.
-func (w *distWorker) gossipLoop() {
+// pollLoop pumps the mesh sockets on a tick. Clusters poll them whenever
+// they look in their mailboxes or for a watermark, but one asleep in
+// AwaitHeard, or in RecvWait at the end of its trace, looks nowhere, and
+// what it waits for must still arrive.
+func (w *distWorker) pollLoop() {
 	tick := time.NewTicker(300 * time.Microsecond)
 	defer tick.Stop()
-	ps := make([]clusterProgress, len(w.h.clusters)) // as last gossiped
-	buf := []byte(nil)
 	for {
 		select {
-		case <-w.stopGossip:
+		case <-w.stopPoll:
 			return
 		case <-tick.C:
 		}
 		w.mesh.Poll()
-		changed := false
-		for i, cl := range w.h.clusters {
-			v := w.h.progress[cl.id].Load()
-			changed = changed || v != ps[i].Cycle
-			ps[i] = clusterProgress{Cluster: cl.id, Cycle: v}
-		}
-		if !changed {
-			continue
-		}
-		buf = appendProgressList(buf[:0], ps)
-		for _, conn := range w.peers {
-			if conn != nil {
-				conn.Send(nettrans.FrameProgress, buf) // error = peer gone; abort arrives via control
-			}
-		}
 	}
 }
 
 // peerFrame is the one handler of everything a mesh connection carries:
-// data frames become local deliveries, progress frames update the shared
-// progress view, anything else poisons the link. The payload is the
-// poller's read buffer; nothing decoded from it may alias it.
+// data frames become local deliveries, watermark frames reach every local
+// cluster, anything else poisons the link. The payload is the poller's
+// read buffer; nothing decoded from it may alias it.
 func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 	switch typ {
 	case nettrans.FrameData:
@@ -370,15 +341,14 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		w.h.net.NoteArrived()
 		w.mesh.deliver(df.Dst, msg)
 	case nettrans.FrameProgress:
-		ps, err := decodeProgressList(payload, w.spec.K)
+		src, through, err := decodeMark(payload, w.spec.K)
 		if err != nil {
 			return err
 		}
-		for _, p := range ps {
-			if int(w.placement[p.Cluster]) != w.id {
-				w.h.progress[p.Cluster].Store(p.Cycle)
-			}
+		if int(w.placement[src]) == w.id {
+			return fmt.Errorf("watermark of cluster %d, which is placed on this worker", src)
 		}
+		w.mesh.markLocal(int(src), through)
 	default:
 		return fmt.Errorf("unexpected frame type 0x%02x", typ)
 	}
@@ -478,6 +448,7 @@ type meshTransport struct {
 	w       *distWorker
 	net     *comm.Network // set after construction, before any traffic
 	deliver comm.DeliverFunc
+	mark    comm.MarkFunc
 
 	// pollMu admits one poller at a time; the rest find it taken and go on
 	// with what is already in their mailboxes. down marks links that ended
@@ -500,8 +471,8 @@ func newMeshTransport(w *distWorker) *meshTransport {
 // factory adapts the transport to comm.TransportFactory, capturing the
 // network's delivery sink.
 func (t *meshTransport) factory() comm.TransportFactory {
-	return func(k int, deliver comm.DeliverFunc) comm.Transport {
-		t.deliver = deliver
+	return func(k int, deliver comm.DeliverFunc, mark comm.MarkFunc) comm.Transport {
+		t.deliver, t.mark = deliver, mark
 		return t
 	}
 }
@@ -520,7 +491,7 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 
 	// The message already counts as sent (Endpoint.Send counted it before
 	// calling here), so until its receiver absorbs it no quiescence sample
-	// can freeze: the frame on the wire needs no count of its own for GVT.
+	// can freeze: the frame on the wire needs no count of its own.
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, nil)
@@ -545,11 +516,37 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	}
 }
 
-// Poll drains every mesh socket into the local mailboxes and the progress
-// view without blocking — the receive half of the data plane (DESIGN §21).
-// There is no reader goroutine: the clusters call this through
-// Endpoint.TryRecvAll each time they look for messages, and the gossip tick
-// calls it while they are parked. A link that ended quietly (the peer
+// Mark hands src's watermark to the local clusters at once and sends it to
+// every peer worker as one watermark frame, behind the data frames src
+// wrote on that peer's stream before: each stream is FIFO, and every
+// cluster of the peer reads it. The frame is encoded in the shared buffer,
+// so a watermark allocates nothing.
+func (t *meshTransport) Mark(src int, through uint64) {
+	t.markLocal(src, through)
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	t.encBuf = appendMark(t.encBuf[:0], int32(src), through)
+	for _, conn := range t.w.peers {
+		if conn != nil {
+			conn.Send(nettrans.FrameProgress, t.encBuf) // error = peer gone; abort arrives via control
+		}
+	}
+}
+
+// markLocal files src's watermark at every cluster of this worker.
+func (t *meshTransport) markLocal(src int, through uint64) {
+	for dst, owner := range t.w.placement {
+		if int(owner) == t.w.id && dst != src {
+			t.mark(src, dst, through)
+		}
+	}
+}
+
+// Poll drains every mesh socket into the local mailboxes and watermarks
+// without blocking — the receive half of the data plane (DESIGN §21).
+// There is no reader goroutine: the clusters call this each time they look
+// for messages or a watermark, and the poll tick calls it while they
+// sleep. A link that ended quietly (the peer
 // finished, or died — the coordinator's control connection says which) is
 // dropped from the rounds; one that carried something illegal is reported
 // first, because a garbled data plane can neither be trusted nor repaired.

@@ -10,45 +10,36 @@
 // it reads that another cluster's combinational gate drives, so the only
 // nets that cross the cut are flip-flop outputs: an event is a flip-flop's
 // change, stamped with the cycle after the one that latched it, and a
-// cycle applies every event for it before it settles. With every cluster
-// in one process and direct delivery, a cluster waits until its senders
-// have finished the cycle before and never speculates. Over any other
-// transport — the chaos schedule, a distributed run's sockets — it runs
-// optimistically ahead of its peers and repairs causality violations by
-// rolling back — writing back what the undone cycles overwrote —
-// cancelling already-sent events with anti-messages, and replaying. Either
-// way a run over any partitioning commits exactly the same per-cycle
-// waveforms as sim.Simulator — the correctness property the tests assert.
+// cycle applies every event for it before it settles. That one-cycle
+// lookahead makes the kernel conservative: after each cycle a cluster
+// sends a watermark behind its events on every link, and before each
+// cycle it waits until the link from each of its senders has delivered
+// the watermark for that cycle — on every transport, direct delivery, the
+// chaos schedule and a distributed run's sockets alike. Nothing is ever
+// executed ahead of its inputs, so nothing is rolled back, and an event
+// that arrives for a cycle already executed fails the run. A run over any
+// partitioning commits exactly the same per-cycle waveforms as
+// sim.Simulator — the correctness property the tests assert.
 package timewarp
 
 import (
 	"cmp"
 
 	"repro/internal/netlist"
-	"repro/internal/obs/causality"
 )
 
 // event is a net value change sent between clusters for cycle T, the
 // receiver's cycle that reads it.
 type event struct {
-	T    uint64
-	Net  netlist.NetID
-	Val  bool
-	Anti bool
-	Src  int32
-	Seq  uint64 // per-source sequence number; anti-messages repeat it
-	// Parent is the remote event whose consumption preceded this send in
-	// the generating cycle, and Origin the straggler-origin id blame
-	// propagates through rollback re-execution and anti-messages. Both
-	// zero when causality recording is off (Config.Causality nil).
-	Parent causality.EventID
-	Origin causality.EventID
+	T   uint64
+	Net netlist.NetID
+	Val bool
+	Src int32
+	Seq uint64 // per-source sequence number
 }
 
 // cmpEvent orders events by (T, Src, Seq): the order of a cluster's input
-// queue, hence the order events are consumed and replayed in. An
-// anti-message repeats all three of its positive's, so it compares equal to
-// the event it cancels.
+// queue, hence the order events are consumed in.
 func cmpEvent(a, b event) int {
 	return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 }
@@ -57,6 +48,6 @@ func cmpEvent(a, b event) int {
 // destination within a cycle into a single comm.Message, which leaves at
 // the end of the cycle. Order within the batch, and from batch to batch, is
 // send order, so per-link FIFO survives batching: the receiver unpacks
-// sequentially and an anti-message can never overtake the positive it
-// cancels.
+// sequentially, and the watermark the sender marks after the batch
+// arrives behind it.
 type batch []event

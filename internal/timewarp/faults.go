@@ -7,17 +7,13 @@ package timewarp
 // invariant check) fails and replays from the same seed. Production and
 // ordinary test runs leave Config.Faults nil.
 type FaultConfig struct {
-	// CorruptEveryN flips the value of every Nth positive inter-cluster
-	// event at send time (0 disables). The receiver then computes with a
-	// wrong input the sender never saw — a silent data-corruption bug.
+	// CorruptEveryN flips the value of every Nth inter-cluster event at
+	// send time (0 disables). The receiver then computes with a wrong input
+	// the sender never saw — a silent data-corruption bug.
 	CorruptEveryN uint64
-	// SuppressAntiMessages drops every anti-message instead of sending
-	// it, so receivers keep replaying events their sender has rolled back
-	// — the classic broken-cancellation bug.
-	SuppressAntiMessages bool
-	// DisableLazySuppression turns off lazy-cancellation suppression:
-	// re-execution that regenerates an identical event cancels and
-	// re-sends it instead of recognising the receiver already has it,
-	// re-creating the send/rollback livelock lazy cancellation prevents.
-	DisableLazySuppression bool
+	// SkipSenderWait makes every cluster run its next cycle without
+	// waiting for its senders' watermarks, on whatever its mailbox holds —
+	// the broken-synchronisation bug. An event that arrives for a cycle
+	// already executed then fails the run as a straggler.
+	SkipSenderWait bool
 }

@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,8 +57,8 @@ func (cfg *Config) prepare() (*sim.Sweep, error) {
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
-// network, the shared progress / absorbed / GVT words, and the clusters
-// this process simulates. Run is a host owning all K clusters plus the
+// network, the shared progress / absorbed words, and the clusters this
+// process simulates. Run is a host owning all K clusters plus the
 // quiescence loop; a distributed worker is a host owning its placement
 // share plus the mesh and the coordinator's control loop.
 type host struct {
@@ -68,8 +69,6 @@ type host struct {
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
 	absorbed  atomic.Uint64   // messages fully absorbed by local clusters
 	cancelled atomic.Bool     // any failure: every cluster abandons the run
-	gvt       atomic.Uint64   // established GVT in cycles; safe fossil line
-	lot       parkingLot      // conservative clusters waiting for a publish
 	clusters  []*cluster      // the clusters this process runs
 
 	wg    sync.WaitGroup
@@ -94,7 +93,6 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress: make([]atomic.Uint64, cfg.K),
 	}
-	h.lot.cond = sync.NewCond(&h.lot.mu)
 	rep := replicate(cfg.NL, cfg.GateParts, cfg.K)
 	for c := 0; c < cfg.K; c++ {
 		if owns == nil || owns(c) {
@@ -149,33 +147,31 @@ func (h *host) failure() error {
 // abort makes every local cluster abandon the run.
 func (h *host) abort() {
 	h.cancelled.Store(true)
-	h.lot.wake()
 	h.closeEndpoints()
 }
 
 // closeEndpoints wakes every blocked cluster; one that has finished its
-// trace then exits — the termination signal.
+// trace then exits — the termination signal — and one still waiting for a
+// watermark abandons the run.
 func (h *host) closeEndpoints() {
 	for c := 0; c < h.cfg.K; c++ {
 		h.net.Endpoint(c).Close()
 	}
 }
 
-// sample reads the host's counters into s: the message totals, the
+// sample reads the host's counters into s: the message totals and the
 // published cycle of every local cluster (other entries of s.progress are
-// left alone) and the deepest straggler.
+// left alone).
 func (h *host) sample(s *sample) {
 	s.sent = h.net.TotalSent()
 	s.absorbed = h.absorbed.Load()
-	s.maxStraggler = 0
 	for _, cl := range h.clusters {
 		s.progress[cl.id] = h.progress[cl.id].Load()
-		s.maxStraggler = max(s.maxStraggler, cl.stats.maxStragglerDepth.Load())
 	}
 }
 
 // note feeds the liveness probe from s, a sample this host just took.
-func (h *host) note(s *sample, gvt uint64, active bool) {
+func (h *host) note(s *sample, active bool) {
 	if h.cfg.Probe == nil {
 		return
 	}
@@ -183,7 +179,7 @@ func (h *host) note(s *sample, gvt uint64, active bool) {
 	for _, cl := range h.clusters[1:] {
 		minProg = min(minProg, s.progress[cl.id])
 	}
-	h.cfg.Probe.note(gvt, minProg, s.maxStraggler, active)
+	h.cfg.Probe.note(minProg, active)
 }
 
 // collect gathers what the local clusters produced, after they exited.
@@ -206,19 +202,18 @@ func (h *host) collect() *distResult {
 // mergeResults folds the per-process results of a terminated run into its
 // Result and checks the global termination invariants: a clean run
 // reports each cluster once, leaves no message in flight, every sent
-// message absorbed (received AND survived by its rollback), every wire
-// frame written also read, and every event a cluster enqueued sent in
-// exactly one message, at the end of its cycle.
-func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
+// message absorbed, every wire frame written also read, and every event a
+// cluster enqueued sent in exactly one message, at the end of its cycle.
+// FinalGVT is the smallest cycle the clusters reported.
+func mergeResults(k int, parts []*distResult) *Result {
 	res := &Result{
-		Observed:            make(map[netlist.NetID][]bool),
-		PerCluster:          make([]Stats, k),
-		FinalGVT:            q.gvt,
-		InvariantViolations: q.violations,
+		Observed:   make(map[netlist.NetID][]bool),
+		PerCluster: make([]Stats, k),
 	}
 	var sent, absorbed uint64
 	var inFlight int64
 	merged := make([]bool, k)
+	cycles := make([]uint64, k)
 	for _, r := range parts {
 		sent += r.Sent
 		absorbed += r.Absorbed
@@ -232,6 +227,7 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 				continue
 			}
 			merged[c.Cluster] = true
+			cycles[c.Cluster] = c.Cycle
 			res.PerCluster[c.Cluster] = c.Stats
 			res.Stats.add(c.Stats)
 		}
@@ -255,11 +251,12 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 		res.InvariantViolations = append(res.InvariantViolations,
 			fmt.Sprintf("read %d of %d wire frames written at termination", res.WireFramesRecv, res.WireFramesSent))
 	}
-	if st := res.Stats; st.BatchedEvents != st.Messages+st.AntiMessages || st.Batches > st.BatchedEvents {
+	if st := res.Stats; st.BatchedEvents != st.Messages || st.Batches > st.BatchedEvents {
 		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("%d events sent in %d messages, but %d positives and %d anti-messages enqueued",
-				st.BatchedEvents, st.Batches, st.Messages, st.AntiMessages))
+			fmt.Sprintf("%d events sent in %d messages, but %d enqueued",
+				st.BatchedEvents, st.Batches, st.Messages))
 	}
+	res.FinalGVT = slices.Min(cycles)
 	return res
 }
 
@@ -267,8 +264,7 @@ func mergeResults(k int, parts []*distResult, q *quiescence) *Result {
 // host's observer and hooks each cluster's trace emitter. A worker's
 // clusters are a subset of the run's; labels come from each cluster's own
 // id. The Stats-backed series are statSeries, the ones a coordinator
-// keeps from its workers' reports; queue length, GVT lag, GVT and the
-// rollback-depth histogram are this process's own.
+// keeps from its workers' reports; queue length is this process's own.
 func instrumentClusters(h *host) {
 	o := h.cfg.Obs
 	if !o.Enabled() {
@@ -276,13 +272,8 @@ func instrumentClusters(h *host) {
 	}
 	reg := o.Registry()
 	h.net.Instrument(reg)
-	// One shared rollback-depth histogram; depth is a property of the
-	// run, the per-cluster split already lives in the sampled counters.
-	rbDepth := reg.Histogram("tw_rollback_depth", "rollback depth in cycles",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 	for _, cl := range h.clusters {
 		cl.obs = o
-		cl.rollbackDepth = rbDepth
 		st := &cl.stats
 		lbl := obs.L("cluster", int(cl.id))
 		// Sampled gauges close over the cluster's atomics: registering
@@ -293,10 +284,5 @@ func instrumentClusters(h *host) {
 		}
 		reg.SampleFunc("tw_queue_len", "pending remote events in the cluster queue",
 			func() float64 { return float64(st.queueLen.Load()) }, lbl)
-		ci := cl.id
-		reg.SampleFunc("tw_gvt_lag", "cluster progress above GVT in cycles",
-			func() float64 { return float64(h.progress[ci].Load()) - float64(h.gvt.Load()) }, lbl)
 	}
-	reg.SampleFunc("tw_gvt", "quiescent global virtual time in cycles",
-		func() float64 { return float64(h.gvt.Load()) })
 }

@@ -29,11 +29,10 @@ type Config struct {
 	// are recorded; defaults to the primary outputs.
 	Observe []netlist.NetID
 	// Transport optionally replaces direct in-process delivery (nil =
-	// direct). Over direct delivery a cluster with remote inputs waits for
-	// its senders; over any transport set here it runs optimistically and
-	// can be rolled back. The chaos transport (comm.Chaos) is the
-	// adversarial delivery-order schedule the fuzz harness uses to provoke
-	// stragglers and rollback cascades.
+	// direct). A cluster with remote inputs waits for its senders'
+	// watermarks over every transport; the chaos transport (comm.Chaos) is
+	// the adversarial delivery schedule the fuzz harness uses to hold
+	// events and watermarks on their links.
 	Transport comm.TransportFactory
 	// StallTimeout, when positive, makes the watcher abort the run with
 	// an error if no cluster makes progress and no message moves for this
@@ -45,65 +44,64 @@ type Config struct {
 	StallTimeout time.Duration
 	// RunTimeout, when positive, is a hard wall-clock cap on the whole
 	// run: the watcher aborts with an error once it is exceeded even while
-	// activity continues. It catches livelock — e.g. endless rollback
-	// churn when cancellation is broken — which the inactivity-based
-	// StallTimeout by construction cannot see. Zero = unbounded.
+	// activity continues. It catches livelock — activity that never ends
+	// the run — which the inactivity-based StallTimeout by construction
+	// cannot see. Zero = unbounded.
 	RunTimeout time.Duration
 	// Faults injects deliberate kernel misbehaviour so the fuzz harness
 	// can prove it detects regressions. Nil (always, outside harness
 	// self-tests) disables injection.
 	Faults *FaultConfig
 	// Obs attaches the observability layer: per-cluster sampled metrics,
-	// rollback/GVT trace spans, and the Chrome-trace export. Nil disables
+	// wait trace spans, and the Chrome-trace export. Nil disables
 	// instrumentation; every hot-path site then costs one branch.
 	Obs *obs.Observer
-	// Causality attaches the per-event lineage recorder (parent and
-	// straggler-origin ids riding on every event): Recorder.Analyze then
-	// yields rollback-cascade blame and the committed-event critical path
-	// after the run. Nil disables recording; every hot-path site then
-	// costs one branch.
+	// Causality attaches the per-event lineage recorder (which cycle
+	// consumed which event, what each cycle cost): Recorder.Analyze then
+	// yields the committed-event critical path after the run. Nil disables
+	// recording; every hot-path site then costs one branch.
 	Causality *causality.Recorder
 	// Probe, when non-nil, receives live liveness state from the watcher
-	// (GVT, minimum progress, straggler depth, last-activity time) — the
-	// read-only feed behind the monitoring server's /healthz.
+	// (minimum progress, last-activity time) — the read-only feed behind
+	// the monitoring server's /healthz.
 	Probe *Probe
 }
 
 // Stats aggregates kernel activity over a run.
 type Stats struct {
-	Messages     uint64 // positive inter-cluster events sent
-	AntiMessages uint64 // cancellations sent
-	Rollbacks    uint64 // rollback occurrences
-	// Events counts gate evaluations executed, re-execution included:
-	// every cycle a cluster executes evaluates each own gate and copy,
-	// flip-flops too, once (DESIGN.md §26). It counts netlist gates, not
-	// the fused records a cluster settles them in (§20). It is not comparable with
+	Messages uint64 // inter-cluster events sent
+	// Events counts gate evaluations executed: every cycle a cluster
+	// executes evaluates each own gate and copy, flip-flops too, once
+	// (DESIGN.md §26). It counts netlist gates, not the fused records a
+	// cluster settles them in (§20). It is not comparable with
 	// sim.Simulator.Events, which counts the gates the sequential
 	// simulator's delta events reach (DESIGN.md §20).
-	Events           uint64
-	RolledBackEvents uint64 // evaluations undone by rollbacks
-	// Checkpoints counts rollback records written: one per executed cycle,
-	// re-executed ones included, in every cluster that reads a net another
-	// cluster drives and runs ahead of its senders — over a non-nil
-	// Config.Transport. None in a cluster that reads no such net, which
-	// nothing can roll back, and none in Run over direct delivery, where a
-	// cluster waits for its senders instead.
-	Checkpoints uint64
-	// MaxStragglerDepth is the deepest single rollback in cycles (LVT
-	// minus restored cycle) — how far behind its cluster the worst
-	// straggler arrived. Aggregated by max, not sum.
-	MaxStragglerDepth uint64
+	Events uint64
 	// Batches counts comm.Messages sent and BatchedEvents the events they
 	// carried; their ratio is the mean batch size. Every event sent leaves
-	// in exactly one message, so BatchedEvents is Messages + AntiMessages.
+	// in exactly one message, so BatchedEvents is Messages.
 	Batches       uint64
 	BatchedEvents uint64
-	// The two pool counters always read zero: no buffer pool is left for
-	// them to count (DESIGN §28). They stay declared only because
-	// benchmark/workloads.go reads them, until a benchmark PR retires its
-	// timewarp.pool_hit_frac row (ROADMAP item 1).
-	PoolHits   uint64
-	PoolMisses uint64
+	// LinkWaits counts the cycles that waited for a sender which had
+	// published the cycle while its link still held the watermark: the
+	// waits a transport, not a slow sender, caused. Zero over direct
+	// delivery, which hands a watermark over before the publish, and in a
+	// distributed run, whose workers see no remote publish but the
+	// watermark itself.
+	LinkWaits uint64
+	// Rollbacks, AntiMessages, RolledBackEvents, Checkpoints and
+	// MaxStragglerDepth always read zero: a cluster waits for its senders
+	// and is never rolled back (DESIGN §26). The two pool counters always
+	// read zero too: no buffer pool is left for them to count (§28). All
+	// seven stay declared only because benchmark/workloads.go reads them,
+	// until a benchmark change retires their rows (ROADMAP item 1).
+	Rollbacks         uint64
+	AntiMessages      uint64
+	RolledBackEvents  uint64
+	Checkpoints       uint64
+	MaxStragglerDepth uint64
+	PoolHits          uint64
+	PoolMisses        uint64
 }
 
 // Result is the outcome of a run.
@@ -115,14 +113,13 @@ type Result struct {
 	// PerCluster breaks the statistics down by machine, the view the
 	// paper's per-processor plots use.
 	PerCluster []Stats
-	// FinalGVT is the last quiescent GVT the watcher established (in
-	// cycles). On clean termination it equals Cycles.
+	// FinalGVT is the slowest cluster's published cycle at termination:
+	// Cycles on clean termination.
 	FinalGVT uint64
-	// InvariantViolations lists kernel invariants found broken during the
-	// run: a GVT that regressed, or messages left in flight or unabsorbed,
-	// or wire frames written but not read, at termination. Always empty for
-	// a healthy kernel; the fuzz harness fails a run whose list is
-	// non-empty.
+	// InvariantViolations lists kernel invariants found broken at
+	// termination: messages left in flight or unabsorbed, wire frames
+	// written but not read, a cluster reported twice. Always empty for a
+	// healthy kernel; the fuzz harness fails a run whose list is non-empty.
 	InvariantViolations []string
 	// WireFramesSent and WireFramesRecv are the cross-process data frames
 	// the workers' meshes wrote and read, summed at termination — zero for
@@ -136,10 +133,7 @@ const watcherInterval = 200 * time.Microsecond
 
 // Run executes the parallel simulation and returns the committed waveforms
 // plus kernel statistics: one host owning all K clusters, sampled into the
-// quiescence tracker until it terminates or aborts the run. Over direct
-// delivery (Config.Transport nil) a cluster with remote inputs waits for
-// its senders before each cycle and is never rolled back; over any other
-// transport it runs optimistically, keeping rollback records.
+// quiescence tracker until it terminates or aborts the run.
 func Run(cfg Config) (*Result, error) {
 	h, err := newHost(cfg, "tw", nil)
 	if err != nil {
@@ -165,13 +159,7 @@ func (h *host) run() (*Result, error) {
 			h.sample(&s)
 			s.now = time.Now()
 			v := q.step(s)
-			h.note(&s, v.gvt, v.active)
-			if v.advanced {
-				h.gvt.Store(v.gvt)
-				cfg.Obs.Count(obs.TrackKernel, "gvt", float64(v.gvt))
-				cfg.Obs.Instant(obs.TrackKernel, "gvt_advance",
-					obs.Arg{Key: "gvt", Val: float64(v.gvt)})
-			}
+			h.note(&s, v.active)
 			if v.terminate {
 				h.closeEndpoints()
 				return
@@ -196,10 +184,10 @@ func (h *host) run() (*Result, error) {
 		return nil, abortErr
 	}
 	cfg.Probe.finish(nil)
-	res := mergeResults(cfg.K, []*distResult{h.collect()}, q)
+	res := mergeResults(cfg.K, []*distResult{h.collect()})
 	cfg.Obs.Span(obs.TrackKernel, "timewarp.run", runT0,
 		obs.Arg{Key: "k", Val: float64(cfg.K)},
 		obs.Arg{Key: "cycles", Val: float64(cfg.Cycles)},
-		obs.Arg{Key: "rollbacks", Val: float64(res.Stats.Rollbacks)})
+		obs.Arg{Key: "messages", Val: float64(res.Stats.Messages)})
 	return res, nil
 }

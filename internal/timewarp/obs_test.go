@@ -30,15 +30,16 @@ func socDesign(t *testing.T) *elab.Design {
 
 // TestObservedRunEmitsValidChromeTrace is the acceptance check for the
 // trace exporter: a chaos run of the SoC example at k=4 must produce a
-// decodable Chrome trace with one named track per cluster, at least one
-// rollback span, and a monotone GVT counter series.
+// decodable Chrome trace with one named track per cluster and at least one
+// blocked(senders) span on a cluster track, naming the cycle it waited
+// to run.
 func TestObservedRunEmitsValidChromeTrace(t *testing.T) {
 	ed := socDesign(t)
 	nl := ed.Netlist
 	const k = 4
 	const cycles = 120
 
-	// Chaos delivery on a random partition provokes rollbacks with near
+	// Chaos delivery on a random partition holds watermarks with near
 	// certainty; sweep a few seeds so the test does not hinge on one
 	// schedule.
 	for seed := int64(1); seed <= 5; seed++ {
@@ -76,36 +77,21 @@ func TestObservedRunEmitsValidChromeTrace(t *testing.T) {
 			t.Fatalf("kernel track named %q", got)
 		}
 
-		// GVT counter samples must be monotone non-decreasing — the
-		// invariant the watcher enforces, visible in the trace.
-		gvt := d.CounterSeries("gvt")
-		if len(gvt) == 0 {
-			t.Fatal("no gvt counter samples in trace")
-		}
-		for i := 1; i < len(gvt); i++ {
-			if gvt[i] < gvt[i-1] {
-				t.Fatalf("gvt regressed in trace: %v", gvt)
-			}
-		}
-
-		spans := d.SpansNamed("rollback")
+		spans := d.SpansNamed("blocked(senders)")
 		if len(spans) == 0 {
-			continue // this schedule happened not to roll back; try the next seed
+			continue // this schedule happened never to wait; try the next seed
 		}
 		for _, s := range spans {
 			if s.Tid < 0 || s.Tid >= k {
-				t.Fatalf("rollback span on non-cluster track %d", s.Tid)
+				t.Fatalf("wait span on non-cluster track %d", s.Tid)
 			}
-			if s.Args["depth"] < 1 {
-				t.Fatalf("rollback span without depth arg: %+v", s)
-			}
-			if s.Args["from_cycle"] < s.Args["to_cycle"] {
-				t.Fatalf("rollback span goes forward: %+v", s)
+			if s.Args["cycle"] < 1 || s.Args["cycle"] >= cycles {
+				t.Fatalf("wait span for no cycle a sender feeds: %+v", s)
 			}
 		}
-		return // found a schedule with rollbacks and everything validated
+		return // found a schedule with waits and everything validated
 	}
-	t.Fatal("no seed produced a rollback under chaos delivery")
+	t.Fatal("no seed made a cluster wait under chaos delivery")
 }
 
 // TestMetricsGoldenSequential pins the metrics snapshot of a seeded
@@ -151,18 +137,12 @@ func TestMetricsGoldenSequential(t *testing.T) {
 	if v := get("tw_messages", cl0); v != 0 {
 		t.Fatalf("single cluster sent %v messages", v)
 	}
-	if v := get("tw_rollbacks", cl0); v != 0 {
-		t.Fatalf("single cluster rolled back %v times", v)
+	// A single cluster has no sender to wait for.
+	if v := get("tw_link_waits", cl0); v != 0 {
+		t.Fatalf("single cluster waited %v times", v)
 	}
-	// Nothing can roll a single cluster back, so it saves no state.
-	if v := get("tw_checkpoints", cl0); v != 0 {
-		t.Fatalf("tw_checkpoints = %v on a single cluster, want 0", v)
-	}
-	if v := get("tw_gvt", ""); v != cycles {
-		t.Fatalf("tw_gvt = %v, want %d at clean termination", v, cycles)
-	}
-	if v := get("tw_rollback_depth_count", ""); v != 0 {
-		t.Fatalf("rollback depth histogram has %v observations", v)
+	if v := get("tw_queue_len", cl0); v != 0 {
+		t.Fatalf("single cluster queued %v events", v)
 	}
 	if v := get("comm_inflight", ""); v != 0 {
 		t.Fatalf("comm_inflight = %v at termination", v)
@@ -252,7 +232,7 @@ func TestSnapshotMidRunRace(t *testing.T) {
 	if got := total(last, "tw_events"); got != float64(res.Stats.Events) {
 		t.Fatalf("final snapshot tw_events = %v, kernel aggregated %d", got, res.Stats.Events)
 	}
-	if got := total(last, "tw_rollbacks"); got != float64(res.Stats.Rollbacks) {
-		t.Fatalf("final snapshot tw_rollbacks = %v, kernel aggregated %d", got, res.Stats.Rollbacks)
+	if got := total(last, "tw_messages"); got != float64(res.Stats.Messages) {
+		t.Fatalf("final snapshot tw_messages = %v, kernel aggregated %d", got, res.Stats.Messages)
 	}
 }

@@ -8,21 +8,18 @@ import (
 )
 
 // Probe is a read-only, lock-free view of the run's liveness, fed by the
-// termination watcher: last activity time, quiescent GVT, minimum cluster
-// progress and the deepest straggler seen. It is the state behind the
+// termination watcher: last activity time and minimum cluster progress. It is the state behind the
 // monitoring server's /healthz — a wedged run turns into a 503 instead of
 // a hanging scrape. Create one with NewProbe, pass it in Config.Probe,
 // and read State from any goroutine at any time. A nil Probe is valid and
 // disables the updates.
 type Probe struct {
-	attached     atomic.Bool
-	done         atomic.Bool
-	failed       atomic.Bool
-	gvt          atomic.Uint64
-	minProgress  atomic.Uint64
-	cycles       atomic.Uint64
-	maxStraggler atomic.Uint64
-	lastAdvance  atomic.Int64 // UnixNano of the last observed activity
+	attached    atomic.Bool
+	done        atomic.Bool
+	failed      atomic.Bool
+	minProgress atomic.Uint64
+	cycles      atomic.Uint64
+	lastAdvance atomic.Int64 // UnixNano of the last observed activity
 
 	mu     sync.Mutex
 	reason string // failure diagnosis, set once at finish
@@ -41,16 +38,12 @@ type ProbeState struct {
 	// Failed is true when the run returned an error; Reason carries it.
 	Failed bool   `json:"failed"`
 	Reason string `json:"reason,omitempty"`
-	// GVT is the last quiescent global virtual time in cycles.
-	GVT uint64 `json:"gvt"`
 	// MinProgress is the slowest cluster's published cycle.
 	MinProgress uint64 `json:"min_progress"`
 	// Cycles is the run's target length.
 	Cycles uint64 `json:"cycles"`
-	// MaxStragglerDepth is the deepest single rollback seen so far.
-	MaxStragglerDepth uint64 `json:"max_straggler_depth"`
-	// LastAdvance is when the watcher last saw activity (progress,
-	// message traffic, or GVT advance).
+	// LastAdvance is when the watcher last saw activity (progress or
+	// message traffic).
 	LastAdvance time.Time `json:"last_advance"`
 }
 
@@ -69,15 +62,13 @@ func (p *Probe) State() ProbeState {
 		last = time.Unix(0, n)
 	}
 	return ProbeState{
-		Attached:          p.attached.Load(),
-		Done:              p.done.Load(),
-		Failed:            p.failed.Load(),
-		Reason:            reason,
-		GVT:               p.gvt.Load(),
-		MinProgress:       p.minProgress.Load(),
-		Cycles:            p.cycles.Load(),
-		MaxStragglerDepth: p.maxStraggler.Load(),
-		LastAdvance:       last,
+		Attached:    p.attached.Load(),
+		Done:        p.done.Load(),
+		Failed:      p.failed.Load(),
+		Reason:      reason,
+		MinProgress: p.minProgress.Load(),
+		Cycles:      p.cycles.Load(),
+		LastAdvance: last,
 	}
 }
 
@@ -100,15 +91,14 @@ func (s ProbeState) Health(stallAfter time.Duration) (ok bool, detail string) {
 	case s.Failed:
 		return false, "run failed: " + s.Reason
 	case s.Done:
-		return true, fmt.Sprintf("run complete: gvt=%d of %d cycles", s.GVT, s.Cycles)
+		return true, fmt.Sprintf("run complete: min progress %d of %d cycles", s.MinProgress, s.Cycles)
 	}
 	if idle := time.Since(s.LastAdvance); idle > stallAfter {
 		return false, fmt.Sprintf(
-			"stalled: no progress for %v (gvt=%d, min progress %d of %d cycles, max straggler depth %d)",
-			idle.Round(time.Millisecond), s.GVT, s.MinProgress, s.Cycles, s.MaxStragglerDepth)
+			"stalled: no progress for %v (min progress %d of %d cycles)",
+			idle.Round(time.Millisecond), s.MinProgress, s.Cycles)
 	}
-	return true, fmt.Sprintf("advancing: gvt=%d, min progress %d of %d cycles",
-		s.GVT, s.MinProgress, s.Cycles)
+	return true, fmt.Sprintf("advancing: min progress %d of %d cycles", s.MinProgress, s.Cycles)
 }
 
 // attach adopts the probe for a run of the given length.
@@ -117,9 +107,7 @@ func (p *Probe) attach(cycles uint64) {
 		return
 	}
 	p.cycles.Store(cycles)
-	p.gvt.Store(0)
 	p.minProgress.Store(0)
-	p.maxStraggler.Store(0)
 	p.done.Store(false)
 	p.failed.Store(false)
 	p.lastAdvance.Store(time.Now().UnixNano())
@@ -128,13 +116,11 @@ func (p *Probe) attach(cycles uint64) {
 
 // note publishes one watcher poll. active marks observed progress or
 // message traffic since the previous poll.
-func (p *Probe) note(gvt, minProgress, maxStraggler uint64, active bool) {
+func (p *Probe) note(minProgress uint64, active bool) {
 	if p == nil {
 		return
 	}
-	p.gvt.Store(gvt)
 	p.minProgress.Store(minProgress)
-	p.maxStraggler.Store(maxStraggler)
 	if active {
 		p.lastAdvance.Store(time.Now().UnixNano())
 	}

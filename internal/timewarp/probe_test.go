@@ -23,7 +23,7 @@ func TestProbeIdleAndNil(t *testing.T) {
 	}
 	// Unattached updates must be no-ops, not panics.
 	nilProbe.attach(10)
-	nilProbe.note(1, 1, 0, true)
+	nilProbe.note(1, true)
 	nilProbe.finish(nil)
 
 	if ok, _ := NewProbe().State().Health(0); !ok {
@@ -33,7 +33,8 @@ func TestProbeIdleAndNil(t *testing.T) {
 
 // TestProbeHealthyRun polls the probe from a second goroutine while the
 // kernel runs (the race detector checks the read path), then asserts
-// the terminal state: done, not failed, GVT at the full run length.
+// the terminal state: done, not failed, min progress at the full run
+// length.
 func TestProbeHealthyRun(t *testing.T) {
 	c := gen.LFSR(16, nil)
 	ed, err := c.Elaborate()
@@ -80,8 +81,8 @@ func TestProbeHealthyRun(t *testing.T) {
 	if !st.Attached || !st.Done || st.Failed {
 		t.Fatalf("terminal state = %+v, want attached+done, not failed", st)
 	}
-	if st.GVT != cycles {
-		t.Errorf("terminal GVT = %d, want %d", st.GVT, cycles)
+	if st.MinProgress != cycles {
+		t.Errorf("terminal min progress = %d, want %d", st.MinProgress, cycles)
 	}
 	ok, detail := st.Health(0)
 	if !ok || !strings.Contains(detail, "complete") {
@@ -107,7 +108,7 @@ func TestProbeReportsWedgedRun(t *testing.T) {
 		_, err := Run(Config{
 			NL: nl, GateParts: randomParts(nl, 2, 1), K: 2,
 			Vectors: sim.RandomVectors{Seed: 5}, Cycles: 500,
-			Transport:    func(k int, deliver comm.DeliverFunc) comm.Transport { return swallowTransport{} },
+			Transport:    func(int, comm.DeliverFunc, comm.MarkFunc) comm.Transport { return swallowTransport{} },
 			StallTimeout: 250 * time.Millisecond,
 			Probe:        p,
 		})

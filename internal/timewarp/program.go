@@ -57,8 +57,11 @@ type program struct {
 	// senders are the other clusters whose flip-flop outputs an own gate or
 	// a copy reads, ascending — exactly the clusters whose programs list
 	// this one in their dsts. A cluster without senders is never sent an
-	// event; newCluster decides from them how a cluster meets its inputs.
+	// event, and waits for no watermark.
 	senders []int32
+	// receivers are the clusters listed in dsts, ascending: those this one
+	// sends events to.
+	receivers []int32
 }
 
 // latchGate is one own flip-flop.
@@ -191,6 +194,12 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 		p.dstOff[n+1] = uint32(len(p.dsts))
 	}
+	for _, d := range p.dsts {
+		if !slices.Contains(p.receivers, d) {
+			p.receivers = append(p.receivers, d)
+		}
+	}
+	slices.Sort(p.receivers)
 
 	// Both gate tables are allocated at their final size: one pass counts
 	// the gates this cluster evaluates and finds its senders, the next

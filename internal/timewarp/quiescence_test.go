@@ -17,14 +17,12 @@ type qStep struct {
 	partial bool
 
 	frozen    bool
-	gvt       uint64
-	advanced  bool
 	terminate bool
 	abort     string // substring of the diagnosis; "" = no abort
 }
 
-// TestQuiescenceDecisions pins the freeze → GVT → termination → abort
-// rules on hand-written sample sequences: the decision-only half of what
+// TestQuiescenceDecisions pins the freeze → termination → abort rules on
+// hand-written sample sequences: the decision-only half of what
 // the watcher, probe and distributed tests used to check through a whole
 // run.
 func TestQuiescenceDecisions(t *testing.T) {
@@ -34,45 +32,33 @@ func TestQuiescenceDecisions(t *testing.T) {
 		name           string
 		stall, hardCap time.Duration
 		steps          []qStep
-		wantViolated   string
 	}{
 		{
-			name: "gvt advances only on a frozen pair",
+			name: "frozen only on an identical, fully absorbed pair",
 			steps: []qStep{
 				{sent: 3, absorbed: 3, progress: []uint64{5, 7}},
-				{sent: 3, absorbed: 3, progress: []uint64{5, 7}, frozen: true, gvt: 5, advanced: true},
-				// A cluster moved: not frozen, GVT holds.
-				{sent: 3, absorbed: 3, progress: []uint64{6, 7}, gvt: 5},
+				{sent: 3, absorbed: 3, progress: []uint64{5, 7}, frozen: true},
+				// A cluster moved: not frozen.
+				{sent: 3, absorbed: 3, progress: []uint64{6, 7}},
 				// Identical, but a message is unabsorbed: not frozen.
-				{sent: 4, absorbed: 3, progress: []uint64{6, 7}, gvt: 5},
-				{sent: 4, absorbed: 3, progress: []uint64{6, 7}, gvt: 5},
+				{sent: 4, absorbed: 3, progress: []uint64{6, 7}},
+				{sent: 4, absorbed: 3, progress: []uint64{6, 7}},
 				// Absorbed now, but that is a change against the last sample.
-				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, gvt: 5},
-				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true, gvt: 6, advanced: true},
-				// Frozen again at the same minimum: nothing to advance.
-				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true, gvt: 6},
+				{sent: 4, absorbed: 4, progress: []uint64{6, 7}},
+				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true},
+				{sent: 4, absorbed: 4, progress: []uint64{6, 7}, frozen: true},
 			},
-		},
-		{
-			name: "gvt never regresses and the regression is reported",
-			steps: []qStep{
-				{progress: []uint64{5, 7}},
-				{progress: []uint64{5, 7}, frozen: true, gvt: 5, advanced: true},
-				{progress: []uint64{3, 7}, gvt: 5},
-				{progress: []uint64{3, 7}, frozen: true, gvt: 5},
-			},
-			wantViolated: "GVT regression: quiescent minimum 3 below established GVT 5",
 		},
 		{
 			name: "termination needs two all-done frozen samples in a row",
 			steps: []qStep{
 				{sent: 9, absorbed: 9, progress: []uint64{cycles, cycles}},
-				{sent: 9, absorbed: 9, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles, advanced: true},
-				// A straggler rolls one cluster back: the streak restarts.
-				{sent: 10, absorbed: 10, progress: []uint64{cycles, 8}, gvt: cycles},
-				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, gvt: cycles},
-				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles},
-				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles, terminate: true},
+				{sent: 9, absorbed: 9, progress: []uint64{cycles, cycles}, frozen: true},
+				// A message moves: the streak restarts.
+				{sent: 10, absorbed: 9, progress: []uint64{cycles, cycles}},
+				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}},
+				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true},
+				{sent: 10, absorbed: 10, progress: []uint64{cycles, cycles}, frozen: true, terminate: true},
 			},
 		},
 		{
@@ -83,7 +69,7 @@ func TestQuiescenceDecisions(t *testing.T) {
 				// The first complete sample differs from the partial one.
 				{progress: []uint64{4, 0}},
 				{progress: []uint64{4, 2}},
-				{progress: []uint64{4, 2}, frozen: true, gvt: 2, advanced: true},
+				{progress: []uint64{4, 2}, frozen: true},
 			},
 		},
 		{
@@ -104,7 +90,7 @@ func TestQuiescenceDecisions(t *testing.T) {
 			stall: 250 * ms,
 			steps: []qStep{
 				{at: 0, sent: 5, absorbed: 5, progress: []uint64{cycles, cycles}},
-				{at: 900 * ms, sent: 5, absorbed: 5, progress: []uint64{cycles, cycles}, frozen: true, gvt: cycles, advanced: true},
+				{at: 900 * ms, sent: 5, absorbed: 5, progress: []uint64{cycles, cycles}, frozen: true},
 			},
 		},
 		{
@@ -135,55 +121,43 @@ func TestQuiescenceDecisions(t *testing.T) {
 					sent: st.sent, absorbed: st.absorbed, progress: st.progress,
 					complete: !st.partial, now: t0.Add(st.at),
 				})
-				if v.frozen != st.frozen || v.gvt != st.gvt || v.advanced != st.advanced || v.terminate != st.terminate {
-					t.Fatalf("step %d: got frozen=%v gvt=%d advanced=%v terminate=%v, want frozen=%v gvt=%d advanced=%v terminate=%v",
-						i, v.frozen, v.gvt, v.advanced, v.terminate, st.frozen, st.gvt, st.advanced, st.terminate)
+				if v.frozen != st.frozen || v.terminate != st.terminate {
+					t.Fatalf("step %d: got frozen=%v terminate=%v, want frozen=%v terminate=%v",
+						i, v.frozen, v.terminate, st.frozen, st.terminate)
 				}
 				if (st.abort == "") != (v.abort == "") || !strings.Contains(v.abort, st.abort) {
 					t.Fatalf("step %d: abort %q, want one containing %q", i, v.abort, st.abort)
 				}
 			}
-			switch {
-			case tc.wantViolated == "" && len(q.violations) != 0:
-				t.Fatalf("unexpected invariant violations: %v", q.violations)
-			case tc.wantViolated != "" && (len(q.violations) != 1 || q.violations[0] != tc.wantViolated):
-				t.Fatalf("violations %v, want [%s]", q.violations, tc.wantViolated)
-			}
 		})
 	}
 }
 
-// twModel is a ground-truth Time Warp schedule for the tracker fuzzer:
-// clusters with a local virtual time, spread over processes with their
-// own message counters, exchanging timestamped messages that roll the
-// receiver back. It obeys exactly the kernel's contract with the tracker
-// and nothing else: a message is stamped at or above its sender's LVT,
-// sent is counted at send time and a rollback lowers progress before the
-// message counts as absorbed. A cross-process frame is such a message on
-// its way, with no count of its own. Every counter read of a sample is its
-// own step, so the schedule interleaves them with the run at will — the
-// non-atomic reads of Run's watcher and the skewed worker reports of the
-// coordinator are the same thing here.
+// twModel is a ground-truth schedule for the tracker fuzzer: clusters with
+// a published cycle, spread over processes with their own message
+// counters, exchanging messages. It obeys exactly the kernel's contract
+// with the tracker and nothing else: sent is counted at send time, and a
+// message counts as absorbed only some time after its receiver took it. A
+// cross-process frame is such a message on its way, with no count of its
+// own. Every counter read of a sample is its own step, so the schedule
+// interleaves them with the run at will — the non-atomic reads of Run's
+// watcher and the skewed worker reports of the coordinator are the same
+// thing here.
 type twModel struct {
 	cycles uint64
 	proc   []int    // cluster → process
-	lvt    []uint64 // also the published progress
-	inbox  [][]uint64
-	owed   []uint64 // absorbed (rollback applied), not yet counted
-	wire   []modelFrame
+	cycle  []uint64 // the published progress
+	inbox  []int    // messages delivered, not yet taken
+	owed   []uint64 // taken, not yet counted absorbed
+	wire   []int    // destination of each frame on its way
 
 	sent, absorbed []uint64 // per process
 }
 
-type modelFrame struct {
-	dst int
-	ts  uint64
-}
-
 func newTWModel(k, procs int, cycles uint64) *twModel {
 	m := &twModel{
-		cycles: cycles, proc: make([]int, k), lvt: make([]uint64, k),
-		inbox: make([][]uint64, k), owed: make([]uint64, k),
+		cycles: cycles, proc: make([]int, k), cycle: make([]uint64, k),
+		inbox: make([]int, k), owed: make([]uint64, k),
 		sent: make([]uint64, procs), absorbed: make([]uint64, procs),
 	}
 	for c := range m.proc {
@@ -192,42 +166,35 @@ func newTWModel(k, procs int, cycles uint64) *twModel {
 	return m
 }
 
-// advance executes one cycle of cluster c, optionally sending a message
-// stamped ahead cycles past its LVT to cluster dst.
-func (m *twModel) advance(c, dst int, send bool, ahead uint64) {
-	if m.lvt[c] >= m.cycles {
+// advance executes one cycle of cluster c, optionally sending a message to
+// cluster dst.
+func (m *twModel) advance(c, dst int, send bool) {
+	if m.cycle[c] >= m.cycles {
 		return
 	}
 	if send && dst != c {
 		p := m.proc[c]
 		m.sent[p]++
-		ts := m.lvt[c] + ahead
 		if m.proc[dst] == p {
-			m.inbox[dst] = append(m.inbox[dst], ts)
+			m.inbox[dst]++
 		} else {
-			m.wire = append(m.wire, modelFrame{dst: dst, ts: ts})
+			m.wire = append(m.wire, dst)
 		}
 	}
-	m.lvt[c]++
+	m.cycle[c]++
 }
 
 // arrive lands wire frame i in its destination process.
 func (m *twModel) arrive(i int) {
-	f := m.wire[i]
+	m.inbox[m.wire[i]]++
 	m.wire = append(m.wire[:i], m.wire[i+1:]...)
-	m.inbox[f.dst] = append(m.inbox[f.dst], f.ts)
 }
 
-// absorb makes cluster c take its inbox, rolling back to the earliest
-// straggler; the messages count as absorbed only at the next credit.
+// absorb makes cluster c take its inbox; the messages count as absorbed
+// only at the next credit.
 func (m *twModel) absorb(c int) {
-	for _, ts := range m.inbox[c] {
-		if ts < m.lvt[c] {
-			m.lvt[c] = ts
-		}
-	}
-	m.owed[c] += uint64(len(m.inbox[c]))
-	m.inbox[c] = m.inbox[c][:0]
+	m.owed[c] += uint64(m.inbox[c])
+	m.inbox[c] = 0
 }
 
 func (m *twModel) credit(c int) {
@@ -235,26 +202,9 @@ func (m *twModel) credit(c int) {
 	m.owed[c] = 0
 }
 
-// trueMin is the real GVT: no cluster and no undelivered message is below it.
-func (m *twModel) trueMin() uint64 {
-	lo := m.lvt[0]
-	for _, v := range m.lvt {
-		lo = min(lo, v)
-	}
-	for _, f := range m.wire {
-		lo = min(lo, f.ts)
-	}
-	for _, box := range m.inbox {
-		for _, ts := range box {
-			lo = min(lo, ts)
-		}
-	}
-	return lo
-}
-
 func (m *twModel) idle() bool {
-	for c := range m.lvt {
-		if m.lvt[c] < m.cycles || len(m.inbox[c]) != 0 || m.owed[c] != 0 {
+	for c := range m.cycle {
+		if m.cycle[c] < m.cycles || m.inbox[c] != 0 || m.owed[c] != 0 {
 			return false
 		}
 	}
@@ -263,11 +213,10 @@ func (m *twModel) idle() bool {
 
 // driveQuiescence runs one schedule: each byte is either a step of the
 // model or the next counter read of the sample in progress. It fails the
-// test the moment the tracker's GVT regresses, overtakes the true minimum,
-// reports an invariant violation or abort on this correct run, or
-// terminates a run that is not over. It returns how often GVT advanced
-// and whether the run terminated.
-func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) {
+// test the moment the tracker aborts this correct run or terminates a run
+// that is not over. It returns how many samples were frozen and whether
+// the run terminated.
+func driveQuiescence(t *testing.T, data []byte) (freezes int, terminated bool) {
 	if len(data) < 3 {
 		return 0, false
 	}
@@ -282,7 +231,6 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 	var (
 		s        = sample{progress: make([]uint64, k), complete: true}
 		readStep int
-		lastGVT  uint64
 	)
 	read := func() (done bool) {
 		p := readStep / 2
@@ -293,9 +241,9 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 			s.sent += m.sent[p]
 		} else {
 			s.absorbed += m.absorbed[p]
-			for c := range m.lvt {
+			for c := range m.cycle {
 				if m.proc[c] == p {
-					s.progress[c] = m.lvt[c]
+					s.progress[c] = m.cycle[c]
 				}
 			}
 		}
@@ -307,25 +255,16 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 	// verdict; done reports termination.
 	judge := func() (done bool) {
 		v := q.step(s)
-		truth := m.trueMin()
-		if v.gvt < lastGVT {
-			t.Fatalf("GVT regressed %d → %d", lastGVT, v.gvt)
+		if v.abort != "" {
+			t.Fatalf("correct schedule aborted: %q", v.abort)
 		}
-		if v.gvt > truth {
-			t.Fatalf("GVT %d overtook the true minimum %d (lvt %v, wire %v, inbox %v)",
-				v.gvt, truth, m.lvt, m.wire, m.inbox)
+		if v.terminate && !m.idle() {
+			t.Fatalf("terminated a live run: cycles %v of %d, wire %v, inbox %v, owed %v",
+				m.cycle, cycles, m.wire, m.inbox, m.owed)
 		}
-		if len(q.violations) != 0 || v.abort != "" {
-			t.Fatalf("correct schedule flagged: violations %v, abort %q", q.violations, v.abort)
+		if v.frozen {
+			freezes++
 		}
-		if v.terminate && (!m.idle() || v.gvt != cycles) {
-			t.Fatalf("terminated a live run: gvt %d of %d, lvt %v, wire %v, inbox %v, owed %v",
-				v.gvt, cycles, m.lvt, m.wire, m.inbox, m.owed)
-		}
-		if v.advanced {
-			advances++
-		}
-		lastGVT = v.gvt
 		return v.terminate
 	}
 	finish := func() bool {
@@ -338,7 +277,7 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 		op, arg := int(b&7), int(b>>3)
 		switch op {
 		case 0, 1:
-			m.advance(arg%k, (arg/k)%k, op == 1, uint64(arg>>3))
+			m.advance(arg%k, (arg/k)%k, op == 1)
 		case 2:
 			if len(m.wire) > 0 {
 				m.arrive(arg % len(m.wire))
@@ -352,19 +291,19 @@ func driveQuiescence(t *testing.T, data []byte) (advances int, terminated bool) 
 			m.credit(arg % k)
 		case 5: // one counter read
 			if read() && judge() {
-				return advances, true
+				return freezes, true
 			}
 		case 6: // the rest of this sample, uninterrupted
 			if finish() {
-				return advances, true
+				return freezes, true
 			}
 		case 7: // ... and a whole second one: frozen if the run is quiet
 			if finish() || finish() {
-				return advances, true
+				return freezes, true
 			}
 		}
 	}
-	return advances, false
+	return freezes, false
 }
 
 // FuzzQuiescence searches for a schedule on which the tracker is unsafe.
@@ -382,21 +321,21 @@ func FuzzQuiescence(f *testing.F) {
 
 // TestQuiescenceSchedules drives the fuzz body over seeded random
 // schedules on every plain `go test`, and requires that they exercise
-// what the body checks: GVT advances and terminations.
+// what the body checks: frozen samples and terminations.
 func TestQuiescenceSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var advances, terminations int
+	var freezes, terminations int
 	for i := 0; i < 400; i++ {
 		b := make([]byte, 3+rng.Intn(3000))
 		rng.Read(b)
-		a, done := driveQuiescence(t, b)
-		advances += a
+		f, done := driveQuiescence(t, b)
+		freezes += f
 		if done {
 			terminations++
 		}
 	}
-	t.Logf("400 schedules: %d GVT advances, %d terminations", advances, terminations)
-	if advances < 400 || terminations < 40 {
-		t.Errorf("schedules too tame: %d GVT advances, %d terminations", advances, terminations)
+	t.Logf("400 schedules: %d frozen samples, %d terminations", freezes, terminations)
+	if freezes < 400 || terminations < 40 {
+		t.Errorf("schedules too tame: %d frozen samples, %d terminations", freezes, terminations)
 	}
 }

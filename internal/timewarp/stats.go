@@ -9,36 +9,20 @@ import "sync/atomic"
 // monotone counters (each field individually exact; the set is
 // slightly skewed in time, which is what a sampling profiler expects).
 type atomicStats struct {
-	messages          atomic.Uint64
-	antiMessages      atomic.Uint64
-	rollbacks         atomic.Uint64
-	events            atomic.Uint64
-	rolledBackEvents  atomic.Uint64
-	checkpoints       atomic.Uint64
-	maxStragglerDepth atomic.Uint64 // single-writer max; see noteMax
-	queueLen          atomic.Int64  // pending remote events (gauge)
+	messages atomic.Uint64
+	events   atomic.Uint64
+	queueLen atomic.Int64 // pending remote events (gauge)
 
 	// batches counts comm.Messages actually sent, batchedEvents the events
 	// they carried (ratio = mean batch size).
 	batches       atomic.Uint64
 	batchedEvents atomic.Uint64
-}
-
-// noteMax raises maxStragglerDepth to d if larger. The cluster goroutine
-// is the only writer, so load-compare-store is race-free for writers and
-// readers see a monotone value.
-func (s *atomicStats) noteMax(d uint64) {
-	if d > s.maxStragglerDepth.Load() {
-		s.maxStragglerDepth.Store(d)
-	}
+	linkWaits     atomic.Uint64
 }
 
 // fields lists the counters of s in Stats.fields order.
-func (s *atomicStats) fields() [9]*atomic.Uint64 {
-	return [9]*atomic.Uint64{
-		&s.messages, &s.antiMessages, &s.rollbacks, &s.events, &s.rolledBackEvents,
-		&s.checkpoints, &s.maxStragglerDepth, &s.batches, &s.batchedEvents,
-	}
+func (s *atomicStats) fields() [5]*atomic.Uint64 {
+	return [5]*atomic.Uint64{&s.messages, &s.events, &s.batches, &s.batchedEvents, &s.linkWaits}
 }
 
 // Snapshot reads a point-in-time copy of the counters. Safe mid-run from
@@ -54,36 +38,27 @@ func (s *atomicStats) Snapshot() Stats {
 
 // fields lists every counter of s in wire order — the one enumeration
 // the accumulator, the wire codec and the tw_* series share.
-func (s *Stats) fields() [9]*uint64 {
-	return [9]*uint64{
-		&s.Messages, &s.AntiMessages, &s.Rollbacks, &s.Events, &s.RolledBackEvents,
-		&s.Checkpoints, &s.MaxStragglerDepth, &s.Batches, &s.BatchedEvents,
-	}
+func (s *Stats) fields() [5]*uint64 {
+	return [5]*uint64{&s.Messages, &s.Events, &s.Batches, &s.BatchedEvents, &s.LinkWaits}
 }
 
 // statSeries names the per-cluster metric family of each Stats counter,
 // row i for fields()[i]. A host samples its clusters' atomics under these
 // names, and a coordinator the last Stats each worker reported, so a
 // distributed run's scrape shows the series an in-process run does.
-var statSeries = [9]struct{ name, help string }{
-	{"tw_messages", "positive inter-cluster events sent"},
-	{"tw_anti_messages", "cancellations sent"},
-	{"tw_rollbacks", "rollback occurrences"},
-	{"tw_events", "gate evaluations executed (incl. re-execution)"},
-	{"tw_rolled_back_events", "evaluations undone by rollbacks"},
-	{"tw_checkpoints", "rollback records written, one per executed cycle"},
-	{"tw_max_straggler_depth", "deepest single rollback in cycles"},
+var statSeries = [5]struct{ name, help string }{
+	{"tw_messages", "inter-cluster events sent"},
+	{"tw_events", "gate evaluations executed"},
 	{"tw_batches", "inter-cluster comm messages sent (batches)"},
 	{"tw_batch_events", "events carried inside sent batches"},
+	{"tw_link_waits", "cycles that waited on a watermark a link held after its sender published"},
 }
 
-// add accumulates one cluster's statistics into a run total: counters
-// sum, MaxStragglerDepth aggregates by max.
+// add accumulates one cluster's statistics into a run total: every
+// counter sums.
 func (s *Stats) add(o Stats) {
-	depth := max(s.MaxStragglerDepth, o.MaxStragglerDepth)
 	of := o.fields()
 	for i, f := range s.fields() {
 		*f += *of[i]
 	}
-	s.MaxStragglerDepth = depth
 }

@@ -98,8 +98,8 @@ func TestTaxonomy(t *testing.T) {
 	}
 	const k = 4
 
-	// The in-process kernel under chaos delivery, causality on so the
-	// rollback cascades draw their flow arrows.
+	// The in-process kernel under chaos delivery, causality on, so that
+	// links hold watermarks and clusters wait on them.
 	o := obs.New(obs.Options{})
 	if _, err := Run(Config{
 		NL:        ed.Netlist,
@@ -150,9 +150,8 @@ func TestTaxonomy(t *testing.T) {
 	// The two runs must have exercised every layer they can reach, or the
 	// direction above proves little.
 	for _, want := range []taxonomyRow{
-		{"rollback", "span"}, {"gvt_advance", "instant"}, {"gvt", "counter"}, {"cascade", "flow"},
-		{"link_stall", "instant"}, {"gvt_round", "span"}, {"gvt_broadcast", "instant"},
-		{"tw_rollbacks", "metric"}, {"comm_inflight", "metric"}, {"dist_gvt", "metric"},
+		{"blocked(senders)", "span"}, {"link_stall", "instant"}, {"gvt_round", "span"},
+		{"tw_link_waits", "metric"}, {"comm_inflight", "metric"}, {"dist_min_progress", "metric"},
 	} {
 		if !seen[want] {
 			t.Errorf("neither run emitted %s %q", want.kind, want.name)

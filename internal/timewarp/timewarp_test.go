@@ -69,7 +69,7 @@ func TestSingleClusterMatchesSequential(t *testing.T) {
 	}
 	parts := make([]int32, len(ed.Netlist.Gates))
 	st := runBoth(t, ed, parts, 1, 200, 3)
-	if st.Messages != 0 || st.Rollbacks != 0 {
+	if st.Messages != 0 || st.LinkWaits != 0 {
 		t.Errorf("single cluster should not communicate: %+v", st)
 	}
 }
@@ -110,13 +110,12 @@ func TestViterbiPartitionedMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := runBoth(t, ed, res.GateParts, k, 150, 11)
-		t.Logf("k=%d: msgs=%d anti=%d rollbacks=%d events=%d rolledback=%d",
-			k, st.Messages, st.AntiMessages, st.Rollbacks, st.Events, st.RolledBackEvents)
+		t.Logf("k=%d: msgs=%d events=%d", k, st.Messages, st.Events)
 	}
 }
 
 func TestViterbiRandomPartitionStress(t *testing.T) {
-	// Random gate scattering maximizes communication and rollbacks.
+	// Random gate scattering maximizes communication.
 	c := gen.Viterbi(gen.ViterbiConfig{K: 3, W: 4, TB: 8})
 	ed, err := c.Elaborate()
 	if err != nil {
@@ -166,7 +165,7 @@ func TestSoCPartitionedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := runBoth(t, ed, res.GateParts, 2, 120, 31)
-	t.Logf("soc k=2: cut-aligned msgs=%d rollbacks=%d", st.Messages, st.Rollbacks)
+	t.Logf("soc k=2: cut-aligned msgs=%d", st.Messages)
 }
 
 func TestRandomHierCircuitsMatchSequential(t *testing.T) {
@@ -193,14 +192,15 @@ func viterbiDesign(t *testing.T) *elab.Design {
 	return ed
 }
 
-func TestRollbacksOfEveryDepthUnderRandomPartitioning(t *testing.T) {
-	// Random partitioning provokes plenty of rollbacks, one cycle deep and
-	// many, in clusters that run ahead of their senders (a non-nil
-	// transport): the waveform oracle checks what each one restored.
+// TestRandomPartitioningOverATransport runs a random partition, traffic
+// every way, over a transport that is not the direct one: every event and
+// every watermark goes through Transport.Send and Transport.Mark, and the
+// waveform oracle checks what each cycle read.
+func TestRandomPartitioningOverATransport(t *testing.T) {
 	ed := viterbiDesign(t)
 	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 31), 4, 120, 37, func(c *Config) { c.Transport = syncDelivery }).Stats
-	if st.Rollbacks == 0 {
-		t.Error("expected rollbacks under random partitioning")
+	if st.Messages == 0 {
+		t.Error("a random 4-way partition sent no event")
 	}
 }
 
@@ -211,18 +211,4 @@ func TestBatchingCoalesces(t *testing.T) {
 		t.Errorf("batching never coalesced: %d batches for %d events", st.Batches, st.BatchedEvents)
 	}
 	t.Logf("mean batch size %.2f (%d/%d)", float64(st.BatchedEvents)/float64(st.Batches), st.BatchedEvents, st.Batches)
-}
-
-func TestFossilCollectionRacesDeepRollback(t *testing.T) {
-	// GVT advances and fossil-collects while stragglers force deep
-	// rollbacks near the fossil line, in clusters that run ahead of their
-	// senders (a non-nil transport). Run under -race in CI; the waveform
-	// oracle plus the kernel's fossil-restore invariant check catch any
-	// unsafe trim.
-	ed := viterbiDesign(t)
-	st := runBothCfg(t, ed, randomParts(ed.Netlist, 4, 59), 4, 100, 61, func(c *Config) { c.Transport = syncDelivery }).Stats
-	if st.Rollbacks == 0 {
-		t.Error("expected rollbacks in the fossil/rollback race test")
-	}
-	t.Logf("rollbacks=%d maxDepth=%d records=%d", st.Rollbacks, st.MaxStragglerDepth, st.Checkpoints)
 }

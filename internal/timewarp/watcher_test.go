@@ -10,13 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// swallowTransport loses every message: the sent counter advances (the
-// endpoint increments it before handing the message over) but nothing is
-// ever delivered, so absorbed can never catch up — a genuinely wedged
-// cluster configuration.
+// swallowTransport loses every message and every watermark: the sent
+// counter advances (the endpoint increments it before handing the message
+// over) but nothing is ever delivered, so absorbed can never catch up and
+// receivers wait forever — a genuinely wedged cluster configuration.
 type swallowTransport struct{}
 
 func (swallowTransport) Send(src, dst int, msg comm.Message) {}
+func (swallowTransport) Mark(src int, through uint64)        {}
 func (swallowTransport) Close()                              {}
 
 func TestStallWatcherFiresOnWedgedCluster(t *testing.T) {
@@ -29,7 +30,7 @@ func TestStallWatcherFiresOnWedgedCluster(t *testing.T) {
 	_, err = Run(Config{
 		NL: nl, GateParts: randomParts(nl, 2, 1), K: 2,
 		Vectors: sim.RandomVectors{Seed: 5}, Cycles: 500,
-		Transport:    func(k int, deliver comm.DeliverFunc) comm.Transport { return swallowTransport{} },
+		Transport:    func(int, comm.DeliverFunc, comm.MarkFunc) comm.Transport { return swallowTransport{} },
 		StallTimeout: 250 * time.Millisecond,
 	})
 	if err == nil {
@@ -65,8 +66,9 @@ func TestStallWatcherDisabledByDefaultStillTerminates(t *testing.T) {
 }
 
 func TestChaosTransportStallsDoNotTripGenerousTimeout(t *testing.T) {
-	// Chaos stall schedules hold messages for milliseconds; a seconds-scale
-	// stall timeout must ride them out and the run must stay correct.
+	// Chaos stall schedules hold messages and watermarks for milliseconds;
+	// a seconds-scale stall timeout must ride them out and the run must
+	// stay correct.
 	ed, err := gen.LFSR(16, nil).Elaborate()
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +80,5 @@ func TestChaosTransportStallsDoNotTripGenerousTimeout(t *testing.T) {
 		})
 		c.StallTimeout = 20 * time.Second
 	}).Stats
-	t.Logf("chaos run: msgs=%d anti=%d rollbacks=%d maxStragglerDepth=%d",
-		st.Messages, st.AntiMessages, st.Rollbacks, st.MaxStragglerDepth)
+	t.Logf("chaos run: msgs=%d link waits=%d", st.Messages, st.LinkWaits)
 }

@@ -18,13 +18,11 @@ import (
 //	kind 0   = one event record
 //	kind 1   = count(4) count × event records
 //	event    = T(8) Net(4) flags(1) Src(4) Seq(8)
-//	flags    = bit0 Val, bit1 Anti
+//	flags    = bit0 Val
 //
-// An event's causality lineage (Parent, Origin) stays in its process: no
-// worker records it, so a decoded event carries none. Encoding and
-// decoding are exact inverses on everything else, and the decoder
-// rejects truncated, oversized and garbage input with an error — never a
-// panic, never a partial batch.
+// Encoding and decoding are exact inverses, and the decoder rejects
+// truncated, oversized and garbage input with an error — never a panic,
+// never a partial batch.
 const (
 	wireKindEvent byte = 0
 	wireKindBatch byte = 1
@@ -37,10 +35,7 @@ func appendEvent(dst []byte, e event) []byte {
 	dst = nettrans.AppendU32(dst, uint32(e.Net))
 	var flags byte
 	if e.Val {
-		flags |= 1
-	}
-	if e.Anti {
-		flags |= 2
+		flags = 1
 	}
 	dst = nettrans.AppendU8(dst, flags)
 	dst = nettrans.AppendU32(dst, uint32(e.Src))
@@ -53,11 +48,10 @@ func decodeEvent(d *nettrans.Dec) (event, error) {
 	e.T = d.U64()
 	e.Net = netlist.NetID(int32(d.U32()))
 	flags := d.U8()
-	if flags&^3 != 0 {
+	if flags&^1 != 0 {
 		return event{}, fmt.Errorf("timewarp: event flags byte 0x%02x has unknown bits set", flags)
 	}
 	e.Val = flags&1 != 0
-	e.Anti = flags&2 != 0
 	e.Src = int32(d.U32())
 	e.Seq = d.U64()
 	return e, nil

@@ -10,12 +10,11 @@ import (
 
 func randEvent(rng *rand.Rand) event {
 	return event{
-		T:    rng.Uint64(),
-		Net:  netlist.NetID(rng.Int31()),
-		Val:  rng.Intn(2) == 0,
-		Anti: rng.Intn(2) == 0,
-		Src:  rng.Int31(),
-		Seq:  rng.Uint64(),
+		T:   rng.Uint64(),
+		Net: netlist.NetID(rng.Int31()),
+		Val: rng.Intn(2) == 0,
+		Src: rng.Int31(),
+		Seq: rng.Uint64(),
 	}
 }
 
@@ -81,6 +80,14 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 		t.Fatal("batch with absurd count decoded")
 	}
 
+	// The flag bit that marked an anti-message in protocol version 10 is
+	// an unknown bit now.
+	anti, _ := appendMessage(nil, event{T: 2, Src: 1, Seq: 3})
+	anti[1+8+4] |= 2
+	if _, err := decodeMessage(anti); err == nil {
+		t.Fatal("event with the former anti-message flag decoded")
+	}
+
 	// Unknown kinds and random garbage error cleanly.
 	if _, err := decodeMessage([]byte{0x7F, 1, 2, 3}); err == nil {
 		t.Fatal("unknown kind decoded")
@@ -98,8 +105,11 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 func FuzzWireDecode(f *testing.F) {
 	seed, _ := appendMessage(nil, event{T: 7, Net: 3, Val: true, Src: 1, Seq: 9})
 	f.Add(seed)
-	seed2, _ := appendMessage(nil, batch{{T: 1}, {T: 2, Anti: true}})
+	seed2, _ := appendMessage(nil, batch{{T: 1}, {T: 2, Val: true}})
 	f.Add(seed2)
+	seed3 := append([]byte(nil), seed...)
+	seed3[1+8+4] = 3 // Val and the former anti-message bit
+	f.Add(seed3)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := decodeMessage(data)
