@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
 	$(GO) test ./internal/timewarp ./internal/comm -run 'TestConservative|TestStraggler|TestOneWay|TestChaos|TestAwaitHeard' -count=5
+	$(GO) test ./internal/timewarp ./internal/fuzz -run 'TestMesh|TestDistributedThreeWorkers|TestDistributedFuzzSpecs' -count=5
 	$(GO) test -race ./internal/timewarp ./internal/comm -run 'TestConservative|TestDifferential|TestChaos'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s

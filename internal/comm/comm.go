@@ -174,9 +174,9 @@ func (e *Endpoint) Send(dst int, msg Message) {
 	n.tr.Send(e.id, dst, msg)
 }
 
-// Mark sends e's watermark through to every other endpoint, on each link
-// behind everything e sent on it before. It never blocks and is not
-// counted as a message.
+// Mark sends e's watermark through to the other endpoints, on each link
+// behind everything e sent on it before (see Transport.Mark for which
+// endpoints). It never blocks and is not counted as a message.
 func (e *Endpoint) Mark(through uint64) { e.net.tr.Mark(e.id, through) }
 
 // Heard returns the watermark the src→e link has delivered so far.
@@ -234,12 +234,13 @@ func (e *Endpoint) drain() []Message {
 }
 
 // TryRecvAll drains and returns all queued messages without blocking
-// (nil when empty), after giving a polled transport the chance to deliver
-// what its sockets hold. Drain-after-close is guaranteed: messages queued
+// (nil when empty). It does not poll a polled transport: a link delivers a
+// sender's messages ahead of the watermark behind them, so a receiver that
+// has heard the watermarks it waits for (Heard, AwaitHeard, Poll) already
+// holds what they cover. Drain-after-close is guaranteed: messages queued
 // before (or even after) Close remain receivable — Close only wakes
 // blocked receivers, it never discards the mailbox.
 func (e *Endpoint) TryRecvAll() []Message {
-	e.Poll()
 	if !e.ready.Load() {
 		return nil
 	}

@@ -32,9 +32,11 @@ func LinkDown(err error) bool {
 // caller at a time receives them — either blocking in Recv (the control
 // plane and the handshakes, parked in the runtime's netpoller until a
 // frame arrives) or polling with TryRecv (the worker mesh, read by the
-// goroutines that consume the data; DESIGN §21). The write side flushes
-// per frame so a batch is on the wire when Send returns — latency over
-// syscall count, the right trade for the kernel's cycle-grained batches.
+// goroutines that consume the data; DESIGN §21). Send puts a frame on the
+// wire before it returns; Queue only appends it to the write buffer, so
+// the frames queued since the last flush leave together, in order, in one
+// write(2) with the next Send (the worker mesh: a cycle's data frames
+// behind their watermark, one write per link per cycle).
 type Conn struct {
 	c  net.Conn
 	r  *bufio.Reader
@@ -83,7 +85,8 @@ func NewConn(c net.Conn) *Conn {
 	return conn
 }
 
-// Send writes one frame and flushes it to the socket.
+// Send writes one frame and flushes it, with every frame queued before
+// it, to the socket.
 func (c *Conn) Send(typ byte, payload []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
@@ -91,6 +94,16 @@ func (c *Conn) Send(typ byte, payload []byte) error {
 		return err
 	}
 	return c.w.Flush()
+}
+
+// Queue appends one frame to the write buffer without flushing it: it
+// leaves with the next Send, or earlier when the buffer fills. An error is
+// the buffer's first failed write, which every later Queue and Send
+// returns again.
+func (c *Conn) Queue(typ byte, payload []byte) error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	return WriteFrame(c.w, typ, payload)
 }
 
 // Recv blocks for the next frame. Only one goroutine may call Recv, and

@@ -28,7 +28,9 @@ type Transport interface {
 	Send(src, dst int, msg Message)
 	// Mark carries src's watermark through to every other endpoint, on
 	// each link behind everything src sent on it before, and hands it to
-	// the MarkFunc as it arrives at each.
+	// the MarkFunc as it arrives at each. A transport that knows which
+	// endpoints never read src's watermark may leave them out (the worker
+	// mesh does); every link src sends on is read.
 	Mark(src int, through uint64)
 	// Close flushes all held messages and stops any background delivery.
 	// The network calls it exactly once, after the last Send.
@@ -37,12 +39,13 @@ type Transport interface {
 
 // Poller is the optional receive half of a Transport whose deliveries
 // come from somewhere that must be polled — a wire transport whose sockets
-// nobody reads in the background. Endpoint.TryRecvAll calls Poll before it
-// looks in the mailbox, so the goroutine that consumes a message is the one
-// that fetches it, the way an MPI progress engine is driven from the
-// caller's own loop. Poll must not block, must be safe to call from every
-// receiver at once, and delivers through the transport's DeliverFunc like
-// any other delivery.
+// nobody reads in the background. Endpoint.Poll and AwaitHeard call Poll
+// while a receiver waits for a watermark, and the watermark arrives behind
+// the messages it covers, so the goroutine that consumes a message is the
+// one that fetches it, the way an MPI progress engine is driven from the
+// caller's own loop; TryRecvAll then only drains the mailbox. Poll must not
+// block, must be safe to call from every receiver at once, and delivers
+// through the transport's DeliverFunc like any other delivery.
 type Poller interface {
 	Poll()
 }

@@ -18,8 +18,6 @@ type ChromeEvent struct {
 	Ts    int64              `json:"ts"`
 	Dur   int64              `json:"dur,omitempty"`
 	Scope string             `json:"s,omitempty"`
-	Cat   string             `json:"cat,omitempty"`
-	ID    uint64             `json:"id,omitempty"`
 	Args  map[string]float64 `json:"args,omitempty"`
 }
 

@@ -33,9 +33,7 @@ type DecodedEvent struct {
 	Tid   int
 	Ts    int64
 	Dur   int64
-	// ID is the flow-binding id of "s"/"t" events (0 otherwise).
-	ID   uint64
-	Args map[string]float64
+	Args  map[string]float64
 }
 
 // DecodeChromeTrace parses a trace file written by WriteChromeTrace. It
@@ -60,8 +58,6 @@ func DecodeChromeTrace(r io.Reader) (*DecodedTrace, error) {
 			Tid   int            `json:"tid"`
 			Ts    int64          `json:"ts"`
 			Dur   int64          `json:"dur"`
-			Cat   string         `json:"cat"`
-			ID    uint64         `json:"id"`
 			Args  map[string]any `json:"args"`
 		}
 		if err := json.Unmarshal(raw, &e); err != nil {
@@ -83,10 +79,7 @@ func DecodeChromeTrace(r io.Reader) (*DecodedTrace, error) {
 			}
 			continue
 		}
-		if (e.Phase == "s" || e.Phase == "t") && e.ID == 0 {
-			return nil, fmt.Errorf("obs: trace event %d: flow event missing id", i)
-		}
-		de := DecodedEvent{Name: e.Name, Phase: e.Phase, Pid: e.Pid, Tid: e.Tid, Ts: e.Ts, Dur: e.Dur, ID: e.ID}
+		de := DecodedEvent{Name: e.Name, Phase: e.Phase, Pid: e.Pid, Tid: e.Tid, Ts: e.Ts, Dur: e.Dur}
 		for k, v := range e.Args {
 			f, ok := v.(float64)
 			if !ok {
@@ -109,18 +102,6 @@ func (d *DecodedTrace) CounterSeries(name string) []float64 {
 	for _, e := range d.Events {
 		if e.Phase == "C" && e.Name == name {
 			out = append(out, e.Args["value"])
-		}
-	}
-	return out
-}
-
-// FlowChain returns the flow events ("s"/"t") bound by the given id, in
-// file order — one causal chain as the trace viewer would draw it.
-func (d *DecodedTrace) FlowChain(id uint64) []DecodedEvent {
-	var out []DecodedEvent
-	for _, e := range d.Events {
-		if (e.Phase == "s" || e.Phase == "t") && e.ID == id {
-			out = append(out, e)
 		}
 	}
 	return out

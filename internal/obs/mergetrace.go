@@ -107,12 +107,6 @@ func WriteMergedChromeTrace(w io.Writer, sources []TraceSource) error {
 			if e.Phase == PhaseInstant {
 				ce.Scope = "t" // thread-scoped instant
 			}
-			if e.Phase == PhaseFlowStart || e.Phase == PhaseFlowStep {
-				// Flow events bind on (cat, name, id): every link of one causal
-				// chain shares its id.
-				ce.Cat = "flow"
-				ce.ID = e.ID
-			}
 			for _, a := range e.Args {
 				if a.Key == "" {
 					continue

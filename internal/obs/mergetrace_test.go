@@ -17,9 +17,6 @@ func testEvents() []Event {
 		{Ts: 12, Track: TrackKernel, Phase: PhaseInstant, Name: "gvt"},
 		{Ts: 14, Track: 1, Phase: PhaseCounter, Name: "queue",
 			Args: [maxArgs]Arg{{Key: "value", Val: 7}}},
-		{Ts: 15, Track: 0, Phase: PhaseFlowStart, Name: "cascade", ID: 99,
-			Args: [maxArgs]Arg{{Key: "src", Val: 0}, {Key: "depth", Val: 2}}},
-		{Ts: 16, Track: 1, Phase: PhaseFlowStep, Name: "cascade", ID: 99},
 	}
 }
 
@@ -98,10 +95,6 @@ func TestMergedChromeTrace(t *testing.T) {
 	}
 	if !sawShifted {
 		t.Fatal("worker 0 span missing from merged trace")
-	}
-	// The flow chain survives the merge.
-	if chain := dt.FlowChain(99); len(chain) != 2 {
-		t.Fatalf("flow chain length = %d, want 2", len(chain))
 	}
 	// Coordinator events keep their own clock.
 	spans := dt.SpansNamed("gvt_round")

@@ -123,29 +123,6 @@ func (o *Observer) Count(track int32, name string, val float64) {
 	})
 }
 
-// Flow records one link of a causal chain on track. Events sharing a
-// nonzero id are rendered as connected flow arrows in the Chrome trace
-// viewer, across tracks. The chain head passes first=true
-// ('s'); later links emit 't', which binds to the previous event with the
-// same id.
-func (o *Observer) Flow(track int32, name string, id uint64, first bool, args ...Arg) {
-	if o == nil {
-		return
-	}
-	ph := PhaseFlowStep
-	if first {
-		ph = PhaseFlowStart
-	}
-	o.tr.Push(Event{
-		Ts:    o.sinceStart(),
-		Track: track,
-		Phase: ph,
-		Name:  name,
-		ID:    id,
-		Args:  packArgs(args),
-	})
-}
-
 // since converts an absolute time into microseconds since the run start,
 // clamped at zero.
 func (o *Observer) since(t time.Time) int64 {

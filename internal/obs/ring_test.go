@@ -89,49 +89,6 @@ func TestRingConcurrentWraparound(t *testing.T) {
 	}
 }
 
-// TestFlowEventsRoundTrip pushes a two-hop cascade flow and reads it
-// back through the Chrome trace as one bound chain.
-func TestFlowEventsRoundTrip(t *testing.T) {
-	o := New(Options{})
-	o.Flow(0, "cascade", 7, true, Arg{Key: "depth", Val: 3})
-	o.Flow(1, "cascade", 7, false, Arg{Key: "depth", Val: 1})
-	o.Flow(1, "cascade", 9, true)
-
-	var buf bytes.Buffer
-	if err := o.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"cat":"flow"`) {
-		t.Fatalf("flow events missing cat: %s", buf.String())
-	}
-	d, err := DecodeChromeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := d.FlowChain(7)
-	if len(chain) != 2 {
-		t.Fatalf("FlowChain(7) = %d events, want 2", len(chain))
-	}
-	if chain[0].Phase != "s" || chain[1].Phase != "t" {
-		t.Fatalf("chain phases = %s/%s, want s/t", chain[0].Phase, chain[1].Phase)
-	}
-	if chain[0].Args["depth"] != 3 || chain[1].Args["depth"] != 1 {
-		t.Fatalf("chain args: %+v", chain)
-	}
-	if got := d.FlowChain(9); len(got) != 1 || got[0].Phase != "s" {
-		t.Fatalf("FlowChain(9) = %+v", got)
-	}
-}
-
-// TestDecodeRejectsFlowWithoutID guards the structural validator: a
-// flow event lacking its binding id is an invalid trace.
-func TestDecodeRejectsFlowWithoutID(t *testing.T) {
-	bad := `{"traceEvents":[{"name":"cascade","ph":"s","pid":1,"tid":0,"ts":1}]}`
-	if _, err := DecodeChromeTrace(strings.NewReader(bad)); err == nil {
-		t.Fatal("flow event without id decoded successfully")
-	}
-}
-
 func TestAddReportSection(t *testing.T) {
 	o := New(Options{})
 	o.AddReportSection("causality", func() string { return "blame line 1\nblame line 2" })

@@ -21,11 +21,9 @@ const (
 
 // Event phases (a subset of the Chrome trace-event phases).
 const (
-	PhaseSpan      byte = 'X' // complete span: Ts + Dur
-	PhaseInstant   byte = 'i' // instant event
-	PhaseCounter   byte = 'C' // counter sample
-	PhaseFlowStart byte = 's' // flow start: head of a causal chain
-	PhaseFlowStep  byte = 't' // flow step: continuation of a causal chain
+	PhaseSpan    byte = 'X' // complete span: Ts + Dur
+	PhaseInstant byte = 'i' // instant event
+	PhaseCounter byte = 'C' // counter sample
 )
 
 // maxArgs bounds per-event argument storage; a fixed array keeps Event
@@ -54,8 +52,9 @@ type Event struct {
 	Track int32
 	Phase byte
 	Name  string
-	// ID binds flow events ('s'/'t') into one causal chain; the viewer
-	// draws arrows between events sharing a nonzero ID. Unused otherwise.
+	// ID is written by no producer since the flow events went; the trace
+	// batch still carries it (AppendTraceEvents), so it stays until that
+	// codec's next version.
 	ID   uint64
 	Args [maxArgs]Arg // unused slots have empty keys
 }

@@ -206,6 +206,48 @@ func TestDistributedDifferential(t *testing.T) {
 	}
 }
 
+// TestDistributedThreeWorkers runs the SoC split k=4 over three workers:
+// clusters 0 and 1 on worker 0, 2 on worker 1, 3 on worker 2, and the only
+// traffic is 2→0 and 3→1. A cluster's watermark goes only to the workers
+// that read it (meshTransport.routeMarks), so worker 1 is sent none of
+// cluster 1's, worker 2 none of cluster 0's, and workers 1 and 2 send each
+// other none. The primary outputs and every flip-flop must still be the
+// sequential oracle's, and every data frame written must be read.
+func TestDistributedThreeWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed runs are socket-heavy; skipped in -short")
+	}
+	tc := distWorkloads()[3]
+	ed, err := tc.c.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	state := sim.StateNets(nl)
+	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 17, Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &DistSpec{
+		Source: tc.c.Source, Top: tc.c.Top, GateParts: pr.GateParts,
+		K: 4, Cycles: tc.cycles, VecSeed: 29, Observe: state,
+	}
+	res, runErr, workerErrs := distRun(t, spec, 3, 0)
+	if runErr != nil {
+		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
+	}
+	for w, werr := range workerErrs {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", w, werr)
+		}
+	}
+	if res.WireFramesSent != res.WireFramesRecv {
+		t.Errorf("%d data frames written, %d read", res.WireFramesSent, res.WireFramesRecv)
+	}
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, tc.cycles, 29), tc.name)
+	t.Logf("soc k=4 workers=3: msgs=%d wire frames=%d", res.Stats.Messages, res.WireFramesSent)
+}
+
 // TestDistributedWorkerCrashAborts kills one worker mid-run (all its
 // sockets drop, exactly like a process death) and requires the
 // coordinator to abort the whole run with a diagnosis — through the probe

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/comm/nettrans"
+	"repro/internal/sim"
 )
 
 // rawPair returns both ends of one loopback TCP connection.
@@ -44,42 +46,70 @@ func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
 	return nettrans.NewConn(ra), nettrans.NewConn(rb)
 }
 
-// meshFixture is worker 0 of a two-worker, two-cluster run — cluster 0
-// local, cluster 1 on worker 1 — with no cluster goroutines, no poll loop
-// and no coordinator: the test holds worker 1's end of the mesh socket and
-// the coordinator's end of the control connection.
+// meshFixture is worker 0 of a distributed run — by default two workers
+// and two clusters, cluster 0 local and cluster 1 on worker 1 — with no
+// cluster goroutines, no poll loop and no coordinator: the test holds the
+// peer workers' ends of the mesh sockets and the coordinator's end of the
+// control connection. Every local cluster's watermark goes to every peer.
 type meshFixture struct {
 	w     *distWorker
-	ep    *comm.Endpoint // cluster 0's mailbox
-	peer  *nettrans.Conn // worker 1's end of the mesh link
-	coord *nettrans.Conn // the coordinator's end of the control link
+	ep    *comm.Endpoint   // cluster 0's mailbox
+	peer  *nettrans.Conn   // worker 1's end of the mesh link
+	peers []*nettrans.Conn // worker p's end of the mesh link at p, nil at 0
+	coord *nettrans.Conn   // the coordinator's end of the control link
 }
 
 func newMeshFixture(t *testing.T) *meshFixture {
 	t.Helper()
-	meshLocal, meshPeer := tcpPair(t)
+	return newMeshFixtureOf(t, []int32{0, 1})
+}
+
+// newMeshFixtureOf places cluster c on worker placement[c]; cluster 0 must
+// be on worker 0, the worker under test.
+func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
+	t.Helper()
+	k, numW := len(placement), int(slices.Max(placement))+1
 	ctlLocal, ctlCoord := tcpPair(t)
 	w := &distWorker{
 		id:        0,
-		numW:      2,
-		spec:      &DistSpec{K: 2},
-		placement: []int32{0, 1},
+		numW:      numW,
+		spec:      &DistSpec{K: k},
+		placement: placement,
 		coord:     ctlLocal,
-		peers:     []*nettrans.Conn{nil, meshLocal},
+		peers:     make([]*nettrans.Conn, numW),
 	}
+	f := &meshFixture{w: w, peers: make([]*nettrans.Conn, numW), coord: ctlCoord}
+	for p := 1; p < numW; p++ {
+		w.peers[p], f.peers[p] = tcpPair(t)
+	}
+	f.peer = f.peers[1]
 	w.mesh = newMeshTransport(w)
 	w.h = &host{
-		net:      comm.NewNetworkTransport(2, w.mesh.factory()),
-		progress: make([]atomic.Uint64, 2),
+		net:      comm.NewNetworkTransport(k, w.mesh.factory()),
+		progress: make([]atomic.Uint64, k),
 	}
 	w.mesh.net = w.h.net
-	return &meshFixture{w: w, ep: w.h.net.Endpoint(0), peer: meshPeer, coord: ctlCoord}
+	w.mesh.markTo = make([][]int, k)
+	for c, owner := range placement {
+		if owner != 0 {
+			continue
+		}
+		for p := 1; p < numW; p++ {
+			w.mesh.markTo[c] = append(w.mesh.markTo[c], p)
+		}
+	}
+	f.ep = w.h.net.Endpoint(0)
+	return f
+}
+
+// eventFrame is the payload of a data frame 1→0 carrying event seq.
+func eventFrame(seq uint64) ([]byte, error) {
+	return appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), event{T: seq, Src: 1, Seq: seq})
 }
 
 // writeEvent writes one data frame 1→0 on worker 1's end of the link.
 func (f *meshFixture) writeEvent(seq uint64) error {
-	buf := nettrans.AppendDataFrame(nil, 1, 0, nil)
-	buf, err := appendMessage(buf, event{T: seq, Src: 1, Seq: seq})
+	buf, err := eventFrame(seq)
 	if err != nil {
 		return err
 	}
@@ -97,9 +127,12 @@ func (f *meshFixture) sendEvent(t *testing.T, seq uint64) {
 // exists for (DESIGN §21). One P, and a goroutine that keeps it busy the
 // way a cluster does — it never blocks, it only yields. A reader goroutine
 // parked in the netpoller would wait for the scheduler to find both run
-// queues empty, which here is never; the frame would sit in the socket.
-// With the receiver draining the socket itself, the frame is in the mailbox
-// after the first TryRecvAll that follows the write: no sleep, no reader.
+// queues empty, which here is never; the frames would sit in the socket.
+// The peer writes a cycle the way a sender does: a data frame, then the
+// watermark behind it, in one write. The first Endpoint.Poll after the
+// write delivers both, the data frame first — the watermark is heard with
+// the event already in the mailbox — and TryRecvAll, which polls nothing,
+// then drains the event: no sleep, no reader.
 func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := newMeshFixture(t)
@@ -117,10 +150,26 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer stop.Store(true)
 
 	for seq := uint64(1); seq <= 200; seq++ {
-		f.sendEvent(t, seq)
+		buf, err := eventFrame(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.peer.Queue(nettrans.FrameData, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.peer.Send(nettrans.FrameProgress, appendMark(nil, 1, seq)); err != nil {
+			t.Fatal(err)
+		}
+		if msgs := f.ep.TryRecvAll(); msgs != nil {
+			t.Fatalf("frame %d: TryRecvAll polled the socket: %d messages before any poll", seq, len(msgs))
+		}
+		f.ep.Poll()
+		if got := f.ep.Heard(1); got != seq {
+			t.Fatalf("frame %d: watermark %d heard after the first poll, want %d", seq, got, seq)
+		}
 		msgs := f.ep.TryRecvAll()
 		if len(msgs) != 1 {
-			t.Fatalf("frame %d: %d messages in the mailbox after the first TryRecvAll, want 1", seq, len(msgs))
+			t.Fatalf("frame %d: %d messages in the mailbox with its watermark heard, want 1", seq, len(msgs))
 		}
 		if e, ok := msgs[0].(event); !ok || e.Seq != seq {
 			t.Fatalf("frame %d: delivered %#v", seq, msgs[0])
@@ -136,7 +185,7 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 
 // hookedConn runs written after each Write has returned from the socket and
 // before the writer hears of it: the place where a sender can lose the
-// processor with its frame already on the wire.
+// processor with its frames already on the wire.
 type hookedConn struct {
 	net.Conn
 	written func()
@@ -148,30 +197,48 @@ func (c hookedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// hookPeer replaces worker 0's end of the link to worker p by a fresh
+// socket whose every Write runs written, and returns worker p's end of it.
+func (f *meshFixture) hookPeer(t *testing.T, p int, written func()) (local net.Conn, peer *nettrans.Conn) {
+	t.Helper()
+	local, remote := rawPair(t)
+	f.w.peers[p] = nettrans.NewConn(hookedConn{local, written})
+	return local, nettrans.NewConn(remote)
+}
+
 // TestMeshSendTalliesBeforeTheWrite: a data frame's message counts as sent
-// before its bytes reach the socket. The peer can read, deliver and absorb
-// a frame the moment the write returns; were the send counted only after
-// that, the absorbed message could balance another still in flight, and two
-// rounds falling in the gap would freeze a run with a message on its
-// way. Since every frame carries one message counted this way, the freeze
-// rule needs no wire count of its own (DESIGN §19).
+// before its bytes reach the socket. The sender queues the frame and the
+// watermark flushes it; the peer can read, deliver and absorb the frame the
+// moment that one write returns. Were the send counted only after it, the
+// absorbed message could balance another still in flight, and two rounds
+// falling in the gap would freeze a run with a message on its way. Since
+// every frame carries one message counted this way, the freeze rule needs
+// no wire count of its own (DESIGN §19).
 func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 	f := newMeshFixture(t)
-	local, remote := rawPair(t)
-	peer := nettrans.NewConn(remote)
 	var sentAtWrite uint64
+	var writes int
 	var recvErr error
+	var peer *nettrans.Conn
 	written := func() {
-		_, _, recvErr = peer.Recv() // the frame has arrived at worker 1
+		writes++
+		_, _, recvErr = peer.Recv() // the data frame has arrived at worker 1
 		sentAtWrite = f.w.h.net.TotalSent()
 	}
-	f.w.peers[1] = nettrans.NewConn(hookedConn{local, func() { written() }})
+	local, peer := f.hookPeer(t, 1, func() { written() })
 	f.ep.Send(1, event{T: 1, Src: 0, Seq: 1})
+	if writes != 0 {
+		t.Fatalf("Send wrote to the socket %d times before the watermark", writes)
+	}
+	f.ep.Mark(1)
 	if recvErr != nil {
 		t.Fatal(recvErr)
 	}
-	if sentAtWrite != 1 {
-		t.Fatalf("%d messages counted sent with the frame at the peer, want 1", sentAtWrite)
+	if writes != 1 || sentAtWrite != 1 {
+		t.Fatalf("%d writes, %d messages counted sent with the frame at the peer; want 1 and 1", writes, sentAtWrite)
+	}
+	if typ, _, err := peer.Recv(); err != nil || typ != nettrans.FrameProgress {
+		t.Fatalf("frame 0x%02x (%v) behind the data frame, want the watermark", typ, err)
 	}
 	if got := f.w.h.net.TotalSent(); got != 1 {
 		t.Errorf("the message was counted again after the write: %d sent", got)
@@ -187,8 +254,94 @@ func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 	local.Close()
 	written = func() {}
 	f.ep.Send(1, event{T: 2, Src: 0, Seq: 2})
+	f.ep.Mark(2)
 	if got := f.w.mesh.framesSent.Load(); got != 1 {
 		t.Errorf("%d frames counted written after a failed write, want 1", got)
+	}
+}
+
+// TestMeshCycleIsOneWrite: a cycle costs one write(2) per peer worker. One
+// cluster sends a batch to each of two clusters on the same peer, then
+// marks its watermark; the link sees exactly one Write, and the peer reads
+// both data frames, in send order, before the watermark.
+func TestMeshCycleIsOneWrite(t *testing.T) {
+	f := newMeshFixtureOf(t, []int32{0, 1, 1})
+	writes := 0
+	_, peer := f.hookPeer(t, 1, func() { writes++ })
+	f.ep.Send(1, batch{{T: 1, Src: 0, Seq: 1}, {T: 1, Src: 0, Seq: 2}})
+	f.ep.Send(2, batch{{T: 1, Src: 0, Seq: 3}})
+	f.ep.Mark(1)
+	if writes != 1 {
+		t.Fatalf("%d writes for one cycle to one peer, want 1", writes)
+	}
+	for _, dst := range []int{1, 2} {
+		typ, payload, err := peer.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != nettrans.FrameData {
+			t.Fatalf("frame type 0x%02x where the data frame for cluster %d belongs", typ, dst)
+		}
+		df, err := nettrans.DecodeDataFrame(payload, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if df.Src != 0 || df.Dst != dst {
+			t.Fatalf("data frame %d→%d, want 0→%d", df.Src, df.Dst, dst)
+		}
+	}
+	typ, payload, err := peer.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, through, err := decodeMark(payload, 3); typ != nettrans.FrameProgress || err != nil || src != 0 || through != 1 {
+		t.Fatalf("frame 0x%02x (%d, %d, %v) behind the data, want cluster 0's watermark 1", typ, src, through, err)
+	}
+	if got := f.w.mesh.framesSent.Load(); got != 2 {
+		t.Errorf("%d frames counted written, want 2", got)
+	}
+}
+
+// TestMeshMarksOnlyWhereRead: three workers, and the one-way pair's cluster
+// 0 on worker 0 sends only to cluster 1 on worker 1; cluster 2, on worker
+// 2, is empty. Only cluster 1 reads cluster 0's watermark, so worker 2 is
+// sent none: a cycle of cluster 0 puts its event and its watermark on the
+// link to worker 1, and nothing on the link to worker 2 — the first frame
+// worker 2 reads is one the test sends it afterwards.
+func TestMeshMarksOnlyWhereRead(t *testing.T) {
+	nl, parts := togglePair(t)
+	f := newMeshFixtureOf(t, []int32{0, 1, 2})
+	h, err := newHost(Config{
+		NL: nl, GateParts: parts, K: 3,
+		Vectors: sim.RandomVectors{Seed: 1}, Cycles: 4,
+		Transport: f.w.mesh.factory(),
+	}, "dist", func(c int) bool { return c == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.w.h, f.w.mesh.net = h, h.net
+	f.w.mesh.routeMarks(h)
+	if got := f.w.mesh.markTo[0]; !slices.Equal(got, []int{1}) {
+		t.Fatalf("cluster 0's watermark goes to workers %v, want [1]", got)
+	}
+
+	if err := h.clusters[0].processCycle(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []byte{nettrans.FrameData, nettrans.FrameProgress} {
+		if typ, _, err := f.peers[1].Recv(); err != nil || typ != want {
+			t.Fatalf("worker 1 read frame 0x%02x (%v), want 0x%02x", typ, err, want)
+		}
+	}
+	if err := f.w.peers[2].Send(nettrans.FrameProgress, appendMark(nil, 0, 99)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := f.peers[2].Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, through, _ := decodeMark(payload, 3); typ != nettrans.FrameProgress || through != 99 {
+		t.Fatalf("worker 2 read frame 0x%02x through %d first: cluster 0's watermark reached a worker that reads none", typ, through)
 	}
 }
 

@@ -3,6 +3,7 @@ package timewarp
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,6 +158,7 @@ func (w *distWorker) run(peerAddrs []string) error {
 		return err
 	}
 	w.mesh.net = w.h.net
+	w.mesh.routeMarks(w.h)
 	w.smp.progress = make([]uint64, w.spec.K)
 
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
@@ -305,10 +307,10 @@ func (w *distWorker) report(round uint64) distReport {
 	return r
 }
 
-// pollLoop pumps the mesh sockets on a tick. Clusters poll them whenever
-// they look in their mailboxes or for a watermark, but one asleep in
-// AwaitHeard, or in RecvWait at the end of its trace, looks nowhere, and
-// what it waits for must still arrive.
+// pollLoop pumps the mesh sockets on a tick. Clusters poll them only while
+// they wait for a watermark; one asleep in AwaitHeard, or in RecvWait at
+// the end of its trace, polls nothing, and what it waits for must still
+// arrive.
 func (w *distWorker) pollLoop() {
 	tick := time.NewTicker(300 * time.Microsecond)
 	defer tick.Stop()
@@ -450,22 +452,48 @@ type meshTransport struct {
 	deliver comm.DeliverFunc
 	mark    comm.MarkFunc
 
+	// markTo[c] lists the peer workers that read local cluster c's
+	// watermark (routeMarks); set with net.
+	markTo [][]int
+
 	// pollMu admits one poller at a time; the rest find it taken and go on
 	// with what is already in their mailboxes. down marks links that ended
 	// (peer finished, died, or sent garbage) and are polled no more.
 	pollMu sync.Mutex
 	down   []bool
 
+	// encMu serializes encoding into encBuf and the queue counts: queued[p]
+	// data frames wait in peer p's write buffer for the next flush.
 	encMu  sync.Mutex
 	encBuf []byte
+	queued []uint64
 
 	// framesSent and framesRecv count the data frames written to and read
-	// from the mesh: the worker's share of Result.WireFrames*.
+	// from the mesh: the worker's share of Result.WireFrames*. A frame
+	// counts as written when the flush that carries it succeeds.
 	framesSent, framesRecv atomic.Uint64
 }
 
 func newMeshTransport(w *distWorker) *meshTransport {
-	return &meshTransport{w: w, down: make([]bool, w.numW)}
+	return &meshTransport{w: w, down: make([]bool, w.numW), queued: make([]uint64, w.numW)}
+}
+
+// routeMarks lists, for each cluster h runs, the peer workers that read its
+// watermark: those hosting one of its senders, whose holdBack waits for it,
+// or one of its receivers, whose awaitSenders does. No other cluster reads
+// a watermark, so Mark sends a peer outside the list none.
+func (t *meshTransport) routeMarks(h *host) {
+	t.markTo = make([][]int, len(t.w.placement))
+	for _, cl := range h.clusters {
+		var to []int
+		for _, c := range slices.Concat(cl.prog.senders, cl.prog.receivers) {
+			if p := int(t.w.placement[c]); p != t.w.id && !slices.Contains(to, p) {
+				to = append(to, p)
+			}
+		}
+		slices.Sort(to)
+		t.markTo[cl.id] = to
+	}
 }
 
 // factory adapts the transport to comm.TransportFactory, capturing the
@@ -478,9 +506,10 @@ func (t *meshTransport) factory() comm.TransportFactory {
 }
 
 // Send routes one kernel message: local destinations deliver in-process,
-// remote ones serialize onto the owning worker's mesh stream. Per-link
-// FIFO holds because each cluster goroutine emits its messages in order
-// onto a single TCP stream per destination worker.
+// remote ones are queued as a data frame in the owning worker's mesh
+// write buffer, where they wait for src's next Mark. Per-link FIFO holds
+// because each cluster goroutine emits its messages and then its watermark
+// in order onto a single TCP stream per destination worker.
 func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	owner := int(t.w.placement[dst])
 	if owner == t.w.id {
@@ -491,7 +520,8 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 
 	// The message already counts as sent (Endpoint.Send counted it before
 	// calling here), so until its receiver absorbs it no quiescence sample
-	// can freeze: the frame on the wire needs no count of its own.
+	// can freeze: the frame in the buffer or on the wire needs no count of
+	// its own.
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, nil)
@@ -503,33 +533,36 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 		// type), not a runtime condition.
 		panic(fmt.Sprintf("timewarp: wire-encode %T: %v", msg, err))
 	}
-	sendErr := conn.Send(nettrans.FrameData, buf)
+	if conn.Queue(nettrans.FrameData, buf) == nil {
+		t.queued[owner]++
+	}
 	t.encBuf = buf
 	t.encMu.Unlock()
 
-	// Departed this process — whether the write succeeded or the peer is
-	// already gone (in which case the coordinator is about to abort and
+	// Departed this process — whether the write will succeed or the peer
+	// is already gone (in which case the coordinator is about to abort and
 	// the counters stop mattering), it no longer counts as locally held.
 	t.net.NoteDeparted()
-	if sendErr == nil {
-		t.framesSent.Add(1)
-	}
 }
 
-// Mark hands src's watermark to the local clusters at once and sends it to
-// every peer worker as one watermark frame, behind the data frames src
-// wrote on that peer's stream before: each stream is FIFO, and every
-// cluster of the peer reads it. The frame is encoded in the shared buffer,
-// so a watermark allocates nothing.
+// Mark hands src's watermark to the local clusters at once and sends it as
+// one watermark frame to each peer worker that reads it (routeMarks),
+// behind the data frames src queued on that peer's stream before: the
+// frame flushes them, so a cycle costs one write per link, and each stream
+// is FIFO. The frame is encoded in the shared buffer, so a watermark
+// allocates nothing.
 func (t *meshTransport) Mark(src int, through uint64) {
 	t.markLocal(src, through)
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
 	t.encBuf = appendMark(t.encBuf[:0], int32(src), through)
-	for _, conn := range t.w.peers {
-		if conn != nil {
-			conn.Send(nettrans.FrameProgress, t.encBuf) // error = peer gone; abort arrives via control
+	for _, p := range t.markTo[src] {
+		// An error means the peer is gone, and the abort arrives via
+		// control; the frames the buffer held never reached the wire.
+		if t.w.peers[p].Send(nettrans.FrameProgress, t.encBuf) == nil {
+			t.framesSent.Add(t.queued[p])
 		}
+		t.queued[p] = 0
 	}
 }
 
@@ -544,9 +577,9 @@ func (t *meshTransport) markLocal(src int, through uint64) {
 
 // Poll drains every mesh socket into the local mailboxes and watermarks
 // without blocking — the receive half of the data plane (DESIGN §21).
-// There is no reader goroutine: the clusters call this each time they look
-// for messages or a watermark, and the poll tick calls it while they
-// sleep. A link that ended quietly (the peer
+// There is no reader goroutine: the clusters call this while they wait for
+// a watermark, which arrives behind the data frames it covers, and the poll
+// tick calls it while they sleep. A link that ended quietly (the peer
 // finished, or died — the coordinator's control connection says which) is
 // dropped from the rounds; one that carried something illegal is reported
 // first, because a garbled data plane can neither be trusted nor repaired.

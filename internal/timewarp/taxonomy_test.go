@@ -53,11 +53,9 @@ func readTaxonomy(t *testing.T) []taxonomyRow {
 }
 
 var phaseKinds = map[byte]string{
-	obs.PhaseSpan:      "span",
-	obs.PhaseInstant:   "instant",
-	obs.PhaseCounter:   "counter",
-	obs.PhaseFlowStart: "flow",
-	obs.PhaseFlowStep:  "flow",
+	obs.PhaseSpan:    "span",
+	obs.PhaseInstant: "instant",
+	obs.PhaseCounter: "counter",
 }
 
 // emitted collects the (name, kind) pairs an observer saw: its trace
@@ -72,8 +70,8 @@ func emitted(into map[taxonomyRow]bool, o *obs.Observer) {
 	}
 }
 
-// TestTaxonomy holds DESIGN.md §11's table of span / instant / counter /
-// flow names and metric families to the code in both directions: a chaos
+// TestTaxonomy holds DESIGN.md §11's table of span / instant / counter
+// names and metric families to the code in both directions: a chaos
 // run of the in-process kernel and a coordinator + 2 workers run must emit
 // nothing the table lacks, and the table must list nothing that no
 // non-test source under internal/ or cmd/ mentions.
