@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/elab -run xxx -fuzz FuzzElaborate -fuzztime 20s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzRandomVectors -fuzztime 20s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzFuse -fuzztime 20s
+	$(GO) test ./internal/clustersim -run xxx -fuzz FuzzPackedModel -fuzztime 20s
 	$(GO) run ./cmd/fuzz -runs $(FUZZ_RUNS) -seed $(FUZZ_SEED) -out fuzz-report.txt -trace-dir fuzz-traces
 
 trace-demo:

@@ -78,8 +78,9 @@ func (c *Costs) fill() {
 type PackedMode int
 
 const (
-	// PackedOn (the zero value) replays a WaveBank on the 64-wide
-	// bit-parallel engine (packedgen.go): the cluster model's engine.
+	// PackedOn (the zero value) folds a WaveBank's traces, replayed on the
+	// 64-wide bit-parallel engine (packedgen.go): the cluster model's
+	// engine.
 	PackedOn PackedMode = iota
 	// PackedOff runs the scalar per-event generator, the reference the
 	// packed engine is differentially tested against.
@@ -103,17 +104,19 @@ type Config struct {
 	// shows what optimism buys.
 	Synchronous bool
 	// Packed selects the trace generator. The zero value, PackedOn, is
-	// the word-parallel one (packedgen.go): 64 cycles per wave, one uint64
-	// lane-word per net, per-machine counters accumulated by change-mask
-	// popcounts instead of per-event callbacks. PackedOff selects the
-	// scalar reference; results are bit-identical.
+	// the word-parallel one (packedgen.go): 64 cycles per wave, each wave's
+	// replay kept as per-gate evaluation counts and per-net change masks,
+	// folded into per-machine counters word-parallel instead of per-event
+	// callbacks. PackedOff selects the scalar reference; results are
+	// bit-identical.
 	Packed PackedMode
-	// Waves optionally shares a pre-recorded wave bank across runs (it
-	// must have been built from this NL and Vectors, covering at least
-	// Cycles). A pre-simulation campaign builds one bank and passes it to
-	// every (k, b) point, so the scout pass runs once per design
-	// rather than once per point. Nil → the run records its own waves
-	// (and trims them as it goes). Ignored on the scalar path.
+	// Waves optionally shares a wave bank across runs (it must have been
+	// built from this NL and Vectors, covering at least Cycles). A
+	// pre-simulation campaign builds one bank (sim.NewWaveBank) and passes
+	// it to every (k, b) point, so each wave is scouted and replayed once
+	// per design and every point only folds its trace. A private bank
+	// (sim.NewPrivateWaveBank) serves one run. Nil → the run keeps a
+	// private bank that logs only its cut nets. Ignored on the scalar path.
 	Waves *sim.WaveBank
 }
 
@@ -155,8 +158,8 @@ type Result struct {
 type cycleTrace struct {
 	evals uint64
 	// outBundles[dst] = number of events sent to machine dst during the
-	// cycle (0 entries elided).
-	outBundles map[int32]uint64
+	// cycle: K entries, 0 where nothing is sent.
+	outBundles []uint64
 	// recvHops is the number of distinct mid-cycle deltas at which this
 	// machine receives cross-partition events: the depth of the
 	// combinational hop chain crossing into this machine. Each hop is a
@@ -240,9 +243,6 @@ func newTraceGen(cfg *Config) (*traceGen, error) {
 				continue
 			}
 			sentTo |= 1 << uint(dst)
-			if mc.outBundles == nil {
-				mc.outBundles = make(map[int32]uint64)
-			}
 			mc.outBundles[dst]++
 			if delta > 0 {
 				// Mid-cycle crossing: a combinational hop into dst,
@@ -263,7 +263,12 @@ func newTraceGen(cfg *Config) (*traceGen, error) {
 // needed.
 func (g *traceGen) cycle(c uint64) ([]cycleTrace, error) {
 	for g.s.Cycle() <= c {
-		g.cur = make([]cycleTrace, g.cfg.K)
+		k := g.cfg.K
+		g.cur = make([]cycleTrace, k)
+		bundles := make([]uint64, k*k)
+		for m := range g.cur {
+			g.cur[m].outBundles = bundles[m*k : (m+1)*k : (m+1)*k]
+		}
 		cyc := g.s.Cycle()
 		g.cfg.Vectors.Vector(cyc, g.vec)
 		if _, err := g.s.Step(g.vec); err != nil {
@@ -520,11 +525,14 @@ func Run(cfg Config) (*Result, error) {
 				res.Events += t.evals
 				m.maxExec = cyc + 1
 				for dst, n := range t.outBundles {
+					if n == 0 {
+						continue
+					}
 					res.Messages += n
 					ms[dst].pendingOverhead += float64(n) * cfg.Costs.MsgCPU
 					push(modelEvent{
 						wall: m.wall + cfg.Costs.MsgLatency, kind: evArrival,
-						machine: dst, srcCycle: cyc, count: n,
+						machine: int32(dst), srcCycle: cyc, count: n,
 					})
 				}
 			} else {

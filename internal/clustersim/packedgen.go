@@ -1,13 +1,14 @@
 // packedGen: the 64-wide bit-parallel trace generator. Where traceGen
 // replays the sequential simulator with one callback per gate evaluation
-// and per net change, packedGen replays a recorded WaveBank on the
-// PackedSimulator — 64 cycles per wave, one uint64 lane-word per net —
-// and folds the mask hooks into per-machine counters word-parallel:
+// and per net change, packedGen folds the WaveBank's traces — each wave's
+// partition-independent record of its replay (sim.WaveTrace) — into
+// per-machine counters word-parallel:
 //
-//   - gate evaluations per machine: one bit-sliced LaneCounter.Add per
-//     evaluated gate (64 lanes per call) instead of 64 callbacks;
-//   - message bundles per (src, dst): a LaneCounter per cluster pair,
-//     with sink-cluster dedup done once per change word;
+//   - gate evaluations per machine: each gate's bit-sliced per-lane count
+//     added into its machine's LaneCounter, 64 lanes per word op;
+//   - message bundles per (src, dst): a LaneCounter per cluster pair, fed
+//     from the change logs of the cut nets only, with sink-cluster dedup
+//     done once per net;
 //   - receive hops: one OR into a per-(machine, delta) lane mask per
 //     arrival — the per-lane distinct-delta count falls out of the bit
 //     columns at wave end;
@@ -17,8 +18,10 @@
 // The per-cycle traces it hands the DES are bit-identical to traceGen's
 // (differentially tested across all workloads), so every Result field —
 // times, messages, rollbacks, critical path — is unchanged to the bit.
-// The wave bank is partition-independent: a campaign shares one bank
-// across every (k, b) point and only this cheap replay runs per point.
+// The traces do not depend on the partition: a campaign shares one bank
+// across every (k, b) point, which replays each wave once, and each point
+// only folds. A run without a shared bank keeps a private one that logs
+// only its cut nets.
 package clustersim
 
 import (
@@ -30,10 +33,8 @@ import (
 )
 
 type packedGen struct {
-	cfg     *Config
-	bank    *sim.WaveBank
-	ownBank bool // private bank: trim waves behind the replay
-	eng     *sim.PackedSimulator
+	cfg  *Config
+	bank *sim.WaveBank
 
 	window    map[uint64][]cycleTrace // cycle → per-machine trace
 	generated uint64                  // cycles folded into window so far
@@ -52,39 +53,25 @@ type packedGen struct {
 	cpOld    []float64
 	regPrev  []uint64 // per machine: src mask consumed by the next cycle
 
-	// Per-net communication shape, precomputed once: the driver's cluster
-	// and the deduplicated remote sink clusters (nil = no remote readers,
-	// or a stimulus net). Replaces the per-event fanout walk + dedup.
-	srcCl  []int32
-	remDst [][]int32
+	// The nets the kernel would send, precomputed once: every gate-driven
+	// net read in another cluster than its driver's.
+	cut []cutNet
+}
+
+// cutNet is a net with remote readers: the driver's cluster and the
+// deduplicated clusters reading it.
+type cutNet struct {
+	net  netlist.NetID
+	src  int32
+	dsts []int32
 }
 
 func newPackedGen(cfg *Config) (*packedGen, error) {
-	bank := cfg.Waves
-	own := false
-	if bank == nil {
-		var err error
-		bank, err = sim.NewWaveBank(cfg.NL, cfg.Vectors, cfg.Cycles)
-		if err != nil {
-			return nil, err
-		}
-		own = true
-	} else {
-		if bank.Netlist() != cfg.NL {
-			return nil, fmt.Errorf("clustersim: shared wave bank built from a different netlist")
-		}
-		if bank.Cycles() < cfg.Cycles {
-			return nil, fmt.Errorf("clustersim: shared wave bank covers %d cycles, run needs %d",
-				bank.Cycles(), cfg.Cycles)
-		}
-	}
-	eng := sim.NewPacked(bank)
 	k := cfg.K
+	parts := cfg.GateParts
+	nl := cfg.NL
 	g := &packedGen{
 		cfg:       cfg,
-		bank:      bank,
-		ownBank:   own,
-		eng:       eng,
 		window:    make(map[uint64][]cycleTrace),
 		evalCnt:   make([]sim.LaneCounter, k),
 		bundleCnt: make([]sim.LaneCounter, k*k),
@@ -95,64 +82,61 @@ func newPackedGen(cfg *Config) (*packedGen, error) {
 		cpOld:     make([]float64, k),
 		regPrev:   make([]uint64, k),
 	}
-	for m := range g.hopMask {
-		g.hopMask[m] = make([]uint64, eng.DeltaRange)
-	}
-	parts := cfg.GateParts
-	nl := cfg.NL
 	// One entry per (net change, remote reader CLUSTER), as the kernel
 	// sends them: the dedup over sink gates sharing a cluster is partition
 	// shape, not trace data, so compute it once per net up front.
-	g.srcCl = make([]int32, len(nl.Nets))
-	g.remDst = make([][]int32, len(nl.Nets))
 	for n := range nl.Nets {
 		net := &nl.Nets[n]
 		if net.Driver == netlist.NoGate {
 			continue // stimulus, not communication
 		}
 		src := parts[net.Driver]
-		g.srcCl[n] = src
 		var sentTo uint64
+		var dsts []int32
 		for _, sink := range net.Sinks {
 			dst := parts[sink]
 			if dst == src || sentTo&(1<<uint(dst)) != 0 {
 				continue
 			}
 			sentTo |= 1 << uint(dst)
-			g.remDst[n] = append(g.remDst[n], dst)
+			dsts = append(dsts, dst)
+		}
+		if dsts != nil {
+			g.cut = append(g.cut, cutNet{net: netlist.NetID(n), src: src, dsts: dsts})
 		}
 	}
-	eng.OnGateEvalMask = func(gid netlist.GateID, _ uint64, mask uint64) {
-		g.evalCnt[parts[gid]].Add(mask)
+
+	bank := cfg.Waves
+	if bank == nil {
+		log := make([]bool, len(nl.Nets))
+		for _, c := range g.cut {
+			log[c.net] = true
+		}
+		var err error
+		if bank, err = sim.NewPrivateWaveBank(nl, cfg.Vectors, cfg.Cycles, log); err != nil {
+			return nil, err
+		}
+	} else {
+		if bank.Netlist() != nl {
+			return nil, fmt.Errorf("clustersim: shared wave bank built from a different netlist")
+		}
+		if bank.Cycles() < cfg.Cycles {
+			return nil, fmt.Errorf("clustersim: shared wave bank covers %d cycles, run needs %d",
+				bank.Cycles(), cfg.Cycles)
+		}
 	}
-	eng.OnNetChangeMask = func(n netlist.NetID, delta uint64, mask uint64, _ uint64) {
-		dsts := g.remDst[n]
-		if dsts == nil {
-			return
-		}
-		src := g.srcCl[n]
-		for _, dst := range dsts {
-			g.bundleCnt[int(src)*k+int(dst)].Add(mask)
-			if delta > 0 {
-				// Mid-cycle crossing: a combinational hop into dst,
-				// consumed within the sending cycle.
-				g.hopMask[dst][delta] |= mask
-				g.midSrc[int(dst)*k+int(src)] |= mask
-			} else {
-				// Registered crossing (latch at the cycle boundary):
-				// consumed at the receiver's next cycle.
-				g.regSrc[int(dst)*k+int(src)] |= mask
-			}
-		}
+	g.bank = bank
+	for m := range g.hopMask {
+		g.hopMask[m] = make([]uint64, bank.DeltaRange())
 	}
 	return g, nil
 }
 
-// cycle returns the trace of the given cycle, replaying waves forward as
+// cycle returns the trace of the given cycle, folding waves forward as
 // needed.
 func (g *packedGen) cycle(c uint64) ([]cycleTrace, error) {
 	for g.generated <= c {
-		if err := g.replayNextWave(); err != nil {
+		if err := g.foldNextWave(); err != nil {
 			return nil, err
 		}
 	}
@@ -163,41 +147,60 @@ func (g *packedGen) cycle(c uint64) ([]cycleTrace, error) {
 	return tr, nil
 }
 
-// replayNextWave replays one 64-cycle wave on the packed engine and
-// unpacks the word-parallel accumulators into per-cycle traces.
-func (g *packedGen) replayNextWave() error {
-	w, err := g.bank.Wave(g.nextWave)
+// foldNextWave folds the next wave's trace into the word-parallel
+// accumulators and unpacks them into per-cycle traces. A wave's traces
+// share one array, and their bundles another.
+func (g *packedGen) foldNextWave() error {
+	tr, err := g.bank.Trace(g.nextWave)
 	if err != nil {
 		return err
 	}
 	k := g.cfg.K
 	for m := 0; m < k; m++ {
 		g.evalCnt[m].Reset()
-		for d := range g.hopMask[m] {
-			g.hopMask[m][d] = 0
-		}
+		clear(g.hopMask[m])
 	}
 	for i := range g.bundleCnt {
 		g.bundleCnt[i].Reset()
 		g.midSrc[i] = 0
 		g.regSrc[i] = 0
 	}
-	if err := g.eng.ReplayWave(w); err != nil {
-		return err
+	p := tr.Planes
+	for gi, m := range g.cfg.GateParts {
+		g.evalCnt[m].AddPlanes(tr.Evals[gi*p : gi*p+p])
 	}
-	for l := 0; l < w.Lanes; l++ {
-		cyc := w.Base + uint64(l)
-		cur := make([]cycleTrace, k)
-		for m := 0; m < k; m++ {
-			cur[m].evals = g.evalCnt[m].Count(l)
-			for dst := 0; dst < k; dst++ {
-				if n := g.bundleCnt[m*k+dst].Count(l); n > 0 {
-					if cur[m].outBundles == nil {
-						cur[m].outBundles = make(map[int32]uint64)
-					}
-					cur[m].outBundles[int32(dst)] = n
+	for _, c := range g.cut {
+		deltas, masks := tr.Changes(c.net)
+		for j, mask := range masks {
+			delta := deltas[j]
+			for _, dst := range c.dsts {
+				g.bundleCnt[int(c.src)*k+int(dst)].Add(mask)
+				if delta > 0 {
+					// Mid-cycle crossing: a combinational hop into dst,
+					// consumed within the sending cycle.
+					g.hopMask[dst][delta] |= mask
+					g.midSrc[int(dst)*k+int(c.src)] |= mask
+				} else {
+					// Registered crossing (latch at the cycle boundary):
+					// consumed at the receiver's next cycle.
+					g.regSrc[int(dst)*k+int(c.src)] |= mask
 				}
 			}
+		}
+	}
+
+	traces := make([]cycleTrace, tr.Lanes*k)
+	bundles := make([]uint64, tr.Lanes*k*k)
+	for l := 0; l < tr.Lanes; l++ {
+		cyc := tr.Base + uint64(l)
+		cur := traces[l*k : (l+1)*k : (l+1)*k]
+		for m := 0; m < k; m++ {
+			cur[m].evals = g.evalCnt[m].Count(l)
+			out := bundles[(l*k+m)*k : (l*k+m+1)*k : (l*k+m+1)*k]
+			for dst := range out {
+				out[dst] = g.bundleCnt[m*k+dst].Count(l)
+			}
+			cur[m].outBundles = out
 			hops := uint32(0)
 			for _, dm := range g.hopMask[m][1:] {
 				hops += uint32(dm >> uint(l) & 1)
@@ -209,11 +212,6 @@ func (g *packedGen) replayNextWave() error {
 		g.generated = cyc + 1
 	}
 	g.nextWave++
-	if g.ownBank {
-		// Private bank: a wave is never replayed twice (rollback re-reads
-		// are served from the trace window), so trim immediately.
-		g.bank.DiscardBelow(g.nextWave)
-	}
 	return nil
 }
 

@@ -24,11 +24,9 @@ func runSynchronous(cfg *Config, gen traceSource) (*Result, error) {
 			res.MachineEvents[m] += t.evals
 			dur := float64(t.evals) * cfg.Costs.EvalCost
 			nOut := uint64(0)
-			for dst, n := range t.outBundles {
+			for _, n := range t.outBundles {
 				nOut += n
 				res.Messages += n
-				// Receive-side CPU lands on the destination this cycle.
-				_ = dst
 			}
 			dur += float64(nOut) * cfg.Costs.MsgCPU * 2 // send + receive sides
 			dur += float64(t.recvHops) * cfg.Costs.MsgLatency

@@ -32,10 +32,10 @@ func profileActivity(c *Context, cycles uint64) ([]int, error) {
 }
 
 // model runs the cluster model over an explicit gate partition. Runs of
-// PresimCycles (the grid's points and the studies beside them) replay the
-// one wave bank the context records for that stream; other lengths
-// (FullRuns) run once each and keep a private, replay-trimmed bank
-// instead of pinning 100k+ cycles of waves.
+// PresimCycles (the grid's points and the studies beside them) fold the
+// traces of the one wave bank the context records for that stream; other
+// lengths (FullRuns) run once each and keep a private bank of one wave at a
+// time instead of pinning 100k+ cycles of traces.
 func (c *Context) model(gateParts []int32, k int, cycles uint64, synchronous bool) (*clustersim.Result, error) {
 	scfg := clustersim.Config{
 		NL: c.ED.Netlist, GateParts: gateParts, K: k,

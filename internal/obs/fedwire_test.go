@@ -1,7 +1,9 @@
 package obs_test
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/comm/nettrans"
@@ -60,9 +62,50 @@ func TestTraceBatchTruncation(t *testing.T) {
 	}
 }
 
+// traceBatchV1 encodes events in the trace batch's version 1 layout,
+// which carried an 8-byte event ID after each event's phase byte.
+func traceBatchV1(events []obs.Event, dropped uint64) []byte {
+	dst := nettrans.AppendU8(nil, 1)
+	dst = nettrans.AppendU64(dst, dropped)
+	dst = nettrans.AppendU32(dst, uint32(len(events)))
+	for _, e := range events {
+		dst = nettrans.AppendI64(dst, e.Ts)
+		dst = nettrans.AppendI64(dst, e.Dur)
+		dst = nettrans.AppendU32(dst, uint32(e.Track))
+		dst = nettrans.AppendU8(dst, e.Phase)
+		dst = nettrans.AppendU64(dst, 0) // the event ID
+		dst = nettrans.AppendStr(dst, e.Name)
+		n := byte(0)
+		for _, a := range e.Args {
+			if a.Key != "" {
+				n++
+			}
+		}
+		dst = nettrans.AppendU8(dst, n)
+		for _, a := range e.Args {
+			if a.Key != "" {
+				dst = nettrans.AppendStr(dst, a.Key)
+				dst = nettrans.AppendU64(dst, math.Float64bits(a.Val))
+			}
+		}
+	}
+	return dst
+}
+
+// TestTraceBatchRefusesVersion1 holds the decoder to its version byte: a
+// batch of the layout that shipped an event ID is an error, not a batch
+// read eight bytes askew.
+func TestTraceBatchRefusesVersion1(t *testing.T) {
+	_, _, err := timewarp.DecodeTraceEvents(traceBatchV1(obs.FixtureEvents(), 3))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 batch: err = %v, want a version error", err)
+	}
+}
+
 func FuzzDecodeTraceEvents(f *testing.F) {
 	f.Add(timewarp.AppendTraceEvents(nil, obs.FixtureEvents(), 5))
 	f.Add(timewarp.AppendTraceEvents(nil, nil, 0))
+	f.Add(traceBatchV1(obs.FixtureEvents(), 5))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		ev, dropped, err := timewarp.DecodeTraceEvents(p)
 		if err != nil {

@@ -52,11 +52,7 @@ type Event struct {
 	Track int32
 	Phase byte
 	Name  string
-	// ID is written by no producer since the flow events went; the trace
-	// batch still carries it (AppendTraceEvents), so it stays until that
-	// codec's next version.
-	ID   uint64
-	Args [maxArgs]Arg // unused slots have empty keys
+	Args  [maxArgs]Arg // unused slots have empty keys
 }
 
 func packArgs(args []Arg) (out [maxArgs]Arg) {

@@ -2,6 +2,7 @@ package presim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -336,6 +337,50 @@ func TestBruteForceEvaluatesEachCellOnce(t *testing.T) {
 		want := len(cfg.Ks) * len(cfg.Bs)
 		if n := calls.Load(); n != int64(want) || len(points) != want {
 			t.Errorf("workers=%d: %d evaluations, %d points, want %d of each", workers, n, len(points), want)
+		}
+	}
+}
+
+// TestCampaignTracesEachWaveOnce: however many workers evaluate the points
+// of a campaign, brute force or heuristic, its shared wave bank replays
+// each wave exactly once, and the points are equal to the bit (walls
+// aside) to the one-worker campaign's. Run it under -race: the workers ask
+// the bank for the same traces at once.
+func TestCampaignTracesEachWaveOnce(t *testing.T) {
+	design := testConfig(t).Design
+	searches := map[string]func(*Config) ([]*Point, error){
+		"brute-force": func(cfg *Config) ([]*Point, error) {
+			points, _, err := BruteForce(cfg)
+			return points, err
+		},
+		"heuristic": func(cfg *Config) ([]*Point, error) {
+			_, visited, err := Heuristic(cfg)
+			return visited, err
+		},
+	}
+	for name, search := range searches {
+		var ref []Point
+		for _, workers := range []int{1, 4} {
+			cfg := testConfig(t)
+			cfg.Design, cfg.Workers = design, workers
+			points, err := search(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := cfg.waves.Replays(), cfg.waves.NumWaves(); got != want {
+				t.Errorf("%s, %d workers: %d replays of a %d-wave bank", name, workers, got, want)
+			}
+			var got []Point
+			for _, p := range points {
+				q := *p
+				q.PartWall, q.SimWall = 0, 0
+				got = append(got, q)
+			}
+			if ref == nil {
+				ref = got
+			} else if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: %d workers' points differ from one worker's", name, workers)
+			}
 		}
 	}
 }

@@ -53,10 +53,10 @@ type Config struct {
 	// evalFn substitutes the evaluator in tests (nil → real pipeline).
 	evalFn func(k int, b float64) (*Point, error)
 
-	// waves is the campaign-shared wave bank the cluster model replays,
-	// built lazily on the first evaluation. The bank is
-	// partition-independent (it depends only on the netlist and the vector
-	// stream), so one recording pass serves every point.
+	// waves is the campaign-shared wave bank whose traces the cluster
+	// model folds, built lazily on the first evaluation. The traces are
+	// partition-independent (they depend only on the netlist and the
+	// vector stream), so one replay of each wave serves every point.
 	wavesOnce sync.Once
 	waves     *sim.WaveBank
 	wavesErr  error

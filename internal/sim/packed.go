@@ -12,13 +12,15 @@
 // loop (see sim.go — evaluations read start-of-delta state, changes apply
 // together at the next delta), the same dirty-gate batching per lane (a
 // gate evaluates in exactly the lanes where an input changed), and the
-// same DFF latch at LatchDelta.
+// same DFF latch at LatchDelta. A gate of one or two inputs is evaluated
+// from its sweep record's truth table (ttWord), a wider one gate by gate.
 //
 // Trace hooks receive lane masks instead of single events: one
 // OnGateEvalMask call stands for up to 64 scalar OnGateEval calls.
 // The delta argument is the scalar hook's t % DeltaRange (0 = vector
 // application or a latched q change, >0 = a combinational change applied
-// at that delta).
+// at that delta). The wave bank records a wave's trace through them
+// (WaveTrace).
 package sim
 
 import (
@@ -36,6 +38,13 @@ type PackedSimulator struct {
 
 	sw    *Sweep   // the bank's: stimulus inputs and flip-flops (latch order)
 	words []uint64 // current value per net, one bit per lane
+
+	// The combinational gates reading each net, as a CSR: net n's are
+	// sinks[sinkOff[n]:sinkOff[n+1]]. Gate g's sweep record is
+	// sw.tab[rec[g]].
+	sinkOff []int32
+	sinks   []netlist.GateID
+	rec     []int32
 
 	// per-delta batching state.
 	chgMask   []uint64 // per net: lanes changed this delta
@@ -56,18 +65,44 @@ type PackedSimulator struct {
 }
 
 // NewPacked builds a packed simulator ready to replay b's waves. It
-// reads the bank's compiled cycle and compiles nothing.
+// reads the bank's compiled cycle and indexes each net's combinational
+// sinks once.
 func NewPacked(b *WaveBank) *PackedSimulator {
 	nl := b.sw.NL
-	return &PackedSimulator{
+	s := &PackedSimulator{
 		NL:         nl,
 		DeltaRange: b.sw.DeltaRange,
 		sw:         b.sw,
 		words:      make([]uint64, len(nl.Nets)),
+		sinkOff:    make([]int32, len(nl.Nets)+1),
+		rec:        make([]int32, len(nl.Gates)),
 		chgMask:    make([]uint64, len(nl.Nets)),
 		gateMark:   make([]uint64, len(nl.Gates)),
 		evalMask:   make([]uint64, len(nl.Gates)),
 	}
+	for i, t := range b.sw.tab {
+		s.rec[nl.Nets[t.Out].Driver] = int32(i)
+	}
+	// Two passes, so the CSR is allocated at its exact size. DFFs evaluate
+	// only at the latch.
+	comb := func(gi netlist.GateID) bool { return !nl.Gates[gi].Kind.Sequential() }
+	for n := range nl.Nets {
+		s.sinkOff[n+1] = s.sinkOff[n]
+		for _, gi := range nl.Nets[n].Sinks {
+			if comb(gi) {
+				s.sinkOff[n+1]++
+			}
+		}
+	}
+	s.sinks = make([]netlist.GateID, 0, s.sinkOff[len(nl.Nets)])
+	for n := range nl.Nets {
+		for _, gi := range nl.Nets[n].Sinks {
+			if comb(gi) {
+				s.sinks = append(s.sinks, gi)
+			}
+		}
+	}
+	return s
 }
 
 // LatchDelta returns the delta slot at which DFFs sample their inputs.
@@ -150,10 +185,7 @@ func (s *PackedSimulator) propagate(delta uint64) {
 	for _, n := range s.chgList {
 		m := s.chgMask[n]
 		s.chgMask[n] = 0
-		for _, gi := range s.NL.Nets[n].Sinks {
-			if s.NL.Gates[gi].Kind.Sequential() {
-				continue // DFFs evaluate only at the latch
-			}
+		for _, gi := range s.sinks[s.sinkOff[n]:s.sinkOff[n+1]] {
 			if s.gateMark[gi] != s.markStamp {
 				s.gateMark[gi] = s.markStamp
 				s.evalMask[gi] = 0
@@ -166,17 +198,22 @@ func (s *PackedSimulator) propagate(delta uint64) {
 	s.applyNets = s.applyNets[:0]
 	s.applyDiff = s.applyDiff[:0]
 	for _, gi := range s.dirty {
-		g := &s.NL.Gates[gi]
+		t := &s.sw.tab[s.rec[gi]]
 		em := s.evalMask[gi]
 		if s.OnGateEvalMask != nil {
 			s.OnGateEvalMask(gi, delta, em)
 		}
-		out := evalPackedGate(g, s.words)
+		var out uint64
+		if t.TT < Wide {
+			out = ttWord(t.TT, s.words[t.A], s.words[t.B])
+		} else {
+			out = evalPackedGate(&s.NL.Gates[gi], s.words)
+		}
 		// Restricting the diff to em lanes matches scalar semantics: a
 		// lane that did not evaluate cannot change (its bits are already
 		// consistent; lanes past a ragged wave's tail hold zeros).
-		if diff := (out ^ s.words[g.Output]) & em; diff != 0 {
-			s.applyNets = append(s.applyNets, g.Output)
+		if diff := (out ^ s.words[t.Out]) & em; diff != 0 {
+			s.applyNets = append(s.applyNets, t.Out)
 			s.applyDiff = append(s.applyDiff, diff)
 		}
 	}
@@ -202,6 +239,14 @@ func (s *PackedSimulator) clearChanged() {
 		s.chgMask[n] = 0
 	}
 	s.chgList = s.chgList[:0]
+}
+
+// ttWord applies the 4-bit truth table tt (TruthGate.TT) to lane-words a
+// and b: each of the four input combinations selects the lanes it holds in,
+// and tt's bit for it decides whether they read 1.
+func ttWord(tt uint8, a, b uint64) uint64 {
+	bit := func(i uint) uint64 { return -uint64(tt >> i & 1) }
+	return ^a&^b&bit(0) | a&^b&bit(1) | ^a&b&bit(2) | a&b&bit(3)
 }
 
 // evalPackedGate computes a combinational gate's output lane-word with

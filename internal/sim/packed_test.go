@@ -147,8 +147,25 @@ func TestPackedLaneEquivalence(t *testing.T) {
 // kind's packed evaluation against verilog.GateKind.Eval and the scalar
 // EvalGate, with all input combinations loaded as lanes of a single
 // 64-lane word (the 6-input gates cover the full 64-row truth table in
-// exactly one word).
+// exactly one word). It checks all 16 two-input tables of ttWord, the
+// replay's evaluator of one- and two-input gates, the same way, and that
+// each such gate's Truth table gives evalPackedGate's word.
 func TestPackedGateTruthTables(t *testing.T) {
+	// Lane l carries a = bit 0 and b = bit 1 of l mod 4.
+	var a, b uint64
+	for l := 0; l < Lanes; l++ {
+		a |= uint64(l&1) << uint(l)
+		b |= uint64(l>>1&1) << uint(l)
+	}
+	for tt := uint8(0); tt < Wide; tt++ {
+		out := ttWord(tt, a, b)
+		for l := 0; l < Lanes; l++ {
+			if got, want := out>>uint(l)&1, uint64(tt>>uint(l%4)&1); got != want {
+				t.Errorf("ttWord(%04b): lane %d (a=%d b=%d) reads %d, want %d", tt, l, l&1, l>>1&1, got, want)
+			}
+		}
+	}
+
 	kinds := []struct {
 		name   string
 		kind   verilog.GateKind
@@ -179,6 +196,11 @@ func TestPackedGateTruthTables(t *testing.T) {
 					}
 				}
 				out := evalPackedGate(g, words)
+				if tt, ok := Truth(g); ok {
+					if got := ttWord(tt, words[g.Inputs[0]], words[g.Inputs[nIn-1]]); got != out {
+						t.Errorf("ttWord(Truth) = %064b, evalPackedGate %064b", got, out)
+					}
+				}
 				values := make([]bool, nIn+1)
 				for l := 0; l < Lanes; l++ {
 					for i := 0; i < nIn; i++ {
@@ -579,5 +601,120 @@ endmodule
 		if gotChanges[packedEvent{1, delta, int32(y)}] != 1 {
 			t.Fatalf("replayed glitch: no change of y at cycle 1 delta %d", delta)
 		}
+	}
+}
+
+// TestWaveTraceMatchesReplay holds a bank's traces to the replay they
+// record: for every circuit family and every wave of a ragged 130-cycle
+// run, a shared bank's, an unfiltered private bank's and a filtered
+// private bank's trace give each gate the evaluation count per lane, and
+// each logged net the (delta, lanes) changes, that hooks on a plain replay
+// of the same wave count. The filtered bank logs exactly the nets it was
+// given, and the shared bank replays each wave once however often it is
+// asked.
+func TestWaveTraceMatchesReplay(t *testing.T) {
+	type netChange struct {
+		delta uint32
+		mask  uint64
+	}
+	for name, nl := range equivCircuits(t) {
+		t.Run(name, func(t *testing.T) {
+			const cycles = 130
+			src := RandomVectors{Seed: 5}
+			ref, err := NewWaveBank(nl, src, cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := NewPacked(ref)
+			evals := make([][Lanes]uint64, len(nl.Gates))
+			changes := make([][]netChange, len(nl.Nets))
+			ps.OnGateEvalMask = func(g netlist.GateID, _ uint64, mask uint64) {
+				for ; mask != 0; mask &= mask - 1 {
+					evals[g][bits.TrailingZeros64(mask)]++
+				}
+			}
+			ps.OnNetChangeMask = func(n netlist.NetID, delta uint64, mask uint64, _ uint64) {
+				changes[n] = append(changes[n], netChange{uint32(delta), mask})
+			}
+
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			filter := make([]bool, len(nl.Nets))
+			for n := range filter {
+				filter[n] = rng.Intn(2) == 0
+			}
+			shared, err := NewWaveBank(nl, src, cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := NewPrivateWaveBank(nl, src, cycles, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			some, err := NewPrivateWaveBank(nl, src, cycles, filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < ref.NumWaves(); i++ {
+				w, err := ref.Wave(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clear(evals)
+				clear(changes)
+				if err := ps.ReplayWave(w); err != nil {
+					t.Fatal(err)
+				}
+				for _, bank := range []struct {
+					label string
+					b     *WaveBank
+					log   func(netlist.NetID) bool
+				}{
+					{"shared", shared, func(netlist.NetID) bool { return true }},
+					{"private", all, func(netlist.NetID) bool { return true }},
+					{"filtered", some, func(n netlist.NetID) bool { return filter[n] }},
+				} {
+					tr, err := bank.b.Trace(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tr.Base != w.Base || tr.Lanes != w.Lanes {
+						t.Fatalf("%s wave %d: trace of base %d, %d lanes; wave %d, %d", bank.label, i, tr.Base, tr.Lanes, w.Base, w.Lanes)
+					}
+					for g := range nl.Gates {
+						var c LaneCounter
+						c.AddPlanes(tr.Evals[g*tr.Planes : (g+1)*tr.Planes])
+						for l := 0; l < Lanes; l++ {
+							if got, want := c.Count(l), evals[g][l]; got != want {
+								t.Fatalf("%s wave %d gate %d lane %d: %d evaluations traced, replay made %d", bank.label, i, g, l, got, want)
+							}
+						}
+					}
+					for n := range nl.Nets {
+						net := &nl.Nets[n]
+						var want []netChange
+						if net.Driver != netlist.NoGate && len(net.Sinks) > 0 && bank.log(netlist.NetID(n)) {
+							want = changes[n]
+						}
+						deltas, masks := tr.Changes(netlist.NetID(n))
+						var got []netChange
+						for j, m := range masks {
+							got = append(got, netChange{deltas[j], m})
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s wave %d net %s: traced %v, replay changed %v", bank.label, i, net.Name, got, want)
+						}
+					}
+				}
+				if _, err := shared.Trace(i); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := shared.Wave(i); err == nil {
+					t.Fatalf("shared wave %d served after its trace released it", i)
+				}
+			}
+			if got, want := shared.Replays(), shared.NumWaves(); got != want {
+				t.Fatalf("shared bank replayed %d times for %d waves", got, want)
+			}
+		})
 	}
 }

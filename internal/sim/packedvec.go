@@ -1,12 +1,13 @@
 // Lane-word plumbing for the 64-wide packed simulator (packed.go): lane
 // masks, word-parallel per-lane counters, and the WaveBank that records a
-// run as replayable 64-cycle waves.
+// run as replayable 64-cycle waves and replays each into a
+// partition-independent trace.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -55,6 +56,28 @@ func (c *LaneCounter) Count(lane int) uint64 {
 	return n
 }
 
+// AddPlanes adds to every lane the count x holds for it, bit-sliced as the
+// counter itself is: plane p of x holds bit p of every lane's addend. It is
+// a ripple-carry adder over whole words, 64 lanes per operation.
+func (c *LaneCounter) AddPlanes(x []uint64) {
+	var carry uint64
+	p := 0
+	for ; p < len(x); p++ {
+		a, b := c.planes[p], x[p]
+		s := a ^ b
+		c.planes[p] = s ^ carry
+		carry = a&b | s&carry
+	}
+	for ; carry != 0; p++ {
+		next := c.planes[p] & carry
+		c.planes[p] ^= carry
+		carry = next
+	}
+	if p > c.hi {
+		c.hi = p
+	}
+}
+
 // Total returns the sum over all lanes.
 func (c *LaneCounter) Total() uint64 {
 	var n uint64
@@ -84,8 +107,8 @@ type MaskedNet struct {
 // state the cycle starts from, before its vector is applied), Pending the
 // q-output changes latched by each lane's predecessor cycle (they mark
 // sinks dirty at the lane's delta 0), and Vecs the packed stimulus, one
-// lane-word per vector PI. Waves are immutable once built and safe to
-// replay concurrently.
+// lane-word per vector PI. Lanes at or above Lanes are zero. A shared
+// bank's waves are immutable once built and safe to replay concurrently.
 type Wave struct {
 	Base    uint64 // first cycle of the wave
 	Lanes   int    // populated lanes (1..64; the final wave may be ragged)
@@ -94,42 +117,171 @@ type Wave struct {
 	Vecs    []uint64
 }
 
-// WaveBank lazily records a run as waves. All a wave needs of a cycle is
-// its entry state — the settled state the previous cycle left, with the
-// flip-flops already flipped — and a settled state has no deltas, events
-// or hooks in it, so the bank scouts each cycle with Sweep.Step; the
-// replay (PackedSimulator.ReplayWave) alone produces events. Waves are
-// partition-independent, so one bank built from (netlist, vectors,
-// cycles) serves every (k, b) point of a pre-simulation campaign — the
-// scout runs once, each point only replays. Safe for concurrent use; wave
-// construction is serialized.
-type WaveBank struct {
-	mu     sync.Mutex
-	src    VectorSource
-	cycles uint64
-	waves  []*Wave
-	floor  int // waves below this index have been discarded
-
-	// Scout state, carried from lane to lane and from wave to wave.
-	sw     *Sweep   // its state is the entry state of the next cycle to record
-	qMask  []uint64 // per flip-flop: lanes of the wave being built that q is pending in
-	vecBuf []bool
+// WaveTrace is what replaying one wave produced, kept in the two forms a
+// partition folds: how often each gate evaluated in each lane, and each
+// logged net's changes. Neither depends on the partition (a gate
+// evaluates, and a net changes, whichever machine owns it), so one trace
+// serves every (k, b) point; the cluster model (clustersim) only sums it
+// into machines.
+type WaveTrace struct {
+	Base  uint64
+	Lanes int
+	// Planes is the bit width of a gate's per-lane evaluation count:
+	// Evals[g*Planes+p] holds bit p of gate g's count in every lane, the
+	// flip-flops' latch evaluations included.
+	Planes int
+	Evals  []uint64
+	// NetOff indexes the change log by net: net n's changes are
+	// Deltas[NetOff[n]:NetOff[n+1]] with the lanes each happened in at the
+	// same index of Masks, in replay order. The delta is the replay hook's
+	// (0: a latched q change, > 0: a combinational change applied at that
+	// delta). Only logged nets (gate-driven, read by a gate, and passing
+	// the bank's filter) have entries.
+	NetOff []int32
+	Deltas []uint32
+	Masks  []uint64
 }
 
-// NewWaveBank prepares a bank covering `cycles` cycles of the given
-// stimulus. No simulation happens until the first Wave call.
+// Changes returns net n's change log: the deltas and, at the same index,
+// the lanes each change happened in.
+func (t *WaveTrace) Changes(n netlist.NetID) ([]uint32, []uint64) {
+	lo, hi := t.NetOff[n], t.NetOff[n+1]
+	return t.Deltas[lo:hi], t.Masks[lo:hi]
+}
+
+// WaveBank records a run as waves and replays each wave once into a
+// WaveTrace.
+//
+// All a wave needs of a cycle is its entry state. The scout computes in
+// cycle order only what cannot be computed otherwise, the flip-flops: it
+// settles the flip-flops' d cones (Fuse over the sweep table with only the
+// d nets live), latches, and keeps each q's value per lane. Every other
+// net's entry value follows from the previous cycle's vector and q's, so
+// one word-wide pass over the sweep table builds all 64 lanes of a wave at
+// once. The replay (PackedSimulator.ReplayWave) alone produces events.
+//
+// A shared bank (NewWaveBank) serves every (k, b) point of a campaign: it
+// keeps each wave's trace once made, releasing the wave's Words, so each
+// wave is scouted and replayed once per campaign. A private bank
+// (NewPrivateWaveBank) serves one run in wave order: it keeps one wave and
+// one trace, reusing their buffers, and logs only the nets its consumer
+// reads. Safe for concurrent use; scouting and replay are serialized.
+type WaveBank struct {
+	mu      sync.Mutex
+	src     VectorSource
+	cycles  uint64
+	private bool
+	logged  []bool // per net: the replay logs its changes
+
+	waves   []*Wave      // shared: wave i until traced or discarded
+	traces  []*WaveTrace // shared: wave i's trace once made
+	floor   int          // waves below this index have been discarded
+	built   int          // waves scouted so far
+	replays int          // waves replayed into a trace so far
+
+	// Scout state, carried from lane to lane and from wave to wave. The
+	// sweep's values hold the entry state of the next cycle to record for
+	// the stimulus inputs, the q's and the cone records' outputs.
+	sw       *Sweep
+	cone     []FusedGate     // the flip-flops' d cones, fused
+	byQ      []int32         // flip-flop indices in q order: Pending's order
+	ones     []netlist.NetID // nets tied to 1
+	qBits    []uint64        // per flip-flop: q's entry value per lane of the wave being built
+	qCarry   []uint64        // per flip-flop: q's entry value in the last lane of the previous wave
+	vecCarry []uint64        // per stimulus input: its vector bit in that lane
+	vecBuf   []bool
+
+	// Replay state: the recording engine and its scratch.
+	eng    *PackedSimulator
+	evals  []uint64 // per gate: b.planes planes of its count
+	planes int      // bits.Len64(DeltaRange): a count never reaches DeltaRange
+	top    int      // planes of evals in use by the current replay
+	log    []change // the current replay's logged changes, in replay order
+
+	cur    *Wave     // private: the wave last built; its buffers are reused
+	trace  WaveTrace // private: the trace last made; its buffers are reused
+	traced int       // private: the wave trace holds (-1: none)
+}
+
+// change is one logged net change of a replay.
+type change struct {
+	net   netlist.NetID
+	delta uint32
+	mask  uint64
+}
+
+// NewWaveBank prepares a shared bank covering `cycles` cycles of the given
+// stimulus, logging every net's changes. No simulation happens until the
+// first Wave or Trace call.
 func NewWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64) (*WaveBank, error) {
+	return newWaveBank(nl, src, cycles, false, nil)
+}
+
+// NewPrivateWaveBank prepares a bank for one consumer that asks for waves
+// and traces in order, each valid until the next call. Its traces log only
+// the nets log marks (nil: every net).
+func NewPrivateWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64, log []bool) (*WaveBank, error) {
+	return newWaveBank(nl, src, cycles, true, log)
+}
+
+func newWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64, private bool, log []bool) (*WaveBank, error) {
 	sw, err := NewSweep(nl)
 	if err != nil {
 		return nil, err
 	}
-	return &WaveBank{
-		src:    src,
-		cycles: cycles,
-		sw:     sw,
-		qMask:  make([]uint64, len(sw.ffs)),
-		vecBuf: make([]bool, len(sw.PIs)),
-	}, nil
+	b := &WaveBank{
+		src:      src,
+		cycles:   cycles,
+		private:  private,
+		logged:   make([]bool, len(nl.Nets)),
+		sw:       sw,
+		qBits:    make([]uint64, len(sw.ffs)),
+		qCarry:   make([]uint64, len(sw.ffs)),
+		vecCarry: make([]uint64, len(sw.PIs)),
+		vecBuf:   make([]bool, len(sw.PIs)),
+		traced:   -1,
+	}
+	for n := range nl.Nets {
+		net := &nl.Nets[n]
+		b.logged[n] = net.Driver != netlist.NoGate && len(net.Sinks) > 0 && (log == nil || log[n])
+		if net.Const == 1 {
+			b.ones = append(b.ones, netlist.NetID(n))
+		}
+	}
+	b.byQ = make([]int32, len(sw.ffs))
+	for i := range b.byQ {
+		b.byQ[i] = int32(i)
+	}
+	slices.SortFunc(b.byQ, func(i, j int32) int { return int(sw.ffs[i].q) - int(sw.ffs[j].q) })
+
+	// The scout's table: the records some flip-flop's d depends on, fused
+	// with only the d nets live.
+	d := make([]bool, len(nl.Nets))
+	need := make([]bool, len(nl.Nets))
+	for _, f := range sw.ffs {
+		d[f.d], need[f.d] = true, true
+	}
+	// A record's output is needed once a later record that is needed, or
+	// a flip-flop, reads it; so walking backwards, need[t.Out] is final
+	// when t is reached.
+	kept := 0
+	for i := len(sw.tab) - 1; i >= 0; i-- {
+		t := &sw.tab[i]
+		if !need[t.Out] {
+			continue
+		}
+		kept++
+		if t.TT == Wide {
+			for _, in := range nl.Gates[t.A].Inputs {
+				need[in] = true
+			}
+		} else {
+			need[t.A], need[t.B] = true, true
+		}
+	}
+	cone := sw.AppendSlice(make([]TruthGate, 0, kept), func(g netlist.GateID) bool { return need[nl.Gates[g].Output] })
+	b.cone = Fuse(nl, cone, func(n netlist.NetID) bool { return d[n] })
+	return b, nil
 }
 
 // Cycles returns the stimulus length the bank covers.
@@ -141,73 +293,258 @@ func (b *WaveBank) NumWaves() int { return int((b.cycles + Lanes - 1) / Lanes) }
 // Netlist returns the netlist the bank's waves describe.
 func (b *WaveBank) Netlist() *netlist.Netlist { return b.sw.NL }
 
-// Wave returns wave i, running the scout forward as needed. Waves must
-// not have been discarded below i.
+// DeltaRange returns the delta slots of a cycle (Sweep.DeltaRange): a
+// trace's deltas lie below it.
+func (b *WaveBank) DeltaRange() uint64 { return b.sw.DeltaRange }
+
+// Replays returns how many waves the bank has replayed into a trace.
+func (b *WaveBank) Replays() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.replays
+}
+
+// Wave returns wave i, running the scout forward as needed. A shared
+// bank's wave must not have been discarded or traced; a private bank
+// serves the wave it built last or the next one, valid until the next
+// call.
 func (b *WaveBank) Wave(i int) (*Wave, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.wave(i)
+}
+
+func (b *WaveBank) wave(i int) (*Wave, error) {
 	if i < 0 || i >= b.NumWaves() {
 		return nil, fmt.Errorf("sim: wave %d out of range (bank has %d)", i, b.NumWaves())
+	}
+	if b.private {
+		switch i {
+		case b.built - 1:
+		case b.built:
+			b.build()
+		default:
+			return nil, fmt.Errorf("sim: private wave bank asked for wave %d after wave %d", i, b.built-1)
+		}
+		return b.cur, nil
 	}
 	if i < b.floor {
 		return nil, fmt.Errorf("sim: wave %d already discarded", i)
 	}
-	for len(b.waves) <= i {
-		b.buildNext()
+	for b.built <= i {
+		b.build()
+		b.waves = append(b.waves, b.cur)
+		b.traces = append(b.traces, nil)
+	}
+	if b.waves[i] == nil {
+		return nil, fmt.Errorf("sim: wave %d was released once traced", i)
 	}
 	return b.waves[i], nil
 }
 
-// DiscardBelow releases waves below index i (single-consumer banks trim
-// behind themselves; shared campaign banks retain everything).
+// Trace returns wave i's trace, scouting and replaying it as needed. A
+// shared bank replays each wave once and keeps its trace; a private bank
+// serves its traces in order, each valid until the next call.
+func (b *WaveBank) Trace(i int) (*WaveTrace, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.private {
+		if i == b.traced {
+			return &b.trace, nil
+		}
+	} else if i >= 0 && i < len(b.traces) && b.traces[i] != nil {
+		return b.traces[i], nil
+	}
+	w, err := b.wave(i)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.replay(w); err != nil {
+		return nil, err
+	}
+	if b.private {
+		b.record(w, &b.trace)
+		b.traced = i
+		return &b.trace, nil
+	}
+	t := &WaveTrace{}
+	b.record(w, t)
+	b.traces[i], b.waves[i] = t, nil
+	return t, nil
+}
+
+// DiscardBelow releases the waves and traces below index i (a shared
+// campaign bank retains everything; a private bank keeps none).
 func (b *WaveBank) DiscardBelow(i int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for w := b.floor; w < i && w < len(b.waves); w++ {
-		b.waves[w] = nil
+		b.waves[w], b.traces[w] = nil, nil
 	}
 	if i > b.floor {
 		b.floor = i
 	}
 }
 
-// buildNext scouts the next 64 cycles (fewer on the ragged tail) into a
-// wave. Lane l takes the state as cycle Base+l finds it and the q's the
-// previous latch flipped (they mark sinks dirty at the lane's delta 0);
-// then the sweep steps the cycle. Lanes at or above Wave.Lanes stay zero.
-func (b *WaveBank) buildNext() {
+// build scouts the next 64 cycles (fewer on the ragged tail) into b.cur:
+// a fresh wave in a shared bank, the reused one in a private bank.
+//
+// Per cycle the scout records each q's entry value, applies the vector,
+// settles the d cones and latches every flip-flop that differs from its d
+// (all sampled before any flips, so a chain shifts one stage per cycle).
+// The cycle starting in lane l then holds the previous cycle's vector on
+// the stimulus inputs and q_l on the q's, and every gate's output is its
+// function of the previous cycle's vector and q's — lane l-1's, or the
+// previous wave's last lane's for lane 0 (zeros before cycle 0: the
+// power-on state). One pass over the sweep table in topological order
+// evaluates every gate on those words; the q's are set to q_l after it,
+// and Pending is where q_l differs from the previous lane's q.
+func (b *WaveBank) build() {
 	sw := b.sw
-	base := uint64(len(b.waves)) * Lanes
+	nl := sw.NL
+	base := uint64(b.built) * Lanes
 	lanes := Lanes
 	if rem := b.cycles - base; rem < Lanes {
 		lanes = int(rem)
 	}
-	w := &Wave{
-		Base:  base,
-		Lanes: lanes,
-		Words: make([]uint64, len(sw.values)),
-		Vecs:  make([]uint64, len(sw.PIs)),
+	w := b.cur
+	if w == nil || !b.private {
+		w = &Wave{Words: make([]uint64, len(nl.Nets)), Vecs: make([]uint64, len(sw.PIs))}
+		b.cur = w
+	} else {
+		// Every net the pass below writes it writes whole; the others
+		// (clocks, undriven nets) stay zero.
+		clear(w.Vecs)
+		w.Pending = w.Pending[:0]
 	}
-	words := w.Words[:len(sw.values)]
+	w.Base, w.Lanes = base, lanes
+
+	values := sw.values
 	for l := 0; l < lanes; l++ {
-		for n, v := range sw.values {
-			words[n] |= uint64(b2u(v)) << l
-		}
-		for _, i := range sw.flipped {
-			b.qMask[i] |= 1 << l
+		for i, f := range sw.ffs {
+			b.qBits[i] |= uint64(b2u(values[f.q])) << l
 		}
 		b.src.Vector(base+uint64(l), b.vecBuf)
 		for i, v := range b.vecBuf {
 			w.Vecs[i] |= uint64(b2u(v)) << l
+			values[sw.PIs[i]] = v
 		}
-		sw.Step(b.vecBuf)
-	}
-	for i, m := range b.qMask {
-		if m != 0 {
-			w.Pending = append(w.Pending, MaskedNet{Net: sw.ffs[i].q, Mask: m})
-			b.qMask[i] = 0
+		Settle(nl, b.cone, values)
+		flipped, n := sw.flipped[:len(sw.ffs)], 0
+		for i, f := range sw.ffs {
+			flipped[n] = int32(i)
+			n += int(b2u(values[f.q] != values[f.d]))
+		}
+		for _, i := range flipped[:n] {
+			q := sw.ffs[i].q
+			values[q] = !values[q]
 		}
 	}
-	sort.Slice(w.Pending, func(i, j int) bool { return w.Pending[i].Net < w.Pending[j].Net })
-	b.waves = append(b.waves, w)
+
+	active := LaneMask(lanes)
+	words := w.Words
+	for _, n := range b.ones {
+		words[n] = active
+	}
+	for i, pi := range sw.PIs {
+		words[pi] = (w.Vecs[i]<<1 | b.vecCarry[i]) & active
+		b.vecCarry[i] = w.Vecs[i] >> (Lanes - 1)
+	}
+	for i, f := range sw.ffs {
+		words[f.q] = (b.qBits[i]<<1 | b.qCarry[i]) & active
+	}
+	for i := range sw.tab {
+		t := &sw.tab[i]
+		if t.TT < Wide {
+			words[t.Out] = ttWord(t.TT, words[t.A], words[t.B]) & active
+		} else {
+			words[t.Out] = evalPackedGate(&nl.Gates[t.A], words) & active
+		}
+	}
+	for _, i := range b.byQ {
+		f := &sw.ffs[i]
+		if pending := words[f.q] ^ b.qBits[i]; pending != 0 {
+			w.Pending = append(w.Pending, MaskedNet{Net: f.q, Mask: pending})
+		}
+		words[f.q] = b.qBits[i]
+		b.qCarry[i] = b.qBits[i] >> (Lanes - 1)
+		b.qBits[i] = 0
+	}
+	b.built++
+}
+
+// replay runs w on the bank's engine through the recording hooks: every
+// evaluation increments its gate's bit-sliced count, every change of a
+// logged net is appended to b.log.
+func (b *WaveBank) replay(w *Wave) error {
+	if b.eng == nil {
+		b.eng = NewPacked(b)
+		b.planes = bits.Len64(b.eng.DeltaRange)
+		b.evals = make([]uint64, len(b.sw.NL.Gates)*b.planes)
+		b.eng.OnGateEvalMask = func(g netlist.GateID, _ uint64, mask uint64) {
+			c := b.evals[int(g)*b.planes:]
+			p := 0
+			for ; mask != 0; p++ {
+				carry := c[p] & mask
+				c[p] ^= mask
+				mask = carry
+			}
+			b.top = max(b.top, p)
+		}
+		b.eng.OnNetChangeMask = func(n netlist.NetID, delta uint64, mask uint64, _ uint64) {
+			if b.logged[n] {
+				b.log = append(b.log, change{net: n, delta: uint32(delta), mask: mask})
+			}
+		}
+	}
+	clear(b.evals)
+	b.top, b.log = 0, b.log[:0]
+	b.replays++
+	return b.eng.ReplayWave(w)
+}
+
+// record fills t from the replay of w just made: the gate counts, keeping
+// only the planes the replay used, and the change log grouped by net. A
+// shared bank's trace is fresh and sized exactly; a private bank reuses
+// t's buffers and compacts b.evals in place.
+func (b *WaveBank) record(w *Wave, t *WaveTrace) {
+	t.Base, t.Lanes, t.Planes = w.Base, w.Lanes, b.top
+	gates, top := len(b.sw.NL.Gates), b.top
+	if b.private {
+		t.Evals = b.evals[:gates*top]
+	} else {
+		t.Evals = make([]uint64, gates*top)
+	}
+	for g := 0; g < gates; g++ {
+		copy(t.Evals[g*top:(g+1)*top], b.evals[g*b.planes:g*b.planes+top])
+	}
+
+	nets := len(b.logged)
+	if b.private && t.NetOff != nil {
+		clear(t.NetOff)
+	} else {
+		t.NetOff = make([]int32, nets+1)
+	}
+	off := t.NetOff
+	for _, c := range b.log {
+		off[c.net+1]++
+	}
+	// off[n+1] becomes where net n's changes start, then (as they are
+	// placed) where they end: net n+1's start.
+	var sum int32
+	for n := 1; n <= nets; n++ {
+		sum, off[n] = sum+off[n], sum
+	}
+	if b.private {
+		t.Deltas = slices.Grow(t.Deltas[:0], len(b.log))[:len(b.log)]
+		t.Masks = slices.Grow(t.Masks[:0], len(b.log))[:len(b.log)]
+	} else {
+		t.Deltas = make([]uint32, len(b.log))
+		t.Masks = make([]uint64, len(b.log))
+	}
+	for _, c := range b.log {
+		j := off[c.net+1]
+		off[c.net+1]++
+		t.Deltas[j], t.Masks[j] = c.delta, c.mask
+	}
 }

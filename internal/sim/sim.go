@@ -1,7 +1,8 @@
 // Package sim is the sequential gate-level simulator. Sweep compiles a
 // netlist's cycle once — stimulus inputs, flip-flops, topological gate
 // table, depth, power-on state — and its Step is the levelized cycle
-// sweep, which the wave bank's scout runs. Simulator is the event-driven
+// sweep; the wave bank's scout settles a fused slice of the same table.
+// Simulator is the event-driven
 // engine over the same compiled cycle: the correctness oracle for the Time
 // Warp kernel, the sequential-time baseline for speedup measurements, and
 // the producer of the event traces that drive the deterministic cluster
@@ -235,8 +236,8 @@ func (s *Simulator) setNet(n netlist.NetID, v bool, t VTime) {
 
 // EvalGate computes a combinational gate's output from current net values.
 // Step evaluates every gate with it; Truth tabulates it for the gates of one
-// or two inputs, and the scout and the Time Warp kernel evaluate those from
-// the table and hand only the wider ones back to it.
+// or two inputs, and the wave bank and the Time Warp kernel evaluate those
+// from the table and hand only the wider ones back to it.
 func EvalGate(g *netlist.Gate, values []bool) bool {
 	switch g.Kind {
 	case verilog.GateNot:

@@ -86,9 +86,10 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 
 // settle makes values combinationally consistent by evaluating every
 // combinational gate once, in topological order, writing each output at
-// once. A wide record reads its gate from the netlist. The sweep writes
-// every net because the wave bank reads every net, so its table is not
-// fused (Fuse; DESIGN §20).
+// once. A wide record reads its gate from the netlist. Step's callers read
+// every net, so its table is not fused (Fuse; DESIGN §20); the wave bank's
+// scout, which reads only the flip-flops' d nets, settles a fused slice of
+// it instead.
 func (w *Sweep) settle(values []bool) {
 	for i := range w.tab {
 		t := &w.tab[i]

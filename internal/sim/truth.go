@@ -29,8 +29,9 @@ func Truth(g *netlist.Gate) (tt uint8, ok bool) {
 // and B (a one-input gate has B == A), its output and its truth table. A
 // gate of more than two inputs has TT == Wide, and A holds its
 // netlist.GateID instead of an input: EvalGate evaluates it from there.
-// Sweep.Step (the wave bank's scout) evaluates these records; the Time Warp
-// kernel's cluster programs fuse their slices of them (Fuse).
+// Sweep.Step evaluates these records, the wave bank builds a wave's words and
+// replays it from them (ttWord), and the Time Warp kernel's cluster programs
+// and the bank's scout fuse their slices of them (Fuse).
 type TruthGate struct {
 	A, B, Out netlist.NetID
 	TT        uint8

@@ -860,6 +860,15 @@ func distReportV8(r distReport) []byte {
 	return blob
 }
 
+// traceBatchV1 rewrites a one-event trace batch into the trace codec's
+// version 1 layout, which carried an 8-byte event ID after the phase byte.
+func traceBatchV1(blob []byte) []byte {
+	const phaseEnd = 1 + 8 + 4 + 8 + 8 + 4 + 1 // version, dropped, count, Ts, Dur, Track, Phase
+	out := append([]byte{1}, blob[1:phaseEnd]...)
+	out = nettrans.AppendU64(out, 0)
+	return append(out, blob[phaseEnd:]...)
+}
+
 // FuzzDistProtoDecode hardens every distributed control payload decoder
 // against arbitrary bytes: errors are fine, panics and absurd
 // allocations are not.
@@ -879,6 +888,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendMark(nil, 1, 7))
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
+	f.Add(traceBatchV1(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0)))
 	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeDistSpec(data)

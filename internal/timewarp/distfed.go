@@ -19,8 +19,9 @@ import (
 // wire image they pin (internal/obs/fedwire_test.go, an external test
 // package).
 
-// traceVersion versions the trace-batch wire format.
-const traceVersion byte = 1
+// traceVersion versions the trace-batch wire format. Version 1 carried an
+// 8-byte event ID after the phase byte; no producer wrote one.
+const traceVersion byte = 2
 
 // maxTraceEvents bounds the event count a decoded batch may claim.
 const maxTraceEvents = 1 << 20
@@ -37,7 +38,6 @@ func AppendTraceEvents(dst []byte, events []obs.Event, dropped uint64) []byte {
 		dst = nettrans.AppendI64(dst, e.Dur)
 		dst = nettrans.AppendU32(dst, uint32(e.Track))
 		dst = nettrans.AppendU8(dst, e.Phase)
-		dst = nettrans.AppendU64(dst, e.ID)
 		dst = nettrans.AppendStr(dst, e.Name)
 		n := byte(0)
 		for _, a := range e.Args {
@@ -67,8 +67,8 @@ func DecodeTraceEvents(p []byte) (events []obs.Event, dropped uint64, err error)
 	dropped = d.U64()
 	n := d.U32()
 	if d.Err() == nil {
-		// An event needs at least 34 bytes (fixed fields + two prefixes).
-		if n > maxTraceEvents || uint64(n)*34 > uint64(d.Len()) {
+		// An event needs at least 26 bytes (fixed fields + two prefixes).
+		if n > maxTraceEvents || uint64(n)*26 > uint64(d.Len()) {
 			return nil, 0, fmt.Errorf("timewarp: trace batch claims %d events in %d bytes", n, d.Len())
 		}
 		events = make([]obs.Event, n)
@@ -77,7 +77,6 @@ func DecodeTraceEvents(p []byte) (events []obs.Event, dropped uint64, err error)
 			events[i].Dur = d.I64()
 			events[i].Track = int32(d.U32())
 			events[i].Phase = d.U8()
-			events[i].ID = d.U64()
 			events[i].Name = d.Str()
 			na := d.U8()
 			if d.Err() != nil {
