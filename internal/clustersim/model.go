@@ -26,7 +26,6 @@
 package clustersim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 
@@ -355,22 +354,55 @@ type modelEvent struct {
 	count    uint64
 }
 
+// modelHeap is a binary min-heap of events ordered on (wall, seq), typed
+// so that a push or pop moves a modelEvent and boxes nothing. seq is
+// unique, so the order is total and the pop order does not depend on the
+// heap's layout.
 type modelHeap []modelEvent
 
-func (h modelHeap) Len() int { return len(h) }
-func (h modelHeap) Less(i, j int) bool {
+func (h modelHeap) less(i, j int) bool {
 	if h[i].wall != h[j].wall {
 		return h[i].wall < h[j].wall
 	}
 	return h[i].seq < h[j].seq
 }
-func (h modelHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *modelHeap) Push(x any)   { *h = append(*h, x.(modelEvent)) }
-func (h *modelHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+// push adds e.
+func (h *modelHeap) push(e modelEvent) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least event; the heap must not be empty.
+func (h *modelHeap) pop() modelEvent {
+	s := *h
+	e := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
 	return e
 }
 
@@ -430,7 +462,7 @@ func Run(cfg Config) (*Result, error) {
 	push := func(e modelEvent) {
 		seq++
 		e.seq = seq
-		heap.Push(&h, e)
+		h.push(e)
 	}
 	res := &Result{MachineBusy: make([]float64, cfg.K), MachineEvents: make([]uint64, cfg.K)}
 
@@ -493,8 +525,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(modelEvent)
+	for len(h) > 0 {
+		e := h.pop()
 		switch e.kind {
 		case evStep:
 			m := ms[e.machine]

@@ -150,9 +150,10 @@ func TestPackedSharedWaveBank(t *testing.T) {
 
 // TestPackedRunAllocs holds one packed run over a prebuilt wave bank — the
 // regime of a campaign, where every (k, b) point replays one bank — on the
-// SoC at k=4 for 2,000 cycles to at most 43,000 allocations (38,705 when
-// the bound was set, 48,456 while every cycle's bundles were a map; the
-// count does not depend on scheduling).
+// SoC at k=4 for 2,000 cycles to at most 140 allocations (124 when the
+// bound was set; 38,705 while the event heap boxed every event it pushed,
+// 48,456 while every cycle's bundles were a map; the count does not depend
+// on scheduling).
 func TestPackedRunAllocs(t *testing.T) {
 	ed := packedWorkloads(t)["soc"]
 	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 1, Restarts: 2})
@@ -179,8 +180,8 @@ func TestPackedRunAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations a run", allocs)
-	if allocs > 43000 {
-		t.Errorf("packed run (SoC, K=4, %d cycles): %.0f allocations, want at most 43,000", cycles, allocs)
+	if allocs > 140 {
+		t.Errorf("packed run (SoC, K=4, %d cycles): %.0f allocations, want at most 140", cycles, allocs)
 	}
 }
 

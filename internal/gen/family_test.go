@@ -26,6 +26,7 @@ func TestGeneratorFamily(t *testing.T) {
 			ModuleTypes: 5, GatesPerModule: 12, InstancesPerModule: 2,
 			TopInstances: 5, PIs: 8, Seed: 9, DFFFraction: 0.2,
 		}),
+		WideGates(40, 2),
 	}
 	for _, c := range family {
 		c := c

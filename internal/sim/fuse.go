@@ -1,156 +1,331 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/netlist"
+	"repro/internal/verilog"
 )
 
-// FusedGate is a fanout-free cone of tabulated gates compiled into one
-// record: up to four distinct input nets, the cone's output net and its
-// 16-bit truth table. Bit i of TT is the output when In[j] holds bit j of
-// i. N counts the distinct inputs; the slots from N up repeat In[0], and
-// the table does not depend on them. A wide gate (more than two inputs)
-// is a record of its own with N == 0 and its netlist.GateID in In[0], and
-// EvalGate evaluates it from there. Settle evaluates these records, which
-// is what the Time Warp kernel's clusters run (DESIGN §20).
+// FusedGate is one record of a Program: a fanout-free cone of combinational
+// gates compiled into its input slots and its 16-bit truth table. Bit i of
+// TT is the output when slot In[j] holds bit j of i. The inputs past the
+// cone's distinct ones repeat In[0], and the table does not depend on
+// them. Record i of a program writes slot Base+i; it carries no output.
 type FusedGate struct {
-	In  [4]netlist.NetID
-	Out netlist.NetID
-	TT  uint16
-	N   uint8
+	In [4]int32
+	TT uint16
 }
 
-// Eval computes a tabulated record's output (N > 0) from the current net
-// values: four loads and a shift, with no branch.
-func (f *FusedGate) Eval(values []bool) bool {
-	i := b2u(values[f.In[0]]) | b2u(values[f.In[1]])<<1 | b2u(values[f.In[2]])<<2 | b2u(values[f.In[3]])<<3
-	return f.TT>>i&1 != 0
+// Program is a slice of a sweep table compiled over a dense slot array,
+// which is the state it settles. The inputs take the slots below Base: the
+// nets its caller named to Fuse that the table does not drive first, in
+// the order named, then the table's other inputs. Record i writes slot
+// Base+i, so the records write their outputs in order. Settle evaluates
+// it; the Time Warp kernel's clusters and the wave bank's scout run one
+// each (DESIGN §20).
+type Program struct {
+	Tab  []FusedGate
+	Base int32
+	// Nets[s] is the net slot s holds, or NoNet for a slot that holds a
+	// link of a gate of more than four inputs.
+	Nets []netlist.NetID
 }
 
-// Settle evaluates every record of tab once, in table order, writing each
-// output into values at once: over a table Fuse built from a topological
-// one it settles every record's output to the unique state its inputs
-// imply. A wide record reads its gate from nl.
-func Settle(nl *netlist.Netlist, tab []FusedGate, values []bool) {
-	for i := range tab {
-		f := &tab[i]
-		if f.N != 0 {
-			values[f.Out] = f.Eval(values)
-		} else {
-			values[f.Out] = EvalGate(&nl.Gates[f.In[0]], values)
+// NoNet is Program.Nets' entry for a slot that holds no net.
+const NoNet netlist.NetID = -1
+
+// Load copies into every slot that holds a net that net's value in values,
+// a state indexed by net (a power-on state, say); a chain link's slot is
+// left alone.
+func (p *Program) Load(slots, values []bool) {
+	for s, n := range p.Nets {
+		if n != NoNet {
+			slots[s] = values[n]
 		}
+	}
+}
+
+// Settle evaluates every record of p once, in table order, writing each
+// output at once: over a program Fuse built from a topological table it
+// settles every record's output to the unique state its inputs imply.
+// Each record is four loads, three address additions (the sum of the
+// scaled inputs), a bit test and one store, with no branch.
+func Settle(p *Program, slots []bool) {
+	tab := p.Tab
+	out := slots[p.Base:][:len(tab)]
+	for i := range tab {
+		r := &tab[i]
+		x := uint(b2u(slots[r.In[0]])) + 2*uint(b2u(slots[r.In[1]])) + 4*uint(b2u(slots[r.In[2]])) + 8*uint(b2u(slots[r.In[3]]))
+		out[i] = uint(r.TT)>>(x&15)&1 != 0 // x < 16: the mask spares the shift its range check
 	}
 }
 
 // Fuse compiles tab, a topological table of TruthGates (a Sweep's, or an
-// AppendSlice of it), into FusedGates. It walks tab backwards and folds a
-// record into the one record that reads its output when that output is not
-// live, when that reader is the output's only reader in the table, and when
-// the reader keeps at most four distinct inputs. So only the outputs of
-// the records Fuse returns are written by Settle; a folded record's output
-// is never written again, and live must report true for every net anything
-// other than tab reads or observes. A wide gate is never folded and nothing
-// folds into it. Every bit of a fused table is read from the folded
-// TruthGates' tables on the 16 input combinations, so it is EvalGate's
-// answer by construction, as Truth's bits are. The result is in topological
-// order, and its capacity is its length: a first walk decides every fold on
-// the records' inputs alone and counts the records, a second makes the
-// same decisions with the tables into a slice of exactly that size.
-func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool) []FusedGate {
-	w := fuser{reader: make([]int32, len(nl.Nets)), cones: make([][4]netlist.NetID, 0, len(tab))}
-	out := make([]FusedGate, 0, w.walk(nl, tab, live, func(int, int32) {}))
-	w.walk(nl, tab, live, func(i int, r int32) {
-		switch t := &tab[i]; {
-		case t.TT == Wide:
-			out = append(out, FusedGate{In: [4]netlist.NetID{t.A}, Out: t.Out})
-		case r < 0:
-			out = append(out, leaf(t))
-		default:
-			out[r].fold(t)
-		}
-	})
-	slices.Reverse(out)
-	return out
-}
-
-// fuser is the state of Fuse's walk: who reads each net, and each
-// record's inputs.
-type fuser struct {
-	// reader[n] is r+1 while record r is the one record reading net n, 0
-	// while no record reads it, and shared once two do or a wide gate does.
-	reader []int32
-	cones  [][4]netlist.NetID // record r's inputs, as FusedGate.In
-}
-
-const shared = -1
-
-// walk runs Fuse's backward walk over tab, keeping of each record only its
-// inputs, and tells emit, for every tab[i] in walk order, whether it starts
-// a record (r < 0) or folds into record r. It returns how many records the
-// walk made.
-func (w *fuser) walk(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, emit func(i int, r int32)) int {
-	clear(w.reader)
-	w.cones = w.cones[:0]
-	claim := func(n netlist.NetID, r int32) {
-		switch w.reader[n] {
-		case 0:
-			w.reader[n] = r + 1
-		case r + 1:
-		default:
-			w.reader[n] = shared
+// AppendSlice of it), into a Program, and returns the slot of each net of
+// named: the nets its caller reads or writes outside the table. A gate of
+// three or four inputs is a table like any other, and a wider one a chain
+// of them, each link folding up to four of its inputs with the gate's
+// associative operator (DESIGN §20).
+//
+// Fuse walks the gates backwards and folds one into the one record that
+// reads its output when that output is not live, when that reader is the
+// output's only reader in the table, and when the reader keeps at most
+// four distinct inputs. So only the outputs of the records Fuse returns
+// are written by Settle; a folded gate's output has no slot, and live must
+// report true for every net the table drives that named lists. Every bit
+// of a fused table is read from the folded gates' tables on the 16 input
+// combinations, and those are EvalGate's answers, so it is EvalGate's
+// answer by construction, as Truth's bits are. The records are in
+// topological order. One walk makes them into a table with room for one
+// per gate, which Fuse returns as it is: a copy at their exact number
+// would allocate more than it saves.
+func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, named []netlist.NetID) (Program, []int32) {
+	links := 0 // the chain links' outputs, numbered after the nets
+	for i := range tab {
+		if t := &tab[i]; t.TT == Wide {
+			links += chainLen(len(nl.Gates[t.A].Inputs)) - 1
 		}
 	}
+	w := fuser{
+		reader: make([]int32, len(nl.Nets)+links),
+		recs:   make([]FusedGate, 0, len(tab)),
+		outs:   make([]int32, 0, len(tab)),
+	}
+	nets := int32(len(nl.Nets))
+	next := nets // the first output of the next chain
 	for i := len(tab) - 1; i >= 0; i-- {
-		t := &tab[i]
-		if t.TT == Wide {
-			w.cones = append(w.cones, [4]netlist.NetID{})
-			emit(i, -1)
-			for _, in := range nl.Gates[t.A].Inputs {
-				w.reader[in] = shared
-			}
-			continue
+		w.chain = pieces(nl, &tab[i], &next, w.chain[:0])
+		for k := range w.chain {
+			w.place(&w.chain[k], nets, live)
 		}
-		r := w.reader[t.Out] - 1
-		if r >= 0 && !live(t.Out) {
-			if in, ok := merge(w.cones[r], t); ok {
-				w.cones[r] = in
-				emit(i, r)
-			} else {
-				r = -1
-			}
+	}
+	// The walk made the records last first.
+	recs := w.recs
+	slices.Reverse(recs)
+	slices.Reverse(w.outs)
+
+	// The slot map, over the walk's reader array: record i's output holds
+	// -(i+1), input slot j j+1, a folded net folded.
+	slot := w.reader
+	clear(slot)
+	for i, o := range w.outs {
+		slot[o] = -int32(i) - 1
+	}
+	for i := range tab {
+		if o := tab[i].Out; slot[o] == 0 {
+			slot[o] = folded
+		}
+	}
+	base := int32(0)
+	input := func(v int32) {
+		if slot[v] == 0 {
+			base++
+			slot[v] = base
+		}
+	}
+	for _, n := range named {
+		if slot[n] == folded {
+			panic(fmt.Sprintf("sim: Fuse folded %s, which the caller names", nl.Nets[n].Name))
+		}
+		input(int32(n))
+	}
+	for i := range recs {
+		for _, v := range recs[i].In {
+			input(v)
+		}
+	}
+	ids := make([]netlist.NetID, base, int(base)+len(recs))
+	for v, s := range slot {
+		if s > 0 {
+			ids[s-1] = netlist.NetID(v)
+		}
+	}
+	at := func(v int32) int32 {
+		if s := slot[v]; s < 0 {
+			return base - s - 1
+		}
+		return slot[v] - 1
+	}
+	for i := range recs {
+		for j, v := range recs[i].In {
+			recs[i].In[j] = at(v)
+		}
+	}
+	slots := make([]int32, len(named))
+	for j, n := range named {
+		slots[j] = at(int32(n))
+	}
+	for _, o := range w.outs {
+		if o >= nets {
+			o = int32(NoNet)
+		}
+		ids = append(ids, netlist.NetID(o))
+	}
+	return Program{Tab: recs, Base: base, Nets: ids}, slots
+}
+
+// fuser is the state of Fuse's walk: who reads each net or link, and the
+// records made so far, last first.
+type fuser struct {
+	// reader[v] is r+1 while record r is the one record reading v, 0
+	// while no record reads it, and shared once two do.
+	reader []int32
+	recs   []FusedGate // the records, their inputs the IDs of pieces
+	outs   []int32     // record r's output
+	chain  []piece     // the pieces of the gate being walked, last first
+}
+
+const (
+	shared = -1
+	folded = -1 << 31
+)
+
+// piece is a function of at most four inputs that Fuse folds: a gate of at
+// most four inputs, or a link of the chain a wider gate becomes. Its
+// inputs and output are a net's ID, or, at len(nl.Nets) and above, a
+// link's output.
+type piece struct {
+	in  [4]int32
+	n   int    // in[:n] are the inputs; one may repeat
+	tt  uint16 // bit i: the output when in[j] holds bit j of i
+	out int32
+}
+
+// place folds piece p into the one record reading its output, or starts
+// a record of it, and claims p's inputs for that record. An output at or
+// above nets is a chain link's, which is never live.
+func (w *fuser) place(p *piece, nets int32, live func(netlist.NetID) bool) {
+	r := w.reader[p.out] - 1
+	if r >= 0 && (p.out >= nets || !live(netlist.NetID(p.out))) {
+		if in, ok := merge(w.recs[r].In, p); ok {
+			w.recs[r].fold(p, in)
 		} else {
 			r = -1
 		}
-		if r < 0 {
-			r = int32(len(w.cones))
-			w.cones = append(w.cones, [4]netlist.NetID{t.A, t.B, t.A, t.A})
-			emit(i, -1)
-		}
-		claim(t.A, r)
-		claim(t.B, r)
+	} else {
+		r = -1
 	}
-	return len(w.cones)
+	if r < 0 {
+		r = int32(len(w.recs))
+		w.recs = append(w.recs, leaf(p))
+		w.outs = append(w.outs, p.out)
+	}
+	for _, v := range p.in[:p.n] {
+		switch w.reader[v] {
+		case 0:
+			w.reader[v] = r + 1
+		case r + 1:
+		default:
+			w.reader[v] = shared
+		}
+	}
+}
+
+// pieces appends to chain the pieces of gate t, last first: one for a gate
+// of at most four inputs, and for a wider one a chain of links — the
+// first folding four inputs with the gate's associative operator, every
+// further one the link before and up to three more, the last applying the
+// gate's own operator — whose outputs are numbered from *next on.
+func pieces(nl *netlist.Netlist, t *TruthGate, next *int32, chain []piece) []piece {
+	if t.TT < Wide {
+		return append(chain, piece{in: [4]int32{int32(t.A), int32(t.B)}, n: 2, tt: uint16(t.TT) * 0x1111, out: int32(t.Out)})
+	}
+	g := &nl.Gates[t.A]
+	ins := g.Inputs
+	links := chainLen(len(ins))
+	first := *next
+	*next += int32(links - 1)
+	for l := links - 1; l >= 0; l-- {
+		p := piece{out: int32(t.Out)}
+		kind, from := assoc(g.Kind), 0
+		if l > 0 {
+			p.in[0], p.n, from = first+int32(l-1), 1, 4+3*(l-1)
+		}
+		for _, v := range ins[from:min(len(ins), from+4-p.n)] {
+			p.in[p.n] = int32(v)
+			p.n++
+		}
+		if l < links-1 {
+			p.out = first + int32(l)
+		} else {
+			kind = g.Kind
+		}
+		p.tt = table(kind, p.n)
+		chain = append(chain, p)
+	}
+	return chain
+}
+
+// chainLen is how many links a gate of n inputs becomes: one up to four
+// inputs, and one more for every three past four.
+func chainLen(n int) int {
+	if n <= 4 {
+		return 1
+	}
+	return 1 + (n-2)/3
+}
+
+// assoc is the associative operator a gate of kind k applies before its
+// output's inversion: a chain's links but the last apply it.
+func assoc(k verilog.GateKind) verilog.GateKind {
+	switch k {
+	case verilog.GateNand:
+		return verilog.GateAnd
+	case verilog.GateNor:
+		return verilog.GateOr
+	case verilog.GateXnor:
+		return verilog.GateXor
+	}
+	return k
 }
 
 // inputs are the 16-bit tables of the four record inputs themselves: bit i
 // of inputs[j] is bit j of i.
 var inputs = [4]uint16{0xaaaa, 0xcccc, 0xf0f0, 0xff00}
 
-// leaf returns the record of tabulated gate t alone.
-func leaf(t *TruthGate) FusedGate {
-	f := FusedGate{In: [4]netlist.NetID{t.A, t.B, t.A, t.A}, Out: t.Out, N: 2}
-	if t.A == t.B {
-		f.N = 1
+// leafInputs returns the inputs of the record of p alone: p's distinct
+// inputs in order, the slots past them repeating the first.
+func leafInputs(p *piece) [4]int32 {
+	if a, b := p.in[0], p.in[1]; p.n == 2 && a != b {
+		return [4]int32{a, b, a, a}
 	}
-	f.TT = compose(uint16(t.TT)*0x1111, [4]uint16{inputs[0], inputs[f.N-1]})
-	return f
+	in := [4]int32{p.in[0], p.in[0], p.in[0], p.in[0]}
+	n := 1
+	for _, v := range p.in[1:p.n] {
+		if !slices.Contains(in[:n], v) {
+			in[n] = v
+			n++
+		}
+	}
+	return in
 }
 
-// width is how many distinct inputs in holds, In[:N] of a FusedGate: the
-// slots from N up repeat In[0].
-func width(in [4]netlist.NetID) uint8 {
-	n := uint8(1)
+// leaf returns the record of p alone, its inputs still IDs.
+func leaf(p *piece) FusedGate {
+	in := leafInputs(p)
+	if width(in) == p.n { // p's inputs, distinct and in order: p's table
+		return FusedGate{In: in, TT: p.tt}
+	}
+	return FusedGate{In: in, TT: p.table(in)}
+}
+
+// table returns p's function as a table over the record inputs in, which
+// hold each of p's inputs.
+func (p *piece) table(in [4]int32) uint16 {
+	n := width(in)
+	var x [4]uint16 // p's input j as a table over in
+	for j, v := range p.in[:p.n] {
+		x[j] = inputs[slices.Index(in[:n], v)]
+	}
+	return compose(p.tt, x)
+}
+
+// width is how many distinct inputs in holds, a FusedGate's In: the slots
+// past them repeat In[0].
+func width(in [4]int32) int {
+	n := 1
 	for _, v := range in[1:] {
 		if v != in[0] {
 			n++
@@ -159,14 +334,14 @@ func width(in [4]netlist.NetID) uint8 {
 	return n
 }
 
-// merge returns the inputs of a record with inputs in once its input t.Out
-// is replaced by t, the tabulated gate driving it: in's others in order,
-// then t.A and t.B, each once, the slots past them repeating the first. It
-// reports false when they are more than four.
-func merge(in [4]netlist.NetID, t *TruthGate) ([4]netlist.NetID, bool) {
-	var m [4]netlist.NetID
+// merge returns the inputs of a record with inputs in once its input p.out
+// is replaced by p: in's others in order, then p's inputs, each once, the
+// slots past them repeating the first. It reports false when they are more
+// than four.
+func merge(in [4]int32, p *piece) ([4]int32, bool) {
+	var m [4]int32
 	n := 0
-	add := func(v netlist.NetID) bool {
+	add := func(v int32) bool {
 		if slices.Contains(m[:n], v) {
 			return true
 		}
@@ -178,12 +353,14 @@ func merge(in [4]netlist.NetID, t *TruthGate) ([4]netlist.NetID, bool) {
 		return true
 	}
 	for _, v := range in[:width(in)] {
-		if v != t.Out {
-			add(v) // at most three: in holds t.Out too
+		if v != p.out {
+			add(v) // at most three: in holds p.out too
 		}
 	}
-	if !add(t.A) || !add(t.B) {
-		return m, false
+	for _, v := range p.in[:p.n] {
+		if !add(v) {
+			return m, false
+		}
 	}
 	for k := n; k < 4; k++ {
 		m[k] = m[0]
@@ -191,22 +368,20 @@ func merge(in [4]netlist.NetID, t *TruthGate) ([4]netlist.NetID, bool) {
 	return m, true
 }
 
-// fold replaces input t.Out of f by t, the tabulated gate driving it; the
-// walk has checked that the inputs that leaves number at most four (merge).
-// The new table is f's composed with t's, both read bit by bit.
-func (f *FusedGate) fold(t *TruthGate) {
-	in, _ := merge(f.In, t)
+// fold replaces input p.out of r, a record whose inputs are still IDs, by
+// p, making in, merge's answer, its inputs. The new table is r's composed
+// with p's, both read bit by bit.
+func (r *FusedGate) fold(p *piece, in [4]int32) {
 	n := width(in)
-	at := func(v netlist.NetID) uint16 { return inputs[slices.Index(in[:n], v)] }
-	var x [4]uint16 // f's input j as a table over the new inputs
-	for j, v := range f.In[:f.N] {
-		if v == t.Out {
-			x[j] = compose(uint16(t.TT)*0x1111, [4]uint16{at(t.A), at(t.B)})
+	var x [4]uint16 // r's input j as a table over the new inputs
+	for j, v := range r.In[:width(r.In)] {
+		if v == p.out {
+			x[j] = p.table(in)
 		} else {
-			x[j] = at(v)
+			x[j] = inputs[slices.Index(in[:n], v)]
 		}
 	}
-	f.In, f.N, f.TT = in, n, compose(f.TT, x)
+	r.In, r.TT = in, compose(r.TT, x)
 }
 
 // compose returns the table of the function whose table is tt applied to

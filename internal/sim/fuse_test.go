@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // fuseFamilies are the circuits FuzzFuse fuses slices of, each elaborated
 // once per process. The random hierarchical one has gates of three and four
-// inputs, which stay unfused.
+// inputs, the wide one gates of up to nine.
 var fuseFamilies = []func() (*elab.Design, error){
 	sync.OnceValues(gen.LFSR(16, nil).Elaborate),
 	sync.OnceValues(gen.Multiplier(5).Elaborate),
@@ -25,16 +26,21 @@ var fuseFamilies = []func() (*elab.Design, error){
 	sync.OnceValues(gen.ViterbiSoC(gen.SoCConfig{
 		Channels: 2, Viterbi: gen.ViterbiConfig{K: 3, W: 4, TB: 4}, ScramblerBits: 8, CRCBits: 8,
 	}).Elaborate),
+	sync.OnceValues(gen.WideGates(60, 7).Elaborate),
 }
 
 // FuzzFuse draws a gen family, a slice of its sweep table (each gate kept
-// with a drawn probability), a live set (each net live with another) and
-// net values, and fuses the slice. Settling the fused table must leave every
-// live net the slice drives, and every record's output, as settling the
-// slice gate by gate does. The records must write distinct nets the slice
-// drives, each after every record whose output it reads, read at most four
-// distinct inputs, keep a wide gate whole, and write every live net; and
-// the table must be allocated at exactly its length.
+// with a drawn probability), a live set (each net live with another), the
+// nets named (every live net the slice drives, and others with a third
+// probability) and net values, and fuses the slice. The program's slots
+// must be its inputs — nets the slice does not drive, each once, the named
+// ones first in the order named — then one per record, each a net the
+// slice drives once or a chain link; record i must read only slots below
+// Base+i, each distinct input once and the rest repeating the first; every
+// named net must map to its slot, a live one to a record's; and settling
+// the program over slots loaded from the net values must leave every
+// record's net, read through the map, as settling the slice gate by gate
+// leaves it.
 func FuzzFuse(f *testing.F) {
 	for fam := range fuseFamilies {
 		f.Add(uint8(fam), uint8(255), uint8(0), int64(fam))
@@ -53,54 +59,68 @@ func FuzzFuse(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		slice := w.AppendSlice(nil, func(netlist.GateID) bool { return rng.Intn(256) <= int(keep) })
-		live := make([]bool, len(nl.Nets))
-		for n := range live {
-			live[n] = rng.Intn(256) < int(liveness)
-		}
-		fused := Fuse(nl, slice, func(n netlist.NetID) bool { return live[n] })
-		if cap(fused) != len(fused) {
-			t.Fatalf("%d records in a table of capacity %d", len(fused), cap(fused))
-		}
-
 		drives := make([]bool, len(nl.Nets)) // nets the slice drives
 		for _, g := range slice {
 			drives[g.Out] = true
 		}
-		written := make([]bool, len(nl.Nets))
-		for i, r := range fused {
-			if !drives[r.Out] || written[r.Out] {
-				t.Fatalf("record %d writes %s: driven by the slice %v, by an earlier record %v", i, nl.Nets[r.Out].Name, drives[r.Out], written[r.Out])
+		live := make([]bool, len(nl.Nets))
+		var named []netlist.NetID
+		for n := range live {
+			live[n] = rng.Intn(256) < int(liveness)
+			if live[n] && drives[n] || !drives[n] && rng.Intn(3) == 0 {
+				named = append(named, netlist.NetID(n))
 			}
-			ins := r.In[:r.N]
-			if r.N == 0 {
-				g := &nl.Gates[r.In[0]]
-				if len(g.Inputs) <= 2 || g.Output != r.Out {
-					t.Fatalf("record %d: wide record names gate %s of %d inputs driving %s", i, g.Path, len(g.Inputs), nl.Nets[g.Output].Name)
+		}
+		p, slots := Fuse(nl, slice, func(n netlist.NetID) bool { return live[n] }, named)
+		base, end := int(p.Base), int(p.Base)+len(p.Tab)
+		if end != len(p.Nets) {
+			t.Fatalf("%d inputs and %d records in %d slots", base, len(p.Tab), len(p.Nets))
+		}
+
+		slot := make(map[netlist.NetID]int) // every net with a slot
+		for s, n := range p.Nets {
+			if n == NoNet {
+				if s < base || s >= end {
+					t.Fatalf("slot %d of %d..%d holds no net", s, base, end)
 				}
-				ins = g.Inputs
+				continue
 			}
-			if r.N > 4 {
-				t.Fatalf("record %d reads %d inputs", i, r.N)
+			if _, dup := slot[n]; dup {
+				t.Fatalf("%s has slots %d and %d", nl.Nets[n].Name, slot[n], s)
 			}
-			for j, in := range ins {
-				if drives[in] && !written[in] {
-					t.Fatalf("record %d reads %s before a record writes it", i, nl.Nets[in].Name)
+			if drives[n] != (s >= base && s < end) {
+				t.Fatalf("slot %d (inputs below %d, records below %d) holds %s, which the slice drives: %v", s, base, end, nl.Nets[n].Name, drives[n])
+			}
+			slot[n] = s
+		}
+		for i, r := range p.Tab {
+			w := 1
+			for w < 4 && r.In[w] != r.In[0] {
+				w++
+			}
+			for j, s := range r.In {
+				if int(s) < 0 || int(s) >= base+i {
+					t.Fatalf("record %d (slot %d) reads slot %d: inputs lie below %d", i, base+i, s, base+i)
 				}
-				for _, dup := range ins[:j] {
-					if r.N > 0 && dup == in {
-						t.Fatalf("record %d reads %s twice", i, nl.Nets[in].Name)
-					}
+				if j < w && slices.Contains(r.In[:j], s) || j >= w && s != r.In[0] {
+					t.Fatalf("record %d reads slots %v: distinct ones, then the first repeated", i, r.In)
 				}
 			}
-			for _, in := range r.In[r.N:] {
-				if r.N > 0 && in != r.In[0] {
-					t.Fatalf("record %d: unused slot holds %s, not its first input", i, nl.Nets[in].Name)
-				}
+		}
+		next := int32(0) // the slot of the next named net the slice does not drive
+		for j, n := range named {
+			if int(slots[j]) >= len(p.Nets) || p.Nets[slots[j]] != n {
+				t.Fatalf("named net %s maps to slot %d", nl.Nets[n].Name, slots[j])
 			}
-			written[r.Out] = true
+			if !drives[n] {
+				if slots[j] != next {
+					t.Fatalf("named input %s has slot %d, want %d: the named inputs come first, in order", nl.Nets[n].Name, slots[j], next)
+				}
+				next++
+			}
 		}
 		for n := range live {
-			if live[n] && drives[n] && !written[n] {
+			if s, ok := slot[netlist.NetID(n)]; live[n] && drives[n] && (!ok || s < base) {
 				t.Fatalf("live net %s is no record's output", nl.Nets[n].Name)
 			}
 		}
@@ -109,7 +129,11 @@ func FuzzFuse(f *testing.F) {
 		for n := range want {
 			want[n] = rng.Intn(2) == 1
 		}
-		got := append([]bool(nil), want...)
+		got := make([]bool, len(p.Nets))
+		for s := range got {
+			got[s] = rng.Intn(2) == 1 // what a chain link's slot holds does not matter
+		}
+		p.Load(got, want)
 		for i := range slice {
 			if g := &slice[i]; g.TT < Wide {
 				want[g.Out] = g.Eval(want)
@@ -117,10 +141,10 @@ func FuzzFuse(f *testing.F) {
 				want[g.Out] = EvalGate(&nl.Gates[g.A], want)
 			}
 		}
-		Settle(nl, fused, got)
-		for n := range want {
-			if written[n] && got[n] != want[n] {
-				t.Fatalf("net %s (live %v): fused %v, gate by gate %v", nl.Nets[n].Name, live[n], got[n], want[n])
+		Settle(&p, got)
+		for s, n := range p.Nets {
+			if n != NoNet && got[s] != want[n] {
+				t.Fatalf("net %s (slot %d, live %v): fused %v, gate by gate %v", nl.Nets[n].Name, s, live[n], got[s], want[n])
 			}
 		}
 	})
@@ -138,22 +162,22 @@ func TestFuseFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := Fuse(w.NL, w.tab, clusterLive(w.NL))
-	t.Logf("%d gates, %d records", len(w.tab), len(fused))
-	if 2*len(fused) > len(w.tab) {
-		t.Errorf("%d gates fused into %d records, want at most half", len(w.tab), len(fused))
+	p, _ := Fuse(w.NL, w.tab, clusterLive(w.NL), nil)
+	t.Logf("%d gates, %d records, %d input slots", len(w.tab), len(p.Tab), p.Base)
+	if 2*len(p.Tab) > len(w.tab) {
+		t.Errorf("%d gates fused into %d records, want at most half", len(w.tab), len(p.Tab))
 	}
 }
 
 // clusterLive is the live rule of a one-cluster run that observes nl's
-// output ports: a net a flip-flop or a wide gate reads, or an output port.
+// output ports: a net a flip-flop reads, or an output port.
 func clusterLive(nl *netlist.Netlist) func(netlist.NetID) bool {
 	live := make([]bool, len(nl.Nets))
 	for _, n := range nl.POs {
 		live[n] = true
 	}
 	for _, g := range nl.Gates {
-		if g.Kind.Sequential() || len(g.Inputs) > 2 {
+		if g.Kind.Sequential() {
 			for _, in := range g.Inputs {
 				live[in] = true
 			}
@@ -181,12 +205,14 @@ func BenchmarkSettle(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(w.tab)), "records")
 	})
-	fused := Fuse(w.NL, w.tab, clusterLive(w.NL))
+	p, _ := Fuse(w.NL, w.tab, clusterLive(w.NL), nil)
+	slots := make([]bool, len(p.Nets))
+	p.Load(slots, values)
 	b.Run("fused", func(b *testing.B) {
 		for range b.N {
-			Settle(w.NL, fused, values)
+			Settle(&p, slots)
 		}
-		b.ReportMetric(float64(len(fused)), "records")
+		b.ReportMetric(float64(len(p.Tab)), "records")
 	})
 }
 
@@ -204,9 +230,9 @@ func BenchmarkFuse(b *testing.B) {
 	live := clusterLive(w.NL)
 	b.ResetTimer()
 	for range b.N {
-		fusedSink = Fuse(w.NL, w.tab, live)
+		fusedSink, _ = Fuse(w.NL, w.tab, live, nil)
 	}
 }
 
 // fusedSink keeps BenchmarkFuse's result alive.
-var fusedSink []FusedGate
+var fusedSink Program

@@ -440,10 +440,10 @@ func populated(w *Wave) Wave {
 
 // TestWaveBankMatchesStepRecorder holds the settle scout to the recorder
 // it replaced: over the four workload families, a random hierarchical
-// circuit with gates of up to four inputs (the scout's wide path), and
-// bank lengths on both sides of a wave boundary, every wave equals the
-// Step recorder's in Base, Lanes, Words, Pending and Vecs — built in
-// order, built past a discarded prefix, and built by two goroutines asking
+// circuit with gates of up to four inputs, a circuit with gates of up to
+// nine (the scout's chains), and bank lengths on both sides of a wave
+// boundary, every wave equals the Step recorder's in Base, Lanes, Words,
+// Pending and Vecs — built in order, and built by two goroutines asking
 // at once.
 func TestWaveBankMatchesStepRecorder(t *testing.T) {
 	fixtures := map[string]*gen.Circuit{
@@ -459,6 +459,7 @@ func TestWaveBankMatchesStepRecorder(t *testing.T) {
 		"viterbi":    gen.Viterbi(gen.ViterbiConfig{K: 4, W: 4, TB: 8}),
 		"fir":        gen.FIR(gen.FIRConfig{Taps: 6, W: 6, Seed: 5}),
 		"multiplier": gen.Multiplier(5),
+		"wide":       gen.WideGates(60, 3),
 		"soc": gen.ViterbiSoC(gen.SoCConfig{
 			Channels:      2,
 			Viterbi:       gen.ViterbiConfig{K: 4, W: 4, TB: 8},
@@ -473,7 +474,7 @@ func TestWaveBankMatchesStepRecorder(t *testing.T) {
 		}
 		nl := ed.Netlist
 		if name == "randhier" && !slices.ContainsFunc(nl.Gates, func(g netlist.Gate) bool { return len(g.Inputs) > 2 && !g.Kind.Sequential() }) {
-			t.Fatal("randhier: no gate of more than two inputs, so the scout's wide path goes unexercised")
+			t.Fatal("randhier: no gate of more than two inputs, so the scout's 3- and 4-input tables go unexercised")
 		}
 		src := RandomVectors{Seed: 11}
 		for _, cycles := range []uint64{1, 63, 64, 65, 200} {
@@ -503,17 +504,6 @@ func TestWaveBankMatchesStepRecorder(t *testing.T) {
 				b := newBank()
 				for i := range want {
 					check(b, i)
-				}
-
-				// The scout's state is carried through waves nobody keeps.
-				b = newBank()
-				last := len(want) - 1
-				b.DiscardBelow(last)
-				check(b, last)
-				if last > 0 {
-					if _, err := b.Wave(last - 1); err == nil {
-						t.Errorf("wave %d served after DiscardBelow(%d)", last-1, last)
-					}
 				}
 
 				b = newBank()

@@ -173,17 +173,19 @@ type WaveBank struct {
 	private bool
 	logged  []bool // per net: the replay logs its changes
 
-	waves   []*Wave      // shared: wave i until traced or discarded
+	waves   []*Wave      // shared: wave i until traced
 	traces  []*WaveTrace // shared: wave i's trace once made
-	floor   int          // waves below this index have been discarded
 	built   int          // waves scouted so far
 	replays int          // waves replayed into a trace so far
 
 	// Scout state, carried from lane to lane and from wave to wave. The
-	// sweep's values hold the entry state of the next cycle to record for
-	// the stimulus inputs, the q's and the cone records' outputs.
+	// slots hold the entry state of the next cycle to record for the
+	// stimulus inputs, the q's and the cone records' outputs.
 	sw       *Sweep
-	cone     []FusedGate     // the flip-flops' d cones, fused
+	cone     Program         // the flip-flops' d cones, fused; flip-flop i's q holds slot i
+	slots    []bool          // cone's slots
+	piSlot   []int32         // per stimulus input: its slot
+	dSlot    []int32         // per flip-flop: its d's slot
 	byQ      []int32         // flip-flop indices in q order: Pending's order
 	ones     []netlist.NetID // nets tied to 1
 	qBits    []uint64        // per flip-flop: q's entry value per lane of the wave being built
@@ -280,7 +282,20 @@ func newWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64, private b
 		}
 	}
 	cone := sw.AppendSlice(make([]TruthGate, 0, kept), func(g netlist.GateID) bool { return need[nl.Gates[g].Output] })
-	b.cone = Fuse(nl, cone, func(n netlist.NetID) bool { return d[n] })
+	// The q's are named first, so flip-flop i's q takes slot i.
+	named := make([]netlist.NetID, 0, 2*len(sw.ffs)+len(sw.PIs))
+	for _, f := range sw.ffs {
+		named = append(named, f.q)
+	}
+	named = append(named, sw.PIs...)
+	for _, f := range sw.ffs {
+		named = append(named, f.d)
+	}
+	var slots []int32
+	b.cone, slots = Fuse(nl, cone, func(n netlist.NetID) bool { return d[n] }, named)
+	b.piSlot, b.dSlot = slots[len(sw.ffs):][:len(sw.PIs)], slots[len(sw.ffs)+len(sw.PIs):]
+	b.slots = make([]bool, len(b.cone.Nets))
+	b.cone.Load(b.slots, sw.PowerOn)
 	return b, nil
 }
 
@@ -305,7 +320,7 @@ func (b *WaveBank) Replays() int {
 }
 
 // Wave returns wave i, running the scout forward as needed. A shared
-// bank's wave must not have been discarded or traced; a private bank
+// bank's wave must not have been traced; a private bank
 // serves the wave it built last or the next one, valid until the next
 // call.
 func (b *WaveBank) Wave(i int) (*Wave, error) {
@@ -327,9 +342,6 @@ func (b *WaveBank) wave(i int) (*Wave, error) {
 			return nil, fmt.Errorf("sim: private wave bank asked for wave %d after wave %d", i, b.built-1)
 		}
 		return b.cur, nil
-	}
-	if i < b.floor {
-		return nil, fmt.Errorf("sim: wave %d already discarded", i)
 	}
 	for b.built <= i {
 		b.build()
@@ -373,19 +385,6 @@ func (b *WaveBank) Trace(i int) (*WaveTrace, error) {
 	return t, nil
 }
 
-// DiscardBelow releases the waves and traces below index i (a shared
-// campaign bank retains everything; a private bank keeps none).
-func (b *WaveBank) DiscardBelow(i int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for w := b.floor; w < i && w < len(b.waves); w++ {
-		b.waves[w], b.traces[w] = nil, nil
-	}
-	if i > b.floor {
-		b.floor = i
-	}
-}
-
 // build scouts the next 64 cycles (fewer on the ragged tail) into b.cur:
 // a fresh wave in a shared bank, the reused one in a private bank.
 //
@@ -419,25 +418,25 @@ func (b *WaveBank) build() {
 	}
 	w.Base, w.Lanes = base, lanes
 
-	values := sw.values
+	slots, dSlot := b.slots, b.dSlot
+	q := slots[:len(dSlot)]
 	for l := 0; l < lanes; l++ {
-		for i, f := range sw.ffs {
-			b.qBits[i] |= uint64(b2u(values[f.q])) << l
+		for i, v := range q {
+			b.qBits[i] |= uint64(b2u(v)) << l
 		}
 		b.src.Vector(base+uint64(l), b.vecBuf)
 		for i, v := range b.vecBuf {
 			w.Vecs[i] |= uint64(b2u(v)) << l
-			values[sw.PIs[i]] = v
+			slots[b.piSlot[i]] = v
 		}
-		Settle(nl, b.cone, values)
-		flipped, n := sw.flipped[:len(sw.ffs)], 0
-		for i, f := range sw.ffs {
+		Settle(&b.cone, slots)
+		flipped, n := sw.flipped[:len(dSlot)], 0
+		for i, d := range dSlot {
 			flipped[n] = int32(i)
-			n += int(b2u(values[f.q] != values[f.d]))
+			n += int(b2u(q[i] != slots[d]))
 		}
 		for _, i := range flipped[:n] {
-			q := sw.ffs[i].q
-			values[q] = !values[q]
+			q[i] = !q[i]
 		}
 	}
 

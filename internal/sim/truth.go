@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/netlist"
+import (
+	"repro/internal/netlist"
+	"repro/internal/verilog"
+)
 
 // Wide is the TT of a TruthGate whose gate has more than two inputs: above
 // every 4-bit table, so a TT below it is a table.
@@ -16,13 +19,21 @@ func Truth(g *netlist.Gate) (tt uint8, ok bool) {
 	if g.Kind.Sequential() || len(g.Inputs) == 0 || len(g.Inputs) > 2 {
 		return 0, false
 	}
-	probe := netlist.Gate{Kind: g.Kind, Inputs: []netlist.NetID{0, 1}[:len(g.Inputs)]}
-	for i := range 4 {
-		if EvalGate(&probe, []bool{i&1 != 0, i&2 != 0}) {
+	return uint8(table(g.Kind, len(g.Inputs)) & 0xf), true
+}
+
+// table returns the 16-bit table of a gate of kind k over n inputs (1 to
+// 4): bit i is EvalGate's output when input j holds bit j of i, so it does
+// not depend on the bits from n up.
+func table(k verilog.GateKind, n int) uint16 {
+	probe := netlist.Gate{Kind: k, Inputs: []netlist.NetID{0, 1, 2, 3}[:n]}
+	var tt uint16
+	for i := range 16 {
+		if EvalGate(&probe, []bool{i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0}) {
 			tt |= 1 << i
 		}
 	}
-	return tt, true
+	return tt
 }
 
 // TruthGate is a combinational gate compiled for evaluation: its inputs A

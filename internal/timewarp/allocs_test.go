@@ -37,11 +37,13 @@ func multiway(t *testing.T, c *gen.Circuit, opts partition.Options) (*elab.Desig
 // wait for each other instead of rolling back, ≈ 345 and ≈ 1,100 since
 // their tables are fused; ≈ 13,650 and ≈ 6,650 when every event sent or
 // received boxed the arguments of a never-enabled printf); the forward run
-// is deterministic (≈ 106: neither cluster keeps a rollback record, fusing
-// a cluster's table allocates its reader array and the table once, and the
-// latch's buffer is allocated once at one slot per flip-flop instead of
-// growing; ≈ 117–120 before fusion, ≈ 116 before the copy table, ≈ 138
-// before the sweep) and bounded at about +10 % of its count before fusion.
+// is deterministic (≈ 119: neither cluster keeps a rollback record, fusing
+// a cluster's table allocates its reader array, its records, their
+// outputs, the slot map and the named slots once each, and the latch's
+// buffer is allocated once at one slot per flip-flop instead of growing;
+// ≈ 106 while the records named their output nets, ≈ 117–120 before
+// fusion, ≈ 116 before the copy table, ≈ 138 before the sweep) and bounded
+// at about +10 % of its count before fusion.
 func TestRunAllocs(t *testing.T) {
 	vit, vitParts := multiway(t, gen.Viterbi(gen.DefaultViterbi), partition.Options{K: 2, B: 10, Seed: 1})
 	// The SoC of distWorkloads at k=4, the configuration the observability

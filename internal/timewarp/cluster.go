@@ -37,9 +37,10 @@ type cluster struct {
 	// tables (program.go).
 	prog *program
 
-	// Dynamic state.
-	values []bool
-	cycle  uint64 // next cycle to execute
+	// Dynamic state: the slots of the cluster's program (program.code)
+	// and the next cycle to execute.
+	slots []bool
+	cycle uint64
 	// inq is the input queue: every remote event received for a cycle not
 	// yet executed, strictly increasing in (T, Src, Seq) (cmpEvent; see
 	// checkLogs). A cycle consumes the events for it from the front and
@@ -87,12 +88,13 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		cancelled: &h.cancelled,
 		rec:       cfg.Causality,
 		prog:      p,
-		values:    append([]bool(nil), h.sweep.PowerOn...),
+		slots:     make([]bool, len(p.code.Nets)),
 		obsVals:   make([][]bool, len(p.obsOwn)),
 		vecBuf:    make([]bool, p.vecWidth),
 		outBuf:    make([]batch, cfg.K),
-		toggling:  make([]int32, len(p.latch)),
+		toggling:  make([]int32, len(p.latchD)),
 	}
+	p.code.Load(c.slots, h.sweep.PowerOn)
 	for i := range c.obsVals {
 		c.obsVals[i] = make([]bool, cfg.Cycles)
 	}
@@ -257,11 +259,16 @@ func (c *cluster) publish() {
 // Seq) place: on the forward path an append, otherwise a bisection and a
 // copy of what sorts after it. An event for a cycle the cluster has
 // executed is a straggler: the wait for its sender makes one impossible,
-// so meeting one fails the run.
+// so meeting one fails the run. An event for a net the cluster does not
+// read was misrouted, and fails it too.
 func (c *cluster) absorbOne(e event) error {
 	if e.T < c.cycle {
 		return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d seq %d) at cycle %d, which waited for its senders",
 			c.id, e.T, e.Src, e.Seq, c.cycle)
+	}
+	if _, ok := c.prog.slot(e.Net); !ok {
+		return fmt.Errorf("timewarp: cluster %d: event (T %d src %d seq %d) for net %d, which it does not read: misrouted",
+			c.id, e.T, e.Src, e.Seq, e.Net)
 	}
 	if n := len(c.inq); n == 0 || cmpEvent(c.inq[n-1], e) < 0 {
 		c.inq = append(c.inq, e)
@@ -311,10 +318,9 @@ func (c *cluster) ship(dst int32) {
 	c.outBuf[dst] = q[:0]
 }
 
-// send emits an event for cycle t to every remote reader of own-driven
-// net n — the caller has checked that it has some.
-func (c *cluster) send(t uint64, n netlist.NetID, v bool) {
-	dsts := c.prog.readers(n)
+// send emits an event for cycle t, own flip-flop output n holding v, to
+// dsts, the clusters reading it.
+func (c *cluster) send(t uint64, n netlist.NetID, v bool, dsts []int32) {
 	if f := c.cfg.Faults; f != nil && f.CorruptEveryN > 0 {
 		c.faultCtr++
 		if c.faultCtr%f.CorruptEveryN == 0 {
@@ -336,7 +342,7 @@ func (c *cluster) send(t uint64, n netlist.NetID, v bool) {
 func (c *cluster) processCycle(cyc uint64) error {
 	c.writeStimulus(cyc)
 	c.consume(cyc)
-	sim.Settle(c.cfg.NL, c.prog.tab, c.values)
+	sim.Settle(&c.prog.code, c.slots)
 	c.endCycle(cyc)
 	if CheckInvariants {
 		return c.checkLogs()
@@ -345,27 +351,28 @@ func (c *cluster) processCycle(cyc uint64) error {
 }
 
 // consume applies the events for cycle cyc, the front of the input queue,
-// to the net values in (T, Src, Seq) order and drops them.
+// to the slots of their nets in (T, Src, Seq) order and drops them.
 func (c *cluster) consume(cyc uint64) {
 	n := 0
 	for ; n < len(c.inq) && c.inq[n].T == cyc; n++ {
 		e := &c.inq[n]
-		c.values[e.Net] = e.Val
+		s, _ := c.prog.slot(e.Net) // absorbOne refused the nets it lacks
+		c.slots[s] = e.Val
 		c.rec.Consumed(c.id, e.Src, e.Seq, cyc)
 	}
 	c.inq = append(c.inq[:0], c.inq[n:]...)
 }
 
 // writeStimulus asks cfg.Vectors for cycle cyc's vector and writes it into
-// the own stimulus inputs.
+// the own stimulus inputs' slots.
 func (c *cluster) writeStimulus(cyc uint64) {
 	p := c.prog
-	if len(p.ownPIs) == 0 {
+	if len(p.piSlot) == 0 {
 		return
 	}
 	c.cfg.Vectors.Vector(cyc, c.vecBuf)
-	for i, pi := range p.ownPIs {
-		c.values[pi] = c.vecBuf[p.piPos[i]]
+	for i, s := range p.piSlot {
+		c.slots[s] = c.vecBuf[p.piPos[i]]
 	}
 }
 
@@ -373,31 +380,34 @@ func (c *cluster) writeStimulus(cyc uint64) {
 // observed nets, ships what the cycle sent, accounts its evaluations —
 // every own gate once — and publishes the next cycle.
 func (c *cluster) endCycle(cyc uint64) {
-	p, values := c.prog, c.values
+	p, slots := c.prog, c.slots
 	// Latch own DFFs; all d inputs are sampled before any q is updated
 	// (a DFF chain shifts one stage per cycle), and a q change is sent for
 	// the next cycle, which reads it. The toggling ones are collected
 	// without a branch: every index is written, and the end advances by
 	// whether d differs from q.
-	latch, toggling, n := p.latch, c.toggling[:len(p.latch)], 0
-	for i := range latch {
-		f := &latch[i]
+	d := p.latchD
+	q := slots[:len(d)] // flip-flop i's q holds slot i
+	toggling, n := c.toggling[:len(d)], 0
+	for i, s := range d {
 		toggling[n] = int32(i)
-		n += b2i(values[f.d] != values[f.q])
+		n += b2i(slots[s] != q[i])
 	}
 	for _, i := range toggling[:n] {
-		f := &latch[i]
-		q := f.q
-		values[q] = !values[q]
-		if f.remote {
-			c.send(cyc+1, q, values[q])
+		q[i] = !q[i]
+	}
+	if len(p.dsts) > 0 { // another cluster reads some own flip-flop
+		for _, i := range toggling[:n] {
+			if dsts := p.readers(int(i)); len(dsts) > 0 {
+				c.send(cyc+1, p.latchNet[i], q[i], dsts)
+			}
 		}
 	}
 
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).
-	for i, n := range p.obsOwn {
-		c.obsVals[i][cyc] = values[n]
+	for i, s := range p.obsSlot {
+		c.obsVals[i][cyc] = slots[s]
 	}
 
 	// What this cycle sent leaves as one coalesced message per

@@ -96,7 +96,7 @@ func TestConservativeClusterFailsOnAStraggler(t *testing.T) {
 	}
 	h.closeEndpoints()
 
-	stray := event{T: 3, Net: b.prog.latch[0].q, Val: true, Src: 1, Seq: 1}
+	stray := event{T: 3, Net: b.prog.latchNet[0], Val: true, Src: 1, Seq: 1}
 	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {
 		t.Errorf("event delivered to a cluster without remote inputs: error %v, want it refused as misrouted", err)
 	}
@@ -193,11 +193,13 @@ func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 	reads := map[netlist.NetID]map[int32]bool{} // remote net → its reading clusters
 	for id, p := range progs {
 		var gates []netlist.GateID // own gates and copies
-		for _, r := range p.tab {
-			gates = append(gates, coneOf(t, fmt.Sprintf("cluster %d", id), nl, r)...)
+		for i := range p.code.Tab {
+			if p.code.Nets[int(p.code.Base)+i] != sim.NoNet {
+				gates = append(gates, coneOf(t, fmt.Sprintf("cluster %d", id), nl, &p.code, i)...)
+			}
 		}
-		for _, f := range p.latch {
-			gates = append(gates, nl.Nets[f.q].Driver)
+		for _, q := range p.latchNet {
+			gates = append(gates, nl.Nets[q].Driver)
 		}
 		evaluated := make([]bool, len(nl.Gates))
 		for _, g := range gates {
@@ -232,9 +234,11 @@ func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 	}
 	for n := range nl.Nets {
 		net := netlist.NetID(n)
-		var dsts []int32
+		var dsts []int32 // only a flip-flop's output is sent
 		if d := nl.Nets[n].Driver; d != netlist.NoGate {
-			dsts = progs[parts[d]].readers(net)
+			if i := slices.Index(progs[parts[d]].latchNet, net); i >= 0 {
+				dsts = progs[parts[d]].readers(i)
+			}
 		}
 		if len(dsts) != len(reads[net]) {
 			t.Fatalf("net %s: owner sends to %v, read by %v", nl.Nets[n].Name, dsts, reads[net])

@@ -33,6 +33,28 @@ func (q refQueue) sorted() refQueue {
 // queueNets is how many nets the queue's events write in driveInputQueue.
 const queueNets = 8
 
+// queueCluster returns a bare cluster that receives nets 0..nets-1, in
+// slots numbered the other way round, so a net read as a slot is caught.
+func queueCluster(nets int) *cluster {
+	p := &program{}
+	for n := range nets {
+		p.remote = append(p.remote, netlist.NetID(n))
+		p.remoteSlot = append(p.remoteSlot, int32(nets-1-n))
+	}
+	return &cluster{prog: p, slots: make([]bool, nets)}
+}
+
+// received returns the value of every net c receives, read through its
+// slot.
+func received(c *cluster) []bool {
+	v := make([]bool, len(c.prog.remote))
+	for i, n := range c.prog.remote {
+		s, _ := c.prog.slot(n)
+		v[i] = c.slots[s]
+	}
+	return v
+}
+
 // driveInputQueue runs one schedule of the kernel's operations on a
 // cluster's input queue — file an event for a cycle not yet executed,
 // refuse a straggler, consume a cycle — against refQueue. After every step
@@ -43,7 +65,7 @@ const queueNets = 8
 // breaks the order checkLogs checks.
 func driveInputQueue(t *testing.T, data []byte) {
 	var (
-		c    = &cluster{values: make([]bool, queueNets)}
+		c    = queueCluster(queueNets)
 		ref  refQueue
 		vals [queueNets]bool
 		seq  [4]uint64 // per source, so that no (Src, Seq) repeats
@@ -62,9 +84,9 @@ func driveInputQueue(t *testing.T, data []byte) {
 				t.Fatalf("after %s: queue[%d] = %+v, reference %+v", what, i, c.inq[i], e)
 			}
 		}
-		for n, v := range vals {
-			if c.values[n] != v {
-				t.Fatalf("after %s: net %d holds %v, reference %v", what, n, c.values[n], v)
+		for n, v := range received(c) {
+			if v != vals[n] {
+				t.Fatalf("after %s: net %d holds %v, reference %v", what, n, v, vals[n])
 			}
 		}
 	}
@@ -137,7 +159,7 @@ func FuzzInputQueue(f *testing.F) {
 // out of order, across cycles and sources; consumption of one cycle in
 // (T, Src, Seq) order, the later ones left queued; a straggler refused.
 func TestInputQueueOperations(t *testing.T) {
-	c := &cluster{values: make([]bool, 4)}
+	c := queueCluster(4)
 	for _, e := range []event{
 		{T: 0, Net: 1, Src: 2, Seq: 2, Val: true}, {T: 1, Net: 2, Src: 1, Seq: 2, Val: true},
 		{T: 0, Net: 1, Src: 2, Seq: 1}, {T: 0, Net: 3, Src: 1, Seq: 1, Val: true},
@@ -153,8 +175,8 @@ func TestInputQueueOperations(t *testing.T) {
 	c.cycle = 1
 	// Net 1 is written twice by source 2, in sequence order: the later
 	// write stands.
-	if want := []bool{false, true, false, true}; !slices.Equal(c.values, want) {
-		t.Fatalf("cycle 0 wrote %v, want %v", c.values, want)
+	if got, want := received(c), []bool{false, true, false, true}; !slices.Equal(got, want) {
+		t.Fatalf("cycle 0 wrote %v, want %v", got, want)
 	}
 	if len(c.inq) != 1 || c.inq[0].T != 1 {
 		t.Fatalf("after cycle 0 the queue holds %+v, want cycle 1's event alone", c.inq)

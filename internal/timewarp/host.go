@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -94,11 +95,16 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		progress: make([]atomic.Uint64, cfg.K),
 	}
 	rep := replicate(cfg.NL, cfg.GateParts, cfg.K)
+	var ids []int32
 	for c := 0; c < cfg.K; c++ {
 		if owns == nil || owns(c) {
-			h.clusters = append(h.clusters, newCluster(int32(c), h, rep))
+			ids = append(ids, int32(c))
 		}
 	}
+	// Each program is a function of the sweep, the partition, the copies
+	// and the cluster's id alone, so the clusters compile concurrently.
+	h.clusters = make([]*cluster, len(ids))
+	par.Each(len(ids), 0, func(i int) { h.clusters[i] = newCluster(ids[i], h, rep) })
 	instrumentClusters(h)
 	return h, nil
 }

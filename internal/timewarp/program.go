@@ -10,49 +10,62 @@ import (
 
 // program is one cluster compiled to flat read-only arrays: everything the
 // cycle needs to know about the netlist and the partition, laid out so that
-// processCycle, send and cancel index slices instead of hashing net ids or
-// chasing *netlist.Gate pointers. It is built once in newCluster and never
-// written afterwards.
+// processCycle and send index slices instead of hashing net ids or chasing
+// *netlist.Gate pointers. It is built once in newCluster and never written
+// afterwards.
 //
-// Nets keep their global netlist.NetID: values, events and rollback records
-// are net-indexed, and a net id is what clusters exchange. Every cluster has
+// The cluster's state is a dense slot array, its fused table's (sim.Program):
+// the table's inputs, then one slot per record in table order, then the
+// nets the cycle reads or writes that the table does not. Every access of
+// the cycle goes through a slot — stimulus, received events, the latch, the
+// observed nets — and only a net a cluster sends or receives keeps its
+// global netlist.NetID, which is what clusters exchange. Every cluster has
 // the one layout: its combinational gates, copies included, are a slice of
 // the host's sim.Sweep table fused by sim.Fuse, its flip-flops a table of
 // their own.
 type program struct {
-	// tab are the own combinational gates and the copies (replicas) as
-	// sim.FusedGate records, in the host's sim.Sweep topological order: a
-	// gate whose output nothing but one other gate of the table reads is
-	// folded into that gate's record while it keeps at most four inputs
-	// (the live rule, compile). A copy is
-	// another cluster's gate this cluster evaluates too, so that no net a
+	// code is the own combinational gates and the copies (replicas) as
+	// sim.Record records over the cluster's slots, in the host's sim.Sweep
+	// topological order: a gate whose output nothing but one other gate
+	// of the table reads is folded into that gate's record while it keeps
+	// at most four inputs (the live rule, compile). A copy is another
+	// cluster's gate this cluster evaluates too, so that no net a
 	// combinational gate drives is ever sent: its output is never
 	// observed, sent or latched.
-	tab []sim.FusedGate
-	// gates is how many own gates and copies tab evaluates, folded ones
+	code sim.Program
+	// gates is how many own gates and copies code evaluates, folded ones
 	// included.
 	gates int
-	// latch are the own flip-flops: d input, q output, and whether another
-	// cluster reads q. The clock is a global tick, not an event.
-	latch []latchGate
 
-	// dsts[dstOff[n]:dstOff[n+1]] are the other clusters reading net n
-	// (CSR by NetID, one offset per net plus one), non-empty only when an
-	// own flip-flop drives n.
+	// The own flip-flops in gate order: flip-flop i's q output holds slot
+	// i, latchD[i] is the slot of its d input and latchNet[i] its q net.
+	// The clock is a global tick, not an event.
+	latchD   []int32
+	latchNet []netlist.NetID
+	// dsts[dstOff[i]:dstOff[i+1]] are the other clusters reading own
+	// flip-flop i's output (CSR, one offset per flip-flop plus one).
 	dstOff []uint32
 	dsts   []int32
 
-	// ownPIs are the stimulus inputs read by own gates or copies (cluster
-	// 0 mirrors all of them, to observe driverless nets); piPos[i] is the
-	// position of ownPIs[i] in the stimulus vector, vecWidth that
-	// vector's length.
-	ownPIs   []netlist.NetID
+	// piSlot are the slots of the stimulus inputs read by own gates or
+	// copies (cluster 0 mirrors all of them, to observe driverless nets);
+	// piPos[i] is the position of piSlot[i]'s input in the stimulus
+	// vector, vecWidth that vector's length.
+	piSlot   []int32
 	piPos    []int32
 	vecWidth int
 
-	// obsOwn are the observed nets this cluster records: those an own gate
-	// drives, and on cluster 0 the driverless ones (PIs, constants).
-	obsOwn []netlist.NetID
+	// obsOwn are the observed nets this cluster records, obsSlot their
+	// slots: those an own gate drives, and on cluster 0 the driverless
+	// ones (PIs, constants).
+	obsOwn  []netlist.NetID
+	obsSlot []int32
+
+	// remote are the other clusters' flip-flop outputs an own gate or a
+	// copy reads, ascending, remoteSlot their slots: a received event
+	// writes the slot of its net.
+	remote     []netlist.NetID
+	remoteSlot []int32
 
 	// senders are the other clusters whose flip-flop outputs an own gate or
 	// a copy reads, ascending — exactly the clusters whose programs list
@@ -62,12 +75,6 @@ type program struct {
 	// receivers are the clusters listed in dsts, ascending: those this one
 	// sends events to.
 	receivers []int32
-}
-
-// latchGate is one own flip-flop.
-type latchGate struct {
-	d, q   netlist.NetID
-	remote bool
 }
 
 // replicas are every cluster's copies, computed once per host from the
@@ -161,7 +168,7 @@ func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []in
 		copies[c]++
 	}
 	for c := range records {
-		records[c] = len(compile(sw, gateParts, rep, int32(c), nl.POs).tab)
+		records[c] = len(compile(sw, gateParts, rep, int32(c), nl.POs).code.Tab)
 	}
 	return copies, records, nil
 }
@@ -170,40 +177,15 @@ func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []in
 // partitioned by gateParts and replicated by rep.
 func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe []netlist.NetID) *program {
 	nl := sw.NL
-	p := &program{dstOff: make([]uint32, len(nl.Nets)+1)}
+	p := &program{}
 	evaluates := func(g netlist.GateID) bool { // own gate or copy
 		return gateParts[g] == id || slices.Contains(rep.copiers(g), id)
 	}
 
-	// The remote readers of own flip-flop outputs, each cluster once: a
+	// One pass counts the gates this cluster evaluates and finds what it
+	// reads of other clusters' flip-flops; the next lists its own
+	// flip-flops, in gate order, with the clusters reading each output: a
 	// cluster with an own gate or a copy among the net's sinks.
-	for n := range nl.Nets {
-		if d := nl.Nets[n].Driver; d != netlist.NoGate && gateParts[d] == id && nl.Gates[d].Kind.Sequential() {
-			own := len(p.dsts)
-			add := func(dst int32) {
-				if dst != id && !slices.Contains(p.dsts[own:], dst) {
-					p.dsts = append(p.dsts, dst)
-				}
-			}
-			for _, s := range nl.Nets[n].Sinks {
-				add(gateParts[s])
-				for _, c := range rep.copiers(s) {
-					add(c)
-				}
-			}
-		}
-		p.dstOff[n+1] = uint32(len(p.dsts))
-	}
-	for _, d := range p.dsts {
-		if !slices.Contains(p.receivers, d) {
-			p.receivers = append(p.receivers, d)
-		}
-	}
-	slices.Sort(p.receivers)
-
-	// Both gate tables are allocated at their final size: one pass counts
-	// the gates this cluster evaluates and finds its senders, the next
-	// fills the flip-flops in gate order.
 	nComb, nLatch := 0, 0
 	for gi := range nl.Gates {
 		g := netlist.GateID(gi)
@@ -216,20 +198,47 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 			nComb++
 		}
 		for _, in := range nl.Gates[gi].Inputs {
-			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() &&
-				!slices.Contains(p.senders, gateParts[d]) {
-				p.senders = append(p.senders, gateParts[d])
+			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() {
+				p.remote = append(p.remote, in)
+				if !slices.Contains(p.senders, gateParts[d]) {
+					p.senders = append(p.senders, gateParts[d])
+				}
 			}
 		}
 	}
 	slices.Sort(p.senders)
-	p.latch = make([]latchGate, 0, nLatch)
+	slices.Sort(p.remote)
+	p.remote = slices.Clip(slices.Compact(p.remote))
+	p.dstOff = make([]uint32, 1, nLatch+1)
+	p.latchNet = make([]netlist.NetID, 0, nLatch)
 	for gi := range nl.Gates {
-		if g := &nl.Gates[gi]; gateParts[gi] == id && g.Kind.Sequential() {
-			p.latch = append(p.latch, latchGate{d: g.Inputs[0], q: g.Output, remote: len(p.readers(g.Output)) > 0})
+		if gateParts[gi] != id || !nl.Gates[gi].Kind.Sequential() {
+			continue
+		}
+		q := nl.Gates[gi].Output
+		p.latchNet = append(p.latchNet, q)
+		own := len(p.dsts)
+		add := func(dst int32) {
+			if dst != id && !slices.Contains(p.dsts[own:], dst) {
+				p.dsts = append(p.dsts, dst)
+			}
+		}
+		for _, s := range nl.Nets[q].Sinks {
+			add(gateParts[s])
+			for _, c := range rep.copiers(s) {
+				add(c)
+			}
+		}
+		p.dstOff = append(p.dstOff, uint32(len(p.dsts)))
+	}
+	for _, d := range p.dsts {
+		if !slices.Contains(p.receivers, d) {
+			p.receivers = append(p.receivers, d)
 		}
 	}
+	slices.Sort(p.receivers)
 
+	var pis []netlist.NetID
 	for _, pi := range nl.PIs {
 		if nl.IsClockNet(pi) {
 			continue
@@ -239,17 +248,17 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 			read = read || evaluates(s)
 		}
 		if read {
-			p.ownPIs = append(p.ownPIs, pi)
+			pis = append(pis, pi)
 			p.piPos = append(p.piPos, int32(p.vecWidth))
 		}
 		p.vecWidth++
 	}
 
 	// The live rule: an output of the table keeps its value after the
-	// settle when observe names it, a flip-flop, a gate this cluster does
-	// not evaluate or a wide gate reads it, or more than one gate of the
-	// table does. No other code reads a net, so the rest are free for
-	// sim.Fuse to fold away.
+	// settle when observe names it, a flip-flop or a gate this cluster does
+	// not evaluate reads it, or more than one gate of the table does. No
+	// other code reads a net, so the rest are free for sim.Fuse to fold
+	// away.
 	live := make([]bool, len(nl.Nets))
 	for _, n := range observe {
 		owner := int32(0)
@@ -265,8 +274,7 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	for _, t := range tab {
 		reader := netlist.NoGate
 		for _, s := range nl.Nets[t.Out].Sinks {
-			if g := &nl.Gates[s]; reader != netlist.NoGate && reader != s ||
-				g.Kind.Sequential() || len(g.Inputs) > 2 || !evaluates(s) {
+			if g := &nl.Gates[s]; reader != netlist.NoGate && reader != s || g.Kind.Sequential() || !evaluates(s) {
 				live[t.Out] = true
 				break
 			}
@@ -274,13 +282,43 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 	}
 	p.gates = len(tab)
-	p.tab = sim.Fuse(nl, tab, func(n netlist.NetID) bool { return live[n] })
+
+	// Every net the cycle touches outside the table gets a slot: the
+	// latch's q's, named first so that flip-flop i's q takes slot i, the
+	// stimulus inputs, the observed nets, the received ones and the
+	// latch's d's.
+	named := make([]netlist.NetID, 0, 2*nLatch+len(pis)+len(p.obsOwn)+len(p.remote))
+	named = append(append(append(append(named, p.latchNet...), pis...), p.obsOwn...), p.remote...)
+	for _, q := range p.latchNet {
+		named = append(named, nl.Gates[nl.Nets[q].Driver].Inputs[0])
+	}
+	code, slots := sim.Fuse(nl, tab, func(n netlist.NetID) bool { return live[n] }, named)
+	p.code = code
+	for i, s := range slots[:nLatch] {
+		if s != int32(i) {
+			panic(fmt.Sprintf("timewarp: cluster %d: flip-flop %d's q in slot %d", id, i, s))
+		}
+	}
+	slots = slots[nLatch:]
+	p.piSlot, slots = slots[:len(pis)], slots[len(pis):]
+	p.obsSlot, slots = slots[:len(p.obsOwn)], slots[len(p.obsOwn):]
+	p.remoteSlot, p.latchD = slots[:len(p.remote)], slots[len(p.remote):]
 	return p
 }
 
-// readers returns the other clusters reading net n.
-func (p *program) readers(n netlist.NetID) []int32 {
-	return p.dsts[p.dstOff[n]:p.dstOff[n+1]]
+// slot returns the slot of n, another cluster's flip-flop output, and
+// whether this cluster reads it.
+func (p *program) slot(n netlist.NetID) (int32, bool) {
+	i, ok := slices.BinarySearch(p.remote, n)
+	if !ok {
+		return 0, false
+	}
+	return p.remoteSlot[i], true
+}
+
+// readers returns the other clusters reading own flip-flop i's output.
+func (p *program) readers(i int) []int32 {
+	return p.dsts[p.dstOff[i]:p.dstOff[i+1]]
 }
 
 // cycleCost is the gate evaluations of one executed cycle: every own gate,
@@ -288,5 +326,5 @@ func (p *program) readers(n netlist.NetID) []int32 {
 // gates, not records: a fused record evaluates all the gates folded into
 // it.
 func (p *program) cycleCost() uint64 {
-	return uint64(p.gates + len(p.latch))
+	return uint64(p.gates + len(p.latchD))
 }

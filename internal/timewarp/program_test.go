@@ -15,10 +15,10 @@ import (
 
 // TestProgramEvalMatchesSimEvalGate holds the kernel's evaluator and the
 // sequential simulator's together: every gate kind at every arity from 1
-// to 4 (not and buf are unary), over all input combinations, and each gate
-// on the path its arity calls for.
+// to 9 (not and buf are unary), over all input combinations. A gate of at
+// most four inputs is one table, a wider one a chain of them.
 func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
-	const inputs = 4
+	const inputs = 9
 	nl := &netlist.Netlist{}
 	addNet := func(driver netlist.GateID) netlist.NetID {
 		id := netlist.NetID(len(nl.Nets))
@@ -30,6 +30,7 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 		nl.Nets[pi].IsPI = true
 		nl.PIs = append(nl.PIs, pi)
 	}
+	links := 0 // the records a chain adds past its gate's own
 	for kind := verilog.GateAnd; kind < verilog.GateDff; kind++ {
 		maxArity := inputs
 		if kind == verilog.GateNot || kind == verilog.GateBuf {
@@ -43,6 +44,9 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 				nl.Nets[in].Sinks = append(nl.Nets[in].Sinks, gi)
 			}
 			nl.Gates = append(nl.Gates, g)
+			if arity > 4 {
+				links += (arity - 2) / 3
+			}
 		}
 	}
 	if err := nl.Validate(); err != nil {
@@ -55,39 +59,39 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	}
 	parts := make([]int32, len(nl.Gates))
 	p := compile(sw, parts, replicate(nl, parts, 1), 0, nil)
-	if len(p.tab) != len(nl.Gates) {
-		t.Fatalf("program has %d combinational gates, netlist %d", len(p.tab), len(nl.Gates))
-	}
 	// One cluster owns every gate, all of them in its table, and no output
-	// is read, so none is folded: a record's gate drives its output. A
-	// gate of one or two inputs must be tabulated, and its table must be
-	// sim.EvalGate's; a wider one must name itself for sim.Settle to hand
-	// to sim.EvalGate. Routing every gate to the wide path would evaluate
-	// right, and slowly.
+	// is read, so none is folded: a record's output is its gate's, or a
+	// link of its gate's chain.
+	if len(p.code.Tab) != len(nl.Gates)+links {
+		t.Fatalf("program has %d records, netlist %d gates and %d chain links", len(p.code.Tab), len(nl.Gates), links)
+	}
+	slot := slotMap(p)
+	slots := make([]bool, len(p.code.Nets))
 	values := make([]bool, len(nl.Nets))
-	for i := range p.tab {
-		r := &p.tab[i]
-		gi := nl.Nets[r.Out].Driver
-		g := &nl.Gates[gi]
-		if tabulated := len(g.Inputs) <= 2; tabulated != (r.N > 0) {
-			t.Errorf("%s: %d table inputs, want a table: %v", g.Path, r.N, tabulated)
-			continue
+	for combo := 0; combo < 1<<inputs; combo++ {
+		for i := 0; i < inputs; i++ {
+			values[i] = combo>>i&1 == 1
+			slots[p.piSlot[i]] = values[i]
 		}
-		if r.N == 0 {
-			if r.In[0] != netlist.NetID(gi) {
-				t.Errorf("%s: wide record names gate %d", g.Path, r.In[0])
-			}
-			continue
-		}
-		for combo := 0; combo < 1<<inputs; combo++ {
-			for i := 0; i < inputs; i++ {
-				values[i] = combo>>i&1 == 1
-			}
-			if got, want := r.Eval(values), sim.EvalGate(g, values); got != want {
-				t.Errorf("%s inputs %04b: table %v, sim.EvalGate %v", g.Path, combo, got, want)
+		sim.Settle(&p.code, slots)
+		for gi := range nl.Gates {
+			g := &nl.Gates[gi]
+			if got, want := slots[slot[g.Output]], sim.EvalGate(g, values); got != want {
+				t.Fatalf("%s inputs %09b: program %v, sim.EvalGate %v", g.Path, combo, got, want)
 			}
 		}
 	}
+}
+
+// slotMap returns the slot of every net p's slots hold.
+func slotMap(p *program) map[netlist.NetID]int32 {
+	m := map[netlist.NetID]int32{}
+	for s, n := range p.code.Nets {
+		if n != sim.NoNet {
+			m[n] = int32(s)
+		}
+	}
+	return m
 }
 
 // TestProgramTablesMatchNetlist recomputes, naively from the netlist and
@@ -191,37 +195,58 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		}
 	}
 	checkSweepTable(t, label, nl, ev, id, observe, p)
-	if len(p.latch) != len(dffs) {
-		t.Fatalf("%s: %d flip-flops, want %d", label, len(p.latch), len(dffs))
+	nets := p.code.Nets
+	if len(p.latchD) != len(dffs) || len(p.latchNet) != len(dffs) {
+		t.Fatalf("%s: %d flip-flop slots and %d nets, want %d", label, len(p.latchD), len(p.latchNet), len(dffs))
 	}
-	for i, gi := range dffs {
-		g := &nl.Gates[gi]
-		if want := (latchGate{d: g.Inputs[0], q: g.Output, remote: len(readers(g.Output)) > 0}); p.latch[i] != want {
-			t.Fatalf("%s: flip-flop %d is %+v, netlist gate %s wants %+v", label, i, p.latch[i], g.Path, want)
-		}
-	}
-
 	// Only an own flip-flop's output is sent, to every other cluster that
 	// reads it with an own gate or a copy; a copy's output never is.
-	for n := range nl.Nets {
-		net := &nl.Nets[n]
-		wantDsts := map[int32]bool{}
-		if d := net.Driver; d != netlist.NoGate && parts[d] == id && nl.Gates[d].Kind.Sequential() {
-			wantDsts = readers(netlist.NetID(n))
+	for i, gi := range dffs {
+		g := &nl.Gates[gi]
+		if d, q := nets[p.latchD[i]], nets[i]; d != g.Inputs[0] || q != g.Output || p.latchNet[i] != g.Output {
+			t.Fatalf("%s: flip-flop %d latches slot %d (%d) into slot %d (%d) and sends %d; netlist gate %s: d %d, q %d",
+				label, i, p.latchD[i], d, i, q, p.latchNet[i], g.Path, g.Inputs[0], g.Output)
 		}
-		gotDsts := p.readers(netlist.NetID(n))
+		wantDsts, gotDsts := readers(g.Output), p.readers(i)
 		if len(gotDsts) != len(wantDsts) {
-			t.Fatalf("%s: net %s read by clusters %v, want %v", label, net.Name, gotDsts, wantDsts)
+			t.Fatalf("%s: net %s read by clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts, wantDsts)
 		}
 		for _, d := range gotDsts {
 			if !wantDsts[d] {
-				t.Fatalf("%s: net %s read by clusters %v, want %v", label, net.Name, gotDsts, wantDsts)
+				t.Fatalf("%s: net %s read by clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts, wantDsts)
 			}
 		}
 	}
-	for _, n := range p.obsOwn {
+	if len(p.obsSlot) != len(p.obsOwn) {
+		t.Fatalf("%s: %d observed nets, %d slots", label, len(p.obsOwn), len(p.obsSlot))
+	}
+	for i, n := range p.obsOwn {
 		if d := nl.Nets[n].Driver; d != netlist.NoGate && copied(d) {
 			t.Fatalf("%s: observes %s, the output of a copy", label, nl.Nets[n].Name)
+		}
+		if nets[p.obsSlot[i]] != n {
+			t.Fatalf("%s: observes %s in the slot of %d", label, nl.Nets[n].Name, nets[p.obsSlot[i]])
+		}
+	}
+
+	// A received event writes the slot of its net: every other cluster's
+	// flip-flop output an evaluated gate reads, and nothing else.
+	var remote []netlist.NetID
+	for n := range nl.Nets {
+		d := nl.Nets[n].Driver
+		if d == netlist.NoGate || parts[d] == id || !nl.Gates[d].Kind.Sequential() {
+			continue
+		}
+		if slices.ContainsFunc(nl.Nets[n].Sinks, func(s netlist.GateID) bool { return ev[s] }) {
+			remote = append(remote, netlist.NetID(n))
+		}
+	}
+	if !slices.Equal(p.remote, remote) {
+		t.Fatalf("%s: receives %v, reads other clusters' flip-flop outputs %v", label, p.remote, remote)
+	}
+	for i, n := range p.remote {
+		if s, ok := p.slot(n); !ok || s != p.remoteSlot[i] || nets[s] != n {
+			t.Fatalf("%s: received net %s maps to slot %d (%v), which holds %d", label, nl.Nets[n].Name, s, ok, nets[s])
 		}
 	}
 
@@ -235,61 +260,71 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			read = read || ev[s]
 		}
 		if read {
-			if own >= len(p.ownPIs) || p.ownPIs[own] != pi || int(p.piPos[own]) != pos {
+			if own >= len(p.piSlot) || nets[p.piSlot[own]] != pi || int(p.piPos[own]) != pos {
 				t.Fatalf("%s: stimulus input %s (vector position %d) missing or misplaced in %v / %v",
-					label, nl.Nets[pi].Name, pos, p.ownPIs, p.piPos)
+					label, nl.Nets[pi].Name, pos, p.piSlot, p.piPos)
 			}
 			own++
 		}
 		pos++
 	}
-	if own != len(p.ownPIs) || pos != p.vecWidth {
-		t.Fatalf("%s: %d own PIs of width %d, want %d of %d", label, len(p.ownPIs), p.vecWidth, own, pos)
+	if own != len(p.piSlot) || pos != p.vecWidth {
+		t.Fatalf("%s: %d own PIs of width %d, want %d of %d", label, len(p.piSlot), p.vecWidth, own, pos)
 	}
 }
 
 // checkSweepTable checks a cluster's fused table against the naive
-// recomputation: the records cover every combinational gate the cluster
-// evaluates, own or a copy, once each — a record's cone, the gates a walk
-// back from its output meets before its inputs — with no input a record
-// writes later; a wide gate is a record of its own; every net the live rule
-// names that such a gate drives is a record's output, and every other net
-// a record reads is a leaf (a stimulus input, a constant or a flip-flop
-// output); and on random leaf values the fused table settles every record
-// output to what the gates, evaluated one by one in topological order,
-// give it.
+// recomputation. Its slots are the table's inputs, nets no record writes,
+// each once; then record i's output, slot Base+i, a net an evaluated
+// combinational gate drives, each once, or a link of a gate of more than
+// four inputs; then nets the cycle reads outside the table. Record i reads
+// only slots below Base+i. The records cover every combinational gate the
+// cluster evaluates, own or a copy, once each — a record's cone, the gates
+// a walk back from its output meets before its inputs, a chain's links
+// covering their gate together — and every net the live rule names that
+// such a gate drives is a record's output, every other net a record reads
+// a leaf (a stimulus input, a constant or a flip-flop output). On random
+// leaf values the program settles every record's net, read through its
+// slot, to what the gates, evaluated one by one in topological order, give
+// it.
 func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool, id int32, observe []netlist.NetID, p *program) {
 	t.Helper()
 	comb := func(g netlist.GateID) bool { return g != netlist.NoGate && !nl.Gates[g].Kind.Sequential() }
-	written := make([]bool, len(nl.Nets)) // outputs of records seen so far
+	code := &p.code
+	base, end := int(code.Base), int(code.Base)+len(code.Tab)
+	seen := make([]bool, len(nl.Nets))
+	for s, n := range code.Nets {
+		if n == sim.NoNet {
+			if s < base || s >= end {
+				t.Fatalf("%s: slot %d holds no net, outside the records' %d..%d", label, s, base, end)
+			}
+			continue
+		}
+		if seen[n] {
+			t.Fatalf("%s: %s has two slots", label, nl.Nets[n].Name)
+		}
+		seen[n] = true
+		if d := nl.Nets[n].Driver; (s >= base && s < end) != (comb(d) && ev[d]) {
+			t.Fatalf("%s: slot %d (records %d..%d) holds %s, driven by an evaluated combinational gate: %v", label, s, base, end, nl.Nets[n].Name, comb(d) && ev[d])
+		}
+	}
 	covered := make([]bool, len(nl.Gates))
-	for i, r := range p.tab {
-		gi := nl.Nets[r.Out].Driver
-		if !comb(gi) || !ev[gi] {
-			t.Fatalf("%s: record %d drives %s, which neither an own combinational gate nor a copy drives", label, i, nl.Nets[r.Out].Name)
-		}
-		if written[r.Out] {
-			t.Fatalf("%s: %s written by two records", label, nl.Nets[r.Out].Name)
-		}
-		if r.N == 0 != (len(nl.Gates[gi].Inputs) > 2) || r.N == 0 && r.In[0] != netlist.NetID(gi) {
-			t.Fatalf("%s: record %d (%s) is %+v; a gate of %d inputs", label, i, nl.Gates[gi].Path, r, len(nl.Gates[gi].Inputs))
-		}
-		ins := r.In[:r.N]
-		if r.N == 0 {
-			ins = nl.Gates[gi].Inputs
-		}
-		for _, in := range ins {
-			if d := nl.Nets[in].Driver; comb(d) && !written[in] {
-				t.Fatalf("%s: record %d (%s) reads %s before the record writing it", label, i, nl.Gates[gi].Path, nl.Nets[in].Name)
+	for i, r := range code.Tab {
+		for _, s := range r.In {
+			if int(s) < 0 || int(s) >= base+i {
+				t.Fatalf("%s: record %d (slot %d) reads slot %d", label, i, base+i, s)
 			}
 		}
-		for _, g := range coneOf(t, label, nl, r) {
+		n := code.Nets[base+i]
+		if n == sim.NoNet {
+			continue // a chain link: its gate is the chain's last record's
+		}
+		for _, g := range coneOf(t, label, nl, code, i) {
 			if covered[g] {
 				t.Fatalf("%s: gate %s in two records' cones", label, nl.Gates[g].Path)
 			}
 			covered[g] = true
 		}
-		written[r.Out] = true
 	}
 	for gi := range nl.Gates {
 		if comb(netlist.GateID(gi)) && ev[gi] != covered[gi] {
@@ -300,6 +335,7 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool,
 		t.Fatalf("%s: program counts %d gates, its records cover %d", label, p.gates, countTrue(covered))
 	}
 
+	slot := slotMap(p)
 	live := make([]bool, len(nl.Nets))
 	for _, n := range observe {
 		live[n] = true
@@ -307,12 +343,11 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool,
 	for n := range nl.Nets {
 		readers := map[netlist.GateID]bool{}
 		for _, s := range nl.Nets[n].Sinks {
-			g := &nl.Gates[s]
-			live[n] = live[n] || g.Kind.Sequential() || len(g.Inputs) > 2 || !ev[s]
+			live[n] = live[n] || nl.Gates[s].Kind.Sequential() || !ev[s]
 			readers[s] = true
 		}
 		live[n] = live[n] || len(readers) > 1
-		if d := nl.Nets[n].Driver; live[n] && comb(d) && ev[d] && !written[n] {
+		if s, ok := slot[netlist.NetID(n)]; live[n] && comb(nl.Nets[n].Driver) && ev[nl.Nets[n].Driver] && (!ok || int(s) < base) {
 			t.Fatalf("%s: live net %s is no record's output", label, nl.Nets[n].Name)
 		}
 	}
@@ -324,12 +359,12 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool,
 	}
 	ref := sw.AppendSlice(nil, func(g netlist.GateID) bool { return ev[g] })
 	rng := rand.New(rand.NewSource(int64(id)))
-	want, got := make([]bool, len(nl.Nets)), make([]bool, len(nl.Nets))
+	want, got := make([]bool, len(nl.Nets)), make([]bool, len(code.Nets))
 	for range 4 {
 		for n := range want {
 			want[n] = rng.Intn(2) == 1
 		}
-		copy(got, want)
+		code.Load(got, want)
 		for i := range ref {
 			if r := &ref[i]; r.TT < sim.Wide {
 				want[r.Out] = r.Eval(want)
@@ -337,25 +372,37 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool,
 				want[r.Out] = sim.EvalGate(&nl.Gates[r.A], want)
 			}
 		}
-		sim.Settle(nl, p.tab, got)
-		for n := range written {
-			if written[n] && got[n] != want[n] {
-				t.Fatalf("%s: the fused table settles %s to %v, its gates to %v", label, nl.Nets[n].Name, got[n], want[n])
+		sim.Settle(code, got)
+		for s, n := range code.Nets {
+			if n != sim.NoNet && got[s] != want[n] {
+				t.Fatalf("%s: the fused table settles %s to %v, its gates to %v", label, nl.Nets[n].Name, got[s], want[n])
 			}
 		}
 	}
 }
 
-// coneOf returns the gates record r evaluates: its output's driver and,
-// walking back, every gate driving a net the cone reads that is not one of
-// r's inputs, which must be a combinational gate's.
-func coneOf(t *testing.T, label string, nl *netlist.Netlist, r sim.FusedGate) []netlist.GateID {
+// coneOf returns the gates record i of code evaluates: its output's driver
+// and, walking back, every gate driving a net the cone reads that is not
+// one of the record's inputs, which must be a combinational gate's. A
+// chain link among its inputs stands for the rest of its gate's inputs.
+func coneOf(t *testing.T, label string, nl *netlist.Netlist, code *sim.Program, i int) []netlist.GateID {
 	t.Helper()
-	d := nl.Nets[r.Out].Driver
-	if r.N == 0 {
-		return []netlist.GateID{d}
+	var in []netlist.NetID // the nets the record reads, through its links
+	var reads func(s int32)
+	reads = func(s int32) {
+		if n := code.Nets[s]; n != sim.NoNet {
+			in = append(in, n)
+			return
+		}
+		for _, l := range code.Tab[s-code.Base].In {
+			reads(l)
+		}
 	}
-	cone, stack := []netlist.GateID{}, []netlist.GateID{d}
+	for _, s := range code.Tab[i].In {
+		reads(s)
+	}
+	out := code.Nets[int(code.Base)+i]
+	cone, stack := []netlist.GateID{}, []netlist.GateID{nl.Nets[out].Driver}
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -363,13 +410,13 @@ func coneOf(t *testing.T, label string, nl *netlist.Netlist, r sim.FusedGate) []
 			continue
 		}
 		cone = append(cone, g)
-		for _, in := range nl.Gates[g].Inputs {
-			if slices.Contains(r.In[:r.N], in) {
+		for _, n := range nl.Gates[g].Inputs {
+			if slices.Contains(in, n) {
 				continue
 			}
-			d := nl.Nets[in].Driver
+			d := nl.Nets[n].Driver
 			if d == netlist.NoGate || nl.Gates[d].Kind.Sequential() {
-				t.Fatalf("%s: the record of %s reads %s, which is not among its inputs", label, nl.Nets[r.Out].Name, nl.Nets[in].Name)
+				t.Fatalf("%s: the record of %s reads %s, which is not among its inputs", label, nl.Nets[out].Name, nl.Nets[n].Name)
 			}
 			stack = append(stack, d)
 		}

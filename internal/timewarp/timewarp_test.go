@@ -3,6 +3,7 @@ package timewarp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/elab"
@@ -180,6 +181,47 @@ func TestRandomHierCircuitsMatchSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		runBoth(t, ed, randomParts(ed.Netlist, 3, seed), 3, 80, seed)
+	}
+}
+
+// TestSlotProgramsMatchSequential holds the clusters' slot programs to
+// sim.Record on sim.StateNets, K = 1, 2, 3, over two circuits whose gates
+// are not all of one or two inputs: a random hierarchical one (gates of
+// three and four inputs, one table each) and a wide-gate one (up to nine
+// inputs, chains of tables), each split by the design-driven partitioner
+// and at random.
+func TestSlotProgramsMatchSequential(t *testing.T) {
+	for _, c := range []*gen.Circuit{
+		gen.RandomHierarchical(gen.RandHierConfig{
+			ModuleTypes: 6, GatesPerModule: 20, InstancesPerModule: 2, TopInstances: 8,
+			PIs: 10, Seed: 7, DFFFraction: 0.25,
+		}),
+		gen.WideGates(120, 5),
+	} {
+		ed, err := c.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := ed.Netlist
+		for _, width := range []int{3, 4} {
+			if !slices.ContainsFunc(nl.Gates, func(g netlist.Gate) bool { return !g.Kind.Sequential() && len(g.Inputs) == width }) {
+				t.Fatalf("%s: no gate of %d inputs", c.Name, width)
+			}
+		}
+		for k := 1; k <= 3; k++ {
+			parts := make([]int32, len(nl.Gates))
+			if k > 1 {
+				res, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = res.GateParts
+			}
+			t.Run(fmt.Sprintf("%s/k%d/design", c.Name, k), func(t *testing.T) { runBoth(t, ed, parts, k, 150, int64(k)) })
+			t.Run(fmt.Sprintf("%s/k%d/random", c.Name, k), func(t *testing.T) {
+				runBoth(t, ed, randomParts(nl, k, int64(k)), k, 150, int64(k)+10)
+			})
+		}
 	}
 }
 
