@@ -40,7 +40,7 @@ fuzz:
 	$(GO) test -race ./internal/timewarp ./internal/comm -run 'TestConservative|TestDifferential|TestChaos'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzQuiescence -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s
-	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzInputQueue -fuzztime 20s
+	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzLinkFrames -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzDistProtoDecode -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzWireDecode -fuzztime 20s
 	$(GO) test ./internal/comm/nettrans -run xxx -fuzz FuzzTryRecv -fuzztime 20s

@@ -408,13 +408,12 @@ func BenchmarkTimeWarpKernel(b *testing.B) {
 // two-channel SoC split k=2 along its channels (cut 0), so no message is
 // sent and nothing rolls back. Every cluster sweeps its cycle (sim.Settle
 // over its slice of the topological table, fused), and neither of these can
-// be sent an event, so neither keeps a rollback record: what is timed is the
-// sweep without state saving, and ns/event is wall time per gate
-// evaluation, every own gate once a cycle — a count of netlist gates, not of
-// the fused records that evaluate them. BenchmarkSerialCutRun
-// (internal/timewarp) times the same sweep with records, messages and
-// rollbacks; TestRunAllocs' forward row (internal/timewarp) bounds this
-// one's allocations.
+// be sent a frame, so neither waits for the other: what is timed is the
+// sweep alone, and ns/event is wall time per gate evaluation, every own
+// gate once a cycle — a count of netlist gates, not of the fused records
+// that evaluate them. BenchmarkClusterCut times the same sweep with the
+// links; TestRunAllocs' forward row (internal/timewarp) bounds this one's
+// allocations.
 func BenchmarkClusterForward(b *testing.B) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {
@@ -439,6 +438,41 @@ func BenchmarkClusterForward(b *testing.B) {
 		}
 		if res.Stats.Messages != 0 {
 			b.Fatalf("forward-only run sent %d messages", res.Stats.Messages)
+		}
+		events += res.Stats.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// BenchmarkClusterCut is the kernel's link path: the default decoder split
+// k=2 design-driven through its trellis (the benchmark's
+// viterbi_tw_rollback partition, cut 142), so each cluster ships the other
+// a frame of the flip-flop values it reads after most cycles and waits for
+// the other's watermark before each. ns/event is wall time per gate
+// evaluation, as in BenchmarkClusterForward; the difference between the
+// two is what the links cost.
+func BenchmarkClusterCut(b *testing.B) {
+	ed, err := gen.Viterbi(gen.DefaultViterbi).Elaborate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := partition.Multiway(ed, partition.Options{K: 2, B: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := timewarp.Run(timewarp.Config{
+			NL: ed.Netlist, GateParts: parts.GateParts, K: 2,
+			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 500,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Messages == 0 {
+			b.Fatal("the decoder split k=2 shipped nothing across its cut")
 		}
 		events += res.Stats.Events
 	}

@@ -26,13 +26,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Message is an opaque payload routed between endpoints. A payload may
-// itself be a batch (the Time Warp kernel coalesces the events bound for
-// one destination within a cycle into slice-valued Messages); the
-// transport neither knows nor cares — a batch counts as one message for
-// delivery, FIFO ordering and the sent/in-flight accounting, and the
-// receiver unpacks it in order, so batching inherits per-link FIFO from
-// the transport guarantee below.
+// Message is an opaque payload routed between endpoints. The Time Warp
+// kernel sends one kind, a cycle's frame of the flip-flop values a
+// receiver reads; the transport neither knows nor cares — a message counts
+// once for delivery, FIFO ordering and the sent/in-flight accounting.
 type Message any
 
 // Network connects K endpoints.

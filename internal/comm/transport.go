@@ -19,7 +19,7 @@ type MarkFunc func(src, dst int, through uint64)
 //   - no duplication;
 //   - per-link FIFO: messages and watermarks on the same (src, dst) pair
 //     are delivered in send order. The kernel relies on this — a
-//     watermark must never overtake an event sent before it.
+//     watermark must never overtake a message sent before it.
 //
 // Cross-link ordering and timing are entirely up to the transport; that is
 // the degree of freedom the chaos transport exploits.

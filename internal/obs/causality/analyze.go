@@ -48,8 +48,8 @@ func (r *Recorder) Analyze() *Analysis {
 
 	// Node (c, t) is cluster c executing cycle t, weighted by its
 	// evaluation count. Edges: (c, t-1) → (c, t) within each cluster, plus
-	// (src, u-1) → (dst, u) for every cross-cluster message consumed at
-	// cycle u — a flip-flop's change, sent at the end of cycle u-1 — so
+	// (src, u-1) → (dst, u) for every frame consumed at cycle u — the
+	// flip-flop values src latched at the end of cycle u-1 — so
 	// the longest weighted chain is a genuine lower bound on parallel
 	// completion time.
 	for c := range r.shards {
@@ -66,8 +66,8 @@ func (r *Recorder) Analyze() *Analysis {
 	seenEdge := map[uint64]bool{}
 	k64 := uint64(r.k)
 	for dst := range r.shards {
-		for id, u := range r.shards[dst].consumed {
-			src := id.Cluster()
+		for _, f := range r.shards[dst].consumed {
+			src, u := f.src, f.cycle
 			if src < 0 || int(src) >= r.k || int32(dst) == src || u == 0 || u >= r.cycles {
 				continue
 			}

@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestEventIDRoundTrip(t *testing.T) {
-	cases := []struct {
-		src int32
-		seq uint64
-	}{{0, 0}, {0, 1}, {3, 99}, {63, 1 << 40}}
-	for _, c := range cases {
-		id := Make(c.src, c.seq)
-		if id == 0 {
-			t.Fatalf("Make(%d,%d) = 0, collides with the none sentinel", c.src, c.seq)
-		}
-		if id.Cluster() != c.src || id.Seq() != c.seq {
-			t.Errorf("Make(%d,%d) round-trips to (%d,%d)", c.src, c.seq, id.Cluster(), id.Seq())
-		}
-	}
-	if s := Make(1, 42).String(); s != "c1#42" {
-		t.Errorf("String() = %q, want c1#42", s)
-	}
-	if s := EventID(0).String(); s != "none" {
-		t.Errorf("zero String() = %q, want none", s)
-	}
-}
-
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
@@ -34,7 +12,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Attach(2, 10)
 	r.CycleCost(0, 0, 5)
-	r.Consumed(0, 1, 1, 0)
+	r.Consumed(0, 1, 0)
 	a := r.Analyze()
 	if a.CritPath != 0 || a.SeqCost != 0 {
 		t.Errorf("nil Analyze = %+v, want zero", a)
@@ -44,8 +22,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 // TestAnalyzeCriticalPath hand-builds a two-cluster history and checks
 // the DP against a hand-computed longest chain.
 //
-// Costs per cycle: c0 = [5, 5, 5], c1 = [1, 1, 20]. One committed message
-// from c0 (seq 1) is consumed by c1 at cycle 1, adding edge (0,0)→(1,1).
+// Costs per cycle: c0 = [5, 5, 5], c1 = [1, 1, 20]. One frame from c0 is
+// consumed by c1 at cycle 1, adding edge (0,0)→(1,1).
 // Chains: within-c0 = 15, within-c1 = 22, via the edge =
 // 5 (c0 cycle 0) + 1 + 20 (c1 cycles 1,2) = 26 — the critical path.
 func TestAnalyzeCriticalPath(t *testing.T) {
@@ -57,7 +35,7 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 	for cy, v := range []uint64{1, 1, 20} {
 		r.CycleCost(1, uint64(cy), v)
 	}
-	r.Consumed(1, 0, 1, 1)
+	r.Consumed(1, 0, 1)
 
 	a := r.Analyze()
 	if a.SeqCost != 37 {
@@ -91,7 +69,7 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 
 // TestAnalyzeIgnoresEdgesNoCycleWaitsFor checks that a consumption no
 // cycle waits for contributes no critical-path edge: one a cluster made of
-// its own event, and one at cycle 0, which reads nothing sent.
+// its own frame, and one at cycle 0, which reads nothing sent.
 func TestAnalyzeIgnoresEdgesNoCycleWaitsFor(t *testing.T) {
 	r := New()
 	r.Attach(2, 3)
@@ -101,8 +79,8 @@ func TestAnalyzeIgnoresEdgesNoCycleWaitsFor(t *testing.T) {
 	for cy, v := range []uint64{1, 1, 20} {
 		r.CycleCost(1, uint64(cy), v)
 	}
-	r.Consumed(1, 1, 1, 1) // its own
-	r.Consumed(1, 0, 2, 0) // at cycle 0
+	r.Consumed(1, 1, 1) // its own
+	r.Consumed(1, 0, 0) // at cycle 0
 
 	a := r.Analyze()
 	if a.CritPath != 22 { // within-c1 chain only

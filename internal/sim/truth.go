@@ -26,15 +26,24 @@ func Truth(g *netlist.Gate) (tt uint8, ok bool) {
 // 4): bit i is EvalGate's output when input j holds bit j of i, so it does
 // not depend on the bits from n up.
 func table(k verilog.GateKind, n int) uint16 {
-	probe := netlist.Gate{Kind: k, Inputs: []netlist.NetID{0, 1, 2, 3}[:n]}
-	var tt uint16
-	for i := range 16 {
-		if EvalGate(&probe, []bool{i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0}) {
-			tt |= 1 << i
+	return tables[k][n-1]
+}
+
+// tables holds table's answer for every combinational kind and arity,
+// asked of EvalGate once, when the package is initialised.
+var tables = func() (t [verilog.GateDff][4]uint16) {
+	for k := range t {
+		for n := range t[k] {
+			probe := netlist.Gate{Kind: verilog.GateKind(k), Inputs: []netlist.NetID{0, 1, 2, 3}[:n+1]}
+			for i := range 16 {
+				if EvalGate(&probe, []bool{i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0}) {
+					t[k][n] |= 1 << i
+				}
+			}
 		}
 	}
-	return tt
-}
+	return t
+}()
 
 // TruthGate is a combinational gate compiled for evaluation: its inputs A
 // and B (a one-input gate has B == A), its output and its truth table. A

@@ -31,19 +31,20 @@ func multiway(t *testing.T, c *gen.Circuit, opts partition.Options) (*elab.Desig
 // clusters wait for each other), the SoC at k=4 with the metrics observer
 // and the causality recorder attached, and the default SoC split along its
 // channels (cut 0: the forward path, no message, no rollback). The first
-// two depend on scheduling and are bounded at about twice their count when
-// they were set (≈ 2,490 and ≈ 2,040; ≈ 2,090 and ≈ 1,590 since every
-// cluster sweeps its cycle; ≈ 360 and ≈ 1,120 since the decoder's clusters
-// wait for each other instead of rolling back, ≈ 345 and ≈ 1,100 since
-// their tables are fused; ≈ 13,650 and ≈ 6,650 when every event sent or
-// received boxed the arguments of a never-enabled printf); the forward run
-// is deterministic (≈ 119: neither cluster keeps a rollback record, fusing
-// a cluster's table allocates its reader array, its records, their
-// outputs, the slot map and the named slots once each, and the latch's
-// buffer is allocated once at one slot per flip-flop instead of growing;
-// ≈ 106 while the records named their output nets, ≈ 117–120 before
-// fusion, ≈ 116 before the copy table, ≈ 138 before the sweep) and bounded
-// at about +10 % of its count before fusion.
+// two depend on scheduling and are bounded at about twice their count
+// (≈ 176 and ≈ 495 since a link carries one frame a cycle, carved from
+// slabs, instead of a batch of events; ≈ 377 and ≈ 885 before, against
+// bounds of 5,000 and 5,500 set at ≈ 2,490 and ≈ 2,040; ≈ 13,650 and
+// ≈ 6,650 when every event sent or received boxed the arguments of a
+// never-enabled printf); the forward run is deterministic (≈ 115: neither
+// cluster keeps a rollback record, fusing a cluster's table allocates its
+// reader array, its records, their outputs, the slot map and the named
+// slots once each, the latch's buffer is allocated once at one slot per
+// flip-flop instead of growing, and a cluster without links keeps no link
+// table; ≈ 119 before the link frames, ≈ 106 while the records
+// named their output nets, ≈ 117–120 before fusion, ≈ 116 before the copy
+// table, ≈ 138 before the sweep) and bounded at about +10 % of its count
+// before fusion.
 func TestRunAllocs(t *testing.T) {
 	vit, vitParts := multiway(t, gen.Viterbi(gen.DefaultViterbi), partition.Options{K: 2, B: 10, Seed: 1})
 	// The SoC of distWorkloads at k=4, the configuration the observability
@@ -66,12 +67,12 @@ func TestRunAllocs(t *testing.T) {
 		{"viterbi", func() Config {
 			return Config{NL: vit.Netlist, GateParts: vitParts.GateParts, K: 2,
 				Vectors: sim.RandomVectors{Seed: 1}, Cycles: 50}
-		}, 5000},
+		}, 400},
 		{"instrumented", func() Config {
 			return Config{NL: soc.Netlist, GateParts: socParts.GateParts, K: 4,
 				Vectors: sim.RandomVectors{Seed: 1}, Cycles: 100,
 				Obs: obs.New(obs.Options{}), Causality: causality.New()}
-		}, 5500},
+		}, 1100},
 		{"forward", func() Config {
 			return Config{NL: fwd.Netlist, GateParts: fwdParts.GateParts, K: 2,
 				Vectors: sim.RandomVectors{Seed: 1}, Cycles: 500}
@@ -102,8 +103,10 @@ func TestRunAllocs(t *testing.T) {
 // TestDistRunAllocs holds a distributed run's allocations — coordinator
 // and two workers in this process, meshed over loopback sockets, the
 // default decoder at k=4 for 200 cycles — at about twice their count,
-// without and with every observer attached (≈ 39.6 k and ≈ 42.5 k;
-// ≈ 219 k and ≈ 222 k with the printf boxing).
+// without and with every observer attached (≈ 27.3 k and ≈ 28.7 k since a
+// link carries one frame a cycle; ≈ 31.3 k and ≈ 32.6 k with a batch of
+// events, ≈ 39.6 k and ≈ 42.5 k before that, against bounds of 80,000 and
+// 90,000; ≈ 219 k and ≈ 222 k with the printf boxing).
 func TestDistRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed runs are socket-heavy; skipped in -short")
@@ -116,8 +119,8 @@ func TestDistRunAllocs(t *testing.T) {
 		instrumented bool
 		bound        float64
 	}{
-		{"obs off", false, 80000},
-		{"obs on", true, 90000},
+		{"obs off", false, 56000},
+		{"obs on", true, 58000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {

@@ -2,13 +2,13 @@ package timewarp
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/obs/causality"
 	"repro/internal/sim"
@@ -22,7 +22,7 @@ import (
 const window = 8
 
 // cluster simulates the gates of one partition, a cycle at a time by one
-// levelized sweep. Before each cycle, one that another cluster sends events
+// levelized sweep. Before each cycle, one that another cluster sends frames
 // to waits until the link from each of its senders has delivered that
 // sender's watermark for the cycle (DESIGN §26).
 type cluster struct {
@@ -41,27 +41,27 @@ type cluster struct {
 	// and the next cycle to execute.
 	slots []bool
 	cycle uint64
-	// inq is the input queue: every remote event received for a cycle not
-	// yet executed, strictly increasing in (T, Src, Seq) (cmpEvent; see
-	// checkLogs). A cycle consumes the events for it from the front and
-	// drops them (DESIGN §27).
-	inq []event
+	// in[j] is the FIFO of the frames received from prog.senders[j] for
+	// cycles not yet executed, strictly increasing in T (checkLogs); a
+	// cycle takes the frame for it from the front.
+	in [][]*frame
+	// shipped[j] is the words of the values receivers[j] holds of this
+	// cluster's flip-flops: those of the last frame to it, or power-on.
+	shipped [][]uint64
 	// lastCycle is how long the cluster's last cycle took, the longest it
 	// spins for a watermark before it sleeps.
 	lastCycle time.Duration
-	seq       uint64
 	obsVals   [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
 	vecBuf    []bool   // the stimulus vector of the cycle being executed
 
-	// Outgoing batches: events emitted within a cycle coalesce per
-	// destination, preserving per-link FIFO (batch order = send order). A
-	// batch leaves as one comm.Message at cycle end (flushOut).
-	outBuf []batch
-
 	// Scratch.
-	toggling []int32 // one slot per flip-flop: the latch's compaction buffer
+	toggling []int32  // one slot per flip-flop: the latch's compaction buffer
+	packed   []uint64 // the words gathered for one receiver
+	// frames and words are the slabs newFrame carves frames from.
+	frames []frame
+	words  []uint64
 
-	faultCtr uint64 // events sent, for CorruptEveryN injection
+	faultCtr uint64 // changed values shipped, for CorruptEveryN injection
 
 	// stats is race-clean: the cluster goroutine writes, the observability
 	// sampler (and mid-run snapshots) read concurrently.
@@ -91,10 +91,18 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		slots:     make([]bool, len(p.code.Nets)),
 		obsVals:   make([][]bool, len(p.obsOwn)),
 		vecBuf:    make([]bool, p.vecWidth),
-		outBuf:    make([]batch, cfg.K),
+		in:        make([][]*frame, len(p.senders)),
+		shipped:   make([][]uint64, len(p.receivers)),
 		toggling:  make([]int32, len(p.latchD)),
 	}
 	p.code.Load(c.slots, h.sweep.PowerOn)
+	words := 0
+	for j := range c.shipped {
+		c.shipped[j] = make([]uint64, frameWords(len(p.link(j))))
+		pack(c.shipped[j], c.slots, p.link(j))
+		words = max(words, len(c.shipped[j]))
+	}
+	c.packed = make([]uint64, words)
 	for i := range c.obsVals {
 		c.obsVals[i] = make([]bool, cfg.Cycles)
 	}
@@ -118,7 +126,7 @@ func (c *cluster) run() error {
 
 		if c.cycle >= c.cfg.Cycles {
 			// Own trace finished; the last cycle's senders still ship
-			// events for the cycle after it. Absorb them until the watcher
+			// frames for the cycle after it. Absorb them until the watcher
 			// closes the endpoint.
 			msgs := c.ep.RecvWait()
 			if msgs == nil {
@@ -146,7 +154,7 @@ func (c *cluster) run() error {
 // awaitSenders holds the cluster before its next cycle until the link from
 // every sender has delivered that sender's watermark for the cycle. A
 // sender ships what a cycle sent before it marks the next one, and a link
-// is FIFO, so the mailbox drained after this holds every event the cycle
+// is FIFO, so the mailbox drained after this holds every frame the cycle
 // reads. The wait spins, polling a polled transport and yielding the
 // processor each round, for as long as the cluster's own last cycle took;
 // a watermark that has not arrived by then is far away, and the cluster
@@ -214,36 +222,33 @@ func (c *cluster) holdBack() bool {
 	return true
 }
 
-// absorb files a batch of messages received between two cycles in the
-// input queue. Each comm.Message is either a single event or a batch of
-// events coalesced by the sender (unpacked in order, so per-link FIFO
-// survives).
+// absorb files the messages received between two cycles, every one a
+// frame, in their senders' FIFOs (absorbFrame).
 func (c *cluster) absorb(msgs []comm.Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	if len(c.prog.senders) == 0 {
-		return fmt.Errorf("timewarp: cluster %d: received %d messages but reads no net another cluster drives: misrouted",
-			c.id, len(msgs))
-	}
 	for _, m := range msgs {
-		switch v := m.(type) {
-		case event:
-			if err := c.absorbOne(v); err != nil {
-				return err
-			}
-		case batch:
-			for _, e := range v {
-				if err := c.absorbOne(e); err != nil {
-					return err
-				}
-			}
-		default:
+		f, ok := m.(*frame)
+		if !ok {
 			return fmt.Errorf("timewarp: cluster %d: unknown message payload %T", c.id, m)
 		}
+		if err := c.absorbFrame(f); err != nil {
+			return err
+		}
 	}
-	c.stats.queueLen.Store(int64(len(c.inq)))
+	c.stats.queueLen.Store(c.pending())
 	return nil
+}
+
+// pending is how many frames the cluster holds for cycles not yet
+// executed.
+func (c *cluster) pending() int64 {
+	n := 0
+	for _, q := range c.in {
+		n += len(q)
+	}
+	return int64(n)
 }
 
 // publish stores the cluster's progress, its cycle: a lower bound on the
@@ -255,93 +260,109 @@ func (c *cluster) publish() {
 	c.progress[c.id].Store(c.cycle)
 }
 
-// absorbOne files one received event in the input queue at its (T, Src,
-// Seq) place: on the forward path an append, otherwise a bisection and a
-// copy of what sorts after it. An event for a cycle the cluster has
-// executed is a straggler: the wait for its sender makes one impossible,
-// so meeting one fails the run. An event for a net the cluster does not
-// read was misrouted, and fails it too.
-func (c *cluster) absorbOne(e event) error {
-	if e.T < c.cycle {
-		return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d seq %d) at cycle %d, which waited for its senders",
-			c.id, e.T, e.Src, e.Seq, c.cycle)
+// absorbFrame appends a received frame to its sender's FIFO. A frame from
+// a cluster that is not a sender, of a length other than its link's, or
+// with padding bits set was misrouted, and fails the run. A frame for a
+// cycle the cluster has executed is a straggler: the wait for its sender
+// makes one impossible, so meeting one fails the run too.
+func (c *cluster) absorbFrame(f *frame) error {
+	j := slices.Index(c.prog.senders, f.Src)
+	if j < 0 {
+		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d, which it reads nothing of: misrouted",
+			c.id, f.T, f.Src)
 	}
-	if _, ok := c.prog.slot(e.Net); !ok {
-		return fmt.Errorf("timewarp: cluster %d: event (T %d src %d seq %d) for net %d, which it does not read: misrouted",
-			c.id, e.T, e.Src, e.Seq, e.Net)
+	n := len(c.prog.inputs(j))
+	if len(f.Words) != frameWords(n) {
+		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d of %d words, its link carries %d values: misrouted",
+			c.id, f.T, f.Src, len(f.Words), n)
 	}
-	if n := len(c.inq); n == 0 || cmpEvent(c.inq[n-1], e) < 0 {
-		c.inq = append(c.inq, e)
-	} else {
-		i, _ := slices.BinarySearchFunc(c.inq, e, cmpEvent)
-		c.inq = slices.Insert(c.inq, i, e)
+	if r := n % 64; r != 0 && f.Words[len(f.Words)-1]>>r != 0 {
+		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d sets padding bits beyond its %d values: misrouted",
+			c.id, f.T, f.Src, n)
 	}
+	if f.T < c.cycle {
+		return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d) at cycle %d, which waited for its senders",
+			c.id, f.T, f.Src, c.cycle)
+	}
+	c.in[j] = append(c.in[j], f)
 	return nil
 }
 
-// checkLogs verifies the order the bisection stands on: the input queue is
-// strictly increasing in (T, Src, Seq). Every insertion preserves it — a
-// received event is put at its place, so the same (T, Src, Seq) delivered
-// twice is what breaks it. Tests run it after every cycle (CheckInvariants).
+// checkLogs verifies the order apply stands on: each sender's FIFO is
+// strictly increasing in T, and holds no frame for an executed cycle. A
+// sender ships at most one frame a cycle, so the same frame delivered
+// twice is what breaks it. Tests run it after every cycle
+// (CheckInvariants).
 func (c *cluster) checkLogs() error {
-	for i := 1; i < len(c.inq); i++ {
-		if a, b := c.inq[i-1], c.inq[i]; cmpEvent(a, b) >= 0 {
-			return fmt.Errorf("timewarp: cluster %d: invariant violated: input queue out of order at %d of %d (T %d src %d seq %d after T %d src %d seq %d)",
-				c.id, i, len(c.inq), b.T, b.Src, b.Seq, a.T, a.Src, a.Seq)
+	for j, q := range c.in {
+		for i, f := range q {
+			if i > 0 && f.T <= q[i-1].T || f.T < c.cycle {
+				return fmt.Errorf("timewarp: cluster %d: invariant violated: frames from cluster %d out of order at %d of %d (T %d at cycle %d)",
+					c.id, c.prog.senders[j], i, len(q), f.T, c.cycle)
+			}
 		}
 	}
 	return nil
 }
 
-// flushOut sends every per-destination batch still held this cycle.
-func (c *cluster) flushOut() {
-	for dst := range c.outBuf {
-		c.ship(int32(dst))
+// ship sends receivers[j] a frame for cycle t of the values it reads, when
+// any of them changed since the last frame to it. Each changed value
+// counts one message, the event the receiver would otherwise be sent.
+func (c *cluster) ship(t uint64, j int) {
+	last := c.shipped[j]
+	now := c.packed[:len(last)]
+	pack(now, c.slots, c.prog.link(j)) // flip-flop i's q is slot i
+	changed := 0
+	for w := range now {
+		changed += bits.OnesCount64(now[w] ^ last[w])
 	}
-}
-
-// ship sends dst's batch as one comm.Message and empties it. A single-event
-// batch ships as the bare event (one allocation either way; the receiver
-// handles both), an empty one sends nothing.
-func (c *cluster) ship(dst int32) {
-	q := c.outBuf[dst]
-	switch len(q) {
-	case 0:
+	if changed == 0 {
 		return
-	case 1:
-		c.ep.Send(int(dst), q[0])
-	default:
-		c.ep.Send(int(dst), append(batch(nil), q...))
 	}
-	c.stats.batches.Add(1)
-	c.stats.batchedEvents.Add(uint64(len(q)))
-	c.outBuf[dst] = q[:0]
-}
-
-// send emits an event for cycle t, own flip-flop output n holding v, to
-// dsts, the clusters reading it.
-func (c *cluster) send(t uint64, n netlist.NetID, v bool, dsts []int32) {
-	if f := c.cfg.Faults; f != nil && f.CorruptEveryN > 0 {
-		c.faultCtr++
-		if c.faultCtr%f.CorruptEveryN == 0 {
-			v = !v // injected silent data corruption
+	f := c.newFrame(t, len(now))
+	copy(f.Words, now)
+	if ft := c.cfg.Faults; ft != nil && ft.CorruptEveryN > 0 {
+		for w := range now {
+			for diff := now[w] ^ last[w]; diff != 0; diff &= diff - 1 {
+				if c.faultCtr++; c.faultCtr%ft.CorruptEveryN == 0 {
+					f.Words[w] ^= diff & -diff // injected silent data corruption
+				}
+			}
 		}
 	}
-	c.seq++
-	e := event{T: t, Net: n, Val: v, Src: c.id, Seq: c.seq}
-	for _, dst := range dsts {
-		c.outBuf[dst] = append(c.outBuf[dst], e)
+	copy(last, now)
+	c.ep.Send(int(c.prog.receivers[j]), f)
+	c.stats.messages.Add(uint64(changed))
+	c.stats.batches.Add(1)
+	c.stats.batchedEvents.Add(uint64(changed))
+}
+
+// frameSlab is how many frames newFrame carves from one allocation.
+const frameSlab = 64
+
+// newFrame returns a frame of cluster c for cycle t with room for n words,
+// carved from c's slabs: a frame costs no allocation of its own, and a
+// slab is let go once every frame carved from it is.
+func (c *cluster) newFrame(t uint64, n int) *frame {
+	if len(c.frames) == 0 {
+		c.frames = make([]frame, frameSlab)
 	}
-	c.stats.messages.Add(uint64(len(dsts)))
+	if len(c.words) < n {
+		c.words = make([]uint64, frameSlab*n)
+	}
+	f := &c.frames[0]
+	*f = frame{T: t, Src: c.id, Words: c.words[:n:n]}
+	c.frames, c.words = c.frames[1:], c.words[n:]
+	return f
 }
 
 // processCycle executes cycle cyc by one levelized sweep: it writes the
-// stimulus, applies the remote events for the cycle and drops them,
-// settles the fused table of own combinational gates and copies once with
+// stimulus, scatters the frames for the cycle into their slots, settles
+// the fused table of own combinational gates and copies once with
 // sim.Settle, and ends the cycle (endCycle).
 func (c *cluster) processCycle(cyc uint64) error {
 	c.writeStimulus(cyc)
-	c.consume(cyc)
+	c.apply(cyc)
 	sim.Settle(&c.prog.code, c.slots)
 	c.endCycle(cyc)
 	if CheckInvariants {
@@ -350,17 +371,20 @@ func (c *cluster) processCycle(cyc uint64) error {
 	return nil
 }
 
-// consume applies the events for cycle cyc, the front of the input queue,
-// to the slots of their nets in (T, Src, Seq) order and drops them.
-func (c *cluster) consume(cyc uint64) {
-	n := 0
-	for ; n < len(c.inq) && c.inq[n].T == cyc; n++ {
-		e := &c.inq[n]
-		s, _ := c.prog.slot(e.Net) // absorbOne refused the nets it lacks
-		c.slots[s] = e.Val
-		c.rec.Consumed(c.id, e.Src, e.Seq, cyc)
+// apply scatters each sender's frame for cycle cyc, the front of its FIFO,
+// into the slots it writes, and drops it. A sender none of whose values
+// changed sent no frame for the cycle, and its slots keep their values.
+func (c *cluster) apply(cyc uint64) {
+	for j, q := range c.in {
+		if len(q) == 0 || q[0].T != cyc {
+			continue
+		}
+		unpack(c.slots, c.prog.inputs(j), q[0].Words)
+		c.rec.Consumed(c.id, q[0].Src, cyc)
+		n := copy(q, q[1:])
+		q[n] = nil
+		c.in[j] = q[:n]
 	}
-	c.inq = append(c.inq[:0], c.inq[n:]...)
 }
 
 // writeStimulus asks cfg.Vectors for cycle cyc's vector and writes it into
@@ -382,8 +406,8 @@ func (c *cluster) writeStimulus(cyc uint64) {
 func (c *cluster) endCycle(cyc uint64) {
 	p, slots := c.prog, c.slots
 	// Latch own DFFs; all d inputs are sampled before any q is updated
-	// (a DFF chain shifts one stage per cycle), and a q change is sent for
-	// the next cycle, which reads it. The toggling ones are collected
+	// (a DFF chain shifts one stage per cycle), and the next cycle, which
+	// reads the new q's, is shipped them. The toggling ones are collected
 	// without a branch: every index is written, and the end advances by
 	// whether d differs from q.
 	d := p.latchD
@@ -396,13 +420,6 @@ func (c *cluster) endCycle(cyc uint64) {
 	for _, i := range toggling[:n] {
 		q[i] = !q[i]
 	}
-	if len(p.dsts) > 0 { // another cluster reads some own flip-flop
-		for _, i := range toggling[:n] {
-			if dsts := p.readers(int(i)); len(dsts) > 0 {
-				c.send(cyc+1, p.latchNet[i], q[i], dsts)
-			}
-		}
-	}
 
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).
@@ -410,14 +427,16 @@ func (c *cluster) endCycle(cyc uint64) {
 		c.obsVals[i][cyc] = slots[s]
 	}
 
-	// What this cycle sent leaves as one coalesced message per
-	// destination, before the cycle is published.
-	c.flushOut()
+	// Each receiver is shipped what it reads for the next cycle, before
+	// the cycle is published.
+	for j := range p.receivers {
+		c.ship(cyc+1, j)
+	}
 
 	evals := p.cycleCost()
 	c.stats.events.Add(evals)
 	c.rec.CycleCost(c.id, cyc, evals)
-	c.stats.queueLen.Store(int64(len(c.inq)))
+	c.stats.queueLen.Store(c.pending())
 	c.cycle = cyc + 1
 	c.publish()
 }
@@ -430,8 +449,8 @@ func b2i(v bool) int {
 	return 0
 }
 
-// CheckInvariants makes every cluster verify its input queue's order
-// (checkLogs) after each cycle, and fail the run when it is broken. The
-// scan is as long as the queue, so only tests turn it on — before the runs
+// CheckInvariants makes every cluster verify its FIFOs' order (checkLogs)
+// after each cycle, and fail the run when it is broken. The scan is as
+// long as the FIFOs, so only tests turn it on — before the runs
 // it is to cover, never during one.
 var CheckInvariants bool

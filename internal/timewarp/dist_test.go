@@ -869,9 +869,9 @@ func traceBatchV1(blob []byte) []byte {
 	return append(out, blob[phaseEnd:]...)
 }
 
-// FuzzDistProtoDecode hardens every distributed control payload decoder
-// against arbitrary bytes: errors are fine, panics and absurd
-// allocations are not.
+// FuzzDistProtoDecode hardens every distributed control payload decoder,
+// and the mesh's data frame with the link frame it carries, against
+// arbitrary bytes: errors are fine, panics and absurd allocations are not.
 func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1}))
 	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
@@ -890,6 +890,9 @@ func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
 	f.Add(traceBatchV1(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0)))
 	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
+	for _, h := range hostileFrames() { // data frames, as a worker's mesh reads them
+		f.Add(nettrans.AppendDataFrame(nil, 1, 0, h))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeDistSpec(data)
 		_, _ = decodeReport(data, 8)
@@ -900,6 +903,10 @@ func FuzzDistProtoDecode(f *testing.F) {
 		// The trace batches ride the same control plane: their decoder
 		// faces the same hostile bytes.
 		_, _, _ = DecodeTraceEvents(data)
+		// So do the data frames, on the mesh beside them.
+		if df, err := nettrans.DecodeDataFrame(data, 8); err == nil {
+			_, _ = decodeMessage(df.Msg)
+		}
 	})
 }
 

@@ -102,23 +102,24 @@ func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
 	return f
 }
 
-// eventFrame is the payload of a data frame 1→0 carrying event seq.
-func eventFrame(seq uint64) ([]byte, error) {
-	return appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), event{T: seq, Src: 1, Seq: seq})
+// linkFrame is the payload of a data frame 1→0 carrying cluster 1's frame
+// for cycle seq.
+func linkFrame(seq uint64) ([]byte, error) {
+	return appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), &frame{T: seq, Src: 1, Words: []uint64{seq}})
 }
 
-// writeEvent writes one data frame 1→0 on worker 1's end of the link.
-func (f *meshFixture) writeEvent(seq uint64) error {
-	buf, err := eventFrame(seq)
+// writeLinkFrame writes one data frame 1→0 on worker 1's end of the link.
+func (f *meshFixture) writeLinkFrame(seq uint64) error {
+	buf, err := linkFrame(seq)
 	if err != nil {
 		return err
 	}
 	return f.peer.Send(nettrans.FrameData, buf)
 }
 
-func (f *meshFixture) sendEvent(t *testing.T, seq uint64) {
+func (f *meshFixture) sendLinkFrame(t *testing.T, seq uint64) {
 	t.Helper()
-	if err := f.writeEvent(seq); err != nil {
+	if err := f.writeLinkFrame(seq); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,8 +132,8 @@ func (f *meshFixture) sendEvent(t *testing.T, seq uint64) {
 // The peer writes a cycle the way a sender does: a data frame, then the
 // watermark behind it, in one write. The first Endpoint.Poll after the
 // write delivers both, the data frame first — the watermark is heard with
-// the event already in the mailbox — and TryRecvAll, which polls nothing,
-// then drains the event: no sleep, no reader.
+// the frame already in the mailbox — and TryRecvAll, which polls nothing,
+// then drains the frame: no sleep, no reader.
 func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := newMeshFixture(t)
@@ -150,7 +151,7 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer stop.Store(true)
 
 	for seq := uint64(1); seq <= 200; seq++ {
-		buf, err := eventFrame(seq)
+		buf, err := linkFrame(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 		if len(msgs) != 1 {
 			t.Fatalf("frame %d: %d messages in the mailbox with its watermark heard, want 1", seq, len(msgs))
 		}
-		if e, ok := msgs[0].(event); !ok || e.Seq != seq {
+		if lf, ok := msgs[0].(*frame); !ok || lf.T != seq {
 			t.Fatalf("frame %d: delivered %#v", seq, msgs[0])
 		}
 	}
@@ -226,7 +227,7 @@ func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 		sentAtWrite = f.w.h.net.TotalSent()
 	}
 	local, peer := f.hookPeer(t, 1, func() { written() })
-	f.ep.Send(1, event{T: 1, Src: 0, Seq: 1})
+	f.ep.Send(1, &frame{T: 1, Src: 0})
 	if writes != 0 {
 		t.Fatalf("Send wrote to the socket %d times before the watermark", writes)
 	}
@@ -253,7 +254,7 @@ func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 	// A frame that could not be written is no frame on the wire.
 	local.Close()
 	written = func() {}
-	f.ep.Send(1, event{T: 2, Src: 0, Seq: 2})
+	f.ep.Send(1, &frame{T: 2, Src: 0})
 	f.ep.Mark(2)
 	if got := f.w.mesh.framesSent.Load(); got != 1 {
 		t.Errorf("%d frames counted written after a failed write, want 1", got)
@@ -268,8 +269,8 @@ func TestMeshCycleIsOneWrite(t *testing.T) {
 	f := newMeshFixtureOf(t, []int32{0, 1, 1})
 	writes := 0
 	_, peer := f.hookPeer(t, 1, func() { writes++ })
-	f.ep.Send(1, batch{{T: 1, Src: 0, Seq: 1}, {T: 1, Src: 0, Seq: 2}})
-	f.ep.Send(2, batch{{T: 1, Src: 0, Seq: 3}})
+	f.ep.Send(1, &frame{T: 1, Src: 0, Words: []uint64{3}})
+	f.ep.Send(2, &frame{T: 1, Src: 0, Words: []uint64{1}})
 	f.ep.Mark(1)
 	if writes != 1 {
 		t.Fatalf("%d writes for one cycle to one peer, want 1", writes)
@@ -305,7 +306,7 @@ func TestMeshCycleIsOneWrite(t *testing.T) {
 // TestMeshMarksOnlyWhereRead: three workers, and the one-way pair's cluster
 // 0 on worker 0 sends only to cluster 1 on worker 1; cluster 2, on worker
 // 2, is empty. Only cluster 1 reads cluster 0's watermark, so worker 2 is
-// sent none: a cycle of cluster 0 puts its event and its watermark on the
+// sent none: a cycle of cluster 0 puts its frame and its watermark on the
 // link to worker 1, and nothing on the link to worker 2 — the first frame
 // worker 2 reads is one the test sends it afterwards.
 func TestMeshMarksOnlyWhereRead(t *testing.T) {
@@ -356,7 +357,7 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 	const frames = 2000
 	go func() {
 		for seq := uint64(1); seq <= frames; seq++ {
-			if err := f.writeEvent(seq); err != nil {
+			if err := f.writeLinkFrame(seq); err != nil {
 				t.Error(err)
 				return
 			}
@@ -383,8 +384,8 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 	for deadline := time.Now().Add(20 * time.Second); next <= frames || f.ep.Heard(1) != lastMark; {
 		heard := f.ep.Heard(1)
 		for _, m := range f.ep.TryRecvAll() {
-			if e := m.(event); e.Seq != next {
-				t.Fatalf("delivered seq %d, want %d", e.Seq, next)
+			if lf := m.(*frame); lf.T != next {
+				t.Fatalf("delivered the frame for cycle %d, want %d", lf.T, next)
 			}
 			next++
 		}
@@ -454,7 +455,7 @@ func (f *meshFixture) pollUntilDown(t *testing.T, want error) {
 func TestMeshPollSeesPeerDeathFirst(t *testing.T) {
 	t.Run("EOF", func(t *testing.T) {
 		f := newMeshFixture(t)
-		f.sendEvent(t, 1)
+		f.sendLinkFrame(t, 1)
 		f.peer.Close()
 		f.pollUntilDown(t, io.EOF)
 		if msgs := f.ep.TryRecvAll(); len(msgs) != 1 {
@@ -481,7 +482,7 @@ func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 	if typ, payload, ok := f.coordFrame(50 * time.Millisecond); ok {
 		t.Fatalf("a dead peer was reported to the coordinator as frame 0x%02x %q", typ, payload)
 	}
-	f.ep.Send(1, event{T: 9, Src: 0, Seq: 9})
+	f.ep.Send(1, &frame{T: 9, Src: 0})
 	f.w.mesh.Poll()
 	if got := f.w.h.net.InFlight(); got != 0 {
 		t.Errorf("in-flight gauge %d, want 0: a frame for a dead peer has left this process", got)
@@ -490,11 +491,12 @@ func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 
 // TestMeshPollReportsGarbage: anything illegal on a mesh link — a frame
 // type the data plane does not carry, a route outside the network, an
-// undecodable event or watermark — poisons the link and is reported to
+// undecodable frame or watermark — poisons the link and is reported to
 // the coordinator with the peer named, once.
 func TestMeshPollReportsGarbage(t *testing.T) {
-	badRoute := nettrans.AppendDataFrame(nil, 1, 7, []byte{wireKindEvent})
-	badEvent := nettrans.AppendDataFrame(nil, 1, 0, []byte{0x7F, 1, 2, 3})
+	badRoute := nettrans.AppendDataFrame(nil, 1, 7, make([]byte, wireFrameHeader))
+	badFrame := nettrans.AppendDataFrame(nil, 1, 0, make([]byte, wireFrameHeader+1))
+	badSource, _ := appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), &frame{T: 1, Src: 0})
 	for _, tc := range []struct {
 		name  string
 		write func(f *meshFixture)
@@ -502,14 +504,15 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 	}{
 		{"frame type", func(f *meshFixture) { f.peer.Send(nettrans.FrameCut, []byte{1}) }, "unexpected frame type 0x08"},
 		{"route", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badRoute) }, "outside 2-cluster network"},
-		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badEvent) }, "unknown wire message kind"},
+		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badFrame) }, "frame of 0 words needs 16 bytes, got 17"},
+		{"source", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badSource) }, "frame of cluster 0 in a data frame from cluster 1"},
 		{"progress", func(f *meshFixture) { f.peer.Send(nettrans.FrameProgress, []byte{0, 0, 0, 9}) }, "malformed watermark"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newMeshFixture(t)
-			f.sendEvent(t, 1)
+			f.sendLinkFrame(t, 1)
 			tc.write(f)
-			f.sendEvent(t, 2) // behind the garbage: must never be delivered
+			f.sendLinkFrame(t, 2) // behind the garbage: must never be delivered
 			f.pollUntilDown(t, nil)
 			typ, payload, ok := f.coordFrame(5 * time.Second)
 			if !ok || typ != nettrans.FrameError {
@@ -524,7 +527,7 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 			}
 			f.w.mesh.Poll()
 			msgs := f.ep.TryRecvAll()
-			if len(msgs) != 1 || msgs[0].(event).Seq != 1 {
+			if len(msgs) != 1 || msgs[0].(*frame).T != 1 {
 				t.Errorf("delivered %v: want exactly the frame ahead of the garbage", msgs)
 			}
 			if _, _, ok := f.coordFrame(50 * time.Millisecond); ok {

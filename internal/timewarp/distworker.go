@@ -335,13 +335,16 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		msg, err := decodeMessage(df.Msg)
+		f, err := decodeMessage(df.Msg)
 		if err != nil {
 			return err
 		}
+		if int(f.Src) != df.Src {
+			return fmt.Errorf("frame of cluster %d in a data frame from cluster %d", f.Src, df.Src)
+		}
 		w.mesh.framesRecv.Add(1)
 		w.h.net.NoteArrived()
-		w.mesh.deliver(df.Dst, msg)
+		w.mesh.deliver(df.Dst, f)
 	case nettrans.FrameProgress:
 		src, through, err := decodeMark(payload, w.spec.K)
 		if err != nil {

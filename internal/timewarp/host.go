@@ -80,8 +80,8 @@ type host struct {
 // newHost validates cfg and builds the network and the clusters for which
 // owns reports true (nil = all of them), instrumented on cfg.Obs. Every
 // host of a run computes the copies of all K clusters from the netlist and
-// the partition alone, so a sender's dsts and its receivers' remote reads
-// agree across processes without a word on the wire.
+// the partition alone, so both ends of a link agree on its order across
+// processes without a word on the wire.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 	ref, err := cfg.prepare()
 	if err != nil {
@@ -208,8 +208,8 @@ func (h *host) collect() *distResult {
 // mergeResults folds the per-process results of a terminated run into its
 // Result and checks the global termination invariants: a clean run
 // reports each cluster once, leaves no message in flight, every sent
-// message absorbed, every wire frame written also read, and every event a
-// cluster enqueued sent in exactly one message, at the end of its cycle.
+// message absorbed, every wire frame written also read, and every changed
+// value a cluster shipped carried by exactly one frame.
 // FinalGVT is the smallest cycle the clusters reported.
 func mergeResults(k int, parts []*distResult) *Result {
 	res := &Result{
@@ -259,7 +259,7 @@ func mergeResults(k int, parts []*distResult) *Result {
 	}
 	if st := res.Stats; st.BatchedEvents != st.Messages || st.Batches > st.BatchedEvents {
 		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("%d events sent in %d messages, but %d enqueued",
+			fmt.Sprintf("%d changed values carried in %d frames, but %d shipped",
 				st.BatchedEvents, st.Batches, st.Messages))
 	}
 	res.FinalGVT = slices.Min(cycles)
@@ -288,7 +288,7 @@ func instrumentClusters(h *host) {
 			reg.SampleFunc(statSeries[i].name, statSeries[i].help,
 				func() float64 { return float64(f.Load()) }, lbl)
 		}
-		reg.SampleFunc("tw_queue_len", "pending remote events in the cluster queue",
+		reg.SampleFunc("tw_queue_len", "frames received for cycles the cluster has not executed",
 			func() float64 { return float64(st.queueLen.Load()) }, lbl)
 	}
 }

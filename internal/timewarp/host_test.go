@@ -13,9 +13,8 @@ import (
 
 // togglePair is a two-cluster design with one-way traffic: cluster 0
 // holds a flip-flop that toggles every cycle, cluster 1 registers it. So
-// cluster 0 never rolls back and sends exactly one event per cycle, and
-// cluster 1 either waits for each of them (direct delivery) or is rolled
-// back by each of them it ran ahead of.
+// cluster 0 sends exactly one frame per cycle, and cluster 1 waits for
+// each of them.
 func togglePair(t *testing.T) (*netlist.Netlist, []int32) {
 	t.Helper()
 	c := &gen.Circuit{Name: "toggle", Top: "toggle", Source: `
@@ -44,9 +43,9 @@ endmodule
 
 // TestOneWaySenderRunsInConstantMemory runs the one-way pair free for 2,000
 // cycles, under the chaos transport and over direct delivery. The sender
-// sends an event a cycle; the receiver waits for each watermark, so it
-// ends the run holding at most the one event for the cycle after the last,
-// and the window that holds the sender back keeps its queue's capacity
+// sends a frame a cycle; the receiver waits for each watermark, so it
+// ends the run holding at most the one frame for the cycle after the last,
+// and the window that holds the sender back keeps its FIFO's capacity
 // bounded by the window, not by the run. Under chaos some of those waits
 // outlast the sender's publish because the link still held the
 // watermark; over direct delivery none does.
@@ -78,12 +77,12 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 		}
 		compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), "one-way, "+tc.name)
 		if st := res.PerCluster[0]; st.Messages < cycles-1 || st.LinkWaits != 0 {
-			t.Errorf("%s: sender sent %d events and waited %d times; want an event a cycle and no wait", tc.name, st.Messages, st.LinkWaits)
+			t.Errorf("%s: sender shipped %d changed values and waited %d times; want one a cycle and no wait", tc.name, st.Messages, st.LinkWaits)
 		}
 		b := h.clusters[1]
-		if len(b.inq) > 1 || cap(b.inq) > 4*window {
-			t.Errorf("%s: receiver holds %d events in a queue of capacity %d; want at most 1 in at most %d",
-				tc.name, len(b.inq), cap(b.inq), 4*window)
+		if q := b.in[0]; len(q) > 1 || cap(q) > 4*window {
+			t.Errorf("%s: receiver holds %d frames in a FIFO of capacity %d; want at most 1 in at most %d",
+				tc.name, len(q), cap(q), 4*window)
 		}
 		if waits := res.PerCluster[1].LinkWaits; (tc.tr == nil) != (waits == 0) {
 			t.Errorf("%s: receiver waited on a held watermark %d times", tc.name, waits)

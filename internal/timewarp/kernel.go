@@ -32,7 +32,7 @@ type Config struct {
 	// direct). A cluster with remote inputs waits for its senders'
 	// watermarks over every transport; the chaos transport (comm.Chaos) is
 	// the adversarial delivery schedule the fuzz harness uses to hold
-	// events and watermarks on their links.
+	// frames and watermarks on their links.
 	Transport comm.TransportFactory
 	// StallTimeout, when positive, makes the watcher abort the run with
 	// an error if no cluster makes progress and no message moves for this
@@ -56,8 +56,8 @@ type Config struct {
 	// wait trace spans, and the Chrome-trace export. Nil disables
 	// instrumentation; every hot-path site then costs one branch.
 	Obs *obs.Observer
-	// Causality attaches the per-event lineage recorder (which cycle
-	// consumed which event, what each cycle cost): Recorder.Analyze then
+	// Causality attaches the per-frame lineage recorder (which cycle
+	// consumed which sender's frame, what each cycle cost): Recorder.Analyze then
 	// yields the committed-event critical path after the run. Nil disables
 	// recording; every hot-path site then costs one branch.
 	Causality *causality.Recorder
@@ -69,7 +69,9 @@ type Config struct {
 
 // Stats aggregates kernel activity over a run.
 type Stats struct {
-	Messages uint64 // inter-cluster events sent
+	// Messages counts the changed flip-flop values shipped across the cut,
+	// once per receiver: the events an event-per-change link would carry.
+	Messages uint64
 	// Events counts gate evaluations executed: every cycle a cluster
 	// executes evaluates each own gate and copy, flip-flops too, once
 	// (DESIGN.md §26). It counts netlist gates, not the fused records a
@@ -77,9 +79,10 @@ type Stats struct {
 	// sim.Simulator.Events, which counts the gates the sequential
 	// simulator's delta events reach (DESIGN.md §20).
 	Events uint64
-	// Batches counts comm.Messages sent and BatchedEvents the events they
-	// carried; their ratio is the mean batch size. Every event sent leaves
-	// in exactly one message, so BatchedEvents is Messages.
+	// Batches counts the frames sent and BatchedEvents the changed values
+	// they carried; their ratio is the mean batch size. A cluster ships a
+	// receiver a frame for a cycle exactly when a value it reads changed,
+	// so BatchedEvents is Messages.
 	Batches       uint64
 	BatchedEvents uint64
 	// LinkWaits counts the cycles that waited for a sender which had

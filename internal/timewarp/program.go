@@ -10,19 +10,22 @@ import (
 
 // program is one cluster compiled to flat read-only arrays: everything the
 // cycle needs to know about the netlist and the partition, laid out so that
-// processCycle and send index slices instead of hashing net ids or chasing
+// processCycle and ship index slices instead of hashing net ids or chasing
 // *netlist.Gate pointers. It is built once in newCluster and never written
 // afterwards.
 //
 // The cluster's state is a dense slot array, its fused table's (sim.Program):
 // the table's inputs, then one slot per record in table order, then the
 // nets the cycle reads or writes that the table does not. Every access of
-// the cycle goes through a slot — stimulus, received events, the latch, the
-// observed nets — and only a net a cluster sends or receives keeps its
-// global netlist.NetID, which is what clusters exchange. Every cluster has
-// the one layout: its combinational gates, copies included, are a slice of
-// the host's sim.Sweep table fused by sim.Fuse, its flip-flops a table of
-// their own.
+// the cycle goes through a slot — stimulus, received frames, the latch, the
+// observed nets. Every cluster has the one layout: its combinational gates,
+// copies included, are a slice of the host's sim.Sweep table fused by
+// sim.Fuse, its flip-flops a table of their own.
+//
+// A link carries no net id: a frame from a sender to a receiver holds one
+// bit per flip-flop of the sender the receiver reads, in the sender's
+// flip-flop order, and both ends derive that list from the netlist, the
+// partition and the copies alone (DESIGN §20).
 type program struct {
 	// code is the own combinational gates and the copies (replicas) as
 	// sim.Record records over the cluster's slots, in the host's sim.Sweep
@@ -42,10 +45,6 @@ type program struct {
 	// The clock is a global tick, not an event.
 	latchD   []int32
 	latchNet []netlist.NetID
-	// dsts[dstOff[i]:dstOff[i+1]] are the other clusters reading own
-	// flip-flop i's output (CSR, one offset per flip-flop plus one).
-	dstOff []uint32
-	dsts   []int32
 
 	// piSlot are the slots of the stimulus inputs read by own gates or
 	// copies (cluster 0 mirrors all of them, to observe driverless nets);
@@ -61,20 +60,24 @@ type program struct {
 	obsOwn  []netlist.NetID
 	obsSlot []int32
 
-	// remote are the other clusters' flip-flop outputs an own gate or a
-	// copy reads, ascending, remoteSlot their slots: a received event
-	// writes the slot of its net.
-	remote     []netlist.NetID
-	remoteSlot []int32
-
 	// senders are the other clusters whose flip-flop outputs an own gate or
 	// a copy reads, ascending — exactly the clusters whose programs list
-	// this one in their dsts. A cluster without senders is never sent an
-	// event, and waits for no watermark.
+	// this one among their receivers. A cluster without senders is never
+	// sent a frame, and waits for no watermark. inSlot[inOff[j]:inOff[j+1]]
+	// (CSR, inputs) are the slots of the flip-flop outputs of senders[j]
+	// this cluster reads, in senders[j]'s flip-flop order: bit i of a frame
+	// from it is the value of inputs(j)[i].
 	senders []int32
-	// receivers are the clusters listed in dsts, ascending: those this one
-	// sends events to.
+	inOff   []uint32
+	inSlot  []int32
+	// receivers are the other clusters reading an own flip-flop's output,
+	// ascending: those this one sends frames to.
+	// linkFF[linkOff[j]:linkOff[j+1]] (CSR, link) are the own flip-flops
+	// receivers[j] reads, ascending: bit i of a frame to it is flip-flop
+	// link(j)[i]'s q.
 	receivers []int32
+	linkOff   []uint32
+	linkFF    []int32
 }
 
 // replicas are every cluster's copies, computed once per host from the
@@ -182,11 +185,15 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		return gateParts[g] == id || slices.Contains(rep.copiers(g), id)
 	}
 
-	// One pass counts the gates this cluster evaluates and finds what it
+	// One pass counts the gates this cluster evaluates and marks what it
 	// reads of other clusters' flip-flops; the next lists its own
-	// flip-flops, in gate order, with the clusters reading each output: a
-	// cluster with an own gate or a copy among the net's sinks.
+	// flip-flops, in gate order, and, in the same order, every cluster's
+	// flip-flops it reads, a list per sender: a link's order on both of
+	// its ends. A flip-flop's output is read by every cluster with an own
+	// gate or a copy among the net's sinks.
 	nComb, nLatch := 0, 0
+	// reads marks them; the live rule reuses the array below.
+	reads := make([]bool, len(nl.Nets))
 	for gi := range nl.Gates {
 		g := netlist.GateID(gi)
 		switch {
@@ -199,7 +206,7 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 		for _, in := range nl.Gates[gi].Inputs {
 			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() {
-				p.remote = append(p.remote, in)
+				reads[in] = true
 				if !slices.Contains(p.senders, gateParts[d]) {
 					p.senders = append(p.senders, gateParts[d])
 				}
@@ -207,20 +214,32 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 	}
 	slices.Sort(p.senders)
-	slices.Sort(p.remote)
-	p.remote = slices.Clip(slices.Compact(p.remote))
-	p.dstOff = make([]uint32, 1, nLatch+1)
 	p.latchNet = make([]netlist.NetID, 0, nLatch)
+	in := make([][]netlist.NetID, len(p.senders)) // the nets of each sender's frames
+	var out [][]int32                             // the flip-flops of each receiver's frames, by cluster
 	for gi := range nl.Gates {
-		if gateParts[gi] != id || !nl.Gates[gi].Kind.Sequential() {
+		if !nl.Gates[gi].Kind.Sequential() {
 			continue
 		}
 		q := nl.Gates[gi].Output
+		if owner := gateParts[gi]; owner != id {
+			if reads[q] {
+				j := slices.Index(p.senders, owner)
+				in[j] = append(in[j], q)
+			}
+			continue
+		}
+		ff := int32(len(p.latchNet))
 		p.latchNet = append(p.latchNet, q)
-		own := len(p.dsts)
 		add := func(dst int32) {
-			if dst != id && !slices.Contains(p.dsts[own:], dst) {
-				p.dsts = append(p.dsts, dst)
+			if dst == id {
+				return
+			}
+			if int(dst) >= len(out) {
+				out = append(out, make([][]int32, int(dst)+1-len(out))...)
+			}
+			if l := out[dst]; len(l) == 0 || l[len(l)-1] != ff { // ff is the last one listed yet
+				out[dst] = append(l, ff)
 			}
 		}
 		for _, s := range nl.Nets[q].Sinks {
@@ -229,14 +248,26 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 				add(c)
 			}
 		}
-		p.dstOff = append(p.dstOff, uint32(len(p.dsts)))
 	}
-	for _, d := range p.dsts {
-		if !slices.Contains(p.receivers, d) {
-			p.receivers = append(p.receivers, d)
+	// A cluster without receivers, or without senders, keeps no offsets.
+	if len(out) > 0 {
+		p.linkOff = make([]uint32, 1, len(out)+1)
+	}
+	for dst, ffs := range out {
+		if len(ffs) > 0 {
+			p.receivers = append(p.receivers, int32(dst))
+			p.linkFF = append(p.linkFF, ffs...)
+			p.linkOff = append(p.linkOff, uint32(len(p.linkFF)))
 		}
 	}
-	slices.Sort(p.receivers)
+	if len(in) > 0 {
+		p.inOff = make([]uint32, 1, len(in)+1)
+	}
+	var remote []netlist.NetID
+	for _, nets := range in {
+		remote = append(remote, nets...)
+		p.inOff = append(p.inOff, uint32(len(remote)))
+	}
 
 	var pis []netlist.NetID
 	for _, pi := range nl.PIs {
@@ -259,7 +290,8 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	// not evaluate reads it, or more than one gate of the table does. No
 	// other code reads a net, so the rest are free for sim.Fuse to fold
 	// away.
-	live := make([]bool, len(nl.Nets))
+	live := reads
+	clear(live)
 	for _, n := range observe {
 		owner := int32(0)
 		if d := nl.Nets[n].Driver; d != netlist.NoGate {
@@ -287,8 +319,8 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	// latch's q's, named first so that flip-flop i's q takes slot i, the
 	// stimulus inputs, the observed nets, the received ones and the
 	// latch's d's.
-	named := make([]netlist.NetID, 0, 2*nLatch+len(pis)+len(p.obsOwn)+len(p.remote))
-	named = append(append(append(append(named, p.latchNet...), pis...), p.obsOwn...), p.remote...)
+	named := make([]netlist.NetID, 0, 2*nLatch+len(pis)+len(p.obsOwn)+len(remote))
+	named = append(append(append(append(named, p.latchNet...), pis...), p.obsOwn...), remote...)
 	for _, q := range p.latchNet {
 		named = append(named, nl.Gates[nl.Nets[q].Driver].Inputs[0])
 	}
@@ -302,23 +334,38 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	slots = slots[nLatch:]
 	p.piSlot, slots = slots[:len(pis)], slots[len(pis):]
 	p.obsSlot, slots = slots[:len(p.obsOwn)], slots[len(p.obsOwn):]
-	p.remoteSlot, p.latchD = slots[:len(p.remote)], slots[len(p.remote):]
+	p.inSlot, p.latchD = slots[:len(remote)], slots[len(remote):]
 	return p
 }
 
-// slot returns the slot of n, another cluster's flip-flop output, and
-// whether this cluster reads it.
-func (p *program) slot(n netlist.NetID) (int32, bool) {
-	i, ok := slices.BinarySearch(p.remote, n)
-	if !ok {
-		return 0, false
-	}
-	return p.remoteSlot[i], true
+// link returns the own flip-flops receivers[j] reads, the bits of a frame
+// to it.
+func (p *program) link(j int) []int32 {
+	return p.linkFF[p.linkOff[j]:p.linkOff[j+1]]
 }
 
-// readers returns the other clusters reading own flip-flop i's output.
-func (p *program) readers(i int) []int32 {
-	return p.dsts[p.dstOff[i]:p.dstOff[i+1]]
+// inputs returns the slots a frame from senders[j] writes, one per bit.
+func (p *program) inputs(j int) []int32 {
+	return p.inSlot[p.inOff[j]:p.inOff[j+1]]
+}
+
+// frameWords is the length in words of a frame carrying n values.
+func frameWords(n int) int { return (n + 63) / 64 }
+
+// pack writes the values of slots idx into words, bit i of the frame
+// holding vals[idx[i]], and zeroes the padding bits.
+func pack(words []uint64, vals []bool, idx []int32) {
+	clear(words)
+	for i, s := range idx {
+		words[i>>6] |= uint64(b2i(vals[s])) << (i & 63)
+	}
+}
+
+// unpack writes bit i of words into vals[idx[i]]: pack's inverse.
+func unpack(vals []bool, idx []int32, words []uint64) {
+	for i, s := range idx {
+		vals[s] = words[i>>6]>>(i&63)&1 != 0
+	}
 }
 
 // cycleCost is the gate evaluations of one executed cycle: every own gate,

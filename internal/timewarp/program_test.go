@@ -116,7 +116,7 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 // checkPrograms compiles every cluster of a k-way partition and checks each
 // program against the naive recomputation, and the clusters' programs
 // against one another: a cluster's senders are exactly the clusters that
-// list it among a net's readers. It returns the programs.
+// list it among their receivers. It returns the programs.
 func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int32, k int) []*program {
 	t.Helper()
 	sw, err := sim.NewSweep(nl)
@@ -133,7 +133,7 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 	for id, p := range progs {
 		var heard []int32
 		for src, q := range progs {
-			if slices.Contains(q.dsts, int32(id)) {
+			if slices.Contains(q.receivers, int32(id)) {
 				heard = append(heard, int32(src))
 			}
 		}
@@ -201,19 +201,28 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 	// Only an own flip-flop's output is sent, to every other cluster that
 	// reads it with an own gate or a copy; a copy's output never is.
+	gotDsts := make([][]int32, len(dffs))
+	for j, r := range p.receivers {
+		if j > 0 && r <= p.receivers[j-1] {
+			t.Fatalf("%s: receivers %v not ascending", label, p.receivers)
+		}
+		for _, i := range p.link(j) {
+			gotDsts[i] = append(gotDsts[i], r)
+		}
+	}
 	for i, gi := range dffs {
 		g := &nl.Gates[gi]
 		if d, q := nets[p.latchD[i]], nets[i]; d != g.Inputs[0] || q != g.Output || p.latchNet[i] != g.Output {
 			t.Fatalf("%s: flip-flop %d latches slot %d (%d) into slot %d (%d) and sends %d; netlist gate %s: d %d, q %d",
 				label, i, p.latchD[i], d, i, q, p.latchNet[i], g.Path, g.Inputs[0], g.Output)
 		}
-		wantDsts, gotDsts := readers(g.Output), p.readers(i)
-		if len(gotDsts) != len(wantDsts) {
-			t.Fatalf("%s: net %s read by clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts, wantDsts)
+		wantDsts := readers(g.Output)
+		if len(gotDsts[i]) != len(wantDsts) {
+			t.Fatalf("%s: net %s shipped to clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts[i], wantDsts)
 		}
-		for _, d := range gotDsts {
+		for _, d := range gotDsts[i] {
 			if !wantDsts[d] {
-				t.Fatalf("%s: net %s read by clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts, wantDsts)
+				t.Fatalf("%s: net %s shipped to clusters %v, want %v", label, nl.Nets[g.Output].Name, gotDsts[i], wantDsts)
 			}
 		}
 	}
@@ -229,24 +238,30 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		}
 	}
 
-	// A received event writes the slot of its net: every other cluster's
-	// flip-flop output an evaluated gate reads, and nothing else.
-	var remote []netlist.NetID
-	for n := range nl.Nets {
-		d := nl.Nets[n].Driver
-		if d == netlist.NoGate || parts[d] == id || !nl.Gates[d].Kind.Sequential() {
+	// A frame from a sender writes the slots of that sender's flip-flop
+	// outputs an evaluated gate reads, in the sender's flip-flop order
+	// (gate order), and nothing else: every other cluster's flip-flop
+	// output an evaluated gate reads, by sender.
+	remote := make([][]netlist.NetID, len(p.senders))
+	for gi := range nl.Gates {
+		n := nl.Gates[gi].Output
+		if parts[gi] == id || !nl.Gates[gi].Kind.Sequential() ||
+			!slices.ContainsFunc(nl.Nets[n].Sinks, func(s netlist.GateID) bool { return ev[s] }) {
 			continue
 		}
-		if slices.ContainsFunc(nl.Nets[n].Sinks, func(s netlist.GateID) bool { return ev[s] }) {
-			remote = append(remote, netlist.NetID(n))
+		j := slices.Index(p.senders, parts[gi])
+		if j < 0 {
+			t.Fatalf("%s: reads %s, but its owner %d is not among the senders %v", label, nl.Nets[n].Name, parts[gi], p.senders)
 		}
+		remote[j] = append(remote[j], n)
 	}
-	if !slices.Equal(p.remote, remote) {
-		t.Fatalf("%s: receives %v, reads other clusters' flip-flop outputs %v", label, p.remote, remote)
-	}
-	for i, n := range p.remote {
-		if s, ok := p.slot(n); !ok || s != p.remoteSlot[i] || nets[s] != n {
-			t.Fatalf("%s: received net %s maps to slot %d (%v), which holds %d", label, nl.Nets[n].Name, s, ok, nets[s])
+	for j, want := range remote {
+		got := make([]netlist.NetID, 0, len(want))
+		for _, s := range p.inputs(j) {
+			got = append(got, nets[s])
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: receives %v from cluster %d, reads its flip-flop outputs %v", label, got, p.senders[j], want)
 		}
 	}
 
@@ -468,90 +483,4 @@ func TestCutZeroRunIsPinned(t *testing.T) {
 				id, st.Events, st.Messages, st.LinkWaits, want, cycles, own[id])
 		}
 	}
-}
-
-// TestInputQueueStaysSorted steps three clusters of a randomly cut decoder
-// by hand, over a transport that is not the direct one, under a random
-// schedule: a cluster looks in its mailbox at random, and executes its next
-// cycle at random once every sender's watermark for it has arrived — the
-// wait rule, by hand. Senders run ahead of their receivers by many cycles,
-// so events for several cycles and from several sources arrive interleaved.
-// After every absorb the queue must be in (T, Src, Seq) order with no event
-// for a cycle the cluster has executed, and the run must commit the
-// sequential simulator's waveforms.
-func TestInputQueueStaysSorted(t *testing.T) {
-	nl := viterbiDesign(t).Netlist
-	const k, cycles, seed = 3, 40, 41
-	state := sim.StateNets(nl)
-	h, err := newHost(Config{
-		NL: nl, GateParts: randomParts(nl, k, 17), K: k,
-		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
-		Transport: syncDelivery,
-	}, "tw", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := func(c *cluster) bool {
-		for _, s := range c.prog.senders {
-			if c.ep.Heard(int(s)) < c.cycle {
-				return false
-			}
-		}
-		return c.cycle < cycles
-	}
-	rng := rand.New(rand.NewSource(1))
-	interleaved := 0 // events filed in front of one already queued
-	finished := func() bool {
-		for _, c := range h.clusters {
-			if c.cycle < cycles {
-				return false
-			}
-		}
-		return h.net.TotalSent() == h.absorbed.Load()
-	}
-	look := func(c *cluster) {
-		msgs := c.ep.TryRecvAll()
-		for _, m := range msgs {
-			evs, _ := m.(batch)
-			if e, ok := m.(event); ok {
-				evs = batch{e}
-			}
-			for _, e := range evs {
-				if n := len(c.inq); n > 0 && cmpEvent(e, c.inq[n-1]) < 0 {
-					interleaved++
-				}
-				if err := c.absorbOne(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		h.absorbed.Add(uint64(len(msgs)))
-		if err := c.checkLogs(); err != nil {
-			t.Fatal(err)
-		}
-		if len(c.inq) > 0 && c.inq[0].T < c.cycle {
-			t.Fatalf("cluster %d at cycle %d holds an event for cycle %d", c.id, c.cycle, c.inq[0].T)
-		}
-	}
-	for !finished() {
-		c := h.clusters[rng.Intn(k)]
-		if rng.Intn(2) == 0 {
-			look(c)
-		}
-		if ready(c) && rng.Intn(3) > 0 {
-			look(c) // what the cycle reads is filed before it runs
-			if err := c.processCycle(c.cycle); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if interleaved == 0 {
-		t.Error("schedule too tame: every event arrived after every event queued before it")
-	}
-	got := map[netlist.NetID][]bool{}
-	for _, o := range h.collect().Observed {
-		got[o.Net] = o.Values
-	}
-	compareObserved(t, nl, state, got, seqOracle(t, nl, state, cycles, seed), "hand-stepped")
-	h.closeEndpoints()
 }

@@ -11,9 +11,9 @@ import "sync/atomic"
 type atomicStats struct {
 	messages atomic.Uint64
 	events   atomic.Uint64
-	queueLen atomic.Int64 // pending remote events (gauge)
+	queueLen atomic.Int64 // frames received for cycles not yet executed (gauge)
 
-	// batches counts comm.Messages actually sent, batchedEvents the events
+	// batches counts the frames sent, batchedEvents the changed values
 	// they carried (ratio = mean batch size).
 	batches       atomic.Uint64
 	batchedEvents atomic.Uint64
@@ -47,10 +47,10 @@ func (s *Stats) fields() [5]*uint64 {
 // names, and a coordinator the last Stats each worker reported, so a
 // distributed run's scrape shows the series an in-process run does.
 var statSeries = [5]struct{ name, help string }{
-	{"tw_messages", "inter-cluster events sent"},
+	{"tw_messages", "changed flip-flop values shipped across the cut, once per receiver"},
 	{"tw_events", "gate evaluations executed"},
-	{"tw_batches", "inter-cluster comm messages sent (batches)"},
-	{"tw_batch_events", "events carried inside sent batches"},
+	{"tw_batches", "link frames sent, one per receiver and cycle with a changed value"},
+	{"tw_batch_events", "changed values carried inside sent frames"},
 	{"tw_link_waits", "cycles that waited on a watermark a link held after its sender published"},
 }
 

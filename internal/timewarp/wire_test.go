@@ -4,34 +4,21 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/netlist"
 )
 
-func randEvent(rng *rand.Rand) event {
-	return event{
-		T:   rng.Uint64(),
-		Net: netlist.NetID(rng.Int31()),
-		Val: rng.Intn(2) == 0,
-		Src: rng.Int31(),
-		Seq: rng.Uint64(),
+func randFrame(rng *rand.Rand) *frame {
+	f := &frame{T: rng.Uint64(), Src: rng.Int31(), Words: make([]uint64, rng.Intn(6))}
+	for i := range f.Words {
+		f.Words[i] = rng.Uint64()
 	}
+	return f
 }
 
 func TestWireCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
-		var msg any
-		if rng.Intn(2) == 0 {
-			msg = randEvent(rng)
-		} else {
-			b := make(batch, rng.Intn(20))
-			for j := range b {
-				b[j] = randEvent(rng)
-			}
-			msg = b
-		}
-		buf, err := appendMessage(nil, msg)
+		f := randFrame(rng)
+		buf, err := appendMessage(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,15 +26,18 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if !reflect.DeepEqual(got, msg) {
-			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, msg)
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, f)
 		}
 	}
 }
 
 func TestWireCodecRejectsUnknownPayload(t *testing.T) {
-	if _, err := appendMessage(nil, "not an event"); err == nil {
+	if _, err := appendMessage(nil, "not a frame"); err == nil {
 		t.Fatal("string payload encoded without error")
+	}
+	if _, err := appendMessage(nil, frame{}); err == nil {
+		t.Fatal("frame by value encoded without error")
 	}
 }
 
@@ -55,43 +45,28 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 
 	// Every strict prefix and every one-byte extension of a valid
-	// encoding must error: no partial events, no silently ignored tails.
-	b := make(batch, 3)
-	for j := range b {
-		b[j] = randEvent(rng)
-	}
-	buf, err := appendMessage(nil, b)
+	// encoding must error: no partial frames, no silently ignored tails.
+	buf, err := appendMessage(nil, &frame{T: 5, Src: 1, Words: []uint64{rng.Uint64(), rng.Uint64(), 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeMessage(buf[:cut]); err == nil {
-			t.Fatalf("truncated batch (%d/%d bytes) decoded", cut, len(buf))
+			t.Fatalf("truncated frame (%d/%d bytes) decoded", cut, len(buf))
 		}
 	}
 	if _, err := decodeMessage(append(append([]byte(nil), buf...), 0x00)); err == nil {
-		t.Fatal("batch with trailing garbage decoded")
+		t.Fatal("frame with trailing garbage decoded")
 	}
 
-	// A count field claiming far more events than the payload holds must
+	// A count field claiming far more words than the payload holds must
 	// be rejected before any count-sized allocation.
-	huge := []byte{1, 0xFF, 0xFF, 0xFF, 0xF0}
+	huge := append(make([]byte, 12), 0xFF, 0xFF, 0xFF, 0xF0)
 	if _, err := decodeMessage(huge); err == nil {
-		t.Fatal("batch with absurd count decoded")
+		t.Fatal("frame with absurd count decoded")
 	}
 
-	// The flag bit that marked an anti-message in protocol version 10 is
-	// an unknown bit now.
-	anti, _ := appendMessage(nil, event{T: 2, Src: 1, Seq: 3})
-	anti[1+8+4] |= 2
-	if _, err := decodeMessage(anti); err == nil {
-		t.Fatal("event with the former anti-message flag decoded")
-	}
-
-	// Unknown kinds and random garbage error cleanly.
-	if _, err := decodeMessage([]byte{0x7F, 1, 2, 3}); err == nil {
-		t.Fatal("unknown kind decoded")
-	}
+	// Random garbage errors cleanly.
 	for i := 0; i < 2000; i++ {
 		junk := make([]byte, rng.Intn(128))
 		rng.Read(junk)
@@ -99,18 +74,30 @@ func TestWireCodecDecodeHostile(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode hardens the kernel message decoder against arbitrary
-// bytes; anything that does decode must re-encode to the same bytes
-// (the decoder accepts only canonical encodings).
+// hostileFrames are frame payloads a receiver must refuse, each for one
+// reason: a word count the payload does not hold, padding bits set past a
+// one-value link's bit (the decoder passes it; absorbFrame refuses it), and
+// a truncated frame.
+func hostileFrames() [][]byte {
+	two, _ := appendMessage(nil, &frame{T: 2, Src: 0, Words: []uint64{1, 1 << 63}})
+	wrongCount := append([]byte(nil), two...)
+	wrongCount[8+4+3] = 3 // three words claimed, two present
+	padding, _ := appendMessage(nil, &frame{T: 3, Src: 1, Words: []uint64{^uint64(0)}})
+	return [][]byte{wrongCount, padding, two[:len(two)-3]}
+}
+
+// FuzzWireDecode hardens the frame decoder against arbitrary bytes;
+// anything that does decode must re-encode to the same bytes (the decoder
+// accepts only canonical encodings).
 func FuzzWireDecode(f *testing.F) {
-	seed, _ := appendMessage(nil, event{T: 7, Net: 3, Val: true, Src: 1, Seq: 9})
+	seed, _ := appendMessage(nil, &frame{T: 7, Src: 1, Words: []uint64{9}})
 	f.Add(seed)
-	seed2, _ := appendMessage(nil, batch{{T: 1}, {T: 2, Val: true}})
+	seed2, _ := appendMessage(nil, &frame{T: 2, Src: 0, Words: []uint64{1, 1 << 63}})
 	f.Add(seed2)
-	seed3 := append([]byte(nil), seed...)
-	seed3[1+8+4] = 3 // Val and the former anti-message bit
-	f.Add(seed3)
 	f.Add([]byte{})
+	for _, h := range hostileFrames() {
+		f.Add(h)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := decodeMessage(data)
 		if err != nil {
