@@ -450,7 +450,8 @@ func BenchmarkClusterForward(b *testing.B) {
 // a frame of the flip-flop values it reads after most cycles and waits for
 // the other's watermark before each. ns/event is wall time per gate
 // evaluation, as in BenchmarkClusterForward; the difference between the
-// two is what the links cost.
+// two is what the links cost. events/message is the mean number of changed
+// values a frame carries.
 func BenchmarkClusterCut(b *testing.B) {
 	ed, err := gen.Viterbi(gen.DefaultViterbi).Elaborate()
 	if err != nil {
@@ -461,7 +462,7 @@ func BenchmarkClusterCut(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	var events uint64
+	var events, batched, batches uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := timewarp.Run(timewarp.Config{
@@ -475,8 +476,11 @@ func BenchmarkClusterCut(b *testing.B) {
 			b.Fatal("the decoder split k=2 shipped nothing across its cut")
 		}
 		events += res.Stats.Events
+		batched += res.Stats.BatchedEvents
+		batches += res.Stats.Batches
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(batched)/float64(batches), "events/message")
 }
 
 func BenchmarkClusterModel(b *testing.B) {

@@ -8,8 +8,9 @@ import (
 	"repro/internal/verilog"
 )
 
-// FusedGate is one record of a Program: a fanout-free cone of combinational
-// gates compiled into its input slots and its 16-bit truth table. Bit i of
+// FusedGate is one record of a Program: a cone of combinational gates
+// compiled into its input slots and its 16-bit truth table; a gate whose
+// output several records read may lie in each of their cones. Bit i of
 // TT is the output when slot In[j] holds bit j of i. The inputs past the
 // cone's distinct ones repeat In[0], and the table does not depend on
 // them. Record i of a program writes slot Base+i; it carries no output.
@@ -72,15 +73,18 @@ func Settle(p *Program, slots []bool) {
 // Fuse walks the gates backwards and folds one into the one record that
 // reads its output when that output is not live, when that reader is the
 // output's only reader in the table, and when the reader keeps at most
-// four distinct inputs. So only the outputs of the records Fuse returns
-// are written by Settle; a folded gate's output has no slot, and live must
-// report true for every net the table drives that named lists. Every bit
-// of a fused table is read from the folded gates' tables on the 16 input
-// combinations, and those are EvalGate's answers, so it is EvalGate's
-// answer by construction, as Truth's bits are. The records are in
-// topological order. One walk makes them into a table with room for one
-// per gate, which Fuse returns as it is: a copy at their exact number
-// would allocate more than it saves.
+// four distinct inputs. Then it folds every record whose output is neither
+// live nor named into all the records that read it, to a fixed point,
+// while each of them keeps at most four distinct inputs (share): a gate
+// read by several records is evaluated in each. So only the outputs of the
+// records Fuse returns are written by Settle; a folded gate's output has
+// no slot, and live must report true for every net the table drives that
+// named lists. Every bit of a fused table is read from the folded gates'
+// tables on the 16 input combinations, and those are EvalGate's answers,
+// so it is EvalGate's answer by construction, as Truth's bits are. The
+// records are in topological order. One walk makes them into a table with
+// room for one per gate, which Fuse returns as it is: a copy at their
+// exact number would allocate more than it saves.
 func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, named []netlist.NetID) (Program, []int32) {
 	links := 0 // the chain links' outputs, numbered after the nets
 	for i := range tab {
@@ -88,10 +92,13 @@ func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, n
 			links += chainLen(len(nl.Gates[t.A].Inputs)) - 1
 		}
 	}
+	// The reader array and the records' outputs share one allocation.
+	span := len(nl.Nets) + links
+	arr := make([]int32, span+len(tab))
 	w := fuser{
-		reader: make([]int32, len(nl.Nets)+links),
+		reader: arr[:span:span],
 		recs:   make([]FusedGate, 0, len(tab)),
-		outs:   make([]int32, 0, len(tab)),
+		outs:   arr[span:span],
 	}
 	nets := int32(len(nl.Nets))
 	next := nets // the first output of the next chain
@@ -102,9 +109,10 @@ func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, n
 		}
 	}
 	// The walk made the records last first.
-	recs := w.recs
-	slices.Reverse(recs)
+	slices.Reverse(w.recs)
 	slices.Reverse(w.outs)
+	w.share(nets, live, named)
+	recs := w.recs
 
 	// The slot map, over the walk's reader array: record i's output holds
 	// -(i+1), input slot j j+1, a folded net folded.
@@ -223,6 +231,161 @@ func (w *fuser) place(p *piece, nets int32, live func(netlist.NetID) bool) {
 	}
 }
 
+// A record's state in share's arena: 0 while settled.
+const (
+	dirty int32 = 1 + iota // to try: what its fold depends on changed
+	gone                   // folded into every reader
+)
+
+// share folds, to a fixed point, every record into all the records that
+// read its output, when that output is neither live nor named, and when
+// each reader keeps at most four distinct inputs; a record no record reads
+// stays. The records are in topological order, their inputs IDs.
+//
+// While it folds, an input that is the output of a record p that may fold
+// reads -(p+1), so no net-indexed map is needed past the start, and the
+// walk's reader array, which held that map, holds the passes' state when
+// it is long enough. A pass walks the records forward over reader lists
+// built at its start (CSR) of the inputs so marked: a live or named
+// record has none, and stays. Those lists stay exact for every record the
+// pass has not reached: folding record r rewrites only the inputs of r's
+// readers, which lie past r, and the reader lists of the records r reads,
+// which lie before it. Whether a record folds depends on its inputs, its
+// readers and theirs, so a fold marks each reader and the records it now
+// reads to be tried again, and a pass tries only the marked records; the
+// passes repeat while a fold marked one a pass had already passed.
+func (w *fuser) share(nets int32, live func(netlist.NetID) bool, named []netlist.NetID) {
+	recs, outs := w.recs, w.outs
+	n := len(recs)
+	owner := w.reader // the output of each record that may fold: the record + 1
+	clear(owner)
+	for r, o := range outs {
+		if o >= nets || !live(netlist.NetID(o)) {
+			owner[o] = int32(r) + 1
+		}
+	}
+	for _, v := range named {
+		owner[v] = 0
+	}
+	size := 2*n + 1 // the arena: the offsets, the states, the reader lists
+	for t := range recs {
+		in := &recs[t].In
+		for j, v := range in {
+			if p := owner[v]; p > 0 {
+				in[j] = -p
+			}
+		}
+		for _, v := range in[:width(*in)] {
+			size += int(b2u(v < 0))
+		}
+	}
+	arena := owner
+	if size > len(arena) {
+		arena = make([]int32, size)
+	}
+	off, state, list := arena[:n+1], arena[n+1:2*n+1], arena[2*n+1:]
+	for r := range state {
+		state[r] = dirty
+	}
+	var merged [16][4]int32 // the first readers' merged inputs
+	for again := true; again; {
+		// off[p] counts p's readers, then is where p's list ends, and after
+		// the fill, which walks the readers backwards, where it starts.
+		clear(off)
+		for t := range recs {
+			if state[t] == gone {
+				continue
+			}
+			in := &recs[t].In
+			for _, v := range in[:width(*in)] {
+				if v < 0 {
+					off[-v-1]++
+				}
+			}
+		}
+		for p := 1; p <= n; p++ {
+			off[p] += off[p-1]
+		}
+		if int(off[n]) > len(list) { // folds can lengthen the lists
+			list = make([]int32, off[n])
+		}
+		for t := n - 1; t >= 0; t-- {
+			if state[t] == gone {
+				continue
+			}
+			in := &recs[t].In
+			for _, v := range in[:width(*in)] {
+				if v < 0 {
+					off[-v-1]--
+					list[off[-v-1]] = int32(t)
+				}
+			}
+		}
+
+		again = false
+		for r := range recs {
+			if state[r] != dirty {
+				continue
+			}
+			state[r] = 0
+			readers := list[off[r]:off[r+1]]
+			if len(readers) == 0 {
+				continue
+			}
+			in := recs[r].In
+			p := piece{in: in, n: width(in), tt: recs[r].TT, out: -int32(r) - 1}
+			fits := true
+			for i, t := range readers {
+				m, ok := merge(recs[t].In, &p)
+				if !ok {
+					fits = false
+					break
+				}
+				if i < len(merged) {
+					merged[i] = m
+				}
+			}
+			if !fits {
+				continue
+			}
+			state[r] = gone
+			for i, t := range readers {
+				var m [4]int32
+				if i < len(merged) {
+					m = merged[i]
+				} else {
+					m, _ = merge(recs[t].In, &p)
+				}
+				recs[t].fold(&p, m)
+				state[t] = dirty
+				for _, v := range m[:width(m)] {
+					if q := -v - 1; q >= 0 {
+						state[q] = dirty
+						again = again || q < int32(r)
+					}
+				}
+			}
+		}
+	}
+
+	for r := range recs {
+		in := &recs[r].In
+		for j, v := range in {
+			if v < 0 {
+				in[j] = outs[-v-1]
+			}
+		}
+	}
+	k := 0
+	for r, o := range outs {
+		if state[r] != gone {
+			recs[k], outs[k] = recs[r], o
+			k++
+		}
+	}
+	w.recs, w.outs = recs[:k], outs[:k]
+}
+
 // pieces appends to chain the pieces of gate t, last first: one for a gate
 // of at most four inputs, and for a wider one a chain of links — the
 // first folding four inputs with the gate's associative operator, every
@@ -325,13 +488,7 @@ func (p *piece) table(in [4]int32) uint16 {
 // width is how many distinct inputs in holds, a FusedGate's In: the slots
 // past them repeat In[0].
 func width(in [4]int32) int {
-	n := 1
-	for _, v := range in[1:] {
-		if v != in[0] {
-			n++
-		}
-	}
-	return n
+	return 1 + int(b2u(in[1] != in[0])+b2u(in[2] != in[0])+b2u(in[3] != in[0]))
 }
 
 // merge returns the inputs of a record with inputs in once its input p.out
@@ -341,26 +498,21 @@ func width(in [4]int32) int {
 func merge(in [4]int32, p *piece) ([4]int32, bool) {
 	var m [4]int32
 	n := 0
-	add := func(v int32) bool {
-		if slices.Contains(m[:n], v) {
-			return true
-		}
-		if n == 4 {
-			return false
-		}
-		m[n] = v
-		n++
-		return true
-	}
-	for _, v := range in[:width(in)] {
+	for _, v := range in[:width(in)] { // distinct, and one is p.out
 		if v != p.out {
-			add(v) // at most three: in holds p.out too
+			m[n] = v
+			n++
 		}
 	}
 	for _, v := range p.in[:p.n] {
-		if !add(v) {
+		if slices.Contains(m[:n], v) {
+			continue
+		}
+		if n == 4 {
 			return m, false
 		}
+		m[n] = v
+		n++
 	}
 	for k := n; k < 4; k++ {
 		m[k] = m[0]
@@ -370,15 +522,16 @@ func merge(in [4]int32, p *piece) ([4]int32, bool) {
 
 // fold replaces input p.out of r, a record whose inputs are still IDs, by
 // p, making in, merge's answer, its inputs. The new table is r's composed
-// with p's, both read bit by bit.
+// with p's, both read bit by bit. r's other inputs lead in, in their order.
 func (r *FusedGate) fold(p *piece, in [4]int32) {
-	n := width(in)
 	var x [4]uint16 // r's input j as a table over the new inputs
+	k := 0
 	for j, v := range r.In[:width(r.In)] {
 		if v == p.out {
 			x[j] = p.table(in)
 		} else {
-			x[j] = inputs[slices.Index(in[:n], v)]
+			x[j] = inputs[k]
+			k++
 		}
 	}
 	r.In, r.TT = in, compose(r.TT, x)

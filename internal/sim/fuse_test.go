@@ -9,11 +9,33 @@ import (
 	"repro/internal/elab"
 	"repro/internal/gen"
 	"repro/internal/netlist"
+	"repro/internal/verilog"
 )
+
+// fanoutSrc is a circuit whose NAND n feeds two gates and whose NOR m
+// feeds three, each of them an output port's driver: neither n nor m is
+// live, and every reader can absorb its function within four inputs.
+const fanoutSrc = `
+module fanout (input a, input b, input c, input d, input e,
+               output x, output y, output z, output w, output v);
+  wire n, m;
+  nand g0 (n, a, b);
+  and  g1 (x, n, c);
+  or   g2 (y, n, d);
+  nor  g3 (m, c, d);
+  xor  g4 (z, m, e);
+  and  g5 (w, m, a);
+  xnor g6 (v, m, b);
+endmodule
+`
+
+// fanoutFamily is fanoutSrc's index in fuseFamilies.
+const fanoutFamily = 7
 
 // fuseFamilies are the circuits FuzzFuse fuses slices of, each elaborated
 // once per process. The random hierarchical one has gates of three and four
-// inputs, the wide one gates of up to nine.
+// inputs, the wide one gates of up to nine, fanoutSrc records of two and
+// three readers.
 var fuseFamilies = []func() (*elab.Design, error){
 	sync.OnceValues(gen.LFSR(16, nil).Elaborate),
 	sync.OnceValues(gen.Multiplier(5).Elaborate),
@@ -27,6 +49,13 @@ var fuseFamilies = []func() (*elab.Design, error){
 		Channels: 2, Viterbi: gen.ViterbiConfig{K: 3, W: 4, TB: 4}, ScramblerBits: 8, CRCBits: 8,
 	}).Elaborate),
 	sync.OnceValues(gen.WideGates(60, 7).Elaborate),
+	sync.OnceValues(func() (*elab.Design, error) {
+		d, err := verilog.Parse(fanoutSrc)
+		if err != nil {
+			return nil, err
+		}
+		return elab.Elaborate(d, "fanout")
+	}),
 }
 
 // FuzzFuse draws a gen family, a slice of its sweep table (each gate kept
@@ -37,16 +66,20 @@ var fuseFamilies = []func() (*elab.Design, error){
 // ones first in the order named — then one per record, each a net the
 // slice drives once or a chain link; record i must read only slots below
 // Base+i, each distinct input once and the rest repeating the first; every
-// named net must map to its slot, a live one to a record's; and settling
-// the program over slots loaded from the net values must leave every
-// record's net, read through the map, as settling the slice gate by gate
-// leaves it.
+// named net must map to its slot, a live one to a record's; no record that
+// is neither live nor named may fold into all its readers (foldable); and
+// settling the program over slots loaded from the net values must leave
+// every record's net, read through the map, as settling the slice gate by
+// gate leaves it.
 func FuzzFuse(f *testing.F) {
 	for fam := range fuseFamilies {
 		f.Add(uint8(fam), uint8(255), uint8(0), int64(fam))
 		f.Add(uint8(fam), uint8(200), uint8(40), int64(fam+1))
 		f.Add(uint8(fam), uint8(128), uint8(128), int64(fam+2))
 	}
+	// The whole fanout circuit, nothing live: n's record has two readers,
+	// m's three, and both fold into all of them.
+	f.Add(uint8(fanoutFamily), uint8(255), uint8(0), int64(1))
 	f.Fuzz(func(t *testing.T, family, keep, liveness uint8, seed int64) {
 		ed, err := fuseFamilies[int(family)%len(fuseFamilies)]()
 		if err != nil {
@@ -124,6 +157,13 @@ func FuzzFuse(f *testing.F) {
 				t.Fatalf("live net %s is no record's output", nl.Nets[n].Name)
 			}
 		}
+		isNamed := make([]bool, len(nl.Nets))
+		for _, n := range named {
+			isNamed[n] = true
+		}
+		if i, ok := foldable(&p, func(n netlist.NetID) bool { return live[n] || isNamed[n] }); ok {
+			t.Fatalf("record %d (%v) folds into all its readers", i, p.Tab[i])
+		}
 
 		want := make([]bool, len(nl.Nets))
 		for n := range want {
@@ -167,6 +207,126 @@ func TestFuseFolds(t *testing.T) {
 	if 2*len(p.Tab) > len(w.tab) {
 		t.Errorf("%d gates fused into %d records, want at most half", len(w.tab), len(p.Tab))
 	}
+}
+
+// TestFuseFoldsThroughFanout: a record whose output is neither live nor
+// named folds into every record that reads it. On fanoutSrc the NAND's and
+// the NOR's records are gone, each reader reads their inputs instead, and
+// the program settles every output as the gates do on all 32 input
+// vectors. On the full SoC, sliced as a one-cluster run slices it, the
+// records are a fixed point: none left could fold into all its readers.
+func TestFuseFoldsThroughFanout(t *testing.T) {
+	ed, err := fuseFamilies[fanoutFamily]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	w, err := NewSweep(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := func(name string) netlist.NetID {
+		for n := range nl.Nets {
+			if nl.Nets[n].Name == "fanout."+name {
+				return netlist.NetID(n)
+			}
+		}
+		t.Fatalf("no net %s", name)
+		return NoNet
+	}
+	live := clusterLive(nl)
+	p, _ := Fuse(nl, w.tab, live, nil)
+	if len(p.Tab) != len(nl.POs) {
+		t.Fatalf("%d records, want one per output port (%d)", len(p.Tab), len(nl.POs))
+	}
+	for _, folded := range []string{"n", "m"} {
+		if slices.Contains(p.Nets, net(folded)) {
+			t.Errorf("%s has a slot; it should live in its readers' records", folded)
+		}
+	}
+	reads := func(out string, ins ...string) {
+		t.Helper()
+		i := slices.Index(p.Nets, net(out)) - int(p.Base)
+		if i < 0 {
+			t.Fatalf("%s is no record's output", out)
+		}
+		r := p.Tab[i]
+		var got []netlist.NetID
+		for _, s := range r.In[:width(r.In)] {
+			got = append(got, p.Nets[s])
+		}
+		for _, in := range ins {
+			if !slices.Contains(got, net(in)) {
+				t.Errorf("the record of %s reads %v, not %s", out, got, in)
+			}
+		}
+	}
+	reads("x", "a", "b", "c")
+	reads("y", "a", "b", "d")
+	reads("z", "c", "d", "e")
+	reads("w", "c", "d", "a")
+	reads("v", "c", "d", "b")
+	want := make([]bool, len(nl.Nets))
+	got := make([]bool, len(p.Nets))
+	for v := range 1 << len(w.PIs) {
+		for i, pi := range w.PIs {
+			want[pi] = v>>i&1 != 0
+		}
+		p.Load(got, want)
+		w.settle(want)
+		Settle(&p, got)
+		for _, po := range nl.POs {
+			if s := slices.Index(p.Nets, po); got[s] != want[po] {
+				t.Fatalf("inputs %05b: %s fused %v, gate by gate %v", v, nl.Nets[po].Name, got[s], want[po])
+			}
+		}
+	}
+
+	soc, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, err = NewSweep(soc.Netlist); err != nil {
+		t.Fatal(err)
+	}
+	live = clusterLive(soc.Netlist)
+	p, _ = Fuse(soc.Netlist, w.tab, live, nil)
+	if i, ok := foldable(&p, live); ok {
+		t.Fatalf("record %d (%v) of %d could still fold into all its readers", i, p.Tab[i], len(p.Tab))
+	}
+}
+
+// foldable returns a record of p whose output keep does not report and
+// that every record reading it could absorb within four distinct inputs,
+// when there is one. A chain link's output is never kept.
+func foldable(p *Program, keep func(netlist.NetID) bool) (int, bool) {
+	distinct := func(in [4]int32) []int32 { return in[:width(in)] }
+	readers := make([][]int, len(p.Nets))
+	for j, r := range p.Tab {
+		for _, s := range distinct(r.In) {
+			readers[s] = append(readers[s], j)
+		}
+	}
+	for i, r := range p.Tab {
+		s := p.Base + int32(i)
+		if n := p.Nets[s]; n != NoNet && keep(n) || len(readers[s]) == 0 {
+			continue
+		}
+		fits := true
+		for _, j := range readers[s] {
+			u := slices.DeleteFunc(slices.Clone(distinct(p.Tab[j].In)), func(v int32) bool { return v == s })
+			for _, v := range distinct(r.In) {
+				if !slices.Contains(u, v) {
+					u = append(u, v)
+				}
+			}
+			fits = fits && len(u) <= 4
+		}
+		if fits {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // clusterLive is the live rule of a one-cluster run that observes nl's

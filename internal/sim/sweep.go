@@ -62,6 +62,7 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 		next[l] += next[l-1]
 	}
 	w.tab = make([]TruthGate, next[depth])
+	w.ffs = make([]flipFlop, 0, len(levels)-len(w.tab))
 	for gi, l := range levels {
 		if g := &nl.Gates[gi]; g.Kind.Sequential() {
 			w.ffs = append(w.ffs, flipFlop{gate: netlist.GateID(gi), d: g.Inputs[0], q: g.Output})
@@ -70,6 +71,7 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 			next[l]++
 		}
 	}
+	w.PIs = make([]netlist.NetID, 0, len(nl.PIs))
 	for _, pi := range nl.PIs {
 		if !nl.IsClockNet(pi) {
 			w.PIs = append(w.PIs, pi)

@@ -32,19 +32,22 @@ func multiway(t *testing.T, c *gen.Circuit, opts partition.Options) (*elab.Desig
 // and the causality recorder attached, and the default SoC split along its
 // channels (cut 0: the forward path, no message, no rollback). The first
 // two depend on scheduling and are bounded at about twice their count
-// (≈ 176 and ≈ 495 since a link carries one frame a cycle, carved from
-// slabs, instead of a batch of events; ≈ 377 and ≈ 885 before, against
+// (≈ 165 and ≈ 486 since the sweep sizes its flip-flop table; ≈ 176 and
+// ≈ 495 since a link carries one frame a cycle, carved from slabs,
+// instead of a batch of events; ≈ 377 and ≈ 885 before, against
 // bounds of 5,000 and 5,500 set at ≈ 2,490 and ≈ 2,040; ≈ 13,650 and
 // ≈ 6,650 when every event sent or received boxed the arguments of a
-// never-enabled printf); the forward run is deterministic (≈ 115: neither
+// never-enabled printf); the forward run is deterministic (≈ 103: neither
 // cluster keeps a rollback record, fusing a cluster's table allocates its
-// reader array, its records, their outputs, the slot map and the named
-// slots once each, the latch's buffer is allocated once at one slot per
-// flip-flop instead of growing, and a cluster without links keeps no link
-// table; ≈ 119 before the link frames, ≈ 106 while the records
-// named their output nets, ≈ 117–120 before fusion, ≈ 116 before the copy
-// table, ≈ 138 before the sweep) and bounded at about +10 % of its count
-// before fusion.
+// reader array with the records' outputs (the fold through fanout keeps
+// its reader lists there too), its records, the slot map and the named
+// slots once each, the latch's gather buffer is allocated once at one
+// entry per flip-flop, the sweep's flip-flop table once at its size, and
+// a cluster without links keeps no link table; ≈ 115 while the sweep grew
+// its flip-flop table, ≈ 119 before the link frames, ≈ 106 while the
+// records named their output nets, ≈ 117–120 before fusion, ≈ 116 before
+// the copy table, ≈ 138 before the sweep) and bounded at about +10 % of
+// its count before fusion.
 func TestRunAllocs(t *testing.T) {
 	vit, vitParts := multiway(t, gen.Viterbi(gen.DefaultViterbi), partition.Options{K: 2, B: 10, Seed: 1})
 	// The SoC of distWorkloads at k=4, the configuration the observability

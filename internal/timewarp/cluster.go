@@ -55,8 +55,8 @@ type cluster struct {
 	vecBuf    []bool   // the stimulus vector of the cycle being executed
 
 	// Scratch.
-	toggling []int32  // one slot per flip-flop: the latch's compaction buffer
-	packed   []uint64 // the words gathered for one receiver
+	next   []bool   // one entry per flip-flop: the latch's gathered d's
+	packed []uint64 // the words gathered for one receiver
 	// frames and words are the slabs newFrame carves frames from.
 	frames []frame
 	words  []uint64
@@ -93,7 +93,7 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		vecBuf:    make([]bool, p.vecWidth),
 		in:        make([][]*frame, len(p.senders)),
 		shipped:   make([][]uint64, len(p.receivers)),
-		toggling:  make([]int32, len(p.latchD)),
+		next:      make([]bool, len(p.latchD)),
 	}
 	p.code.Load(c.slots, h.sweep.PowerOn)
 	words := 0
@@ -407,19 +407,14 @@ func (c *cluster) endCycle(cyc uint64) {
 	p, slots := c.prog, c.slots
 	// Latch own DFFs; all d inputs are sampled before any q is updated
 	// (a DFF chain shifts one stage per cycle), and the next cycle, which
-	// reads the new q's, is shipped them. The toggling ones are collected
-	// without a branch: every index is written, and the end advances by
-	// whether d differs from q.
+	// reads the new q's, is shipped them. The d's are gathered, then
+	// copied over the q's as one block.
 	d := p.latchD
-	q := slots[:len(d)] // flip-flop i's q holds slot i
-	toggling, n := c.toggling[:len(d)], 0
+	next := c.next[:len(d)]
 	for i, s := range d {
-		toggling[n] = int32(i)
-		n += b2i(slots[s] != q[i])
+		next[i] = slots[s]
 	}
-	for _, i := range toggling[:n] {
-		q[i] = !q[i]
-	}
+	copy(slots[:len(d)], next) // flip-flop i's q holds slot i
 
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).

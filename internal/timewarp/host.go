@@ -31,30 +31,35 @@ func checkPartition(k int, gateParts []int32) error {
 // prepare validates cfg and fills its defaults in place. It returns the
 // compiled cycle of cfg.NL, from which a run takes the gate table, the
 // power-on net values and the stimulus width, so that they are the
-// sequential simulator's by construction.
-func (cfg *Config) prepare() (*sim.Sweep, error) {
+// sequential simulator's by construction, and the copies of all K
+// clusters, which it computes meanwhile on another goroutine: both depend
+// on the netlist and the partition alone.
+func (cfg *Config) prepare() (*sim.Sweep, *replicas, error) {
 	if cfg.NL == nil {
-		return nil, fmt.Errorf("timewarp: Config.NL is nil")
+		return nil, nil, fmt.Errorf("timewarp: Config.NL is nil")
 	}
 	if cfg.Vectors == nil {
-		return nil, fmt.Errorf("timewarp: Config.Vectors is nil")
+		return nil, nil, fmt.Errorf("timewarp: Config.Vectors is nil")
 	}
 	if err := checkPartition(cfg.K, cfg.GateParts); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(cfg.GateParts) != len(cfg.NL.Gates) {
-		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
+		return nil, nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
 			len(cfg.GateParts), len(cfg.NL.Gates))
 	}
 	for _, n := range cfg.Observe {
 		if n < 0 || int(n) >= len(cfg.NL.Nets) {
-			return nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))
+			return nil, nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))
 		}
 	}
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
-	return sim.NewSweep(cfg.NL)
+	copies := make(chan *replicas, 1)
+	go func() { copies <- replicate(cfg.NL, cfg.GateParts, cfg.K) }()
+	sw, err := sim.NewSweep(cfg.NL)
+	return sw, <-copies, err
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
@@ -83,7 +88,7 @@ type host struct {
 // the partition alone, so both ends of a link agree on its order across
 // processes without a word on the wire.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
-	ref, err := cfg.prepare()
+	ref, rep, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +99,6 @@ func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
 		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress: make([]atomic.Uint64, cfg.K),
 	}
-	rep := replicate(cfg.NL, cfg.GateParts, cfg.K)
 	var ids []int32
 	for c := 0; c < cfg.K; c++ {
 		if owns == nil || owns(c) {

@@ -88,9 +88,10 @@ type Stats struct {
 	// LinkWaits counts the cycles that waited for a sender which had
 	// published the cycle while its link still held the watermark: the
 	// waits a transport, not a slow sender, caused. Zero over direct
-	// delivery, which hands a watermark over before the publish, and in a
-	// distributed run, whose workers see no remote publish but the
-	// watermark itself.
+	// delivery, which hands a watermark over before the publish. It cannot
+	// see waits between workers: a worker learns of a remote sender only
+	// its watermark, never its publish, so a distributed run reads zero
+	// however long the mesh held a watermark.
 	LinkWaits uint64
 	// Rollbacks, AntiMessages, RolledBackEvents, Checkpoints and
 	// MaxStragglerDepth always read zero: a cluster waits for its senders

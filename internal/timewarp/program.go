@@ -28,11 +28,11 @@ import (
 // partition and the copies alone (DESIGN §20).
 type program struct {
 	// code is the own combinational gates and the copies (replicas) as
-	// sim.Record records over the cluster's slots, in the host's sim.Sweep
-	// topological order: a gate whose output nothing but one other gate
-	// of the table reads is folded into that gate's record while it keeps
-	// at most four inputs (the live rule, compile). A copy is another
-	// cluster's gate this cluster evaluates too, so that no net a
+	// sim.FusedGate records over the cluster's slots, in the host's
+	// sim.Sweep topological order: a gate whose output nothing but gates
+	// of the table reads is folded into the records of all of them while
+	// each keeps at most four inputs (the live rule, compile). A copy is
+	// another cluster's gate this cluster evaluates too, so that no net a
 	// combinational gate drives is ever sent: its output is never
 	// observed, sent or latched.
 	code sim.Program
@@ -286,10 +286,10 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	}
 
 	// The live rule: an output of the table keeps its value after the
-	// settle when observe names it, a flip-flop or a gate this cluster does
-	// not evaluate reads it, or more than one gate of the table does. No
-	// other code reads a net, so the rest are free for sim.Fuse to fold
-	// away.
+	// settle when observe names it, or a flip-flop or a gate this cluster
+	// does not evaluate reads it. No other code reads a net, so the rest are
+	// free for sim.Fuse to fold into the records that read them, however
+	// many.
 	live := reads
 	clear(live)
 	for _, n := range observe {
@@ -304,13 +304,11 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 	}
 	tab := sw.AppendSlice(make([]sim.TruthGate, 0, nComb), evaluates)
 	for _, t := range tab {
-		reader := netlist.NoGate
 		for _, s := range nl.Nets[t.Out].Sinks {
-			if g := &nl.Gates[s]; reader != netlist.NoGate && reader != s || g.Kind.Sequential() || !evaluates(s) {
+			if nl.Gates[s].Kind.Sequential() || !evaluates(s) {
 				live[t.Out] = true
 				break
 			}
-			reader = s
 		}
 	}
 	p.gates = len(tab)

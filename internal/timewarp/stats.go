@@ -51,7 +51,7 @@ var statSeries = [5]struct{ name, help string }{
 	{"tw_events", "gate evaluations executed"},
 	{"tw_batches", "link frames sent, one per receiver and cycle with a changed value"},
 	{"tw_batch_events", "changed values carried inside sent frames"},
-	{"tw_link_waits", "cycles that waited on a watermark a link held after its sender published"},
+	{"tw_link_waits", "cycles that waited on a watermark a link held after its sender published; blind to waits between workers, which never see a remote publish"},
 }
 
 // add accumulates one cluster's statistics into a run total: every

@@ -149,28 +149,3 @@ func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
 		}
 	})
 }
-
-// BenchmarkSerialCutRun is a whole free-running kernel run on the serial cut
-// (the benchmark's viterbi_tw_rollback partition) over direct delivery:
-// both clusters sweep their cycles, copies included, as every cluster does,
-// and each waits for the other's watermark before a cycle, since each hears
-// from the other. events/message is the mean batch, beside the wall time
-// per run. BenchmarkClusterForward (the repository root) times the sweep of
-// a cluster that hears from nobody.
-func BenchmarkSerialCutRun(b *testing.B) {
-	ed, parts := serialCut(b)
-	defer func(on bool) { CheckInvariants = on }(CheckInvariants)
-	CheckInvariants = false
-	var st Stats
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			NL: ed.Netlist, GateParts: parts, K: 2,
-			Vectors: sim.RandomVectors{Seed: 1}, Cycles: 400,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.add(res.Stats)
-	}
-	b.ReportMetric(float64(st.BatchedEvents)/float64(st.Batches), "events/message")
-}
