@@ -351,23 +351,15 @@ func BenchmarkSequentialSimulator(b *testing.B) {
 	})
 }
 
-// BenchmarkSequentialSweep is the levelized cycle sweep, sim.Sweep: every
-// combinational gate once a cycle in topological order, then the latch.
-// Each iteration steps a fresh sweep; compiling it is not timed.
-func BenchmarkSequentialSweep(b *testing.B) {
+// BenchmarkSequentialMachine is the levelized cycle machine, sim.Levelized:
+// a sim.Machine over the whole fused table, the output ports observed, in
+// one goroutine — a K=1 timewarp.Run's cycle without the host. Compiling
+// it is timed, as a run's is.
+func BenchmarkSequentialMachine(b *testing.B) {
 	benchSequential(b, func(b *testing.B, nl *netlist.Netlist, cycles uint64) {
-		src := sim.RandomVectors{Seed: 1}
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sw, err := sim.NewSweep(nl)
-			if err != nil {
+			if _, err := sim.Levelized(nl, sim.RandomVectors{Seed: 1}, cycles, nl.POs); err != nil {
 				b.Fatal(err)
-			}
-			vec := make([]bool, len(sw.PIs))
-			b.StartTimer()
-			for c := uint64(0); c < cycles; c++ {
-				src.Vector(c, vec)
-				sw.Step(vec)
 			}
 		}
 	})

@@ -7,12 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSweepMatchesRecord holds the levelized cycle sweep to the
-// event-driven simulator on the circuits of the TestFuzzShort seeds: every
-// primary output and flip-flop output (sim.StateNets) after every cycle of
-// the spec. The two disciplines are independent — zero-delay topological
-// order against two-phase unit-delay deltas — and these circuits carry
-// gates of three and more inputs and shapes the gen families do not emit.
+// TestSweepMatchesRecord holds the levelized cycle machine (sim.Levelized)
+// to the event-driven simulator (sim.Record) on the circuits of the
+// TestFuzzShort seeds: every primary output and flip-flop output
+// (sim.StateNets) after every cycle of the spec. The two disciplines are
+// independent — zero-delay fused tables in topological order against
+// two-phase unit-delay deltas — and these circuits carry gates of three
+// and more inputs, which the machine fuses into records of four inputs and
+// chains of them, and shapes the gen families do not emit.
 func TestSweepMatchesRecord(t *testing.T) {
 	wide := 0 // gates of three or more inputs, over all seeds
 	for seed := int64(1); seed <= 25; seed++ {
@@ -34,24 +36,21 @@ func TestSweepMatchesRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, err := sim.NewSweep(nl)
+			got, err := sim.Levelized(nl, src, spec.Cycles, state)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec := make([]bool, len(sw.PIs))
 			for c := uint64(0); c < spec.Cycles; c++ {
-				src.Vector(c, vec)
-				sw.Step(vec)
 				for _, n := range state {
-					if got := sw.Values()[n]; got != want[n][c] {
-						t.Fatalf("%s: net %s cycle %d: sweep %v, simulator %v",
-							spec.Family, nl.Nets[n].Name, c, got, want[n][c])
+					if got[n][c] != want[n][c] {
+						t.Fatalf("%s: net %s cycle %d: machine %v, simulator %v",
+							spec.Family, nl.Nets[n].Name, c, got[n][c], want[n][c])
 					}
 				}
 			}
 		})
 	}
 	if wide == 0 {
-		t.Fatal("no circuit has a gate of three or more inputs: the sweep's EvalGate path went untested")
+		t.Fatal("no circuit has a gate of three or more inputs: the machine's records of three and four inputs and its chains went untested")
 	}
 }

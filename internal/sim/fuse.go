@@ -24,8 +24,8 @@ type FusedGate struct {
 // nets its caller named to Fuse that the table does not drive first, in
 // the order named, then the table's other inputs. Record i writes slot
 // Base+i, so the records write their outputs in order. Settle evaluates
-// it; the Time Warp kernel's clusters and the wave bank's scout run one
-// each (DESIGN §20).
+// it; a Machine's cycle is one Settle of its Program between the stimulus
+// and the latch (DESIGN §20).
 type Program struct {
 	Tab  []FusedGate
 	Base int32

@@ -191,8 +191,8 @@ func FuzzFuse(f *testing.F) {
 }
 
 // TestFuseFolds holds Fuse to the point of it on the full two-channel SoC
-// slice of a one-cluster run, live where a flip-flop, a wide gate or an
-// output port reads: at most half as many records as gates.
+// table, live by a Machine's rule with the output ports observed (a
+// one-cluster run, or Levelized): at most half as many records as gates.
 func TestFuseFolds(t *testing.T) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {
@@ -202,7 +202,7 @@ func TestFuseFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := Fuse(w.NL, w.tab, clusterLive(w.NL), nil)
+	p, _ := Fuse(w.NL, w.tab, machineLive(w.NL, w.tab, all, w.NL.POs), nil)
 	t.Logf("%d gates, %d records, %d input slots", len(w.tab), len(p.Tab), p.Base)
 	if 2*len(p.Tab) > len(w.tab) {
 		t.Errorf("%d gates fused into %d records, want at most half", len(w.tab), len(p.Tab))
@@ -234,7 +234,7 @@ func TestFuseFoldsThroughFanout(t *testing.T) {
 		t.Fatalf("no net %s", name)
 		return NoNet
 	}
-	live := clusterLive(nl)
+	live := machineLive(nl, w.tab, all, nl.POs)
 	p, _ := Fuse(nl, w.tab, live, nil)
 	if len(p.Tab) != len(nl.POs) {
 		t.Fatalf("%d records, want one per output port (%d)", len(p.Tab), len(nl.POs))
@@ -289,12 +289,15 @@ func TestFuseFoldsThroughFanout(t *testing.T) {
 	if w, err = NewSweep(soc.Netlist); err != nil {
 		t.Fatal(err)
 	}
-	live = clusterLive(soc.Netlist)
+	live = machineLive(soc.Netlist, w.tab, all, soc.Netlist.POs)
 	p, _ = Fuse(soc.Netlist, w.tab, live, nil)
 	if i, ok := foldable(&p, live); ok {
 		t.Fatalf("record %d (%v) of %d could still fold into all its readers", i, p.Tab[i], len(p.Tab))
 	}
 }
+
+// all is the kept of a Machine over a sweep's whole table.
+func all(netlist.GateID) bool { return true }
 
 // foldable returns a record of p whose output keep does not report and
 // that every record reading it could absorb within four distinct inputs,
@@ -329,23 +332,6 @@ func foldable(p *Program, keep func(netlist.NetID) bool) (int, bool) {
 	return 0, false
 }
 
-// clusterLive is the live rule of a one-cluster run that observes nl's
-// output ports: a net a flip-flop reads, or an output port.
-func clusterLive(nl *netlist.Netlist) func(netlist.NetID) bool {
-	live := make([]bool, len(nl.Nets))
-	for _, n := range nl.POs {
-		live[n] = true
-	}
-	for _, g := range nl.Gates {
-		if g.Kind.Sequential() {
-			for _, in := range g.Inputs {
-				live[in] = true
-			}
-		}
-	}
-	return func(n netlist.NetID) bool { return live[n] }
-}
-
 // BenchmarkSettle times one settle of the full two-channel SoC's table:
 // the sweep's TruthGate records, and the same table fused as a one-cluster
 // run fuses it.
@@ -365,7 +351,7 @@ func BenchmarkSettle(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(w.tab)), "records")
 	})
-	p, _ := Fuse(w.NL, w.tab, clusterLive(w.NL), nil)
+	p, _ := Fuse(w.NL, w.tab, machineLive(w.NL, w.tab, all, w.NL.POs), nil)
 	slots := make([]bool, len(p.Nets))
 	p.Load(slots, values)
 	b.Run("fused", func(b *testing.B) {
@@ -387,7 +373,7 @@ func BenchmarkFuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	live := clusterLive(w.NL)
+	live := machineLive(w.NL, w.tab, all, w.NL.POs)
 	b.ResetTimer()
 	for range b.N {
 		fusedSink, _ = Fuse(w.NL, w.tab, live, nil)

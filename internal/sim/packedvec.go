@@ -154,11 +154,10 @@ func (t *WaveTrace) Changes(n netlist.NetID) ([]uint32, []uint64) {
 //
 // All a wave needs of a cycle is its entry state. The scout computes in
 // cycle order only what cannot be computed otherwise, the flip-flops: it
-// settles the flip-flops' d cones (Fuse over the sweep table with only the
-// d nets live), latches, and keeps each q's value per lane. Every other
-// net's entry value follows from the previous cycle's vector and q's, so
-// one word-wide pass over the sweep table builds all 64 lanes of a wave at
-// once. The replay (PackedSimulator.ReplayWave) alone produces events.
+// runs a Machine over the whole sweep table with only the d nets live, and
+// keeps each q's value per lane. Every other net's entry value follows
+// from the previous cycle's vector and q's, so one word-wide pass over the
+// sweep table builds all 64 lanes of a wave at once. The replay (PackedSimulator.ReplayWave) alone produces events.
 //
 // A shared bank (NewWaveBank) serves every (k, b) point of a campaign: it
 // keeps each wave's trace once made, releasing the wave's Words, so each
@@ -179,19 +178,14 @@ type WaveBank struct {
 	replays int          // waves replayed into a trace so far
 
 	// Scout state, carried from lane to lane and from wave to wave. The
-	// slots hold the entry state of the next cycle to record for the
-	// stimulus inputs, the q's and the cone records' outputs.
+	// machine's slots hold the entry state of the next cycle to record.
 	sw       *Sweep
-	cone     Program         // the flip-flops' d cones, fused; flip-flop i's q holds slot i
-	slots    []bool          // cone's slots
-	piSlot   []int32         // per stimulus input: its slot
-	dSlot    []int32         // per flip-flop: its d's slot
+	scout    Machine         // over the whole sweep table, only the d's live
 	byQ      []int32         // flip-flop indices in q order: Pending's order
 	ones     []netlist.NetID // nets tied to 1
 	qBits    []uint64        // per flip-flop: q's entry value per lane of the wave being built
 	qCarry   []uint64        // per flip-flop: q's entry value in the last lane of the previous wave
 	vecCarry []uint64        // per stimulus input: its vector bit in that lane
-	vecBuf   []bool
 
 	// Replay state: the recording engine and its scratch.
 	eng    *PackedSimulator
@@ -240,7 +234,6 @@ func newWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64, private b
 		qBits:    make([]uint64, len(sw.ffs)),
 		qCarry:   make([]uint64, len(sw.ffs)),
 		vecCarry: make([]uint64, len(sw.PIs)),
-		vecBuf:   make([]bool, len(sw.PIs)),
 		traced:   -1,
 	}
 	for n := range nl.Nets {
@@ -256,46 +249,7 @@ func newWaveBank(nl *netlist.Netlist, src VectorSource, cycles uint64, private b
 	}
 	slices.SortFunc(b.byQ, func(i, j int32) int { return int(sw.ffs[i].q) - int(sw.ffs[j].q) })
 
-	// The scout's table: the records some flip-flop's d depends on, fused
-	// with only the d nets live.
-	d := make([]bool, len(nl.Nets))
-	need := make([]bool, len(nl.Nets))
-	for _, f := range sw.ffs {
-		d[f.d], need[f.d] = true, true
-	}
-	// A record's output is needed once a later record that is needed, or
-	// a flip-flop, reads it; so walking backwards, need[t.Out] is final
-	// when t is reached.
-	kept := 0
-	for i := len(sw.tab) - 1; i >= 0; i-- {
-		t := &sw.tab[i]
-		if !need[t.Out] {
-			continue
-		}
-		kept++
-		if t.TT == Wide {
-			for _, in := range nl.Gates[t.A].Inputs {
-				need[in] = true
-			}
-		} else {
-			need[t.A], need[t.B] = true, true
-		}
-	}
-	cone := sw.AppendSlice(make([]TruthGate, 0, kept), func(g netlist.GateID) bool { return need[nl.Gates[g].Output] })
-	// The q's are named first, so flip-flop i's q takes slot i.
-	named := make([]netlist.NetID, 0, 2*len(sw.ffs)+len(sw.PIs))
-	for _, f := range sw.ffs {
-		named = append(named, f.q)
-	}
-	named = append(named, sw.PIs...)
-	for _, f := range sw.ffs {
-		named = append(named, f.d)
-	}
-	var slots []int32
-	b.cone, slots = Fuse(nl, cone, func(n netlist.NetID) bool { return d[n] }, named)
-	b.piSlot, b.dSlot = slots[len(sw.ffs):][:len(sw.PIs)], slots[len(sw.ffs)+len(sw.PIs):]
-	b.slots = make([]bool, len(b.cone.Nets))
-	b.cone.Load(b.slots, sw.PowerOn)
+	b.scout, _ = NewMachine(sw, nil, nil) // only the d's live
 	return b, nil
 }
 
@@ -388,13 +342,11 @@ func (b *WaveBank) Trace(i int) (*WaveTrace, error) {
 // build scouts the next 64 cycles (fewer on the ragged tail) into b.cur:
 // a fresh wave in a shared bank, the reused one in a private bank.
 //
-// Per cycle the scout records each q's entry value, applies the vector,
-// settles the d cones and latches every flip-flop that differs from its d
-// (all sampled before any flips, so a chain shifts one stage per cycle).
-// The cycle starting in lane l then holds the previous cycle's vector on
-// the stimulus inputs and q_l on the q's, and every gate's output is its
-// function of the previous cycle's vector and q's — lane l-1's, or the
-// previous wave's last lane's for lane 0 (zeros before cycle 0: the
+// Per cycle the scout records each q's entry value and runs its machine's
+// Cycle. The cycle starting in lane l then holds the previous cycle's
+// vector on the stimulus inputs and q_l on the q's, and every gate's output
+// is its function of the previous cycle's vector and q's — lane l-1's, or
+// the previous wave's last lane's for lane 0 (zeros before cycle 0: the
 // power-on state). One pass over the sweep table in topological order
 // evaluates every gate on those words; the q's are set to q_l after it,
 // and Pending is where q_l differs from the previous lane's q.
@@ -418,25 +370,14 @@ func (b *WaveBank) build() {
 	}
 	w.Base, w.Lanes = base, lanes
 
-	slots, dSlot := b.slots, b.dSlot
-	q := slots[:len(dSlot)]
+	q := b.scout.Slots[:len(sw.ffs)]
 	for l := 0; l < lanes; l++ {
 		for i, v := range q {
 			b.qBits[i] |= uint64(b2u(v)) << l
 		}
-		b.src.Vector(base+uint64(l), b.vecBuf)
-		for i, v := range b.vecBuf {
+		b.scout.Cycle(b.src, base+uint64(l))
+		for i, v := range b.scout.vec {
 			w.Vecs[i] |= uint64(b2u(v)) << l
-			slots[b.piSlot[i]] = v
-		}
-		Settle(&b.cone, slots)
-		flipped, n := sw.flipped[:len(dSlot)], 0
-		for i, d := range dSlot {
-			flipped[n] = int32(i)
-			n += int(b2u(q[i] != slots[d]))
-		}
-		for _, i := range flipped[:n] {
-			q[i] = !q[i]
 		}
 	}
 

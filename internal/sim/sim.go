@@ -1,7 +1,8 @@
 // Package sim is the sequential gate-level simulator. Sweep compiles a
 // netlist's cycle once — stimulus inputs, flip-flops, topological gate
-// table, depth, power-on state — and its Step is the levelized cycle
-// sweep; the wave bank's scout settles a fused slice of the same table.
+// table, depth, power-on state. Machine is the two-valued levelized cycle
+// over a fused slice of that table — stimulus, Settle, latch — which the
+// Time Warp kernel's clusters, the wave bank's scout and Levelized run.
 // Simulator is the event-driven
 // engine over the same compiled cycle: the correctness oracle for the Time
 // Warp kernel, the sequential-time baseline for speedup measurements, and

@@ -1,18 +1,18 @@
 package sim
 
-import "repro/internal/netlist"
+import (
+	"fmt"
+
+	"repro/internal/netlist"
+)
 
 // Sweep is a netlist's clock cycle compiled once: the stimulus inputs, the
 // flip-flops, the combinational gates as TruthGate records in topological
 // order, the delta range and the settled power-on state. Simulator, the
-// wave bank with its PackedSimulator, and the Time Warp host read these
-// facts from a Sweep instead of deriving them again.
-//
-// Step is the levelized cycle sweep: it evaluates every combinational gate
-// once, in topological order and with zero delay, then latches. The
-// combinational logic is acyclic (NewSweep refuses anything else), so the
-// state it settles to is unique and is the one Simulator.Step's unit-delay
-// delta loop reaches; the sweep has no deltas, events or hooks.
+// wave bank with its PackedSimulator, the Time Warp host and every Machine
+// read these facts from a Sweep instead of deriving them again. A Sweep
+// runs no cycle: a Machine runs the two-valued one, Simulator the
+// event-driven one.
 type Sweep struct {
 	NL *netlist.Netlist
 	// DeltaRange is the number of delta slots per cycle (combinational
@@ -23,14 +23,12 @@ type Sweep struct {
 	PIs []netlist.NetID
 	// PowerOn is the consistent power-on net state: all PIs and DFF
 	// outputs at 0, constants at their value, and every combinational
-	// gate's output consistent with its inputs. Read-only: the Time Warp
-	// kernel starts each cluster from a copy.
+	// gate's output consistent with its inputs. Read-only: every Machine
+	// starts from it.
 	PowerOn []bool
 
-	ffs     []flipFlop  // in gate order
-	tab     []TruthGate // combinational gates in topological order
-	values  []bool      // the state the next Step starts from
-	flipped []int32     // indices into ffs: the q's the last latch flipped (capacity: one per flip-flop)
+	ffs []flipFlop  // in gate order
+	tab []TruthGate // combinational gates in topological order
 }
 
 // flipFlop is a DFF: its gate, d input and q output.
@@ -80,18 +78,16 @@ func NewSweep(nl *netlist.Netlist) (*Sweep, error) {
 	for n := range w.PowerOn {
 		w.PowerOn[n] = nl.Nets[n].Const == 1
 	}
-	w.flipped = make([]int32, 0, len(w.ffs))
 	w.settle(w.PowerOn)
-	w.values = append([]bool(nil), w.PowerOn...)
 	return w, nil
 }
 
 // settle makes values combinationally consistent by evaluating every
 // combinational gate once, in topological order, writing each output at
-// once. A wide record reads its gate from the netlist. Step's callers read
-// every net, so its table is not fused (Fuse; DESIGN §20); the wave bank's
-// scout, which reads only the flip-flops' d nets, settles a fused slice of
-// it instead.
+// once; a wide record reads its gate from the netlist. It settles the
+// power-on state, which NewSweep must do without fusing the table (Fuse
+// costs more than one settle), and it is the gate-by-gate reference the
+// fused tables are held to.
 func (w *Sweep) settle(values []bool) {
 	for i := range w.tab {
 		t := &w.tab[i]
@@ -115,30 +111,110 @@ func (w *Sweep) AppendSlice(tab []TruthGate, keep func(netlist.GateID) bool) []T
 	return tab
 }
 
-// Step simulates one clock cycle: it writes vector (one bit per PIs entry)
-// to the stimulus inputs, settles, and latches — finding every q that
-// differs from its d before flipping any, so a flip-flop chain shifts one
-// stage per cycle. The flipping ones are collected without a branch: every
-// index is written, and the end advances by whether q differs from d.
-func (w *Sweep) Step(vector []bool) {
-	values := w.values
-	for i, pi := range w.PIs {
-		values[pi] = vector[i]
-	}
-	w.settle(values)
-	flipped, n := w.flipped[:len(w.ffs)], 0
-	for i, f := range w.ffs {
-		flipped[n] = int32(i)
-		n += int(b2u(values[f.q] != values[f.d]))
-	}
-	w.flipped = flipped[:n]
-	for _, i := range w.flipped {
-		q := w.ffs[i].q
-		values[q] = !values[q]
-	}
+// Machine is the two-valued sequential cycle over one fused table: a
+// Program, the slot array it settles, and the latch. Cycle writes a
+// stimulus vector into the stimulus inputs' slots, settles them (Settle)
+// and latches: it gathers every flip-flop's d, then copies them over the
+// q's as one block, so a flip-flop chain shifts one stage per cycle. The
+// Time Warp kernel's clusters, the wave bank's scout and Levelized each
+// run one (DESIGN §20).
+type Machine struct {
+	Program
+	// Slots is the state: power-on until the first Cycle, then the
+	// post-latch state of the last one. Flip-flop i's q is slot i.
+	Slots []bool
+
+	vec    []bool  // the last Cycle's vector, one bit per Sweep.PIs entry
+	stim   []int32 // per Sweep.PIs entry: its slot
+	latchD []int32 // per flip-flop: its d's slot
+	next   []bool  // the latch's gathered d's
 }
 
-// Values returns the state the next Step starts from: after a Step, the
-// post-latch value of every net, as Simulator.Value reads it after its
-// Step. It is the sweep's own slice; do not modify it.
-func (w *Sweep) Values() []bool { return w.values }
+// NewMachine compiles the cycle of the gates keep marks, by GateID (nil:
+// every gate): it fuses their slice of sw's table and loads the power-on
+// state. The nets are named to Fuse q's first, in gate order, so flip-flop
+// i's q takes slot i; then every stimulus input; then named, the nets the
+// caller reads or writes outside Cycle, whose slots it returns in order;
+// then the d's. A net the table drives keeps its value after the settle
+// when machineLive finds it named or read outside the table; Fuse folds
+// every other into the records that read it.
+func NewMachine(sw *Sweep, keep []bool, named []netlist.NetID) (Machine, []int32) {
+	kept := func(g netlist.GateID) bool { return keep == nil || keep[g] }
+	ffs := 0
+	for _, f := range sw.ffs {
+		ffs += int(b2u(kept(f.gate)))
+	}
+	tab := sw.tab
+	if keep != nil {
+		n := -ffs // the combinational gates keep marks
+		for _, k := range keep {
+			n += int(b2u(k))
+		}
+		tab = sw.AppendSlice(make([]TruthGate, 0, n), kept)
+	}
+	// The q's, the stimulus inputs, named, the d's.
+	names := make([]netlist.NetID, 2*ffs+len(sw.PIs)+len(named))
+	copy(names[ffs:], sw.PIs)
+	copy(names[ffs+len(sw.PIs):], named)
+	i := 0
+	for _, f := range sw.ffs {
+		if kept(f.gate) {
+			names[i], names[len(names)-ffs+i] = f.q, f.d
+			i++
+		}
+	}
+	p, slots := Fuse(sw.NL, tab, machineLive(sw.NL, tab, kept, named), names)
+	for i, s := range slots[:ffs] {
+		if s != int32(i) {
+			panic(fmt.Sprintf("sim: flip-flop %d's q in slot %d", i, s))
+		}
+	}
+	slots = slots[ffs:]
+	m := Machine{
+		Program: p,
+		Slots:   make([]bool, len(p.Nets)),
+		vec:     make([]bool, len(sw.PIs)),
+		stim:    slots[:len(sw.PIs)],
+		latchD:  slots[len(slots)-ffs:],
+		next:    make([]bool, ffs),
+	}
+	m.Load(m.Slots, sw.PowerOn)
+	return m, slots[len(sw.PIs) : len(slots)-ffs]
+}
+
+// machineLive is a Machine's live rule over tab, the slice of a sweep's
+// table kept selects: a net tab drives keeps its value after the settle
+// when named lists it, or when a flip-flop or a combinational gate kept
+// does not select reads it. Nothing else reads a net after the settle.
+func machineLive(nl *netlist.Netlist, tab []TruthGate, kept func(netlist.GateID) bool, named []netlist.NetID) func(netlist.NetID) bool {
+	set := make([]bool, len(nl.Nets))
+	for _, n := range named {
+		set[n] = true
+	}
+	for _, t := range tab {
+		for _, s := range nl.Nets[t.Out].Sinks {
+			if nl.Gates[s].Kind.Sequential() || !kept(s) {
+				set[t.Out] = true
+				break
+			}
+		}
+	}
+	return func(n netlist.NetID) bool { return set[n] }
+}
+
+// Cycle runs one clock cycle: it writes src's vector for cycle into the
+// stimulus inputs' slots, settles, and latches.
+func (m *Machine) Cycle(src VectorSource, cycle uint64) {
+	src.Vector(cycle, m.vec)
+	slots := m.Slots
+	for i, s := range m.stim {
+		slots[s] = m.vec[i]
+	}
+	Settle(&m.Program, slots)
+	d := m.latchD
+	next := m.next[:len(d)]
+	for i, s := range d {
+		next[i] = slots[s]
+	}
+	copy(slots[:len(d)], next)
+}

@@ -49,9 +49,10 @@ var tables = func() (t [verilog.GateDff][4]uint16) {
 // and B (a one-input gate has B == A), its output and its truth table. A
 // gate of more than two inputs has TT == Wide, and A holds its
 // netlist.GateID instead of an input: EvalGate evaluates it from there.
-// Sweep.Step evaluates these records, the wave bank builds a wave's words and
-// replays it from them (ttWord), and the Time Warp kernel's cluster programs
-// and the bank's scout fuse their slices of them (Fuse).
+// Sweep settles the power-on state over these records, the wave bank
+// builds a wave's words and replays it from them (ttWord), and every
+// Machine — a Time Warp cluster's, the bank's scout, Levelized's — fuses
+// its slice of them (Fuse).
 type TruthGate struct {
 	A, B, Out netlist.NetID
 	TT        uint8

@@ -153,14 +153,7 @@ func Record(nl *netlist.Netlist, src VectorSource, cycles uint64, observe []netl
 	if err != nil {
 		return nil, err
 	}
-	waves := make(map[netlist.NetID][]bool, len(observe))
-	rows := make([][]bool, len(observe)) // waves[observe[i]], without the lookup per cycle
-	for i, n := range observe {
-		if waves[n] == nil {
-			waves[n] = make([]bool, cycles)
-		}
-		rows[i] = waves[n]
-	}
+	waves, rows := newWaves(observe, cycles)
 	buf := make([]bool, s.VectorWidth())
 	for c := uint64(0); c < cycles; c++ {
 		src.Vector(c, buf)
@@ -172,4 +165,38 @@ func Record(nl *netlist.Netlist, src VectorSource, cycles uint64, observe []netl
 		}
 	}
 	return waves, nil
+}
+
+// Levelized returns what Record returns, computed by a Machine over nl's
+// whole table with the observed nets named: the two-valued levelized cycle,
+// compile included, in one goroutine.
+func Levelized(nl *netlist.Netlist, src VectorSource, cycles uint64, observe []netlist.NetID) (map[netlist.NetID][]bool, error) {
+	sw, err := NewSweep(nl)
+	if err != nil {
+		return nil, err
+	}
+	m, slots := NewMachine(sw, nil, observe)
+	waves, rows := newWaves(observe, cycles)
+	for c := uint64(0); c < cycles; c++ {
+		m.Cycle(src, c)
+		for i, s := range slots {
+			rows[i][c] = m.Slots[s]
+		}
+	}
+	return waves, nil
+}
+
+// newWaves returns the waves of a run over cycles cycles that observes
+// observe, and rows[i], waves[observe[i]], to fill without a lookup per
+// cycle.
+func newWaves(observe []netlist.NetID, cycles uint64) (waves map[netlist.NetID][]bool, rows [][]bool) {
+	waves = make(map[netlist.NetID][]bool, len(observe))
+	rows = make([][]bool, len(observe))
+	for i, n := range observe {
+		if waves[n] == nil {
+			waves[n] = make([]bool, cycles)
+		}
+		rows[i] = waves[n]
+	}
+	return waves, rows
 }

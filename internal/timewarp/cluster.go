@@ -21,11 +21,14 @@ import (
 // cluster without senders, and to a chain whose far end lags.
 const window = 8
 
-// cluster simulates the gates of one partition, a cycle at a time by one
-// levelized sweep. Before each cycle, one that another cluster sends frames
-// to waits until the link from each of its senders has delivered that
+// cluster simulates the gates of one partition, a cycle at a time on its
+// sim.Machine. Before each cycle, one that another cluster sends frames to
+// waits until the link from each of its senders has delivered that
 // sender's watermark for the cycle (DESIGN §26).
 type cluster struct {
+	// The cycle and its state: the machine's slots.
+	sim.Machine
+
 	id        int32
 	cfg       *Config
 	ep        *comm.Endpoint
@@ -37,9 +40,7 @@ type cluster struct {
 	// tables (program.go).
 	prog *program
 
-	// Dynamic state: the slots of the cluster's program (program.code)
-	// and the next cycle to execute.
-	slots []bool
+	// The next cycle to execute.
 	cycle uint64
 	// in[j] is the FIFO of the frames received from prog.senders[j] for
 	// cycles not yet executed, strictly increasing in T (checkLogs); a
@@ -52,10 +53,8 @@ type cluster struct {
 	// spins for a watermark before it sleeps.
 	lastCycle time.Duration
 	obsVals   [][]bool // obsVals[i][cyc]: committed value of prog.obsOwn[i]
-	vecBuf    []bool   // the stimulus vector of the cycle being executed
 
 	// Scratch.
-	next   []bool   // one entry per flip-flop: the latch's gathered d's
 	packed []uint64 // the words gathered for one receiver
 	// frames and words are the slabs newFrame carves frames from.
 	frames []frame
@@ -78,8 +77,9 @@ type cluster struct {
 // the power-on state.
 func newCluster(id int32, h *host, rep *replicas) *cluster {
 	cfg := &h.cfg
-	p := compile(h.sweep, cfg.GateParts, rep, id, cfg.Observe)
+	p, m := compile(h.sweep, cfg.GateParts, rep, id, cfg.Observe)
 	c := &cluster{
+		Machine:   m,
 		id:        id,
 		cfg:       cfg,
 		ep:        h.net.Endpoint(int(id)),
@@ -88,18 +88,14 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		cancelled: &h.cancelled,
 		rec:       cfg.Causality,
 		prog:      p,
-		slots:     make([]bool, len(p.code.Nets)),
 		obsVals:   make([][]bool, len(p.obsOwn)),
-		vecBuf:    make([]bool, p.vecWidth),
 		in:        make([][]*frame, len(p.senders)),
 		shipped:   make([][]uint64, len(p.receivers)),
-		next:      make([]bool, len(p.latchD)),
 	}
-	p.code.Load(c.slots, h.sweep.PowerOn)
 	words := 0
 	for j := range c.shipped {
 		c.shipped[j] = make([]uint64, frameWords(len(p.link(j))))
-		pack(c.shipped[j], c.slots, p.link(j))
+		pack(c.shipped[j], c.Slots, p.link(j))
 		words = max(words, len(c.shipped[j]))
 	}
 	c.packed = make([]uint64, words)
@@ -311,7 +307,7 @@ func (c *cluster) checkLogs() error {
 func (c *cluster) ship(t uint64, j int) {
 	last := c.shipped[j]
 	now := c.packed[:len(last)]
-	pack(now, c.slots, c.prog.link(j)) // flip-flop i's q is slot i
+	pack(now, c.Slots, c.prog.link(j)) // flip-flop i's q is slot i
 	changed := 0
 	for w := range now {
 		changed += bits.OnesCount64(now[w] ^ last[w])
@@ -356,14 +352,12 @@ func (c *cluster) newFrame(t uint64, n int) *frame {
 	return f
 }
 
-// processCycle executes cycle cyc by one levelized sweep: it writes the
-// stimulus, scatters the frames for the cycle into their slots, settles
-// the fused table of own combinational gates and copies once with
-// sim.Settle, and ends the cycle (endCycle).
+// processCycle executes cycle cyc: it scatters the frames for the cycle
+// into their slots, runs the machine's cycle — stimulus, settle, latch —
+// and ends the cycle (endCycle).
 func (c *cluster) processCycle(cyc uint64) error {
-	c.writeStimulus(cyc)
 	c.apply(cyc)
-	sim.Settle(&c.prog.code, c.slots)
+	c.Cycle(c.cfg.Vectors, cyc)
 	c.endCycle(cyc)
 	if CheckInvariants {
 		return c.checkLogs()
@@ -379,7 +373,7 @@ func (c *cluster) apply(cyc uint64) {
 		if len(q) == 0 || q[0].T != cyc {
 			continue
 		}
-		unpack(c.slots, c.prog.inputs(j), q[0].Words)
+		unpack(c.Slots, c.prog.inputs(j), q[0].Words)
 		c.rec.Consumed(c.id, q[0].Src, cyc)
 		n := copy(q, q[1:])
 		q[n] = nil
@@ -387,39 +381,15 @@ func (c *cluster) apply(cyc uint64) {
 	}
 }
 
-// writeStimulus asks cfg.Vectors for cycle cyc's vector and writes it into
-// the own stimulus inputs' slots.
-func (c *cluster) writeStimulus(cyc uint64) {
-	p := c.prog
-	if len(p.piSlot) == 0 {
-		return
-	}
-	c.cfg.Vectors.Vector(cyc, c.vecBuf)
-	for i, s := range p.piSlot {
-		c.slots[s] = c.vecBuf[p.piPos[i]]
-	}
-}
-
-// endCycle closes cycle cyc once its settle is done: it latches, records the
+// endCycle closes cycle cyc once the machine has latched: it records the
 // observed nets, ships what the cycle sent, accounts its evaluations —
 // every own gate once — and publishes the next cycle.
 func (c *cluster) endCycle(cyc uint64) {
-	p, slots := c.prog, c.slots
-	// Latch own DFFs; all d inputs are sampled before any q is updated
-	// (a DFF chain shifts one stage per cycle), and the next cycle, which
-	// reads the new q's, is shipped them. The d's are gathered, then
-	// copied over the q's as one block.
-	d := p.latchD
-	next := c.next[:len(d)]
-	for i, s := range d {
-		next[i] = slots[s]
-	}
-	copy(slots[:len(d)], next) // flip-flop i's q holds slot i
-
+	p := c.prog
 	// Record observed nets (post-latch state, matching sim.Value after
 	// Step).
 	for i, s := range p.obsSlot {
-		c.obsVals[i][cyc] = slots[s]
+		c.obsVals[i][cyc] = c.Slots[s]
 	}
 
 	// Each receiver is shipped what it reads for the next cycle, before

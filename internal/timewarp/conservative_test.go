@@ -186,19 +186,18 @@ func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 		t.Fatal(err)
 	}
 	rep := replicate(nl, parts, k)
-	progs := make([]*program, k)
-	for id := range progs {
-		progs[id] = compile(sw, parts, rep, int32(id), nil)
-	}
-	for id, p := range progs {
+	for id := range k {
+		p, m := compile(sw, parts, rep, int32(id), nil)
 		var gates []netlist.GateID // own gates and copies
-		for i := range p.code.Tab {
-			if p.code.Nets[int(p.code.Base)+i] != sim.NoNet {
-				gates = append(gates, coneOf(t, fmt.Sprintf("cluster %d", id), nl, &p.code, i)...)
+		for i := range m.Tab {
+			if m.Nets[int(m.Base)+i] != sim.NoNet {
+				gates = append(gates, coneOf(t, fmt.Sprintf("cluster %d", id), nl, &m.Program, i)...)
 			}
 		}
-		for _, q := range p.latchNet {
-			gates = append(gates, nl.Nets[q].Driver)
+		for gi := range nl.Gates {
+			if parts[gi] == int32(id) && nl.Gates[gi].Kind.Sequential() {
+				gates = append(gates, netlist.GateID(gi))
+			}
 		}
 		evaluated := make([]bool, len(nl.Gates))
 		for _, g := range gates {

@@ -4,8 +4,9 @@
 // cluster of logic owned by one goroutine ("machine"); clusters exchange
 // the values of the nets they share through the comm network.
 //
-// Each cluster executes a cycle by one levelized sweep of its own gates
-// (sim.Settle over its slice of the sequential sweep's table). A cluster
+// Each cluster executes a cycle on a sim.Machine over its own gates (one
+// sim.Settle of its fused slice of the sequential sweep's table, then the
+// latch): the machine sim.Levelized runs over the whole table. A cluster
 // also evaluates, as copies, the combinational fan-in cones of every net
 // it reads that another cluster's combinational gate drives, so the only
 // nets that cross the cut are flip-flop outputs, each read one cycle after

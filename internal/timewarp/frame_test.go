@@ -44,9 +44,9 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 	}
 	rep := replicate(nl, parts, k)
 	evaluated := naiveCopies(nl, parts, k)
-	progs := make([]*program, k)
+	progs, machs := make([]*program, k), make([]sim.Machine, k)
 	for id := range progs {
-		progs[id] = compile(sw, parts, rep, int32(id), nil)
+		progs[id], machs[id] = compile(sw, parts, rep, int32(id), nil)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for r, rp := range progs {
@@ -65,7 +65,7 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 		}
 		got := 0
 		for j, s := range rp.senders {
-			sp := progs[s]
+			sp, sm := progs[s], &machs[s] // the sender's flip-flop i's q is its slot i
 			i := slices.Index(sp.receivers, int32(r))
 			if i < 0 {
 				t.Fatalf("cluster %d lists cluster %d among its senders, which does not list it among its receivers", r, s)
@@ -75,25 +75,26 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 				t.Fatalf("link %d→%d: %d flip-flops at the sender, %d slots at the receiver", s, r, len(link), len(in))
 			}
 			for b := range link {
-				if n, m := sp.latchNet[link[b]], rp.code.Nets[in[b]]; n != m {
+				if n, m := sm.Nets[link[b]], machs[r].Nets[in[b]]; n != m {
 					t.Fatalf("link %d→%d bit %d: the sender packs %s, the receiver writes %s", s, r, b, nl.Nets[n].Name, nl.Nets[m].Name)
 				}
 				if b > 0 && link[b] <= link[b-1] {
 					t.Fatalf("link %d→%d: flip-flops %v not ascending", s, r, link)
 				}
-				if n := sp.latchNet[link[b]]; !want[n] {
+				if n := sm.Nets[link[b]]; !want[n] {
 					t.Fatalf("link %d→%d carries %s, which cluster %d does not read", s, r, nl.Nets[n].Name, r)
 				}
 			}
 			got += len(in)
 
 			// The round trip.
-			sc := &cluster{id: s, prog: sp, slots: make([]bool, len(sp.code.Nets))}
-			for ff := range sp.latchD {
-				sc.slots[ff] = rng.Intn(2) == 1
+			sc := &cluster{id: s, prog: sp, Machine: *sm}
+			sc.Slots = make([]bool, len(sm.Nets))
+			for i := range sc.Slots {
+				sc.Slots[i] = rng.Intn(2) == 1
 			}
 			words := make([]uint64, frameWords(len(link)))
-			pack(words, sc.slots, link)
+			pack(words, sc.Slots, link)
 			buf, err := appendMessage(nil, &frame{T: 3, Src: s, Words: words})
 			if err != nil {
 				t.Fatal(err)
@@ -102,15 +103,16 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc := &cluster{id: int32(r), prog: rp, slots: make([]bool, len(rp.code.Nets)), cycle: 3, in: make([][]*frame, len(rp.senders))}
+			rc := &cluster{id: int32(r), prog: rp, Machine: machs[r], cycle: 3, in: make([][]*frame, len(rp.senders))}
+			rc.Slots = make([]bool, len(rc.Nets))
 			if err := rc.absorbFrame(f); err != nil {
 				t.Fatalf("link %d→%d: %v", s, r, err)
 			}
 			rc.apply(3)
 			for b := range link {
-				if rc.slots[in[b]] != sc.slots[link[b]] {
+				if rc.Slots[in[b]] != sc.Slots[link[b]] {
 					t.Fatalf("link %d→%d bit %d (%s): the receiver holds %v, the sender %v",
-						s, r, b, nl.Nets[sp.latchNet[link[b]]].Name, rc.slots[in[b]], sc.slots[link[b]])
+						s, r, b, nl.Nets[sm.Nets[link[b]]].Name, rc.Slots[in[b]], sc.Slots[link[b]])
 				}
 			}
 			if len(rc.in[j]) != 0 {
@@ -165,8 +167,8 @@ func TestAbsorbRefusesBadFrames(t *testing.T) {
 	}
 	b.apply(0)
 	b.cycle = 1
-	if !b.slots[in[0]] || len(b.in[0]) != 1 || b.in[0][0].T != 1 {
-		t.Fatalf("after cycle 0: slot %v, FIFO %v; want true and cycle 1's frame alone", b.slots[in[0]], b.in[0])
+	if !b.Slots[in[0]] || len(b.in[0]) != 1 || b.in[0][0].T != 1 {
+		t.Fatalf("after cycle 0: slot %v, FIFO %v; want true and cycle 1's frame alone", b.Slots[in[0]], b.in[0])
 	}
 	refused(&frame{T: 2, Src: 1, Words: []uint64{0}}, "misrouted")
 	refused(&frame{T: 2, Src: 0, Words: []uint64{0, 0}}, "misrouted")

@@ -8,51 +8,27 @@ import (
 	"repro/internal/sim"
 )
 
-// program is one cluster compiled to flat read-only arrays: everything the
-// cycle needs to know about the netlist and the partition, laid out so that
-// processCycle and ship index slices instead of hashing net ids or chasing
-// *netlist.Gate pointers. It is built once in newCluster and never written
-// afterwards.
-//
-// The cluster's state is a dense slot array, its fused table's (sim.Program):
-// the table's inputs, then one slot per record in table order, then the
-// nets the cycle reads or writes that the table does not. Every access of
-// the cycle goes through a slot — stimulus, received frames, the latch, the
-// observed nets. Every cluster has the one layout: its combinational gates,
-// copies included, are a slice of the host's sim.Sweep table fused by
-// sim.Fuse, its flip-flops a table of their own.
+// program is the static half of one cluster: the flat read-only arrays
+// that locate what the cycle exchanges with the other clusters and records,
+// so that ship, apply and the observation index slices instead of hashing
+// net ids or chasing *netlist.Gate pointers. compile builds it once, with
+// the cluster's sim.Machine, which holds the cycle itself: the own
+// combinational gates and the copies (replicas), a slice of the host's
+// sim.Sweep table fused by sim.Fuse, the own flip-flops, whose q's are
+// slots 0.., and the stimulus. Every index below is a slot of that
+// machine.
 //
 // A link carries no net id: a frame from a sender to a receiver holds one
 // bit per flip-flop of the sender the receiver reads, in the sender's
 // flip-flop order, and both ends derive that list from the netlist, the
 // partition and the copies alone (DESIGN §20).
 type program struct {
-	// code is the own combinational gates and the copies (replicas) as
-	// sim.FusedGate records over the cluster's slots, in the host's
-	// sim.Sweep topological order: a gate whose output nothing but gates
-	// of the table reads is folded into the records of all of them while
-	// each keeps at most four inputs (the live rule, compile). A copy is
-	// another cluster's gate this cluster evaluates too, so that no net a
+	// gates is how many gates one cycle evaluates: the own ones, flip-flops
+	// included, and the copies, folded ones included. A copy is another
+	// cluster's gate this cluster evaluates too, so that no net a
 	// combinational gate drives is ever sent: its output is never
 	// observed, sent or latched.
-	code sim.Program
-	// gates is how many own gates and copies code evaluates, folded ones
-	// included.
 	gates int
-
-	// The own flip-flops in gate order: flip-flop i's q output holds slot
-	// i, latchD[i] is the slot of its d input and latchNet[i] its q net.
-	// The clock is a global tick, not an event.
-	latchD   []int32
-	latchNet []netlist.NetID
-
-	// piSlot are the slots of the stimulus inputs read by own gates or
-	// copies (cluster 0 mirrors all of them, to observe driverless nets);
-	// piPos[i] is the position of piSlot[i]'s input in the stimulus
-	// vector, vecWidth that vector's length.
-	piSlot   []int32
-	piPos    []int32
-	vecWidth int
 
 	// obsOwn are the observed nets this cluster records, obsSlot their
 	// slots: those an own gate drives, and on cluster 0 the driverless
@@ -171,39 +147,35 @@ func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []in
 		copies[c]++
 	}
 	for c := range records {
-		records[c] = len(compile(sw, gateParts, rep, int32(c), nl.POs).code.Tab)
+		_, m := compile(sw, gateParts, rep, int32(c), nl.POs)
+		records[c] = len(m.Tab)
 	}
 	return copies, records, nil
 }
 
-// compile builds cluster id's program for the netlist sw compiles,
-// partitioned by gateParts and replicated by rep.
-func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe []netlist.NetID) *program {
+// compile builds cluster id's program and machine for the netlist sw
+// compiles, partitioned by gateParts and replicated by rep.
+func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe []netlist.NetID) (*program, sim.Machine) {
 	nl := sw.NL
 	p := &program{}
-	evaluates := func(g netlist.GateID) bool { // own gate or copy
-		return gateParts[g] == id || slices.Contains(rep.copiers(g), id)
+	// evaluates marks the own gates and the copies.
+	evaluates := make([]bool, len(nl.Gates))
+	for g := range evaluates {
+		evaluates[g] = gateParts[g] == id || slices.Contains(rep.copiers(netlist.GateID(g)), id)
 	}
 
 	// One pass counts the gates this cluster evaluates and marks what it
-	// reads of other clusters' flip-flops; the next lists its own
-	// flip-flops, in gate order, and, in the same order, every cluster's
-	// flip-flops it reads, a list per sender: a link's order on both of
-	// its ends. A flip-flop's output is read by every cluster with an own
-	// gate or a copy among the net's sinks.
-	nComb, nLatch := 0, 0
-	// reads marks them; the live rule reuses the array below.
+	// reads of other clusters' flip-flops; the next numbers its own
+	// flip-flops, in gate order, and lists, in the same order, every
+	// cluster's flip-flops it reads, a list per sender: a link's order on
+	// both of its ends. A flip-flop's output is read by every cluster with
+	// an own gate or a copy among the net's sinks.
 	reads := make([]bool, len(nl.Nets))
 	for gi := range nl.Gates {
-		g := netlist.GateID(gi)
-		switch {
-		case !evaluates(g):
+		if !evaluates[gi] {
 			continue
-		case nl.Gates[gi].Kind.Sequential():
-			nLatch++
-		default:
-			nComb++
 		}
+		p.gates++
 		for _, in := range nl.Gates[gi].Inputs {
 			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() {
 				reads[in] = true
@@ -214,9 +186,9 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 	}
 	slices.Sort(p.senders)
-	p.latchNet = make([]netlist.NetID, 0, nLatch)
 	in := make([][]netlist.NetID, len(p.senders)) // the nets of each sender's frames
 	var out [][]int32                             // the flip-flops of each receiver's frames, by cluster
+	ff := int32(-1)                               // the own flip-flop at hand
 	for gi := range nl.Gates {
 		if !nl.Gates[gi].Kind.Sequential() {
 			continue
@@ -229,8 +201,7 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 			}
 			continue
 		}
-		ff := int32(len(p.latchNet))
-		p.latchNet = append(p.latchNet, q)
+		ff++
 		add := func(dst int32) {
 			if dst == id {
 				return
@@ -269,71 +240,25 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		p.inOff = append(p.inOff, uint32(len(remote)))
 	}
 
-	var pis []netlist.NetID
-	for _, pi := range nl.PIs {
-		if nl.IsClockNet(pi) {
-			continue
-		}
-		read := id == 0
-		for _, s := range nl.Nets[pi].Sinks {
-			read = read || evaluates(s)
-		}
-		if read {
-			pis = append(pis, pi)
-			p.piPos = append(p.piPos, int32(p.vecWidth))
-		}
-		p.vecWidth++
-	}
-
-	// The live rule: an output of the table keeps its value after the
-	// settle when observe names it, or a flip-flop or a gate this cluster
-	// does not evaluate reads it. No other code reads a net, so the rest are
-	// free for sim.Fuse to fold into the records that read them, however
-	// many.
-	live := reads
-	clear(live)
+	// The observed nets this cluster records and the received ones are the
+	// nets it touches outside the machine's cycle: the machine names them,
+	// which keeps them live beside what a flip-flop or a gate this cluster
+	// does not evaluate reads.
+	seen := reads
+	clear(seen)
 	for _, n := range observe {
 		owner := int32(0)
 		if d := nl.Nets[n].Driver; d != netlist.NoGate {
 			owner = gateParts[d]
 		}
-		if owner == id && !live[n] { // observe may name a net twice
+		if owner == id && !seen[n] { // observe may name a net twice
 			p.obsOwn = append(p.obsOwn, n)
 		}
-		live[n] = true
+		seen[n] = true
 	}
-	tab := sw.AppendSlice(make([]sim.TruthGate, 0, nComb), evaluates)
-	for _, t := range tab {
-		for _, s := range nl.Nets[t.Out].Sinks {
-			if nl.Gates[s].Kind.Sequential() || !evaluates(s) {
-				live[t.Out] = true
-				break
-			}
-		}
-	}
-	p.gates = len(tab)
-
-	// Every net the cycle touches outside the table gets a slot: the
-	// latch's q's, named first so that flip-flop i's q takes slot i, the
-	// stimulus inputs, the observed nets, the received ones and the
-	// latch's d's.
-	named := make([]netlist.NetID, 0, 2*nLatch+len(pis)+len(p.obsOwn)+len(remote))
-	named = append(append(append(append(named, p.latchNet...), pis...), p.obsOwn...), remote...)
-	for _, q := range p.latchNet {
-		named = append(named, nl.Gates[nl.Nets[q].Driver].Inputs[0])
-	}
-	code, slots := sim.Fuse(nl, tab, func(n netlist.NetID) bool { return live[n] }, named)
-	p.code = code
-	for i, s := range slots[:nLatch] {
-		if s != int32(i) {
-			panic(fmt.Sprintf("timewarp: cluster %d: flip-flop %d's q in slot %d", id, i, s))
-		}
-	}
-	slots = slots[nLatch:]
-	p.piSlot, slots = slots[:len(pis)], slots[len(pis):]
-	p.obsSlot, slots = slots[:len(p.obsOwn)], slots[len(p.obsOwn):]
-	p.inSlot, p.latchD = slots[:len(remote)], slots[len(remote):]
-	return p
+	m, slots := sim.NewMachine(sw, evaluates, slices.Concat(p.obsOwn, remote))
+	p.obsSlot, p.inSlot = slots[:len(p.obsOwn)], slots[len(p.obsOwn):]
+	return p, m
 }
 
 // link returns the own flip-flops receivers[j] reads, the bits of a frame
@@ -370,6 +295,4 @@ func unpack(vals []bool, idx []int32, words []uint64) {
 // flip-flops too, and every copy, once (DESIGN §26). It counts netlist
 // gates, not records: a fused record evaluates all the gates folded into
 // it.
-func (p *program) cycleCost() uint64 {
-	return uint64(p.gates + len(p.latchD))
-}
+func (p *program) cycleCost() uint64 { return uint64(p.gates) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/elab"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -58,22 +59,22 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := make([]int32, len(nl.Gates))
-	p := compile(sw, parts, replicate(nl, parts, 1), 0, nil)
+	_, m := compile(sw, parts, replicate(nl, parts, 1), 0, nil)
 	// One cluster owns every gate, all of them in its table, and no output
 	// is read, so none is folded: a record's output is its gate's, or a
 	// link of its gate's chain.
-	if len(p.code.Tab) != len(nl.Gates)+links {
-		t.Fatalf("program has %d records, netlist %d gates and %d chain links", len(p.code.Tab), len(nl.Gates), links)
+	if len(m.Tab) != len(nl.Gates)+links {
+		t.Fatalf("program has %d records, netlist %d gates and %d chain links", len(m.Tab), len(nl.Gates), links)
 	}
-	slot := slotMap(p)
-	slots := make([]bool, len(p.code.Nets))
+	slot := slotMap(&m.Program)
+	slots := make([]bool, len(m.Nets))
 	values := make([]bool, len(nl.Nets))
 	for combo := 0; combo < 1<<inputs; combo++ {
 		for i := 0; i < inputs; i++ {
 			values[i] = combo>>i&1 == 1
-			slots[p.piSlot[i]] = values[i]
+			slots[slot[netlist.NetID(i)]] = values[i]
 		}
-		sim.Settle(&p.code, slots)
+		sim.Settle(&m.Program, slots)
 		for gi := range nl.Gates {
 			g := &nl.Gates[gi]
 			if got, want := slots[slot[g.Output]], sim.EvalGate(g, values); got != want {
@@ -83,10 +84,52 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	}
 }
 
-// slotMap returns the slot of every net p's slots hold.
-func slotMap(p *program) map[netlist.NetID]int32 {
+// TestOneClusterIsLevelized holds the K=1 program to the sequential
+// baseline, sim.Levelized, on the ledger's SoC and decoder: the one
+// cluster's table has as many records as the machine Levelized runs with
+// the output ports observed (Tables), and a 200-cycle K=1 Run commits
+// Levelized's waves on sim.StateNets.
+func TestOneClusterIsLevelized(t *testing.T) {
+	for _, c := range []*gen.Circuit{gen.ViterbiSoC(gen.DefaultSoC), gen.Viterbi(gen.DefaultViterbi)} {
+		ed, err := c.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := ed.Netlist
+		one := make([]int32, len(nl.Gates))
+		_, records, err := Tables(nl, one, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := sim.NewSweep(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := sim.NewMachine(sw, nil, nl.POs); records[0] != len(m.Tab) {
+			t.Errorf("%s: the one cluster settles %d records, Levelized's machine %d", c.Name, records[0], len(m.Tab))
+		}
+		const cycles = 200
+		state, src := sim.StateNets(nl), sim.RandomVectors{Seed: 1}
+		want, err := sim.Levelized(nl, src, cycles, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{NL: nl, GateParts: one, K: 1, Vectors: src, Cycles: cycles, Observe: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range state {
+			if !slices.Equal(res.Observed[n], want[n]) {
+				t.Fatalf("%s: net %s: K=1 run %v, Levelized %v", c.Name, nl.Nets[n].Name, res.Observed[n], want[n])
+			}
+		}
+	}
+}
+
+// slotMap returns the slot of every net code's slots hold.
+func slotMap(code *sim.Program) map[netlist.NetID]int32 {
 	m := map[netlist.NetID]int32{}
-	for s, n := range p.code.Nets {
+	for s, n := range code.Nets {
 		if n != sim.NoNet {
 			m[n] = int32(s)
 		}
@@ -116,8 +159,8 @@ func TestProgramTablesMatchNetlist(t *testing.T) {
 // checkPrograms compiles every cluster of a k-way partition and checks each
 // program against the naive recomputation, and the clusters' programs
 // against one another: a cluster's senders are exactly the clusters that
-// list it among their receivers. It returns the programs.
-func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int32, k int) []*program {
+// list it among their receivers.
+func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int32, k int) {
 	t.Helper()
 	sw, err := sim.NewSweep(nl)
 	if err != nil {
@@ -127,8 +170,9 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 	evaluated := naiveCopies(nl, parts, k)
 	progs := make([]*program, k)
 	for id := range progs {
-		progs[id] = compile(sw, parts, rep, int32(id), nl.POs)
-		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), nl.POs, progs[id])
+		var m sim.Machine
+		progs[id], m = compile(sw, parts, rep, int32(id), nl.POs)
+		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), nl.POs, progs[id], &m)
 	}
 	for id, p := range progs {
 		var heard []int32
@@ -141,7 +185,6 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 			t.Errorf("%s cluster %d: senders %v, but listed as a reader by clusters %v", label, id, p.senders, heard)
 		}
 	}
-	return progs
 }
 
 // naiveCopies returns, for every cluster, which gates it evaluates: its own,
@@ -172,7 +215,7 @@ func naiveCopies(nl *netlist.Netlist, parts []int32, k int) [][]bool {
 	return evaluated
 }
 
-func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, observe []netlist.NetID, p *program) {
+func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, observe []netlist.NetID, p *program, m *sim.Machine) {
 	t.Helper()
 	ev := evaluated[id]
 	copied := func(g netlist.GateID) bool { return ev[g] && parts[g] != id }
@@ -194,10 +237,10 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 			dffs = append(dffs, netlist.GateID(gi))
 		}
 	}
-	checkSweepTable(t, label, nl, ev, id, observe, p)
-	nets := p.code.Nets
-	if len(p.latchD) != len(dffs) || len(p.latchNet) != len(dffs) {
-		t.Fatalf("%s: %d flip-flop slots and %d nets, want %d", label, len(p.latchD), len(p.latchNet), len(dffs))
+	checkSweepTable(t, label, nl, ev, id, p, m)
+	nets, slot := m.Nets, slotMap(&m.Program)
+	if p.gates != countTrue(ev) {
+		t.Fatalf("%s: program counts %d gates a cycle, the cluster evaluates %d", label, p.gates, countTrue(ev))
 	}
 	// Only an own flip-flop's output is sent, to every other cluster that
 	// reads it with an own gate or a copy; a copy's output never is.
@@ -212,9 +255,9 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 	for i, gi := range dffs {
 		g := &nl.Gates[gi]
-		if d, q := nets[p.latchD[i]], nets[i]; d != g.Inputs[0] || q != g.Output || p.latchNet[i] != g.Output {
-			t.Fatalf("%s: flip-flop %d latches slot %d (%d) into slot %d (%d) and sends %d; netlist gate %s: d %d, q %d",
-				label, i, p.latchD[i], d, i, q, p.latchNet[i], g.Path, g.Inputs[0], g.Output)
+		if _, ok := slot[g.Inputs[0]]; !ok || nets[i] != g.Output {
+			t.Fatalf("%s: flip-flop %d's d has a slot: %v, its q slot %d holds %d; netlist gate %s: d %d, q %d",
+				label, i, ok, i, nets[i], g.Path, g.Inputs[0], g.Output)
 		}
 		wantDsts := readers(g.Output)
 		if len(gotDsts[i]) != len(wantDsts) {
@@ -265,26 +308,10 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 		}
 	}
 
-	pos, own := 0, 0
 	for _, pi := range nl.PIs {
-		if nl.IsClockNet(pi) {
-			continue
+		if _, ok := slot[pi]; !ok && !nl.IsClockNet(pi) {
+			t.Fatalf("%s: stimulus input %s has no slot", label, nl.Nets[pi].Name)
 		}
-		read := id == 0
-		for _, s := range nl.Nets[pi].Sinks {
-			read = read || ev[s]
-		}
-		if read {
-			if own >= len(p.piSlot) || nets[p.piSlot[own]] != pi || int(p.piPos[own]) != pos {
-				t.Fatalf("%s: stimulus input %s (vector position %d) missing or misplaced in %v / %v",
-					label, nl.Nets[pi].Name, pos, p.piSlot, p.piPos)
-			}
-			own++
-		}
-		pos++
-	}
-	if own != len(p.piSlot) || pos != p.vecWidth {
-		t.Fatalf("%s: %d own PIs of width %d, want %d of %d", label, len(p.piSlot), p.vecWidth, own, pos)
 	}
 }
 
@@ -303,10 +330,10 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 // output). On random leaf values the program settles every record's net,
 // read through its slot, to what the gates, evaluated one by one in
 // topological order, give it.
-func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool, id int32, observe []netlist.NetID, p *program) {
+func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool, id int32, p *program, m *sim.Machine) {
 	t.Helper()
 	comb := func(g netlist.GateID) bool { return g != netlist.NoGate && !nl.Gates[g].Kind.Sequential() }
-	code := &p.code
+	code := &m.Program
 	base, end := int(code.Base), int(code.Base)+len(code.Tab)
 	seen := make([]bool, len(nl.Nets))
 	for s, n := range code.Nets {
@@ -344,16 +371,10 @@ func checkSweepTable(t *testing.T, label string, nl *netlist.Netlist, ev []bool,
 			t.Fatalf("%s: gate %s evaluated by the cluster: %v, in a record's cone: %v", label, nl.Gates[gi].Path, ev[gi], covered[gi])
 		}
 	}
-	if p.gates != countTrue(covered) {
-		t.Fatalf("%s: program counts %d gates, its records cover %d", label, p.gates, countTrue(covered))
-	}
 
-	slot := slotMap(p)
+	slot := slotMap(code)
 	live := make([]bool, len(nl.Nets))
-	for _, n := range observe {
-		live[n] = true
-	}
-	for _, idx := range [][]int32{p.latchD, p.piSlot, p.obsSlot, p.inSlot} {
+	for _, idx := range [][]int32{p.obsSlot, p.inSlot} {
 		for _, s := range idx {
 			if n := code.Nets[s]; n != sim.NoNet {
 				live[n] = true
