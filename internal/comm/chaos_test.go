@@ -201,22 +201,22 @@ func TestChaosStallReleasesBurst(t *testing.T) {
 	}
 }
 
-func TestChaosRecvWaitWokenByPump(t *testing.T) {
-	// A receiver blocked in RecvWait must be woken when the pump finally
-	// delivers a delayed message — the path finished Time Warp clusters
-	// take while stragglers are still in limbo.
+func TestChaosAwaitHeardWokenByPump(t *testing.T) {
+	// A receiver asleep in AwaitHeard must be woken when the pump finally
+	// delivers a delayed watermark, and hold the message sent before it.
 	n := NewNetworkTransport(2, Chaos(ChaosConfig{Seed: 9, MaxDelay: 2 * time.Millisecond}))
 	defer n.CloseTransport()
-	done := make(chan []Message, 1)
-	go func() { done <- n.Endpoint(1).RecvWait() }()
+	done := make(chan bool, 1)
+	go func() { done <- n.Endpoint(1).AwaitHeard(0, 1) }()
 	n.Endpoint(0).Send(1, "late")
+	n.Endpoint(0).Mark(1)
 	select {
-	case msgs := <-done:
-		if len(msgs) != 1 || msgs[0] != "late" {
-			t.Fatalf("messages: %v", msgs)
+	case ok := <-done:
+		if msgs := n.Endpoint(1).TryRecvAll(); !ok || len(msgs) != 1 || msgs[0] != "late" {
+			t.Fatalf("heard %v, messages %v", ok, msgs)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RecvWait never woken by pump delivery")
+		t.Fatal("AwaitHeard never woken by pump delivery")
 	}
 }
 

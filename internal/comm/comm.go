@@ -80,15 +80,16 @@ func NewNetworkTransport(k int, f TransportFactory) *Network {
 	return n
 }
 
-// enqueue places a message in destination dst's mailbox and wakes a
-// blocked receiver. It is the delivery sink handed to transports.
+// enqueue places a message in destination dst's mailbox. It is the
+// delivery sink handed to transports. Nobody waits for a message: a
+// receiver waits for the watermark behind it (AwaitHeard), and mark wakes
+// it.
 func (n *Network) enqueue(dst int, msg Message) {
 	d := n.eps[dst]
 	d.mu.Lock()
 	d.box = append(d.box, msg)
 	d.ready.Store(true)
 	d.mu.Unlock()
-	d.cond.Signal()
 }
 
 // mark files through as the src→dst link's watermark and wakes dst if it
@@ -136,9 +137,9 @@ func (n *Network) InFlight() int64 { return n.inFlight.Load() }
 // TotalSent returns the total number of messages sent on the network.
 func (n *Network) TotalSent() uint64 { return n.sent.Load() }
 
-// Endpoint is one mailbox, emptied by one receiver. The receive calls hand
-// out the mailbox's own buffer: the returned slice is valid until the next
-// receive call on the endpoint and must not be kept across it.
+// Endpoint is one mailbox, emptied by one receiver. TryRecvAll hands out
+// the mailbox's own buffer: the returned slice is valid until the next
+// TryRecvAll on the endpoint and must not be kept across it.
 type Endpoint struct {
 	id   int
 	net  *Network
@@ -151,7 +152,7 @@ type Endpoint struct {
 	// ready mirrors len(box) > 0. It is written under mu and read without
 	// it: the receiver's idle poll costs one atomic load, no lock.
 	ready atomic.Bool
-	// closed wakes blocked receivers permanently.
+	// closed wakes receivers blocked in AwaitHeard permanently.
 	closed bool
 	// heard[src] is the watermark the src→e link has delivered; waiting
 	// counts the goroutines blocked in AwaitHeard.
@@ -163,7 +164,7 @@ type Endpoint struct {
 // It never blocks. With the default direct transport the message is in
 // dst's mailbox when Send returns; other transports may hold it — but a
 // held message still counts as in flight, so the sent/in-flight counters
-// the Time Warp termination logic reads stay conservative.
+// the Time Warp kernel checks at the end of a run stay conservative.
 func (e *Endpoint) Send(dst int, msg Message) {
 	n := e.net
 	n.inFlight.Add(1)
@@ -246,22 +247,9 @@ func (e *Endpoint) TryRecvAll() []Message {
 	return e.drain()
 }
 
-// RecvWait blocks until at least one message is queued or the endpoint is
-// closed, then drains the mailbox. It returns nil only when closed AND
-// the mailbox is empty — a closed endpoint first hands over everything
-// still queued (drain-after-close), so no message is lost to shutdown.
-func (e *Endpoint) RecvWait() []Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.box) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	return e.drain()
-}
-
-// Close wakes any blocked receiver on this endpoint. Idempotent, and it
-// never discards queued messages: subsequent Receive calls drain them
-// (see RecvWait/TryRecvAll) before reporting closure.
+// Close wakes any receiver blocked in AwaitHeard on this endpoint, which
+// then reports no watermark. Idempotent, and it never discards queued
+// messages: TryRecvAll still drains them.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	e.closed = true

@@ -76,3 +76,16 @@ func (r *Recorder) Consumed(dst, src int32, cycle uint64) {
 	}
 	r.shards[dst].consumed = append(r.shards[dst].consumed, consumption{src, cycle})
 }
+
+// Frames is how many frames the clusters consumed. Call it, like Analyze,
+// only after the run has returned.
+func (r *Recorder) Frames() int {
+	if r == nil {
+		return 0
+	}
+	n := 0
+	for _, s := range r.shards {
+		n += len(s.consumed)
+	}
+	return n
+}

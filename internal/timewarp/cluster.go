@@ -33,8 +33,7 @@ type cluster struct {
 	cfg       *Config
 	ep        *comm.Endpoint
 	progress  []atomic.Uint64
-	absorbed  *atomic.Uint64 // global count of messages fully absorbed
-	cancelled *atomic.Bool   // set when any cluster fails; everyone exits
+	cancelled *atomic.Bool // set when any cluster fails; everyone exits
 
 	// Static structure: the netlist and partition as this cluster's flat
 	// tables (program.go).
@@ -61,6 +60,9 @@ type cluster struct {
 	words  []uint64
 
 	faultCtr uint64 // changed values shipped, for CorruptEveryN injection
+	// absorbed counts the messages this cluster filed; the host sums it
+	// once the cluster has exited.
+	absorbed uint64
 
 	// stats is race-clean: the cluster goroutine writes, the observability
 	// sampler (and mid-run snapshots) read concurrently.
@@ -73,8 +75,8 @@ type cluster struct {
 }
 
 // newCluster builds cluster id of host h's run, replicated by rep, wired to
-// h's network endpoint and shared progress / absorbed / cancelled words, in
-// the power-on state.
+// h's network endpoint and shared progress / cancelled words, in the
+// power-on state.
 func newCluster(id int32, h *host, rep *replicas) *cluster {
 	cfg := &h.cfg
 	p, m := compile(h.sweep, cfg.GateParts, rep, id, cfg.Observe)
@@ -84,7 +86,6 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		cfg:       cfg,
 		ep:        h.net.Endpoint(int(id)),
 		progress:  h.progress,
-		absorbed:  &h.absorbed,
 		cancelled: &h.cancelled,
 		rec:       cfg.Causality,
 		prog:      p,
@@ -105,37 +106,17 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 	return c
 }
 
-// run is the cluster main loop.
+// run is the cluster main loop: it returns after the last cycle. Each
+// frame is stamped with a cycle its receiver executes (endCycle) and is
+// drained before that cycle, so nothing is left to wait for (DESIGN §19).
 func (c *cluster) run() error {
-	for {
-		if c.cancelled.Load() {
+	for c.cycle < c.cfg.Cycles {
+		if c.cancelled.Load() || !(c.awaitSenders() && c.holdBack()) {
 			return nil // another cluster failed; abandon the run
 		}
-		if c.cycle < c.cfg.Cycles && !(c.awaitSenders() && c.holdBack()) {
-			return nil
-		}
-		msgs := c.ep.TryRecvAll()
-		if err := c.absorb(msgs); err != nil {
+		if err := c.absorb(c.ep.TryRecvAll()); err != nil {
 			return err
 		}
-		c.absorbed.Add(uint64(len(msgs)))
-
-		if c.cycle >= c.cfg.Cycles {
-			// Own trace finished; the last cycle's senders still ship
-			// frames for the cycle after it. Absorb them until the watcher
-			// closes the endpoint.
-			msgs := c.ep.RecvWait()
-			if msgs == nil {
-				return nil // closed: global termination
-			}
-			err := c.absorb(msgs)
-			c.absorbed.Add(uint64(len(msgs)))
-			if err != nil {
-				return err
-			}
-			continue
-		}
-
 		t0 := time.Now()
 		if err := c.processCycle(c.cycle); err != nil {
 			return err
@@ -145,6 +126,7 @@ func (c *cluster) run() error {
 		// threads.
 		runtime.Gosched()
 	}
+	return nil
 }
 
 // awaitSenders holds the cluster before its next cycle until the link from
@@ -219,11 +201,12 @@ func (c *cluster) holdBack() bool {
 }
 
 // absorb files the messages received between two cycles, every one a
-// frame, in their senders' FIFOs (absorbFrame).
+// frame, in their senders' FIFOs (absorbFrame), and counts them.
 func (c *cluster) absorb(msgs []comm.Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
+	c.absorbed += uint64(len(msgs))
 	for _, m := range msgs {
 		f, ok := m.(*frame)
 		if !ok {
@@ -247,10 +230,10 @@ func (c *cluster) pending() int64 {
 	return int64(n)
 }
 
-// publish stores the cluster's progress, its cycle: a lower bound on the
-// cycle of anything it will still send, which the quiescence tracker reads.
-// The watermark goes out first, so a receiver that sees the progress has
-// it too unless a link holds it.
+// publish stores the cluster's progress, its cycle, which the progress
+// watchdog and the coordinator's rounds read. The watermark goes out
+// first, so a receiver that sees the progress has it too unless a link
+// holds it.
 func (c *cluster) publish() {
 	c.ep.Mark(c.cycle)
 	c.progress[c.id].Store(c.cycle)
@@ -382,8 +365,9 @@ func (c *cluster) apply(cyc uint64) {
 }
 
 // endCycle closes cycle cyc once the machine has latched: it records the
-// observed nets, ships what the cycle sent, accounts its evaluations —
-// every own gate once — and publishes the next cycle.
+// observed nets, ships what the cycle sent unless it is the last one,
+// accounts its evaluations — every own gate once — and publishes the next
+// cycle.
 func (c *cluster) endCycle(cyc uint64) {
 	p := c.prog
 	// Record observed nets (post-latch state, matching sim.Value after
@@ -393,9 +377,11 @@ func (c *cluster) endCycle(cyc uint64) {
 	}
 
 	// Each receiver is shipped what it reads for the next cycle, before
-	// the cycle is published.
-	for j := range p.receivers {
-		c.ship(cyc+1, j)
+	// the cycle is published. Nobody executes the cycle after the last.
+	if cyc+1 < c.cfg.Cycles {
+		for j := range p.receivers {
+			c.ship(cyc+1, j)
+		}
 	}
 
 	evals := p.cycleCost()

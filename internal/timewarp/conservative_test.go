@@ -94,7 +94,7 @@ func TestConservativeClusterFailsOnAStraggler(t *testing.T) {
 	if err := b.run(); err == nil || !strings.Contains(err.Error(), "invariant violated: straggler") {
 		t.Errorf("a straggler reached a cluster that waits for its senders: error %v, want the run failed", err)
 	}
-	h.closeEndpoints()
+	h.abort()
 
 	stray := &frame{T: 3, Src: 1, Words: []uint64{1}}
 	if err := a.absorb([]comm.Message{stray}); err == nil || !strings.Contains(err.Error(), "misrouted") {

@@ -679,15 +679,15 @@ func TestDistributedPostMortem(t *testing.T) {
 	}
 
 	// The round history is the coordinator's gvt_round spans in trace.json:
-	// each carries exactly its five args, rounds ascending.
+	// each carries exactly its two args, rounds ascending.
 	var rounds int
 	var lastRound float64
 	for _, ev := range dec.Events {
 		if ev.Pid != 1 || ev.Phase != "X" || ev.Name != "gvt_round" {
 			continue
 		}
-		if got := sortedKeys(ev.Args); got != "frozen min_progress round" {
-			t.Fatalf("gvt_round span %d carries args %v, want round, min_progress, frozen", rounds, ev.Args)
+		if got := sortedKeys(ev.Args); got != "min_progress round" {
+			t.Fatalf("gvt_round span %d carries args %v, want round, min_progress", rounds, ev.Args)
 		}
 		if ev.Args["round"] <= lastRound {
 			t.Fatalf("gvt_round spans not ascending at span %d: round %v after %v", rounds, ev.Args["round"], lastRound)
@@ -849,10 +849,18 @@ func distSpecV7(s *DistSpec) []byte {
 	return append(nettrans.AppendU64(blob[:at:at], 8), blob[at:]...)
 }
 
-// distReportV8 encodes r in protocol version 8's layout, which ended a
-// report with two lists of per-era wire-frame tallies (one entry each).
-func distReportV8(r distReport) []byte {
+// distReportV12 encodes r in protocol version 12's layout, which ended a
+// report with the worker's message counters, sent and absorbed.
+func distReportV12(r distReport, sent, absorbed uint64) []byte {
 	blob := appendReport(nil, r)
+	return nettrans.AppendU64(nettrans.AppendU64(blob, sent), absorbed)
+}
+
+// distReportV8 encodes r in protocol version 8's layout, which followed
+// version 12's with two lists of per-era wire-frame tallies (one entry
+// each).
+func distReportV8(r distReport, sent, absorbed uint64) []byte {
+	blob := distReportV12(r, sent, absorbed)
 	for range 2 {
 		blob = nettrans.AppendU32(blob, 1)
 		blob = nettrans.AppendU64(nettrans.AppendU64(blob, r.Round-1), 2)
@@ -880,8 +888,11 @@ func FuzzDistProtoDecode(f *testing.F) {
 		Observe: []netlist.NetID{2, 0}}))
 	f.Add(appendReport(nil, distReport{Round: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}))
-	f.Add(distReportV8(distReport{Round: 3, Sent: 5, Absorbed: 5,
-		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}))
+	f.Add(distReportV8(distReport{Round: 3,
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}, 5, 5))
+	f.Add(distReportV12(distReport{Round: 3,
+		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}, 5, 5))
+	f.Add(distReportV12(distReport{Round: 1, Clusters: []clusterReport{{Cluster: 1}}}, 0, 0))
 	f.Add(appendResult(nil, distResult{Sent: 1, Absorbed: 1, WireSent: 3, WireRecv: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 1, Stats: Stats{Messages: 2}}},
 		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
@@ -929,7 +940,7 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			_, err := decodeAbort(p)
 			return err
 		}},
-		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry, Sent: 4, Absorbed: 4}), func(p []byte) error {
+		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry}), func(p []byte) error {
 			_, err := decodeReport(p, 2)
 			return err
 		}},
@@ -950,11 +961,15 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			t.Errorf("%s: one trailing byte: error %v, want it rejected", tc.name, err)
 		}
 	}
-	// A version-8 worker's report decodes field by field up to its era
-	// tallies, which only its length betrays.
-	v8 := distReportV8(distReport{Round: 2, Clusters: entry, Sent: 4, Absorbed: 4})
-	if _, err := decodeReport(v8, 2); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-		t.Errorf("report in version 8's layout: error %v, want it rejected", err)
+	// A version-8 or version-12 worker's report decodes field by field up
+	// to its message counters, which only its length betrays.
+	for v, blob := range map[int][]byte{
+		8:  distReportV8(distReport{Round: 2, Clusters: entry}, 4, 4),
+		12: distReportV12(distReport{Round: 2, Clusters: entry}, 4, 4),
+	} {
+		if _, err := decodeReport(blob, 2); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("report in version %d's layout: error %v, want it rejected", v, err)
+		}
 	}
 }
 

@@ -52,8 +52,10 @@ type CoordConfig struct {
 
 // Coordinator drives a distributed Time Warp run: it assigns clusters to
 // workers, runs the rounds (each folds the workers' reports into one
-// quiescence sample), detects crashed or wedged workers, and merges the
-// per-worker results into the same Result the in-process kernel returns.
+// sample of the clusters' published cycles), ends the run in the first
+// round in which every cluster reports Cycles, detects crashed or wedged
+// workers, and merges the per-worker results into the same Result the
+// in-process kernel returns.
 type Coordinator struct {
 	cfg       CoordConfig
 	ln        net.Listener
@@ -403,9 +405,10 @@ func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, w
 	return nil
 }
 
-// rounds is the quiescence loop: periodic cuts, report collection, one
-// quiescence sample per round, termination and the stall/crash watchdogs.
-// It owns the run from start to finish/abort.
+// rounds is the coordinator's loop: periodic cuts, report collection,
+// one progress sample per round, the end of the run once every cluster
+// reports Cycles, and the stall/crash watchdogs. It owns the run from
+// start to finish/abort.
 func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	k := cfg.Spec.K
@@ -417,16 +420,14 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 	var (
 		gRound    = reg.Gauge("dist_round", "rounds opened by the coordinator")
 		gMinProg  = reg.Gauge("dist_min_progress", "slowest cluster's reported cycle")
-		gFreeze   = reg.Gauge("dist_freeze_streak", "consecutive quiescent all-done rounds (two terminate the run)")
 		hRoundLat = reg.Histogram("dist_round_latency_us", "cut broadcast to last report (µs)",
 			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000})
 	)
 
 	var (
 		round    uint64
-		q        = newQuiescence(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
-		s        = sample{progress: make([]uint64, k)}
-		reported = make([]bool, k)
+		wd       = newWatchdog(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
+		progress = make([]uint64, k)
 	)
 
 	for {
@@ -451,7 +452,6 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		}
 
 		// Collect one report per worker and fold it into the sample.
-		s.sent, s.absorbed = 0, 0
 		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
 			r, err := decodeReport(f.payload, k)
 			if err != nil {
@@ -463,11 +463,8 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 			if err := co.noteStats(f.worker, r.Clusters); err != nil {
 				return err
 			}
-			s.sent += r.Sent
-			s.absorbed += r.Absorbed
 			for _, c := range r.Clusters {
-				s.progress[c.Cluster] = c.Cycle
-				reported[c.Cluster] = true
+				progress[c.Cluster] = c.Cycle
 			}
 			return nil
 		})
@@ -477,24 +474,20 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 		roundLatUS := int64(time.Since(roundT0) / time.Microsecond)
 		hRoundLat.Observe(float64(roundLatUS))
 
-		s.complete = true
-		for _, ok := range reported {
-			s.complete = s.complete && ok
-		}
-		s.now = time.Now()
-		v := q.step(s)
-		cfg.Probe.note(v.minProg, v.active)
+		v := wd.step(progress, time.Now())
+		cfg.Probe.note(v.minProg, v.moved)
 
 		// Round instrumentation, recorded after the verdict so the
 		// terminal round is captured with its final values. The gvt_round
 		// spans are the flight recorder's round history.
 		gMinProg.Set(int64(v.minProg))
-		gFreeze.Set(int64(q.doneStreak))
 		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
 			obs.Arg{Key: "round", Val: float64(round)},
-			obs.Arg{Key: "min_progress", Val: float64(v.minProg)},
-			obs.BoolArg("frozen", v.frozen))
-		if v.terminate {
+			obs.Arg{Key: "min_progress", Val: float64(v.minProg)})
+		// Every cluster has run its cycles: none waits for anything more,
+		// and each frame was absorbed before its receiver's last cycle
+		// (DESIGN §19).
+		if v.done {
 			return co.finish(conns, frames)
 		}
 		if v.abort != "" {
@@ -503,11 +496,12 @@ func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (
 	}
 }
 
-// finish tells every worker to wrap up, collects their results and
-// merges them into the kernel's Result shape. Workers ship their trace
-// tail just before the result, and each result's Stats overwrite the
-// reported ones, so the coordinator's trace and tw_* series are complete
-// — the series equal Result.PerCluster — by the time the Result exists.
+// finish tells every worker to collect its clusters, which have exited or
+// are about to, gathers their results and merges them into the kernel's
+// Result shape. Workers ship their trace tail just before the result, and
+// each result's Stats overwrite the reported ones, so the coordinator's
+// trace and tw_* series are complete — the series equal
+// Result.PerCluster — by the time the Result exists.
 func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	for i, conn := range conns {

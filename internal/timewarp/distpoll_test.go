@@ -210,11 +210,10 @@ func (f *meshFixture) hookPeer(t *testing.T, p int, written func()) (local net.C
 // TestMeshSendTalliesBeforeTheWrite: a data frame's message counts as sent
 // before its bytes reach the socket. The sender queues the frame and the
 // watermark flushes it; the peer can read, deliver and absorb the frame the
-// moment that one write returns. Were the send counted only after it, the
-// absorbed message could balance another still in flight, and two rounds
-// falling in the gap would freeze a run with a message on its way. Since
-// every frame carries one message counted this way, the freeze rule needs
-// no wire count of its own (DESIGN §19).
+// moment that one write returns. Were the send counted only after it, a
+// worker's sent counter could trail the absorbed messages it is checked
+// against at the end of a run (mergeResults); counted this way, every
+// frame is one message, and the check needs no wire count of its own.
 func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
 	f := newMeshFixture(t)
 	var sentAtWrite uint64

@@ -38,16 +38,13 @@ func decodeEnd(d *nettrans.Dec, what string) error {
 	return nil
 }
 
-// distReport is a worker's answer to a cut: its share of one quiescence
+// distReport is a worker's answer to a cut: its share of one progress
 // sample. Clusters lists only the clusters this worker owns, each with its
 // published cycle and its Stats — the coordinator's only source of
-// per-cluster kernel metrics; Sent/Absorbed are the worker-local
-// cumulative message counters whose global sums the freeze rule compares.
+// per-cluster kernel metrics.
 type distReport struct {
 	Round    uint64
 	Clusters []clusterReport
-	Sent     uint64
-	Absorbed uint64
 }
 
 // clusterReport is one cluster's entry of a round report or a result.
@@ -107,10 +104,7 @@ func decodeMark(p []byte, k int) (src int32, through uint64, err error) {
 
 func appendReport(dst []byte, r distReport) []byte {
 	dst = nettrans.AppendU64(dst, r.Round)
-	dst = appendClusters(dst, r.Clusters)
-	dst = nettrans.AppendU64(dst, r.Sent)
-	dst = nettrans.AppendU64(dst, r.Absorbed)
-	return dst
+	return appendClusters(dst, r.Clusters)
 }
 
 func decodeReport(p []byte, k int) (distReport, error) {
@@ -120,8 +114,6 @@ func decodeReport(p []byte, k int) (distReport, error) {
 	if r.Clusters, err = decodeClusters(d, k); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
-	r.Sent = d.U64()
-	r.Absorbed = d.U64()
 	if err := decodeEnd(d, "report"); err != nil {
 		return distReport{}, err
 	}
@@ -149,8 +141,8 @@ func decodeAbort(p []byte) (distAbort, error) {
 
 // distResult is a worker's final contribution: its clusters' statistics,
 // the waveforms of the observed nets it owns (bit-packed), and the final
-// counter values the coordinator folds into the global termination
-// invariant checks. WireSent and WireRecv are the data frames its mesh
+// counter values the coordinator folds into the end-of-run invariant
+// checks (mergeResults). WireSent and WireRecv are the data frames its mesh
 // wrote and read (zero in-process).
 type distResult struct {
 	Sent     uint64

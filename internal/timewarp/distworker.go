@@ -126,8 +126,7 @@ type distWorker struct {
 	peers     []*nettrans.Conn // indexed by worker id; nil at own slot
 
 	mesh *meshTransport
-	h    *host  // this worker's share of the clusters
-	smp  sample // scratch for reports and probe notes
+	h    *host // this worker's share of the clusters
 
 	stopPoll chan struct{}
 
@@ -159,7 +158,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 	}
 	w.mesh.net = w.h.net
 	w.mesh.routeMarks(w.h)
-	w.smp.progress = make([]uint64, w.spec.K)
 
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
 		return fmt.Errorf("timewarp: send ready: %w", err)
@@ -202,15 +200,14 @@ func (w *distWorker) run(peerAddrs []string) error {
 
 	err = w.controlLoop()
 
-	// Whatever ended the run, unwind in one order: stop polling, wake the
-	// clusters (making them abandon an unfinished run), wait for them, then
-	// stop the transport (flushing nothing on the clean path, draining into
+	// Whatever ended the run, unwind in one order: stop polling, make the
+	// clusters abandon an unfinished run, wait for them, then stop the
+	// transport (flushing no message on the clean path, draining into
 	// closed endpoints on abort).
 	close(w.stopPoll)
 	if err != nil {
-		w.h.cancelled.Store(true)
+		w.h.abort()
 	}
-	w.h.closeEndpoints()
 	if cerr := w.h.wait(); cerr != nil {
 		err = cerr
 	}
@@ -243,9 +240,8 @@ func (w *distWorker) controlLoop() error {
 			// Piggyback the trace ring's new tail on the round cadence.
 			w.shipTrace(false)
 		case nettrans.FrameFinish:
-			// Quiescent and done: wake the clusters, let them drain out,
+			// Every cluster has run its cycles: let the local ones return,
 			// then ship the trace tail and the merged local result.
-			w.h.closeEndpoints()
 			w.h.wg.Wait()
 			w.shipTrace(true)
 			r := w.h.collect()
@@ -294,23 +290,22 @@ func (w *distWorker) shipTrace(force bool) {
 	w.traceCursor = next
 }
 
-// report snapshots the worker-local counters for one round, and notes the
-// progress of its own clusters on the worker's liveness probe.
+// report snapshots the published cycle and the counters of each local
+// cluster for one round, and notes their progress on the worker's
+// liveness probe.
 func (w *distWorker) report(round uint64) distReport {
-	w.h.sample(&w.smp)
-	w.h.note(&w.smp, true)
-	r := distReport{Round: round, Sent: w.smp.sent, Absorbed: w.smp.absorbed}
+	r := distReport{Round: round}
 	for _, cl := range w.h.clusters {
 		r.Clusters = append(r.Clusters, clusterReport{
-			Cluster: cl.id, Cycle: w.smp.progress[cl.id], Stats: cl.stats.Snapshot()})
+			Cluster: cl.id, Cycle: w.h.progress[cl.id].Load(), Stats: cl.stats.Snapshot()})
 	}
+	w.h.note()
 	return r
 }
 
 // pollLoop pumps the mesh sockets on a tick. Clusters poll them only while
-// they wait for a watermark; one asleep in AwaitHeard, or in RecvWait at
-// the end of its trace, polls nothing, and what it waits for must still
-// arrive.
+// they wait for a watermark; one asleep in AwaitHeard polls nothing, and
+// what it waits for must still arrive.
 func (w *distWorker) pollLoop() {
 	tick := time.NewTicker(300 * time.Microsecond)
 	defer tick.Stop()
@@ -522,9 +517,9 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	conn := t.w.peers[owner]
 
 	// The message already counts as sent (Endpoint.Send counted it before
-	// calling here), so until its receiver absorbs it no quiescence sample
-	// can freeze: the frame in the buffer or on the wire needs no count of
-	// its own.
+	// calling here), and its receiver absorbs it before the cycle it is
+	// stamped with: the frame in the buffer or on the wire needs no count
+	// of its own.
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, nil)

@@ -145,7 +145,7 @@ func TestAbsorbRefusesBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.closeEndpoints()
+	defer h.abort()
 	a, b := h.clusters[0], h.clusters[1]
 	in := b.prog.inputs(0)
 	if len(in) != 1 || !slices.Equal(b.prog.senders, []int32{0}) || !slices.Equal(a.prog.receivers, []int32{1}) {
@@ -223,7 +223,7 @@ func TestLinkFramesArriveInOrder(t *testing.T) {
 				return false
 			}
 		}
-		return h.net.TotalSent() == h.absorbed.Load()
+		return true
 	}
 	look := func(c *cluster) {
 		msgs := c.ep.TryRecvAll()
@@ -238,7 +238,6 @@ func TestLinkFramesArriveInOrder(t *testing.T) {
 		if err := c.absorb(msgs); err != nil {
 			t.Fatal(err)
 		}
-		h.absorbed.Add(uint64(len(msgs)))
 		if err := c.checkLogs(); err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +265,12 @@ func TestLinkFramesArriveInOrder(t *testing.T) {
 	if len(last) == 0 {
 		t.Fatal("no frame crossed a link")
 	}
-	got := map[netlist.NetID][]bool{}
-	for _, o := range h.collect().Observed {
-		got[o.Net] = o.Values
+	// Each frame was absorbed before the cycle it is stamped with: once
+	// every cluster has run its cycles, none is left on a link.
+	res := mergeResults(k, []*distResult{h.collect()})
+	if len(res.InvariantViolations) > 0 {
+		t.Fatalf("after the last cycles: %v", res.InvariantViolations)
 	}
-	compareObserved(t, nl, state, got, seqOracle(t, nl, state, cycles, seed), "hand-stepped")
-	h.closeEndpoints()
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, cycles, seed), "hand-stepped")
+	h.abort()
 }

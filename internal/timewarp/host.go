@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,17 +64,18 @@ func (cfg *Config) prepare() (*sim.Sweep, *replicas, error) {
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
-// network, the shared progress / absorbed words, and the clusters this
-// process simulates. Run is a host owning all K clusters plus the
-// quiescence loop; a distributed worker is a host owning its placement
-// share plus the mesh and the coordinator's control loop.
+// network, the shared progress words, and the clusters this process
+// simulates. Run is a host owning all K clusters, watched by the progress
+// watchdog when the run asks for one; a distributed worker is a host
+// owning its placement share plus the mesh and the coordinator's control
+// loop. Each cluster counts what it absorbed itself, and collect sums the
+// counts once the clusters have exited.
 type host struct {
 	cfg       Config     // validated, defaults filled
 	mode      string     // pprof label: "tw" in-process, "dist" in a worker
 	sweep     *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
 	net       *comm.Network
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
-	absorbed  atomic.Uint64   // messages fully absorbed by local clusters
 	cancelled atomic.Bool     // any failure: every cluster abandons the run
 	clusters  []*cluster      // the clusters this process runs
 
@@ -142,7 +144,8 @@ func (h *host) start(onFail func(error)) {
 }
 
 // wait blocks until every local cluster goroutine exited and returns the
-// first cluster failure. Clusters exit once their endpoints are closed.
+// first cluster failure. A cluster exits after its last cycle, or when the
+// run is abandoned.
 func (h *host) wait() error {
 	h.wg.Wait()
 	return h.failure()
@@ -154,52 +157,33 @@ func (h *host) failure() error {
 	return h.err
 }
 
-// abort makes every local cluster abandon the run.
+// abort makes every local cluster abandon the run: a cluster blocked on a
+// watermark wakes when its endpoint closes.
 func (h *host) abort() {
 	h.cancelled.Store(true)
-	h.closeEndpoints()
-}
-
-// closeEndpoints wakes every blocked cluster; one that has finished its
-// trace then exits — the termination signal — and one still waiting for a
-// watermark abandons the run.
-func (h *host) closeEndpoints() {
 	for c := 0; c < h.cfg.K; c++ {
 		h.net.Endpoint(c).Close()
 	}
 }
 
-// sample reads the host's counters into s: the message totals and the
-// published cycle of every local cluster (other entries of s.progress are
-// left alone).
-func (h *host) sample(s *sample) {
-	s.sent = h.net.TotalSent()
-	s.absorbed = h.absorbed.Load()
-	for _, cl := range h.clusters {
-		s.progress[cl.id] = h.progress[cl.id].Load()
-	}
-}
-
-// note feeds the liveness probe from s, a sample this host just took.
-func (h *host) note(s *sample, active bool) {
+// note feeds the liveness probe the slowest local cluster's published
+// cycle, as activity.
+func (h *host) note() {
 	if h.cfg.Probe == nil {
 		return
 	}
-	minProg := s.progress[h.clusters[0].id]
-	for _, cl := range h.clusters[1:] {
-		minProg = min(minProg, s.progress[cl.id])
+	minProg := uint64(math.MaxUint64)
+	for _, cl := range h.clusters {
+		minProg = min(minProg, h.progress[cl.id].Load())
 	}
-	h.cfg.Probe.note(minProg, active)
+	h.cfg.Probe.note(minProg, true)
 }
 
 // collect gathers what the local clusters produced, after they exited.
 func (h *host) collect() *distResult {
-	res := &distResult{
-		Sent:     h.net.TotalSent(),
-		Absorbed: h.absorbed.Load(),
-		InFlight: h.net.InFlight(),
-	}
+	res := &distResult{Sent: h.net.TotalSent(), InFlight: h.net.InFlight()}
 	for _, cl := range h.clusters {
+		res.Absorbed += cl.absorbed
 		res.Clusters = append(res.Clusters, clusterReport{
 			Cluster: cl.id, Cycle: h.progress[cl.id].Load(), Stats: cl.stats.Snapshot()})
 		for i, n := range cl.prog.obsOwn {
@@ -210,10 +194,11 @@ func (h *host) collect() *distResult {
 }
 
 // mergeResults folds the per-process results of a terminated run into its
-// Result and checks the global termination invariants: a clean run
-// reports each cluster once, leaves no message in flight, every sent
-// message absorbed, every wire frame written also read, and every changed
-// value a cluster shipped carried by exactly one frame.
+// Result and checks the end-of-run invariants. A run ends by count and
+// does not rest on them; they detect faults: a clean run reports each
+// cluster once, leaves no message in flight, every sent message absorbed,
+// every wire frame written also read, and every changed value a cluster
+// shipped carried by exactly one frame.
 // FinalGVT is the smallest cycle the clusters reported.
 func mergeResults(k int, parts []*distResult) *Result {
 	res := &Result{

@@ -34,19 +34,16 @@ type Config struct {
 	// the adversarial delivery schedule the fuzz harness uses to hold
 	// frames and watermarks on their links.
 	Transport comm.TransportFactory
-	// StallTimeout, when positive, makes the watcher abort the run with
-	// an error if no cluster makes progress and no message moves for this
-	// long before termination — a genuinely wedged cluster becomes a
-	// test failure instead of a hang. Zero keeps the previous behaviour
-	// (wait forever). Chaos-transport stall schedules hold messages for
-	// a few milliseconds at most, so harness timeouts in the seconds
-	// range never trip on them.
+	// StallTimeout, when positive, makes the progress watchdog abort the
+	// run with an error if no cluster's published cycle moves for this
+	// long before every cluster has run its cycles — a genuinely wedged
+	// cluster becomes a test failure instead of a hang. Zero waits forever.
+	// Chaos-transport stall schedules hold messages for a few milliseconds
+	// at most, so harness timeouts in the seconds range never trip on them.
 	StallTimeout time.Duration
 	// RunTimeout, when positive, is a hard wall-clock cap on the whole
-	// run: the watcher aborts with an error once it is exceeded even while
-	// activity continues. It catches livelock — activity that never ends
-	// the run — which the inactivity-based StallTimeout by construction
-	// cannot see. Zero = unbounded.
+	// run: the watchdog aborts with an error once it is exceeded even while
+	// clusters still move. Zero = unbounded.
 	RunTimeout time.Duration
 	// Faults injects deliberate kernel misbehaviour so the fuzz harness
 	// can prove it detects regressions. Nil (always, outside harness
@@ -61,9 +58,10 @@ type Config struct {
 	// yields the committed-event critical path after the run. Nil disables
 	// recording; every hot-path site then costs one branch.
 	Causality *causality.Recorder
-	// Probe, when non-nil, receives live liveness state from the watcher
-	// (minimum progress, last-activity time) — the read-only feed behind
-	// the monitoring server's /healthz.
+	// Probe, when non-nil, receives live liveness state from the progress
+	// watchdog (minimum progress, when a cluster last moved) — the
+	// read-only feed behind the monitoring server's /healthz. A run starts
+	// the watchdog only when it has a Probe, a StallTimeout or a RunTimeout.
 	Probe *Probe
 }
 
@@ -71,6 +69,7 @@ type Config struct {
 type Stats struct {
 	// Messages counts the changed flip-flop values shipped across the cut,
 	// once per receiver: the events an event-per-change link would carry.
+	// The last cycle ships nothing, since no cycle reads what it latched.
 	Messages uint64
 	// Events counts gate evaluations executed: every cycle a cluster
 	// executes evaluates each own gate and copy, flip-flops too, once
@@ -117,8 +116,8 @@ type Result struct {
 	// PerCluster breaks the statistics down by machine, the view the
 	// paper's per-processor plots use.
 	PerCluster []Stats
-	// FinalGVT is the slowest cluster's published cycle at termination:
-	// Cycles on clean termination.
+	// FinalGVT is the slowest cluster's published cycle at the end of the
+	// run: Cycles on a clean run.
 	FinalGVT uint64
 	// InvariantViolations lists kernel invariants found broken at
 	// termination: messages left in flight or unabsorbed, wire frames
@@ -132,12 +131,12 @@ type Result struct {
 	WireFramesRecv uint64
 }
 
-// watcherInterval is the poll period of Run's quiescence loop.
+// watcherInterval is the poll period of Run's progress watchdog.
 const watcherInterval = 200 * time.Microsecond
 
 // Run executes the parallel simulation and returns the committed waveforms
-// plus kernel statistics: one host owning all K clusters, sampled into the
-// quiescence tracker until it terminates or aborts the run.
+// plus kernel statistics: one host owning all K clusters, which returns
+// once every cluster has run its cycles.
 func Run(cfg Config) (*Result, error) {
 	h, err := newHost(cfg, "tw", nil)
 	if err != nil {
@@ -146,7 +145,8 @@ func Run(cfg Config) (*Result, error) {
 	return h.run()
 }
 
-// run drives a host owning all K clusters from start to termination.
+// run drives a host owning all K clusters from start to the end of their
+// last cycles.
 func (h *host) run() (*Result, error) {
 	cfg := h.cfg
 	cfg.Causality.Attach(cfg.K, cfg.Cycles)
@@ -154,39 +154,21 @@ func (h *host) run() (*Result, error) {
 	runT0 := cfg.Obs.Start()
 
 	h.start(nil)
-	q := newQuiescence(cfg.K, cfg.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
-	var abortErr error
-	obs.Labeled("tw", obs.TrackKernel, "watcher", func() {
-		s := sample{progress: make([]uint64, cfg.K), complete: true}
-		for h.failure() == nil { // a failing cluster stops its peers itself
-			time.Sleep(watcherInterval)
-			h.sample(&s)
-			s.now = time.Now()
-			v := q.step(s)
-			h.note(&s, v.active)
-			if v.terminate {
-				h.closeEndpoints()
-				return
-			}
-			if v.abort != "" {
-				abortErr = fmt.Errorf("timewarp: %s", v.abort)
-				h.abort()
-				return
-			}
-		}
-	})
-	if err := h.wait(); err != nil {
-		abortErr = err
+	stop := h.watch()
+	err := h.wait()
+	if werr := stop(); err == nil {
+		err = werr
 	}
-	// Stop background delivery. On clean termination the transport holds
-	// nothing (absorbed == sent gates the close); on abort it flushes into
-	// the already-closed endpoints, preserving exactly-once accounting.
+	// Stop background delivery. On a clean run the transport holds no
+	// message, only watermarks; on abort it flushes into the already-closed
+	// endpoints, preserving exactly-once accounting.
 	h.net.CloseTransport()
 
-	if abortErr != nil {
-		cfg.Probe.finish(abortErr)
-		return nil, abortErr
+	if err != nil {
+		cfg.Probe.finish(err)
+		return nil, err
 	}
+	h.note()
 	cfg.Probe.finish(nil)
 	res := mergeResults(cfg.K, []*distResult{h.collect()})
 	cfg.Obs.Span(obs.TrackKernel, "timewarp.run", runT0,
@@ -194,4 +176,47 @@ func (h *host) run() (*Result, error) {
 		obs.Arg{Key: "cycles", Val: float64(cfg.Cycles)},
 		obs.Arg{Key: "messages", Val: float64(res.Stats.Messages)})
 	return res, nil
+}
+
+// watch starts the progress watchdog on its own goroutine when the run
+// asks for it (a StallTimeout, a RunTimeout or a Probe). Every
+// watcherInterval it samples the published cycles, feeds the probe, and
+// aborts the run on a stall or past the hard cap. stop ends it and returns
+// the abort's error, if it aborted.
+func (h *host) watch() (stop func() error) {
+	cfg := h.cfg
+	if cfg.StallTimeout <= 0 && cfg.RunTimeout <= 0 && cfg.Probe == nil {
+		return func() error { return nil }
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	var abortErr error
+	go obs.Labeled("tw", obs.TrackKernel, "watcher", func() {
+		defer close(exited)
+		wd := newWatchdog(cfg.K, cfg.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
+		progress := make([]uint64, cfg.K)
+		tick := time.NewTicker(watcherInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			for c := range progress {
+				progress[c] = h.progress[c].Load()
+			}
+			v := wd.step(progress, time.Now())
+			cfg.Probe.note(v.minProg, v.moved)
+			if v.abort != "" {
+				abortErr = fmt.Errorf("timewarp: %s", v.abort)
+				h.abort()
+				return
+			}
+		}
+	})
+	return func() error {
+		close(quit)
+		<-exited
+		return abortErr
+	}
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // Probe is a read-only, lock-free view of the run's liveness, fed by the
-// termination watcher: last activity time and minimum cluster progress. It is the state behind the
-// monitoring server's /healthz — a wedged run turns into a 503 instead of
-// a hanging scrape. Create one with NewProbe, pass it in Config.Probe,
-// and read State from any goroutine at any time. A nil Probe is valid and
-// disables the updates.
+// progress watchdog (Run's watcher, the coordinator's rounds, a worker's
+// round reports): when a cluster last moved and the minimum cluster
+// progress. It is the state behind the monitoring server's /healthz — a
+// wedged run turns into a 503 instead of a hanging scrape. Create one with
+// NewProbe, pass it in Config.Probe, and read State from any goroutine at
+// any time. A nil Probe is valid and disables the updates.
 type Probe struct {
 	attached    atomic.Bool
 	done        atomic.Bool
@@ -42,13 +43,13 @@ type ProbeState struct {
 	MinProgress uint64 `json:"min_progress"`
 	// Cycles is the run's target length.
 	Cycles uint64 `json:"cycles"`
-	// LastAdvance is when the watcher last saw activity (progress or
-	// message traffic).
+	// LastAdvance is when the watchdog last saw a cluster's published
+	// cycle move.
 	LastAdvance time.Time `json:"last_advance"`
 }
 
 // State reads a consistent-enough snapshot (each field individually
-// exact; the set is skewed by at most one watcher poll). Safe from any
+// exact; the set is skewed by at most one watchdog sample). Safe from any
 // goroutine, including while the kernel runs.
 func (p *Probe) State() ProbeState {
 	if p == nil {
@@ -114,8 +115,8 @@ func (p *Probe) attach(cycles uint64) {
 	p.attached.Store(true)
 }
 
-// note publishes one watcher poll. active marks observed progress or
-// message traffic since the previous poll.
+// note publishes one watchdog sample. active marks a cluster that moved
+// since the previous sample.
 func (p *Probe) note(minProgress uint64, active bool) {
 	if p == nil {
 		return
