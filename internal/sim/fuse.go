@@ -52,7 +52,10 @@ func (p *Program) Load(slots, values []bool) {
 // output at once: over a program Fuse built from a topological table it
 // settles every record's output to the unique state its inputs imply.
 // Each record is four loads, three address additions (the sum of the
-// scaled inputs), a bit test and one store, with no branch.
+// scaled inputs), a bit test and one store; each of the four loads is
+// bounds-checked, since an int32 slot may lie past slots. It is the
+// reference loop, and the one a Machine runs over more than narrowSlots
+// slots; a smaller Machine settles its narrow records (settleNarrow).
 func Settle(p *Program, slots []bool) {
 	tab := p.Tab
 	out := slots[p.Base:][:len(tab)]
@@ -60,6 +63,40 @@ func Settle(p *Program, slots []bool) {
 		r := &tab[i]
 		x := uint(b2u(slots[r.In[0]])) + 2*uint(b2u(slots[r.In[1]])) + 4*uint(b2u(slots[r.In[2]])) + 8*uint(b2u(slots[r.In[3]]))
 		out[i] = uint(r.TT)>>(x&15)&1 != 0 // x < 16: the mask spares the shift its range check
+	}
+}
+
+// narrowSlots is the most slots a program may have for a Machine to settle
+// it from narrowGate records over one array of exactly that many slots.
+const narrowSlots = 1 << 16
+
+// narrowGate is a FusedGate of a program of at most narrowSlots slots, its
+// input slots in 16 bits: 10 bytes instead of 20, so twice the records
+// share a cache line.
+type narrowGate struct {
+	In [4]uint16
+	TT uint16
+}
+
+// narrow returns tab's records as narrowGates; every slot they read must
+// be below narrowSlots.
+func narrow(tab []FusedGate) []narrowGate {
+	n := make([]narrowGate, len(tab))
+	for i, r := range tab {
+		n[i] = narrowGate{In: [4]uint16{uint16(r.In[0]), uint16(r.In[1]), uint16(r.In[2]), uint16(r.In[3])}, TT: r.TT}
+	}
+	return n
+}
+
+// settleNarrow is Settle over a program's narrow records, with the output
+// of record i at slot base+i: the same loads, sum, bit test and store, and
+// no bounds check, since a uint16 cannot index past a narrowSlots array.
+func settleNarrow(tab []narrowGate, base int32, slots *[narrowSlots]bool) {
+	out := slots[base:][:len(tab)]
+	for i := range tab {
+		r := &tab[i]
+		x := uint(b2u(slots[r.In[0]])) + 2*uint(b2u(slots[r.In[1]])) + 4*uint(b2u(slots[r.In[2]])) + 8*uint(b2u(slots[r.In[3]]))
+		out[i] = uint(r.TT)>>(x&15)&1 != 0
 	}
 }
 
@@ -73,18 +110,22 @@ func Settle(p *Program, slots []bool) {
 // Fuse walks the gates backwards and folds one into the one record that
 // reads its output when that output is not live, when that reader is the
 // output's only reader in the table, and when the reader keeps at most
-// four distinct inputs. Then it folds every record whose output is neither
+// four distinct inputs. Then it drops every record whose output is neither
+// live nor named and that no record it keeps reads (prune): nothing reads
+// what those compute. Then it folds every record whose output is neither
 // live nor named into all the records that read it, to a fixed point,
 // while each of them keeps at most four distinct inputs (share): a gate
-// read by several records is evaluated in each. So only the outputs of the
-// records Fuse returns are written by Settle; a folded gate's output has
-// no slot, and live must report true for every net the table drives that
-// named lists. Every bit of a fused table is read from the folded gates'
-// tables on the 16 input combinations, and those are EvalGate's answers,
-// so it is EvalGate's answer by construction, as Truth's bits are. The
-// records are in topological order. One walk makes them into a table with
-// room for one per gate, which Fuse returns as it is: a copy at their
-// exact number would allocate more than it saves.
+// read by several records is evaluated in each, and a fold hands the
+// folded record's inputs to its readers, so it leaves no record unread.
+// So only the outputs of the records Fuse returns are written by Settle; a
+// folded or dropped gate's output has no slot, and live must report true
+// for every net the table drives that named lists. Every bit of a fused
+// table is read from the folded gates' tables on the 16 input
+// combinations, and those are EvalGate's answers, so it is EvalGate's
+// answer by construction, as Truth's bits are. The records are in
+// topological order. One walk makes them into a table with room for one
+// per gate, which Fuse returns as it is: a copy at their exact number
+// would allocate more than it saves.
 func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, named []netlist.NetID) (Program, []int32) {
 	links := 0 // the chain links' outputs, numbered after the nets
 	for i := range tab {
@@ -111,6 +152,7 @@ func Fuse(nl *netlist.Netlist, tab []TruthGate, live func(netlist.NetID) bool, n
 	// The walk made the records last first.
 	slices.Reverse(w.recs)
 	slices.Reverse(w.outs)
+	w.prune(nets, live, named)
 	w.share(nets, live, named)
 	recs := w.recs
 
@@ -384,6 +426,31 @@ func (w *fuser) share(nets int32, live func(netlist.NetID) bool, named []netlist
 		}
 	}
 	w.recs, w.outs = recs[:k], outs[:k]
+}
+
+// prune drops every record whose output is neither live nor named and that
+// no record kept reads, walking the topological records backwards: a
+// record's readers lie after it, so one walk reaches the fixed point. The
+// records' inputs are IDs.
+func (w *fuser) prune(nets int32, live func(netlist.NetID) bool, named []netlist.NetID) {
+	read := w.reader // nonzero: named, or read by a record kept
+	clear(read)
+	for _, n := range named {
+		read[n] = 1
+	}
+	k := len(w.recs)
+	for r := len(w.recs) - 1; r >= 0; r-- {
+		o := w.outs[r]
+		if read[o] == 0 && (o >= nets || !live(netlist.NetID(o))) {
+			continue
+		}
+		for _, v := range w.recs[r].In {
+			read[v] = 1
+		}
+		k--
+		w.recs[k], w.outs[k] = w.recs[r], o
+	}
+	w.recs, w.outs = w.recs[k:], w.outs[k:]
 }
 
 // pieces appends to chain the pieces of gate t, last first: one for a gate

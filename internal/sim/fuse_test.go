@@ -66,11 +66,13 @@ var fuseFamilies = []func() (*elab.Design, error){
 // ones first in the order named — then one per record, each a net the
 // slice drives once or a chain link; record i must read only slots below
 // Base+i, each distinct input once and the rest repeating the first; every
-// named net must map to its slot, a live one to a record's; no record that
-// is neither live nor named may fold into all its readers (foldable); and
-// settling the program over slots loaded from the net values must leave
-// every record's net, read through the map, as settling the slice gate by
-// gate leaves it.
+// named net must map to its slot, a live one to a record's; every record
+// that is neither live nor named must have a reader, and none may fold
+// into all its readers (foldable); settling the program over slots loaded
+// from the net values must leave every record's net, read through the
+// map, as settling the slice gate by gate leaves it; and the narrow
+// records, settled from the same slots over a narrowSlots array, must
+// leave every slot as Settle does.
 func FuzzFuse(f *testing.F) {
 	for fam := range fuseFamilies {
 		f.Add(uint8(fam), uint8(255), uint8(0), int64(fam))
@@ -161,7 +163,11 @@ func FuzzFuse(f *testing.F) {
 		for _, n := range named {
 			isNamed[n] = true
 		}
-		if i, ok := foldable(&p, func(n netlist.NetID) bool { return live[n] || isNamed[n] }); ok {
+		kept := func(n netlist.NetID) bool { return live[n] || isNamed[n] }
+		if i, ok := unread(&p, kept); ok {
+			t.Fatalf("record %d (%v) is neither live nor named, and no record reads it", i, p.Tab[i])
+		}
+		if i, ok := foldable(&p, kept); ok {
 			t.Fatalf("record %d (%v) folds into all its readers", i, p.Tab[i])
 		}
 
@@ -174,6 +180,8 @@ func FuzzFuse(f *testing.F) {
 			got[s] = rng.Intn(2) == 1 // what a chain link's slot holds does not matter
 		}
 		p.Load(got, want)
+		var fixed [narrowSlots]bool // len(p.Nets) is far below narrowSlots
+		copy(fixed[:], got)
 		for i := range slice {
 			if g := &slice[i]; g.TT < Wide {
 				want[g.Out] = g.Eval(want)
@@ -185,6 +193,12 @@ func FuzzFuse(f *testing.F) {
 		for s, n := range p.Nets {
 			if n != NoNet && got[s] != want[n] {
 				t.Fatalf("net %s (slot %d, live %v): fused %v, gate by gate %v", nl.Nets[n].Name, s, live[n], got[s], want[n])
+			}
+		}
+		settleNarrow(narrow(p.Tab), p.Base, &fixed)
+		for s := range got {
+			if got[s] != fixed[s] {
+				t.Fatalf("slot %d: Settle %v, the narrow records %v", s, got[s], fixed[s])
 			}
 		}
 	})
@@ -299,6 +313,24 @@ func TestFuseFoldsThroughFanout(t *testing.T) {
 // all is the kept of a Machine over a sweep's whole table.
 func all(netlist.GateID) bool { return true }
 
+// unread returns a record of p whose output keep does not report and that
+// no record reads, when there is one. A chain link's output is never kept.
+func unread(p *Program, keep func(netlist.NetID) bool) (int, bool) {
+	read := make([]bool, len(p.Nets))
+	for _, r := range p.Tab {
+		for _, s := range r.In {
+			read[s] = true
+		}
+	}
+	for i := range p.Tab {
+		s := p.Base + int32(i)
+		if n := p.Nets[s]; !read[s] && (n == NoNet || !keep(n)) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // foldable returns a record of p whose output keep does not report and
 // that every record reading it could absorb within four distinct inputs,
 // when there is one. A chain link's output is never kept.
@@ -333,8 +365,9 @@ func foldable(p *Program, keep func(netlist.NetID) bool) (int, bool) {
 }
 
 // BenchmarkSettle times one settle of the full two-channel SoC's table:
-// the sweep's TruthGate records, and the same table fused as a one-cluster
-// run fuses it.
+// the sweep's TruthGate records, the same table fused as a one-cluster run
+// fuses it and settled by Settle, and its narrow records settled over a
+// narrowSlots array, as a Machine settles them.
 func BenchmarkSettle(b *testing.B) {
 	ed, err := gen.ViterbiSoC(gen.DefaultSoC).Elaborate()
 	if err != nil {
@@ -359,6 +392,14 @@ func BenchmarkSettle(b *testing.B) {
 			Settle(&p, slots)
 		}
 		b.ReportMetric(float64(len(p.Tab)), "records")
+	})
+	tab, fixed := narrow(p.Tab), new([narrowSlots]bool)
+	p.Load(fixed[:len(p.Nets)], values)
+	b.Run("narrow", func(b *testing.B) {
+		for range b.N {
+			settleNarrow(tab, p.Base, fixed)
+		}
+		b.ReportMetric(float64(len(tab)), "records")
 	})
 }
 
