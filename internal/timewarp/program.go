@@ -148,7 +148,7 @@ func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []in
 	}
 	for c := range records {
 		_, m := compile(sw, gateParts, rep, int32(c), nl.POs)
-		records[c] = len(m.Tab)
+		records[c] = len(m.Records())
 	}
 	return copies, records, nil
 }
