@@ -36,7 +36,7 @@ fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
 	$(GO) test ./internal/timewarp ./internal/comm -run 'TestConservative|TestStraggler|TestOneWay|TestChaos|TestAwaitHeard|TestStallWatcher|TestProbe|TestCountTermination' -count=5
-	$(GO) test ./internal/timewarp ./internal/fuzz -run 'TestMesh|TestDistributedThreeWorkers|TestDistributedFuzzSpecs' -count=5
+	$(GO) test ./internal/timewarp ./internal/fuzz -run 'TestMesh|TestDistributedThreeWorkers|TestDistributedSilentWorkerAborts|TestDistributedFuzzSpecs' -count=5
 	$(GO) test -race ./internal/timewarp ./internal/comm -run 'TestConservative|TestDifferential|TestChaos'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzLinkFrames -fuzztime 20s
@@ -179,7 +179,7 @@ dist-postmortem:
 	./obscheck.dist -prom dist-postmortem.bundle/metrics.prom -trace dist-postmortem.bundle/trace.json \
 		|| { echo "post-mortem artifacts invalid"; exit 1; }; \
 	grep -q '"reason"' dist-postmortem.bundle/probes.json || { echo "probes.json has no abort reason"; exit 1; }; \
-	grep -q '"gvt_round"' dist-postmortem.bundle/trace.json || { echo "trace.json has no GVT rounds"; exit 1; }; \
+	grep -q '"dist_min_progress"' dist-postmortem.bundle/trace.json || { echo "trace.json has no progress samples"; exit 1; }; \
 	grep -q 'goroutine' dist-postmortem.bundle/goroutines.txt || { echo "goroutines.txt has no goroutines"; exit 1; }; \
 	echo "dist-postmortem: bundle complete and valid after worker kill"
 

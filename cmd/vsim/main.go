@@ -214,7 +214,7 @@ func main() {
 
 	case "dist":
 		// The coordinator's observer holds every cluster's tw_* series,
-		// fed by the workers' round reports, and the merged trace, so one
+		// fed by the workers' reports, and the merged trace, so one
 		// -metrics dump or /metrics scrape covers the whole cluster. The
 		// flight recorder (-postmortem-dir) needs it too.
 		var o *obs.Observer

@@ -1,8 +1,9 @@
 // Command vsimd is the worker daemon of a distributed Time Warp run. It
 // dials a vsim coordinator (-mode dist), receives its cluster assignment
 // and the run specification over the control connection, meshes with its
-// peer workers over TCP, and simulates its share of the clusters until
-// the coordinator finishes or aborts the run. It carries no design
+// peer workers over TCP, and simulates its share of the clusters,
+// reporting their progress to the coordinator on a heartbeat, until the
+// coordinator finishes or aborts the run. It carries no design
 // inputs of its own — the coordinator ships the Verilog source and the
 // partition, and every worker re-elaborates them deterministically.
 //
@@ -11,9 +12,8 @@
 // clusters it runs), and /healthz answers 503 as soon as the worker's
 // kernel probe reports the run wedged or failed — the hook a process
 // supervisor or Kubernetes liveness check wants. The coordinator's scrape
-// already carries the clusters' counters (every round report does), so
-// -serve and -metrics are for what only this process holds: queue
-// lengths and comm_inflight.
+// already carries the clusters' counters (every report does), so -serve
+// and -metrics are for what only this process holds: queue lengths.
 //
 // Examples:
 //

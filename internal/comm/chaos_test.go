@@ -37,9 +37,6 @@ func TestChaosPreservesPerLinkFIFO(t *testing.T) {
 			t.Fatalf("message %d delivered out of order: %v", i, m)
 		}
 	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight %d after full drain", n.InFlight())
-	}
 }
 
 // TestChaosPreservesBatchOrder sends slice-valued payloads (the batched
@@ -94,17 +91,13 @@ func TestChaosPreservesBatchOrder(t *testing.T) {
 	}
 }
 
-func TestChaosInFlightCountsHeldMessages(t *testing.T) {
-	// Huge delays: everything sits in transport limbo, yet InFlight must
-	// count it — the kernel's termination logic depends on held messages
-	// staying visible as in flight.
+func TestChaosCloseFlushesHeldMessages(t *testing.T) {
+	// Huge delays: everything sits in transport limbo until CloseTransport,
+	// which must deliver every held message, in link order.
 	n := NewNetworkTransport(2, Chaos(ChaosConfig{Seed: 3, MaxDelay: time.Hour}))
 	const count = 50
 	for i := 0; i < count; i++ {
 		n.Endpoint(0).Send(1, i)
-	}
-	if got := n.InFlight(); got != count {
-		t.Fatalf("in flight %d, want %d (held messages must count)", got, count)
 	}
 	if got := n.Endpoint(1).TryRecvAll(); got != nil {
 		t.Fatalf("messages delivered despite hour-long delay: %v", got)
@@ -119,9 +112,6 @@ func TestChaosInFlightCountsHeldMessages(t *testing.T) {
 		if m != i {
 			t.Fatalf("flush broke FIFO at %d: %v", i, m)
 		}
-	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight %d after flush and drain", n.InFlight())
 	}
 }
 
@@ -161,9 +151,6 @@ func TestChaosConcurrentSendersExactlyOnce(t *testing.T) {
 		}(dst)
 	}
 	wg.Wait()
-	if n.TotalSent() != 6*per {
-		t.Fatalf("total sent %d, want %d", n.TotalSent(), 6*per)
-	}
 	for dst := 0; dst < 3; dst++ {
 		if len(recv[dst]) != 2*per {
 			t.Fatalf("endpoint %d received %d of %d", dst, len(recv[dst]), 2*per)
@@ -177,9 +164,6 @@ func TestChaosConcurrentSendersExactlyOnce(t *testing.T) {
 			}
 			next[p[0]]++
 		}
-	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight %d after full drain", n.InFlight())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package comm is the message-passing substrate for the Time Warp kernel —
 // the role MPICH played under DVS. Endpoints are in-process mailboxes with
-// unbounded buffering (sends never block), and the network counts messages
-// sent and in flight.
+// unbounded buffering (sends never block). The network counts nothing: the
+// Time Warp kernel counts the frames it sends and absorbs per cluster.
 //
 // Every link (src, dst) carries two things in one FIFO order: messages, and
 // src's watermarks — "everything I send you for the cycles below this one
@@ -22,35 +22,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Message is an opaque payload routed between endpoints. The Time Warp
 // kernel sends one kind, a cycle's frame of the flip-flop values a
 // receiver reads; the transport neither knows nor cares — a message counts
-// once for delivery, FIFO ordering and the sent/in-flight accounting.
+// once for delivery and FIFO ordering.
 type Message any
 
 // Network connects K endpoints.
 type Network struct {
 	eps      []*Endpoint
-	inFlight atomic.Int64
-	sent     atomic.Uint64
 	tr       Transport
 	poller   Poller // tr when it must be polled for deliveries, else nil
 	trClosed sync.Once
-}
-
-// Instrument registers the in-flight gauge with reg; a nil registry is a
-// no-op. Messages sent are the kernel's tw_batches, so the network counts
-// nothing of its own on the send or receive path.
-func (n *Network) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.SampleFunc("comm_inflight", "sent-but-not-received messages",
-		func() float64 { return float64(n.inFlight.Load()) })
 }
 
 // NewNetwork creates a network with k endpoints and direct (synchronous)
@@ -116,26 +101,8 @@ func (n *Network) mark(src, dst int, through uint64) {
 // second call must neither panic nor lose messages the first one flushed.
 func (n *Network) CloseTransport() { n.trClosed.Do(n.tr.Close) }
 
-// NoteDeparted records that a message handed to the transport left this
-// process entirely (a wire transport shipped it to a peer network), so it
-// no longer counts against the local in-flight gauge. NoteArrived is the
-// mirror: a message from a peer network is about to be enqueued locally
-// and must count as in flight until a receiver drains it. Distributed
-// runs sum per-process InFlight to recover the true global figure.
-func (n *Network) NoteDeparted() { n.inFlight.Add(-1) }
-
-// NoteArrived records a wire message entering this network; see
-// NoteDeparted.
-func (n *Network) NoteArrived() { n.inFlight.Add(1) }
-
 // Endpoint returns endpoint i.
 func (n *Network) Endpoint(i int) *Endpoint { return n.eps[i] }
-
-// InFlight returns the number of sent-but-not-received messages.
-func (n *Network) InFlight() int64 { return n.inFlight.Load() }
-
-// TotalSent returns the total number of messages sent on the network.
-func (n *Network) TotalSent() uint64 { return n.sent.Load() }
 
 // Endpoint is one mailbox, emptied by one receiver. TryRecvAll hands out
 // the mailbox's own buffer: the returned slice is valid until the next
@@ -162,15 +129,8 @@ type Endpoint struct {
 
 // Send hands msg to the network transport for delivery to endpoint dst.
 // It never blocks. With the default direct transport the message is in
-// dst's mailbox when Send returns; other transports may hold it — but a
-// held message still counts as in flight, so the sent/in-flight counters
-// the Time Warp kernel checks at the end of a run stay conservative.
-func (e *Endpoint) Send(dst int, msg Message) {
-	n := e.net
-	n.inFlight.Add(1)
-	n.sent.Add(1)
-	n.tr.Send(e.id, dst, msg)
-}
+// dst's mailbox when Send returns; other transports may hold it.
+func (e *Endpoint) Send(dst int, msg Message) { e.net.tr.Send(e.id, dst, msg) }
 
 // Mark sends e's watermark through to the other endpoints, on each link
 // behind everything e sent on it before (see Transport.Mark for which
@@ -227,7 +187,6 @@ func (e *Endpoint) drain() []Message {
 	clear(e.spare) // the previous drain's messages: let go of them
 	e.box, e.spare = e.spare[:0], msgs
 	e.ready.Store(false)
-	e.net.inFlight.Add(int64(-len(msgs)))
 	return msgs
 }
 

@@ -12,18 +12,9 @@ func TestSendRecvBasic(t *testing.T) {
 	a, b := n.Endpoint(0), n.Endpoint(1)
 	a.Send(1, "hello")
 	a.Send(1, "world")
-	if got := n.InFlight(); got != 2 {
-		t.Errorf("in flight: %d, want 2", got)
-	}
 	msgs := b.TryRecvAll()
 	if len(msgs) != 2 || msgs[0] != "hello" || msgs[1] != "world" {
 		t.Errorf("messages: %v", msgs)
-	}
-	if got := n.InFlight(); got != 0 {
-		t.Errorf("in flight after recv: %d", got)
-	}
-	if n.TotalSent() != 2 {
-		t.Errorf("total sent: %d", n.TotalSent())
 	}
 	if more := b.TryRecvAll(); more != nil {
 		t.Errorf("empty mailbox returned %v", more)
@@ -131,18 +122,12 @@ func TestConcurrentSendersCounted(t *testing.T) {
 		}(src)
 	}
 	wg.Wait()
-	if n.TotalSent() != 3*per {
-		t.Errorf("total sent %d, want %d", n.TotalSent(), 3*per)
-	}
 	total := 0
 	for dst := 0; dst < 3; dst++ {
 		total += len(n.Endpoint(dst).TryRecvAll())
 	}
 	if total != 3*per {
 		t.Errorf("received %d, want %d", total, 3*per)
-	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight %d after full drain", n.InFlight())
 	}
 }
 
@@ -199,9 +184,6 @@ func TestDrainAfterCloseUnderTransportFlush(t *testing.T) {
 	}
 	if got != sends {
 		t.Fatalf("drained %d messages across close, want %d", got, sends)
-	}
-	if n.InFlight() != 0 {
-		t.Fatalf("in flight %d after full drain", n.InFlight())
 	}
 }
 
@@ -280,9 +262,6 @@ func TestDrainsAlternateTwoBuffers(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { drain(3) }); avg != 0 {
 		t.Errorf("steady exchange allocates %.1f times per drain, want 0", avg)
 	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight %d after every drain", n.InFlight())
-	}
 }
 
 // TestPendingPolledBesideSenders is the kernel's use under the race
@@ -325,8 +304,8 @@ func TestPendingPolledBesideSenders(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if ep.ready.Load() || n.InFlight() != 0 {
-		t.Errorf("after the last message: pending=%v, in flight %d", ep.ready.Load(), n.InFlight())
+	if ep.ready.Load() {
+		t.Error("after the last message: still pending")
 	}
 }
 

@@ -5,7 +5,8 @@
 // FIFO across the wire (one stream per worker pair; TCP byte order is
 // delivery order), and carries the control plane of the distributed
 // runtime: the connect/accept handshake with cluster placement, the
-// cut/report rounds, the clusters' watermarks, abort and result collection.
+// workers' heartbeat reports, the clusters' watermarks, abort and result
+// collection.
 //
 // A Conn is received from in one of two ways (conn.go). Recv blocks in the
 // runtime's netpoller until a frame arrives: the control plane and the
@@ -52,26 +53,19 @@ const (
 	// FrameProgress carries one cluster's watermark to a peer worker,
 	// behind the data frames the cluster sent it before.
 	FrameProgress byte = 0x07
-	// FrameCut opens one round: every worker answers with a report
-	// stamped with the round number.
-	FrameCut byte = 0x08
-	// FrameReport answers a cut with the worker's counters and, per
-	// cluster, its progress and kernel statistics.
+	// FrameReport is a worker's heartbeat: per cluster, its progress and
+	// kernel statistics, and the new tail of the worker's trace ring.
 	FrameReport byte = 0x09
-	// FrameFinish tells workers the run terminated cleanly: close
-	// endpoints, join clusters, send results.
+	// FrameFinish tells workers that every result is in: they may close
+	// their mesh and exit.
 	FrameFinish byte = 0x0B
 	// FrameResult carries a worker's committed waveforms and stats back
-	// to the coordinator.
+	// to the coordinator once its clusters have run their cycles.
 	FrameResult byte = 0x0C
 	// FrameAbort carries a fatal error; everyone tears down.
 	FrameAbort byte = 0x0D
 	// FrameError reports a worker-local failure to the coordinator.
 	FrameError byte = 0x0E
-	// FrameTrace streams a bounded batch of the worker's trace ring
-	// (timewarp.AppendTraceEvents) to the coordinator for the merged cluster
-	// trace and the crash flight recorder.
-	FrameTrace byte = 0x10
 )
 
 // MaxFrame caps a frame payload. Large enough for a full-mirror result

@@ -154,9 +154,10 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		t.Fatal("stray HTTP client accepted as worker")
 	}
 	// A worker built while an event's T was a delta-scaled virtual time
-	// rather than the cycle that reads it, and one built while clusters
-	// rolled back and a GVT frame went round.
-	for _, v := range []uint32{9, 10} {
+	// rather than the cycle that reads it, one built while clusters rolled
+	// back and a GVT frame went round, and one that answered the
+	// coordinator's cut rounds instead of reporting on its own.
+	for _, v := range []uint32{9, 10, 13} {
 		old := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), v), "10.0.0.1:9"), 0)
 		want := fmt.Sprintf("protocol version %d, this build speaks %d", v, Version)
 		if _, err := DecodeHello(old); err == nil || !strings.Contains(err.Error(), want) {
@@ -229,7 +230,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, FrameData})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	var seed bytes.Buffer
-	WriteFrame(&seed, FrameCut, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	WriteFrame(&seed, FrameReport, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(seed.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -130,7 +130,7 @@ func checkSameAsReadFrame(t testing.TB, data, cuts []byte) {
 // hostileStreams are frame_test.go's garbage cases as whole byte streams.
 func hostileStreams() [][]byte {
 	var valid, two bytes.Buffer
-	WriteFrame(&valid, FrameCut, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	WriteFrame(&valid, FrameReport, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	WriteFrame(&two, FrameData, []byte("hello, wire"))
 	WriteFrame(&two, FrameProgress, nil)
 	var tooLarge [5]byte

@@ -12,10 +12,10 @@ import (
 )
 
 // The wire image of the obs type the distributed runtime federates — a
-// batch of trace Events (FrameTrace). The codec is the control plane's
-// (internal/timewarp, on nettrans.Dec: obs itself holds no wire code);
-// these tests stay beside the type they pin, in an external test package
-// because timewarp imports obs.
+// batch of trace Events (the tail of every FrameReport). The codec is the
+// control plane's (internal/timewarp, on nettrans.Dec: obs itself holds no
+// wire code); these tests stay beside the type they pin, in an external
+// test package because timewarp imports obs.
 
 // versionByte copies the version byte a valid encoding starts with, the
 // prefix of every hand-built hostile payload below.

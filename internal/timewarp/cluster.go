@@ -231,7 +231,7 @@ func (c *cluster) pending() int64 {
 }
 
 // publish stores the cluster's progress, its cycle, which the progress
-// watchdog and the coordinator's rounds read. The watermark goes out
+// watchdog and the worker's reports read. The watermark goes out
 // first, so a receiver that sees the progress has it too unless a link
 // holds it.
 func (c *cluster) publish() {

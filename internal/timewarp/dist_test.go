@@ -3,6 +3,7 @@ package timewarp
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -305,6 +306,119 @@ func TestDistributedWorkerCrashAborts(t *testing.T) {
 	}
 }
 
+// fakeWorker joins the coordinator at addr over a bare control connection
+// and takes it through the handshake — hello, welcome, ready, start — as a
+// worker that simulates nothing. It returns the connection.
+func fakeWorker(t *testing.T, addr string) *nettrans.Conn {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A coordinator that never answers fails the test instead of hanging it.
+	raw.SetDeadline(time.Now().Add(30 * time.Second))
+	conn := nettrans.NewConn(raw)
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(nettrans.FrameHello, nettrans.AppendHello(nil, nettrans.Hello{DataAddr: "127.0.0.1:1"})); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []byte{nettrans.FrameWelcome, nettrans.FrameStart} {
+		typ, _, err := conn.Recv()
+		if err != nil || typ != want {
+			t.Fatalf("fake worker read frame 0x%02x (%v), want 0x%02x", typ, err, want)
+		}
+		if want == nettrans.FrameWelcome {
+			if err := conn.Send(nettrans.FrameReady, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return conn
+}
+
+// TestDistributedSilentWorkerAborts holds the coordinator to the two
+// halves of the push protocol with a fake worker on a bare control
+// connection. A worker that goes silent after Start is declared dead once
+// it has been silent for the Watchdog: the run aborts with an error naming
+// it, and the worker is told why. A worker that reports on its heartbeat
+// and then sends its result hears nothing from the coordinator between
+// Start and Finish.
+func TestDistributedSilentWorkerAborts(t *testing.T) {
+	const watchdog = 300 * time.Millisecond
+	const cycles = 10
+	type outcome struct {
+		res *Result
+		err error
+	}
+	run := func(t *testing.T) (*nettrans.Conn, chan outcome) {
+		co, err := NewCoordinator(CoordConfig{
+			Spec:     &DistSpec{Source: "s", Top: "t", K: 2, Cycles: cycles},
+			Workers:  1,
+			Watchdog: watchdog,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := co.Run()
+			done <- outcome{res, err}
+		}()
+		return fakeWorker(t, co.Addr()), done
+	}
+
+	t.Run("silent", func(t *testing.T) {
+		conn, done := run(t)
+		t0 := time.Now()
+		typ, payload, err := conn.Recv()
+		took := time.Since(t0)
+		if err != nil || typ != nettrans.FrameAbort {
+			t.Fatalf("silent worker read frame 0x%02x (%v), want the abort", typ, err)
+		}
+		if a, err := decodeAbort(payload); err != nil || !strings.Contains(a.Reason, "worker 0") {
+			t.Errorf("abort %q (%v) does not name worker 0", a.Reason, err)
+		}
+		if took < watchdog/2 || took > watchdog+2*time.Second {
+			t.Errorf("aborted %v after start, watchdog %v", took, watchdog)
+		}
+		o := <-done
+		if o.err == nil || !strings.Contains(o.err.Error(), "worker 0") || !strings.Contains(o.err.Error(), "silent") {
+			t.Fatalf("coordinator error %v, want worker 0 named silent", o.err)
+		}
+	})
+
+	t.Run("heartbeats", func(t *testing.T) {
+		conn, done := run(t)
+		var cs []clusterReport
+		for c := range int32(2) {
+			cs = append(cs, clusterReport{Cluster: c, Cycle: cycles})
+		}
+		// Reports spaced so that the whole run outlasts the watchdog.
+		for range 6 {
+			if err := conn.Send(nettrans.FrameReport, appendReport(nil, distReport{Clusters: cs})); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(watchdog / 4)
+		}
+		if err := conn.Send(nettrans.FrameResult, appendResult(nil, distResult{Clusters: cs})); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := conn.Recv(); err != nil || typ != nettrans.FrameFinish {
+			t.Fatalf("read frame 0x%02x (%v) after start, want finish", typ, err)
+		}
+		if typ, _, err := conn.Recv(); err == nil {
+			t.Fatalf("read frame 0x%02x after finish, want the connection closed", typ)
+		}
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.FinalGVT != cycles || len(o.res.InvariantViolations) > 0 {
+			t.Errorf("final GVT %d, violations %v", o.res.FinalGVT, o.res.InvariantViolations)
+		}
+	})
+}
+
 // requireClusterSeries demands that a coordinator's registry hold, for
 // every cluster of the run, the ten Stats-backed tw_* series with the
 // merged result's per-cluster values exactly — the counters the workers
@@ -401,9 +515,6 @@ func TestDistributedFederation(t *testing.T) {
 	if v, ok := coordSnap.Get("dist_min_progress", ""); !ok || v != cycles {
 		t.Errorf("dist_min_progress = %v (present %v), want %d", v, ok, cycles)
 	}
-	if v, _ := coordSnap.Get("dist_round_latency_us_count", ""); v == 0 {
-		t.Error("dist_round_latency_us histogram recorded no rounds")
-	}
 
 	// One scrape covers the cluster, and it must be valid exposition.
 	var dump bytes.Buffer
@@ -440,13 +551,13 @@ func TestDistributedFederation(t *testing.T) {
 		}
 	}
 	if coordEvents == 0 {
-		t.Error("merged trace has no coordinator events (gvt_round spans missing)")
+		t.Error("merged trace has no coordinator events (dist_min_progress samples missing)")
 	}
 	if workerEvents == 0 {
 		t.Error("merged trace has no worker events (trace federation shipped nothing)")
 	}
 
-	// Worker probes: noted at every round report during the run, finished
+	// Worker probes: noted at every report during the run, finished
 	// clean at the end.
 	for w, p := range do.probes {
 		st := p.State()
@@ -464,7 +575,7 @@ func TestDistributedFederation(t *testing.T) {
 }
 
 // TestDistributedStatsWithoutWorkerObservers: the kernel counters reach
-// the coordinator in the round reports, so its series are complete when
+// the coordinator in the workers' reports, so its series are complete when
 // no worker is instrumented. A scraper reads them all through the run,
 // while each report overwrites them (run it under -race).
 func TestDistributedStatsWithoutWorkerObservers(t *testing.T) {
@@ -678,29 +789,32 @@ func TestDistributedPostMortem(t *testing.T) {
 		t.Errorf("probes.json lists %d workers, want 2", len(probes.Workers))
 	}
 
-	// The round history is the coordinator's gvt_round spans in trace.json:
-	// each carries exactly its two args, rounds ascending.
-	var rounds int
-	var lastRound float64
+	// The progress history is the coordinator's dist_min_progress counter
+	// in trace.json, one sample per report: each carries exactly its value,
+	// and the samples ascend in time and never fall in value.
+	var samples int
+	var lastTs int64
+	var lastProg float64
 	for _, ev := range dec.Events {
-		if ev.Pid != 1 || ev.Phase != "X" || ev.Name != "gvt_round" {
+		if ev.Pid != 1 || ev.Phase != "C" || ev.Name != "dist_min_progress" {
 			continue
 		}
-		if got := sortedKeys(ev.Args); got != "min_progress round" {
-			t.Fatalf("gvt_round span %d carries args %v, want round, min_progress", rounds, ev.Args)
+		if got := sortedKeys(ev.Args); got != "value" {
+			t.Fatalf("dist_min_progress sample %d carries args %v, want value", samples, ev.Args)
 		}
-		if ev.Args["round"] <= lastRound {
-			t.Fatalf("gvt_round spans not ascending at span %d: round %v after %v", rounds, ev.Args["round"], lastRound)
+		if ev.Ts < lastTs || ev.Args["value"] < lastProg {
+			t.Fatalf("dist_min_progress sample %d at %d µs reads %v, after %v at %d µs",
+				samples, ev.Ts, ev.Args["value"], lastProg, lastTs)
 		}
-		lastRound = ev.Args["round"]
-		rounds++
+		lastTs, lastProg = ev.Ts, ev.Args["value"]
+		samples++
 	}
-	if rounds == 0 {
-		t.Fatal("post-mortem trace.json holds no gvt_round span")
+	if samples == 0 {
+		t.Fatal("post-mortem trace.json holds no dist_min_progress sample")
 	}
 
 	// goroutines.txt: the coordinator's own dump — a wedged distributed
-	// run usually wedges the coordinator's round loop too.
+	// run usually wedges the coordinator's loop too.
 	gd, err := os.ReadFile(filepath.Join(dir, "goroutines.txt"))
 	if err != nil {
 		t.Fatalf("post-mortem bundle missing goroutine dump: %v", err)
@@ -739,7 +853,7 @@ func TestDistributedPostMortem(t *testing.T) {
 		}
 	}
 
-	t.Logf("post-mortem: reason=%q rounds=%d trace_events=%d", probes.Reason, rounds, len(dec.Events))
+	t.Logf("post-mortem: reason=%q progress samples=%d trace_events=%d", probes.Reason, samples, len(dec.Events))
 }
 
 // sortedKeys renders a map's keys sorted and space-separated.
@@ -849,23 +963,38 @@ func distSpecV7(s *DistSpec) []byte {
 	return append(nettrans.AppendU64(blob[:at:at], 8), blob[at:]...)
 }
 
-// distReportV12 encodes r in protocol version 12's layout, which ended a
-// report with the worker's message counters, sent and absorbed.
-func distReportV12(r distReport, sent, absorbed uint64) []byte {
-	blob := appendReport(nil, r)
-	return nettrans.AppendU64(nettrans.AppendU64(blob, sent), absorbed)
+// distReportV13 encodes a report in protocol version 13's layout, the
+// answer to the coordinator's cut: the round number, the clusters'
+// entries, and no trace batch.
+func distReportV13(round uint64, cs []clusterReport) []byte {
+	return appendClusters(nettrans.AppendU64(nil, round), cs)
 }
 
-// distReportV8 encodes r in protocol version 8's layout, which followed
-// version 12's with two lists of per-era wire-frame tallies (one entry
-// each).
-func distReportV8(r distReport, sent, absorbed uint64) []byte {
-	blob := distReportV12(r, sent, absorbed)
+// distReportV12 encodes a report in protocol version 12's layout, which
+// followed version 13's with the worker's message counters, sent and
+// absorbed.
+func distReportV12(round uint64, cs []clusterReport, sent, absorbed uint64) []byte {
+	return nettrans.AppendU64(nettrans.AppendU64(distReportV13(round, cs), sent), absorbed)
+}
+
+// distReportV8 encodes a report in protocol version 8's layout, which
+// followed version 12's with two lists of per-era wire-frame tallies (one
+// entry each).
+func distReportV8(round uint64, cs []clusterReport, sent, absorbed uint64) []byte {
+	blob := distReportV12(round, cs, sent, absorbed)
 	for range 2 {
 		blob = nettrans.AppendU32(blob, 1)
-		blob = nettrans.AppendU64(nettrans.AppendU64(blob, r.Round-1), 2)
+		blob = nettrans.AppendU64(nettrans.AppendU64(blob, round-1), 2)
 	}
 	return blob
+}
+
+// distResultV13 encodes r in protocol version 13's layout, which began a
+// result with the worker's messages sent, its absorbed count and the
+// messages it still held in flight.
+func distResultV13(r distResult, sent uint64, inFlight int64) []byte {
+	blob := nettrans.AppendI64(nettrans.AppendU64(nettrans.AppendU64(nil, sent), r.Absorbed), inFlight)
+	return append(blob, appendResult(nil, r)[8:]...) // the rest, after Absorbed
 }
 
 // traceBatchV1 rewrites a one-event trace batch into the trace codec's
@@ -886,16 +1015,20 @@ func FuzzDistProtoDecode(f *testing.F) {
 		Observe: []netlist.NetID{2, 0}}))
 	f.Add(distSpecV7(&DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
 		Observe: []netlist.NetID{2, 0}}))
-	f.Add(appendReport(nil, distReport{Round: 3,
-		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}))
-	f.Add(distReportV8(distReport{Round: 3,
-		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}, 5, 5))
-	f.Add(distReportV12(distReport{Round: 3,
-		Clusters: []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}}, 5, 5))
-	f.Add(distReportV12(distReport{Round: 1, Clusters: []clusterReport{{Cluster: 1}}}, 0, 0))
-	f.Add(appendResult(nil, distResult{Sent: 1, Absorbed: 1, WireSent: 3, WireRecv: 3,
+	entry := []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}
+	f.Add(appendReport(nil, distReport{Clusters: entry}))
+	f.Add(appendReport(nil, distReport{Clusters: entry, Lost: 2,
+		Trace: []obs.Event{{Name: "blocked(senders)", Phase: obs.PhaseSpan, Dur: 3,
+			Args: [5]obs.Arg{{Key: "cycle", Val: 9}}}}}))
+	f.Add(distReportV13(3, entry))
+	f.Add(distReportV8(3, entry, 5, 5))
+	f.Add(distReportV12(3, entry, 5, 5))
+	f.Add(distReportV12(1, []clusterReport{{Cluster: 1}}, 0, 0))
+	result := distResult{Absorbed: 1, WireSent: 3, WireRecv: 3,
 		Clusters: []clusterReport{{Cluster: 0, Cycle: 1, Stats: Stats{Messages: 2}}},
-		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}))
+		Observed: []observedNet{{Net: 1, Values: []bool{true, false, true}}}}
+	f.Add(appendResult(nil, result))
+	f.Add(distResultV13(result, 1, 0))
 	f.Add([]byte{})
 	f.Add(appendMark(nil, 1, 7))
 	f.Add(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0))
@@ -908,7 +1041,6 @@ func FuzzDistProtoDecode(f *testing.F) {
 		_, _ = DecodeDistSpec(data)
 		_, _ = decodeReport(data, 8)
 		_, _ = decodeResult(data, 8)
-		_, _ = decodeU64(data, "cut")
 		_, _ = decodeAbort(data)
 		_, _, _ = decodeMark(data, 8)
 		// The trace batches ride the same control plane: their decoder
@@ -927,25 +1059,27 @@ func FuzzDistProtoDecode(f *testing.F) {
 // length tells.
 func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 	entry := []clusterReport{{Cluster: 1, Cycle: 2, Stats: Stats{Events: 3, LinkWaits: 1}}}
+	result := distResult{Absorbed: 4, WireSent: 2, WireRecv: 2, Clusters: entry,
+		Observed: []observedNet{{Net: 0, Values: []bool{true}}}}
 	for _, tc := range []struct {
 		name   string
 		valid  []byte
 		decode func([]byte) error
 	}{
-		{"cut", nettrans.AppendU64(nil, 3), func(p []byte) error {
-			_, err := decodeU64(p, "cut")
-			return err
-		}},
 		{"abort", appendAbort(nil, distAbort{Reason: "worker 1 died"}), func(p []byte) error {
 			_, err := decodeAbort(p)
 			return err
 		}},
-		{"report", appendReport(nil, distReport{Round: 1, Clusters: entry}), func(p []byte) error {
+		{"report", appendReport(nil, distReport{Clusters: entry}), func(p []byte) error {
 			_, err := decodeReport(p, 2)
 			return err
 		}},
-		{"result", appendResult(nil, distResult{Sent: 4, Absorbed: 4, WireSent: 2, WireRecv: 2, Clusters: entry,
-			Observed: []observedNet{{Net: 0, Values: []bool{true}}}}), func(p []byte) error {
+		{"report with a trace tail", appendReport(nil, distReport{Clusters: entry, Lost: 1,
+			Trace: []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}}), func(p []byte) error {
+			_, err := decodeReport(p, 2)
+			return err
+		}},
+		{"result", appendResult(nil, result), func(p []byte) error {
 			_, err := decodeResult(p, 2)
 			return err
 		}},
@@ -961,14 +1095,19 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 			t.Errorf("%s: one trailing byte: error %v, want it rejected", tc.name, err)
 		}
 	}
-	// A version-8 or version-12 worker's report decodes field by field up
-	// to its message counters, which only its length betrays.
-	for v, blob := range map[int][]byte{
-		8:  distReportV8(distReport{Round: 2, Clusters: entry}, 4, 4),
-		12: distReportV12(distReport{Round: 2, Clusters: entry}, 4, 4),
+	// A report or result of an older worker may decode field by field for
+	// a while; its layout must not decode to the end.
+	for name, tc := range map[string]struct {
+		blob   []byte
+		decode func([]byte) error
+	}{
+		"version 8's report":  {distReportV8(2, entry, 4, 4), func(p []byte) error { _, err := decodeReport(p, 2); return err }},
+		"version 12's report": {distReportV12(2, entry, 4, 4), func(p []byte) error { _, err := decodeReport(p, 2); return err }},
+		"version 13's report": {distReportV13(2, entry), func(p []byte) error { _, err := decodeReport(p, 2); return err }},
+		"version 13's result": {distResultV13(result, 4, 0), func(p []byte) error { _, err := decodeResult(p, 2); return err }},
 	} {
-		if _, err := decodeReport(blob, 2); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-			t.Errorf("report in version %d's layout: error %v, want it rejected", v, err)
+		if err := tc.decode(tc.blob); err == nil {
+			t.Errorf("%s decoded", name)
 		}
 	}
 }
@@ -976,12 +1115,14 @@ func TestControlDecodersRejectTrailingBytes(t *testing.T) {
 // TestCoordinatorTrustsNoClusterID: a report or result that names a
 // cluster placed on another worker is a protocol violation naming the
 // worker, and a cluster merged twice is an invariant violation, not a
-// double count. So is a wire frame written and never read.
+// double count. So is a wire frame written and never read, and a frame a
+// cluster sent that no cluster absorbed.
 func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 	type part struct {
 		worker     int
-		clusters   []int32
-		sent, recv uint64 // wire frames
+		clusters   []int32 // each sent one frame
+		absorbed   uint64  // frames the worker's clusters absorbed
+		sent, recv uint64  // wire frames
 	}
 	for _, tc := range []struct {
 		name      string
@@ -989,14 +1130,16 @@ func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 		abort     string // the noteStats error, "" for none
 		violation string // the mergeResults violation, "" for none
 	}{
-		{"each cluster once, from its worker", []part{{0, []int32{0, 1}, 5, 2}, {1, []int32{2, 3}, 2, 5}}, "", ""},
-		{"a cluster of another worker", []part{{0, []int32{0, 2}, 0, 0}},
+		{"each cluster once, from its worker", []part{{0, []int32{0, 1}, 2, 5, 2}, {1, []int32{2, 3}, 2, 2, 5}}, "", ""},
+		{"a cluster of another worker", []part{{0, []int32{0, 2}, 2, 0, 0}},
 			"worker 0 sent counters of cluster 2, which is placed on worker 1", ""},
-		{"only another worker's clusters", []part{{1, []int32{0}, 0, 0}},
+		{"only another worker's clusters", []part{{1, []int32{0}, 1, 0, 0}},
 			"worker 1 sent counters of cluster 0, which is placed on worker 0", ""},
-		{"a cluster twice", []part{{0, []int32{0, 1, 0}, 0, 0}, {1, []int32{2, 3}, 0, 0}}, "", "cluster 0 reported twice"},
-		{"a wire frame never read", []part{{0, []int32{0, 1}, 5, 2}, {1, []int32{2, 3}, 2, 4}}, "",
+		{"a cluster twice", []part{{0, []int32{0, 1, 0}, 2, 0, 0}, {1, []int32{2, 3}, 2, 0, 0}}, "", "cluster 0 reported twice"},
+		{"a wire frame never read", []part{{0, []int32{0, 1}, 2, 5, 2}, {1, []int32{2, 3}, 2, 2, 4}}, "",
 			"read 6 of 7 wire frames written at termination"},
+		{"a frame never absorbed", []part{{0, []int32{0, 1}, 2, 0, 0}, {1, []int32{2, 3}, 1, 0, 0}}, "",
+			"absorbed 3 of 4 sent frames at termination"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			co := &Coordinator{placement: []int32{0, 0, 1, 1}, stats: make([]Stats, 4), registered: make([]bool, 4)}
@@ -1005,9 +1148,10 @@ func TestCoordinatorTrustsNoClusterID(t *testing.T) {
 			var sent, recv uint64
 			for _, p := range tc.parts {
 				sent, recv = sent+p.sent, recv+p.recv
-				r := &distResult{WireSent: p.sent, WireRecv: p.recv}
+				r := &distResult{Absorbed: p.absorbed, WireSent: p.sent, WireRecv: p.recv}
 				for _, c := range p.clusters {
-					r.Clusters = append(r.Clusters, clusterReport{Cluster: c, Stats: Stats{Events: 10 + uint64(c)}})
+					r.Clusters = append(r.Clusters, clusterReport{Cluster: c,
+						Stats: Stats{Events: 10 + uint64(c), Messages: 1, Batches: 1, BatchedEvents: 1}})
 				}
 				if err = co.noteStats(p.worker, r.Clusters); err != nil {
 					break

@@ -11,10 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// roundEvery is the round cadence: how long the coordinator idles between
-// rounds, listening for a crash or an error frame.
-const roundEvery = 500 * time.Microsecond
-
 // CoordConfig configures the coordinator of a distributed run.
 type CoordConfig struct {
 	// Spec is the complete run description shipped to every worker
@@ -26,9 +22,10 @@ type CoordConfig struct {
 	// Listen is the control-plane bind address (default "127.0.0.1:0";
 	// read the chosen port back with Addr).
 	Listen string
-	// Watchdog bounds every per-worker wait: handshake, round reports and
-	// final results. A worker that exceeds it is declared dead and the
-	// run aborts — the crash/timeout path (default 5s).
+	// Watchdog bounds every per-worker wait: the handshake, and the
+	// silence between a worker's reports until its result is in. A worker
+	// that exceeds it is declared dead and the run aborts — the
+	// crash/timeout path (default 5s).
 	Watchdog time.Duration
 	// StallTimeout and RunTimeout mirror Config: inactivity abort and
 	// hard wall-clock cap (0 = unbounded).
@@ -38,11 +35,11 @@ type CoordConfig struct {
 	// for the in-process kernel; an abort surfaces through it as a
 	// failed state with the diagnosis.
 	Probe *Probe
-	// Obs, when enabled, instruments the rounds (per-round gauges,
-	// latency histogram, gvt_round spans), registers every cluster's
-	// Stats-backed tw_* series over the counters its worker last reported,
-	// and merges the workers' shipped trace rings — one /metrics scrape or
-	// trace covers the whole run.
+	// Obs, when enabled, records the slowest cluster's reported cycle (the
+	// dist_min_progress gauge, and a counter sample of it per report),
+	// registers every cluster's Stats-backed tw_* series over the counters
+	// its worker last reported, and merges the workers' shipped trace
+	// rings — one /metrics scrape or trace covers the whole run.
 	Obs *obs.Observer
 	// PostMortemDir, when non-empty, receives a flight-recorder bundle
 	// (metrics, merged trace tail, probe states, goroutine dump)
@@ -51,27 +48,25 @@ type CoordConfig struct {
 }
 
 // Coordinator drives a distributed Time Warp run: it assigns clusters to
-// workers, runs the rounds (each folds the workers' reports into one
-// sample of the clusters' published cycles), ends the run in the first
-// round in which every cluster reports Cycles, detects crashed or wedged
-// workers, and merges the per-worker results into the same Result the
-// in-process kernel returns.
+// workers and starts them, then only listens. Each worker reports its
+// clusters' published cycles and counters on its own heartbeat and sends
+// its result once they have run their cycles; the coordinator folds the
+// reports into one sample of the run's progress, detects crashed, silent
+// or wedged workers, and once every result is in tells the workers to
+// finish and merges the results into the same Result the in-process
+// kernel returns.
 type Coordinator struct {
 	cfg       CoordConfig
 	ln        net.Listener
 	placement []int32
 	fed       *coordFed
 	// stats holds, per cluster, the Stats its worker last reported: each
-	// round's report overwrites it, the worker's result at finish too. The
-	// coordinator's tw_* series read it.
+	// report overwrites it, the worker's result too. The coordinator's
+	// tw_* series read it.
 	statsMu sync.Mutex
 	stats   []Stats
 	// registered marks the clusters whose series exist.
 	registered []bool
-	// finished marks the workers whose result arrived: they close their
-	// control connection right after it, so that EOF is the normal exit,
-	// not a death.
-	finished []bool
 	// pmOnce guards the abort-time bundle write: repeated abort signals
 	// (a dying worker racing the watchdog, a double fail) write the
 	// post-mortem bundle exactly once.
@@ -80,10 +75,11 @@ type Coordinator struct {
 
 // coordFed is the coordinator-retained trace state: per-worker clock
 // offsets from the handshake and one trace ring per worker fed by the
-// worker's FrameTrace batches. The merged cluster trace and the
+// trace batches of the worker's reports. The merged cluster trace and the
 // post-mortem bundle are written from it and from the coordinator's own
-// ring (whose gvt_round spans are the round history) — everything is
-// already here when a worker dies, so an abort costs no extra collection.
+// ring (whose dist_min_progress samples are the progress history) —
+// everything is already here when a worker dies, so an abort costs no
+// extra collection.
 type coordFed struct {
 	mu        sync.Mutex
 	offsetsUS []int64 // per worker: worker-clock µs − coordinator-clock µs
@@ -106,25 +102,14 @@ func newCoordFed(workers int) *coordFed {
 	return fd
 }
 
-// absorbTrace consumes a worker's trace batch into the worker's ring.
-// Returns handled=false for every other frame type; a malformed payload
-// is a protocol violation like any other.
-func (co *Coordinator) absorbTrace(f workerFrame) (handled bool, err error) {
-	if f.typ != nettrans.FrameTrace {
-		return false, nil
-	}
-	events, lost, err := DecodeTraceEvents(f.payload)
-	if err != nil {
-		return true, fmt.Errorf("timewarp: worker %d trace: %w", f.worker, err)
-	}
-	fd := co.fed
+// absorb files a report's trace batch in worker's ring.
+func (fd *coordFed) absorb(worker int, r distReport) {
 	fd.mu.Lock()
-	fd.lost[f.worker] += lost
+	fd.lost[worker] += r.Lost
 	fd.mu.Unlock()
-	for _, e := range events {
-		fd.rings[f.worker].Push(e)
+	for _, e := range r.Trace {
+		fd.rings[worker].Push(e)
 	}
-	return true, nil
 }
 
 // noteStats checks that every entry a worker sent names a cluster placed
@@ -192,8 +177,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		placement[c] = int32(c * cfg.Workers / cfg.Spec.K)
 	}
 	return &Coordinator{cfg: cfg, ln: ln, placement: placement, fed: newCoordFed(cfg.Workers),
-		stats: make([]Stats, cfg.Spec.K), registered: make([]bool, cfg.Spec.K),
-		finished: make([]bool, cfg.Workers)}, nil
+		stats: make([]Stats, cfg.Spec.K), registered: make([]bool, cfg.Spec.K)}, nil
 }
 
 // Addr is the control-plane address workers must dial.
@@ -271,14 +255,21 @@ func (co *Coordinator) Run() (*Result, error) {
 
 	// One reader per worker funnels every control frame into the event
 	// loop, so crashes surface as read errors no matter what phase the
-	// protocol is in.
+	// protocol is in. A reader whose frames nobody reads any more, after
+	// Run returned, exits.
 	frames := make(chan workerFrame, 4*cfg.Workers)
+	quit := make(chan struct{})
+	defer close(quit)
 	for i, conn := range conns {
 		i, conn := i, conn
 		go func() {
 			for {
 				typ, payload, err := conn.Recv()
-				frames <- workerFrame{worker: i, typ: typ, payload: payload, err: err}
+				select {
+				case frames <- workerFrame{worker: i, typ: typ, payload: payload, err: err}:
+				case <-quit:
+					return
+				}
 				if err != nil {
 					return
 				}
@@ -288,7 +279,7 @@ func (co *Coordinator) Run() (*Result, error) {
 
 	// Phase 2: wait for every worker's Ready (mesh established), then
 	// fire the synchronized start.
-	if err := co.gather(frames, conns, nettrans.FrameReady, "ready", func(workerFrame) error { return nil }); err != nil {
+	if err := co.gather(frames, conns, nettrans.FrameReady, "ready"); err != nil {
 		return co.fail(err)
 	}
 	for i, conn := range conns {
@@ -298,7 +289,7 @@ func (co *Coordinator) Run() (*Result, error) {
 	}
 
 	cfg.Probe.attach(cfg.Spec.Cycles)
-	res, err := co.rounds(conns, frames)
+	res, err := co.listen(conns, frames)
 	if err != nil {
 		return co.fail(err)
 	}
@@ -348,42 +339,31 @@ func (co *Coordinator) abortf(conns []*nettrans.Conn, format string, args ...any
 }
 
 // pollFrame waits up to timeout for one protocol frame (ok=false when none
-// came), turning worker errors and worker death into run aborts.
-// Trace batches are absorbed in place — they can arrive interleaved with
-// any solicited frame — so callers only ever see protocol frames.
+// came), turning worker errors and worker death into run aborts. A worker
+// keeps its control connection open until Finish, so every read error is
+// a death.
 func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (f workerFrame, ok bool, err error) {
-	deadline := time.After(timeout)
-	for {
-		select {
-		case f := <-frames:
-			if f.err != nil {
-				if co.finished[f.worker] {
-					continue
-				}
-				return f, false, co.abortf(conns, "worker %d died: %w", f.worker, f.err)
-			}
-			if f.typ == nettrans.FrameError {
-				a, _ := decodeAbort(f.payload)
-				return f, false, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
-			}
-			if handled, err := co.absorbTrace(f); handled {
-				if err != nil {
-					co.abortAll(conns, err.Error())
-					return f, false, err
-				}
-				continue
-			}
-			return f, true, nil
-		case <-deadline:
-			return workerFrame{}, false, nil
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	select {
+	case f := <-frames:
+		if f.err != nil {
+			return f, false, co.abortf(conns, "worker %d died: %w", f.worker, f.err)
 		}
+		if f.typ == nettrans.FrameError {
+			a, _ := decodeAbort(f.payload)
+			return f, false, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
+		}
+		return f, true, nil
+	case <-deadline.C:
+		return workerFrame{}, false, nil
 	}
 }
 
 // gather waits, under the watchdog, for exactly one frame of type want
-// from every worker and hands each to use. Per-connection FIFO means
-// anything else is a protocol violation, not skew.
-func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, want byte, what string, use func(workerFrame) error) error {
+// from every worker. Per-connection FIFO means anything else is a protocol
+// violation, not skew.
+func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, want byte, what string) error {
 	seen := make([]bool, co.cfg.Workers)
 	for n := 0; n < co.cfg.Workers; n++ {
 		f, ok, err := co.pollFrame(frames, co.cfg.Watchdog, conns)
@@ -397,137 +377,99 @@ func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, w
 			return co.abortf(conns, "worker %d sent frame 0x%02x while its %s was due", f.worker, f.typ, what)
 		}
 		seen[f.worker] = true
-		if err := use(f); err != nil {
-			co.abortAll(conns, err.Error())
-			return err
-		}
 	}
 	return nil
 }
 
-// rounds is the coordinator's loop: periodic cuts, report collection,
-// one progress sample per round, the end of the run once every cluster
-// reports Cycles, and the stall/crash watchdogs. It owns the run from
-// start to finish/abort.
-func (co *Coordinator) rounds(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
+// listen is the coordinator's loop while the run is live: it sends the
+// workers nothing. It folds every report into one sample of the clusters'
+// published cycles — the tw_* series, the worker's trace ring, the probe,
+// the dist_min_progress gauge and counter, the stall watchdog — until
+// every worker has sent its result, and aborts the run when a worker is
+// silent for the Watchdog before its result is in.
+func (co *Coordinator) listen(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
 	cfg := co.cfg
 	k := cfg.Spec.K
-
-	// Per-round instrumentation. Registration and the Set/Observe calls
-	// are nil-safe, so an uninstrumented coordinator pays only dead
-	// branches here.
-	reg := cfg.Obs.Registry()
-	var (
-		gRound    = reg.Gauge("dist_round", "rounds opened by the coordinator")
-		gMinProg  = reg.Gauge("dist_min_progress", "slowest cluster's reported cycle")
-		hRoundLat = reg.Histogram("dist_round_latency_us", "cut broadcast to last report (µs)",
-			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000})
-	)
-
-	var (
-		round    uint64
-		wd       = newWatchdog(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
-		progress = make([]uint64, k)
-	)
-
-	for {
-		// Idle between rounds, but keep listening: a worker crash or a
-		// FrameError must cut the nap short, and trace batches from a
-		// worker's throttled shipper are absorbed here.
-		if f, ok, err := co.pollFrame(frames, roundEvery, conns); err != nil {
-			return nil, err
-		} else if ok {
-			return nil, co.abortf(conns, "worker %d sent unsolicited frame 0x%02x", f.worker, f.typ)
-		}
-
-		// Cut: ask every worker for its counters, stamped with this round.
-		round++
-		gRound.Set(int64(round))
-		roundT0 := time.Now()
-		cutPayload := nettrans.AppendU64(nil, round)
-		for i, conn := range conns {
-			if err := conn.Send(nettrans.FrameCut, cutPayload); err != nil {
-				return nil, co.abortf(conns, "worker %d unreachable at cut %d: %w", i, round, err)
+	gMinProg := cfg.Obs.Registry().Gauge("dist_min_progress", "slowest cluster's reported cycle")
+	wd := newWatchdog(k, cfg.Spec.Cycles, cfg.StallTimeout, cfg.RunTimeout, time.Now())
+	progress := make([]uint64, k)
+	results := make([]*distResult, cfg.Workers)
+	heard := make([]time.Time, cfg.Workers) // each worker's last frame
+	for i := range heard {
+		heard[i] = time.Now()
+	}
+	fail := func(err error) (*Result, error) {
+		co.abortAll(conns, err.Error())
+		return nil, err
+	}
+	for pending := cfg.Workers; pending > 0; {
+		// The next deadline is that of the worker without a result heard
+		// from longest ago.
+		quiet := -1
+		for i, t := range heard {
+			if results[i] == nil && (quiet < 0 || t.Before(heard[quiet])) {
+				quiet = i
 			}
 		}
-
-		// Collect one report per worker and fold it into the sample.
-		err := co.gather(frames, conns, nettrans.FrameReport, "report", func(f workerFrame) error {
-			r, err := decodeReport(f.payload, k)
-			if err != nil {
-				return err
-			}
-			if r.Round != round {
-				return fmt.Errorf("timewarp: worker %d answered round %d during round %d", f.worker, r.Round, round)
-			}
-			if err := co.noteStats(f.worker, r.Clusters); err != nil {
-				return err
-			}
-			for _, c := range r.Clusters {
-				progress[c.Cluster] = c.Cycle
-			}
-			return nil
-		})
+		f, ok, err := co.pollFrame(frames, time.Until(heard[quiet].Add(cfg.Watchdog)), conns)
 		if err != nil {
 			return nil, err
 		}
-		roundLatUS := int64(time.Since(roundT0) / time.Microsecond)
-		hRoundLat.Observe(float64(roundLatUS))
-
+		if !ok {
+			return nil, co.abortf(conns, "watchdog: worker %d silent for %v", quiet, cfg.Watchdog)
+		}
+		if results[f.worker] != nil {
+			return nil, co.abortf(conns, "worker %d sent frame 0x%02x after its result", f.worker, f.typ)
+		}
+		heard[f.worker] = time.Now()
+		var cs []clusterReport
+		switch f.typ {
+		case nettrans.FrameReport:
+			r, err := decodeReport(f.payload, k)
+			if err != nil {
+				return fail(fmt.Errorf("timewarp: worker %d: %w", f.worker, err))
+			}
+			co.fed.absorb(f.worker, r)
+			cs = r.Clusters
+		case nettrans.FrameResult:
+			r, err := decodeResult(f.payload, k)
+			if err != nil {
+				return fail(fmt.Errorf("timewarp: worker %d: %w", f.worker, err))
+			}
+			results[f.worker] = &r
+			pending--
+			cs = r.Clusters
+		default:
+			return nil, co.abortf(conns, "worker %d sent unexpected frame 0x%02x", f.worker, f.typ)
+		}
+		if err := co.noteStats(f.worker, cs); err != nil {
+			return fail(err)
+		}
+		for _, c := range cs {
+			progress[c.Cluster] = c.Cycle
+		}
 		v := wd.step(progress, time.Now())
 		cfg.Probe.note(v.minProg, v.moved)
-
-		// Round instrumentation, recorded after the verdict so the
-		// terminal round is captured with its final values. The gvt_round
-		// spans are the flight recorder's round history.
 		gMinProg.Set(int64(v.minProg))
-		cfg.Obs.Span(obs.TrackKernel, "gvt_round", roundT0,
-			obs.Arg{Key: "round", Val: float64(round)},
-			obs.Arg{Key: "min_progress", Val: float64(v.minProg)})
-		// Every cluster has run its cycles: none waits for anything more,
-		// and each frame was absorbed before its receiver's last cycle
-		// (DESIGN §19).
-		if v.done {
-			return co.finish(conns, frames)
-		}
+		cfg.Obs.Count(obs.TrackKernel, "dist_min_progress", float64(v.minProg))
 		if v.abort != "" {
 			return nil, co.abortf(conns, "%s", v.abort)
 		}
 	}
+	return co.finish(conns, results), nil
 }
 
-// finish tells every worker to collect its clusters, which have exited or
-// are about to, gathers their results and merges them into the kernel's
-// Result shape. Workers ship their trace tail just before the result, and
-// each result's Stats overwrite the reported ones, so the coordinator's
-// trace and tw_* series are complete — the series equal
+// finish tells every worker that every result is in, so that each may
+// close its mesh and exit, and merges the results into the kernel's Result
+// shape. Finish is best effort: a worker that cannot hear it has already
+// delivered all it owes. Each worker's last report preceded its result,
+// and each result's Stats overwrote the reported ones, so the
+// coordinator's trace and tw_* series are complete — the series equal
 // Result.PerCluster — by the time the Result exists.
-func (co *Coordinator) finish(conns []*nettrans.Conn, frames chan workerFrame) (*Result, error) {
-	cfg := co.cfg
-	for i, conn := range conns {
-		if err := conn.Send(nettrans.FrameFinish, nil); err != nil {
-			return nil, co.abortf(conns, "worker %d unreachable at finish: %w", i, err)
-		}
-	}
-	results := make([]*distResult, 0, cfg.Workers)
-	err := co.gather(frames, conns, nettrans.FrameResult, "result", func(f workerFrame) error {
-		r, err := decodeResult(f.payload, cfg.Spec.K)
-		if err != nil {
-			return err
-		}
-		if err := co.noteStats(f.worker, r.Clusters); err != nil {
-			return err
-		}
-		results = append(results, &r)
-		co.finished[f.worker] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+func (co *Coordinator) finish(conns []*nettrans.Conn, results []*distResult) *Result {
 	for _, conn := range conns {
+		conn.Send(nettrans.FrameFinish, nil)
 		conn.Close()
 	}
-
-	return mergeResults(cfg.Spec.K, results), nil
+	return mergeResults(co.cfg.Spec.K, results)
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The trace-federation payload of the control plane: the body of
-// FrameTrace, a batch of trace-ring events. It sits on nettrans.Dec like
+// The trace-federation payload of the control plane: the tail of every
+// FrameReport, a batch of trace-ring events. It sits on nettrans.Dec like
 // every other control payload in distproto.go — internal/obs holds no
 // wire code, which is what keeps obs ← nettrans ← timewarp acyclic — and
 // meets the same hostile-input contract: every malformed payload is an
@@ -26,9 +26,9 @@ const traceVersion byte = 2
 // maxTraceEvents bounds the event count a decoded batch may claim.
 const maxTraceEvents = 1 << 20
 
-// AppendTraceEvents serializes a batch of trace events plus the ring's
-// cumulative drop count into the compact binary form shipped over
-// FrameTrace.
+// AppendTraceEvents serializes a batch of trace events plus the count of
+// events the ring overwrote before they were shipped into the compact
+// binary form a report ends with.
 func AppendTraceEvents(dst []byte, events []obs.Event, dropped uint64) []byte {
 	dst = nettrans.AppendU8(dst, traceVersion)
 	dst = nettrans.AppendU64(dst, dropped)

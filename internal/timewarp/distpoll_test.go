@@ -48,7 +48,7 @@ func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
 
 // meshFixture is worker 0 of a distributed run — by default two workers
 // and two clusters, cluster 0 local and cluster 1 on worker 1 — with no
-// cluster goroutines, no poll loop and no coordinator: the test holds the
+// cluster goroutines and no coordinator: the test holds the
 // peer workers' ends of the mesh sockets and the coordinator's end of the
 // control connection. Every local cluster's watermark goes to every peer.
 type meshFixture struct {
@@ -88,7 +88,6 @@ func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
 		net:      comm.NewNetworkTransport(k, w.mesh.factory()),
 		progress: make([]atomic.Uint64, k),
 	}
-	w.mesh.net = w.h.net
 	w.mesh.markTo = make([][]int, k)
 	for c, owner := range placement {
 		if owner != 0 {
@@ -176,9 +175,6 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 			t.Fatalf("frame %d: delivered %#v", seq, msgs[0])
 		}
 	}
-	if got := f.w.h.net.InFlight(); got != 0 {
-		t.Errorf("in-flight gauge %d after every frame was drained", got)
-	}
 	if got := f.w.mesh.framesRecv.Load(); got != 200 {
 		t.Errorf("%d frames counted read, want 200", got)
 	}
@@ -207,54 +203,63 @@ func (f *meshFixture) hookPeer(t *testing.T, p int, written func()) (local net.C
 	return local, nettrans.NewConn(remote)
 }
 
-// TestMeshSendTalliesBeforeTheWrite: a data frame's message counts as sent
-// before its bytes reach the socket. The sender queues the frame and the
+// TestMeshSendTalliesBeforeTheWrite: a data frame counts as sent — in its
+// cluster's tw_batches, which mergeResults holds the absorbed frames to —
+// before its bytes reach the socket. A cycle queues the frame and the
 // watermark flushes it; the peer can read, deliver and absorb the frame the
-// moment that one write returns. Were the send counted only after it, a
-// worker's sent counter could trail the absorbed messages it is checked
-// against at the end of a run (mergeResults); counted this way, every
-// frame is one message, and the check needs no wire count of its own.
+// moment that one write returns. The mesh counts the frame written only
+// once the write succeeded: a frame that could not be written is no frame
+// on the wire.
 func TestMeshSendTalliesBeforeTheWrite(t *testing.T) {
+	nl, parts := togglePair(t)
 	f := newMeshFixture(t)
-	var sentAtWrite uint64
+	h, err := newHost(Config{
+		NL: nl, GateParts: parts, K: 2,
+		Vectors: sim.RandomVectors{Seed: 1}, Cycles: 4,
+		Transport: f.w.mesh.factory(),
+	}, "dist", func(c int) bool { return c == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.w.h = h
+	cl := h.clusters[0]
+	var batchesAtWrite uint64
 	var writes int
 	var recvErr error
 	var peer *nettrans.Conn
 	written := func() {
 		writes++
 		_, _, recvErr = peer.Recv() // the data frame has arrived at worker 1
-		sentAtWrite = f.w.h.net.TotalSent()
+		batchesAtWrite = cl.stats.batches.Load()
 	}
 	local, peer := f.hookPeer(t, 1, func() { written() })
-	f.ep.Send(1, &frame{T: 1, Src: 0})
-	if writes != 0 {
-		t.Fatalf("Send wrote to the socket %d times before the watermark", writes)
+	if err := cl.processCycle(0); err != nil {
+		t.Fatal(err)
 	}
-	f.ep.Mark(1)
 	if recvErr != nil {
 		t.Fatal(recvErr)
 	}
-	if writes != 1 || sentAtWrite != 1 {
-		t.Fatalf("%d writes, %d messages counted sent with the frame at the peer; want 1 and 1", writes, sentAtWrite)
+	if writes != 1 || batchesAtWrite != 1 {
+		t.Fatalf("%d writes, %d frames counted sent with the frame at the peer; want 1 and 1", writes, batchesAtWrite)
 	}
 	if typ, _, err := peer.Recv(); err != nil || typ != nettrans.FrameProgress {
 		t.Fatalf("frame 0x%02x (%v) behind the data frame, want the watermark", typ, err)
 	}
-	if got := f.w.h.net.TotalSent(); got != 1 {
-		t.Errorf("the message was counted again after the write: %d sent", got)
+	if got := cl.stats.batches.Load(); got != 1 {
+		t.Errorf("the frame was counted again after the write: %d sent", got)
 	}
 	if got := f.w.mesh.framesSent.Load(); got != 1 {
 		t.Errorf("%d frames counted written, want 1", got)
 	}
-	if got := f.w.h.net.InFlight(); got != 0 {
-		t.Errorf("in-flight gauge %d after the frame left", got)
-	}
 
-	// A frame that could not be written is no frame on the wire.
 	local.Close()
 	written = func() {}
-	f.ep.Send(1, &frame{T: 2, Src: 0})
-	f.ep.Mark(2)
+	if err := cl.processCycle(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.stats.batches.Load(); got != 2 {
+		t.Errorf("%d frames counted sent by the cluster after its second cycle, want 2", got)
+	}
 	if got := f.w.mesh.framesSent.Load(); got != 1 {
 		t.Errorf("%d frames counted written after a failed write, want 1", got)
 	}
@@ -319,7 +324,7 @@ func TestMeshMarksOnlyWhereRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.w.h, f.w.mesh.net = h, h.net
+	f.w.h = h
 	f.w.mesh.routeMarks(h)
 	if got := f.w.mesh.markTo[0]; !slices.Equal(got, []int{1}) {
 		t.Fatalf("cluster 0's watermark goes to workers %v, want [1]", got)
@@ -345,8 +350,9 @@ func TestMeshMarksOnlyWhereRead(t *testing.T) {
 	}
 }
 
-// TestMeshPollFromManyGoroutines drives Poll the way a run does — every
-// cluster through TryRecvAll, the poll tick beside them — while the peer
+// TestMeshPollFromManyGoroutines drives Poll the way a run does — one
+// cluster drains through TryRecvAll while the others poll as they wait —
+// while the peer
 // streams frames and watermarks: each frame must be delivered exactly once,
 // in link order, and a watermark never ahead of the frames sent before it.
 // Run under -race this is the check that one poller at a time really is
@@ -370,7 +376,7 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() { // the poll tick and the other clusters
+		go func() { // the other clusters, waiting
 			defer wg.Done()
 			for !stop.Load() {
 				f.w.mesh.Poll()
@@ -475,17 +481,15 @@ func TestMeshPollSeesPeerDeathFirst(t *testing.T) {
 }
 
 // requireQuietDeadLink: nothing was reported to the coordinator, and a
-// send into the dead link neither panics nor hangs nor stays in flight.
+// send and a watermark into the dead link neither panic nor hang.
 func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 	t.Helper()
 	if typ, payload, ok := f.coordFrame(50 * time.Millisecond); ok {
 		t.Fatalf("a dead peer was reported to the coordinator as frame 0x%02x %q", typ, payload)
 	}
 	f.ep.Send(1, &frame{T: 9, Src: 0})
+	f.ep.Mark(9)
 	f.w.mesh.Poll()
-	if got := f.w.h.net.InFlight(); got != 0 {
-		t.Errorf("in-flight gauge %d, want 0: a frame for a dead peer has left this process", got)
-	}
 }
 
 // TestMeshPollReportsGarbage: anything illegal on a mesh link — a frame
@@ -501,7 +505,7 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 		write func(f *meshFixture)
 		want  string
 	}{
-		{"frame type", func(f *meshFixture) { f.peer.Send(nettrans.FrameCut, []byte{1}) }, "unexpected frame type 0x08"},
+		{"frame type", func(f *meshFixture) { f.peer.Send(nettrans.FrameReport, []byte{1}) }, "unexpected frame type 0x09"},
 		{"route", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badRoute) }, "outside 2-cluster network"},
 		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badFrame) }, "frame of 0 words needs 16 bytes, got 17"},
 		{"source", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badSource) }, "frame of cluster 0 in a data frame from cluster 1"},

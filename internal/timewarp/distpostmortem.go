@@ -47,8 +47,9 @@ func (co *Coordinator) traceSources() []obs.TraceSource {
 
 // WriteMergedTrace writes the merged cluster trace: one Chrome-trace
 // process per worker (timestamps rebased onto the coordinator's clock)
-// plus the coordinator's own GVT-round spans. Valid at any point of the
-// run; after a clean finish it holds every worker's shipped ring tail.
+// plus the coordinator's own dist_min_progress samples. Valid at any
+// point of the run; after a clean finish it holds every worker's shipped
+// ring tail.
 func (co *Coordinator) WriteMergedTrace(w io.Writer) error {
 	return obs.WriteMergedChromeTrace(w, co.traceSources())
 }
@@ -74,8 +75,8 @@ type postMortemWorker struct {
 // WritePostMortem flushes the flight recorder into dir: the coordinator's
 // metrics exposition (metrics.prom), the merged cluster trace
 // (trace.json, DecodeChromeTrace-clean; its coordinator process holds
-// the gvt_round spans, the round history), the probe and trace state
-// (probes.json) and the coordinator's goroutine dump
+// the dist_min_progress samples, the progress history), the probe and
+// trace state (probes.json) and the coordinator's goroutine dump
 // (goroutines.txt). The dir is created if missing. reason records why
 // the run died (nil for a user-requested dump of a live run). Every file
 // is written atomically (temp + rename) and the content renders from
@@ -129,7 +130,7 @@ func (co *Coordinator) WritePostMortem(dir string, reason error) error {
 		return err
 	}
 	// The coordinator's own goroutine dump: a wedged distributed run
-	// usually wedges the coordinator's round loop too, and the dump shows
+	// usually wedges the coordinator's loop too, and the dump shows
 	// where. A worker's is asked of the worker, at its -serve address.
 	return write("goroutines.txt", func(w io.Writer) error {
 		return pprof.Lookup("goroutine").WriteTo(w, 1)

@@ -5,24 +5,14 @@ import (
 
 	"repro/internal/comm/nettrans"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // Control-plane payloads of the distributed runtime. The frame types are
 // nettrans constants; these are their bodies. Everything here flows over
-// the coordinator connection (Cut/Report/Finish/Result/Abort/Error) or the
-// worker mesh (Progress, a cluster's watermark); the data plane's event
-// payloads live in wire.go.
-
-// decodeU64 reads the one-number payload of a cut frame, which opens round
-// N: every worker replies with a distReport stamped N.
-func decodeU64(p []byte, what string) (uint64, error) {
-	d := nettrans.NewDec(p)
-	v := d.U64()
-	if err := decodeEnd(d, what); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
+// the coordinator connection (Report/Result/Error from a worker,
+// Finish/Abort to it) or the worker mesh (Progress, a cluster's watermark);
+// the data plane's event payloads live in wire.go.
 
 // decodeEnd is the last step of every control-payload decode: the
 // decoder's first error, or the bytes left over. A payload in another
@@ -38,16 +28,19 @@ func decodeEnd(d *nettrans.Dec, what string) error {
 	return nil
 }
 
-// distReport is a worker's answer to a cut: its share of one progress
-// sample. Clusters lists only the clusters this worker owns, each with its
-// published cycle and its Stats — the coordinator's only source of
-// per-cluster kernel metrics.
+// distReport is a worker's heartbeat: its share of the run's progress and
+// the new tail of its trace ring. Clusters lists only the clusters this
+// worker owns, each with its published cycle and its Stats — the
+// coordinator's only source of per-cluster kernel metrics. Trace is empty
+// when the worker is uninstrumented; Lost counts the events its ring
+// overwrote before they were shipped.
 type distReport struct {
-	Round    uint64
 	Clusters []clusterReport
+	Trace    []obs.Event
+	Lost     uint64
 }
 
-// clusterReport is one cluster's entry of a round report or a result.
+// clusterReport is one cluster's entry of a report or a result.
 type clusterReport struct {
 	Cluster int32
 	Cycle   uint64
@@ -103,19 +96,21 @@ func decodeMark(p []byte, k int) (src int32, through uint64, err error) {
 }
 
 func appendReport(dst []byte, r distReport) []byte {
-	dst = nettrans.AppendU64(dst, r.Round)
-	return appendClusters(dst, r.Clusters)
+	dst = appendClusters(dst, r.Clusters)
+	return AppendTraceEvents(dst, r.Trace, r.Lost)
 }
 
+// decodeReport reads the clusters' entries and hands the rest of the
+// payload, the trace batch, to its own decoder, which ends the payload.
 func decodeReport(p []byte, k int) (distReport, error) {
 	d := nettrans.NewDec(p)
-	r := distReport{Round: d.U64()}
+	var r distReport
 	var err error
 	if r.Clusters, err = decodeClusters(d, k); err != nil {
 		return distReport{}, fmt.Errorf("timewarp: malformed report: %w", err)
 	}
-	if err := decodeEnd(d, "report"); err != nil {
-		return distReport{}, err
+	if r.Trace, r.Lost, err = DecodeTraceEvents(p[len(p)-d.Len():]); err != nil {
+		return distReport{}, fmt.Errorf("timewarp: report: %w", err)
 	}
 	return r, nil
 }
@@ -142,12 +137,11 @@ func decodeAbort(p []byte) (distAbort, error) {
 // distResult is a worker's final contribution: its clusters' statistics,
 // the waveforms of the observed nets it owns (bit-packed), and the final
 // counter values the coordinator folds into the end-of-run invariant
-// checks (mergeResults). WireSent and WireRecv are the data frames its mesh
-// wrote and read (zero in-process).
+// checks (mergeResults). Absorbed is the frames its clusters filed;
+// WireSent and WireRecv are the data frames its mesh wrote and read (zero
+// in-process).
 type distResult struct {
-	Sent     uint64
 	Absorbed uint64
-	InFlight int64
 	WireSent uint64
 	WireRecv uint64
 	Clusters []clusterReport
@@ -175,9 +169,7 @@ func decodeStats(d *nettrans.Dec) Stats {
 }
 
 func appendResult(dst []byte, r distResult) []byte {
-	dst = nettrans.AppendU64(dst, r.Sent)
 	dst = nettrans.AppendU64(dst, r.Absorbed)
-	dst = nettrans.AppendI64(dst, r.InFlight)
 	dst = nettrans.AppendU64(dst, r.WireSent)
 	dst = nettrans.AppendU64(dst, r.WireRecv)
 	dst = appendClusters(dst, r.Clusters)
@@ -199,9 +191,7 @@ func appendResult(dst []byte, r distResult) []byte {
 func decodeResult(p []byte, k int) (distResult, error) {
 	d := nettrans.NewDec(p)
 	var r distResult
-	r.Sent = d.U64()
 	r.Absorbed = d.U64()
-	r.InFlight = d.I64()
 	r.WireSent = d.U64()
 	r.WireRecv = d.U64()
 	var err error

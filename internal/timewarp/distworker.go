@@ -20,14 +20,13 @@ type WorkerOptions struct {
 	// Bind is the data-plane listen address peers will dial
 	// (default "127.0.0.1:0").
 	Bind string
-	// Obs, when enabled, instruments the worker's clusters and ships its
-	// trace ring to the coordinator, throttled on the round cadence and in
-	// full on termination. The kernel counters reach the coordinator in
-	// every round report regardless.
+	// Obs, when enabled, instruments the worker's clusters and ships the
+	// new tail of its trace ring to the coordinator in every report. The
+	// kernel counters reach the coordinator in every report regardless.
 	Obs *obs.Observer
 	// Probe receives the worker-local liveness view (the progress of its
-	// own clusters, noted at every round report) — the state behind
-	// vsimd's /healthz.
+	// own clusters, noted at every report) — the state behind vsimd's
+	// /healthz.
 	Probe *Probe
 	// DialTimeout bounds the coordinator and peer dials (default 5s).
 	DialTimeout time.Duration
@@ -41,9 +40,10 @@ type WorkerOptions struct {
 // RunWorker joins a distributed run as one worker: it dials the
 // coordinator, receives its cluster assignment and the run spec, meshes
 // with its peer workers over TCP, simulates its share of the clusters,
-// and obeys the coordinator's round/finish/abort protocol. It returns nil
-// after a clean finish and an error when the run aborted (locally or by
-// coordinator decision).
+// and reports to the coordinator every reportEvery until they have run
+// their cycles; then it sends its result and waits for finish or abort.
+// It returns nil after a clean finish and an error when the run aborted
+// (locally or by coordinator decision).
 func RunWorker(opts WorkerOptions) error {
 	if opts.Coordinator == "" {
 		return fmt.Errorf("timewarp: worker needs a coordinator address")
@@ -128,13 +128,9 @@ type distWorker struct {
 	mesh *meshTransport
 	h    *host // this worker's share of the clusters
 
-	stopPoll chan struct{}
-
-	// Trace-shipping state: the ring's streaming cursor and the last ship
-	// instant (batches are throttled so a fast round cadence does not turn
-	// into a trace firehose).
+	// traceCursor is the trace ring's streaming cursor: the first event no
+	// report has shipped yet.
 	traceCursor uint64
-	lastShip    time.Time
 }
 
 // run drives the worker after a successful handshake.
@@ -156,7 +152,6 @@ func (w *distWorker) run(peerAddrs []string) error {
 	if err != nil {
 		return err
 	}
-	w.mesh.net = w.h.net
 	w.mesh.routeMarks(w.h)
 
 	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
@@ -195,16 +190,12 @@ func (w *distWorker) run(peerAddrs []string) error {
 			appendAbort(nil, distAbort{Reason: err.Error()}))
 	})
 
-	w.stopPoll = make(chan struct{})
-	go w.pollLoop()
-
 	err = w.controlLoop()
 
-	// Whatever ended the run, unwind in one order: stop polling, make the
-	// clusters abandon an unfinished run, wait for them, then stop the
-	// transport (flushing no message on the clean path, draining into
-	// closed endpoints on abort).
-	close(w.stopPoll)
+	// Whatever ended the run, unwind in one order: make the clusters
+	// abandon an unfinished run, wait for them, then stop the transport
+	// (flushing no message on the clean path, draining into closed
+	// endpoints on abort).
 	if err != nil {
 		w.h.abort()
 	}
@@ -216,107 +207,96 @@ func (w *distWorker) run(peerAddrs []string) error {
 	return err
 }
 
-// controlLoop obeys the coordinator until finish or abort. The return
-// value is the run outcome from this worker's perspective.
+// reportEvery is the heartbeat of a running worker: how often it reports
+// its clusters' progress and counters, and its trace ring's new tail, to
+// the coordinator, which declares a worker silent for its Watchdog dead.
+const reportEvery = 10 * time.Millisecond
+
+// controlLoop reports to the coordinator every reportEvery until this
+// worker's clusters have run their cycles, then sends a last report and
+// its result and waits for Finish. It keeps the mesh open until then: a
+// peer may still be reading it, and a socket closed with bytes unread is
+// reset, which can discard what the peer has not read yet. While the run
+// is live the coordinator sends nothing but an Abort. The return value is
+// the run outcome from this worker's perspective.
 func (w *distWorker) controlLoop() error {
+	ended := make(chan error, 1)
+	go func() { ended <- w.awaitEnd() }()
+	clustersDone := make(chan struct{})
+	go func() {
+		w.h.wg.Wait()
+		close(clustersDone)
+	}()
+	tick := time.NewTicker(reportEvery)
+	defer tick.Stop()
 	for {
-		typ, payload, err := w.coord.Recv()
-		if err != nil {
-			if cerr := w.h.failure(); cerr != nil {
-				return cerr // our own failure: the conn close is fallout
+		select {
+		case err := <-ended:
+			if err == nil {
+				err = fmt.Errorf("timewarp: worker %d told to finish before it sent its result", w.id)
 			}
-			return fmt.Errorf("timewarp: worker %d lost coordinator: %w", w.id, err)
-		}
-		switch typ {
-		case nettrans.FrameCut:
-			round, err := decodeU64(payload, "cut")
-			if err != nil {
+			return err
+		case <-tick.C:
+			if err := w.report(); err != nil {
 				return err
 			}
-			if err := w.coord.Send(nettrans.FrameReport,
-				appendReport(nil, w.report(round))); err != nil {
-				return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
+		case <-clustersDone:
+			if err := w.h.failure(); err != nil {
+				return err
 			}
-			// Piggyback the trace ring's new tail on the round cadence.
-			w.shipTrace(false)
-		case nettrans.FrameFinish:
-			// Every cluster has run its cycles: let the local ones return,
-			// then ship the trace tail and the merged local result.
-			w.h.wg.Wait()
-			w.shipTrace(true)
+			if err := w.report(); err != nil {
+				return err
+			}
 			r := w.h.collect()
 			r.WireSent, r.WireRecv = w.mesh.framesSent.Load(), w.mesh.framesRecv.Load()
 			if err := w.coord.Send(nettrans.FrameResult, appendResult(nil, *r)); err != nil {
 				return fmt.Errorf("timewarp: worker %d send result: %w", w.id, err)
 			}
-			return nil
-		case nettrans.FrameAbort:
-			a, err := decodeAbort(payload)
-			if err != nil {
-				return err
-			}
-			return fmt.Errorf("timewarp: run aborted: %s", a.Reason)
-		default:
-			return fmt.Errorf("timewarp: worker %d: unexpected control frame 0x%02x", w.id, typ)
+			return <-ended
 		}
 	}
 }
 
-// shipTraceEvery throttles the piggybacked trace shipping: at the default
-// 500µs round cadence a batch per round would dominate the control plane
-// (the final ship at finish is unconditional).
-const shipTraceEvery = 10 * time.Millisecond
-
-// shipTrace sends the unshipped tail of the worker's trace ring to the
-// coordinator. Best-effort: a send failure means the coordinator is gone,
-// which the next control Recv surfaces as the real error. force skips the
-// throttle (termination).
-func (w *distWorker) shipTrace(force bool) {
-	if !w.opts.Obs.Enabled() {
-		return
+// awaitEnd reads the one frame the coordinator sends after Start: Finish,
+// once every result is in (nil), or Abort.
+func (w *distWorker) awaitEnd() error {
+	typ, payload, err := w.coord.Recv()
+	switch {
+	case err != nil:
+		if cerr := w.h.failure(); cerr != nil {
+			return cerr // our own failure: the conn close is fallout
+		}
+		return fmt.Errorf("timewarp: worker %d lost coordinator: %w", w.id, err)
+	case typ == nettrans.FrameFinish:
+		return nil
+	case typ == nettrans.FrameAbort:
+		a, err := decodeAbort(payload)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("timewarp: run aborted: %s", a.Reason)
+	default:
+		return fmt.Errorf("timewarp: worker %d: unexpected control frame 0x%02x", w.id, typ)
 	}
-	now := time.Now()
-	if !force && now.Sub(w.lastShip) < shipTraceEvery {
-		return
-	}
-	w.lastShip = now
-	events, next, dropped := w.opts.Obs.EventsSince(w.traceCursor)
-	if len(events) == 0 && dropped == 0 && !force {
-		return
-	}
-	if err := w.coord.Send(nettrans.FrameTrace, AppendTraceEvents(nil, events, dropped)); err != nil {
-		return
-	}
-	w.traceCursor = next
 }
 
-// report snapshots the published cycle and the counters of each local
-// cluster for one round, and notes their progress on the worker's
-// liveness probe.
-func (w *distWorker) report(round uint64) distReport {
-	r := distReport{Round: round}
+// report sends the coordinator a heartbeat — the published cycle and the
+// counters of each local cluster, and the unshipped tail of the trace ring
+// — and notes the clusters' progress on the worker's liveness probe.
+func (w *distWorker) report() error {
+	var r distReport
 	for _, cl := range w.h.clusters {
 		r.Clusters = append(r.Clusters, clusterReport{
 			Cluster: cl.id, Cycle: w.h.progress[cl.id].Load(), Stats: cl.stats.Snapshot()})
 	}
+	var next uint64
+	r.Trace, next, r.Lost = w.opts.Obs.EventsSince(w.traceCursor)
 	w.h.note()
-	return r
-}
-
-// pollLoop pumps the mesh sockets on a tick. Clusters poll them only while
-// they wait for a watermark; one asleep in AwaitHeard polls nothing, and
-// what it waits for must still arrive.
-func (w *distWorker) pollLoop() {
-	tick := time.NewTicker(300 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stopPoll:
-			return
-		case <-tick.C:
-		}
-		w.mesh.Poll()
+	if err := w.coord.Send(nettrans.FrameReport, appendReport(nil, r)); err != nil {
+		return fmt.Errorf("timewarp: worker %d send report: %w", w.id, err)
 	}
+	w.traceCursor = next
+	return nil
 }
 
 // peerFrame is the one handler of everything a mesh connection carries:
@@ -338,7 +318,6 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 			return fmt.Errorf("frame of cluster %d in a data frame from cluster %d", f.Src, df.Src)
 		}
 		w.mesh.framesRecv.Add(1)
-		w.h.net.NoteArrived()
 		w.mesh.deliver(df.Dst, f)
 	case nettrans.FrameProgress:
 		src, through, err := decodeMark(payload, w.spec.K)
@@ -446,12 +425,11 @@ func (w *distWorker) closePeers() {
 // become data frames on the owning peer's mesh connection otherwise.
 type meshTransport struct {
 	w       *distWorker
-	net     *comm.Network // set after construction, before any traffic
 	deliver comm.DeliverFunc
 	mark    comm.MarkFunc
 
 	// markTo[c] lists the peer workers that read local cluster c's
-	// watermark (routeMarks); set with net.
+	// watermark (routeMarks), set before any traffic.
 	markTo [][]int
 
 	// pollMu admits one poller at a time; the rest find it taken and go on
@@ -516,10 +494,9 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	}
 	conn := t.w.peers[owner]
 
-	// The message already counts as sent (Endpoint.Send counted it before
-	// calling here), and its receiver absorbs it before the cycle it is
-	// stamped with: the frame in the buffer or on the wire needs no count
-	// of its own.
+	// The frame already counts as sent (ship counted it in tw_batches), and
+	// its receiver absorbs it before the cycle it is stamped with: the frame
+	// in the buffer needs no count of its own until a flush writes it.
 	t.encMu.Lock()
 	buf := t.encBuf[:0]
 	buf = nettrans.AppendDataFrame(buf, src, dst, nil)
@@ -536,11 +513,6 @@ func (t *meshTransport) Send(src, dst int, msg comm.Message) {
 	}
 	t.encBuf = buf
 	t.encMu.Unlock()
-
-	// Departed this process — whether the write will succeed or the peer
-	// is already gone (in which case the coordinator is about to abort and
-	// the counters stop mattering), it no longer counts as locally held.
-	t.net.NoteDeparted()
 }
 
 // Mark hands src's watermark to the local clusters at once and sends it as
@@ -575,11 +547,12 @@ func (t *meshTransport) markLocal(src int, through uint64) {
 
 // Poll drains every mesh socket into the local mailboxes and watermarks
 // without blocking — the receive half of the data plane (DESIGN §21).
-// There is no reader goroutine: the clusters call this while they wait for
-// a watermark, which arrives behind the data frames it covers, and the poll
-// tick calls it while they sleep. A link that ended quietly (the peer
+// There is no reader goroutine and no poll tick: the clusters call this
+// while they wait for a watermark, which arrives behind the data frames it
+// covers, and every such wait polls (awaitSenders' spin, AwaitHeard over a
+// polled transport). A link that ended quietly (the peer
 // finished, or died — the coordinator's control connection says which) is
-// dropped from the rounds; one that carried something illegal is reported
+// polled no more; one that carried something illegal is reported
 // first, because a garbled data plane can neither be trusted nor repaired.
 func (t *meshTransport) Poll() {
 	if !t.pollMu.TryLock() {

@@ -120,8 +120,8 @@ type Result struct {
 	// run: Cycles on a clean run.
 	FinalGVT uint64
 	// InvariantViolations lists kernel invariants found broken at
-	// termination: messages left in flight or unabsorbed, wire frames
-	// written but not read, a cluster reported twice. Always empty for a
+	// termination: frames sent but not absorbed, wire frames written but
+	// not read, a cluster reported twice. Always empty for a
 	// healthy kernel; the fuzz harness fails a run whose list is non-empty.
 	InvariantViolations []string
 	// WireFramesSent and WireFramesRecv are the cross-process data frames

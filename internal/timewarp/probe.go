@@ -8,8 +8,8 @@ import (
 )
 
 // Probe is a read-only, lock-free view of the run's liveness, fed by the
-// progress watchdog (Run's watcher, the coordinator's rounds, a worker's
-// round reports): when a cluster last moved and the minimum cluster
+// progress watchdog (Run's watcher, the coordinator's report loop, a
+// worker's reports): when a cluster last moved and the minimum cluster
 // progress. It is the state behind the monitoring server's /healthz — a
 // wedged run turns into a 503 instead of a hanging scrape. Create one with
 // NewProbe, pass it in Config.Probe, and read State from any goroutine at

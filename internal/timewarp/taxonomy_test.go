@@ -115,7 +115,7 @@ func TestTaxonomy(t *testing.T) {
 
 	// Coordinator + 2 workers over loopback TCP, everything observed; the
 	// coordinator's registry holds the Stats-backed families of every
-	// cluster, from the workers' round reports.
+	// cluster, from the workers' reports.
 	pr, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 17, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +148,8 @@ func TestTaxonomy(t *testing.T) {
 	// The two runs must have exercised every layer they can reach, or the
 	// direction above proves little.
 	for _, want := range []taxonomyRow{
-		{"blocked(senders)", "span"}, {"link_stall", "instant"}, {"gvt_round", "span"},
-		{"tw_link_waits", "metric"}, {"comm_inflight", "metric"}, {"dist_min_progress", "metric"},
+		{"blocked(senders)", "span"}, {"link_stall", "instant"}, {"dist_min_progress", "counter"},
+		{"tw_link_waits", "metric"}, {"dist_min_progress", "metric"},
 	} {
 		if !seen[want] {
 			t.Errorf("neither run emitted %s %q", want.kind, want.name)
