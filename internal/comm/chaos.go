@@ -10,7 +10,7 @@ import (
 )
 
 // ChaosConfig parameterizes the chaos transport: a delivery-order
-// adversary for the Time Warp kernel. Messages and watermarks wait in one
+// adversary for the Time Warp kernel. Frames and watermarks wait in one
 // queue per link, so a receiver that waits for a watermark waits as long
 // as the link holds it, however long ago its sender published. All
 // decisions are drawn from per-link PRNGs seeded from Seed, so the
@@ -23,9 +23,9 @@ import (
 type ChaosConfig struct {
 	// Seed drives every per-link random decision.
 	Seed int64
-	// MaxDelay caps the per-message delivery delay (default 200µs).
+	// MaxDelay caps the per-item delivery delay (default 200µs).
 	MaxDelay time.Duration
-	// StallEvery starts a link stall every n-th item (message or
+	// StallEvery starts a link stall every n-th item (frame or
 	// watermark) on that link (0 disables stalls). Stalled links buffer
 	// everything and release it as one burst when the stall expires.
 	StallEvery int
@@ -63,10 +63,10 @@ func Chaos(cfg ChaosConfig) TransportFactory {
 	}
 }
 
-// heldMsg is a message, or a watermark when msg is nil, waiting in a
-// link's limbo queue.
+// heldMsg is a frame, or a watermark when f is nil, waiting in a link's
+// limbo queue.
 type heldMsg struct {
-	msg     Message
+	f       *Frame
 	through uint64
 	release time.Time
 }
@@ -77,7 +77,7 @@ type chaosLink struct {
 	rng  *rand.Rand
 	q    []heldMsg // FIFO; release times are monotone within the queue
 	seq  int       // items seen on this link
-	last time.Time // release time of the newest queued/delivered message
+	last time.Time // release time of the newest queued/delivered item
 }
 
 type chaosTransport struct {
@@ -108,8 +108,8 @@ func (c *chaosTransport) link(src, dst int) *chaosLink {
 	return l
 }
 
-// Send queues msg on its link (hold).
-func (c *chaosTransport) Send(src, dst int, msg Message) { c.hold(src, dst, heldMsg{msg: msg}) }
+// Send queues f on its link (hold).
+func (c *chaosTransport) Send(dst int, f *Frame) { c.hold(int(f.Src), dst, heldMsg{f: f}) }
 
 // Mark queues the watermark on each of src's links, behind everything
 // sent on it before (hold).
@@ -152,7 +152,7 @@ func (c *chaosTransport) hold(src, dst int, h heldMsg) {
 // chaosPump is the background delivery poll period.
 const chaosPump = 50 * time.Microsecond
 
-// pump releases due messages. Links are swept in an order reshuffled from
+// pump releases due items. Links are swept in an order reshuffled from
 // a seeded stream each round, so simultaneous releases on different links
 // interleave adversarially rather than in creation order.
 func (c *chaosTransport) pump() {
@@ -198,13 +198,14 @@ func (c *chaosTransport) flush(now time.Time, shuf *rand.Rand) {
 		}
 	}
 	c.mu.Unlock()
-	// Deliver outside the transport lock: enqueue takes endpoint locks and
-	// may wake receivers that immediately Send (re-entering the transport).
+	// Deliver outside the transport lock: the sinks take link and endpoint
+	// locks and may wake receivers that immediately Send (re-entering the
+	// transport).
 	for _, m := range due {
-		if m.msg == nil {
+		if m.f == nil {
 			c.mark(m.src, m.dst, m.through)
 		} else {
-			c.deliver(m.dst, m.msg)
+			c.deliver(m.dst, m.f)
 		}
 	}
 }
@@ -216,6 +217,6 @@ func (c *chaosTransport) flush(now time.Time, shuf *rand.Rand) {
 func (c *chaosTransport) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-	// Far-future "now" releases every queued message.
+	// Far-future "now" releases every queued item.
 	c.flush(time.Now().Add(365*24*time.Hour), nil)
 }

@@ -1,16 +1,15 @@
 // Package comm is the message-passing substrate for the Time Warp kernel —
-// the role MPICH played under DVS. Endpoints are in-process mailboxes with
-// unbounded buffering (sends never block). The network counts nothing: the
-// Time Warp kernel counts the frames it sends and absorbs per cluster.
+// the role MPICH played under DVS. Every link (src, dst) carries frames
+// and src's watermarks in one FIFO order — a watermark says "everything I
+// send you for the cycles below this one is ahead of me". The receiving
+// endpoint keeps each link's unbounded queue of frames (sends never
+// block), from which a receiver takes the front frame once its cycle has
+// come (Take), and the watermark it has delivered (Heard), which a
+// receiver can block on (AwaitHeard): that is the whole synchronisation a
+// conservative cluster needs, on every transport. The network counts
+// nothing: the kernel counts the frames each cluster sends and takes.
 //
-// Every link (src, dst) carries two things in one FIFO order: messages, and
-// src's watermarks — "everything I send you for the cycles below this one
-// is ahead of this mark". A receiver reads the watermark its link from src
-// has delivered (Heard) and can block until it reaches a cycle
-// (AwaitHeard): that is the whole synchronisation a conservative cluster
-// needs, on every transport.
-//
-// Delivery is pluggable: the default transport hands messages and
+// Delivery is pluggable: the default transport hands frames and
 // watermarks over synchronously, while the chaos transport (see Chaos)
 // holds both in seeded per-link queues with delays, cross-link reordering
 // and burst/stall schedules, so a watermark's arrival, and not only a
@@ -20,15 +19,21 @@ package comm
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Message is an opaque payload routed between endpoints. The Time Warp
-// kernel sends one kind, a cycle's frame of the flip-flop values a
-// receiver reads; the transport neither knows nor cares — a message counts
-// once for delivery and FIFO ordering.
-type Message any
+// Frame is the one payload of a link: for cycle T, the receiver's cycle
+// that reads them, the values of endpoint Src's flip-flops the receiver
+// reads, bit i of Words the i-th in the order both ends derive from the
+// netlist and the partition, the padding bits of the last word zero. A
+// frame is never written after it is sent: the receiver only reads it.
+type Frame struct {
+	T     uint64
+	Src   int32
+	Words []uint64
+}
 
 // Network connects K endpoints.
 type Network struct {
@@ -40,9 +45,7 @@ type Network struct {
 
 // NewNetwork creates a network with k endpoints and direct (synchronous)
 // delivery.
-func NewNetwork(k int) *Network {
-	return NewNetworkTransport(k, nil)
-}
+func NewNetwork(k int) *Network { return NewNetworkTransport(k, nil) }
 
 // NewNetworkTransport creates a network whose deliveries are routed
 // through the transport built by f (nil f selects direct delivery). The
@@ -50,9 +53,9 @@ func NewNetwork(k int) *Network {
 // transports with background delivery can flush and stop.
 func NewNetworkTransport(k int, f TransportFactory) *Network {
 	n := &Network{eps: make([]*Endpoint, k)}
-	marks := make([]atomic.Uint64, k*k) // one row of heard watermarks per endpoint
+	links := make([]link, k*k) // one row of links into each endpoint
 	for i := range n.eps {
-		ep := &Endpoint{id: i, net: n, heard: marks[i*k : (i+1)*k]}
+		ep := &Endpoint{id: i, net: n, links: links[i*k : (i+1)*k]}
 		ep.cond = sync.NewCond(&ep.mu)
 		n.eps[i] = ep
 	}
@@ -65,16 +68,14 @@ func NewNetworkTransport(k int, f TransportFactory) *Network {
 	return n
 }
 
-// enqueue places a message in destination dst's mailbox. It is the
-// delivery sink handed to transports. Nobody waits for a message: a
-// receiver waits for the watermark behind it (AwaitHeard), and mark wakes
-// it.
-func (n *Network) enqueue(dst int, msg Message) {
-	d := n.eps[dst]
-	d.mu.Lock()
-	d.box = append(d.box, msg)
-	d.ready.Store(true)
-	d.mu.Unlock()
+// enqueue appends f to the queue of its link at destination dst. It is the
+// delivery sink handed to transports. Nobody waits for a frame: a receiver
+// waits for the watermark behind it (AwaitHeard), and mark wakes it.
+func (n *Network) enqueue(dst int, f *Frame) {
+	l := &n.eps[dst].links[f.Src]
+	l.mu.Lock()
+	l.q = append(l.q, f)
+	l.mu.Unlock()
 }
 
 // mark files through as the src→dst link's watermark and wakes dst if it
@@ -85,7 +86,7 @@ func (n *Network) enqueue(dst int, msg Message) {
 // watermark, so a mark either is seen by the waiter's check or wakes it.
 func (n *Network) mark(src, dst int, through uint64) {
 	d := n.eps[dst]
-	if w := &d.heard[src]; through > w.Load() {
+	if w := &d.links[src].heard; through > w.Load() {
 		w.Store(through)
 	}
 	if d.waiting.Load() > 0 {
@@ -96,49 +97,51 @@ func (n *Network) mark(src, dst int, through uint64) {
 }
 
 // CloseTransport flushes and stops the transport. Call after the last
-// Send; messages still held by the transport are delivered synchronously.
+// Send; frames still held by the transport are delivered synchronously.
 // Idempotent: abort paths and deferred cleanups may both reach it, and the
-// second call must neither panic nor lose messages the first one flushed.
+// second call must neither panic nor lose frames the first one flushed.
 func (n *Network) CloseTransport() { n.trClosed.Do(n.tr.Close) }
 
 // Endpoint returns endpoint i.
 func (n *Network) Endpoint(i int) *Endpoint { return n.eps[i] }
 
-// Endpoint is one mailbox, emptied by one receiver. TryRecvAll hands out
-// the mailbox's own buffer: the returned slice is valid until the next
-// TryRecvAll on the endpoint and must not be kept across it.
+// Endpoint is the receiving end of the links into one endpoint, read by
+// one receiver.
 type Endpoint struct {
-	id   int
-	net  *Network
-	mu   sync.Mutex
-	cond *sync.Cond
-	box  []Message
-	// spare is the buffer the previous drain handed out; the next drain
-	// makes it the mailbox again, so a steady exchange allocates nothing.
-	spare []Message
-	// ready mirrors len(box) > 0. It is written under mu and read without
-	// it: the receiver's idle poll costs one atomic load, no lock.
-	ready atomic.Bool
-	// closed wakes receivers blocked in AwaitHeard permanently.
-	closed bool
-	// heard[src] is the watermark the src→e link has delivered; waiting
-	// counts the goroutines blocked in AwaitHeard.
-	heard   []atomic.Uint64
+	id    int
+	net   *Network
+	links []link // links[src] is the src→e link
+	// closed, set under mu, wakes receivers blocked in AwaitHeard for
+	// good; waiting counts them.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	closed  atomic.Bool
 	waiting atomic.Int32
 }
 
-// Send hands msg to the network transport for delivery to endpoint dst.
-// It never blocks. With the default direct transport the message is in
-// dst's mailbox when Send returns; other transports may hold it.
-func (e *Endpoint) Send(dst int, msg Message) { e.net.tr.Send(e.id, dst, msg) }
+// link is what one link has delivered: the queue of the frames the
+// receiver has not taken, front first, and the latest watermark. Its
+// sender's delivery appends to q, the receiver's Take pops the front, so
+// q's capacity settles at the most frames the link ever held and a steady
+// exchange allocates nothing.
+type link struct {
+	mu    sync.Mutex
+	q     []*Frame
+	heard atomic.Uint64
+}
+
+// Send hands f, a frame of endpoint f.Src, to the transport for endpoint
+// dst. It never blocks. Direct delivery has queued the frame on its link
+// when Send returns; other transports may hold it.
+func (e *Endpoint) Send(dst int, f *Frame) { e.net.tr.Send(dst, f) }
 
 // Mark sends e's watermark through to the other endpoints, on each link
 // behind everything e sent on it before (see Transport.Mark for which
-// endpoints). It never blocks and is not counted as a message.
+// endpoints). It never blocks and is not counted as a frame.
 func (e *Endpoint) Mark(through uint64) { e.net.tr.Mark(e.id, through) }
 
 // Heard returns the watermark the src→e link has delivered so far.
-func (e *Endpoint) Heard(src int) uint64 { return e.heard[src].Load() }
+func (e *Endpoint) Heard(src int) uint64 { return e.links[src].heard.Load() }
 
 // AwaitHeard blocks until the src→e link has delivered a watermark of at
 // least through or the endpoint is closed, and reports whether the
@@ -146,72 +149,67 @@ func (e *Endpoint) Heard(src int) uint64 { return e.heard[src].Load() }
 // the watermark, so the caller polls, yielding the processor between
 // polls; otherwise it sleeps until the watermark or the close wakes it.
 func (e *Endpoint) AwaitHeard(src int, through uint64) bool {
+	heard := &e.links[src].heard
 	if p := e.net.poller; p != nil {
-		for e.heard[src].Load() < through && !e.isClosed() {
+		for heard.Load() < through && !e.closed.Load() {
 			p.Poll()
 			runtime.Gosched()
 		}
-		return e.heard[src].Load() >= through
+		return heard.Load() >= through
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.waiting.Add(1)
 	defer e.waiting.Add(-1)
-	for e.heard[src].Load() < through && !e.closed {
+	for heard.Load() < through && !e.closed.Load() {
 		e.cond.Wait()
 	}
-	return e.heard[src].Load() >= through
-}
-
-func (e *Endpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
+	return heard.Load() >= through
 }
 
 // Poll gives a polled transport the chance to deliver what its sockets
-// hold, messages and watermarks, without blocking.
+// hold, frames and watermarks, without blocking.
 func (e *Endpoint) Poll() {
 	if p := e.net.poller; p != nil {
 		p.Poll()
 	}
 }
 
-// drain takes everything queued (nil when empty) and swaps the two mailbox
-// buffers. Caller holds e.mu.
-func (e *Endpoint) drain() []Message {
-	if len(e.box) == 0 {
+// Take pops the front frame of the src→e link when it is stamped cycle cyc
+// or earlier, and returns nil otherwise. The caller checks the frame it is
+// handed: one stamped before cyc is a straggler. Take does not poll a
+// polled transport: a link delivers a sender's frames ahead of the
+// watermark behind them, so a receiver that has heard the watermarks it
+// waits for (Heard, AwaitHeard, Poll) already holds what they cover.
+// Close discards nothing: frames delivered before or after it can still
+// be taken.
+func (e *Endpoint) Take(src int, cyc uint64) *Frame {
+	l := &e.links[src]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.q) == 0 || l.q[0].T > cyc {
 		return nil
 	}
-	msgs := e.box
-	clear(e.spare) // the previous drain's messages: let go of them
-	e.box, e.spare = e.spare[:0], msgs
-	e.ready.Store(false)
-	return msgs
+	f := l.q[0]
+	l.q = slices.Delete(l.q, 0, 1) // clears the vacated slot
+	return f
 }
 
-// TryRecvAll drains and returns all queued messages without blocking
-// (nil when empty). It does not poll a polled transport: a link delivers a
-// sender's messages ahead of the watermark behind them, so a receiver that
-// has heard the watermarks it waits for (Heard, AwaitHeard, Poll) already
-// holds what they cover. Drain-after-close is guaranteed: messages queued
-// before (or even after) Close remain receivable — Close only wakes
-// blocked receivers, it never discards the mailbox.
-func (e *Endpoint) TryRecvAll() []Message {
-	if !e.ready.Load() {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drain()
+// Queued reports how many frames the src→e link holds, and the capacity
+// its queue has grown to: what the link costs in memory.
+func (e *Endpoint) Queued(src int) (n, capacity int) {
+	l := &e.links[src]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.q), cap(l.q)
 }
 
 // Close wakes any receiver blocked in AwaitHeard on this endpoint, which
 // then reports no watermark. Idempotent, and it never discards queued
-// messages: TryRecvAll still drains them.
+// frames: Take still pops them.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
-	e.closed = true
+	e.closed.Store(true)
 	e.mu.Unlock()
 	e.cond.Broadcast()
 }

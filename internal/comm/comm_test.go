@@ -1,23 +1,55 @@
 package comm
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
+// fr is a frame of src stamped t, carrying t as its one word.
+func fr(src int32, t uint64) *Frame { return &Frame{T: t, Src: src, Words: []uint64{t}} }
+
+// takeAll pops every frame the src→ep link holds, whatever its stamp.
+func takeAll(ep *Endpoint, src int) []*Frame {
+	var got []*Frame
+	for f := ep.Take(src, math.MaxUint64); f != nil; f = ep.Take(src, math.MaxUint64) {
+		got = append(got, f)
+	}
+	return got
+}
+
+// inOrder fails the test unless got holds the frames stamped 0, 1, 2, …
+func inOrder(t *testing.T, got []*Frame) {
+	t.Helper()
+	for i, f := range got {
+		if f.T != uint64(i) {
+			t.Fatalf("frame %d out of order: stamped %d", i, f.T)
+		}
+	}
+}
+
+// TestSendRecvBasic: Take pops a link's front frame once its cycle has
+// come, and only then.
 func TestSendRecvBasic(t *testing.T) {
 	n := NewNetwork(2)
 	a, b := n.Endpoint(0), n.Endpoint(1)
-	a.Send(1, "hello")
-	a.Send(1, "world")
-	msgs := b.TryRecvAll()
-	if len(msgs) != 2 || msgs[0] != "hello" || msgs[1] != "world" {
-		t.Errorf("messages: %v", msgs)
+	a.Send(1, fr(0, 1))
+	a.Send(1, fr(0, 2))
+	if f := b.Take(0, 0); f != nil {
+		t.Fatalf("cycle 0 took the frame stamped %d", f.T)
 	}
-	if more := b.TryRecvAll(); more != nil {
-		t.Errorf("empty mailbox returned %v", more)
+	if f := b.Take(1, 9); f != nil {
+		t.Fatalf("the empty link 1→1 handed out the frame stamped %d", f.T)
+	}
+	for _, want := range []uint64{1, 2} {
+		if f := b.Take(0, 2); f == nil || f.T != want || f.Words[0] != want {
+			t.Fatalf("cycle 2 took %+v, want the frame stamped %d", f, want)
+		}
+	}
+	if f := b.Take(0, 2); f != nil {
+		t.Errorf("empty link handed out %+v", f)
 	}
 }
 
@@ -47,38 +79,34 @@ func TestPerLinkFIFO(t *testing.T) {
 	n := NewNetwork(2)
 	const count = 1000
 	for i := 0; i < count; i++ {
-		n.Endpoint(0).Send(1, i)
+		n.Endpoint(0).Send(1, fr(0, uint64(i)))
 	}
-	var got []Message
-	for len(got) < count {
-		got = append(got, n.Endpoint(1).TryRecvAll()...)
+	got := takeAll(n.Endpoint(1), 0)
+	if len(got) != count {
+		t.Fatalf("took %d of %d frames", len(got), count)
 	}
-	for i, m := range got {
-		if m != i {
-			t.Fatalf("message %d out of order: %v", i, m)
-		}
-	}
+	inOrder(t, got)
 }
 
 func TestCloseSemantics(t *testing.T) {
-	// Close is idempotent; messages already queued are still receivable
+	// Close is idempotent; frames already queued can still be taken
 	// after Close, and sends after Close enqueue without panicking — an
 	// aborted Time Warp run closes endpoints while other clusters may
 	// still be shipping.
 	n := NewNetwork(2)
 	ep := n.Endpoint(1)
-	n.Endpoint(0).Send(1, "before")
+	n.Endpoint(0).Send(1, fr(0, 1))
 	ep.Close()
 	ep.Close() // double close must be safe
-	if msgs := ep.TryRecvAll(); len(msgs) != 1 || msgs[0] != "before" {
-		t.Fatalf("queued message lost across Close: %v", msgs)
+	if f := ep.Take(0, 1); f == nil || f.T != 1 {
+		t.Fatalf("queued frame lost across Close: took %+v", f)
 	}
-	if msgs := ep.TryRecvAll(); msgs != nil {
-		t.Fatalf("closed empty endpoint returned %v, want nil", msgs)
+	if f := ep.Take(0, 9); f != nil {
+		t.Fatalf("closed empty link handed out %+v, want nil", f)
 	}
-	n.Endpoint(0).Send(1, "after")
-	if msgs := ep.TryRecvAll(); len(msgs) != 1 || msgs[0] != "after" {
-		t.Fatalf("send after close not receivable: %v", msgs)
+	n.Endpoint(0).Send(1, fr(0, 2))
+	if f := ep.Take(0, 2); f == nil || f.T != 2 {
+		t.Fatalf("send after close not taken: %+v", f)
 	}
 }
 
@@ -117,14 +145,16 @@ func TestConcurrentSendersCounted(t *testing.T) {
 		go func(src int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				n.Endpoint(src).Send((src+1)%3, i)
+				n.Endpoint(src).Send((src+1)%3, fr(int32(src), uint64(i)))
 			}
 		}(src)
 	}
 	wg.Wait()
 	total := 0
 	for dst := 0; dst < 3; dst++ {
-		total += len(n.Endpoint(dst).TryRecvAll())
+		got := takeAll(n.Endpoint(dst), (dst+2)%3)
+		inOrder(t, got)
+		total += len(got)
 	}
 	if total != 3*per {
 		t.Errorf("received %d, want %d", total, 3*per)
@@ -133,26 +163,22 @@ func TestConcurrentSendersCounted(t *testing.T) {
 
 func TestCloseTransportIdempotent(t *testing.T) {
 	// Network.CloseTransport must be callable more than once without
-	// panicking or losing messages the first call flushed — abort paths
+	// panicking or losing frames the first call flushed — abort paths
 	// and deferred cleanups can both reach it. Exercised against the
 	// chaos transport, whose background pump makes double-stop the
 	// dangerous case.
 	n := NewNetworkTransport(2, Chaos(ChaosConfig{Seed: 7, MaxDelay: 50 * time.Microsecond}))
 	const sends = 20
 	for i := 0; i < sends; i++ {
-		n.Endpoint(0).Send(1, i)
+		n.Endpoint(0).Send(1, fr(0, uint64(i)))
 	}
 	n.CloseTransport()
 	n.CloseTransport() // must be a no-op, not a panic
-	msgs := n.Endpoint(1).TryRecvAll()
-	if len(msgs) != sends {
-		t.Fatalf("got %d messages after double CloseTransport, want %d", len(msgs), sends)
+	got := takeAll(n.Endpoint(1), 0)
+	if len(got) != sends {
+		t.Fatalf("got %d frames after double CloseTransport, want %d", len(got), sends)
 	}
-	for i, m := range msgs {
-		if m != i {
-			t.Fatalf("FIFO broken at %d: got %v", i, m)
-		}
-	}
+	inOrder(t, got)
 }
 
 func TestDirectCloseTransportIdempotent(t *testing.T) {
@@ -164,111 +190,59 @@ func TestDirectCloseTransportIdempotent(t *testing.T) {
 func TestDrainAfterCloseUnderTransportFlush(t *testing.T) {
 	// The documented shutdown order on abort: endpoints close first, the
 	// transport flushes into them afterwards. Everything the transport
-	// held must still be receivable from the closed endpoints — Close
-	// wakes receivers, it never discards mailboxes.
+	// held must still be on the closed endpoints' links — Close wakes
+	// receivers, it never discards frames.
 	n := NewNetworkTransport(2, Chaos(ChaosConfig{Seed: 3, MaxDelay: time.Millisecond, StallEvery: 4, StallFor: 5 * time.Millisecond}))
 	const sends = 12
 	for i := 0; i < sends; i++ {
-		n.Endpoint(0).Send(1, i)
+		n.Endpoint(0).Send(1, fr(0, uint64(i)))
 	}
 	ep := n.Endpoint(1)
 	ep.Close()
-	ep.Close() // double close of a mailbox with queued + in-transit messages
+	ep.Close() // double close of an endpoint with queued + in-transit frames
 	n.CloseTransport()
-	got := 0
-	for _, m := range ep.TryRecvAll() { // the flush delivered everything
-		if m != got {
-			t.Fatalf("FIFO broken: got %v at position %d", m, got)
-		}
-		got++
+	got := takeAll(ep, 0) // the flush delivered everything
+	if len(got) != sends {
+		t.Fatalf("took %d frames across close, want %d", len(got), sends)
 	}
-	if got != sends {
-		t.Fatalf("drained %d messages across close, want %d", got, sends)
-	}
+	inOrder(t, got)
 }
 
-// TestPendingMirrorsTheMailbox: the ready flag, which an idle TryRecvAll
-// reads instead of taking the lock, is the answer to "would TryRecvAll
-// return something", across sends, drains and Close.
-func TestPendingMirrorsTheMailbox(t *testing.T) {
-	n := NewNetwork(2)
-	ep := n.Endpoint(1)
-	if ep.ready.Load() {
-		t.Fatal("empty mailbox reports pending")
-	}
-	if msgs := ep.TryRecvAll(); msgs != nil {
-		t.Fatalf("idle poll returned %v, want nil", msgs)
-	}
-	n.Endpoint(0).Send(1, "a")
-	n.Endpoint(0).Send(1, "b")
-	if !ep.ready.Load() {
-		t.Fatal("two queued messages, nothing pending")
-	}
-	ep.Close()
-	if !ep.ready.Load() {
-		t.Fatal("Close emptied the mailbox flag; the messages are still there to drain")
-	}
-	if msgs := ep.TryRecvAll(); len(msgs) != 2 {
-		t.Fatalf("drained %v, want both messages", msgs)
-	}
-	if ep.ready.Load() {
-		t.Fatal("drained mailbox still reports pending")
-	}
-	n.Endpoint(0).Send(1, "c")
-	if !ep.ready.Load() {
-		t.Fatal("send after close not pending")
-	}
-	if msgs := ep.TryRecvAll(); len(msgs) != 1 || ep.ready.Load() {
-		t.Fatalf("TryRecvAll drained %v and left pending=%v", msgs, ep.ready.Load())
-	}
-}
-
-// TestDrainsAlternateTwoBuffers pins the buffer contract: a drained slice
-// is the receiver's until its next receive call, which takes the array back
-// as the mailbox — emptied of the old messages, so they can be collected —
-// and an exchange at steady state allocates nothing.
-func TestDrainsAlternateTwoBuffers(t *testing.T) {
+// TestTakeAllocatesNothing pins the queue contract: a taken frame leaves
+// no reference behind in its link's array, so it can be collected, and a
+// steady exchange allocates nothing once the queue has grown to the most
+// frames the link held.
+func TestTakeAllocatesNothing(t *testing.T) {
 	n := NewNetwork(2)
 	src, ep := n.Endpoint(0), n.Endpoint(1)
-	var msg Message = "payload" // boxed once, so the sends allocate nothing
-	drain := func(want int) []Message {
-		t.Helper()
-		for i := 0; i < want; i++ {
-			src.Send(1, msg)
+	frames := []*Frame{fr(0, 0), fr(0, 1), fr(0, 2)}
+	exchange := func() {
+		for _, f := range frames {
+			src.Send(1, f)
 		}
-		msgs := ep.TryRecvAll()
-		if len(msgs) != want {
-			t.Fatalf("drained %d messages, want %d", len(msgs), want)
-		}
-		for _, m := range msgs {
-			if m != msg {
-				t.Fatalf("drained %v", msgs)
+		for _, want := range frames {
+			if f := ep.Take(0, 2); f != want {
+				t.Fatalf("took %+v, want %+v", f, want)
 			}
 		}
-		return msgs
 	}
-	a := drain(4)
-	b := drain(3)
-	if &a[0] == &b[0] {
-		t.Fatal("consecutive drains returned the same array")
+	exchange()
+	l := &ep.links[0]
+	if back := l.q[:cap(l.q)]; back[0] != nil || back[1] != nil || back[2] != nil {
+		t.Errorf("an empty link still holds taken frames: %v", back)
 	}
-	c := drain(2)
-	if &c[0] != &a[0] {
-		t.Error("third drain did not reuse the first one's array")
+	if avg := testing.AllocsPerRun(200, exchange); avg != 0 {
+		t.Errorf("steady exchange allocates %.1f times, want 0", avg)
 	}
-	if a[2] != nil || a[3] != nil || b[0] != nil {
-		t.Errorf("buffers taken back still hold old messages: first %v, second %v", a, b)
-	}
-	if avg := testing.AllocsPerRun(200, func() { drain(3) }); avg != 0 {
-		t.Errorf("steady exchange allocates %.1f times per drain, want 0", avg)
+	if n, c := ep.Queued(0); n != 0 || c > 4 {
+		t.Errorf("link holds %d frames in a queue of capacity %d; want none in at most 4", n, c)
 	}
 }
 
 // TestPendingPolledBesideSenders is the kernel's use under the race
-// detector: senders deliver while the one receiver polls with TryRecvAll,
-// which most of the time finds the ready flag down and returns at once.
-// Nothing is lost, every link stays FIFO, and the flag never strands a
-// message.
+// detector: senders deliver while the one receiver polls every link with
+// Take, which most of the time finds it empty. Nothing is lost, and every
+// link stays FIFO.
 func TestPendingPolledBesideSenders(t *testing.T) {
 	const senders, per = 3, 2000
 	n := NewNetwork(senders + 1)
@@ -279,33 +253,38 @@ func TestPendingPolledBesideSenders(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				n.Endpoint(s).Send(senders, [2]int{s, i})
+				n.Endpoint(s).Send(senders, fr(int32(s), uint64(i)))
 			}
 		}(s)
 	}
-	next := make([]int, senders)
+	next := make([]uint64, senders)
 	got := 0
 	for deadline := time.Now().Add(20 * time.Second); got < senders*per; {
-		msgs := ep.TryRecvAll()
-		if msgs == nil {
+		took := false
+		for s := range next {
+			f := ep.Take(s, math.MaxUint64)
+			if f == nil {
+				continue
+			}
+			if f.T != next[s] || int(f.Src) != s {
+				t.Fatalf("link %d delivered %d of %d, want %d", s, f.T, f.Src, next[s])
+			}
+			next[s]++
+			got++
+			took = true
+		}
+		if !took {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d messages arrived and nothing is pending", got, senders*per)
+				t.Fatalf("%d of %d frames arrived", got, senders*per)
 			}
 			runtime.Gosched()
-			continue
-		}
-		for _, m := range msgs {
-			si := m.([2]int)
-			if si[1] != next[si[0]] {
-				t.Fatalf("link %d delivered %d, want %d", si[0], si[1], next[si[0]])
-			}
-			next[si[0]]++
-			got++
 		}
 	}
 	wg.Wait()
-	if ep.ready.Load() {
-		t.Error("after the last message: still pending")
+	for s := range senders {
+		if q, _ := ep.Queued(s); q != 0 {
+			t.Errorf("after the last frame: link %d still holds %d", s, q)
+		}
 	}
 }
 
@@ -355,8 +334,8 @@ type heldMarks struct {
 	held []uint64 // src 0's watermarks
 }
 
-func (h *heldMarks) Send(src, dst int, msg Message) {}
-func (h *heldMarks) Close()                         {}
+func (h *heldMarks) Send(dst int, f *Frame) {}
+func (h *heldMarks) Close()                 {}
 
 func (h *heldMarks) Mark(src int, through uint64) {
 	h.mu.Lock()

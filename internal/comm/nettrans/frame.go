@@ -1,7 +1,7 @@
 // Package nettrans is the wire layer under the distributed Time Warp
 // kernel — the role MPICH's socket devices played under DVS. It frames
-// the comm layer's slice-valued batch messages into length-prefixed
-// binary records over stdlib net.Conn TCP streams, preserving per-link
+// the comm layer's link frames into length-prefixed binary records over
+// stdlib net.Conn TCP streams, preserving per-link
 // FIFO across the wire (one stream per worker pair; TCP byte order is
 // delivery order), and carries the control plane of the distributed
 // runtime: the connect/accept handshake with cluster placement, the
@@ -16,11 +16,11 @@
 // reads in the background (DESIGN §21).
 // Both yield the same frames and the same errors on the same bytes.
 //
-// The package is deliberately ignorant of event payloads: a data frame
-// carries the bytes the kernel encoded (internal/timewarp/wire.go) and
-// hands them back undecoded. Everything here is hostile-input hardened —
-// a truncated, oversized or garbage frame is an error, never a panic and
-// never a partially delivered message.
+// The package is deliberately ignorant of payloads: a data frame carries
+// the bytes the kernel encoded (internal/timewarp/wire.go) and hands them
+// back undecoded. Everything here is hostile-input hardened — a
+// truncated, oversized or garbage frame is an error, never a panic and
+// never a partially delivered payload.
 package nettrans
 
 import (
@@ -47,8 +47,8 @@ const (
 	FrameReady byte = 0x04
 	// FrameStart releases the workers into the run.
 	FrameStart byte = 0x05
-	// FrameData carries one comm.Message between clusters: src cluster,
-	// dst cluster, codec payload.
+	// FrameData carries one comm.Frame between clusters, in the kernel's
+	// encoding: its destination cluster, then the frame.
 	FrameData byte = 0x06
 	// FrameProgress carries one cluster's watermark to a peer worker,
 	// behind the data frames the cluster sent it before.

@@ -1,38 +1,38 @@
 package comm
 
-// DeliverFunc enqueues a message into the destination endpoint's mailbox.
-// It is the network-side sink handed to transports; calling it is the only
-// way a message becomes visible to a receiver.
-type DeliverFunc func(dst int, msg Message)
+// DeliverFunc appends f to the queue of its link, f.Src→dst, at endpoint
+// dst. It is the network-side sink handed to transports; calling it is the
+// only way a frame becomes visible to a receiver.
+type DeliverFunc func(dst int, f *Frame)
 
 // MarkFunc files through as the watermark the src→dst link has delivered:
 // dst has received everything src sent it before it marked through. It is
-// the network-side sink for watermarks, as DeliverFunc is for messages.
+// the network-side sink for watermarks, as DeliverFunc is for frames.
 type MarkFunc func(src, dst int, through uint64)
 
-// Transport decides when and in what order sent messages reach their
-// destination mailboxes. Implementations MUST preserve Time Warp delivery
+// Transport decides when and in what order sent frames reach their
+// destination endpoints. Implementations MUST preserve Time Warp delivery
 // semantics:
 //
-//   - no loss: every message handed to Send is eventually delivered
+//   - no loss: every frame handed to Send is eventually delivered
 //     exactly once (Close flushes anything still held);
 //   - no duplication;
-//   - per-link FIFO: messages and watermarks on the same (src, dst) pair
+//   - per-link FIFO: frames and watermarks on the same (src, dst) pair
 //     are delivered in send order. The kernel relies on this — a
-//     watermark must never overtake a message sent before it.
+//     watermark must never overtake a frame sent before it.
 //
 // Cross-link ordering and timing are entirely up to the transport; that is
 // the degree of freedom the chaos transport exploits.
 type Transport interface {
-	// Send routes one message from endpoint src to endpoint dst.
-	Send(src, dst int, msg Message)
+	// Send routes one frame from endpoint f.Src to endpoint dst.
+	Send(dst int, f *Frame)
 	// Mark carries src's watermark through to every other endpoint, on
 	// each link behind everything src sent on it before, and hands it to
 	// the MarkFunc as it arrives at each. A transport that knows which
 	// endpoints never read src's watermark may leave them out (the worker
 	// mesh does); every link src sends on is read.
 	Mark(src int, through uint64)
-	// Close flushes all held messages and stops any background delivery.
+	// Close flushes all held frames and stops any background delivery.
 	// The network calls it exactly once, after the last Send.
 	Close()
 }
@@ -41,9 +41,9 @@ type Transport interface {
 // come from somewhere that must be polled — a wire transport whose sockets
 // nobody reads in the background. Endpoint.Poll and AwaitHeard call Poll
 // while a receiver waits for a watermark, and the watermark arrives behind
-// the messages it covers, so the goroutine that consumes a message is the
-// one that fetches it, the way an MPI progress engine is driven from the
-// caller's own loop; TryRecvAll then only drains the mailbox. Poll must not
+// the frames it covers, so the goroutine that consumes a frame is the one
+// that fetches it, the way an MPI progress engine is driven from the
+// caller's own loop; Take then only pops the link's queue. Poll must not
 // block, must be safe to call from every receiver at once, and delivers
 // through the transport's DeliverFunc like any other delivery.
 type Poller interface {
@@ -62,8 +62,8 @@ type directTransport struct {
 	mark    MarkFunc
 }
 
-func (d directTransport) Send(src, dst int, msg Message) { d.deliver(dst, msg) }
-func (d directTransport) Close()                         {}
+func (d directTransport) Send(dst int, f *Frame) { d.deliver(dst, f) }
+func (d directTransport) Close()                 {}
 
 func (d directTransport) Mark(src int, through uint64) {
 	for dst := 0; dst < d.k; dst++ {

@@ -14,11 +14,6 @@ import (
 
 const testStall = 30 * time.Second
 
-// Every kernel run this package's tests make — the chaos campaign, the
-// fault self-tests, the shrinker — verifies the clusters' input-queue order
-// after each cycle; a violation fails the run like any kernel error.
-func init() { timewarp.CheckInvariants = true }
-
 func TestSpecDerivationDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		a, b := NewSpec(seed, true), NewSpec(seed, true)
@@ -90,7 +85,7 @@ func TestHarnessCatchesCorruptedEvents(t *testing.T) {
 
 // TestHarnessCatchesSkippedSenderWait: a cluster that runs its cycle
 // without waiting for its senders' watermarks computes on whatever its
-// mailbox holds; under chaos the events it skipped arrive after it, and
+// links hold; under chaos the frames it skipped arrive after it, and
 // the harness must notice — as a straggler error or a waveform mismatch —
 // and the failure must replay from the same seed.
 func TestHarnessCatchesSkippedSenderWait(t *testing.T) {

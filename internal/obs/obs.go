@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability layer of the
-// simulator: a metrics registry (atomic counters, gauges and fixed-bucket
-// histograms, snapshotted on demand), a span/event tracer with a bounded
+// simulator: a metrics registry (atomic counters and gauges, snapshotted
+// on demand), a span/event tracer with a bounded
 // ring-buffer backend, and exporters — Chrome
 // trace-event JSON (chrome://tracing / Perfetto loadable, one track per
 // cluster), a Prometheus-style text dump, and a human-readable run
@@ -8,8 +8,8 @@
 //
 // The layer is built to be safe to leave on and cheap to leave off:
 //
-//   - a nil *Observer (and nil *Counter/*Gauge/*Histogram handles vended
-//     by a nil observer) disables everything; every instrumentation site
+//   - a nil *Observer (and nil *Counter/*Gauge handles vended by a nil
+//     observer) disables everything; every instrumentation site
 //     in the hot paths costs exactly one nil-check branch when disabled;
 //   - enabled counters are single uncontended atomic adds, and trace
 //     records go into a fixed-capacity ring that overwrites the oldest

@@ -34,14 +34,13 @@ func TestNilObserverIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x", "").Inc()
 	r.Gauge("x", "").Set(1)
-	r.Histogram("x", "", []float64{1}).Observe(1)
 	r.SampleFunc("x", "", func() float64 { return 0 })
 	if s := r.Snapshot(); len(s.Samples) != 0 {
 		t.Fatalf("nil registry snapshot non-empty: %+v", s)
 	}
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterAndGauge(t *testing.T) {
 	o := New(Options{})
 	reg := o.Registry()
 
@@ -56,29 +55,29 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatal("re-registration returned a different counter")
 	}
 
-	g := reg.Gauge("queue_len", "", L("cluster", 1))
+	g := reg.Gauge("depth", "", L("cluster", 1))
 	g.Set(7)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	g.Set(-2)
+	if got := g.Load(); got != -2 {
+		t.Fatalf("gauge = %d, want -2", got)
+	}
+	if again := reg.Gauge("depth", "", L("cluster", 1)); again != g {
+		t.Fatal("re-registration returned a different gauge")
+	}
+	if other := reg.Gauge("depth", "", L("cluster", 2)); other == g || other.Load() != 0 {
+		t.Fatal("another label set shares the gauge")
 	}
 
-	h := reg.Histogram("depth", "", []float64{1, 2, 4, 8})
-	for _, v := range []float64{1, 1, 3, 9, 100} {
-		h.Observe(v)
+	snap := reg.Snapshot()
+	if v, ok := snap.Get("evt_total", `{cluster="0"}`); !ok || v != 4 {
+		t.Fatalf("snapshot counter = %v (%v), want 4", v, ok)
 	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 5 || len(counts) != 5 {
-		t.Fatalf("bucket shapes: %v %v", bounds, counts)
+	if v, ok := snap.Get("depth", `{cluster="1"}`); !ok || v != -2 {
+		t.Fatalf("snapshot gauge = %v (%v), want -2", v, ok)
 	}
-	// le=1: two; le=2: none; le=4: the 3; le=8: none; +Inf: 9 and 100.
-	want := []uint64{2, 0, 1, 0, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], want[i], counts)
-		}
-	}
-	if h.Count() != 5 || h.Sum() != 114 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+	if len(snap.Families) != 2 || snap.Families[0].Kind != KindGauge || snap.Families[1].Kind != KindCounter ||
+		len(snap.Families[0].Samples) != 2 {
+		t.Fatalf("families %+v: want depth (gauge, two samples) and evt_total (counter)", snap.Families)
 	}
 }
 
@@ -163,7 +162,7 @@ func TestSpanAndInstant(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	o := New(Options{TraceCapacity: 256})
 	c := o.Registry().Counter("n_total", "")
-	h := o.Registry().Histogram("d", "", []float64{1, 10, 100})
+	d := o.Registry().Gauge("d", "")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -171,7 +170,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				c.Inc()
-				h.Observe(float64(i % 128))
+				d.Set(int64(i % 128))
 				o.Instant(int32(g), "tick")
 				if i%100 == 0 {
 					o.Snapshot()

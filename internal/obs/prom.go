@@ -11,7 +11,6 @@ import (
 // text exposition format: one HELP/TYPE block per metric family, then
 // one line per sample, sorted — so two equal registry states render to
 // byte-identical dumps (the property the golden metrics tests pin).
-// Histogram buckets are ordered by their numeric le bound, +Inf last.
 // Sampled funcs are exposed as gauges. Nil observers write nothing.
 func (o *Observer) WritePrometheus(w io.Writer) error {
 	if o == nil {

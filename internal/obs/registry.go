@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -87,60 +86,6 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket cumulative histogram: Observe(v) counts v
-// into the first bucket whose upper bound is >= v, with an implicit +Inf
-// bucket. Bounds are fixed at registration, so observation is one binary
-// search plus two atomic adds.
-type Histogram struct {
-	bounds  []float64 // sorted upper bounds, exclusive of +Inf
-	buckets []atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // sum of observed values, rounded to uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	if v > 0 {
-		h.sum.Add(uint64(v))
-	}
-}
-
-// Buckets returns the bucket upper bounds and their counts; the final
-// entry is the +Inf bucket (bound math.Inf(1)).
-func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	bounds = append(append([]float64(nil), h.bounds...), math.Inf(1))
-	counts = make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-	}
-	return bounds, counts
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (integer-rounded).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // metric is one registered instrument.
 type metric struct {
 	name    string
@@ -148,7 +93,6 @@ type metric struct {
 	help    string
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	sample  func() float64 // sampled gauge
 }
 
@@ -199,20 +143,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return m.gauge
 }
 
-// Histogram registers (or returns the existing) fixed-bucket histogram.
-// Bounds must be sorted ascending; they are copied.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-	m := r.register(&metric{name: name, labels: renderLabels(labels), help: help, hist: h})
-	return m.hist
-}
-
 // SampleFunc registers a sampled gauge: fn is invoked at snapshot time.
 // fn must be safe to call from any goroutine at any point of the run
 // (read atomics, not plain fields).
@@ -230,11 +160,8 @@ type Sample struct {
 	Value  float64
 }
 
-// Snapshot is the registry state at one instant. Histograms contribute
-// one sample per bucket (suffix _bucket with an le label) plus _count
-// and _sum, mirroring the Prometheus exposition shape. Samples are in
-// exposition order: by family name, then sample name, then labels, a
-// histogram's buckets by ascending bound with +Inf last. Families carries
+// Snapshot is the registry state at one instant: one sample per metric.
+// Samples are in exposition order: by name, then labels. Families carries
 // the per-family type and help metadata and each family's window of
 // Samples, so a snapshot is self-describing — the property the
 // Prometheus writer relies on.
@@ -249,7 +176,6 @@ type Kind byte
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -258,15 +184,13 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return "untyped"
 	}
 }
 
-// Family is one metric family's metadata: the base name (histogram
-// samples carry suffixed names), its help string, and its type.
+// Family is one metric family's metadata: its name, help string and
+// type.
 type Family struct {
 	Name string
 	Help string
@@ -299,64 +223,30 @@ func (r *Registry) Snapshot() Snapshot {
 	copy(ms, r.order)
 	r.mu.Unlock()
 
-	// Each sample keeps its family, its metric's labels and its bucket
-	// bound as sort keys, so no rendered label set is parsed back.
-	type keyed struct {
-		fam, labels string
-		le          float64
-		s           Sample
-	}
-	var ks []keyed
-	add := func(m *metric, name string, v float64) {
-		ks = append(ks, keyed{fam: m.name, labels: m.labels, s: Sample{Name: name, Labels: m.labels, Value: v}})
-	}
-	for _, m := range ms {
+	out := make([]Sample, len(ms))
+	for i, m := range ms {
+		v := 0.0
 		switch {
 		case m.counter != nil:
-			add(m, m.name, float64(m.counter.Load()))
+			v = float64(m.counter.Load())
 		case m.gauge != nil:
-			add(m, m.name, float64(m.gauge.Load()))
+			v = float64(m.gauge.Load())
 		case m.sample != nil:
-			add(m, m.name, m.sample())
-		case m.hist != nil:
-			bounds, counts := m.hist.Buckets()
-			cum := uint64(0)
-			for i := range bounds {
-				cum += counts[i]
-				le := "+Inf"
-				if !math.IsInf(bounds[i], 1) {
-					le = trimFloat(bounds[i])
-				}
-				ks = append(ks, keyed{fam: m.name, labels: m.labels, le: bounds[i], s: Sample{
-					Name:   m.name + "_bucket",
-					Labels: mergeLabel(m.labels, "le", le),
-					Value:  float64(cum),
-				}})
-			}
-			add(m, m.name+"_count", float64(m.hist.Count()))
-			add(m, m.name+"_sum", float64(m.hist.Sum()))
+			v = m.sample()
 		}
+		out[i] = Sample{Name: m.name, Labels: m.labels, Value: v}
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := &ks[i], &ks[j]
-		switch {
-		case a.fam != b.fam:
-			return a.fam < b.fam
-		case a.s.Name != b.s.Name:
-			return a.s.Name < b.s.Name
-		case a.labels != b.labels:
-			return a.labels < b.labels
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
 		}
-		return a.le < b.le
+		return a.Labels < b.Labels
 	})
-	out := make([]Sample, len(ks))
-	for i := range ks {
-		out[i] = ks[i].s
-	}
 	fams := familiesOf(ms)
 	for f, i := 0, 0; f < len(fams); f++ {
 		j := i
-		for j < len(ks) && ks[j].fam == fams[f].Name {
+		for j < len(out) && out[j].Name == fams[f].Name {
 			j++
 		}
 		fams[f].Samples = out[i:j:j]
@@ -373,11 +263,8 @@ func familiesOf(ms []*metric) []Family {
 	byName := make(map[string]Family, len(ms))
 	for _, m := range ms {
 		kind := KindGauge
-		switch {
-		case m.counter != nil:
+		if m.counter != nil {
 			kind = KindCounter
-		case m.hist != nil:
-			kind = KindHistogram
 		}
 		f, ok := byName[m.name]
 		if !ok {
@@ -405,19 +292,4 @@ func betterHelp(candidate, current string) bool {
 		return false
 	}
 	return current == "" || candidate < current
-}
-
-// mergeLabel inserts one extra label into an already-rendered label set.
-func mergeLabel(rendered, key, value string) string {
-	extra := fmt.Sprintf("%s=%q", key, value)
-	if rendered == "" {
-		return "{" + extra + "}"
-	}
-	return rendered[:len(rendered)-1] + "," + extra + "}"
-}
-
-// trimFloat renders a float compactly (8 → "8", 2.5 → "2.5").
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
 }

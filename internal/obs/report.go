@@ -8,7 +8,7 @@ import (
 )
 
 // Report renders a human-readable run summary: uptime, every counter and
-// gauge grouped by family, histogram shapes, trace-ring occupancy,
+// gauge grouped by family, trace-ring occupancy,
 // per-track event counts and the phase table (Phases) — the "what
 // happened in this run, and where did the time go" view for terminals,
 // complementing the machine-readable exporters.
@@ -20,8 +20,6 @@ func (o *Observer) Report() string {
 	fmt.Fprintf(&b, "observability report (uptime %v)\n", o.Uptime().Round(time.Millisecond))
 
 	snap := o.reg.Snapshot()
-	// Group samples by family name; histogram expansions keep their
-	// suffixed names, which reads fine in a flat listing.
 	if len(snap.Samples) > 0 {
 		b.WriteString("metrics:\n")
 		width := 0

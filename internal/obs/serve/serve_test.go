@@ -40,9 +40,7 @@ func testObserver() *obs.Observer {
 	o := obs.New(obs.Options{})
 	o.Registry().Counter("events_total", "events processed").Add(42)
 	o.Registry().Gauge("gvt_cycles", "current gvt").Set(7)
-	h := o.Registry().Histogram("rollback_depth", "rollback depth", []float64{1, 4, 16})
-	h.Observe(2)
-	h.Observe(20)
+	o.Registry().Gauge("rollback_depth", "rollback depth", obs.L("cluster", 0)).Set(2)
 	return o
 }
 
@@ -64,7 +62,7 @@ func TestMetricsConformance(t *testing.T) {
 	if n == 0 {
 		t.Fatal("exposition has no samples")
 	}
-	for _, want := range []string{"# TYPE events_total counter", "# HELP events_total", `rollback_depth_bucket{le="+Inf"}`} {
+	for _, want := range []string{"# TYPE events_total counter", "# HELP events_total", `rollback_depth{cluster="0"} 2`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -41,10 +40,6 @@ type cluster struct {
 
 	// The next cycle to execute.
 	cycle uint64
-	// in[j] is the FIFO of the frames received from prog.senders[j] for
-	// cycles not yet executed, strictly increasing in T (checkLogs); a
-	// cycle takes the frame for it from the front.
-	in [][]*frame
 	// shipped[j] is the words of the values receivers[j] holds of this
 	// cluster's flip-flops: those of the last frame to it, or power-on.
 	shipped [][]uint64
@@ -56,12 +51,12 @@ type cluster struct {
 	// Scratch.
 	packed []uint64 // the words gathered for one receiver
 	// frames and words are the slabs newFrame carves frames from.
-	frames []frame
+	frames []comm.Frame
 	words  []uint64
 
 	faultCtr uint64 // changed values shipped, for CorruptEveryN injection
-	// absorbed counts the messages this cluster filed; the host sums it
-	// once the cluster has exited.
+	// absorbed counts the frames this cluster took off its links; the host
+	// sums it once the cluster has exited.
 	absorbed uint64
 
 	// stats is race-clean: the cluster goroutine writes, the observability
@@ -90,7 +85,6 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 		rec:       cfg.Causality,
 		prog:      p,
 		obsVals:   make([][]bool, len(p.obsOwn)),
-		in:        make([][]*frame, len(p.senders)),
 		shipped:   make([][]uint64, len(p.receivers)),
 	}
 	words := 0
@@ -108,33 +102,30 @@ func newCluster(id int32, h *host, rep *replicas) *cluster {
 
 // run is the cluster main loop: it returns after the last cycle. Each
 // frame is stamped with a cycle its receiver executes (endCycle) and is
-// drained before that cycle, so nothing is left to wait for (DESIGN §19).
+// taken in that cycle, so nothing is left to wait for (DESIGN §19). The
+// last cycle's wait heard every frame sent to the cluster, so a frame
+// still on a link after it is a duplicate, or was passed on its link by a
+// later one: the apply after the last cycle meets it as a straggler.
 func (c *cluster) run() error {
 	for c.cycle < c.cfg.Cycles {
 		if c.cancelled.Load() || !(c.awaitSenders() && c.holdBack()) {
 			return nil // another cluster failed; abandon the run
-		}
-		if err := c.absorb(c.ep.TryRecvAll()); err != nil {
-			return err
 		}
 		t0 := time.Now()
 		if err := c.processCycle(c.cycle); err != nil {
 			return err
 		}
 		c.lastCycle = time.Since(t0)
-		// Yield between cycles so clusters interleave even on few OS
-		// threads.
-		runtime.Gosched()
 	}
-	return nil
+	return c.apply(c.cycle)
 }
 
 // awaitSenders holds the cluster before its next cycle until the link from
 // every sender has delivered that sender's watermark for the cycle. A
 // sender ships what a cycle sent before it marks the next one, and a link
-// is FIFO, so the mailbox drained after this holds every frame the cycle
-// reads. The wait spins, polling a polled transport and yielding the
-// processor each round, for as long as the cluster's own last cycle took;
+// is FIFO, so after this each link holds every frame the cycle reads. The
+// wait spins, polling a polled transport and yielding the processor each
+// round, for as long as the cluster's own last cycle took;
 // a watermark that has not arrived by then is far away, and the cluster
 // waits for it in AwaitHeard, asleep unless only its own polls can
 // deliver it. A wait for a sender that has published the cycle but whose
@@ -200,36 +191,6 @@ func (c *cluster) holdBack() bool {
 	return true
 }
 
-// absorb files the messages received between two cycles, every one a
-// frame, in their senders' FIFOs (absorbFrame), and counts them.
-func (c *cluster) absorb(msgs []comm.Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	c.absorbed += uint64(len(msgs))
-	for _, m := range msgs {
-		f, ok := m.(*frame)
-		if !ok {
-			return fmt.Errorf("timewarp: cluster %d: unknown message payload %T", c.id, m)
-		}
-		if err := c.absorbFrame(f); err != nil {
-			return err
-		}
-	}
-	c.stats.queueLen.Store(c.pending())
-	return nil
-}
-
-// pending is how many frames the cluster holds for cycles not yet
-// executed.
-func (c *cluster) pending() int64 {
-	n := 0
-	for _, q := range c.in {
-		n += len(q)
-	}
-	return int64(n)
-}
-
 // publish stores the cluster's progress, its cycle, which the progress
 // watchdog and the worker's reports read. The watermark goes out
 // first, so a receiver that sees the progress has it too unless a link
@@ -237,51 +198,6 @@ func (c *cluster) pending() int64 {
 func (c *cluster) publish() {
 	c.ep.Mark(c.cycle)
 	c.progress[c.id].Store(c.cycle)
-}
-
-// absorbFrame appends a received frame to its sender's FIFO. A frame from
-// a cluster that is not a sender, of a length other than its link's, or
-// with padding bits set was misrouted, and fails the run. A frame for a
-// cycle the cluster has executed is a straggler: the wait for its sender
-// makes one impossible, so meeting one fails the run too.
-func (c *cluster) absorbFrame(f *frame) error {
-	j := slices.Index(c.prog.senders, f.Src)
-	if j < 0 {
-		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d, which it reads nothing of: misrouted",
-			c.id, f.T, f.Src)
-	}
-	n := len(c.prog.inputs(j))
-	if len(f.Words) != frameWords(n) {
-		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d of %d words, its link carries %d values: misrouted",
-			c.id, f.T, f.Src, len(f.Words), n)
-	}
-	if r := n % 64; r != 0 && f.Words[len(f.Words)-1]>>r != 0 {
-		return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d sets padding bits beyond its %d values: misrouted",
-			c.id, f.T, f.Src, n)
-	}
-	if f.T < c.cycle {
-		return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d) at cycle %d, which waited for its senders",
-			c.id, f.T, f.Src, c.cycle)
-	}
-	c.in[j] = append(c.in[j], f)
-	return nil
-}
-
-// checkLogs verifies the order apply stands on: each sender's FIFO is
-// strictly increasing in T, and holds no frame for an executed cycle. A
-// sender ships at most one frame a cycle, so the same frame delivered
-// twice is what breaks it. Tests run it after every cycle
-// (CheckInvariants).
-func (c *cluster) checkLogs() error {
-	for j, q := range c.in {
-		for i, f := range q {
-			if i > 0 && f.T <= q[i-1].T || f.T < c.cycle {
-				return fmt.Errorf("timewarp: cluster %d: invariant violated: frames from cluster %d out of order at %d of %d (T %d at cycle %d)",
-					c.id, c.prog.senders[j], i, len(q), f.T, c.cycle)
-			}
-		}
-	}
-	return nil
 }
 
 // ship sends receivers[j] a frame for cycle t of the values it reads, when
@@ -322,15 +238,15 @@ const frameSlab = 64
 // newFrame returns a frame of cluster c for cycle t with room for n words,
 // carved from c's slabs: a frame costs no allocation of its own, and a
 // slab is let go once every frame carved from it is.
-func (c *cluster) newFrame(t uint64, n int) *frame {
+func (c *cluster) newFrame(t uint64, n int) *comm.Frame {
 	if len(c.frames) == 0 {
-		c.frames = make([]frame, frameSlab)
+		c.frames = make([]comm.Frame, frameSlab)
 	}
 	if len(c.words) < n {
 		c.words = make([]uint64, frameSlab*n)
 	}
 	f := &c.frames[0]
-	*f = frame{T: t, Src: c.id, Words: c.words[:n:n]}
+	*f = comm.Frame{T: t, Src: c.id, Words: c.words[:n:n]}
 	c.frames, c.words = c.frames[1:], c.words[n:]
 	return f
 }
@@ -339,29 +255,45 @@ func (c *cluster) newFrame(t uint64, n int) *frame {
 // into their slots, runs the machine's cycle — stimulus, settle, latch —
 // and ends the cycle (endCycle).
 func (c *cluster) processCycle(cyc uint64) error {
-	c.apply(cyc)
+	if err := c.apply(cyc); err != nil {
+		return err
+	}
 	c.Cycle(c.cfg.Vectors, cyc)
 	c.endCycle(cyc)
-	if CheckInvariants {
-		return c.checkLogs()
-	}
 	return nil
 }
 
-// apply scatters each sender's frame for cycle cyc, the front of its FIFO,
-// into the slots it writes, and drops it. A sender none of whose values
-// changed sent no frame for the cycle, and its slots keep their values.
-func (c *cluster) apply(cyc uint64) {
-	for j, q := range c.in {
-		if len(q) == 0 || q[0].T != cyc {
+// apply takes each sender's frame for cycle cyc off the front of its link
+// and scatters it into the slots it writes. A sender none of whose values
+// changed sent no frame for the cycle, and its slots keep their values. A
+// frame of a length other than its link's, or with padding bits set, was
+// misrouted, and fails the run. A frame for a cycle before cyc is a
+// straggler: the wait for its sender makes one impossible on a FIFO link
+// that delivers each frame once, so meeting one fails the run too.
+func (c *cluster) apply(cyc uint64) error {
+	for j, s := range c.prog.senders {
+		f := c.ep.Take(int(s), cyc)
+		if f == nil {
 			continue
 		}
-		unpack(c.Slots, c.prog.inputs(j), q[0].Words)
-		c.rec.Consumed(c.id, q[0].Src, cyc)
-		n := copy(q, q[1:])
-		q[n] = nil
-		c.in[j] = q[:n]
+		in := c.prog.inputs(j)
+		n := len(in)
+		switch {
+		case len(f.Words) != frameWords(n):
+			return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d of %d words, its link carries %d values: misrouted",
+				c.id, f.T, s, len(f.Words), n)
+		case n%64 != 0 && f.Words[len(f.Words)-1]>>(n%64) != 0:
+			return fmt.Errorf("timewarp: cluster %d: frame (T %d) from cluster %d sets padding bits beyond its %d values: misrouted",
+				c.id, f.T, s, n)
+		case f.T < cyc:
+			return fmt.Errorf("timewarp: cluster %d: invariant violated: straggler (T %d src %d) at cycle %d, which waited for its senders",
+				c.id, f.T, s, cyc)
+		}
+		unpack(c.Slots, in, f.Words)
+		c.rec.Consumed(c.id, s, cyc)
+		c.absorbed++
 	}
+	return nil
 }
 
 // endCycle closes cycle cyc once the machine has latched: it records the
@@ -387,7 +319,6 @@ func (c *cluster) endCycle(cyc uint64) {
 	evals := p.cycleCost()
 	c.stats.events.Add(evals)
 	c.rec.CycleCost(c.id, cyc, evals)
-	c.stats.queueLen.Store(c.pending())
 	c.cycle = cyc + 1
 	c.publish()
 }
@@ -399,9 +330,3 @@ func b2i(v bool) int {
 	}
 	return 0
 }
-
-// CheckInvariants makes every cluster verify its FIFOs' order (checkLogs)
-// after each cycle, and fail the run when it is broken. The scan is as
-// long as the FIFOs, so only tests turn it on — before the runs
-// it is to cover, never during one.
-var CheckInvariants bool

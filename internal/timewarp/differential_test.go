@@ -130,8 +130,8 @@ type syncTransport struct {
 	mark    comm.MarkFunc
 }
 
-func (d syncTransport) Send(_, dst int, m comm.Message) { d.deliver(dst, m) }
-func (syncTransport) Close()                            {}
+func (d syncTransport) Send(dst int, f *comm.Frame) { d.deliver(dst, f) }
+func (syncTransport) Close()                        {}
 
 func (d syncTransport) Mark(src int, through uint64) {
 	for dst := 0; dst < d.k; dst++ {

@@ -1035,7 +1035,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 	f.Add(traceBatchV1(AppendTraceEvents(nil, []obs.Event{{Name: "e", Phase: obs.PhaseInstant}}, 0)))
 	f.Add(appendAbort(nil, distAbort{Reason: "worker 1 died: EOF"}))
 	for _, h := range hostileFrames() { // data frames, as a worker's mesh reads them
-		f.Add(nettrans.AppendDataFrame(nil, 1, 0, h))
+		f.Add(h)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeDistSpec(data)
@@ -1047,9 +1047,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 		// faces the same hostile bytes.
 		_, _, _ = DecodeTraceEvents(data)
 		// So do the data frames, on the mesh beside them.
-		if df, err := nettrans.DecodeDataFrame(data, 8); err == nil {
-			_, _ = decodeMessage(df.Msg)
-		}
+		_, _, _ = decodeFrame(data, 8)
 	})
 }
 

@@ -3,6 +3,7 @@ package timewarp
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -50,10 +51,11 @@ func tcpPair(t *testing.T) (a, b *nettrans.Conn) {
 // and two clusters, cluster 0 local and cluster 1 on worker 1 — with no
 // cluster goroutines and no coordinator: the test holds the
 // peer workers' ends of the mesh sockets and the coordinator's end of the
-// control connection. Every local cluster's watermark goes to every peer.
+// control connection. Every local cluster's watermark goes to every peer,
+// and reads every other cluster.
 type meshFixture struct {
 	w     *distWorker
-	ep    *comm.Endpoint   // cluster 0's mailbox
+	ep    *comm.Endpoint   // cluster 0's endpoint
 	peer  *nettrans.Conn   // worker 1's end of the mesh link
 	peers []*nettrans.Conn // worker p's end of the mesh link at p, nil at 0
 	coord *nettrans.Conn   // the coordinator's end of the control link
@@ -89,12 +91,18 @@ func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
 		progress: make([]atomic.Uint64, k),
 	}
 	w.mesh.markTo = make([][]int, k)
+	w.mesh.reads = make([][]int32, k)
 	for c, owner := range placement {
 		if owner != 0 {
 			continue
 		}
 		for p := 1; p < numW; p++ {
 			w.mesh.markTo[c] = append(w.mesh.markTo[c], p)
+		}
+		for s := range k {
+			if s != c {
+				w.mesh.reads[c] = append(w.mesh.reads[c], int32(s))
+			}
 		}
 	}
 	f.ep = w.h.net.Endpoint(0)
@@ -103,17 +111,22 @@ func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
 
 // linkFrame is the payload of a data frame 1→0 carrying cluster 1's frame
 // for cycle seq.
-func linkFrame(seq uint64) ([]byte, error) {
-	return appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), &frame{T: seq, Src: 1, Words: []uint64{seq}})
+func linkFrame(seq uint64) []byte {
+	return appendFrame(nil, 0, &comm.Frame{T: seq, Src: 1, Words: []uint64{seq}})
 }
 
 // writeLinkFrame writes one data frame 1→0 on worker 1's end of the link.
 func (f *meshFixture) writeLinkFrame(seq uint64) error {
-	buf, err := linkFrame(seq)
-	if err != nil {
-		return err
+	return f.peer.Send(nettrans.FrameData, linkFrame(seq))
+}
+
+// takeAll pops every frame the src→ep link holds, whatever its stamp.
+func takeAll(ep *comm.Endpoint, src int) []*comm.Frame {
+	var got []*comm.Frame
+	for f := ep.Take(src, math.MaxUint64); f != nil; f = ep.Take(src, math.MaxUint64) {
+		got = append(got, f)
 	}
-	return f.peer.Send(nettrans.FrameData, buf)
+	return got
 }
 
 func (f *meshFixture) sendLinkFrame(t *testing.T, seq uint64) {
@@ -131,8 +144,8 @@ func (f *meshFixture) sendLinkFrame(t *testing.T, seq uint64) {
 // The peer writes a cycle the way a sender does: a data frame, then the
 // watermark behind it, in one write. The first Endpoint.Poll after the
 // write delivers both, the data frame first — the watermark is heard with
-// the frame already in the mailbox — and TryRecvAll, which polls nothing,
-// then drains the frame: no sleep, no reader.
+// the frame already on its link — and Take, which polls nothing, then
+// pops the frame: no sleep, no reader.
 func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := newMeshFixture(t)
@@ -150,29 +163,21 @@ func TestMeshFrameArrivesOnFirstPoll(t *testing.T) {
 	defer stop.Store(true)
 
 	for seq := uint64(1); seq <= 200; seq++ {
-		buf, err := linkFrame(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.peer.Queue(nettrans.FrameData, buf); err != nil {
+		if err := f.peer.Queue(nettrans.FrameData, linkFrame(seq)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.peer.Send(nettrans.FrameProgress, appendMark(nil, 1, seq)); err != nil {
 			t.Fatal(err)
 		}
-		if msgs := f.ep.TryRecvAll(); msgs != nil {
-			t.Fatalf("frame %d: TryRecvAll polled the socket: %d messages before any poll", seq, len(msgs))
+		if lf := f.ep.Take(1, seq); lf != nil {
+			t.Fatalf("frame %d: Take polled the socket: took the frame stamped %d before any poll", seq, lf.T)
 		}
 		f.ep.Poll()
 		if got := f.ep.Heard(1); got != seq {
 			t.Fatalf("frame %d: watermark %d heard after the first poll, want %d", seq, got, seq)
 		}
-		msgs := f.ep.TryRecvAll()
-		if len(msgs) != 1 {
-			t.Fatalf("frame %d: %d messages in the mailbox with its watermark heard, want 1", seq, len(msgs))
-		}
-		if lf, ok := msgs[0].(*frame); !ok || lf.T != seq {
-			t.Fatalf("frame %d: delivered %#v", seq, msgs[0])
+		if got := takeAll(f.ep, 1); len(got) != 1 || got[0].T != seq || got[0].Words[0] != seq {
+			t.Fatalf("frame %d: the link held %d frames with its watermark heard, want it alone", seq, len(got))
 		}
 	}
 	if got := f.w.mesh.framesRecv.Load(); got != 200 {
@@ -204,9 +209,9 @@ func (f *meshFixture) hookPeer(t *testing.T, p int, written func()) (local net.C
 }
 
 // TestMeshSendTalliesBeforeTheWrite: a data frame counts as sent — in its
-// cluster's tw_batches, which mergeResults holds the absorbed frames to —
+// cluster's tw_batches, which mergeResults holds the taken frames to —
 // before its bytes reach the socket. A cycle queues the frame and the
-// watermark flushes it; the peer can read, deliver and absorb the frame the
+// watermark flushes it; the peer can read, deliver and take the frame the
 // moment that one write returns. The mesh counts the frame written only
 // once the write succeeded: a frame that could not be written is no frame
 // on the wire.
@@ -273,8 +278,8 @@ func TestMeshCycleIsOneWrite(t *testing.T) {
 	f := newMeshFixtureOf(t, []int32{0, 1, 1})
 	writes := 0
 	_, peer := f.hookPeer(t, 1, func() { writes++ })
-	f.ep.Send(1, &frame{T: 1, Src: 0, Words: []uint64{3}})
-	f.ep.Send(2, &frame{T: 1, Src: 0, Words: []uint64{1}})
+	f.ep.Send(1, &comm.Frame{T: 1, Src: 0, Words: []uint64{3}})
+	f.ep.Send(2, &comm.Frame{T: 1, Src: 0, Words: []uint64{1}})
 	f.ep.Mark(1)
 	if writes != 1 {
 		t.Fatalf("%d writes for one cycle to one peer, want 1", writes)
@@ -287,12 +292,12 @@ func TestMeshCycleIsOneWrite(t *testing.T) {
 		if typ != nettrans.FrameData {
 			t.Fatalf("frame type 0x%02x where the data frame for cluster %d belongs", typ, dst)
 		}
-		df, err := nettrans.DecodeDataFrame(payload, 3)
+		got, df, err := decodeFrame(payload, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if df.Src != 0 || df.Dst != dst {
-			t.Fatalf("data frame %d→%d, want 0→%d", df.Src, df.Dst, dst)
+		if df.Src != 0 || got != dst {
+			t.Fatalf("data frame %d→%d, want 0→%d", df.Src, got, dst)
 		}
 	}
 	typ, payload, err := peer.Recv()
@@ -351,7 +356,7 @@ func TestMeshMarksOnlyWhereRead(t *testing.T) {
 }
 
 // TestMeshPollFromManyGoroutines drives Poll the way a run does — one
-// cluster drains through TryRecvAll while the others poll as they wait —
+// cluster takes its link's frames while the others poll as they wait —
 // while the peer
 // streams frames and watermarks: each frame must be delivered exactly once,
 // in link order, and a watermark never ahead of the frames sent before it.
@@ -388,8 +393,8 @@ func TestMeshPollFromManyGoroutines(t *testing.T) {
 	const lastMark = frames - frames%16 // follows the last data frame on the link
 	for deadline := time.Now().Add(20 * time.Second); next <= frames || f.ep.Heard(1) != lastMark; {
 		heard := f.ep.Heard(1)
-		for _, m := range f.ep.TryRecvAll() {
-			if lf := m.(*frame); lf.T != next {
+		for _, lf := range takeAll(f.ep, 1) {
+			if lf.T != next {
 				t.Fatalf("delivered the frame for cycle %d, want %d", lf.T, next)
 			}
 			next++
@@ -463,8 +468,8 @@ func TestMeshPollSeesPeerDeathFirst(t *testing.T) {
 		f.sendLinkFrame(t, 1)
 		f.peer.Close()
 		f.pollUntilDown(t, io.EOF)
-		if msgs := f.ep.TryRecvAll(); len(msgs) != 1 {
-			t.Fatalf("%d messages delivered ahead of the EOF, want 1", len(msgs))
+		if got := takeAll(f.ep, 1); len(got) != 1 {
+			t.Fatalf("%d frames delivered ahead of the EOF, want 1", len(got))
 		}
 		f.requireQuietDeadLink(t)
 	})
@@ -487,19 +492,20 @@ func (f *meshFixture) requireQuietDeadLink(t *testing.T) {
 	if typ, payload, ok := f.coordFrame(50 * time.Millisecond); ok {
 		t.Fatalf("a dead peer was reported to the coordinator as frame 0x%02x %q", typ, payload)
 	}
-	f.ep.Send(1, &frame{T: 9, Src: 0})
+	f.ep.Send(1, &comm.Frame{T: 9, Src: 0})
 	f.ep.Mark(9)
 	f.w.mesh.Poll()
 }
 
 // TestMeshPollReportsGarbage: anything illegal on a mesh link — a frame
 // type the data plane does not carry, a route outside the network, an
-// undecodable frame or watermark — poisons the link and is reported to
-// the coordinator with the peer named, once.
+// undecodable frame or watermark, a frame for a cluster that reads nothing
+// of its source — poisons the link and is reported to the coordinator
+// with the peer named, once.
 func TestMeshPollReportsGarbage(t *testing.T) {
-	badRoute := nettrans.AppendDataFrame(nil, 1, 7, make([]byte, wireFrameHeader))
-	badFrame := nettrans.AppendDataFrame(nil, 1, 0, make([]byte, wireFrameHeader+1))
-	badSource, _ := appendMessage(nettrans.AppendDataFrame(nil, 1, 0, nil), &frame{T: 1, Src: 0})
+	badRoute := appendFrame(nil, 7, &comm.Frame{T: 1, Src: 1})
+	badFrame := make([]byte, wireFrameHeader+1)
+	badSource := appendFrame(nil, 0, &comm.Frame{T: 1, Src: 0})
 	for _, tc := range []struct {
 		name  string
 		write func(f *meshFixture)
@@ -507,8 +513,8 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 	}{
 		{"frame type", func(f *meshFixture) { f.peer.Send(nettrans.FrameReport, []byte{1}) }, "unexpected frame type 0x09"},
 		{"route", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badRoute) }, "outside 2-cluster network"},
-		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badFrame) }, "frame of 0 words needs 16 bytes, got 17"},
-		{"source", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badSource) }, "frame of cluster 0 in a data frame from cluster 1"},
+		{"event", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badFrame) }, "data frame of 17 bytes"},
+		{"source", func(f *meshFixture) { f.peer.Send(nettrans.FrameData, badSource) }, "frame (T 1) of cluster 0 for cluster 0, which reads nothing of it here: misrouted"},
 		{"progress", func(f *meshFixture) { f.peer.Send(nettrans.FrameProgress, []byte{0, 0, 0, 9}) }, "malformed watermark"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,9 +535,8 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 				t.Errorf("diagnosis %q does not name peer 1 and %q", a.Reason, tc.want)
 			}
 			f.w.mesh.Poll()
-			msgs := f.ep.TryRecvAll()
-			if len(msgs) != 1 || msgs[0].(*frame).T != 1 {
-				t.Errorf("delivered %v: want exactly the frame ahead of the garbage", msgs)
+			if got := takeAll(f.ep, 1); len(got) != 1 || got[0].T != 1 {
+				t.Errorf("delivered %d frames: want exactly the frame ahead of the garbage", len(got))
 			}
 			if _, _, ok := f.coordFrame(50 * time.Millisecond); ok {
 				t.Error("the poisoned link was reported twice")

@@ -194,7 +194,7 @@ func (w *distWorker) run(peerAddrs []string) error {
 
 	// Whatever ended the run, unwind in one order: make the clusters
 	// abandon an unfinished run, wait for them, then stop the transport
-	// (flushing no message on the clean path, draining into closed
+	// (flushing no frame on the clean path, draining into closed
 	// endpoints on abort).
 	if err != nil {
 		w.h.abort()
@@ -301,24 +301,22 @@ func (w *distWorker) report() error {
 
 // peerFrame is the one handler of everything a mesh connection carries:
 // data frames become local deliveries, watermark frames reach every local
-// cluster, anything else poisons the link. The payload is the poller's
-// read buffer; nothing decoded from it may alias it.
+// cluster, anything else poisons the link. A data frame for a cluster
+// that is not local, or that reads nothing of its source, is misrouted:
+// no cluster would ever take it. The payload is the poller's read buffer;
+// nothing decoded from it may alias it.
 func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 	switch typ {
 	case nettrans.FrameData:
-		df, err := nettrans.DecodeDataFrame(payload, w.spec.K)
+		dst, f, err := decodeFrame(payload, w.spec.K)
 		if err != nil {
 			return err
 		}
-		f, err := decodeMessage(df.Msg)
-		if err != nil {
-			return err
-		}
-		if int(f.Src) != df.Src {
-			return fmt.Errorf("frame of cluster %d in a data frame from cluster %d", f.Src, df.Src)
+		if !slices.Contains(w.mesh.reads[dst], f.Src) {
+			return fmt.Errorf("frame (T %d) of cluster %d for cluster %d, which reads nothing of it here: misrouted", f.T, f.Src, dst)
 		}
 		w.mesh.framesRecv.Add(1)
-		w.mesh.deliver(df.Dst, f)
+		w.mesh.deliver(dst, f)
 	case nettrans.FrameProgress:
 		src, through, err := decodeMark(payload, w.spec.K)
 		if err != nil {
@@ -429,11 +427,14 @@ type meshTransport struct {
 	mark    comm.MarkFunc
 
 	// markTo[c] lists the peer workers that read local cluster c's
-	// watermark (routeMarks), set before any traffic.
+	// watermark, and reads[c] the clusters local cluster c reads, its
+	// senders (routeMarks); both are set before any traffic, and nil for a
+	// cluster of another worker.
 	markTo [][]int
+	reads  [][]int32
 
 	// pollMu admits one poller at a time; the rest find it taken and go on
-	// with what is already in their mailboxes. down marks links that ended
+	// with what their links already hold. down marks links that ended
 	// (peer finished, died, or sent garbage) and are polled no more.
 	pollMu sync.Mutex
 	down   []bool
@@ -457,10 +458,14 @@ func newMeshTransport(w *distWorker) *meshTransport {
 // routeMarks lists, for each cluster h runs, the peer workers that read its
 // watermark: those hosting one of its senders, whose holdBack waits for it,
 // or one of its receivers, whose awaitSenders does. No other cluster reads
-// a watermark, so Mark sends a peer outside the list none.
+// a watermark, so Mark sends a peer outside the list none. It also notes
+// each local cluster's senders, against which peerFrame checks a data
+// frame's route.
 func (t *meshTransport) routeMarks(h *host) {
 	t.markTo = make([][]int, len(t.w.placement))
+	t.reads = make([][]int32, len(t.w.placement))
 	for _, cl := range h.clusters {
+		t.reads[cl.id] = cl.prog.senders
 		var to []int
 		for _, c := range slices.Concat(cl.prog.senders, cl.prog.receivers) {
 			if p := int(t.w.placement[c]); p != t.w.id && !slices.Contains(to, p) {
@@ -481,37 +486,25 @@ func (t *meshTransport) factory() comm.TransportFactory {
 	}
 }
 
-// Send routes one kernel message: local destinations deliver in-process,
+// Send routes one link frame: local destinations deliver in-process,
 // remote ones are queued as a data frame in the owning worker's mesh
-// write buffer, where they wait for src's next Mark. Per-link FIFO holds
-// because each cluster goroutine emits its messages and then its watermark
-// in order onto a single TCP stream per destination worker.
-func (t *meshTransport) Send(src, dst int, msg comm.Message) {
+// write buffer, where they wait for the sender's next Mark. Per-link FIFO
+// holds because each cluster goroutine emits its frames and then its
+// watermark in order onto a single TCP stream per destination worker.
+func (t *meshTransport) Send(dst int, f *comm.Frame) {
 	owner := int(t.w.placement[dst])
 	if owner == t.w.id {
-		t.deliver(dst, msg)
+		t.deliver(dst, f)
 		return
 	}
-	conn := t.w.peers[owner]
-
 	// The frame already counts as sent (ship counted it in tw_batches), and
-	// its receiver absorbs it before the cycle it is stamped with: the frame
-	// in the buffer needs no count of its own until a flush writes it.
+	// its receiver takes it in the cycle it is stamped with: the frame in
+	// the buffer needs no count of its own until a flush writes it.
 	t.encMu.Lock()
-	buf := t.encBuf[:0]
-	buf = nettrans.AppendDataFrame(buf, src, dst, nil)
-	var err error
-	buf, err = appendMessage(buf, msg)
-	if err != nil {
-		t.encMu.Unlock()
-		// An unencodable payload is a programming error (an unknown message
-		// type), not a runtime condition.
-		panic(fmt.Sprintf("timewarp: wire-encode %T: %v", msg, err))
-	}
-	if conn.Queue(nettrans.FrameData, buf) == nil {
+	t.encBuf = appendFrame(t.encBuf[:0], dst, f)
+	if t.w.peers[owner].Queue(nettrans.FrameData, t.encBuf) == nil {
 		t.queued[owner]++
 	}
-	t.encBuf = buf
 	t.encMu.Unlock()
 }
 
@@ -545,7 +538,7 @@ func (t *meshTransport) markLocal(src int, through uint64) {
 	}
 }
 
-// Poll drains every mesh socket into the local mailboxes and watermarks
+// Poll drains every mesh socket into the local links and watermarks
 // without blocking — the receive half of the data plane (DESIGN §21).
 // There is no reader goroutine and no poll tick: the clusters call this
 // while they wait for a watermark, which arrives behind the data frames it

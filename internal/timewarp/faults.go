@@ -12,7 +12,7 @@ type FaultConfig struct {
 	// the sender never saw — a silent data-corruption bug.
 	CorruptEveryN uint64
 	// SkipSenderWait makes every cluster run its next cycle without
-	// waiting for its senders' watermarks, on whatever its mailbox holds —
+	// waiting for its senders' watermarks, on whatever its links hold —
 	// the broken-synchronisation bug. A frame that arrives for a cycle
 	// already executed then fails the run as a straggler.
 	SkipSenderWait bool

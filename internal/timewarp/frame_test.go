@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -34,8 +35,9 @@ func FuzzLinkFrames(f *testing.F) {
 // nets in the same order; the receiver's lists together are exactly the
 // other clusters' flip-flop outputs it reads (naiveCopies), each once. And
 // a frame round trip — the sender gathers random values of its flip-flops,
-// the frame crosses the wire codec, the receiver absorbs and applies it —
-// leaves each slot the receiver reads holding the sender's value.
+// the frame crosses the wire codec and the link, the receiver takes and
+// applies it — leaves each slot the receiver reads holding the sender's
+// value.
 func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed int64) {
 	t.Helper()
 	sw, err := sim.NewSweep(nl)
@@ -49,6 +51,7 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 		progs[id], machs[id] = compile(sw, parts, rep, int32(id), nil)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	net := comm.NewNetwork(k)
 	for r, rp := range progs {
 		// What r reads across the cut: every other cluster's flip-flop
 		// output a gate it evaluates reads.
@@ -95,28 +98,24 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 			}
 			words := make([]uint64, frameWords(len(link)))
 			pack(words, sc.Slots, link)
-			buf, err := appendMessage(nil, &frame{T: 3, Src: s, Words: words})
-			if err != nil {
-				t.Fatal(err)
+			dst, f, err := decodeFrame(appendFrame(nil, r, &comm.Frame{T: 3, Src: s, Words: words}), k)
+			if err != nil || dst != r {
+				t.Fatalf("link %d→%d: decoded for cluster %d: %v", s, r, dst, err)
 			}
-			f, err := decodeMessage(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc := &cluster{id: int32(r), prog: rp, Machine: machs[r], cycle: 3, in: make([][]*frame, len(rp.senders))}
+			net.Endpoint(int(s)).Send(dst, f)
+			rc := &cluster{id: int32(r), prog: rp, Machine: machs[r], cycle: 3, ep: net.Endpoint(r)}
 			rc.Slots = make([]bool, len(rc.Nets))
-			if err := rc.absorbFrame(f); err != nil {
+			if err := rc.apply(3); err != nil {
 				t.Fatalf("link %d→%d: %v", s, r, err)
 			}
-			rc.apply(3)
 			for b := range link {
 				if rc.Slots[in[b]] != sc.Slots[link[b]] {
 					t.Fatalf("link %d→%d bit %d (%s): the receiver holds %v, the sender %v",
 						s, r, b, nl.Nets[sm.Nets[link[b]]].Name, rc.Slots[in[b]], sc.Slots[link[b]])
 				}
 			}
-			if len(rc.in[j]) != 0 {
-				t.Fatalf("link %d→%d: the applied frame is still queued", s, r)
+			if n, _ := rc.ep.Queued(int(s)); n != 0 || rc.absorbed != 1 {
+				t.Fatalf("link %d→%d: %d frames still queued, %d taken; want the applied frame taken", s, r, n, rc.absorbed)
 			}
 		}
 		if got != len(want) {
@@ -132,76 +131,106 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 	}
 }
 
-// TestAbsorbRefusesBadFrames walks a receiver's FIFO by hand on the
-// one-way pair, whose cluster 1 reads one of cluster 0's flip-flops: frames
-// for two cycles filed in order; a cycle applies the front one and leaves
-// the later one queued; a frame from a cluster that is not a sender, of
-// the wrong length or with a padding bit set is refused as misrouted, one
-// for an executed cycle as a straggler; and the same frame filed twice
-// breaks the order checkLogs checks.
+// TestAbsorbRefusesBadFrames walks a receiver's link by hand on the
+// one-way pair, whose cluster 1 reads one of cluster 0's flip-flops: a
+// cycle takes the front frame stamped for it and leaves a later one
+// queued. Then, each on a fresh pair whose sender has marked every cycle,
+// the receiver's own loop must fail the run on a frame of the wrong length
+// or with a padding bit set (misrouted), on one for a cycle it has
+// executed, and on the two faults of a link that is not FIFO and
+// exactly-once: a frame delivered twice, even for the last cycle, and two
+// frames swapped (stragglers).
 func TestAbsorbRefusesBadFrames(t *testing.T) {
 	nl, parts := togglePair(t)
-	h, err := newHost(Config{NL: nl, GateParts: parts, K: 2, Vectors: sim.RandomVectors{Seed: 1}, Cycles: 8}, "tw", nil)
-	if err != nil {
-		t.Fatal(err)
+	const cycles = 8
+	pair := func() (h *host, a, b *cluster) {
+		h, err := newHost(Config{NL: nl, GateParts: parts, K: 2, Vectors: sim.RandomVectors{Seed: 1}, Cycles: cycles}, "tw", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.abort)
+		return h, h.clusters[0], h.clusters[1]
 	}
-	defer h.abort()
-	a, b := h.clusters[0], h.clusters[1]
+	_, a, b := pair()
 	in := b.prog.inputs(0)
 	if len(in) != 1 || !slices.Equal(b.prog.senders, []int32{0}) || !slices.Equal(a.prog.receivers, []int32{1}) {
 		t.Fatalf("senders %v, receivers %v, %d values a frame; want cluster 0 sending cluster 1 one", b.prog.senders, a.prog.receivers, len(in))
 	}
-	refused := func(f *frame, want string) {
-		t.Helper()
-		if err := b.absorbFrame(f); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("frame %+v: error %v, want %q", f, err, want)
-		}
-	}
-	for _, f := range []*frame{{T: 0, Src: 0, Words: []uint64{1}}, {T: 1, Src: 0, Words: []uint64{0}}} {
-		if err := b.absorbFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.checkLogs(); err != nil {
+	a.ep.Send(1, &comm.Frame{T: 0, Src: 0, Words: []uint64{1}})
+	a.ep.Send(1, &comm.Frame{T: 1, Src: 0, Words: []uint64{0}})
+	if err := b.apply(0); err != nil {
 		t.Fatal(err)
 	}
-	b.apply(0)
-	b.cycle = 1
-	if !b.Slots[in[0]] || len(b.in[0]) != 1 || b.in[0][0].T != 1 {
-		t.Fatalf("after cycle 0: slot %v, FIFO %v; want true and cycle 1's frame alone", b.Slots[in[0]], b.in[0])
+	if n, _ := b.ep.Queued(0); !b.Slots[in[0]] || n != 1 || b.absorbed != 1 {
+		t.Fatalf("after cycle 0: slot %v, %d frames queued, %d taken; want true, cycle 1's frame alone, 1", b.Slots[in[0]], n, b.absorbed)
 	}
-	refused(&frame{T: 2, Src: 1, Words: []uint64{0}}, "misrouted")
-	refused(&frame{T: 2, Src: 0, Words: []uint64{0, 0}}, "misrouted")
-	refused(&frame{T: 2, Src: 0, Words: []uint64{2}}, "padding bits")
-	refused(&frame{T: 0, Src: 0, Words: []uint64{0}}, "invariant violated: straggler")
-	if len(b.in[0]) != 1 {
-		t.Fatalf("a refused frame changed the FIFO: %v", b.in[0])
-	}
-	if err := b.absorbFrame(&frame{T: 1, Src: 0, Words: []uint64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.checkLogs(); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Errorf("two frames for one cycle from one sender: checkLogs error %v", err)
+
+	for _, tc := range []struct {
+		name  string
+		at    uint64 // the cycle the receiver is stepped to first
+		stamp []uint64
+		words []uint64 // of every frame
+		want  string
+	}{
+		{"wrong length", 0, []uint64{2}, []uint64{0, 0}, "misrouted"},
+		{"padding bits", 0, []uint64{2}, []uint64{2}, "padding bits"},
+		{"straggler", 3, []uint64{1}, []uint64{1}, "invariant violated: straggler"},
+		{"duplicate", 0, []uint64{2, 2}, []uint64{1}, "invariant violated: straggler"},
+		{"duplicate of the last cycle's", 0, []uint64{cycles - 1, cycles - 1}, []uint64{1}, "invariant violated: straggler"},
+		{"swapped", 0, []uint64{4, 3}, []uint64{1}, "invariant violated: straggler"},
+	} {
+		_, a, b := pair()
+		for b.cycle < tc.at {
+			if err := b.processCycle(b.cycle); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, st := range tc.stamp {
+			a.ep.Send(1, &comm.Frame{T: st, Src: 0, Words: tc.words})
+		}
+		a.ep.Mark(cycles)
+		if err := b.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 // TestLinkFramesArriveInOrder steps three clusters of a randomly cut
 // decoder by hand, over a transport that is not the direct one, under a
-// random schedule: a cluster looks in its mailbox at random, and executes
-// its next cycle at random once every sender's watermark for it has
-// arrived — the wait rule, by hand. Senders run ahead of their receivers
-// by many cycles, so frames for several cycles wait in a FIFO. Each
-// sender's frames must arrive with strictly increasing T, none for a
-// cycle its receiver has executed, and the run must commit the sequential
-// simulator's waveforms.
+// random schedule: a cluster executes its next cycle at random once every
+// sender's watermark for it has arrived — the wait rule, by hand. Senders
+// run ahead of their receivers by many cycles, so frames for several
+// cycles wait on a link. Each sender's frames must arrive with strictly
+// increasing T, none for a cycle its receiver has executed, and the run
+// must commit the sequential simulator's waveforms.
 func TestLinkFramesArriveInOrder(t *testing.T) {
 	nl := viterbiDesign(t).Netlist
 	const k, cycles, seed = 3, 40, 41
 	state := sim.StateNets(nl)
-	h, err := newHost(Config{
+	var h *host
+	last := map[[2]int32]uint64{} // (dst, src) → T of the last frame seen
+	deep := 0                     // deliveries that left a link holding two frames or more
+	watched := func(k int, deliver comm.DeliverFunc, mark comm.MarkFunc) comm.Transport {
+		return syncTransport{k, func(dst int, f *comm.Frame) {
+			key := [2]int32{int32(dst), f.Src}
+			if t0, ok := last[key]; ok && f.T <= t0 {
+				t.Fatalf("cluster %d: frame for cycle %d from cluster %d after one for cycle %d", dst, f.T, f.Src, t0)
+			}
+			if c := h.clusters[dst]; f.T < c.cycle {
+				t.Fatalf("cluster %d at cycle %d: frame for cycle %d from cluster %d", dst, c.cycle, f.T, f.Src)
+			}
+			last[key] = f.T
+			deliver(dst, f)
+			if n, _ := h.net.Endpoint(dst).Queued(int(f.Src)); n > 1 {
+				deep++
+			}
+		}, mark}
+	}
+	var err error
+	h, err = newHost(Config{
 		NL: nl, GateParts: randomParts(nl, k, 17), K: k,
 		Vectors: sim.RandomVectors{Seed: seed}, Cycles: cycles, Observe: state,
-		Transport: syncDelivery,
+		Transport: watched,
 	}, "tw", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +244,6 @@ func TestLinkFramesArriveInOrder(t *testing.T) {
 		return c.cycle < cycles
 	}
 	rng := rand.New(rand.NewSource(1))
-	last := map[[2]int32]uint64{} // (dst, src) → T of the last frame seen
-	deep := 0                     // looks that left a FIFO holding two frames or more
 	finished := func() bool {
 		for _, c := range h.clusters {
 			if c.cycle < cycles {
@@ -225,48 +252,21 @@ func TestLinkFramesArriveInOrder(t *testing.T) {
 		}
 		return true
 	}
-	look := func(c *cluster) {
-		msgs := c.ep.TryRecvAll()
-		for _, m := range msgs {
-			f := m.(*frame)
-			key := [2]int32{c.id, f.Src}
-			if t0, ok := last[key]; ok && f.T <= t0 {
-				t.Fatalf("cluster %d: frame for cycle %d from cluster %d after one for cycle %d", c.id, f.T, f.Src, t0)
-			}
-			last[key] = f.T
-		}
-		if err := c.absorb(msgs); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.checkLogs(); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range c.in {
-			if len(q) > 1 {
-				deep++
-			}
-		}
-	}
 	for !finished() {
-		c := h.clusters[rng.Intn(k)]
-		if rng.Intn(2) == 0 {
-			look(c)
-		}
-		if ready(c) && rng.Intn(3) > 0 {
-			look(c) // what the cycle reads is filed before it runs
+		if c := h.clusters[rng.Intn(k)]; ready(c) {
 			if err := c.processCycle(c.cycle); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	if deep == 0 {
-		t.Error("schedule too tame: no FIFO ever held frames for two cycles")
+		t.Error("schedule too tame: no link ever held frames for two cycles")
 	}
 	if len(last) == 0 {
 		t.Fatal("no frame crossed a link")
 	}
-	// Each frame was absorbed before the cycle it is stamped with: once
-	// every cluster has run its cycles, none is left on a link.
+	// Each frame was taken in the cycle it is stamped with: once every
+	// cluster has run its cycles, none is left on a link.
 	res := mergeResults(k, []*distResult{h.collect()})
 	if len(res.InvariantViolations) > 0 {
 		t.Fatalf("after the last cycles: %v", res.InvariantViolations)

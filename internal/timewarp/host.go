@@ -68,7 +68,7 @@ func (cfg *Config) prepare() (*sim.Sweep, *replicas, error) {
 // simulates. Run is a host owning all K clusters, watched by the progress
 // watchdog when the run asks for one; a distributed worker is a host
 // owning its placement share plus the mesh and the coordinator's control
-// loop. Each cluster counts what it absorbed itself, and collect sums the
+// loop. Each cluster counts the frames it took itself, and collect sums the
 // counts once the clusters have exited.
 type host struct {
 	cfg       Config     // validated, defaults filled
@@ -251,8 +251,8 @@ func mergeResults(k int, parts []*distResult) *Result {
 // instrumentClusters registers the per-cluster kernel metrics on the
 // host's observer and hooks each cluster's trace emitter. A worker's
 // clusters are a subset of the run's; labels come from each cluster's own
-// id. The Stats-backed series are statSeries, the ones a coordinator
-// keeps from its workers' reports; queue length is this process's own.
+// id. The series are statSeries, the ones a coordinator keeps from its
+// workers' reports.
 func instrumentClusters(h *host) {
 	o := h.cfg.Obs
 	if !o.Enabled() {
@@ -261,15 +261,12 @@ func instrumentClusters(h *host) {
 	reg := o.Registry()
 	for _, cl := range h.clusters {
 		cl.obs = o
-		st := &cl.stats
 		lbl := obs.L("cluster", int(cl.id))
 		// Sampled gauges close over the cluster's atomics: registering
 		// them costs the hot path nothing at all.
-		for i, f := range st.fields() {
+		for i, f := range cl.stats.fields() {
 			reg.SampleFunc(statSeries[i].name, statSeries[i].help,
 				func() float64 { return float64(f.Load()) }, lbl)
 		}
-		reg.SampleFunc("tw_queue_len", "frames received for cycles the cluster has not executed",
-			func() float64 { return float64(st.queueLen.Load()) }, lbl)
 	}
 }

@@ -43,10 +43,10 @@ endmodule
 
 // TestOneWaySenderRunsInConstantMemory runs the one-way pair free for 2,000
 // cycles, under the chaos transport and over direct delivery. The sender
-// sends a frame a cycle; the receiver waits for each watermark, so it
-// ends the run holding at most the one frame for the cycle after the last,
-// and the window that holds the sender back keeps its FIFO's capacity
-// bounded by the window, not by the run. Under chaos some of those waits
+// sends a frame a cycle, none for the cycle after the last; the receiver
+// waits for each watermark and takes each frame in its cycle, so it ends
+// the run with its link empty, and the window that holds the sender back
+// keeps the link queue's capacity bounded by the window, not by the run. Under chaos some of those waits
 // outlast the sender's publish because the link still held the
 // watermark; over direct delivery none does.
 func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
@@ -79,10 +79,9 @@ func TestOneWaySenderRunsInConstantMemory(t *testing.T) {
 		if st := res.PerCluster[0]; st.Messages < cycles-1 || st.LinkWaits != 0 {
 			t.Errorf("%s: sender shipped %d changed values and waited %d times; want one a cycle and no wait", tc.name, st.Messages, st.LinkWaits)
 		}
-		b := h.clusters[1]
-		if q := b.in[0]; len(q) > 1 || cap(q) > 4*window {
-			t.Errorf("%s: receiver holds %d frames in a FIFO of capacity %d; want at most 1 in at most %d",
-				tc.name, len(q), cap(q), 4*window)
+		if n, c := h.net.Endpoint(1).Queued(0); n > 0 || c > 4*window {
+			t.Errorf("%s: the receiver's link holds %d frames in a queue of capacity %d; want none in at most %d",
+				tc.name, n, c, 4*window)
 		}
 		if waits := res.PerCluster[1].LinkWaits; (tc.tr == nil) != (waits == 0) {
 			t.Errorf("%s: receiver waited on a held watermark %d times", tc.name, waits)

@@ -141,9 +141,6 @@ func TestMetricsGoldenSequential(t *testing.T) {
 	if v := get("tw_link_waits", cl0); v != 0 {
 		t.Fatalf("single cluster waited %v times", v)
 	}
-	if v := get("tw_queue_len", cl0); v != 0 {
-		t.Fatalf("single cluster queued %v events", v)
-	}
 
 	// Determinism: an independent identical run renders an identical
 	// Prometheus dump, byte for byte.

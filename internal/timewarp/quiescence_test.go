@@ -45,8 +45,8 @@ func TestQuiescenceDecisions(t *testing.T) {
 			{at: 480 * ms, progress: []uint64{3, 4}},
 			{at: 500 * ms, progress: []uint64{3, 4}, abort: "stalled"},
 		}},
-		// Done means absorbed too: every frame is absorbed before its
-		// receiver's last cycle (FuzzQuiescence).
+		// Done means absorbed too: every frame is taken by its receiver's
+		// last cycle at the latest (FuzzQuiescence).
 		{name: "no stall abort once everything is done and absorbed", stall: 250 * ms, steps: []step{
 			{at: 0, progress: []uint64{cycles, cycles}, moved: true, done: true},
 			{at: 900 * ms, progress: []uint64{cycles, cycles}, done: true},
@@ -90,21 +90,20 @@ type wireItem struct {
 // clusters exchanging frames and watermarks over FIFO links. It obeys
 // exactly the kernel's contract and nothing else. Before cycle c a
 // cluster waits until it has heard each sender's watermark c, and each
-// receiver's watermark c-window; it drains its mailbox, takes the frame
-// stamped c from the front of each sender's FIFO, ships each receiver
-// whose values changed a frame stamped c+1 unless c is the last cycle,
-// and then marks c+1 on every link and publishes c+1.
+// receiver's watermark c-window; it takes the frame stamped c from the
+// front of each sender's link queue, ships each receiver whose values
+// changed a frame stamped c+1 unless c is the last cycle, and then marks
+// c+1 on every link and publishes c+1.
 type countModel struct {
 	cycles, window uint64
 	senders        [][]int // senders[d]: the clusters that ship frames to d
 	receivers      [][]int
 	link           [][][]wireItem // link[s][d]: s→d, in flight, front first
 	heard          [][]uint64     // heard[d][s]: the watermark s→d delivered
-	mailbox        [][][]uint64   // mailbox[d][s]: frames delivered, not yet taken
-	in             [][][]uint64   // in[d][s]: frames taken, not yet consumed
+	queue          [][][]uint64   // queue[d][s]: frames s→d delivered, not yet taken
 	cycle          []uint64       // published progress: the next cycle to execute
 
-	sent, absorbed, consumed uint64
+	sent, consumed uint64
 }
 
 func newCountModel(k int, cycles, window uint64, edges uint16) *countModel {
@@ -112,15 +111,13 @@ func newCountModel(k int, cycles, window uint64, edges uint16) *countModel {
 		cycles: cycles, window: window,
 		senders: make([][]int, k), receivers: make([][]int, k),
 		link: make([][][]wireItem, k), heard: make([][]uint64, k),
-		mailbox: make([][][]uint64, k), in: make([][][]uint64, k),
-		cycle: make([]uint64, k),
+		queue: make([][][]uint64, k), cycle: make([]uint64, k),
 	}
 	bit := 0
 	for s := range k {
 		m.link[s] = make([][]wireItem, k)
 		m.heard[s] = make([]uint64, k)
-		m.mailbox[s] = make([][]uint64, k)
-		m.in[s] = make([][]uint64, k)
+		m.queue[s] = make([][]uint64, k)
 		for d := range k {
 			if d == s {
 				continue
@@ -158,31 +155,24 @@ func (m *countModel) ready(c int) bool {
 
 // exec executes cluster c's next cycle if it is ready, shipping a frame to
 // each receiver whose bit is set in changed. It fails the test the moment
-// a cycle runs without a frame stamped for it, or a frame arrives for a
+// a cycle runs without a frame stamped for it, or takes a frame for a
 // cycle already run.
 func (m *countModel) exec(t *testing.T, c int, changed uint) {
 	if !m.ready(c) {
 		return
 	}
 	cyc := m.cycle[c]
-	for s, box := range m.mailbox[c] {
-		for _, ft := range box {
-			if ft < cyc {
-				t.Fatalf("cluster %d at cycle %d absorbed a straggler from %d stamped %d", c, cyc, s, ft)
-			}
-		}
-		m.absorbed += uint64(len(box))
-		m.in[c][s] = append(m.in[c][s], box...)
-		m.mailbox[c][s] = nil
-	}
 	for _, s := range m.senders[c] {
 		for _, it := range m.link[s][c] {
 			if !it.mark && it.t == cyc {
 				t.Fatalf("cluster %d ran cycle %d with the frame for it from %d still on the link", c, cyc, s)
 			}
 		}
-		if q := m.in[c][s]; len(q) > 0 && q[0] == cyc {
-			m.in[c][s] = q[1:]
+		if q := m.queue[c][s]; len(q) > 0 && q[0] <= cyc {
+			if q[0] < cyc {
+				t.Fatalf("cluster %d at cycle %d took a straggler from %d stamped %d", c, cyc, s, q[0])
+			}
+			m.queue[c][s] = q[1:]
 			m.consumed++
 		}
 	}
@@ -209,7 +199,7 @@ func (m *countModel) deliver(s, d int) {
 	if it.mark {
 		m.heard[d][s] = it.t
 	} else {
-		m.mailbox[d][s] = append(m.mailbox[d][s], it.t)
+		m.queue[d][s] = append(m.queue[d][s], it.t)
 	}
 }
 
@@ -227,14 +217,14 @@ func (m *countModel) busyLinks() []int {
 }
 
 // leftover names what a run declared over still holds: a frame on a
-// link, in a mailbox or in a FIFO, or a cluster short of its cycles.
+// link or in a link's queue, or a cluster short of its cycles.
 func (m *countModel) leftover() string {
 	for c, cyc := range m.cycle {
 		if cyc != m.cycles {
 			return "cluster short of its cycles"
 		}
 		for s := range m.link {
-			if len(m.mailbox[c][s]) > 0 || len(m.in[c][s]) > 0 {
+			if len(m.queue[c][s]) > 0 {
 				return "a frame delivered but not consumed"
 			}
 			for _, it := range m.link[s][c] {
@@ -244,8 +234,8 @@ func (m *countModel) leftover() string {
 			}
 		}
 	}
-	if m.sent != m.absorbed || m.sent != m.consumed {
-		return "sent, absorbed and consumed counts differ"
+	if m.sent != m.consumed {
+		return "sent and consumed counts differ"
 	}
 	return ""
 }
@@ -281,8 +271,8 @@ func driveQuiescence(t *testing.T, data []byte) (consumed uint64, done bool) {
 		}
 		if v.done {
 			if what := m.leftover(); what != "" {
-				t.Fatalf("run declared over with %s: cycles %v of %d, links %v, mailboxes %v, FIFOs %v",
-					what, m.cycle, cycles, m.link, m.mailbox, m.in)
+				t.Fatalf("run declared over with %s: cycles %v of %d, links %v, queues %v",
+					what, m.cycle, cycles, m.link, m.queue)
 			}
 		}
 		return v.done

@@ -11,7 +11,6 @@ import "sync/atomic"
 type atomicStats struct {
 	messages atomic.Uint64
 	events   atomic.Uint64
-	queueLen atomic.Int64 // frames received for cycles not yet executed (gauge)
 
 	// batches counts the frames sent, batchedEvents the changed values
 	// they carried (ratio = mean batch size).

@@ -35,21 +35,21 @@ type heldTransport struct {
 	deliver comm.DeliverFunc
 	mark    comm.MarkFunc
 	held    []heldMessage
-	onSend  func(dst int, msg comm.Message) // when set, sees every message sent
+	onSend  func(dst int, f *comm.Frame) // when set, sees every frame sent
 }
 
-// heldMessage is a message, or src's watermark through when msg is nil.
+// heldMessage is a frame, or src's watermark through when f is nil.
 type heldMessage struct {
 	src, dst int
-	msg      comm.Message
+	f        *comm.Frame
 	through  uint64
 }
 
-func (h *heldTransport) Send(src, dst int, msg comm.Message) {
+func (h *heldTransport) Send(dst int, f *comm.Frame) {
 	if h.onSend != nil {
-		h.onSend(dst, msg)
+		h.onSend(dst, f)
 	}
-	h.held = append(h.held, heldMessage{src: src, dst: dst, msg: msg})
+	h.held = append(h.held, heldMessage{src: int(f.Src), dst: dst, f: f})
 }
 
 func (h *heldTransport) Mark(src int, through uint64) {
@@ -62,10 +62,10 @@ func (h *heldTransport) Mark(src int, through uint64) {
 
 func (h *heldTransport) Poll() {
 	for _, m := range h.held {
-		if m.msg == nil {
+		if m.f == nil {
 			h.mark(m.src, m.dst, m.through)
 		} else {
-			h.deliver(m.dst, m.msg)
+			h.deliver(m.dst, m.f)
 		}
 	}
 	h.held = h.held[:0]
@@ -128,7 +128,7 @@ func TestStragglerSentWhileReceiverIsThere(t *testing.T) {
 		s := newHandStepped(t, cfg, owns)
 		s.h.progress[1].Store(cycles)
 		a, most, n := s.h.clusters[0], 0, 0
-		s.tr.onSend = func(dst int, _ comm.Message) {
+		s.tr.onSend = func(dst int, _ *comm.Frame) {
 			if dst == 1 {
 				n++
 			}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// stampedTransport passes every message on to the transport it wraps, and
+// stampedTransport passes every frame on to the transport it wraps, and
 // fails the test on a frame stamped with a cycle nobody executes: Cycles
 // or later.
 type stampedTransport struct {
@@ -20,12 +20,12 @@ type stampedTransport struct {
 	frames *atomic.Int64
 }
 
-func (s stampedTransport) Send(src, dst int, msg comm.Message) {
-	if f := msg.(*frame); f.T >= s.cycles {
-		s.t.Errorf("cluster %d shipped cluster %d a frame stamped %d of a %d-cycle run", src, dst, f.T, s.cycles)
+func (s stampedTransport) Send(dst int, f *comm.Frame) {
+	if f.T >= s.cycles {
+		s.t.Errorf("cluster %d shipped cluster %d a frame stamped %d of a %d-cycle run", f.Src, dst, f.T, s.cycles)
 	}
 	s.frames.Add(1)
-	s.Transport.Send(src, dst, msg)
+	s.Transport.Send(dst, f)
 }
 
 // TestCountTermination runs a cut decoder for 0, 1 and 2 cycles over direct

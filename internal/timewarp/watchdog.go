@@ -9,10 +9,10 @@ import (
 // watchdog is the progress watchdog of a run, shared by Run's watcher and
 // the coordinator's report loop. It does not decide termination: a run
 // ends by count (DESIGN §19). The last cycle ships nothing, so every frame
-// is stamped with a cycle its receiver executes, and a receiver drains its
-// mailbox after its senders' watermarks for the cycle arrive, behind the
-// frames they cover on a FIFO link. Every frame is therefore absorbed
-// before its receiver's last cycle, and a cluster that has run Cycles
+// is stamped with a cycle its receiver executes, and a receiver takes it
+// off its link after its sender's watermark for the cycle arrived, behind
+// the frames it covers on a FIFO link. Every frame is therefore absorbed
+// by its receiver's last cycle, and a cluster that has run Cycles
 // cycles is done: it returns, and a distributed worker whose clusters have
 // all returned sends its result. The watchdog only tells a live run from
 // a dead one. It is a pure state machine over samples of the clusters'

@@ -16,9 +16,9 @@ import (
 // — a genuinely wedged cluster configuration.
 type swallowTransport struct{}
 
-func (swallowTransport) Send(src, dst int, msg comm.Message) {}
-func (swallowTransport) Mark(src int, through uint64)        {}
-func (swallowTransport) Close()                              {}
+func (swallowTransport) Send(dst int, f *comm.Frame)  {}
+func (swallowTransport) Mark(src int, through uint64) {}
+func (swallowTransport) Close()                       {}
 
 func TestStallWatcherFiresOnWedgedCluster(t *testing.T) {
 	c := gen.LFSR(16, nil)
