@@ -198,6 +198,7 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench 'Settle|Fuse' -benchtime 1x ./internal/sim
+	$(GO) test -run xxx -bench Compile -benchtime 1x ./internal/timewarp
 
 # The evidence a performance PR commits as BENCH_<n>.txt: alternating
 # parent/change pairs of the pipeline benchmark's driver command

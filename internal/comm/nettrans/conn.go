@@ -300,16 +300,6 @@ func (d *Dec) Len() int {
 	return len(d.p)
 }
 
-// Rest returns the undecoded remainder (used for nested payloads).
-func (d *Dec) Rest() []byte {
-	if d.err != nil {
-		return nil
-	}
-	r := d.p
-	d.p = nil
-	return r
-}
-
 func (d *Dec) take(n int) []byte {
 	if d.err != nil {
 		return nil

@@ -155,9 +155,11 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 	// A worker built while an event's T was a delta-scaled virtual time
 	// rather than the cycle that reads it, one built while clusters rolled
-	// back and a GVT frame went round, and one that answered the
-	// coordinator's cut rounds instead of reporting on its own.
-	for _, v := range []uint32{9, 10, 13, 14} {
+	// back and a GVT frame went round, one that answered the coordinator's
+	// cut rounds instead of reporting on its own, and one that derived a
+	// link's bits from the netlist instead of the records its receiver
+	// keeps.
+	for _, v := range []uint32{9, 10, 13, 14, 15} {
 		old := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), v), "10.0.0.1:9"), 0)
 		want := fmt.Sprintf("protocol version %d, this build speaks %d", v, Version)
 		if _, err := DecodeHello(old); err == nil || !strings.Contains(err.Error(), want) {

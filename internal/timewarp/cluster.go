@@ -69,12 +69,11 @@ type cluster struct {
 	rec *causality.Recorder
 }
 
-// newCluster builds cluster id of host h's run, replicated by rep, wired to
-// h's network endpoint and shared progress / cancelled words, in the
-// power-on state.
-func newCluster(id int32, h *host, rep *replicas) *cluster {
+// newCluster builds cluster id of host h's run from its program and
+// machine, wired to h's network endpoint and shared progress / cancelled
+// words, in the power-on state.
+func newCluster(id int32, h *host, p *program, m sim.Machine) *cluster {
 	cfg := &h.cfg
-	p, m := compile(h.sweep, cfg.GateParts, rep, id, cfg.Observe)
 	c := &cluster{
 		Machine:   m,
 		id:        id,

@@ -172,17 +172,19 @@ func FuzzReplicas(f *testing.F) {
 }
 
 // checkRemoteReads compiles every cluster of a k-way partition and checks
-// what crosses the cut against what the programs evaluate.
+// what crosses the cut against what the programs evaluate: every net a
+// record's cone or an own flip-flop reads that another cluster drives is a
+// flip-flop's output, and a cluster's senders are exactly the owners of
+// those flip-flops.
 func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 	t.Helper()
 	sw, err := sim.NewSweep(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := replicate(nl, parts, k)
-	naive := naiveCopies(nl, parts, k)
-	for id := range k {
-		p, m := compile(sw, parts, rep, int32(id), nil)
+	progs, machs := compileAll(sw, parts, k, nil)
+	for id, p := range progs {
+		m := &machs[id]
 		code := &sim.Program{Tab: m.Records(), Base: m.Base, Nets: m.Nets}
 		var gates []netlist.GateID // the records' cones and own flip-flops
 		for i := range code.Tab {
@@ -211,19 +213,6 @@ func checkRemoteReads(t *testing.T, nl *netlist.Netlist, parts []int32, k int) {
 						id, nl.Gates[g].Path, nl.Nets[n].Name, parts[d], nl.Gates[d].Path)
 				}
 				owners[parts[d]] = true
-			}
-		}
-		// Fuse drops the copies no live net depends on, but compile takes
-		// the senders from every gate the cluster copies, so the other
-		// clusters' flip-flops those dropped gates read count too.
-		for gi, ev := range naive[id] {
-			if !ev || evaluated[gi] {
-				continue
-			}
-			for _, n := range nl.Gates[gi].Inputs {
-				if d := nl.Nets[n].Driver; d != netlist.NoGate && !evaluated[d] && nl.Gates[d].Kind.Sequential() {
-					owners[parts[d]] = true
-				}
 			}
 		}
 		if len(owners) != len(p.senders) {

@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/gen"
 	"repro/internal/netlist"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
 // FuzzLinkFrames draws a gen family, a cluster count k in 2..5 and a
-// partition seed, partitions the circuit at random, replicates it and
-// compiles every cluster (checkLinks).
+// partition seed, partitions the circuit at random and compiles every
+// cluster (checkLinks).
 func FuzzLinkFrames(f *testing.F) {
 	for fam := range replicaFamilies {
 		f.Add(uint8(fam), uint8(0), int64(fam))
@@ -33,7 +35,8 @@ func FuzzLinkFrames(f *testing.F) {
 // its links from both ends. Each sender's list of flip-flops for a
 // receiver and that receiver's list of slots for the sender name the same
 // nets in the same order; the receiver's lists together are exactly the
-// other clusters' flip-flop outputs it reads (naiveCopies), each once. And
+// other clusters' flip-flop outputs its records and its latch read
+// (remoteReads), each once. And
 // a frame round trip — the sender gathers random values of its flip-flops,
 // the frame crosses the wire codec and the link, the receiver takes and
 // applies it — leaves each slot the receiver reads holding the sender's
@@ -44,28 +47,11 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := replicate(nl, parts, k)
-	evaluated := naiveCopies(nl, parts, k)
-	progs, machs := make([]*program, k), make([]sim.Machine, k)
-	for id := range progs {
-		progs[id], machs[id] = compile(sw, parts, rep, int32(id), nil)
-	}
+	progs, machs := compileAll(sw, parts, k, nil)
 	rng := rand.New(rand.NewSource(seed))
 	net := comm.NewNetwork(k)
 	for r, rp := range progs {
-		// What r reads across the cut: every other cluster's flip-flop
-		// output a gate it evaluates reads.
-		want := map[netlist.NetID]bool{}
-		for gi, ev := range evaluated[r] {
-			if !ev {
-				continue
-			}
-			for _, n := range nl.Gates[gi].Inputs {
-				if d := nl.Nets[n].Driver; d != netlist.NoGate && parts[d] != int32(r) && nl.Gates[d].Kind.Sequential() {
-					want[n] = true
-				}
-			}
-		}
+		want := remoteReads(nl, parts, int32(r), &machs[r])
 		got := 0
 		for j, s := range rp.senders {
 			sp, sm := progs[s], &machs[s] // the sender's flip-flop i's q is its slot i
@@ -118,14 +104,60 @@ func checkLinks(t *testing.T, nl *netlist.Netlist, parts []int32, k int, seed in
 				t.Fatalf("link %d→%d: %d frames still queued, %d taken; want the applied frame taken", s, r, n, rc.absorbed)
 			}
 		}
-		if got != len(want) {
-			t.Fatalf("cluster %d receives %d values, reads %d other clusters' flip-flop outputs", r, got, len(want))
+		if got != countTrue(want) {
+			t.Fatalf("cluster %d receives %d values, reads %d other clusters' flip-flop outputs", r, got, countTrue(want))
 		}
 	}
 	for s, sp := range progs {
 		for _, r := range sp.receivers {
 			if !slices.Contains(progs[r].senders, int32(s)) {
 				t.Fatalf("cluster %d lists cluster %d among its receivers, which does not list it among its senders", s, r)
+			}
+		}
+	}
+}
+
+// TestLinksCarryOnlyWhatIsRead compiles the default decoder split k = 2, 3
+// and 4 and the default SoC split k=4 (partition.Multiway, b=10, seed 1),
+// with the output ports observed and with nothing observed: every slot a
+// cluster's links write is read by one of its records or by its latch.
+func TestLinksCarryOnlyWhatIsRead(t *testing.T) {
+	for _, tc := range []struct {
+		c  *gen.Circuit
+		ks []int
+	}{
+		{gen.Viterbi(gen.DefaultViterbi), []int{2, 3, 4}},
+		{gen.ViterbiSoC(gen.DefaultSoC), []int{4}},
+	} {
+		ed, err := tc.c.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := ed.Netlist
+		sw, err := sim.NewSweep(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tc.ks {
+			res, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, observe := range [][]netlist.NetID{nl.POs, nil} {
+				progs, machs := compileAll(sw, res.GateParts, k, observe)
+				for id, p := range progs {
+					read := remoteReads(nl, res.GateParts, int32(id), &machs[id])
+					unread := 0
+					for _, s := range p.inSlot {
+						if !read[machs[id].Nets[s]] {
+							unread++
+						}
+					}
+					if unread > 0 {
+						t.Errorf("%s k=%d, %d nets observed, cluster %d: %d of the %d bits its links carry are read by no record and not latched",
+							tc.c.Name, k, len(observe), id, unread, len(p.inSlot))
+					}
+				}
 			}
 		}
 	}

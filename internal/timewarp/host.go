@@ -10,7 +10,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -32,35 +31,30 @@ func checkPartition(k int, gateParts []int32) error {
 // prepare validates cfg and fills its defaults in place. It returns the
 // compiled cycle of cfg.NL, from which a run takes the gate table, the
 // power-on net values and the stimulus width, so that they are the
-// sequential simulator's by construction, and the copies of all K
-// clusters, which it computes meanwhile on another goroutine: both depend
-// on the netlist and the partition alone.
-func (cfg *Config) prepare() (*sim.Sweep, *replicas, error) {
+// sequential simulator's by construction.
+func (cfg *Config) prepare() (*sim.Sweep, error) {
 	if cfg.NL == nil {
-		return nil, nil, fmt.Errorf("timewarp: Config.NL is nil")
+		return nil, fmt.Errorf("timewarp: Config.NL is nil")
 	}
 	if cfg.Vectors == nil {
-		return nil, nil, fmt.Errorf("timewarp: Config.Vectors is nil")
+		return nil, fmt.Errorf("timewarp: Config.Vectors is nil")
 	}
 	if err := checkPartition(cfg.K, cfg.GateParts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(cfg.GateParts) != len(cfg.NL.Gates) {
-		return nil, nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
+		return nil, fmt.Errorf("timewarp: GateParts covers %d gates, netlist has %d",
 			len(cfg.GateParts), len(cfg.NL.Gates))
 	}
 	for _, n := range cfg.Observe {
 		if n < 0 || int(n) >= len(cfg.NL.Nets) {
-			return nil, nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))
+			return nil, fmt.Errorf("timewarp: Observe names net %d, netlist has %d", n, len(cfg.NL.Nets))
 		}
 	}
 	if cfg.Observe == nil {
 		cfg.Observe = cfg.NL.POs
 	}
-	copies := make(chan *replicas, 1)
-	go func() { copies <- replicate(cfg.NL, cfg.GateParts, cfg.K) }()
-	sw, err := sim.NewSweep(cfg.NL)
-	return sw, <-copies, err
+	return sim.NewSweep(cfg.NL)
 }
 
 // host is the part of a Time Warp run one process executes: the K-endpoint
@@ -71,9 +65,8 @@ func (cfg *Config) prepare() (*sim.Sweep, *replicas, error) {
 // loop. Each cluster counts the frames it took itself, and collect sums the
 // counts once the clusters have exited.
 type host struct {
-	cfg       Config     // validated, defaults filled
-	mode      string     // pprof label: "tw" in-process, "dist" in a worker
-	sweep     *sim.Sweep // cfg.NL's compiled cycle: power-on state, topological table
+	cfg       Config // validated, defaults filled
+	mode      string // pprof label: "tw" in-process, "dist" in a worker
 	net       *comm.Network
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
 	cancelled atomic.Bool     // any failure: every cluster abandons the run
@@ -86,31 +79,25 @@ type host struct {
 
 // newHost validates cfg and builds the network and the clusters for which
 // owns reports true (nil = all of them), instrumented on cfg.Obs. Every
-// host of a run computes the copies of all K clusters from the netlist and
-// the partition alone, so both ends of a link agree on its order across
-// processes without a word on the wire.
+// host of a run compiles all K clusters (compileAll), so both ends of a
+// link agree on its order across processes without a word on the wire.
 func newHost(cfg Config, mode string, owns func(c int) bool) (*host, error) {
-	ref, rep, err := cfg.prepare()
+	sw, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
 	h := &host{
 		cfg:      cfg,
 		mode:     mode,
-		sweep:    ref,
 		net:      comm.NewNetworkTransport(cfg.K, cfg.Transport),
 		progress: make([]atomic.Uint64, cfg.K),
 	}
-	var ids []int32
-	for c := 0; c < cfg.K; c++ {
+	progs, machs := compileAll(sw, cfg.GateParts, cfg.K, cfg.Observe)
+	for c := range cfg.K {
 		if owns == nil || owns(c) {
-			ids = append(ids, int32(c))
+			h.clusters = append(h.clusters, newCluster(int32(c), h, progs[c], machs[c]))
 		}
 	}
-	// Each program is a function of the sweep, the partition, the copies
-	// and the cluster's id alone, so the clusters compile concurrently.
-	h.clusters = make([]*cluster, len(ids))
-	par.Each(len(ids), 0, func(i int) { h.clusters[i] = newCluster(ids[i], h, rep) })
 	instrumentClusters(h)
 	return h, nil
 }

@@ -11,8 +11,9 @@
 // it reads that another cluster's combinational gate drives, so the only
 // nets that cross the cut are flip-flop outputs, each read one cycle after
 // it latched. So a link carries, once per cycle, the values of a fixed
-// list of the sender's flip-flops, which both ends derive from the netlist
-// and the partition: after its latch a sender packs the values a receiver
+// list of the sender's flip-flops: those the receiver's fused records and
+// its latch read, which every process reads off the compiled clusters
+// (compileAll). After its latch a sender packs the values a receiver
 // reads into one frame, stamped with the cycle after the one that latched
 // them, and ships it when any of them changed; a cycle scatters every
 // frame for it into its slots before it settles. That one-cycle lookahead

@@ -1,10 +1,12 @@
 package timewarp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -19,13 +21,14 @@ import (
 // machine.
 //
 // A link carries no net id: a frame from a sender to a receiver holds one
-// bit per flip-flop of the sender the receiver reads, in the sender's
-// flip-flop order, and both ends derive that list from the netlist, the
-// partition and the copies alone (DESIGN §20).
+// bit per flip-flop of the sender that the receiver's records or latch
+// read, in the sender's flip-flop order. The receiver reads that list off
+// its machine's inputs, and compileAll hands it to the sender, so both
+// ends of a link read one list (DESIGN §20).
 type program struct {
 	// gates is how many gates one cycle evaluates: the own ones, flip-flops
-	// included, and the copies, folded ones included. A copy is another
-	// cluster's gate this cluster evaluates too, so that no net a
+	// included, and the copies, folded or dropped ones included. A copy is
+	// another cluster's gate this cluster evaluates too, so that no net a
 	// combinational gate drives is ever sent: its output is never
 	// observed, sent or latched.
 	gates int
@@ -36,8 +39,8 @@ type program struct {
 	obsOwn  []netlist.NetID
 	obsSlot []int32
 
-	// senders are the other clusters whose flip-flop outputs an own gate or
-	// a copy reads, ascending — exactly the clusters whose programs list
+	// senders are the other clusters whose flip-flop outputs a record or
+	// the latch reads, ascending — exactly the clusters whose programs list
 	// this one among their receivers. A cluster without senders is never
 	// sent a frame, and waits for no watermark. inSlot[inOff[j]:inOff[j+1]]
 	// (CSR, inputs) are the slots of the flip-flop outputs of senders[j]
@@ -56,76 +59,6 @@ type program struct {
 	linkFF    []int32
 }
 
-// replicas are every cluster's copies, computed once per host from the
-// netlist and the partition alone, so that every process of a run agrees
-// on them: copiers(g) lists, ascending, the clusters other than g's owner
-// that evaluate combinational gate g themselves. A cluster copies the
-// driver of every net one of its gates reads that another cluster's
-// combinational gate drives, and, the same way, whatever the copies read:
-// the walk stops at flip-flop outputs, stimulus inputs, constants and the
-// cluster's own gates. So every net read across the cut is a flip-flop's
-// output, read one cycle after it latched.
-type replicas struct {
-	off []uint32 // CSR by GateID, one offset per gate plus one
-	by  []int32
-}
-
-// replicate computes the copies of a k-way partition of nl.
-func replicate(nl *netlist.Netlist, gateParts []int32, k int) *replicas {
-	type copyOf struct {
-		g  netlist.GateID
-		by int32
-	}
-	var (
-		found []copyOf
-		stack []netlist.GateID
-		mark  = make([]int32, len(nl.Gates)) // c+1: cluster c copies the gate
-	)
-	for c := int32(0); c < int32(k); c++ {
-		visit := func(n netlist.NetID) {
-			d := nl.Nets[n].Driver
-			if d != netlist.NoGate && gateParts[d] != c && mark[d] != c+1 && !nl.Gates[d].Kind.Sequential() {
-				mark[d] = c + 1
-				found = append(found, copyOf{d, c})
-				stack = append(stack, d)
-			}
-		}
-		for gi := range nl.Gates {
-			if gateParts[gi] != c {
-				continue
-			}
-			for _, in := range nl.Gates[gi].Inputs {
-				visit(in)
-			}
-			for len(stack) > 0 {
-				d := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, in := range nl.Gates[d].Inputs {
-					visit(in)
-				}
-			}
-		}
-	}
-	r := &replicas{off: make([]uint32, len(nl.Gates)+1), by: make([]int32, len(found))}
-	for _, f := range found {
-		r.off[f.g+1]++
-	}
-	for g := range nl.Gates {
-		r.off[g+1] += r.off[g]
-	}
-	fill := slices.Clone(r.off[:len(nl.Gates)])
-	for _, f := range found { // by cluster, so each list is ascending
-		r.by[fill[f.g]] = f.by
-		fill[f.g]++
-	}
-	return r
-}
-
-// copiers returns the clusters that copy gate g.
-func (r *replicas) copiers(g netlist.GateID) []int32 {
-	return r.by[r.off[g]:r.off[g+1]]
-}
-
 // Tables returns, for each of the k clusters of gateParts, how many other
 // clusters' combinational gates it evaluates as copies in a run (DESIGN
 // §20), what replication adds to its cycle, and how many fused records its
@@ -141,111 +74,85 @@ func Tables(nl *netlist.Netlist, gateParts []int32, k int) (copies, records []in
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := replicate(nl, gateParts, k)
+	progs, machs := compileAll(sw, gateParts, k, nl.POs)
 	copies, records = make([]int, k), make([]int, k)
-	for _, c := range rep.by {
-		copies[c]++
+	for c := range k {
+		copies[c], records[c] = progs[c].gates, len(machs[c].Records())
 	}
-	for c := range records {
-		_, m := compile(sw, gateParts, rep, int32(c), nl.POs)
-		records[c] = len(m.Records())
+	for _, c := range gateParts {
+		copies[c]-- // an own gate is no copy
 	}
 	return copies, records, nil
 }
 
+// compileAll builds the programs and machines of all k clusters of
+// gateParts, concurrently, and links them: a cluster's receivers are the
+// clusters that list it among their senders, and its list for each is the
+// flip-flops whose q's that receiver's inputs from it hold, in their
+// order. Every process of a run compiles all K clusters from the same
+// netlist, partition and observe list, so both ends of a link agree on it
+// across processes without a word on the wire.
+func compileAll(sw *sim.Sweep, gateParts []int32, k int, observe []netlist.NetID) ([]*program, []sim.Machine) {
+	progs, machs := make([]*program, k), make([]sim.Machine, k)
+	par.Each(k, 0, func(c int) { progs[c], machs[c] = compile(sw, gateParts, int32(c), observe) })
+	for r, p := range progs { // by receiver, so each sender's receivers ascend
+		for j, s := range p.senders {
+			q, qNets := progs[s], machs[s].Nets // flip-flop i's q is slot i
+			if q.linkOff == nil {
+				q.linkOff = []uint32{0}
+			}
+			q.receivers = append(q.receivers, int32(r))
+			ff := int32(0)
+			for _, slot := range p.inputs(j) { // in gate order, as the q slots are
+				for qNets[ff] != machs[r].Nets[slot] {
+					ff++
+				}
+				q.linkFF = append(q.linkFF, ff)
+			}
+			q.linkOff = append(q.linkOff, uint32(len(q.linkFF)))
+		}
+	}
+	return progs, machs
+}
+
 // compile builds cluster id's program and machine for the netlist sw
-// compiles, partitioned by gateParts and replicated by rep.
-func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe []netlist.NetID) (*program, sim.Machine) {
+// compiles, partitioned by gateParts, but for its receivers, which
+// compileAll fills in.
+func compile(sw *sim.Sweep, gateParts []int32, id int32, observe []netlist.NetID) (*program, sim.Machine) {
 	nl := sw.NL
 	p := &program{}
-	// evaluates marks the own gates and the copies.
+	// evaluates marks the own gates and the copies. The cluster copies the
+	// driver of every net an own gate reads that another cluster's
+	// combinational gate drives, and, the same way, whatever the copies
+	// read: the walk stops at flip-flop outputs, stimulus inputs, constants
+	// and the own gates. So every net read across the cut is a flip-flop's
+	// output, read one cycle after it latched.
 	evaluates := make([]bool, len(nl.Gates))
-	for g := range evaluates {
-		evaluates[g] = gateParts[g] == id || slices.Contains(rep.copiers(netlist.GateID(g)), id)
-	}
-
-	// One pass counts the gates this cluster evaluates and marks what it
-	// reads of other clusters' flip-flops; the next numbers its own
-	// flip-flops, in gate order, and lists, in the same order, every
-	// cluster's flip-flops it reads, a list per sender: a link's order on
-	// both of its ends. A flip-flop's output is read by every cluster with
-	// an own gate or a copy among the net's sinks.
-	reads := make([]bool, len(nl.Nets))
-	for gi := range nl.Gates {
-		if !evaluates[gi] {
+	var stack []netlist.GateID
+	for g := range nl.Gates {
+		if gateParts[g] != id || evaluates[g] { // an own gate a walk met was walked then
 			continue
 		}
-		p.gates++
-		for _, in := range nl.Gates[gi].Inputs {
-			if d := nl.Nets[in].Driver; d != netlist.NoGate && gateParts[d] != id && nl.Gates[d].Kind.Sequential() {
-				reads[in] = true
-				if !slices.Contains(p.senders, gateParts[d]) {
-					p.senders = append(p.senders, gateParts[d])
+		evaluates[g] = true
+		stack = append(stack, netlist.GateID(g))
+		for len(stack) > 0 {
+			g := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			p.gates++
+			for _, in := range nl.Gates[g].Inputs {
+				if d := nl.Nets[in].Driver; d != netlist.NoGate && !evaluates[d] && !nl.Gates[d].Kind.Sequential() {
+					evaluates[d] = true
+					stack = append(stack, d)
 				}
 			}
 		}
 	}
-	slices.Sort(p.senders)
-	in := make([][]netlist.NetID, len(p.senders)) // the nets of each sender's frames
-	var out [][]int32                             // the flip-flops of each receiver's frames, by cluster
-	ff := int32(-1)                               // the own flip-flop at hand
-	for gi := range nl.Gates {
-		if !nl.Gates[gi].Kind.Sequential() {
-			continue
-		}
-		q := nl.Gates[gi].Output
-		if owner := gateParts[gi]; owner != id {
-			if reads[q] {
-				j := slices.Index(p.senders, owner)
-				in[j] = append(in[j], q)
-			}
-			continue
-		}
-		ff++
-		add := func(dst int32) {
-			if dst == id {
-				return
-			}
-			if int(dst) >= len(out) {
-				out = append(out, make([][]int32, int(dst)+1-len(out))...)
-			}
-			if l := out[dst]; len(l) == 0 || l[len(l)-1] != ff { // ff is the last one listed yet
-				out[dst] = append(l, ff)
-			}
-		}
-		for _, s := range nl.Nets[q].Sinks {
-			add(gateParts[s])
-			for _, c := range rep.copiers(s) {
-				add(c)
-			}
-		}
-	}
-	// A cluster without receivers, or without senders, keeps no offsets.
-	if len(out) > 0 {
-		p.linkOff = make([]uint32, 1, len(out)+1)
-	}
-	for dst, ffs := range out {
-		if len(ffs) > 0 {
-			p.receivers = append(p.receivers, int32(dst))
-			p.linkFF = append(p.linkFF, ffs...)
-			p.linkOff = append(p.linkOff, uint32(len(p.linkFF)))
-		}
-	}
-	if len(in) > 0 {
-		p.inOff = make([]uint32, 1, len(in)+1)
-	}
-	var remote []netlist.NetID
-	for _, nets := range in {
-		remote = append(remote, nets...)
-		p.inOff = append(p.inOff, uint32(len(remote)))
-	}
 
-	// The observed nets this cluster records and the received ones are the
-	// nets it touches outside the machine's cycle: the machine names them,
-	// which keeps them live beside what a flip-flop or a gate this cluster
-	// does not evaluate reads.
-	seen := reads
-	clear(seen)
+	// The machine names the observed nets this cluster records, which keeps
+	// them live beside what a flip-flop or a gate this cluster does not
+	// evaluate reads. It names no received net: one has a slot when a
+	// record or the latch reads it, and only then does a link carry it.
+	seen := make([]bool, len(nl.Nets))
 	for _, n := range observe {
 		owner := int32(0)
 		if d := nl.Nets[n].Driver; d != netlist.NoGate {
@@ -256,8 +163,35 @@ func compile(sw *sim.Sweep, gateParts []int32, rep *replicas, id int32, observe 
 		}
 		seen[n] = true
 	}
-	m, slots := sim.NewMachine(sw, evaluates, slices.Concat(p.obsOwn, remote))
-	p.obsSlot, p.inSlot = slots[:len(p.obsOwn)], slots[len(p.obsOwn):]
+	m, slots := sim.NewMachine(sw, evaluates, p.obsOwn)
+	p.obsSlot = slots
+
+	// The inputs the records and the latch read that another cluster
+	// drives are its flip-flops' q's, since the cluster evaluates every
+	// combinational gate it reads: by owner, then in the owner's flip-flop
+	// (gate) order, they are the links' bits.
+	type remote struct {
+		owner int32
+		ff    netlist.GateID
+		slot  int32
+	}
+	var in []remote
+	for s, n := range m.Nets[:m.Base] {
+		if d := nl.Nets[n].Driver; d != netlist.NoGate && gateParts[d] != id {
+			in = append(in, remote{gateParts[d], d, int32(s)})
+		}
+	}
+	slices.SortFunc(in, func(a, b remote) int { return cmp.Or(cmp.Compare(a.owner, b.owner), cmp.Compare(a.ff, b.ff)) })
+	for i, r := range in {
+		if i == 0 || r.owner != in[i-1].owner {
+			p.senders = append(p.senders, r.owner)
+			p.inOff = append(p.inOff, uint32(i))
+		}
+		p.inSlot = append(p.inSlot, r.slot)
+	}
+	if len(in) > 0 { // a cluster without senders keeps no offsets
+		p.inOff = append(p.inOff, uint32(len(in)))
+	}
 	return p, m
 }
 

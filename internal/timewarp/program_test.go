@@ -63,7 +63,7 @@ func TestProgramEvalMatchesSimEvalGate(t *testing.T) {
 	for gi := range nl.Gates {
 		outs[gi] = nl.Gates[gi].Output
 	}
-	_, m := compile(sw, parts, replicate(nl, parts, 1), 0, outs)
+	_, m := compile(sw, parts, 0, outs)
 	// One cluster owns every gate, all of them in its table, and every
 	// output is observed, so none is folded or dropped: a record's output is
 	// its gate's, or a link of its gate's chain.
@@ -132,6 +132,45 @@ func TestOneClusterIsLevelized(t *testing.T) {
 	}
 }
 
+// BenchmarkCompile times compileAll — every cluster's program and machine
+// and their links — on the ledger's SoC split k=4 (soc_dist_split) and
+// decoder split k=2 (viterbi_tw_rollback), partition.Multiway at b=10,
+// seed 1, with the output ports observed. The sweep is built once, outside
+// the loop, as a run builds it once in prepare.
+func BenchmarkCompile(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		c    *gen.Circuit
+		k    int
+	}{
+		{"soc_k4", gen.ViterbiSoC(gen.DefaultSoC), 4},
+		{"viterbi_k2", gen.Viterbi(gen.DefaultViterbi), 2},
+	} {
+		ed, err := tc.c.Elaborate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		nl := ed.Netlist
+		res, err := partition.Multiway(ed, partition.Options{K: tc.k, B: 10, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sw, err := sim.NewSweep(nl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				compiledSink, _ = compileAll(sw, res.GateParts, tc.k, nl.POs)
+			}
+		})
+	}
+}
+
+// compiledSink keeps BenchmarkCompile's result alive.
+var compiledSink []*program
+
 // slotMap returns the slot of every net code's slots hold.
 func slotMap(code *sim.Program) map[netlist.NetID]int32 {
 	m := map[netlist.NetID]int32{}
@@ -172,13 +211,14 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := replicate(nl, parts, k)
 	evaluated := naiveCopies(nl, parts, k)
-	progs := make([]*program, k)
-	for id := range progs {
-		var m sim.Machine
-		progs[id], m = compile(sw, parts, rep, int32(id), nl.POs)
-		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, int32(id), nl.POs, progs[id], &m)
+	progs, machs := compileAll(sw, parts, k, nl.POs)
+	reads := make([][]bool, k)
+	for id := range reads {
+		reads[id] = remoteReads(nl, parts, int32(id), &machs[id])
+	}
+	for id, p := range progs {
+		checkProgram(t, fmt.Sprintf("%s cluster %d", label, id), nl, parts, evaluated, reads, int32(id), p, &machs[id])
 	}
 	for id, p := range progs {
 		var heard []int32
@@ -191,6 +231,29 @@ func checkPrograms(t *testing.T, label string, nl *netlist.Netlist, parts []int3
 			t.Errorf("%s cluster %d: senders %v, but listed as a reader by clusters %v", label, id, p.senders, heard)
 		}
 	}
+}
+
+// remoteReads returns, by net, the other clusters' flip-flop outputs that
+// cluster id's records or its latch read: what its links must carry.
+func remoteReads(nl *netlist.Netlist, parts []int32, id int32, m *sim.Machine) []bool {
+	read := make([]bool, len(nl.Nets))
+	for _, r := range m.Records() {
+		for _, s := range r.In {
+			if n := m.Nets[s]; n != sim.NoNet {
+				read[n] = true
+			}
+		}
+	}
+	for gi := range nl.Gates {
+		if parts[gi] == id && nl.Gates[gi].Kind.Sequential() {
+			read[nl.Gates[gi].Inputs[0]] = true
+		}
+	}
+	for n := range read {
+		d := nl.Nets[n].Driver
+		read[n] = read[n] && d != netlist.NoGate && parts[d] != id && nl.Gates[d].Kind.Sequential()
+	}
+	return read
 }
 
 // naiveCopies returns, for every cluster, which gates it evaluates: its own,
@@ -221,18 +284,16 @@ func naiveCopies(nl *netlist.Netlist, parts []int32, k int) [][]bool {
 	return evaluated
 }
 
-func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated [][]bool, id int32, observe []netlist.NetID, p *program, m *sim.Machine) {
+func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32, evaluated, reads [][]bool, id int32, p *program, m *sim.Machine) {
 	t.Helper()
 	ev := evaluated[id]
 	copied := func(g netlist.GateID) bool { return ev[g] && parts[g] != id }
-	// readers[n]: the other clusters that evaluate a gate reading net n.
+	// readers[n]: the other clusters whose records or latch read net n.
 	readers := func(n netlist.NetID) map[int32]bool {
 		r := map[int32]bool{}
-		for _, s := range nl.Nets[n].Sinks {
-			for c := range evaluated {
-				if int32(c) != id && evaluated[c][s] {
-					r[int32(c)] = true
-				}
+		for c := range reads {
+			if reads[c][n] {
+				r[int32(c)] = true
 			}
 		}
 		return r
@@ -248,8 +309,8 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	if p.gates != countTrue(ev) {
 		t.Fatalf("%s: program counts %d gates a cycle, the cluster evaluates %d", label, p.gates, countTrue(ev))
 	}
-	// Only an own flip-flop's output is sent, to every other cluster that
-	// reads it with an own gate or a copy; a copy's output never is.
+	// Only an own flip-flop's output is sent, to every other cluster whose
+	// records or latch read it; a copy's output never is.
 	gotDsts := make([][]int32, len(dffs))
 	for j, r := range p.receivers {
 		if j > 0 && r <= p.receivers[j-1] {
@@ -288,14 +349,13 @@ func checkProgram(t *testing.T, label string, nl *netlist.Netlist, parts []int32
 	}
 
 	// A frame from a sender writes the slots of that sender's flip-flop
-	// outputs an evaluated gate reads, in the sender's flip-flop order
-	// (gate order), and nothing else: every other cluster's flip-flop
-	// output an evaluated gate reads, by sender.
+	// outputs the records or the latch read, in the sender's flip-flop
+	// order (gate order), and nothing else: every other cluster's
+	// flip-flop output they read, by sender.
 	remote := make([][]netlist.NetID, len(p.senders))
 	for gi := range nl.Gates {
 		n := nl.Gates[gi].Output
-		if parts[gi] == id || !nl.Gates[gi].Kind.Sequential() ||
-			!slices.ContainsFunc(nl.Nets[n].Sinks, func(s netlist.GateID) bool { return ev[s] }) {
+		if !reads[id][n] {
 			continue
 		}
 		j := slices.Index(p.senders, parts[gi])
