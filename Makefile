@@ -23,7 +23,7 @@ MONITOR_HOLD ?= 10s
 PARENT ?=
 BENCH_PAIRS ?= 10
 BENCH_PAIRS_WORKLOADS ?= soc_tw_aligned,viterbi_tw_rollback,soc_dist_split,partition_campaign:3
-BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.checkpoints,timewarp.messages,timewarp.rolled_back_frac,timewarp.rollbacks,timewarp.anti_messages,timewarp.mean_batch,timewarp.max_straggler_depth,dist.run_s,dist.committed_events_per_s,dist.rolled_back_frac,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,verilog.parse_s,elab.elaborate_s,hypergraph.build_flat_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,multilevel.flat_s,multilevel.nlevel_s,multilevel.flat_cut,multilevel.nlevel_cut,harness.pipeline_wall_s
+BENCH_PAIRS_LAYERS ?= timewarp.run_s,timewarp.committed_events_per_s,timewarp.events_executed,timewarp.messages,timewarp.mean_batch,dist.run_s,dist.committed_events_per_s,dist.wire_frames,dist.vs_inproc_ratio,sim.run_s,sim.events,sim.events_per_s,host.peak_rss_mb,verilog.parse_s,elab.elaborate_s,hypergraph.build_flat_s,cone.partition_s,partition.multiway_s,clustersim.run_s,clustersim.packed_ratio,presim.search_s,multilevel.flat_s,multilevel.nlevel_s,multilevel.flat_cut,multilevel.nlevel_cut,harness.pipeline_wall_s
 
 DIST_CYCLES ?= 200
 DIST_MONITOR_PORT ?= 8316
@@ -36,7 +36,7 @@ fuzz:
 	$(GO) test ./internal/fuzz -run TestFuzzShort -v
 	$(GO) test ./internal/fuzz -run TestFuzzShort -count=5
 	$(GO) test ./internal/timewarp ./internal/comm -run 'TestConservative|TestStraggler|TestOneWay|TestChaos|TestAwaitHeard|TestStallWatcher|TestProbe|TestCountTermination' -count=5
-	$(GO) test ./internal/timewarp ./internal/fuzz -run 'TestMesh|TestDistributedThreeWorkers|TestDistributedSilentWorkerAborts|TestDistributedFuzzSpecs' -count=5
+	$(GO) test ./internal/timewarp ./internal/fuzz -run 'TestMesh|TestDistributedThreeWorkers|TestDistributedEarlyStart|TestDistributedSilentWorkerAborts|TestDistributedFuzzSpecs' -count=5
 	$(GO) test -race ./internal/timewarp ./internal/comm -run 'TestConservative|TestDifferential|TestChaos'
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzReplicas -fuzztime 20s
 	$(GO) test ./internal/timewarp -run xxx -fuzz FuzzLinkFrames -fuzztime 20s

@@ -1,7 +1,8 @@
 // Command vsimd is the worker daemon of a distributed Time Warp run. It
-// dials a vsim coordinator (-mode dist), receives its cluster assignment
-// and the run specification over the control connection, meshes with its
-// peer workers over TCP, and simulates its share of the clusters,
+// dials a vsim coordinator (-mode dist), receives its welcome — its
+// cluster assignment, its peers and the run specification — over the
+// control connection, meshes with its peer workers over TCP, and starts
+// simulating its share of the clusters at once,
 // reporting their progress to the coordinator on a heartbeat, until the
 // coordinator finishes or aborts the run. It carries no design
 // inputs of its own — the coordinator ships the Verilog source and the
@@ -12,8 +13,11 @@
 // clusters it runs), and /healthz answers 503 as soon as the worker's
 // kernel probe reports the run wedged or failed — the hook a process
 // supervisor or Kubernetes liveness check wants. The coordinator's scrape
-// already carries the clusters' counters (every report does), so -serve
-// and -metrics are for what only this process holds: queue lengths.
+// already carries the clusters' counters (every report does), so what
+// only this process holds is its own view: /healthz and /status read this
+// worker's probe, and /debug/pprof profiles this process. Its /metrics
+// and -metrics repeat its clusters' counters as the worker itself last
+// saw them.
 //
 // Examples:
 //

@@ -12,7 +12,7 @@
 //   - every gate evaluation costs EvalCost wall units on its machine;
 //   - every cross-partition event costs MsgCPU on the sender and the
 //     receiver and arrives MsgLatency after the sending cycle completes;
-//   - a machine executes its own cycles optimistically, at most Window
+//   - a machine executes its own cycles optimistically, at most window
 //     cycles ahead of the slowest machine (the kernel's throttle);
 //   - an event arriving for a cycle the receiver has already passed is a
 //     straggler: the machine pays RollbackCost plus re-execution of the
@@ -86,6 +86,10 @@ const (
 	PackedOff
 )
 
+// window is the optimism bound in cycles: how far a machine may run ahead
+// of the slowest one.
+const window = 4
+
 // Config describes one modeled run.
 type Config struct {
 	NL        *netlist.Netlist
@@ -94,8 +98,6 @@ type Config struct {
 	Vectors   sim.VectorSource
 	Cycles    uint64
 	Costs     Costs
-	// Window is the optimism bound in cycles (default 4).
-	Window uint64
 	// Synchronous selects the conservative baseline: machines barrier at
 	// every cycle instead of executing optimistically. No rollbacks occur;
 	// each cycle costs the slowest machine plus a barrier round trip.
@@ -436,9 +438,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	cfg.Costs.fill()
-	if cfg.Window == 0 {
-		cfg.Window = 4
-	}
 	var gen traceSource
 	var err error
 	if cfg.Packed != PackedOff {
@@ -483,7 +482,7 @@ func Run(cfg Config) (*Result, error) {
 		if m.stepIn || m.cycle >= cfg.Cycles {
 			return nil
 		}
-		if m.cycle > minCycle()+cfg.Window {
+		if m.cycle > minCycle()+window {
 			m.waiting = true // woken when the laggard advances
 			return nil
 		}
@@ -576,8 +575,8 @@ func Run(cfg Config) (*Result, error) {
 			// Trim the trace window well behind the slowest machine
 			// (generous margin: rewind targets trail the minimum by at
 			// most the skew accumulated during one message latency).
-			if low := minCycle(); low > 4*cfg.Window+8 {
-				gen.discardBelow(low - 4*cfg.Window - 8)
+			if low := minCycle(); low > 4*window+8 {
+				gen.discardBelow(low - 4*window - 8)
 			}
 			if err := startStep(e.machine, m.wall); err != nil {
 				return nil, err

@@ -4,9 +4,9 @@
 // stdlib net.Conn TCP streams, preserving per-link
 // FIFO across the wire (one stream per worker pair; TCP byte order is
 // delivery order), and carries the control plane of the distributed
-// runtime: the connect/accept handshake with cluster placement, the
-// workers' heartbeat reports, the clusters' watermarks, abort and result
-// collection.
+// runtime: the hello that opens a worker's coordinator connection and
+// the welcome that answers it, the workers' heartbeat reports, the
+// clusters' watermarks, abort and result collection.
 //
 // A Conn is received from in one of two ways (conn.go). Recv blocks in the
 // runtime's netpoller until a frame arrives: the control plane and the
@@ -37,16 +37,14 @@ const (
 	// FrameHello opens a coordinator connection: magic, protocol
 	// version, and the worker's data-plane listen address.
 	FrameHello byte = 0x01
-	// FrameWelcome answers a hello: worker id, cluster placement, peer
-	// addresses and the opaque run-config blob.
+	// FrameWelcome answers a hello with the whole run: the worker's id,
+	// the cluster placement, the peer addresses and the run spec (the
+	// kernel's welcome codec). A worker starts its clusters once its mesh
+	// and host are up; nothing else releases it.
 	FrameWelcome byte = 0x02
 	// FramePeerHello identifies the dialing worker on a freshly
 	// accepted data-plane connection.
 	FramePeerHello byte = 0x03
-	// FrameReady tells the coordinator the worker's data mesh is up.
-	FrameReady byte = 0x04
-	// FrameStart releases the workers into the run.
-	FrameStart byte = 0x05
 	// FrameData carries one comm.Frame between clusters, in the kernel's
 	// encoding: its destination cluster, then the frame.
 	FrameData byte = 0x06
@@ -62,10 +60,10 @@ const (
 	// FrameResult carries a worker's committed waveforms and stats back
 	// to the coordinator once its clusters have run their cycles.
 	FrameResult byte = 0x0C
-	// FrameAbort carries a fatal error; everyone tears down.
+	// FrameAbort carries a fatal error: from the coordinator, the run's
+	// diagnosis, and everyone tears down; from a worker, its own failure,
+	// which the coordinator turns into the run's abort.
 	FrameAbort byte = 0x0D
-	// FrameError reports a worker-local failure to the coordinator.
-	FrameError byte = 0x0E
 )
 
 // MaxFrame caps a frame payload. Large enough for a full-mirror result

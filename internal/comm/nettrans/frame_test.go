@@ -127,27 +127,12 @@ func TestDecBytesHugeLengthPrefix(t *testing.T) {
 	}
 }
 
+// TestHandshakeRoundTrip: a hello and a peer hello decode to what was
+// encoded, and a hello from any other build is refused. (The welcome that
+// answers a hello is the kernel's: internal/timewarp's welcome codec.)
 func TestHandshakeRoundTrip(t *testing.T) {
-	w := Welcome{
-		WorkerID:   1,
-		NumWorkers: 3,
-		K:          5,
-		Placement:  []int32{0, 0, 1, 2, 2},
-		PeerAddrs:  []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
-		Config:     []byte{9, 8, 7},
-	}
-	got, err := DecodeWelcome(AppendWelcome(nil, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.WorkerID != w.WorkerID || got.NumWorkers != w.NumWorkers || got.K != w.K ||
-		len(got.Placement) != 5 || got.Placement[2] != 1 ||
-		got.PeerAddrs[2] != "127.0.0.1:3" || !bytes.Equal(got.Config, w.Config) {
-		t.Fatalf("welcome round trip mismatch: %+v", got)
-	}
-
-	h, err := DecodeHello(AppendHello(nil, Hello{DataAddr: "10.0.0.1:9"}))
-	if err != nil || h.DataAddr != "10.0.0.1:9" {
+	h, err := DecodeHello(AppendHello(nil, Hello{DataAddr: "10.0.0.1:9", StartUnixNano: -7}))
+	if err != nil || h.DataAddr != "10.0.0.1:9" || h.StartUnixNano != -7 {
 		t.Fatalf("hello round trip: %+v, %v", h, err)
 	}
 	if _, err := DecodeHello([]byte("GET / HTTP/1.1\r\n")); err == nil {
@@ -158,13 +143,19 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	// back and a GVT frame went round, one that answered the coordinator's
 	// cut rounds instead of reporting on its own, and one that derived a
 	// link's bits from the netlist instead of the records its receiver
-	// keeps.
-	for _, v := range []uint32{9, 10, 13, 14, 15} {
+	// keeps, and one that waited for a start frame after its welcome.
+	for _, v := range []uint32{9, 10, 13, 14, 15, 16} {
 		old := AppendI64(AppendStr(AppendU32(AppendU32(nil, Magic), v), "10.0.0.1:9"), 0)
 		want := fmt.Sprintf("protocol version %d, this build speaks %d", v, Version)
 		if _, err := DecodeHello(old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d hello: error %v, want the version refused", v, err)
 		}
+	}
+	// Every field is required: a hello cut short of its start instant is
+	// malformed, not a hello from an uninstrumented worker.
+	short := AppendHello(nil, Hello{DataAddr: "10.0.0.1:9"})
+	if _, err := DecodeHello(short[:len(short)-8]); err == nil || !strings.Contains(err.Error(), "malformed hello") {
+		t.Fatalf("hello without its start instant: error %v, want it malformed", err)
 	}
 	if _, err := DecodePeerHello(AppendPeerHello(nil, PeerHello{WorkerID: 7}), 3); err == nil {
 		t.Fatal("peer hello with out-of-mesh worker id accepted")
@@ -206,35 +197,6 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeWelcomeHostile(t *testing.T) {
-	good := AppendWelcome(nil, Welcome{
-		WorkerID: 0, NumWorkers: 2, K: 2,
-		Placement: []int32{0, 1},
-		PeerAddrs: []string{"a", "b"},
-	})
-	for cut := 0; cut < len(good); cut++ {
-		if _, err := DecodeWelcome(good[:cut]); err == nil {
-			t.Fatalf("truncated welcome (%d/%d bytes) accepted", cut, len(good))
-		}
-	}
-	// Bogus counts must be rejected before any K-sized allocation.
-	huge := AppendU32(nil, 0)
-	huge = AppendU32(huge, 1)
-	huge = AppendU32(huge, 0xFFFFFFF0) // K
-	if _, err := DecodeWelcome(huge); err == nil {
-		t.Fatal("welcome with absurd K accepted")
-	}
-	// Placement entry outside the worker set.
-	bad := AppendWelcome(nil, Welcome{
-		WorkerID: 0, NumWorkers: 2, K: 2,
-		Placement: []int32{0, 5},
-		PeerAddrs: []string{"a", "b"},
-	})
-	if _, err := DecodeWelcome(bad); err == nil {
-		t.Fatal("placement to nonexistent worker accepted")
-	}
-}
-
 // FuzzReadFrame feeds arbitrary bytes to the frame reader: any input must
 // produce frames or an error without panicking, and a frame that does
 // parse must round-trip back to identical bytes.
@@ -260,19 +222,13 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWelcome hardens the richest handshake payload against
+// FuzzDecodeHello hardens the handshake decoders of this package against
 // arbitrary bytes.
-func FuzzDecodeWelcome(f *testing.F) {
-	f.Add(AppendWelcome(nil, Welcome{
-		WorkerID: 0, NumWorkers: 2, K: 3,
-		Placement: []int32{0, 1, 1},
-		PeerAddrs: []string{"x", "y"},
-		Config:    []byte{1},
-	}))
-	f.Add(append(AppendU32(AppendU32(nil, 1), 2), 7))
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(AppendHello(nil, Hello{DataAddr: "127.0.0.1:9", StartUnixNano: 1}))
+	f.Add(AppendPeerHello(nil, PeerHello{WorkerID: 2}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeWelcome(data)
 		_, _ = DecodeHello(data)
 		_, _ = DecodePeerHello(data, 4)
 	})

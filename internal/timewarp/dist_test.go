@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -249,6 +250,133 @@ func TestDistributedThreeWorkers(t *testing.T) {
 	t.Logf("soc k=4 workers=3: msgs=%d wire frames=%d", res.Stats.Messages, res.WireFramesSent)
 }
 
+// TestDistributedEarlyStart: a worker starts its clusters as soon as its
+// own mesh and host are up, whatever its peers are doing. The SoC split
+// k=4 over three workers (clusters 0 and 1 on worker 0) runs with each
+// worker's control connection relayed, and worker 0's welcome is held back
+// until workers 1 and 2 have each sent a report, which a worker sends only
+// once its clusters run: they start while worker 0 has not even accepted
+// their mesh connections, and what they send it waits in its sockets. The
+// primary outputs and every flip-flop must still be the sequential
+// oracle's.
+func TestDistributedEarlyStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed runs are socket-heavy; skipped in -short")
+	}
+	tc := distWorkloads()[3]
+	ed, err := tc.c.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	state := sim.StateNets(nl)
+	pr, err := partition.Multiway(ed, partition.Options{K: 4, B: 10, Seed: 17, Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(CoordConfig{
+		Spec: &DistSpec{Source: tc.c.Source, Top: tc.c.Top, GateParts: pr.GateParts,
+			K: 4, Cycles: tc.cycles, VecSeed: 29, Observe: state},
+		Workers:  3,
+		Watchdog: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var others sync.WaitGroup
+	others.Add(2)
+	held := make(chan struct{})
+	go func() { others.Wait(); close(held) }()
+	var wg sync.WaitGroup
+	workerErrs := make([]error, 3)
+	for i := range workerErrs {
+		addr := relayWorker(t, co.Addr(), held, others.Done)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workerErrs[i] = RunWorker(WorkerOptions{Coordinator: addr})
+		}()
+	}
+	res, runErr := co.Run()
+	wg.Wait()
+	if runErr != nil {
+		t.Fatalf("coordinator: %v (workers: %v)", runErr, workerErrs)
+	}
+	for w, werr := range workerErrs {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", w, werr)
+		}
+	}
+	if res.WireFramesSent != res.WireFramesRecv {
+		t.Errorf("%d data frames written, %d read", res.WireFramesSent, res.WireFramesRecv)
+	}
+	compareObserved(t, nl, state, res.Observed, seqOracle(t, nl, state, tc.cycles, 29), tc.name)
+}
+
+// relayWorker listens for one worker and carries its control connection to
+// the coordinator at addr, frame by frame, both ways. The coordinator's
+// welcome to worker 0 waits until held closes; any other worker's first
+// report calls reported. It returns the address the worker dials.
+func relayWorker(t *testing.T, addr string, held <-chan struct{}, reported func()) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		worker, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer worker.Close()
+		coord, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer coord.Close()
+		id := make(chan int, 1) // the worker's id, once its welcome passed
+		go func() {
+			defer worker.Close()
+			for {
+				typ, p, err := nettrans.ReadFrame(coord)
+				if err != nil {
+					return
+				}
+				if typ == nettrans.FrameWelcome {
+					w, _ := decodeWelcome(p)
+					if w.WorkerID == 0 {
+						select {
+						case <-held:
+						case <-time.After(20 * time.Second):
+							t.Error("workers 1 and 2 sent no report while worker 0 waited for its welcome")
+						}
+					}
+					id <- w.WorkerID
+				}
+				if nettrans.WriteFrame(worker, typ, p) != nil {
+					return
+				}
+			}
+		}()
+		first := true
+		for {
+			typ, p, err := nettrans.ReadFrame(worker)
+			if err != nil {
+				return
+			}
+			if typ == nettrans.FrameReport && first {
+				if first = false; <-id != 0 {
+					reported()
+				}
+			}
+			if nettrans.WriteFrame(coord, typ, p) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestDistributedWorkerCrashAborts kills one worker mid-run (all its
 // sockets drop, exactly like a process death) and requires the
 // coordinator to abort the whole run with a diagnosis — through the probe
@@ -307,8 +435,8 @@ func TestDistributedWorkerCrashAborts(t *testing.T) {
 }
 
 // fakeWorker joins the coordinator at addr over a bare control connection
-// and takes it through the handshake — hello, welcome, ready, start — as a
-// worker that simulates nothing. It returns the connection.
+// and takes it through the handshake — hello, welcome — as a worker that
+// simulates nothing. It returns the connection.
 func fakeWorker(t *testing.T, addr string) *nettrans.Conn {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
@@ -322,27 +450,23 @@ func fakeWorker(t *testing.T, addr string) *nettrans.Conn {
 	if err := conn.Send(nettrans.FrameHello, nettrans.AppendHello(nil, nettrans.Hello{DataAddr: "127.0.0.1:1"})); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []byte{nettrans.FrameWelcome, nettrans.FrameStart} {
-		typ, _, err := conn.Recv()
-		if err != nil || typ != want {
-			t.Fatalf("fake worker read frame 0x%02x (%v), want 0x%02x", typ, err, want)
-		}
-		if want == nettrans.FrameWelcome {
-			if err := conn.Send(nettrans.FrameReady, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
+	typ, payload, err := conn.Recv()
+	if err != nil || typ != nettrans.FrameWelcome {
+		t.Fatalf("fake worker read frame 0x%02x (%v), want the welcome", typ, err)
+	}
+	if w, err := decodeWelcome(payload); err != nil || w.WorkerID != 0 || len(w.PeerAddrs) != 1 {
+		t.Fatalf("fake worker's welcome: %+v, %v", w, err)
 	}
 	return conn
 }
 
 // TestDistributedSilentWorkerAborts holds the coordinator to the two
 // halves of the push protocol with a fake worker on a bare control
-// connection. A worker that goes silent after Start is declared dead once
-// it has been silent for the Watchdog: the run aborts with an error naming
-// it, and the worker is told why. A worker that reports on its heartbeat
-// and then sends its result hears nothing from the coordinator between
-// Start and Finish.
+// connection. A worker that goes silent after its welcome is declared dead
+// once it has been silent for the Watchdog: the run aborts with an error
+// naming it, and the worker is told why. A worker that reports on its
+// heartbeat and then sends its result hears nothing from the coordinator
+// between the welcome and Finish.
 func TestDistributedSilentWorkerAborts(t *testing.T) {
 	const watchdog = 300 * time.Millisecond
 	const cycles = 10
@@ -379,7 +503,7 @@ func TestDistributedSilentWorkerAborts(t *testing.T) {
 			t.Errorf("abort %q (%v) does not name worker 0", a.Reason, err)
 		}
 		if took < watchdog/2 || took > watchdog+2*time.Second {
-			t.Errorf("aborted %v after start, watchdog %v", took, watchdog)
+			t.Errorf("aborted %v after the welcome, watchdog %v", took, watchdog)
 		}
 		o := <-done
 		if o.err == nil || !strings.Contains(o.err.Error(), "worker 0") || !strings.Contains(o.err.Error(), "silent") {
@@ -404,7 +528,7 @@ func TestDistributedSilentWorkerAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if typ, _, err := conn.Recv(); err != nil || typ != nettrans.FrameFinish {
-			t.Fatalf("read frame 0x%02x (%v) after start, want finish", typ, err)
+			t.Fatalf("read frame 0x%02x (%v) after the welcome, want finish", typ, err)
 		}
 		if typ, _, err := conn.Recv(); err == nil {
 			t.Fatalf("read frame 0x%02x after finish, want the connection closed", typ)
@@ -891,76 +1015,142 @@ func bundleSnapshot(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// TestDistSpecRoundTrip: the welcome carries the spec, the placement and
+// the peers, and gives them back; the spec's K is the placement's length.
+// A changed spec byte fails the fingerprint, and a welcome in another
+// build's layout is refused.
 func TestDistSpecRoundTrip(t *testing.T) {
-	s := &DistSpec{
-		Source:    "module m(); endmodule",
-		Top:       "m",
-		GateParts: []int32{0, 1, 1, 0},
-		K:         2,
-		Cycles:    77,
-		VecSeed:   -12345,
-		Observe:   []netlist.NetID{3, 0, 7},
+	w := distWelcome{
+		WorkerID:  1,
+		Placement: []int32{0, 1},
+		PeerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"},
+		Spec: &DistSpec{
+			Source:    "module m(); endmodule",
+			Top:       "m",
+			GateParts: []int32{0, 1, 1, 0},
+			K:         2,
+			Cycles:    77,
+			VecSeed:   -12345,
+			Observe:   []netlist.NetID{3, 0, 7},
+		},
 	}
-	blob := AppendDistSpec(nil, s)
-	got, err := DecodeDistSpec(blob)
+	blob := appendWelcome(nil, w)
+	got, err := decodeWelcome(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	if !reflect.DeepEqual(got, w) {
+		t.Fatalf("round trip mismatch:\n got %+v %+v\nwant %+v %+v", got, got.Spec, w, w.Spec)
 	}
 	// No observe list decodes as none: the run observes the primary outputs.
-	if got, err := DecodeDistSpec(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", K: 1})); err != nil || got.Observe != nil {
-		t.Fatalf("spec without an observe list decoded to %v, %v", got, err)
+	bare := distWelcome{Placement: []int32{0}, PeerAddrs: []string{"a"}, Spec: &DistSpec{Source: "s", Top: "t"}}
+	if got, err := decodeWelcome(appendWelcome(nil, bare)); err != nil || got.Spec.Observe != nil || got.Spec.K != 1 {
+		t.Fatalf("welcome without an observe list decoded to %+v, %v", got.Spec, err)
 	}
 
-	// Every strict prefix must fail (truncation), and a flipped content
-	// byte must fail the fingerprint.
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecodeDistSpec(blob[:cut]); err == nil {
-			t.Fatalf("truncated spec (%d/%d bytes) accepted", cut, len(blob))
-		}
-	}
+	// A flipped content byte fails the fingerprint.
 	bad := append([]byte(nil), blob...)
-	bad[9] ^= 0x01 // inside Source
-	if _, err := DecodeDistSpec(bad); err == nil {
-		t.Fatal("corrupted spec accepted (fingerprint did not catch it)")
+	bad[bytes.Index(blob, []byte("module"))] ^= 0x01
+	if _, err := decodeWelcome(bad); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("welcome with a flipped source byte: error %v, want a fingerprint mismatch", err)
 	}
 	// The fingerprint covers the observe list too: a net flipped there,
 	// or the last gate's cluster moved into it, is caught.
 	bad = append([]byte(nil), blob...)
 	bad[len(bad)-1] ^= 0x01
-	if _, err := DecodeDistSpec(bad); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("spec with a flipped observed net: error %v, want a fingerprint mismatch", err)
+	if _, err := decodeWelcome(bad); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("welcome with a flipped observed net: error %v, want a fingerprint mismatch", err)
 	}
-	moved := *s
-	moved.GateParts, moved.Observe = s.GateParts[:3], []netlist.NetID{0, 3, 0, 7}
-	if moved.Fingerprint() == s.Fingerprint() {
+	moved := *w.Spec
+	moved.GateParts, moved.Observe = w.Spec.GateParts[:3], []netlist.NetID{0, 3, 0, 7}
+	if moved.Fingerprint() == w.Spec.Fingerprint() {
 		t.Fatal("a gate moved into the observe list keeps the fingerprint")
 	}
-	// An observe count past the payload fails before it allocates.
-	huge := AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", K: 1})
-	huge = nettrans.AppendU32(huge[:len(huge)-4], 0xFFFFFFF0)
-	if _, err := DecodeDistSpec(huge); err == nil || !strings.Contains(err.Error(), "observed nets") {
-		t.Fatalf("absurd observe count: error %v, want it rejected by size", err)
-	}
 
-	// A blob in another build's layout may decode field by field; only
+	// A welcome in another build's layout may decode field by field; only
 	// its length tells.
-	if _, err := DecodeDistSpec(append(blob, 1)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-		t.Fatalf("spec with a trailing byte: error %v, want trailing bytes rejected", err)
+	if _, err := decodeWelcome(append(blob, 1)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("welcome with a trailing byte: error %v, want trailing bytes rejected", err)
 	}
-	if _, err := DecodeDistSpec(distSpecV7(s)); err == nil {
-		t.Fatal("spec in protocol version 7's layout accepted")
+	if _, err := decodeWelcome(welcomeV16(w)); err == nil {
+		t.Fatal("welcome in protocol version 16's layout accepted")
 	}
 }
 
-// distSpecV7 encodes s in protocol version 7's layout, which carried an
-// optimism window (the default, 8) between Cycles and VecSeed.
-func distSpecV7(s *DistSpec) []byte {
-	blob := AppendDistSpec(nil, s)
-	at := len(blob) - 8 - 4 - 4*len(s.Observe) // where VecSeed begins
-	return append(nettrans.AppendU64(blob[:at:at], 8), blob[at:]...)
+// welcomeV16 encodes w in protocol version 16's layout: the worker id, the
+// worker count and K, the placement and the peers, then the spec as one
+// length-prefixed blob that began with its fingerprint and repeated K.
+func welcomeV16(w distWelcome) []byte {
+	s := w.Spec
+	blob := nettrans.AppendU64(nil, s.Fingerprint())
+	blob = nettrans.AppendStr(nettrans.AppendStr(blob, s.Source), s.Top)
+	blob = appendWords(blob, s.GateParts)
+	blob = nettrans.AppendU32(blob, uint32(s.K))
+	blob = nettrans.AppendI64(nettrans.AppendU64(blob, s.Cycles), s.VecSeed)
+	blob = appendWords(blob, s.Observe)
+	dst := nettrans.AppendU32(nil, uint32(w.WorkerID))
+	dst = nettrans.AppendU32(dst, uint32(len(w.PeerAddrs)))
+	dst = nettrans.AppendU32(dst, uint32(len(w.Placement)))
+	for _, p := range w.Placement {
+		dst = nettrans.AppendU32(dst, uint32(p))
+	}
+	for _, a := range w.PeerAddrs {
+		dst = nettrans.AppendStr(dst, a)
+	}
+	return nettrans.AppendBytes(dst, blob)
+}
+
+// TestDecodeWelcomeHostile: a truncated welcome, one whose worker id or
+// placement names a worker outside its peer list, and one whose partition
+// names a cluster outside its placement are refused; so is every list
+// count larger than the bytes left, before anything is allocated for it.
+func TestDecodeWelcomeHostile(t *testing.T) {
+	good := distWelcome{WorkerID: 1, Placement: []int32{0, 1}, PeerAddrs: []string{"a", "b"},
+		Spec: &DistSpec{Source: "s", Top: "t", GateParts: []int32{1, 0}, Observe: []netlist.NetID{4}}}
+	blob := appendWelcome(nil, good)
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeWelcome(blob[:cut]); err == nil {
+			t.Fatalf("truncated welcome (%d/%d bytes) accepted", cut, len(blob))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(w *distWelcome)
+		want string
+	}{
+		{"worker id", func(w *distWelcome) { w.WorkerID = 2 }, "welcome to worker 2 of 2"},
+		{"placement", func(w *distWelcome) { w.Placement = []int32{0, 5} }, "places cluster 1 on worker 5 of 2"},
+		{"partition", func(w *distWelcome) { w.Placement = []int32{0} }, "gate 0 assigned to cluster 1 (K=1)"},
+		{"no peers", func(w *distWelcome) { w.WorkerID, w.PeerAddrs, w.Placement = 0, nil, nil }, "welcome to worker 0 of 0"},
+	} {
+		w := good
+		tc.edit(&w)
+		if _, err := decodeWelcome(appendWelcome(nil, w)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Each count, set to 2³²−16 in the welcome's own bytes: 16 GiB of
+	// placements or 64 GiB of peer addresses claimed in a few dozen bytes.
+	// Each is refused by size, and the decode allocates next to nothing.
+	at := map[string]int{"peer addresses": 12}
+	at["placements"] = at["peer addresses"] + 4 + 2*(4+1)
+	at["gates"] = at["placements"] + 4 + 2*4 + 2*(4+1)
+	at["observed nets"] = len(blob) - 4 - 4
+	for what, off := range at {
+		hostile := append([]byte(nil), blob...)
+		copy(hostile[off:], nettrans.AppendU32(nil, 0xFFFFFFF0))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeWelcome(hostile)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "claims 4294967280 "+what) {
+			t.Errorf("absurd count of %s: error %v, want it refused by size", what, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("absurd count of %s: the refused decode allocated %d bytes", what, n)
+		}
+	}
 }
 
 // distReportV13 encodes a report in protocol version 13's layout, the
@@ -1010,11 +1200,16 @@ func traceBatchV1(blob []byte) []byte {
 // and the mesh's data frame with the link frame it carries, against
 // arbitrary bytes: errors are fine, panics and absurd allocations are not.
 func FuzzDistProtoDecode(f *testing.F) {
-	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1}))
-	f.Add(AppendDistSpec(nil, &DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
-		Observe: []netlist.NetID{2, 0}}))
-	f.Add(distSpecV7(&DistSpec{Source: "s", Top: "t", GateParts: []int32{0}, K: 1, Cycles: 1,
-		Observe: []netlist.NetID{2, 0}}))
+	welcome := distWelcome{Placement: []int32{0, 1, 1}, PeerAddrs: []string{"x", "y"},
+		Spec: &DistSpec{Source: "s", Top: "t", GateParts: []int32{2}, Cycles: 1}}
+	f.Add(appendWelcome(nil, welcome))
+	welcome.Spec.Observe = []netlist.NetID{2, 0}
+	f.Add(appendWelcome(nil, welcome))
+	f.Add(welcomeV16(welcome))
+	// A placement count past the payload, and a peer count past it.
+	hostile := appendWelcome(nil, welcome)
+	f.Add(append(append([]byte(nil), hostile[:26]...), 0xFF, 0xFF, 0xFF, 0xF0))
+	f.Add(append(append([]byte(nil), hostile[:12]...), 0xFF, 0xFF, 0xFF, 0xF0))
 	entry := []clusterReport{{Cluster: 0, Cycle: 9, Stats: Stats{Events: 4}}}
 	f.Add(appendReport(nil, distReport{Clusters: entry}))
 	f.Add(appendReport(nil, distReport{Clusters: entry, Lost: 2,
@@ -1038,7 +1233,7 @@ func FuzzDistProtoDecode(f *testing.F) {
 		f.Add(h)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeDistSpec(data)
+		_, _ = decodeWelcome(data)
 		_, _ = decodeReport(data, 8)
 		_, _ = decodeResult(data, 8)
 		_, _ = decodeAbort(data)

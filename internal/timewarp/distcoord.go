@@ -47,8 +47,9 @@ type CoordConfig struct {
 	PostMortemDir string
 }
 
-// Coordinator drives a distributed Time Warp run: it assigns clusters to
-// workers and starts them, then only listens. Each worker reports its
+// Coordinator drives a distributed Time Warp run: it welcomes each worker
+// with the whole run — its clusters, its peers, the spec — and from then
+// on only listens. Each worker reports its
 // clusters' published cycles and counters on its own heartbeat and sends
 // its result once they have run their cycles; the coordinator folds the
 // reports into one sample of the run's progress, detects crashed, silent
@@ -200,8 +201,9 @@ func (co *Coordinator) Run() (*Result, error) {
 	cfg := co.cfg
 	defer co.ln.Close()
 
-	// Phase 1: handshake. Workers connect in any order; ids are assigned
-	// in accept order.
+	// The handshake: workers connect in any order; ids are assigned in
+	// accept order. Once a worker has its welcome nothing else holds it
+	// back (DESIGN §14).
 	conns := make([]*nettrans.Conn, cfg.Workers)
 	dataAddrs := make([]string, cfg.Workers)
 	deadline := time.Now().Add(cfg.Watchdog)
@@ -238,17 +240,9 @@ func (co *Coordinator) Run() (*Result, error) {
 		}
 	}
 
-	specBlob := AppendDistSpec(nil, cfg.Spec)
 	for i, conn := range conns {
-		w := nettrans.Welcome{
-			WorkerID:   i,
-			NumWorkers: cfg.Workers,
-			K:          cfg.Spec.K,
-			Placement:  co.placement,
-			PeerAddrs:  dataAddrs,
-			Config:     specBlob,
-		}
-		if err := conn.Send(nettrans.FrameWelcome, nettrans.AppendWelcome(nil, w)); err != nil {
+		w := distWelcome{WorkerID: i, Placement: co.placement, PeerAddrs: dataAddrs, Spec: cfg.Spec}
+		if err := conn.Send(nettrans.FrameWelcome, appendWelcome(nil, w)); err != nil {
 			return co.fail(co.abortf(conns, "worker %d unreachable at welcome: %w", i, err))
 		}
 	}
@@ -275,17 +269,6 @@ func (co *Coordinator) Run() (*Result, error) {
 				}
 			}
 		}()
-	}
-
-	// Phase 2: wait for every worker's Ready (mesh established), then
-	// fire the synchronized start.
-	if err := co.gather(frames, conns, nettrans.FrameReady, "ready"); err != nil {
-		return co.fail(err)
-	}
-	for i, conn := range conns {
-		if err := conn.Send(nettrans.FrameStart, nil); err != nil {
-			return co.fail(co.abortf(conns, "worker %d unreachable at start: %w", i, err))
-		}
 	}
 
 	cfg.Probe.attach(cfg.Spec.Cycles)
@@ -338,49 +321,6 @@ func (co *Coordinator) abortf(conns []*nettrans.Conn, format string, args ...any
 	return fmt.Errorf("timewarp: %w", err)
 }
 
-// pollFrame waits up to timeout for one protocol frame (ok=false when none
-// came), turning worker errors and worker death into run aborts. A worker
-// keeps its control connection open until Finish, so every read error is
-// a death.
-func (co *Coordinator) pollFrame(frames chan workerFrame, timeout time.Duration, conns []*nettrans.Conn) (f workerFrame, ok bool, err error) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	select {
-	case f := <-frames:
-		if f.err != nil {
-			return f, false, co.abortf(conns, "worker %d died: %w", f.worker, f.err)
-		}
-		if f.typ == nettrans.FrameError {
-			a, _ := decodeAbort(f.payload)
-			return f, false, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
-		}
-		return f, true, nil
-	case <-deadline.C:
-		return workerFrame{}, false, nil
-	}
-}
-
-// gather waits, under the watchdog, for exactly one frame of type want
-// from every worker. Per-connection FIFO means anything else is a protocol
-// violation, not skew.
-func (co *Coordinator) gather(frames chan workerFrame, conns []*nettrans.Conn, want byte, what string) error {
-	seen := make([]bool, co.cfg.Workers)
-	for n := 0; n < co.cfg.Workers; n++ {
-		f, ok, err := co.pollFrame(frames, co.cfg.Watchdog, conns)
-		if err == nil && !ok {
-			err = co.abortf(conns, "watchdog: no worker activity within %v", co.cfg.Watchdog)
-		}
-		if err != nil {
-			return err
-		}
-		if f.typ != want || seen[f.worker] {
-			return co.abortf(conns, "worker %d sent frame 0x%02x while its %s was due", f.worker, f.typ, what)
-		}
-		seen[f.worker] = true
-	}
-	return nil
-}
-
 // listen is the coordinator's loop while the run is live: it sends the
 // workers nothing. It folds every report into one sample of the clusters'
 // published cycles — the tw_* series, the worker's trace ring, the probe,
@@ -411,12 +351,18 @@ func (co *Coordinator) listen(conns []*nettrans.Conn, frames chan workerFrame) (
 				quiet = i
 			}
 		}
-		f, ok, err := co.pollFrame(frames, time.Until(heard[quiet].Add(cfg.Watchdog)), conns)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		var f workerFrame
+		deadline := time.NewTimer(time.Until(heard[quiet].Add(cfg.Watchdog)))
+		select {
+		case f = <-frames:
+			deadline.Stop()
+		case <-deadline.C:
 			return nil, co.abortf(conns, "watchdog: worker %d silent for %v", quiet, cfg.Watchdog)
+		}
+		// A worker keeps its control connection open until Finish, so every
+		// read error is a death.
+		if f.err != nil {
+			return nil, co.abortf(conns, "worker %d died: %w", f.worker, f.err)
 		}
 		if results[f.worker] != nil {
 			return nil, co.abortf(conns, "worker %d sent frame 0x%02x after its result", f.worker, f.typ)
@@ -439,6 +385,9 @@ func (co *Coordinator) listen(conns []*nettrans.Conn, frames chan workerFrame) (
 			results[f.worker] = &r
 			pending--
 			cs = r.Clusters
+		case nettrans.FrameAbort:
+			a, _ := decodeAbort(f.payload)
+			return nil, co.abortf(conns, "worker %d failed: %s", f.worker, a.Reason)
 		default:
 			return nil, co.abortf(conns, "worker %d sent unexpected frame 0x%02x", f.worker, f.typ)
 		}

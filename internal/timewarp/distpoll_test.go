@@ -74,7 +74,6 @@ func newMeshFixtureOf(t *testing.T, placement []int32) *meshFixture {
 	ctlLocal, ctlCoord := tcpPair(t)
 	w := &distWorker{
 		id:        0,
-		numW:      numW,
 		spec:      &DistSpec{K: k},
 		placement: placement,
 		coord:     ctlLocal,
@@ -524,8 +523,8 @@ func TestMeshPollReportsGarbage(t *testing.T) {
 			f.sendLinkFrame(t, 2) // behind the garbage: must never be delivered
 			f.pollUntilDown(t, nil)
 			typ, payload, ok := f.coordFrame(5 * time.Second)
-			if !ok || typ != nettrans.FrameError {
-				t.Fatalf("coordinator got frame 0x%02x (ok=%v), want FrameError", typ, ok)
+			if !ok || typ != nettrans.FrameAbort {
+				t.Fatalf("coordinator got frame 0x%02x (ok=%v), want FrameAbort", typ, ok)
 			}
 			a, err := decodeAbort(payload)
 			if err != nil {

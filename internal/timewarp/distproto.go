@@ -10,9 +10,10 @@ import (
 
 // Control-plane payloads of the distributed runtime. The frame types are
 // nettrans constants; these are their bodies. Everything here flows over
-// the coordinator connection (Report/Result/Error from a worker,
+// the coordinator connection (Report/Result/Abort from a worker,
 // Finish/Abort to it) or the worker mesh (Progress, a cluster's watermark);
-// the data plane's event payloads live in wire.go.
+// the welcome lives in distspec.go and the data plane's payloads in
+// wire.go.
 
 // decodeEnd is the last step of every control-payload decode: the
 // decoder's first error, or the bytes left over. A payload in another
@@ -115,8 +116,8 @@ func decodeReport(p []byte, k int) (distReport, error) {
 	return r, nil
 }
 
-// distAbort carries the coordinator's abort diagnosis (or a worker's
-// FrameError message — same shape).
+// distAbort is the payload of an Abort: the coordinator's diagnosis of the
+// run, or a worker's own failure — the connection's direction says which.
 type distAbort struct {
 	Reason string
 }

@@ -88,28 +88,18 @@ func RunWorker(opts WorkerOptions) error {
 	if typ != nettrans.FrameWelcome {
 		return fmt.Errorf("timewarp: expected welcome, got frame type 0x%02x", typ)
 	}
-	welcome, err := nettrans.DecodeWelcome(payload)
+	welcome, err := decodeWelcome(payload)
 	if err != nil {
 		return err
 	}
-	spec, err := DecodeDistSpec(welcome.Config)
-	if err != nil {
-		return err
-	}
-	if spec.K != welcome.K || len(welcome.Placement) != spec.K {
-		return fmt.Errorf("timewarp: welcome says k=%d with %d placements, spec says k=%d",
-			welcome.K, len(welcome.Placement), spec.K)
-	}
-
 	w := &distWorker{
 		opts:      opts,
 		id:        welcome.WorkerID,
-		numW:      welcome.NumWorkers,
-		spec:      spec,
+		spec:      welcome.Spec,
 		placement: welcome.Placement,
 		coord:     coord,
 		ln:        ln,
-		peers:     make([]*nettrans.Conn, welcome.NumWorkers),
+		peers:     make([]*nettrans.Conn, len(welcome.PeerAddrs)),
 	}
 	return w.run(welcome.PeerAddrs)
 }
@@ -118,7 +108,6 @@ func RunWorker(opts WorkerOptions) error {
 type distWorker struct {
 	opts      WorkerOptions
 	id        int
-	numW      int
 	spec      *DistSpec
 	placement []int32
 	coord     *nettrans.Conn
@@ -154,26 +143,16 @@ func (w *distWorker) run(peerAddrs []string) error {
 	}
 	w.mesh.routeMarks(w.h)
 
-	if err := w.coord.Send(nettrans.FrameReady, nil); err != nil {
-		return fmt.Errorf("timewarp: send ready: %w", err)
-	}
-	typ, payload, err := w.coord.Recv()
-	if err != nil {
-		return fmt.Errorf("timewarp: waiting for start: %w", err)
-	}
-	if typ == nettrans.FrameAbort {
-		a, _ := decodeAbort(payload)
-		return fmt.Errorf("timewarp: aborted before start: %s", a.Reason)
-	}
-	if typ != nettrans.FrameStart {
-		return fmt.Errorf("timewarp: expected start, got frame type 0x%02x", typ)
-	}
+	// The clusters start now, whatever the peers are doing: a cluster's
+	// cycle 0 reads only power-on values, and every later cycle waits for
+	// its senders' watermarks, which a peer still building its host has
+	// not sent yet (DESIGN §26). Frames to such a peer wait in its socket.
 	w.opts.Probe.attach(w.spec.Cycles)
 
 	// The injected crash: drop everything mid-run, exactly as a killed
 	// process would, and let the coordinator's watchdog prove itself. Armed
-	// at the synchronized start, so the clock measures the run and cannot
-	// beat the handshake on a loaded box.
+	// as the clusters start, so the clock measures the run and cannot beat
+	// the handshake on a loaded box.
 	if w.opts.FailAfter > 0 {
 		time.AfterFunc(w.opts.FailAfter, func() {
 			w.h.cancelled.Store(true)
@@ -186,7 +165,7 @@ func (w *distWorker) run(peerAddrs []string) error {
 	w.h.start(func(err error) {
 		// Best effort: tell the coordinator why; it aborts the whole run
 		// and relays the reason to every other worker.
-		w.coord.Send(nettrans.FrameError,
+		w.coord.Send(nettrans.FrameAbort,
 			appendAbort(nil, distAbort{Reason: err.Error()}))
 	})
 
@@ -257,8 +236,8 @@ func (w *distWorker) controlLoop() error {
 	}
 }
 
-// awaitEnd reads the one frame the coordinator sends after Start: Finish,
-// once every result is in (nil), or Abort.
+// awaitEnd reads the one frame the coordinator sends after the welcome:
+// Finish, once every result is in (nil), or Abort.
 func (w *distWorker) awaitEnd() error {
 	typ, payload, err := w.coord.Recv()
 	switch {
@@ -335,7 +314,7 @@ func (w *distWorker) peerFrame(typ byte, payload []byte) error {
 // failLink reports a poisoned mesh link to the coordinator; a garbled
 // data plane can neither be trusted nor repaired, so the run must abort.
 func (w *distWorker) failLink(peer int, err error) {
-	w.coord.Send(nettrans.FrameError, appendAbort(nil, distAbort{
+	w.coord.Send(nettrans.FrameAbort, appendAbort(nil, distAbort{
 		Reason: fmt.Sprintf("worker %d: bad frame from peer %d: %v", w.id, peer, err),
 	}))
 }
@@ -349,7 +328,7 @@ func (w *distWorker) meshUp(peerAddrs []string) error {
 		conn *nettrans.Conn
 		err  error
 	}
-	expect := w.numW - 1 - w.id
+	expect := len(w.peers) - 1 - w.id
 	acceptCh := make(chan acceptRes, expect)
 	if expect > 0 {
 		go func() {
@@ -369,7 +348,7 @@ func (w *distWorker) meshUp(peerAddrs []string) error {
 					acceptCh <- acceptRes{err: err}
 					return
 				}
-				ph, err := nettrans.DecodePeerHello(payload, w.numW)
+				ph, err := nettrans.DecodePeerHello(payload, len(w.peers))
 				if err != nil {
 					conn.Close()
 					acceptCh <- acceptRes{err: err}
@@ -452,7 +431,7 @@ type meshTransport struct {
 }
 
 func newMeshTransport(w *distWorker) *meshTransport {
-	return &meshTransport{w: w, down: make([]bool, w.numW), queued: make([]uint64, w.numW)}
+	return &meshTransport{w: w, down: make([]bool, len(w.peers)), queued: make([]uint64, len(w.peers))}
 }
 
 // routeMarks lists, for each cluster h runs, the peer workers that read its

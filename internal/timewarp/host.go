@@ -71,6 +71,7 @@ type host struct {
 	progress  []atomic.Uint64 // published cycle per cluster (all K)
 	cancelled atomic.Bool     // any failure: every cluster abandons the run
 	clusters  []*cluster      // the clusters this process runs
+	noted     []uint64        // per local cluster, its cycle at the last note
 
 	wg    sync.WaitGroup
 	errMu sync.Mutex
@@ -154,16 +155,24 @@ func (h *host) abort() {
 }
 
 // note feeds the liveness probe the slowest local cluster's published
-// cycle, as activity.
+// cycle, as activity only when some local cluster's cycle moved since the
+// previous note: a worker that heartbeats while its clusters are wedged
+// goes stale on its probe, as a run does on its watchdog's.
 func (h *host) note() {
 	if h.cfg.Probe == nil {
 		return
 	}
-	minProg := uint64(math.MaxUint64)
-	for _, cl := range h.clusters {
-		minProg = min(minProg, h.progress[cl.id].Load())
+	if h.noted == nil {
+		h.noted = make([]uint64, len(h.clusters))
 	}
-	h.cfg.Probe.note(minProg, true)
+	minProg, moved := uint64(math.MaxUint64), false
+	for i, cl := range h.clusters {
+		p := h.progress[cl.id].Load()
+		minProg = min(minProg, p)
+		moved = moved || p != h.noted[i]
+		h.noted[i] = p
+	}
+	h.cfg.Probe.note(minProg, moved)
 }
 
 // collect gathers what the local clusters produced, after they exited.

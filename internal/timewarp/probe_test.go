@@ -153,3 +153,44 @@ func TestProbeReportsWedgedRun(t *testing.T) {
 		t.Errorf("terminal health = %v %q, want unhealthy with stall diagnosis", ok, detail)
 	}
 }
+
+// TestProbeSeesHeartbeatingStall: a worker notes its own clusters'
+// progress on its probe at every report. A note in which none of them moved
+// leaves the last advance where it was, so a worker whose clusters are
+// wedged while it still heartbeats turns unhealthy; another worker's
+// cluster moving is not this worker's progress.
+func TestProbeSeesHeartbeatingStall(t *testing.T) {
+	ed, err := gen.LFSR(16, nil).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := ed.Netlist
+	p := NewProbe()
+	h, err := newHost(Config{NL: nl, GateParts: randomParts(nl, 2, 1), K: 2,
+		Vectors: sim.RandomVectors{Seed: 5}, Cycles: 10, Probe: p}, "dist", func(c int) bool { return c == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.attach(10)
+	h.progress[1].Store(3)
+	h.note()
+	moved := p.State().LastAdvance
+	time.Sleep(20 * time.Millisecond)
+	h.note()
+	h.progress[0].Store(5)
+	h.note()
+	st := p.State()
+	if !st.LastAdvance.Equal(moved) || st.MinProgress != 3 {
+		t.Fatalf("after notes without local progress: last advance %v (was %v), min progress %d; want unchanged, 3",
+			st.LastAdvance, moved, st.MinProgress)
+	}
+	if ok, detail := st.Health(10 * time.Millisecond); ok || !strings.Contains(detail, "stalled") {
+		t.Fatalf("health %v %q, want stalled", ok, detail)
+	}
+	h.progress[1].Store(4)
+	h.note()
+	if st := p.State(); !st.LastAdvance.After(moved) || st.MinProgress != 4 {
+		t.Fatalf("after a local cluster moved: last advance %v (was %v), min progress %d; want later, 4",
+			st.LastAdvance, moved, st.MinProgress)
+	}
+}

@@ -183,16 +183,33 @@ func slotMap(code *sim.Program) map[netlist.NetID]int32 {
 }
 
 // TestProgramTablesMatchNetlist recomputes, naively from the netlist and
-// the partition, what each table of every cluster's program must hold.
+// the partition, what each table of every cluster's program must hold: on
+// the differential circuits at k = 2, 4, and on the default decoder at
+// k = 3, 4 (seed 1, one restart), whose partitions hold flip-flops that
+// only gates the fold dropped read, so a link that carried them would
+// carry bits nothing reads.
 func TestProgramTablesMatchNetlist(t *testing.T) {
+	type split struct {
+		name string
+		c    *gen.Circuit
+		ks   []int
+		opts partition.Options
+	}
+	var splits []split
 	for _, tc := range distWorkloads() {
+		splits = append(splits, split{tc.name, tc.c, []int{2, 4}, partition.Options{B: 10, Seed: 17, Restarts: 2}})
+	}
+	splits = append(splits, split{"decoder", gen.Viterbi(gen.DefaultViterbi), []int{3, 4}, partition.Options{B: 10, Seed: 1}})
+	for _, tc := range splits {
 		ed, err := tc.c.Elaborate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		nl := ed.Netlist
-		for _, k := range []int{2, 4} {
-			res, err := partition.Multiway(ed, partition.Options{K: k, B: 10, Seed: 17, Restarts: 2})
+		for _, k := range tc.ks {
+			opts := tc.opts
+			opts.K = k
+			res, err := partition.Multiway(ed, opts)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
